@@ -478,12 +478,22 @@ func TestTenantSubscriberCap(t *testing.T) {
 		}
 	}
 	conn3, r3 := rawSession(t, addr)
-	fmt.Fprintf(conn3, "HELLO acme\nSUBSCRIBE\n")
+	fmt.Fprintf(conn3, "HELLO acme\n")
 	if f := readFrameLine(t, r3); f.Kind != FrameWelcome {
 		t.Fatalf("welcome = %+v", f)
 	}
-	if f := readFrameLine(t, r3); f.Kind != FrameSubscribed {
-		t.Fatalf("acme after release = %+v", f)
+	// BYE goes out before the server gives the tenant's slot back, so the
+	// first attempts may still find the cap taken; a refused session stays
+	// open and may ask again.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		fmt.Fprintf(conn3, "SUBSCRIBE\n")
+		f := readFrameLine(t, r3)
+		if f.Kind == FrameSubscribed {
+			break
+		}
+		if f.Kind != FrameError || f.Code != CodeTenantLimit || time.Now().After(deadline) {
+			t.Fatalf("acme after release = %+v", f)
+		}
 	}
 }
 
@@ -670,15 +680,26 @@ func TestStatsSurface(t *testing.T) {
 			}
 		}
 	}
+	// The server counts a batch (Delivered, then Batches) after its socket
+	// write returns, so the client can hold the tenth entry before either
+	// counter has moved.
+	deadline := time.Now().Add(5 * time.Second)
 	st := srv.Stats()
+	for st.Delivered != 10 || st.Batches == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("delivery counters never settled: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+		st = srv.Stats()
+	}
 	if st.Subscribers != 1 || st.Sessions != 1 || st.Tenants != 1 {
 		t.Errorf("registry shape: %+v", st)
 	}
-	if st.Delivered != 10 || st.Batches == 0 || st.BytesOut == 0 {
+	if st.BytesOut == 0 {
 		t.Errorf("delivery counters: %+v", st)
 	}
 	sub.Close()
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for srv.Stats().Subscribers != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("subscriber not deregistered: %+v", srv.Stats())

@@ -46,6 +46,14 @@ import (
 // Backend is the fleet's view of the DNS. The simulation wires it to
 // registries and hosting tables in-process; integration tests wire it to
 // real resolvers talking UDP to dnsserver instances.
+//
+// Returned slices are shared and read-only: a backend may hand out the
+// same slice on every call (the simulation's answers are built once per
+// domain), and the fleet passes V4/V6 through to Observation and
+// DomainState without copying. Neither side may modify a slice after it
+// crosses this interface; a backend whose answer changes returns a new
+// slice. NS answers may arrive in any order — the fleet sorts a copy of
+// its own, never the backend's slice.
 type Backend interface {
 	// AuthoritativeNS asks the TLD authoritative servers for domain's
 	// delegation. ok=false means NXDOMAIN (removed from zone).
@@ -56,7 +64,8 @@ type Backend interface {
 	LookupAAAA(domain string) []netip.Addr
 }
 
-// ProbeResult is one domain's answers within a probe batch.
+// ProbeResult is one domain's answers within a probe batch. Its slices
+// follow Backend's sharing contract: shared, read-only.
 type ProbeResult struct {
 	InZone bool
 	NS     []string
@@ -81,7 +90,8 @@ type BatchBackend interface {
 // future-work measurements ("we plan to expand our measurements beyond
 // DNS infrastructure records, including mail extensions (e.g., SPF, MX)").
 // Fleets probe mail records when their Backend also implements it and
-// Config.ProbeMail is set.
+// Config.ProbeMail is set. Returned slices follow Backend's sharing
+// contract: shared, read-only.
 type MailBackend interface {
 	// LookupMX resolves mail exchangers.
 	LookupMX(domain string) []string
@@ -89,7 +99,9 @@ type MailBackend interface {
 	LookupTXT(domain string) []string
 }
 
-// Observation is one probe result.
+// Observation is one probe result. Its slices are read-only: NS is shared
+// with the domain's state and with every later observation of an
+// unchanged delegation, V4/V6 with the backend.
 type Observation struct {
 	Domain string
 	Worker int
@@ -117,7 +129,8 @@ type DomainState struct {
 	DeadAt      time.Time // first probe with NXDOMAIN after being alive
 	Finished    bool      // 48-hour window elapsed (or StopWhenDead hit)
 
-	worker int // fleet worker assigned to this domain's probes
+	worker int         // fleet worker assigned to this domain's probes
+	shard  *watchShard // registry stripe guarding this state, resolved once at Watch
 }
 
 // RevalidatePolicy decouples probe cadence from record TTL, after Afek
@@ -299,6 +312,7 @@ func (f *Fleet) Watch(domain string) {
 		Domain:  domain,
 		Started: now,
 		worker:  int(f.nextSeq.Add(1)-1) % f.cfg.Workers,
+		shard:   sh,
 	}
 	sh.states[domain] = st
 	sh.mu.Unlock()
@@ -382,7 +396,7 @@ func (f *Fleet) retireElapsed(next time.Time) {
 	f.watchMu.Lock()
 	defer f.watchMu.Unlock()
 	for _, st := range f.watchList {
-		sh := f.shard(st.Domain)
+		sh := st.shard
 		sh.mu.Lock()
 		if !st.Finished && next.Sub(st.Started) > f.cfg.Window {
 			st.Finished = true
@@ -401,7 +415,7 @@ func (f *Fleet) dueTargets(now time.Time) []*DomainState {
 	defer f.watchMu.Unlock()
 	due := make([]*DomainState, 0, len(f.watchList))
 	for _, st := range f.watchList {
-		sh := f.shard(st.Domain)
+		sh := st.shard
 		sh.mu.Lock()
 		fin := st.Finished
 		if !fin && now.Sub(st.Started) > f.cfg.Window {
@@ -420,7 +434,10 @@ func (f *Fleet) dueTargets(now time.Time) []*DomainState {
 	return due
 }
 
-// roundResult is one domain's resolved probe within a batch.
+// roundResult is one domain's resolved probe within a batch. Between the
+// probe stage and apply, obs.NS is the backend's raw answer (its slice,
+// its order); apply replaces it with the fleet-owned sorted form before
+// any observer sees it.
 type roundResult struct {
 	obs Observation
 	mx  []string
@@ -479,8 +496,7 @@ func (f *Fleet) probeStage(targets []*DomainState, results []roundResult, now ti
 		ns, inZone := f.backend.AuthoritativeNS(st.Domain)
 		obs.InZone = inZone
 		if inZone {
-			obs.NS = append([]string(nil), ns...)
-			sort.Strings(obs.NS)
+			obs.NS = ns
 			obs.V4 = f.backend.LookupA(st.Domain)
 			obs.V6 = f.backend.LookupAAAA(st.Domain)
 			if probeMail {
@@ -531,8 +547,7 @@ func (f *Fleet) probeBatched(bb BatchBackend, targets []*DomainState, results []
 			st := targets[i]
 			obs := Observation{Domain: st.Domain, Worker: st.worker, At: now, InZone: pr.InZone}
 			if pr.InZone {
-				obs.NS = append([]string(nil), pr.NS...)
-				sort.Strings(obs.NS)
+				obs.NS = pr.NS
 				obs.V4 = pr.V4
 				obs.V6 = pr.V6
 				if probeMail {
@@ -548,15 +563,18 @@ func (f *Fleet) probeBatched(bb BatchBackend, targets []*DomainState, results []
 	})
 }
 
-// apply records one resolved probe into the domain's aggregate state.
+// apply records one resolved probe into the domain's aggregate state and
+// puts r.obs.NS into its observable form (see observedNS) — under the
+// state's shard lock, the one place LastNS may be read.
 func (f *Fleet) apply(st *DomainState, r *roundResult, now time.Time) {
-	sh := f.shard(st.Domain)
+	sh := st.shard
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st.Probes++
 	if r.obs.InZone {
 		st.EverInZone = true
 		st.LastAliveAt = now
+		r.obs.NS = observedNS(st.LastNS, r.obs.NS)
 		if st.FirstNS == nil {
 			st.FirstNS = r.obs.NS
 		}
@@ -583,6 +601,21 @@ func (f *Fleet) apply(st *DomainState, r *roundResult, now time.Time) {
 		st.Finished = true
 		f.active.Add(-1)
 	}
+}
+
+// observedNS returns the sorted, fleet-owned form of a backend NS answer.
+// last is the state's LastNS (sorted, fleet-owned): an answer equal to it
+// element for element is therefore already sorted and the observation
+// reuses last — the steady state of a 48-hour watch, and allocation-free.
+// First sight, a changed delegation, or an answer in another order gets a
+// fresh sorted copy, so backend memory is never aliased or reordered.
+func observedNS(last, ns []string) []string {
+	if last != nil && equalStrings(last, ns) {
+		return last
+	}
+	cp := append([]string(nil), ns...)
+	sort.Strings(cp)
+	return cp
 }
 
 func equalStrings(a, b []string) bool {

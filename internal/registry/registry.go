@@ -37,6 +37,10 @@ type Registration struct {
 	// Zone visibility (ground truth, set by zone rebuilds).
 	InZoneAt    time.Time // when the delegation entered the live zone
 	OutOfZoneAt time.Time // when it left; zero while delegated
+
+	// webAddrs is the A answer for WebAddr, built once at registration and
+	// never mutated, so Registry.WebAddrs can hand it out without copying.
+	webAddrs []netip.Addr
 }
 
 // Active reports whether the registration is not deleted at t.
@@ -106,7 +110,10 @@ type Registry struct {
 	clk simclock.Clock
 	rng *rand.Rand
 
-	mu      sync.Mutex
+	// mu is read-locked by the authoritative and RDAP query paths — the
+	// fleet's probe workers hit them concurrently, millions of times per
+	// campaign — and write-locked by ledger mutations and zone rebuilds.
+	mu      sync.RWMutex
 	ledger  map[string][]*Registration // all registrations, newest last
 	zone    *zoneset.Snapshot          // live zone
 	serial  uint32
@@ -194,6 +201,9 @@ func (r *Registry) RegisterAt(domain, registrar string, ns []string, web netip.A
 		Created:   at,
 		NS:        append([]string(nil), ns...),
 		WebAddr:   web,
+	}
+	if web.IsValid() {
+		reg.webAddrs = []netip.Addr{web}
 	}
 	r.ledger[domain] = append(r.ledger[domain], reg)
 	r.pending[domain] = pendingOp{ns: reg.NS}
@@ -297,19 +307,21 @@ func (r *Registry) publishSnapshot(now time.Time) {
 
 // Serial returns the live zone's SOA serial (SOA-probe validation, §4.1).
 func (r *Registry) Serial() uint32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	return r.serial
 }
 
 // Delegation answers an NS query at the TLD authoritative servers: the NS
 // set for the registered domain covering name, and ok=false for NXDOMAIN.
 // Matching the paper's step 3, this is the ground truth for "still in
-// zone" checks, immune to lame-delegation noise.
+// zone" checks, immune to lame-delegation noise. The slice is the live
+// zone's own: shared and read-only. A later UpdateNS installs a new slice
+// at the next rebuild and leaves this one untouched.
 func (r *Registry) Delegation(name string) (ns []string, ok bool) {
 	name = dnsname.Canonical(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	for cur := name; cur != "" && cur != r.cfg.TLD; cur = dnsname.Parent(cur) {
 		if del := r.zone.Get(cur); del != nil {
 			return del.NS, true
@@ -320,15 +332,34 @@ func (r *Registry) Delegation(name string) (ns []string, ok bool) {
 
 // InZone reports whether domain is currently delegated in the live zone.
 func (r *Registry) InZone(domain string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	return r.zone.Contains(domain)
+}
+
+// WebAddrs answers an A query for domain: the newest registration's web
+// host while domain is delegated in the live zone, nil otherwise. One
+// read lock, no copy — the slice is shared with every other caller and
+// must not be modified (Lookup returns a private copy for callers that
+// want one).
+func (r *Registry) WebAddrs(domain string) []netip.Addr {
+	domain = dnsname.Canonical(domain)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if !r.zone.Contains(domain) {
+		return nil
+	}
+	regs := r.ledger[domain]
+	if len(regs) == 0 {
+		return nil
+	}
+	return regs[len(regs)-1].webAddrs
 }
 
 // ZoneLen returns the live zone delegation count.
 func (r *Registry) ZoneLen() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	return r.zone.Len()
 }
 
@@ -362,8 +393,8 @@ func (r *Registry) RDAPLookup(domain string) (*Registration, error) {
 // rather than the lookahead drain's lagging committed time.
 func (r *Registry) RDAPLookupAt(domain string, now time.Time) (*Registration, error) {
 	domain = dnsname.Canonical(domain)
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	regs := r.ledger[domain]
 	for i := len(regs) - 1; i >= 0; i-- {
 		reg := regs[i]
@@ -388,8 +419,8 @@ func (r *Registry) RDAPLookupAt(domain string, now time.Time) (*Registration, er
 // Lookup returns the newest ledger entry for domain (ground truth; not an
 // observable for the measurement pipeline).
 func (r *Registry) Lookup(domain string) (*Registration, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	regs := r.ledger[dnsname.Canonical(domain)]
 	if len(regs) == 0 {
 		return nil, false

@@ -11,7 +11,10 @@ import (
 // probeBackend implements measure.Backend over the simulated registries:
 // NS queries consult the live TLD zone (exactly what querying the TLD
 // authoritative servers observes), and address queries resolve to the
-// registration's web host while the domain is delegated.
+// registration's web host while the domain is delegated. Every answer is
+// a slice built once — by the zone rebuild, at registration, or on a
+// record's first mail probe — and shared read-only across probes, so a
+// probe of an unchanged domain allocates nothing.
 type probeBackend struct{ w *World }
 
 // ProbeBackend returns the measurement fleet's view of this world.
@@ -26,16 +29,11 @@ func (b probeBackend) AuthoritativeNS(domain string) ([]string, bool) {
 }
 
 func (b probeBackend) LookupA(domain string) []netip.Addr {
-	domain = dnsname.Canonical(domain)
-	reg := b.w.Registries[dnsname.TLD(domain)]
-	if reg == nil || !reg.InZone(domain) {
+	reg := b.w.Registries[dnsname.TLD(dnsname.Canonical(domain))]
+	if reg == nil {
 		return nil
 	}
-	rec, ok := reg.Lookup(domain)
-	if !ok || !rec.WebAddr.IsValid() {
-		return nil
-	}
-	return []netip.Addr{rec.WebAddr}
+	return reg.WebAddrs(domain)
 }
 
 func (b probeBackend) LookupAAAA(domain string) []netip.Addr { return nil }
@@ -55,8 +53,8 @@ func (b probeBackend) ProbeBatch(domains []string, mail bool) []measure.ProbeRes
 		pr.V4 = b.LookupA(domain)
 		pr.V6 = b.LookupAAAA(domain)
 		if mail {
-			pr.MX = b.LookupMX(domain)
-			pr.TXT = b.LookupTXT(domain)
+			ans := b.liveMail(domain)
+			pr.MX, pr.TXT = ans.mx, ans.txt
 		}
 	}
 	return out
@@ -64,30 +62,25 @@ func (b probeBackend) ProbeBatch(domains []string, mail bool) []measure.ProbeRes
 
 // LookupMX implements measure.MailBackend from ground truth, answering
 // only while the domain is delegated.
-func (b probeBackend) LookupMX(domain string) []string {
-	if d := b.liveDomain(domain); d != nil && d.HasMX {
-		return []string{"mx1." + d.Name, "mx2." + d.Name}
-	}
-	return nil
-}
+func (b probeBackend) LookupMX(domain string) []string { return b.liveMail(domain).mx }
 
 // LookupTXT implements measure.MailBackend.
-func (b probeBackend) LookupTXT(domain string) []string {
-	if d := b.liveDomain(domain); d != nil && d.HasSPF {
-		return []string{"v=spf1 include:_spf." + d.WebHostSPFDomain() + " -all"}
-	}
-	return nil
-}
+func (b probeBackend) LookupTXT(domain string) []string { return b.liveMail(domain).txt }
 
-// liveDomain returns ground truth for domain when it is currently in its
-// TLD zone.
-func (b probeBackend) liveDomain(domain string) *Domain {
+// liveMail returns domain's mail answers when it is currently in its TLD
+// zone. Ground truth is consulted first: a record that publishes neither
+// MX nor SPF never touches the registry.
+func (b probeBackend) liveMail(domain string) mailAnswers {
 	domain = dnsname.Canonical(domain)
+	ans := b.w.Domains.mailAnswers(domain)
+	if ans.mx == nil && ans.txt == nil {
+		return ans
+	}
 	reg := b.w.Registries[dnsname.TLD(domain)]
 	if reg == nil || !reg.InZone(domain) {
-		return nil
+		return mailAnswers{}
 	}
-	return b.w.Domains.Get(domain)
+	return ans
 }
 
 // WebHostSPFDomain derives the SPF include target from the hosting

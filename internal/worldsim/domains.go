@@ -27,7 +27,17 @@ type domainShard struct {
 	mu     sync.RWMutex
 	m      map[string]domainEntry
 	ghosts map[string]struct{}
+	// mail holds the probe backend's MX/TXT answers for the records on
+	// this stripe that publish any, filled on a record's first mail probe
+	// — never at build time, which stays free of per-domain answer
+	// allocations.
+	mail map[*Domain]mailAnswers
 }
+
+// mailAnswers is one record's MX and SPF TXT answers as the probe backend
+// serves them. Both slices are built once, shared by every probe, and
+// read-only.
+type mailAnswers struct{ mx, txt []string }
 
 // domainEntry pairs a record with the canonical rank (layout index) of
 // its installer. Ranks only matter for duplicate names — possible only
@@ -46,6 +56,12 @@ type domainEntry struct {
 type DomainStore struct {
 	shards [domainShards]domainShard
 	count  atomic.Int64
+
+	// spf holds one SPF TXT answer per web-host provider (the policy
+	// text depends on nothing else), shared by every record hosted there.
+	// spfMu nests inside a shard lock (first mail probe), never around one.
+	spfMu sync.Mutex
+	spf   map[string][]string
 }
 
 // newDomainStore pre-sizes a store for about hint records.
@@ -74,6 +90,56 @@ func (s *DomainStore) Get(name string) *Domain {
 	d := sh.m[name].d
 	sh.mu.RUnlock()
 	return d
+}
+
+// mailAnswers returns the MX and SPF TXT answers name's ground truth
+// publishes — zero for unknown names, ghosts, and records publishing
+// neither, all without touching the cache. The steady state is one read
+// lock; only a record's first probe takes the write lock and builds.
+func (s *DomainStore) mailAnswers(name string) mailAnswers {
+	sh := s.shard(name)
+	sh.mu.RLock()
+	d := sh.m[name].d
+	if d == nil || !(d.HasMX || d.HasSPF) {
+		sh.mu.RUnlock()
+		return mailAnswers{}
+	}
+	ans, ok := sh.mail[d]
+	sh.mu.RUnlock()
+	if ok {
+		return ans
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if ans, ok = sh.mail[d]; ok {
+		return ans // a concurrent first probe built it; share its slices
+	}
+	if d.HasMX {
+		ans.mx = []string{"mx1." + d.Name, "mx2." + d.Name}
+	}
+	if d.HasSPF {
+		ans.txt = s.spfAnswer(d)
+	}
+	if sh.mail == nil {
+		sh.mail = make(map[*Domain]mailAnswers)
+	}
+	sh.mail[d] = ans
+	return ans
+}
+
+// spfAnswer returns the TXT answer shared by every record on d's web host.
+func (s *DomainStore) spfAnswer(d *Domain) []string {
+	s.spfMu.Lock()
+	defer s.spfMu.Unlock()
+	txt, ok := s.spf[d.WebHost]
+	if !ok {
+		if s.spf == nil {
+			s.spf = make(map[string][]string)
+		}
+		txt = []string{"v=spf1 include:_spf." + d.WebHostSPFDomain() + " -all"}
+		s.spf[d.WebHost] = txt
+	}
+	return txt
 }
 
 // Len returns the number of distinct registrations in the store.
