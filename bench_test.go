@@ -689,8 +689,9 @@ func (p *benchProbeBackend) ProbeBatch(domains []string, mail bool) []measure.Pr
 // benchProbeBatch measures the probe engine through full fleet rounds:
 // 512 watched domains, one op = one probe executed, with the probes/s
 // metric the BENCH_ci.json acceptance comparison tracks. probeWorkers
-// selects the engine mode — 0 is the per-domain serial baseline, ≥1
-// partitions each round into that many batch slices (DESIGN.md §10).
+// is the slice count — 0 lets the fleet size the cut to the round (two
+// slices for 512 domains), ≥1 partitions each round into exactly that
+// many; every slice is one ProbeBatch call (DESIGN.md §10).
 func benchProbeBatch(b *testing.B, probeWorkers int) {
 	clk := simclock.NewSim(time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC))
 	cfg := measure.DefaultConfig()
@@ -719,13 +720,13 @@ func benchProbeBatch(b *testing.B, probeWorkers int) {
 	}
 }
 
-// BenchmarkProbeBatchSerial is the probe engine's baseline: per-domain
-// backend calls on the fleet pool, no batching.
+// BenchmarkProbeBatchSerial is the probe engine's default: width 0, the
+// fleet choosing the slice count from the round size.
 func BenchmarkProbeBatchSerial(b *testing.B) { benchProbeBatch(b, 0) }
 
 // BenchmarkProbeBatchParallel submits each round as machine-width batch
-// slices through the BatchBackend path; against BenchmarkProbeBatchSerial
-// the probes/s pair tracks the sixth engine's trajectory in BENCH_ci.json.
+// slices through the same path; against BenchmarkProbeBatchSerial the
+// probes/s pair tracks the sixth engine's trajectory in BENCH_ci.json.
 func BenchmarkProbeBatchParallel(b *testing.B) {
 	benchProbeBatch(b, runtime.GOMAXPROCS(0))
 }

@@ -28,7 +28,7 @@ func main() {
 	lookaheadWindow := flag.Int("lookahead-window", 0, "optimistic lookahead drain: 0 = off, ≥1 = fire effect-tagged events from up to this many distinct future timestamps per round, disjoint conflict groups in parallel (same results either way)")
 	buildWorkers := flag.Int("build-workers", 0, "world builder compile mode: 0 = serial layout, ≥1 = compile per-TLD layouts on this worker pool width (same world either way)")
 	commitWorkers := flag.Int("commit-workers", 0, "world builder commit mode: 0 = serial install, ≥1 = commit compiled layouts on this worker pool width (same world either way)")
-	probeWorkers := flag.Int("probe-workers", 0, "fleet probe mode: 0 = per-domain calls, ≥1 = submit each round as this many probe batches through the shared exchange layer (same results either way)")
+	probeWorkers := flag.Int("probe-workers", 0, "slices each fleet round is cut into, one ProbeBatch call per slice: 0 = chosen from the round size (one per 256 due domains, at most 16), ≥1 = exactly that many (same results either way)")
 	probeCadence := flag.Duration("probe-cadence", 0, "fleet revalidation cadence decoupled from TTL (0 = default 10m interval)")
 	applyWorkers := flag.Int("apply-workers", 0, "fleet apply mode: 0 = serial state apply + delivery, ≥1 = apply probe results on this many workers behind a sequencing reorder buffer (same results either way)")
 	snapshot := flag.String("snapshot", "", "persistent world snapshot path: a matching snapshot replaces the compile phase, a miss compiles then saves here (same world either way)")

@@ -79,10 +79,10 @@ type RunConfig struct {
 	// stay serial in canonical order. Worlds — and therefore campaign
 	// reports — are byte-identical across widths.
 	CommitWorkers int
-	// ProbeWorkers selects the measurement fleet's probe mode: 0 issues
-	// per-domain backend calls on the fleet's pool (the serial path), ≥1
-	// partitions each round into that many contiguous slices and submits
-	// each as one batch through the probe engine's shared exchange layer.
+	// ProbeWorkers is how many contiguous slices the measurement fleet
+	// cuts each round into, each submitted as one ProbeBatch call: 0 lets
+	// the fleet choose from the round size (one slice per 256 due
+	// domains, at most its 16 pool workers), ≥1 means exactly that many.
 	// Observation streams — and therefore campaign reports — are
 	// byte-identical across widths (results are positional and
 	// observation delivery stays in admission order).

@@ -1,6 +1,7 @@
 package feed
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -265,10 +266,33 @@ func TestQueueDisconnectPolicy(t *testing.T) {
 	}
 }
 
+// subscribeLive subscribes over a raw session and returns once the
+// subscription is consuming from its bounded queue. The subscribed frame
+// alone does not say so: the writer sends it and then replays the log
+// before going live, and entries published in that window are read
+// straight from the log at the tenant's rate — never queued, so never
+// shed. The first heartbeat can only come from the live loop. The server
+// needs a short ServerConfig.Heartbeat for this to be quick.
+func subscribeLive(t *testing.T, addr string) *bufio.Reader {
+	t.Helper()
+	conn, r := rawSession(t, addr)
+	fmt.Fprintf(conn, "SUBSCRIBE\n")
+	if f := readFrameLine(t, r); f.Kind != FrameSubscribed {
+		t.Fatalf("subscribed = %+v", f)
+	}
+	if f := readFrameLine(t, r); f.Kind != FrameHeartbeat {
+		t.Fatalf("first frame of an idle live subscription = %+v, want a heartbeat", f)
+	}
+	return r
+}
+
 // TestSlowSubscriberShedsWithGap drives a real session into shedding via
 // a tenant rate limit and asserts the delivery invariant: the union of
 // delivered offsets and advertised GAP ranges tiles the published range
-// with no silent holes.
+// with no silent holes. Overflow is deterministic: the subscription is
+// live before the first publish, every publish is done before the first
+// read, and 2000 entries against a 200-entry burst, 200 entries/s and a
+// queue of 8 cannot fit however the pump and the writer are scheduled.
 func TestSlowSubscriberShedsWithGap(t *testing.T) {
 	bus := stream.NewBus()
 	topic := bus.Topic("nrd-feed")
@@ -277,6 +301,7 @@ func TestSlowSubscriberShedsWithGap(t *testing.T) {
 		ShedPolicy: ShedDropOldest,
 		BatchMax:   8,
 		TenantRate: 200, // entries/s: throttles the writer so the queue overflows
+		Heartbeat:  20 * time.Millisecond,
 	})
 	addr, err := srv.Serve("127.0.0.1:0")
 	if err != nil {
@@ -284,11 +309,7 @@ func TestSlowSubscriberShedsWithGap(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, r := rawSession(t, addr.String())
-	fmt.Fprintf(conn, "SUBSCRIBE\n")
-	if f := readFrameLine(t, r); f.Kind != FrameSubscribed {
-		t.Fatalf("subscribed = %+v", f)
-	}
+	r := subscribeLive(t, addr.String())
 	const n = 2000
 	for i := 0; i < n; i++ {
 		topic.Publish(t0, fmt.Sprintf("d%d.com", i), nil)
@@ -344,7 +365,9 @@ func TestSlowSubscriberShedsWithGap(t *testing.T) {
 
 // TestDisconnectPolicyCutsSlowConsumer asserts the alternative shed
 // policy: overflow terminates the session with a structured
-// slow_consumer error frame.
+// slow_consumer error frame. Deterministic the same way as
+// TestSlowSubscriberShedsWithGap: live first, then every publish, then
+// the first read.
 func TestDisconnectPolicyCutsSlowConsumer(t *testing.T) {
 	bus := stream.NewBus()
 	topic := bus.Topic("nrd-feed")
@@ -352,6 +375,7 @@ func TestDisconnectPolicyCutsSlowConsumer(t *testing.T) {
 		QueueBound: 4,
 		ShedPolicy: ShedDisconnect,
 		TenantRate: 50,
+		Heartbeat:  20 * time.Millisecond,
 	})
 	addr, err := srv.Serve("127.0.0.1:0")
 	if err != nil {
@@ -359,11 +383,7 @@ func TestDisconnectPolicyCutsSlowConsumer(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, r := rawSession(t, addr.String())
-	fmt.Fprintf(conn, "SUBSCRIBE\n")
-	if f := readFrameLine(t, r); f.Kind != FrameSubscribed {
-		t.Fatalf("subscribed = %+v", f)
-	}
+	r := subscribeLive(t, addr.String())
 	for i := 0; i < 500; i++ {
 		topic.Publish(t0, fmt.Sprintf("d%d.com", i), nil)
 	}
@@ -746,6 +766,20 @@ func TestEncodeCacheHitsAcrossSubscribers(t *testing.T) {
 	const entries = 50
 	for i := 0; i < entries; i++ {
 		topic.Publish(t0.Add(time.Duration(i)*time.Second), fmt.Sprintf("d%d.com", i), []byte("{}"))
+	}
+
+	// The pump warms offsets in order, so the last one being cached means
+	// all are; a replay that starts earlier races the pump for the first
+	// marshal of each entry and counts those as misses.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, warm := srv.enc.get(entries - 1); warm {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("pump never warmed the encode cache")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)

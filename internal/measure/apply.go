@@ -86,9 +86,9 @@ func (b *reorderBuffer) release() (lo, hi int, ok bool) {
 // applying each slot's state under its shard lock; the round goroutine
 // itself is the delivery pump, releasing observations through the
 // reorder buffer in admission order.
-func (f *Fleet) roundPipelined(targets []*DomainState, now time.Time) {
+func (f *Fleet) roundPipelined(round roundBuf, now time.Time) {
+	targets, results := round.targets, round.results
 	n := len(targets)
-	results := make([]roundResult, n)
 
 	if n == 1 {
 		// Admission probes and single-watch rounds: the general path
@@ -96,7 +96,7 @@ func (f *Fleet) roundPipelined(targets []*DomainState, now time.Time) {
 		// counters advance exactly as a one-slot fan-out would — one
 		// apply, one in-order release, nothing held — so Report stays
 		// independent of round width.
-		f.probeStage(targets, results, now, nil)
+		f.probeStage(round, now, nil)
 		f.apply(targets[0], &results[0], now)
 		f.applies.Add(1)
 		f.releases.Add(1)
@@ -108,7 +108,7 @@ func (f *Fleet) roundPipelined(targets []*DomainState, now time.Time) {
 	ready := make(chan int, n)
 	go func() {
 		defer close(ready)
-		f.probeStage(targets, results, now, func(lo, hi int) {
+		f.probeStage(round, now, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				ready <- i
 			}

@@ -106,7 +106,7 @@ func seq(from, to, step int) []int {
 // (admission probes) and partial-width rounds bypass the gate, so the
 // adversary only engages on the full coalesced rounds it was shaped for.
 // Requires ProbeWorkers == slices so every slice has a live goroutine at
-// the gate (probeBatched runs w slices on w workers).
+// the gate (probeStage runs w slices on w workers).
 type permBatchBackend struct {
 	*fakeBackend
 	sliceLen int
@@ -217,9 +217,11 @@ func TestApplyPermutationAdversarialOrders(t *testing.T) {
 	}
 
 	for setName, domains := range domainSets {
-		// Serial baseline: per-domain probes, inline apply + delivery.
-		sf, sclk := newFleet(newFakeBackend())
-		want, _ := applyScript(sf, sf.backend.(*fakeBackend), sclk, domains)
+		// Serial baseline: a plain Backend behind the per-domain adapter,
+		// inline apply + delivery.
+		sb := newFakeBackend()
+		sf, sclk := newFleet(sb)
+		want, _ := applyScript(sf, sb, sclk, domains)
 		if len(want) == 0 {
 			t.Fatal("serial baseline produced no observations")
 		}
@@ -288,8 +290,9 @@ func collidingDomains(n int) []string {
 // (non-batch) stage 1, and a single apply worker.
 func TestApplyWidthCombosDeterministic(t *testing.T) {
 	domains := nDomains(40)
-	sf, sclk := newFleet(newFakeBackend())
-	want, _ := applyScript(sf, sf.backend.(*fakeBackend), sclk, domains)
+	sb := newFakeBackend()
+	sf, sclk := newFleet(sb)
+	want, _ := applyScript(sf, sb, sclk, domains)
 
 	combos := []struct {
 		name   string
@@ -407,18 +410,21 @@ func TestStopWhenDeadRacingStragglerApply(t *testing.T) {
 
 // --- satellite 1: empty-round guard -----------------------------------
 
-// TestProbeBatchedEmptyRoundGuard: the bounds arithmetic divides by the
-// clamped worker count, so an empty target slice must return before it
-// (regression: i * 0 / 0 panicked).
+// TestProbeBatchedEmptyRoundGuard: a round with nothing due must return
+// before the slice arithmetic and without a backend call, at every width
+// (regression: the batched path computed i * 0 / 0 and panicked).
 func TestProbeBatchedEmptyRoundGuard(t *testing.T) {
-	b := &fakeBatchBackend{fakeBackend: newFakeBackend()}
-	clk := simclock.NewSim(t0)
-	cfg := DefaultConfig()
-	cfg.ProbeWorkers = 8
-	f := NewFleet(cfg, clk, b)
-	f.probeBatched(b, nil, nil, t0, false, nil) // must not panic
-	if b.batches.Load() != 0 {
-		t.Error("empty round must not call ProbeBatch")
+	for _, pw := range []int{0, 8} {
+		for _, aw := range []int{0, 8} {
+			b := &fakeBatchBackend{fakeBackend: newFakeBackend()}
+			cfg := DefaultConfig()
+			cfg.ProbeWorkers, cfg.ApplyWorkers = pw, aw
+			f := NewFleet(cfg, simclock.NewSim(t0), b)
+			f.probeRound(roundBuf{}, t0) // must not panic
+			if b.batches.Load() != 0 {
+				t.Errorf("probe=%d apply=%d: empty round called ProbeBatch", pw, aw)
+			}
+		}
 	}
 }
 

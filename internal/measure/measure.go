@@ -9,11 +9,16 @@
 // Scheduling is round-coalesced: instead of one clock event per probe
 // per domain (≈290 heap events per watched domain over 48 h), the fleet
 // arms a single clock event per 10-minute round and probes every active
-// watch in that round through its worker pool — the probe batch resolves
-// concurrently (backend reads are side-effect-free), then states update
-// and observers fire in watch-admission order, which is exactly the
-// delivery order the per-domain scheduler produced. Event count per
-// campaign therefore scales with rounds, not probes.
+// watch in that round. Stage 1 has one path: the round's watch set is cut
+// into contiguous admission-ordered slices and each slice is one
+// BatchBackend.ProbeBatch call on the fleet's pool (a backend without
+// ProbeBatch is wrapped once, in NewFleet, by an adapter that makes the
+// per-domain calls) — backend reads are side-effect-free, so slices
+// resolve concurrently. Then states update and observers fire in
+// watch-admission order, which is exactly the delivery order the
+// per-domain scheduler produced. Event count per campaign therefore
+// scales with rounds, not probes, and the round's working memory is
+// owned by the fleet and reused from round to round.
 //
 // Stage 2 of a round — per-domain state apply + observer delivery — runs
 // serially by default, or (Config.ApplyWorkers ≥ 1) through the apply
@@ -31,6 +36,7 @@ package measure
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -74,14 +80,16 @@ type ProbeResult struct {
 	MX, TXT []string
 }
 
-// BatchBackend is the optional Backend extension the batched probe
-// engine prefers: one call resolves a whole slice of domains, so the
-// backend can pipeline the underlying queries (resolver.LookupBatch
-// over pooled sockets on the wire, plain reads in the simulation)
-// instead of paying per-domain call overhead. mail asks for MX/TXT
+// BatchBackend is the optional Backend extension every probe goes
+// through: one call resolves a whole slice of domains, so the backend
+// can answer each name in a single pass and pipeline the underlying
+// queries (resolver.LookupBatch over pooled sockets on the wire, plain
+// reads in the simulation) instead of paying per-domain call overhead.
+// A Backend without it is adapted in NewFleet. mail asks for MX/TXT
 // answers alongside the DNS-infrastructure records. Results are
 // positional. Probes are reads: implementations must be side-effect-
-// free so batch boundaries stay unobservable.
+// free so batch boundaries stay unobservable. domains is a window of the
+// fleet's reusable round buffer, valid only until the call returns.
 type BatchBackend interface {
 	ProbeBatch(domains []string, mail bool) []ProbeResult
 }
@@ -150,11 +158,11 @@ type Config struct {
 	Workers  int           // paper: 16
 	Interval time.Duration // paper: 10 minutes
 	Window   time.Duration // paper: 48 hours
-	// ProbeWorkers selects the probe engine's batch mode: 0 probes each
-	// due domain with per-domain backend calls on the legacy pool (the
-	// serial baseline), ≥1 partitions each round's watch set into this
-	// many contiguous slices and submits every slice as one ProbeBatch
-	// call when the backend supports it. Slices are admission-ordered
+	// ProbeWorkers is how many contiguous slices a round's watch set is
+	// cut into, each submitted as one ProbeBatch call on its own pool
+	// goroutine: ≥1 means exactly that many (fewer only when the round is
+	// smaller), 0 lets the fleet choose from the round size — one slice
+	// per 256 targets (minSlice), at most Workers. Slices are admission-ordered
 	// and results positional, so fleet output is byte-identical at any
 	// width (the probe-engine determinism contract).
 	ProbeWorkers int
@@ -200,10 +208,15 @@ type watchShard struct {
 
 // Fleet schedules and aggregates reactive probes.
 type Fleet struct {
-	cfg     Config
-	clk     simclock.Clock
-	tagClk  simclock.TagScheduler // clk's effect-tagged extension; nil without lookahead support
-	backend Backend
+	cfg    Config
+	clk    simclock.Clock
+	tagClk simclock.TagScheduler // clk's effect-tagged extension; nil without lookahead support
+	// backend answers every probe, a slice of names per call: the
+	// caller's own ProbeBatch, or the per-domain adapter over a plain
+	// Backend. probeMail is Config.ProbeMail narrowed to backends that
+	// can answer it.
+	backend   BatchBackend
+	probeMail bool
 
 	// watchMask is the union of every watched domain's effect atom
 	// (simclock.DomainTag), OR-accumulated at admission and never
@@ -229,9 +242,12 @@ type Fleet struct {
 	watchList []*DomainState
 
 	// Round scheduler: one clock event serves every due domain. armed
-	// guards against double-arming when Watch races the round callback.
+	// guards against double-arming when Watch races the round callback,
+	// and stays set until the round it armed has finished — so at most
+	// one round runs at a time and buf needs no lock of its own.
 	roundMu sync.Mutex
 	armed   bool
+	buf     roundBuf // round's working memory, reused across rounds
 
 	rounds   atomic.Int64 // coalesced rounds executed
 	maxRound atomic.Int64 // widest round (domains probed in one event)
@@ -267,7 +283,12 @@ func NewFleet(cfg Config, clk simclock.Clock, backend Backend) *Fleet {
 	if cfg.Window <= 0 {
 		cfg.Window = 48 * time.Hour
 	}
-	f := &Fleet{cfg: cfg, clk: clk, backend: backend}
+	mb, hasMail := backend.(MailBackend)
+	bb, ok := backend.(BatchBackend)
+	if !ok {
+		bb = perDomain{backend, mb}
+	}
+	f := &Fleet{cfg: cfg, clk: clk, backend: bb, probeMail: cfg.ProbeMail && hasMail}
 	f.tagClk, _ = clk.(simclock.TagScheduler)
 	for i := range f.shards {
 		f.shards[i].states = make(map[string]*DomainState)
@@ -329,8 +350,16 @@ func (f *Fleet) Watch(domain string) {
 	// the real-time clock a round on the timer goroutine could otherwise
 	// snapshot the list mid-admission and probe the same state
 	// concurrently. Under a Sim clock Watch runs inside a clock event,
-	// so the ordering is unobservable there.
-	f.probeRound([]*DomainState{st}, now)
+	// so the ordering is unobservable there. The probe works in memory
+	// of its own, never the round's buf: a round may be in flight on
+	// another goroutine (real-time clock, lookahead and batched drains).
+	var one struct {
+		target [1]*DomainState
+		name   [1]string
+		result [1]roundResult
+	}
+	one.target[0] = st
+	f.probeRound(roundBuf{one.target[:], one.name[:], one.result[:]}, now)
 	f.watchMu.Lock()
 	f.watchList = append(f.watchList, st)
 	f.watchMu.Unlock()
@@ -367,21 +396,32 @@ func (f *Fleet) armRound(now time.Time) {
 	f.clk.After(f.cfg.Interval, func() { f.round(f.clk.Now()) })
 }
 
-// round is the per-interval clock event: snapshot the active watch set,
-// probe it as one batch, re-arm while work remains. now is the event's
-// firing instant, passed by the scheduler (time-explicit contract).
+// round is the per-interval clock event: snapshot the active watch set
+// into the fleet's round buffer, probe it as one batch, re-arm while work
+// remains. now is the event's firing instant, passed by the scheduler
+// (time-explicit contract). armed is released only once the round is
+// over: a Watch racing it finds the chain still armed and schedules
+// nothing, and the round re-arms on its way out — so no second round can
+// start while buf is in use.
 func (f *Fleet) round(now time.Time) {
+	f.dueTargets(now)
+	if n := len(f.buf.targets); n > 0 {
+		f.rounds.Add(1)
+		workpool.AtomicMax(&f.maxRound, int64(n))
+		f.buf.names = slices.Grow(f.buf.names[:0], n)[:n]
+		f.buf.results = slices.Grow(f.buf.results[:0], n)[:n]
+		f.probeRound(f.buf, now)
+		// Delivered: drop the round's references so the buffer pins
+		// neither retired states nor superseded answers until next round.
+		clear(f.buf.targets)
+		clear(f.buf.names)
+		clear(f.buf.results)
+	}
+	f.retireElapsed(now.Add(f.cfg.Interval))
+
 	f.roundMu.Lock()
 	f.armed = false
 	f.roundMu.Unlock()
-
-	targets := f.dueTargets(now)
-	if len(targets) > 0 {
-		f.rounds.Add(1)
-		workpool.AtomicMax(&f.maxRound, int64(len(targets)))
-		f.probeRound(targets, now)
-	}
-	f.retireElapsed(now.Add(f.cfg.Interval))
 	f.armRound(now)
 }
 
@@ -406,14 +446,14 @@ func (f *Fleet) retireElapsed(next time.Time) {
 	}
 }
 
-// dueTargets snapshots the active watch set, retiring watches whose
-// 48-hour window has elapsed. watchList is already in admission order,
-// so no per-round sort or shard-map walk is needed; retired entries
-// compact away once they outnumber the living.
-func (f *Fleet) dueTargets(now time.Time) []*DomainState {
+// dueTargets snapshots the active watch set into buf.targets, retiring
+// watches whose 48-hour window has elapsed. watchList is already in
+// admission order, so no per-round sort or shard-map walk is needed;
+// retired entries compact away once they outnumber the living.
+func (f *Fleet) dueTargets(now time.Time) {
 	f.watchMu.Lock()
 	defer f.watchMu.Unlock()
-	due := make([]*DomainState, 0, len(f.watchList))
+	due := f.buf.targets[:0]
 	for _, st := range f.watchList {
 		sh := st.shard
 		sh.mu.Lock()
@@ -431,7 +471,7 @@ func (f *Fleet) dueTargets(now time.Time) []*DomainState {
 	if len(due)*2 < len(f.watchList) {
 		f.watchList = append(make([]*DomainState, 0, len(due)), due...)
 	}
-	return due
+	f.buf.targets = due
 }
 
 // roundResult is one domain's resolved probe within a batch. Between the
@@ -444,118 +484,129 @@ type roundResult struct {
 	txt []string
 }
 
-// probeRound executes one coalesced measurement round. Stage 1 resolves
-// the whole batch concurrently — per-domain backend calls on the fleet's
-// worker pool in the serial baseline, or (ProbeWorkers ≥ 1 against a
-// BatchBackend) one ProbeBatch call per worker slice so the transport
-// pipelines a whole sub-batch of queries at once. Backend reads are
-// side-effect-free, so execution order is unobservable. Stage 2 applies
-// state updates and delivers observations in watch-admission order, the
-// order the per-domain scheduler produced — inline on this goroutine by
-// default, or through the apply engine's fan-out + reorder buffer when
-// ApplyWorkers ≥ 1 (apply.go); probe and apply width therefore never
-// reorder an observable, and campaigns stay byte-identical across
-// serial and batched probe modes, apply widths, and clock drains.
-func (f *Fleet) probeRound(targets []*DomainState, now time.Time) {
-	if len(targets) == 0 {
+// roundBuf is the working memory of one probe round, three positional
+// slices of equal length: the due watches in admission order, their
+// names as handed to ProbeBatch, and the results. Fleet.round reuses one
+// across rounds; Watch brings a one-slot buffer of its own.
+type roundBuf struct {
+	targets []*DomainState
+	names   []string
+	results []roundResult
+}
+
+// perDomain adapts a Backend without ProbeBatch to BatchBackend: the
+// per-domain calls that make up one probe are issued here, name by name,
+// so the fleet itself has a single stage-1 path. Address and mail records
+// are asked only of names the TLD still delegates.
+type perDomain struct {
+	Backend
+	mail MailBackend // nil when the backend has no mail extension
+}
+
+func (p perDomain) ProbeBatch(domains []string, mail bool) []ProbeResult {
+	out := make([]ProbeResult, len(domains))
+	for i, d := range domains {
+		pr := &out[i]
+		pr.NS, pr.InZone = p.AuthoritativeNS(d)
+		if !pr.InZone {
+			continue
+		}
+		pr.V4 = p.LookupA(d)
+		pr.V6 = p.LookupAAAA(d)
+		if mail && p.mail != nil {
+			pr.MX = p.mail.LookupMX(d)
+			pr.TXT = p.mail.LookupTXT(d)
+		}
+	}
+	return out
+}
+
+// probeRound executes one coalesced measurement round over buf. Stage 1
+// (probeStage) resolves the whole batch, slice by slice, through
+// ProbeBatch; backend reads are side-effect-free, so execution order is
+// unobservable. Stage 2 applies state updates and delivers observations
+// in watch-admission order, the order the per-domain scheduler produced
+// — inline on this goroutine by default, or through the apply engine's
+// fan-out + reorder buffer when ApplyWorkers ≥ 1 (apply.go); probe and
+// apply width therefore never reorder an observable, and campaigns stay
+// byte-identical across probe widths, apply widths, and clock drains.
+// Observers receive each Observation by value, so buf is free for reuse
+// as soon as probeRound returns.
+func (f *Fleet) probeRound(buf roundBuf, now time.Time) {
+	// An empty round makes no backend call and divides by no slice
+	// count. A StopWhenDead campaign whose active set empties mid-flight
+	// is the path that lands here.
+	if len(buf.targets) == 0 {
 		return
 	}
 	if f.cfg.ApplyWorkers > 0 {
-		f.roundPipelined(targets, now)
+		f.roundPipelined(buf, now)
 		return
 	}
-	results := make([]roundResult, len(targets))
-	f.probeStage(targets, results, now, nil)
+	f.probeStage(buf, now, nil)
 	obsFns := f.observers.Load()
-	for i, st := range targets {
-		f.apply(st, &results[i], now)
+	for i, st := range buf.targets {
+		f.apply(st, &buf.results[i], now)
 		if obsFns != nil {
 			for _, fn := range *obsFns {
-				fn(results[i].obs)
+				fn(buf.results[i].obs)
 			}
 		}
 	}
 }
 
-// probeStage is stage 1 of a round: resolve every target and fill the
-// positional results slice. landed, when non-nil, is invoked once per
-// completed contiguous range [lo, hi) as soon as those results are
-// final — the apply engine feeds its fan-out from this callback, so
+// minSlice is the shortest slice worth a goroutine and a ProbeBatch call
+// of its own when the fleet chooses the slice count (ProbeWorkers == 0):
+// each slice costs a result slab and a goroutine, every round, so slices
+// are sized for the round rather than dealt one per pool worker. A
+// constant, not a knob.
+const minSlice = 256
+
+// sliceCount returns how many contiguous slices a round of n ≥ 1 targets
+// is cut into: ProbeWorkers when set, else one per minSlice targets up to
+// the pool width; at least one, never more than n.
+func (f *Fleet) sliceCount(n int) int {
+	w := f.cfg.ProbeWorkers
+	if w <= 0 {
+		w = min(n/minSlice, f.cfg.Workers)
+	}
+	return max(1, min(w, n))
+}
+
+// probeStage is stage 1 of a round, the fleet's one probe path: the
+// target list is cut into contiguous slices (admission order preserved
+// inside each) and each slice is submitted as one ProbeBatch call on its
+// own pool goroutine, letting the backend answer every name of the
+// sub-batch in one pass over shared state or transport. Results are
+// positional — slot j of slice [lo, hi) lands in results[lo+j] — and
+// mail fields are copied only when the probe is in-zone, so a backend
+// that answers MX/TXT for out-of-zone names cannot diverge the campaign.
+// landed, when non-nil, is invoked once per slice as soon as its results
+// are final — the apply engine feeds its fan-out from this callback, so
 // applies start while slower slices are still resolving. landed may be
 // called concurrently from multiple pool workers.
-func (f *Fleet) probeStage(targets []*DomainState, results []roundResult, now time.Time, landed func(lo, hi int)) {
-	mb, hasMail := f.backend.(MailBackend)
-	probeMail := f.cfg.ProbeMail && hasMail
-	if bb, ok := f.backend.(BatchBackend); ok && f.cfg.ProbeWorkers > 0 {
-		f.probeBatched(bb, targets, results, now, probeMail, landed)
-		return
-	}
-	workpool.Run(len(targets), f.cfg.Workers, func(i int) {
-		st := targets[i]
-		obs := Observation{Domain: st.Domain, Worker: st.worker, At: now}
-		ns, inZone := f.backend.AuthoritativeNS(st.Domain)
-		obs.InZone = inZone
-		if inZone {
-			obs.NS = ns
-			obs.V4 = f.backend.LookupA(st.Domain)
-			obs.V6 = f.backend.LookupAAAA(st.Domain)
-			if probeMail {
-				results[i].mx = mb.LookupMX(st.Domain)
-				results[i].txt = mb.LookupTXT(st.Domain)
-			}
-		}
-		results[i].obs = obs
-		if landed != nil {
-			landed(i, i+1)
-		}
-	})
-}
-
-// probeBatched is stage 1 of a round in batch mode: the target list is
-// partitioned into ProbeWorkers contiguous slices (admission order
-// preserved inside each slice) and each worker submits its whole slice
-// as one ProbeBatch call, letting the backend pipeline every query in
-// the sub-batch over shared transport. Results are positional, so slot
-// i of the batch lands in results[lo+i] — the exact cell the serial
-// path would have filled — and mail fields are copied only when the
-// probe is in-zone, mirroring the serial path so a backend that answers
-// MX/TXT for out-of-zone names cannot diverge the campaign.
-func (f *Fleet) probeBatched(bb BatchBackend, targets []*DomainState, results []roundResult, now time.Time, probeMail bool, landed func(lo, hi int)) {
-	// An empty round must return before the slice-bound arithmetic:
-	// clamping w to len(targets) below would zero the bounds divisor. A
-	// StopWhenDead campaign whose active set empties mid-flight is the
-	// path that lands here.
-	if len(targets) == 0 {
-		return
-	}
-	w := f.cfg.ProbeWorkers
-	if w > len(targets) {
-		w = len(targets)
-	}
-	bounds := make([]int, w+1)
-	for i := 0; i <= w; i++ {
-		bounds[i] = i * len(targets) / w
-	}
+func (f *Fleet) probeStage(buf roundBuf, now time.Time, landed func(lo, hi int)) {
+	n := len(buf.targets)
+	w := f.sliceCount(n)
 	workpool.Run(w, w, func(s int) {
-		lo, hi := bounds[s], bounds[s+1]
-		names := make([]string, hi-lo)
-		for j := range names {
-			names[j] = targets[lo+j].Domain
+		lo, hi := s*n/w, (s+1)*n/w
+		names := buf.names[lo:hi]
+		for j, st := range buf.targets[lo:hi] {
+			names[j] = st.Domain
 		}
-		for j, pr := range bb.ProbeBatch(names, probeMail) {
-			i := lo + j
-			st := targets[i]
-			obs := Observation{Domain: st.Domain, Worker: st.worker, At: now, InZone: pr.InZone}
+		for j, pr := range f.backend.ProbeBatch(names, f.probeMail) {
+			st := buf.targets[lo+j]
+			r := roundResult{obs: Observation{Domain: st.Domain, Worker: st.worker, At: now, InZone: pr.InZone}}
 			if pr.InZone {
-				obs.NS = pr.NS
-				obs.V4 = pr.V4
-				obs.V6 = pr.V6
-				if probeMail {
-					results[i].mx = pr.MX
-					results[i].txt = pr.TXT
+				r.obs.NS = pr.NS
+				r.obs.V4 = pr.V4
+				r.obs.V6 = pr.V6
+				if f.probeMail {
+					r.mx = pr.MX
+					r.txt = pr.TXT
 				}
 			}
-			results[i].obs = obs
+			buf.results[lo+j] = r
 		}
 		if landed != nil {
 			landed(lo, hi)

@@ -2,7 +2,9 @@ package measure
 
 import (
 	"fmt"
+	"net/netip"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -114,5 +116,91 @@ func TestRoundObservationsDeterministicAcrossPoolWidths(t *testing.T) {
 			t.Errorf("%s observation stream diverges from %s (%d vs %d)",
 				m.name, modes[0].name, len(logs[m.name]), len(want))
 		}
+	}
+}
+
+// echoBackend answers every name with a delegation derived from the name
+// itself, so an observation whose NS does not belong to its Domain means
+// two probes shared a result slot.
+type echoBackend struct{}
+
+func (echoBackend) AuthoritativeNS(d string) ([]string, bool) { return []string{"ns." + d}, true }
+func (echoBackend) LookupA(string) []netip.Addr               { return nil }
+func (echoBackend) LookupAAAA(string) []netip.Addr            { return nil }
+
+// TestAdmissionProbesNeverShareRoundBuffer is the -race workout for the
+// round-owned buffer: under the real-time clock rounds fire on timer
+// goroutines every couple of milliseconds while four goroutines admit
+// watches, each admission probing in its own one-slot memory. The race
+// detector must stay quiet, every observation must carry its own domain's
+// answer, and every probe must have been delivered exactly once.
+func TestAdmissionProbesNeverShareRoundBuffer(t *testing.T) {
+	for _, aw := range []int{0, 4} {
+		t.Run(fmt.Sprintf("apply-%d", aw), func(t *testing.T) {
+			const admitters, perAdmitter = 4, 150
+			cfg := DefaultConfig()
+			cfg.Interval = 2 * time.Millisecond
+			cfg.Window = 100 * time.Millisecond
+			cfg.ApplyWorkers = aw
+			f := NewFleet(cfg, simclock.Real{}, echoBackend{})
+
+			var mu sync.Mutex
+			seen := make(map[string]int)
+			var bad []string
+			f.OnObservation(func(o Observation) {
+				mu.Lock()
+				defer mu.Unlock()
+				if len(o.NS) != 1 || o.NS[0] != "ns."+o.Domain || !o.InZone {
+					bad = append(bad, fmt.Sprintf("%s answered %v", o.Domain, o.NS))
+				}
+				seen[o.Domain]++
+			})
+
+			var wg sync.WaitGroup
+			for g := 0; g < admitters; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < perAdmitter; i++ {
+						f.Watch(fmt.Sprintf("g%d-%03d.com", g, i))
+						if i%10 == 9 {
+							time.Sleep(time.Millisecond) // let rounds interleave with admissions
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+
+			// Windows close 100 ms after the last admission and the chain
+			// disarms, so the fleet goes quiet on its own.
+			deadline := time.Now().Add(10 * time.Second)
+			for f.Report().Finished < admitters*perAdmitter {
+				if time.Now().After(deadline) {
+					t.Fatalf("fleet never drained: %+v", f.Report())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			time.Sleep(2 * cfg.Interval) // a round retiring the last watch may still be delivering
+
+			mu.Lock()
+			defer mu.Unlock()
+			for _, s := range bad {
+				t.Errorf("observation from a shared slot: %s", s)
+			}
+			rep := f.Report()
+			if rep.Watched != admitters*perAdmitter || rep.Rounds < 3 {
+				t.Fatalf("watched=%d rounds=%d: rounds never overlapped the admissions", rep.Watched, rep.Rounds)
+			}
+			var delivered int64
+			for _, st := range f.States() {
+				if seen[st.Domain] != st.Probes || st.Probes < 1 {
+					t.Errorf("%s: %d probes, %d observations", st.Domain, st.Probes, seen[st.Domain])
+				}
+				delivered += int64(seen[st.Domain])
+			}
+			if delivered != rep.Probes {
+				t.Errorf("%d observations for %d probes", delivered, rep.Probes)
+			}
+		})
 	}
 }

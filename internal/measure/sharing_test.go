@@ -10,28 +10,38 @@ import (
 )
 
 // TestSteadyStateRoundAllocsIndependentOfWatchCount: a round over
-// unchanged delegations reuses each state's LastNS, so what a round
-// allocates (the results slab, the due list, pool goroutines, the next
-// round's clock event) does not grow with the number of watches.
+// unchanged delegations reuses each state's LastNS and the fleet's round
+// buffer (due list, names, results), so what a round allocates — a result
+// slab per ProbeBatch slice, pool goroutines, the next round's clock
+// event — does not grow with the number of watches, whether the backend
+// is a plain Backend behind the adapter or speaks ProbeBatch itself.
 func TestSteadyStateRoundAllocsIndependentOfWatchCount(t *testing.T) {
-	configs := map[string]func(*Config){
-		"per-domain": func(*Config) {},
-		"batched+apply": func(c *Config) {
-			c.ProbeWorkers, c.ApplyWorkers = 4, 4
-		},
+	configs := map[string]struct {
+		batch bool
+		tune  func(*Config)
+	}{
+		"per-domain":    {false, func(*Config) {}}, // plain Backend behind the adapter
+		"batch":         {true, func(*Config) {}},
+		"batch-w4":      {true, func(c *Config) { c.ProbeWorkers = 4 }},
+		"batched+apply": {true, func(c *Config) { c.ProbeWorkers, c.ApplyWorkers = 4, 4 }},
 	}
-	for name, tune := range configs {
+	for name, c := range configs {
 		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			c.tune(&cfg)
 			roundAllocs := func(n int) float64 {
-				b := &fakeBatchBackend{fakeBackend: newFakeBackend()}
-				cfg := DefaultConfig()
-				tune(&cfg)
+				fb := newFakeBackend()
+				var backend Backend = fb
+				if c.batch {
+					backend = &fakeBatchBackend{fakeBackend: fb}
+				}
 				clk := simclock.NewSim(t0)
-				f := NewFleet(cfg, clk, b)
+				f := NewFleet(cfg, clk, backend)
 				for _, d := range nDomains(n) {
-					b.set(d, []string{"ns1.a.net", "ns2.a.net"}, netip.MustParseAddr("192.0.2.1"))
+					fb.set(d, []string{"ns1.a.net", "ns2.a.net"}, netip.MustParseAddr("192.0.2.1"))
 					f.Watch(d)
 				}
+				clk.Advance(10 * time.Minute) // first round sizes the buffer
 				allocs := testing.AllocsPerRun(20, func() { clk.Advance(10 * time.Minute) })
 				if got := f.Report().Probes; got < int64(20*n) {
 					t.Fatalf("rounds did not probe: %d probes over %d watches", got, n)
@@ -43,6 +53,12 @@ func TestSteadyStateRoundAllocsIndependentOfWatchCount(t *testing.T) {
 			// as hundreds, scheduling noise as a handful.
 			if large > small+16 {
 				t.Errorf("round allocations grow with the watch set: %v at 64 watches, %v at 512", small, large)
+			}
+			// The buffer itself is reused: a one-slice round is the
+			// backend's result slab plus the re-arm (6 today) — a due
+			// list, names and results allocated per round would make it 9.
+			if cfg.ProbeWorkers == 0 && cfg.ApplyWorkers == 0 && small > 8 {
+				t.Errorf("steady one-slice round allocates %v times, want ≤ 8", small)
 			}
 		})
 	}

@@ -112,6 +112,9 @@ func TestReadersRaceMutators(t *testing.T) {
 					}
 				}
 				r.InZone(d)
+				if ans := r.Answer(d); ans.InZone && (!ans.Delegated || len(ans.NS) == 0) {
+					t.Errorf("%s in zone but answered %+v", d, ans)
+				}
 				r.Lookup(d)
 				r.RDAPLookupAt(d, t0.Add(time.Hour))
 				r.Serial()
@@ -141,5 +144,91 @@ func TestReadersRaceMutators(t *testing.T) {
 	wg.Wait()
 	if r.Serial() == 1 {
 		t.Error("writer never rebuilt the zone")
+	}
+}
+
+// sameSlice reports whether a and b are the same slice, not merely equal:
+// the registry's answers are shared, so two routes to one answer must
+// hand out the very same backing array.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (a == nil) == (b == nil) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// TestAnswerEqualsSeparateAccessors is the single-lock accessor's
+// contract: at every point of a registration's life — pending, rebuilt
+// into the zone, re-delegated, deleted, re-registered, each before and
+// after the rebuild that makes it visible — and for every spelling of the
+// name a caller might pass, Answer returns exactly what Delegation,
+// InZone and WebAddrs return, slice for slice.
+func TestAnswerEqualsSeparateAccessors(t *testing.T) {
+	r, clk := newTestRegistry("com")
+	defer r.Stop()
+	names := []string{
+		"x.com", "X.Com", "x.com.", "X.COM.", // exact name, every spelling
+		"www.x.com", "a.b.x.com", "WWW.x.com.", // below the delegation
+		"noweb.com", "www.noweb.com", // delegated, no web host
+		"steady.com",                     // never mutated after its first rebuild
+		"missing.com", "www.missing.com", // never registered
+		"x.org", "www.x.org", "x.co", // foreign TLDs
+		"com", "com.", "", ".", // the apex and the root
+	}
+	check := func(state string) {
+		t.Helper()
+		for _, n := range names {
+			ns, ok := r.Delegation(n)
+			want := Answer{NS: ns, Delegated: ok, InZone: r.InZone(n), A: r.WebAddrs(n)}
+			got := r.Answer(n)
+			if got.Delegated != want.Delegated || got.InZone != want.InZone ||
+				!sameSlice(got.NS, want.NS) || !sameSlice(got.A, want.A) {
+				t.Errorf("%s: Answer(%q) = %+v, separate accessors say %+v", state, n, got, want)
+			}
+		}
+	}
+	step := func(state string, mutate func() error) {
+		t.Helper()
+		if err := mutate(); err != nil {
+			t.Fatalf("%s: %v", state, err)
+		}
+		check(state + " (pending)")
+		clk.Advance(time.Minute)
+		check(state + " (rebuilt)")
+	}
+
+	web1, web2 := netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2")
+	check("empty registry")
+	step("registered", func() error {
+		r.Register("steady.com", "A", []string{"ns1.s.net"}, web1)
+		r.Register("noweb.com", "A", []string{"ns1.a.net"}, netip.Addr{})
+		_, err := r.Register("x.com", "A", []string{"ns2.a.net", "ns1.a.net"}, web1)
+		return err
+	})
+	if ans := r.Answer("www.x.com"); !ans.Delegated || ans.InZone || ans.A != nil || len(ans.NS) != 2 {
+		t.Errorf("subdomain of a delegated name: %+v", ans)
+	}
+	if ans := r.Answer("X.COM."); !ans.Delegated || !ans.InZone || len(ans.A) != 1 || ans.A[0] != web1 {
+		t.Errorf("exact delegated name: %+v", ans)
+	}
+	step("UpdateNS", func() error { return r.UpdateNS("x.com", []string{"ns1.b.net"}) })
+	step("deleted", func() error { return r.Delete("x.com") })
+	if ans := r.Answer("x.com"); ans.Delegated || ans.InZone || ans.NS != nil || ans.A != nil {
+		t.Errorf("deleted name still answers: %+v", ans)
+	}
+	step("re-registered", func() error {
+		_, err := r.Register("x.com", "B", []string{"ns9.c.net"}, web2)
+		return err
+	})
+	if ans := r.Answer("x.com"); len(ans.A) != 1 || ans.A[0] != web2 {
+		t.Errorf("re-registered name answers the old web host: %+v", ans)
+	}
+	step("deleted and re-registered between rebuilds", func() error {
+		if err := r.Delete("x.com"); err != nil {
+			return err
+		}
+		_, err := r.Register("x.com", "C", []string{"ns1.d.net"}, web1)
+		return err
+	})
+
+	if allocs := testing.AllocsPerRun(100, func() { r.Answer("x.com"); r.Answer("www.x.com"); r.Answer("x.org") }); allocs != 0 {
+		t.Errorf("Answer allocates %v per three calls", allocs)
 	}
 }

@@ -322,12 +322,56 @@ func (r *Registry) Delegation(name string) (ns []string, ok bool) {
 	name = dnsname.Canonical(name)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for cur := name; cur != "" && cur != r.cfg.TLD; cur = dnsname.Parent(cur) {
-		if del := r.zone.Get(cur); del != nil {
-			return del.NS, true
-		}
+	if del := r.covering(name); del != nil {
+		return del.NS, true
 	}
 	return nil, false
+}
+
+// covering returns the live zone's delegation for the registered domain
+// covering canonical name — name itself or its nearest delegated ancestor
+// below the TLD — or nil. Callers hold mu.
+func (r *Registry) covering(name string) *zoneset.Delegation {
+	for cur := name; cur != "" && cur != r.cfg.TLD; cur = dnsname.Parent(cur) {
+		if del := r.zone.Get(cur); del != nil {
+			return del
+		}
+	}
+	return nil
+}
+
+// Answer is what one measurement probe asks a registry about one name.
+// Its slices are shared and read-only, exactly as Delegation's and
+// WebAddrs' are.
+type Answer struct {
+	NS        []string     // Delegation(name)'s NS set; nil when not Delegated
+	Delegated bool         // Delegation(name)'s ok: name or an ancestor is in the zone
+	InZone    bool         // InZone(name): name itself is delegated
+	A         []netip.Addr // WebAddrs(name)
+}
+
+// Answer answers a whole probe of name — the NS query, the A query and
+// "is this exact name in the zone" — under one read lock and in one walk:
+// the same results as Delegation, WebAddrs and InZone called in turn, but
+// a consistent cut (no rebuild can land between the parts) at a third of
+// the locking and lookups. The ledger is consulted only when name itself
+// is delegated.
+func (r *Registry) Answer(name string) Answer {
+	name = dnsname.Canonical(name)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	del := r.covering(name)
+	if del == nil {
+		return Answer{}
+	}
+	ans := Answer{NS: del.NS, Delegated: true}
+	if del.Domain == name {
+		ans.InZone = true
+		if regs := r.ledger[name]; len(regs) > 0 {
+			ans.A = regs[len(regs)-1].webAddrs
+		}
+	}
+	return ans
 }
 
 // InZone reports whether domain is currently delegated in the live zone.

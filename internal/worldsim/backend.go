@@ -20,68 +20,51 @@ type probeBackend struct{ w *World }
 // ProbeBackend returns the measurement fleet's view of this world.
 func (w *World) ProbeBackend() measure.Backend { return probeBackend{w} }
 
-func (b probeBackend) AuthoritativeNS(domain string) ([]string, bool) {
-	reg := b.w.Registries[dnsname.TLD(dnsname.Canonical(domain))]
+// answer is the one definition of domain's probe answers, which every
+// method below is a view of. A single pass: one canonicalisation, one
+// registry resolve, one registry read (NS, A and exact-name-in-zone under
+// one lock), and the ground-truth mail answers only when asked for and
+// only while the name itself is in its TLD zone.
+func (b probeBackend) answer(domain string, mail bool) (pr measure.ProbeResult) {
+	domain = dnsname.Canonical(domain)
+	reg := b.w.Registries[dnsname.TLD(domain)]
 	if reg == nil {
-		return nil, false
+		return pr
 	}
-	return reg.Delegation(domain)
+	ans := reg.Answer(domain)
+	pr.NS, pr.InZone, pr.V4 = ans.NS, ans.Delegated, ans.A
+	if mail && ans.InZone {
+		m := b.w.Domains.mailAnswers(domain)
+		pr.MX, pr.TXT = m.mx, m.txt
+	}
+	return pr
 }
 
-func (b probeBackend) LookupA(domain string) []netip.Addr {
-	reg := b.w.Registries[dnsname.TLD(dnsname.Canonical(domain))]
-	if reg == nil {
-		return nil
-	}
-	return reg.WebAddrs(domain)
+func (b probeBackend) AuthoritativeNS(domain string) ([]string, bool) {
+	pr := b.answer(domain, false)
+	return pr.NS, pr.InZone
 }
+
+func (b probeBackend) LookupA(domain string) []netip.Addr { return b.answer(domain, false).V4 }
 
 func (b probeBackend) LookupAAAA(domain string) []netip.Addr { return nil }
 
 // ProbeBatch implements measure.BatchBackend: one positional result per
-// requested name, computed from the same ground-truth reads the
-// per-domain path makes, so batched rounds are byte-identical to serial
-// ones at any probe width.
+// requested name, each answered in a single pass.
 func (b probeBackend) ProbeBatch(domains []string, mail bool) []measure.ProbeResult {
 	out := make([]measure.ProbeResult, len(domains))
 	for i, domain := range domains {
-		pr := &out[i]
-		pr.NS, pr.InZone = b.AuthoritativeNS(domain)
-		if !pr.InZone {
-			continue
-		}
-		pr.V4 = b.LookupA(domain)
-		pr.V6 = b.LookupAAAA(domain)
-		if mail {
-			ans := b.liveMail(domain)
-			pr.MX, pr.TXT = ans.mx, ans.txt
-		}
+		out[i] = b.answer(domain, mail)
 	}
 	return out
 }
 
 // LookupMX implements measure.MailBackend from ground truth, answering
 // only while the domain is delegated.
-func (b probeBackend) LookupMX(domain string) []string { return b.liveMail(domain).mx }
+func (b probeBackend) LookupMX(domain string) []string { return b.answer(domain, true).MX }
 
 // LookupTXT implements measure.MailBackend.
-func (b probeBackend) LookupTXT(domain string) []string { return b.liveMail(domain).txt }
-
-// liveMail returns domain's mail answers when it is currently in its TLD
-// zone. Ground truth is consulted first: a record that publishes neither
-// MX nor SPF never touches the registry.
-func (b probeBackend) liveMail(domain string) mailAnswers {
-	domain = dnsname.Canonical(domain)
-	ans := b.w.Domains.mailAnswers(domain)
-	if ans.mx == nil && ans.txt == nil {
-		return ans
-	}
-	reg := b.w.Registries[dnsname.TLD(domain)]
-	if reg == nil || !reg.InZone(domain) {
-		return mailAnswers{}
-	}
-	return ans
-}
+func (b probeBackend) LookupTXT(domain string) []string { return b.answer(domain, true).TXT }
 
 // WebHostSPFDomain derives the SPF include target from the hosting
 // provider name.

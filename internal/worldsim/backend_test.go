@@ -56,6 +56,55 @@ func TestProbeAnswersAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestProbeBatchEqualsPerDomainViews: ProbeBatch and the five per-domain
+// methods are views of one helper, so for every name — delegated,
+// deleted, ghost, unknown, upper-case, below a delegation — slot i of a
+// batch carries exactly the slices the per-domain calls hand out, mail
+// answers only when asked, and the batch allocates its result slab and
+// nothing else.
+func TestProbeBatchEqualsPerDomainViews(t *testing.T) {
+	w, names := drainedWorld(t, 5)
+	names = append(names, "WWW."+names[0]+".", "www."+names[1], names[2]+".", "x.nosuchtld")
+	b := w.ProbeBackend()
+	bb, mb := b.(measure.BatchBackend), b.(measure.MailBackend)
+	same := func(a, b []string) bool {
+		return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+	}
+	for _, mail := range []bool{true, false} {
+		var inZone, withMail int
+		for i, pr := range bb.ProbeBatch(names, mail) {
+			n := names[i]
+			ns, ok := b.AuthoritativeNS(n)
+			v4 := b.LookupA(n)
+			if pr.InZone != ok || !same(pr.NS, ns) || len(pr.V4) != len(v4) || (len(v4) > 0 && &pr.V4[0] != &v4[0]) || pr.V6 != nil {
+				t.Errorf("mail=%v %q: batch slot %+v, per-domain NS=%v ok=%v A=%v", mail, n, pr, ns, ok, v4)
+			}
+			wantMX, wantTXT := mb.LookupMX(n), mb.LookupTXT(n)
+			if !mail {
+				wantMX, wantTXT = nil, nil
+			}
+			if !same(pr.MX, wantMX) || !same(pr.TXT, wantTXT) {
+				t.Errorf("mail=%v %q: batch MX=%v TXT=%v, per-domain MX=%v TXT=%v", mail, n, pr.MX, pr.TXT, wantMX, wantTXT)
+			}
+			if !pr.InZone && (pr.NS != nil || pr.V4 != nil || pr.MX != nil || pr.TXT != nil) {
+				t.Errorf("%q is out of zone but its slot carries answers: %+v", n, pr)
+			}
+			if pr.InZone {
+				inZone++
+			}
+			if pr.MX != nil || pr.TXT != nil {
+				withMail++
+			}
+		}
+		if inZone == 0 || inZone == len(names) || (withMail > 0) != mail {
+			t.Fatalf("mail=%v: degenerate batch: %d names, %d in zone, %d with mail answers", mail, len(names), inZone, withMail)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { bb.ProbeBatch(names[:256], true) }); allocs != 1 {
+		t.Errorf("ProbeBatch over 256 names allocates %v times, want 1 (the result slab)", allocs)
+	}
+}
+
 // TestMailAnswers pins what the lazily built answers say, that they
 // follow the zone, and that records on one web host share one SPF answer.
 func TestMailAnswers(t *testing.T) {

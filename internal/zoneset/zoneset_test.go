@@ -81,12 +81,48 @@ func TestCompareIdentical(t *testing.T) {
 	}
 }
 
+// TestCloneIsDeep: a clone is independent in everything callers can do to
+// a snapshot — Add, Remove, and re-Add with a different NS set on either
+// side never show through the other — while the immutable Delegation
+// values themselves are shared rather than copied.
 func TestCloneIsDeep(t *testing.T) {
-	a := snap("com", 1, "x.com")
+	base := []string{"ns1.cloudflare.com", "ns2.cloudflare.com"}
+	moved := []string{"ns1.moved.net"}
+	a := snap("com", 1, "x.com", "y.com", "z.com")
 	b := a.Clone()
-	b.Get("x.com").NS[0] = "evil.example"
-	if a.Get("x.com").NS[0] == "evil.example" {
-		t.Error("Clone shares NS slices")
+	if b.TLD != a.TLD || b.Serial != a.Serial || !b.Taken.Equal(a.Taken) || b.Len() != a.Len() {
+		t.Fatalf("clone header/len differ: %+v vs %+v", b, a)
+	}
+	if a.Get("x.com") != b.Get("x.com") {
+		t.Error("clone copied a Delegation instead of sharing it")
+	}
+
+	// Mutate the clone: the original must not move.
+	b.Add("x.com", moved)
+	b.Remove("y.com")
+	b.Add("new.com", moved)
+	if got := a.Get("x.com").NS; !reflect.DeepEqual(got, base) {
+		t.Errorf("re-Add on the clone changed the original's NS: %v", got)
+	}
+	if !a.Contains("y.com") || a.Contains("new.com") || a.Len() != 3 {
+		t.Errorf("Remove/Add on the clone showed through: %v", a.Domains())
+	}
+
+	// Mutate the original: the clone must not move.
+	a.Add("z.com", moved)
+	a.Remove("x.com")
+	a.Add("late.com", base)
+	if got := b.Get("z.com").NS; !reflect.DeepEqual(got, base) {
+		t.Errorf("re-Add on the original changed the clone's NS: %v", got)
+	}
+	if got := b.Get("x.com").NS; !reflect.DeepEqual(got, moved) {
+		t.Errorf("clone lost its own re-Add: %v", got)
+	}
+	if !b.Contains("x.com") || b.Contains("late.com") || b.Len() != 3 {
+		t.Errorf("Remove/Add on the original showed through: %v", b.Domains())
+	}
+	if want := []string{"new.com", "x.com", "z.com"}; !reflect.DeepEqual(b.Domains(), want) {
+		t.Errorf("clone domains = %v, want %v", b.Domains(), want)
 	}
 }
 
