@@ -255,8 +255,18 @@ func (m *Message) Reply() *Message {
 
 // Pack encodes the message with name compression.
 func (m *Message) Pack() ([]byte, error) {
-	buf := make([]byte, 12, 512)
-	binary.BigEndian.PutUint16(buf[0:], m.Header.ID)
+	return m.AppendPack(make([]byte, 0, 512))
+}
+
+// AppendPack appends the encoded message to buf and returns the extended
+// slice, or nil and the error. A caller that hands back the same buffer,
+// resliced to the length it wants kept, packs without allocating.
+func (m *Message) AppendPack(buf []byte) ([]byte, error) {
+	// The message is built in buf's spare capacity as a slice of its own,
+	// so compression offsets count from the start of the message whatever
+	// buf already holds.
+	msg := append(buf[len(buf):], make([]byte, 12)...)
+	binary.BigEndian.PutUint16(msg[0:], m.Header.ID)
 	var flags uint16
 	if m.Header.Response {
 		flags |= 1 << 15
@@ -275,32 +285,34 @@ func (m *Message) Pack() ([]byte, error) {
 		flags |= 1 << 7
 	}
 	flags |= uint16(m.Header.RCode & 0xF)
-	binary.BigEndian.PutUint16(buf[2:], flags)
-	binary.BigEndian.PutUint16(buf[4:], uint16(len(m.Questions)))
-	binary.BigEndian.PutUint16(buf[6:], uint16(len(m.Answers)))
-	binary.BigEndian.PutUint16(buf[8:], uint16(len(m.Authority)))
-	binary.BigEndian.PutUint16(buf[10:], uint16(len(m.Additional)))
+	binary.BigEndian.PutUint16(msg[2:], flags)
+	binary.BigEndian.PutUint16(msg[4:], uint16(len(m.Questions)))
+	binary.BigEndian.PutUint16(msg[6:], uint16(len(m.Answers)))
+	binary.BigEndian.PutUint16(msg[8:], uint16(len(m.Authority)))
+	binary.BigEndian.PutUint16(msg[10:], uint16(len(m.Additional)))
 
 	var c dnsname.Compressor
 	var err error
 	for _, q := range m.Questions {
-		if buf, err = c.Append(buf, q.Name); err != nil {
+		if msg, err = c.Append(msg, q.Name); err != nil {
 			return nil, err
 		}
-		buf = be16(buf, uint16(q.Type))
-		buf = be16(buf, uint16(q.Class))
+		msg = be16(msg, uint16(q.Type))
+		msg = be16(msg, uint16(q.Class))
 	}
-	for _, sec := range [][]Record{m.Answers, m.Authority, m.Additional} {
+	for _, sec := range [3][]Record{m.Answers, m.Authority, m.Additional} {
 		for i := range sec {
-			if buf, err = appendRecord(buf, &c, &sec[i]); err != nil {
+			if msg, err = appendRecord(msg, &c, &sec[i]); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if len(buf) > 0xFFFF {
+	if len(msg) > 0xFFFF {
 		return nil, ErrTooBig
 	}
-	return buf, nil
+	// A message that fitted the spare capacity is already in place and this
+	// copies it onto itself; one that outgrew it moves into a grown buf.
+	return append(buf, msg...), nil
 }
 
 func be16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }
@@ -399,6 +411,9 @@ func Unpack(b []byte) (*Message, error) {
 
 	off := 12
 	var err error
+	if n := sectionCap(qd, len(b)-off, minQuestionLen); n > 0 {
+		m.Questions = make([]Question, 0, n)
+	}
 	for i := 0; i < qd; i++ {
 		var q Question
 		if q.Name, off, err = dnsname.ReadWire(b, off); err != nil {
@@ -412,17 +427,14 @@ func Unpack(b []byte) (*Message, error) {
 		off += 4
 		m.Questions = append(m.Questions, q)
 	}
-	for _, sec := range []*[]Record{&m.Answers, &m.Authority, &m.Additional} {
-		n := an
-		switch sec {
-		case &m.Authority:
-			n = ns
-		case &m.Additional:
-			n = ar
+	for s, sec := range [3]*[]Record{&m.Answers, &m.Authority, &m.Additional} {
+		count := [3]int{an, ns, ar}[s]
+		if n := sectionCap(count, len(b)-off, minRecordLen); n > 0 {
+			*sec = make([]Record, 0, n)
 		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < count; i++ {
 			var r Record
-			if r, off, err = readRecord(b, off); err != nil {
+			if r, off, err = readRecord(b, off, m.Questions); err != nil {
 				return nil, err
 			}
 			*sec = append(*sec, r)
@@ -431,10 +443,30 @@ func Unpack(b []byte) (*Message, error) {
 	return m, nil
 }
 
-func readRecord(b []byte, off int) (Record, int, error) {
+// The shortest encodings: a root or pointer name plus the fixed fields.
+const (
+	minQuestionLen = 1 + 4
+	minRecordLen   = 1 + 10
+)
+
+// sectionCap sizes a section once: the header's count, capped by how many
+// entries the remaining bytes could hold, so a hostile count sizes nothing.
+func sectionCap(count, remaining, minLen int) int {
+	return min(count, remaining/minLen)
+}
+
+// questionNameOff is where the first question's name starts.
+const questionNameOff = 12
+
+func readRecord(b []byte, off int, qs []Question) (Record, int, error) {
 	var r Record
 	var err error
-	if r.Name, off, err = dnsname.ReadWire(b, off); err != nil {
+	// An owner name that is a bare pointer to the first question's name —
+	// every answer record of an NS or address response — decodes to that
+	// question's string, so share it.
+	if len(qs) > 0 && off+1 < len(b) && b[off] == 0xC0 && b[off+1] == questionNameOff {
+		r.Name, off = qs[0].Name, off+2
+	} else if r.Name, off, err = dnsname.ReadWire(b, off); err != nil {
 		return r, 0, err
 	}
 	if off+10 > len(b) {

@@ -6,8 +6,9 @@ import (
 )
 
 // FuzzUnpack feeds arbitrary bytes through the message decoder; any input
-// must produce either a message or an error, never a panic, and any
-// successfully decoded message must re-encode without error.
+// must produce either a message or an error, never a panic, and exactly
+// what the reference decoder makes of it; any successfully decoded
+// message must re-encode without error, to the reference encoder's bytes.
 func FuzzUnpack(f *testing.F) {
 	seed, _ := sampleMessage().Pack()
 	f.Add(seed)
@@ -15,10 +16,18 @@ func FuzzUnpack(f *testing.F) {
 	f.Add(q)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xC0}, 64)) // pointer storms
+	ns, _ := nsAnswer(4).Pack()
+	f.Add(ns)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sameUnpack(t, data)
 		m, err := Unpack(data)
 		if err != nil {
 			return
+		}
+		if wire, err := m.Pack(); err == nil {
+			if want, _ := refPack(m); !bytes.Equal(wire, want) {
+				t.Fatalf("repack differs from the reference\n got %x\nwant %x", wire, want)
+			}
 		}
 		// Decoded messages must re-encode; names from the wire are
 		// canonical by construction. Repacking may legitimately fail for

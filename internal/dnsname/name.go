@@ -246,29 +246,43 @@ func AppendWire(buf []byte, name string) ([]byte, error) {
 	return append(buf, 0), nil
 }
 
+// compressorInline is how many suffix offsets a Compressor keeps in its
+// inline table before it starts a map. A 512-byte response fits about 40
+// names, so only zone-transfer-sized messages ever reach the map.
+const compressorInline = 64
+
+// dottedBit marks an inline entry whose recorded suffix kept a trailing
+// dot ("b." from the name "a.b.."): it encodes the same labels as "b"
+// but is a different suffix string. Offsets are below 0x4000, so the bit
+// is free.
+const dottedBit = 1 << 15
+
 // Compressor tracks name→offset mappings for DNS message compression.
 // A zero Compressor is ready for use on a message built from offset 0.
+// Every suffix it writes is recorded once, at its first occurrence: the
+// first compressorInline of them as bare offsets that later lookups
+// compare against the message bytes themselves, the rest in a map.
 type Compressor struct {
-	offsets map[string]int
+	n       int
+	inline  [compressorInline]uint16
+	offsets map[string]int // suffixes recorded once inline is full
 }
 
 // Append writes name at the current end of msg using compression pointers
 // into earlier occurrences where possible, and records new suffix offsets.
+// msg must be the buffer earlier calls extended.
 func (c *Compressor) Append(msg []byte, name string) ([]byte, error) {
-	if c.offsets == nil {
-		c.offsets = make(map[string]int)
-	}
 	name = Canonical(name)
 	for {
 		if name == "" {
 			return append(msg, 0), nil
 		}
-		if off, ok := c.offsets[name]; ok && off < 0x4000 {
+		if off, ok := c.find(msg, name); ok {
 			return append(msg, 0xC0|byte(off>>8), byte(off)), nil
 		}
 		// Record the offset of this suffix if it is pointer-addressable.
 		if len(msg) < 0x4000 {
-			c.offsets[name] = len(msg)
+			c.record(name, len(msg))
 		}
 		var label string
 		if i := strings.IndexByte(name, '.'); i >= 0 {
@@ -287,11 +301,81 @@ func (c *Compressor) Append(msg []byte, name string) ([]byte, error) {
 	}
 }
 
+// find returns the offset at which the non-empty suffix was recorded.
+func (c *Compressor) find(msg []byte, suffix string) (int, bool) {
+	labels, dotted := suffix, suffix[len(suffix)-1] == '.'
+	if dotted {
+		labels = suffix[:len(suffix)-1]
+	}
+	for _, e := range c.inline[:c.n] {
+		if off := int(e &^ dottedBit); (e&dottedBit != 0) == dotted && wireEqual(msg, off, labels) {
+			return off, true
+		}
+	}
+	off, ok := c.offsets[suffix]
+	return off, ok
+}
+
+func (c *Compressor) record(suffix string, off int) {
+	if c.n < len(c.inline) {
+		e := uint16(off)
+		if suffix[len(suffix)-1] == '.' {
+			e |= dottedBit
+		}
+		c.inline[c.n] = e
+		c.n++
+		return
+	}
+	if c.offsets == nil {
+		c.offsets = make(map[string]int)
+	}
+	c.offsets[suffix] = off
+}
+
+// wireEqual reports whether the name a Compressor wrote at msg[off:] —
+// labels, possibly ending in one of its own backward pointers — spells
+// exactly the dot-separated labels of s.
+func wireEqual(msg []byte, off int, s string) bool {
+	for off < len(msg) {
+		l := int(msg[off])
+		switch {
+		case l == 0:
+			return s == ""
+		case l&0xC0 == 0xC0:
+			if off+1 >= len(msg) {
+				return false
+			}
+			ptr := (l&0x3F)<<8 | int(msg[off+1])
+			if ptr >= off {
+				return false
+			}
+			off = ptr
+			continue
+		}
+		// The next label of s must be l bytes long, then match.
+		if len(s) < l || (len(s) > l && s[l] != '.') || off+1+l > len(msg) ||
+			string(msg[off+1:off+1+l]) != s[:l] {
+			return false
+		}
+		off += 1 + l
+		if s = s[l:]; s != "" {
+			if s = s[1:]; s == "" {
+				return false // s ended in an empty label
+			}
+		}
+	}
+	return false
+}
+
 // ReadWire decodes a (possibly compressed) name from msg starting at off.
 // It returns the canonical name and the offset just past the name's
 // encoding in the original stream (compression targets do not advance it).
+// The name is assembled on the stack; the returned string is the only
+// allocation.
 func ReadWire(msg []byte, off int) (name string, next int, err error) {
-	var sb strings.Builder
+	var buf [MaxNameLen + 1]byte // +1: the separator written before the too-long check
+	n := 0
+	upper, high := false, false
 	jumped := false
 	hops := 0
 	next = off
@@ -305,7 +389,7 @@ func ReadWire(msg []byte, off int) (name string, next int, err error) {
 			if !jumped {
 				next = off + 1
 			}
-			return Canonical(sb.String()), next, nil
+			return canonicalFromWire(buf[:n], upper, high), next, nil
 		case b&0xC0 == 0xC0:
 			if off+1 >= len(msg) {
 				return "", 0, ErrTruncated
@@ -329,14 +413,41 @@ func ReadWire(msg []byte, off int) (name string, next int, err error) {
 			if off+1+l > len(msg) {
 				return "", 0, ErrTruncated
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
+			if n > 0 {
+				buf[n] = '.'
+				n++
 			}
-			sb.Write(msg[off+1 : off+1+l])
-			if sb.Len() > MaxNameLen {
+			if n+l > MaxNameLen {
 				return "", 0, ErrTooLong
+			}
+			for _, ch := range msg[off+1 : off+1+l] {
+				upper = upper || ('A' <= ch && ch <= 'Z')
+				high = high || ch >= 0x80
+				buf[n] = ch
+				n++
 			}
 			off += 1 + l
 		}
 	}
+}
+
+// canonicalFromWire is Canonical over the assembled bytes: a wire label may
+// itself end in '.', which Canonical strips like a trailing dot, and
+// lower-casing bytes that are not all ASCII is left to strings.ToLower.
+func canonicalFromWire(b []byte, upper, high bool) string {
+	if len(b) > 0 && b[len(b)-1] == '.' {
+		b = b[:len(b)-1]
+	}
+	switch {
+	case !upper:
+	case high:
+		return strings.ToLower(string(b))
+	default:
+		for i, ch := range b {
+			if 'A' <= ch && ch <= 'Z' {
+				b[i] = ch + ('a' - 'A')
+			}
+		}
+	}
+	return string(b)
 }

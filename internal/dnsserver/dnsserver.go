@@ -2,6 +2,18 @@
 // simulated registries' zones over real UDP and TCP transports. The
 // measurement integration tests exercise the full wire path: resolver →
 // UDP socket → server → registry zone data.
+//
+// UDP is served by a fixed set of read loops on the one socket, one per
+// processor the runtime schedules on (GOMAXPROCS). Each loop owns a
+// datagram buffer and a response buffer and does read → decode → Handle
+// → encode → write itself, so a query costs no goroutine, no datagram
+// copy and no response buffer. Back-pressure is the kernel's: while every
+// loop is inside a handler, further datagrams wait in the socket's
+// receive buffer and overflow is dropped there, as a flood would be at
+// any real server; the process's goroutine count and memory do not grow
+// with the offered load. A handler that blocks holds its loop, so one
+// that waits for another query to be handled can stall the server. TCP
+// keeps a goroutine per connection.
 package dnsserver
 
 import (
@@ -9,7 +21,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
+	"syscall"
 	"time"
 
 	"darkdns/internal/dnsmsg"
@@ -32,7 +46,7 @@ type Server struct {
 	handler Handler
 
 	mu     sync.Mutex
-	pc     net.PacketConn
+	pc     *net.UDPConn
 	ln     net.Listener
 	closed bool
 	wg     sync.WaitGroup
@@ -44,27 +58,47 @@ func New(handler Handler) *Server {
 }
 
 // ListenAndServe binds UDP and TCP on addr (e.g. "127.0.0.1:0") and serves
-// until Close. It returns the bound UDP address (UDP and TCP share the
-// port when addr requests port 0 only if the OS assigns the same; for
-// tests use the returned address's port for both).
+// until Close. It returns the bound UDP address; TCP listens on the same
+// port, also when addr left the choice of port to the kernel.
 func (s *Server) ListenAndServe(addr string) (net.Addr, error) {
-	pc, err := net.ListenPacket("udp", addr)
+	pc, ln, err := listenPair(addr)
 	if err != nil {
-		return nil, err
-	}
-	// Bind TCP on the same port UDP got.
-	ln, err := net.Listen("tcp", pc.LocalAddr().String())
-	if err != nil {
-		pc.Close()
 		return nil, err
 	}
 	s.mu.Lock()
 	s.pc, s.ln = pc, ln
 	s.mu.Unlock()
-	s.wg.Add(2)
-	go s.serveUDP(pc)
+	loops := runtime.GOMAXPROCS(0)
+	s.wg.Add(loops + 1)
+	for i := 0; i < loops; i++ {
+		go s.serveUDP(pc)
+	}
 	go s.serveTCP(ln)
 	return pc.LocalAddr(), nil
+}
+
+// listenPair binds UDP and TCP on one port. When addr leaves the port to
+// the kernel it picks a free UDP port, whose number may be taken on the
+// TCP side; both are then released and the pick repeated.
+func listenPair(addr string) (*net.UDPConn, net.Listener, error) {
+	uaddr, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	for attempt := 1; ; attempt++ {
+		pc, err := net.ListenUDP("udp", uaddr)
+		if err != nil {
+			return nil, nil, err
+		}
+		ln, err := net.Listen("tcp", pc.LocalAddr().String())
+		if err == nil {
+			return pc, ln, nil
+		}
+		pc.Close()
+		if uaddr.Port != 0 || attempt == 10 || !errors.Is(err, syscall.EADDRINUSE) {
+			return nil, nil, err
+		}
+	}
 }
 
 // Close stops both listeners and waits for the serve loops to exit.
@@ -88,22 +122,21 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) serveUDP(pc net.PacketConn) {
+// serveUDP is one read loop: it answers each datagram it reads before
+// reading the next, out of buffers it owns.
+func (s *Server) serveUDP(pc *net.UDPConn) {
 	defer s.wg.Done()
-	buf := make([]byte, 64<<10)
+	in := make([]byte, 64<<10)
+	out := make([]byte, 0, 512)
 	for {
-		n, raddr, err := pc.ReadFrom(buf)
+		n, raddr, err := pc.ReadFromUDPAddrPort(in)
 		if err != nil {
 			return
 		}
-		pkt := make([]byte, n)
-		copy(pkt, buf[:n])
-		go func(pkt []byte, raddr net.Addr) {
-			resp := s.respond(pkt, 512)
-			if resp != nil {
-				pc.WriteTo(resp, raddr)
-			}
-		}(pkt, raddr)
+		if resp := s.respond(in[:n], 512, out[:0]); resp != nil {
+			pc.WriteToUDPAddrPort(resp, raddr)
+			out = resp // keeps the capacity a large answer grew
+		}
 	}
 }
 
@@ -120,6 +153,7 @@ func (s *Server) serveTCP(ln net.Listener) {
 
 func (s *Server) serveTCPConn(conn net.Conn) {
 	defer conn.Close()
+	out := make([]byte, 2, 2+512) // length prefix, then the response
 	for {
 		conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 		var lenBuf [2]byte
@@ -147,24 +181,23 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 			}
 			return
 		}
-		resp := s.respond(pkt, 0xFFFF)
+		resp := s.respond(pkt, 0xFFFF, out[:2])
 		if resp == nil {
 			return
 		}
-		out := make([]byte, 2+len(resp))
-		binary.BigEndian.PutUint16(out, uint16(len(resp)))
-		copy(out[2:], resp)
+		out = resp
+		binary.BigEndian.PutUint16(out, uint16(len(out)-2))
 		if _, err := conn.Write(out); err != nil {
 			return
 		}
 	}
 }
 
-// respond decodes a query, dispatches it and encodes the reply, truncating
-// responses larger than maxSize per RFC 1035 §4.2.1. An EDNS0 OPT record
-// in the query raises the UDP limit to the advertised payload size
-// (RFC 6891).
-func (s *Server) respond(pkt []byte, maxSize int) []byte {
+// respond decodes a query, dispatches it and appends the encoded reply to
+// buf, truncating responses larger than maxSize per RFC 1035 §4.2.1. An
+// EDNS0 OPT record in the query raises the UDP limit to the advertised
+// payload size (RFC 6891). It returns nil when there is nothing to send.
+func (s *Server) respond(pkt []byte, maxSize int, buf []byte) []byte {
 	query, err := dnsmsg.Unpack(pkt)
 	if err != nil || query.Header.Response || len(query.Questions) == 0 {
 		return nil // drop garbage silently like real servers do
@@ -193,19 +226,19 @@ func (s *Server) respond(pkt []byte, maxSize int) []byte {
 			}
 		}
 	}
-	wire, err := resp.Pack()
+	wire, err := resp.AppendPack(buf)
 	if err != nil {
 		fail := query.Reply()
 		fail.Header.RCode = dnsmsg.RCodeServFail
-		wire, err = fail.Pack()
+		wire, err = fail.AppendPack(buf)
 		if err != nil {
 			return nil
 		}
 	}
-	if len(wire) > maxSize {
+	if len(wire)-len(buf) > maxSize {
 		trunc := query.Reply()
 		trunc.Header.Truncated = true
-		wire, err = trunc.Pack()
+		wire, err = trunc.AppendPack(buf)
 		if err != nil {
 			return nil
 		}

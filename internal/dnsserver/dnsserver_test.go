@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -226,5 +227,61 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUDPFloodMeetsFixedLoops: the UDP side is a fixed set of read loops,
+// so 10 000 datagrams fired at a handler that blocks never become
+// goroutines — they wait in, or overflow, the kernel's socket buffer —
+// and Close returns as soon as the handler lets the loops go.
+func TestUDPFloodMeetsFixedLoops(t *testing.T) {
+	gate := make(chan struct{})
+	entered := make(chan struct{}, runtime.GOMAXPROCS(0))
+	h := HandlerFunc(func(q dnsmsg.Question) *dnsmsg.Message {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+		return &dnsmsg.Message{}
+	})
+	baseline := runtime.NumGoroutine()
+	srv := New(h)
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := baseline + runtime.GOMAXPROCS(0) + 1 // the UDP loops and the TCP accept loop
+
+	conn, err := netDialUDP(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	wire, _ := dnsmsg.NewQuery(1, "flood.com", dnsmsg.TypeA).Pack()
+	peak := 0
+	for i := 0; i < 10000; i++ {
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		if i%100 == 0 {
+			peak = max(peak, runtime.NumGoroutine())
+		}
+	}
+	<-entered // the flood reached the handler
+	if peak = max(peak, runtime.NumGoroutine()); peak > limit {
+		t.Errorf("%d goroutines under a flood of 10000 datagrams, %d before it: more than the %d serve loops", peak, baseline, limit-baseline)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	close(gate)
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the handler was released")
 	}
 }

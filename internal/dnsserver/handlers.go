@@ -46,6 +46,7 @@ func (h *TLDHandler) Handle(q dnsmsg.Question) *dnsmsg.Message {
 		return resp
 	}
 	if q.Type == dnsmsg.TypeNS || q.Type == dnsmsg.TypeANY {
+		resp.Answers = make([]dnsmsg.Record, 0, len(ns))
 		for _, target := range ns {
 			resp.Answers = append(resp.Answers, dnsmsg.Record{
 				Name: name, Type: dnsmsg.TypeNS, Class: dnsmsg.ClassIN, TTL: 3600, NS: target,
@@ -56,6 +57,7 @@ func (h *TLDHandler) Handle(q dnsmsg.Question) *dnsmsg.Message {
 	// Non-NS query at the TLD server: referral (empty answer, NS in
 	// authority) — the registry is not authoritative for host data.
 	resp.Header.Authoritative = false
+	resp.Authority = make([]dnsmsg.Record, 0, len(ns))
 	for _, target := range ns {
 		resp.Authority = append(resp.Authority, dnsmsg.Record{
 			Name: name, Type: dnsmsg.TypeNS, Class: dnsmsg.ClassIN, TTL: 3600, NS: target,

@@ -2,13 +2,26 @@
 // sockets with pipelined outstanding queries, per-nameserver rate
 // lanes, and an in-process adapter over dnsserver handlers — the three
 // transports behind the resolver's batch API. The shape follows ZDNS:
-// a small pool of long-lived sockets shared by every worker, responses
-// demultiplexed to waiters by transaction ID, so probe throughput is
-// bounded by the wire, not by per-query socket setup.
+// a small pool of long-lived sockets, reused buffers, and no goroutine
+// per query.
+//
+// A UDP batch is driven by its caller in attempt rounds. Per round the
+// calling goroutine packs each outstanding query into one reused
+// buffer, registers {round, slot, question} under the query's
+// transaction ID on a leased socket and writes the datagram. Each
+// socket's single reader goroutine decodes what arrives, and a response
+// whose ID is pending and whose question matches what was asked under
+// that ID is stored straight into the batch's result slot; the reader
+// that fills a round's last slot wakes the caller. One clock timer per
+// round bounds the wait, after which the caller unregisters whatever is
+// still pending, classifies it, and carries it into the next round
+// under the next AttemptID. Exchange is a batch of one.
 package resolver
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -24,11 +37,12 @@ import (
 
 // UDPExchanger sends queries over a pool of reused UDP sockets. Each
 // socket runs one reader goroutine that demultiplexes response
-// datagrams to waiting exchanges by transaction ID, so many queries
-// pipeline over few sockets (the ZDNS socket-pool shape) instead of
-// paying a dial/close per query. Retries re-derive the transaction ID
-// per attempt (AttemptID), and per-attempt timeouts are armed on Clock
-// — simclock.Real for wire deployments, a Sim for deterministic tests.
+// datagrams to the batches waiting on them by transaction ID and
+// question, so many queries pipeline over few sockets (the ZDNS
+// socket-pool shape) instead of paying a dial/close per query. Retries
+// re-derive the transaction ID per attempt (AttemptID), and the
+// per-round timeout is armed on Clock — simclock.Real for wire
+// deployments, a Sim for deterministic tests.
 type UDPExchanger struct {
 	Addr    string         // server address, e.g. "127.0.0.1:5353"
 	Timeout time.Duration  // per-attempt timeout (default 2 s)
@@ -36,10 +50,11 @@ type UDPExchanger struct {
 	Conns   int            // socket pool size (default 4)
 	Clock   simclock.Clock // timeout scheduling; nil = simclock.Real{}
 
-	mu     sync.Mutex
-	pool   []*udpConn
-	next   int // round-robin cursor over the pool
-	closed bool
+	mu      sync.Mutex
+	pool    []*udpConn
+	next    int // round-robin cursor over the pool
+	closed  bool
+	readers sync.WaitGroup // every socket's reader; Add under mu while !closed
 }
 
 // udpConn is one pooled socket plus its demultiplexer state.
@@ -47,11 +62,41 @@ type udpConn struct {
 	conn net.Conn
 
 	mu      sync.Mutex
-	pending map[uint16]chan *dnsmsg.Message // transaction ID → waiter
+	pending map[uint16]pendingQuery // transaction ID → where its answer goes
 	dead    bool
 	readErr error
 
-	malformed atomic.Int64 // unparseable datagrams seen by the reader
+	// malformed counts datagrams the reader refused: unparseable, or
+	// carrying a pending ID with some other question.
+	malformed atomic.Int64
+}
+
+// pendingQuery is one outstanding query on a socket: the round slot its
+// answer fills, and the question that answer must echo (RFC 5452 §9.1 —
+// a 16-bit ID alone is matched by a late answer to an earlier query
+// whose hashed ID collides, or by an off-path guess).
+type pendingQuery struct {
+	rd   *round
+	slot int
+	name string
+	typ  dnsmsg.Type
+}
+
+// round is one attempt round of one batch. Readers fill resps/errs[slot]
+// under their socket's lock and then release that slot's count; the
+// caller holds one count of its own until it has finished sending.
+type round struct {
+	resps []*dnsmsg.Message
+	errs  []error
+	left  atomic.Int32
+	done  chan struct{} // buffered: left reaches zero exactly once
+}
+
+// release drops n counts and wakes the caller on the last.
+func (rd *round) release(n int) {
+	if rd.left.Add(int32(-n)) == 0 {
+		rd.done <- struct{}{}
+	}
 }
 
 func (u *UDPExchanger) timeout() time.Duration {
@@ -68,8 +113,10 @@ func (u *UDPExchanger) clock() simclock.Clock {
 	return u.Clock
 }
 
-// Close shuts the socket pool down; pending exchanges fail with
-// ErrDial. The exchanger is unusable afterwards.
+// Close shuts the socket pool down and returns once every pooled
+// socket's reader has exited (a one-shot socket's reader exits with the
+// round that leased it); pending exchanges fail with ErrDial. The
+// exchanger is unusable afterwards.
 func (u *UDPExchanger) Close() error {
 	u.mu.Lock()
 	pool := u.pool
@@ -77,79 +124,87 @@ func (u *UDPExchanger) Close() error {
 	u.mu.Unlock()
 	var err error
 	for _, c := range pool {
+		if c == nil {
+			continue
+		}
 		if cerr := c.conn.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
+	u.readers.Wait()
 	return err
 }
 
-// lease picks a pooled socket on which id is free, dialing lazily and
-// replacing dead sockets. When every pooled socket already has id
-// outstanding (a 1-in-65536 collision per conn), it dials a one-shot
-// socket; release then closes it instead of pooling.
-func (u *UDPExchanger) lease(id uint16) (c *udpConn, release func(), err error) {
+// errIDBusy: the transaction ID is already outstanding on this socket.
+var errIDBusy = errors.New("resolver: transaction id busy")
+
+// lease registers p under id on a pooled socket where id is free,
+// dialing lazily and replacing dead sockets. When every pooled socket
+// already has id outstanding — IDs are 16 bits hashed from names, so two
+// of a batch's queries share one every few dozen batches — it dials a
+// one-shot socket, which the caller closes when the round ends.
+func (u *UDPExchanger) lease(id uint16, p pendingQuery) (c *udpConn, oneShot bool, err error) {
 	size := u.Conns
 	if size <= 0 {
 		size = 4
 	}
 	u.mu.Lock()
+	defer u.mu.Unlock()
 	if u.closed {
-		u.mu.Unlock()
-		return nil, nil, fmt.Errorf("%w: exchanger closed", ErrDial)
+		return nil, false, fmt.Errorf("%w: exchanger closed", ErrDial)
 	}
 	for tries := 0; tries < size; tries++ {
 		i := u.next % size
 		u.next++
-		if i < len(u.pool) && u.pool[i] != nil && !u.pool[i].isDead() {
-			if u.pool[i].idFree(id) {
-				c = u.pool[i]
-				break
-			}
-			continue // collision: probe the next pool slot
-		}
-		// Empty or dead slot: dial a replacement while holding the pool
-		// lock (rare; only on first use and after socket errors).
-		nc, derr := u.dial()
-		if derr != nil {
-			u.mu.Unlock()
-			return nil, nil, derr
-		}
 		for i >= len(u.pool) {
 			u.pool = append(u.pool, nil)
 		}
-		u.pool[i] = nc
-		c = nc
-		break
+		if c := u.pool[i]; c != nil {
+			switch c.register(id, p) {
+			case nil:
+				return c, false, nil
+			case errIDBusy:
+				continue // collision: probe the next pool slot
+			}
+			c.conn.Close() // dead: its reader has gone, the descriptor has not
+		}
+		// Empty or dead slot: dial a replacement while holding the pool
+		// lock (rare; only on first use and after socket errors).
+		if c, err = u.dial(id, p); err != nil {
+			return nil, false, err
+		}
+		u.pool[i] = c
+		return c, false, nil
 	}
-	u.mu.Unlock()
-	if c != nil {
-		return c, func() {}, nil
-	}
-	// All pooled sockets collide on id: one-shot socket.
-	nc, derr := u.dial()
-	if derr != nil {
-		return nil, nil, derr
-	}
-	return nc, func() { nc.conn.Close() }, nil
+	c, err = u.dial(id, p)
+	return c, true, err
 }
 
-// dial opens one socket and starts its reader.
-func (u *UDPExchanger) dial() (*udpConn, error) {
+// dial opens one socket with p registered under id and starts its
+// reader. Callers hold u.mu.
+func (u *UDPExchanger) dial(id uint16, p pendingQuery) (*udpConn, error) {
 	conn, err := net.Dial("udp", u.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrDial, err)
 	}
-	c := &udpConn{conn: conn, pending: make(map[uint16]chan *dnsmsg.Message)}
-	go c.readLoop()
+	c := &udpConn{conn: conn, pending: map[uint16]pendingQuery{id: p}}
+	u.readers.Add(1)
+	go func() {
+		defer u.readers.Done()
+		c.readLoop()
+	}()
 	return c, nil
 }
 
-// readLoop demultiplexes response datagrams to waiters by transaction
-// ID. Unparseable datagrams are counted (the ErrBadResponse signal) and
-// dropped; responses nobody is waiting for (late answers to retried
-// attempts, spoofs with the wrong ID) are dropped. A read error kills
-// the socket and fails every waiter.
+// readLoop demultiplexes response datagrams into the result slots of
+// the rounds waiting on them. A response is delivered only when its
+// transaction ID is pending and its first question is the one asked
+// under that ID; a pending ID with any other question is refused and
+// counted with the unparseable datagrams (the ErrBadResponse signal),
+// and the query stays pending. Responses nobody is waiting for (late
+// answers to retried attempts, spoofs with the wrong ID) are dropped. A
+// read error kills the socket and fails every pending slot with
+// ErrDial.
 func (c *udpConn) readLoop() {
 	buf := make([]byte, 64<<10)
 	for {
@@ -158,10 +213,13 @@ func (c *udpConn) readLoop() {
 			c.mu.Lock()
 			c.dead, c.readErr = true, err
 			pending := c.pending
-			c.pending = make(map[uint16]chan *dnsmsg.Message)
+			c.pending = nil
+			for _, p := range pending {
+				p.rd.errs[p.slot] = fmt.Errorf("%w: %v", ErrDial, err)
+			}
 			c.mu.Unlock()
-			for _, ch := range pending {
-				close(ch)
+			for _, p := range pending {
+				p.rd.release(1)
 			}
 			return
 		}
@@ -174,140 +232,172 @@ func (c *udpConn) readLoop() {
 			continue
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[resp.Header.ID]
-		if ok {
+		p, ok := c.pending[resp.Header.ID]
+		match := ok && len(resp.Questions) > 0 &&
+			resp.Questions[0].Name == p.name && resp.Questions[0].Type == p.typ
+		if match {
 			delete(c.pending, resp.Header.ID)
+			p.rd.resps[p.slot] = resp
 		}
 		c.mu.Unlock()
-		if ok {
-			ch <- resp // buffered; the reader never blocks
+		switch {
+		case match:
+			p.rd.release(1)
+		case ok:
+			c.malformed.Add(1)
 		}
 	}
 }
 
-func (c *udpConn) isDead() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dead
-}
-
-func (c *udpConn) idFree(id uint16) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, taken := c.pending[id]
-	return !taken
-}
-
-// register installs a waiter for id. Fails if the socket died or id is
-// already outstanding (the caller leases around collisions).
-func (c *udpConn) register(id uint16) (chan *dnsmsg.Message, error) {
+// register installs p under id. It fails with errIDBusy when id is
+// already outstanding here (lease probes the next socket) and with
+// ErrDial when the socket has died.
+func (c *udpConn) register(id uint16, p pendingQuery) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead {
-		return nil, fmt.Errorf("%w: %v", ErrDial, c.readErr)
+		return fmt.Errorf("%w: %v", ErrDial, c.readErr)
 	}
 	if _, taken := c.pending[id]; taken {
-		return nil, fmt.Errorf("%w: transaction id %d busy", ErrDial, id)
+		return errIDBusy
 	}
-	ch := make(chan *dnsmsg.Message, 1)
-	c.pending[id] = ch
-	return ch, nil
+	c.pending[id] = p
+	return nil
 }
 
-// unregister abandons a waiter (timeout or cancellation).
-func (c *udpConn) unregister(id uint16, ch chan *dnsmsg.Message) {
+// unregister abandons slot's query (timeout, cancellation, failed
+// write) and reports whether it was still pending; when it was not, the
+// reader has already filled the slot, and taking the lock here is what
+// makes that write visible to the caller.
+func (c *udpConn) unregister(id uint16, rd *round, slot int) bool {
 	c.mu.Lock()
-	if cur, ok := c.pending[id]; ok && cur == ch {
+	defer c.mu.Unlock()
+	if p, ok := c.pending[id]; ok && p.rd == rd && p.slot == slot {
 		delete(c.pending, id)
+		return true
 	}
-	c.mu.Unlock()
+	return false
 }
 
-// Exchange implements Exchanger: up to Retries+1 attempts, each with a
-// fresh AttemptID-rotated transaction ID and its own timeout armed on
-// Clock. Failures classify distinctly — ErrDial (unreachable), wrapped
-// context errors (canceled mid-exchange), ErrBadResponse (the server
-// answered garbage all attempt), ErrTimeout (silence) — so callers'
-// retry and shedding policy can tell them apart.
+// Exchange implements Exchanger as a batch of one.
 func (u *UDPExchanger) Exchange(ctx context.Context, msg *dnsmsg.Message) (*dnsmsg.Message, error) {
-	base := msg.Header.ID
-	attempts := u.Retries + 1
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("resolver: exchange canceled: %w", ctx.Err())
-		}
-		id := AttemptID(base, a)
-		msg.Header.ID = id
-		wire, err := msg.Pack()
-		msg.Header.ID = base
-		if err != nil {
-			return nil, err
-		}
-		resp, err := u.exchangeAttempt(ctx, wire, id)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-	}
-	if ctx.Err() != nil {
-		return nil, fmt.Errorf("resolver: exchange canceled: %w", ctx.Err())
-	}
-	return nil, lastErr
+	resps, errs := u.ExchangeBatch(ctx, []*dnsmsg.Message{msg})
+	return resps[0], errs[0]
 }
 
-// exchangeAttempt performs one write-and-wait on a leased socket.
-func (u *UDPExchanger) exchangeAttempt(ctx context.Context, wire []byte, id uint16) (*dnsmsg.Message, error) {
-	c, release, err := u.lease(id)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	ch, err := c.register(id)
-	if err != nil {
-		return nil, err
-	}
-	defer c.unregister(id, ch)
-	badBefore := c.malformed.Load()
-	if _, err := c.conn.Write(wire); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDial, err)
-	}
-	timeoutCh := make(chan struct{}, 1)
-	// The timeout timer's only effect is this attempt's channel, so it is
-	// tagged with the nameserver's lane atom: under the lookahead drain,
-	// attempt timeouts against distinct servers may fire from different
-	// instants concurrently, while same-server timers stay ordered.
-	simclock.AfterTagged(u.clock(), u.timeout(), simclock.LaneTag("resolver/"+u.Addr),
-		func(time.Time) { timeoutCh <- struct{}{} })
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			rerr := c.readErr
-			c.mu.Unlock()
-			return nil, fmt.Errorf("%w: %v", ErrDial, rerr)
-		}
-		return resp, nil
-	case <-timeoutCh:
-		if bad := c.malformed.Load() - badBefore; bad > 0 {
-			return nil, fmt.Errorf("%w: %d unparseable datagrams within the attempt window", ErrBadResponse, bad)
-		}
-		return nil, fmt.Errorf("%w: no response within %v", ErrTimeout, u.timeout())
-	case <-ctx.Done():
-		return nil, fmt.Errorf("resolver: exchange canceled: %w", ctx.Err())
-	}
+// batchSlot is the caller's per-message state across attempt rounds.
+type batchSlot struct {
+	settled bool     // answered, or failed in a way no retry changes
+	c       *udpConn // socket this round's attempt went out on; nil = not sent
+	id      uint16   // this round's transaction ID
+	bad0    int64    // c.malformed when the attempt was sent
 }
 
-// ExchangeBatch implements BatchExchanger: msgs pipeline concurrently
-// over the socket pool, each with its own retry schedule. The fan-out
-// width is the batch size — outstanding queries, not goroutine count,
-// are what the pool bounds.
+// ExchangeBatch implements BatchExchanger: up to Retries+1 attempt
+// rounds, each pipelining every still-unanswered message over the socket
+// pool under a fresh AttemptID-rotated transaction ID, with one timeout
+// armed on Clock per round. All sending is done here, on the calling
+// goroutine; the sockets' readers fill the result slots. Failures
+// classify per slot — ErrDial (unreachable, or the socket died under
+// the query), wrapped context errors (canceled mid-exchange),
+// ErrBadResponse (the server answered garbage, or the wrong question,
+// all round), ErrTimeout (silence) — so callers' retry and shedding
+// policy can tell them apart.
 func (u *UDPExchanger) ExchangeBatch(ctx context.Context, msgs []*dnsmsg.Message) ([]*dnsmsg.Message, []error) {
 	resps := make([]*dnsmsg.Message, len(msgs))
 	errs := make([]error, len(msgs))
-	workpool.Run(len(msgs), len(msgs), func(i int) {
-		resps[i], errs[i] = u.Exchange(ctx, msgs[i])
-	})
+	slots := make([]batchSlot, len(msgs))
+	wire := make([]byte, 0, 512)
+	// The timeout timer's only effect is its round's channel, so it is
+	// tagged with the nameserver's lane atom: under the lookahead drain,
+	// timeouts against distinct servers may fire from different instants
+	// concurrently, while same-server timers stay ordered.
+	tag := simclock.LaneTag("resolver/" + u.Addr)
+	unsettled := len(msgs)
+	for a := 0; a <= u.Retries && unsettled > 0 && ctx.Err() == nil; a++ {
+		rd := &round{resps: resps, errs: errs, done: make(chan struct{}, 1)}
+		rd.left.Store(int32(len(msgs)) + 1)
+		unsent := 1 // the caller's own count, then one per slot not sent
+		var oneShots []*udpConn
+		for i, msg := range msgs {
+			s := &slots[i]
+			s.c = nil
+			if s.settled {
+				unsent++
+				continue
+			}
+			var err error
+			if len(msg.Questions) == 0 {
+				err = errors.New("resolver: query without a question")
+			} else {
+				wire, err = msg.AppendPack(wire[:0])
+			}
+			if err != nil {
+				errs[i], s.settled = err, true
+				unsettled--
+				unsent++
+				continue
+			}
+			id := AttemptID(msg.Header.ID, a)
+			binary.BigEndian.PutUint16(wire, id)
+			q := msg.Questions[0]
+			c, oneShot, err := u.lease(id, pendingQuery{rd: rd, slot: i, name: dnsname.Canonical(q.Name), typ: q.Type})
+			if err != nil {
+				errs[i] = err
+				unsent++
+				continue
+			}
+			if oneShot {
+				oneShots = append(oneShots, c)
+			}
+			s.c, s.id, s.bad0 = c, id, c.malformed.Load()
+			if _, err := c.conn.Write(wire); err != nil && c.unregister(id, rd, i) {
+				errs[i], s.c = fmt.Errorf("%w: %v", ErrDial, err), nil
+				unsent++
+			}
+		}
+		rd.release(unsent)
+
+		// A round in which nothing went out is already done: the release
+		// above was its last.
+		filled, timedOut := false, false
+		timeout := make(chan struct{}, 1)
+		simclock.AfterTagged(u.clock(), u.timeout(), tag, func(time.Time) { timeout <- struct{}{} })
+		select {
+		case <-rd.done:
+			filled = true
+		case <-timeout:
+			timedOut = true
+		case <-ctx.Done(): // reported for every unsettled slot below
+		}
+		for i := range slots {
+			s := &slots[i]
+			if s.c == nil {
+				continue
+			}
+			if !filled && s.c.unregister(s.id, rd, i) && timedOut {
+				if bad := s.c.malformed.Load() - s.bad0; bad > 0 {
+					errs[i] = fmt.Errorf("%w: %d unusable datagrams within the attempt window", ErrBadResponse, bad)
+				} else {
+					errs[i] = fmt.Errorf("%w: no response within %v", ErrTimeout, u.timeout())
+				}
+			}
+			if resps[i] != nil {
+				errs[i], s.settled = nil, true
+				unsettled--
+			}
+		}
+		for _, c := range oneShots {
+			c.conn.Close()
+		}
+	}
+	if ctx.Err() != nil {
+		for i := range slots {
+			if !slots[i].settled {
+				errs[i] = fmt.Errorf("resolver: exchange canceled: %w", ctx.Err())
+			}
+		}
+	}
 	return resps, errs
 }
 

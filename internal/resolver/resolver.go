@@ -25,13 +25,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
 	"darkdns/internal/dnsmsg"
 	"darkdns/internal/dnsname"
 	"darkdns/internal/simclock"
-	"darkdns/internal/workpool"
 )
 
 // Exchanger performs one DNS round trip. Implementations: UDPExchanger
@@ -73,6 +73,10 @@ var (
 	// middlebox-mangled endpoint, not a silent one, so retry policy can
 	// treat it differently from ErrTimeout.
 	ErrBadResponse = errors.New("resolver: malformed response")
+	// ErrTruncated: the server set TC — the answer did not fit the
+	// datagram, so the records that came are not the answer. There is no
+	// TCP fallback yet; the lookup fails and nothing is cached.
+	ErrTruncated = errors.New("resolver: response truncated")
 	// ErrRateLimited: a nameserver lane's bounded queue was full and the
 	// query was shed instead of enqueued (the PR 2 dispatcher idiom:
 	// never block the probe path behind a slow authority).
@@ -98,7 +102,10 @@ type cacheEntry struct {
 }
 
 // flight is one in-progress upstream exchange; concurrent lookups of
-// the same key wait on done instead of issuing duplicate queries.
+// the same key wait on done instead of issuing duplicate queries. done
+// is made by the first lookup that joins (under the shard lock, which
+// is also where complete retires the flight), so an exchange nobody
+// joins — nearly all of them — costs no channel.
 type flight struct {
 	done chan struct{}
 	recs []dnsmsg.Record
@@ -123,12 +130,6 @@ type Config struct {
 	MaxTTL time.Duration
 	// NegTTL is the cache lifetime of NXDOMAIN answers.
 	NegTTL time.Duration
-	// BatchWorkers bounds LookupBatch's miss fan-out when the exchanger
-	// has no batch interface: ≤1 exchanges misses serially on the
-	// caller (the zero-overhead baseline), ≥2 spreads them over a
-	// worker pool this wide. Batch-capable exchangers pipeline the
-	// whole miss set in one call and ignore this knob.
-	BatchWorkers int
 }
 
 // Resolver is a caching stub resolver over an Exchanger.
@@ -257,19 +258,29 @@ func (r *Resolver) Lookup(ctx context.Context, name string, typ dnsmsg.Type) ([]
 		return recs, err
 	}
 	if fl, ok := sh.inflight[key]; ok {
-		sh.coalesced++
+		done := sh.joinLocked(fl)
 		sh.mu.Unlock()
-		return r.await(ctx, fl)
+		return r.await(ctx, fl, done)
 	}
-	fl := &flight{done: make(chan struct{})}
+	fl := &flight{}
 	sh.inflight[key] = fl
 	sh.misses++
 	sh.mu.Unlock()
 
 	q := dnsmsg.NewQuery(QueryID(r.seed, name, typ, 0), name, typ)
 	resp, err := r.ex.Exchange(ctx, q)
-	recs, err := r.complete(sh, key, fl, resp, err)
-	return recs, err
+	return r.complete(sh, key, fl, resp, err)
+}
+
+// joinLocked counts a lookup that found fl in flight and returns the
+// channel it waits on, making it if this is the first joiner. Caller
+// holds sh.mu.
+func (sh *cacheShard) joinLocked(fl *flight) <-chan struct{} {
+	sh.coalesced++
+	if fl.done == nil {
+		fl.done = make(chan struct{})
+	}
+	return fl.done
 }
 
 // cachedLocked serves key from the shard's entry table. Caller holds
@@ -288,9 +299,9 @@ func (sh *cacheShard) cachedLocked(key cacheKey, now time.Time) (recs []dnsmsg.R
 
 // await blocks until fl completes (or ctx cancels) and returns its
 // outcome — the joining half of the singleflight.
-func (r *Resolver) await(ctx context.Context, fl *flight) ([]dnsmsg.Record, error) {
+func (r *Resolver) await(ctx context.Context, fl *flight, done <-chan struct{}) ([]dnsmsg.Record, error) {
 	select {
-	case <-fl.done:
+	case <-done:
 		return fl.recs, fl.err
 	case <-ctx.Done():
 		return nil, fmt.Errorf("resolver: lookup canceled: %w", ctx.Err())
@@ -304,8 +315,10 @@ func (r *Resolver) complete(sh *cacheShard, key cacheKey, fl *flight, resp *dnsm
 	var recs []dnsmsg.Record
 	if err == nil {
 		now := r.clk.Now()
-		switch resp.Header.RCode {
-		case dnsmsg.RCodeNoError:
+		switch {
+		case resp.Header.Truncated:
+			err = fmt.Errorf("%w: %s %s", ErrTruncated, key.name, key.typ)
+		case resp.Header.RCode == dnsmsg.RCodeNoError:
 			ttl := r.cfg.MaxTTL
 			for _, rec := range resp.Answers {
 				if d := time.Duration(rec.TTL) * time.Second; d < ttl {
@@ -314,7 +327,7 @@ func (r *Resolver) complete(sh *cacheShard, key cacheKey, fl *flight, resp *dnsm
 			}
 			recs = resp.Answers
 			r.store(sh, key, cacheEntry{records: recs, rcode: resp.Header.RCode, expires: now.Add(ttl), inserted: now})
-		case dnsmsg.RCodeNXDomain:
+		case resp.Header.RCode == dnsmsg.RCodeNXDomain:
 			err = ErrNXDomain
 			r.store(sh, key, cacheEntry{rcode: resp.Header.RCode, expires: now.Add(r.cfg.NegTTL), inserted: now})
 		default:
@@ -324,8 +337,11 @@ func (r *Resolver) complete(sh *cacheShard, key cacheKey, fl *flight, resp *dnsm
 	fl.recs, fl.err = recs, err
 	sh.mu.Lock()
 	delete(sh.inflight, key)
+	done := fl.done // final: no lookup can find fl to join it any more
 	sh.mu.Unlock()
-	close(fl.done)
+	if done != nil {
+		close(done)
+	}
 	return recs, err
 }
 
@@ -348,91 +364,107 @@ type Result struct {
 	Err     error
 }
 
-// ownedMiss is a batch miss this LookupBatch call must resolve (it won
-// the singleflight registration for the key).
-type ownedMiss struct {
-	key cacheKey
-	fl  *flight
-	idx []int // result slots answered by this key
-}
-
-// joinedMiss is a batch miss another lookup is already resolving.
-type joinedMiss struct {
-	fl  *flight
-	idx []int
+// batchMiss is one distinct key of a batch that the cache could not
+// answer: owned when this call won the singleflight registration and
+// must exchange it, joined (done non-nil) when another lookup already
+// is.
+type batchMiss struct {
+	key  cacheKey
+	fl   *flight
+	done <-chan struct{} // joined misses only
 }
 
 // LookupBatch resolves qs as one operation: cache hits answer
 // immediately, duplicate keys within the batch collapse to one lookup,
 // keys already in flight (here or in any concurrent Lookup) are joined
-// rather than re-queried, and the remaining misses fan out through the
+// rather than re-queried, and the remaining misses go through the
 // exchange layer — as a single pipelined ExchangeBatch call when the
-// transport supports it, otherwise over a Config.BatchWorkers-wide
-// pool. Results are positional; each slot carries records or an error
-// exactly as Lookup would have returned them.
+// transport supports it, otherwise one after another on the caller.
+// Results are positional; each slot carries records or an error exactly
+// as Lookup would have returned them.
 func (r *Resolver) LookupBatch(ctx context.Context, qs []Query) []Result {
 	out := make([]Result, len(qs))
-	var owned []ownedMiss
-	var joined []joinedMiss
-	slot := make(map[cacheKey]int, len(qs)) // key → owned/joined position (owned ≥0, joined <0)
+	// Per-batch slabs, sized for the worst case of every query missing.
+	// flights must never move: the shards' inflight tables point into it.
+	misses := make([]batchMiss, 0, len(qs))
+	flights := make([]flight, 0, len(qs))
+	src := make([]int32, len(qs)) // result slot → misses index, -1 for a cache hit
+	owned := 0
 
 	for i, q := range qs {
 		key := cacheKey{dnsname.Canonical(q.Name), q.Type}
-		if s, ok := slot[key]; ok { // duplicate within the batch
-			if s >= 0 {
-				owned[s].idx = append(owned[s].idx, i)
-			} else {
-				joined[-s-1].idx = append(joined[-s-1].idx, i)
-			}
-			continue
-		}
 		sh := r.shard(key.name)
 		sh.mu.Lock()
 		if recs, hit, err := sh.cachedLocked(key, r.clk.Now()); hit {
 			sh.mu.Unlock()
-			out[i] = Result{Records: recs, Err: err}
+			out[i], src[i] = Result{Records: recs, Err: err}, -1
 			continue
 		}
 		if fl, ok := sh.inflight[key]; ok {
-			sh.coalesced++
+			// In flight: a duplicate of a key this batch already holds, or
+			// another lookup's exchange to join. The inflight table is the
+			// index either way; no per-batch map.
+			s := slices.IndexFunc(misses, func(m batchMiss) bool { return m.fl == fl })
+			if s < 0 {
+				s = len(misses)
+				misses = append(misses, batchMiss{key: key, fl: fl, done: sh.joinLocked(fl)})
+			}
 			sh.mu.Unlock()
-			joined = append(joined, joinedMiss{fl: fl, idx: []int{i}})
-			slot[key] = -len(joined)
+			src[i] = int32(s)
 			continue
 		}
-		fl := &flight{done: make(chan struct{})}
+		flights = append(flights, flight{})
+		fl := &flights[len(flights)-1]
 		sh.inflight[key] = fl
 		sh.misses++
 		sh.mu.Unlock()
-		owned = append(owned, ownedMiss{key: key, fl: fl, idx: []int{i}})
-		slot[key] = len(owned) - 1
+		src[i] = int32(len(misses))
+		misses = append(misses, batchMiss{key: key, fl: fl})
+		owned++
 	}
 
-	if len(owned) > 0 {
-		msgs := make([]*dnsmsg.Message, len(owned))
-		for i, m := range owned {
-			msgs[i] = dnsmsg.NewQuery(QueryID(r.seed, m.key.name, m.key.typ, 0), m.key.name, m.key.typ)
+	if owned > 0 {
+		msgs := make([]*dnsmsg.Message, 0, owned)
+		slab := make([]dnsmsg.Message, owned)
+		questions := make([]dnsmsg.Question, owned)
+		for _, m := range misses {
+			if m.done != nil {
+				continue
+			}
+			n := len(msgs)
+			questions[n] = dnsmsg.Question{Name: m.key.name, Type: m.key.typ, Class: dnsmsg.ClassIN}
+			slab[n] = dnsmsg.Message{
+				Header:    dnsmsg.Header{ID: QueryID(r.seed, m.key.name, m.key.typ, 0), RecursionDesired: true},
+				Questions: questions[n : n+1 : n+1],
+			}
+			msgs = append(msgs, &slab[n])
 		}
-		resps := make([]*dnsmsg.Message, len(owned))
-		errs := make([]error, len(owned))
+		var resps []*dnsmsg.Message
+		var errs []error
 		if be, ok := r.ex.(BatchExchanger); ok {
 			resps, errs = be.ExchangeBatch(ctx, msgs)
 		} else {
-			workpool.Run(len(owned), r.cfg.BatchWorkers, func(i int) {
-				resps[i], errs[i] = r.ex.Exchange(ctx, msgs[i])
-			})
+			resps, errs = make([]*dnsmsg.Message, owned), make([]error, owned)
+			for i, msg := range msgs {
+				resps[i], errs[i] = r.ex.Exchange(ctx, msg)
+			}
 		}
-		for i, m := range owned {
-			recs, err := r.complete(r.shard(m.key.name), m.key, m.fl, resps[i], errs[i])
-			for _, j := range m.idx {
-				out[j] = Result{Records: recs, Err: err}
+		n := 0
+		for _, m := range misses {
+			if m.done == nil {
+				r.complete(r.shard(m.key.name), m.key, m.fl, resps[n], errs[n])
+				n++
 			}
 		}
 	}
-	for _, m := range joined {
-		recs, err := r.await(ctx, m.fl)
-		for _, j := range m.idx {
-			out[j] = Result{Records: recs, Err: err}
+	for i, s := range src {
+		if s < 0 {
+			continue
+		}
+		if m := misses[s]; m.done == nil {
+			out[i] = Result{Records: m.fl.recs, Err: m.fl.err} // completed above
+		} else {
+			out[i].Records, out[i].Err = r.await(ctx, m.fl, m.done)
 		}
 	}
 	return out
