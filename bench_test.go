@@ -882,12 +882,13 @@ func BenchmarkFeedFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkFeedFanoutCachedEncode measures the pump-warmed shared encode
-// cache on the fan-out shape that motivates it: every subscriber replays
-// the identical entry stream, so after the pump's first marshal of each
-// offset, every per-subscriber DATA write is a frozen-bytes copy. The
-// hits/op metric is encode-cache hits per published entry (≈ subscriber
-// count while the cache holds the live window).
+// BenchmarkFeedFanoutCachedEncode measures the shared encoding on the
+// fan-out shape that motivates it: the pump encodes each polled batch
+// once and every live subscriber's DATA write copies those bytes. The
+// hits/op metric is deliveries made from the pump's encoding per
+// published entry — the subscriber count, less whatever a subscriber
+// still replayed from the log (encoded by its own session) before it
+// went live.
 func BenchmarkFeedFanoutCachedEncode(b *testing.B) {
 	st := benchFeedFanout(b, 8)
 	b.ReportMetric(float64(st.EncodeCacheHits)/float64(b.N), "hits/op")

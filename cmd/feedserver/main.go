@@ -6,8 +6,8 @@
 // Connect with:
 //
 //	nc localhost 7543
-//	SUBSCRIBE FROM 0    (framed session protocol; HELLO <tenant> first to name a tenant)
-//	LIVE                (legacy shim; or: FROM 0 to replay from the beginning)
+//	SUBSCRIBE FROM 0    (replay from the beginning; bare SUBSCRIBE tails live;
+//	                    HELLO <tenant> first to name a tenant)
 //
 // Usage:
 //
@@ -78,7 +78,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "feedserver:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("feed listening on %s (send SUBSCRIBE [FROM <offset>], or legacy LIVE / FROM <offset>)\n", addr)
+	fmt.Printf("feed listening on %s (send SUBSCRIBE [FROM <offset>])\n", addr)
 	fmt.Printf("simulating %s → %s, one hour per %v\n", start.Format("2006-01-02"), end.Format("2006-01-02"), *tick)
 
 	stop := make(chan os.Signal, 1)
@@ -97,8 +97,8 @@ func main() {
 			fmt.Println("shutting down")
 			srv.Close()
 			st := srv.Stats()
-			fmt.Printf("served %d sessions (%d legacy): %d entries in %d batches, %d bytes, %d shed, %d gaps, %d encode drops, %d encode cache hits\n",
-				st.Sessions, st.LegacySessions, st.Delivered, st.Batches, st.BytesOut, st.Shed, st.Gaps, st.EncodeDrops, st.EncodeCacheHits)
+			fmt.Printf("served %d sessions: %d entries in %d batches, %d bytes, %d shed, %d gaps, %d encode drops, %d live deliveries from the shared encoding\n",
+				st.Sessions, st.Delivered, st.Batches, st.BytesOut, st.Shed, st.Gaps, st.EncodeDrops, st.EncodeCacheHits)
 			w.Stop()
 			return
 		}

@@ -194,16 +194,24 @@ func (c *Client) handshake(ctx context.Context, opts SubscribeOptions, from int6
 type subConn struct {
 	conn net.Conn
 	r    *bufio.Scanner
+	// entries backs the Entries of the DATA frame last read.
+	entries []Entry
 }
 
-// readFrame reads the next non-empty line as a frame.
+// readFrame reads the next non-empty line as a frame. A DATA frame's
+// Entries are valid until the next call: run copies each one into its
+// Event before reading on.
 func (sc *subConn) readFrame() (*Frame, error) {
 	for sc.r.Scan() {
 		line := sc.r.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		return decodeFrame(line)
+		f, err := decodeFrame(line, sc.entries[:0])
+		if err == nil && f.Kind == FrameData {
+			sc.entries = f.Entries
+		}
+		return f, err
 	}
 	if err := sc.r.Err(); err != nil {
 		return nil, err

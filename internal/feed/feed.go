@@ -10,13 +10,16 @@
 // The package splits along the tier's layers:
 //
 //   - protocol.go — the wire grammar: command parsing and frame encoding
+//   - wire.go     — the DATA-frame codec: append-style entry encoder and
+//     the canonical-shape decoder, both held to encoding/json's bytes
 //   - registry.go — sharded subscriber registry, tenants, bounded queues
-//   - server.go   — listener, session loop, fan-out pump, legacy shim
+//   - server.go   — listener, session loop, fan-out pump, delivery
 //   - client.go   — Subscribe/Subscription consumer with auto-resume
 //
-// The legacy one-line request protocol ("FROM <offset>\n" / "LIVE\n"
-// followed by raw JSON entry lines) is still served through a
-// compatibility shim, so pre-existing consumers keep working.
+// An entry is encoded once per pump batch and those bytes are what every
+// live subscriber's queue holds; a replaying session encodes its own log
+// reads. FanoutStats.EncodeCacheHits counts the deliveries that used the
+// pump's shared encoding.
 //
 // DESIGN.md §11 describes the architecture and its delivery contract:
 // every subscriber of the same topic at the same offset observes a

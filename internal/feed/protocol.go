@@ -23,8 +23,8 @@ import (
 //	                          later SUBSCRIBE
 //
 // Frames: welcome, subscribed, data, hb, gap, bye, error (see the frame
-// structs below). The legacy shim (server.go) speaks the original raw
-// JSON-entry lines instead and is selected by a FROM/LIVE first line.
+// structs below). DATA frames have their own codec (wire.go); its bytes
+// are the ones encodeFrame and decodeFrame below define.
 
 // Frame discriminator values.
 const (
@@ -91,10 +91,16 @@ func encodeFrame(f *Frame) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// decodeFrame parses one server→client line. Legacy raw entry lines do
-// not carry a "frame" key and are rejected here; the client's legacy
-// paths never call decodeFrame.
-func decodeFrame(line []byte) (*Frame, error) {
+// decodeFrame parses one server→client line. A DATA frame in the server's
+// canonical byte shape is decoded by the wire codec, its Entries appended
+// to buf and valid until the caller reuses buf (nil: the frame owns
+// them). Every other line takes the reflective decoder, so what a line
+// decodes to, and whether it is an error, is json.Unmarshal's answer
+// either way.
+func decodeFrame(line []byte, buf []Entry) (*Frame, error) {
+	if entries, next, ok := decodeDataFrame(line, buf); ok {
+		return &Frame{Kind: FrameData, Entries: entries, Next: next}, nil
+	}
 	var f Frame
 	if err := json.Unmarshal(line, &f); err != nil {
 		return nil, fmt.Errorf("feed: bad frame: %w", err)
@@ -107,9 +113,9 @@ func decodeFrame(line []byte) (*Frame, error) {
 
 // command is one parsed client→server line.
 type command struct {
-	verb   string // HELLO, SUBSCRIBE, UNSUBSCRIBE, FROM, LIVE
+	verb   string // HELLO, SUBSCRIBE, UNSUBSCRIBE
 	tenant string // HELLO
-	from   int64  // SUBSCRIBE FROM / FROM; -1 means live tail
+	from   int64  // SUBSCRIBE FROM; -1 means live tail
 }
 
 // protoError is a protocol violation answered with a structured error
@@ -121,9 +127,7 @@ type protoError struct {
 
 func (e *protoError) Error() string { return fmt.Sprintf("feed: %s: %s", e.code, e.msg) }
 
-// parseCommand parses one client line into a command. The legacy verbs
-// FROM and LIVE parse here too, so the session reader has one grammar;
-// the server routes them to the shim only when they open the connection.
+// parseCommand parses one client line into a command.
 func parseCommand(line string) (command, *protoError) {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
@@ -155,17 +159,6 @@ func parseCommand(line string) (command, *protoError) {
 		if len(fields) != 1 {
 			return command{}, &protoError{CodeBadCommand, "UNSUBSCRIBE takes no arguments"}
 		}
-		return command{verb: verb, from: -1}, nil
-	case "FROM":
-		if len(fields) != 2 {
-			return command{}, &protoError{CodeBadOffset, "FROM needs an offset"}
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return command{}, &protoError{CodeBadOffset, "bad offset"}
-		}
-		return command{verb: verb, from: v}, nil
-	case "LIVE":
 		return command{verb: verb, from: -1}, nil
 	default:
 		return command{}, &protoError{CodeBadCommand, "unknown command " + verb}

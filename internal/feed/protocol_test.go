@@ -2,7 +2,6 @@ package feed
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
@@ -25,8 +24,6 @@ func TestParseCommandGrammar(t *testing.T) {
 		{line: "SUBSCRIBE FROM 42", verb: "SUBSCRIBE", from: 42},
 		{line: "subscribe from 0", verb: "SUBSCRIBE", from: 0},
 		{line: "UNSUBSCRIBE", verb: "UNSUBSCRIBE", from: -1},
-		{line: "FROM 7", verb: "FROM", from: 7},
-		{line: "LIVE", verb: "LIVE", from: -1},
 
 		{line: "", code: CodeBadCommand},
 		{line: "   ", code: CodeBadCommand},
@@ -38,8 +35,9 @@ func TestParseCommandGrammar(t *testing.T) {
 		{line: "SUBSCRIBE FROM -3", code: CodeBadOffset},
 		{line: "SUBSCRIBE AT 3", code: CodeBadCommand},
 		{line: "UNSUBSCRIBE now", code: CodeBadCommand},
-		{line: "FROM", code: CodeBadOffset},
-		{line: "FROM notanumber", code: CodeBadOffset},
+		// The first wire dialect's verbs are unknown commands like any other.
+		{line: "FROM 7", code: CodeBadCommand},
+		{line: "LIVE", code: CodeBadCommand},
 	}
 	for _, tc := range cases {
 		cmd, perr := parseCommand(tc.line)
@@ -74,7 +72,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if line[len(line)-1] != '\n' {
 		t.Fatal("frame line not newline-terminated")
 	}
-	out, err := decodeFrame(line[:len(line)-1])
+	out, err := decodeFrame(line[:len(line)-1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +82,10 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestDecodeFrameRejectsGarbage(t *testing.T) {
-	if _, err := decodeFrame([]byte("not json")); err == nil {
+	if _, err := decodeFrame([]byte("not json"), nil); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := decodeFrame([]byte(`{"offset":3}`)); err == nil {
+	if _, err := decodeFrame([]byte(`{"offset":3}`), nil); err == nil {
 		t.Error("kindless frame accepted")
 	}
 }
@@ -105,7 +103,7 @@ func readFrameLine(t *testing.T, r *bufio.Reader) *Frame {
 		if len(line) == 0 {
 			continue
 		}
-		f, err := decodeFrame(line)
+		f, err := decodeFrame(line, nil)
 		if err != nil {
 			t.Fatalf("decode %q: %v", line, err)
 		}
@@ -135,6 +133,11 @@ func TestBadFramesRejectedWithStructuredErrors(t *testing.T) {
 	defer stop()
 	conn, r := rawSession(t, addr)
 
+	// Also as a connection's first line, and the session stays open.
+	fmt.Fprintf(conn, "FROM 0\n")
+	if f := readFrameLine(t, r); f.Kind != FrameError || f.Code != CodeBadCommand {
+		t.Fatalf("first-line FROM answered %+v", f)
+	}
 	fmt.Fprintf(conn, "HELLO too many words\n")
 	if f := readFrameLine(t, r); f.Kind != FrameError || f.Code != CodeBadCommand {
 		t.Fatalf("bad HELLO answered %+v", f)
@@ -247,64 +250,6 @@ func TestHeartbeatsAreSequenced(t *testing.T) {
 	for i := 1; i < len(seqs); i++ {
 		if seqs[i] != seqs[i-1]+1 {
 			t.Fatalf("heartbeat seqs not consecutive: %v", seqs)
-		}
-	}
-}
-
-// TestLegacyShimEquivalence consumes the same topic through the legacy
-// FROM-line protocol and the framed protocol: the delivered entry
-// sequences must be identical, and the legacy lines must be plain Entry
-// JSON (no frame key) so pre-rebuild consumers parse them unchanged.
-func TestLegacyShimEquivalence(t *testing.T) {
-	topic, addr, stop := startFeed(t)
-	defer stop()
-	const n = 20
-	for i := 0; i < n; i++ {
-		topic.Publish(t0.Add(time.Duration(i)*time.Minute), fmt.Sprintf("d%d.com", i), []byte(`{"x":1}`))
-	}
-
-	legacyConn, lr := rawSession(t, addr)
-	fmt.Fprintf(legacyConn, "FROM 0\n")
-	var legacy []Entry
-	for len(legacy) < n {
-		line, err := lr.ReadBytes('\n')
-		if err != nil {
-			t.Fatalf("legacy read: %v", err)
-		}
-		line = line[:len(line)-1]
-		if len(line) == 0 {
-			continue // heartbeat
-		}
-		var probe map[string]any
-		if err := json.Unmarshal(line, &probe); err != nil {
-			t.Fatalf("legacy line not JSON: %q", line)
-		}
-		if _, framed := probe["frame"]; framed {
-			t.Fatalf("legacy session received a framed line: %q", line)
-		}
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			t.Fatal(err)
-		}
-		legacy = append(legacy, e)
-	}
-
-	framedConn, fr := rawSession(t, addr)
-	fmt.Fprintf(framedConn, "SUBSCRIBE FROM 0\n")
-	if f := readFrameLine(t, fr); f.Kind != FrameSubscribed {
-		t.Fatalf("subscribed = %+v", f)
-	}
-	var framed []Entry
-	for len(framed) < n {
-		f := readFrameLine(t, fr)
-		if f.Kind == FrameData {
-			framed = append(framed, f.Entries...)
-		}
-	}
-
-	for i := range legacy {
-		if legacy[i] != framed[i] {
-			t.Fatalf("entry %d differs: legacy %+v, framed %+v", i, legacy[i], framed[i])
 		}
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"darkdns/internal/stream"
 )
 
 // Subscriber registry: the fan-out tier's directory of live delivery
@@ -56,12 +54,12 @@ func ParseShedPolicy(s string) (ShedPolicy, error) {
 }
 
 // subQueue is one subscriber's bounded live-delivery queue. The pump
-// offers message batches; the session writer takes them. Overflow applies
-// the shed policy and, for drop-oldest, accumulates the evicted offset
-// range so the writer can emit one coalesced GAP frame.
+// offers batches of encoded entries; the session writer takes them.
+// Overflow applies the shed policy and, for drop-oldest, accumulates the
+// evicted offset range so the writer can emit one coalesced GAP frame.
 type subQueue struct {
 	mu     sync.Mutex
-	buf    []stream.Message
+	buf    []wireEntry
 	bound  int
 	policy ShedPolicy
 
@@ -86,12 +84,14 @@ func newSubQueue(bound int, policy ShedPolicy) *subQueue {
 	return &subQueue{bound: bound, policy: policy, shedFrom: -1, shedTo: -1, signal: make(chan struct{}, 1)}
 }
 
-// offer enqueues msgs for a live subscriber, applying the shed policy on
-// overflow. It never blocks — the fan-out pump must not stall on one slow
-// subscriber (the athena-dhcpd event-bus rule). Returns the number of
-// entries evicted (drop-oldest) for the server's shed counter.
-func (q *subQueue) offer(msgs []stream.Message) int64 {
-	if len(msgs) == 0 {
+// offer enqueues ents for a live subscriber, applying the shed policy on
+// overflow. It copies the entries but not their encodings, which the
+// queues of one broadcast share. It never blocks — the fan-out pump must
+// not stall on one slow subscriber (the athena-dhcpd event-bus rule).
+// Returns the number of entries evicted (drop-oldest) for the server's
+// shed counter.
+func (q *subQueue) offer(ents []wireEntry) int64 {
+	if len(ents) == 0 {
 		return 0
 	}
 	q.mu.Lock()
@@ -99,7 +99,7 @@ func (q *subQueue) offer(msgs []stream.Message) int64 {
 		q.mu.Unlock()
 		return 0
 	}
-	q.buf = append(q.buf, msgs...)
+	q.buf = append(q.buf, ents...)
 	var evicted int64
 	if over := len(q.buf) - q.bound; over > 0 {
 		if q.policy == ShedDisconnect {
@@ -109,9 +109,9 @@ func (q *subQueue) offer(msgs []stream.Message) int64 {
 		} else {
 			drop := q.buf[:over]
 			if q.shedFrom < 0 {
-				q.shedFrom = drop[0].Offset
+				q.shedFrom = drop[0].off
 			}
-			q.shedTo = drop[over-1].Offset
+			q.shedTo = drop[over-1].off
 			evicted = int64(over)
 			q.buf = append(q.buf[:0], q.buf[over:]...)
 		}
@@ -138,19 +138,19 @@ func (q *subQueue) goLive() {
 // take removes everything queued, returning the batch, any pending shed
 // gap, and ok=false once the queue is closed and drained. When nothing is
 // queued it waits up to timeout (the heartbeat interval) for an offer.
-func (q *subQueue) take(timeout time.Duration) (msgs []stream.Message, gap *Gap, ok bool, err error) {
+func (q *subQueue) take(timeout time.Duration) (ents []wireEntry, gap *Gap, ok bool, err error) {
 	deadline := time.Now().Add(timeout)
 	for {
 		q.mu.Lock()
 		if len(q.buf) > 0 || q.shedFrom >= 0 {
-			msgs = q.buf
+			ents = q.buf
 			q.buf = nil
 			if q.shedFrom >= 0 {
 				gap = &Gap{From: q.shedFrom, To: q.shedTo, Dropped: q.shedTo - q.shedFrom + 1, Reason: "shed"}
 				q.shedFrom, q.shedTo = -1, -1
 			}
 			q.mu.Unlock()
-			return msgs, gap, true, nil
+			return ents, gap, true, nil
 		}
 		if q.closed {
 			reason := q.reason
@@ -294,13 +294,13 @@ func (r *registry) remove(sub *subscriber) {
 	sub.tenant.subs.Add(-1)
 }
 
-// broadcast offers msgs to every live subscriber, returning the total
+// broadcast offers ents to every live subscriber, returning the total
 // entries evicted by drop-oldest shedding. Reads are lock-free snapshots.
-func (r *registry) broadcast(msgs []stream.Message) int64 {
+func (r *registry) broadcast(ents []wireEntry) int64 {
 	var shed int64
 	for i := range r.shards {
 		for _, sub := range r.shards[i].snapshot() {
-			shed += sub.queue.offer(msgs)
+			shed += sub.queue.offer(ents)
 		}
 	}
 	return shed

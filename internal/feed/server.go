@@ -2,7 +2,6 @@ package feed
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -30,8 +29,7 @@ type ServerConfig struct {
 	QueueBound int
 	// ShedPolicy selects what happens on queue overflow.
 	ShedPolicy ShedPolicy
-	// Heartbeat is the idle interval between hb frames (legacy shim:
-	// blank lines).
+	// Heartbeat is the idle interval between hb frames.
 	Heartbeat time.Duration
 	// BatchMax bounds entries per DATA frame and per catch-up log read.
 	BatchMax int
@@ -67,16 +65,18 @@ type FanoutStats struct {
 	QueueDepth  int // entries queued across all subscribers, right now
 	MaxDepth    int // deepest per-subscriber backlog observed
 
-	Sessions        int64 // connections ever accepted
-	LegacySessions  int64 // of which spoke the FROM/LIVE shim
-	Delivered       int64 // entries sent (DATA frames + legacy lines)
-	Batches         int64 // DATA frames sent
-	BytesOut        int64 // payload bytes written
-	Heartbeats      int64 // hb frames (and legacy blank lines) sent
-	Shed            int64 // entries evicted by drop-oldest shedding
-	Gaps            int64 // GAP frames emitted
-	EncodeDrops     int64 // entries lost to encoding failures (gap-marked)
-	EncodeCacheHits int64 // DATA entry marshals served from the shared encode cache
+	Sessions    int64 // connections ever accepted
+	Delivered   int64 // entries sent in DATA frames
+	Batches     int64 // DATA frames sent
+	BytesOut    int64 // payload bytes written
+	Heartbeats  int64 // hb frames sent
+	Shed        int64 // entries evicted by drop-oldest shedding
+	Gaps        int64 // GAP frames emitted
+	EncodeDrops int64 // entries lost to encoding failures (gap-marked)
+	// EncodeCacheHits counts the delivered entries whose bytes were the
+	// pump's shared encoding — every live delivery, no replayed one (a
+	// replaying session encodes its own log reads).
+	EncodeCacheHits int64
 	Disconnects     int64 // subscribers cut by the disconnect shed policy
 }
 
@@ -85,7 +85,6 @@ type Server struct {
 	topic *stream.Topic
 	cfg   ServerConfig
 	reg   *registry
-	enc   *encodeCache
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -95,7 +94,6 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	sessions        atomic.Int64
-	legacySessions  atomic.Int64
 	delivered       atomic.Int64
 	batches         atomic.Int64
 	bytesOut        atomic.Int64
@@ -132,7 +130,6 @@ func NewServerConfig(topic *stream.Topic, cfg ServerConfig) *Server {
 		topic: topic,
 		cfg:   cfg,
 		reg:   newRegistry(cfg.TenantMaxSubscribers, cfg.TenantRate),
-		enc:   newEncodeCache(4 * cfg.BatchMax),
 		conns: make(map[net.Conn]struct{}),
 		done:  make(chan struct{}),
 	}
@@ -200,7 +197,6 @@ func (s *Server) Stats() FanoutStats {
 		MaxDepth:    maxDepth,
 
 		Sessions:        s.sessions.Load(),
-		LegacySessions:  s.legacySessions.Load(),
 		Delivered:       s.delivered.Load(),
 		Batches:         s.batches.Load(),
 		BytesOut:        s.bytesOut.Load(),
@@ -214,30 +210,32 @@ func (s *Server) Stats() FanoutStats {
 }
 
 // pump is the single topic consumer feeding every subscriber queue: one
-// consumer group for the whole tier, dropped on shutdown, in place of the
-// old one-leaked-group-per-connection design.
+// consumer group for the whole tier, dropped on shutdown. It encodes each
+// polled batch once, into a slab of its own that the batch's entries
+// share across every queue until the last subscriber has written them.
 func (s *Server) pump(group string) {
 	defer s.wg.Done()
 	consumer := stream.NewConsumer(s.topic, group, 4*s.cfg.BatchMax)
 	defer consumer.Close()
+	var ents []wireEntry // offer copies entries out, so one slice serves every batch
 	for {
 		select {
 		case <-s.done:
 			return
 		default:
 		}
-		msgs, ok := consumer.WaitNext(200 * time.Millisecond)
+		msgs, ok := consumer.WaitNext(s.done, 200*time.Millisecond)
 		if !ok {
 			continue
 		}
-		// Warm the shared encode cache once per message before fan-out:
-		// N same-offset subscriber deliveries then reuse the frozen bytes
-		// instead of marshalling N times. Failures are left uncached so
-		// the per-entry isolation path still surfaces them per delivery.
-		for _, m := range msgs {
-			s.encodeEntry(Entry{Offset: m.Offset, Time: m.Time, Domain: m.Key, Raw: string(m.Value)})
+		// A guess at the encoded size; appendEntry grows the slab when
+		// escaping needs more.
+		size := 128 * len(msgs)
+		for i := range msgs {
+			size += len(msgs[i].Key) + len(msgs[i].Value)
 		}
-		s.shed.Add(s.reg.broadcast(msgs))
+		_, ents = encodeBatch(make([]byte, 0, size), ents[:0], msgs)
+		s.shed.Add(s.reg.broadcast(ents))
 	}
 }
 
@@ -305,6 +303,13 @@ type session struct {
 	// next SUBSCRIBE. deliverWG tracks its delivery goroutine.
 	sub       *subscriber
 	deliverWG sync.WaitGroup
+
+	// Delivery buffers, touched only by the delivery goroutine: the DATA
+	// line being assembled, and a replayed log read's encodings and
+	// entries. Reused from frame to frame, dropped when catch-up ends.
+	frame []byte
+	slab  []byte
+	ents  []wireEntry
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -329,38 +334,18 @@ func (s *Server) serveConn(conn net.Conn) {
 	sess := &session{srv: s, conn: conn, w: w, id: id}
 	defer sess.stopSubscription()
 
-	cmd, perr := parseCommand(first)
-	switch {
-	case perr != nil:
-		// Pre-session parse errors answer on both grammars: the framed
-		// error line doubles as the legacy {"error":...} response since
-		// legacy clients only check for a non-entry line. The session
-		// stays open for a corrected framed command.
-		if !sess.sendError(perr) {
-			return
-		}
-	case cmd.verb == "FROM" || cmd.verb == "LIVE":
-		s.legacySessions.Add(1)
-		sess.serveLegacy(cmd.from)
-		return
-	default:
-		if !sess.handle(cmd) {
-			return
-		}
-	}
+	line := first
 	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			return
-		}
 		cmd, perr := parseCommand(line)
-		if perr != nil {
+		switch {
+		case perr != nil:
 			if !sess.sendError(perr) {
 				return
 			}
-			continue
+		case !sess.handle(cmd):
+			return
 		}
-		if !sess.handle(cmd) {
+		if line, err = r.ReadString('\n'); err != nil {
 			return
 		}
 	}
@@ -408,18 +393,15 @@ func (s *session) handle(cmd command) bool {
 		s.deliverWG.Add(1)
 		go func() {
 			defer s.deliverWG.Done()
-			s.deliver(sub, from, framedEncoder{srv: s.srv})
+			s.deliver(sub, from)
 		}()
 		return true
-	case "UNSUBSCRIBE":
+	default: // UNSUBSCRIBE, the only other verb parseCommand admits
 		if s.sub == nil {
 			return s.sendError(&protoError{CodeNotSubscribed, "no active subscription"})
 		}
 		s.stopSubscription()
 		return true
-	default:
-		// FROM/LIVE mid-session: the shim only opens connections.
-		return s.sendError(&protoError{CodeBadCommand, "legacy " + cmd.verb + " must be the first line"})
 	}
 }
 
@@ -435,55 +417,38 @@ func (s *session) stopSubscription() {
 	s.sub = nil
 }
 
-// serveLegacy is the compatibility shim: the original one-request
-// protocol (FROM n / LIVE, then raw JSON entry lines with blank-line
-// heartbeats) served by the same registry, queue and shed machinery.
-func (s *session) serveLegacy(from int64) {
-	s.tenant = s.srv.reg.tenant(DefaultTenant)
-	q := newSubQueue(s.srv.cfg.QueueBound, s.srv.cfg.ShedPolicy)
-	sub, perr := s.srv.reg.add(s.tenant, q)
-	if perr != nil {
-		s.sendError(perr)
-		return
-	}
-	defer s.srv.reg.remove(sub)
-	if from < 0 {
-		from = int64(s.srv.topic.Len())
-	}
-	s.deliver(sub, from, legacyEncoder{srv: s.srv})
-}
-
 // deliver is the per-subscriber delivery loop: catch-up replay straight
 // from the log, then live consumption from the bounded queue, with
-// heartbeats on idle and GAP frames for shed or undecodable ranges.
-// enc selects the framed or legacy wire encoding.
-func (s *session) deliver(sub *subscriber, from int64, enc wireEncoder) {
+// heartbeats on idle and GAP frames for shed or unencodable ranges.
+func (s *session) deliver(sub *subscriber, from int64) {
 	srv := s.srv
 	next := from
 	// Catch-up: read the log directly while the queue rejects offers, so
 	// a deep replay does not thrash the bounded queue.
-	if !s.replayLog(sub, &next, enc) {
+	if !s.replayLog(sub, &next) {
 		return
 	}
 	sub.queue.goLive()
 	// Drain the publish window between the last empty read and goLive:
 	// those messages are in the log but were never offered.
-	if !s.replayLog(sub, &next, enc) {
+	if !s.replayLog(sub, &next) {
 		return
 	}
+	// A session may tail for days: do not hold a replay's buffers under it.
+	s.frame, s.slab, s.ents = nil, nil, nil
 	var hbSeq int64
 	for {
-		msgs, gap, ok, reason := sub.queue.take(srv.cfg.Heartbeat)
+		ents, gap, ok, reason := sub.queue.take(srv.cfg.Heartbeat)
 		if !ok {
 			switch {
 			case reason == nil:
-				enc.bye(s.w, "unsubscribe")
+				s.w.writeFrame(&Frame{Kind: FrameBye, Reason: "unsubscribe"})
 			case errors.Is(reason, ErrSlowConsumer):
 				srv.disconnects.Add(1)
-				enc.errFrame(s.w, CodeSlowConsumer, "queue overflowed; reconnect with SUBSCRIBE FROM to resume")
+				s.sendError(&protoError{CodeSlowConsumer, "queue overflowed; reconnect with SUBSCRIBE FROM to resume"})
 				s.conn.Close()
 			case errors.Is(reason, ErrServerClosed):
-				enc.bye(s.w, "shutdown")
+				s.w.writeFrame(&Frame{Kind: FrameBye, Reason: "shutdown"})
 				s.conn.Close()
 			}
 			return
@@ -497,7 +462,7 @@ func (s *session) deliver(sub *subscriber, from int64, enc wireEncoder) {
 				gap.Dropped = gap.To - gap.From + 1
 			}
 			if gap.Dropped > 0 {
-				if enc.gap(s.w, gap) != nil {
+				if s.w.writeFrame(&Frame{Kind: FrameGap, Gap: gap}) != nil {
 					return
 				}
 			}
@@ -505,29 +470,24 @@ func (s *session) deliver(sub *subscriber, from int64, enc wireEncoder) {
 				next = gap.To + 1
 			}
 		}
-		if len(msgs) == 0 {
+		if len(ents) == 0 {
 			hbSeq++
 			srv.heartbeats.Add(1)
-			if enc.heartbeat(s.w, hbSeq, int64(srv.topic.Len())) != nil {
+			if s.w.writeFrame(&Frame{Kind: FrameHeartbeat, Seq: hbSeq, Head: int64(srv.topic.Len())}) != nil {
 				return
 			}
 			continue
 		}
 		// Trim duplicates of the catch-up/race window.
-		for len(msgs) > 0 && msgs[0].Offset < next {
-			msgs = msgs[1:]
+		for len(ents) > 0 && ents[0].off < next {
+			ents = ents[1:]
 		}
-		if len(msgs) == 0 {
-			continue
-		}
-		for start := 0; start < len(msgs); start += srv.cfg.BatchMax {
-			end := start + srv.cfg.BatchMax
-			if end > len(msgs) {
-				end = len(msgs)
-			}
-			if !s.sendData(sub, msgs[start:end], &next, enc) {
+		for len(ents) > 0 {
+			n := min(len(ents), srv.cfg.BatchMax)
+			if !s.send(sub, ents[:n], &next, true) {
 				return
 			}
+			ents = ents[n:]
 		}
 	}
 }
@@ -535,237 +495,60 @@ func (s *session) deliver(sub *subscriber, from int64, enc wireEncoder) {
 // replayLog streams the topic log from *next until caught up or the
 // queue is closed mid-replay (unsubscribe / shutdown cut a deep replay
 // short; the live loop's take then reports the closure); false means the
-// connection failed.
-func (s *session) replayLog(sub *subscriber, next *int64, enc wireEncoder) bool {
+// connection failed. Each log read is encoded into the session's own
+// slab, overwritten by the next read.
+func (s *session) replayLog(sub *subscriber, next *int64) bool {
 	for !sub.queue.isClosed() {
 		batch := s.srv.topic.Read(*next, s.srv.cfg.BatchMax)
 		if len(batch) == 0 {
 			return true
 		}
-		if !s.sendData(sub, batch, next, enc) {
+		s.slab, s.ents = encodeBatch(s.slab[:0], s.ents[:0], batch)
+		if !s.send(sub, s.ents, next, false) {
 			return false
 		}
 	}
 	return true
 }
 
-// sendData encodes one DATA batch, applying the tenant rate limit and
-// the encode-failure policy: an entry that cannot be marshalled is
-// dropped loudly — counted in Stats and covered by an in-order GAP
-// marker — never silently skipped.
-func (s *session) sendData(sub *subscriber, msgs []stream.Message, next *int64, enc wireEncoder) bool {
-	if d := sub.tenant.reserve(len(msgs), time.Now()); d > 0 {
+// send writes one batch of at most BatchMax entries, applying the tenant
+// rate limit and the encode-failure policy: each run of encoded entries
+// goes out as one DATA frame, and an entry that could not be encoded is
+// dropped loudly — counted in Stats and covered by a GAP marker — never
+// silently skipped. Frames go out in offset order and *next follows
+// them, so a client's resume cursor never moves backwards. shared says
+// the encodings are the pump's. false means the connection failed.
+func (s *session) send(sub *subscriber, ents []wireEntry, next *int64, shared bool) bool {
+	srv := s.srv
+	if d := sub.tenant.reserve(len(ents), time.Now()); d > 0 {
 		time.Sleep(d)
 	}
-	entries := make([]Entry, 0, len(msgs))
-	for _, m := range msgs {
-		entries = append(entries, Entry{Offset: m.Offset, Time: m.Time, Domain: m.Key, Raw: string(m.Value)})
-	}
-	if !s.writeEntries(entries, enc) {
-		return false
-	}
-	*next = msgs[len(msgs)-1].Offset + 1
-	return true
-}
-
-// writeEntries sends entries as one DATA frame, falling back to
-// per-entry isolation when the batch fails to encode: good runs flush as
-// DATA frames and each undecodable entry becomes a GAP marker, all in
-// offset order so a client's resume cursor never moves backwards.
-func (s *session) writeEntries(entries []Entry, enc wireEncoder) bool {
-	srv := s.srv
-	send := func(run []Entry) bool {
-		if len(run) == 0 {
-			return true
-		}
-		if err := enc.data(s.w, run, run[len(run)-1].Offset+1); err != nil {
-			return false
-		}
-		srv.delivered.Add(int64(len(run)))
-		srv.batches.Add(1)
-		return true
-	}
-	err := enc.data(s.w, entries, entries[len(entries)-1].Offset+1)
-	if err == nil {
-		srv.delivered.Add(int64(len(entries)))
-		srv.batches.Add(1)
-		return true
-	}
-	var ee *encodeError
-	if !errors.As(err, &ee) {
-		return false // connection failure
-	}
-	run := entries[:0]
-	for _, e := range entries {
-		if _, merr := srv.encodeEntry(e); merr != nil {
-			if !send(run) {
-				return false
-			}
-			run = run[:0]
+	for len(ents) > 0 {
+		if off := ents[0].off; ents[0].enc == nil {
 			srv.encodeDrops.Add(1)
 			srv.gaps.Add(1)
-			if enc.gap(s.w, &Gap{From: e.Offset, To: e.Offset, Dropped: 1, Reason: "encode"}) != nil {
+			if s.w.writeFrame(&Frame{Kind: FrameGap, Gap: &Gap{From: off, To: off, Dropped: 1, Reason: "encode"}}) != nil {
 				return false
 			}
+			*next = off + 1
+			ents = ents[1:]
 			continue
 		}
-		run = append(run, e)
-	}
-	return send(run)
-}
-
-// wireEncoder abstracts the two wire dialects: the framed session
-// protocol and the legacy raw-JSON-lines shim.
-type wireEncoder interface {
-	data(w *frameWriter, entries []Entry, next int64) error
-	heartbeat(w *frameWriter, seq, head int64) error
-	gap(w *frameWriter, g *Gap) error
-	bye(w *frameWriter, reason string) error
-	errFrame(w *frameWriter, code, msg string) error
-}
-
-// encodeError distinguishes an entry that failed to marshal (recoverable
-// by per-entry isolation) from a connection failure.
-type encodeError struct{ err error }
-
-func (e *encodeError) Error() string { return "feed: encode entry: " + e.err.Error() }
-func (e *encodeError) Unwrap() error { return e.err }
-
-// marshalEntry is a seam for tests to inject encode failures; production
-// entries always marshal.
-var marshalEntry = func(e Entry) ([]byte, error) { return json.Marshal(e) }
-
-// encodeCache memoizes marshalled DATA entries by topic offset: the pump
-// marshals each live entry once and every same-offset subscriber
-// delivery reuses the frozen bytes. Only successful marshals are cached,
-// so the encode-failure isolation path always re-probes (and keeps
-// failing on) poisoned entries. Bounded FIFO sized to the live fan-out
-// window: deep catch-up replay misses and marshals on its own.
-type encodeCache struct {
-	mu    sync.Mutex
-	byOff map[int64][]byte
-	fifo  []int64
-	bound int
-}
-
-func newEncodeCache(bound int) *encodeCache {
-	return &encodeCache{byOff: make(map[int64][]byte, bound), bound: bound}
-}
-
-func (c *encodeCache) get(off int64) ([]byte, bool) {
-	c.mu.Lock()
-	raw, ok := c.byOff[off]
-	c.mu.Unlock()
-	return raw, ok
-}
-
-func (c *encodeCache) put(off int64, raw []byte) {
-	c.mu.Lock()
-	if _, dup := c.byOff[off]; !dup {
-		for len(c.fifo) >= c.bound {
-			delete(c.byOff, c.fifo[0])
-			c.fifo = c.fifo[1:]
+		n := 1
+		for n < len(ents) && ents[n].enc != nil {
+			n++
 		}
-		c.byOff[off] = raw
-		c.fifo = append(c.fifo, off)
-	}
-	c.mu.Unlock()
-}
-
-// encodeEntry marshals e through the shared per-offset cache: a hit
-// returns the frozen bytes marshalled by the pump (or an earlier
-// subscriber); a miss marshals and, on success, freezes the result for
-// the next same-offset delivery.
-func (s *Server) encodeEntry(e Entry) ([]byte, error) {
-	if raw, ok := s.enc.get(e.Offset); ok {
-		s.encodeCacheHits.Add(1)
-		return raw, nil
-	}
-	raw, err := marshalEntry(e)
-	if err != nil {
-		return nil, err
-	}
-	s.enc.put(e.Offset, raw)
-	return raw, nil
-}
-
-// encodeVia routes an encoder's per-entry marshal through its server's
-// shared cache, falling back to a direct marshal for a zero-value
-// encoder (tests that exercise the wire dialects standalone).
-func encodeVia(srv *Server, e Entry) ([]byte, error) {
-	if srv == nil {
-		return marshalEntry(e)
-	}
-	return srv.encodeEntry(e)
-}
-
-type framedEncoder struct{ srv *Server }
-
-// data assembles the DATA frame from per-entry marshals (the same seam
-// the legacy path uses), so one undecodable entry surfaces as an
-// encodeError instead of poisoning the whole frame silently.
-func (enc framedEncoder) data(w *frameWriter, entries []Entry, next int64) error {
-	var buf []byte
-	buf = append(buf, `{"frame":"data","entries":[`...)
-	for i, e := range entries {
-		raw, err := encodeVia(enc.srv, e)
-		if err != nil {
-			return &encodeError{err}
+		s.frame = appendDataFrame(s.frame[:0], ents[:n])
+		if s.w.writeLine(s.frame) != nil {
+			return false
 		}
-		if i > 0 {
-			buf = append(buf, ',')
+		srv.delivered.Add(int64(n))
+		srv.batches.Add(1)
+		if shared {
+			srv.encodeCacheHits.Add(int64(n))
 		}
-		buf = append(buf, raw...)
+		*next = ents[n-1].off + 1
+		ents = ents[n:]
 	}
-	buf = append(buf, `],"next":`...)
-	buf = fmt.Appendf(buf, "%d}\n", next)
-	return w.writeLine(buf)
-}
-
-func (framedEncoder) heartbeat(w *frameWriter, seq, head int64) error {
-	return w.writeFrame(&Frame{Kind: FrameHeartbeat, Seq: seq, Head: head})
-}
-
-func (framedEncoder) gap(w *frameWriter, g *Gap) error {
-	return w.writeFrame(&Frame{Kind: FrameGap, Gap: g})
-}
-
-func (framedEncoder) bye(w *frameWriter, reason string) error {
-	return w.writeFrame(&Frame{Kind: FrameBye, Reason: reason})
-}
-
-func (framedEncoder) errFrame(w *frameWriter, code, msg string) error {
-	return w.writeFrame(&Frame{Kind: FrameError, Code: code, Reason: msg})
-}
-
-// legacyEncoder speaks the original protocol: one raw JSON entry per
-// line, a blank line as heartbeat. Gaps and byes have no legacy
-// representation — a shed legacy consumer simply misses the evicted
-// range, as the old server effectively did when it lost entries — but
-// both still count in Stats.
-type legacyEncoder struct{ srv *Server }
-
-func (enc legacyEncoder) data(w *frameWriter, entries []Entry, _ int64) error {
-	var buf []byte
-	for _, e := range entries {
-		line, err := encodeVia(enc.srv, e)
-		if err != nil {
-			return &encodeError{err}
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-	}
-	return w.writeLine(buf)
-}
-
-func (legacyEncoder) heartbeat(w *frameWriter, _, _ int64) error {
-	return w.writeLine([]byte{'\n'})
-}
-
-func (legacyEncoder) gap(*frameWriter, *Gap) error { return nil }
-
-func (legacyEncoder) bye(*frameWriter, string) error { return nil }
-
-func (legacyEncoder) errFrame(w *frameWriter, _, msg string) error {
-	return w.writeLine([]byte(fmt.Sprintf(`{"error":%q}`+"\n", msg)))
+	return true
 }

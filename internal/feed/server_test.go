@@ -2,11 +2,14 @@ package feed
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,29 +19,30 @@ import (
 // startFeedConfig is startFeed with explicit server configuration.
 func startFeedConfig(t *testing.T, cfg ServerConfig) (*stream.Topic, string, func()) {
 	t.Helper()
-	bus := stream.NewBus()
-	topic := bus.Topic("nrd-feed")
+	topic, addr, srv := startFeedServer(t, cfg)
+	return topic, addr, func() { srv.Close() }
+}
+
+// startFeedServer serves a fresh topic until the test ends and hands the
+// server out for its Stats.
+func startFeedServer(t *testing.T, cfg ServerConfig) (*stream.Topic, string, *Server) {
+	t.Helper()
+	topic := stream.NewBus().Topic("nrd-feed")
 	srv := NewServerConfig(topic, cfg)
 	addr, err := srv.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stopped := false
-	stop := func() {
-		if !stopped {
-			stopped = true
-			srv.Close()
-		}
-	}
-	t.Cleanup(stop)
-	return topic, addr.String(), stop
+	t.Cleanup(func() { srv.Close() })
+	return topic, addr.String(), srv
 }
 
 // --- Satellite: consumer-group lifecycle ---------------------------------
 
-// TestNoConsumerGroupLeak cycles many connections through both protocols
-// and asserts the topic's group map returns to its prior size: the old
-// server leaked one conn-<addr>-<nanos> group per connection forever.
+// TestNoConsumerGroupLeak cycles many replaying and live-tailing
+// connections and asserts the topic's group map returns to its prior
+// size: the old server leaked one conn-<addr>-<nanos> group per
+// connection forever.
 func TestNoConsumerGroupLeak(t *testing.T) {
 	bus := stream.NewBus()
 	topic := bus.Topic("nrd-feed")
@@ -53,7 +57,7 @@ func TestNoConsumerGroupLeak(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		conn, r := rawSession(t, addr.String())
 		if i%2 == 0 {
-			fmt.Fprintf(conn, "FROM 0\n")
+			fmt.Fprintf(conn, "SUBSCRIBE\n")
 		} else {
 			fmt.Fprintf(conn, "SUBSCRIBE FROM 0\n")
 		}
@@ -91,8 +95,8 @@ func TestCloseDrainsGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A mix of live sessions in every state: framed mid-delivery, framed
-	// idle, legacy tailing.
+	// A mix of live sessions in every state: mid-delivery, idle before
+	// SUBSCRIBE, tailing.
 	for i := 0; i < 8; i++ {
 		conn, r := rawSession(t, addr.String())
 		switch i % 3 {
@@ -101,12 +105,10 @@ func TestCloseDrainsGoroutines(t *testing.T) {
 		case 1:
 			fmt.Fprintf(conn, "HELLO t%d\n", i)
 		case 2:
-			fmt.Fprintf(conn, "LIVE\n")
+			fmt.Fprintf(conn, "SUBSCRIBE\n")
 		}
-		if i%3 != 2 {
-			if _, err := r.ReadString('\n'); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := r.ReadString('\n'); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := srv.Close(); err != nil {
@@ -220,24 +222,24 @@ func TestQueueShedDeterministic(t *testing.T) {
 	run := func() string {
 		q := newSubQueue(4, ShedDropOldest)
 		q.goLive()
-		mk := func(lo, hi int64) []stream.Message {
-			var ms []stream.Message
+		mk := func(lo, hi int64) []wireEntry {
+			var ents []wireEntry
 			for o := lo; o <= hi; o++ {
-				ms = append(ms, stream.Message{Offset: o})
+				ents = append(ents, wireEntry{off: o})
 			}
-			return ms
+			return ents
 		}
 		var b strings.Builder
 		record := func() {
-			msgs, gap, ok, err := q.take(time.Millisecond)
+			ents, gap, ok, err := q.take(time.Millisecond)
 			if !ok || err != nil {
 				t.Fatalf("take: ok=%v err=%v", ok, err)
 			}
 			if gap != nil {
 				fmt.Fprintf(&b, "GAP[%d-%d:%d];", gap.From, gap.To, gap.Dropped)
 			}
-			for _, m := range msgs {
-				fmt.Fprintf(&b, "%d;", m.Offset)
+			for _, e := range ents {
+				fmt.Fprintf(&b, "%d;", e.off)
 			}
 		}
 		q.offer(mk(0, 9)) // overflows: 0..5 shed, 6..9 kept
@@ -260,7 +262,7 @@ func TestQueueShedDeterministic(t *testing.T) {
 func TestQueueDisconnectPolicy(t *testing.T) {
 	q := newSubQueue(2, ShedDisconnect)
 	q.goLive()
-	q.offer([]stream.Message{{Offset: 0}, {Offset: 1}, {Offset: 2}})
+	q.offer([]wireEntry{{off: 0}, {off: 1}, {off: 2}})
 	if _, _, ok, err := q.take(time.Millisecond); ok || !errors.Is(err, ErrSlowConsumer) {
 		t.Fatalf("take after overflow: ok=%v err=%v, want closed with ErrSlowConsumer", ok, err)
 	}
@@ -404,45 +406,28 @@ func TestDisconnectPolicyCutsSlowConsumer(t *testing.T) {
 
 // --- Satellite: encode failures are gap-marked, not silent ---------------
 
-// TestEncodeFailureCountedAndGapMarked injects a marshal failure for one
-// entry: the subscriber must receive the surrounding entries plus an
-// explicit encode GAP, in offset order, and Stats must count the drop.
-// The old send loop's `continue` created an invisible hole instead.
-func TestEncodeFailureCountedAndGapMarked(t *testing.T) {
-	orig := marshalEntry
-	marshalEntry = func(e Entry) ([]byte, error) {
-		if e.Domain == "poison.com" {
-			return nil, errors.New("injected encode failure")
-		}
-		return orig(e)
-	}
-	defer func() { marshalEntry = orig }()
+// poisonTime is the one input the entry encoder refuses: RFC 3339 has no
+// five-digit year.
+var poisonTime = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
 
-	bus := stream.NewBus()
-	topic := bus.Topic("nrd-feed")
-	srv := NewServer(topic)
-	addr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	topic.Publish(t0, "d0.com", nil)
-	topic.Publish(t0, "poison.com", nil)
-	topic.Publish(t0, "d2.com", nil)
-
-	conn, r := rawSession(t, addr.String())
-	fmt.Fprintf(conn, "SUBSCRIBE FROM 0\n")
-	if f := readFrameLine(t, r); f.Kind != FrameSubscribed {
-		t.Fatalf("subscribed = %+v", f)
-	}
+// readTrace reads frames until want entries and gaps have arrived and
+// renders them as "E<offset>" and "G[from-to:reason]". A DATA frame's
+// next cursor must never move backwards.
+func readTrace(t *testing.T, r *bufio.Reader, want int) string {
+	t.Helper()
 	var trace []string
-	for len(trace) < 3 {
+	var cursor int64
+	for len(trace) < want {
 		f := readFrameLine(t, r)
 		switch f.Kind {
 		case FrameData:
 			for _, e := range f.Entries {
 				trace = append(trace, fmt.Sprintf("E%d", e.Offset))
 			}
+			if f.Next < cursor {
+				t.Fatalf("next went backwards: %d after %d", f.Next, cursor)
+			}
+			cursor = f.Next
 		case FrameGap:
 			trace = append(trace, fmt.Sprintf("G[%d-%d:%s]", f.Gap.From, f.Gap.To, f.Gap.Reason))
 		case FrameHeartbeat:
@@ -450,10 +435,50 @@ func TestEncodeFailureCountedAndGapMarked(t *testing.T) {
 			t.Fatalf("unexpected frame %+v", f)
 		}
 	}
-	if got := strings.Join(trace, " "); got != "E0 G[1-1:encode] E2" {
+	return strings.Join(trace, " ")
+}
+
+// TestEncodeFailureCountedAndGapMarked replays a log holding one entry
+// that cannot be encoded: the subscriber must receive the surrounding
+// entries plus an explicit encode GAP, in offset order, and Stats must
+// count the drop. The old send loop's `continue` created an invisible
+// hole instead.
+func TestEncodeFailureCountedAndGapMarked(t *testing.T) {
+	t.Parallel()
+	topic, addr, srv := startFeedServer(t, ServerConfig{})
+	topic.Publish(t0, "d0.com", nil)
+	topic.Publish(poisonTime, "poison.com", nil)
+	topic.Publish(t0, "d2.com", nil)
+
+	conn, r := rawSession(t, addr)
+	fmt.Fprintf(conn, "SUBSCRIBE FROM 0\n")
+	if f := readFrameLine(t, r); f.Kind != FrameSubscribed {
+		t.Fatalf("subscribed = %+v", f)
+	}
+	if got := readTrace(t, r, 3); got != "E0 G[1-1:encode] E2" {
 		t.Fatalf("delivery trace = %q, want \"E0 G[1-1:encode] E2\"", got)
 	}
 	if st := srv.Stats(); st.EncodeDrops != 1 {
+		t.Errorf("EncodeDrops = %d, want 1", st.EncodeDrops)
+	}
+}
+
+// TestEncodeFailureOnLivePath is the same poison on the pump's path: the
+// pump meets the failure, the hole travels through the subscriber's
+// queue, and the writer marks it where it falls.
+func TestEncodeFailureOnLivePath(t *testing.T) {
+	t.Parallel()
+	topic, addr, srv := startFeedServer(t, ServerConfig{Heartbeat: 20 * time.Millisecond})
+	r := subscribeLive(t, addr)
+	topic.Publish(t0, "d0.com", nil)
+	topic.Publish(poisonTime, "poison.com", nil)
+	topic.Publish(t0, "d2.com", nil)
+
+	if got := readTrace(t, r, 3); got != "E0 G[1-1:encode] E2" {
+		t.Fatalf("delivery trace = %q, want \"E0 G[1-1:encode] E2\"", got)
+	}
+	st := waitStats(t, srv, func(st FanoutStats) bool { return st.EncodeCacheHits == 2 })
+	if st.EncodeDrops != 1 {
 		t.Errorf("EncodeDrops = %d, want 1", st.EncodeDrops)
 	}
 }
@@ -746,71 +771,268 @@ func TestParseShedPolicy(t *testing.T) {
 	}
 }
 
-// --- Satellite: shared encode cache --------------------------------------
+// --- Shared encoding -----------------------------------------------------
 
-// TestEncodeCacheHitsAcrossSubscribers publishes with the pump running,
-// then replays the log through two same-offset subscribers: the pump's
-// warm pass marshals each entry once and every subsequent same-offset
-// delivery must come from the frozen bytes, counted in
-// Stats().EncodeCacheHits.
-func TestEncodeCacheHitsAcrossSubscribers(t *testing.T) {
-	bus := stream.NewBus()
-	topic := bus.Topic("nrd-feed")
-	srv := NewServerConfig(topic, ServerConfig{})
-	addr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// waitStats polls the server's counters until settled accepts them: a
+// delivery is counted after its socket write returns, so a client can
+// hold an entry before the counters have moved.
+func waitStats(t *testing.T, srv *Server, settled func(FanoutStats) bool) FanoutStats {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		st := srv.Stats()
+		if settled(st) {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("counters never settled: %+v", st)
+		}
 	}
-	defer srv.Close()
+}
+
+// collect reads sub until n entries have arrived.
+func collect(t *testing.T, sub *Subscription, n int) []Entry {
+	t.Helper()
+	var got []Entry
+	for ev := range sub.C {
+		if ev.Kind == EventEntry {
+			if got = append(got, ev.Entry); len(got) == n {
+				return got
+			}
+		}
+	}
+	t.Fatalf("stream ended after %d of %d entries: %v", len(got), n, sub.Err())
+	return nil
+}
+
+// TestEncodeCacheHitsAcrossSubscribers pins what the counter means: an
+// entry delivered from the pump's one encoding counts, so N entries
+// published to two live subscribers count 2N, and a replay of the same
+// range — encoded by the replaying session itself — counts none.
+func TestEncodeCacheHitsAcrossSubscribers(t *testing.T) {
+	t.Parallel()
+	topic, addr, srv := startFeedServer(t, ServerConfig{Heartbeat: 20 * time.Millisecond})
+	live := []*bufio.Reader{subscribeLive(t, addr), subscribeLive(t, addr)}
 
 	const entries = 50
 	for i := 0; i < entries; i++ {
 		topic.Publish(t0.Add(time.Duration(i)*time.Second), fmt.Sprintf("d%d.com", i), []byte("{}"))
 	}
-
-	// The pump warms offsets in order, so the last one being cached means
-	// all are; a replay that starts earlier races the pump for the first
-	// marshal of each entry and counts those as misses.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, warm := srv.enc.get(entries - 1); warm {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("pump never warmed the encode cache")
-		}
-		time.Sleep(time.Millisecond)
+	for _, r := range live {
+		readTrace(t, r, entries)
 	}
+	waitStats(t, srv, func(st FanoutStats) bool { return st.EncodeCacheHits == 2*entries })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	drain := func() {
-		sub, err := NewClient(addr.String()).Subscribe(ctx, SubscribeOptions{From: 0})
+	sub, err := NewClient(addr).Subscribe(ctx, SubscribeOptions{From: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	collect(t, sub, entries)
+	st := waitStats(t, srv, func(st FanoutStats) bool { return st.Delivered == 3*entries })
+	if st.EncodeCacheHits != 2*entries {
+		t.Errorf("a replay moved the counter from %d to %d", 2*entries, st.EncodeCacheHits)
+	}
+}
+
+// TestLiveSubscribersShareBytes publishes to three live subscribers: the
+// two that keep up receive byte-identical entries, and the third,
+// throttled into shedding, gets its GAP without disturbing them.
+func TestLiveSubscribersShareBytes(t *testing.T) {
+	t.Parallel()
+	topic, addr, srv := startFeedServer(t, ServerConfig{
+		QueueBound: 64, BatchMax: 8, TenantRate: 400, Heartbeat: 20 * time.Millisecond,
+	})
+	// Every tenant may burst 400 entries, more than are published; only
+	// "slow" is throttled, because its burst is spent beforehand.
+	subscribeAs := func(tenant string) *bufio.Reader {
+		conn, r := rawSession(t, addr)
+		fmt.Fprintf(conn, "HELLO %s\nSUBSCRIBE\n", tenant)
+		for _, kind := range []string{FrameWelcome, FrameSubscribed, FrameHeartbeat} {
+			if f := readFrameLine(t, r); f.Kind != kind {
+				t.Fatalf("%s session: got %+v, want %s", tenant, f, kind)
+			}
+		}
+		return r
+	}
+	// fastSub accumulates the entry objects of one session, in order, cut
+	// out of its DATA lines: frame boundaries depend on timing, the
+	// entries' bytes must not.
+	type fastSub struct {
+		r       *bufio.Reader
+		objects strings.Builder
+		got     int
+	}
+	readUntil := func(f *fastSub, want int) {
+		for f.got < want {
+			line, err := f.r.ReadBytes('\n')
+			if err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			fr, err := decodeFrame(line[:len(line)-1], nil)
+			if err != nil {
+				t.Fatalf("decode %q: %v", line, err)
+			}
+			if fr.Kind != FrameData {
+				continue
+			}
+			f.objects.Write(line[len(dataFramePrefix):bytes.LastIndex(line, []byte(dataFrameNext))])
+			f.objects.WriteByte(',')
+			f.got += len(fr.Entries)
+		}
+	}
+	fast := []*fastSub{{r: subscribeAs("a")}, {r: subscribeAs("b")}}
+	slow := subscribeAs("slow")
+	srv.reg.tenant("slow").reserve(400, time.Now())
+
+	// Waves of half a queue, each read by both fast subscribers before the
+	// next: they can never overflow, and the slow one, with 64 entries in
+	// hand and 64 queued at the very most, must.
+	const waves, wave = 10, 32
+	for w := 0; w < waves; w++ {
+		for i := w * wave; i < (w+1)*wave; i++ {
+			topic.Publish(t0, fmt.Sprintf("d%d.com", i), []byte(`{"k":"<v>"}`))
+		}
+		for _, f := range fast {
+			readUntil(f, (w+1)*wave)
+		}
+	}
+	first, second := fast[0].objects.String(), fast[1].objects.String()
+	if first != second {
+		t.Fatalf("live subscribers of one publish differ:\n%s\n%s", first, second)
+	}
+	if n := strings.Count(first, `"raw":"{\"k\":\"\u003cv\u003e\"}"`); n != waves*wave {
+		t.Fatalf("%d of %d entries kept their escaping: %s", n, waves*wave, first)
+	}
+	for {
+		f := readFrameLine(t, slow)
+		if f.Kind == FrameGap {
+			if f.Gap.Reason != "shed" {
+				t.Fatalf("gap = %+v", f.Gap)
+			}
+			break
+		}
+	}
+	if st := srv.Stats(); st.Shed == 0 {
+		t.Errorf("stats did not count shedding: %+v", st)
+	}
+}
+
+// TestEventsSurviveBufferReuse holds on to events across many later
+// frames: the client decodes every DATA frame into one reused entry
+// buffer, and nothing handed out may alias it.
+func TestEventsSurviveBufferReuse(t *testing.T) {
+	t.Parallel()
+	topic, addr, _ := startFeedServer(t, ServerConfig{BatchMax: 4})
+	const n = 64
+	for i := 0; i < n; i++ {
+		topic.Publish(t0.Add(time.Duration(i)*time.Second), fmt.Sprintf("d%d.com", i), []byte(fmt.Sprintf(`{"i":%d}`, i)))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	sub, err := NewClient(addr).Subscribe(ctx, SubscribeOptions{From: 0, Buffer: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	for i, e := range collect(t, sub, n) {
+		want := Entry{Offset: int64(i), Time: t0.Add(time.Duration(i) * time.Second), Domain: fmt.Sprintf("d%d.com", i), Raw: fmt.Sprintf(`{"i":%d}`, i)}
+		if e.Offset != want.Offset || !e.Time.Equal(want.Time) || e.Domain != want.Domain || e.Raw != want.Raw {
+			t.Fatalf("entry %d = %+v, want %+v", i, e, want)
+		}
+	}
+}
+
+// TestFanoutHammer runs publishers, live subscribers, a replaying
+// subscriber and an unsubscribe together. Under -race it is the check
+// that a broadcast's shared encodings are only ever read; without it,
+// that every subscriber still sees each offset once, in order, intact.
+func TestFanoutHammer(t *testing.T) {
+	t.Parallel()
+	topic, addr, _ := startFeedServer(t, ServerConfig{QueueBound: 1 << 14, BatchMax: 16})
+	const publishers, each = 4, 500
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	check := func(name string, sub *Subscription) error {
+		next := int64(0)
+		for ev := range sub.C {
+			if ev.Kind != EventEntry {
+				return fmt.Errorf("%s: unexpected event %+v", name, ev)
+			}
+			e := ev.Entry
+			if e.Offset != next || e.Raw != `{"d":"`+e.Domain+`"}` {
+				return fmt.Errorf("%s: entry %+v at position %d", name, e, next)
+			}
+			if next++; next == publishers*each {
+				return nil
+			}
+		}
+		return fmt.Errorf("%s: stream ended at %d: %v", name, next, sub.Err())
+	}
+	var subs []*Subscription
+	for i := 0; i < 3; i++ {
+		sub, err := NewClient(addr).Subscribe(ctx, SubscribeOptions{From: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sub.Close()
-		n := 0
-		for ev := range sub.C {
-			if ev.Kind == EventEntry {
-				if n++; n == entries {
-					return
-				}
+		subs = append(subs, sub)
+	}
+	errs := make(chan error, 8)
+	for i, sub := range subs {
+		go func() { errs <- check(fmt.Sprintf("early %d", i), sub) }()
+	}
+	var pubs sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		pubs.Add(1)
+		go func() {
+			defer pubs.Done()
+			for i := 0; i < each; i++ {
+				d := fmt.Sprintf("p%d-%d.com", p, i)
+				topic.Publish(t0, d, []byte(`{"d":"`+d+`"}`))
 			}
+		}()
+	}
+	// Mid-stream: one subscriber that leaves, one that replays from 0.
+	quitter, err := NewClient(addr).Subscribe(ctx, SubscribeOptions{From: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	late, err := NewClient(addr).Subscribe(ctx, SubscribeOptions{From: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+	go func() { errs <- check("late", late) }()
+	quitter.Close()
+	pubs.Wait()
+	for i := 0; i < len(subs)+1; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
 		}
-		t.Fatalf("stream ended after %d entries: %v", n, sub.Err())
 	}
-	drain()
-	afterFirst := srv.Stats().EncodeCacheHits
-	drain()
-	afterSecond := srv.Stats().EncodeCacheHits
+}
 
-	// The pump warmed every offset before either replay, so each replay
-	// is all hits; at minimum the second same-offset pass must be.
-	if afterFirst < entries {
-		t.Errorf("hits after first replay = %d, want ≥ %d (pump-warmed)", afterFirst, entries)
+// TestIdleCloseDoesNotWaitOutThePoll times Close on servers with nothing
+// to deliver: the pump used to notice shutdown only between 200 ms polls.
+// A median of five, so one descheduled close on a loaded runner does not
+// fail it.
+func TestIdleCloseDoesNotWaitOutThePoll(t *testing.T) {
+	var took []time.Duration
+	for i := 0; i < 5; i++ {
+		srv := NewServer(stream.NewBus().Topic("idle"))
+		if _, err := srv.Serve("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond) // let the pump reach its wait
+		start := time.Now()
+		srv.Close()
+		took = append(took, time.Since(start))
 	}
-	if afterSecond-afterFirst < entries {
-		t.Errorf("hits after second replay = %d (Δ%d), want Δ ≥ %d", afterSecond, afterSecond-afterFirst, entries)
+	slices.Sort(took)
+	if took[2] > 50*time.Millisecond {
+		t.Fatalf("median idle Close = %v (all: %v), want under 50ms", took[2], took)
 	}
 }

@@ -348,9 +348,10 @@ func (c *Consumer) Drain(fn func(Message)) int {
 	}
 }
 
-// WaitNext blocks until a message is available or timeout elapses, then
-// behaves like Next. It is intended for real-time (non-simulated) use.
-func (c *Consumer) WaitNext(timeout time.Duration) ([]Message, bool) {
+// WaitNext blocks until a message is available, timeout elapses or stop
+// is closed (nil never stops it), then behaves like Next. It is intended
+// for real-time (non-simulated) use.
+func (c *Consumer) WaitNext(stop <-chan struct{}, timeout time.Duration) ([]Message, bool) {
 	deadline := time.Now().Add(timeout)
 	for {
 		if msgs, ok := c.Next(); ok {
@@ -367,6 +368,10 @@ func (c *Consumer) WaitNext(timeout time.Duration) ([]Message, bool) {
 			timer.Stop()
 			cancel()
 		case <-timer.C:
+			cancel()
+			return nil, false
+		case <-stop:
+			timer.Stop()
 			cancel()
 			return nil, false
 		}

@@ -130,7 +130,7 @@ func TestPublishBatchWakesWaiters(t *testing.T) {
 	c := NewConsumer(topic, "g", 10)
 	done := make(chan int, 1)
 	go func() {
-		msgs, ok := c.WaitNext(5 * time.Second)
+		msgs, ok := c.WaitNext(nil, 5*time.Second)
 		if !ok {
 			done <- -1
 			return
@@ -154,12 +154,48 @@ func TestWaitNextTimeoutDoesNotLeakWaiters(t *testing.T) {
 	topic := b.Topic("idle")
 	c := NewConsumer(topic, "g", 1)
 	for i := 0; i < 10; i++ {
-		if _, ok := c.WaitNext(time.Millisecond); ok {
+		if _, ok := c.WaitNext(nil, time.Millisecond); ok {
 			t.Fatal("unexpected message")
 		}
 	}
 	if n := topic.pendingWaiters(); n != 0 {
 		t.Fatalf("leaked %d waiter channels after timeouts", n)
+	}
+}
+
+// TestWaitNextStops closes the stop channel under a wait that would
+// otherwise last an hour: it must return empty-handed at once and, like
+// the timeout path, leave no waiter registered.
+func TestWaitNextStops(t *testing.T) {
+	topic := NewBus().Topic("idle")
+	c := NewConsumer(topic, "g", 1)
+	stop := make(chan struct{})
+	done := make(chan bool, 1)
+	go func() {
+		_, ok := c.WaitNext(stop, time.Hour)
+		done <- ok
+	}()
+	for deadline := time.Now().Add(5 * time.Second); topic.pendingWaiters() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("WaitNext never registered its waiter")
+		}
+	}
+	close(stop)
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("stopped WaitNext returned messages")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("WaitNext outlived its stop channel")
+	}
+	if n := topic.pendingWaiters(); n != 0 {
+		t.Fatalf("leaked %d waiter channels after a stop", n)
+	}
+	// A stop channel already closed does not hide messages that are there.
+	topic.Publish(now, "k", nil)
+	if msgs, ok := c.WaitNext(stop, time.Hour); !ok || len(msgs) != 1 {
+		t.Fatalf("WaitNext with pending messages = %d, %v", len(msgs), ok)
 	}
 }
 
@@ -209,7 +245,7 @@ func TestWaitNextWakesOnPublish(t *testing.T) {
 	c := NewConsumer(topic, "g", 1)
 	done := make(chan int, 1)
 	go func() {
-		msgs, ok := c.WaitNext(5 * time.Second)
+		msgs, ok := c.WaitNext(nil, 5*time.Second)
 		if !ok {
 			done <- -1
 			return
@@ -232,7 +268,7 @@ func TestWaitNextTimesOut(t *testing.T) {
 	b := NewBus()
 	c := NewConsumer(b.Topic("x"), "g", 1)
 	start := time.Now()
-	if _, ok := c.WaitNext(20 * time.Millisecond); ok {
+	if _, ok := c.WaitNext(nil, 20*time.Millisecond); ok {
 		t.Fatal("WaitNext returned messages on empty topic")
 	}
 	if time.Since(start) < 15*time.Millisecond {
