@@ -363,7 +363,7 @@ func BenchmarkRDAPDispatchParallel(b *testing.B) {
 		wg.Add(n)
 		batch := make(rdap.DomainBatch, n)
 		for j := 0; j < n; j++ {
-			batch[j] = rdap.Query{Domain: names[j], Done: func(*rdap.Record, error) { wg.Done() }}
+			batch[j] = rdap.Query{Domain: names[j], Done: func(*rdap.Record, error, time.Time) { wg.Done() }}
 		}
 		d.EnqueueBatch(batch)
 		wg.Wait()
@@ -373,7 +373,7 @@ func BenchmarkRDAPDispatchParallel(b *testing.B) {
 // benchSimTimeline loads a Sim with n events spread over 1000 distinct
 // instants (heavy same-timestamp collision, the shape batch firing
 // exploits), each carrying a small slab of CPU work. Parallel-marked so
-// the batched drain can actually pool them.
+// a drain wider than 1 can actually pool them.
 func benchSimTimeline(s *simclock.Sim, n int, sink *[1]uint64) {
 	for i := 0; i < n; i++ {
 		i := i
@@ -389,8 +389,8 @@ func benchSimTimeline(s *simclock.Sim, n int, sink *[1]uint64) {
 	}
 }
 
-// BenchmarkSimSerialRun is the event-loop baseline: one callback per
-// pop on the timer-wheel engine's serial drain. One op = one event.
+// BenchmarkSimSerialRun is the event-loop baseline: the timer-wheel
+// engine's drain at width 1. One op = one event.
 func BenchmarkSimSerialRun(b *testing.B) {
 	var sink [1]uint64
 	s := simclock.NewSim(time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC))
@@ -401,26 +401,26 @@ func BenchmarkSimSerialRun(b *testing.B) {
 	}
 }
 
-// BenchmarkSimBatchedRun measures the batch-firing drain: groups of
-// same-timestamp parallel events fire through a machine-width pool
-// behind the completion barrier. One op = one event; the acceptance
-// comparison against BenchmarkSimSerialRun tracks event-loop throughput
-// in BENCH_ci.json.
+// BenchmarkSimBatchedRun measures the same drain at machine width:
+// groups of same-timestamp parallel events fire through the pool behind
+// the completion barrier. One op = one event, against
+// BenchmarkSimSerialRun.
 func BenchmarkSimBatchedRun(b *testing.B) {
 	var sink [1]uint64
-	s := simclock.NewSim(time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC))
+	start := time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC)
+	s := simclock.NewSim(start)
 	benchSimTimeline(s, b.N, &sink)
 	b.ResetTimer()
-	if s.RunBatched(runtime.GOMAXPROCS(0)) != b.N {
+	if s.RunUntilLookahead(start.Add(1000*time.Second), 0, runtime.GOMAXPROCS(0)) != b.N {
 		b.Fatal("lost events")
 	}
 }
 
 // benchSimTaggedTimeline loads a Sim with n effect-tagged events at n
-// distinct instants, one domain atom each — the shape the lookahead
-// drain exploits: masks across neighbouring timestamps are (mostly)
-// disjoint, so a window of them fires in one pooled round where the
-// serial drain takes n rounds. Each event carries the same CPU slab as
+// distinct instants, one domain atom each — the shape lookahead
+// exploits: masks across neighbouring timestamps are (mostly) disjoint,
+// so a window of them fires in one pooled round where window 0 takes n
+// rounds. Each event carries the same CPU slab as
 // benchSimTimeline.
 func benchSimTaggedTimeline(s *simclock.Sim, n int, sink *[1]uint64) {
 	base := time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC)
@@ -444,20 +444,21 @@ func benchSimTaggedTimeline(s *simclock.Sim, n int, sink *[1]uint64) {
 	s.ScheduleBatchTagged(entries)
 }
 
-// BenchmarkLookaheadRun measures the lookahead drain (the seventh
-// engine): window=1 exercises the tagged machinery without ever crossing
-// timestamps, window=8 pools effect-disjoint events from up to eight
-// instants into one concurrent round. One op = one event; the acceptance
-// comparison against BenchmarkSimSerialRun tracks what cross-timestamp
-// speculation buys on a spread-instant timeline.
+// BenchmarkLookaheadRun measures the drain's lookahead setting: window=1
+// exercises the tagged machinery without ever crossing timestamps,
+// window=8 pools effect-disjoint events from up to eight instants into
+// one concurrent round. One op = one event; against
+// BenchmarkSimSerialRun it shows what cross-timestamp speculation buys on
+// a spread-instant timeline.
 func BenchmarkLookaheadRun(b *testing.B) {
 	for _, window := range []int{1, 8} {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
 			var sink [1]uint64
-			s := simclock.NewSim(time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC))
+			start := time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC)
+			s := simclock.NewSim(start)
 			benchSimTaggedTimeline(s, b.N, &sink)
 			b.ResetTimer()
-			if s.RunLookahead(window, runtime.GOMAXPROCS(0)) != b.N {
+			if s.RunUntilLookahead(start.Add(time.Duration(b.N)*time.Second), window, runtime.GOMAXPROCS(0)) != b.N {
 				b.Fatal("lost events")
 			}
 		})
@@ -510,9 +511,9 @@ func BenchmarkWorldBuildParallel(b *testing.B) {
 // pair isolates the commit engine the way the WorldBuild pair isolates
 // compile. Configuration-identical to BenchmarkWorldBuildParallel by
 // design: the commit pair carries its own stable names so the
-// BENCH_ci.json comparison reads standalone. (On the single-CPU CI
-// runner the two are expected to tie; the speedup claim is the
-// serial-fraction accounting in DESIGN.md §9.)
+// comparison reads standalone. (On a single-CPU runner the two are
+// expected to tie; the speedup claim is the serial-fraction accounting
+// in DESIGN.md §9.)
 func BenchmarkWorldCommitSerial(b *testing.B) {
 	benchWorldBuild(b, runtime.GOMAXPROCS(0), 0)
 }
@@ -687,8 +688,8 @@ func (p *benchProbeBackend) ProbeBatch(domains []string, mail bool) []measure.Pr
 }
 
 // benchProbeBatch measures the probe engine through full fleet rounds:
-// 512 watched domains, one op = one probe executed, with the probes/s
-// metric the BENCH_ci.json acceptance comparison tracks. probeWorkers
+// 512 watched domains, one op = one probe executed, reported as
+// probes/s. probeWorkers
 // is the slice count — 0 lets the fleet size the cut to the round (two
 // slices for 512 domains), ≥1 partitions each round into exactly that
 // many; every slice is one ProbeBatch call (DESIGN.md §10).
@@ -726,95 +727,16 @@ func BenchmarkProbeBatchSerial(b *testing.B) { benchProbeBatch(b, 0) }
 
 // BenchmarkProbeBatchParallel submits each round as machine-width batch
 // slices through the same path; against BenchmarkProbeBatchSerial the
-// probes/s pair tracks the sixth engine's trajectory in BENCH_ci.json.
+// probes/s pair tracks the sixth engine's trajectory.
 func BenchmarkProbeBatchParallel(b *testing.B) {
 	benchProbeBatch(b, runtime.GOMAXPROCS(0))
-}
-
-// benchApplyBackend is benchProbeBackend with a quarter of the CPU slab:
-// light enough that stage 2 — state apply + observer delivery — is a
-// visible fraction of each round, so the RoundApply pair exposes the
-// apply engine's fan-out and probe/apply overlap rather than pure
-// resolution cost.
-type benchApplyBackend struct{ sink atomic.Uint64 }
-
-func (p *benchApplyBackend) work(domain string) {
-	h := dnsname.Hash64(domain)
-	for i := 0; i < 512; i++ {
-		h = (h ^ uint64(i)) * 0x100000001b3
-	}
-	if h == 0 {
-		p.sink.Add(1) // never taken; defeats dead-code elimination
-	}
-}
-
-func (p *benchApplyBackend) AuthoritativeNS(domain string) ([]string, bool) {
-	p.work(domain)
-	return []string{"ns1.bench.net"}, true
-}
-func (p *benchApplyBackend) LookupA(string) []netip.Addr    { return nil }
-func (p *benchApplyBackend) LookupAAAA(string) []netip.Addr { return nil }
-
-func (p *benchApplyBackend) ProbeBatch(domains []string, mail bool) []measure.ProbeResult {
-	out := make([]measure.ProbeResult, len(domains))
-	for i, d := range domains {
-		out[i].NS, out[i].InZone = p.AuthoritativeNS(d)
-	}
-	return out
-}
-
-// benchRoundApply measures the apply engine through full fleet rounds:
-// 512 watched domains, one op = one probe applied and delivered. Both
-// variants run machine-width probe slices so stage 1 is identical; only
-// the stage-2 mode differs — inline serial apply (applyWorkers=0) vs the
-// fan-out + reorder-buffer pipeline (DESIGN.md §14). applies/s and
-// rounds/s are the BENCH_ci.json acceptance pair.
-func benchRoundApply(b *testing.B, applyWorkers int) {
-	clk := simclock.NewSim(time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC))
-	cfg := measure.DefaultConfig()
-	cfg.ProbeWorkers = runtime.GOMAXPROCS(0)
-	cfg.ApplyWorkers = applyWorkers
-	fleet := measure.NewFleet(cfg, clk, &benchApplyBackend{})
-	var applied int64
-	fleet.OnObservation(func(measure.Observation) { applied++ })
-	const domains = 512
-	for i := 0; i < domains; i++ {
-		fleet.Watch(benchName(i) + ".shop")
-	}
-	b.ResetTimer()
-	gen := 0
-	for applied < int64(b.N) {
-		if clk.Pending() == 0 {
-			gen++
-			for i := 0; i < domains; i++ {
-				fleet.Watch(fmt.Sprintf("g%d-%s.shop", gen, benchName(i)))
-			}
-		}
-		clk.Advance(10 * time.Minute)
-	}
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(applied)/secs, "applies/s")
-		b.ReportMetric(float64(fleet.Report().Rounds)/secs, "rounds/s")
-	}
-}
-
-// BenchmarkRoundApplySerial is the apply engine's baseline: stage 2
-// applies state and delivers observations inline in admission order.
-func BenchmarkRoundApplySerial(b *testing.B) { benchRoundApply(b, 0) }
-
-// BenchmarkRoundApplyParallel fans applies across a machine-width pool
-// behind the sequencing reorder buffer; against BenchmarkRoundApplySerial
-// the applies/s pair tracks the apply engine's trajectory in BENCH_ci.json.
-func BenchmarkRoundApplyParallel(b *testing.B) {
-	benchRoundApply(b, runtime.GOMAXPROCS(0))
 }
 
 // benchFeedFanout measures the pub/sub feed tier end to end: one op is
 // one entry published to the topic, with every subscriber connected over
 // real TCP at offset 0 before the timer starts. The entries/s metric is
 // total deliveries (publishes × subscribers) per second — the fan-out
-// throughput BENCH_ci.json tracks across the 1/8/64 subscriber ladder.
+// throughput across the 1/8/64 subscriber ladder.
 func benchFeedFanout(b *testing.B, subs int) feed.FanoutStats {
 	bus := stream.NewBus()
 	topic := bus.Topic("bench-feed")

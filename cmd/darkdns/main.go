@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	darkdns [-scale 0.002] [-weeks 4] [-seed 1] [-v]
+//	darkdns [-scale 0.002] [-weeks 4] [-seed 1] [-workers 0] [-v]
 package main
 
 import (
@@ -16,21 +16,15 @@ import (
 
 	"darkdns/internal/analysis"
 	"darkdns/internal/core"
+	"darkdns/internal/workpool"
 )
 
 func main() {
 	scale := flag.Float64("scale", 0.002, "fraction of paper volume to simulate")
 	weeks := flag.Int("weeks", 4, "observation window length in weeks")
 	seed := flag.Int64("seed", 1, "world seed")
-	ingestWorkers := flag.Int("ingest-workers", 0, "pipeline ingest mode: 0 = per-event, ≥1 = batched with this screening pool width (same results either way)")
-	rdapWorkers := flag.Int("rdap-workers", 0, "RDAP dispatch mode: 0 = serial lookups, ≥1 = async per-TLD queues drained by this worker pool width (same results either way)")
-	clockWorkers := flag.Int("clock-workers", 0, "event engine drain mode: 0 = serial event loop, ≥1 = batch-fire same-timestamp events through this worker pool width (same results either way)")
-	lookaheadWindow := flag.Int("lookahead-window", 0, "optimistic lookahead drain: 0 = off, ≥1 = fire effect-tagged events from up to this many distinct future timestamps per round, disjoint conflict groups in parallel (same results either way)")
-	buildWorkers := flag.Int("build-workers", 0, "world builder compile mode: 0 = serial layout, ≥1 = compile per-TLD layouts on this worker pool width (same world either way)")
-	commitWorkers := flag.Int("commit-workers", 0, "world builder commit mode: 0 = serial install, ≥1 = commit compiled layouts on this worker pool width (same world either way)")
-	probeWorkers := flag.Int("probe-workers", 0, "slices each fleet round is cut into, one ProbeBatch call per slice: 0 = chosen from the round size (one per 256 due domains, at most 16), ≥1 = exactly that many (same results either way)")
+	workers := flag.Int("workers", 0, "pool width of every engine at once — ingest screening, RDAP dispatch, clock drain, world compile and commit, fleet probe and apply slices — behind an 8-instant clock lookahead; 0 = every stage on the calling goroutine (same results either way)")
 	probeCadence := flag.Duration("probe-cadence", 0, "fleet revalidation cadence decoupled from TTL (0 = default 10m interval)")
-	applyWorkers := flag.Int("apply-workers", 0, "fleet apply mode: 0 = serial state apply + delivery, ≥1 = apply probe results on this many workers behind a sequencing reorder buffer (same results either way)")
 	snapshot := flag.String("snapshot", "", "persistent world snapshot path: a matching snapshot replaces the compile phase, a miss compiles then saves here (same world either way)")
 	verbose := flag.Bool("v", false, "print every confirmed transient domain")
 	export := flag.String("export", "", "write candidates to this file in columnar format")
@@ -39,11 +33,8 @@ func main() {
 	start := time.Now()
 	res := analysis.Run(analysis.RunConfig{
 		Seed: *seed, Scale: *scale, Weeks: *weeks, WatchSampleRate: 1.0,
-		IngestWorkers: *ingestWorkers, RDAPWorkers: *rdapWorkers, ClockWorkers: *clockWorkers,
-		LookaheadWindow: *lookaheadWindow,
-		BuildWorkers:    *buildWorkers, CommitWorkers: *commitWorkers,
-		ProbeWorkers: *probeWorkers, ProbeCadence: *probeCadence,
-		ApplyWorkers: *applyWorkers,
+		Engines:      workpool.AllEngines(*workers),
+		ProbeCadence: *probeCadence,
 		SnapshotPath: *snapshot,
 	})
 	fmt.Printf("simulated %d weeks at scale %g in %v\n", *weeks, *scale, time.Since(start).Round(time.Millisecond))
@@ -70,19 +61,11 @@ func main() {
 		fr.Watched, fr.Probes, fr.EverInZone, fr.Died, fr.NSChanged)
 	fmt.Printf("clock: %d events scheduled, %d fired over %d probe rounds (max round %d domains)\n",
 		fr.Engine.Scheduled, fr.Engine.Fired, fr.Rounds, fr.MaxRound)
-	if *clockWorkers > 0 {
-		fmt.Printf("  batched drain: %d groups, %d events coalesced, max batch %d\n",
-			fr.Engine.Rounds, fr.Engine.Coalesced, fr.Engine.MaxBatch)
-	}
-	if *lookaheadWindow > 0 {
-		fmt.Printf("  lookahead drain: %d windows, %d speculative fires, %d conflicts, %d barrier events\n",
+	fmt.Printf("  drain: %d same-instant groups, %d events coalesced, max group %d\n",
+		fr.Engine.Rounds, fr.Engine.Coalesced, fr.Engine.MaxBatch)
+	if *workers > 0 {
+		fmt.Printf("  lookahead: %d windows, %d speculative fires, %d conflicts, %d barrier events\n",
 			fr.Engine.Windows, fr.Engine.SpecFired, fr.Engine.Conflicts, fr.Engine.Barriers)
-	}
-	if *applyWorkers > 0 {
-		fmt.Printf("  apply engine: %d applies fanned out, %d released in order, %d held for resequencing\n",
-			fr.ParallelApplies, fr.ReorderReleases, fr.ReorderHeld)
-	}
-	if *rdapWorkers > 0 {
 		d := fr.Dispatch
 		fmt.Printf("rdap dispatch: %d enqueued, %d completed (%d failed), %d shed; %d TLD queues, max depth %d, avg latency %v\n",
 			d.Enqueued, d.Completed, d.Failed, d.Shed, d.TLDs, d.MaxDepth, d.AvgLatency.Round(time.Second))

@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	feedserver [-listen 127.0.0.1:7543] [-scale 0.0005] [-tick 500ms]
+//	feedserver [-listen 127.0.0.1:7543] [-scale 0.0005] [-tick 500ms] [-workers 0]
 //	           [-queue-bound 1024] [-shed-policy drop-oldest] [-heartbeat 1s]
 //	           [-tenant-max-subs 0] [-tenant-rate 0]
 package main
@@ -28,6 +28,7 @@ import (
 	"darkdns/internal/measure"
 	"darkdns/internal/psl"
 	"darkdns/internal/stream"
+	"darkdns/internal/workpool"
 	"darkdns/internal/worldsim"
 )
 
@@ -36,7 +37,7 @@ func main() {
 	scale := flag.Float64("scale", 0.0005, "fraction of paper volume to simulate")
 	tick := flag.Duration("tick", 500*time.Millisecond, "wall-clock interval per simulated hour")
 	seed := flag.Int64("seed", 1, "world seed")
-	ingestWorkers := flag.Int("ingest-workers", 0, "pipeline ingest mode: 0 = per-event, ≥1 = micro-batched with this screening pool width")
+	workers := flag.Int("workers", 0, "pool width of every engine this server runs — world compile and commit, micro-batched ingest screening, RDAP dispatch, fleet probe and apply slices; 0 = every stage on the calling goroutine (same feed either way)")
 	queueBound := flag.Int("queue-bound", 1024, "per-subscriber queue bound before the shed policy applies")
 	shedPolicy := flag.String("shed-policy", "drop-oldest", "slow-subscriber policy: drop-oldest (GAP frames) or disconnect")
 	heartbeat := flag.Duration("heartbeat", time.Second, "idle heartbeat interval on framed sessions")
@@ -50,17 +51,21 @@ func main() {
 		os.Exit(1)
 	}
 
-	w := worldsim.New(worldsim.DefaultConfig(*seed, *scale))
+	engines := workpool.AllEngines(*workers)
+	wcfg := worldsim.DefaultConfig(*seed, *scale)
+	wcfg.Engines = engines
+	w := worldsim.New(wcfg)
 	start, end := w.Window()
 	bus := stream.NewBus()
 	fleetCfg := measure.DefaultConfig()
+	fleetCfg.Engines = engines
 	fleetCfg.StopWhenDead = true
 	fleet := measure.NewFleet(fleetCfg, w.Clock, w.ProbeBackend())
 	pcfg := core.DefaultConfig(start, end)
-	pcfg.IngestWorkers = *ingestWorkers
+	pcfg.Engines = engines
 	p := core.New(pcfg, w.Clock, psl.Default(), w.CZDS,
 		core.MuxQuerier{Mux: w.RDAP}, fleet, bus, *seed+100)
-	if *ingestWorkers > 0 {
+	if engines.IngestWorkers > 0 {
 		p.StartBatched(w.Hub)
 	} else {
 		p.Start(w.Hub)

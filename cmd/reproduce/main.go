@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	reproduce [-scale 0.005] [-weeks 13] [-seed 1] [-exp all]
+//	reproduce [-scale 0.005] [-weeks 13] [-seed 1] [-workers 0] [-exp all]
 //
 // Experiments: table1 figure1 nsstability table2 rdapfail figure2 table3
 // table4 table5 blocklists nod cctld all
@@ -19,6 +19,7 @@ import (
 
 	"darkdns/internal/analysis"
 	"darkdns/internal/blocklist"
+	"darkdns/internal/workpool"
 )
 
 func main() {
@@ -26,30 +27,19 @@ func main() {
 	weeks := flag.Int("weeks", 13, "observation window length in weeks (paper: 13)")
 	seed := flag.Int64("seed", 1, "world seed (runs are deterministic per seed)")
 	watch := flag.Float64("watch-sample", 1.0, "fraction of candidates probed by the fleet")
-	ingestWorkers := flag.Int("ingest-workers", 0, "pipeline ingest mode: 0 = per-event, ≥1 = batched with this screening pool width (byte-identical output either way)")
-	rdapWorkers := flag.Int("rdap-workers", 0, "RDAP dispatch mode: 0 = serial lookups, ≥1 = async per-TLD queues drained by this worker pool width (byte-identical output either way)")
-	clockWorkers := flag.Int("clock-workers", 0, "event engine drain mode: 0 = serial event loop, ≥1 = batch-fire same-timestamp events through this worker pool width (byte-identical output either way)")
-	lookaheadWindow := flag.Int("lookahead-window", 0, "optimistic lookahead drain: 0 = off, ≥1 = fire effect-tagged events from up to this many distinct future timestamps per round, disjoint conflict groups in parallel (byte-identical output either way)")
-	buildWorkers := flag.Int("build-workers", 0, "world builder compile mode: 0 = serial layout, ≥1 = compile per-TLD layouts on this worker pool width (byte-identical output either way)")
-	commitWorkers := flag.Int("commit-workers", 0, "world builder commit mode: 0 = serial install, ≥1 = commit compiled layouts on this worker pool width (byte-identical output either way)")
-	probeWorkers := flag.Int("probe-workers", 0, "slices each fleet round is cut into, one ProbeBatch call per slice: 0 = chosen from the round size (one per 256 due domains, at most 16), ≥1 = exactly that many (byte-identical output either way)")
+	workers := flag.Int("workers", 0, "pool width of every engine at once — ingest screening, RDAP dispatch, clock drain, world compile and commit, fleet probe and apply slices — behind an 8-instant clock lookahead; 0 = every stage on the calling goroutine (byte-identical output either way)")
 	probeCadence := flag.Duration("probe-cadence", 0, "fleet revalidation cadence decoupled from TTL (0 = default 10m interval)")
-	applyWorkers := flag.Int("apply-workers", 0, "fleet apply mode: 0 = serial state apply + delivery, ≥1 = apply probe results on this many workers behind a sequencing reorder buffer (byte-identical output either way)")
 	snapshot := flag.String("snapshot", "", "persistent world snapshot path: a matching snapshot replaces the compile phase, a miss compiles then saves here (byte-identical output either way)")
 	exp := flag.String("exp", "all", "experiment to run (table1..table5, figure1, figure2, nsstability, rdapfail, blocklists, nod, cctld, rzu, mail, all)")
 	csvDir := flag.String("csv", "", "directory to write figure CSVs for external plotting")
 	flag.Parse()
 
-	fmt.Fprintf(os.Stderr, "building world (scale=%g, weeks=%d, seed=%d, build-workers=%d, commit-workers=%d, ingest-workers=%d, rdap-workers=%d, clock-workers=%d, lookahead-window=%d, probe-workers=%d, apply-workers=%d)…\n",
-		*scale, *weeks, *seed, *buildWorkers, *commitWorkers, *ingestWorkers, *rdapWorkers, *clockWorkers, *lookaheadWindow, *probeWorkers, *applyWorkers)
+	fmt.Fprintf(os.Stderr, "building world (scale=%g, weeks=%d, seed=%d, workers=%d)…\n", *scale, *weeks, *seed, *workers)
 	start := time.Now()
 	res := analysis.Run(analysis.RunConfig{
 		Seed: *seed, Scale: *scale, Weeks: *weeks, WatchSampleRate: *watch, ProbeMail: true,
-		IngestWorkers: *ingestWorkers, RDAPWorkers: *rdapWorkers, ClockWorkers: *clockWorkers,
-		LookaheadWindow: *lookaheadWindow,
-		BuildWorkers:    *buildWorkers, CommitWorkers: *commitWorkers,
-		ProbeWorkers: *probeWorkers, ProbeCadence: *probeCadence,
-		ApplyWorkers: *applyWorkers,
+		Engines:      workpool.AllEngines(*workers),
+		ProbeCadence: *probeCadence,
 		SnapshotPath: *snapshot,
 	})
 	fmt.Fprintf(os.Stderr, "simulation complete in %v: %d candidates, %d transient lower bound\n",
@@ -57,11 +47,7 @@ func main() {
 	fr := res.Fleet.Report()
 	fmt.Fprintf(os.Stderr, "event engine: %d scheduled, %d fired; fleet coalesced %d probes into %d rounds (max %d wide)\n",
 		fr.Engine.Scheduled, fr.Engine.Fired, fr.Probes, fr.Rounds, fr.MaxRound)
-	if *applyWorkers > 0 {
-		fmt.Fprintf(os.Stderr, "apply engine: %d applies fanned out, %d released in order, %d held for resequencing\n",
-			fr.ParallelApplies, fr.ReorderReleases, fr.ReorderHeld)
-	}
-	if *rdapWorkers > 0 {
+	if *workers > 0 {
 		d := fr.Dispatch
 		fmt.Fprintf(os.Stderr, "rdap dispatch: %d enqueued, %d completed (%d failed), %d shed over %d TLD queues (max depth %d)\n",
 			d.Enqueued, d.Completed, d.Failed, d.Shed, d.TLDs, d.MaxDepth)

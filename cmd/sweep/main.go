@@ -9,7 +9,7 @@
 //
 //	sweep [-seeds 1,2,3] [-scales 0.001,0.002] [-weeks 2] \
 //	      [-cadences 10m,2m] [-lookaheads 0,8] [-watch-samples 1.0] \
-//	      [-snapshot-dir /tmp/worlds] [-sweep-workers 4] [-out sweep.dcol]
+//	      [-snapshot-dir /tmp/worlds] [-sweep-workers 4] [-workers 0] [-out sweep.dcol]
 package main
 
 import (
@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"darkdns/internal/analysis"
+	"darkdns/internal/workpool"
 	"darkdns/internal/worldsim"
 )
 
@@ -33,7 +34,7 @@ func main() {
 	watchSamples := flag.String("watch-samples", "1.0", "comma-separated watch sampling rates (shed policy), crossed into policies")
 	snapshotDir := flag.String("snapshot-dir", "", "directory for persistent world snapshots (empty = fresh temp dir)")
 	sweepWorkers := flag.Int("sweep-workers", 4, "campaign fan-out width across grid cells (≤1 = serial)")
-	buildWorkers := flag.Int("build-workers", 8, "compile fan-out width inside each world build")
+	workers := flag.Int("workers", 0, "pool width of every engine inside each cell's world build and campaign, behind an 8-instant clock lookahead (a -lookaheads value above 0 overrides the window); 0 = serial cells, which -sweep-workers already runs side by side")
 	out := flag.String("out", "", "write the columnar result table to this file")
 	flag.Parse()
 
@@ -43,7 +44,7 @@ func main() {
 		Workers:     *sweepWorkers,
 		Base: analysis.RunConfig{
 			WatchSampleRate: 1.0, ProbeMail: true,
-			BuildWorkers: *buildWorkers, CommitWorkers: *buildWorkers,
+			Engines: workpool.AllEngines(*workers),
 		},
 	}
 	var err error

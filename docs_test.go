@@ -46,8 +46,8 @@ func registeredFlags(t *testing.T, path string) []string {
 // TestReadmeFlagReference fails when a flag registered in cmd/darkdns,
 // cmd/reproduce, cmd/feedserver, cmd/zonediff, or cmd/sweep has no row
 // in README.md's flag reference (a table row whose first cell is the
-// backticked flag), or when any of the five engine -*-workers flags is
-// missing entirely.
+// backticked flag), or when the -workers row or the table's
+// determinism-guarantee column is missing.
 func TestReadmeFlagReference(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -67,14 +67,10 @@ func TestReadmeFlagReference(t *testing.T) {
 		}
 	}
 
-	// The five engine flags are the load-bearing documentation: each must
-	// be present and state its determinism guarantee column content.
-	for _, engine := range []string{
-		"ingest-workers", "rdap-workers", "clock-workers", "build-workers", "commit-workers",
-	} {
-		if !strings.Contains(doc, "`-"+engine+"`") {
-			t.Errorf("README.md does not document -%s", engine)
-		}
+	// The one concurrency flag is the load-bearing documentation: its row
+	// must be present, in the table that states determinism guarantees.
+	if !strings.Contains(doc, "| `-workers` |") {
+		t.Error("README.md's flag table has no `-workers` row")
 	}
 	if !strings.Contains(doc, "Determinism guarantee") {
 		t.Error("README.md flag table lost its determinism-guarantee column")

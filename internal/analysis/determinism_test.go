@@ -3,60 +3,21 @@ package analysis
 import (
 	"bytes"
 	"path/filepath"
+	"sync"
 	"testing"
+
+	"darkdns/internal/workpool"
 )
 
-// TestSerialLookaheadCampaignsIdentical: the acceptance bar for the
-// optimistic lookahead engine — a fixed-seed campaign must render
-// byte-identical evaluation reports under the serial drain and under
-// RunLookahead at window 1, 4 and 16, alone and stacked with all six
-// prior engines. A window ≥ 4 run must also actually speculate: the
-// engine's speculative-fire counter (events fired at a timestamp beyond
-// their window's first instant) has to be positive, proving events from
-// at least two distinct timestamps fired in one round.
-func TestSerialLookaheadCampaignsIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("five full campaigns")
+// renderCampaign runs cfg and renders its evaluation report.
+func renderCampaign(t *testing.T, cfg RunConfig) ([]byte, *Results) {
+	t.Helper()
+	r := Run(cfg)
+	var buf bytes.Buffer
+	if err := WriteReport(&buf, r); err != nil {
+		t.Fatal(err)
 	}
-	base := RunConfig{Seed: 61, Scale: 0.0008, Weeks: 2, WatchSampleRate: 1.0, ProbeMail: true}
-	render := func(cfg RunConfig) ([]byte, *Results) {
-		r := Run(cfg)
-		var buf bytes.Buffer
-		if err := WriteReport(&buf, r); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes(), r
-	}
-	serial, _ := render(base)
-	for _, cfg := range []RunConfig{
-		{LookaheadWindow: 1},
-		{LookaheadWindow: 4},
-		{LookaheadWindow: 16},
-		{LookaheadWindow: 16, ClockWorkers: 8, ProbeWorkers: 8, CommitWorkers: 8,
-			BuildWorkers: 8, RDAPWorkers: 8, IngestWorkers: 8},
-	} {
-		run := base
-		run.LookaheadWindow = cfg.LookaheadWindow
-		run.ClockWorkers = cfg.ClockWorkers
-		run.ProbeWorkers = cfg.ProbeWorkers
-		run.CommitWorkers = cfg.CommitWorkers
-		run.BuildWorkers = cfg.BuildWorkers
-		run.RDAPWorkers = cfg.RDAPWorkers
-		run.IngestWorkers = cfg.IngestWorkers
-		got, res := render(run)
-		if !bytes.Equal(serial, got) {
-			t.Errorf("lookahead-window=%d (stacked=%v) report diverges from serial",
-				cfg.LookaheadWindow, cfg.IngestWorkers > 0)
-		}
-		st := res.World.Clock.Stats()
-		if cfg.LookaheadWindow >= 4 && st.SpecFired == 0 {
-			t.Errorf("lookahead-window=%d: SpecFired = 0, want > 0 (no cross-timestamp firing happened)",
-				cfg.LookaheadWindow)
-		}
-		if cfg.LookaheadWindow >= 4 && st.Windows == 0 {
-			t.Errorf("lookahead-window=%d: Windows = 0, want > 0", cfg.LookaheadWindow)
-		}
-	}
+	return buf.Bytes(), r
 }
 
 // TestCampaignDeterminism: identical run configurations must produce
@@ -64,303 +25,124 @@ func TestSerialLookaheadCampaignsIdentical(t *testing.T) {
 // number in EXPERIMENTS.md reproducible.
 func TestCampaignDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full campaigns")
+		t.Skip("three full campaigns")
 	}
 	cfg := RunConfig{Seed: 31, Scale: 0.0008, Weeks: 2, WatchSampleRate: 1.0, ProbeMail: true}
-	render := func() []byte {
-		r := Run(cfg)
-		var buf bytes.Buffer
-		if err := WriteReport(&buf, r); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	a := render()
-	b := render()
+	a, _ := renderCampaign(t, cfg)
+	b, _ := renderCampaign(t, cfg)
 	if !bytes.Equal(a, b) {
 		t.Fatal("identical seeds produced different reports")
 	}
 	// A different seed must actually change the world.
 	cfg.Seed = 32
-	c := render()
+	c, _ := renderCampaign(t, cfg)
 	if bytes.Equal(a, c) {
 		t.Fatal("different seeds produced identical reports")
 	}
 }
 
-// TestSerialParallelCampaignsIdentical: a fixed-seed campaign must render
-// byte-identical evaluation reports (Tables 1–5, Figures 1–2, every
-// headline) whether the pipeline ingests per-event, in single-worker
-// micro-batches, or with a wide screening worker pool. This is the
-// determinism contract of the sharded batch engine: per-domain decision
-// derivation plus in-order admission make ingest mode unobservable.
+// The width table. Width is a setting of one code path per stage, so the
+// contract is one sentence — a fixed-seed campaign renders byte-identical
+// evaluation reports (Tables 1–5, Figures 1–2, every headline) at any
+// value of any workpool.Engines field — and one table proves it: each
+// field alone at 1 and at 8 (the lookahead window at 1, 4 and 16), and
+// every field at once, all against one serial reference rendered once.
+// The tests below are that table's rows grouped by field, so a failure
+// names the stage; together they cost 19 campaigns.
+
+var widthBase = RunConfig{Seed: 61, Scale: 0.0008, Weeks: 2, WatchSampleRate: 1.0, ProbeMail: true}
+
+// widthSerial is widthBase's report at the zero Engines value.
+var widthSerial = sync.OnceValue(func() []byte {
+	var buf bytes.Buffer
+	if err := WriteReport(&buf, Run(widthBase)); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+})
+
+// checkWidths runs widthBase under each row and requires the serial
+// reference's bytes; check, when non-nil, also sees each run's results.
+func checkWidths(t *testing.T, check func(*testing.T, workpool.Engines, *Results), rows ...workpool.Engines) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("full campaigns")
+	}
+	for _, row := range rows {
+		cfg := widthBase
+		cfg.Engines = row
+		got, res := renderCampaign(t, cfg)
+		if !bytes.Equal(widthSerial(), got) {
+			t.Errorf("%+v: report diverges from serial", row)
+		}
+		if check != nil {
+			check(t, row, res)
+		}
+	}
+}
+
+// Ingest: per-event handling, single-worker micro-batches, a wide
+// screening pool. Per-domain decision derivation plus in-order admission
+// make the ingest mode unobservable.
 func TestSerialParallelCampaignsIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("three full campaigns")
-	}
-	base := RunConfig{Seed: 17, Scale: 0.0008, Weeks: 2, WatchSampleRate: 1.0, ProbeMail: true}
-	render := func(cfg RunConfig) []byte {
-		r := Run(cfg)
-		var buf bytes.Buffer
-		if err := WriteReport(&buf, r); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	serial := render(base)
-	for _, workers := range []int{1, 8} {
-		cfg := base
-		cfg.IngestWorkers = workers
-		if got := render(cfg); !bytes.Equal(serial, got) {
-			t.Errorf("ingest-workers=%d report diverges from serial", workers)
-		}
-	}
+	checkWidths(t, nil, workpool.Engines{IngestWorkers: 1}, workpool.Engines{IngestWorkers: 8})
 }
 
-// TestSerialParallelRDAPDispatchIdentical: the same byte-identity must
-// hold for step 2's dispatch mode — blocking lookups scheduled on the
-// clock (RDAPWorkers=0), the dispatch engine draining serially
-// (RDAPWorkers=1), and a wide worker pool (RDAPWorkers=8) — alone and
-// combined with batched ingest. The dispatcher's drain barrier executes
-// every due query at one simulated instant, so pool width parallelizes
-// execution without reordering any observable.
+// Step 2: one timer per candidate, the dispatcher draining serially, a
+// wide pool. A drain round executes every due query at one simulated
+// instant, so width parallelizes execution without moving an observable.
 func TestSerialParallelRDAPDispatchIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("four full campaigns")
-	}
-	base := RunConfig{Seed: 23, Scale: 0.0008, Weeks: 2, WatchSampleRate: 1.0, ProbeMail: true}
-	render := func(cfg RunConfig) []byte {
-		r := Run(cfg)
-		var buf bytes.Buffer
-		if err := WriteReport(&buf, r); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	serial := render(base)
-	for _, cfg := range []RunConfig{
-		{RDAPWorkers: 1},
-		{RDAPWorkers: 8},
-		{RDAPWorkers: 8, IngestWorkers: 8},
-	} {
-		run := base
-		run.RDAPWorkers = cfg.RDAPWorkers
-		run.IngestWorkers = cfg.IngestWorkers
-		if got := render(run); !bytes.Equal(serial, got) {
-			t.Errorf("rdap-workers=%d ingest-workers=%d report diverges from serial",
-				cfg.RDAPWorkers, cfg.IngestWorkers)
-		}
-	}
+	checkWidths(t, nil, workpool.Engines{RDAPWorkers: 1}, workpool.Engines{RDAPWorkers: 8})
 }
 
-// TestSerialParallelBuildCampaignsIdentical: the same byte-identity must
-// hold for the world builder's compile fan-out — per-TLD layouts
-// compiled serially (BuildWorkers=0), on a single-width pool
-// (BuildWorkers=1), and on a wide pool (BuildWorkers=8), alone and
-// stacked with the ingest, dispatch and clock engines. Each plan draws
-// from its own seed-derived RNG stream and the commit phase installs
-// layouts in canonical plan order, so compile width is unobservable.
-func TestSerialParallelBuildCampaignsIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("four full campaigns")
-	}
-	base := RunConfig{Seed: 47, Scale: 0.0008, Weeks: 2, WatchSampleRate: 1.0, ProbeMail: true}
-	render := func(cfg RunConfig) []byte {
-		r := Run(cfg)
-		var buf bytes.Buffer
-		if err := WriteReport(&buf, r); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	serial := render(base)
-	for _, cfg := range []RunConfig{
-		{BuildWorkers: 1},
-		{BuildWorkers: 8},
-		{BuildWorkers: 8, ClockWorkers: 8, RDAPWorkers: 8, IngestWorkers: 8},
-	} {
-		run := base
-		run.BuildWorkers = cfg.BuildWorkers
-		run.ClockWorkers = cfg.ClockWorkers
-		run.RDAPWorkers = cfg.RDAPWorkers
-		run.IngestWorkers = cfg.IngestWorkers
-		if got := render(run); !bytes.Equal(serial, got) {
-			t.Errorf("build-workers=%d clock-workers=%d rdap-workers=%d ingest-workers=%d report diverges from serial",
-				cfg.BuildWorkers, cfg.ClockWorkers, cfg.RDAPWorkers, cfg.IngestWorkers)
-		}
-	}
-}
-
-// TestSerialParallelCommitCampaignsIdentical: the same byte-identity
-// must hold for the world builder's commit engine — compiled layouts
-// installed serially (CommitWorkers=0), on a single-width pool
-// (CommitWorkers=1), and on a wide pool (CommitWorkers=8), alone and
-// stacked with all four other engines. Record installs stripe across
-// the sharded domain store and substrate seedings commute across the
-// distinct names layouts own; the ghost ledger and clock timelines
-// install serially in canonical order, so commit width is unobservable.
-func TestSerialParallelCommitCampaignsIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("four full campaigns")
-	}
-	base := RunConfig{Seed: 53, Scale: 0.0008, Weeks: 2, WatchSampleRate: 1.0, ProbeMail: true}
-	render := func(cfg RunConfig) []byte {
-		r := Run(cfg)
-		var buf bytes.Buffer
-		if err := WriteReport(&buf, r); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	serial := render(base)
-	for _, cfg := range []RunConfig{
-		{CommitWorkers: 1},
-		{CommitWorkers: 8},
-		{CommitWorkers: 8, BuildWorkers: 8, ClockWorkers: 8, RDAPWorkers: 8, IngestWorkers: 8},
-	} {
-		run := base
-		run.CommitWorkers = cfg.CommitWorkers
-		run.BuildWorkers = cfg.BuildWorkers
-		run.ClockWorkers = cfg.ClockWorkers
-		run.RDAPWorkers = cfg.RDAPWorkers
-		run.IngestWorkers = cfg.IngestWorkers
-		if got := render(run); !bytes.Equal(serial, got) {
-			t.Errorf("commit-workers=%d build-workers=%d clock-workers=%d rdap-workers=%d ingest-workers=%d report diverges from serial",
-				cfg.CommitWorkers, cfg.BuildWorkers, cfg.ClockWorkers, cfg.RDAPWorkers, cfg.IngestWorkers)
-		}
-	}
-}
-
-// TestSerialParallelProbeCampaignsIdentical: the same byte-identity
-// must hold for the probe engine — per-domain backend calls
-// (ProbeWorkers=0), one batch per round (ProbeWorkers=1), and eight
-// contiguous batch slices (ProbeWorkers=8), alone and stacked with all
-// five existing engines. Batch results are positional and the apply
-// stage delivers observations serially in admission order, so probe
-// width is unobservable to a campaign.
-func TestSerialParallelProbeCampaignsIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("four full campaigns")
-	}
-	base := RunConfig{Seed: 59, Scale: 0.0008, Weeks: 2, WatchSampleRate: 1.0, ProbeMail: true}
-	render := func(cfg RunConfig) []byte {
-		r := Run(cfg)
-		var buf bytes.Buffer
-		if err := WriteReport(&buf, r); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	serial := render(base)
-	for _, cfg := range []RunConfig{
-		{ProbeWorkers: 1},
-		{ProbeWorkers: 8},
-		{ProbeWorkers: 8, CommitWorkers: 8, BuildWorkers: 8, ClockWorkers: 8, RDAPWorkers: 8, IngestWorkers: 8},
-	} {
-		run := base
-		run.ProbeWorkers = cfg.ProbeWorkers
-		run.CommitWorkers = cfg.CommitWorkers
-		run.BuildWorkers = cfg.BuildWorkers
-		run.ClockWorkers = cfg.ClockWorkers
-		run.RDAPWorkers = cfg.RDAPWorkers
-		run.IngestWorkers = cfg.IngestWorkers
-		if got := render(run); !bytes.Equal(serial, got) {
-			t.Errorf("probe-workers=%d (stacked=%v) report diverges from serial",
-				cfg.ProbeWorkers, cfg.IngestWorkers > 0)
-		}
-	}
-}
-
-// TestSerialBatchedClockCampaignsIdentical: the same byte-identity must
-// hold for the event engine's drain mode — the serial heap-order drain
-// (ClockWorkers=0), batch-firing with a single-width pool
-// (ClockWorkers=1, which degenerates to exact serial order), and a wide
-// pool (ClockWorkers=8), alone and stacked with the batched ingest and
-// dispatch engines so parallel-marked due-timer cohorts actually fire
-// concurrently. This is the acceptance bar for the timer-wheel engine:
-// Run and RunBatched(N) are unobservable to a campaign.
+// Clock drain pool: width 1 is exact serial order, width 8 fires
+// parallel-marked same-instant events concurrently.
 func TestSerialBatchedClockCampaignsIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("four full campaigns")
-	}
-	base := RunConfig{Seed: 41, Scale: 0.0008, Weeks: 2, WatchSampleRate: 1.0, ProbeMail: true}
-	render := func(cfg RunConfig) []byte {
-		r := Run(cfg)
-		var buf bytes.Buffer
-		if err := WriteReport(&buf, r); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	serial := render(base)
-	for _, cfg := range []RunConfig{
-		{ClockWorkers: 1},
-		{ClockWorkers: 8},
-		{ClockWorkers: 8, RDAPWorkers: 8, IngestWorkers: 8},
-	} {
-		run := base
-		run.ClockWorkers = cfg.ClockWorkers
-		run.RDAPWorkers = cfg.RDAPWorkers
-		run.IngestWorkers = cfg.IngestWorkers
-		if got := render(run); !bytes.Equal(serial, got) {
-			t.Errorf("clock-workers=%d rdap-workers=%d ingest-workers=%d report diverges from serial",
-				cfg.ClockWorkers, cfg.RDAPWorkers, cfg.IngestWorkers)
-		}
-	}
+	checkWidths(t, nil, workpool.Engines{ClockWorkers: 1}, workpool.Engines{ClockWorkers: 8})
 }
 
-// TestSerialParallelApplyCampaignsIdentical: the acceptance bar for the
-// apply engine — a fixed-seed campaign must render byte-identical
-// evaluation reports whether stage 2 of every fleet round applies state
-// and delivers observations inline (ApplyWorkers=0), through a
-// single-worker fan-out (1), or across eight workers resequenced by the
-// reorder buffer (8), alone and stacked with all eight prior engines
-// (batched ingest, async RDAP dispatch, batched clock drain, optimistic
-// lookahead, parallel build and commit, batched probes, and a world
-// snapshot shared between the stacked runs). Engine runs must also
-// actually fan out: every probe counts one apply and one in-order
-// release.
+// Clock lookahead: window 1 exercises the tagged machinery inside one
+// instant; from 4 up the drain must also actually speculate — events
+// from at least two distinct timestamps fired in one round.
+func TestSerialLookaheadCampaignsIdentical(t *testing.T) {
+	speculates := func(t *testing.T, e workpool.Engines, r *Results) {
+		st := r.World.Clock.Stats()
+		if e.LookaheadWindow >= 4 && (st.SpecFired == 0 || st.Windows == 0) {
+			t.Errorf("LookaheadWindow=%d: SpecFired=%d Windows=%d, want both > 0 (no cross-timestamp firing happened)",
+				e.LookaheadWindow, st.SpecFired, st.Windows)
+		}
+	}
+	checkWidths(t, speculates,
+		workpool.Engines{LookaheadWindow: 1}, workpool.Engines{LookaheadWindow: 4}, workpool.Engines{LookaheadWindow: 16})
+}
+
+// World compile: each plan draws from its own seed-derived RNG stream
+// and commit installs layouts in canonical plan order.
+func TestSerialParallelBuildCampaignsIdentical(t *testing.T) {
+	checkWidths(t, nil, workpool.Engines{BuildWorkers: 1}, workpool.Engines{BuildWorkers: 8})
+}
+
+// World commit: record installs stripe across the sharded store, the
+// ghost ledger and clock timelines install serially in canonical order.
+func TestSerialParallelCommitCampaignsIdentical(t *testing.T) {
+	checkWidths(t, nil, workpool.Engines{CommitWorkers: 1}, workpool.Engines{CommitWorkers: 8})
+}
+
+// Fleet stage 1: one batch per round, eight contiguous slices; results
+// are positional.
+func TestSerialParallelProbeCampaignsIdentical(t *testing.T) {
+	checkWidths(t, nil, workpool.Engines{ProbeWorkers: 1}, workpool.Engines{ProbeWorkers: 8})
+}
+
+// Fleet stage 2, and the table's last row: every field at once, building
+// its world through a snapshot path (a miss: compile, then save back).
 func TestSerialParallelApplyCampaignsIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("five full campaigns")
-	}
-	base := RunConfig{Seed: 67, Scale: 0.0008, Weeks: 2, WatchSampleRate: 1.0, ProbeMail: true}
-	render := func(cfg RunConfig) ([]byte, *Results) {
-		r := Run(cfg)
-		var buf bytes.Buffer
-		if err := WriteReport(&buf, r); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes(), r
-	}
-	serial, _ := render(base)
-	snap := filepath.Join(t.TempDir(), "world.dsnap")
-	for _, cfg := range []RunConfig{
-		{ApplyWorkers: 1},
-		{ApplyWorkers: 8},
-		{ApplyWorkers: 8, ProbeWorkers: 8, LookaheadWindow: 8, ClockWorkers: 8,
-			CommitWorkers: 8, BuildWorkers: 8, RDAPWorkers: 8, IngestWorkers: 8,
-			SnapshotPath: snap},
-	} {
-		run := base
-		run.ApplyWorkers = cfg.ApplyWorkers
-		run.ProbeWorkers = cfg.ProbeWorkers
-		run.LookaheadWindow = cfg.LookaheadWindow
-		run.ClockWorkers = cfg.ClockWorkers
-		run.CommitWorkers = cfg.CommitWorkers
-		run.BuildWorkers = cfg.BuildWorkers
-		run.RDAPWorkers = cfg.RDAPWorkers
-		run.IngestWorkers = cfg.IngestWorkers
-		run.SnapshotPath = cfg.SnapshotPath
-		got, res := render(run)
-		if !bytes.Equal(serial, got) {
-			t.Errorf("apply-workers=%d (stacked=%v) report diverges from serial",
-				cfg.ApplyWorkers, cfg.IngestWorkers > 0)
-		}
-		fr := res.Fleet.Report()
-		if fr.ParallelApplies != fr.Probes || fr.ReorderReleases != fr.Probes {
-			t.Errorf("apply-workers=%d: applies=%d releases=%d, want both == probes=%d",
-				cfg.ApplyWorkers, fr.ParallelApplies, fr.ReorderReleases, fr.Probes)
-		}
+	checkWidths(t, nil, workpool.Engines{ApplyWorkers: 1}, workpool.Engines{ApplyWorkers: 8})
+
+	cfg := widthBase
+	cfg.Engines = workpool.AllEngines(8)
+	cfg.SnapshotPath = filepath.Join(t.TempDir(), "world.dsnap")
+	if got, _ := renderCampaign(t, cfg); !bytes.Equal(widthSerial(), got) {
+		t.Errorf("%+v over a snapshot path: report diverges from serial", cfg.Engines)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
+
+	"darkdns/internal/workpool"
 )
 
 // TestGoldenReportHash is the determinism gate: the performance ledger's
@@ -17,15 +19,11 @@ func TestGoldenReportHash(t *testing.T) {
 		5: "ae48c95142f7152c",
 		7: "ebc35a10a5aa7823",
 	}
-	engines := func(cfg RunConfig) RunConfig {
-		cfg.IngestWorkers, cfg.RDAPWorkers, cfg.ClockWorkers = 8, 8, 8
-		cfg.BuildWorkers, cfg.CommitWorkers, cfg.ProbeWorkers, cfg.ApplyWorkers = 8, 8, 8, 8
-		cfg.LookaheadWindow = 8
-		return cfg
-	}
 	for seed, want := range golden {
 		cfg := RunConfig{Seed: seed, Scale: 0.002, Weeks: 3, WatchSampleRate: 1, ProbeMail: true}
-		for name, cfg := range map[string]RunConfig{"serial": cfg, "engines": engines(cfg)} {
+		engines := cfg
+		engines.Engines = workpool.AllEngines(8)
+		for name, cfg := range map[string]RunConfig{"serial": cfg, "engines": engines} {
 			if name == "engines" && testing.Short() {
 				continue
 			}

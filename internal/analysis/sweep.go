@@ -127,7 +127,7 @@ func (g *SweepConfig) worldConfig(seed int64, scale float64) worldsim.Config {
 	if rc.Weeks > 0 {
 		wcfg.Weeks = rc.Weeks
 	}
-	wcfg.BuildWorkers = rc.BuildWorkers
+	wcfg.Engines = rc.Engines
 	return wcfg
 }
 
@@ -161,7 +161,7 @@ func Sweep(grid SweepConfig) (*SweepOutcome, error) {
 	}
 
 	// Phase one: one snapshot per distinct (seed, scale). Serial over
-	// worlds — each compile already fans out at Base.BuildWorkers.
+	// worlds — each compile fans out at Base.BuildWorkers.
 	paths := make(map[[2]int64]string)
 	distinct := 0
 	for _, seed := range grid.Seeds {

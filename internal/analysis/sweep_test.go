@@ -9,25 +9,22 @@ import (
 	"time"
 
 	"darkdns/internal/columnar"
+	"darkdns/internal/workpool"
 	"darkdns/internal/worldsim"
 )
 
 // TestSnapshotCampaignsIdentical: the acceptance bar for the snapshot
 // engine — a fixed-seed campaign must render a byte-identical evaluation
 // report whether the world was compiled fresh or decoded from a
-// persistent snapshot, alone and stacked with all seven prior engines.
+// persistent snapshot, alone and with every engine on.
 func TestSnapshotCampaignsIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full campaigns")
 	}
 	base := RunConfig{Seed: 71, Scale: 0.0008, Weeks: 2, WatchSampleRate: 1.0, ProbeMail: true}
 	render := func(cfg RunConfig) []byte {
-		r := Run(cfg)
-		var buf bytes.Buffer
-		if err := WriteReport(&buf, r); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		got, _ := renderCampaign(t, cfg)
+		return got
 	}
 	serial := render(base)
 
@@ -49,13 +46,7 @@ func TestSnapshotCampaignsIdentical(t *testing.T) {
 	}
 
 	stacked := snap
-	stacked.LookaheadWindow = 8
-	stacked.ClockWorkers = 8
-	stacked.ProbeWorkers = 8
-	stacked.CommitWorkers = 8
-	stacked.BuildWorkers = 8
-	stacked.RDAPWorkers = 8
-	stacked.IngestWorkers = 8
+	stacked.Engines = workpool.AllEngines(8)
 	if got := render(stacked); !bytes.Equal(serial, got) {
 		t.Error("snapshot + all-engines campaign report diverges from serial compiled")
 	}

@@ -127,27 +127,40 @@ func (hashQuerier) Domain(_ context.Context, name string) (*rdap.Record, error) 
 	}
 }
 
-// TestDispatchMatchesSerialRDAP replays one corpus through the serial
-// step-2 path and the dispatch engine at two pool widths, advancing the
-// clock through every queueing delay, and requires identical candidate
-// stores — RDAP outcomes, timestamps and validation bits included. This
-// is the dispatch engine's determinism contract at the pipeline level.
+// hashQuerierAt is hashQuerier with the time-explicit extension: the
+// step-2 timer then carries the candidate's domain tag and the lookup
+// goes through DomainAt.
+type hashQuerierAt struct{ hashQuerier }
+
+func (q hashQuerierAt) DomainAt(ctx context.Context, name string, _ time.Time) (*rdap.Record, error) {
+	return q.Domain(ctx, name)
+}
+
+// TestDispatchMatchesSerialRDAP replays one corpus through step 2 without
+// a dispatcher — its one timer untagged (a querier that reads the clock)
+// and tagged (a time-explicit querier), the latter also under a lookahead
+// drain that fires lookups ahead of committed time — and through the
+// dispatch engine at two pool widths, advancing the clock through every
+// queueing delay, and requires identical candidate stores — RDAP
+// outcomes, timestamps and validation bits included. This is step 2's
+// determinism contract at the pipeline level.
 func TestDispatchMatchesSerialRDAP(t *testing.T) {
 	evs := synthEvents(1200, t0)
 
-	run := func(rdapWorkers int) []Candidate {
+	run := func(q rdap.Querier, rdapWorkers, window int) ([]Candidate, simclock.Stats) {
 		clk := simclock.NewSim(t0)
 		cfg := DefaultConfig(t0, t0.Add(91*24*time.Hour))
 		cfg.RDAPWorkers = rdapWorkers
-		p := New(cfg, clk, psl.Default(), czds.New(), hashQuerier{}, nil, nil, 55)
+		p := New(cfg, clk, psl.Default(), czds.New(), q, nil, nil, 55)
 		for _, ev := range evs {
 			p.HandleEvent(ev)
 		}
-		clk.Run() // fire every queued RDAP collection
-		return p.Candidates()
+		// Fire every queued RDAP collection: delays stay under 5 minutes.
+		clk.RunUntilLookahead(t0.Add(time.Hour), window, 8)
+		return p.Candidates(), clk.Stats()
 	}
 
-	want := run(0)
+	want, _ := run(hashQuerier{}, 0, 0)
 	nOK := 0
 	for _, c := range want {
 		if c.RDAPOutcome == RDAPOK {
@@ -157,9 +170,25 @@ func TestDispatchMatchesSerialRDAP(t *testing.T) {
 	if nOK == 0 {
 		t.Fatal("degenerate corpus: no successful RDAP outcome")
 	}
-	for _, workers := range []int{1, 8} {
-		if got := run(workers); !reflect.DeepEqual(got, want) {
-			t.Errorf("rdap-workers=%d candidates diverge from serial path", workers)
+	for _, row := range []struct {
+		name            string
+		q               rdap.Querier
+		workers, window int
+	}{
+		{"untagged timer under lookahead", hashQuerier{}, 0, 8},
+		{"tagged timer", hashQuerierAt{}, 0, 0},
+		{"tagged timer under lookahead", hashQuerierAt{}, 0, 8},
+		{"dispatcher width 1", hashQuerier{}, 1, 0},
+		{"dispatcher width 8", hashQuerier{}, 8, 0},
+		{"dispatcher width 8, time-explicit, lookahead", hashQuerierAt{}, 8, 8},
+	} {
+		got, st := run(row.q, row.workers, row.window)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: candidates diverge from the untagged serial timer", row.name)
+		}
+		_, tagged := row.q.(rdap.QuerierAt)
+		if row.window > 0 && tagged != (st.SpecFired > 0) {
+			t.Errorf("%s: SpecFired = %d, want > 0 exactly when the querier is time-explicit", row.name, st.SpecFired)
 		}
 	}
 }

@@ -18,9 +18,9 @@
 // Concurrency model (DESIGN.md §5–§6): the candidate store is striped
 // over independent locks, zone-presence reads are lock-free (czds),
 // HandleBatch screens events through the PSL and zone filter on a worker
-// pool, and with Config.RDAPWorkers set, step 2 runs through the
-// asynchronous per-TLD dispatch engine (rdap.Dispatcher) instead of
-// blocking lookups scheduled on the clock. Every per-candidate random
+// pool, and with an RDAP width set (workpool.Engines), step 2 runs
+// through the asynchronous per-TLD dispatch engine (rdap.Dispatcher)
+// instead of one lookup per candidate scheduled on the clock. Every per-candidate random
 // decision (RDAP queueing delay, failure
 // injection, watch sampling) is drawn from a generator derived from the
 // pipeline seed and the domain name alone, so outcomes are identical no
@@ -74,30 +74,17 @@ type Config struct {
 	WatchSampleRate float64
 	// FeedTopic is the stream topic name for the public NRD feed.
 	FeedTopic string
-	// IngestWorkers sets the worker-pool width HandleBatch screens
-	// events with (PSL extraction + zone filter). 0 or 1 screens on the
-	// calling goroutine.
-	IngestWorkers int
-	// IngestBatch caps the micro-batcher's buffer (StartBatched): once
-	// this many events are pending the batch is handed off inline
-	// without waiting for the flush timer. 0 means DefaultIngestBatch.
-	IngestBatch int
-	// RDAPWorkers enables the asynchronous RDAP dispatch engine:
-	// admitted candidates enqueue into per-TLD queues drained by a
-	// worker pool this wide instead of scheduling a blocking lookup on
-	// the clock. 0 keeps the serial collection path. Campaign reports
-	// are byte-identical across 0, 1 and N workers (the dispatcher's
-	// determinism contract).
-	RDAPWorkers int
-	// RDAPQueueDepth bounds each TLD's pending-query backlog when the
-	// dispatch engine is enabled; excess queries shed as collection
-	// errors instead of blocking ingest. 0 means unbounded (the
-	// campaign default — shedding depends on load, so bounding trades
-	// the serial/parallel byte-identity for backpressure).
-	RDAPQueueDepth int
+	// Engines carries the concurrency settings; the pipeline reads
+	// IngestWorkers (HandleBatch's screening pool) and RDAPWorkers (> 0
+	// routes step 2 through a dispatcher that wide, with unbounded per-TLD
+	// queues: shedding depends on load, so a bound would trade the
+	// byte-identity across widths for backpressure).
+	workpool.Engines
 }
 
-// DefaultIngestBatch is the micro-batcher's default maximum batch size.
+// DefaultIngestBatch caps the micro-batcher's buffer (StartBatched): once
+// this many events are pending the batch is handed off inline without
+// waiting for the flush timer.
 const DefaultIngestBatch = 256
 
 // DefaultConfig returns the paper's parameters over [start, end).
@@ -179,15 +166,14 @@ type candShard struct {
 
 // Pipeline is the DarkDNS measurement pipeline.
 type Pipeline struct {
-	cfg Config
-	clk simclock.Clock
-	// tagClk is clk's effect-tagged extension, resolved once; nil on
-	// clocks without lookahead support (every schedule then stays
-	// untagged, which is always safe).
-	tagClk simclock.TagScheduler
-	psl    *psl.List
-	zones  *czds.Service
-	rdapQ  rdap.Querier
+	cfg   Config
+	clk   simclock.Clock
+	psl   *psl.List
+	zones *czds.Service
+	rdapQ rdap.Querier
+	// rdapAt is rdapQ's time-explicit extension, resolved once; nil for a
+	// querier that reads the clock itself (a wire client).
+	rdapAt rdap.QuerierAt
 	rdapD  *rdap.Dispatcher // non-nil when cfg.RDAPWorkers > 0
 	fleet  *measure.Fleet
 	seed   int64
@@ -221,19 +207,13 @@ func New(cfg Config, clk simclock.Clock, pslList *psl.List, zones *czds.Service,
 	if cfg.FeedTopic == "" {
 		cfg.FeedTopic = "nrd-feed"
 	}
-	if cfg.IngestBatch <= 0 {
-		cfg.IngestBatch = DefaultIngestBatch
-	}
 	p := &Pipeline{
 		cfg: cfg, clk: clk, psl: pslList, zones: zones, rdapQ: rdapQ,
 		fleet: fleet, seed: seed,
 	}
-	p.tagClk, _ = clk.(simclock.TagScheduler)
+	p.rdapAt, _ = rdapQ.(rdap.QuerierAt)
 	if cfg.RDAPWorkers > 0 {
-		p.rdapD = rdap.NewDispatcher(rdap.DispatcherConfig{
-			Workers:    cfg.RDAPWorkers,
-			QueueDepth: cfg.RDAPQueueDepth,
-		}, clk, rdapQ)
+		p.rdapD = rdap.NewDispatcher(rdap.DispatcherConfig{Workers: cfg.RDAPWorkers}, clk, rdapQ)
 	}
 	for i := range p.shards {
 		p.shards[i].candidates = make(map[string]*Candidate)
@@ -282,7 +262,7 @@ func (p *Pipeline) Start(hub *certstream.Hub) {
 
 // StartBatched subscribes the pipeline to the certstream hub in
 // micro-batching mode: delivered events accumulate in a buffer that is
-// flushed through HandleBatch — immediately once cfg.IngestBatch events
+// flushed through HandleBatch — immediately once DefaultIngestBatch events
 // are pending, otherwise by a zero-delay timer on the pipeline's clock.
 // Under the simulated clock the flush fires at the same instant the
 // events were delivered (after the current dispatch completes), so
@@ -297,7 +277,7 @@ func (p *Pipeline) StartBatched(hub *certstream.Hub) {
 func (p *Pipeline) enqueue(ev certstream.Event) {
 	p.batchMu.Lock()
 	p.batchBuf = append(p.batchBuf, ev)
-	if len(p.batchBuf) >= p.cfg.IngestBatch {
+	if len(p.batchBuf) >= DefaultIngestBatch {
 		buf := p.batchBuf
 		p.batchBuf = nil
 		p.batchMu.Unlock()
@@ -475,22 +455,22 @@ func (p *Pipeline) dispatch(cand *Candidate) (q rdap.Query, ok bool) {
 			Domain:        cand.Domain,
 			Delay:         delay,
 			InjectFailure: fail,
-			DoneAt:        func(rec *rdap.Record, err error, at time.Time) { p.finishRDAPAt(cand, rec, err, at) },
+			Done:          func(rec *rdap.Record, err error, at time.Time) { p.finishRDAP(cand, rec, err, at) },
 		}
 		ok = true
-	} else if qa, isAt := p.rdapQ.(rdap.QuerierAt); isAt && p.tagClk != nil {
-		// Serial-path RDAP with a time-explicit backend: effect-tag the
-		// step-2 timer with the candidate's domain atom, so the lookahead
-		// drain may fire RDAP lookups of unrelated domains from different
-		// instants together. The lookup reads only this domain's registry
-		// slice and writes only this candidate's shard entry.
-		p.tagClk.ScheduleTagged(simclock.TaggedTimed{
-			At:  p.clk.Now().Add(delay),
-			Tag: simclock.DomainTag(cand.Domain),
-			Fn:  func(now time.Time) { p.collectRDAPAt(cand, fail, now, qa) },
-		})
 	} else {
-		p.clk.After(delay, func() { p.collectRDAP(cand, fail) })
+		// One timer per candidate. With a time-explicit backend it carries
+		// the candidate's domain atom, so a lookahead drain may fire RDAP
+		// lookups of unrelated domains from different instants together:
+		// the lookup reads only this domain's registry slice and writes
+		// only this candidate's shard entry. A backend that reads the
+		// clock itself gets no tag, which keeps the timer an ordering
+		// barrier that fires at committed time.
+		var tag simclock.EffectTag
+		if p.rdapAt != nil {
+			tag = simclock.DomainTag(cand.Domain)
+		}
+		simclock.AfterTagged(p.clk, delay, tag, func(now time.Time) { p.collectRDAP(cand, fail, now) })
 	}
 
 	if p.fleet != nil && rng.Float64() < p.cfg.WatchSampleRate {
@@ -509,39 +489,28 @@ func feedJSON(domain string, ev certstream.Event) []byte {
 		domain, ev.Seen.UTC().Format(time.RFC3339), ev.Log))
 }
 
-// collectRDAP performs step 2 on the serial path: the one blocking lookup
-// (or injected failure), then the shared outcome recording.
-func (p *Pipeline) collectRDAP(cand *Candidate, injectedFailure bool) {
-	if injectedFailure {
-		p.finishRDAP(cand, nil, rdap.ErrRateLimited)
-		return
+// collectRDAP performs step 2 without a dispatcher: the one lookup (or
+// injected failure) at now, the timer's own firing instant, then the
+// shared outcome recording.
+func (p *Pipeline) collectRDAP(cand *Candidate, injectedFailure bool, now time.Time) {
+	var rec *rdap.Record
+	err := rdap.ErrRateLimited
+	if !injectedFailure {
+		if p.rdapAt != nil {
+			rec, err = p.rdapAt.DomainAt(context.Background(), cand.Domain, now)
+		} else {
+			rec, err = p.rdapQ.Domain(context.Background(), cand.Domain)
+		}
 	}
-	rec, err := p.rdapQ.Domain(context.Background(), cand.Domain)
-	p.finishRDAP(cand, rec, err)
+	p.finishRDAP(cand, rec, err, now)
 }
 
-// collectRDAPAt is collectRDAP fired from an effect-tagged timer: the
-// lookup and the outcome stamp both use the event's own instant.
-func (p *Pipeline) collectRDAPAt(cand *Candidate, injectedFailure bool, now time.Time, qa rdap.QuerierAt) {
-	if injectedFailure {
-		p.finishRDAPAt(cand, nil, rdap.ErrRateLimited, now)
-		return
-	}
-	rec, err := qa.DomainAt(context.Background(), cand.Domain, now)
-	p.finishRDAPAt(cand, rec, err, now)
-}
-
-// finishRDAP records a step-2 outcome — delivered synchronously by
-// collectRDAP or asynchronously by a dispatch worker — and runs the
-// step 4 validation. Safe for concurrent use: outcomes for distinct
-// candidates land on their own store stripes.
-func (p *Pipeline) finishRDAP(cand *Candidate, rec *rdap.Record, err error) {
-	p.finishRDAPAt(cand, rec, err, p.clk.Now())
-}
-
-// finishRDAPAt is finishRDAP with the completion instant passed
-// explicitly (tagged events must not read the clock).
-func (p *Pipeline) finishRDAPAt(cand *Candidate, rec *rdap.Record, err error, now time.Time) {
+// finishRDAP records a step-2 outcome at the completion instant now —
+// delivered by collectRDAP or by a dispatch worker, never read from the
+// clock (tagged events may fire ahead of it) — and runs the step 4
+// validation. Safe for concurrent use: outcomes for distinct candidates
+// land on their own store stripes.
+func (p *Pipeline) finishRDAP(cand *Candidate, rec *rdap.Record, err error, now time.Time) {
 	sh := p.shard(cand.Domain)
 	sh.mu.Lock()
 	cand.RDAPAt = now

@@ -336,31 +336,3 @@ func (c *Client) run(ctx context.Context, sc *subConn, opts SubscribeOptions, su
 		}
 	}
 }
-
-// Stream is the legacy consumption API, kept as a thin shim over
-// Subscribe: it connects with the framed protocol and delivers entries
-// to fn until ctx is done. from < 0 requests live tailing; otherwise
-// replay starts at the given offset. Deprecated: use Subscribe.
-func (c *Client) Stream(ctx context.Context, from int64, fn func(Entry)) error {
-	sub, err := c.Subscribe(ctx, SubscribeOptions{From: from})
-	if err != nil {
-		if ctx.Err() != nil {
-			return ErrStopped
-		}
-		return err
-	}
-	defer sub.Close()
-	for ev := range sub.C {
-		if ev.Kind == EventEntry {
-			fn(ev.Entry)
-		}
-	}
-	err = sub.Err()
-	if ctx.Err() != nil {
-		return ErrStopped
-	}
-	if errors.Is(err, ErrStopped) {
-		return ErrStopped
-	}
-	return err
-}

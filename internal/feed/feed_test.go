@@ -24,6 +24,27 @@ func startFeed(t *testing.T) (*stream.Topic, string, func()) {
 	return topic, addr.String(), func() { srv.Close() }
 }
 
+// subscribe opens a subscription at from (negative = live tail) and hands
+// every entry to fn from a goroutine of its own until the subscription
+// ends; the returned channel then carries Subscription.Err.
+func subscribe(t *testing.T, ctx context.Context, addr string, from int64, fn func(Entry)) <-chan error {
+	t.Helper()
+	sub, err := NewClient(addr).Subscribe(ctx, SubscribeOptions{From: from})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for ev := range sub.C {
+			if ev.Kind == EventEntry {
+				fn(ev.Entry)
+			}
+		}
+		done <- sub.Err()
+	}()
+	return done
+}
+
 func TestReplayFromOffset(t *testing.T) {
 	topic, addr, stop := startFeed(t)
 	defer stop()
@@ -36,7 +57,7 @@ func TestReplayFromOffset(t *testing.T) {
 	var mu sync.Mutex
 	var got []Entry
 	done := make(chan struct{})
-	go NewClient(addr).Stream(ctx, 2, func(e Entry) {
+	subscribe(t, ctx, addr, 2, func(e Entry) {
 		mu.Lock()
 		got = append(got, e)
 		if len(got) == 3 {
@@ -64,9 +85,9 @@ func TestLiveTailSkipsHistory(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	gotCh := make(chan Entry, 10)
-	go NewClient(addr).Stream(ctx, -1, func(e Entry) { gotCh <- e })
-
-	time.Sleep(100 * time.Millisecond) // allow LIVE subscription to settle
+	// Subscribe returns once the server has acknowledged the session, so
+	// the next publish is already live for it.
+	subscribe(t, ctx, addr, -1, func(e Entry) { gotCh <- e })
 	topic.Publish(t0, "new.com", nil)
 
 	select {
@@ -82,10 +103,13 @@ func TestLiveTailSkipsHistory(t *testing.T) {
 func TestBadRequestRejected(t *testing.T) {
 	_, addr, stop := startFeed(t)
 	defer stop()
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	err := NewClient(addr).Stream(ctx, 0, func(Entry) {})
-	_ = err // offset 0 on empty topic just tails; no error expected here
+	// Offset 0 on an empty topic is a valid subscription that just tails.
+	ctx, cancel := context.WithCancel(context.Background())
+	done := subscribe(t, ctx, addr, 0, func(Entry) {})
+	cancel()
+	if err := <-done; err != ErrStopped {
+		t.Errorf("tail of an empty topic ended with %v, want ErrStopped", err)
+	}
 	// Now a malformed command straight over TCP.
 	conn, err := dial(addr)
 	if err != nil {
@@ -108,16 +132,14 @@ func TestStreamStopsOnCancel(t *testing.T) {
 	_, addr, stop := startFeed(t)
 	defer stop()
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- NewClient(addr).Stream(ctx, -1, func(Entry) {}) }()
-	time.Sleep(50 * time.Millisecond)
+	done := subscribe(t, ctx, addr, -1, func(Entry) {})
 	cancel()
 	select {
 	case err := <-done:
 		if err != ErrStopped {
-			t.Errorf("Stream returned %v, want ErrStopped", err)
+			t.Errorf("subscription ended with %v, want ErrStopped", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Stream did not stop")
+		t.Fatal("subscription did not stop")
 	}
 }

@@ -665,8 +665,10 @@ func TestClientAutoResume(t *testing.T) {
 	}
 }
 
-// TestStreamShimStopsOnCancelAndReplays keeps the deprecated Stream
-// surface pinned to its historical contract on top of Subscribe.
+// TestStreamShimStopsOnCancelAndReplays (the name is from the retired
+// Client.Stream shim) pins its contract on Subscribe itself: a consumer
+// that cancels from inside its own loop, right after the last replayed
+// entry, sees exactly the replay and then ErrStopped.
 func TestStreamShimStopsOnCancelAndReplays(t *testing.T) {
 	topic, addr, stop := startFeed(t)
 	defer stop()
@@ -675,22 +677,19 @@ func TestStreamShimStopsOnCancelAndReplays(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var got []string
-	done := make(chan error, 1)
-	go func() {
-		done <- NewClient(addr).Stream(ctx, 0, func(e Entry) {
-			got = append(got, e.Domain)
-			if len(got) == 2 {
-				cancel()
-			}
-		})
-	}()
+	done := subscribe(t, ctx, addr, 0, func(e Entry) {
+		got = append(got, e.Domain)
+		if len(got) == 2 {
+			cancel()
+		}
+	})
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrStopped) {
-			t.Errorf("Stream returned %v, want ErrStopped", err)
+			t.Errorf("subscription ended with %v, want ErrStopped", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Stream did not stop")
+		t.Fatal("subscription did not stop")
 	}
 	if len(got) != 2 || got[0] != "a.com" {
 		t.Errorf("replayed %v", got)

@@ -13,89 +13,6 @@ import (
 	"darkdns/internal/simclock"
 )
 
-// --- reorder buffer unit tests ---------------------------------------
-
-// TestReorderBufferMaximalRange: completions 1,2,3 then 0 must come out
-// as one release [0,4) — the pump coalesces every contiguous completed
-// slot past the cursor, it never releases one at a time.
-func TestReorderBufferMaximalRange(t *testing.T) {
-	b := newReorderBuffer(5)
-	for _, slot := range []int{1, 2, 3, 0} {
-		b.complete(slot)
-	}
-	lo, hi, ok := b.release()
-	if !ok || lo != 0 || hi != 4 {
-		t.Fatalf("release = [%d,%d) ok=%v, want [0,4) true", lo, hi, ok)
-	}
-	b.complete(4)
-	lo, hi, ok = b.release()
-	if !ok || lo != 4 || hi != 5 {
-		t.Fatalf("release = [%d,%d) ok=%v, want [4,5) true", lo, hi, ok)
-	}
-	if _, _, ok = b.release(); ok {
-		t.Fatal("release after all slots must report done")
-	}
-}
-
-// TestReorderBufferAdversarialOrders drives the buffer with completion
-// permutations matching the adversarial backend's repertoire and checks
-// the released sequence is always 0..n-1 in order. For orders that hold
-// slot 0 to the end the held counter is deterministic: every other
-// completion arrives ahead of a cursor pinned at 0, so held == n-1.
-func TestReorderBufferAdversarialOrders(t *testing.T) {
-	const n = 16
-	orders := map[string]struct {
-		slots    []int
-		wantHeld int64 // -1 = scheduling-dependent, don't assert
-	}{
-		"in-order":    {slots: seq(0, n, 1), wantHeld: -1},
-		"reverse":     {slots: seq(n-1, -1, -1), wantHeld: n - 1},
-		"straggler":   {slots: append(seq(1, n, 1), 0), wantHeld: n - 1},
-		"interleaved": {slots: append(seq(1, n, 2), seq(0, n, 2)...), wantHeld: n - 1},
-	}
-	for name, order := range orders {
-		t.Run(name, func(t *testing.T) {
-			if len(order.slots) != n {
-				t.Fatalf("bad order: %v", order.slots)
-			}
-			b := newReorderBuffer(n)
-			var released []int
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for {
-					lo, hi, ok := b.release()
-					if !ok {
-						return
-					}
-					for i := lo; i < hi; i++ {
-						released = append(released, i)
-					}
-				}
-			}()
-			for _, slot := range order.slots {
-				b.complete(slot)
-			}
-			<-done
-			if !reflect.DeepEqual(released, seq(0, n, 1)) {
-				t.Errorf("released %v, want 0..%d in order", released, n-1)
-			}
-			if order.wantHeld >= 0 && b.held != order.wantHeld {
-				t.Errorf("held = %d, want %d", b.held, order.wantHeld)
-			}
-		})
-	}
-}
-
-// seq returns [from, to) stepping by step (negative steps count down).
-func seq(from, to, step int) []int {
-	var out []int
-	for i := from; (step > 0 && i < to) || (step < 0 && i > to); i += step {
-		out = append(out, i)
-	}
-	return out
-}
-
 // --- permutation-injecting backend ------------------------------------
 
 // permBatchBackend completes a round's probe slices in an adversarial
@@ -181,7 +98,7 @@ func obsLog(f *Fleet) *[]string {
 	return &log
 }
 
-// applyScript drives the canonical apply-engine campaign shape against
+// applyScript drives the canonical apply-stage campaign shape against
 // backend: watch the 40 given domains (scripted alive), take a third
 // down at 2 h, advance to 4 h. Returns the observation log and report.
 func applyScript(f *Fleet, b *fakeBackend, clk *simclock.Sim, domains []string) ([]string, FleetReport) {
@@ -198,11 +115,11 @@ func applyScript(f *Fleet, b *fakeBackend, clk *simclock.Sim, domains []string) 
 	return *log, f.Report()
 }
 
-// TestApplyPermutationAdversarialOrders is the apply engine's property
+// TestApplyPermutationAdversarialOrders is the apply stage's property
 // test: for every adversarial probe-completion order — reverse,
 // interleaved, one-straggler, and a shard-colliding watch set — the
-// delivered observation sequence must be identical to the serial path's,
-// and every probe must count exactly one apply and one in-order release.
+// delivered observation sequence must be identical to the width-0
+// fleet's over a plain per-domain backend.
 func TestApplyPermutationAdversarialOrders(t *testing.T) {
 	const sliceLen, slices = 5, 8 // 40 domains at ProbeWorkers=8
 	perms := map[string][]int{
@@ -218,7 +135,7 @@ func TestApplyPermutationAdversarialOrders(t *testing.T) {
 
 	for setName, domains := range domainSets {
 		// Serial baseline: a plain Backend behind the per-domain adapter,
-		// inline apply + delivery.
+		// every width 0.
 		sb := newFakeBackend()
 		sf, sclk := newFleet(sb)
 		want, _ := applyScript(sf, sb, sclk, domains)
@@ -239,22 +156,12 @@ func TestApplyPermutationAdversarialOrders(t *testing.T) {
 					cfg.ProbeWorkers = slices
 					cfg.ApplyWorkers = aw
 					f := NewFleet(cfg, clk, b)
-					got, rep := applyScript(f, b.fakeBackend, clk, domains)
+					got, _ := applyScript(f, b.fakeBackend, clk, domains)
 					if !reflect.DeepEqual(want, got) {
 						t.Fatalf("observation stream diverges from serial (%d vs %d entries)", len(got), len(want))
 					}
 					if b.gated.Load() == 0 {
 						t.Fatal("adversarial gate never engaged")
-					}
-					if rep.ParallelApplies != rep.Probes || rep.ReorderReleases != rep.Probes {
-						t.Errorf("applies=%d releases=%d, want both == probes=%d",
-							rep.ParallelApplies, rep.ReorderReleases, rep.Probes)
-					}
-					// Any order that withholds slice 0 forces later slots
-					// through the buffer while the cursor waits at the
-					// round's first slot, so resequencing must be visible.
-					if permName != "identity" && aw == 8 && rep.ReorderHeld == 0 {
-						t.Errorf("%s: no applies held — adversarial order never resequenced", permName)
 					}
 				})
 			}
@@ -285,9 +192,9 @@ func collidingDomains(n int) []string {
 }
 
 // TestApplyWidthCombosDeterministic covers the width cross-products the
-// engine must be indifferent to: more probe slices than apply workers,
-// more apply workers than probe slices, the apply engine over per-domain
-// (non-batch) stage 1, and a single apply worker.
+// round must be indifferent to: more probe slices than apply workers,
+// more apply workers than probe slices, wide applies under the fleet's
+// own slice count, and a single apply worker.
 func TestApplyWidthCombosDeterministic(t *testing.T) {
 	domains := nDomains(40)
 	sb := newFakeBackend()
@@ -311,23 +218,17 @@ func TestApplyWidthCombosDeterministic(t *testing.T) {
 			cfg.ProbeWorkers = c.pw
 			cfg.ApplyWorkers = c.aw
 			f := NewFleet(cfg, clk, b)
-			got, rep := applyScript(f, b.fakeBackend, clk, domains)
+			got, _ := applyScript(f, b.fakeBackend, clk, domains)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("observation stream diverges from serial (%d vs %d entries)", len(got), len(want))
-			}
-			// The Stats contract: every probe is exactly one apply and one
-			// in-order release, at any width combination.
-			if rep.ParallelApplies != rep.Probes || rep.ReorderReleases != rep.ParallelApplies {
-				t.Errorf("probes=%d applies=%d releases=%d, want all equal",
-					rep.Probes, rep.ParallelApplies, rep.ReorderReleases)
 			}
 		})
 	}
 }
 
-// TestApplySingleWatchRound: a one-domain campaign rides the engine's
-// degenerate single-slot path — no goroutines, but the same counters and
-// the same observable stream as the serial path.
+// TestApplySingleWatchRound: a one-domain campaign at apply width 8 runs
+// every round as the plain one-slot loop — the same probes and the same
+// observable stream as width 0.
 func TestApplySingleWatchRound(t *testing.T) {
 	sb := newFakeBackend()
 	sf, sclk := newFleet(sb)
@@ -349,21 +250,47 @@ func TestApplySingleWatchRound(t *testing.T) {
 	if !reflect.DeepEqual(*slog, *plog) {
 		t.Fatalf("single-watch stream diverges: %d vs %d entries", len(*plog), len(*slog))
 	}
-	rep := f.Report()
-	if rep.Probes != 13 || rep.ParallelApplies != 13 || rep.ReorderReleases != 13 {
-		t.Errorf("probes=%d applies=%d releases=%d, want 13 each (1 admission + 12 rounds)",
-			rep.Probes, rep.ParallelApplies, rep.ReorderReleases)
+	if rep := f.Report(); rep.Probes != 13 || len(*plog) != 13 {
+		t.Errorf("probes=%d observations=%d, want 13 each (1 admission + 12 rounds)", rep.Probes, len(*plog))
 	}
-	if rep.ReorderHeld != 0 {
-		t.Errorf("held=%d on single-slot rounds, want 0", rep.ReorderHeld)
+}
+
+// TestObserverSeesOwnDomainApplied pins what an observer may rely on now
+// that delivery follows the whole round's applies at every width: inside
+// its callback, Fleet.State of the observed domain already counts this
+// probe — Probes equals the observation's ordinal for that domain.
+func TestObserverSeesOwnDomainApplied(t *testing.T) {
+	for _, aw := range []int{0, 1, 8} {
+		t.Run(fmt.Sprintf("apply-%d", aw), func(t *testing.T) {
+			b := &fakeBatchBackend{fakeBackend: newFakeBackend()}
+			clk := simclock.NewSim(t0)
+			cfg := DefaultConfig()
+			cfg.ApplyWorkers = aw
+			f := NewFleet(cfg, clk, b)
+			ordinal := map[string]int{}
+			f.OnObservation(func(o Observation) {
+				ordinal[o.Domain]++
+				st, ok := f.State(o.Domain)
+				if !ok || st.Probes != ordinal[o.Domain] {
+					t.Errorf("%s observation %d: State.Probes = %d (found=%v)", o.Domain, ordinal[o.Domain], st.Probes, ok)
+				}
+			})
+			for _, d := range nDomains(40) {
+				b.set(d, []string{"ns1.a.net"})
+				f.Watch(d)
+			}
+			clk.Advance(2 * time.Hour)
+			if len(ordinal) != 40 || ordinal[domainN(0)] != 13 {
+				t.Fatalf("observed %d domains, %d probes of the first; want 40 and 13", len(ordinal), ordinal[domainN(0)])
+			}
+		})
 	}
 }
 
 // TestStopWhenDeadRacingStragglerApply: retirement happens inside apply
-// (Finished + active decrement) while the straggler permutation holds
-// the round's first slice hostage — the death round's later slots apply and
-// wait in the buffer while earlier slots are still probing. Final states
-// and the observation stream must match the serial path exactly.
+// (Finished + active decrement), eight applies wide, in a round whose
+// first probe slice the straggler permutation lands last. Final states
+// and the observation stream must match the width-0 fleet exactly.
 func TestStopWhenDeadRacingStragglerApply(t *testing.T) {
 	domains := nDomains(40)
 	script := func(f *Fleet, b *fakeBackend, clk *simclock.Sim) ([]string, []DomainState) {
@@ -466,9 +393,9 @@ func TestActiveSetEmptiesMidCampaign(t *testing.T) {
 
 // TestApplyEngineShardContentionRaceHammer is the -race workout: a watch
 // set that all hashes to one shard (maximum apply-lock contention),
-// admitted from concurrent goroutines, probed through the full engine
-// stack while readers hammer State/States/Report. Correctness here is
-// "the race detector stays quiet and the counters balance".
+// admitted from concurrent goroutines, probed and applied eight wide
+// while readers hammer State/States/Report. Correctness here is "the race
+// detector stays quiet and every watch was probed".
 func TestApplyEngineShardContentionRaceHammer(t *testing.T) {
 	domains := collidingDomains(64)
 	b := &fakeBatchBackend{fakeBackend: newFakeBackend()}
@@ -516,11 +443,7 @@ func TestApplyEngineShardContentionRaceHammer(t *testing.T) {
 	readers.Wait()
 
 	rep := f.Report()
-	if rep.Watched != 64 || rep.Probes == 0 {
-		t.Fatalf("watched=%d probes=%d", rep.Watched, rep.Probes)
-	}
-	if rep.ParallelApplies != rep.Probes || rep.ReorderReleases != rep.Probes {
-		t.Errorf("applies=%d releases=%d, want both == probes=%d",
-			rep.ParallelApplies, rep.ReorderReleases, rep.Probes)
+	if want := int64(64 * 19); rep.Watched != 64 || rep.Probes != want {
+		t.Fatalf("watched=%d probes=%d, want 64 and %d (1 admission + 18 rounds each)", rep.Watched, rep.Probes, want)
 	}
 }

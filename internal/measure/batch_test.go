@@ -57,7 +57,7 @@ func TestBatchedRoundsDeterministicAcrossProbeWidths(t *testing.T) {
 		{"batch-w0", true, 0, advance},
 		{"batch-w1", true, 1, advance},
 		{"batch-w8", true, 8, advance},
-		{"batch-w8-clock", true, 8, func(s *simclock.Sim) { s.RunUntilBatched(t0.Add(49*time.Hour), 8) }},
+		{"batch-w8-clock", true, 8, func(s *simclock.Sim) { s.RunUntilLookahead(t0.Add(49*time.Hour), 0, 8) }},
 	}
 	logs := make(map[string][]string)
 	for _, m := range modes {

@@ -20,18 +20,18 @@
 // scales with rounds, not probes, and the round's working memory is
 // owned by the fleet and reused from round to round.
 //
-// Stage 2 of a round — per-domain state apply + observer delivery — runs
-// serially by default, or (Config.ApplyWorkers ≥ 1) through the apply
-// engine: applies fan out across workers as probe results land, striped
-// onto the watch registry's shard locks, while a sequencing reorder
-// buffer in front of the observers releases delivery strictly in
-// admission order (DESIGN.md §14).
+// Stage 2 of a round has one path too (DESIGN.md §14): once the round's
+// probes are in, per-domain state applies run over the same contiguous
+// slices cut at the apply width — applies of distinct domains commute and
+// stripe onto the watch registry's shard locks — and then observers fire
+// on the round goroutine in admission order.
 //
 // Concurrency model (DESIGN.md §7): the watch registry is sharded 32
-// ways with copy-on-write observer lists; round probe batches fan out on
-// workpool. Determinism contract: because probes are side-effect-free
-// reads and delivery stays in admission order, fleet reports are
-// byte-identical at any pool width and under either clock drain mode.
+// ways with copy-on-write observer lists; round probe batches and applies
+// fan out on workpool at the widths workpool.Engines declares.
+// Determinism contract: because probes are side-effect-free reads, a
+// domain appears once per round and delivery stays in admission order,
+// fleet reports are byte-identical at any width and clock drain setting.
 package measure
 
 import (
@@ -158,23 +158,9 @@ type Config struct {
 	Workers  int           // paper: 16
 	Interval time.Duration // paper: 10 minutes
 	Window   time.Duration // paper: 48 hours
-	// ProbeWorkers is how many contiguous slices a round's watch set is
-	// cut into, each submitted as one ProbeBatch call on its own pool
-	// goroutine: ≥1 means exactly that many (fewer only when the round is
-	// smaller), 0 lets the fleet choose from the round size — one slice
-	// per 256 targets (minSlice), at most Workers. Slices are admission-ordered
-	// and results positional, so fleet output is byte-identical at any
-	// width (the probe-engine determinism contract).
-	ProbeWorkers int
-	// ApplyWorkers selects the apply engine for stage 2 of every round:
-	// 0 applies state and delivers observations inline in admission
-	// order (the serial baseline), ≥1 fans Fleet.apply across this many
-	// workers as probe results land — safe because applies stripe onto
-	// the watch registry's shard locks — while a sequencing reorder
-	// buffer in front of the observers releases delivery strictly in
-	// admission order, so apply width never reorders an observable
-	// (the apply-engine determinism contract, DESIGN.md §14).
-	ApplyWorkers int
+	// Engines carries the concurrency settings; the fleet reads
+	// ProbeWorkers (stage 1) and ApplyWorkers (stage 2).
+	workpool.Engines
 	// Revalidate is the probe-cadence policy; its Cadence, when set,
 	// overrides Interval.
 	Revalidate RevalidatePolicy
@@ -252,11 +238,6 @@ type Fleet struct {
 	rounds   atomic.Int64 // coalesced rounds executed
 	maxRound atomic.Int64 // widest round (domains probed in one event)
 
-	// Apply-engine counters (zero on the serial stage-2 path).
-	applies  atomic.Int64 // state applies executed by the apply fan-out
-	releases atomic.Int64 // observations released through the reorder buffer
-	heldBack atomic.Int64 // applies that completed ahead of the release cursor
-
 	// observers is a copy-on-write list: registrations are rare and
 	// serialized by obsMu, probe ticks read it lock-free.
 	obsMu     sync.Mutex
@@ -302,7 +283,11 @@ func (f *Fleet) shard(domain string) *watchShard {
 }
 
 // OnObservation registers fn to receive every probe result (the pipeline
-// feeds these into its Kafka topic).
+// feeds these into its Kafka topic). Observers run on the round's own
+// goroutine, in admission order, after every state apply of the round: an
+// observation reflects exactly its own domain's post-apply state (a
+// domain appears once per round), and the round's other domains already
+// show theirs.
 func (f *Fleet) OnObservation(fn func(Observation)) {
 	f.obsMu.Lock()
 	defer f.obsMu.Unlock()
@@ -352,7 +337,7 @@ func (f *Fleet) Watch(domain string) {
 	// concurrently. Under a Sim clock Watch runs inside a clock event,
 	// so the ordering is unobservable there. The probe works in memory
 	// of its own, never the round's buf: a round may be in flight on
-	// another goroutine (real-time clock, lookahead and batched drains).
+	// another goroutine (real-time clock, or a Sim drained with a pool).
 	var one struct {
 		target [1]*DomainState
 		name   [1]string
@@ -521,17 +506,15 @@ func (p perDomain) ProbeBatch(domains []string, mail bool) []ProbeResult {
 	return out
 }
 
-// probeRound executes one coalesced measurement round over buf. Stage 1
-// (probeStage) resolves the whole batch, slice by slice, through
+// probeRound executes one coalesced measurement round over buf, in three
+// phases. probeStage resolves the whole batch, slice by slice, through
 // ProbeBatch; backend reads are side-effect-free, so execution order is
-// unobservable. Stage 2 applies state updates and delivers observations
-// in watch-admission order, the order the per-domain scheduler produced
-// — inline on this goroutine by default, or through the apply engine's
-// fan-out + reorder buffer when ApplyWorkers ≥ 1 (apply.go); probe and
-// apply width therefore never reorder an observable, and campaigns stay
-// byte-identical across probe widths, apply widths, and clock drains.
-// Observers receive each Observation by value, so buf is free for reuse
-// as soon as probeRound returns.
+// unobservable. applyStage records every result into its domain's state.
+// Then observers fire in watch-admission order, the order the per-domain
+// scheduler produced — so probe and apply width never reorder an
+// observable, and campaigns stay byte-identical across widths and clock
+// drains. Observers receive each Observation by value, so buf is free for
+// reuse as soon as probeRound returns.
 func (f *Fleet) probeRound(buf roundBuf, now time.Time) {
 	// An empty round makes no backend call and divides by no slice
 	// count. A StopWhenDead campaign whose active set empties mid-flight
@@ -539,15 +522,10 @@ func (f *Fleet) probeRound(buf roundBuf, now time.Time) {
 	if len(buf.targets) == 0 {
 		return
 	}
-	if f.cfg.ApplyWorkers > 0 {
-		f.roundPipelined(buf, now)
-		return
-	}
-	f.probeStage(buf, now, nil)
-	obsFns := f.observers.Load()
-	for i, st := range buf.targets {
-		f.apply(st, &buf.results[i], now)
-		if obsFns != nil {
+	f.probeStage(buf, now)
+	f.applyStage(buf, now)
+	if obsFns := f.observers.Load(); obsFns != nil {
+		for i := range buf.results {
 			for _, fn := range *obsFns {
 				fn(buf.results[i].obs)
 			}
@@ -581,11 +559,7 @@ func (f *Fleet) sliceCount(n int) int {
 // positional — slot j of slice [lo, hi) lands in results[lo+j] — and
 // mail fields are copied only when the probe is in-zone, so a backend
 // that answers MX/TXT for out-of-zone names cannot diverge the campaign.
-// landed, when non-nil, is invoked once per slice as soon as its results
-// are final — the apply engine feeds its fan-out from this callback, so
-// applies start while slower slices are still resolving. landed may be
-// called concurrently from multiple pool workers.
-func (f *Fleet) probeStage(buf roundBuf, now time.Time, landed func(lo, hi int)) {
+func (f *Fleet) probeStage(buf roundBuf, now time.Time) {
 	n := len(buf.targets)
 	w := f.sliceCount(n)
 	workpool.Run(w, w, func(s int) {
@@ -608,8 +582,26 @@ func (f *Fleet) probeStage(buf roundBuf, now time.Time, landed func(lo, hi int))
 			}
 			buf.results[lo+j] = r
 		}
-		if landed != nil {
-			landed(lo, hi)
+	})
+}
+
+// applyStage is stage 2 of a round: every result is recorded into its
+// domain's state. A domain appears once per round and apply touches only
+// that domain's state under its shard lock, so applies commute and the
+// round is cut into ApplyWorkers contiguous slices on the pool; width
+// ≤ 1, or a one-slot round, is the plain loop on the round goroutine.
+func (f *Fleet) applyStage(buf roundBuf, now time.Time) {
+	n := len(buf.targets)
+	w := min(f.cfg.ApplyWorkers, n)
+	if w <= 1 {
+		for i, st := range buf.targets {
+			f.apply(st, &buf.results[i], now)
+		}
+		return
+	}
+	workpool.Run(w, w, func(s int) {
+		for i := s * n / w; i < (s+1)*n/w; i++ {
+			f.apply(buf.targets[i], &buf.results[i], now)
 		}
 	})
 }
@@ -739,16 +731,10 @@ type FleetReport struct {
 	NSChanged  int   // domains whose delegation changed mid-watch
 	Rounds     int64 // coalesced probe rounds executed (clock events)
 	MaxRound   int   // most domains probed in one round
-	// Apply-engine counters, all zero when ApplyWorkers == 0.
-	// ParallelApplies and ReorderReleases are deterministic for a given
-	// config (every probe is exactly one apply and one in-order release,
-	// so both equal Probes); ReorderHeld counts applies that completed
-	// ahead of the release cursor and waited in the buffer — a
-	// scheduling-dependent measure of how much resequencing the buffer
-	// actually performed.
-	ParallelApplies int64
-	ReorderReleases int64
-	ReorderHeld     int64
+	// ReorderHeld is always 0: no apply is held back for resequencing.
+	// The field exists only because bench/campaign.go reads it, and goes
+	// with the measure.reorder_held ledger row in the next benchmark PR.
+	ReorderHeld int64
 	// Dispatch holds the attached dispatcher's counters; zero-valued
 	// when step 2 runs on the serial path.
 	Dispatch rdap.DispatchStats
@@ -783,9 +769,6 @@ func (f *Fleet) Report() FleetReport {
 	}
 	rep.Rounds = f.rounds.Load()
 	rep.MaxRound = int(f.maxRound.Load())
-	rep.ParallelApplies = f.applies.Load()
-	rep.ReorderReleases = f.releases.Load()
-	rep.ReorderHeld = f.heldBack.Load()
 	if d := f.dispatcher.Load(); d != nil {
 		rep.Dispatch = d.Stats()
 	}

@@ -82,7 +82,7 @@ func TestRoundObservationsDeterministicAcrossPoolWidths(t *testing.T) {
 	modes := []runMode{
 		{"serial-w1", 1, func(s *simclock.Sim) { s.Advance(49 * time.Hour) }},
 		{"serial-w16", 16, func(s *simclock.Sim) { s.Advance(49 * time.Hour) }},
-		{"batched-w16", 16, func(s *simclock.Sim) { s.RunUntilBatched(t0.Add(49*time.Hour), 8) }},
+		{"batched-w16", 16, func(s *simclock.Sim) { s.RunUntilLookahead(t0.Add(49*time.Hour), 0, 8) }},
 	}
 	logs := make(map[string][]string)
 	for _, m := range modes {

@@ -44,26 +44,20 @@ type Query struct {
 	// draws them from its per-domain generator) decide injection
 	// themselves; otherwise DispatcherConfig.FailureRate applies.
 	InjectFailure bool
-	// Done receives the outcome. It is called exactly once — from a
-	// dispatch worker, or synchronously from Enqueue when the TLD queue
-	// sheds the query — and must not block.
-	Done func(*Record, error)
-	// DoneAt, when set, is preferred over Done and additionally receives
-	// the completion instant. Under a lookahead-draining clock the
-	// dispatcher's due-timers are effect-tagged and may fire ahead of
-	// committed time; DoneAt callers get the event's own instant where a
-	// Done callback would have to read the (lagging) clock.
-	DoneAt func(*Record, error, time.Time)
+	// Done receives the outcome and the completion instant. It is called
+	// exactly once — from a dispatch worker, or synchronously from Enqueue
+	// when the TLD queue sheds the query — and must not block. The
+	// instant is the completing event's own: under a lookahead-draining
+	// clock the dispatcher's due-timers are effect-tagged and may fire
+	// ahead of committed time, so a callback must use it instead of
+	// reading the (lagging) clock. A nil Done discards the outcome.
+	Done func(*Record, error, time.Time)
 }
 
-// finish reports the outcome through DoneAt or Done.
+// finish reports the outcome through Done.
 func (q *Query) finish(rec *Record, err error, now time.Time) {
-	if q.DoneAt != nil {
-		q.DoneAt(rec, err, now)
-		return
-	}
 	if q.Done != nil {
-		q.Done(rec, err)
+		q.Done(rec, err, now)
 	}
 }
 

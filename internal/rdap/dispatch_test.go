@@ -51,7 +51,7 @@ func TestDispatcherDrainsPerTLDQueues(t *testing.T) {
 		batch = append(batch, Query{
 			Domain: fmt.Sprintf("d%d.%s", i, tld),
 			Delay:  time.Duration(i) * time.Minute,
-			Done: func(rec *Record, err error) {
+			Done: func(rec *Record, err error, _ time.Time) {
 				if err != nil || rec == nil {
 					t.Errorf("unexpected outcome: %v, %v", rec, err)
 				}
@@ -105,7 +105,7 @@ func TestDispatcherShedsAtQueueDepth(t *testing.T) {
 		ok := d.Enqueue(Query{
 			Domain: fmt.Sprintf("d%d.com", i),
 			Delay:  time.Second,
-			Done: func(rec *Record, err error) {
+			Done: func(rec *Record, err error, _ time.Time) {
 				if errors.Is(err, ErrRateLimited) {
 					shedErrs.Add(1)
 				}
@@ -139,7 +139,7 @@ func TestDispatcherShedsAtQueueDepth(t *testing.T) {
 		t.Errorf("backend calls %d, want 4 (shed queries never reach it)", backend.calls.Load())
 	}
 	// A drained queue accepts again.
-	if !d.Enqueue(Query{Domain: "later.com", Done: func(*Record, error) { doneCh <- struct{}{} }}) {
+	if !d.Enqueue(Query{Domain: "later.com", Done: func(*Record, error, time.Time) { doneCh <- struct{}{} }}) {
 		t.Fatal("post-drain enqueue rejected")
 	}
 	clk.Run()
@@ -159,7 +159,7 @@ func TestDispatcherInflightCap(t *testing.T) {
 	for i := 0; i < n; i++ {
 		d.Enqueue(Query{
 			Domain: fmt.Sprintf("d%d.com", i),
-			Done:   func(*Record, error) { wg.Done() },
+			Done:   func(*Record, error, time.Time) { wg.Done() },
 		})
 	}
 	wg.Wait()
@@ -185,7 +185,7 @@ func TestDispatcherFailureInjectionDeterministic(t *testing.T) {
 		failed := make(map[string]bool)
 		for i := 0; i < 400; i++ {
 			dom := fmt.Sprintf("d%d.com", i)
-			d.Enqueue(Query{Domain: dom, Done: func(rec *Record, err error) {
+			d.Enqueue(Query{Domain: dom, Done: func(rec *Record, err error, _ time.Time) {
 				mu.Lock()
 				failed[dom] = err != nil
 				mu.Unlock()
@@ -256,7 +256,7 @@ func TestDispatchEngineRace(t *testing.T) {
 				done.Add(1)
 				d.Enqueue(Query{
 					Domain: fmt.Sprintf("d%d-%d.com", w, i),
-					Done:   func(*Record, error) { done.Done() },
+					Done:   func(*Record, error, time.Time) { done.Done() },
 				})
 				if i%50 == 0 {
 					d.Stats()

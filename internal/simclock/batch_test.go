@@ -64,25 +64,52 @@ func drainRecorded(t *testing.T, drain func(s *Sim) int) []string {
 	return log
 }
 
-// TestBatchedMatchesSerialExactly: RunBatched(1) must reproduce Run's
-// delivery order byte for byte — a single-width pool degenerates to the
-// serial engine.
-func TestBatchedMatchesSerialExactly(t *testing.T) {
-	serial := drainRecorded(t, func(s *Sim) int { return s.Run() })
-	batched1 := drainRecorded(t, func(s *Sim) int { return s.RunBatched(1) })
-	if !reflect.DeepEqual(serial, batched1) {
-		t.Fatal("RunBatched(1) delivery order diverges from Run")
+// oneAtATime is the reference the drain is held to: pop the single
+// earliest event in (timestamp, seq) order, commit its instant, fire it,
+// repeat — the loop the engine ran before it popped same-instant groups.
+func oneAtATime(s *Sim) int {
+	fired := 0
+	for {
+		s.mu.Lock()
+		ev, idx := s.peek()
+		if ev == nil {
+			s.mu.Unlock()
+			return fired
+		}
+		s.popAt(idx)
+		s.now = ev.at
+		s.mu.Unlock()
+		ev.fire()
+		fired++
 	}
 }
 
-// TestBatchedWideIsPermutationWithinInstants: RunBatched(8) may reorder
+// TestBatchedMatchesSerialExactly: at width ≤ 1 the group drain must
+// reproduce the one-event-at-a-time order byte for byte, cascades that
+// schedule at the current instant included — what makes Run, RunUntil
+// and Advance the width-1 setting of the one loop instead of a loop of
+// their own.
+func TestBatchedMatchesSerialExactly(t *testing.T) {
+	serial := drainRecorded(t, oneAtATime)
+	for _, workers := range []int{0, 1} {
+		got := drainRecorded(t, func(s *Sim) int { return s.drain(unbounded, 0, workers) })
+		if !reflect.DeepEqual(serial, got) {
+			t.Fatalf("drain at workers=%d diverges from one-event-at-a-time order", workers)
+		}
+	}
+	if got := drainRecorded(t, func(s *Sim) int { return s.Run() }); !reflect.DeepEqual(serial, got) {
+		t.Fatal("Run diverges from one-event-at-a-time order")
+	}
+}
+
+// TestBatchedWideIsPermutationWithinInstants: a width-8 drain may reorder
 // parallel events within one instant but nothing else — every instant's
 // multiset of tags, and the order of instants, must match the serial
 // drain. Serial (non-par) events must additionally keep their exact
 // relative order.
 func TestBatchedWideIsPermutationWithinInstants(t *testing.T) {
 	serial := drainRecorded(t, func(s *Sim) int { return s.Run() })
-	wide := drainRecorded(t, func(s *Sim) int { return s.RunBatched(8) })
+	wide := drainRecorded(t, func(s *Sim) int { return s.drain(unbounded, 0, 8) })
 	if len(serial) != len(wide) {
 		t.Fatalf("fired %d vs %d", len(serial), len(wide))
 	}
@@ -94,7 +121,7 @@ func TestBatchedWideIsPermutationWithinInstants(t *testing.T) {
 		return m
 	}
 	if !reflect.DeepEqual(count(serial), count(wide)) {
-		t.Fatal("RunBatched(8) fired a different instant|tag multiset than Run")
+		t.Fatal("width 8 fired a different instant|tag multiset than Run")
 	}
 	// Serial (non-par) events are ordering barriers: their relative
 	// order must survive the wide pool exactly.
@@ -108,7 +135,7 @@ func TestBatchedWideIsPermutationWithinInstants(t *testing.T) {
 		return out
 	}
 	if !reflect.DeepEqual(serialOnly(serial), serialOnly(wide)) {
-		t.Fatal("RunBatched(8) reordered serial events within a group")
+		t.Fatal("width 8 reordered serial events within a group")
 	}
 }
 
@@ -193,14 +220,14 @@ func TestWheelWrap(t *testing.T) {
 }
 
 // TestStatsCounters: the engine books scheduled/fired symmetrically and
-// the batched drain tracks rounds and coalescing width.
+// every drain tracks rounds and coalescing width — Run included.
 func TestStatsCounters(t *testing.T) {
 	s := NewSim(epoch)
 	for i := 0; i < 12; i++ {
 		s.AfterPar(time.Minute, func() {})
 	}
 	s.After(2*time.Minute, func() {})
-	s.RunBatched(4)
+	s.drain(unbounded, 0, 4)
 	st := s.Stats()
 	if st.Scheduled != 13 || st.Fired != 13 || st.Pending != 0 {
 		t.Fatalf("stats: %+v", st)
@@ -208,10 +235,17 @@ func TestStatsCounters(t *testing.T) {
 	if st.Rounds != 2 || st.MaxBatch != 12 || st.Coalesced != 12 {
 		t.Fatalf("batch stats: %+v", st)
 	}
+	for i := 0; i < 3; i++ {
+		s.After(time.Minute, func() {})
+	}
+	s.Run()
+	if st := s.Stats(); st.Rounds != 3 || st.MaxBatch != 12 || st.Coalesced != 15 || st.Barriers != 0 {
+		t.Fatalf("stats after Run: %+v", st)
+	}
 }
 
 // TestBatchedRaceHammer drives concurrent After/AfterPar/At/Now/Pending
-// callers against a batched drain — the -race guard for the engine's
+// callers against a width-4 drain — the -race guard for the engine's
 // locking. Every scheduled event must fire exactly once.
 func TestBatchedRaceHammer(t *testing.T) {
 	s := NewSim(epoch)
@@ -255,12 +289,12 @@ func TestBatchedRaceHammer(t *testing.T) {
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	for {
-		s.RunBatched(4)
+		s.drain(unbounded, 0, 4)
 		select {
 		case <-done:
-			s.RunBatched(4) // final sweep for late schedulers
+			s.drain(unbounded, 0, 4) // final sweep for late schedulers
 			if s.Pending() != 0 {
-				s.RunBatched(4)
+				s.drain(unbounded, 0, 4)
 			}
 			if got, want := fired.Load(), scheduled.Load(); got != want {
 				t.Fatalf("fired %d of %d scheduled", got, want)
@@ -349,34 +383,36 @@ func TestScheduleBatchPastClampsAndCounts(t *testing.T) {
 	}
 	// Empty batches are no-ops.
 	s.ScheduleBatch(nil)
-	s.AtBatch(epoch, nil)
 	if s.Pending() != 0 {
 		t.Fatal("empty batch scheduled something")
 	}
 }
 
-// TestAtBatchSharedInstant: AtBatch schedules every callback at one
-// instant in slice order.
-func TestAtBatchSharedInstant(t *testing.T) {
+// TestDirtySlotSortDoesNotAllocate: 64 events pushed out of order into
+// one wheel tick make its slot dirty, and draining them sorts it. The
+// sort must allocate nothing: each push costs its event, the drain one
+// group buffer, and that is all (sort.Slice used to add a swapper and a
+// closure per dirty sort, 11 % of a campaign's mallocs).
+func TestDirtySlotSortDoesNotAllocate(t *testing.T) {
 	s := NewSim(epoch)
-	var order []int
-	fns := make([]func(), 10)
-	for i := range fns {
-		i := i
-		fns[i] = func() { order = append(order, i) }
-	}
-	at := epoch.Add(30 * time.Second)
-	s.AtBatch(at, fns)
-	if s.Pending() != 10 {
-		t.Fatalf("Pending = %d, want 10", s.Pending())
-	}
-	s.Run()
-	if !s.Now().Equal(at) {
-		t.Fatalf("clock at %v, want %v", s.Now(), at)
-	}
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("order[%d] = %d; AtBatch must preserve slice order", i, got)
+	fn := func() {}
+	const n = 64
+	fill := func() {
+		tick := s.Now().Truncate(wheelTick).Add(wheelTick)
+		for i := 0; i < n; i++ {
+			s.At(tick.Add(time.Duration((i*37)%n)*time.Millisecond), fn)
 		}
+		if fired := s.Run(); fired != n {
+			t.Fatalf("fired %d, want %d", fired, n)
+		}
+	}
+	// Every run lands on the next tick, so grow each slot's backing array
+	// once around the ring before counting.
+	for i := 0; i < wheelSlots; i++ {
+		fill()
+	}
+	allocs := testing.AllocsPerRun(20, fill)
+	if allocs > n+1 {
+		t.Fatalf("%v allocations for %d events in one dirty slot, want ≤ %d", allocs, n, n+1)
 	}
 }

@@ -1,17 +1,15 @@
-// Lookahead drain: the seventh engine (DESIGN.md §12). RunBatched
-// (simclock.go) broke the one-event-at-a-time ceiling but still fires
-// one *timestamp* at a time; the lookahead drain breaks the
-// one-timestamp ceiling. It pops a window of future timestamps whose
-// events are all effect-tagged (tags.go), partitions them into conflict
-// groups by transitive mask intersection, and fires disjoint groups
-// concurrently — events from different instants executing in the same
-// wall-clock round. Any tag conflict becomes an ordering barrier inside
-// its group (the group fires in (timestamp, seq) order), and any
-// untagged event stops the scan and fires as a classic full-stop
-// batched round. Under the tagged-callback contract (time-explicit
-// callbacks, masks covering every touched atom, follow-up masks ⊆
-// parent mask) the result is byte-identical to the serial drain at any
-// window and worker count.
+// Lookahead: the window >= 1 setting of the drain (simclock.go, DESIGN.md
+// §12). Without it the drain fires one timestamp at a time; with it the
+// drain pops a window of future timestamps whose events are all
+// effect-tagged (tags.go), partitions them into conflict groups by
+// transitive mask intersection, and fires disjoint groups concurrently —
+// events from different instants executing in the same wall-clock round.
+// Any tag conflict becomes an ordering barrier inside its group (the
+// group fires in (timestamp, seq) order), and any untagged event stops
+// the scan and fires as an ordinary same-instant group. Under the
+// tagged-callback contract (time-explicit callbacks, masks covering every
+// touched atom, follow-up masks ⊆ parent mask) the result is
+// byte-identical to window 0 at any window and worker count.
 package simclock
 
 import (
@@ -21,68 +19,6 @@ import (
 
 	"darkdns/internal/workpool"
 )
-
-// RunLookahead drains every pending event, firing effect-disjoint
-// events from up to `window` distinct timestamps concurrently on a
-// worker pool of the given width. window ≤ 1 still exercises the tagged
-// machinery but never crosses timestamps; workers ≤ 1 fires every group
-// serially (exact serial order). Returns the number of events fired.
-func (s *Sim) RunLookahead(window, workers int) int {
-	return s.drainLookahead(unbounded, window, workers)
-}
-
-// RunUntilLookahead is RunLookahead bounded by an absolute deadline.
-func (s *Sim) RunUntilLookahead(t time.Time, window, workers int) int {
-	return s.drainLookahead(func(time.Time) (time.Time, bool) { return t, true }, window, workers)
-}
-
-// drainLookahead alternates between two modes: scan a contiguous prefix
-// of tagged events spanning up to `window` distinct timestamps and fire
-// it as conflict groups, or — when the earliest pending event is
-// untagged — fall back to one classic same-instant batched round, which
-// advances committed time. Committed time (s.now) never advances past a
-// barrier: speculative fires leave it untouched, so Watch admissions,
-// ticker rearms and every other untagged callback observe exactly the
-// serial clock.
-func (s *Sim) drainLookahead(deadlineOf func(time.Time) (time.Time, bool), window, workers int) int {
-	if window < 1 {
-		window = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	fired := 0
-	var group []*event
-	s.mu.Lock()
-	deadline, bounded := deadlineOf(s.now)
-	for {
-		sel, masks := s.scanWindow(window, deadline, bounded)
-		if len(sel) == 0 {
-			// Earliest event is untagged (or nothing is due): one classic
-			// batched round, committing time at its instant.
-			group = s.popGroup(group[:0], deadline, bounded)
-			if len(group) == 0 {
-				break
-			}
-			s.now = group[0].at
-			s.barriers.Add(int64(len(group)))
-			s.mu.Unlock()
-			s.fireGroup(group, workers)
-			fired += len(group)
-			s.mu.Lock()
-			continue
-		}
-		s.windows.Add(1)
-		s.mu.Unlock()
-		fired += s.fireWindow(sel, masks, workers)
-		s.mu.Lock()
-	}
-	if bounded && deadline.After(s.now) {
-		s.now = deadline
-	}
-	s.mu.Unlock()
-	return fired
-}
 
 // scanWindow pops, under s.mu, a contiguous prefix of the pending queue
 // in (timestamp, seq) order consisting only of tagged due events, and

@@ -29,7 +29,7 @@ func TestLookaheadFiresAcrossTimestamps(t *testing.T) {
 			},
 		})
 	}
-	if n := s.RunLookahead(8, 4); n != 4 {
+	if n := s.drain(unbounded, 8, 4); n != 4 {
 		t.Fatalf("fired %d, want 4", n)
 	}
 	for i, d := range []string{"a.com", "b.net", "c.org", "d.io"} {
@@ -58,7 +58,7 @@ func TestLookaheadWindowOneNeverSpeculates(t *testing.T) {
 			Fn:  func(time.Time) {},
 		})
 	}
-	if n := s.RunLookahead(1, 4); n != 6 {
+	if n := s.drain(unbounded, 1, 4); n != 6 {
 		t.Fatalf("fired %d, want 6", n)
 	}
 	if st := s.Stats(); st.SpecFired != 0 {
@@ -84,7 +84,7 @@ func TestLookaheadSameAtomStaysOrdered(t *testing.T) {
 	s.ScheduleTagged(TaggedTimed{At: epoch.Add(2 * time.Minute), Tag: tag, Fn: rec(2)})
 	s.ScheduleTagged(TaggedTimed{At: epoch.Add(1 * time.Minute), Tag: tag, Fn: rec(1)})
 	s.ScheduleTagged(TaggedTimed{At: epoch.Add(3 * time.Minute), Tag: tag, Fn: rec(3)})
-	s.RunLookahead(16, 8)
+	s.drain(unbounded, 16, 8)
 	for i, v := range []int{1, 2, 3} {
 		if order[i] != v {
 			t.Fatalf("order %v, want [1 2 3]", order)
@@ -119,7 +119,7 @@ func TestLookaheadUntaggedIsBarrier(t *testing.T) {
 	})
 	s.ScheduleTagged(TaggedTimed{At: epoch.Add(3 * time.Minute), Tag: DomainTag("b.net"),
 		Fn: func(time.Time) { rec("c") }})
-	s.RunLookahead(16, 4)
+	s.drain(unbounded, 16, 4)
 	want := []string{"a", "barrier", "c"}
 	for i, v := range want {
 		if order[i] != v {
@@ -156,7 +156,7 @@ func TestLookaheadQuietHorizon(t *testing.T) {
 	// Past the quiet horizon: must not enter the first window.
 	s.ScheduleTagged(TaggedTimed{At: epoch.Add(10 * time.Minute), Tag: DomainTag("b.net"),
 		Fn: func(time.Time) { rec("late") }})
-	s.RunLookahead(16, 4)
+	s.drain(unbounded, 16, 4)
 	want := []string{"reg", "cert", "late"}
 	for i, v := range want {
 		if len(order) <= i || order[i] != v {
@@ -179,7 +179,7 @@ func TestLookaheadDynamicTagAt(t *testing.T) {
 	})
 	s.ScheduleTagged(TaggedTimed{At: epoch.Add(2 * time.Minute), Tag: DomainTag("y.net"),
 		Fn: func(time.Time) { fired++ }})
-	s.RunLookahead(8, 2)
+	s.drain(unbounded, 8, 2)
 	if fired != 2 {
 		t.Fatalf("fired %d, want 2", fired)
 	}
@@ -196,7 +196,7 @@ func TestLookaheadDynamicTagAt(t *testing.T) {
 	})
 	s2.ScheduleTagged(TaggedTimed{At: epoch.Add(2 * time.Minute), Tag: DomainTag("y.net"),
 		Fn: func(time.Time) {}})
-	s2.RunLookahead(8, 2)
+	s2.drain(unbounded, 8, 2)
 	if st := s2.Stats(); st.SpecFired != 0 {
 		t.Fatalf("SpecFired = %d, want 0 when the first event resolves untagged", st.SpecFired)
 	}
@@ -204,9 +204,10 @@ func TestLookaheadDynamicTagAt(t *testing.T) {
 
 // TestLookaheadMatchesSerialExactly: the determinism contract at engine
 // level — a mixed tagged/untagged/conflicting timeline produces the same
-// observable trace under the serial drain and under RunLookahead at
-// several windows and worker counts. Tagged callbacks log their explicit
-// instant; same-atom callbacks must interleave identically.
+// observable trace one event at a time and through the drain at every
+// setting: no lookahead at width 1 and 8 (what Run and the former batched
+// drain are), and several windows and worker counts. Tagged callbacks log
+// their explicit instant; same-atom callbacks must interleave identically.
 func TestLookaheadMatchesSerialExactly(t *testing.T) {
 	build := func(s *Sim, log *[]string, mu *sync.Mutex) {
 		rec := func(l string, at time.Time) {
@@ -238,14 +239,14 @@ func TestLookaheadMatchesSerialExactly(t *testing.T) {
 		s := NewSim(epoch)
 		var mu sync.Mutex
 		build(s, &ref, &mu)
-		s.Run()
+		oneAtATime(s)
 	}
-	for _, cfg := range []struct{ window, workers int }{{1, 1}, {4, 2}, {16, 8}} {
+	for _, cfg := range []struct{ window, workers int }{{0, 1}, {0, 8}, {1, 1}, {4, 2}, {16, 8}} {
 		var got []string
 		s := NewSim(epoch)
 		var mu sync.Mutex
 		build(s, &got, &mu)
-		s.RunLookahead(cfg.window, cfg.workers)
+		s.drain(unbounded, cfg.window, cfg.workers)
 		if len(got) != len(ref) {
 			t.Fatalf("window=%d workers=%d: %d entries, want %d", cfg.window, cfg.workers, len(got), len(ref))
 		}
@@ -309,7 +310,7 @@ func equalSlices(a, b []string) bool {
 
 // TestLookaheadTagTableRaceHammer: tagged callbacks scheduling tagged
 // follow-ups and external goroutines scheduling concurrently while the
-// lookahead drain runs — the shape `go test -race` needs to see. Every
+// lookahead runs — the shape `go test -race` needs to see. Every
 // event must fire exactly once.
 func TestLookaheadTagTableRaceHammer(t *testing.T) {
 	s := NewSim(epoch)
@@ -349,7 +350,7 @@ func TestLookaheadTagTableRaceHammer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	total := s.RunLookahead(8, 4)
+	total := s.drain(unbounded, 8, 4)
 	want := int64(roots + roots/3 + 1 + 4*32)
 	if fired.Load() != want || int64(total) != want {
 		t.Fatalf("fired %d (drain reported %d), want %d", fired.Load(), total, want)

@@ -9,26 +9,25 @@
 //
 //   - Real: a thin adapter over the time package.
 //   - Sim: a discrete-event engine. Goroutine-safe; timers fire in
-//     timestamp order when the owner calls Advance, Run or their batched
-//     counterparts.
+//     timestamp order when the owner calls Advance, Run, RunUntil or
+//     RunUntilLookahead.
 //
 // Sim stores events in a timer wheel (coarse buckets plus an overflow
 // heap, wheel.go), so pushing the dominant near-future events is O(1),
-// and offers two draining modes: the serial mode fires one callback per
-// event in (timestamp, schedule-order) order, and the batched mode
-// (RunBatched/RunUntilBatched) pops every event sharing a timestamp as
-// one group and fires runs of parallel-marked events (AfterPar) through
-// a worker pool behind a completion barrier. Parallel-marked callbacks
-// must be commutative with other same-instant parallel callbacks; under
-// that contract serial and batched drains produce byte-identical
-// campaigns at any pool width — the determinism bar
-// analysis.TestSerialBatchedClockCampaignsIdentical enforces.
-//
-// This is the repo's third engine (DESIGN.md §7), wired through
-// worldsim.World.RunBatched, analysis.RunConfig.ClockWorkers and the
-// -clock-workers flags. Bulk producers (the world builder's commit
-// engine, DESIGN.md §9) install whole timelines through
-// ScheduleBatch/AtBatch, one lock acquisition per batch.
+// and has one drain loop (drain, below) with two settings. The loop pops
+// every event sharing the earliest timestamp as one group and fires it in
+// (timestamp, schedule-order) order; at a pool width above 1, runs of
+// parallel-marked events (AfterPar) inside a group fire through a worker
+// pool behind a completion barrier; at a lookahead window of 1 or more,
+// effect-tagged events from several future timestamps fire together
+// first (lookahead.go). Run, RunUntil and Advance are width 1, window 0.
+// Parallel-marked callbacks must be commutative with other same-instant
+// parallel callbacks; under that contract, and the tagged-callback
+// contract of tags.go, every setting produces byte-identical campaigns —
+// the determinism bar the analysis package's width table enforces
+// (DESIGN.md §7, §12). Bulk producers (the world builder's commit phase,
+// DESIGN.md §9) install whole timelines through ScheduleBatch, one lock
+// acquisition per batch.
 package simclock
 
 import (
@@ -56,8 +55,9 @@ type Clock interface {
 
 // ParScheduler is the optional Clock extension for callbacks that are
 // safe to fire concurrently with other same-instant parallel callbacks.
-// Sim's batched drain may run them on a worker pool; serial drains (and
-// clocks without the extension) fire them like any other event.
+// Sim's drain may run them on a worker pool when its width is above 1;
+// at width 1 (and on clocks without the extension) they fire like any
+// other event.
 type ParScheduler interface {
 	// AfterPar schedules fn like Clock.After while declaring it
 	// commutative with every other parallel event at the same instant.
@@ -65,7 +65,7 @@ type ParScheduler interface {
 }
 
 // AfterPar schedules fn on clk, marking it parallel-safe when the clock
-// supports batched firing, and falling back to clk.After otherwise.
+// supports the mark, and falling back to clk.After otherwise.
 func AfterPar(clk Clock, d time.Duration, fn func()) {
 	if ps, ok := clk.(ParScheduler); ok {
 		ps.AfterPar(d, fn)
@@ -98,8 +98,8 @@ func (r Real) At(t time.Time, fn func()) {
 
 // Sim is a deterministic discrete-event clock. Events scheduled via After/At
 // fire, in timestamp order, when the simulation owner calls Advance, Run,
-// RunUntil or a batched variant. Callbacks run on the draining goroutine
-// (or its worker pool in batched mode) and may schedule further events.
+// RunUntil or RunUntilLookahead. Callbacks run on the draining goroutine
+// (or its worker pool at widths above 1) and may schedule further events.
 type Sim struct {
 	mu  sync.Mutex
 	now time.Time
@@ -121,7 +121,7 @@ type Sim struct {
 	rounds    atomic.Int64
 	maxBatch  atomic.Int64
 
-	// Lookahead drain counters (lookahead.go).
+	// Lookahead counters (lookahead.go).
 	windows   atomic.Int64
 	specFired atomic.Int64
 	conflicts atomic.Int64
@@ -156,8 +156,8 @@ func (s *Sim) After(d time.Duration, fn func()) {
 	s.mu.Unlock()
 }
 
-// AfterPar implements ParScheduler: fn fires like After, but the batched
-// drain may run it concurrently with other same-instant parallel events.
+// AfterPar implements ParScheduler: fn fires like After, but a drain wider
+// than 1 may run it concurrently with other same-instant parallel events.
 // fn must be commutative with them — its effects may not depend on
 // ordering within the instant.
 func (s *Sim) AfterPar(d time.Duration, fn func()) {
@@ -230,19 +230,6 @@ func (s *Sim) ScheduleBatch(entries []Timed) {
 	s.mu.Unlock()
 }
 
-// AtBatch schedules every callback at one shared instant under a single
-// lock acquisition, in slice order.
-func (s *Sim) AtBatch(at time.Time, fns []func()) {
-	if len(fns) == 0 {
-		return
-	}
-	s.mu.Lock()
-	for _, fn := range fns {
-		s.push(at, fn, false)
-	}
-	s.mu.Unlock()
-}
-
 // Pending reports the number of scheduled events not yet fired.
 func (s *Sim) Pending() int {
 	s.mu.Lock()
@@ -274,66 +261,66 @@ func (s *Sim) Advance(d time.Duration) int {
 	if d < 0 {
 		d = 0
 	}
-	return s.drain(func(now time.Time) (time.Time, bool) { return now.Add(d), true }, false, 1)
+	return s.drain(func(now time.Time) (time.Time, bool) { return now.Add(d), true }, 0, 1)
 }
 
 // RunUntil fires events in order until the clock reaches t.
-func (s *Sim) RunUntil(t time.Time) int {
-	return s.drain(func(time.Time) (time.Time, bool) { return t, true }, false, 1)
-}
+func (s *Sim) RunUntil(t time.Time) int { return s.RunUntilLookahead(t, 0, 1) }
 
 // Run fires events until none remain, returning the count fired. Callbacks
 // may schedule more events; Run continues until the queue drains.
-func (s *Sim) Run() int { return s.drain(unbounded, false, 1) }
+func (s *Sim) Run() int { return s.drain(unbounded, 0, 1) }
 
-// RunBatched drains like Run, but pops every event sharing a timestamp
-// as one group: runs of parallel-marked events (AfterPar) fire through a
-// worker pool of the given width behind a completion barrier, and
-// everything else fires serially in schedule order at its position in
-// the group. With commutative parallel callbacks, RunBatched produces
-// campaigns byte-identical to Run at any worker count; workers ≤ 1
-// degenerates to exact serial order.
-func (s *Sim) RunBatched(workers int) int { return s.drain(unbounded, true, workers) }
-
-// RunUntilBatched is RunBatched bounded by an absolute deadline.
-func (s *Sim) RunUntilBatched(t time.Time, workers int) int {
-	return s.drain(func(time.Time) (time.Time, bool) { return t, true }, true, workers)
+// RunUntilLookahead is RunUntil with both drain settings exposed: workers
+// is the pool width that parallel-marked same-instant events and
+// lookahead conflict groups fire on, window how many distinct timestamps
+// of effect-disjoint tagged events (tags.go) may fire together — 1
+// exercises the tagged machinery without crossing a timestamp, 0 switches
+// it off. With commutative parallel callbacks and the tagged contract
+// honoured, every (window, workers) produces campaigns byte-identical to
+// (0, 1), which is RunUntil. Returns the number of events fired.
+func (s *Sim) RunUntilLookahead(t time.Time, window, workers int) int {
+	return s.drain(func(time.Time) (time.Time, bool) { return t, true }, window, workers)
 }
 
-// drain is the engine core: pop due events (one at a time, or one
-// same-timestamp group in batched mode), advance now, fire, repeat.
-// deadlineOf computes the drain deadline from now under the initial
-// lock hold — the Advance TOCTOU fix — and reports whether the drain is
-// bounded at all.
-func (s *Sim) drain(deadlineOf func(time.Time) (time.Time, bool), batched bool, workers int) int {
-	if workers < 1 {
-		workers = 1
-	}
+// drain is the engine's one loop. With a lookahead window it first tries
+// to scan a prefix of tagged events and fire it as conflict groups
+// (lookahead.go); without one, or when the earliest pending event is
+// untagged, it pops the group of events sharing the earliest timestamp,
+// commits now to that instant and fires the group — in exact (timestamp,
+// seq) order at workers ≤ 1: an event a callback schedules at the current
+// instant gets a higher seq than the whole group and fires in the next
+// one, where a one-event-at-a-time loop would also have put it. Only
+// groups move now: speculative fires leave it untouched, so every
+// untagged callback observes exactly the serial clock. deadlineOf
+// computes the deadline from now under the initial lock hold — the
+// Advance TOCTOU fix — and reports whether the drain is bounded at all.
+func (s *Sim) drain(deadlineOf func(time.Time) (time.Time, bool), window, workers int) int {
 	fired := 0
 	var group []*event
 	s.mu.Lock()
 	deadline, bounded := deadlineOf(s.now)
 	for {
-		if batched {
-			group = s.popGroup(group[:0], deadline, bounded)
-			if len(group) == 0 {
-				break
+		if window >= 1 {
+			if sel, masks := s.scanWindow(window, deadline, bounded); len(sel) > 0 {
+				s.windows.Add(1)
+				s.mu.Unlock()
+				fired += s.fireWindow(sel, masks, workers)
+				s.mu.Lock()
+				continue
 			}
-			s.now = group[0].at
-			s.mu.Unlock()
-			s.fireGroup(group, workers)
-			fired += len(group)
-		} else {
-			ev := s.popDue(deadline, bounded)
-			if ev == nil {
-				break
-			}
-			s.now = ev.at
-			s.mu.Unlock()
-			ev.fire()
-			s.fired.Add(1)
-			fired++
 		}
+		group = s.popGroup(group[:0], deadline, bounded)
+		if len(group) == 0 {
+			break
+		}
+		s.now = group[0].at
+		if window >= 1 {
+			s.barriers.Add(int64(len(group)))
+		}
+		s.mu.Unlock()
+		s.fireGroup(group, workers)
+		fired += len(group)
 		s.mu.Lock()
 	}
 	if bounded && deadline.After(s.now) {
@@ -343,7 +330,7 @@ func (s *Sim) drain(deadlineOf func(time.Time) (time.Time, bool), batched bool, 
 	return fired
 }
 
-// fireGroup fires one same-timestamp batch. Maximal runs of consecutive
+// fireGroup fires one same-timestamp group. Maximal runs of consecutive
 // parallel-marked events execute on the worker pool behind a completion
 // barrier; serial events act as ordering barriers at their schedule
 // position, so an order-sensitive callback never overlaps anything.
@@ -370,24 +357,25 @@ func (s *Sim) fireGroup(group []*event, workers int) {
 	s.fired.Add(int64(len(group)))
 }
 
-// Stats are the engine's lifetime counters. Scheduled and Fired cover
-// every drain mode; Coalesced, Rounds and MaxBatch are maintained by the
-// batched drain (a round is one popped group, coalesced counts events
-// that shared their firing instant with at least one other).
+// Stats are the engine's lifetime counters. Every drain maintains
+// Scheduled, Fired, Rounds, Coalesced and MaxBatch (a round is one popped
+// same-instant group; coalesced counts events that shared theirs with at
+// least one other), so they read the same at any pool width.
 type Stats struct {
 	Scheduled int64 // events pushed via After/AfterPar/At
 	Fired     int64 // callbacks executed
 	Coalesced int64 // events fired in a same-instant group of width > 1
-	Rounds    int64 // batched groups fired
+	Rounds    int64 // same-instant groups fired
 	MaxBatch  int   // widest same-instant group fired
 	Pending   int   // scheduled but not yet fired, right now
 
-	// Lookahead drain counters (RunLookahead). A window is one
+	// Lookahead counters, zero at window 0. A window is one
 	// cross-timestamp round; SpecFired counts events fired at an instant
 	// later than their window's first timestamp; Conflicts counts tagged
 	// events whose mask intersected an existing conflict group (they
-	// joined it as an in-group ordering barrier); Barriers counts untagged
-	// events the drain had to fire as classic full-stop rounds.
+	// joined it as an in-group ordering barrier); Barriers counts the
+	// events a lookahead drain had to fire as same-instant groups because
+	// the earliest pending event was untagged.
 	Windows   int64
 	SpecFired int64
 	Conflicts int64

@@ -67,7 +67,7 @@ type TaggedTimed struct {
 	// never jumped over.
 	Quiet time.Time
 	// Par carries AfterPar's same-instant commutativity contract, honoured
-	// when a tagged event lands in a classic batched group.
+	// when a tagged event fires in a same-instant group.
 	Par bool
 	Fn  func(now time.Time)
 }
@@ -85,7 +85,7 @@ type TagScheduler interface {
 // AfterTagged schedules fn on clk with the given effect mask when the
 // clock supports tagged scheduling, and falls back to a plain untagged
 // After otherwise (the callback then receives clk.Now(), which is the
-// firing instant on every non-lookahead drain).
+// firing instant wherever no lookahead runs).
 func AfterTagged(clk Clock, d time.Duration, tag EffectTag, fn func(now time.Time)) {
 	if ts, ok := clk.(TagScheduler); ok {
 		ts.AfterTagged(d, tag, fn)

@@ -11,8 +11,9 @@
 package simclock
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -22,14 +23,13 @@ type event struct {
 	seq uint64 // tie-break so equal timestamps fire in schedule order
 	fn  func()
 	// par marks the callback commutative with other same-instant parallel
-	// events: batch-firing mode may run it concurrently with them.
+	// events: a drain wider than 1 may run it concurrently with them.
 	par bool
 
 	// Effect-tagged events (tags.go). fnT is the time-explicit callback
 	// form — it receives the event's own timestamp, which equals Now()
-	// under the serial and batched drains and is the event's virtual
-	// instant under the lookahead drain, where Now() may still lag at the
-	// last barrier. tag (static) or tagFn (resolved at scan time) carries
+	// at lookahead window 0 and is the event's virtual instant under a
+	// lookahead drain, where Now() may still lag at the last barrier. tag (static) or tagFn (resolved at scan time) carries
 	// the effect mask; a zero mask means untagged, i.e. an ordering
 	// barrier. quiet, when set, bounds how far past this event the
 	// lookahead scan may speculate (the event spawns an untagged follow-up
@@ -50,13 +50,16 @@ func (e *event) fire() {
 	e.fn()
 }
 
-// less orders events by (at, seq) — the global firing order.
-func (e *event) less(o *event) bool {
-	if e.at.Equal(o.at) {
-		return e.seq < o.seq
+// compareEvents orders events by (at, seq) — the global firing order.
+// Sequence numbers are unique, so no two events compare equal.
+func compareEvents(a, b *event) int {
+	if c := a.at.Compare(b.at); c != 0 {
+		return c
 	}
-	return e.at.Before(o.at)
+	return cmp.Compare(a.seq, b.seq)
 }
+
+func (e *event) less(o *event) bool { return compareEvents(e, o) < 0 }
 
 // eventHeap is the overflow queue ordering events by (at, seq).
 type eventHeap []*event
@@ -113,8 +116,7 @@ func (sl *slot) add(ev *event) {
 // The slot must be non-empty.
 func (sl *slot) min() *event {
 	if !sl.sorted {
-		pend := sl.evs[sl.head:]
-		sort.Slice(pend, func(i, j int) bool { return pend[i].less(pend[j]) })
+		slices.SortFunc(sl.evs[sl.head:], compareEvents)
 		sl.sorted = true
 	}
 	return sl.evs[sl.head]
@@ -219,29 +221,16 @@ func (s *Sim) popAt(idx int) *event {
 	return ev
 }
 
-// popDue removes and returns the earliest event, or nil when none is
-// pending (or none is due when bounded by deadline).
-func (s *Sim) popDue(deadline time.Time, bounded bool) *event {
-	ev, idx := s.peek()
-	if ev == nil || (bounded && ev.at.After(deadline)) {
-		return nil
-	}
-	return s.popAt(idx)
-}
-
 // popGroup removes every due event sharing the earliest timestamp,
-// appending them to buf in schedule order.
+// appending them to buf in schedule order. It returns buf unchanged when
+// nothing is pending, or nothing is due when bounded by deadline.
 func (s *Sim) popGroup(buf []*event, deadline time.Time, bounded bool) []*event {
-	first := s.popDue(deadline, bounded)
-	if first == nil {
+	first, idx := s.peek()
+	if first == nil || (bounded && first.at.After(deadline)) {
 		return buf
 	}
-	buf = append(buf, first)
-	for {
-		ev, idx := s.peek()
-		if ev == nil || !ev.at.Equal(first.at) {
-			return buf
-		}
+	for ev := first; ev != nil && ev.at.Equal(first.at); ev, idx = s.peek() {
 		buf = append(buf, s.popAt(idx))
 	}
+	return buf
 }

@@ -1,19 +1,20 @@
 // Package workpool provides the bounded work-stealing loop the hot
-// paths share: N indexed items executed by up to W goroutines pulling
-// from an atomic counter, with a completion barrier. All five engines
-// run on it — the ingest engine's batch screening (core.HandleBatch,
-// DESIGN.md §3), the RDAP dispatcher's drain rounds (§6), the batched
-// clock's parallel event groups and the fleet's probe rounds (§7), and
-// the world builder's compile and commit fan-outs (§8–§9) — so the
-// hottest concurrency idiom in the repo has one implementation to
-// review.
+// paths share — N indexed items executed by up to W goroutines pulling
+// from an atomic counter, with a completion barrier — and Engines, the
+// one declaration of the widths those paths run at (engines.go). Every
+// pooled stage runs on Run: batch screening in ingest (core.HandleBatch,
+// DESIGN.md §3), the RDAP dispatcher's drain rounds (§6), the clock's
+// parallel event groups and lookahead conflict groups (§7, §12), the
+// fleet's probe and apply slices (§10, §14) and the world builder's
+// compile and commit fan-outs (§8–§9) — so the hottest concurrency idiom
+// in the repo has one implementation to review.
 //
 // Determinism contract: Run promises nothing about execution order, so
 // callers must hand it commutative work (or, like the builder, buffer
 // order-sensitive effects and apply them serially afterwards); in
 // exchange, workers ≤ 1 degenerates to a plain loop on the caller's
-// goroutine, which is what keeps every engine's serial mode a true
-// zero-overhead baseline.
+// goroutine, which is what makes width 1 of every stage its serial form
+// instead of a second code path.
 package workpool
 
 import (

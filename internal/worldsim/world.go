@@ -8,9 +8,9 @@
 // Worlds are built in two phases. The compile phase lays every plan out
 // as a pure Layout value — each TLD's registrations, ghosts and feed
 // seedings drawn from its own subseed-derived RNG stream (layout.go) —
-// and fans out across plans on a worker pool when Config.BuildWorkers is
-// set. The commit phase (builder.go) installs layouts through a second
-// engine at Config.CommitWorkers width: per-layout record installs land
+// on a worker pool of the configured build width. The commit phase
+// (builder.go) installs layouts at the commit width (both widths are
+// fields of workpool.Engines): per-layout record installs land
 // on the 64-way sharded DomainStore and substrate seedings
 // (NOD/blocklist/DZDB/DV tokens) are commutative across the distinct
 // names different layouts own, so they fan out too; only the ghost
@@ -18,9 +18,8 @@
 // sequence numbers) stay serial in canonical (plan, chunk) order.
 //
 // Determinism contract (DESIGN.md §2, §8–§9): worlds — and the campaign
-// reports computed from them — are byte-identical at any BuildWorkers
-// and CommitWorkers width, alone or stacked with the ingest, RDAP
-// dispatch and batched-clock engines.
+// reports computed from them — are byte-identical at any build and commit
+// width, alone or combined with every other workpool.Engines setting.
 package worldsim
 
 import (
@@ -40,6 +39,7 @@ import (
 	"darkdns/internal/registrar"
 	"darkdns/internal/registry"
 	"darkdns/internal/simclock"
+	"darkdns/internal/workpool"
 )
 
 // Config parameterizes a world.
@@ -50,19 +50,10 @@ type Config struct {
 	Scale float64    // fraction of paper volumes to generate
 	Plans []TLDPlan  // nil → PaperPlans(); plans must have distinct TLDs
 	CCTLD *CCTLDPlan // nil → PaperCCTLD()
-	// BuildWorkers selects the builder's compile fan-out: 0 compiles
-	// per-TLD layouts serially on the caller, ≥1 compiles them on a
-	// worker pool this wide. Every width builds a byte-identical world —
-	// each plan draws from its own seed-derived RNG stream.
-	BuildWorkers int
-	// CommitWorkers selects the commit engine's fan-out: 0 installs
-	// compiled layouts serially on the caller, ≥1 installs them on a
-	// worker pool this wide — record installs stripe across the sharded
-	// DomainStore and substrate seedings commute across the distinct
-	// names layouts own, while the ghost ledger and clock timelines stay
-	// serial in canonical order. Every width builds a byte-identical
-	// world.
-	CommitWorkers int
+	// Engines carries the concurrency settings; the builder reads
+	// BuildWorkers and CommitWorkers. Like SnapshotPath they change how a
+	// world is built, never what it is.
+	workpool.Engines
 	// FastDeletedMultiplier converts Table 2 detected-transient targets
 	// into ground-truth fast-deleted registrations. Detected transients
 	// are the subset that obtain a certificate before dying AND miss
@@ -272,31 +263,21 @@ func (w *World) Stop() {
 }
 
 // Run advances the clock through the full window plus a drain margin for
-// late snapshots and measurement windows.
-func (w *World) Run() {
-	w.Clock.RunUntil(w.drainDeadline())
-	w.Stop()
-}
+// late snapshots and measurement windows: RunLookahead(0, 0).
+func (w *World) Run() { w.RunLookahead(0, 0) }
 
-// RunBatched advances like Run but drains the clock in batch-firing
-// mode: events sharing a timestamp pop as one group and runs of
-// parallel-marked events (RDAP due-timers, under a dispatch-enabled
-// pipeline) fire through a pool of the given width. Campaign results are
-// byte-identical to Run for any width — the world's own ground-truth
-// events stay serial, and parallel consumers are commutative by
-// contract.
-func (w *World) RunBatched(workers int) {
-	w.Clock.RunUntilBatched(w.drainDeadline(), workers)
-	w.Stop()
-}
+// RunBatched is RunLookahead(0, workers): no lookahead, parallel-marked
+// same-instant events through a pool of the given width.
+func (w *World) RunBatched(workers int) { w.RunLookahead(0, workers) }
 
-// RunLookahead advances like Run but drains the clock in lookahead
-// mode: effect-disjoint tagged events from up to `window` distinct
-// future timestamps — domain lifecycles, RDAP due-timers, fleet probe
-// rounds — fire together on a pool of the given width, while untagged
-// events (zone rebuilds, CT issuance, snapshot publication) remain
-// full ordering barriers. Campaign results are byte-identical to Run
-// for any window and width (DESIGN.md §12).
+// RunLookahead drains the campaign through the clock's one drain
+// (simclock.Sim.RunUntilLookahead) at the given settings, then stops the
+// registry tickers. Under a pool, RDAP due-timers sharing an instant fire
+// concurrently; under a window, so do effect-disjoint tagged events of
+// different timestamps — domain lifecycles, RDAP due-timers, fleet probe
+// rounds — while untagged events (zone rebuilds, CT issuance, snapshot
+// publication) remain full ordering barriers. Campaign results are
+// byte-identical at every setting (DESIGN.md §7, §12).
 func (w *World) RunLookahead(window, workers int) {
 	w.Clock.RunUntilLookahead(w.drainDeadline(), window, workers)
 	w.Stop()
