@@ -30,7 +30,6 @@ import (
 	"darkdns/internal/feed"
 	"darkdns/internal/measure"
 	"darkdns/internal/psl"
-	"darkdns/internal/rdap"
 	"darkdns/internal/simclock"
 	"darkdns/internal/stream"
 	"darkdns/internal/worldsim"
@@ -237,12 +236,11 @@ func BenchmarkMailStats(b *testing.B) {
 // spread across every stripe: after the first cycle admits each name,
 // every further event exercises the full screen path (PSL extraction,
 // name hygiene, duplicate probe, lock-free zone filter).
-func benchPipeline(workers int) (*core.Pipeline, []certstream.Event) {
+func benchPipeline() (*core.Pipeline, []certstream.Event) {
 	clk := simclock.NewSim(time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC))
 	zones := czds.New()
 	cfg := core.DefaultConfig(clk.Now(), clk.Now().Add(91*24*time.Hour))
 	cfg.RDAPDelay = nil
-	cfg.IngestWorkers = workers
 	p := core.New(cfg, clk, psl.Default(), zones, nullQuerier{}, nil, nil, 1)
 	evs := make([]certstream.Event, 512)
 	for i := range evs {
@@ -254,12 +252,12 @@ func benchPipeline(workers int) (*core.Pipeline, []certstream.Event) {
 	return p, evs
 }
 
-// BenchmarkPipelineIngest measures step 1 throughput on the serial
-// per-event path: certstream events through PSL extraction and the zone
-// filter, one at a time. This is the baseline the batch and parallel
-// benchmarks are compared against (acceptance: ≥2× on ≥4 cores).
+// BenchmarkPipelineIngest measures step 1 throughput: certstream events
+// through PSL extraction and the zone filter, one at a time on one
+// goroutine — the baseline BenchmarkPipelineIngestParallel is compared
+// against.
 func BenchmarkPipelineIngest(b *testing.B) {
-	p, evs := benchPipeline(0)
+	p, evs := benchPipeline()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -267,29 +265,11 @@ func BenchmarkPipelineIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineIngestBatch measures HandleBatch throughput with the
-// screening worker pool sized to the machine: one op is one event, fed in
-// batches of 256.
-func BenchmarkPipelineIngestBatch(b *testing.B) {
-	p, evs := benchPipeline(runtime.GOMAXPROCS(0))
-	const batch = 256
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		lo := i % len(evs)
-		hi := lo + batch
-		if hi > len(evs) {
-			hi = len(evs)
-		}
-		p.HandleBatch(evs[lo:hi])
-	}
-}
-
 // BenchmarkPipelineIngestParallel measures concurrent per-event ingest:
 // GOMAXPROCS goroutines call HandleEvent simultaneously against the
 // sharded candidate store and the lock-free zone view.
 func BenchmarkPipelineIngestParallel(b *testing.B) {
-	p, evs := benchPipeline(0)
+	p, evs := benchPipeline()
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -301,83 +281,13 @@ func BenchmarkPipelineIngestParallel(b *testing.B) {
 	})
 }
 
-// rdapWorkQuerier simulates one registry lookup with a fixed slab of CPU
-// work per query (jCard rendering and parsing in a network deployment),
-// so the dispatch benchmarks expose worker-pool scaling rather than
-// map-lookup noise.
-type rdapWorkQuerier struct{}
-
-func (rdapWorkQuerier) Domain(_ context.Context, name string) (*rdap.Record, error) {
-	h := dnsname.Hash64(name)
-	for i := 0; i < 8192; i++ {
-		h = (h ^ uint64(i)) * 0x100000001b3
-	}
-	if h == 0 { // never true; defeats dead-code elimination
-		return nil, rdap.ErrNotFound
-	}
-	return &rdap.Record{Domain: name, Registrar: "bench", Registered: time.Unix(int64(h%1e6), 0)}, nil
-}
-
-// benchRDAPNames builds a corpus spread over several TLD queues.
-func benchRDAPNames() []string {
-	tlds := []string{"shop", "com", "net", "org"}
-	names := make([]string, 512)
-	for i := range names {
-		names[i] = benchName(i) + "." + tlds[i%len(tlds)]
-	}
-	return names
-}
-
-// BenchmarkRDAPDispatchSerial is the PR 1 baseline: step 2 as blocking
-// per-candidate lookups on the calling goroutine, no queues, no pool.
-func BenchmarkRDAPDispatchSerial(b *testing.B) {
-	q := rdapWorkQuerier{}
-	names := benchRDAPNames()
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := q.Domain(ctx, names[i%len(names)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRDAPDispatchParallel measures the asynchronous dispatch
-// engine end to end under the real clock: DomainBatch enqueues fan out
-// into per-TLD queues drained by a machine-width worker pool, and one op
-// is one completed query (the batch completion barrier is part of the
-// measured cost, as it is in the pipeline).
-func BenchmarkRDAPDispatchParallel(b *testing.B) {
-	d := rdap.NewDispatcher(rdap.DispatcherConfig{Workers: runtime.GOMAXPROCS(0)},
-		simclock.Real{}, rdapWorkQuerier{})
-	names := benchRDAPNames()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(names) {
-		n := len(names)
-		if rem := b.N - i; rem < n {
-			n = rem
-		}
-		var wg sync.WaitGroup
-		wg.Add(n)
-		batch := make(rdap.DomainBatch, n)
-		for j := 0; j < n; j++ {
-			batch[j] = rdap.Query{Domain: names[j], Done: func(*rdap.Record, error, time.Time) { wg.Done() }}
-		}
-		d.EnqueueBatch(batch)
-		wg.Wait()
-	}
-}
-
 // benchSimTimeline loads a Sim with n events spread over 1000 distinct
-// instants (heavy same-timestamp collision, the shape batch firing
-// exploits), each carrying a small slab of CPU work. Parallel-marked so
-// a drain wider than 1 can actually pool them.
+// instants (heavy same-timestamp collision, the group drain's shape),
+// each carrying a small slab of CPU work.
 func benchSimTimeline(s *simclock.Sim, n int, sink *[1]uint64) {
 	for i := 0; i < n; i++ {
 		i := i
-		s.AfterPar(time.Duration(i%1000)*time.Second, func() {
+		s.After(time.Duration(i%1000)*time.Second, func() {
 			h := uint64(i)
 			for k := 0; k < 512; k++ {
 				h = (h ^ uint64(k)) * 0x100000001b3
@@ -390,28 +300,13 @@ func benchSimTimeline(s *simclock.Sim, n int, sink *[1]uint64) {
 }
 
 // BenchmarkSimSerialRun is the event-loop baseline: the timer-wheel
-// engine's drain at width 1. One op = one event.
+// engine's drain at window 0. One op = one event.
 func BenchmarkSimSerialRun(b *testing.B) {
 	var sink [1]uint64
 	s := simclock.NewSim(time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC))
 	benchSimTimeline(s, b.N, &sink)
 	b.ResetTimer()
 	if s.Run() != b.N {
-		b.Fatal("lost events")
-	}
-}
-
-// BenchmarkSimBatchedRun measures the same drain at machine width:
-// groups of same-timestamp parallel events fire through the pool behind
-// the completion barrier. One op = one event, against
-// BenchmarkSimSerialRun.
-func BenchmarkSimBatchedRun(b *testing.B) {
-	var sink [1]uint64
-	start := time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC)
-	s := simclock.NewSim(start)
-	benchSimTimeline(s, b.N, &sink)
-	b.ResetTimer()
-	if s.RunUntilLookahead(start.Add(1000*time.Second), 0, runtime.GOMAXPROCS(0)) != b.N {
 		b.Fatal("lost events")
 	}
 }
@@ -597,7 +492,7 @@ func BenchmarkSweepGrid(b *testing.B) {
 			Seeds: []int64{1, 2}, Scales: []float64{0.0005}, Weeks: 2,
 			Policies: []analysis.SweepPolicy{
 				{Name: "paper", ProbeCadence: 10 * time.Minute},
-				{Name: "rapid", ProbeCadence: 2 * time.Minute, LookaheadWindow: 8},
+				{Name: "rapid", ProbeCadence: 2 * time.Minute},
 			},
 			Base:        analysis.RunConfig{WatchSampleRate: 1.0},
 			SnapshotDir: b.TempDir(),

@@ -37,7 +37,7 @@ func main() {
 	scale := flag.Float64("scale", 0.0005, "fraction of paper volume to simulate")
 	tick := flag.Duration("tick", 500*time.Millisecond, "wall-clock interval per simulated hour")
 	seed := flag.Int64("seed", 1, "world seed")
-	workers := flag.Int("workers", 0, "pool width of every engine this server runs — world compile and commit, micro-batched ingest screening, RDAP dispatch, fleet probe and apply slices; 0 = every stage on the calling goroutine (same feed either way)")
+	workers := flag.Int("workers", 0, "pool width of every stage this server runs — world compile and commit, fleet probe and apply slices; 0 = every stage on the calling goroutine (same feed either way)")
 	queueBound := flag.Int("queue-bound", 1024, "per-subscriber queue bound before the shed policy applies")
 	shedPolicy := flag.String("shed-policy", "drop-oldest", "slow-subscriber policy: drop-oldest (GAP frames) or disconnect")
 	heartbeat := flag.Duration("heartbeat", time.Second, "idle heartbeat interval on framed sessions")
@@ -61,15 +61,9 @@ func main() {
 	fleetCfg.Engines = engines
 	fleetCfg.StopWhenDead = true
 	fleet := measure.NewFleet(fleetCfg, w.Clock, w.ProbeBackend())
-	pcfg := core.DefaultConfig(start, end)
-	pcfg.Engines = engines
-	p := core.New(pcfg, w.Clock, psl.Default(), w.CZDS,
+	p := core.New(core.DefaultConfig(start, end), w.Clock, psl.Default(), w.CZDS,
 		core.MuxQuerier{Mux: w.RDAP}, fleet, bus, *seed+100)
-	if engines.IngestWorkers > 0 {
-		p.StartBatched(w.Hub)
-	} else {
-		p.Start(w.Hub)
-	}
+	p.Start(w.Hub)
 
 	srv := feed.NewServerConfig(bus.Topic("nrd-feed"), feed.ServerConfig{
 		QueueBound:           *queueBound,

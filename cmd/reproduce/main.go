@@ -27,7 +27,7 @@ func main() {
 	weeks := flag.Int("weeks", 13, "observation window length in weeks (paper: 13)")
 	seed := flag.Int64("seed", 1, "world seed (runs are deterministic per seed)")
 	watch := flag.Float64("watch-sample", 1.0, "fraction of candidates probed by the fleet")
-	workers := flag.Int("workers", 0, "pool width of every engine at once — ingest screening, RDAP dispatch, clock drain, world compile and commit, fleet probe and apply slices — behind an 8-instant clock lookahead; 0 = every stage on the calling goroutine (byte-identical output either way)")
+	workers := flag.Int("workers", 0, "pool width of every stage at once — world compile and commit, fleet probe and apply slices, the clock's lookahead groups — behind an 8-instant clock lookahead; 0 = every stage on the calling goroutine (byte-identical output either way)")
 	probeCadence := flag.Duration("probe-cadence", 0, "fleet revalidation cadence decoupled from TTL (0 = default 10m interval)")
 	snapshot := flag.String("snapshot", "", "persistent world snapshot path: a matching snapshot replaces the compile phase, a miss compiles then saves here (byte-identical output either way)")
 	exp := flag.String("exp", "all", "experiment to run (table1..table5, figure1, figure2, nsstability, rdapfail, blocklists, nod, cctld, rzu, mail, all)")
@@ -47,11 +47,6 @@ func main() {
 	fr := res.Fleet.Report()
 	fmt.Fprintf(os.Stderr, "event engine: %d scheduled, %d fired; fleet coalesced %d probes into %d rounds (max %d wide)\n",
 		fr.Engine.Scheduled, fr.Engine.Fired, fr.Probes, fr.Rounds, fr.MaxRound)
-	if *workers > 0 {
-		d := fr.Dispatch
-		fmt.Fprintf(os.Stderr, "rdap dispatch: %d enqueued, %d completed (%d failed), %d shed over %d TLD queues (max depth %d)\n",
-			d.Enqueued, d.Completed, d.Failed, d.Shed, d.TLDs, d.MaxDepth)
-	}
 	fmt.Fprintln(os.Stderr)
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }

@@ -2,13 +2,13 @@
 // multi-world sweep engine: each distinct (seed, scale) world compiles
 // exactly once and persists as a columnar snapshot, then every cell's
 // campaign rebuilds from the shared snapshot under its own policy
-// (probe cadence, lookahead window, watch sampling). Results land in one
-// self-describing columnar table for longitudinal comparison.
+// (probe cadence, watch sampling). Results land in one self-describing
+// columnar table for longitudinal comparison.
 //
 // Usage:
 //
 //	sweep [-seeds 1,2,3] [-scales 0.001,0.002] [-weeks 2] \
-//	      [-cadences 10m,2m] [-lookaheads 0,8] [-watch-samples 1.0] \
+//	      [-cadences 10m,2m] [-watch-samples 1.0] \
 //	      [-snapshot-dir /tmp/worlds] [-sweep-workers 4] [-workers 0] [-out sweep.dcol]
 package main
 
@@ -30,11 +30,10 @@ func main() {
 	scales := flag.String("scales", "0.001", "comma-separated world scales (fraction of paper volume)")
 	weeks := flag.Int("weeks", 2, "observation window length in weeks, applied to every cell")
 	cadences := flag.String("cadences", "10m", "comma-separated fleet revalidation cadences, one policy per value")
-	lookaheads := flag.String("lookaheads", "0", "comma-separated lookahead windows, crossed with -cadences into policies")
-	watchSamples := flag.String("watch-samples", "1.0", "comma-separated watch sampling rates (shed policy), crossed into policies")
+	watchSamples := flag.String("watch-samples", "1.0", "comma-separated watch sampling rates (shed policy), crossed with -cadences into policies")
 	snapshotDir := flag.String("snapshot-dir", "", "directory for persistent world snapshots (empty = fresh temp dir)")
 	sweepWorkers := flag.Int("sweep-workers", 4, "campaign fan-out width across grid cells (≤1 = serial)")
-	workers := flag.Int("workers", 0, "pool width of every engine inside each cell's world build and campaign, behind an 8-instant clock lookahead (a -lookaheads value above 0 overrides the window); 0 = serial cells, which -sweep-workers already runs side by side")
+	workers := flag.Int("workers", 0, "pool width of every stage inside each cell's world build and campaign, behind an 8-instant clock lookahead; 0 = serial cells, which -sweep-workers already runs side by side")
 	out := flag.String("out", "", "write the columnar result table to this file")
 	flag.Parse()
 
@@ -54,7 +53,7 @@ func main() {
 	if grid.Scales, err = parseFloats(*scales); err != nil {
 		fatal("-scales: %v", err)
 	}
-	if grid.Policies, err = buildPolicies(*cadences, *lookaheads, *watchSamples); err != nil {
+	if grid.Policies, err = buildPolicies(*cadences, *watchSamples); err != nil {
 		fatal("policies: %v", err)
 	}
 
@@ -93,13 +92,9 @@ func main() {
 	}
 }
 
-// buildPolicies crosses the three policy axes into named SweepPolicies.
-func buildPolicies(cadences, lookaheads, watchSamples string) ([]analysis.SweepPolicy, error) {
+// buildPolicies crosses the two policy axes into SweepPolicies.
+func buildPolicies(cadences, watchSamples string) ([]analysis.SweepPolicy, error) {
 	cads, err := parseDurations(cadences)
-	if err != nil {
-		return nil, err
-	}
-	las, err := parseInts(lookaheads)
 	if err != nil {
 		return nil, err
 	}
@@ -109,12 +104,8 @@ func buildPolicies(cadences, lookaheads, watchSamples string) ([]analysis.SweepP
 	}
 	var out []analysis.SweepPolicy
 	for _, c := range cads {
-		for _, la := range las {
-			for _, ws := range wss {
-				out = append(out, analysis.SweepPolicy{
-					ProbeCadence: c, LookaheadWindow: int(la), WatchSampleRate: ws,
-				})
-			}
+		for _, ws := range wss {
+			out = append(out, analysis.SweepPolicy{ProbeCadence: c, WatchSampleRate: ws})
 		}
 	}
 	return out, nil

@@ -28,7 +28,7 @@ func main() {
 		Seeds: []int64{12}, Scales: []float64{0.003}, Weeks: 4,
 		Policies: []analysis.SweepPolicy{
 			{Name: "paper-10m", ProbeCadence: 10 * time.Minute},
-			{Name: "rapid-2m", ProbeCadence: 2 * time.Minute, LookaheadWindow: 8},
+			{Name: "rapid-2m", ProbeCadence: 2 * time.Minute},
 			{Name: "lazy-1h", ProbeCadence: time.Hour},
 		},
 		Base:    analysis.RunConfig{WatchSampleRate: 0.5},

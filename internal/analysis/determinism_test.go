@@ -45,10 +45,11 @@ func TestCampaignDeterminism(t *testing.T) {
 // contract is one sentence — a fixed-seed campaign renders byte-identical
 // evaluation reports (Tables 1–5, Figures 1–2, every headline) at any
 // value of any workpool.Engines field — and one table proves it: each
-// field alone at 1 and at 8 (the lookahead window at 1, 4 and 16), and
-// every field at once, all against one serial reference rendered once.
-// The tests below are that table's rows grouped by field, so a failure
-// names the stage; together they cost 19 campaigns.
+// field a stage reads alone at 1 and at 8 (the lookahead window at 1, 4
+// and 16; the clock pool, which only a window uses, at 8 behind a window
+// of 4), and every field at once, all against one serial reference
+// rendered once. The tests below are that table's rows grouped by field,
+// so a failure names the stage; together they cost 14 campaigns.
 
 var widthBase = RunConfig{Seed: 61, Scale: 0.0008, Weeks: 2, WatchSampleRate: 1.0, ProbeMail: true}
 
@@ -81,24 +82,10 @@ func checkWidths(t *testing.T, check func(*testing.T, workpool.Engines, *Results
 	}
 }
 
-// Ingest: per-event handling, single-worker micro-batches, a wide
-// screening pool. Per-domain decision derivation plus in-order admission
-// make the ingest mode unobservable.
-func TestSerialParallelCampaignsIdentical(t *testing.T) {
-	checkWidths(t, nil, workpool.Engines{IngestWorkers: 1}, workpool.Engines{IngestWorkers: 8})
-}
-
-// Step 2: one timer per candidate, the dispatcher draining serially, a
-// wide pool. A drain round executes every due query at one simulated
-// instant, so width parallelizes execution without moving an observable.
-func TestSerialParallelRDAPDispatchIdentical(t *testing.T) {
-	checkWidths(t, nil, workpool.Engines{RDAPWorkers: 1}, workpool.Engines{RDAPWorkers: 8})
-}
-
-// Clock drain pool: width 1 is exact serial order, width 8 fires
-// parallel-marked same-instant events concurrently.
+// Clock drain pool: a lookahead window's disjoint conflict groups fire on
+// eight workers.
 func TestSerialBatchedClockCampaignsIdentical(t *testing.T) {
-	checkWidths(t, nil, workpool.Engines{ClockWorkers: 1}, workpool.Engines{ClockWorkers: 8})
+	checkWidths(t, nil, workpool.Engines{ClockWorkers: 8, LookaheadWindow: 4})
 }
 
 // Clock lookahead: window 1 exercises the tagged machinery inside one

@@ -37,9 +37,9 @@ type RunConfig struct {
 	// ProbeMail enables the future-work MX/SPF probes (§5).
 	ProbeMail bool
 	// Engines are the campaign's concurrency settings, handed down whole
-	// to the world builder, the pipeline and the fleet, and read here for
-	// the ingest mode and the clock drain. Results are byte-identical for
-	// a fixed seed at any value.
+	// to the world builder and the fleet, and read here for the clock
+	// drain. Results are byte-identical for a fixed seed at any
+	// value.
 	workpool.Engines
 	// ProbeCadence decouples the fleet's revalidation interval from the
 	// default 10-minute round, per Afek & Litmanovich's TTL-decoupled
@@ -72,7 +72,6 @@ func Run(cfg RunConfig) *Results {
 	start, end := w.Window()
 
 	pcfg := core.DefaultConfig(start, end)
-	pcfg.Engines = cfg.Engines
 	if cfg.WatchSampleRate > 0 {
 		pcfg.WatchSampleRate = cfg.WatchSampleRate
 	}
@@ -86,14 +85,7 @@ func Run(cfg RunConfig) *Results {
 	fleet := measure.NewFleet(fleetCfg, w.Clock, w.ProbeBackend())
 	bus := stream.NewBus()
 	p := core.New(pcfg, w.Clock, psl.Default(), w.CZDS, core.MuxQuerier{Mux: w.RDAP}, fleet, bus, cfg.Seed+100)
-	if d := p.Dispatcher(); d != nil {
-		fleet.AttachDispatcher(d)
-	}
-	if cfg.IngestWorkers > 0 {
-		p.StartBatched(w.Hub)
-	} else {
-		p.Start(w.Hub)
-	}
+	p.Start(w.Hub)
 	w.RunLookahead(cfg.LookaheadWindow, cfg.ClockWorkers)
 	p.Stop()
 

@@ -30,9 +30,6 @@ type SweepPolicy struct {
 	// ProbeCadence overrides the fleet's revalidation interval (0 keeps
 	// the base config's).
 	ProbeCadence time.Duration
-	// LookaheadWindow overrides the clock drain's lookahead window (0
-	// keeps the base config's).
-	LookaheadWindow int
 	// WatchSampleRate overrides the pipeline's watch sampling — the shed
 	// policy (0 keeps the base config's).
 	WatchSampleRate float64
@@ -43,7 +40,7 @@ func (p SweepPolicy) Label() string {
 	if p.Name != "" {
 		return p.Name
 	}
-	return fmt.Sprintf("cad=%s/la=%d/ws=%g", p.ProbeCadence, p.LookaheadWindow, p.WatchSampleRate)
+	return fmt.Sprintf("cad=%s/ws=%g", p.ProbeCadence, p.WatchSampleRate)
 }
 
 // SweepConfig describes a sweep grid. The cell set is the cross product
@@ -107,9 +104,6 @@ func (g *SweepConfig) runConfig(c SweepCell, snapshotPath string) RunConfig {
 	}
 	if c.Policy.ProbeCadence > 0 {
 		rc.ProbeCadence = c.Policy.ProbeCadence
-	}
-	if c.Policy.LookaheadWindow > 0 {
-		rc.LookaheadWindow = c.Policy.LookaheadWindow
 	}
 	if c.Policy.WatchSampleRate > 0 {
 		rc.WatchSampleRate = c.Policy.WatchSampleRate
@@ -222,7 +216,6 @@ func sweepSchema() columnar.Schema {
 		{Name: "scale", Type: columnar.TypeFloat64},
 		{Name: "policy", Type: columnar.TypeString},
 		{Name: "cadence_ns", Type: columnar.TypeInt64},
-		{Name: "lookahead", Type: columnar.TypeInt64},
 		{Name: "watch_sample", Type: columnar.TypeFloat64},
 		{Name: "domains", Type: columnar.TypeInt64},
 		{Name: "nrds", Type: columnar.TypeInt64},
@@ -247,7 +240,6 @@ func WriteSweep(w io.Writer, out *SweepOutcome) error {
 			columnar.Float(sr.Cell.Scale),
 			columnar.String(sr.Cell.Policy.Label()),
 			columnar.Int(int64(sr.Cell.Policy.ProbeCadence)),
-			columnar.Int(int64(sr.Cell.Policy.LookaheadWindow)),
 			columnar.Float(sr.Cell.Policy.WatchSampleRate),
 			columnar.Int(int64(sr.Domains)),
 			columnar.Int(int64(sr.NRDs)),

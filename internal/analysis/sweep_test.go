@@ -69,7 +69,7 @@ func TestSweepCompilesEachWorldOnce(t *testing.T) {
 		Weeks:  2,
 		Policies: []SweepPolicy{
 			{Name: "paper", ProbeCadence: 10 * time.Minute},
-			{Name: "fast", ProbeCadence: 2 * time.Minute, LookaheadWindow: 4},
+			{Name: "fast", ProbeCadence: 2 * time.Minute},
 			{Name: "shed", WatchSampleRate: 0.5},
 		},
 		Base:        RunConfig{WatchSampleRate: 1.0, ProbeMail: true},

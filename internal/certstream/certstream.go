@@ -89,24 +89,6 @@ func (h *Hub) publish(ev Event) {
 	}
 }
 
-// PublishBatch delivers a slice of events in order. The subscriber list
-// is resolved once for the whole batch, so replay tools and batch
-// feeders amortize the fan-out setup across events.
-func (h *Hub) PublishBatch(evs []Event) {
-	subs := h.subs.Load()
-	if subs == nil {
-		return
-	}
-	for _, ev := range evs {
-		if h.PrecertOnly && ev.Entry.Kind != ct.PreCertificate {
-			continue
-		}
-		for _, s := range *subs {
-			s.fn(ev)
-		}
-	}
-}
-
 // Subscribe registers fn and returns an unsubscribe handle.
 func (h *Hub) Subscribe(fn func(Event)) (cancel func()) {
 	h.mu.Lock()

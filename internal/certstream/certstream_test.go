@@ -30,34 +30,6 @@ func TestHubForwardsPrecertsOnly(t *testing.T) {
 	}
 }
 
-func TestHubPublishBatch(t *testing.T) {
-	hub := NewHub()
-	var got []Event
-	hub.Subscribe(func(ev Event) { got = append(got, ev) })
-
-	evs := []Event{
-		{Seen: t0, Log: "replay", Entry: ct.Entry{Kind: ct.PreCertificate, CN: "a.com"}},
-		{Seen: t0.Add(time.Second), Log: "replay", Entry: ct.Entry{Kind: ct.FinalCertificate, CN: "b.com"}},
-		{Seen: t0.Add(2 * time.Second), Log: "replay", Entry: ct.Entry{Kind: ct.PreCertificate, CN: "c.com"}},
-	}
-	hub.PublishBatch(evs)
-
-	// PrecertOnly filtering must match the per-event publish path.
-	if len(got) != 2 || got[0].Entry.CN != "a.com" || got[1].Entry.CN != "c.com" {
-		t.Fatalf("batch delivery: %+v", got)
-	}
-
-	hub.PrecertOnly = false
-	got = nil
-	hub.PublishBatch(evs)
-	if len(got) != 3 {
-		t.Fatalf("unfiltered batch delivered %d events", len(got))
-	}
-
-	// A hub with no subscribers must not panic.
-	NewHub().PublishBatch(evs)
-}
-
 func TestHubUnsubscribe(t *testing.T) {
 	hub := NewHub()
 	log := ct.NewLog("x", nil)

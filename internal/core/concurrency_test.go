@@ -18,7 +18,6 @@ import (
 	"darkdns/internal/rdap"
 	"darkdns/internal/simclock"
 	"darkdns/internal/stream"
-	"darkdns/internal/worldsim"
 	"darkdns/internal/zoneset"
 )
 
@@ -37,10 +36,10 @@ func synthEvents(n int, start time.Time) []certstream.Event {
 	return evs
 }
 
-// TestConcurrentIngestRace drives HandleEvent and HandleBatch from many
-// goroutines while czds collections swap zone views and the simulated
-// clock fires RDAP collections and fleet probe ticks — the full ingest
-// hot path under -race.
+// TestConcurrentIngestRace drives HandleEvent from four goroutines while
+// czds collections swap zone views and the simulated clock fires RDAP
+// collections and fleet probe ticks — the full ingest hot path under
+// -race.
 func TestConcurrentIngestRace(t *testing.T) {
 	clk := simclock.NewSim(t0)
 	zones := czds.New()
@@ -50,8 +49,6 @@ func TestConcurrentIngestRace(t *testing.T) {
 	bus := stream.NewBus()
 
 	cfg := DefaultConfig(t0, t0.Add(91*24*time.Hour))
-	cfg.IngestWorkers = 4
-	cfg.RDAPWorkers = 4 // step 2 through the async dispatch engine
 	p := New(cfg, clk, psl.Default(), zones, nullQuerier{}, fleet, bus, 7)
 
 	evs := synthEvents(4000, t0)
@@ -61,19 +58,8 @@ func TestConcurrentIngestRace(t *testing.T) {
 		wg.Add(1)
 		go func(f int) {
 			defer wg.Done()
-			part := evs[f*len(evs)/feeders : (f+1)*len(evs)/feeders]
-			if f%2 == 0 {
-				for i := 0; i < len(part); i += 64 {
-					end := i + 64
-					if end > len(part) {
-						end = len(part)
-					}
-					p.HandleBatch(part[i:end])
-				}
-			} else {
-				for _, ev := range part {
-					p.HandleEvent(ev)
-				}
+			for _, ev := range evs[f*len(evs)/feeders : (f+1)*len(evs)/feeders] {
+				p.HandleEvent(ev)
 			}
 		}(f)
 	}
@@ -136,21 +122,19 @@ func (q hashQuerierAt) DomainAt(ctx context.Context, name string, _ time.Time) (
 	return q.Domain(ctx, name)
 }
 
-// TestDispatchMatchesSerialRDAP replays one corpus through step 2 without
-// a dispatcher — its one timer untagged (a querier that reads the clock)
-// and tagged (a time-explicit querier), the latter also under a lookahead
-// drain that fires lookups ahead of committed time — and through the
-// dispatch engine at two pool widths, advancing the clock through every
-// queueing delay, and requires identical candidate stores — RDAP
-// outcomes, timestamps and validation bits included. This is step 2's
-// determinism contract at the pipeline level.
+// TestDispatchMatchesSerialRDAP replays one corpus through step 2's one
+// timer — untagged (a querier that reads the clock) and tagged (a
+// time-explicit querier), both also under a lookahead drain, which fires
+// the tagged lookups ahead of committed time — advancing the clock
+// through every queueing delay, and requires identical candidate stores:
+// RDAP outcomes, timestamps and validation bits included. This is step
+// 2's determinism contract at the pipeline level.
 func TestDispatchMatchesSerialRDAP(t *testing.T) {
 	evs := synthEvents(1200, t0)
 
-	run := func(q rdap.Querier, rdapWorkers, window int) ([]Candidate, simclock.Stats) {
+	run := func(q rdap.Querier, window int) ([]Candidate, simclock.Stats) {
 		clk := simclock.NewSim(t0)
 		cfg := DefaultConfig(t0, t0.Add(91*24*time.Hour))
-		cfg.RDAPWorkers = rdapWorkers
 		p := New(cfg, clk, psl.Default(), czds.New(), q, nil, nil, 55)
 		for _, ev := range evs {
 			p.HandleEvent(ev)
@@ -160,7 +144,7 @@ func TestDispatchMatchesSerialRDAP(t *testing.T) {
 		return p.Candidates(), clk.Stats()
 	}
 
-	want, _ := run(hashQuerier{}, 0, 0)
+	want, _ := run(hashQuerier{}, 0)
 	nOK := 0
 	for _, c := range want {
 		if c.RDAPOutcome == RDAPOK {
@@ -171,18 +155,15 @@ func TestDispatchMatchesSerialRDAP(t *testing.T) {
 		t.Fatal("degenerate corpus: no successful RDAP outcome")
 	}
 	for _, row := range []struct {
-		name            string
-		q               rdap.Querier
-		workers, window int
+		name   string
+		q      rdap.Querier
+		window int
 	}{
-		{"untagged timer under lookahead", hashQuerier{}, 0, 8},
-		{"tagged timer", hashQuerierAt{}, 0, 0},
-		{"tagged timer under lookahead", hashQuerierAt{}, 0, 8},
-		{"dispatcher width 1", hashQuerier{}, 1, 0},
-		{"dispatcher width 8", hashQuerier{}, 8, 0},
-		{"dispatcher width 8, time-explicit, lookahead", hashQuerierAt{}, 8, 8},
+		{"untagged timer under lookahead", hashQuerier{}, 8},
+		{"tagged timer", hashQuerierAt{}, 0},
+		{"tagged timer under lookahead", hashQuerierAt{}, 8},
 	} {
-		got, st := run(row.q, row.workers, row.window)
+		got, st := run(row.q, row.window)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: candidates diverge from the untagged serial timer", row.name)
 		}
@@ -201,54 +182,3 @@ func (staticBackend) AuthoritativeNS(string) ([]string, bool) {
 }
 func (staticBackend) LookupA(string) []netip.Addr    { return nil }
 func (staticBackend) LookupAAAA(string) []netip.Addr { return nil }
-
-// TestBatchMatchesSerial replays one recorded world corpus through three
-// pipelines — per-event, single-worker batches, wide parallel batches —
-// and requires identical candidate stores and identical feed logs.
-func TestBatchMatchesSerial(t *testing.T) {
-	wcfg := worldsim.DefaultConfig(23, 0.0015)
-	wcfg.Weeks = 2
-	evs := worldsim.RecordedEvents(wcfg)
-	if len(evs) < 200 {
-		t.Fatalf("thin corpus: %d events", len(evs))
-	}
-
-	build := func(workers int) (*Pipeline, *stream.Bus) {
-		clk := simclock.NewSim(t0)
-		cfg := DefaultConfig(t0, t0.Add(91*24*time.Hour))
-		cfg.IngestWorkers = workers
-		bus := stream.NewBus()
-		p := New(cfg, clk, psl.Default(), czds.New(), nullQuerier{}, nil, bus, 99)
-		return p, bus
-	}
-
-	serial, serialBus := build(0)
-	for _, ev := range evs {
-		serial.HandleEvent(ev)
-	}
-
-	batched, batchedBus := build(1)
-	parallel, parallelBus := build(8)
-	for i := 0; i < len(evs); i += 173 { // deliberately odd batch size
-		end := i + 173
-		if end > len(evs) {
-			end = len(evs)
-		}
-		batched.HandleBatch(evs[i:end])
-		parallel.HandleBatch(evs[i:end])
-	}
-
-	want := serial.Candidates()
-	for name, p := range map[string]*Pipeline{"batched": batched, "parallel": parallel} {
-		if got := p.Candidates(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s candidates diverge from serial (%d vs %d)", name, len(got), len(want))
-		}
-	}
-	wantFeed := serialBus.Topic("nrd-feed").Poll("cmp", 1<<20)
-	for name, bus := range map[string]*stream.Bus{"batched": batchedBus, "parallel": parallelBus} {
-		got := bus.Topic("nrd-feed").Poll("cmp", 1<<20)
-		if !reflect.DeepEqual(got, wantFeed) {
-			t.Errorf("%s feed log diverges from serial (%d vs %d messages)", name, len(got), len(wantFeed))
-		}
-	}
-}

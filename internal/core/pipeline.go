@@ -15,17 +15,14 @@
 // Step 5: after the window closes, label as transient every candidate
 // that never appeared in any zone snapshot (±3 days slack).
 //
-// Concurrency model (DESIGN.md §5–§6): the candidate store is striped
-// over independent locks, zone-presence reads are lock-free (czds),
-// HandleBatch screens events through the PSL and zone filter on a worker
-// pool, and with an RDAP width set (workpool.Engines), step 2 runs
-// through the asynchronous per-TLD dispatch engine (rdap.Dispatcher)
-// instead of one lookup per candidate scheduled on the clock. Every per-candidate random
-// decision (RDAP queueing delay, failure
+// Each certstream event is handled as it is delivered (HandleEvent), and
+// step 2 is one clock timer per candidate (DESIGN.md §3, §6). The
+// candidate store is striped over independent locks and zone-presence
+// reads are lock-free (czds), so concurrent HandleEvent callers are safe.
+// Every per-candidate random decision (RDAP queueing delay, failure
 // injection, watch sampling) is drawn from a generator derived from the
-// pipeline seed and the domain name alone, so outcomes are identical no
-// matter how events are batched or which worker screens them — serial and
-// parallel ingest produce byte-identical campaign reports.
+// pipeline seed and the domain name alone, so outcomes do not depend on
+// event arrival order or on which caller handles an event.
 package core
 
 import (
@@ -74,18 +71,12 @@ type Config struct {
 	WatchSampleRate float64
 	// FeedTopic is the stream topic name for the public NRD feed.
 	FeedTopic string
-	// Engines carries the concurrency settings; the pipeline reads
-	// IngestWorkers (HandleBatch's screening pool) and RDAPWorkers (> 0
-	// routes step 2 through a dispatcher that wide, with unbounded per-TLD
-	// queues: shedding depends on load, so a bound would trade the
-	// byte-identity across widths for backpressure).
+	// Engines is embedded only because bench/campaign.go sets its
+	// IngestWorkers and RDAPWorkers here; the pipeline reads no field of
+	// it. It goes with those assignments in the benchmark PR of ROADMAP
+	// item 1(d).
 	workpool.Engines
 }
-
-// DefaultIngestBatch caps the micro-batcher's buffer (StartBatched): once
-// this many events are pending the batch is handed off inline without
-// waiting for the flush timer.
-const DefaultIngestBatch = 256
 
 // DefaultConfig returns the paper's parameters over [start, end).
 func DefaultConfig(start, end time.Time) Config {
@@ -174,7 +165,6 @@ type Pipeline struct {
 	// rdapAt is rdapQ's time-explicit extension, resolved once; nil for a
 	// querier that reads the clock itself (a wire client).
 	rdapAt rdap.QuerierAt
-	rdapD  *rdap.Dispatcher // non-nil when cfg.RDAPWorkers > 0
 	fleet  *measure.Fleet
 	seed   int64
 
@@ -182,11 +172,6 @@ type Pipeline struct {
 
 	shards [candShards]candShard
 	count  atomic.Int64
-
-	// Micro-batcher state (StartBatched).
-	batchMu    sync.Mutex
-	batchBuf   []certstream.Event
-	flushArmed bool
 
 	unsub func()
 }
@@ -212,9 +197,6 @@ func New(cfg Config, clk simclock.Clock, pslList *psl.List, zones *czds.Service,
 		fleet: fleet, seed: seed,
 	}
 	p.rdapAt, _ = rdapQ.(rdap.QuerierAt)
-	if cfg.RDAPWorkers > 0 {
-		p.rdapD = rdap.NewDispatcher(rdap.DispatcherConfig{Workers: cfg.RDAPWorkers}, clk, rdapQ)
-	}
 	for i := range p.shards {
 		p.shards[i].candidates = make(map[string]*Candidate)
 	}
@@ -246,9 +228,8 @@ func (s *splitmix64) Seed(seed int64) { *s = splitmix64(seed) }
 
 // domainRand derives the candidate's decision generator from the pipeline
 // seed and the domain name. Because the derivation ignores event arrival
-// order, every ingest mode draws identical decisions for a given
-// (seed, domain) pair — the property the serial/parallel determinism
-// guarantee rests on.
+// order, concurrent callers draw identical decisions for a given
+// (seed, domain) pair — the property the determinism guarantee rests on.
 func (p *Pipeline) domainRand(domain string) *rand.Rand {
 	src := splitmix64(dnsname.Hash64(domain) ^ uint64(p.seed))
 	return rand.New(&src)
@@ -260,60 +241,16 @@ func (p *Pipeline) Start(hub *certstream.Hub) {
 	p.unsub = hub.Subscribe(p.HandleEvent)
 }
 
-// StartBatched subscribes the pipeline to the certstream hub in
-// micro-batching mode: delivered events accumulate in a buffer that is
-// flushed through HandleBatch — immediately once DefaultIngestBatch events
-// are pending, otherwise by a zero-delay timer on the pipeline's clock.
-// Under the simulated clock the flush fires at the same instant the
-// events were delivered (after the current dispatch completes), so
-// batched campaigns reproduce per-event campaigns exactly; under the real
-// clock arrivals during a flush coalesce into the next batch, which is
-// the classic notify-and-drain amortization.
-func (p *Pipeline) StartBatched(hub *certstream.Hub) {
-	p.unsub = hub.Subscribe(p.enqueue)
-}
+// StartBatched is Start. It remains only because bench/campaign.go calls
+// it; it goes with that call in the benchmark PR of ROADMAP item 1(d).
+func (p *Pipeline) StartBatched(hub *certstream.Hub) { p.Start(hub) }
 
-// enqueue buffers one event for the next flush.
-func (p *Pipeline) enqueue(ev certstream.Event) {
-	p.batchMu.Lock()
-	p.batchBuf = append(p.batchBuf, ev)
-	if len(p.batchBuf) >= DefaultIngestBatch {
-		buf := p.batchBuf
-		p.batchBuf = nil
-		p.batchMu.Unlock()
-		p.HandleBatch(buf)
-		return
-	}
-	if !p.flushArmed {
-		p.flushArmed = true
-		p.batchMu.Unlock()
-		p.clk.After(0, p.Flush)
-		return
-	}
-	p.batchMu.Unlock()
-}
-
-// Flush drains the micro-batcher's buffer through HandleBatch. It is
-// exported for replay tools that need a hard batch boundary; Stop calls
-// it automatically.
-func (p *Pipeline) Flush() {
-	p.batchMu.Lock()
-	buf := p.batchBuf
-	p.batchBuf = nil
-	p.flushArmed = false
-	p.batchMu.Unlock()
-	if len(buf) > 0 {
-		p.HandleBatch(buf)
-	}
-}
-
-// Stop detaches from the hub and flushes any buffered events.
+// Stop detaches from the hub.
 func (p *Pipeline) Stop() {
 	if p.unsub != nil {
 		p.unsub()
 		p.unsub = nil
 	}
-	p.Flush()
 }
 
 // HandleEvent processes one certstream event (step 1). Exported so tests
@@ -331,61 +268,7 @@ func (p *Pipeline) HandleEvent(ev certstream.Event) {
 		if p.feed != nil {
 			p.feed.Publish(ev.Seen, domain, feedJSON(domain, ev))
 		}
-		if q, ok := p.dispatch(cand); ok {
-			p.rdapD.Enqueue(q)
-		}
-	}
-}
-
-// HandleBatch processes a slice of certstream events. Screening — PSL
-// extraction, name hygiene, the not-in-latest-snapshot zone filter — runs
-// on cfg.IngestWorkers goroutines; admission, feed publication, RDAP
-// scheduling and fleet dispatch then run serially in input order, which
-// pins every order-sensitive side effect (feed offsets, clock scheduling)
-// to the event sequence regardless of worker interleaving. Safe for
-// concurrent use.
-func (p *Pipeline) HandleBatch(evs []certstream.Event) {
-	if len(evs) == 0 {
-		return
-	}
-	// Stage 1: parallel screen. proposals[i] holds event i's admissible
-	// registered domains.
-	proposals := make([][]string, len(evs))
-	screen := func(i int) {
-		var doms []string
-		for _, name := range evs[i].Entry.Names() {
-			if domain, ok := p.screenName(name); ok {
-				doms = append(doms, domain)
-			}
-		}
-		proposals[i] = doms
-	}
-	workpool.Run(len(evs), p.cfg.IngestWorkers, screen)
-
-	// Stage 2: serial admission in input order. RDAP queries accumulate
-	// into one DomainBatch so the dispatch engine admits them in a
-	// single pass after the feed hand-off.
-	var recs []stream.Record
-	var rdapBatch rdap.DomainBatch
-	for i, ev := range evs {
-		for _, domain := range proposals[i] {
-			cand, admitted := p.admit(domain, ev)
-			if !admitted {
-				continue
-			}
-			if p.feed != nil {
-				recs = append(recs, stream.Record{Time: ev.Seen, Key: domain, Value: feedJSON(domain, ev)})
-			}
-			if q, ok := p.dispatch(cand); ok {
-				rdapBatch = append(rdapBatch, q)
-			}
-		}
-	}
-	if p.feed != nil && len(recs) > 0 {
-		p.feed.PublishBatch(p.clk.Now(), recs)
-	}
-	if len(rdapBatch) > 0 {
-		p.rdapD.EnqueueBatch(rdapBatch)
+		p.dispatch(cand)
 	}
 }
 
@@ -393,7 +276,7 @@ func (p *Pipeline) HandleBatch(evs []certstream.Event) {
 // domain: PSL extraction, name hygiene, the zone filter, and an
 // optimistic duplicate probe (admit re-checks authoritatively). All reads
 // — the PSL is immutable, the zone view is a lock-free snapshot — so
-// screening parallelizes without contention.
+// concurrent callers screen without contention.
 func (p *Pipeline) screenName(name string) (string, bool) {
 	domain, ok := p.psl.RegisteredDomain(name)
 	if !ok {
@@ -440,38 +323,26 @@ func (p *Pipeline) admit(domain string, ev certstream.Event) (*Candidate, bool) 
 // dispatch runs steps 2 and 3 for a freshly admitted candidate: RDAP
 // after a queueing delay (one attempt only) and the reactive measurement
 // watch, with all random decisions drawn from the candidate's derived
-// generator. When the dispatch engine is enabled the step-2 query is
-// returned for the caller to enqueue (ok=true) instead of being scheduled
-// on the clock — screened candidates enqueue, they never block on RDAP.
-func (p *Pipeline) dispatch(cand *Candidate) (q rdap.Query, ok bool) {
+// generator.
+func (p *Pipeline) dispatch(cand *Candidate) {
 	rng := p.domainRand(cand.Domain)
 	delay := time.Duration(0)
 	if p.cfg.RDAPDelay != nil {
 		delay = p.cfg.RDAPDelay(rng)
 	}
 	fail := rng.Float64() < p.cfg.RDAPFailureRate
-	if p.rdapD != nil {
-		q = rdap.Query{
-			Domain:        cand.Domain,
-			Delay:         delay,
-			InjectFailure: fail,
-			Done:          func(rec *rdap.Record, err error, at time.Time) { p.finishRDAP(cand, rec, err, at) },
-		}
-		ok = true
-	} else {
-		// One timer per candidate. With a time-explicit backend it carries
-		// the candidate's domain atom, so a lookahead drain may fire RDAP
-		// lookups of unrelated domains from different instants together:
-		// the lookup reads only this domain's registry slice and writes
-		// only this candidate's shard entry. A backend that reads the
-		// clock itself gets no tag, which keeps the timer an ordering
-		// barrier that fires at committed time.
-		var tag simclock.EffectTag
-		if p.rdapAt != nil {
-			tag = simclock.DomainTag(cand.Domain)
-		}
-		simclock.AfterTagged(p.clk, delay, tag, func(now time.Time) { p.collectRDAP(cand, fail, now) })
+	// One timer per candidate. With a time-explicit backend it carries the
+	// candidate's domain atom, so a lookahead drain may fire RDAP lookups
+	// of unrelated domains from different instants together: the lookup
+	// reads only this domain's registry slice and writes only this
+	// candidate's shard entry. A backend that reads the clock itself gets
+	// no tag, which keeps the timer an ordering barrier that fires at
+	// committed time.
+	var tag simclock.EffectTag
+	if p.rdapAt != nil {
+		tag = simclock.DomainTag(cand.Domain)
 	}
+	simclock.AfterTagged(p.clk, delay, tag, func(now time.Time) { p.collectRDAP(cand, fail, now) })
 
 	if p.fleet != nil && rng.Float64() < p.cfg.WatchSampleRate {
 		sh := p.shard(cand.Domain)
@@ -480,7 +351,6 @@ func (p *Pipeline) dispatch(cand *Candidate) (q rdap.Query, ok bool) {
 		sh.mu.Unlock()
 		p.fleet.Watch(cand.Domain)
 	}
-	return q, ok
 }
 
 // feedJSON renders the NRD feed message for an admission.
@@ -489,9 +359,11 @@ func feedJSON(domain string, ev certstream.Event) []byte {
 		domain, ev.Seen.UTC().Format(time.RFC3339), ev.Log))
 }
 
-// collectRDAP performs step 2 without a dispatcher: the one lookup (or
-// injected failure) at now, the timer's own firing instant, then the
-// shared outcome recording.
+// collectRDAP performs step 2: the one lookup (or injected failure) at
+// now, the timer's own firing instant — never read from the clock, which
+// a tagged timer may fire ahead of — then records the outcome and runs
+// the step 4 validation. Safe for concurrent use: outcomes for distinct
+// candidates land on their own store stripes.
 func (p *Pipeline) collectRDAP(cand *Candidate, injectedFailure bool, now time.Time) {
 	var rec *rdap.Record
 	err := rdap.ErrRateLimited
@@ -502,15 +374,6 @@ func (p *Pipeline) collectRDAP(cand *Candidate, injectedFailure bool, now time.T
 			rec, err = p.rdapQ.Domain(context.Background(), cand.Domain)
 		}
 	}
-	p.finishRDAP(cand, rec, err, now)
-}
-
-// finishRDAP records a step-2 outcome at the completion instant now —
-// delivered by collectRDAP or by a dispatch worker, never read from the
-// clock (tagged events may fire ahead of it) — and runs the step 4
-// validation. Safe for concurrent use: outcomes for distinct candidates
-// land on their own store stripes.
-func (p *Pipeline) finishRDAP(cand *Candidate, rec *rdap.Record, err error, now time.Time) {
 	sh := p.shard(cand.Domain)
 	sh.mu.Lock()
 	cand.RDAPAt = now
@@ -527,9 +390,10 @@ func (p *Pipeline) finishRDAP(cand *Candidate, rec *rdap.Record, err error, now 
 	}
 }
 
-// Dispatcher exposes the RDAP dispatch engine (nil on the serial path)
-// so callers can couple its counters into operational reports.
-func (p *Pipeline) Dispatcher() *rdap.Dispatcher { return p.rdapD }
+// Dispatcher always returns nil: step 2 has no dispatcher. It remains only
+// because bench/campaign.go calls it; it goes with that call in the
+// benchmark PR of ROADMAP item 1(d).
+func (p *Pipeline) Dispatcher() *rdap.Dispatcher { return nil }
 
 func (p *Pipeline) setRDAP(cand *Candidate, outcome RDAPOutcome, rec *rdap.Record) {
 	sh := p.shard(cand.Domain)

@@ -141,9 +141,9 @@ func Hash64(s string) uint64 {
 }
 
 // Mix64 is the splitmix64 finalizer: a bijective avalanche over x. Every
-// seeded per-domain derivation (the pipeline's decision generators, the
-// RDAP dispatcher's failure injection) mixes through this one function,
-// so the cross-package determinism contract has a single definition —
+// seeded per-domain derivation (the pipeline's decision generators)
+// mixes through this one function, so the cross-package determinism
+// contract has a single definition —
 // the derived decision for a (seed, domain) pair is the same everywhere.
 func Mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -56,9 +56,8 @@ func DefaultServerConfig() ServerConfig {
 	}
 }
 
-// FanoutStats is the tier's counter surface, the fan-out analogue of
-// rdap.DispatchStats: delivery, queueing and shedding totals plus the
-// live registry shape.
+// FanoutStats is the tier's counter surface: delivery, queueing and
+// shedding totals plus the live registry shape.
 type FanoutStats struct {
 	Subscribers int // live subscriptions right now
 	Tenants     int // tenants ever seen

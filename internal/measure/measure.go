@@ -242,12 +242,6 @@ type Fleet struct {
 	// serialized by obsMu, probe ticks read it lock-free.
 	obsMu     sync.Mutex
 	observers atomic.Pointer[[]func(Observation)]
-
-	// dispatcher, when attached, couples the RDAP dispatch engine's
-	// counters into the fleet report — in the paper's deployment steps 2
-	// and 3 share the same Azure worker fleet, so the operational view
-	// of both belongs in one place.
-	dispatcher atomic.Pointer[rdap.Dispatcher]
 }
 
 // NewFleet creates a fleet over backend using clk for scheduling.
@@ -713,15 +707,12 @@ func (f *Fleet) Watched() int {
 	return n
 }
 
-// AttachDispatcher couples the RDAP dispatch engine's counters into
-// Report. Safe to call concurrently with probing.
-func (f *Fleet) AttachDispatcher(d *rdap.Dispatcher) {
-	f.dispatcher.Store(d)
-}
+// AttachDispatcher is a no-op that remains only because bench/campaign.go
+// calls it; it goes with that call in the benchmark PR of ROADMAP item 1(d).
+func (f *Fleet) AttachDispatcher(*rdap.Dispatcher) {}
 
-// FleetReport summarizes the fleet's probe activity plus — when a
-// dispatcher is attached — the RDAP dispatch engine's counters, and —
-// when the fleet runs on a Sim clock — the event engine's counters.
+// FleetReport summarizes the fleet's probe activity plus — when the fleet
+// runs on a Sim clock — the event engine's counters.
 type FleetReport struct {
 	Watched    int   // domains ever scheduled
 	Finished   int   // watch windows closed
@@ -735,9 +726,13 @@ type FleetReport struct {
 	// The field exists only because bench/campaign.go reads it, and goes
 	// with the measure.reorder_held ledger row in the next benchmark PR.
 	ReorderHeld int64
-	// Dispatch holds the attached dispatcher's counters; zero-valued
-	// when step 2 runs on the serial path.
-	Dispatch rdap.DispatchStats
+	// Dispatch is always zero: step 2 has no dispatcher. It keeps the four
+	// fields bench/campaign.go reads, and goes with the rdap.dispatch_*
+	// ledger rows in the benchmark PR of ROADMAP item 1(d).
+	Dispatch struct {
+		Enqueued, Completed, Shed int64
+		MaxDepth                  int
+	}
 	// Engine holds the simulated clock's event counters; zero-valued
 	// under the real-time clock.
 	Engine simclock.Stats
@@ -769,9 +764,6 @@ func (f *Fleet) Report() FleetReport {
 	}
 	rep.Rounds = f.rounds.Load()
 	rep.MaxRound = int(f.maxRound.Load())
-	if d := f.dispatcher.Load(); d != nil {
-		rep.Dispatch = d.Stats()
-	}
 	if eng, ok := f.clk.(interface{ Stats() simclock.Stats }); ok {
 		rep.Engine = eng.Stats()
 	}

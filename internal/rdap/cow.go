@@ -7,10 +7,8 @@ import (
 )
 
 // cowMap is a copy-on-write string-keyed map: lock-free reads through an
-// atomic.Pointer snapshot, mutex-serialized clone-and-swap writes. The
-// Mux routing table and the Dispatcher's queue directory share it so the
-// double-checked registration sequence exists once. The zero value is an
-// empty map, ready to use.
+// atomic.Pointer snapshot, mutex-serialized clone-and-swap writes, for
+// the Mux routing table. The zero value is an empty map, ready to use.
 type cowMap[V any] struct {
 	mu sync.Mutex // serializes writers' clone-and-swap
 	m  atomic.Pointer[map[string]V]
@@ -41,27 +39,4 @@ func (c *cowMap[V]) set(k string, v V) {
 	}
 	next[k] = v
 	c.m.Store(&next)
-}
-
-// getOrCreate returns k's value, building and installing mk() under the
-// writer lock when k is absent — the double-checked path for concurrent
-// first access.
-func (c *cowMap[V]) getOrCreate(k string, mk func() V) V {
-	if v, ok := c.get(k); ok {
-		return v
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cur := c.snapshot()
-	if v, ok := cur[k]; ok {
-		return v
-	}
-	next := maps.Clone(cur)
-	if next == nil {
-		next = map[string]V{}
-	}
-	v := mk()
-	next[k] = v
-	c.m.Store(&next)
-	return v
 }

@@ -1,24 +1,15 @@
 // Package rdap implements a Registration Data Access Protocol subset
 // (RFC 7480/9083): an HTTP server exposing /domain/{name} lookups backed
 // by registry data, a client that never retries failures (matching the
-// paper's collection policy), per-source-address token-bucket rate
-// limiting (the cause of the ≈3 % collection failures in §4.2), and an
-// asynchronous per-TLD dispatch engine (Dispatcher) modelling the paper's
-// Azure worker fleet: bounded per-TLD queues drained by worker pools,
-// with deterministic failure injection and queue-depth/latency counters.
+// paper's collection policy), and per-source-address token-bucket rate
+// limiting (the cause of the ≈3 % collection failures in §4.2). The
+// pipeline (internal/core) makes one lookup per candidate from one clock
+// timer (DESIGN.md §6).
 //
-// Concurrency model (DESIGN.md §6): the Mux routing table and the
-// Dispatcher's queue directory are immutable maps behind atomic.Pointer,
-// swapped copy-on-write; the RateLimiter's bucket table is striped over
-// independent locks keyed by client hash. Nothing on the lookup path
-// takes a global lock.
-//
-// Determinism contract: this is the repo's second engine, wired as
-// analysis.RunConfig.RDAPWorkers and the -rdap-workers flags. The
-// dispatcher's drain barrier executes every due query at one simulated
-// instant and failure injection derives from (seed, domain), so
-// campaign reports are byte-identical across serial lookups and any
-// dispatch pool width (analysis.TestSerialParallelRDAPDispatchIdentical).
+// Concurrency model: the Mux routing table is an immutable map behind
+// atomic.Pointer, swapped copy-on-write; the RateLimiter's bucket table is
+// striped over independent locks keyed by client hash. Nothing on the
+// lookup path takes a global lock.
 package rdap
 
 import (
@@ -62,10 +53,16 @@ type Querier interface {
 // backend's own clock. In-process simulated backends implement it so
 // effect-tagged due-timer events — which may fire ahead of the lookahead
 // drain's committed time — observe their own instant; wire backends
-// (Client) cannot, and dispatchers fall back to untagged scheduling.
+// (Client) cannot, and the pipeline falls back to untagged scheduling.
 type QuerierAt interface {
 	DomainAt(ctx context.Context, name string, now time.Time) (*Record, error)
 }
+
+// Dispatcher is empty and has no constructor: step 2 is one clock timer
+// per candidate, and core.Pipeline.Dispatcher always returns nil. The type
+// remains only because bench/campaign.go names it; it goes with that
+// call in the benchmark PR of ROADMAP item 1(d).
+type Dispatcher struct{}
 
 // Backend supplies registration data for one TLD's RDAP service.
 type Backend interface {
@@ -86,10 +83,10 @@ func (f BackendFunc) RDAPDomain(name string) (*Record, error) { return f(name) }
 
 // Mux routes domains to per-TLD backends, like the IANA bootstrap registry.
 //
-// Routing is on the lookup hot path — with the dispatch engine every
-// worker resolves its backend through the Mux — so the routing table is a
-// copy-on-write map (cowMap): lookups take no lock; registrations
-// (bootstrap-table updates, rare) pay the clone.
+// Routing is on the lookup hot path — every candidate's lookup resolves
+// its backend through the Mux — so the routing table is a copy-on-write
+// map (cowMap): lookups take no lock; registrations (bootstrap-table
+// updates, rare) pay the clone.
 type Mux struct {
 	backends cowMap[Backend]
 }

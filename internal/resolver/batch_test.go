@@ -291,8 +291,7 @@ func TestShardedCacheRaceHammer(t *testing.T) {
 
 // TestLanesShedWhenSaturated: with queueing disabled, a lane holding
 // its one in-flight slot sheds the next exchange synchronously with
-// ErrRateLimited — the dispatcher posture: never block the probe path
-// behind a slow authority.
+// ErrRateLimited: never block the probe path behind a slow authority.
 func TestLanesShedWhenSaturated(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})

@@ -466,12 +466,12 @@ type lane struct {
 	done   atomic.Int64
 }
 
-// Lanes wraps an Exchanger with per-nameserver admission control in the
-// RDAP dispatcher's idiom: each nameserver key gets a bounded lane —
-// MaxInflight concurrent exchanges plus at most MaxQueued waiters — and
-// excess load is shed synchronously with ErrRateLimited instead of
-// queueing without bound behind a slow or dead authority. The default
-// key function maps a query to its name's TLD, matching the fleet's
+// Lanes wraps an Exchanger with per-nameserver admission control: each
+// nameserver key gets a bounded lane — MaxInflight concurrent exchanges
+// plus at most MaxQueued waiters — and excess load is shed synchronously
+// with ErrRateLimited instead of queueing without bound behind a slow or
+// dead authority. The default key function maps a query to its name's
+// TLD, matching the fleet's
 // direct-to-TLD-nameserver deployment; NewLanes accepts a custom keyer
 // for resolver pools fronting many upstreams.
 type Lanes struct {
@@ -553,7 +553,7 @@ func (ls *Lanes) Exchange(ctx context.Context, msg *dnsmsg.Message) (*dnsmsg.Mes
 // queues — a batch that oversubscribes a lane holds that lane's slots
 // until the whole batch completes, so waiting intra-batch would
 // deadlock; the excess is shed synchronously with ErrRateLimited in its
-// error slot instead (exactly the dispatcher's bounded-queue posture).
+// error slot instead.
 func (ls *Lanes) ExchangeBatch(ctx context.Context, msgs []*dnsmsg.Message) ([]*dnsmsg.Message, []error) {
 	resps := make([]*dnsmsg.Message, len(msgs))
 	errs := make([]error, len(msgs))

@@ -78,8 +78,8 @@ var (
 	// TCP fallback yet; the lookup fails and nothing is cached.
 	ErrTruncated = errors.New("resolver: response truncated")
 	// ErrRateLimited: a nameserver lane's bounded queue was full and the
-	// query was shed instead of enqueued (the PR 2 dispatcher idiom:
-	// never block the probe path behind a slow authority).
+	// query was shed instead of enqueued (never block the probe path
+	// behind a slow authority).
 	ErrRateLimited = errors.New("resolver: nameserver rate limited")
 )
 

@@ -3,27 +3,20 @@ package simclock
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// buildTimeline schedules a deterministic mixed workload on s: serial
-// events, parallel events, wheel-range and overflow-range timestamps,
-// heavy timestamp collisions, and callbacks that schedule further
-// events. record must be safe for the caller's drain mode.
+// buildTimeline schedules a deterministic mixed workload on s:
+// wheel-range and overflow-range timestamps, heavy timestamp collisions,
+// and callbacks that schedule further events.
 func buildTimeline(s *Sim, record func(tag string)) {
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 400; i++ {
 		i := i
-		// 20 distinct instants → 10-way collisions, inside the wheel.
+		// 20 distinct instants → 20-way collisions, inside the wheel.
 		s.After(time.Duration(i%20)*time.Minute, func() { record(fmt.Sprintf("ser-%d", i)) })
-	}
-	for i := 0; i < 200; i++ {
-		i := i
-		// Parallel events sharing those instants: commutative recording.
-		s.AfterPar(time.Duration(i%20)*time.Minute, func() { record(fmt.Sprintf("par-%d", i)) })
 	}
 	for i := 0; i < 50; i++ {
 		i := i
@@ -37,26 +30,19 @@ func buildTimeline(s *Sim, record func(tag string)) {
 		s.After(time.Duration(i)*time.Minute, func() {
 			record(fmt.Sprintf("cascade-%d", i))
 			s.After(0, func() { record(fmt.Sprintf("resched-%d", i)) })
-			s.AfterPar(5*time.Minute, func() { record(fmt.Sprintf("respar-%d", i)) })
+			s.After(5*time.Minute, func() { record(fmt.Sprintf("relater-%d", i)) })
 		})
 	}
 }
 
 // drainRecorded runs one timeline through the given drain and returns
-// the multiset-per-instant observation log: a slice of "instant|tag"
-// strings sorted within each instant for parallel tags only is too
-// clever — instead tags are recorded in delivery order and the caller
-// decides how to compare.
+// its "instant|tag" log in delivery order.
 func drainRecorded(t *testing.T, drain func(s *Sim) int) []string {
 	t.Helper()
 	s := NewSim(epoch)
-	var mu sync.Mutex
 	var log []string
 	buildTimeline(s, func(tag string) {
-		now := s.Now()
-		mu.Lock()
-		log = append(log, now.Format(time.RFC3339)+"|"+tag)
-		mu.Unlock()
+		log = append(log, s.Now().Format(time.RFC3339)+"|"+tag)
 	})
 	if n := drain(s); n != len(log) {
 		t.Fatalf("drain fired %d, log has %d", n, len(log))
@@ -84,14 +70,14 @@ func oneAtATime(s *Sim) int {
 	}
 }
 
-// TestBatchedMatchesSerialExactly: at width ≤ 1 the group drain must
-// reproduce the one-event-at-a-time order byte for byte, cascades that
-// schedule at the current instant included — what makes Run, RunUntil
-// and Advance the width-1 setting of the one loop instead of a loop of
-// their own.
+// TestBatchedMatchesSerialExactly: the group drain must reproduce the
+// one-event-at-a-time order byte for byte, cascades that schedule at the
+// current instant included, at any pool width (without a lookahead window
+// the width is unused) — what makes Run, RunUntil and Advance the window-0
+// setting of the one loop instead of a loop of their own.
 func TestBatchedMatchesSerialExactly(t *testing.T) {
 	serial := drainRecorded(t, oneAtATime)
-	for _, workers := range []int{0, 1} {
+	for _, workers := range []int{0, 1, 8} {
 		got := drainRecorded(t, func(s *Sim) int { return s.drain(unbounded, 0, workers) })
 		if !reflect.DeepEqual(serial, got) {
 			t.Fatalf("drain at workers=%d diverges from one-event-at-a-time order", workers)
@@ -99,43 +85,6 @@ func TestBatchedMatchesSerialExactly(t *testing.T) {
 	}
 	if got := drainRecorded(t, func(s *Sim) int { return s.Run() }); !reflect.DeepEqual(serial, got) {
 		t.Fatal("Run diverges from one-event-at-a-time order")
-	}
-}
-
-// TestBatchedWideIsPermutationWithinInstants: a width-8 drain may reorder
-// parallel events within one instant but nothing else — every instant's
-// multiset of tags, and the order of instants, must match the serial
-// drain. Serial (non-par) events must additionally keep their exact
-// relative order.
-func TestBatchedWideIsPermutationWithinInstants(t *testing.T) {
-	serial := drainRecorded(t, func(s *Sim) int { return s.Run() })
-	wide := drainRecorded(t, func(s *Sim) int { return s.drain(unbounded, 0, 8) })
-	if len(serial) != len(wide) {
-		t.Fatalf("fired %d vs %d", len(serial), len(wide))
-	}
-	count := func(log []string) map[string]int {
-		m := make(map[string]int, len(log))
-		for _, e := range log {
-			m[e]++
-		}
-		return m
-	}
-	if !reflect.DeepEqual(count(serial), count(wide)) {
-		t.Fatal("width 8 fired a different instant|tag multiset than Run")
-	}
-	// Serial (non-par) events are ordering barriers: their relative
-	// order must survive the wide pool exactly.
-	serialOnly := func(log []string) []string {
-		var out []string
-		for _, e := range log {
-			if !strings.Contains(e, "|par-") && !strings.Contains(e, "|respar-") {
-				out = append(out, e)
-			}
-		}
-		return out
-	}
-	if !reflect.DeepEqual(serialOnly(serial), serialOnly(wide)) {
-		t.Fatal("width 8 reordered serial events within a group")
 	}
 }
 
@@ -224,7 +173,7 @@ func TestWheelWrap(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	s := NewSim(epoch)
 	for i := 0; i < 12; i++ {
-		s.AfterPar(time.Minute, func() {})
+		s.After(time.Minute, func() {})
 	}
 	s.After(2*time.Minute, func() {})
 	s.drain(unbounded, 0, 4)
@@ -244,7 +193,7 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// TestBatchedRaceHammer drives concurrent After/AfterPar/At/Now/Pending
+// TestBatchedRaceHammer drives concurrent After/AfterTagged/At/Now/Pending
 // callers against a width-4 drain — the -race guard for the engine's
 // locking. Every scheduled event must fire exactly once.
 func TestBatchedRaceHammer(t *testing.T) {
@@ -256,7 +205,7 @@ func TestBatchedRaceHammer(t *testing.T) {
 	// Seed work so the drain has something to chew while hammers run.
 	for i := 0; i < 500; i++ {
 		scheduled.Add(1)
-		s.AfterPar(time.Duration(i%50)*time.Second, bump)
+		s.After(time.Duration(i%50)*time.Second, bump)
 	}
 
 	var wg sync.WaitGroup
@@ -271,7 +220,8 @@ func TestBatchedRaceHammer(t *testing.T) {
 					s.After(time.Duration(i%90)*time.Second, bump)
 				case 1:
 					scheduled.Add(1)
-					s.AfterPar(time.Duration(i%90)*time.Second, bump)
+					s.AfterTagged(time.Duration(i%90)*time.Second, DomainTag(fmt.Sprintf("h%d.example", g)),
+						func(time.Time) { bump() })
 				case 2:
 					scheduled.Add(1)
 					s.At(s.Now().Add(time.Duration(g)*time.Minute), bump)
@@ -306,61 +256,52 @@ func TestBatchedRaceHammer(t *testing.T) {
 }
 
 // TestScheduleBatchMatchesElementWise: a bulk insert must be
-// indistinguishable from element-by-element At/AfterPar calls — same
-// sequence numbering, same delivery order, under both drain modes.
+// indistinguishable from element-by-element ScheduleTagged calls — same
+// sequence numbering, same delivery order, tagged and untagged entries
+// alike.
 func TestScheduleBatchMatchesElementWise(t *testing.T) {
-	build := func(s *Sim, record func(tag string)) {
-		var entries []Timed
+	entries := func(record func(now time.Time, tag string)) []TaggedTimed {
+		var out []TaggedTimed
 		for i := 0; i < 120; i++ {
 			i := i
-			entries = append(entries, Timed{
-				At:  epoch.Add(time.Duration(i%12) * time.Minute),
-				Fn:  func() { record(fmt.Sprintf("bulk-%d", i)) },
-				Par: i%3 == 0,
-			})
+			e := TaggedTimed{
+				At: epoch.Add(time.Duration(i%12) * time.Minute),
+				Fn: func(now time.Time) { record(now, fmt.Sprintf("bulk-%d", i)) },
+			}
+			if i%3 != 0 { // every third entry untagged: a barrier
+				e.Tag = DomainTag(fmt.Sprintf("d%d.com", i%7))
+			}
+			out = append(out, e)
 		}
-		// Interleave with a far-future bulk slab that lands on the
-		// overflow heap — large enough to take the heapify-once path.
+		// A far-future slab that lands on the overflow heap — large
+		// enough to take the heapify-once path.
 		for i := 0; i < 100; i++ {
 			i := i
-			entries = append(entries, Timed{
+			out = append(out, TaggedTimed{
 				At: epoch.Add(wheelSpan + time.Duration(i)*time.Hour),
-				Fn: func() { record(fmt.Sprintf("far-%d", i)) },
+				Fn: func(now time.Time) { record(now, fmt.Sprintf("far-%d", i)) },
 			})
 		}
-		s.ScheduleBatch(entries)
+		return out
 	}
 	run := func(bulk bool) []string {
 		s := NewSim(epoch)
 		var log []string
-		record := func(tag string) { log = append(log, s.Now().Format(time.RFC3339)+"|"+tag) }
+		es := entries(func(now time.Time, tag string) {
+			log = append(log, now.Format(time.RFC3339)+"|"+tag)
+		})
 		if bulk {
-			build(s, record)
+			s.ScheduleBatchTagged(es)
 		} else {
-			// Element-wise reference: identical entries via At/AfterPar.
-			for i := 0; i < 120; i++ {
-				i := i
-				at := epoch.Add(time.Duration(i%12) * time.Minute)
-				fn := func() { log = append(log, s.Now().Format(time.RFC3339)+"|"+fmt.Sprintf("bulk-%d", i)) }
-				if i%3 == 0 {
-					s.mu.Lock()
-					s.push(at, fn, true)
-					s.mu.Unlock()
-				} else {
-					s.At(at, fn)
-				}
-			}
-			for i := 0; i < 100; i++ {
-				i := i
-				s.At(epoch.Add(wheelSpan+time.Duration(i)*time.Hour),
-					func() { log = append(log, s.Now().Format(time.RFC3339)+"|"+fmt.Sprintf("far-%d", i)) })
+			for _, e := range es {
+				s.ScheduleTagged(e)
 			}
 		}
 		s.Run()
 		return log
 	}
 	if got, want := run(true), run(false); !reflect.DeepEqual(got, want) {
-		t.Fatal("ScheduleBatch delivery order diverges from element-wise scheduling")
+		t.Fatal("ScheduleBatchTagged delivery order diverges from element-wise scheduling")
 	}
 }
 
@@ -370,10 +311,11 @@ func TestScheduleBatchMatchesElementWise(t *testing.T) {
 func TestScheduleBatchPastClampsAndCounts(t *testing.T) {
 	s := NewSim(epoch)
 	fired := 0
-	s.ScheduleBatch([]Timed{
-		{At: epoch.Add(-time.Hour), Fn: func() { fired++ }},
-		{At: epoch, Fn: func() { fired++ }},
-		{At: epoch.Add(time.Minute), Fn: func() { fired++ }, Par: true},
+	bump := func(time.Time) { fired++ }
+	s.ScheduleBatchTagged([]TaggedTimed{
+		{At: epoch.Add(-time.Hour), Fn: bump},
+		{At: epoch, Fn: bump},
+		{At: epoch.Add(time.Minute), Tag: DomainTag("a.com"), Fn: bump},
 	})
 	if got := s.Stats().Scheduled; got != 3 {
 		t.Fatalf("Scheduled = %d, want 3", got)
@@ -382,7 +324,7 @@ func TestScheduleBatchPastClampsAndCounts(t *testing.T) {
 		t.Fatalf("fired %d of 3", fired)
 	}
 	// Empty batches are no-ops.
-	s.ScheduleBatch(nil)
+	s.ScheduleBatchTagged(nil)
 	if s.Pending() != 0 {
 		t.Fatal("empty batch scheduled something")
 	}

@@ -323,7 +323,6 @@ func TestLookaheadTagTableRaceHammer(t *testing.T) {
 		s.ScheduleTagged(TaggedTimed{
 			At:  epoch.Add(time.Duration(i%11) * time.Minute),
 			Tag: DomainTag(d),
-			Par: i%2 == 0,
 			Fn: func(now time.Time) {
 				fired.Add(1)
 				if i%3 == 0 {

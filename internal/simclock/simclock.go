@@ -14,24 +14,20 @@
 //
 // Sim stores events in a timer wheel (coarse buckets plus an overflow
 // heap, wheel.go), so pushing the dominant near-future events is O(1),
-// and has one drain loop (drain, below) with two settings. The loop pops
-// every event sharing the earliest timestamp as one group and fires it in
-// (timestamp, schedule-order) order; at a pool width above 1, runs of
-// parallel-marked events (AfterPar) inside a group fire through a worker
-// pool behind a completion barrier; at a lookahead window of 1 or more,
+// and has one drain loop (drain, below). The loop pops every event
+// sharing the earliest timestamp as one group and fires it in
+// (timestamp, schedule-order) order; at a lookahead window of 1 or more,
 // effect-tagged events from several future timestamps fire together
-// first (lookahead.go). Run, RunUntil and Advance are width 1, window 0.
-// Parallel-marked callbacks must be commutative with other same-instant
-// parallel callbacks; under that contract, and the tagged-callback
-// contract of tags.go, every setting produces byte-identical campaigns —
-// the determinism bar the analysis package's width table enforces
-// (DESIGN.md §7, §12). Bulk producers (the world builder's commit phase,
-// DESIGN.md §9) install whole timelines through ScheduleBatch, one lock
-// acquisition per batch.
+// first, their conflict groups on a pool of the drain's width
+// (lookahead.go). Run, RunUntil and Advance are window 0. Under the
+// tagged-callback contract of tags.go every setting produces
+// byte-identical campaigns — the determinism bar the analysis package's
+// width table enforces (DESIGN.md §7, §12). Bulk producers (the world
+// builder's commit phase, DESIGN.md §9) install whole timelines through
+// ScheduleBatchTagged, one lock acquisition per batch.
 package simclock
 
 import (
-	"container/heap"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,27 +49,6 @@ type Clock interface {
 	At(t time.Time, fn func())
 }
 
-// ParScheduler is the optional Clock extension for callbacks that are
-// safe to fire concurrently with other same-instant parallel callbacks.
-// Sim's drain may run them on a worker pool when its width is above 1;
-// at width 1 (and on clocks without the extension) they fire like any
-// other event.
-type ParScheduler interface {
-	// AfterPar schedules fn like Clock.After while declaring it
-	// commutative with every other parallel event at the same instant.
-	AfterPar(d time.Duration, fn func())
-}
-
-// AfterPar schedules fn on clk, marking it parallel-safe when the clock
-// supports the mark, and falling back to clk.After otherwise.
-func AfterPar(clk Clock, d time.Duration, fn func()) {
-	if ps, ok := clk.(ParScheduler); ok {
-		ps.AfterPar(d, fn)
-		return
-	}
-	clk.After(d, fn)
-}
-
 // Real is a Clock backed by the machine's real time.
 type Real struct{}
 
@@ -82,10 +57,6 @@ func (Real) Now() time.Time { return time.Now() }
 
 // After implements Clock.
 func (Real) After(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
-
-// AfterPar implements ParScheduler: real-time timers already fire on
-// their own goroutines, so parallel marking is a no-op.
-func (Real) AfterPar(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
 
 // At implements Clock.
 func (r Real) At(t time.Time, fn func()) {
@@ -99,7 +70,8 @@ func (r Real) At(t time.Time, fn func()) {
 // Sim is a deterministic discrete-event clock. Events scheduled via After/At
 // fire, in timestamp order, when the simulation owner calls Advance, Run,
 // RunUntil or RunUntilLookahead. Callbacks run on the draining goroutine
-// (or its worker pool at widths above 1) and may schedule further events.
+// (or, for a lookahead window's conflict groups, its worker pool) and may
+// schedule further events.
 type Sim struct {
 	mu  sync.Mutex
 	now time.Time
@@ -152,81 +124,14 @@ func (s *Sim) After(d time.Duration, fn func()) {
 		d = 0
 	}
 	s.mu.Lock()
-	s.push(s.now.Add(d), fn, false)
-	s.mu.Unlock()
-}
-
-// AfterPar implements ParScheduler: fn fires like After, but a drain wider
-// than 1 may run it concurrently with other same-instant parallel events.
-// fn must be commutative with them — its effects may not depend on
-// ordering within the instant.
-func (s *Sim) AfterPar(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	s.mu.Lock()
-	s.push(s.now.Add(d), fn, true)
+	s.push(s.now.Add(d), fn)
 	s.mu.Unlock()
 }
 
 // At implements Clock.
 func (s *Sim) At(t time.Time, fn func()) {
 	s.mu.Lock()
-	s.push(t, fn, false)
-	s.mu.Unlock()
-}
-
-// Timed is one entry of a bulk schedule: an absolute instant, a callback,
-// and the parallel-commutativity mark carrying AfterPar's contract.
-type Timed struct {
-	At  time.Time
-	Fn  func()
-	Par bool
-}
-
-// ScheduleBatch schedules every entry under a single lock acquisition,
-// assigning sequence numbers in slice order — equivalent to calling At
-// (or AfterPar, for Par entries) element by element, minus the per-event
-// locking. Bulk producers like the world builder's commit phase install
-// whole compiled timelines through it. When a batch carries a large
-// far-future slab (a compiled campaign lands almost entirely beyond the
-// wheel horizon), the slab is appended to the overflow queue raw and
-// heapified once — an O(heap) rebuild instead of O(batch·log heap)
-// sifts. Firing order is identical either way: it depends only on each
-// event's (at, seq), never on heap internals.
-func (s *Sim) ScheduleBatch(entries []Timed) {
-	if len(entries) == 0 {
-		return
-	}
-	s.mu.Lock()
-	far := 0
-	for i := range entries {
-		at := entries[i].At
-		if at.Before(s.now) {
-			at = s.now
-		}
-		if at.Sub(s.now) >= wheelSpan {
-			far++
-		}
-	}
-	bulk := far >= 64 && far*4 >= len(s.overflow)
-	for i := range entries {
-		e := &entries[i]
-		at := e.At
-		if at.Before(s.now) {
-			at = s.now
-		}
-		if bulk && at.Sub(s.now) >= wheelSpan {
-			s.seq++
-			s.overflow = append(s.overflow, &event{at: at, seq: s.seq, fn: e.Fn, par: e.Par})
-			s.scheduled.Add(1)
-			continue
-		}
-		s.push(at, e.Fn, e.Par)
-	}
-	if bulk {
-		heap.Init(&s.overflow)
-	}
+	s.push(t, fn)
 	s.mu.Unlock()
 }
 
@@ -271,14 +176,13 @@ func (s *Sim) RunUntil(t time.Time) int { return s.RunUntilLookahead(t, 0, 1) }
 // may schedule more events; Run continues until the queue drains.
 func (s *Sim) Run() int { return s.drain(unbounded, 0, 1) }
 
-// RunUntilLookahead is RunUntil with both drain settings exposed: workers
-// is the pool width that parallel-marked same-instant events and
-// lookahead conflict groups fire on, window how many distinct timestamps
-// of effect-disjoint tagged events (tags.go) may fire together — 1
-// exercises the tagged machinery without crossing a timestamp, 0 switches
-// it off. With commutative parallel callbacks and the tagged contract
+// RunUntilLookahead is RunUntil with the lookahead exposed: window is how
+// many distinct timestamps of effect-disjoint tagged events (tags.go) may
+// fire together — 1 exercises the tagged machinery without crossing a
+// timestamp, 0 switches it off — and workers the pool width a window's
+// conflict groups fire on (unused at window 0). With the tagged contract
 // honoured, every (window, workers) produces campaigns byte-identical to
-// (0, 1), which is RunUntil. Returns the number of events fired.
+// window 0, which is RunUntil. Returns the number of events fired.
 func (s *Sim) RunUntilLookahead(t time.Time, window, workers int) int {
 	return s.drain(func(time.Time) (time.Time, bool) { return t, true }, window, workers)
 }
@@ -287,10 +191,10 @@ func (s *Sim) RunUntilLookahead(t time.Time, window, workers int) int {
 // to scan a prefix of tagged events and fire it as conflict groups
 // (lookahead.go); without one, or when the earliest pending event is
 // untagged, it pops the group of events sharing the earliest timestamp,
-// commits now to that instant and fires the group — in exact (timestamp,
-// seq) order at workers ≤ 1: an event a callback schedules at the current
-// instant gets a higher seq than the whole group and fires in the next
-// one, where a one-event-at-a-time loop would also have put it. Only
+// commits now to that instant and fires the group in exact (timestamp,
+// seq) order: an event a callback schedules at the current instant gets a
+// higher seq than the whole group and fires in the next one, where a
+// one-event-at-a-time loop would also have put it. Only
 // groups move now: speculative fires leave it untouched, so every
 // untagged callback observes exactly the serial clock. deadlineOf
 // computes the deadline from now under the initial lock hold — the
@@ -319,7 +223,7 @@ func (s *Sim) drain(deadlineOf func(time.Time) (time.Time, bool), window, worker
 			s.barriers.Add(int64(len(group)))
 		}
 		s.mu.Unlock()
-		s.fireGroup(group, workers)
+		s.fireGroup(group)
 		fired += len(group)
 		s.mu.Lock()
 	}
@@ -330,29 +234,16 @@ func (s *Sim) drain(deadlineOf func(time.Time) (time.Time, bool), window, worker
 	return fired
 }
 
-// fireGroup fires one same-timestamp group. Maximal runs of consecutive
-// parallel-marked events execute on the worker pool behind a completion
-// barrier; serial events act as ordering barriers at their schedule
-// position, so an order-sensitive callback never overlaps anything.
-func (s *Sim) fireGroup(group []*event, workers int) {
+// fireGroup fires one same-timestamp group in schedule order on the
+// draining goroutine.
+func (s *Sim) fireGroup(group []*event) {
 	s.rounds.Add(1)
 	if n := int64(len(group)); n > 1 {
 		s.coalesced.Add(n)
 		workpool.AtomicMax(&s.maxBatch, n)
 	}
-	for i := 0; i < len(group); {
-		if workers <= 1 || !group[i].par {
-			group[i].fire()
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(group) && group[j].par {
-			j++
-		}
-		run := group[i:j]
-		workpool.Run(len(run), workers, func(k int) { run[k].fire() })
-		i = j
+	for _, ev := range group {
+		ev.fire()
 	}
 	s.fired.Add(int64(len(group)))
 }
@@ -362,7 +253,7 @@ func (s *Sim) fireGroup(group []*event, workers int) {
 // same-instant group; coalesced counts events that shared theirs with at
 // least one other), so they read the same at any pool width.
 type Stats struct {
-	Scheduled int64 // events pushed via After/AfterPar/At
+	Scheduled int64 // events pushed via After/At and the tagged schedulers
 	Fired     int64 // callbacks executed
 	Coalesced int64 // events fired in a same-instant group of width > 1
 	Rounds    int64 // same-instant groups fired

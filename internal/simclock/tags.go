@@ -1,8 +1,8 @@
 // Effect tags: the scheduling side of the lookahead engine (DESIGN.md
 // §12). An event scheduled with a tag declares, at schedule time, the
 // set of state it may touch when it fires — derived from its closure's
-// provenance (the domain it mutates, the per-TLD RDAP lane it drains,
-// the nameserver lane it times out on). The lookahead drain
+// provenance (the domain it mutates, the nameserver lane it times out
+// on). The lookahead drain
 // (lookahead.go) uses mask intersection to decide which events from
 // *different* timestamps commute and may fire together; untagged events
 // remain full ordering barriers, so every pre-existing schedule site is
@@ -33,9 +33,8 @@ func DomainTag(domain string) EffectTag {
 	return 1 << (dnsname.Hash64(domain) & 63)
 }
 
-// LaneTag returns the effect atom for a named engine lane — a per-TLD
-// RDAP dispatch queue ("rdap/com"), a per-nameserver rate lane
-// ("resolver/127.0.0.1:5353"). Lanes share the same 64-atom space as
+// LaneTag returns the effect atom for a named engine lane — a
+// per-nameserver rate lane ("resolver/127.0.0.1:5353"). Lanes share the same 64-atom space as
 // domains; a domain/lane collision is, as above, merely conservative.
 func LaneTag(label string) EffectTag {
 	return 1 << (dnsname.Hash64(label) & 63)
@@ -66,10 +65,7 @@ type TaggedTimed struct {
 	// later than Quiet into the same window, so the spawned barrier is
 	// never jumped over.
 	Quiet time.Time
-	// Par carries AfterPar's same-instant commutativity contract, honoured
-	// when a tagged event fires in a same-instant group.
-	Par bool
-	Fn  func(now time.Time)
+	Fn    func(now time.Time)
 }
 
 // TagScheduler is the optional Clock extension for effect-tagged
@@ -97,7 +93,7 @@ func AfterTagged(clk Clock, d time.Duration, tag EffectTag, fn func(now time.Tim
 // ScheduleTagged implements TagScheduler.
 func (s *Sim) ScheduleTagged(e TaggedTimed) {
 	s.mu.Lock()
-	s.pushEvent(e.At, &event{fnT: e.Fn, par: e.Par, tag: e.Tag, tagFn: e.TagAt, quiet: e.Quiet})
+	s.pushEvent(e.At, &event{fnT: e.Fn, tag: e.Tag, tagFn: e.TagAt, quiet: e.Quiet})
 	s.mu.Unlock()
 }
 
@@ -111,11 +107,17 @@ func (s *Sim) AfterTagged(d time.Duration, tag EffectTag, fn func(now time.Time)
 	s.mu.Unlock()
 }
 
-// ScheduleBatchTagged schedules every tagged entry under a single lock
-// acquisition, assigning sequence numbers in slice order — the tagged
-// counterpart of ScheduleBatch, sharing its far-future bulk-heapify
-// path (worldsim's commit engine installs whole tagged lifecycle
-// timelines through it).
+// ScheduleBatchTagged schedules every entry under a single lock
+// acquisition, assigning sequence numbers in slice order — equivalent to
+// calling ScheduleTagged element by element, minus the per-event locking;
+// an entry with neither Tag nor TagAt is an untagged barrier, like At.
+// Bulk producers like the world builder's commit phase install whole
+// compiled timelines through it. When a batch carries a large far-future
+// slab (a compiled campaign lands almost entirely beyond the wheel
+// horizon), the slab is appended to the overflow queue raw and heapified
+// once — an O(heap) rebuild instead of O(batch·log heap) sifts. Firing
+// order is identical either way: it depends only on each event's
+// (at, seq), never on heap internals.
 func (s *Sim) ScheduleBatchTagged(entries []TaggedTimed) {
 	if len(entries) == 0 {
 		return
@@ -138,7 +140,7 @@ func (s *Sim) ScheduleBatchTagged(entries []TaggedTimed) {
 		if at.Before(s.now) {
 			at = s.now
 		}
-		ev := &event{fnT: e.Fn, par: e.Par, tag: e.Tag, tagFn: e.TagAt, quiet: e.Quiet}
+		ev := &event{fnT: e.Fn, tag: e.Tag, tagFn: e.TagAt, quiet: e.Quiet}
 		if bulk && at.Sub(s.now) >= wheelSpan {
 			s.seq++
 			ev.at, ev.seq = at, s.seq

@@ -2,7 +2,7 @@
 //
 // The simulated timeline is a calendar queue: near-future events — the
 // dominant class once the fleet coalesces probe rounds and the pipeline
-// arms zero-delay flush timers — land in a ring of coarse tick-width
+// arms one RDAP timer per candidate — land in a ring of coarse tick-width
 // buckets where push is O(1), and everything beyond the wheel's horizon
 // (worldsim lays out whole 13-week campaigns up front) falls back to a
 // binary heap. The firing order contract is unchanged from the plain
@@ -22,9 +22,6 @@ type event struct {
 	at  time.Time
 	seq uint64 // tie-break so equal timestamps fire in schedule order
 	fn  func()
-	// par marks the callback commutative with other same-instant parallel
-	// events: a drain wider than 1 may run it concurrently with them.
-	par bool
 
 	// Effect-tagged events (tags.go). fnT is the time-explicit callback
 	// form — it receives the event's own timestamp, which equals Now()
@@ -126,8 +123,8 @@ func (sl *slot) empty() bool { return sl.head == len(sl.evs) }
 
 // push stores an event; the caller holds s.mu. Instants in the past
 // clamp to now so they fire on the next dispatch.
-func (s *Sim) push(at time.Time, fn func(), par bool) {
-	s.pushEvent(at, &event{fn: fn, par: par})
+func (s *Sim) push(at time.Time, fn func()) {
+	s.pushEvent(at, &event{fn: fn})
 }
 
 // pushEvent assigns (at, seq) to ev and stores it; the caller holds s.mu

@@ -132,43 +132,6 @@ func (t *Topic) Publish(now time.Time, key string, value []byte) int64 {
 	return off
 }
 
-// Record is one key/value pair for batch publication. A zero Time means
-// "stamp with the batch time"; a non-zero Time is preserved, letting
-// batched publishers keep per-message observation times identical to what
-// per-message Publish calls would have recorded.
-type Record struct {
-	Time  time.Time
-	Key   string
-	Value []byte
-}
-
-// PublishBatch appends recs as consecutive messages and returns the
-// offset of the first. The whole batch costs one lock acquisition and one
-// waiter wake-up round, which is the amortization the pipeline's ingest
-// hot path relies on (DESIGN.md §5). Publishing an empty batch is a no-op
-// returning the next offset.
-func (t *Topic) PublishBatch(now time.Time, recs []Record) int64 {
-	t.mu.Lock()
-	first := int64(len(t.log))
-	if len(recs) == 0 {
-		t.mu.Unlock()
-		return first
-	}
-	for i, r := range recs {
-		at := r.Time
-		if at.IsZero() {
-			at = now
-		}
-		t.log = append(t.log, Message{Offset: first + int64(i), Time: at, Key: r.Key, Value: r.Value})
-	}
-	waiters := t.takeWaiters()
-	t.mu.Unlock()
-	for _, w := range waiters {
-		close(w)
-	}
-	return first
-}
-
 // takeWaiters drains the waiter set; caller holds mu and must close every
 // returned channel after releasing it.
 func (t *Topic) takeWaiters() []chan struct{} {

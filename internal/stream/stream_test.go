@@ -107,48 +107,6 @@ func TestTopicPreClosePersistsAcrossClose(t *testing.T) {
 	}
 }
 
-func TestPublishBatch(t *testing.T) {
-	b := NewBus()
-	topic := b.Topic("x")
-	topic.Publish(now, "k0", nil)
-	recs := []Record{{Key: "k1", Value: []byte("a")}, {Key: "k2", Value: []byte("b")}}
-	if first := topic.PublishBatch(now.Add(time.Minute), recs); first != 1 {
-		t.Fatalf("first offset = %d, want 1", first)
-	}
-	if first := topic.PublishBatch(now, nil); first != 3 {
-		t.Fatalf("empty batch offset = %d, want 3", first)
-	}
-	msgs := topic.Poll("g", 10)
-	if len(msgs) != 3 || msgs[1].Key != "k1" || msgs[2].Key != "k2" || msgs[2].Offset != 2 {
-		t.Fatalf("log after batch: %+v", msgs)
-	}
-}
-
-func TestPublishBatchWakesWaiters(t *testing.T) {
-	b := NewBus()
-	topic := b.Topic("x")
-	c := NewConsumer(topic, "g", 10)
-	done := make(chan int, 1)
-	go func() {
-		msgs, ok := c.WaitNext(nil, 5*time.Second)
-		if !ok {
-			done <- -1
-			return
-		}
-		done <- len(msgs)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	topic.PublishBatch(now, []Record{{Key: "a"}, {Key: "b"}})
-	select {
-	case got := <-done:
-		if got != 2 {
-			t.Fatalf("woke with %d messages", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("PublishBatch never woke the waiter")
-	}
-}
-
 func TestWaitNextTimeoutDoesNotLeakWaiters(t *testing.T) {
 	b := NewBus()
 	topic := b.Topic("idle")

@@ -1,29 +1,25 @@
 package workpool
 
 // Engines is the one declaration of the campaign's concurrency settings:
-// seven pool widths and the clock's lookahead window. analysis.RunConfig,
-// worldsim.Config, core.Config and measure.Config embed it, so a value
-// set at the top is handed down whole and each layer reads the fields it
-// owns. Every field picks how work is executed, never what is computed:
-// worlds, observation streams and campaign reports are byte-identical
-// for a fixed seed at any value of any field, alone or combined (the
-// determinism table in internal/analysis and TestGoldenReportHash hold
-// it to that). A width of 0 or 1 runs the stage on the calling
-// goroutine.
+// the pool widths of the stages that have work to share and the clock's
+// lookahead window. analysis.RunConfig, worldsim.Config, core.Config and
+// measure.Config embed it, so a value set at the top is handed down whole
+// and each layer reads the fields it owns. Every field picks how work is
+// executed, never what is computed: worlds, observation streams and
+// campaign reports are byte-identical for a fixed seed at any value of
+// any field, alone or combined (the determinism table in
+// internal/analysis and TestGoldenReportHash hold it to that). A width of
+// 0 or 1 runs the stage on the calling goroutine.
 type Engines struct {
-	// IngestWorkers selects the pipeline's ingest (core): 0 handles each
-	// certstream event as it is delivered; ≥ 1 buffers events into
-	// micro-batches flushed at the same simulated instant and screens
-	// each batch (PSL extraction, zone filter) on a pool this wide, with
-	// admission serial in input order.
+	// IngestWorkers and RDAPWorkers are read by nothing: ingest handles
+	// each certstream event as it is delivered and step 2 is one clock
+	// timer per candidate, so neither stage ever holds two items at once.
+	// They remain only because bench/campaign.go sets them, and go with
+	// those assignments in the benchmark PR of ROADMAP item 1(d).
 	IngestWorkers int
-	// RDAPWorkers selects step 2 (core, rdap): 0 schedules one lookup per
-	// candidate on the clock; ≥ 1 enqueues candidates into the per-TLD
-	// dispatcher, whose due rounds execute on a pool this wide.
-	RDAPWorkers int
-	// ClockWorkers is the drain's pool width (simclock): above 1, runs of
-	// parallel-marked events sharing an instant, and the conflict groups
-	// of a lookahead window, fire on a pool this wide.
+	RDAPWorkers   int
+	// ClockWorkers is the pool width a lookahead window's conflict groups
+	// fire on (simclock); it has no effect at LookaheadWindow 0.
 	ClockWorkers int
 	// LookaheadWindow is the drain's lookahead (simclock): ≥ 1 fires
 	// effect-disjoint tagged events from up to this many distinct future
@@ -54,14 +50,13 @@ type Engines struct {
 	ApplyWorkers int
 }
 
-// AllEngines returns every width set to w, behind an 8-instant lookahead
-// when w > 0: the one engines-on configuration the ledger's
-// campaign_engines workload, TestGoldenReportHash and the -workers flag
-// of the commands use. AllEngines(0) is the zero value, the default path.
+// AllEngines returns every width read by a stage set to w, behind an
+// 8-instant lookahead when w > 0: the one engines-on configuration
+// TestGoldenReportHash and the -workers flag of the commands use.
+// AllEngines(0) is the zero value, the default path.
 func AllEngines(w int) Engines {
 	e := Engines{
-		IngestWorkers: w, RDAPWorkers: w, ClockWorkers: w,
-		BuildWorkers: w, CommitWorkers: w, ProbeWorkers: w, ApplyWorkers: w,
+		ClockWorkers: w, BuildWorkers: w, CommitWorkers: w, ProbeWorkers: w, ApplyWorkers: w,
 	}
 	if w > 0 {
 		e.LookaheadWindow = 8

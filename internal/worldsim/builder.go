@@ -3,7 +3,7 @@
 // commutative bulk of a layout — record installs on the sharded
 // DomainStore, NOD/blocklist/DZDB seedings, DV tokens — commits on a
 // worker pool at Config.CommitWorkers width; the order-sensitive
-// remainder (the ghost ledger, the clock-timeline ScheduleBatch calls)
+// remainder (the ghost ledger, the clock-timeline ScheduleBatchTagged calls)
 // stays serial in canonical (plan, chunk) order, so the resulting world
 // is byte-identical at any compile or commit width (DESIGN.md §9).
 package worldsim
@@ -74,9 +74,9 @@ func compileLayouts(env *buildEnv) []*Layout {
 // net), and the substrates take earliest-wins / min-max / keyed updates
 // under their own locks — so phase one is order-free. Phase two is the
 // serial remainder: the ghost ledger append (slice order) and the
-// ScheduleBatch calls (event sequence numbers), both order-sensitive,
-// run in canonical (plan, chunk) order. One lock acquisition per layout
-// on the clock either way; determinism comes from the fixed phase-two
+// ScheduleBatchTagged calls (event sequence numbers), both
+// order-sensitive, run in canonical (plan, chunk) order. One lock
+// acquisition per layout on the clock either way; determinism comes from the fixed phase-two
 // order, speed from striping phase one.
 func (w *World) commit(layouts []*Layout) {
 	total := 0
@@ -84,38 +84,32 @@ func (w *World) commit(layouts []*Layout) {
 		total += len(l.domains)
 	}
 	w.Domains = newDomainStore(total)
-	lifecycles := make([][]simclock.TaggedTimed, len(layouts))
-	timelines := make([][]simclock.Timed, len(layouts))
+	timelines := make([][]simclock.TaggedTimed, len(layouts))
 	workpool.Run(len(layouts), w.Cfg.CommitWorkers, func(i int) {
-		lifecycles[i], timelines[i] = w.commitLayout(layouts[i], i)
+		timelines[i] = w.commitLayout(layouts[i], i)
 	})
 	for i, l := range layouts {
 		for _, g := range l.ghosts {
 			w.Ghosts = append(w.Ghosts, g.d)
 		}
-		// Tagged registrations first, then untagged ghost issuance —
-		// the same per-layout append order commitLayout used when both
-		// lived in one batch, so sequence numbers are unchanged.
-		w.Clock.ScheduleBatchTagged(lifecycles[i])
-		w.Clock.ScheduleBatch(timelines[i])
+		w.Clock.ScheduleBatchTagged(timelines[i])
 	}
 }
 
-// commitLayout installs one layout's commutative effects and returns
-// its compiled timelines — effect-tagged domain lifecycles and untagged
-// ghost issuance — for the serial schedule pass. rank is the layout's
+// commitLayout installs one layout's commutative effects and returns its
+// compiled timeline for the serial schedule pass: effect-tagged domain
+// lifecycles, then untagged ghost issuance. rank is the layout's
 // canonical index, which decides duplicate-name winners the way serial
 // order used to. Safe for concurrent invocation with distinct layouts:
 // the Domains store is sharded, the substrates lock internally, and the
 // registries/CAs the timeline closures capture are only read here.
-func (w *World) commitLayout(l *Layout, rank int) ([]simclock.TaggedTimed, []simclock.Timed) {
-	lifecycle := make([]simclock.TaggedTimed, 0, len(l.domains))
-	timeline := make([]simclock.Timed, 0, len(l.ghosts))
+func (w *World) commitLayout(l *Layout, rank int) []simclock.TaggedTimed {
+	timeline := make([]simclock.TaggedTimed, 0, len(l.domains)+len(l.ghosts))
 	for _, r := range l.domains {
 		if w.Domains.install(r.d, rank) {
 			w.dupNames.Add(1)
 		}
-		lifecycle = append(lifecycle, w.registrationEvent(r))
+		timeline = append(timeline, w.registrationEvent(r))
 	}
 	for _, g := range l.ghosts {
 		// Ghost names join the store's uniqueness set only — they have no
@@ -129,7 +123,7 @@ func (w *World) commitLayout(l *Layout, rank int) ([]simclock.TaggedTimed, []sim
 			w.DZDB.Observe(g.d.Name, g.tokenAt)
 		}
 		name := g.d.Name
-		timeline = append(timeline, simclock.Timed{At: g.d.Created, Fn: func() {
+		timeline = append(timeline, simclock.TaggedTimed{At: g.d.Created, Fn: func(time.Time) {
 			issuer.Issue(name, name, nil, nil) // token reuse: no live validation
 		}})
 	}
@@ -142,7 +136,7 @@ func (w *World) commitLayout(l *Layout, rank int) ([]simclock.TaggedTimed, []sim
 	for _, s := range l.dzdb {
 		w.DZDB.Observe(s.domain, s.at)
 	}
-	return lifecycle, timeline
+	return timeline
 }
 
 // registrationEvent wires one compiled registration's lifecycle into an

@@ -100,7 +100,7 @@ type feedSeed struct {
 
 // Layout is one plan's compiled output. It holds no references to world
 // substrates; commit translates it into Domains-map inserts, substrate
-// seedings and one ScheduleBatch call.
+// seedings and one ScheduleBatchTagged call.
 type Layout struct {
 	tld     string
 	domains []*regLayout

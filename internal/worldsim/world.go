@@ -14,7 +14,7 @@
 // on the 64-way sharded DomainStore and substrate seedings
 // (NOD/blocklist/DZDB/DV tokens) are commutative across the distinct
 // names different layouts own, so they fan out too; only the ghost
-// ledger and the clock-timeline installs (ScheduleBatch assigns event
+// ledger and the clock-timeline installs (ScheduleBatchTagged assigns event
 // sequence numbers) stay serial in canonical (plan, chunk) order.
 //
 // Determinism contract (DESIGN.md §2, §8–§9): worlds — and the campaign
@@ -266,16 +266,17 @@ func (w *World) Stop() {
 // late snapshots and measurement windows: RunLookahead(0, 0).
 func (w *World) Run() { w.RunLookahead(0, 0) }
 
-// RunBatched is RunLookahead(0, workers): no lookahead, parallel-marked
-// same-instant events through a pool of the given width.
-func (w *World) RunBatched(workers int) { w.RunLookahead(0, workers) }
+// RunBatched is Run: without a lookahead window the drain's pool width is
+// unused. It remains only because bench/campaign.go calls it; it goes
+// with that call in the benchmark PR of ROADMAP item 1(d).
+func (w *World) RunBatched(int) { w.Run() }
 
 // RunLookahead drains the campaign through the clock's one drain
 // (simclock.Sim.RunUntilLookahead) at the given settings, then stops the
-// registry tickers. Under a pool, RDAP due-timers sharing an instant fire
-// concurrently; under a window, so do effect-disjoint tagged events of
+// registry tickers. Under a window, effect-disjoint tagged events of
 // different timestamps — domain lifecycles, RDAP due-timers, fleet probe
-// rounds — while untagged events (zone rebuilds, CT issuance, snapshot
+// rounds — fire together, their conflict groups on a pool of the given
+// width, while untagged events (zone rebuilds, CT issuance, snapshot
 // publication) remain full ordering barriers. Campaign results are
 // byte-identical at every setting (DESIGN.md §7, §12).
 func (w *World) RunLookahead(window, workers int) {
