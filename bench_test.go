@@ -300,7 +300,7 @@ func benchSimTimeline(s *simclock.Sim, n int, sink *[1]uint64) {
 }
 
 // BenchmarkSimSerialRun is the event-loop baseline: the timer-wheel
-// engine's drain at window 0. One op = one event.
+// engine's one drain. One op = one event.
 func BenchmarkSimSerialRun(b *testing.B) {
 	var sink [1]uint64
 	s := simclock.NewSim(time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC))
@@ -308,55 +308,6 @@ func BenchmarkSimSerialRun(b *testing.B) {
 	b.ResetTimer()
 	if s.Run() != b.N {
 		b.Fatal("lost events")
-	}
-}
-
-// benchSimTaggedTimeline loads a Sim with n effect-tagged events at n
-// distinct instants, one domain atom each — the shape lookahead
-// exploits: masks across neighbouring timestamps are (mostly) disjoint,
-// so a window of them fires in one pooled round where window 0 takes n
-// rounds. Each event carries the same CPU slab as
-// benchSimTimeline.
-func benchSimTaggedTimeline(s *simclock.Sim, n int, sink *[1]uint64) {
-	base := time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC)
-	entries := make([]simclock.TaggedTimed, n)
-	for i := 0; i < n; i++ {
-		i := i
-		entries[i] = simclock.TaggedTimed{
-			At:  base.Add(time.Duration(i) * time.Second),
-			Tag: simclock.DomainTag(benchName(i) + ".shop"),
-			Fn: func(time.Time) {
-				h := uint64(i)
-				for k := 0; k < 512; k++ {
-					h = (h ^ uint64(k)) * 0x100000001b3
-				}
-				if h == 0 {
-					sink[0]++ // defeats dead-code elimination; never taken
-				}
-			},
-		}
-	}
-	s.ScheduleBatchTagged(entries)
-}
-
-// BenchmarkLookaheadRun measures the drain's lookahead setting: window=1
-// exercises the tagged machinery without ever crossing timestamps,
-// window=8 pools effect-disjoint events from up to eight instants into
-// one concurrent round. One op = one event; against
-// BenchmarkSimSerialRun it shows what cross-timestamp speculation buys on
-// a spread-instant timeline.
-func BenchmarkLookaheadRun(b *testing.B) {
-	for _, window := range []int{1, 8} {
-		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
-			var sink [1]uint64
-			start := time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC)
-			s := simclock.NewSim(start)
-			benchSimTaggedTimeline(s, b.N, &sink)
-			b.ResetTimer()
-			if s.RunUntilLookahead(start.Add(time.Duration(b.N)*time.Second), window, runtime.GOMAXPROCS(0)) != b.N {
-				b.Fatal("lost events")
-			}
-		})
 	}
 }
 

@@ -23,7 +23,7 @@ func main() {
 	scale := flag.Float64("scale", 0.002, "fraction of paper volume to simulate")
 	weeks := flag.Int("weeks", 4, "observation window length in weeks")
 	seed := flag.Int64("seed", 1, "world seed")
-	workers := flag.Int("workers", 0, "pool width of every stage at once — world compile and commit, fleet probe and apply slices, the clock's lookahead groups — behind an 8-instant clock lookahead; 0 = every stage on the calling goroutine (same results either way)")
+	workers := flag.Int("workers", 0, "pool width of every stage at once — world compile and commit, fleet probe and apply slices; 0 = every stage on the calling goroutine (same results either way)")
 	probeCadence := flag.Duration("probe-cadence", 0, "fleet revalidation cadence decoupled from TTL (0 = default 10m interval)")
 	snapshot := flag.String("snapshot", "", "persistent world snapshot path: a matching snapshot replaces the compile phase, a miss compiles then saves here (same world either way)")
 	verbose := flag.Bool("v", false, "print every confirmed transient domain")
@@ -63,10 +63,6 @@ func main() {
 		fr.Engine.Scheduled, fr.Engine.Fired, fr.Rounds, fr.MaxRound)
 	fmt.Printf("  drain: %d same-instant groups, %d events coalesced, max group %d\n",
 		fr.Engine.Rounds, fr.Engine.Coalesced, fr.Engine.MaxBatch)
-	if *workers > 0 {
-		fmt.Printf("  lookahead: %d windows, %d speculative fires, %d conflicts, %d barrier events\n",
-			fr.Engine.Windows, fr.Engine.SpecFired, fr.Engine.Conflicts, fr.Engine.Barriers)
-	}
 
 	if *verbose {
 		for _, c := range rep.Confirmed {

@@ -33,7 +33,7 @@ func main() {
 	watchSamples := flag.String("watch-samples", "1.0", "comma-separated watch sampling rates (shed policy), crossed with -cadences into policies")
 	snapshotDir := flag.String("snapshot-dir", "", "directory for persistent world snapshots (empty = fresh temp dir)")
 	sweepWorkers := flag.Int("sweep-workers", 4, "campaign fan-out width across grid cells (≤1 = serial)")
-	workers := flag.Int("workers", 0, "pool width of every stage inside each cell's world build and campaign, behind an 8-instant clock lookahead; 0 = serial cells, which -sweep-workers already runs side by side")
+	workers := flag.Int("workers", 0, "pool width of every stage inside each cell's world build and campaign; 0 = serial cells, which -sweep-workers already runs side by side")
 	out := flag.String("out", "", "write the columnar result table to this file")
 	flag.Parse()
 

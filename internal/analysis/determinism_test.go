@@ -45,11 +45,10 @@ func TestCampaignDeterminism(t *testing.T) {
 // contract is one sentence — a fixed-seed campaign renders byte-identical
 // evaluation reports (Tables 1–5, Figures 1–2, every headline) at any
 // value of any workpool.Engines field — and one table proves it: each
-// field a stage reads alone at 1 and at 8 (the lookahead window at 1, 4
-// and 16; the clock pool, which only a window uses, at 8 behind a window
-// of 4), and every field at once, all against one serial reference
-// rendered once. The tests below are that table's rows grouped by field,
-// so a failure names the stage; together they cost 14 campaigns.
+// field a stage reads alone at 1 and at 8, and every field at once, all
+// against one serial reference rendered once. The tests below are that
+// table's rows grouped by field, so a failure names the stage; together
+// they cost 10 campaigns.
 
 var widthBase = RunConfig{Seed: 61, Scale: 0.0008, Weeks: 2, WatchSampleRate: 1.0, ProbeMail: true}
 
@@ -80,27 +79,6 @@ func checkWidths(t *testing.T, check func(*testing.T, workpool.Engines, *Results
 			check(t, row, res)
 		}
 	}
-}
-
-// Clock drain pool: a lookahead window's disjoint conflict groups fire on
-// eight workers.
-func TestSerialBatchedClockCampaignsIdentical(t *testing.T) {
-	checkWidths(t, nil, workpool.Engines{ClockWorkers: 8, LookaheadWindow: 4})
-}
-
-// Clock lookahead: window 1 exercises the tagged machinery inside one
-// instant; from 4 up the drain must also actually speculate — events
-// from at least two distinct timestamps fired in one round.
-func TestSerialLookaheadCampaignsIdentical(t *testing.T) {
-	speculates := func(t *testing.T, e workpool.Engines, r *Results) {
-		st := r.World.Clock.Stats()
-		if e.LookaheadWindow >= 4 && (st.SpecFired == 0 || st.Windows == 0) {
-			t.Errorf("LookaheadWindow=%d: SpecFired=%d Windows=%d, want both > 0 (no cross-timestamp firing happened)",
-				e.LookaheadWindow, st.SpecFired, st.Windows)
-		}
-	}
-	checkWidths(t, speculates,
-		workpool.Engines{LookaheadWindow: 1}, workpool.Engines{LookaheadWindow: 4}, workpool.Engines{LookaheadWindow: 16})
 }
 
 // World compile: each plan draws from its own seed-derived RNG stream

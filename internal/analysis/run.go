@@ -37,9 +37,8 @@ type RunConfig struct {
 	// ProbeMail enables the future-work MX/SPF probes (§5).
 	ProbeMail bool
 	// Engines are the campaign's concurrency settings, handed down whole
-	// to the world builder and the fleet, and read here for the clock
-	// drain. Results are byte-identical for a fixed seed at any
-	// value.
+	// to the world builder and the fleet. Results are byte-identical for
+	// a fixed seed at any value.
 	workpool.Engines
 	// ProbeCadence decouples the fleet's revalidation interval from the
 	// default 10-minute round, per Afek & Litmanovich's TTL-decoupled
@@ -86,7 +85,7 @@ func Run(cfg RunConfig) *Results {
 	bus := stream.NewBus()
 	p := core.New(pcfg, w.Clock, psl.Default(), w.CZDS, core.MuxQuerier{Mux: w.RDAP}, fleet, bus, cfg.Seed+100)
 	p.Start(w.Hub)
-	w.RunLookahead(cfg.LookaheadWindow, cfg.ClockWorkers)
+	w.Run()
 	p.Stop()
 
 	return &Results{

@@ -113,38 +113,40 @@ func (hashQuerier) Domain(_ context.Context, name string) (*rdap.Record, error) 
 	}
 }
 
-// hashQuerierAt is hashQuerier with the time-explicit extension: the
-// step-2 timer then carries the candidate's domain tag and the lookup
-// goes through DomainAt.
-type hashQuerierAt struct{ hashQuerier }
-
-func (q hashQuerierAt) DomainAt(ctx context.Context, name string, _ time.Time) (*rdap.Record, error) {
-	return q.Domain(ctx, name)
-}
-
 // TestDispatchMatchesSerialRDAP replays one corpus through step 2's one
-// timer — untagged (a querier that reads the clock) and tagged (a
-// time-explicit querier), both also under a lookahead drain, which fires
-// the tagged lookups ahead of committed time — advancing the clock
-// through every queueing delay, and requires identical candidate stores:
-// RDAP outcomes, timestamps and validation bits included. This is step
-// 2's determinism contract at the pipeline level.
+// timer twice — handled serially and drained in one call, then handed to
+// HandleEvent from four goroutines and drained a minute at a time — and
+// requires identical candidate stores: RDAP outcomes, timestamps and
+// validation bits included. Every per-candidate draw derives from the
+// domain, so neither the caller that admits a candidate nor how the clock
+// is driven may show in the result. This is step 2's determinism contract
+// at the pipeline level.
 func TestDispatchMatchesSerialRDAP(t *testing.T) {
 	evs := synthEvents(1200, t0)
 
-	run := func(q rdap.Querier, window int) ([]Candidate, simclock.Stats) {
+	run := func(feeders int, drain func(*simclock.Sim)) []Candidate {
 		clk := simclock.NewSim(t0)
 		cfg := DefaultConfig(t0, t0.Add(91*24*time.Hour))
-		p := New(cfg, clk, psl.Default(), czds.New(), q, nil, nil, 55)
-		for _, ev := range evs {
-			p.HandleEvent(ev)
+		p := New(cfg, clk, psl.Default(), czds.New(), hashQuerier{}, nil, nil, 55)
+		// Contiguous even-sized ranges keep each colliding pair on one
+		// feeder, in order, so the same event of a pair wins admission.
+		var wg sync.WaitGroup
+		for f := 0; f < feeders; f++ {
+			wg.Add(1)
+			go func(f int) {
+				defer wg.Done()
+				for _, ev := range evs[f*len(evs)/feeders : (f+1)*len(evs)/feeders] {
+					p.HandleEvent(ev)
+				}
+			}(f)
 		}
+		wg.Wait()
 		// Fire every queued RDAP collection: delays stay under 5 minutes.
-		clk.RunUntilLookahead(t0.Add(time.Hour), window, 8)
-		return p.Candidates(), clk.Stats()
+		drain(clk)
+		return p.Candidates()
 	}
 
-	want, _ := run(hashQuerier{}, 0)
+	want := run(1, func(clk *simclock.Sim) { clk.RunUntil(t0.Add(time.Hour)) })
 	nOK := 0
 	for _, c := range want {
 		if c.RDAPOutcome == RDAPOK {
@@ -154,23 +156,13 @@ func TestDispatchMatchesSerialRDAP(t *testing.T) {
 	if nOK == 0 {
 		t.Fatal("degenerate corpus: no successful RDAP outcome")
 	}
-	for _, row := range []struct {
-		name   string
-		q      rdap.Querier
-		window int
-	}{
-		{"untagged timer under lookahead", hashQuerier{}, 8},
-		{"tagged timer", hashQuerierAt{}, 0},
-		{"tagged timer under lookahead", hashQuerierAt{}, 8},
-	} {
-		got, st := run(row.q, row.window)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: candidates diverge from the untagged serial timer", row.name)
+	got := run(4, func(clk *simclock.Sim) {
+		for i := 0; i < 60; i++ {
+			clk.Advance(time.Minute)
 		}
-		_, tagged := row.q.(rdap.QuerierAt)
-		if row.window > 0 && tagged != (st.SpecFired > 0) {
-			t.Errorf("%s: SpecFired = %d, want > 0 exactly when the querier is time-explicit", row.name, st.SpecFired)
-		}
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Error("four feeders, stepped drain: candidates diverge from the serial run")
 	}
 }
 

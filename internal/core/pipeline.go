@@ -162,11 +162,8 @@ type Pipeline struct {
 	psl   *psl.List
 	zones *czds.Service
 	rdapQ rdap.Querier
-	// rdapAt is rdapQ's time-explicit extension, resolved once; nil for a
-	// querier that reads the clock itself (a wire client).
-	rdapAt rdap.QuerierAt
-	fleet  *measure.Fleet
-	seed   int64
+	fleet *measure.Fleet
+	seed  int64
 
 	feed *stream.Topic
 
@@ -196,7 +193,6 @@ func New(cfg Config, clk simclock.Clock, pslList *psl.List, zones *czds.Service,
 		cfg: cfg, clk: clk, psl: pslList, zones: zones, rdapQ: rdapQ,
 		fleet: fleet, seed: seed,
 	}
-	p.rdapAt, _ = rdapQ.(rdap.QuerierAt)
 	for i := range p.shards {
 		p.shards[i].candidates = make(map[string]*Candidate)
 	}
@@ -331,18 +327,7 @@ func (p *Pipeline) dispatch(cand *Candidate) {
 		delay = p.cfg.RDAPDelay(rng)
 	}
 	fail := rng.Float64() < p.cfg.RDAPFailureRate
-	// One timer per candidate. With a time-explicit backend it carries the
-	// candidate's domain atom, so a lookahead drain may fire RDAP lookups
-	// of unrelated domains from different instants together: the lookup
-	// reads only this domain's registry slice and writes only this
-	// candidate's shard entry. A backend that reads the clock itself gets
-	// no tag, which keeps the timer an ordering barrier that fires at
-	// committed time.
-	var tag simclock.EffectTag
-	if p.rdapAt != nil {
-		tag = simclock.DomainTag(cand.Domain)
-	}
-	simclock.AfterTagged(p.clk, delay, tag, func(now time.Time) { p.collectRDAP(cand, fail, now) })
+	p.clk.After(delay, func() { p.collectRDAP(cand, fail) })
 
 	if p.fleet != nil && rng.Float64() < p.cfg.WatchSampleRate {
 		sh := p.shard(cand.Domain)
@@ -359,20 +344,16 @@ func feedJSON(domain string, ev certstream.Event) []byte {
 		domain, ev.Seen.UTC().Format(time.RFC3339), ev.Log))
 }
 
-// collectRDAP performs step 2: the one lookup (or injected failure) at
-// now, the timer's own firing instant — never read from the clock, which
-// a tagged timer may fire ahead of — then records the outcome and runs
-// the step 4 validation. Safe for concurrent use: outcomes for distinct
-// candidates land on their own store stripes.
-func (p *Pipeline) collectRDAP(cand *Candidate, injectedFailure bool, now time.Time) {
+// collectRDAP performs step 2 when the candidate's timer fires: the one
+// lookup (or injected failure), stamped with the clock's instant, then
+// the outcome and the step 4 validation. Safe for concurrent use:
+// outcomes for distinct candidates land on their own store stripes.
+func (p *Pipeline) collectRDAP(cand *Candidate, injectedFailure bool) {
+	now := p.clk.Now()
 	var rec *rdap.Record
 	err := rdap.ErrRateLimited
 	if !injectedFailure {
-		if p.rdapAt != nil {
-			rec, err = p.rdapAt.DomainAt(context.Background(), cand.Domain, now)
-		} else {
-			rec, err = p.rdapQ.Domain(context.Background(), cand.Domain)
-		}
+		rec, err = p.rdapQ.Domain(context.Background(), cand.Domain)
 	}
 	sh := p.shard(cand.Domain)
 	sh.mu.Lock()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"darkdns/internal/rdap"
 )
@@ -18,11 +17,4 @@ type MuxQuerier struct {
 // Domain implements rdap.Querier.
 func (q MuxQuerier) Domain(_ context.Context, name string) (*rdap.Record, error) {
 	return q.Mux.RDAPDomain(name)
-}
-
-// DomainAt implements rdap.QuerierAt: the lookup evaluated at an
-// explicit instant, which effect-tagged RDAP events use when firing
-// ahead of the lookahead drain's committed time.
-func (q MuxQuerier) DomainAt(_ context.Context, name string, now time.Time) (*rdap.Record, error) {
-	return q.Mux.RDAPDomainAt(name, now)
 }

@@ -245,6 +245,19 @@ func (c *Client) run(ctx context.Context, sc *subConn, opts SubscribeOptions, su
 			return false
 		}
 	}
+	// deliver moves the resume point to next before the event is sent, so
+	// a consumer that has received it never reads an older NextOffset;
+	// when the send fails the subscription stops and the point goes back.
+	deliver := func(ev Event, next int64) bool {
+		prev := sub.last.Swap(next)
+		if emit(ev) {
+			return true
+		}
+		sub.last.Store(prev)
+		sub.setErr(ErrStopped)
+		sc.conn.Close()
+		return false
+	}
 	for {
 		f, err := sc.readFrame()
 		if err != nil {
@@ -301,23 +314,13 @@ func (c *Client) run(ctx context.Context, sc *subConn, opts SubscribeOptions, su
 		switch f.Kind {
 		case FrameData:
 			for _, e := range f.Entries {
-				if !emit(Event{Kind: EventEntry, Entry: e}) {
-					sub.setErr(ErrStopped)
-					sc.conn.Close()
+				if !deliver(Event{Kind: EventEntry, Entry: e}, e.Offset+1) {
 					return
 				}
-				sub.last.Store(e.Offset + 1)
 			}
 		case FrameGap:
-			if f.Gap != nil {
-				if !emit(Event{Kind: EventGap, Gap: *f.Gap}) {
-					sub.setErr(ErrStopped)
-					sc.conn.Close()
-					return
-				}
-				if f.Gap.To+1 > sub.last.Load() {
-					sub.last.Store(f.Gap.To + 1)
-				}
+			if f.Gap != nil && !deliver(Event{Kind: EventGap, Gap: *f.Gap}, max(f.Gap.To+1, sub.last.Load())) {
+				return
 			}
 		case FrameHeartbeat:
 			// Liveness only.

@@ -40,8 +40,9 @@ func (b *fakeBatchBackend) ProbeBatch(domains []string, mail bool) []ProbeResult
 // byte-identical observation streams whether the backend is a plain
 // Backend behind the fleet's per-domain adapter or the same fake exposing
 // ProbeBatch itself, whether rounds are cut by the fleet (ProbeWorkers=0),
-// sent as one batch (1) or as eight slices (8), and whichever clock drain
-// mode runs them. Every width goes through ProbeBatch.
+// sent as one batch (1) or as eight slices (8), and whether the clock is
+// advanced by a duration or run to an instant. Every width goes through
+// ProbeBatch.
 func TestBatchedRoundsDeterministicAcrossProbeWidths(t *testing.T) {
 	type runMode struct {
 		name    string
@@ -57,7 +58,7 @@ func TestBatchedRoundsDeterministicAcrossProbeWidths(t *testing.T) {
 		{"batch-w0", true, 0, advance},
 		{"batch-w1", true, 1, advance},
 		{"batch-w8", true, 8, advance},
-		{"batch-w8-clock", true, 8, func(s *simclock.Sim) { s.RunUntilLookahead(t0.Add(49*time.Hour), 0, 8) }},
+		{"batch-w8-rununtil", true, 8, func(s *simclock.Sim) { s.RunUntil(t0.Add(49 * time.Hour)) }},
 	}
 	logs := make(map[string][]string)
 	for _, m := range modes {

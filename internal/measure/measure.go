@@ -31,7 +31,7 @@
 // fan out on workpool at the widths workpool.Engines declares.
 // Determinism contract: because probes are side-effect-free reads, a
 // domain appears once per round and delivery stays in admission order,
-// fleet reports are byte-identical at any width and clock drain setting.
+// fleet reports are byte-identical at any width.
 package measure
 
 import (
@@ -194,26 +194,14 @@ type watchShard struct {
 
 // Fleet schedules and aggregates reactive probes.
 type Fleet struct {
-	cfg    Config
-	clk    simclock.Clock
-	tagClk simclock.TagScheduler // clk's effect-tagged extension; nil without lookahead support
+	cfg Config
+	clk simclock.Clock
 	// backend answers every probe, a slice of names per call: the
 	// caller's own ProbeBatch, or the per-domain adapter over a plain
 	// Backend. probeMail is Config.ProbeMail narrowed to backends that
 	// can answer it.
 	backend   BatchBackend
 	probeMail bool
-
-	// watchMask is the union of every watched domain's effect atom
-	// (simclock.DomainTag), OR-accumulated at admission and never
-	// cleared. Round events are tagged with this mask via a TagAt
-	// closure, so the lookahead drain sees exactly which state a round
-	// may touch at the instant the round is considered for speculation.
-	// Monotone growth is the conservative direction: a retired watch's
-	// atom lingering in the mask can only cause a spurious conflict,
-	// never a missed one. Probe reads against registries are keyed by
-	// domain, so two events with disjoint masks commute.
-	watchMask atomic.Uint64
 
 	shards  [watchShards]watchShard
 	nextSeq atomic.Int64 // watch admissions: ordering + worker assignment
@@ -264,7 +252,6 @@ func NewFleet(cfg Config, clk simclock.Clock, backend Backend) *Fleet {
 		bb = perDomain{backend, mb}
 	}
 	f := &Fleet{cfg: cfg, clk: clk, backend: bb, probeMail: cfg.ProbeMail && hasMail}
-	f.tagClk, _ = clk.(simclock.TagScheduler)
 	for i := range f.shards {
 		f.shards[i].states = make(map[string]*DomainState)
 	}
@@ -298,7 +285,8 @@ func (f *Fleet) OnObservation(fn func(Observation)) {
 // Watch begins the 48-hour probe schedule for domain. Re-watching an
 // already-watched domain is a no-op. The first probe fires immediately
 // (detection triggers the watch, as in the paper); subsequent probes
-// ride the fleet's coalesced rounds.
+// ride the fleet's coalesced rounds. The watch starts at Clock.Now — under
+// a Sim clock, the firing instant of the event that calls Watch.
 func (f *Fleet) Watch(domain string) {
 	domain = dnsname.Canonical(domain)
 	now := f.clk.Now()
@@ -317,21 +305,14 @@ func (f *Fleet) Watch(domain string) {
 	sh.states[domain] = st
 	sh.mu.Unlock()
 	f.active.Add(1)
-	atom := uint64(simclock.DomainTag(domain))
-	for {
-		old := f.watchMask.Load()
-		if old&atom == atom || f.watchMask.CompareAndSwap(old, old|atom) {
-			break
-		}
-	}
 
 	// The admission probe fires before the state joins watchList: under
 	// the real-time clock a round on the timer goroutine could otherwise
 	// snapshot the list mid-admission and probe the same state
 	// concurrently. Under a Sim clock Watch runs inside a clock event,
 	// so the ordering is unobservable there. The probe works in memory
-	// of its own, never the round's buf: a round may be in flight on
-	// another goroutine (real-time clock, or a Sim drained with a pool).
+	// of its own, never the round's buf: under the real-time clock a
+	// round may be in flight on another goroutine.
 	var one struct {
 		target [1]*DomainState
 		name   [1]string
@@ -349,13 +330,8 @@ func (f *Fleet) Watch(domain string) {
 // active: one clock event per interval serves every due domain, which is
 // what collapses the fleet's event count from probes to rounds. When the
 // last watch retires the chain disarms, so a fully-drained clock stays
-// drained. now is the caller's own instant (its firing time under a Sim
-// clock), never re-read from the clock — round events fire speculatively
-// under the lookahead drain, where Clock.Now lags at the last barrier.
-//
-// On a tag-scheduling clock the round event carries the live watch mask
-// via a TagAt closure: the mask is read at scan time, not arm time, so
-// watches admitted between arming and firing are still covered.
+// drained. now is the caller's instant (the Watch or round that arms),
+// so the next round lands exactly one interval after it.
 func (f *Fleet) armRound(now time.Time) {
 	f.roundMu.Lock()
 	if f.armed || f.active.Load() == 0 {
@@ -364,24 +340,15 @@ func (f *Fleet) armRound(now time.Time) {
 	}
 	f.armed = true
 	f.roundMu.Unlock()
-	if f.tagClk != nil {
-		f.tagClk.ScheduleTagged(simclock.TaggedTimed{
-			At:    now.Add(f.cfg.Interval),
-			TagAt: func() simclock.EffectTag { return simclock.EffectTag(f.watchMask.Load()) },
-			Fn:    f.round,
-		})
-		return
-	}
-	f.clk.After(f.cfg.Interval, func() { f.round(f.clk.Now()) })
+	f.clk.At(now.Add(f.cfg.Interval), func() { f.round(f.clk.Now()) })
 }
 
 // round is the per-interval clock event: snapshot the active watch set
 // into the fleet's round buffer, probe it as one batch, re-arm while work
-// remains. now is the event's firing instant, passed by the scheduler
-// (time-explicit contract). armed is released only once the round is
-// over: a Watch racing it finds the chain still armed and schedules
-// nothing, and the round re-arms on its way out — so no second round can
-// start while buf is in use.
+// remains. now is the event's firing instant. armed is released only
+// once the round is over: a Watch racing it finds the chain still armed
+// and schedules nothing, and the round re-arms on its way out — so no
+// second round can start while buf is in use.
 func (f *Fleet) round(now time.Time) {
 	f.dueTargets(now)
 	if n := len(f.buf.targets); n > 0 {

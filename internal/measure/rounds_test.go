@@ -71,7 +71,7 @@ func TestRoundSchedulerDisarmsWhenIdle(t *testing.T) {
 
 // TestRoundObservationsDeterministicAcrossPoolWidths: a fixed probe
 // schedule must deliver byte-identical observation streams whatever the
-// fleet pool width and whichever clock drain mode runs it — the
+// fleet pool width and whichever clock entry point drains it — the
 // fleet-level half of the campaign determinism contract.
 func TestRoundObservationsDeterministicAcrossPoolWidths(t *testing.T) {
 	type runMode struct {
@@ -82,7 +82,7 @@ func TestRoundObservationsDeterministicAcrossPoolWidths(t *testing.T) {
 	modes := []runMode{
 		{"serial-w1", 1, func(s *simclock.Sim) { s.Advance(49 * time.Hour) }},
 		{"serial-w16", 16, func(s *simclock.Sim) { s.Advance(49 * time.Hour) }},
-		{"batched-w16", 16, func(s *simclock.Sim) { s.RunUntilLookahead(t0.Add(49*time.Hour), 0, 8) }},
+		{"rununtil-w16", 16, func(s *simclock.Sim) { s.RunUntil(t0.Add(49 * time.Hour)) }},
 	}
 	logs := make(map[string][]string)
 	for _, m := range modes {

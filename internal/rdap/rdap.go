@@ -48,12 +48,10 @@ type Querier interface {
 	Domain(ctx context.Context, name string) (*Record, error)
 }
 
-// QuerierAt is the optional Querier extension for time-explicit lookups:
-// the query evaluated as of an explicit instant rather than the
-// backend's own clock. In-process simulated backends implement it so
-// effect-tagged due-timer events — which may fire ahead of the lookahead
-// drain's committed time — observe their own instant; wire backends
-// (Client) cannot, and the pipeline falls back to untagged scheduling.
+// QuerierAt has no implementer and nothing asserts it: step 2 calls
+// Querier.Domain from a timer that fires at its own instant. The type
+// remains only because bench/decorators.go names it; it goes with that
+// use in the benchmark PR of ROADMAP item 1(d).
 type QuerierAt interface {
 	DomainAt(ctx context.Context, name string, now time.Time) (*Record, error)
 }
@@ -68,11 +66,6 @@ type Dispatcher struct{}
 type Backend interface {
 	// RDAPDomain returns the record, ErrNotFound, or ErrNotSynced.
 	RDAPDomain(name string) (*Record, error)
-}
-
-// BackendAt is the optional Backend extension mirroring QuerierAt.
-type BackendAt interface {
-	RDAPDomainAt(name string, now time.Time) (*Record, error)
 }
 
 // BackendFunc adapts a function to Backend.
@@ -108,22 +101,6 @@ func (m *Mux) RDAPDomain(name string) (*Record, error) {
 	b, ok := m.backends.get(dnsname.TLD(name))
 	if !ok {
 		return nil, fmt.Errorf("%w: no RDAP service for %q", ErrUnavailable, dnsname.TLD(name))
-	}
-	return b.RDAPDomain(name)
-}
-
-// RDAPDomainAt implements BackendAt by routing like RDAPDomain. Backends
-// without the time-explicit extension answer with their own clock —
-// callers that need the guarantee (tagged due-timers) only schedule
-// tagged when the backend supports it.
-func (m *Mux) RDAPDomainAt(name string, now time.Time) (*Record, error) {
-	name = dnsname.Canonical(name)
-	b, ok := m.backends.get(dnsname.TLD(name))
-	if !ok {
-		return nil, fmt.Errorf("%w: no RDAP service for %q", ErrUnavailable, dnsname.TLD(name))
-	}
-	if ba, ok := b.(BackendAt); ok {
-		return ba.RDAPDomainAt(name, now)
 	}
 	return b.RDAPDomain(name)
 }

@@ -182,9 +182,7 @@ func (r *Registry) Register(domain, registrar string, ns []string, web netip.Add
 }
 
 // RegisterAt creates a new active registration stamped at an explicit
-// instant — the time-explicit variant effect-tagged lifecycle events
-// use, since under the lookahead drain the clock may still sit at an
-// earlier barrier when the event fires.
+// instant, for a caller that already holds the instant it registers at.
 func (r *Registry) RegisterAt(domain, registrar string, ns []string, web netip.Addr, at time.Time) (*Registration, error) {
 	domain = dnsname.Canonical(domain)
 	if dnsname.TLD(domain) != r.cfg.TLD || dnsname.CountLabels(domain) != dnsname.CountLabels(r.cfg.TLD)+1 {
@@ -431,10 +429,8 @@ func (r *Registry) RDAPLookup(domain string) (*Registration, error) {
 	return r.RDAPLookupAt(domain, r.clk.Now())
 }
 
-// RDAPLookupAt is RDAPLookup evaluated at an explicit instant — the
-// time-explicit variant tagged RDAP due-timer events query through, so
-// sync-delay and deleted-visibility cutoffs see the event's own instant
-// rather than the lookahead drain's lagging committed time.
+// RDAPLookupAt is RDAPLookup evaluated at an explicit instant: the
+// sync-delay and deleted-visibility cutoffs are taken at now.
 func (r *Registry) RDAPLookupAt(domain string, now time.Time) (*Registration, error) {
 	domain = dnsname.Canonical(domain)
 	r.mu.RLock()

@@ -308,11 +308,6 @@ func (u *UDPExchanger) ExchangeBatch(ctx context.Context, msgs []*dnsmsg.Message
 	errs := make([]error, len(msgs))
 	slots := make([]batchSlot, len(msgs))
 	wire := make([]byte, 0, 512)
-	// The timeout timer's only effect is its round's channel, so it is
-	// tagged with the nameserver's lane atom: under the lookahead drain,
-	// timeouts against distinct servers may fire from different instants
-	// concurrently, while same-server timers stay ordered.
-	tag := simclock.LaneTag("resolver/" + u.Addr)
 	unsettled := len(msgs)
 	for a := 0; a <= u.Retries && unsettled > 0 && ctx.Err() == nil; a++ {
 		rd := &round{resps: resps, errs: errs, done: make(chan struct{}, 1)}
@@ -362,7 +357,7 @@ func (u *UDPExchanger) ExchangeBatch(ctx context.Context, msgs []*dnsmsg.Message
 		// above was its last.
 		filled, timedOut := false, false
 		timeout := make(chan struct{}, 1)
-		simclock.AfterTagged(u.clock(), u.timeout(), tag, func(time.Time) { timeout <- struct{}{} })
+		u.clock().After(u.timeout(), func() { timeout <- struct{}{} })
 		select {
 		case <-rd.done:
 			filled = true

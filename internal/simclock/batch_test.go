@@ -65,23 +65,19 @@ func oneAtATime(s *Sim) int {
 		s.popAt(idx)
 		s.now = ev.at
 		s.mu.Unlock()
-		ev.fire()
+		ev.fn()
 		fired++
 	}
 }
 
 // TestBatchedMatchesSerialExactly: the group drain must reproduce the
 // one-event-at-a-time order byte for byte, cascades that schedule at the
-// current instant included, at any pool width (without a lookahead window
-// the width is unused) — what makes Run, RunUntil and Advance the window-0
-// setting of the one loop instead of a loop of their own.
+// current instant included — what makes Run, RunUntil and Advance one
+// loop that pops same-instant groups instead of single events.
 func TestBatchedMatchesSerialExactly(t *testing.T) {
 	serial := drainRecorded(t, oneAtATime)
-	for _, workers := range []int{0, 1, 8} {
-		got := drainRecorded(t, func(s *Sim) int { return s.drain(unbounded, 0, workers) })
-		if !reflect.DeepEqual(serial, got) {
-			t.Fatalf("drain at workers=%d diverges from one-event-at-a-time order", workers)
-		}
+	if got := drainRecorded(t, func(s *Sim) int { return s.drain(unbounded) }); !reflect.DeepEqual(serial, got) {
+		t.Fatal("drain diverges from one-event-at-a-time order")
 	}
 	if got := drainRecorded(t, func(s *Sim) int { return s.Run() }); !reflect.DeepEqual(serial, got) {
 		t.Fatal("Run diverges from one-event-at-a-time order")
@@ -176,7 +172,7 @@ func TestStatsCounters(t *testing.T) {
 		s.After(time.Minute, func() {})
 	}
 	s.After(2*time.Minute, func() {})
-	s.drain(unbounded, 0, 4)
+	s.drain(unbounded)
 	st := s.Stats()
 	if st.Scheduled != 13 || st.Fired != 13 || st.Pending != 0 {
 		t.Fatalf("stats: %+v", st)
@@ -188,13 +184,13 @@ func TestStatsCounters(t *testing.T) {
 		s.After(time.Minute, func() {})
 	}
 	s.Run()
-	if st := s.Stats(); st.Rounds != 3 || st.MaxBatch != 12 || st.Coalesced != 15 || st.Barriers != 0 {
+	if st := s.Stats(); st.Rounds != 3 || st.MaxBatch != 12 || st.Coalesced != 15 {
 		t.Fatalf("stats after Run: %+v", st)
 	}
 }
 
-// TestBatchedRaceHammer drives concurrent After/AfterTagged/At/Now/Pending
-// callers against a width-4 drain — the -race guard for the engine's
+// TestBatchedRaceHammer drives concurrent After/ScheduleBatch/At/Now/Pending
+// callers against a running drain — the -race guard for the engine's
 // locking. Every scheduled event must fire exactly once.
 func TestBatchedRaceHammer(t *testing.T) {
 	s := NewSim(epoch)
@@ -219,9 +215,9 @@ func TestBatchedRaceHammer(t *testing.T) {
 					scheduled.Add(1)
 					s.After(time.Duration(i%90)*time.Second, bump)
 				case 1:
-					scheduled.Add(1)
-					s.AfterTagged(time.Duration(i%90)*time.Second, DomainTag(fmt.Sprintf("h%d.example", g)),
-						func(time.Time) { bump() })
+					scheduled.Add(2)
+					at := s.Now().Add(time.Duration(i%90) * time.Second)
+					s.ScheduleBatch([]Timed{{At: at, Fn: bump}, {At: at.Add(wheelSpan), Fn: bump}})
 				case 2:
 					scheduled.Add(1)
 					s.At(s.Now().Add(time.Duration(g)*time.Minute), bump)
@@ -239,12 +235,12 @@ func TestBatchedRaceHammer(t *testing.T) {
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	for {
-		s.drain(unbounded, 0, 4)
+		s.drain(unbounded)
 		select {
 		case <-done:
-			s.drain(unbounded, 0, 4) // final sweep for late schedulers
+			s.drain(unbounded) // final sweep for late schedulers
 			if s.Pending() != 0 {
-				s.drain(unbounded, 0, 4)
+				s.drain(unbounded)
 			}
 			if got, want := fired.Load(), scheduled.Load(); got != want {
 				t.Fatalf("fired %d of %d scheduled", got, want)
@@ -256,30 +252,26 @@ func TestBatchedRaceHammer(t *testing.T) {
 }
 
 // TestScheduleBatchMatchesElementWise: a bulk insert must be
-// indistinguishable from element-by-element ScheduleTagged calls — same
-// sequence numbering, same delivery order, tagged and untagged entries
-// alike.
+// indistinguishable from element-by-element At calls — same sequence
+// numbering, same delivery order, on the wheel and on the heapify-once
+// overflow path alike.
 func TestScheduleBatchMatchesElementWise(t *testing.T) {
-	entries := func(record func(now time.Time, tag string)) []TaggedTimed {
-		var out []TaggedTimed
+	entries := func(record func(tag string)) []Timed {
+		var out []Timed
 		for i := 0; i < 120; i++ {
 			i := i
-			e := TaggedTimed{
+			out = append(out, Timed{
 				At: epoch.Add(time.Duration(i%12) * time.Minute),
-				Fn: func(now time.Time) { record(now, fmt.Sprintf("bulk-%d", i)) },
-			}
-			if i%3 != 0 { // every third entry untagged: a barrier
-				e.Tag = DomainTag(fmt.Sprintf("d%d.com", i%7))
-			}
-			out = append(out, e)
+				Fn: func() { record(fmt.Sprintf("bulk-%d", i)) },
+			})
 		}
 		// A far-future slab that lands on the overflow heap — large
 		// enough to take the heapify-once path.
 		for i := 0; i < 100; i++ {
 			i := i
-			out = append(out, TaggedTimed{
-				At: epoch.Add(wheelSpan + time.Duration(i)*time.Hour),
-				Fn: func(now time.Time) { record(now, fmt.Sprintf("far-%d", i)) },
+			out = append(out, Timed{
+				At: epoch.Add(wheelSpan + time.Duration(i%40)*time.Hour),
+				Fn: func() { record(fmt.Sprintf("far-%d", i)) },
 			})
 		}
 		return out
@@ -287,21 +279,21 @@ func TestScheduleBatchMatchesElementWise(t *testing.T) {
 	run := func(bulk bool) []string {
 		s := NewSim(epoch)
 		var log []string
-		es := entries(func(now time.Time, tag string) {
-			log = append(log, now.Format(time.RFC3339)+"|"+tag)
+		es := entries(func(tag string) {
+			log = append(log, s.Now().Format(time.RFC3339)+"|"+tag)
 		})
 		if bulk {
-			s.ScheduleBatchTagged(es)
+			s.ScheduleBatch(es)
 		} else {
 			for _, e := range es {
-				s.ScheduleTagged(e)
+				s.At(e.At, e.Fn)
 			}
 		}
 		s.Run()
 		return log
 	}
 	if got, want := run(true), run(false); !reflect.DeepEqual(got, want) {
-		t.Fatal("ScheduleBatchTagged delivery order diverges from element-wise scheduling")
+		t.Fatal("ScheduleBatch delivery order diverges from element-wise scheduling")
 	}
 }
 
@@ -310,21 +302,24 @@ func TestScheduleBatchMatchesElementWise(t *testing.T) {
 // every entry.
 func TestScheduleBatchPastClampsAndCounts(t *testing.T) {
 	s := NewSim(epoch)
-	fired := 0
-	bump := func(time.Time) { fired++ }
-	s.ScheduleBatchTagged([]TaggedTimed{
+	var fired []time.Time
+	bump := func() { fired = append(fired, s.Now()) }
+	s.ScheduleBatch([]Timed{
 		{At: epoch.Add(-time.Hour), Fn: bump},
 		{At: epoch, Fn: bump},
-		{At: epoch.Add(time.Minute), Tag: DomainTag("a.com"), Fn: bump},
+		{At: epoch.Add(time.Minute), Fn: bump},
 	})
 	if got := s.Stats().Scheduled; got != 3 {
 		t.Fatalf("Scheduled = %d, want 3", got)
 	}
-	if s.Run() != 3 || fired != 3 {
-		t.Fatalf("fired %d of 3", fired)
+	if s.Run() != 3 || len(fired) != 3 {
+		t.Fatalf("fired %d of 3", len(fired))
+	}
+	if !fired[0].Equal(epoch) || !fired[1].Equal(epoch) {
+		t.Fatalf("past entries fired at %v, want %v", fired[:2], epoch)
 	}
 	// Empty batches are no-ops.
-	s.ScheduleBatchTagged(nil)
+	s.ScheduleBatch(nil)
 	if s.Pending() != 0 {
 		t.Fatal("empty batch scheduled something")
 	}

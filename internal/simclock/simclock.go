@@ -9,22 +9,17 @@
 //
 //   - Real: a thin adapter over the time package.
 //   - Sim: a discrete-event engine. Goroutine-safe; timers fire in
-//     timestamp order when the owner calls Advance, Run, RunUntil or
-//     RunUntilLookahead.
+//     timestamp order when the owner calls Advance, Run or RunUntil.
 //
 // Sim stores events in a timer wheel (coarse buckets plus an overflow
 // heap, wheel.go), so pushing the dominant near-future events is O(1),
 // and has one drain loop (drain, below). The loop pops every event
-// sharing the earliest timestamp as one group and fires it in
-// (timestamp, schedule-order) order; at a lookahead window of 1 or more,
-// effect-tagged events from several future timestamps fire together
-// first, their conflict groups on a pool of the drain's width
-// (lookahead.go). Run, RunUntil and Advance are window 0. Under the
-// tagged-callback contract of tags.go every setting produces
-// byte-identical campaigns — the determinism bar the analysis package's
-// width table enforces (DESIGN.md §7, §12). Bulk producers (the world
-// builder's commit phase, DESIGN.md §9) install whole timelines through
-// ScheduleBatchTagged, one lock acquisition per batch.
+// sharing the earliest timestamp as one group, commits Now to that
+// instant and fires the group in (timestamp, schedule-order) order on
+// the draining goroutine, so every callback reads its own firing instant
+// from Now (DESIGN.md §7). Bulk producers (the world builder's commit
+// phase, DESIGN.md §9) install whole timelines through ScheduleBatch, one
+// lock acquisition per batch.
 package simclock
 
 import (
@@ -68,10 +63,9 @@ func (r Real) At(t time.Time, fn func()) {
 }
 
 // Sim is a deterministic discrete-event clock. Events scheduled via After/At
-// fire, in timestamp order, when the simulation owner calls Advance, Run,
-// RunUntil or RunUntilLookahead. Callbacks run on the draining goroutine
-// (or, for a lookahead window's conflict groups, its worker pool) and may
-// schedule further events.
+// fire, in timestamp order, when the simulation owner calls Advance, Run
+// or RunUntil. Callbacks run on the draining goroutine and may schedule
+// further events.
 type Sim struct {
 	mu  sync.Mutex
 	now time.Time
@@ -92,18 +86,6 @@ type Sim struct {
 	coalesced atomic.Int64
 	rounds    atomic.Int64
 	maxBatch  atomic.Int64
-
-	// Lookahead counters (lookahead.go).
-	windows   atomic.Int64
-	specFired atomic.Int64
-	conflicts atomic.Int64
-	barriers  atomic.Int64
-
-	// laGroups is the currently-firing lookahead window's conflict
-	// groups (guarded by mu; nil outside fireWindow). pushEvent routes
-	// in-window tagged spawns to a matching group so they fire at their
-	// serial position instead of being jumped over.
-	laGroups []*laGroup
 }
 
 // NewSim returns a simulated clock starting at the given instant.
@@ -166,62 +148,38 @@ func (s *Sim) Advance(d time.Duration) int {
 	if d < 0 {
 		d = 0
 	}
-	return s.drain(func(now time.Time) (time.Time, bool) { return now.Add(d), true }, 0, 1)
+	return s.drain(func(now time.Time) (time.Time, bool) { return now.Add(d), true })
 }
 
-// RunUntil fires events in order until the clock reaches t.
-func (s *Sim) RunUntil(t time.Time) int { return s.RunUntilLookahead(t, 0, 1) }
+// RunUntil fires events in order until the clock reaches t, returning the
+// count fired.
+func (s *Sim) RunUntil(t time.Time) int {
+	return s.drain(func(time.Time) (time.Time, bool) { return t, true })
+}
 
 // Run fires events until none remain, returning the count fired. Callbacks
 // may schedule more events; Run continues until the queue drains.
-func (s *Sim) Run() int { return s.drain(unbounded, 0, 1) }
+func (s *Sim) Run() int { return s.drain(unbounded) }
 
-// RunUntilLookahead is RunUntil with the lookahead exposed: window is how
-// many distinct timestamps of effect-disjoint tagged events (tags.go) may
-// fire together — 1 exercises the tagged machinery without crossing a
-// timestamp, 0 switches it off — and workers the pool width a window's
-// conflict groups fire on (unused at window 0). With the tagged contract
-// honoured, every (window, workers) produces campaigns byte-identical to
-// window 0, which is RunUntil. Returns the number of events fired.
-func (s *Sim) RunUntilLookahead(t time.Time, window, workers int) int {
-	return s.drain(func(time.Time) (time.Time, bool) { return t, true }, window, workers)
-}
-
-// drain is the engine's one loop. With a lookahead window it first tries
-// to scan a prefix of tagged events and fire it as conflict groups
-// (lookahead.go); without one, or when the earliest pending event is
-// untagged, it pops the group of events sharing the earliest timestamp,
-// commits now to that instant and fires the group in exact (timestamp,
-// seq) order: an event a callback schedules at the current instant gets a
-// higher seq than the whole group and fires in the next one, where a
-// one-event-at-a-time loop would also have put it. Only
-// groups move now: speculative fires leave it untouched, so every
-// untagged callback observes exactly the serial clock. deadlineOf
-// computes the deadline from now under the initial lock hold — the
-// Advance TOCTOU fix — and reports whether the drain is bounded at all.
-func (s *Sim) drain(deadlineOf func(time.Time) (time.Time, bool), window, workers int) int {
+// drain is the engine's one loop: it pops the group of events sharing the
+// earliest timestamp, commits now to that instant and fires the group in
+// exact (timestamp, seq) order, so every callback reads its own firing
+// instant from Now. An event a callback schedules at the current instant
+// gets a higher seq than the whole group and fires in the next one, where
+// a one-event-at-a-time loop would also have put it. deadlineOf computes
+// the deadline from now under the initial lock hold — the Advance TOCTOU
+// fix — and reports whether the drain is bounded at all.
+func (s *Sim) drain(deadlineOf func(time.Time) (time.Time, bool)) int {
 	fired := 0
 	var group []*event
 	s.mu.Lock()
 	deadline, bounded := deadlineOf(s.now)
 	for {
-		if window >= 1 {
-			if sel, masks := s.scanWindow(window, deadline, bounded); len(sel) > 0 {
-				s.windows.Add(1)
-				s.mu.Unlock()
-				fired += s.fireWindow(sel, masks, workers)
-				s.mu.Lock()
-				continue
-			}
-		}
 		group = s.popGroup(group[:0], deadline, bounded)
 		if len(group) == 0 {
 			break
 		}
 		s.now = group[0].at
-		if window >= 1 {
-			s.barriers.Add(int64(len(group)))
-		}
 		s.mu.Unlock()
 		s.fireGroup(group)
 		fired += len(group)
@@ -243,34 +201,27 @@ func (s *Sim) fireGroup(group []*event) {
 		workpool.AtomicMax(&s.maxBatch, n)
 	}
 	for _, ev := range group {
-		ev.fire()
+		ev.fn()
 	}
 	s.fired.Add(int64(len(group)))
 }
 
-// Stats are the engine's lifetime counters. Every drain maintains
-// Scheduled, Fired, Rounds, Coalesced and MaxBatch (a round is one popped
+// Stats are the engine's lifetime counters. A round is one popped
 // same-instant group; coalesced counts events that shared theirs with at
-// least one other), so they read the same at any pool width.
+// least one other.
 type Stats struct {
-	Scheduled int64 // events pushed via After/At and the tagged schedulers
+	Scheduled int64 // events pushed via After/At/ScheduleBatch
 	Fired     int64 // callbacks executed
 	Coalesced int64 // events fired in a same-instant group of width > 1
 	Rounds    int64 // same-instant groups fired
 	MaxBatch  int   // widest same-instant group fired
 	Pending   int   // scheduled but not yet fired, right now
 
-	// Lookahead counters, zero at window 0. A window is one
-	// cross-timestamp round; SpecFired counts events fired at an instant
-	// later than their window's first timestamp; Conflicts counts tagged
-	// events whose mask intersected an existing conflict group (they
-	// joined it as an in-group ordering barrier); Barriers counts the
-	// events a lookahead drain had to fire as same-instant groups because
-	// the earliest pending event was untagged.
-	Windows   int64
-	SpecFired int64
-	Conflicts int64
-	Barriers  int64
+	// Windows, SpecFired, Conflicts and Barriers always read 0: the drain
+	// has no lookahead window. They remain only because bench/campaign.go
+	// reads them, and go with those reads in the benchmark PR of ROADMAP
+	// item 1(d).
+	Windows, SpecFired, Conflicts, Barriers int64
 }
 
 // Stats returns the engine counters. Safe to call concurrently with
@@ -286,10 +237,6 @@ func (s *Sim) Stats() Stats {
 		Rounds:    s.rounds.Load(),
 		MaxBatch:  int(s.maxBatch.Load()),
 		Pending:   pending,
-		Windows:   s.windows.Load(),
-		SpecFired: s.specFired.Load(),
-		Conflicts: s.conflicts.Load(),
-		Barriers:  s.barriers.Load(),
 	}
 }
 

@@ -22,29 +22,6 @@ type event struct {
 	at  time.Time
 	seq uint64 // tie-break so equal timestamps fire in schedule order
 	fn  func()
-
-	// Effect-tagged events (tags.go). fnT is the time-explicit callback
-	// form — it receives the event's own timestamp, which equals Now()
-	// at lookahead window 0 and is the event's virtual instant under a
-	// lookahead drain, where Now() may still lag at the last barrier. tag (static) or tagFn (resolved at scan time) carries
-	// the effect mask; a zero mask means untagged, i.e. an ordering
-	// barrier. quiet, when set, bounds how far past this event the
-	// lookahead scan may speculate (the event spawns an untagged follow-up
-	// no earlier than quiet).
-	fnT   func(now time.Time)
-	tag   EffectTag
-	tagFn func() EffectTag
-	quiet time.Time
-}
-
-// fire invokes the event's callback; tagged events receive their own
-// timestamp as the explicit firing instant.
-func (e *event) fire() {
-	if e.fnT != nil {
-		e.fnT(e.at)
-		return
-	}
-	e.fn()
 }
 
 // compareEvents orders events by (at, seq) — the global firing order.
@@ -124,39 +101,64 @@ func (sl *slot) empty() bool { return sl.head == len(sl.evs) }
 // push stores an event; the caller holds s.mu. Instants in the past
 // clamp to now so they fire on the next dispatch.
 func (s *Sim) push(at time.Time, fn func()) {
-	s.pushEvent(at, &event{fn: fn})
-}
-
-// pushEvent assigns (at, seq) to ev and stores it; the caller holds s.mu
-// and fills every other field. Instants in the past clamp to now so they
-// fire on the next dispatch. While a lookahead window is firing, tagged
-// events that order before an active conflict group's final member are
-// diverted to that group (lookahead.go) instead of the queue, so the
-// group can fire them at their correct serial position.
-func (s *Sim) pushEvent(at time.Time, ev *event) {
 	if at.Before(s.now) {
 		at = s.now
 	}
 	s.seq++
-	ev.at, ev.seq = at, s.seq
+	ev := &event{at: at, seq: s.seq, fn: fn}
 	s.scheduled.Add(1)
-	if ev.fnT != nil && len(s.laGroups) > 0 && s.routeToWindow(ev) {
-		return
-	}
-	s.place(ev)
-}
-
-// place stores ev — whose at and seq are already assigned — in the wheel
-// or the overflow heap; the caller holds s.mu.
-func (s *Sim) place(ev *event) {
-	if ev.at.Sub(s.now) < wheelSpan {
-		idx := slotIndex(ev.at)
+	if at.Sub(s.now) < wheelSpan {
+		idx := slotIndex(at)
 		s.wheel[idx].add(ev)
 		s.occ[idx>>6] |= 1 << (idx & 63)
 		s.wheelLen++
 	} else {
 		heap.Push(&s.overflow, ev)
 	}
+}
+
+// Timed is one entry of a bulk ScheduleBatch insert: Fn fires at At.
+type Timed struct {
+	At time.Time
+	Fn func()
+}
+
+// ScheduleBatch schedules every entry under a single lock acquisition,
+// assigning sequence numbers in slice order — equivalent to calling At
+// element by element, minus the per-event locking. Bulk producers like
+// the world builder's commit phase install whole compiled timelines
+// through it. When a batch carries a large far-future slab (a compiled
+// campaign lands almost entirely beyond the wheel horizon), the slab is
+// appended to the overflow queue raw and heapified once — an O(heap)
+// rebuild instead of O(batch·log heap) sifts. Firing order is identical
+// either way: it depends only on each event's (at, seq), never on heap
+// internals.
+func (s *Sim) ScheduleBatch(entries []Timed) {
+	if len(entries) == 0 {
+		return
+	}
+	s.mu.Lock()
+	far := 0
+	for i := range entries {
+		if entries[i].At.Sub(s.now) >= wheelSpan {
+			far++
+		}
+	}
+	bulk := far >= 64 && far*4 >= len(s.overflow)
+	for i := range entries {
+		e := &entries[i]
+		if bulk && e.At.Sub(s.now) >= wheelSpan {
+			s.seq++
+			s.overflow = append(s.overflow, &event{at: e.At, seq: s.seq, fn: e.Fn})
+			s.scheduled.Add(1)
+			continue
+		}
+		s.push(e.At, e.Fn)
+	}
+	if bulk {
+		heap.Init(&s.overflow)
+	}
+	s.mu.Unlock()
 }
 
 // wheelMin returns the earliest wheel event and its slot without

@@ -1,8 +1,9 @@
 package workpool
 
 // Engines is the one declaration of the campaign's concurrency settings:
-// the pool widths of the stages that have work to share and the clock's
-// lookahead window. analysis.RunConfig, worldsim.Config, core.Config and
+// the pool widths of the stages that have work to share. The simulated
+// clock is never drained on a pool: it fires one instant at a time on the
+// draining goroutine. analysis.RunConfig, worldsim.Config, core.Config and
 // measure.Config embed it, so a value set at the top is handed down whole
 // and each layer reads the fields it owns. Every field picks how work is
 // executed, never what is computed: worlds, observation streams and
@@ -18,13 +19,12 @@ type Engines struct {
 	// those assignments in the benchmark PR of ROADMAP item 1(d).
 	IngestWorkers int
 	RDAPWorkers   int
-	// ClockWorkers is the pool width a lookahead window's conflict groups
-	// fire on (simclock); it has no effect at LookaheadWindow 0.
-	ClockWorkers int
-	// LookaheadWindow is the drain's lookahead (simclock): ≥ 1 fires
-	// effect-disjoint tagged events from up to this many distinct future
-	// timestamps in one round; untagged events and tag conflicts remain
-	// ordering barriers. 0 fires one timestamp at a time.
+	// ClockWorkers and LookaheadWindow are read by nothing: the clock's
+	// lookahead drain lost its measured comparison with the plain drain
+	// (DESIGN.md §12) and was removed. They remain only because
+	// bench/campaign.go sets them, and go with those assignments in the
+	// benchmark PR of ROADMAP item 1(d).
+	ClockWorkers    int
 	LookaheadWindow int
 	// BuildWorkers is the world builder's compile width (worldsim):
 	// per-TLD layouts compile on a pool this wide, each from its own
@@ -50,16 +50,9 @@ type Engines struct {
 	ApplyWorkers int
 }
 
-// AllEngines returns every width read by a stage set to w, behind an
-// 8-instant lookahead when w > 0: the one engines-on configuration
-// TestGoldenReportHash and the -workers flag of the commands use.
-// AllEngines(0) is the zero value, the default path.
+// AllEngines returns every width read by a stage set to w: the one
+// engines-on configuration TestGoldenReportHash and the -workers flag of
+// the commands use. AllEngines(0) is the zero value, the default path.
 func AllEngines(w int) Engines {
-	e := Engines{
-		ClockWorkers: w, BuildWorkers: w, CommitWorkers: w, ProbeWorkers: w, ApplyWorkers: w,
-	}
-	if w > 0 {
-		e.LookaheadWindow = 8
-	}
-	return e
+	return Engines{BuildWorkers: w, CommitWorkers: w, ProbeWorkers: w, ApplyWorkers: w}
 }

@@ -2,9 +2,9 @@
 // paths share — N indexed items executed by up to W goroutines pulling
 // from an atomic counter, with a completion barrier — and Engines, the
 // one declaration of the widths those paths run at (engines.go). Every
-// pooled stage runs on Run: the clock's lookahead conflict groups
-// (DESIGN.md §12), the fleet's probe and apply slices (§10, §14) and the
-// world builder's compile and commit fan-outs (§8–§9) — so the hottest
+// pooled stage runs on Run: the fleet's probe and apply slices
+// (DESIGN.md §10, §14) and the world builder's compile and commit
+// fan-outs (§8–§9) — so the hottest
 // concurrency idiom in the repo has one implementation to review.
 //
 // Determinism contract: Run promises nothing about execution order, so

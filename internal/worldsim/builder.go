@@ -3,7 +3,7 @@
 // commutative bulk of a layout — record installs on the sharded
 // DomainStore, NOD/blocklist/DZDB seedings, DV tokens — commits on a
 // worker pool at Config.CommitWorkers width; the order-sensitive
-// remainder (the ghost ledger, the clock-timeline ScheduleBatchTagged calls)
+// remainder (the ghost ledger, the clock-timeline ScheduleBatch calls)
 // stays serial in canonical (plan, chunk) order, so the resulting world
 // is byte-identical at any compile or commit width (DESIGN.md §9).
 package worldsim
@@ -74,7 +74,7 @@ func compileLayouts(env *buildEnv) []*Layout {
 // net), and the substrates take earliest-wins / min-max / keyed updates
 // under their own locks — so phase one is order-free. Phase two is the
 // serial remainder: the ghost ledger append (slice order) and the
-// ScheduleBatchTagged calls (event sequence numbers), both
+// ScheduleBatch calls (event sequence numbers), both
 // order-sensitive, run in canonical (plan, chunk) order. One lock
 // acquisition per layout on the clock either way; determinism comes from the fixed phase-two
 // order, speed from striping phase one.
@@ -84,7 +84,7 @@ func (w *World) commit(layouts []*Layout) {
 		total += len(l.domains)
 	}
 	w.Domains = newDomainStore(total)
-	timelines := make([][]simclock.TaggedTimed, len(layouts))
+	timelines := make([][]simclock.Timed, len(layouts))
 	workpool.Run(len(layouts), w.Cfg.CommitWorkers, func(i int) {
 		timelines[i] = w.commitLayout(layouts[i], i)
 	})
@@ -92,19 +92,19 @@ func (w *World) commit(layouts []*Layout) {
 		for _, g := range l.ghosts {
 			w.Ghosts = append(w.Ghosts, g.d)
 		}
-		w.Clock.ScheduleBatchTagged(timelines[i])
+		w.Clock.ScheduleBatch(timelines[i])
 	}
 }
 
 // commitLayout installs one layout's commutative effects and returns its
-// compiled timeline for the serial schedule pass: effect-tagged domain
-// lifecycles, then untagged ghost issuance. rank is the layout's
-// canonical index, which decides duplicate-name winners the way serial
-// order used to. Safe for concurrent invocation with distinct layouts:
+// compiled timeline for the serial schedule pass: domain lifecycles,
+// then ghost issuance. rank is the layout's canonical index, which
+// decides duplicate-name winners the way serial order used to. Safe for
+// concurrent invocation with distinct layouts:
 // the Domains store is sharded, the substrates lock internally, and the
 // registries/CAs the timeline closures capture are only read here.
-func (w *World) commitLayout(l *Layout, rank int) []simclock.TaggedTimed {
-	timeline := make([]simclock.TaggedTimed, 0, len(l.domains)+len(l.ghosts))
+func (w *World) commitLayout(l *Layout, rank int) []simclock.Timed {
+	timeline := make([]simclock.Timed, 0, len(l.domains)+len(l.ghosts))
 	for _, r := range l.domains {
 		if w.Domains.install(r.d, rank) {
 			w.dupNames.Add(1)
@@ -123,7 +123,7 @@ func (w *World) commitLayout(l *Layout, rank int) []simclock.TaggedTimed {
 			w.DZDB.Observe(g.d.Name, g.tokenAt)
 		}
 		name := g.d.Name
-		timeline = append(timeline, simclock.TaggedTimed{At: g.d.Created, Fn: func(time.Time) {
+		timeline = append(timeline, simclock.Timed{At: g.d.Created, Fn: func() {
 			issuer.Issue(name, name, nil, nil) // token reuse: no live validation
 		}})
 	}
@@ -139,29 +139,17 @@ func (w *World) commitLayout(l *Layout, rank int) []simclock.TaggedTimed {
 	return timeline
 }
 
-// registrationEvent wires one compiled registration's lifecycle into an
-// effect-tagged clock event: register at creation, then kick off the
-// (pre-drawn) certificate chain, NS change and deletion. The whole
-// chain carries the domain's effect atom — registration, NS change and
-// deletion touch only that domain's registry/ledger slice — so the
-// lookahead drain may fire lifecycles of unrelated domains from
-// different instants together. The callback is time-explicit: every
-// timestamp derives from the firing instant, and the certificate
-// request (untagged, it touches CA/CT state) is declared through Quiet
-// so the scan never speculates past its spawn point.
-func (w *World) registrationEvent(r *regLayout) simclock.TaggedTimed {
+// registrationEvent wires one compiled registration's lifecycle into a
+// clock event: register at creation, then kick off the (pre-drawn)
+// certificate chain, NS change and deletion, every instant derived from
+// the registration's own.
+func (w *World) registrationEvent(r *regLayout) simclock.Timed {
 	d := r.d
 	reg := w.Registries[d.TLD]
-	tag := simclock.DomainTag(d.Name)
-	var quiet time.Time
-	if d.CertAsked {
-		quiet = d.Created.Add(r.certDelay)
-	}
-	return simclock.TaggedTimed{
-		At:    d.Created,
-		Tag:   tag,
-		Quiet: quiet,
-		Fn: func(now time.Time) {
+	return simclock.Timed{
+		At: d.Created,
+		Fn: func() {
+			now := w.Clock.Now()
 			if _, err := reg.RegisterAt(d.Name, d.Registrar, r.ns, r.web, now); err != nil {
 				return // name collision with an active registration (duplicate-TLD plans only)
 			}
@@ -169,16 +157,10 @@ func (w *World) registrationEvent(r *regLayout) simclock.TaggedTimed {
 				w.requestCertAt(w.CAs[r.caIdx], d.Name, now.Add(r.certDelay), r.retrySeed, 0)
 			}
 			if r.nsChange && (d.Lifetime == 0 || r.nsChangeAt < d.Lifetime) {
-				w.Clock.ScheduleTagged(simclock.TaggedTimed{
-					At: now.Add(r.nsChangeAt), Tag: tag,
-					Fn: func(time.Time) { _ = reg.UpdateNS(d.Name, r.altNS) },
-				})
+				w.Clock.At(now.Add(r.nsChangeAt), func() { _ = reg.UpdateNS(d.Name, r.altNS) })
 			}
 			if d.Lifetime > 0 {
-				w.Clock.ScheduleTagged(simclock.TaggedTimed{
-					At: now.Add(d.Lifetime), Tag: tag,
-					Fn: func(at time.Time) { _ = reg.DeleteAt(d.Name, at) },
-				})
+				w.Clock.At(now.Add(d.Lifetime), func() { _ = reg.Delete(d.Name) })
 			}
 		},
 	}
@@ -189,10 +171,9 @@ func (w *World) registrationEvent(r *regLayout) simclock.TaggedTimed {
 // registry's next zone rebuild publishes the delegation. This retry
 // chain is what couples Figure 1's detection delay to zone-update
 // cadence. The backoffs derive from the registration's compiled retry
-// seed, so the chain stays a pure function of the world seed. The first
-// attempt's instant is passed absolutely (the caller may be firing
-// speculatively); retries read the clock, which is safe because the
-// issue callback runs from untagged (barrier-fired) CA events.
+// seed, so the chain stays a pure function of the world seed. Each
+// attempt's instant is passed absolutely; a retry derives it from the
+// clock at the failed attempt.
 func (w *World) requestCertAt(issuer *ca.CA, name string, at time.Time, retrySeed uint64, attempt int) {
 	w.Clock.At(at, func() {
 		issuer.Issue(name, name, nil, func(_ ct.Entry, err error) {

@@ -14,7 +14,7 @@
 // on the 64-way sharded DomainStore and substrate seedings
 // (NOD/blocklist/DZDB/DV tokens) are commutative across the distinct
 // names different layouts own, so they fan out too; only the ghost
-// ledger and the clock-timeline installs (ScheduleBatchTagged assigns event
+// ledger and the clock-timeline installs (ScheduleBatch assigns event
 // sequence numbers) stay serial in canonical (plan, chunk) order.
 //
 // Determinism contract (DESIGN.md §2, §8–§9): worlds — and the campaign
@@ -263,26 +263,21 @@ func (w *World) Stop() {
 }
 
 // Run advances the clock through the full window plus a drain margin for
-// late snapshots and measurement windows: RunLookahead(0, 0).
-func (w *World) Run() { w.RunLookahead(0, 0) }
-
-// RunBatched is Run: without a lookahead window the drain's pool width is
-// unused. It remains only because bench/campaign.go calls it; it goes
-// with that call in the benchmark PR of ROADMAP item 1(d).
-func (w *World) RunBatched(int) { w.Run() }
-
-// RunLookahead drains the campaign through the clock's one drain
-// (simclock.Sim.RunUntilLookahead) at the given settings, then stops the
-// registry tickers. Under a window, effect-disjoint tagged events of
-// different timestamps — domain lifecycles, RDAP due-timers, fleet probe
-// rounds — fire together, their conflict groups on a pool of the given
-// width, while untagged events (zone rebuilds, CT issuance, snapshot
-// publication) remain full ordering barriers. Campaign results are
-// byte-identical at every setting (DESIGN.md §7, §12).
-func (w *World) RunLookahead(window, workers int) {
-	w.Clock.RunUntilLookahead(w.drainDeadline(), window, workers)
+// late snapshots and measurement windows, then stops the registry
+// tickers.
+func (w *World) Run() {
+	w.Clock.RunUntil(w.drainDeadline())
 	w.Stop()
 }
+
+// RunBatched is Run. It remains only because bench/campaign.go calls it;
+// it goes with that call in the benchmark PR of ROADMAP item 1(d).
+func (w *World) RunBatched(int) { w.Run() }
+
+// RunLookahead is Run: the clock has one drain, which fires one instant
+// at a time. It remains only because bench/campaign.go calls it; it goes
+// with that call in the benchmark PR of ROADMAP item 1(d).
+func (w *World) RunLookahead(int, int) { w.Run() }
 
 // drainDeadline is the window end plus slack for late snapshots and the
 // last measurement windows.
@@ -306,13 +301,6 @@ type rdapBackend struct{ reg *registry.Registry }
 
 func (b rdapBackend) RDAPDomain(name string) (*rdap.Record, error) {
 	return b.record(b.reg.RDAPLookup(name))
-}
-
-// RDAPDomainAt implements rdap.BackendAt: the lookup evaluated at the
-// querying event's own instant, so tagged due-timers firing ahead of
-// committed time see the same sync-delay cutoffs the serial drain would.
-func (b rdapBackend) RDAPDomainAt(name string, now time.Time) (*rdap.Record, error) {
-	return b.record(b.reg.RDAPLookupAt(name, now))
 }
 
 func (b rdapBackend) record(r *registry.Registration, err error) (*rdap.Record, error) {
