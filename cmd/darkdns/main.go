@@ -6,6 +6,7 @@
 // Usage:
 //
 //	darkdns [-scale 0.002] [-weeks 4] [-seed 1] [-workers 0] [-v]
+//	        [-cpuprofile FILE] [-memprofile FILE]
 package main
 
 import (
@@ -16,6 +17,7 @@ import (
 
 	"darkdns/internal/analysis"
 	"darkdns/internal/core"
+	"darkdns/internal/profiling"
 	"darkdns/internal/workpool"
 )
 
@@ -28,15 +30,26 @@ func main() {
 	snapshot := flag.String("snapshot", "", "persistent world snapshot path: a matching snapshot replaces the compile phase, a miss compiles then saves here (same world either way)")
 	verbose := flag.Bool("v", false, "print every confirmed transient domain")
 	export := flag.String("export", "", "write candidates to this file in columnar format")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign (world build through drain) to this file")
+	memprofile := flag.String("memprofile", "", "write a heap profile to this file once the campaign has run, its results still live")
 	flag.Parse()
 
 	start := time.Now()
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	res := analysis.Run(analysis.RunConfig{
 		Seed: *seed, Scale: *scale, Weeks: *weeks, WatchSampleRate: 1.0,
 		Engines:      workpool.AllEngines(*workers),
 		ProbeCadence: *probeCadence,
 		SnapshotPath: *snapshot,
 	})
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	fmt.Printf("simulated %d weeks at scale %g in %v\n", *weeks, *scale, time.Since(start).Round(time.Millisecond))
 
 	cands := res.Pipeline.Candidates()

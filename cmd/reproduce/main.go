@@ -5,6 +5,7 @@
 // Usage:
 //
 //	reproduce [-scale 0.005] [-weeks 13] [-seed 1] [-workers 0] [-exp all]
+//	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // Experiments: table1 figure1 nsstability table2 rdapfail figure2 table3
 // table4 table5 blocklists nod cctld all
@@ -19,6 +20,7 @@ import (
 
 	"darkdns/internal/analysis"
 	"darkdns/internal/blocklist"
+	"darkdns/internal/profiling"
 	"darkdns/internal/workpool"
 )
 
@@ -32,16 +34,27 @@ func main() {
 	snapshot := flag.String("snapshot", "", "persistent world snapshot path: a matching snapshot replaces the compile phase, a miss compiles then saves here (byte-identical output either way)")
 	exp := flag.String("exp", "all", "experiment to run (table1..table5, figure1, figure2, nsstability, rdapfail, blocklists, nod, cctld, rzu, mail, all)")
 	csvDir := flag.String("csv", "", "directory to write figure CSVs for external plotting")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign (world build through drain) to this file")
+	memprofile := flag.String("memprofile", "", "write a heap profile to this file once the campaign has run, its results still live")
 	flag.Parse()
 
 	fmt.Fprintf(os.Stderr, "building world (scale=%g, weeks=%d, seed=%d, workers=%d)…\n", *scale, *weeks, *seed, *workers)
 	start := time.Now()
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	res := analysis.Run(analysis.RunConfig{
 		Seed: *seed, Scale: *scale, Weeks: *weeks, WatchSampleRate: *watch, ProbeMail: true,
 		Engines:      workpool.AllEngines(*workers),
 		ProbeCadence: *probeCadence,
 		SnapshotPath: *snapshot,
 	})
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	fmt.Fprintf(os.Stderr, "simulation complete in %v: %d candidates, %d transient lower bound\n",
 		time.Since(start).Round(time.Millisecond), res.Pipeline.Len(), len(res.Report.LowerBound))
 	fr := res.Fleet.Report()

@@ -355,6 +355,9 @@ func decodeStrings(b []byte, n int, dst []string) ([]string, error) {
 		dict[i] = all[off : off+int(l)]
 		b = b[l:]
 	}
+	if n > len(b) {
+		return nil, errShortChunk
+	}
 	out := dst
 	if cap(out) < n {
 		out = make([]string, n)
@@ -384,7 +387,15 @@ func encodeInts(vals []int64) []byte {
 	return out
 }
 
+// errShortChunk rejects a row count the chunk cannot hold: every int,
+// float, string index and bytes length takes at least one byte, so the
+// check comes before a corrupt count can drive an allocation.
+var errShortChunk = errors.New("columnar: chunk shorter than its row count")
+
 func decodeInts(b []byte, n int, dst []int64) ([]int64, error) {
+	if n > len(b) {
+		return nil, errShortChunk
+	}
 	out := dst
 	if cap(out) < n {
 		out = make([]int64, n)
@@ -479,6 +490,9 @@ func encodeFloats(vals []float64) []byte {
 }
 
 func decodeFloats(b []byte, n int, dst []float64) ([]float64, error) {
+	if n > len(b) {
+		return nil, errShortChunk
+	}
 	out := dst
 	if cap(out) < n {
 		out = make([]float64, n)
@@ -508,6 +522,9 @@ func encodeBytesCol(vals [][]byte) []byte {
 }
 
 func decodeBytesCol(b []byte, n int, dst [][]byte) ([][]byte, error) {
+	if n > len(b) {
+		return nil, errShortChunk
+	}
 	out := dst
 	if cap(out) < n {
 		out = make([][]byte, n)
@@ -580,9 +597,16 @@ type Reader struct {
 // Decoded strings are always safe to retain — they never alias scratch.
 func (r *Reader) Reuse() { r.reuse = true }
 
-// NewReader validates the header and returns a reader.
+// NewReader validates the header and returns a reader. Its read buffer is
+// 64 KiB, or the length of an io.LimitedReader that holds less: a
+// container of many small tables (worldsim's snapshots) pays for what
+// each table holds, not 64 KiB apiece.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
+	size := 64 << 10
+	if lr, ok := r.(*io.LimitedReader); ok && lr.N < int64(size) {
+		size = int(max(lr.N, 16))
+	}
+	br := bufio.NewReaderSize(r, size)
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("columnar: reading magic: %w", err)

@@ -106,6 +106,75 @@ func TestBatchedRoundsDeterministicAcrossProbeWidths(t *testing.T) {
 	}
 }
 
+// handleBackend is the scripted fakeBackend issuing handles. A handle
+// reads the fake's current script for its name, so it follows every set
+// made after Resolve, as a backend's handle must.
+type handleBackend struct {
+	*fakeBackend
+	resolves, probes atomic.Int64
+}
+
+func (b *handleBackend) Resolve(domain string) Handle {
+	b.resolves.Add(1)
+	return fakeHandle{b, domain}
+}
+
+type fakeHandle struct {
+	b      *handleBackend
+	domain string
+}
+
+func (h fakeHandle) Probe(bool) ProbeResult {
+	h.b.probes.Add(1)
+	var pr ProbeResult
+	pr.NS, pr.InZone = h.b.AuthoritativeNS(h.domain)
+	if pr.InZone {
+		pr.V4 = h.b.LookupA(h.domain)
+	}
+	return pr
+}
+
+// TestHandleReadsEqualNameReads: reading every probe through the handles
+// a backend issued at Watch delivers exactly the observation stream and
+// report of reading the same backend by name — its Resolve hidden by a
+// wrapper, the way a timing decorator hides it — at every probe and apply
+// width. Each watch resolves once, and every probe reads its handle.
+func TestHandleReadsEqualNameReads(t *testing.T) {
+	domains := nDomains(40)
+	for _, pw := range []int{0, 1, 8} {
+		for _, aw := range []int{0, 1, 8} {
+			run := func(hideResolve bool) ([]string, FleetReport, *handleBackend) {
+				hb := &handleBackend{fakeBackend: newFakeBackend()}
+				var backend Backend = hb
+				if hideResolve {
+					backend = struct{ Backend }{hb}
+				}
+				cfg := DefaultConfig()
+				cfg.ProbeWorkers, cfg.ApplyWorkers = pw, aw
+				clk := simclock.NewSim(t0)
+				log, rep := applyScript(NewFleet(cfg, clk, backend), hb.fakeBackend, clk, domains)
+				return log, rep, hb
+			}
+			want, wantRep, byName := run(true)
+			got, gotRep, byHandle := run(false)
+			if len(want) == 0 || !reflect.DeepEqual(want, got) {
+				t.Errorf("probe=%d apply=%d: handle reads deliver %d observations, name reads %d, streams differ",
+					pw, aw, len(got), len(want))
+			}
+			if !reflect.DeepEqual(wantRep, gotRep) {
+				t.Errorf("probe=%d apply=%d: report %+v by handle, %+v by name", pw, aw, gotRep, wantRep)
+			}
+			if byName.resolves.Load() != 0 || byName.probes.Load() != 0 {
+				t.Errorf("probe=%d apply=%d: the wrapper leaked Resolve (%d resolves)", pw, aw, byName.resolves.Load())
+			}
+			if byHandle.resolves.Load() != int64(len(domains)) || byHandle.probes.Load() != gotRep.Probes {
+				t.Errorf("probe=%d apply=%d: %d resolves and %d handle probes for %d watches and %d probes",
+					pw, aw, byHandle.resolves.Load(), byHandle.probes.Load(), len(domains), gotRep.Probes)
+			}
+		}
+	}
+}
+
 // TestBatchSlicesPartitionRound: a 40-domain round at width 8 must
 // arrive as 8 batches of 5 — contiguous admission-order slices, not one
 // call per domain.

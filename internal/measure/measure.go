@@ -10,10 +10,13 @@
 // per domain (≈290 heap events per watched domain over 48 h), the fleet
 // arms a single clock event per 10-minute round and probes every active
 // watch in that round. Stage 1 has one path: the round's watch set is cut
-// into contiguous admission-ordered slices and each slice is one
-// BatchBackend.ProbeBatch call on the fleet's pool (a backend without
+// into contiguous admission-ordered slices on the fleet's pool, and each
+// slice is read by the one reader NewFleet picked — through the Handle
+// each watch got from the backend at Watch, when the backend issues them
+// (a watched name is looked up once, not once per probe), else by one
+// BatchBackend.ProbeBatch call over the slice's names (a backend without
 // ProbeBatch is wrapped once, in NewFleet, by an adapter that makes the
-// per-domain calls) — backend reads are side-effect-free, so slices
+// per-domain calls). Backend reads are side-effect-free, so slices
 // resolve concurrently. Then states update and observers fire in
 // watch-admission order, which is exactly the delivery order the
 // per-domain scheduler produced. Event count per campaign therefore
@@ -59,7 +62,8 @@ import (
 // DomainState without copying. Neither side may modify a slice after it
 // crosses this interface; a backend whose answer changes returns a new
 // slice. NS answers may arrive in any order — the fleet sorts a copy of
-// its own, never the backend's slice.
+// its own, never the backend's slice. The contract covers every route an
+// answer takes: the methods below, ProbeBatch, MailBackend and Handle.
 type Backend interface {
 	// AuthoritativeNS asks the TLD authoritative servers for domain's
 	// delegation. ok=false means NXDOMAIN (removed from zone).
@@ -92,6 +96,24 @@ type ProbeResult struct {
 // fleet's reusable round buffer, valid only until the call returns.
 type BatchBackend interface {
 	ProbeBatch(domains []string, mail bool) []ProbeResult
+}
+
+// Handle is a backend's view of one watched name, resolved once: a
+// backend with the optional method
+//
+//	Resolve(domain string) Handle
+//
+// issues one at Watch, and every probe of the name then reads through it
+// instead of looking the name up again — for a simulation, the name's
+// registry record rather than a chain of name-keyed maps. Probe(mail)
+// answers exactly what slot 0 of ProbeBatch([]string{domain}, mail) would
+// at the instant it is called: a handle follows every later change to its
+// name, including one that registers or deletes it, so Resolve must
+// accept a name that is not (or no longer) registered. Probes are
+// side-effect-free reads, safe for concurrent use, under Backend's
+// sharing contract.
+type Handle interface {
+	Probe(mail bool) ProbeResult
 }
 
 // MailBackend is the optional extension backend for the paper's
@@ -139,6 +161,7 @@ type DomainState struct {
 
 	worker int         // fleet worker assigned to this domain's probes
 	shard  *watchShard // registry stripe guarding this state, resolved once at Watch
+	handle Handle      // the backend's handle, issued at Watch; nil when it issues none
 }
 
 // RevalidatePolicy decouples probe cadence from record TTL, after Afek
@@ -196,10 +219,15 @@ type watchShard struct {
 type Fleet struct {
 	cfg Config
 	clk simclock.Clock
-	// backend answers every probe, a slice of names per call: the
-	// caller's own ProbeBatch, or the per-domain adapter over a plain
-	// Backend. probeMail is Config.ProbeMail narrowed to backends that
-	// can answer it.
+	// read answers one contiguous slice of a round's watches into their
+	// result slots; NewFleet picks it once. With a backend that issues
+	// handles (resolve non-nil) each slot is its watch's Handle.Probe;
+	// otherwise the slice is one ProbeBatch call over its names — the
+	// caller's own, or the per-domain adapter's over a plain Backend.
+	// probeMail is Config.ProbeMail narrowed to backends that can answer
+	// it.
+	read      func(targets []*DomainState, names []string, results []roundResult, now time.Time)
+	resolve   func(domain string) Handle
 	backend   BatchBackend
 	probeMail bool
 
@@ -247,11 +275,16 @@ func NewFleet(cfg Config, clk simclock.Clock, backend Backend) *Fleet {
 		cfg.Window = 48 * time.Hour
 	}
 	mb, hasMail := backend.(MailBackend)
-	bb, ok := backend.(BatchBackend)
-	if !ok {
-		bb = perDomain{backend, mb}
+	f := &Fleet{cfg: cfg, clk: clk, probeMail: cfg.ProbeMail && hasMail}
+	if rb, ok := backend.(interface{ Resolve(string) Handle }); ok {
+		f.resolve, f.read = rb.Resolve, f.readHandles
+	} else {
+		bb, ok := backend.(BatchBackend)
+		if !ok {
+			bb = perDomain{backend, mb}
+		}
+		f.backend, f.read = bb, f.readNames
 	}
-	f := &Fleet{cfg: cfg, clk: clk, backend: bb, probeMail: cfg.ProbeMail && hasMail}
 	for i := range f.shards {
 		f.shards[i].states = make(map[string]*DomainState)
 	}
@@ -286,10 +319,16 @@ func (f *Fleet) OnObservation(fn func(Observation)) {
 // already-watched domain is a no-op. The first probe fires immediately
 // (detection triggers the watch, as in the paper); subsequent probes
 // ride the fleet's coalesced rounds. The watch starts at Clock.Now — under
-// a Sim clock, the firing instant of the event that calls Watch.
+// a Sim clock, the firing instant of the event that calls Watch. A backend
+// that issues handles resolves the name here, once for the whole watch
+// (a re-watch resolves and discards one).
 func (f *Fleet) Watch(domain string) {
 	domain = dnsname.Canonical(domain)
 	now := f.clk.Now()
+	var h Handle
+	if f.resolve != nil {
+		h = f.resolve(domain)
+	}
 	sh := f.shard(domain)
 	sh.mu.Lock()
 	if _, ok := sh.states[domain]; ok {
@@ -301,6 +340,7 @@ func (f *Fleet) Watch(domain string) {
 		Started: now,
 		worker:  int(f.nextSeq.Add(1)-1) % f.cfg.Workers,
 		shard:   sh,
+		handle:  h,
 	}
 	sh.states[domain] = st
 	sh.mu.Unlock()
@@ -432,8 +472,9 @@ type roundResult struct {
 
 // roundBuf is the working memory of one probe round, three positional
 // slices of equal length: the due watches in admission order, their
-// names as handed to ProbeBatch, and the results. Fleet.round reuses one
-// across rounds; Watch brings a one-slot buffer of its own.
+// names as handed to ProbeBatch (unused when reading through handles),
+// and the results. Fleet.round reuses one across rounds; Watch brings a
+// one-slot buffer of its own.
 type roundBuf struct {
 	targets []*DomainState
 	names   []string
@@ -514,36 +555,55 @@ func (f *Fleet) sliceCount(n int) int {
 
 // probeStage is stage 1 of a round, the fleet's one probe path: the
 // target list is cut into contiguous slices (admission order preserved
-// inside each) and each slice is submitted as one ProbeBatch call on its
-// own pool goroutine, letting the backend answer every name of the
-// sub-batch in one pass over shared state or transport. Results are
-// positional — slot j of slice [lo, hi) lands in results[lo+j] — and
-// mail fields are copied only when the probe is in-zone, so a backend
-// that answers MX/TXT for out-of-zone names cannot diverge the campaign.
+// inside each) and each slice is read on its own pool goroutine by the
+// reader NewFleet picked. Results are positional — slot j of slice
+// [lo, hi) lands in results[lo+j].
 func (f *Fleet) probeStage(buf roundBuf, now time.Time) {
 	n := len(buf.targets)
 	w := f.sliceCount(n)
 	workpool.Run(w, w, func(s int) {
 		lo, hi := s*n/w, (s+1)*n/w
-		names := buf.names[lo:hi]
-		for j, st := range buf.targets[lo:hi] {
-			names[j] = st.Domain
-		}
-		for j, pr := range f.backend.ProbeBatch(names, f.probeMail) {
-			st := buf.targets[lo+j]
-			r := roundResult{obs: Observation{Domain: st.Domain, Worker: st.worker, At: now, InZone: pr.InZone}}
-			if pr.InZone {
-				r.obs.NS = pr.NS
-				r.obs.V4 = pr.V4
-				r.obs.V6 = pr.V6
-				if f.probeMail {
-					r.mx = pr.MX
-					r.txt = pr.TXT
-				}
-			}
-			buf.results[lo+j] = r
-		}
+		f.read(buf.targets[lo:hi], buf.names[lo:hi], buf.results[lo:hi], now)
 	})
+}
+
+// readHandles is the slice reader of a backend that issues handles: each
+// watch's own Handle answers straight into its result slot, so a round
+// makes no name lookup and allocates no result slab.
+func (f *Fleet) readHandles(targets []*DomainState, _ []string, results []roundResult, now time.Time) {
+	for j, st := range targets {
+		pr := st.handle.Probe(f.probeMail)
+		f.fill(&results[j], st, &pr, now)
+	}
+}
+
+// readNames is the slice reader of every other backend: one ProbeBatch
+// call answers the whole slice by name, letting the backend answer every
+// name in one pass over shared state or transport.
+func (f *Fleet) readNames(targets []*DomainState, names []string, results []roundResult, now time.Time) {
+	for j, st := range targets {
+		names[j] = st.Domain
+	}
+	prs := f.backend.ProbeBatch(names, f.probeMail)
+	for j := range prs {
+		f.fill(&results[j], targets[j], &prs[j], now)
+	}
+}
+
+// fill writes st's answer pr into its round slot r. Mail fields are copied
+// only when the probe is in-zone, so a backend that answers MX/TXT for
+// out-of-zone names cannot diverge the campaign.
+func (f *Fleet) fill(r *roundResult, st *DomainState, pr *ProbeResult, now time.Time) {
+	*r = roundResult{obs: Observation{Domain: st.Domain, Worker: st.worker, At: now, InZone: pr.InZone}}
+	if pr.InZone {
+		r.obs.NS = pr.NS
+		r.obs.V4 = pr.V4
+		r.obs.V6 = pr.V6
+		if f.probeMail {
+			r.mx = pr.MX
+			r.txt = pr.TXT
+		}
+	}
 }
 
 // applyStage is stage 2 of a round: every result is recorded into its

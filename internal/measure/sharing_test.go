@@ -14,16 +14,22 @@ import (
 // buffer (due list, names, results), so what a round allocates — a result
 // slab per ProbeBatch slice, pool goroutines, the next round's clock
 // event — does not grow with the number of watches, whether the backend
-// is a plain Backend behind the adapter or speaks ProbeBatch itself.
+// is a plain Backend behind the adapter, speaks ProbeBatch itself, or
+// issues handles.
 func TestSteadyStateRoundAllocsIndependentOfWatchCount(t *testing.T) {
+	plain := func(fb *fakeBackend) Backend { return fb } // behind the adapter
+	batch := func(fb *fakeBackend) Backend { return &fakeBatchBackend{fakeBackend: fb} }
+	handles := func(fb *fakeBackend) Backend { return &handleBackend{fakeBackend: fb} }
 	configs := map[string]struct {
-		batch bool
-		tune  func(*Config)
+		backend func(*fakeBackend) Backend
+		tune    func(*Config)
 	}{
-		"per-domain":    {false, func(*Config) {}}, // plain Backend behind the adapter
-		"batch":         {true, func(*Config) {}},
-		"batch-w4":      {true, func(c *Config) { c.ProbeWorkers = 4 }},
-		"batched+apply": {true, func(c *Config) { c.ProbeWorkers, c.ApplyWorkers = 4, 4 }},
+		"per-domain":    {plain, func(*Config) {}},
+		"batch":         {batch, func(*Config) {}},
+		"batch-w4":      {batch, func(c *Config) { c.ProbeWorkers = 4 }},
+		"batched+apply": {batch, func(c *Config) { c.ProbeWorkers, c.ApplyWorkers = 4, 4 }},
+		"handles":       {handles, func(*Config) {}},
+		"handles+apply": {handles, func(c *Config) { c.ProbeWorkers, c.ApplyWorkers = 4, 4 }},
 	}
 	for name, c := range configs {
 		t.Run(name, func(t *testing.T) {
@@ -31,12 +37,8 @@ func TestSteadyStateRoundAllocsIndependentOfWatchCount(t *testing.T) {
 			c.tune(&cfg)
 			roundAllocs := func(n int) float64 {
 				fb := newFakeBackend()
-				var backend Backend = fb
-				if c.batch {
-					backend = &fakeBatchBackend{fakeBackend: fb}
-				}
 				clk := simclock.NewSim(t0)
-				f := NewFleet(cfg, clk, backend)
+				f := NewFleet(cfg, clk, c.backend(fb))
 				for _, d := range nDomains(n) {
 					fb.set(d, []string{"ns1.a.net", "ns2.a.net"}, netip.MustParseAddr("192.0.2.1"))
 					f.Watch(d)
@@ -55,7 +57,8 @@ func TestSteadyStateRoundAllocsIndependentOfWatchCount(t *testing.T) {
 				t.Errorf("round allocations grow with the watch set: %v at 64 watches, %v at 512", small, large)
 			}
 			// The buffer itself is reused: a one-slice round is the
-			// backend's result slab plus the re-arm (6 today) — a due
+			// backend's result slab plus the re-arm (6 today; 5 when the
+			// round reads through handles, which need no slab) — a due
 			// list, names and results allocated per round would make it 9.
 			if cfg.ProbeWorkers == 0 && cfg.ApplyWorkers == 0 && small > 8 {
 				t.Errorf("steady one-slice round allocates %v times, want ≤ 8", small)

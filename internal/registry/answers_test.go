@@ -90,6 +90,13 @@ func TestReadersRaceMutators(t *testing.T) {
 	defer r.Stop()
 	const names = 64
 	web := netip.MustParseAddr("192.0.2.1")
+	// Every name is resolved before it is ever registered, the way a fleet
+	// watches a name it saw in CT first; the readers also resolve names
+	// below them, and names the writer never registers, while it runs.
+	var handles [names]Handle
+	for i := range handles {
+		handles[i] = r.Resolve(domainName(i))
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -115,6 +122,11 @@ func TestReadersRaceMutators(t *testing.T) {
 				if ans := r.Answer(d); ans.InZone && (!ans.Delegated || len(ans.NS) == 0) {
 					t.Errorf("%s in zone but answered %+v", d, ans)
 				}
+				if ans := handles[i%names].Answer(); ans.InZone && (!ans.Delegated || len(ans.NS) == 0) {
+					t.Errorf("%s in zone but its handle answered %+v", d, ans)
+				}
+				r.Resolve("www." + d).Answer()
+				r.Resolve(domainName(names + i%names)).Answer()
 				r.Lookup(d)
 				r.RDAPLookupAt(d, t0.Add(time.Hour))
 				r.Serial()
@@ -155,11 +167,13 @@ func sameSlice[T any](a, b []T) bool {
 }
 
 // TestAnswerEqualsSeparateAccessors is the single-lock accessor's
-// contract: at every point of a registration's life — pending, rebuilt
-// into the zone, re-delegated, deleted, re-registered, each before and
-// after the rebuild that makes it visible — and for every spelling of the
-// name a caller might pass, Answer returns exactly what Delegation,
-// InZone and WebAddrs return, slice for slice.
+// contract, and the handle's: at every point of a registration's life —
+// pending, rebuilt into the zone, re-delegated, deleted, re-registered,
+// each before and after the rebuild that makes it visible — and for every
+// spelling of the name a caller might pass, Answer returns exactly what
+// Delegation, InZone and WebAddrs return, slice for slice, and so does
+// Answer on a Handle, whether it was resolved before the name was ever
+// registered or at that step.
 func TestAnswerEqualsSeparateAccessors(t *testing.T) {
 	r, clk := newTestRegistry("com")
 	defer r.Stop()
@@ -169,18 +183,30 @@ func TestAnswerEqualsSeparateAccessors(t *testing.T) {
 		"noweb.com", "www.noweb.com", // delegated, no web host
 		"steady.com",                     // never mutated after its first rebuild
 		"missing.com", "www.missing.com", // never registered
-		"x.org", "www.x.org", "x.co", // foreign TLDs
+		"x.org", "www.x.org", "x.co", "x.nosuchtld", // foreign and unknown TLDs
 		"com", "com.", "", ".", // the apex and the root
+	}
+	early := make([]Handle, len(names)) // watched before registration
+	for i, n := range names {
+		early[i] = r.Resolve(n)
+	}
+	same := func(a, b Answer) bool {
+		return a.Delegated == b.Delegated && a.InZone == b.InZone && sameSlice(a.NS, b.NS) && sameSlice(a.A, b.A)
 	}
 	check := func(state string) {
 		t.Helper()
-		for _, n := range names {
+		for i, n := range names {
 			ns, ok := r.Delegation(n)
 			want := Answer{NS: ns, Delegated: ok, InZone: r.InZone(n), A: r.WebAddrs(n)}
 			got := r.Answer(n)
-			if got.Delegated != want.Delegated || got.InZone != want.InZone ||
-				!sameSlice(got.NS, want.NS) || !sameSlice(got.A, want.A) {
+			if !same(got, want) {
 				t.Errorf("%s: Answer(%q) = %+v, separate accessors say %+v", state, n, got, want)
+			}
+			if h := early[i].Answer(); !same(h, got) {
+				t.Errorf("%s: handle resolved before registration answers %q with %+v, Answer says %+v", state, n, h, got)
+			}
+			if h := r.Resolve(n).Answer(); !same(h, got) {
+				t.Errorf("%s: handle resolved now answers %q with %+v, Answer says %+v", state, n, h, got)
 			}
 		}
 	}
@@ -230,5 +256,22 @@ func TestAnswerEqualsSeparateAccessors(t *testing.T) {
 
 	if allocs := testing.AllocsPerRun(100, func() { r.Answer("x.com"); r.Answer("www.x.com"); r.Answer("x.org") }); allocs != 0 {
 		t.Errorf("Answer allocates %v per three calls", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, h := range early {
+			h.Answer()
+		}
+	}); allocs != 0 {
+		t.Errorf("handle reads allocate %v per pass over %d handles", allocs, len(early))
+	}
+	// Resolving names no one registered created ledger records for them;
+	// none of that is ground truth.
+	if _, ok := r.Lookup("missing.com"); ok {
+		t.Error("a resolved, never-registered name shows up in Lookup")
+	}
+	for _, reg := range r.Ledger() {
+		if reg.Domain != "x.com" && reg.Domain != "noweb.com" && reg.Domain != "steady.com" {
+			t.Errorf("ledger holds %q, which was resolved but never registered", reg.Domain)
+		}
 	}
 }

@@ -11,10 +11,12 @@ import (
 )
 
 // TestPropertyLedgerInvariants drives a registry with a random operation
-// sequence and checks structural invariants that must hold regardless of
-// schedule: creation precedes deletion, zone entry precedes zone exit,
-// zone membership matches ledger liveness after a rebuild, and the live
-// zone only ever contains active registrations.
+// sequence — new names, re-registrations of deleted ones, deletions and
+// clock advances — and checks structural invariants that must hold
+// regardless of schedule: creation precedes deletion, zone entry precedes
+// zone exit, a deleted registration that entered the zone has left it
+// after the next rebuild, zone membership matches ledger liveness after a
+// rebuild, and the live zone only ever contains active registrations.
 func TestPropertyLedgerInvariants(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		seed := seed
@@ -26,15 +28,25 @@ func TestPropertyLedgerInvariants(t *testing.T) {
 
 			active := make(map[string]bool)
 			var pool []string
+			register := func(d string) {
+				if _, err := r.Register(d, "R", []string{"ns1.x.net"}, netip.Addr{}); err != nil {
+					t.Fatalf("register %s: %v", d, err)
+				}
+				active[d] = true
+			}
 			for step := 0; step < 400; step++ {
-				switch rng.Intn(4) {
-				case 0, 1: // register
+				switch rng.Intn(5) {
+				case 0, 1: // register a new name
 					d := fmt.Sprintf("p%d-%d.com", seed, step)
-					if _, err := r.Register(d, "R", []string{"ns1.x.net"}, netip.Addr{}); err == nil {
-						active[d] = true
-						pool = append(pool, d)
+					register(d)
+					pool = append(pool, d)
+				case 2: // re-register a deleted name, often within one rebuild interval
+					if len(pool) > 0 {
+						if d := pool[rng.Intn(len(pool))]; !active[d] {
+							register(d)
+						}
 					}
-				case 2: // delete a random active domain
+				case 3: // delete a random active domain
 					if len(pool) > 0 {
 						d := pool[rng.Intn(len(pool))]
 						if active[d] {
@@ -44,13 +56,19 @@ func TestPropertyLedgerInvariants(t *testing.T) {
 							active[d] = false
 						}
 					}
-				case 3: // advance time (zone rebuilds fire)
+				case 4: // advance time (zone rebuilds fire)
 					clk.Advance(time.Duration(rng.Intn(180)) * time.Second)
 				}
 			}
 			clk.Advance(2 * time.Minute) // final rebuild
 
+			var reregistered int
+			seen := make(map[string]bool)
 			for _, entry := range r.Ledger() {
+				if seen[entry.Domain] {
+					reregistered++
+				}
+				seen[entry.Domain] = true
 				if !entry.Deleted.IsZero() && entry.Deleted.Before(entry.Created) {
 					t.Fatalf("%s deleted before created", entry.Domain)
 				}
@@ -63,6 +81,12 @@ func TestPropertyLedgerInvariants(t *testing.T) {
 				if !entry.InZoneAt.IsZero() && entry.InZoneAt.Before(entry.Created) {
 					t.Fatalf("%s in zone before creation", entry.Domain)
 				}
+				if !entry.Deleted.IsZero() && !entry.InZoneAt.IsZero() && entry.OutOfZoneAt.IsZero() {
+					t.Fatalf("%s deleted at %v, entered the zone at %v, never left it", entry.Domain, entry.Deleted, entry.InZoneAt)
+				}
+			}
+			if reregistered == 0 {
+				t.Fatal("schedule re-registered nothing")
 			}
 			// After the final rebuild, zone membership equals liveness.
 			for d, live := range active {

@@ -9,6 +9,13 @@
 // "transient domains". ccTLD-mode registries (InCZDS=false) keep a ledger
 // and a live zone but publish no snapshots, modelling the .nl ground-truth
 // vantage of §4.4.
+//
+// The ledger keeps one record per registrable name (one label below the
+// TLD): every registration of the name and, while it is delegated, the live
+// zone's delegation. Registrations and zone rebuilds update a record in
+// place, so a Handle — issued once by Resolve, for a name that may not be
+// registered yet or any more — answers every later probe of its name by
+// reading that record under one read lock, with no name hashing.
 package registry
 
 import (
@@ -17,6 +24,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -41,6 +49,9 @@ type Registration struct {
 	// webAddrs is the A answer for WebAddr, built once at registration and
 	// never mutated, so Registry.WebAddrs can hand it out without copying.
 	webAddrs []netip.Addr
+	// prev is the registration of the same name this one superseded; the
+	// ledger's older entries hang off the newest through it.
+	prev *Registration
 }
 
 // Active reports whether the registration is not deleted at t.
@@ -114,8 +125,8 @@ type Registry struct {
 	// fleet's probe workers hit them concurrently, millions of times per
 	// campaign — and write-locked by ledger mutations and zone rebuilds.
 	mu      sync.RWMutex
-	ledger  map[string][]*Registration // all registrations, newest last
-	zone    *zoneset.Snapshot          // live zone
+	ledger  map[string]*record // keyed by registrable name
+	zone    *zoneset.Snapshot  // live zone
 	serial  uint32
 	pending map[string]pendingOp
 	subs    []SnapshotFunc
@@ -127,6 +138,25 @@ type Registry struct {
 type pendingOp struct {
 	del bool
 	ns  []string
+}
+
+// record is the ledger's entry for one registrable name: its newest
+// registration and the live zone's delegation of it. It is created by the
+// name's first registration, or earlier by Resolve, and never removed: a
+// Handle points at it for good. There is one per name a world registers,
+// so older registrations chain through Registration.prev instead of
+// widening it. Guarded by the registry's mu.
+type record struct {
+	newest *Registration       // nil until the name is first registered
+	live   *zoneset.Delegation // nil while the name is not delegated
+}
+
+// active returns the newest registration while it is not deleted.
+func (rec *record) active() *Registration {
+	if rec == nil || rec.newest == nil || !rec.newest.Deleted.IsZero() {
+		return nil
+	}
+	return rec.newest
 }
 
 // New creates a registry and starts its zone-rebuild and snapshot tickers
@@ -143,7 +173,7 @@ func New(cfg Config, clk simclock.Clock, rng *rand.Rand) *Registry {
 		cfg:     cfg,
 		clk:     clk,
 		rng:     rng,
-		ledger:  make(map[string][]*Registration),
+		ledger:  make(map[string]*record),
 		zone:    zoneset.NewSnapshot(cfg.TLD, 1, clk.Now()),
 		serial:  1,
 		pending: make(map[string]pendingOp),
@@ -183,14 +213,17 @@ func (r *Registry) Register(domain, registrar string, ns []string, web netip.Add
 
 // RegisterAt creates a new active registration stamped at an explicit
 // instant, for a caller that already holds the instant it registers at.
+// Only a registrable name — one label below the TLD — is accepted, so the
+// zone never delegates anything else.
 func (r *Registry) RegisterAt(domain, registrar string, ns []string, web netip.Addr, at time.Time) (*Registration, error) {
 	domain = dnsname.Canonical(domain)
-	if dnsname.TLD(domain) != r.cfg.TLD || dnsname.CountLabels(domain) != dnsname.CountLabels(r.cfg.TLD)+1 {
+	if key, ok := r.registrable(domain); !ok || key != domain {
 		return nil, fmt.Errorf("%w: %s under %s", ErrWrongZone, domain, r.cfg.TLD)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if regs := r.ledger[domain]; len(regs) > 0 && regs[len(regs)-1].Deleted.IsZero() {
+	rec := r.ledger[domain]
+	if rec.active() != nil {
 		return nil, fmt.Errorf("%w: %s", ErrExists, domain)
 	}
 	reg := &Registration{
@@ -203,7 +236,11 @@ func (r *Registry) RegisterAt(domain, registrar string, ns []string, web netip.A
 	if web.IsValid() {
 		reg.webAddrs = []netip.Addr{web}
 	}
-	r.ledger[domain] = append(r.ledger[domain], reg)
+	if rec == nil {
+		rec = &record{}
+		r.ledger[domain] = rec
+	}
+	reg.prev, rec.newest = rec.newest, reg
 	r.pending[domain] = pendingOp{ns: reg.NS}
 	return reg, nil
 }
@@ -219,11 +256,11 @@ func (r *Registry) DeleteAt(domain string, at time.Time) error {
 	domain = dnsname.Canonical(domain)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	regs := r.ledger[domain]
-	if len(regs) == 0 || !regs[len(regs)-1].Deleted.IsZero() {
+	reg := r.ledger[domain].active()
+	if reg == nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, domain)
 	}
-	regs[len(regs)-1].Deleted = at
+	reg.Deleted = at
 	r.pending[domain] = pendingOp{del: true}
 	return nil
 }
@@ -234,11 +271,10 @@ func (r *Registry) UpdateNS(domain string, ns []string) error {
 	domain = dnsname.Canonical(domain)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	regs := r.ledger[domain]
-	if len(regs) == 0 || !regs[len(regs)-1].Deleted.IsZero() {
+	reg := r.ledger[domain].active()
+	if reg == nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, domain)
 	}
-	reg := regs[len(regs)-1]
 	reg.NS = append([]string(nil), ns...)
 	if op, ok := r.pending[domain]; !ok || !op.del {
 		r.pending[domain] = pendingOp{ns: reg.NS}
@@ -254,27 +290,39 @@ func (r *Registry) rebuildZone(now time.Time) {
 		return
 	}
 	for domain, op := range r.pending {
-		regs := r.ledger[domain]
-		latest := regs[len(regs)-1]
+		rec := r.ledger[domain]
+		// A name deleted and re-registered between two rebuilds still has
+		// the superseded registration's delegation live: it leaves the zone
+		// at this rebuild, whatever replaces it.
+		for old := rec.newest.prev; old != nil; old = old.prev {
+			leaveZone(old, now)
+		}
 		if op.del {
 			r.zone.Remove(domain)
-			// A registration deleted before any rebuild never entered
-			// the zone at all — the deepest form of transience: even a
-			// rapid-zone-update subscriber could not have seen it.
-			if !latest.InZoneAt.IsZero() && latest.OutOfZoneAt.IsZero() {
-				latest.OutOfZoneAt = now
-			}
+			rec.live = nil
+			leaveZone(rec.newest, now)
 			continue
 		}
 		r.zone.Add(domain, op.ns)
-		if latest.InZoneAt.IsZero() {
-			latest.InZoneAt = now
+		rec.live = r.zone.Get(domain)
+		if rec.newest.InZoneAt.IsZero() {
+			rec.newest.InZoneAt = now
 		}
 	}
 	r.pending = make(map[string]pendingOp)
 	r.serial++
 	r.zone.Serial = r.serial
 	r.zone.Taken = now
+}
+
+// leaveZone stamps reg's exit from the zone at now, if it entered the zone
+// and has not left it yet. A registration deleted before any rebuild never
+// entered the zone at all — the deepest form of transience: even a
+// rapid-zone-update subscriber could not have seen it.
+func leaveZone(reg *Registration, now time.Time) {
+	if !reg.InZoneAt.IsZero() && reg.OutOfZoneAt.IsZero() {
+		reg.OutOfZoneAt = now
+	}
 }
 
 // publishSnapshot clones the live zone and delivers it to subscribers
@@ -315,27 +363,54 @@ func (r *Registry) Serial() uint32 {
 // Matching the paper's step 3, this is the ground truth for "still in
 // zone" checks, immune to lame-delegation noise. The slice is the live
 // zone's own: shared and read-only. A later UpdateNS installs a new slice
-// at the next rebuild and leaves this one untouched.
+// at the next rebuild and leaves this one untouched. dnsserver asks it
+// once per query, so it reads the zone itself — which a record's live
+// delegation mirrors — trying name before its registrable ancestor, like
+// Answer.
 func (r *Registry) Delegation(name string) (ns []string, ok bool) {
 	name = dnsname.Canonical(name)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if del := r.covering(name); del != nil {
-		return del.NS, true
-	}
-	return nil, false
-}
-
-// covering returns the live zone's delegation for the registered domain
-// covering canonical name — name itself or its nearest delegated ancestor
-// below the TLD — or nil. Callers hold mu.
-func (r *Registry) covering(name string) *zoneset.Delegation {
-	for cur := name; cur != "" && cur != r.cfg.TLD; cur = dnsname.Parent(cur) {
-		if del := r.zone.Get(cur); del != nil {
-			return del
+	del := r.zone.Get(name)
+	if del == nil {
+		if key, ok := r.registrable(name); ok && key != name {
+			del = r.zone.Get(key)
 		}
 	}
-	return nil
+	if del == nil {
+		return nil, false
+	}
+	return del.NS, true
+}
+
+// registrable returns the name one label below the TLD that covers
+// canonical name — name itself, or its ancestor at that depth — as a
+// substring of name; ok=false when name is not below the TLD. Those are
+// the only names RegisterAt accepts, so the only keys the ledger and the
+// zone hold.
+func (r *Registry) registrable(name string) (key string, ok bool) {
+	tld := r.cfg.TLD
+	dot := len(name) - len(tld) - 1
+	if dot < 0 || name[dot] != '.' || name[dot+1:] != tld {
+		return "", false
+	}
+	return name[strings.LastIndexByte(name[:dot], '.')+1:], true
+}
+
+// lookup returns the ledger record of the registrable name covering
+// canonical name, or nil, and whether name is that registrable name
+// itself. Ledger keys are only ever registrable names, so name is tried
+// as a key first: the common case is one map read, and deriving the
+// ancestor measurably costs more than that read when it is not needed.
+// Callers hold mu.
+func (r *Registry) lookup(name string) (rec *record, exact bool) {
+	if rec = r.ledger[name]; rec != nil {
+		return rec, true
+	}
+	if key, ok := r.registrable(name); ok && key != name {
+		return r.ledger[key], false
+	}
+	return nil, false
 }
 
 // Answer is what one measurement probe asks a registry about one name.
@@ -348,28 +423,78 @@ type Answer struct {
 	A         []netip.Addr // WebAddrs(name)
 }
 
+// answer is the one definition of an Answer, read from the record of the
+// registrable name covering the asked name; exact says the asked name is
+// the record's own. rec may be nil (a name no one registered or resolved).
+// Callers hold mu.
+func (rec *record) answer(exact bool) Answer {
+	if rec == nil || rec.live == nil {
+		return Answer{}
+	}
+	ans := Answer{NS: rec.live.NS, Delegated: true}
+	if exact {
+		ans.InZone = true
+		ans.A = rec.newest.webAddrs
+	}
+	return ans
+}
+
 // Answer answers a whole probe of name — the NS query, the A query and
-// "is this exact name in the zone" — under one read lock and in one walk:
-// the same results as Delegation, WebAddrs and InZone called in turn, but
-// a consistent cut (no rebuild can land between the parts) at a third of
-// the locking and lookups. The ledger is consulted only when name itself
-// is delegated.
+// "is this exact name in the zone" — with one record lookup under one read
+// lock: a consistent cut (no rebuild can land between the parts). It is
+// Resolve without creating a record, then Handle.Answer's read.
 func (r *Registry) Answer(name string) Answer {
 	name = dnsname.Canonical(name)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	del := r.covering(name)
-	if del == nil {
+	rec, exact := r.lookup(name)
+	return rec.answer(exact)
+}
+
+// Handle is a name resolved once against a registry: every Answer reads
+// the ledger record of the registrable name covering it under the
+// registry's read lock, with no string hashing or comparison, and sees
+// every registration, re-delegation, deletion and zone rebuild made after
+// Resolve. The zero Handle — a name outside the registry's TLD — answers
+// the zero Answer. Handles are values, safe for concurrent use.
+type Handle struct {
+	r     *Registry
+	rec   *record
+	exact bool // the resolved name is the record's own, not a name below it
+}
+
+// Resolve returns the handle for name, creating the ledger record of its
+// registrable name if there is none yet: a name watched before it is
+// registered, or one that never will be, is exactly what a measurement
+// fleet watches when it chases transient and ghost domains.
+func (r *Registry) Resolve(name string) Handle {
+	name = dnsname.Canonical(name)
+	key, ok := r.registrable(name)
+	if !ok {
+		return Handle{}
+	}
+	r.mu.RLock()
+	rec := r.ledger[key]
+	r.mu.RUnlock()
+	if rec == nil {
+		r.mu.Lock()
+		if rec = r.ledger[key]; rec == nil {
+			rec = &record{}
+			r.ledger[key] = rec
+		}
+		r.mu.Unlock()
+	}
+	return Handle{r: r, rec: rec, exact: key == name}
+}
+
+// Answer is Registry.Answer of the resolved name, read through the handle.
+func (h Handle) Answer() Answer {
+	if h.rec == nil {
 		return Answer{}
 	}
-	ans := Answer{NS: del.NS, Delegated: true}
-	if del.Domain == name {
-		ans.InZone = true
-		if regs := r.ledger[name]; len(regs) > 0 {
-			ans.A = regs[len(regs)-1].webAddrs
-		}
-	}
-	return ans
+	h.r.mu.RLock()
+	defer h.r.mu.RUnlock()
+	return h.rec.answer(h.exact)
 }
 
 // InZone reports whether domain is currently delegated in the live zone.
@@ -385,17 +510,7 @@ func (r *Registry) InZone(domain string) bool {
 // must not be modified (Lookup returns a private copy for callers that
 // want one).
 func (r *Registry) WebAddrs(domain string) []netip.Addr {
-	domain = dnsname.Canonical(domain)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if !r.zone.Contains(domain) {
-		return nil
-	}
-	regs := r.ledger[domain]
-	if len(regs) == 0 {
-		return nil
-	}
-	return regs[len(regs)-1].webAddrs
+	return r.Answer(domain).A
 }
 
 // ZoneLen returns the live zone delegation count.
@@ -435,23 +550,27 @@ func (r *Registry) RDAPLookupAt(domain string, now time.Time) (*Registration, er
 	domain = dnsname.Canonical(domain)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	regs := r.ledger[domain]
-	for i := len(regs) - 1; i >= 0; i-- {
-		reg := regs[i]
-		if reg.Created.Add(r.cfg.RDAPSyncDelay).After(now) {
-			// Newest registration exists but has not propagated.
-			if i == len(regs)-1 {
-				return nil, RDAPErrNotSynced
-			}
-			continue
-		}
-		if !reg.Deleted.IsZero() && reg.Deleted.Before(now) {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, domain)
-		}
-		cp := *reg
-		return &cp, nil
+	rec := r.ledger[domain]
+	if rec == nil || rec.newest == nil {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, domain)
 	}
-	return nil, fmt.Errorf("%w: %s", ErrNotFound, domain)
+	reg := rec.newest
+	if reg.Created.Add(r.cfg.RDAPSyncDelay).After(now) {
+		return nil, RDAPErrNotSynced // registered, not yet propagated
+	}
+	if !reg.Deleted.IsZero() && reg.Deleted.Before(now) {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, domain)
+	}
+	cp := reg.copy()
+	return &cp, nil
+}
+
+// copy returns reg for a caller outside the ledger: its fields, without
+// the link to the ledger's older entries.
+func (reg *Registration) copy() Registration {
+	cp := *reg
+	cp.prev = nil
+	return cp
 }
 
 // Ground truth accessors ----------------------------------------------------
@@ -461,11 +580,11 @@ func (r *Registry) RDAPLookupAt(domain string, now time.Time) (*Registration, er
 func (r *Registry) Lookup(domain string) (*Registration, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	regs := r.ledger[dnsname.Canonical(domain)]
-	if len(regs) == 0 {
+	rec := r.ledger[dnsname.Canonical(domain)]
+	if rec == nil || rec.newest == nil {
 		return nil, false
 	}
-	cp := *regs[len(regs)-1]
+	cp := rec.newest.copy()
 	return &cp, true
 }
 
@@ -476,9 +595,9 @@ func (r *Registry) Ledger() []Registration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []Registration
-	for _, regs := range r.ledger {
-		for _, reg := range regs {
-			out = append(out, *reg)
+	for _, rec := range r.ledger {
+		for reg := rec.newest; reg != nil; reg = reg.prev {
+			out = append(out, reg.copy())
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

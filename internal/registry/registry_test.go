@@ -294,6 +294,53 @@ func TestReRegistrationAfterDeletion(t *testing.T) {
 	}
 }
 
+// TestReRegistrationBetweenRebuildsLeavesZone: a name deleted and
+// re-registered inside one rebuild interval keeps the old registration's
+// delegation live until the next rebuild, and that rebuild — which
+// replaces the delegation, or removes it when the re-registration was
+// deleted too — is when the old registration leaves the zone.
+func TestReRegistrationBetweenRebuildsLeavesZone(t *testing.T) {
+	for _, deleteAgain := range []bool{false, true} {
+		r, clk := newTestRegistry("com")
+		r.Register("x.com", "A", []string{"ns.a.net"}, netip.Addr{})
+		clk.Advance(2 * time.Minute) // in the zone from the 1 m rebuild
+		if err := r.Delete("x.com"); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(10 * time.Second)
+		if _, err := r.Register("x.com", "B", []string{"ns.b.net"}, netip.Addr{}); err != nil {
+			t.Fatal(err)
+		}
+		if deleteAgain {
+			if err := r.Delete("x.com"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clk.Advance(2 * time.Minute) // the 3 m rebuild replaces the delegation
+		r.Stop()
+
+		led := r.Ledger()
+		if len(led) != 2 {
+			t.Fatalf("deleteAgain=%v: %d ledger entries, want 2", deleteAgain, len(led))
+		}
+		a, b := led[0], led[1]
+		if !a.InZoneAt.Equal(t0.Add(time.Minute)) || !a.OutOfZoneAt.Equal(t0.Add(3*time.Minute)) {
+			t.Errorf("deleteAgain=%v: superseded registration in the zone from %v to %v, want t0+1m to t0+3m",
+				deleteAgain, a.InZoneAt, a.OutOfZoneAt)
+		}
+		ns, ok := r.Delegation("x.com")
+		if deleteAgain {
+			if !b.InZoneAt.IsZero() || !b.OutOfZoneAt.IsZero() || ok {
+				t.Errorf("re-registration deleted before any rebuild: %+v, delegated=%v", b, ok)
+			}
+			continue
+		}
+		if !b.InZoneAt.Equal(t0.Add(3*time.Minute)) || !b.OutOfZoneAt.IsZero() || !ok || ns[0] != "ns.b.net" {
+			t.Errorf("re-registration: %+v, delegation %v %v", b, ns, ok)
+		}
+	}
+}
+
 func TestActiveAndLifetime(t *testing.T) {
 	reg := Registration{Created: t0, Deleted: t0.Add(6 * time.Hour)}
 	if !reg.Active(t0.Add(time.Hour)) || reg.Active(t0.Add(7*time.Hour)) {

@@ -6,6 +6,7 @@ import (
 
 	"darkdns/internal/dnsname"
 	"darkdns/internal/measure"
+	"darkdns/internal/registry"
 )
 
 // probeBackend implements measure.Backend over the simulated registries:
@@ -15,29 +16,72 @@ import (
 // a slice built once — by the zone rebuild, at registration, or on a
 // record's first mail probe — and shared read-only across probes, so a
 // probe of an unchanged domain allocates nothing.
+//
+// It also issues measure handles: the fleet resolves a watched name once,
+// and every later probe of it is a read through its registry handle — no
+// canonicalisation, TLD split or name-keyed map on the probe path.
 type probeBackend struct{ w *World }
 
 // ProbeBackend returns the measurement fleet's view of this world.
 func (w *World) ProbeBackend() measure.Backend { return probeBackend{w} }
 
-// answer is the one definition of domain's probe answers, which every
-// method below is a view of. A single pass: one canonicalisation, one
-// registry resolve, one registry read (NS, A and exact-name-in-zone under
-// one lock), and the ground-truth mail answers only when asked for and
-// only while the name itself is in its TLD zone.
-func (b probeBackend) answer(domain string, mail bool) (pr measure.ProbeResult) {
+// probeHandle is one name resolved against the world: its registry's
+// handle and the mail answers its ground-truth record publishes (zero for
+// a name with no record, a ghost, or a record publishing neither). Both
+// are fixed at Resolve — the domain store is frozen after New — and every
+// probe reads the registry's current state through the handle, so a
+// probeHandle is immutable and safe for concurrent probes.
+type probeHandle struct {
+	reg  registry.Handle
+	mail mailAnswers
+}
+
+// Resolve implements the fleet's optional handle method. The registry
+// creates a ledger record for a name not yet, or never to be, registered:
+// ghosts and transients are watched exactly then.
+func (b probeBackend) Resolve(domain string) measure.Handle {
 	domain = dnsname.Canonical(domain)
-	reg := b.w.Registries[dnsname.TLD(domain)]
-	if reg == nil {
-		return pr
+	h := &probeHandle{mail: b.w.Domains.mailAnswers(domain)}
+	if reg := b.w.Registries[dnsname.TLD(domain)]; reg != nil {
+		h.reg = reg.Resolve(domain)
 	}
-	ans := reg.Answer(domain)
+	return h
+}
+
+// Probe answers one probe of the resolved name.
+func (h *probeHandle) Probe(mail bool) measure.ProbeResult {
+	return probeResult(h.reg.Answer(), mail, h.mail)
+}
+
+// probeResult is the one definition of a name's probe answers, which
+// Probe and every by-name method below are views of: the registry's
+// answer (NS, A and exact-name-in-zone, read under one lock) plus the
+// record's mail answers m, only when asked for and only while the name
+// itself is in its TLD zone.
+func probeResult(ans registry.Answer, mail bool, m mailAnswers) (pr measure.ProbeResult) {
 	pr.NS, pr.InZone, pr.V4 = ans.NS, ans.Delegated, ans.A
 	if mail && ans.InZone {
-		m := b.w.Domains.mailAnswers(domain)
 		pr.MX, pr.TXT = m.mx, m.txt
 	}
 	return pr
+}
+
+// answer is Resolve without creating anything, then Probe's read: one
+// canonicalisation, one registry lookup, one registry read, and the
+// ground-truth record's mail answers looked up only when asked for and
+// only while the name itself is in its TLD zone.
+func (b probeBackend) answer(domain string, mail bool) measure.ProbeResult {
+	domain = dnsname.Canonical(domain)
+	reg := b.w.Registries[dnsname.TLD(domain)]
+	if reg == nil {
+		return measure.ProbeResult{}
+	}
+	ans := reg.Answer(domain)
+	var m mailAnswers
+	if mail && ans.InZone {
+		m = b.w.Domains.mailAnswers(domain)
+	}
+	return probeResult(ans, mail, m)
 }
 
 func (b probeBackend) AuthoritativeNS(domain string) ([]string, bool) {
@@ -50,7 +94,8 @@ func (b probeBackend) LookupA(domain string) []netip.Addr { return b.answer(doma
 func (b probeBackend) LookupAAAA(domain string) []netip.Addr { return nil }
 
 // ProbeBatch implements measure.BatchBackend: one positional result per
-// requested name, each answered in a single pass.
+// requested name, each answered in a single pass. The fleet reads through
+// handles instead; this is the path of a wrapper that hides Resolve.
 func (b probeBackend) ProbeBatch(domains []string, mail bool) []measure.ProbeResult {
 	out := make([]measure.ProbeResult, len(domains))
 	for i, domain := range domains {

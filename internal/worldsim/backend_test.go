@@ -28,9 +28,31 @@ func drainedWorld(t *testing.T, seed int64) (*World, []string) {
 	return w, append(names, "never-generated.com")
 }
 
+// resolver is the optional method through which the world's probe
+// backend issues measure handles.
+type resolver interface {
+	Resolve(domain string) measure.Handle
+}
+
+// sameSlice reports whether a and b are the same shared answer: equal
+// length and, when non-empty, one backing array.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// resolveAll issues one handle per name, as a fleet's Watch does.
+func resolveAll(b measure.Backend, names []string) []measure.Handle {
+	hs := make([]measure.Handle, len(names))
+	for i, n := range names {
+		hs[i] = b.(resolver).Resolve(n)
+	}
+	return hs
+}
+
 // TestProbeAnswersAllocateNothing: once every name has been probed once
 // (a record's first mail probe builds its MX/TXT answers), the five
-// lookups of a probe allocate nothing for any name.
+// lookups of a probe allocate nothing for any name, and neither does a
+// probe through a handle resolved for it.
 func TestProbeAnswersAllocateNothing(t *testing.T) {
 	w, names := drainedWorld(t, 5)
 	b := w.ProbeBackend()
@@ -54,26 +76,47 @@ func TestProbeAnswersAllocateNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, func() { probeAll() }); allocs != 0 {
 		t.Errorf("a pass over %d names allocates %v times, want 0", len(names), allocs)
 	}
+
+	handles := resolveAll(b, names)
+	var hInZone int
+	for _, h := range handles {
+		if h.Probe(true).InZone {
+			hInZone++
+		}
+	}
+	if hInZone != inZone {
+		t.Fatalf("handles see %d names in zone, by-name probes %d", hInZone, inZone)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		for _, h := range handles {
+			h.Probe(true)
+		}
+	}); allocs != 0 {
+		t.Errorf("a pass over %d handles allocates %v times, want 0", len(handles), allocs)
+	}
 }
 
-// TestProbeBatchEqualsPerDomainViews: ProbeBatch and the five per-domain
-// methods are views of one helper, so for every name — delegated,
-// deleted, ghost, unknown, upper-case, below a delegation — slot i of a
-// batch carries exactly the slices the per-domain calls hand out, mail
-// answers only when asked, and the batch allocates its result slab and
-// nothing else.
+// TestProbeBatchEqualsPerDomainViews: ProbeBatch, the five per-domain
+// methods and a handle's Probe are views of one helper, so for every name
+// — delegated, deleted, ghost, unknown, upper-case, below a delegation —
+// slot i of a batch carries exactly the slices the per-domain calls and
+// the name's handle hand out, mail answers only when asked, and the batch
+// allocates its result slab and nothing else.
 func TestProbeBatchEqualsPerDomainViews(t *testing.T) {
 	w, names := drainedWorld(t, 5)
 	names = append(names, "WWW."+names[0]+".", "www."+names[1], names[2]+".", "x.nosuchtld")
 	b := w.ProbeBackend()
 	bb, mb := b.(measure.BatchBackend), b.(measure.MailBackend)
-	same := func(a, b []string) bool {
-		return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-	}
+	handles := resolveAll(b, names)
+	same := sameSlice[string]
 	for _, mail := range []bool{true, false} {
 		var inZone, withMail int
 		for i, pr := range bb.ProbeBatch(names, mail) {
 			n := names[i]
+			if h := handles[i].Probe(mail); h.InZone != pr.InZone || !same(h.NS, pr.NS) || !sameSlice(h.V4, pr.V4) ||
+				h.V6 != nil || !same(h.MX, pr.MX) || !same(h.TXT, pr.TXT) {
+				t.Errorf("mail=%v %q: handle probe %+v, batch slot %+v", mail, n, h, pr)
+			}
 			ns, ok := b.AuthoritativeNS(n)
 			v4 := b.LookupA(n)
 			if pr.InZone != ok || !same(pr.NS, ns) || len(pr.V4) != len(v4) || (len(v4) > 0 && &pr.V4[0] != &v4[0]) || pr.V6 != nil {
@@ -204,12 +247,14 @@ func TestObservationsSurviveRegistryChanges(t *testing.T) {
 }
 
 // TestMailAnswersConcurrentFirstProbe races every name's first mail probe
-// across goroutines, the way a fleet round's workers hit a fresh world.
-// Whoever wins a record's build, all callers must end up sharing one
-// answer. Run under -race.
+// across goroutines, the way a fleet round's workers hit a fresh world,
+// half of them resolving handles (which builds the answers too) and half
+// probing by name. Whoever wins a record's build, all callers must end up
+// sharing one answer. Run under -race.
 func TestMailAnswersConcurrentFirstProbe(t *testing.T) {
 	w, names := drainedWorld(t, 7)
-	mb := w.ProbeBackend().(measure.MailBackend)
+	b := w.ProbeBackend()
+	mb := b.(measure.MailBackend)
 	const workers = 8
 	first := make([][]*string, workers)
 	var wg sync.WaitGroup
@@ -219,8 +264,14 @@ func TestMailAnswersConcurrentFirstProbe(t *testing.T) {
 			defer wg.Done()
 			seen := make([]*string, len(names))
 			for i, n := range names {
-				mb.LookupTXT(n)
-				if mx := mb.LookupMX(n); len(mx) > 0 {
+				var mx []string
+				if g%2 == 0 {
+					mx = b.(resolver).Resolve(n).Probe(true).MX
+				} else {
+					mb.LookupTXT(n)
+					mx = mb.LookupMX(n)
+				}
+				if len(mx) > 0 {
 					seen[i] = &mx[0]
 				}
 			}

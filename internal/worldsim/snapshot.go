@@ -22,6 +22,7 @@ import (
 	"io"
 	"net/netip"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -122,6 +123,16 @@ func (cfg Config) shapeHash() uint64 {
 }
 
 // Table schemas -------------------------------------------------------------
+
+// tableSchemas is the schema each table is written with, by table name.
+var tableSchemas = map[string]columnar.Schema{
+	"layouts": layoutsSchema(),
+	"domains": domainsSchema(),
+	"ghosts":  ghostsSchema(),
+	"nod":     seedSchema(),
+	"dzdb":    seedSchema(),
+	"flags":   flagsSchema(),
+}
 
 func layoutsSchema() columnar.Schema {
 	return columnar.Schema{
@@ -426,6 +437,10 @@ func LoadSnapshot(r io.Reader) (*LayoutSet, error) {
 		cr, err := columnar.NewReader(io.LimitReader(br, int64(bodyLen)))
 		if err != nil {
 			return nil, fmt.Errorf("worldsim: table %q: %w", nameBuf, err)
+		}
+		// The decoders index a known table's columns by name and type.
+		if want, ok := tableSchemas[string(nameBuf)]; ok && !slices.Equal(cr.Schema(), want) {
+			return nil, fmt.Errorf("worldsim: table %q has schema %s, want %s", nameBuf, cr.Schema(), want)
 		}
 		// Every decoder below consumes its group before pulling the next,
 		// so the reader can recycle column storage between groups.

@@ -20,6 +20,11 @@
 // Determinism contract (DESIGN.md §2, §8–§9): worlds — and the campaign
 // reports computed from them — are byte-identical at any build and commit
 // width, alone or combined with every other workpool.Engines setting.
+//
+// The measurement fleet sees a world through ProbeBackend (backend.go),
+// which issues measure handles: a watched name is resolved once, to its
+// registry's ledger record and its ground-truth mail answers, and every
+// later probe reads through that handle rather than looking the name up.
 package worldsim
 
 import (
