@@ -13,7 +13,7 @@
 //
 //	feedserver [-listen 127.0.0.1:7543] [-scale 0.0005] [-tick 500ms] [-workers 0]
 //	           [-queue-bound 1024] [-shed-policy drop-oldest] [-heartbeat 1s]
-//	           [-tenant-max-subs 0] [-tenant-rate 0]
+//	           [-tenant-max-subs 0] [-tenant-rate 0] [-cpuprofile cpu.prof] [-memprofile mem.prof]
 package main
 
 import (
@@ -26,6 +26,7 @@ import (
 	"darkdns/internal/core"
 	"darkdns/internal/feed"
 	"darkdns/internal/measure"
+	"darkdns/internal/profiling"
 	"darkdns/internal/psl"
 	"darkdns/internal/stream"
 	"darkdns/internal/workpool"
@@ -43,9 +44,17 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", time.Second, "idle heartbeat interval on framed sessions")
 	tenantMaxSubs := flag.Int("tenant-max-subs", 0, "max concurrent subscribers per tenant (0 = unlimited)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant delivery rate in entries/s (0 = unlimited)")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the server's whole run, world build to shutdown, to this file")
+	memprofile := flag.String("memprofile", "", "write a heap profile to this file at shutdown")
 	flag.Parse()
 
 	policy, err := feed.ParseShedPolicy(*shedPolicy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "feedserver:", err)
+		os.Exit(1)
+	}
+
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "feedserver:", err)
 		os.Exit(1)
@@ -99,6 +108,10 @@ func main() {
 			fmt.Printf("served %d sessions: %d entries in %d batches, %d bytes, %d shed, %d gaps, %d encode drops, %d live deliveries from the shared encoding\n",
 				st.Sessions, st.Delivered, st.Batches, st.BytesOut, st.Shed, st.Gaps, st.EncodeDrops, st.EncodeCacheHits)
 			w.Stop()
+			if err := stopProfiles(); err != nil {
+				fmt.Fprintln(os.Stderr, "feedserver:", err)
+				os.Exit(1)
+			}
 			return
 		}
 	}

@@ -10,6 +10,7 @@
 //	sweep [-seeds 1,2,3] [-scales 0.001,0.002] [-weeks 2] \
 //	      [-cadences 10m,2m] [-watch-samples 1.0] \
 //	      [-snapshot-dir /tmp/worlds] [-sweep-workers 4] [-workers 0] [-out sweep.dcol]
+//	      [-cpuprofile cpu.prof] [-memprofile mem.prof]
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"darkdns/internal/analysis"
+	"darkdns/internal/profiling"
 	"darkdns/internal/workpool"
 	"darkdns/internal/worldsim"
 )
@@ -35,6 +37,8 @@ func main() {
 	sweepWorkers := flag.Int("sweep-workers", 4, "campaign fan-out width across grid cells (≤1 = serial)")
 	workers := flag.Int("workers", 0, "pool width of every stage inside each cell's world build and campaign; 0 = serial cells, which -sweep-workers already runs side by side")
 	out := flag.String("out", "", "write the columnar result table to this file")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep (every cell's world build and campaign) to this file")
+	memprofile := flag.String("memprofile", "", "write a heap profile to this file once the sweep has run, its results still live")
 	flag.Parse()
 
 	grid := analysis.SweepConfig{
@@ -61,9 +65,16 @@ func main() {
 	fmt.Fprintf(os.Stderr, "sweep: %d seeds × %d scales × %d policies = %d cells (%d distinct worlds)\n",
 		len(grid.Seeds), len(grid.Scales), len(grid.Policies), nCells, len(grid.Seeds)*len(grid.Scales))
 	start := time.Now()
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		fatal("%v", err)
+	}
 	res, err := analysis.Sweep(grid)
 	if err != nil {
 		fatal("sweep: %v", err)
+	}
+	if err := stopProfiles(); err != nil {
+		fatal("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "sweep: %d cells in %v; compiled %d worlds (%d compile fan-outs, %d snapshot loads this process), snapshots in %s\n",
 		len(res.Cells), time.Since(start).Round(time.Millisecond), res.DistinctWorlds,

@@ -20,16 +20,15 @@
 // path (InLatest runs once per CT-extracted domain) but written only on
 // daily snapshot collection. The per-TLD snapshot/stats view goes
 // through an immutable generation swapped behind an atomic.Pointer, so
-// InLatest stays lock-free no matter how many ingest workers are
-// filtering concurrently, while writers pay a small per-TLD
-// copy-on-write rebuild under a mutex (DESIGN.md §5). The presence
-// index (one entry per domain ever seen — the bulk of the collection)
-// is different: its readers (FirstSeen, EverSeen) run off the hot path,
-// at transient labelling and analysis time, so it is striped over
-// mutex-guarded mutable maps keyed by domain hash. Ingest updates
-// stripes in place — no clone at all, eliminating the O(collection)
-// write amplification the whole-view COW design paid per snapshot —
-// and a reader contends only with updates hashing to its stripe.
+// InLatest takes no lock however many goroutines filter concurrently,
+// while writers pay a small per-TLD copy-on-write rebuild under a mutex
+// (DESIGN.md §5). The presence index (one entry per domain ever seen —
+// the bulk of the collection) is different: its readers (FirstSeen,
+// EverSeen) run off the hot path, at transient labelling and analysis
+// time, so it is one mutable map under the writers' mutex. Ingest
+// updates each domain's interval in place as it walks the snapshot — no
+// clone, no per-snapshot grouping, so a snapshot of already-known
+// domains allocates nothing per domain.
 package czds
 
 import (
@@ -77,41 +76,21 @@ var emptyView = &view{
 	stats:  map[string]DiffStats{},
 }
 
-// seenStripes is the stripe count of the presence index. The index holds
-// every domain ever seen in any snapshot — O(collection) — so cloning it
-// whole per daily snapshot was the write amplification ROADMAP flagged.
-// Striped mutable maps update in place; the stripe count only bounds
-// reader/writer contention. Power of two for cheap masking.
-const seenStripes = 64
-
-// seenStripe is one mutex-guarded stripe of the presence index.
-type seenStripe struct {
-	mu sync.Mutex
-	m  map[string]presence
-}
-
 // Service collects and serves zone snapshots.
 type Service struct {
-	// mu serializes writers (Ingest, Subscribe); readers never take it.
+	// mu serializes writers (Ingest, Subscribe) and guards seen; readers
+	// of view never take it.
 	mu   sync.Mutex
 	view atomic.Pointer[view]
-	seen [seenStripes]seenStripe
+	seen map[string]presence // the presence index, updated in place
 	subs []func(*zoneset.Snapshot)
 }
 
 // New creates an empty service.
 func New() *Service {
-	s := &Service{}
+	s := &Service{seen: make(map[string]presence)}
 	s.view.Store(emptyView)
-	for i := range s.seen {
-		s.seen[i].m = make(map[string]presence)
-	}
 	return s
-}
-
-// stripe returns the presence stripe holding domain's interval.
-func (s *Service) stripe(domain string) *seenStripe {
-	return &s.seen[dnsname.Hash64(domain)&(seenStripes-1)]
 }
 
 // Collect attaches the service to a registry's snapshot publications.
@@ -124,43 +103,25 @@ func (s *Service) Collect(reg *registry.Registry) {
 }
 
 // Ingest stores a published snapshot, updates the presence index and the
-// day-over-day diff statistics, and notifies subscribers. Presence
-// stripes update in place under their stripe locks, batched so each
-// touched stripe locks once per snapshot; the per-TLD view then becomes
-// visible in one atomic swap. Stripes update before the view so "in the
-// latest snapshot" never outruns "ever seen"; there is no cross-stripe
-// invariant beyond that (a domain's interval lives entirely in its own
-// stripe).
+// day-over-day diff statistics, and notifies subscribers. Each domain's
+// interval updates in place as the snapshot is walked; the per-TLD view
+// then becomes visible in one atomic swap, so "in the latest snapshot"
+// never outruns "ever seen".
 func (s *Service) Ingest(snap *zoneset.Snapshot) {
 	s.mu.Lock()
-	// Group the snapshot's domains by stripe, then take each touched
-	// stripe's lock once and merge its updates in place.
-	var touched [seenStripes][]string
 	for _, dom := range snap.Domains() {
-		i := dnsname.Hash64(dom) & (seenStripes - 1)
-		touched[i] = append(touched[i], dom)
-	}
-	for i, doms := range touched {
-		if len(doms) == 0 {
+		p, ok := s.seen[dom]
+		if !ok {
+			s.seen[dom] = presence{first: snap.Taken, last: snap.Taken}
 			continue
 		}
-		st := &s.seen[i]
-		st.mu.Lock()
-		for _, dom := range doms {
-			p, ok := st.m[dom]
-			if !ok {
-				st.m[dom] = presence{first: snap.Taken, last: snap.Taken}
-				continue
-			}
-			if snap.Taken.After(p.last) {
-				p.last = snap.Taken
-			}
-			if snap.Taken.Before(p.first) {
-				p.first = snap.Taken
-			}
-			st.m[dom] = p
+		if snap.Taken.After(p.last) {
+			p.last = snap.Taken
 		}
-		st.mu.Unlock()
+		if snap.Taken.Before(p.first) {
+			p.first = snap.Taken
+		}
+		s.seen[dom] = p
 	}
 
 	cur := s.view.Load()
@@ -170,14 +131,13 @@ func (s *Service) Ingest(snap *zoneset.Snapshot) {
 	}
 	prev := next.latest[snap.TLD]
 	st := next.stats[snap.TLD]
+	// The first collected snapshot of a TLD is a baseline: its
+	// delegations count as seen, not as newly registered.
 	if prev != nil {
 		d := zoneset.Compare(prev, snap)
 		st.Added += int64(len(d.Added))
 		st.Removed += int64(len(d.Removed))
 		st.Changed += int64(len(d.Changed))
-	} else {
-		// First collected snapshot: every delegation counts as seen,
-		// not as newly registered.
 	}
 	next.stats[snap.TLD] = st
 	next.latest[snap.TLD] = snap
@@ -234,14 +194,13 @@ func (s *Service) InLatest(domain string) bool {
 }
 
 // FirstSeen returns the Taken time of the first snapshot that contained
-// domain, across the whole collection. Off the ingest hot path; takes
-// only the domain's stripe lock.
+// domain, across the whole collection. Off the ingest hot path, it takes
+// the service's lock.
 func (s *Service) FirstSeen(domain string) (time.Time, bool) {
 	domain = dnsname.Canonical(domain)
-	st := s.stripe(domain)
-	st.mu.Lock()
-	p, ok := st.m[domain]
-	st.mu.Unlock()
+	s.mu.Lock()
+	p, ok := s.seen[domain]
+	s.mu.Unlock()
 	return p.first, ok
 }
 
@@ -251,10 +210,9 @@ func (s *Service) FirstSeen(domain string) (time.Time, bool) {
 // during the window ±3 days".
 func (s *Service) EverSeen(domain string, from, to time.Time) bool {
 	domain = dnsname.Canonical(domain)
-	st := s.stripe(domain)
-	st.mu.Lock()
-	p, ok := st.m[domain]
-	st.mu.Unlock()
+	s.mu.Lock()
+	p, ok := s.seen[domain]
+	s.mu.Unlock()
 	if !ok {
 		return false
 	}

@@ -2,6 +2,7 @@ package czds
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"sync"
@@ -196,5 +197,26 @@ func TestCollectFromRegistryRespectsCZDSMembership(t *testing.T) {
 	}
 	if _, err := svc.Latest("nl"); !errors.Is(err, ErrNoZone) {
 		t.Errorf("nl must not be collected: %v", err)
+	}
+}
+
+// TestIngestOfKnownDomainsAllocatesPerSnapshotOnly: a snapshot whose
+// domains are all already in the presence index updates their intervals
+// in place, so what Ingest allocates — the next view generation, the
+// subscriber copy — is the same at 1 k domains as at 10 k.
+func TestIngestOfKnownDomainsAllocatesPerSnapshotOnly(t *testing.T) {
+	allocs := func(n int) float64 {
+		svc := New()
+		doms := make([]string, n)
+		for i := range doms {
+			doms[i] = fmt.Sprintf("d%05d.com", i)
+		}
+		svc.Ingest(snapAt("com", t0, doms...))
+		next := snapAt("com", t0.Add(24*time.Hour), doms...)
+		next.Domains() // the snapshot's own sorted index, built once
+		return testing.AllocsPerRun(10, func() { svc.Ingest(next) })
+	}
+	if small, large := allocs(1_000), allocs(10_000); small != large {
+		t.Fatalf("Ingest of known domains allocates %v at 1 k domains and %v at 10 k", small, large)
 	}
 }

@@ -9,19 +9,23 @@
 // Scheduling is round-coalesced: instead of one clock event per probe
 // per domain (≈290 heap events per watched domain over 48 h), the fleet
 // arms a single clock event per 10-minute round and probes every active
-// watch in that round. Stage 1 has one path: the round's watch set is cut
-// into contiguous admission-ordered slices on the fleet's pool, and each
-// slice is read by the one reader NewFleet picked — through the Handle
-// each watch got from the backend at Watch, when the backend issues them
-// (a watched name is looked up once, not once per probe), else by one
-// BatchBackend.ProbeBatch call over the slice's names (a backend without
-// ProbeBatch is wrapped once, in NewFleet, by an adapter that makes the
-// per-domain calls). Backend reads are side-effect-free, so slices
-// resolve concurrently. Then states update and observers fire in
-// watch-admission order, which is exactly the delivery order the
-// per-domain scheduler produced. Event count per campaign therefore
-// scales with rounds, not probes, and the round's working memory is
-// owned by the fleet and reused from round to round.
+// watch in that round. A round copies the watch list, and its retire
+// pass, after the probes, compacts it: it drops the watches that finished
+// and retires those whose window closes before the next round, so the
+// list a round copies holds exactly the watches it probes. Stage 1 has one
+// path: the round's watch set is cut into contiguous admission-ordered
+// slices on the fleet's pool, and each slice is read by the one reader
+// NewFleet picked — through the Handle each watch got from the backend at
+// Watch, when the backend issues them (a watched name is looked up once,
+// not once per probe), else by one BatchBackend.ProbeBatch call over the
+// slice's names (a backend without ProbeBatch is wrapped once, in
+// NewFleet, by an adapter that makes the per-domain calls). Backend
+// reads are side-effect-free, so slices resolve concurrently. Then
+// states update and observers fire in watch-admission order, which is
+// exactly the delivery order the per-domain scheduler produced. Event
+// count per campaign therefore scales with rounds, not probes, and the
+// round's working memory is owned by the fleet and reused from round to
+// round.
 //
 // Stage 2 of a round has one path too (DESIGN.md §14): once the round's
 // probes are in, per-domain state applies run over the same contiguous
@@ -31,7 +35,12 @@
 //
 // Concurrency model (DESIGN.md §7): the watch registry is sharded 32
 // ways with copy-on-write observer lists; round probe batches and applies
-// fan out on workpool at the widths workpool.Engines declares.
+// fan out on workpool at the widths workpool.Engines declares. A state's
+// Started is immutable after Watch, and its Finished is written only on
+// the round goroutine — by apply inside a round (the admission apply in
+// Watch cannot set it) and by the retire pass — so the round reads both
+// without the shard lock; every other field, and every reader off the
+// round goroutine (apply, State, States, Report), takes it.
 // Determinism contract: because probes are side-effect-free reads, a
 // domain appears once per round and delivery stays in admission order,
 // fleet reports are byte-identical at any width.
@@ -235,11 +244,11 @@ type Fleet struct {
 	nextSeq atomic.Int64 // watch admissions: ordering + worker assignment
 	active  atomic.Int64 // unfinished watches; rounds stay armed while > 0
 
-	// watchList is the admission-ordered registry the round scheduler
-	// iterates — Watch appends, dueTargets skips retired entries and
-	// compacts once they dominate, so a round never re-sorts or walks
-	// the shard maps. Guarded by watchMu; never locked while holding a
-	// shard lock.
+	// watchList is the admission-ordered set of live watches a round
+	// copies — Watch appends, the retire pass compacts it in place — so a
+	// round never re-sorts, walks the shard maps or skips finished
+	// entries. Guarded by watchMu; never locked while holding a shard
+	// lock.
 	watchMu   sync.Mutex
 	watchList []*DomainState
 
@@ -247,9 +256,10 @@ type Fleet struct {
 	// guards against double-arming when Watch races the round callback,
 	// and stays set until the round it armed has finished — so at most
 	// one round runs at a time and buf needs no lock of its own.
-	roundMu sync.Mutex
-	armed   bool
-	buf     roundBuf // round's working memory, reused across rounds
+	roundMu    sync.Mutex
+	armed      bool
+	buf        roundBuf // round's working memory, reused across rounds
+	roundEvent func()   // the round's clock callback, bound once
 
 	rounds   atomic.Int64 // coalesced rounds executed
 	maxRound atomic.Int64 // widest round (domains probed in one event)
@@ -288,6 +298,7 @@ func NewFleet(cfg Config, clk simclock.Clock, backend Backend) *Fleet {
 	for i := range f.shards {
 		f.shards[i].states = make(map[string]*DomainState)
 	}
+	f.roundEvent = func() { f.round(f.clk.Now()) }
 	return f
 }
 
@@ -380,17 +391,27 @@ func (f *Fleet) armRound(now time.Time) {
 	}
 	f.armed = true
 	f.roundMu.Unlock()
-	f.clk.At(now.Add(f.cfg.Interval), func() { f.round(f.clk.Now()) })
+	f.clk.At(now.Add(f.cfg.Interval), f.roundEvent)
 }
 
-// round is the per-interval clock event: snapshot the active watch set
-// into the fleet's round buffer, probe it as one batch, re-arm while work
-// remains. now is the event's firing instant. armed is released only
-// once the round is over: a Watch racing it finds the chain still armed
-// and schedules nothing, and the round re-arms on its way out — so no
-// second round can start while buf is in use.
+// round is the per-interval clock event: copy the live watch set into
+// the fleet's round buffer, probe it as one batch, retire, re-arm while
+// work remains. now is the event's firing instant. armed is released
+// only once the round is over: a Watch racing it finds the chain still
+// armed and schedules nothing, and the round re-arms on its way out — so
+// no second round can start while buf is in use.
 func (f *Fleet) round(now time.Time) {
-	f.dueTargets(now)
+	// A watch whose window closed before now (a late round under the
+	// real-time clock, or a window shorter than the interval) is not
+	// probed; the retire pass below retires it.
+	f.watchMu.Lock()
+	f.buf.targets = f.buf.targets[:0]
+	for _, st := range f.watchList {
+		if now.Sub(st.Started) <= f.cfg.Window {
+			f.buf.targets = append(f.buf.targets, st)
+		}
+	}
+	f.watchMu.Unlock()
 	if n := len(f.buf.targets); n > 0 {
 		f.rounds.Add(1)
 		workpool.AtomicMax(&f.maxRound, int64(n))
@@ -411,53 +432,35 @@ func (f *Fleet) round(now time.Time) {
 	f.armRound(now)
 }
 
-// retireElapsed applies the next round's retirement predicate one
-// interval early: any watch whose window will have elapsed by next is
-// retired now, instead of arming one more round event whose only work
-// would be that retirement. The predicate is exactly what dueTargets
-// would evaluate at the next round's instant before probing, so no probe
-// is ever skipped — the trailing, probe-free round event simply never
-// exists, and a campaign's final event leaves the clock drained.
+// retireElapsed is the round's one walk of the watch list, after its
+// probes. It compacts watchList in place, in admission order, to the
+// watches the next round at next will probe: a watch apply finished
+// (StopWhenDead) is dropped, and one whose window will have elapsed by
+// next is retired now, instead of arming one more round event whose only
+// work would be that retirement. No probe is ever skipped — the
+// trailing, probe-free round event simply never exists, and a campaign's
+// final event leaves the clock drained. Started and Finished are read
+// without the shard lock (see the package doc); it is taken only to set
+// Finished, which State, States and Report read under it.
 func (f *Fleet) retireElapsed(next time.Time) {
 	f.watchMu.Lock()
 	defer f.watchMu.Unlock()
+	live := f.watchList[:0]
 	for _, st := range f.watchList {
-		sh := st.shard
-		sh.mu.Lock()
-		if !st.Finished && next.Sub(st.Started) > f.cfg.Window {
+		if st.Finished {
+			continue
+		}
+		if next.Sub(st.Started) > f.cfg.Window {
+			st.shard.mu.Lock()
 			st.Finished = true
+			st.shard.mu.Unlock()
 			f.active.Add(-1)
+			continue
 		}
-		sh.mu.Unlock()
+		live = append(live, st)
 	}
-}
-
-// dueTargets snapshots the active watch set into buf.targets, retiring
-// watches whose 48-hour window has elapsed. watchList is already in
-// admission order, so no per-round sort or shard-map walk is needed;
-// retired entries compact away once they outnumber the living.
-func (f *Fleet) dueTargets(now time.Time) {
-	f.watchMu.Lock()
-	defer f.watchMu.Unlock()
-	due := f.buf.targets[:0]
-	for _, st := range f.watchList {
-		sh := st.shard
-		sh.mu.Lock()
-		fin := st.Finished
-		if !fin && now.Sub(st.Started) > f.cfg.Window {
-			st.Finished = true
-			fin = true
-			f.active.Add(-1)
-		}
-		sh.mu.Unlock()
-		if !fin {
-			due = append(due, st)
-		}
-	}
-	if len(due)*2 < len(f.watchList) {
-		f.watchList = append(make([]*DomainState, 0, len(due)), due...)
-	}
-	f.buf.targets = due
+	clear(f.watchList[len(live):])
+	f.watchList = live
 }
 
 // roundResult is one domain's resolved probe within a batch. Between the
@@ -556,11 +559,16 @@ func (f *Fleet) sliceCount(n int) int {
 // probeStage is stage 1 of a round, the fleet's one probe path: the
 // target list is cut into contiguous slices (admission order preserved
 // inside each) and each slice is read on its own pool goroutine by the
-// reader NewFleet picked. Results are positional — slot j of slice
+// reader NewFleet picked; a one-slice round is read on the round
+// goroutine, as applyStage does. Results are positional — slot j of slice
 // [lo, hi) lands in results[lo+j].
 func (f *Fleet) probeStage(buf roundBuf, now time.Time) {
 	n := len(buf.targets)
 	w := f.sliceCount(n)
+	if w == 1 {
+		f.read(buf.targets, buf.names, buf.results, now)
+		return
+	}
 	workpool.Run(w, w, func(s int) {
 		lo, hi := s*n/w, (s+1)*n/w
 		f.read(buf.targets[lo:hi], buf.names[lo:hi], buf.results[lo:hi], now)

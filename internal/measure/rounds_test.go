@@ -204,3 +204,98 @@ func TestAdmissionProbesNeverShareRoundBuffer(t *testing.T) {
 		})
 	}
 }
+
+// TestRetirePassKeepsExactlyLiveWatches: the round's one walk of the
+// watch list leaves it holding exactly the unfinished watches, in
+// admission order, at every probe and apply width — with admissions
+// staggered over ten rounds so windows close round after round, and a
+// StopWhenDead takedown wave so apply finishes watches too. A watch that
+// dies in one round is never probed again, and the round that retires the
+// last watch leaves the clock drained.
+func TestRetirePassKeepsExactlyLiveWatches(t *testing.T) {
+	for _, pw := range []int{0, 1, 8} {
+		for _, aw := range []int{0, 1, 8} {
+			t.Run(fmt.Sprintf("probe-%d/apply-%d", pw, aw), func(t *testing.T) {
+				fb := newFakeBackend()
+				clk := simclock.NewSim(t0)
+				cfg := DefaultConfig()
+				cfg.Window = 2 * time.Hour
+				cfg.ProbeWorkers, cfg.ApplyWorkers = pw, aw
+				cfg.StopWhenDead = true
+				f := NewFleet(cfg, clk, &handleBackend{fakeBackend: fb})
+				lastProbe := make(map[string]time.Time)
+				f.OnObservation(func(o Observation) { lastProbe[o.Domain] = o.At })
+
+				var admitted []string
+				for round := 0; round < 100; round++ {
+					if round < 10 {
+						for i := 3 * round; i < 3*round+3; i++ {
+							fb.set(domainN(i), []string{"ns1.a.net"})
+							f.Watch(domainN(i))
+							admitted = append(admitted, domainN(i))
+						}
+					}
+					for i := 0; i < len(admitted); i += 4 {
+						if round == 2+i%5 {
+							fb.set(domainN(i), nil) // dies in this round
+						}
+					}
+					clk.Advance(cfg.Interval)
+
+					var want []string
+					for _, d := range admitted {
+						st, _ := f.State(d)
+						if !st.Finished {
+							want = append(want, d)
+						}
+						if !st.DeadAt.IsZero() && !lastProbe[d].Equal(st.DeadAt) {
+							t.Fatalf("round %d: %s died at %v but was probed at %v", round, d, st.DeadAt, lastProbe[d])
+						}
+					}
+					f.watchMu.Lock()
+					var got []string
+					for _, st := range f.watchList {
+						got = append(got, st.Domain)
+					}
+					f.watchMu.Unlock()
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("round %d: watch list %v, want the unfinished watches %v", round, got, want)
+					}
+					if len(want) == 0 && round >= 10 {
+						if n := clk.Pending(); n != 0 {
+							t.Fatalf("round %d retired the last watch but left %d events pending", round, n)
+						}
+						rep := f.Report()
+						if rep.Died == 0 || rep.Finished != len(admitted) {
+							t.Fatalf("report after the last retirement: %+v", rep)
+						}
+						return
+					}
+				}
+				t.Fatal("watches never all retired")
+			})
+		}
+	}
+}
+
+// TestWindowShorterThanIntervalIsNotProbedPastIt: a round that finds a
+// watch's window already closed — here because the window is shorter
+// than the interval — retires it without probing it, as the round's own
+// instant says, and the chain disarms.
+func TestWindowShorterThanIntervalIsNotProbedPastIt(t *testing.T) {
+	fb := newFakeBackend()
+	clk := simclock.NewSim(t0)
+	cfg := DefaultConfig()
+	cfg.Window = 5 * time.Minute
+	f := NewFleet(cfg, clk, fb)
+	fb.set("x.com", []string{"ns1.a.net"})
+	f.Watch("x.com")
+	clk.Advance(cfg.Interval)
+	st, _ := f.State("x.com")
+	if st.Probes != 1 || !st.Finished {
+		t.Fatalf("state after the first round: %d probes, finished=%v; want the admission probe alone, retired", st.Probes, st.Finished)
+	}
+	if n := clk.Pending(); n != 0 {
+		t.Fatalf("%d events pending after the only watch retired", n)
+	}
+}

@@ -1,8 +1,10 @@
 package registry
 
 import (
+	"fmt"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -131,6 +133,8 @@ func TestReadersRaceMutators(t *testing.T) {
 				r.RDAPLookupAt(d, t0.Add(time.Hour))
 				r.Serial()
 				r.ZoneLen()
+				r.ZoneSnapshot(t0)
+				r.Ledger()
 			}
 		}(g)
 	}
@@ -274,4 +278,129 @@ func TestAnswerEqualsSeparateAccessors(t *testing.T) {
 			t.Errorf("ledger holds %q, which was resolved but never registered", reg.Domain)
 		}
 	}
+}
+
+// TestLockFreeReadsSeeOnlyPublishedAnswers is the -race workout for the
+// handle's lock-free read: four goroutines read every name through its
+// handles and through Registry.Answer while one writer registers,
+// re-delegates, deletes, re-registers between rebuilds and rebuilds the
+// zone. Every answer a reader sees must be one the record really held —
+// an NS set the writer delegated, an A answer of one of the name's
+// registrations, and never InZone without Delegated — and at every step
+// of the writer's timeline a handle and Registry.Answer agree slice for
+// slice with each other and with the separate accessors.
+func TestLockFreeReadsSeeOnlyPublishedAnswers(t *testing.T) {
+	r, _ := newTestRegistry("com")
+	defer r.Stop()
+	const names = 32
+	nsSets := [][]string{{"ns1.a.net", "ns2.a.net"}, {"ns1.b.net"}}
+	webs := func(i int) [2]netip.Addr {
+		return [2]netip.Addr{netip.AddrFrom4([4]byte{192, 0, 2, byte(i)}), netip.AddrFrom4([4]byte{198, 51, 100, byte(i)})}
+	}
+	invalid := func(i int, ans Answer, exact bool) string {
+		switch {
+		case ans.InZone && !ans.Delegated:
+			return "in zone but not delegated"
+		case ans.InZone != (exact && ans.Delegated):
+			return "InZone disagrees with the name's delegation"
+		case !ans.Delegated && (ans.NS != nil || ans.A != nil):
+			return "answers without a delegation"
+		case ans.Delegated && !slices.ContainsFunc(nsSets, func(ns []string) bool { return slices.Equal(ns, ans.NS) }):
+			return "an NS set the writer never delegated"
+		case !exact && ans.A != nil:
+			return "an A answer for a name below the delegation"
+		case ans.A != nil && (len(ans.A) != 1 || (ans.A[0] != webs(i)[0] && ans.A[0] != webs(i)[1])):
+			return "an A answer none of the name's registrations had"
+		}
+		return ""
+	}
+	exact, below := make([]Handle, names), make([]Handle, names)
+	for i := range exact {
+		exact[i], below[i] = r.Resolve(domainName(i)), r.Resolve("www."+domainName(i))
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i = (i + 1) % names {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				d := domainName(i)
+				for _, c := range []struct {
+					ans   Answer
+					exact bool
+				}{{exact[i].Answer(), true}, {below[i].Answer(), false}, {r.Answer(d), true}, {r.Answer("www." + d), false}} {
+					if why := invalid(i, c.ans, c.exact); why != "" {
+						t.Errorf("%s: %s: %+v", d, why, c.ans)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+
+	same := func(a, b Answer) bool {
+		return a.Delegated == b.Delegated && a.InZone == b.InZone && sameSlice(a.NS, b.NS) && sameSlice(a.A, b.A)
+	}
+	check := func(step string, i int) {
+		t.Helper()
+		for _, n := range []string{domainName(i), "WWW." + domainName(i)} {
+			got := r.Answer(n)
+			ns, ok := r.Delegation(n)
+			if want := (Answer{NS: ns, Delegated: ok, InZone: r.InZone(n), A: r.WebAddrs(n)}); !same(got, want) {
+				t.Errorf("%s: Answer(%q) = %+v, separate accessors say %+v", step, n, got, want)
+			}
+			if h := r.Resolve(n).Answer(); !same(h, got) {
+				t.Errorf("%s: Resolve(%q).Answer() = %+v, Answer says %+v", step, n, h, got)
+			}
+		}
+		ans := exact[i].Answer()
+		if !same(ans, r.Answer(domainName(i))) {
+			t.Errorf("%s: the early handle of %s answers %+v", step, domainName(i), ans)
+		}
+		// WebAddrs is a view of the same read, so the ledger is the oracle
+		// for A: a delegated name answers its newest registration's host.
+		if reg, ok := r.Lookup(domainName(i)); ans.InZone && ok {
+			if web := reg.WebAddr; (web.IsValid() && (len(ans.A) != 1 || ans.A[0] != web)) || (!web.IsValid() && ans.A != nil) {
+				t.Errorf("%s: %s answers A %v, its newest registration's host is %v", step, domainName(i), ans.A, web)
+			}
+		}
+	}
+	now := t0
+	for round := 0; round < 60; round++ {
+		for i := 0; i < names; i++ {
+			d := domainName(i)
+			step := fmt.Sprintf("round %d, %s", round, d)
+			switch (round + i) % 5 {
+			case 0:
+				r.RegisterAt(d, "A", nsSets[0], webs(i)[0], now)
+			case 1:
+				r.UpdateNS(d, nsSets[1])
+			case 2: // deleted and re-registered while still delegated
+				r.DeleteAt(d, now)
+				check(step+" deleted", i)
+				web := webs(i)[1]
+				if round%2 == 1 {
+					web = netip.Addr{}
+				}
+				r.RegisterAt(d, "B", nsSets[round%2], web, now)
+			case 3:
+				r.DeleteAt(d, now)
+			}
+			check(step, i)
+		}
+		now = now.Add(time.Minute)
+		r.rebuildZone(now)
+		for i := 0; i < names; i++ {
+			check(fmt.Sprintf("round %d rebuilt", round), i)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

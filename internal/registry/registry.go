@@ -11,11 +11,13 @@
 // vantage of §4.4.
 //
 // The ledger keeps one record per registrable name (one label below the
-// TLD): every registration of the name and, while it is delegated, the live
-// zone's delegation. Registrations and zone rebuilds update a record in
-// place, so a Handle — issued once by Resolve, for a name that may not be
-// registered yet or any more — answers every later probe of its name by
-// reading that record under one read lock, with no name hashing.
+// TLD): every registration of the name and, while it is delegated, the
+// probe answer the live zone gives for it — an immutable {NS, A} pair the
+// record publishes behind one atomic pointer. Registrations and zone
+// rebuilds replace that pair under the registry's lock, so a Handle —
+// issued once by Resolve, for a name that may not be registered yet or
+// any more — answers every later probe of its name with one atomic load:
+// no lock, no name hashing.
 package registry
 
 import (
@@ -26,6 +28,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"darkdns/internal/dnsname"
@@ -121,9 +124,10 @@ type Registry struct {
 	clk simclock.Clock
 	rng *rand.Rand
 
-	// mu is read-locked by the authoritative and RDAP query paths — the
-	// fleet's probe workers hit them concurrently, millions of times per
-	// campaign — and write-locked by ledger mutations and zone rebuilds.
+	// mu is read-locked by the by-name query paths (authoritative, RDAP,
+	// ground truth) and write-locked by ledger mutations and zone
+	// rebuilds. A Handle's probe takes no lock: it loads the answer its
+	// record published, which only writers holding mu replace.
 	mu      sync.RWMutex
 	ledger  map[string]*record // keyed by registrable name
 	zone    *zoneset.Snapshot  // live zone
@@ -141,14 +145,24 @@ type pendingOp struct {
 }
 
 // record is the ledger's entry for one registrable name: its newest
-// registration and the live zone's delegation of it. It is created by the
-// name's first registration, or earlier by Resolve, and never removed: a
-// Handle points at it for good. There is one per name a world registers,
-// so older registrations chain through Registration.prev instead of
-// widening it. Guarded by the registry's mu.
+// registration and the answer the live zone gives for it. It is created
+// by the name's first registration, or earlier by Resolve, and never
+// removed: a Handle points at it for good. There is one per name a world
+// registers, so older registrations chain through Registration.prev
+// instead of widening it. newest is guarded by the registry's mu; live is
+// stored only under mu and loaded with or without it.
 type record struct {
-	newest *Registration       // nil until the name is first registered
-	live   *zoneset.Delegation // nil while the name is not delegated
+	newest *Registration                   // nil until the name is first registered
+	live   atomic.Pointer[delegatedAnswer] // nil while the name is not delegated
+}
+
+// delegatedAnswer is what a probe of a delegated name reads, as one
+// consistent cut: the live zone's NS set and the newest registration's A
+// answer. It is never modified once published; a change publishes a new
+// one.
+type delegatedAnswer struct {
+	NS []string
+	A  []netip.Addr
 }
 
 // active returns the newest registration while it is not deleted.
@@ -241,6 +255,12 @@ func (r *Registry) RegisterAt(domain, registrar string, ns []string, web netip.A
 		r.ledger[domain] = rec
 	}
 	reg.prev, rec.newest = rec.newest, reg
+	// A name deleted but not yet rebuilt out of the zone is still
+	// delegated, and its A answer is the newest registration's from now
+	// on. Two nil answers are the same answer.
+	if cur := rec.live.Load(); cur != nil && (cur.A != nil || reg.webAddrs != nil) {
+		rec.live.Store(&delegatedAnswer{NS: cur.NS, A: reg.webAddrs})
+	}
 	r.pending[domain] = pendingOp{ns: reg.NS}
 	return reg, nil
 }
@@ -299,12 +319,12 @@ func (r *Registry) rebuildZone(now time.Time) {
 		}
 		if op.del {
 			r.zone.Remove(domain)
-			rec.live = nil
+			rec.live.Store(nil)
 			leaveZone(rec.newest, now)
 			continue
 		}
 		r.zone.Add(domain, op.ns)
-		rec.live = r.zone.Get(domain)
+		rec.live.Store(&delegatedAnswer{NS: r.zone.Get(domain).NS, A: rec.newest.webAddrs})
 		if rec.newest.InZoneAt.IsZero() {
 			rec.newest.InZoneAt = now
 		}
@@ -424,41 +444,46 @@ type Answer struct {
 }
 
 // answer is the one definition of an Answer, read from the record of the
-// registrable name covering the asked name; exact says the asked name is
-// the record's own. rec may be nil (a name no one registered or resolved).
-// Callers hold mu.
+// registrable name covering the asked name with one atomic load; exact
+// says the asked name is the record's own. rec may be nil (a name no one
+// registered or resolved). The published pair is immutable, so the answer
+// is a consistent cut — no rebuild can land between its parts — with or
+// without mu held.
 func (rec *record) answer(exact bool) Answer {
-	if rec == nil || rec.live == nil {
+	if rec == nil {
 		return Answer{}
 	}
-	ans := Answer{NS: rec.live.NS, Delegated: true}
+	live := rec.live.Load()
+	if live == nil {
+		return Answer{}
+	}
+	ans := Answer{NS: live.NS, Delegated: true}
 	if exact {
 		ans.InZone = true
-		ans.A = rec.newest.webAddrs
+		ans.A = live.A
 	}
 	return ans
 }
 
 // Answer answers a whole probe of name — the NS query, the A query and
-// "is this exact name in the zone" — with one record lookup under one read
-// lock: a consistent cut (no rebuild can land between the parts). It is
-// Resolve without creating a record, then Handle.Answer's read.
+// "is this exact name in the zone" — with one record lookup under the read
+// lock, then Handle.Answer's read: a consistent cut. It is Resolve without
+// creating a record.
 func (r *Registry) Answer(name string) Answer {
 	name = dnsname.Canonical(name)
 	r.mu.RLock()
-	defer r.mu.RUnlock()
 	rec, exact := r.lookup(name)
+	r.mu.RUnlock()
 	return rec.answer(exact)
 }
 
-// Handle is a name resolved once against a registry: every Answer reads
-// the ledger record of the registrable name covering it under the
-// registry's read lock, with no string hashing or comparison, and sees
-// every registration, re-delegation, deletion and zone rebuild made after
-// Resolve. The zero Handle — a name outside the registry's TLD — answers
-// the zero Answer. Handles are values, safe for concurrent use.
+// Handle is a name resolved once against a registry: every Answer is one
+// atomic load of the answer the ledger record of the registrable name
+// covering it publishes — no lock, no string hashing or comparison — and
+// sees every registration, re-delegation, deletion and zone rebuild made
+// after Resolve. The zero Handle — a name outside the registry's TLD —
+// answers the zero Answer. Handles are values, safe for concurrent use.
 type Handle struct {
-	r     *Registry
 	rec   *record
 	exact bool // the resolved name is the record's own, not a name below it
 }
@@ -484,18 +509,11 @@ func (r *Registry) Resolve(name string) Handle {
 		}
 		r.mu.Unlock()
 	}
-	return Handle{r: r, rec: rec, exact: key == name}
+	return Handle{rec: rec, exact: key == name}
 }
 
 // Answer is Registry.Answer of the resolved name, read through the handle.
-func (h Handle) Answer() Answer {
-	if h.rec == nil {
-		return Answer{}
-	}
-	h.r.mu.RLock()
-	defer h.r.mu.RUnlock()
-	return h.rec.answer(h.exact)
-}
+func (h Handle) Answer() Answer { return h.rec.answer(h.exact) }
 
 // InZone reports whether domain is currently delegated in the live zone.
 func (r *Registry) InZone(domain string) bool {
@@ -524,8 +542,8 @@ func (r *Registry) ZoneLen() int {
 // operation behind both daily snapshot publication and a rapid zone
 // update service's per-interval diffs.
 func (r *Registry) ZoneSnapshot(now time.Time) *zoneset.Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	snap := r.zone.Clone()
 	snap.Taken = now
 	return snap
@@ -592,8 +610,8 @@ func (r *Registry) Lookup(domain string) (*Registration, bool) {
 // creation time. This is the registry's private view used only for
 // ground-truth comparisons (.nl experiment, §4.4).
 func (r *Registry) Ledger() []Registration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	var out []Registration
 	for _, rec := range r.ledger {
 		for reg := rec.newest; reg != nil; reg = reg.prev {

@@ -327,9 +327,10 @@ func TestScheduleBatchPastClampsAndCounts(t *testing.T) {
 
 // TestDirtySlotSortDoesNotAllocate: 64 events pushed out of order into
 // one wheel tick make its slot dirty, and draining them sorts it. The
-// sort must allocate nothing: each push costs its event, the drain one
-// group buffer, and that is all (sort.Slice used to add a swapper and a
-// closure per dirty sort, 11 % of a campaign's mallocs).
+// sort must allocate nothing (sort.Slice used to add a swapper and a
+// closure per dirty sort, 11 % of a campaign's mallocs), and neither does
+// anything else once warm: each push reuses an event the previous drain
+// recycled, and the drain keeps its group buffer.
 func TestDirtySlotSortDoesNotAllocate(t *testing.T) {
 	s := NewSim(epoch)
 	fn := func() {}
@@ -349,7 +350,40 @@ func TestDirtySlotSortDoesNotAllocate(t *testing.T) {
 		fill()
 	}
 	allocs := testing.AllocsPerRun(20, fill)
-	if allocs > n+1 {
-		t.Fatalf("%v allocations for %d events in one dirty slot, want ≤ %d", allocs, n, n+1)
+	if allocs != 0 {
+		t.Fatalf("%v allocations for %d events in one dirty slot, want 0", allocs, n)
+	}
+}
+
+// TestFreeListBoundedAfterBulkDrain: a drained 10 k-event timeline —
+// wheel events and a heapified far-future slab — leaves at most freeCap
+// events on the free list, so a world's bulk-loaded timeline is not kept
+// alive after it fires, and the events it does keep are zeroed.
+func TestFreeListBoundedAfterBulkDrain(t *testing.T) {
+	s := NewSim(epoch)
+	fn := func() {}
+	const n = 10_000
+	entries := make([]Timed, n)
+	for i := range entries {
+		entries[i] = Timed{At: epoch.Add(time.Duration(i) * 37 * time.Second), Fn: fn}
+	}
+	s.ScheduleBatch(entries)
+	if fired := s.Run(); fired != n {
+		t.Fatalf("fired %d, want %d", fired, n)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.free) != freeCap {
+		t.Fatalf("free list holds %d events after a %d-event drain, want %d", len(s.free), n, freeCap)
+	}
+	for _, ev := range s.free {
+		if ev.fn != nil {
+			t.Fatal("a recycled event still references its callback")
+		}
+	}
+	for _, ev := range s.group {
+		if ev != nil {
+			t.Fatal("the group buffer still references a fired event")
+		}
 	}
 }

@@ -17,9 +17,12 @@
 // sharing the earliest timestamp as one group, commits Now to that
 // instant and fires the group in (timestamp, schedule-order) order on
 // the draining goroutine, so every callback reads its own firing instant
-// from Now (DESIGN.md §7). Bulk producers (the world builder's commit
-// phase, DESIGN.md §9) install whole timelines through ScheduleBatch, one
-// lock acquisition per batch.
+// from Now (DESIGN.md §7). Fired events are recycled through a short
+// free list, and a Ticker re-arms itself with one bound callback, so the
+// steady state of a campaign — registries rebuilding their zones every
+// period, a probe round re-arming the next — allocates nothing per event.
+// Bulk producers (the world builder's commit phase, DESIGN.md §9) install
+// whole timelines through ScheduleBatch, one lock acquisition per batch.
 package simclock
 
 import (
@@ -78,6 +81,13 @@ type Sim struct {
 	occ      [wheelSlots / 64]uint64
 	wheelLen int
 	overflow eventHeap
+
+	// free holds zeroed, fired events for push to reuse, at most freeCap
+	// of them; group is the drain's same-instant buffer, kept between
+	// drains. Together they make the steady state — ticker firings,
+	// After-from-callback chains — allocate nothing per event.
+	free  []*event
+	group []*event
 
 	// Engine counters (Stats). Atomics: firing happens outside mu and
 	// Stats may be read while another goroutine drains.
@@ -171,8 +181,11 @@ func (s *Sim) Run() int { return s.drain(unbounded) }
 // fix — and reports whether the drain is bounded at all.
 func (s *Sim) drain(deadlineOf func(time.Time) (time.Time, bool)) int {
 	fired := 0
-	var group []*event
 	s.mu.Lock()
+	// The group buffer is taken, not shared: a drain nested in a callback
+	// finds none and makes its own.
+	group := s.group
+	s.group = nil
 	deadline, bounded := deadlineOf(s.now)
 	for {
 		group = s.popGroup(group[:0], deadline, bounded)
@@ -184,12 +197,32 @@ func (s *Sim) drain(deadlineOf func(time.Time) (time.Time, bool)) int {
 		s.fireGroup(group)
 		fired += len(group)
 		s.mu.Lock()
+		s.recycle(group)
 	}
 	if bounded && deadline.After(s.now) {
 		s.now = deadline
 	}
+	s.group = group
 	s.mu.Unlock()
 	return fired
+}
+
+// freeCap bounds the free list: enough for the steady state's recurring
+// events, small enough that a bulk-loaded timeline is not retained after
+// it fires.
+const freeCap = 256
+
+// recycle zeroes the fired group's events, so their callbacks can be
+// collected, and keeps them for push while the free list has room. The
+// caller holds s.mu.
+func (s *Sim) recycle(group []*event) {
+	for i, ev := range group {
+		if len(s.free) < freeCap {
+			*ev = event{}
+			s.free = append(s.free, ev)
+		}
+		group[i] = nil
+	}
 }
 
 // fireGroup fires one same-timestamp group in schedule order on the
@@ -242,30 +275,38 @@ func (s *Sim) Stats() Stats {
 
 // Ticker invokes fn every period on clk until stop is called. It is the
 // simulation-friendly replacement for time.Ticker: under a Sim clock the
-// callback fires exactly once per simulated period.
+// callback fires exactly once per simulated period. A firing re-arms the
+// ticker in place, after fn returns, with the one callback NewTicker
+// bound — so a Sim ticker allocates nothing per period.
 type Ticker struct {
+	clk    Clock
+	period time.Duration
+	fn     func(now time.Time)
+	tick   func() // fire, bound once
+
 	mu      sync.Mutex
 	stopped bool
 }
 
 // NewTicker starts a ticker on clk. The first firing is one period from now.
 func NewTicker(clk Clock, period time.Duration, fn func(now time.Time)) *Ticker {
-	t := &Ticker{}
-	var arm func()
-	arm = func() {
-		clk.After(period, func() {
-			t.mu.Lock()
-			stopped := t.stopped
-			t.mu.Unlock()
-			if stopped {
-				return
-			}
-			fn(clk.Now())
-			arm()
-		})
-	}
-	arm()
+	t := &Ticker{clk: clk, period: period, fn: fn}
+	t.tick = t.fire
+	clk.After(period, t.tick)
 	return t
+}
+
+// fire is one period's event: fn at the firing instant, then the next
+// period's event.
+func (t *Ticker) fire() {
+	t.mu.Lock()
+	stopped := t.stopped
+	t.mu.Unlock()
+	if stopped {
+		return
+	}
+	t.fn(t.clk.Now())
+	t.clk.After(t.period, t.tick)
 }
 
 // Stop prevents future firings. A firing already dispatched may still run.

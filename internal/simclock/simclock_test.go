@@ -139,6 +139,45 @@ func TestTickerFiresPeriodically(t *testing.T) {
 	}
 }
 
+// TestTickerSteadyStateAllocatesNothing: a ticker re-arms in place with
+// the callback it bound once, and the Sim reuses the event it fired, so
+// once warm a period's Advance allocates nothing. Warm means one lap of
+// the wheel, whose slots each grow their backing array on first use.
+func TestTickerSteadyStateAllocatesNothing(t *testing.T) {
+	s := NewSim(epoch)
+	ticks := 0
+	NewTicker(s, wheelTick, func(time.Time) { ticks++ })
+	s.Advance(wheelSlots * wheelTick)
+	if allocs := testing.AllocsPerRun(100, func() { s.Advance(wheelTick) }); allocs != 0 {
+		t.Fatalf("Advance(period) allocates %v with one ticker, want 0", allocs)
+	}
+	if want := wheelSlots + 101; ticks != want {
+		t.Fatalf("%d ticks, want %d", ticks, want)
+	}
+}
+
+// TestAfterChainAllocatesNothingPerFire: a callback that schedules its
+// successor with After costs the clock nothing per fire once warm — the
+// chain's own closure is bound once, and each fired event is recycled
+// into the next push.
+func TestAfterChainAllocatesNothingPerFire(t *testing.T) {
+	s := NewSim(epoch)
+	fires := 0
+	var step func()
+	step = func() {
+		fires++
+		s.After(time.Second, step)
+	}
+	s.After(time.Second, step)
+	s.Advance(10 * time.Second)
+	if allocs := testing.AllocsPerRun(50, func() { s.Advance(10 * time.Second) }); allocs != 0 {
+		t.Fatalf("ten chained fires allocate %v, want 0", allocs)
+	}
+	if fires != 520 { // AllocsPerRun adds one warm-up run
+		t.Fatalf("%d fires, want 520", fires)
+	}
+}
+
 func TestConcurrentScheduling(t *testing.T) {
 	s := NewSim(epoch)
 	var wg sync.WaitGroup

@@ -98,14 +98,22 @@ func (sl *slot) min() *event {
 
 func (sl *slot) empty() bool { return sl.head == len(sl.evs) }
 
-// push stores an event; the caller holds s.mu. Instants in the past
-// clamp to now so they fire on the next dispatch.
+// push stores an event, reusing a recycled one when the free list has
+// any; the caller holds s.mu. Instants in the past clamp to now so they
+// fire on the next dispatch.
 func (s *Sim) push(at time.Time, fn func()) {
 	if at.Before(s.now) {
 		at = s.now
 	}
 	s.seq++
-	ev := &event{at: at, seq: s.seq, fn: fn}
+	var ev *event
+	if n := len(s.free); n > 0 {
+		ev = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	*ev = event{at: at, seq: s.seq, fn: fn}
 	s.scheduled.Add(1)
 	if at.Sub(s.now) < wheelSpan {
 		idx := slotIndex(at)

@@ -55,7 +55,7 @@ func (h *probeHandle) Probe(mail bool) measure.ProbeResult {
 
 // probeResult is the one definition of a name's probe answers, which
 // Probe and every by-name method below are views of: the registry's
-// answer (NS, A and exact-name-in-zone, read under one lock) plus the
+// answer (NS, A and exact-name-in-zone, one consistent read) plus the
 // record's mail answers m, only when asked for and only while the name
 // itself is in its TLD zone.
 func probeResult(ans registry.Answer, mail bool, m mailAnswers) (pr measure.ProbeResult) {
