@@ -504,8 +504,8 @@ func BenchmarkFleetRoundCoalesced(b *testing.B) {
 
 // benchProbeBackend answers every probe with a fixed delegation after a
 // small slab of CPU work per domain (wire pack/unpack and answer
-// parsing in a network deployment), so the ProbeBatch pair exposes
-// batch-slice scaling rather than map-lookup noise.
+// parsing in a network deployment), so BenchmarkProbeBatch measures
+// probe work rather than map-lookup noise.
 type benchProbeBackend struct{ sink atomic.Uint64 }
 
 func (p *benchProbeBackend) work(domain string) {
@@ -533,17 +533,13 @@ func (p *benchProbeBackend) ProbeBatch(domains []string, mail bool) []measure.Pr
 	return out
 }
 
-// benchProbeBatch measures the probe engine through full fleet rounds:
-// 512 watched domains, one op = one probe executed, reported as
-// probes/s. probeWorkers
-// is the slice count — 0 lets the fleet size the cut to the round (two
-// slices for 512 domains), ≥1 partitions each round into exactly that
-// many; every slice is one ProbeBatch call (DESIGN.md §10).
-func benchProbeBatch(b *testing.B, probeWorkers int) {
+// BenchmarkProbeBatch measures the probe engine through full fleet
+// rounds: 512 watched domains, which the fleet cuts into two ProbeBatch
+// slices per round (one per 256 due domains, DESIGN.md §10), one op = one
+// probe executed, reported as probes/s.
+func BenchmarkProbeBatch(b *testing.B) {
 	clk := simclock.NewSim(time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC))
-	cfg := measure.DefaultConfig()
-	cfg.ProbeWorkers = probeWorkers
-	fleet := measure.NewFleet(cfg, clk, &benchProbeBackend{})
+	fleet := measure.NewFleet(measure.DefaultConfig(), clk, &benchProbeBackend{})
 	var probes int64
 	fleet.OnObservation(func(measure.Observation) { probes++ })
 	const domains = 512
@@ -565,17 +561,6 @@ func benchProbeBatch(b *testing.B, probeWorkers int) {
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(probes)/secs, "probes/s")
 	}
-}
-
-// BenchmarkProbeBatchSerial is the probe engine's default: width 0, the
-// fleet choosing the slice count from the round size.
-func BenchmarkProbeBatchSerial(b *testing.B) { benchProbeBatch(b, 0) }
-
-// BenchmarkProbeBatchParallel submits each round as machine-width batch
-// slices through the same path; against BenchmarkProbeBatchSerial the
-// probes/s pair tracks the sixth engine's trajectory.
-func BenchmarkProbeBatchParallel(b *testing.B) {
-	benchProbeBatch(b, runtime.GOMAXPROCS(0))
 }
 
 // benchFeedFanout measures the pub/sub feed tier end to end: one op is

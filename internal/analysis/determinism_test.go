@@ -48,7 +48,7 @@ func TestCampaignDeterminism(t *testing.T) {
 // field a stage reads alone at 1 and at 8, and every field at once, all
 // against one serial reference rendered once. The tests below are that
 // table's rows grouped by field, so a failure names the stage; together
-// they cost 10 campaigns.
+// they cost 6 campaigns.
 
 var widthBase = RunConfig{Seed: 61, Scale: 0.0008, Weeks: 2, WatchSampleRate: 1.0, ProbeMail: true}
 
@@ -93,17 +93,12 @@ func TestSerialParallelCommitCampaignsIdentical(t *testing.T) {
 	checkWidths(t, nil, workpool.Engines{CommitWorkers: 1}, workpool.Engines{CommitWorkers: 8})
 }
 
-// Fleet stage 1: one batch per round, eight contiguous slices; results
-// are positional.
-func TestSerialParallelProbeCampaignsIdentical(t *testing.T) {
-	checkWidths(t, nil, workpool.Engines{ProbeWorkers: 1}, workpool.Engines{ProbeWorkers: 8})
-}
-
-// Fleet stage 2, and the table's last row: every field at once, building
-// its world through a snapshot path (a miss: compile, then save back).
+// The table's last row: every field at once, building its world through
+// a snapshot path (a miss: compile, then save back).
 func TestSerialParallelApplyCampaignsIdentical(t *testing.T) {
-	checkWidths(t, nil, workpool.Engines{ApplyWorkers: 1}, workpool.Engines{ApplyWorkers: 8})
-
+	if testing.Short() {
+		t.Skip("full campaigns")
+	}
 	cfg := widthBase
 	cfg.Engines = workpool.AllEngines(8)
 	cfg.SnapshotPath = filepath.Join(t.TempDir(), "world.dsnap")

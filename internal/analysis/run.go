@@ -37,8 +37,8 @@ type RunConfig struct {
 	// ProbeMail enables the future-work MX/SPF probes (§5).
 	ProbeMail bool
 	// Engines are the campaign's concurrency settings, handed down whole
-	// to the world builder and the fleet. Results are byte-identical for
-	// a fixed seed at any value.
+	// to the world builder. Results are byte-identical for a fixed seed at
+	// any value.
 	workpool.Engines
 	// ProbeCadence decouples the fleet's revalidation interval from the
 	// default 10-minute round, per Afek & Litmanovich's TTL-decoupled
@@ -75,7 +75,6 @@ func Run(cfg RunConfig) *Results {
 		pcfg.WatchSampleRate = cfg.WatchSampleRate
 	}
 	fleetCfg := measure.DefaultConfig()
-	fleetCfg.Engines = cfg.Engines
 	fleetCfg.StopWhenDead = true
 	fleetCfg.ProbeMail = cfg.ProbeMail
 	if cfg.ProbeCadence > 0 {

@@ -17,8 +17,10 @@
 //
 // Each certstream event is handled as it is delivered (HandleEvent), and
 // step 2 is one clock timer per candidate (DESIGN.md §3, §6). The
-// candidate store is striped over independent locks and zone-presence
-// reads are lock-free (czds), so concurrent HandleEvent callers are safe.
+// candidate store is one map under one mutex, held only for map and field
+// updates — never across an RDAP query, a feed publish or a fleet call —
+// and zone-presence reads are lock-free (czds), so concurrent HandleEvent
+// callers are safe.
 // Every per-candidate random decision (RDAP queueing delay, failure
 // injection, watch sampling) is drawn from a generator derived from the
 // pipeline seed and the domain name alone, so outcomes do not depend on
@@ -32,7 +34,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"darkdns/internal/certstream"
@@ -144,17 +145,6 @@ type Candidate struct {
 // DetectionDelay is SeenAt − Registered for validated candidates.
 func (c *Candidate) DetectionDelay() time.Duration { return c.SeenAt.Sub(c.Registered) }
 
-// candShards is the stripe count of the candidate store. Power of two
-// for cheap masking; 64 stripes keep admissions, RDAP completions and
-// report reads from serializing on one lock at ingest rates.
-const candShards = 64
-
-// candShard is one stripe of the candidate store.
-type candShard struct {
-	mu         sync.Mutex
-	candidates map[string]*Candidate
-}
-
 // Pipeline is the DarkDNS measurement pipeline.
 type Pipeline struct {
 	cfg   Config
@@ -167,8 +157,9 @@ type Pipeline struct {
 
 	feed *stream.Topic
 
-	shards [candShards]candShard
-	count  atomic.Int64
+	// mu guards candidates and every Candidate field.
+	mu         sync.Mutex
+	candidates map[string]*Candidate
 
 	unsub func()
 }
@@ -191,20 +182,12 @@ func New(cfg Config, clk simclock.Clock, pslList *psl.List, zones *czds.Service,
 	}
 	p := &Pipeline{
 		cfg: cfg, clk: clk, psl: pslList, zones: zones, rdapQ: rdapQ,
-		fleet: fleet, seed: seed,
-	}
-	for i := range p.shards {
-		p.shards[i].candidates = make(map[string]*Candidate)
+		fleet: fleet, seed: seed, candidates: make(map[string]*Candidate),
 	}
 	if bus != nil {
 		p.feed = bus.Topic(cfg.FeedTopic)
 	}
 	return p
-}
-
-// shard maps a domain to its store stripe.
-func (p *Pipeline) shard(domain string) *candShard {
-	return &p.shards[dnsname.Hash64(domain)&(candShards-1)]
 }
 
 // splitmix64 is a tiny rand.Source64: each call advances a Weyl sequence
@@ -281,10 +264,9 @@ func (p *Pipeline) screenName(name string) (string, bool) {
 	if dnsname.Check(domain) != nil {
 		return "", false
 	}
-	sh := p.shard(domain)
-	sh.mu.Lock()
-	_, dup := sh.candidates[domain]
-	sh.mu.Unlock()
+	p.mu.Lock()
+	_, dup := p.candidates[domain]
+	p.mu.Unlock()
 	if dup {
 		return "", false
 	}
@@ -304,15 +286,12 @@ func (p *Pipeline) admit(domain string, ev certstream.Event) (*Candidate, bool) 
 		CTLog:  ev.Log,
 		Issuer: ev.Entry.Issuer,
 	}
-	sh := p.shard(domain)
-	sh.mu.Lock()
-	if _, dup := sh.candidates[domain]; dup {
-		sh.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, dup := p.candidates[domain]; dup {
 		return nil, false
 	}
-	sh.candidates[domain] = cand
-	sh.mu.Unlock()
-	p.count.Add(1)
+	p.candidates[domain] = cand
 	return cand, true
 }
 
@@ -330,10 +309,9 @@ func (p *Pipeline) dispatch(cand *Candidate) {
 	p.clk.After(delay, func() { p.collectRDAP(cand, fail) })
 
 	if p.fleet != nil && rng.Float64() < p.cfg.WatchSampleRate {
-		sh := p.shard(cand.Domain)
-		sh.mu.Lock()
+		p.mu.Lock()
 		cand.Watched = true
-		sh.mu.Unlock()
+		p.mu.Unlock() // before Watch, whose admission probe runs the fleet's observers
 		p.fleet.Watch(cand.Domain)
 	}
 }
@@ -345,9 +323,9 @@ func feedJSON(domain string, ev certstream.Event) []byte {
 }
 
 // collectRDAP performs step 2 when the candidate's timer fires: the one
-// lookup (or injected failure), stamped with the clock's instant, then
-// the outcome and the step 4 validation. Safe for concurrent use:
-// outcomes for distinct candidates land on their own store stripes.
+// lookup (or injected failure), made outside the store lock, then — in
+// one locked section — the clock's instant, the outcome and the step 4
+// validation.
 func (p *Pipeline) collectRDAP(cand *Candidate, injectedFailure bool) {
 	now := p.clk.Now()
 	var rec *rdap.Record
@@ -355,33 +333,20 @@ func (p *Pipeline) collectRDAP(cand *Candidate, injectedFailure bool) {
 	if !injectedFailure {
 		rec, err = p.rdapQ.Domain(context.Background(), cand.Domain)
 	}
-	sh := p.shard(cand.Domain)
-	sh.mu.Lock()
-	cand.RDAPAt = now
-	sh.mu.Unlock()
+	outcome := RDAPError
 	switch {
 	case err == nil:
-		p.setRDAP(cand, RDAPOK, rec)
+		outcome = RDAPOK
 	case errors.Is(err, rdap.ErrNotFound):
-		p.setRDAP(cand, RDAPNotFound, nil)
+		outcome = RDAPNotFound
 	case errors.Is(err, rdap.ErrNotSynced):
-		p.setRDAP(cand, RDAPNotSynced, nil)
-	default:
-		p.setRDAP(cand, RDAPError, nil)
+		outcome = RDAPNotSynced
 	}
-}
-
-// Dispatcher always returns nil: step 2 has no dispatcher. It remains only
-// because bench/campaign.go calls it; it goes with that call in the
-// benchmark PR of ROADMAP item 1(d).
-func (p *Pipeline) Dispatcher() *rdap.Dispatcher { return nil }
-
-func (p *Pipeline) setRDAP(cand *Candidate, outcome RDAPOutcome, rec *rdap.Record) {
-	sh := p.shard(cand.Domain)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	cand.RDAPAt = now
 	cand.RDAPOutcome = outcome
-	if rec != nil {
+	if outcome == RDAPOK && rec != nil {
 		cand.Registrar = rec.Registrar
 		cand.Registered = rec.Registered
 		delta := cand.SeenAt.Sub(rec.Registered)
@@ -392,17 +357,19 @@ func (p *Pipeline) setRDAP(cand *Candidate, outcome RDAPOutcome, rec *rdap.Recor
 	}
 }
 
+// Dispatcher always returns nil: step 2 has no dispatcher. It remains only
+// because bench/campaign.go calls it; it goes with that call in the
+// benchmark PR of ROADMAP item 1(d).
+func (p *Pipeline) Dispatcher() *rdap.Dispatcher { return nil }
+
 // Candidates returns copies of all candidates, sorted by domain.
 func (p *Pipeline) Candidates() []Candidate {
-	out := make([]Candidate, 0, p.Len())
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for _, c := range sh.candidates {
-			out = append(out, *c)
-		}
-		sh.mu.Unlock()
+	p.mu.Lock()
+	out := make([]Candidate, 0, len(p.candidates))
+	for _, c := range p.candidates {
+		out = append(out, *c)
 	}
+	p.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
 	return out
 }
@@ -410,10 +377,9 @@ func (p *Pipeline) Candidates() []Candidate {
 // Candidate returns a copy of one candidate.
 func (p *Pipeline) Candidate(domain string) (Candidate, bool) {
 	domain = dnsname.Canonical(domain)
-	sh := p.shard(domain)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	c, ok := sh.candidates[domain]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	c, ok := p.candidates[domain]
 	if !ok {
 		return Candidate{}, false
 	}
@@ -422,7 +388,9 @@ func (p *Pipeline) Candidate(domain string) (Candidate, bool) {
 
 // Len returns the number of candidates admitted.
 func (p *Pipeline) Len() int {
-	return int(p.count.Load())
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.candidates)
 }
 
 // TransientReport is the step 5 output.
@@ -480,20 +448,17 @@ type Stats struct {
 // Summary computes current pipeline statistics.
 func (p *Pipeline) Summary() Stats {
 	s := Stats{ByOutcome: make(map[RDAPOutcome]int)}
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for _, c := range sh.candidates {
-			s.Candidates++
-			s.ByOutcome[c.RDAPOutcome]++
-			if c.Validated {
-				s.Validated++
-			}
-			if c.Watched {
-				s.Watched++
-			}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range p.candidates {
+		s.Candidates++
+		s.ByOutcome[c.RDAPOutcome]++
+		if c.Validated {
+			s.Validated++
 		}
-		sh.mu.Unlock()
+		if c.Watched {
+			s.Watched++
+		}
 	}
 	return s
 }

@@ -39,10 +39,10 @@ func (b *fakeBatchBackend) ProbeBatch(domains []string, mail bool) []ProbeResult
 // half of the campaign determinism contract — a fixed schedule delivers
 // byte-identical observation streams whether the backend is a plain
 // Backend behind the fleet's per-domain adapter or the same fake exposing
-// ProbeBatch itself, whether rounds are cut by the fleet (ProbeWorkers=0),
-// sent as one batch (1) or as eight slices (8), and whether the clock is
-// advanced by a duration or run to an instant. Every width goes through
-// ProbeBatch.
+// ProbeBatch itself, whether the fleet cuts each round into one slice
+// (Workers 1) or four (Workers 4), and whether the clock is advanced by a
+// duration or run to an instant. Worker numbers follow Workers by design
+// (TestWorkersRoundRobin), so the log leaves them out.
 func TestBatchedRoundsDeterministicAcrossProbeWidths(t *testing.T) {
 	type runMode struct {
 		name    string
@@ -50,16 +50,16 @@ func TestBatchedRoundsDeterministicAcrossProbeWidths(t *testing.T) {
 		workers int
 		drain   func(*simclock.Sim)
 	}
-	advance := func(s *simclock.Sim) { s.Advance(49 * time.Hour) }
+	end := t0.Add(3 * time.Hour)
+	advance := func(s *simclock.Sim) { s.Advance(end.Sub(s.Now())) }
 	modes := []runMode{
-		{"plain-w0", false, 0, advance},
-		{"plain-w1", false, 1, advance},
-		{"plain-w8", false, 8, advance},
-		{"batch-w0", true, 0, advance},
-		{"batch-w1", true, 1, advance},
-		{"batch-w8", true, 8, advance},
-		{"batch-w8-rununtil", true, 8, func(s *simclock.Sim) { s.RunUntil(t0.Add(49 * time.Hour)) }},
+		{"plain-one-slice", false, 1, advance},
+		{"plain-four-slices", false, fourSlices, advance},
+		{"batch-one-slice", true, 1, advance},
+		{"batch-four-slices", true, fourSlices, advance},
+		{"batch-four-slices-rununtil", true, fourSlices, func(s *simclock.Sim) { s.RunUntil(end) }},
 	}
+	domains := nDomains(fourSliceWatches)
 	logs := make(map[string][]string)
 	for _, m := range modes {
 		fb := newFakeBackend()
@@ -70,28 +70,28 @@ func TestBatchedRoundsDeterministicAcrossProbeWidths(t *testing.T) {
 		}
 		clk := simclock.NewSim(t0)
 		cfg := DefaultConfig()
-		cfg.ProbeWorkers = m.workers
+		cfg.Workers = m.workers
+		cfg.Window = 2 * time.Hour
 		f := NewFleet(cfg, clk, backend)
 		var log []string
 		f.OnObservation(func(o Observation) {
-			log = append(log, fmt.Sprintf("%s|%s|%d|%v|%v|%v", o.At.Format(time.RFC3339), o.Domain, o.Worker, o.InZone, o.NS, o.V4))
+			log = append(log, fmt.Sprintf("%s|%s|%v|%v|%v", o.At.Format(time.RFC3339), o.Domain, o.InZone, o.NS, o.V4))
 		})
-		for i := 0; i < 40; i++ {
-			d := domainN(i)
+		for _, d := range domains {
 			fb.set(d, []string{"ns1.a.net"}, netip.MustParseAddr("192.0.2.1"))
 			f.Watch(d)
 		}
-		clk.Advance(2 * time.Hour)
-		for i := 0; i < 40; i += 3 {
-			fb.set(domainN(i), nil) // takedown wave
+		clk.Advance(time.Hour)
+		for i := 0; i < len(domains); i += 3 {
+			fb.set(domains[i], nil) // takedown wave
 		}
 		m.drain(clk)
 		logs[m.name] = log
 		if m.batch && bb.batches.Load() == 0 {
 			t.Errorf("%s: the backend's own ProbeBatch never ran", m.name)
 		}
-		if m.workers == 8 && m.batch && bb.maxBatch.Load() != 5 {
-			t.Errorf("%s: widest batch %d, want 5 (40 domains over 8 slices)", m.name, bb.maxBatch.Load())
+		if want := int64(len(domains) / m.workers); m.batch && bb.maxBatch.Load() != want {
+			t.Errorf("%s: widest batch %d, want %d (%d domains over %d slices)", m.name, bb.maxBatch.Load(), want, len(domains), m.workers)
 		}
 	}
 	want := logs[modes[0].name]
@@ -137,76 +137,72 @@ func (h fakeHandle) Probe(bool) ProbeResult {
 // TestHandleReadsEqualNameReads: reading every probe through the handles
 // a backend issued at Watch delivers exactly the observation stream and
 // report of reading the same backend by name — its Resolve hidden by a
-// wrapper, the way a timing decorator hides it — at every probe and apply
-// width. Each watch resolves once, and every probe reads its handle.
+// wrapper, the way a timing decorator hides it — whether the fleet cuts
+// each round into one slice or four. Each watch resolves once, and every
+// probe reads its handle.
 func TestHandleReadsEqualNameReads(t *testing.T) {
-	domains := nDomains(40)
-	for _, pw := range []int{0, 1, 8} {
-		for _, aw := range []int{0, 1, 8} {
-			run := func(hideResolve bool) ([]string, FleetReport, *handleBackend) {
-				hb := &handleBackend{fakeBackend: newFakeBackend()}
-				var backend Backend = hb
-				if hideResolve {
-					backend = struct{ Backend }{hb}
-				}
-				cfg := DefaultConfig()
-				cfg.ProbeWorkers, cfg.ApplyWorkers = pw, aw
-				clk := simclock.NewSim(t0)
-				log, rep := applyScript(NewFleet(cfg, clk, backend), hb.fakeBackend, clk, domains)
-				return log, rep, hb
+	for _, n := range []int{40, fourSliceWatches} {
+		domains := nDomains(n)
+		run := func(hideResolve bool) ([]string, FleetReport, *handleBackend) {
+			hb := &handleBackend{fakeBackend: newFakeBackend()}
+			var backend Backend = hb
+			if hideResolve {
+				backend = struct{ Backend }{hb}
 			}
-			want, wantRep, byName := run(true)
-			got, gotRep, byHandle := run(false)
-			if len(want) == 0 || !reflect.DeepEqual(want, got) {
-				t.Errorf("probe=%d apply=%d: handle reads deliver %d observations, name reads %d, streams differ",
-					pw, aw, len(got), len(want))
-			}
-			if !reflect.DeepEqual(wantRep, gotRep) {
-				t.Errorf("probe=%d apply=%d: report %+v by handle, %+v by name", pw, aw, gotRep, wantRep)
-			}
-			if byName.resolves.Load() != 0 || byName.probes.Load() != 0 {
-				t.Errorf("probe=%d apply=%d: the wrapper leaked Resolve (%d resolves)", pw, aw, byName.resolves.Load())
-			}
-			if byHandle.resolves.Load() != int64(len(domains)) || byHandle.probes.Load() != gotRep.Probes {
-				t.Errorf("probe=%d apply=%d: %d resolves and %d handle probes for %d watches and %d probes",
-					pw, aw, byHandle.resolves.Load(), byHandle.probes.Load(), len(domains), gotRep.Probes)
-			}
+			clk := simclock.NewSim(t0)
+			log, rep := applyScript(NewFleet(fourSliceConfig(false), clk, backend), hb.fakeBackend, clk, domains)
+			return log, rep, hb
+		}
+		want, wantRep, byName := run(true)
+		got, gotRep, byHandle := run(false)
+		if len(want) == 0 || !reflect.DeepEqual(want, got) {
+			t.Errorf("%d watches: handle reads deliver %d observations, name reads %d, streams differ",
+				n, len(got), len(want))
+		}
+		if !reflect.DeepEqual(wantRep, gotRep) {
+			t.Errorf("%d watches: report %+v by handle, %+v by name", n, gotRep, wantRep)
+		}
+		if byName.resolves.Load() != 0 || byName.probes.Load() != 0 {
+			t.Errorf("%d watches: the wrapper leaked Resolve (%d resolves)", n, byName.resolves.Load())
+		}
+		if byHandle.resolves.Load() != int64(len(domains)) || byHandle.probes.Load() != gotRep.Probes {
+			t.Errorf("%d watches: %d resolves and %d handle probes for %d watches and %d probes",
+				n, byHandle.resolves.Load(), byHandle.probes.Load(), len(domains), gotRep.Probes)
 		}
 	}
 }
 
-// TestBatchSlicesPartitionRound: a 40-domain round at width 8 must
-// arrive as 8 batches of 5 — contiguous admission-order slices, not one
-// call per domain.
+// TestBatchSlicesPartitionRound: the cut stops at Workers — a round of
+// 8·minSlice watches at Workers 4 must arrive as 4 contiguous batches of
+// 2·minSlice, not 8 of minSlice and not one call per domain.
 func TestBatchSlicesPartitionRound(t *testing.T) {
 	b := &fakeBatchBackend{fakeBackend: newFakeBackend()}
 	clk := simclock.NewSim(t0)
 	cfg := DefaultConfig()
-	cfg.ProbeWorkers = 8
+	cfg.Workers = 4
 	f := NewFleet(cfg, clk, b)
-	for i := 0; i < 40; i++ {
-		d := domainN(i)
+	for _, d := range nDomains(8 * minSlice) {
 		b.set(d, []string{"ns1.a.net"})
 		f.Watch(d)
 	}
-	base := b.batches.Load() // 40 single-target admission probes
+	base := b.batches.Load() // single-target admission probes
 	clk.Advance(cfg.Interval + time.Second)
 	if f.Report().Rounds == 0 {
 		t.Fatal("no rounds ran")
 	}
-	if got := b.batches.Load() - base; got != 8 {
-		t.Errorf("full round made %d ProbeBatch calls, want 8 slices", got)
+	if got := b.batches.Load() - base; got != 4 {
+		t.Errorf("full round made %d ProbeBatch calls, want 4 slices", got)
 	}
-	if mx := b.maxBatch.Load(); mx != 5 {
-		t.Errorf("max batch = %d, want 5 (40 domains over 8 slices)", mx)
+	if mx := b.maxBatch.Load(); mx != 2*minSlice {
+		t.Errorf("max batch = %d, want %d (8·minSlice domains over 4 slices)", mx, 2*minSlice)
 	}
 }
 
-// TestAutoSliceCountFollowsRoundSize: with ProbeWorkers == 0 the fleet
-// sizes the cut to the round — one slice per minSlice targets, never
-// more than Workers, never a slice shorter than minSlice unless the whole
-// round is — so a round of N targets makes at most ⌈N / minSlice⌉
-// ProbeBatch calls rather than one per pool worker.
+// TestAutoSliceCountFollowsRoundSize: the fleet sizes the cut to the
+// round — one slice per minSlice targets, never more than Workers, never
+// a slice shorter than minSlice unless the whole round is — so a round of
+// N targets makes at most ⌈N / minSlice⌉ ProbeBatch calls rather than one
+// per pool worker.
 func TestAutoSliceCountFollowsRoundSize(t *testing.T) {
 	f := NewFleet(Config{Workers: 4}, simclock.NewSim(t0), newFakeBackend())
 	for _, c := range []struct{ n, want int }{
@@ -220,20 +216,13 @@ func TestAutoSliceCountFollowsRoundSize(t *testing.T) {
 			t.Fatalf("table expects %d slices for %d targets, above ⌈n/minSlice⌉ = %d", c.want, c.n, ceil)
 		}
 	}
-	f.cfg.ProbeWorkers = 8
-	for _, c := range []struct{ n, want int }{{1, 1}, {5, 5}, {8, 8}, {40, 8}, {100 * minSlice, 8}} {
-		if got := f.sliceCount(c.n); got != c.want {
-			t.Errorf("sliceCount(%d) = %d at ProbeWorkers=8, want %d", c.n, got, c.want)
-		}
-	}
 
-	// End to end: a width-0 round of 3·minSlice+7 watches is three calls.
+	// End to end: a round of 3·minSlice+7 watches is three calls.
 	const n = 3*minSlice + 7
 	b := &fakeBatchBackend{fakeBackend: newFakeBackend()}
 	clk := simclock.NewSim(t0)
 	fl := NewFleet(DefaultConfig(), clk, b)
-	for i := 0; i < n; i++ {
-		d := fmt.Sprintf("s%04d.com", i) // domainN wraps at 676 names
+	for _, d := range nDomains(n) {
 		b.set(d, []string{"ns1.a.net"})
 		fl.Watch(d)
 	}
@@ -306,22 +295,20 @@ func TestOutOfZoneSlotCarriesNoMail(t *testing.T) {
 	}
 
 	for name, backend := range map[string]Backend{"adapter": me, "own-batch": mailEverywhereBatch{me}} {
-		for _, pw := range []int{0, 2} {
-			clk := simclock.NewSim(t0)
-			cfg := DefaultConfig()
-			cfg.ProbeMail, cfg.ProbeWorkers = true, pw
-			f := NewFleet(cfg, clk, backend)
-			f.Watch("live.com")
-			f.Watch("gone.com")
-			clk.Advance(time.Hour)
-			live, _ := f.State("live.com")
-			gone, _ := f.State("gone.com")
-			if !live.HasMX || !live.HasSPF {
-				t.Errorf("%s/w%d: delegated name's mail records not seen: %+v", name, pw, live)
-			}
-			if gone.Probes != live.Probes || gone.EverInZone || gone.HasMX || gone.HasSPF {
-				t.Errorf("%s/w%d: never-delegated name picked up mail records: %+v", name, pw, gone)
-			}
+		clk := simclock.NewSim(t0)
+		cfg := DefaultConfig()
+		cfg.ProbeMail = true
+		f := NewFleet(cfg, clk, backend)
+		f.Watch("live.com")
+		f.Watch("gone.com")
+		clk.Advance(time.Hour)
+		live, _ := f.State("live.com")
+		gone, _ := f.State("gone.com")
+		if !live.HasMX || !live.HasSPF {
+			t.Errorf("%s: delegated name's mail records not seen: %+v", name, live)
+		}
+		if gone.Probes != live.Probes || gone.EverInZone || gone.HasMX || gone.HasSPF {
+			t.Errorf("%s: never-delegated name picked up mail records: %+v", name, gone)
 		}
 	}
 }

@@ -20,30 +20,28 @@
 // not once per probe), else by one BatchBackend.ProbeBatch call over the
 // slice's names (a backend without ProbeBatch is wrapped once, in
 // NewFleet, by an adapter that makes the per-domain calls). Backend
-// reads are side-effect-free, so slices resolve concurrently. Then
-// states update and observers fire in watch-admission order, which is
-// exactly the delivery order the per-domain scheduler produced. Event
-// count per campaign therefore scales with rounds, not probes, and the
-// round's working memory is owned by the fleet and reused from round to
-// round.
+// reads are side-effect-free, so slices resolve concurrently; the fleet
+// picks the slice count from the round size. Then states update and
+// observers fire in watch-admission order, which is exactly the delivery
+// order the per-domain scheduler produced. Event count per campaign
+// therefore scales with rounds, not probes, and the round's working
+// memory is owned by the fleet and reused from round to round.
 //
-// Stage 2 of a round has one path too (DESIGN.md §14): once the round's
-// probes are in, per-domain state applies run over the same contiguous
-// slices cut at the apply width — applies of distinct domains commute and
-// stripe onto the watch registry's shard locks — and then observers fire
-// on the round goroutine in admission order.
+// Stage 2 of a round (DESIGN.md §14) is a loop on the round goroutine:
+// once the round's probes are in, it takes the fleet lock once and
+// applies every result to its domain's state in admission order; then
+// observers fire, in the same order, with the lock released.
 //
-// Concurrency model (DESIGN.md §7): the watch registry is sharded 32
-// ways with copy-on-write observer lists; round probe batches and applies
-// fan out on workpool at the widths workpool.Engines declares. A state's
-// Started is immutable after Watch, and its Finished is written only on
-// the round goroutine — by apply inside a round (the admission apply in
-// Watch cannot set it) and by the retire pass — so the round reads both
-// without the shard lock; every other field, and every reader off the
-// round goroutine (apply, State, States, Report), takes it.
+// Concurrency model (DESIGN.md §7): everything under mu — the watch
+// registry, the live watch list, the round scheduler's armed flag and
+// counters, the observer list and every DomainState field. A round takes
+// it three times: to copy the watch list, for the applies, and for the
+// retire pass and re-arm. It holds it neither while probing (backend
+// reads touch only what Watch set before the state was published) nor
+// while observers run, so an observer may call State.
 // Determinism contract: because probes are side-effect-free reads, a
 // domain appears once per round and delivery stays in admission order,
-// fleet reports are byte-identical at any width.
+// fleet reports are byte-identical whatever the slice count.
 package measure
 
 import (
@@ -52,7 +50,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"darkdns/internal/dnsname"
@@ -168,9 +165,8 @@ type DomainState struct {
 	DeadAt      time.Time // first probe with NXDOMAIN after being alive
 	Finished    bool      // 48-hour window elapsed (or StopWhenDead hit)
 
-	worker int         // fleet worker assigned to this domain's probes
-	shard  *watchShard // registry stripe guarding this state, resolved once at Watch
-	handle Handle      // the backend's handle, issued at Watch; nil when it issues none
+	worker int    // fleet worker assigned to this domain's probes
+	handle Handle // the backend's handle, issued at Watch; nil when it issues none
 }
 
 // RevalidatePolicy decouples probe cadence from record TTL, after Afek
@@ -187,11 +183,13 @@ type RevalidatePolicy struct {
 
 // Config parameterizes the fleet.
 type Config struct {
-	Workers  int           // paper: 16
+	Workers  int           // paper: 16; also the most slices a round's probes are cut into
 	Interval time.Duration // paper: 10 minutes
 	Window   time.Duration // paper: 48 hours
-	// Engines carries the concurrency settings; the fleet reads
-	// ProbeWorkers (stage 1) and ApplyWorkers (stage 2).
+	// Engines is embedded only because bench/campaign.go sets its
+	// ProbeWorkers and ApplyWorkers here; the fleet reads no field of it.
+	// It goes with those assignments in the benchmark PR of ROADMAP item
+	// 1(d).
 	workpool.Engines
 	// Revalidate is the probe-cadence policy; its Cadence, when set,
 	// overrides Interval.
@@ -212,18 +210,6 @@ func DefaultConfig() Config {
 	return Config{Workers: 16, Interval: 10 * time.Minute, Window: 48 * time.Hour}
 }
 
-// watchShards is the number of independent locks the watch registry is
-// striped over. Watch admissions and probe-tick state updates hash to a
-// shard, so a burst of Watch calls from parallel ingest does not contend
-// with the fleet's own probe ticks. Power of two for cheap masking.
-const watchShards = 32
-
-// watchShard is one stripe of the registry.
-type watchShard struct {
-	mu     sync.Mutex
-	states map[string]*DomainState
-}
-
 // Fleet schedules and aggregates reactive probes.
 type Fleet struct {
 	cfg Config
@@ -240,34 +226,32 @@ type Fleet struct {
 	backend   BatchBackend
 	probeMail bool
 
-	shards  [watchShards]watchShard
-	nextSeq atomic.Int64 // watch admissions: ordering + worker assignment
-	active  atomic.Int64 // unfinished watches; rounds stay armed while > 0
+	// mu guards every field below except buf and roundEvent, and every
+	// DomainState field (see the package doc).
+	mu      sync.Mutex
+	states  map[string]*DomainState
+	nextSeq int // watch admissions: ordering + worker assignment
+	active  int // unfinished watches; rounds stay armed while > 0
 
 	// watchList is the admission-ordered set of live watches a round
 	// copies — Watch appends, the retire pass compacts it in place — so a
-	// round never re-sorts, walks the shard maps or skips finished
-	// entries. Guarded by watchMu; never locked while holding a shard
-	// lock.
-	watchMu   sync.Mutex
+	// round never re-sorts, walks the state map or skips finished entries.
 	watchList []*DomainState
 
 	// Round scheduler: one clock event serves every due domain. armed
 	// guards against double-arming when Watch races the round callback,
 	// and stays set until the round it armed has finished — so at most
 	// one round runs at a time and buf needs no lock of its own.
-	roundMu    sync.Mutex
 	armed      bool
 	buf        roundBuf // round's working memory, reused across rounds
 	roundEvent func()   // the round's clock callback, bound once
 
-	rounds   atomic.Int64 // coalesced rounds executed
-	maxRound atomic.Int64 // widest round (domains probed in one event)
+	rounds   int // coalesced rounds executed
+	maxRound int // widest round (domains probed in one event)
 
-	// observers is a copy-on-write list: registrations are rare and
-	// serialized by obsMu, probe ticks read it lock-free.
-	obsMu     sync.Mutex
-	observers atomic.Pointer[[]func(Observation)]
+	// observers is copy-on-write: a round delivers from the list it read
+	// under mu while a registration installs a new one.
+	observers []func(Observation)
 }
 
 // NewFleet creates a fleet over backend using clk for scheduling.
@@ -285,7 +269,7 @@ func NewFleet(cfg Config, clk simclock.Clock, backend Backend) *Fleet {
 		cfg.Window = 48 * time.Hour
 	}
 	mb, hasMail := backend.(MailBackend)
-	f := &Fleet{cfg: cfg, clk: clk, probeMail: cfg.ProbeMail && hasMail}
+	f := &Fleet{cfg: cfg, clk: clk, probeMail: cfg.ProbeMail && hasMail, states: make(map[string]*DomainState)}
 	if rb, ok := backend.(interface{ Resolve(string) Handle }); ok {
 		f.resolve, f.read = rb.Resolve, f.readHandles
 	} else {
@@ -295,16 +279,8 @@ func NewFleet(cfg Config, clk simclock.Clock, backend Backend) *Fleet {
 		}
 		f.backend, f.read = bb, f.readNames
 	}
-	for i := range f.shards {
-		f.shards[i].states = make(map[string]*DomainState)
-	}
 	f.roundEvent = func() { f.round(f.clk.Now()) }
 	return f
-}
-
-// shard maps a canonical domain to its registry stripe.
-func (f *Fleet) shard(domain string) *watchShard {
-	return &f.shards[dnsname.Hash64(domain)&(watchShards-1)]
 }
 
 // OnObservation registers fn to receive every probe result (the pipeline
@@ -314,16 +290,11 @@ func (f *Fleet) shard(domain string) *watchShard {
 // domain appears once per round), and the round's other domains already
 // show theirs.
 func (f *Fleet) OnObservation(fn func(Observation)) {
-	f.obsMu.Lock()
-	defer f.obsMu.Unlock()
-	var cur []func(Observation)
-	if p := f.observers.Load(); p != nil {
-		cur = *p
-	}
-	next := make([]func(Observation), len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = fn
-	f.observers.Store(&next)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	// The full slice expression makes append copy, so the list a round
+	// is delivering from never changes under it.
+	f.observers = append(f.observers[:len(f.observers):len(f.observers)], fn)
 }
 
 // Watch begins the 48-hour probe schedule for domain. Re-watching an
@@ -340,22 +311,16 @@ func (f *Fleet) Watch(domain string) {
 	if f.resolve != nil {
 		h = f.resolve(domain)
 	}
-	sh := f.shard(domain)
-	sh.mu.Lock()
-	if _, ok := sh.states[domain]; ok {
-		sh.mu.Unlock()
+	f.mu.Lock()
+	if _, ok := f.states[domain]; ok {
+		f.mu.Unlock()
 		return
 	}
-	st := &DomainState{
-		Domain:  domain,
-		Started: now,
-		worker:  int(f.nextSeq.Add(1)-1) % f.cfg.Workers,
-		shard:   sh,
-		handle:  h,
-	}
-	sh.states[domain] = st
-	sh.mu.Unlock()
-	f.active.Add(1)
+	st := &DomainState{Domain: domain, Started: now, worker: f.nextSeq % f.cfg.Workers, handle: h}
+	f.states[domain] = st
+	f.nextSeq++
+	f.active++
+	f.mu.Unlock()
 
 	// The admission probe fires before the state joins watchList: under
 	// the real-time clock a round on the timer goroutine could otherwise
@@ -371,27 +336,28 @@ func (f *Fleet) Watch(domain string) {
 	}
 	one.target[0] = st
 	f.probeRound(roundBuf{one.target[:], one.name[:], one.result[:]}, now)
-	f.watchMu.Lock()
+	f.mu.Lock()
 	f.watchList = append(f.watchList, st)
-	f.watchMu.Unlock()
-	f.armRound(now)
+	arm := f.arm()
+	f.mu.Unlock()
+	if arm {
+		f.clk.At(now.Add(f.cfg.Interval), f.roundEvent)
+	}
 }
 
-// armRound schedules the next coalesced probe round while any watch is
-// active: one clock event per interval serves every due domain, which is
-// what collapses the fleet's event count from probes to rounds. When the
-// last watch retires the chain disarms, so a fully-drained clock stays
-// drained. now is the caller's instant (the Watch or round that arms),
-// so the next round lands exactly one interval after it.
-func (f *Fleet) armRound(now time.Time) {
-	f.roundMu.Lock()
-	if f.armed || f.active.Load() == 0 {
-		f.roundMu.Unlock()
-		return
+// arm marks the round chain armed and reports whether the caller must
+// schedule the next round, one interval after its own instant: only when
+// no round is armed and a watch is active. One clock event per interval
+// serves every due domain, which is what collapses the fleet's event
+// count from probes to rounds; when the last watch retires the chain
+// disarms, so a fully-drained clock stays drained. The caller holds mu
+// and schedules after releasing it.
+func (f *Fleet) arm() bool {
+	if f.armed || f.active == 0 {
+		return false
 	}
 	f.armed = true
-	f.roundMu.Unlock()
-	f.clk.At(now.Add(f.cfg.Interval), f.roundEvent)
+	return true
 }
 
 // round is the per-interval clock event: copy the live watch set into
@@ -404,17 +370,20 @@ func (f *Fleet) round(now time.Time) {
 	// A watch whose window closed before now (a late round under the
 	// real-time clock, or a window shorter than the interval) is not
 	// probed; the retire pass below retires it.
-	f.watchMu.Lock()
+	f.mu.Lock()
 	f.buf.targets = f.buf.targets[:0]
 	for _, st := range f.watchList {
 		if now.Sub(st.Started) <= f.cfg.Window {
 			f.buf.targets = append(f.buf.targets, st)
 		}
 	}
-	f.watchMu.Unlock()
-	if n := len(f.buf.targets); n > 0 {
-		f.rounds.Add(1)
-		workpool.AtomicMax(&f.maxRound, int64(n))
+	n := len(f.buf.targets)
+	if n > 0 {
+		f.rounds++
+		f.maxRound = max(f.maxRound, n)
+	}
+	f.mu.Unlock()
+	if n > 0 {
 		f.buf.names = slices.Grow(f.buf.names[:0], n)[:n]
 		f.buf.results = slices.Grow(f.buf.results[:0], n)[:n]
 		f.probeRound(f.buf, now)
@@ -424,37 +393,34 @@ func (f *Fleet) round(now time.Time) {
 		clear(f.buf.names)
 		clear(f.buf.results)
 	}
-	f.retireElapsed(now.Add(f.cfg.Interval))
 
-	f.roundMu.Lock()
+	f.mu.Lock()
+	f.retireElapsed(now.Add(f.cfg.Interval))
 	f.armed = false
-	f.roundMu.Unlock()
-	f.armRound(now)
+	arm := f.arm()
+	f.mu.Unlock()
+	if arm {
+		f.clk.At(now.Add(f.cfg.Interval), f.roundEvent)
+	}
 }
 
 // retireElapsed is the round's one walk of the watch list, after its
-// probes. It compacts watchList in place, in admission order, to the
-// watches the next round at next will probe: a watch apply finished
-// (StopWhenDead) is dropped, and one whose window will have elapsed by
-// next is retired now, instead of arming one more round event whose only
-// work would be that retirement. No probe is ever skipped — the
-// trailing, probe-free round event simply never exists, and a campaign's
-// final event leaves the clock drained. Started and Finished are read
-// without the shard lock (see the package doc); it is taken only to set
-// Finished, which State, States and Report read under it.
+// probes, under mu. It compacts watchList in place, in admission order,
+// to the watches the next round at next will probe: a watch apply
+// finished (StopWhenDead) is dropped, and one whose window will have
+// elapsed by next is retired now, instead of arming one more round event
+// whose only work would be that retirement. No probe is ever skipped —
+// the trailing, probe-free round event simply never exists, and a
+// campaign's final event leaves the clock drained.
 func (f *Fleet) retireElapsed(next time.Time) {
-	f.watchMu.Lock()
-	defer f.watchMu.Unlock()
 	live := f.watchList[:0]
 	for _, st := range f.watchList {
 		if st.Finished {
 			continue
 		}
 		if next.Sub(st.Started) > f.cfg.Window {
-			st.shard.mu.Lock()
 			st.Finished = true
-			st.shard.mu.Unlock()
-			f.active.Add(-1)
+			f.active--
 			continue
 		}
 		live = append(live, st)
@@ -512,12 +478,12 @@ func (p perDomain) ProbeBatch(domains []string, mail bool) []ProbeResult {
 }
 
 // probeRound executes one coalesced measurement round over buf, in three
-// phases. probeStage resolves the whole batch, slice by slice, through
-// ProbeBatch; backend reads are side-effect-free, so execution order is
-// unobservable. applyStage records every result into its domain's state.
-// Then observers fire in watch-admission order, the order the per-domain
-// scheduler produced — so probe and apply width never reorder an
-// observable, and campaigns stay byte-identical across widths and clock
+// phases. probeStage resolves the whole batch, slice by slice; backend
+// reads are side-effect-free, so execution order is unobservable.
+// applyStage records every result into its domain's state. Then
+// observers fire in watch-admission order, the order the per-domain
+// scheduler produced — so the slice count never reorders an observable,
+// and campaigns stay byte-identical across slice counts and clock
 // drains. Observers receive each Observation by value, so buf is free for
 // reuse as soon as probeRound returns.
 func (f *Fleet) probeRound(buf roundBuf, now time.Time) {
@@ -528,40 +494,34 @@ func (f *Fleet) probeRound(buf roundBuf, now time.Time) {
 		return
 	}
 	f.probeStage(buf, now)
-	f.applyStage(buf, now)
-	if obsFns := f.observers.Load(); obsFns != nil {
-		for i := range buf.results {
-			for _, fn := range *obsFns {
-				fn(buf.results[i].obs)
-			}
+	observers := f.applyStage(buf, now)
+	for i := range buf.results {
+		for _, fn := range observers {
+			fn(buf.results[i].obs)
 		}
 	}
 }
 
 // minSlice is the shortest slice worth a goroutine and a ProbeBatch call
-// of its own when the fleet chooses the slice count (ProbeWorkers == 0):
-// each slice costs a result slab and a goroutine, every round, so slices
-// are sized for the round rather than dealt one per pool worker. A
-// constant, not a knob.
+// of its own: each slice costs a result slab and a goroutine, every
+// round, so slices are sized for the round rather than dealt one per
+// pool worker. A constant, not a knob.
 const minSlice = 256
 
 // sliceCount returns how many contiguous slices a round of n ≥ 1 targets
-// is cut into: ProbeWorkers when set, else one per minSlice targets up to
-// the pool width; at least one, never more than n.
+// is cut into: one per minSlice targets, up to the pool width, at least
+// one. A ledger-sized round is one slice; a paper-sized one (thousands of
+// targets) is Workers slices, the measured winner (DESIGN.md §14).
 func (f *Fleet) sliceCount(n int) int {
-	w := f.cfg.ProbeWorkers
-	if w <= 0 {
-		w = min(n/minSlice, f.cfg.Workers)
-	}
-	return max(1, min(w, n))
+	return max(1, min(n/minSlice, f.cfg.Workers))
 }
 
 // probeStage is stage 1 of a round, the fleet's one probe path: the
 // target list is cut into contiguous slices (admission order preserved
 // inside each) and each slice is read on its own pool goroutine by the
 // reader NewFleet picked; a one-slice round is read on the round
-// goroutine, as applyStage does. Results are positional — slot j of slice
-// [lo, hi) lands in results[lo+j].
+// goroutine. Results are positional — slot j of slice [lo, hi) lands in
+// results[lo+j].
 func (f *Fleet) probeStage(buf roundBuf, now time.Time) {
 	n := len(buf.targets)
 	w := f.sliceCount(n)
@@ -614,34 +574,22 @@ func (f *Fleet) fill(r *roundResult, st *DomainState, pr *ProbeResult, now time.
 	}
 }
 
-// applyStage is stage 2 of a round: every result is recorded into its
-// domain's state. A domain appears once per round and apply touches only
-// that domain's state under its shard lock, so applies commute and the
-// round is cut into ApplyWorkers contiguous slices on the pool; width
-// ≤ 1, or a one-slot round, is the plain loop on the round goroutine.
-func (f *Fleet) applyStage(buf roundBuf, now time.Time) {
-	n := len(buf.targets)
-	w := min(f.cfg.ApplyWorkers, n)
-	if w <= 1 {
-		for i, st := range buf.targets {
-			f.apply(st, &buf.results[i], now)
-		}
-		return
+// applyStage is stage 2 of a round: under one hold of mu, every result
+// is recorded into its domain's state in admission order. It returns the
+// observer list the round delivers to.
+func (f *Fleet) applyStage(buf roundBuf, now time.Time) []func(Observation) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i, st := range buf.targets {
+		f.apply(st, &buf.results[i], now)
 	}
-	workpool.Run(w, w, func(s int) {
-		for i := s * n / w; i < (s+1)*n/w; i++ {
-			f.apply(buf.targets[i], &buf.results[i], now)
-		}
-	})
+	return f.observers
 }
 
 // apply records one resolved probe into the domain's aggregate state and
-// puts r.obs.NS into its observable form (see observedNS) — under the
-// state's shard lock, the one place LastNS may be read.
+// puts r.obs.NS into its observable form (see observedNS). The caller
+// holds mu.
 func (f *Fleet) apply(st *DomainState, r *roundResult, now time.Time) {
-	sh := st.shard
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	st.Probes++
 	if r.obs.InZone {
 		st.EverInZone = true
@@ -671,7 +619,7 @@ func (f *Fleet) apply(st *DomainState, r *roundResult, now time.Time) {
 	}
 	if f.cfg.StopWhenDead && !st.DeadAt.IsZero() && !st.Finished {
 		st.Finished = true
-		f.active.Add(-1)
+		f.active--
 	}
 }
 
@@ -705,10 +653,9 @@ func equalStrings(a, b []string) bool {
 // State returns a copy of domain's aggregated state.
 func (f *Fleet) State(domain string) (DomainState, bool) {
 	domain = dnsname.Canonical(domain)
-	sh := f.shard(domain)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.states[domain]
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	st, ok := f.states[domain]
 	if !ok {
 		return DomainState{}, false
 	}
@@ -717,29 +664,21 @@ func (f *Fleet) State(domain string) (DomainState, bool) {
 
 // States returns copies of all domain states, sorted by domain.
 func (f *Fleet) States() []DomainState {
-	out := make([]DomainState, 0, f.Watched())
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		for _, st := range sh.states {
-			out = append(out, *st)
-		}
-		sh.mu.Unlock()
+	f.mu.Lock()
+	out := make([]DomainState, 0, len(f.states))
+	for _, st := range f.states {
+		out = append(out, *st)
 	}
+	f.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
 	return out
 }
 
 // Watched returns the number of domains ever watched.
 func (f *Fleet) Watched() int {
-	n := 0
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		n += len(sh.states)
-		sh.mu.Unlock()
-	}
-	return n
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.states)
 }
 
 // AttachDispatcher is a no-op that remains only because bench/campaign.go
@@ -775,30 +714,24 @@ type FleetReport struct {
 
 // Report aggregates the fleet's operational state.
 func (f *Fleet) Report() FleetReport {
-	var rep FleetReport
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		for _, st := range sh.states {
-			rep.Watched++
-			rep.Probes += int64(st.Probes)
-			if st.Finished {
-				rep.Finished++
-			}
-			if st.EverInZone {
-				rep.EverInZone++
-			}
-			if !st.DeadAt.IsZero() {
-				rep.Died++
-			}
-			if st.NSChanged {
-				rep.NSChanged++
-			}
+	f.mu.Lock()
+	rep := FleetReport{Watched: len(f.states), Rounds: int64(f.rounds), MaxRound: f.maxRound}
+	for _, st := range f.states {
+		rep.Probes += int64(st.Probes)
+		if st.Finished {
+			rep.Finished++
 		}
-		sh.mu.Unlock()
+		if st.EverInZone {
+			rep.EverInZone++
+		}
+		if !st.DeadAt.IsZero() {
+			rep.Died++
+		}
+		if st.NSChanged {
+			rep.NSChanged++
+		}
 	}
-	rep.Rounds = f.rounds.Load()
-	rep.MaxRound = int(f.maxRound.Load())
+	f.mu.Unlock()
 	if eng, ok := f.clk.(interface{ Stats() simclock.Stats }); ok {
 		rep.Engine = eng.Stats()
 	}

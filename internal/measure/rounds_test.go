@@ -133,15 +133,15 @@ func (echoBackend) LookupAAAA(string) []netip.Addr            { return nil }
 // goroutines every couple of milliseconds while four goroutines admit
 // watches, each admission probing in its own one-slot memory. The race
 // detector must stay quiet, every observation must carry its own domain's
-// answer, and every probe must have been delivered exactly once.
+// answer, and every probe must have been delivered exactly once, at any
+// legacy apply width.
 func TestAdmissionProbesNeverShareRoundBuffer(t *testing.T) {
 	for _, aw := range []int{0, 4} {
 		t.Run(fmt.Sprintf("apply-%d", aw), func(t *testing.T) {
 			const admitters, perAdmitter = 4, 150
-			cfg := DefaultConfig()
+			cfg := legacyWidths(DefaultConfig(), 0, aw)
 			cfg.Interval = 2 * time.Millisecond
 			cfg.Window = 100 * time.Millisecond
-			cfg.ApplyWorkers = aw
 			f := NewFleet(cfg, simclock.Real{}, echoBackend{})
 
 			var mu sync.Mutex
@@ -207,7 +207,7 @@ func TestAdmissionProbesNeverShareRoundBuffer(t *testing.T) {
 
 // TestRetirePassKeepsExactlyLiveWatches: the round's one walk of the
 // watch list leaves it holding exactly the unfinished watches, in
-// admission order, at every probe and apply width — with admissions
+// admission order, at any legacy probe and apply width — with admissions
 // staggered over ten rounds so windows close round after round, and a
 // StopWhenDead takedown wave so apply finishes watches too. A watch that
 // dies in one round is never probed again, and the round that retires the
@@ -218,9 +218,8 @@ func TestRetirePassKeepsExactlyLiveWatches(t *testing.T) {
 			t.Run(fmt.Sprintf("probe-%d/apply-%d", pw, aw), func(t *testing.T) {
 				fb := newFakeBackend()
 				clk := simclock.NewSim(t0)
-				cfg := DefaultConfig()
+				cfg := legacyWidths(DefaultConfig(), pw, aw)
 				cfg.Window = 2 * time.Hour
-				cfg.ProbeWorkers, cfg.ApplyWorkers = pw, aw
 				cfg.StopWhenDead = true
 				f := NewFleet(cfg, clk, &handleBackend{fakeBackend: fb})
 				lastProbe := make(map[string]time.Time)
@@ -252,12 +251,12 @@ func TestRetirePassKeepsExactlyLiveWatches(t *testing.T) {
 							t.Fatalf("round %d: %s died at %v but was probed at %v", round, d, st.DeadAt, lastProbe[d])
 						}
 					}
-					f.watchMu.Lock()
+					f.mu.Lock()
 					var got []string
 					for _, st := range f.watchList {
 						got = append(got, st.Domain)
 					}
-					f.watchMu.Unlock()
+					f.mu.Unlock()
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("round %d: watch list %v, want the unfinished watches %v", round, got, want)
 					}

@@ -15,26 +15,33 @@ import (
 // on a recycled clock event, so what a round allocates — a result slab
 // per ProbeBatch slice, pool goroutines — does not grow with the number
 // of watches, whether the backend is a plain Backend behind the adapter,
-// speaks ProbeBatch itself, or issues handles.
+// speaks ProbeBatch itself, or issues handles, and whether the round is
+// one slice or (the -w4 rows: Workers 4, 4·minSlice watches and more)
+// four. The batched+apply row is batch-w4 with the legacy probe and apply
+// widths set as bench/campaign.go sets them.
 func TestSteadyStateRoundAllocsIndependentOfWatchCount(t *testing.T) {
 	plain := func(fb *fakeBackend) Backend { return fb } // behind the adapter
 	batch := func(fb *fakeBackend) Backend { return &fakeBatchBackend{fakeBackend: fb} }
 	handles := func(fb *fakeBackend) Backend { return &handleBackend{fakeBackend: fb} }
+	oneSlice := [2]int{64, 512}
+	fourSlice := [2]int{fourSliceWatches, 2 * fourSliceWatches}
 	configs := map[string]struct {
 		backend func(*fakeBackend) Backend
-		tune    func(*Config)
+		workers int
+		sizes   [2]int
+		legacy  int // the legacy probe and apply widths
 	}{
-		"per-domain":    {plain, func(*Config) {}},
-		"batch":         {batch, func(*Config) {}},
-		"batch-w4":      {batch, func(c *Config) { c.ProbeWorkers = 4 }},
-		"batched+apply": {batch, func(c *Config) { c.ProbeWorkers, c.ApplyWorkers = 4, 4 }},
-		"handles":       {handles, func(*Config) {}},
-		"handles+apply": {handles, func(c *Config) { c.ProbeWorkers, c.ApplyWorkers = 4, 4 }},
+		"per-domain":    {plain, 16, oneSlice, 0},
+		"batch":         {batch, 16, oneSlice, 0},
+		"batch-w4":      {batch, fourSlices, fourSlice, 0},
+		"batched+apply": {batch, fourSlices, fourSlice, 4},
+		"handles":       {handles, 16, oneSlice, 0},
+		"handles-w4":    {handles, fourSlices, fourSlice, 0},
 	}
 	for name, c := range configs {
 		t.Run(name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			c.tune(&cfg)
+			cfg := legacyWidths(DefaultConfig(), c.legacy, c.legacy)
+			cfg.Workers = c.workers
 			roundAllocs := func(n int) float64 {
 				fb := newFakeBackend()
 				clk := simclock.NewSim(t0)
@@ -52,11 +59,11 @@ func TestSteadyStateRoundAllocsIndependentOfWatchCount(t *testing.T) {
 				}
 				return allocs
 			}
-			small, large := roundAllocs(64), roundAllocs(512)
-			// 448 more probes per round; a per-probe allocation would show
-			// as hundreds, scheduling noise as a handful.
+			small, large := roundAllocs(c.sizes[0]), roundAllocs(c.sizes[1])
+			// Hundreds more probes per round; a per-probe allocation would
+			// show as hundreds, scheduling noise as a handful.
 			if large > small+16 {
-				t.Errorf("round allocations grow with the watch set: %v at 64 watches, %v at 512", small, large)
+				t.Errorf("round allocations grow with the watch set: %v at %d watches, %v at %d", small, c.sizes[0], large, c.sizes[1])
 			}
 			// A one-slice round is read on the round goroutine into the
 			// reused buffer, so it allocates the backend's result slab and

@@ -249,7 +249,7 @@ func domainResponse(rec *Record) map[string]any {
 		"ldhName":         rec.Domain,
 		"status":          rec.Status,
 		"events": []map[string]any{
-			{"eventAction": "registration", "eventDate": rec.Registered.UTC().Format(time.RFC3339)},
+			{"eventAction": "registration", "eventDate": rec.Registered.UTC().Format(time.RFC3339Nano)},
 		},
 		"entities": []map[string]any{
 			{
@@ -315,8 +315,15 @@ func (c *Client) Domain(ctx context.Context, name string) (*Record, error) {
 	}
 }
 
+// maxResponseBytes caps the domain object a client reads. A real one is
+// a few kilobytes; without the cap a broken or hostile server could
+// stream until the client's timeout and have all of it held in memory.
+const maxResponseBytes = 1 << 20
+
 // parseDomainResponse extracts the Record fields from an RFC 9083 domain
-// object.
+// object of fewer than maxResponseBytes bytes. The ldhName must be a
+// valid DNS name and the registration date one domainResponse can render
+// back (a year from 0 to 9999 in UTC).
 func parseDomainResponse(r io.Reader) (*Record, error) {
 	var body struct {
 		LDHName string   `json:"ldhName"`
@@ -330,8 +337,15 @@ func parseDomainResponse(r io.Reader) (*Record, error) {
 			VCardArray []any    `json:"vcardArray"`
 		} `json:"entities"`
 	}
-	if err := json.NewDecoder(r).Decode(&body); err != nil {
+	lr := &io.LimitedReader{R: r, N: maxResponseBytes}
+	if err := json.NewDecoder(lr).Decode(&body); err != nil {
 		return nil, fmt.Errorf("rdap: bad response: %w", err)
+	}
+	if lr.N == 0 {
+		return nil, fmt.Errorf("rdap: bad response: body reaches the %d-byte limit", maxResponseBytes)
+	}
+	if err := dnsname.Check(body.LDHName); err != nil {
+		return nil, fmt.Errorf("rdap: bad ldhName: %w", err)
 	}
 	rec := &Record{Domain: dnsname.Canonical(body.LDHName), Status: body.Status}
 	for _, ev := range body.Events {
@@ -339,6 +353,9 @@ func parseDomainResponse(r io.Reader) (*Record, error) {
 			t, err := time.Parse(time.RFC3339, ev.EventDate)
 			if err != nil {
 				return nil, fmt.Errorf("rdap: bad event date: %w", err)
+			}
+			if y := t.UTC().Year(); y < 0 || y > 9999 {
+				return nil, fmt.Errorf("rdap: bad event date: %q is outside years 0000-9999 in UTC", ev.EventDate)
 			}
 			rec.Registered = t
 		}

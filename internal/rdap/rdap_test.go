@@ -1,8 +1,13 @@
 package rdap
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 )
@@ -147,4 +152,70 @@ func TestVcardFNRobustness(t *testing.T) {
 	if vcardFN(good) != "Registrar X" {
 		t.Error("good vcard failed")
 	}
+}
+
+// TestResponseBodyCapped: a domain object is read only while it is
+// shorter than maxResponseBytes. One byte under the cap parses; a body
+// that reaches it is an error, and so is a server streaming past it, which
+// the client stops reading at the cap.
+func TestResponseBodyCapped(t *testing.T) {
+	obj, err := json.Marshal(domainResponse(&Record{Domain: "example.com", Registrar: "GoDaddy", Registered: t0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := func(total int) []byte { // leading whitespace, so the decoder reads every byte
+		return append(bytes.Repeat([]byte(" "), total-len(obj)), obj...)
+	}
+	if rec, err := parseDomainResponse(bytes.NewReader(padded(maxResponseBytes - 1))); err != nil || rec.Registrar != "GoDaddy" {
+		t.Fatalf("body one byte under the cap: %+v, %v", rec, err)
+	}
+	if rec, err := parseDomainResponse(bytes.NewReader(padded(maxResponseBytes))); err == nil {
+		t.Fatalf("body at the cap parsed: %+v", rec)
+	}
+
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write(padded(4 * maxResponseBytes))
+	}))
+	defer srv.Close()
+	if rec, err := NewClient(srv.URL, "").Domain(context.Background(), "example.com"); err == nil || errors.Is(err, ErrNotFound) {
+		t.Fatalf("oversized response: %+v, %v", rec, err)
+	}
+}
+
+// FuzzParseDomainResponse: the client's decoder never panics, returns
+// exactly one of a record and an error, and a record it returns survives
+// the server's rendering — domainResponse(rec) parses back to the same
+// Domain, Registrar, Registered and Status.
+func FuzzParseDomainResponse(f *testing.F) {
+	seed, err := json.Marshal(domainResponse(&Record{Domain: "example.com", Registrar: "GoDaddy", Registered: t0, Status: []string{"active"}}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"ldhName":"A.Example.COM.","status":[],"events":[{"eventAction":"registration","eventDate":"2023-11-01T05:00:00.5+05:00"}]}`))
+	f.Add([]byte(`{"entities":[{"roles":["registrar"],"vcardArray":["vcard",[["fn",{},"text","R\u00e9g"]]]}]}`))
+	f.Add([]byte(`{"events":[{"eventAction":"registration","eventDate":"9999-12-31T23:00:00-05:00"}]}`))
+	f.Add([]byte(`{"ldhName":"a..","vcardArray":7}`))
+	f.Add([]byte(`[`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := parseDomainResponse(bytes.NewReader(data))
+		if (rec == nil) == (err == nil) {
+			t.Fatalf("record %+v with error %v", rec, err)
+		}
+		if err != nil {
+			return
+		}
+		body, err := json.Marshal(domainResponse(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := parseDomainResponse(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("rendered %s does not parse back: %v", body, err)
+		}
+		if back.Domain != rec.Domain || back.Registrar != rec.Registrar ||
+			!back.Registered.Equal(rec.Registered) || !slices.Equal(back.Status, rec.Status) {
+			t.Fatalf("round trip %+v -> %+v", rec, back)
+		}
+	})
 }

@@ -5,8 +5,8 @@
 // servers.
 //
 // The cache is the probe engine's hot shared structure (DESIGN.md §10):
-// it is striped 64 ways on dnsname.Hash64 — mirroring the pipeline's
-// candidate store and the world's DomainStore — with per-shard hit/miss
+// it is striped 64 ways on dnsname.Hash64 — like the world's DomainStore
+// — with per-shard hit/miss
 // counters and a per-shard singleflight table, so concurrent lookups of
 // distinct names never contend and concurrent lookups of the same
 // expired name collapse to one upstream exchange. Batched lookups
@@ -83,9 +83,9 @@ var (
 	ErrRateLimited = errors.New("resolver: nameserver rate limited")
 )
 
-// cacheShards stripes the cache and singleflight tables. Matches the
-// pipeline candidate store and worldsim DomainStore so the sharding
-// story is uniform repo-wide. Power of two for cheap masking.
+// cacheShards stripes the cache and singleflight tables, as many as the
+// worldsim DomainStore has, for concurrent LookupBatch callers. Power of
+// two for cheap masking.
 const cacheShards = 64
 
 // cacheKey identifies a cached RRset.

@@ -1,16 +1,18 @@
 package workpool
 
 // Engines is the one declaration of the campaign's concurrency settings:
-// the pool widths of the stages that have work to share. The simulated
-// clock is never drained on a pool: it fires one instant at a time on the
-// draining goroutine. analysis.RunConfig, worldsim.Config, core.Config and
-// measure.Config embed it, so a value set at the top is handed down whole
-// and each layer reads the fields it owns. Every field picks how work is
-// executed, never what is computed: worlds, observation streams and
-// campaign reports are byte-identical for a fixed seed at any value of
-// any field, alone or combined (the determinism table in
-// internal/analysis and TestGoldenReportHash hold it to that). A width of
-// 0 or 1 runs the stage on the calling goroutine.
+// the pool widths of the stages that have work to share. Two stages each
+// read one: the world builder's compile and commit fan-outs. The
+// simulated clock is never drained on a pool (it fires one instant at a
+// time on the draining goroutine), and a fleet round picks its own probe
+// slice count from the round size. analysis.RunConfig and worldsim.Config
+// embed it, so a value set at the top is handed down whole; core.Config
+// and measure.Config embed it only for the compile shims below. Every
+// field picks how work is executed, never what is computed: worlds,
+// observation streams and campaign reports are byte-identical for a fixed
+// seed at any value of any field, alone or combined (the determinism
+// table in internal/analysis and TestGoldenReportHash hold it to that). A
+// width of 0 or 1 runs the stage on the calling goroutine.
 type Engines struct {
 	// IngestWorkers and RDAPWorkers are read by nothing: ingest handles
 	// each certstream event as it is delivered and step 2 is one clock
@@ -36,17 +38,13 @@ type Engines struct {
 	// commute across the distinct names layouts own — while the ghost
 	// ledger and clock timelines install serially in canonical order.
 	CommitWorkers int
-	// ProbeWorkers is how many contiguous slices a fleet round is cut
-	// into (measure), each one ProbeBatch call on its own goroutine: ≥ 1
-	// means exactly that many (fewer only when the round is smaller), 0
-	// lets the fleet choose from the round size — one slice per 256 due
-	// domains, at most its 16 workers. Results are positional.
+	// ProbeWorkers and ApplyWorkers are read by nothing: a fleet round
+	// cuts its probe slices from the round size, which no forced count
+	// beat, and applies its results in one loop on the round goroutine,
+	// which no apply width beat (DESIGN.md §14). They remain only because
+	// bench/campaign.go sets them, and go with those assignments in the
+	// benchmark PR of ROADMAP item 1(d).
 	ProbeWorkers int
-	// ApplyWorkers is how many contiguous slices a fleet round's state
-	// applies are cut into (measure), run on a pool this wide once the
-	// round's probes are in; applies of distinct domains commute and
-	// stripe onto the watch registry's shard locks. Observers fire after
-	// the applies, in admission order, at every width.
 	ApplyWorkers int
 }
 
@@ -54,5 +52,5 @@ type Engines struct {
 // engines-on configuration TestGoldenReportHash and the -workers flag of
 // the commands use. AllEngines(0) is the zero value, the default path.
 func AllEngines(w int) Engines {
-	return Engines{BuildWorkers: w, CommitWorkers: w, ProbeWorkers: w, ApplyWorkers: w}
+	return Engines{BuildWorkers: w, CommitWorkers: w}
 }

@@ -2,10 +2,9 @@
 // paths share — N indexed items executed by up to W goroutines pulling
 // from an atomic counter, with a completion barrier — and Engines, the
 // one declaration of the widths those paths run at (engines.go). Every
-// pooled stage runs on Run: the fleet's probe and apply slices
-// (DESIGN.md §10, §14) and the world builder's compile and commit
-// fan-outs (§8–§9) — so the hottest
-// concurrency idiom in the repo has one implementation to review.
+// pooled stage runs on Run: the fleet's probe slices (DESIGN.md §10) and
+// the world builder's compile and commit fan-outs (§8–§9) — so the
+// hottest concurrency idiom in the repo has one implementation to review.
 //
 // Determinism contract: Run promises nothing about execution order, so
 // callers must hand it commutative work (or, like the builder, buffer
@@ -21,7 +20,8 @@ import (
 )
 
 // AtomicMax raises m to n if n is larger — the lock-free high-water-mark
-// idiom the engines' batch-width counters share.
+// idiom of a counter other goroutines read while it moves (simclock's
+// widest instant).
 func AtomicMax(m *atomic.Int64, n int64) {
 	for {
 		cur := m.Load()

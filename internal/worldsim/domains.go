@@ -1,6 +1,5 @@
-// The world's ground-truth domain store, striped the same way as the
-// pipeline's candidate store (core.candShard): a power-of-two shard
-// count keyed on dnsname.Hash64 so the parallel commit engine's
+// The world's ground-truth domain store, striped over a power-of-two
+// shard count keyed on dnsname.Hash64 so the parallel commit engine's
 // per-layout installs of distinct names land on independent locks and
 // commute. After New returns the store is effectively frozen — readers
 // (experiments, examples, the probe backend) only Get/Range/Len.
