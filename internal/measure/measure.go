@@ -8,40 +8,58 @@
 //
 // Scheduling is round-coalesced: instead of one clock event per probe
 // per domain (≈290 heap events per watched domain over 48 h), the fleet
-// arms a single clock event per 10-minute round and probes every active
-// watch in that round. A round copies the watch list, and its retire
-// pass, after the probes, compacts it: it drops the watches that finished
-// and retires those whose window closes before the next round, so the
-// list a round copies holds exactly the watches it probes. Stage 1 has one
-// path: the round's watch set is cut into contiguous admission-ordered
-// slices on the fleet's pool, and each slice is read by the one reader
-// NewFleet picked — through the Handle each watch got from the backend at
-// Watch, when the backend issues them (a watched name is looked up once,
-// not once per probe), else by one BatchBackend.ProbeBatch call over the
-// slice's names (a backend without ProbeBatch is wrapped once, in
-// NewFleet, by an adapter that makes the per-domain calls). Backend
-// reads are side-effect-free, so slices resolve concurrently; the fleet
-// picks the slice count from the round size. Then states update and
-// observers fire in watch-admission order, which is exactly the delivery
-// order the per-domain scheduler produced. Event count per campaign
-// therefore scales with rounds, not probes, and the round's working
-// memory is owned by the fleet and reused from round to round.
+// arms a single clock event per 10-minute round, and every active watch
+// is probed in it. A round does not read every one of them: it costs what
+// changed. A backend whose handles notify (see Handle) tells the fleet
+// when a watched name's answer may have moved, and a round reads, in
+// admission order, only the watches notified since their last read, every
+// watch whose handle cannot notify — for a backend without handles, or
+// with handles that cannot notify, that is every watch, so the per-probe
+// poll is the always-dirty case of the same loop — and, while any
+// OnObservation observer is registered, every live watch, so each probe
+// still reaches observers. Every other probe is folded: between two reads
+// a watch's answer is constant, so the rounds it sat out count by
+// arithmetic over the fleet's log of round instants — k folded rounds add
+// k to Probes and, for an in-zone answer, move LastAliveAt to the last
+// of them. The fold is settled at the watch's next read, at its
+// retirement, and whenever State, States or Report copies it out, so
+// every DomainState and FleetReport field is what reading every watch
+// every round gives. Retirement pops the window-expired prefix of the
+// admission-ordered watch list (Started never decreases in admission
+// order) and skips StopWhenDead-finished entries lazily, so a round is
+// O(reads + retiring), not O(live watches).
+//
+// Stage 1 of a round, the reads, has one path: the round's targets are
+// cut into contiguous admission-ordered slices on the fleet's pool, and
+// each slice is read by the one reader NewFleet picked — through the
+// Handle each watch got from the backend at Watch, when the backend
+// issues them (a watched name is looked up once, not once per probe),
+// else by one BatchBackend.ProbeBatch call over the slice's names (a
+// backend without ProbeBatch is wrapped once, in NewFleet, by an adapter
+// that makes the per-domain calls). Backend reads are side-effect-free,
+// so slices resolve concurrently; the fleet picks the slice count from
+// the round size. Event count per campaign therefore scales with rounds,
+// not probes, and the round's working memory is owned by the fleet and
+// reused from round to round.
 //
 // Stage 2 of a round (DESIGN.md §14) is a loop on the round goroutine:
-// once the round's probes are in, it takes the fleet lock once and
+// once the round's reads are in, it takes the fleet lock once and
 // applies every result to its domain's state in admission order; then
 // observers fire, in the same order, with the lock released.
 //
 // Concurrency model (DESIGN.md §7): everything under mu — the watch
-// registry, the live watch list, the round scheduler's armed flag and
-// counters, the observer list and every DomainState field. A round takes
-// it three times: to copy the watch list, for the applies, and for the
-// retire pass and re-arm. It holds it neither while probing (backend
-// reads touch only what Watch set before the state was published) nor
-// while observers run, so an observer may call State.
-// Determinism contract: because probes are side-effect-free reads, a
-// domain appears once per round and delivery stays in admission order,
-// fleet reports are byte-identical whatever the slice count.
+// registry, the watch list, the dirty list, the round log, the round
+// scheduler's armed flag and counters, the observer list and every
+// DomainState field. A round takes it three times: to pick its reads,
+// for the applies, and for retirement and re-arm. It holds it neither
+// while reading (backend reads touch only what Watch set before the state
+// was published) nor while observers run, so an observer may call State.
+// A notifying backend calls the fleet with its own lock held, so the lock
+// order is backend, then fleet: the fleet never calls a backend under mu.
+// Determinism contract: because reads are side-effect-free, a domain
+// appears once per round and delivery stays in admission order, fleet
+// reports are byte-identical whatever the slice count, and whether
+// rounds read or fold.
 package measure
 
 import (
@@ -109,7 +127,7 @@ type BatchBackend interface {
 //
 //	Resolve(domain string) Handle
 //
-// issues one at Watch, and every probe of the name then reads through it
+// issues one at Watch, and every read of the name then goes through it
 // instead of looking the name up again — for a simulation, the name's
 // registry record rather than a chain of name-keyed maps. Probe(mail)
 // answers exactly what slot 0 of ProbeBatch([]string{domain}, mail) would
@@ -118,6 +136,20 @@ type BatchBackend interface {
 // accept a name that is not (or no longer) registered. Probes are
 // side-effect-free reads, safe for concurrent use, under Backend's
 // sharing contract.
+//
+// A handle may also notify, with the optional method
+//
+//	Notify(fn func())
+//
+// which the fleet calls once per watch, before the admission probe and
+// without holding its lock. The handle must then call fn every time its
+// Probe answer may have changed — a spurious call is harmless, a missed
+// one is not — synchronously, from the goroutine making the change (under
+// a Sim clock, inside the mutating clock event), so that a round at the
+// same instant sees the change exactly when a read would. fn takes the
+// fleet's lock: the handle may hold locks of its own while calling it, but
+// must never be called back into by them. A watch whose handle has no
+// Notify is read every round.
 type Handle interface {
 	Probe(mail bool) ProbeResult
 }
@@ -165,8 +197,16 @@ type DomainState struct {
 	DeadAt      time.Time // first probe with NXDOMAIN after being alive
 	Finished    bool      // 48-hour window elapsed (or StopWhenDead hit)
 
-	worker int    // fleet worker assigned to this domain's probes
+	seq    int    // admission number: read order, and worker seq % Workers
 	handle Handle // the backend's handle, issued at Watch; nil when it issues none
+	// settled counts the entries of the fleet's round log already in
+	// Probes and LastAliveAt, read or folded; inZone is the last read's
+	// answer, which every later round until the next read repeats.
+	settled int
+	inZone  bool
+	listed  bool // on the watch list: rounds read or fold it
+	polled  bool // its handle cannot notify, so every round reads it
+	dirty   bool // on the dirty list: polled, or notified since its last read
 }
 
 // RevalidatePolicy decouples probe cadence from record TTL, after Afek
@@ -231,12 +271,20 @@ type Fleet struct {
 	mu      sync.Mutex
 	states  map[string]*DomainState
 	nextSeq int // watch admissions: ordering + worker assignment
-	active  int // unfinished watches; rounds stay armed while > 0
+	active  int // unfinished listed watches; rounds stay armed while > 0
 
-	// watchList is the admission-ordered set of live watches a round
-	// copies — Watch appends, the retire pass compacts it in place — so a
-	// round never re-sorts, walks the state map or skips finished entries.
+	// watchList holds every listed watch not yet popped, in admission
+	// order: Watch appends, retirement pops the window-expired prefix, and
+	// a StopWhenDead-finished entry waits, skipped, until it reaches the
+	// front. A round walks it only while observers are registered.
 	watchList []*DomainState
+	// dirty holds the watches the next round reads: notified since their
+	// last read, or polled. A round sorts it into admission order.
+	dirty []*DomainState
+	// log holds the instant of every round that had a watch due, in
+	// order; a watch's folded rounds are a range of it.
+	log   []time.Time
+	reads int64 // probes answered by a backend read
 
 	// Round scheduler: one clock event serves every due domain. armed
 	// guards against double-arming when Watch races the round callback,
@@ -246,7 +294,6 @@ type Fleet struct {
 	buf        roundBuf // round's working memory, reused across rounds
 	roundEvent func()   // the round's clock callback, bound once
 
-	rounds   int // coalesced rounds executed
 	maxRound int // widest round (domains probed in one event)
 
 	// observers is copy-on-write: a round delivers from the list it read
@@ -303,7 +350,9 @@ func (f *Fleet) OnObservation(fn func(Observation)) {
 // ride the fleet's coalesced rounds. The watch starts at Clock.Now — under
 // a Sim clock, the firing instant of the event that calls Watch. A backend
 // that issues handles resolves the name here, once for the whole watch
-// (a re-watch resolves and discards one).
+// (a re-watch resolves and discards one), and a handle that notifies is
+// subscribed before the admission probe, so no change after the probe's
+// read goes unseen.
 func (f *Fleet) Watch(domain string) {
 	domain = dnsname.Canonical(domain)
 	now := f.clk.Now()
@@ -311,24 +360,28 @@ func (f *Fleet) Watch(domain string) {
 	if f.resolve != nil {
 		h = f.resolve(domain)
 	}
+	notifier, notifies := h.(interface{ Notify(func()) })
 	f.mu.Lock()
 	if _, ok := f.states[domain]; ok {
 		f.mu.Unlock()
 		return
 	}
-	st := &DomainState{Domain: domain, Started: now, worker: f.nextSeq % f.cfg.Workers, handle: h}
+	st := &DomainState{Domain: domain, Started: now, seq: f.nextSeq, handle: h, polled: !notifies, dirty: !notifies}
 	f.states[domain] = st
 	f.nextSeq++
-	f.active++
 	f.mu.Unlock()
+	if notifies {
+		notifier.Notify(func() { f.changed(st) })
+	}
 
 	// The admission probe fires before the state joins watchList: under
 	// the real-time clock a round on the timer goroutine could otherwise
-	// snapshot the list mid-admission and probe the same state
-	// concurrently. Under a Sim clock Watch runs inside a clock event,
-	// so the ordering is unobservable there. The probe works in memory
-	// of its own, never the round's buf: under the real-time clock a
-	// round may be in flight on another goroutine.
+	// pick it mid-admission and probe the same state concurrently. Under a
+	// Sim clock Watch runs inside a clock event, so the ordering is
+	// unobservable there. The probe works in memory of its own, never the
+	// round's buf: under the real-time clock a round may be in flight on
+	// another goroutine. It cannot finish the watch (a first probe never
+	// sees a death), so the watch is active from here on.
 	var one struct {
 		target [1]*DomainState
 		name   [1]string
@@ -337,12 +390,31 @@ func (f *Fleet) Watch(domain string) {
 	one.target[0] = st
 	f.probeRound(roundBuf{one.target[:], one.name[:], one.result[:]}, now)
 	f.mu.Lock()
+	st.listed, st.settled = true, len(f.log)
+	if st.dirty {
+		f.dirty = append(f.dirty, st)
+	}
 	f.watchList = append(f.watchList, st)
+	f.active++
 	arm := f.arm()
 	f.mu.Unlock()
 	if arm {
 		f.clk.At(now.Add(f.cfg.Interval), f.roundEvent)
 	}
+}
+
+// changed is a notifying handle's callback: st's answer may have moved,
+// so the next round reads it. A watch is on the dirty list at most once;
+// one not listed yet joins it when Watch lists it.
+func (f *Fleet) changed(st *DomainState) {
+	f.mu.Lock()
+	if !st.dirty && !st.Finished {
+		st.dirty = true
+		if st.listed {
+			f.dirty = append(f.dirty, st)
+		}
+	}
+	f.mu.Unlock()
 }
 
 // arm marks the round chain armed and reports whether the caller must
@@ -360,28 +432,20 @@ func (f *Fleet) arm() bool {
 	return true
 }
 
-// round is the per-interval clock event: copy the live watch set into
-// the fleet's round buffer, probe it as one batch, retire, re-arm while
-// work remains. now is the event's firing instant. armed is released
-// only once the round is over: a Watch racing it finds the chain still
-// armed and schedules nothing, and the round re-arms on its way out — so
-// no second round can start while buf is in use.
+// round is the per-interval clock event: log the round if any watch is
+// due, read the watches that need a read, retire, re-arm while work
+// remains. now is the event's firing instant. armed is released only once
+// the round is over: a Watch racing it finds the chain still armed and
+// schedules nothing, and the round re-arms on its way out — so no second
+// round can start while buf is in use.
 func (f *Fleet) round(now time.Time) {
-	// A watch whose window closed before now (a late round under the
-	// real-time clock, or a window shorter than the interval) is not
-	// probed; the retire pass below retires it.
 	f.mu.Lock()
-	f.buf.targets = f.buf.targets[:0]
-	for _, st := range f.watchList {
-		if now.Sub(st.Started) <= f.cfg.Window {
-			f.buf.targets = append(f.buf.targets, st)
-		}
+	if n := f.active - f.expired(now); n > 0 {
+		f.log = append(f.log, now)
+		f.maxRound = max(f.maxRound, n)
+		f.pickReads(now)
 	}
 	n := len(f.buf.targets)
-	if n > 0 {
-		f.rounds++
-		f.maxRound = max(f.maxRound, n)
-	}
 	f.mu.Unlock()
 	if n > 0 {
 		f.buf.names = slices.Grow(f.buf.names[:0], n)[:n]
@@ -392,6 +456,7 @@ func (f *Fleet) round(now time.Time) {
 		clear(f.buf.targets)
 		clear(f.buf.names)
 		clear(f.buf.results)
+		f.buf.targets = f.buf.targets[:0]
 	}
 
 	f.mu.Lock()
@@ -404,29 +469,110 @@ func (f *Fleet) round(now time.Time) {
 	}
 }
 
-// retireElapsed is the round's one walk of the watch list, after its
-// probes, under mu. It compacts watchList in place, in admission order,
-// to the watches the next round at next will probe: a watch apply
-// finished (StopWhenDead) is dropped, and one whose window will have
-// elapsed by next is retired now, instead of arming one more round event
-// whose only work would be that retirement. No probe is ever skipped —
-// the trailing, probe-free round event simply never exists, and a
-// campaign's final event leaves the clock drained.
-func (f *Fleet) retireElapsed(next time.Time) {
-	live := f.watchList[:0]
+// due reports whether st takes part in the round at now: unfinished and
+// inside its window. A watch whose window closed before now (a late round
+// under the real-time clock, or a window shorter than the interval) is
+// not; retirement takes it after the round.
+func (f *Fleet) due(st *DomainState, now time.Time) bool {
+	return !st.Finished && now.Sub(st.Started) <= f.cfg.Window
+}
+
+// expired counts the active watches the round at now finds past their
+// window. Started never decreases in admission order, so they lead the
+// watch list, and the walk stops at the first active watch in its window:
+// it visits only what this round's retirement pops. (Under the real-time
+// clock two concurrent admissions may list in the other order of their
+// instants; the later-listed one then retires a round late.) The caller
+// holds mu.
+func (f *Fleet) expired(now time.Time) int {
+	n := 0
 	for _, st := range f.watchList {
 		if st.Finished {
 			continue
 		}
-		if next.Sub(st.Started) > f.cfg.Window {
-			st.Finished = true
-			f.active--
+		if f.due(st, now) {
+			break
+		}
+		n++
+	}
+	return n
+}
+
+// pickReads fills buf.targets, in admission order, with the due watches
+// the round just logged must read: every live one while observers are
+// registered, else the dirty list's. Each is settled through the rounds
+// before this one and marked read in it, and the dirty list starts over
+// with the polled ones among them. The caller holds mu.
+func (f *Fleet) pickReads(now time.Time) {
+	from := f.dirty
+	if len(f.observers) > 0 {
+		from = f.watchList
+	} else {
+		slices.SortFunc(f.dirty, func(a, b *DomainState) int { return a.seq - b.seq })
+	}
+	for _, st := range from {
+		if f.due(st, now) {
+			f.buf.targets = append(f.buf.targets, st)
+		}
+	}
+	clear(f.dirty)
+	f.dirty = f.dirty[:0]
+	cur := len(f.log) - 1
+	for _, st := range f.buf.targets {
+		f.settle(st, cur)
+		st.settled = cur + 1
+		st.dirty = st.polled
+		if st.polled {
+			f.dirty = append(f.dirty, st)
+		}
+	}
+}
+
+// settle folds into st the rounds of log[st.settled:upto] it sat out
+// unread: each repeated its last read's answer, so it adds a probe and,
+// in zone, moves LastAliveAt to its instant. Rounds past the watch's
+// window, which only its retirement round can hold, are not counted. A
+// watch not yet listed, or finished, has nothing to fold. The caller
+// holds mu.
+func (f *Fleet) settle(st *DomainState, upto int) {
+	if !st.listed || st.Finished || st.settled >= upto {
+		return
+	}
+	sat := f.log[st.settled:upto]
+	st.settled = upto
+	k := sort.Search(len(sat), func(i int) bool { return sat[i].Sub(st.Started) > f.cfg.Window })
+	if k == 0 {
+		return
+	}
+	st.Probes += k
+	if st.inZone {
+		st.LastAliveAt = sat[k-1]
+	}
+}
+
+// retireElapsed is the round's retirement, after its reads, under mu. It
+// pops the front of the watch list while that is a finished watch
+// (StopWhenDead) or one whose window will have elapsed by next, the next
+// round's instant — which it settles and retires now, instead of arming
+// one more round event whose only work would be that retirement. No probe
+// is ever skipped — the trailing, probe-free round event simply never
+// exists, and a campaign's final event leaves the clock drained.
+func (f *Fleet) retireElapsed(next time.Time) {
+	i := 0
+	for ; i < len(f.watchList); i++ {
+		st := f.watchList[i]
+		if st.Finished {
 			continue
 		}
-		live = append(live, st)
+		if next.Sub(st.Started) <= f.cfg.Window {
+			break
+		}
+		f.settle(st, len(f.log))
+		st.Finished = true
+		f.active--
 	}
-	clear(f.watchList[len(live):])
-	f.watchList = live
+	clear(f.watchList[:i])
+	f.watchList = f.watchList[i:]
 }
 
 // roundResult is one domain's resolved probe within a batch. Between the
@@ -562,7 +708,7 @@ func (f *Fleet) readNames(targets []*DomainState, names []string, results []roun
 // only when the probe is in-zone, so a backend that answers MX/TXT for
 // out-of-zone names cannot diverge the campaign.
 func (f *Fleet) fill(r *roundResult, st *DomainState, pr *ProbeResult, now time.Time) {
-	*r = roundResult{obs: Observation{Domain: st.Domain, Worker: st.worker, At: now, InZone: pr.InZone}}
+	*r = roundResult{obs: Observation{Domain: st.Domain, Worker: st.seq % f.cfg.Workers, At: now, InZone: pr.InZone}}
 	if pr.InZone {
 		r.obs.NS = pr.NS
 		r.obs.V4 = pr.V4
@@ -580,6 +726,7 @@ func (f *Fleet) fill(r *roundResult, st *DomainState, pr *ProbeResult, now time.
 func (f *Fleet) applyStage(buf roundBuf, now time.Time) []func(Observation) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.reads += int64(len(buf.targets))
 	for i, st := range buf.targets {
 		f.apply(st, &buf.results[i], now)
 	}
@@ -591,6 +738,7 @@ func (f *Fleet) applyStage(buf roundBuf, now time.Time) []func(Observation) {
 // holds mu.
 func (f *Fleet) apply(st *DomainState, r *roundResult, now time.Time) {
 	st.Probes++
+	st.inZone = r.obs.InZone
 	if r.obs.InZone {
 		st.EverInZone = true
 		st.LastAliveAt = now
@@ -650,7 +798,8 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// State returns a copy of domain's aggregated state.
+// State returns a copy of domain's aggregated state, its folded rounds
+// settled.
 func (f *Fleet) State(domain string) (DomainState, bool) {
 	domain = dnsname.Canonical(domain)
 	f.mu.Lock()
@@ -659,14 +808,17 @@ func (f *Fleet) State(domain string) (DomainState, bool) {
 	if !ok {
 		return DomainState{}, false
 	}
+	f.settle(st, len(f.log))
 	return *st, true
 }
 
-// States returns copies of all domain states, sorted by domain.
+// States returns copies of all domain states, sorted by domain, their
+// folded rounds settled.
 func (f *Fleet) States() []DomainState {
 	f.mu.Lock()
 	out := make([]DomainState, 0, len(f.states))
 	for _, st := range f.states {
+		f.settle(st, len(f.log))
 		out = append(out, *st)
 	}
 	f.mu.Unlock()
@@ -688,13 +840,17 @@ func (f *Fleet) AttachDispatcher(*rdap.Dispatcher) {}
 // FleetReport summarizes the fleet's probe activity plus — when the fleet
 // runs on a Sim clock — the event engine's counters.
 type FleetReport struct {
-	Watched    int   // domains ever scheduled
-	Finished   int   // watch windows closed
-	Probes     int64 // probes executed
+	Watched  int   // domains ever scheduled
+	Finished int   // watch windows closed
+	Probes   int64 // probes executed, read or folded
+	// Reads counts the probes a backend read answered: admissions, reads
+	// of notified watches and reads of polled ones. Probes − Reads rounds
+	// were folded. det: a pure function of the campaign, like Probes.
+	Reads      int64
 	EverInZone int   // domains observed delegated at least once
 	Died       int   // domains that left the zone while watched
 	NSChanged  int   // domains whose delegation changed mid-watch
-	Rounds     int64 // coalesced probe rounds executed (clock events)
+	Rounds     int64 // coalesced probe rounds executed (clock events with a watch due)
 	MaxRound   int   // most domains probed in one round
 	// ReorderHeld is always 0: no apply is held back for resequencing.
 	// The field exists only because bench/campaign.go reads it, and goes
@@ -715,8 +871,9 @@ type FleetReport struct {
 // Report aggregates the fleet's operational state.
 func (f *Fleet) Report() FleetReport {
 	f.mu.Lock()
-	rep := FleetReport{Watched: len(f.states), Rounds: int64(f.rounds), MaxRound: f.maxRound}
+	rep := FleetReport{Watched: len(f.states), Reads: f.reads, Rounds: int64(len(f.log)), MaxRound: f.maxRound}
 	for _, st := range f.states {
+		f.settle(st, len(f.log))
 		rep.Probes += int64(st.Probes)
 		if st.Finished {
 			rep.Finished++

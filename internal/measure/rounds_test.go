@@ -205,13 +205,14 @@ func TestAdmissionProbesNeverShareRoundBuffer(t *testing.T) {
 	}
 }
 
-// TestRetirePassKeepsExactlyLiveWatches: the round's one walk of the
-// watch list leaves it holding exactly the unfinished watches, in
-// admission order, at any legacy probe and apply width — with admissions
-// staggered over ten rounds so windows close round after round, and a
-// StopWhenDead takedown wave so apply finishes watches too. A watch that
-// dies in one round is never probed again, and the round that retires the
-// last watch leaves the clock drained.
+// TestRetirePassKeepsExactlyLiveWatches: retirement leaves the watch list
+// holding exactly the unfinished watches, in admission order, plus only
+// StopWhenDead-finished entries still waiting to reach the front (which
+// it pops, never leaving one first), at any legacy probe and apply width —
+// with admissions staggered over ten rounds so windows close round after
+// round, and a StopWhenDead takedown wave so apply finishes watches too.
+// A watch that dies in one round is never probed again, and the round that
+// retires the last watch leaves the clock drained.
 func TestRetirePassKeepsExactlyLiveWatches(t *testing.T) {
 	for _, pw := range []int{0, 1, 8} {
 		for _, aw := range []int{0, 1, 8} {
@@ -253,8 +254,13 @@ func TestRetirePassKeepsExactlyLiveWatches(t *testing.T) {
 					}
 					f.mu.Lock()
 					var got []string
-					for _, st := range f.watchList {
-						got = append(got, st.Domain)
+					for i, st := range f.watchList {
+						if st.Finished && (i == 0 || st.DeadAt.IsZero()) {
+							t.Fatalf("round %d: finished %s left at list position %d", round, st.Domain, i)
+						}
+						if !st.Finished {
+							got = append(got, st.Domain)
+						}
 					}
 					f.mu.Unlock()
 					if !reflect.DeepEqual(got, want) {

@@ -17,7 +17,9 @@
 // rebuilds replace that pair under the registry's lock, so a Handle —
 // issued once by Resolve, for a name that may not be registered yet or
 // any more — answers every later probe of its name with one atomic load:
-// no lock, no name hashing.
+// no lock, no name hashing. A handle's holder may also ask to be told of
+// every replacement (Handle.Notify), so it need not re-read an answer
+// that has not changed.
 package registry
 
 import (
@@ -149,11 +151,30 @@ type pendingOp struct {
 // by the name's first registration, or earlier by Resolve, and never
 // removed: a Handle points at it for good. There is one per name a world
 // registers, so older registrations chain through Registration.prev
-// instead of widening it. newest is guarded by the registry's mu; live is
-// stored only under mu and loaded with or without it.
+// instead of widening it. newest and the notify callbacks are guarded by
+// the registry's mu; live is stored only under mu, through publish, and
+// loaded with or without it.
 type record struct {
 	newest *Registration                   // nil until the name is first registered
 	live   atomic.Pointer[delegatedAnswer] // nil while the name is not delegated
+	// notify and more are the callbacks Handle.Notify registered, called
+	// after every store of live. The first is held inline: almost every
+	// record has at most one watcher, and it then costs no slice.
+	notify func()
+	more   []func()
+}
+
+// publish stores ans as the record's live answer and tells every
+// registered callback, in registration order. The caller holds mu.
+func (rec *record) publish(ans *delegatedAnswer) {
+	rec.live.Store(ans)
+	if rec.notify == nil {
+		return
+	}
+	rec.notify()
+	for _, fn := range rec.more {
+		fn()
+	}
 }
 
 // delegatedAnswer is what a probe of a delegated name reads, as one
@@ -259,7 +280,7 @@ func (r *Registry) RegisterAt(domain, registrar string, ns []string, web netip.A
 	// delegated, and its A answer is the newest registration's from now
 	// on. Two nil answers are the same answer.
 	if cur := rec.live.Load(); cur != nil && (cur.A != nil || reg.webAddrs != nil) {
-		rec.live.Store(&delegatedAnswer{NS: cur.NS, A: reg.webAddrs})
+		rec.publish(&delegatedAnswer{NS: cur.NS, A: reg.webAddrs})
 	}
 	r.pending[domain] = pendingOp{ns: reg.NS}
 	return reg, nil
@@ -319,12 +340,12 @@ func (r *Registry) rebuildZone(now time.Time) {
 		}
 		if op.del {
 			r.zone.Remove(domain)
-			rec.live.Store(nil)
+			rec.publish(nil)
 			leaveZone(rec.newest, now)
 			continue
 		}
 		r.zone.Add(domain, op.ns)
-		rec.live.Store(&delegatedAnswer{NS: r.zone.Get(domain).NS, A: rec.newest.webAddrs})
+		rec.publish(&delegatedAnswer{NS: r.zone.Get(domain).NS, A: rec.newest.webAddrs})
 		if rec.newest.InZoneAt.IsZero() {
 			rec.newest.InZoneAt = now
 		}
@@ -484,6 +505,7 @@ func (r *Registry) Answer(name string) Answer {
 // after Resolve. The zero Handle — a name outside the registry's TLD —
 // answers the zero Answer. Handles are values, safe for concurrent use.
 type Handle struct {
+	r     *Registry
 	rec   *record
 	exact bool // the resolved name is the record's own, not a name below it
 }
@@ -509,11 +531,33 @@ func (r *Registry) Resolve(name string) Handle {
 		}
 		r.mu.Unlock()
 	}
-	return Handle{rec: rec, exact: key == name}
+	return Handle{r: r, rec: rec, exact: key == name}
 }
 
 // Answer is Registry.Answer of the resolved name, read through the handle.
 func (h Handle) Answer() Answer { return h.rec.answer(h.exact) }
+
+// Notify registers fn to be called every time the handle's Answer may
+// have changed: after each registration, zone rebuild or deletion that
+// republishes the answer of the record behind it, whatever the handle's
+// exactness. A call may report an answer equal to the last one; no
+// change goes unreported. fn runs synchronously on the mutating
+// goroutine — under a Sim clock, inside the mutating clock event — with
+// the registry's write lock held, so it must not call back into the
+// registry; a lock it takes ranks after the registry's. The zero Handle's
+// answer never changes, and Notify on it registers nothing.
+func (h Handle) Notify(fn func()) {
+	if h.rec == nil {
+		return
+	}
+	h.r.mu.Lock()
+	defer h.r.mu.Unlock()
+	if h.rec.notify == nil {
+		h.rec.notify = fn
+		return
+	}
+	h.rec.more = append(h.rec.more, fn)
+}
 
 // InZone reports whether domain is currently delegated in the live zone.
 func (r *Registry) InZone(domain string) bool {

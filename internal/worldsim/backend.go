@@ -19,7 +19,9 @@ import (
 //
 // It also issues measure handles: the fleet resolves a watched name once,
 // and every later probe of it is a read through its registry handle — no
-// canonicalisation, TLD split or name-keyed map on the probe path.
+// canonicalisation, TLD split or name-keyed map on the probe path. The
+// handles notify: the registry tells the fleet when a watched answer is
+// republished, so a round reads only the names whose answer moved.
 type probeBackend struct{ w *World }
 
 // ProbeBackend returns the measurement fleet's view of this world.
@@ -52,6 +54,11 @@ func (b probeBackend) Resolve(domain string) measure.Handle {
 func (h *probeHandle) Probe(mail bool) measure.ProbeResult {
 	return probeResult(h.reg.Answer(), mail, h.mail)
 }
+
+// Notify implements the fleet's optional change notification. The mail
+// answers are fixed at Resolve, so the registry answer is all that can
+// change a probe, and its record reports every change.
+func (h *probeHandle) Notify(fn func()) { h.reg.Notify(fn) }
 
 // probeResult is the one definition of a name's probe answers, which
 // Probe and every by-name method below are views of: the registry's
