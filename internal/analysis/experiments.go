@@ -47,14 +47,17 @@ func Table1(r *Results) []Table1Row {
 		}
 		row.Monthly[r.monthIndex(c.SeenAt)]++
 		row.Total++
+		if r.Pipeline.DetectedBeforeZone(c) {
+			row.Detected++
+		}
 	}
+	// The per-TLD tallies above are Pipeline.ZoneNRDCoverage's, counted in
+	// the one pass over the candidates instead of one pass per TLD.
 	var rows []Table1Row
 	for tld, row := range perTLD {
-		det, zone := r.Pipeline.ZoneNRDCoverage(tld)
-		row.ZoneNRD = int(zone)
-		row.Detected = int(det)
-		if zone > 0 {
-			row.Coverage = float64(det) / float64(zone)
+		row.ZoneNRD = int(r.World.CZDS.Stats(tld).Added)
+		if row.ZoneNRD > 0 {
+			row.Coverage = float64(row.Detected) / float64(row.ZoneNRD)
 		}
 		rows = append(rows, *row)
 	}

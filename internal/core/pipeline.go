@@ -466,16 +466,24 @@ func (p *Pipeline) Summary() Stats {
 // ZoneNRDCoverage computes the Table 1 comparison: of the domains that
 // appeared as additions in day-over-day zone diffs, which fraction did the
 // pipeline detect first via CT? The czds first-seen index supplies the
-// zone side.
+// zone side. It is one unsorted pass over the candidate store: a count
+// needs no order.
 func (p *Pipeline) ZoneNRDCoverage(tld string) (detectedInZone, zoneNRDs int64) {
 	zoneNRDs = p.zones.Stats(tld).Added
-	for _, c := range p.Candidates() {
-		if c.TLD != tld {
-			continue
-		}
-		if first, ok := p.zones.FirstSeen(c.Domain); ok && first.After(c.SeenAt) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range p.candidates {
+		if c.TLD == tld && p.DetectedBeforeZone(*c) {
 			detectedInZone++
 		}
 	}
 	return detectedInZone, zoneNRDs
+}
+
+// DetectedBeforeZone reports whether c later appeared in the collected
+// zone files, first after CT showed it: a detected zone NRD in Table 1's
+// sense.
+func (p *Pipeline) DetectedBeforeZone(c Candidate) bool {
+	first, ok := p.zones.FirstSeen(c.Domain)
+	return ok && first.After(c.SeenAt)
 }
