@@ -76,6 +76,8 @@ func main() {
 		fr.Engine.Scheduled, fr.Engine.Fired, fr.Rounds, fr.MaxRound)
 	fmt.Printf("  drain: %d same-instant groups, %d events coalesced, max group %d\n",
 		fr.Engine.Rounds, fr.Engine.Coalesced, fr.Engine.MaxBatch)
+	fmt.Fprintf(os.Stderr, "fleet reads: %d of %d probes read the backend; %d folded onto unchanged answers\n",
+		fr.Reads, fr.Probes, fr.Probes-fr.Reads)
 
 	if *verbose {
 		for _, c := range rep.Confirmed {

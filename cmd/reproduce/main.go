@@ -60,6 +60,8 @@ func main() {
 	fr := res.Fleet.Report()
 	fmt.Fprintf(os.Stderr, "event engine: %d scheduled, %d fired; fleet coalesced %d probes into %d rounds (max %d wide)\n",
 		fr.Engine.Scheduled, fr.Engine.Fired, fr.Probes, fr.Rounds, fr.MaxRound)
+	fmt.Fprintf(os.Stderr, "fleet reads: %d of %d probes read the backend; %d folded onto unchanged answers\n",
+		fr.Reads, fr.Probes, fr.Probes-fr.Reads)
 	fmt.Fprintln(os.Stderr)
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }

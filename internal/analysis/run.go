@@ -60,7 +60,12 @@ func DefaultRunConfig() RunConfig {
 // Run executes a full campaign: builds the world, attaches the pipeline,
 // advances the clock through the window plus drain, and computes the
 // transient report.
-func Run(cfg RunConfig) *Results {
+func Run(cfg RunConfig) *Results { return run(cfg, nil) }
+
+// run is Run with the fleet's backend passed through wrap when it is
+// non-nil: the seam through which a test hides the world's change
+// notification and runs the same campaign on the fleet's poll path.
+func run(cfg RunConfig, wrap func(measure.Backend) measure.Backend) *Results {
 	wcfg := worldsim.DefaultConfig(cfg.Seed, cfg.Scale)
 	if cfg.Weeks > 0 {
 		wcfg.Weeks = cfg.Weeks
@@ -80,7 +85,11 @@ func Run(cfg RunConfig) *Results {
 	if cfg.ProbeCadence > 0 {
 		fleetCfg.Revalidate.Cadence = cfg.ProbeCadence
 	}
-	fleet := measure.NewFleet(fleetCfg, w.Clock, w.ProbeBackend())
+	backend := w.ProbeBackend()
+	if wrap != nil {
+		backend = wrap(backend)
+	}
+	fleet := measure.NewFleet(fleetCfg, w.Clock, backend)
 	bus := stream.NewBus()
 	p := core.New(pcfg, w.Clock, psl.Default(), w.CZDS, core.MuxQuerier{Mux: w.RDAP}, fleet, bus, cfg.Seed+100)
 	p.Start(w.Hub)

@@ -2,10 +2,12 @@ package registry
 
 import (
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -99,6 +101,10 @@ func TestReadersRaceMutators(t *testing.T) {
 	for i := range handles {
 		handles[i] = r.Resolve(domainName(i))
 	}
+	// Readers also register notifiers while the writer publishes, the way
+	// a fleet subscribes each watch as it admits it: once a reader and
+	// handle, so the callbacks the writer runs stay bounded.
+	var notified [names]atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -112,6 +118,11 @@ func TestReadersRaceMutators(t *testing.T) {
 				default:
 				}
 				d := domainName(i % names)
+				if i < g+names {
+					n := &notified[i%names]
+					handles[i%names].Notify(func() { n.Add(1) })
+					r.Resolve("www." + d).Notify(func() { n.Add(1) })
+				}
 				if ns, ok := r.Delegation(d); ok && len(ns) == 0 {
 					t.Errorf("%s delegated to nothing", d)
 				}
@@ -160,6 +171,88 @@ func TestReadersRaceMutators(t *testing.T) {
 	wg.Wait()
 	if r.Serial() == 1 {
 		t.Error("writer never rebuilt the zone")
+	}
+	var calls int64
+	for i := range notified {
+		calls += notified[i].Load()
+	}
+	if calls == 0 {
+		t.Error("no notifier was ever called")
+	}
+}
+
+// TestHandleNotifiesOnEveryAnswerChange is Handle.Notify's contract over
+// random sequences of registrations, re-delegations, re-registrations
+// with a new web host, deletions and zone rebuilds: whenever a handle's
+// Answer differs between two checkpoints (one after every operation), its
+// notifier ran in between, with the registry's lock held. It covers exact
+// handles and handles on a name below the registrable one, handles
+// resolved before the name was ever registered and after, and two
+// handles on one record, each with its own notifier.
+func TestHandleNotifiesOnEveryAnswerChange(t *testing.T) {
+	webs := []netip.Addr{{}, netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2")}
+	nsSets := [][]string{{"ns1.a.net", "ns2.a.net"}, {"ns1.b.net"}}
+	for seed := int64(1); seed <= 40; seed++ {
+		r, _ := newTestRegistry("com")
+		rng := rand.New(rand.NewSource(seed))
+		type watched struct {
+			name  string
+			h     Handle
+			calls int
+			last  Answer
+		}
+		var hs []*watched
+		watch := func(name string) {
+			w := &watched{name: name, h: r.Resolve(name)}
+			w.last = w.h.Answer()
+			w.h.Notify(func() {
+				if r.mu.TryRLock() {
+					r.mu.RUnlock()
+					t.Errorf("%s notified without the registry's lock", name)
+				}
+				w.calls++
+			})
+			hs = append(hs, w)
+		}
+		const names = 4
+		for i := 0; i < names; i++ {
+			d := domainName(i)
+			watch(d)
+			watch(d) // a second handle on the same record
+			watch("www." + d)
+		}
+		now := t0
+		for step := 0; step < 120; step++ {
+			d := domainName(rng.Intn(names))
+			var op string
+			switch rng.Intn(6) {
+			case 0, 1:
+				op = "register"
+				r.RegisterAt(d, "A", nsSets[rng.Intn(len(nsSets))], webs[rng.Intn(len(webs))], now)
+			case 2:
+				op = "update-ns"
+				r.UpdateNS(d, nsSets[rng.Intn(len(nsSets))])
+			case 3:
+				op = "delete"
+				r.DeleteAt(d, now)
+			case 4:
+				op = "rebuild"
+				now = now.Add(time.Minute)
+				r.rebuildZone(now)
+			case 5:
+				op = "resolve"
+				watch([]string{d, "www." + d}[rng.Intn(2)])
+			}
+			for _, w := range hs {
+				ans := w.h.Answer()
+				if !reflect.DeepEqual(ans, w.last) && w.calls == 0 {
+					t.Fatalf("seed %d step %d (%s %s): %s answer moved %+v → %+v with no notification",
+						seed, step, op, d, w.name, w.last, ans)
+				}
+				w.last, w.calls = ans, 0
+			}
+		}
+		r.Stop()
 	}
 }
 
