@@ -279,3 +279,79 @@ func exportedDiff(a, b DomainState) string {
 	}
 	return ""
 }
+
+// TestNotificationsRaceRounds is the -race workout for the fold under the
+// real-time clock: rounds fire on timer goroutines every couple of
+// milliseconds while four goroutines admit watches, one republishes
+// answers — each set calling the fleet back from the mutating goroutine —
+// and one copies states out, settling their folded rounds. Every watch
+// must retire, and no fleet may read more probes than it counts.
+func TestNotificationsRaceRounds(t *testing.T) {
+	const admitters, perAdmitter = 4, 60
+	cfg := DefaultConfig()
+	cfg.Interval = 2 * time.Millisecond
+	cfg.Window = 60 * time.Millisecond
+	b := newNotifyBackend()
+	f := NewFleet(cfg, simclock.Real{}, b)
+	name := func(g, i int) string { return fmt.Sprintf("g%d-%03d.com", g, i) }
+
+	stop := make(chan struct{})
+	var side sync.WaitGroup
+	side.Add(2)
+	go func() { // republishes answers until stopped
+		defer side.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			b.set(name(i%admitters, i%perAdmitter), scripted{inZone: i%3 != 0, ns: i % len(nsPool), a: i % len(aPool)})
+			if i%50 == 49 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+	go func() { // copies states out, settling them
+		defer side.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			f.State(name(i%admitters, i%perAdmitter))
+			if i%20 == 19 {
+				f.States()
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < admitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perAdmitter; i++ {
+				f.Watch(name(g, i))
+				if i%10 == 9 {
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	deadline := time.Now().Add(10 * time.Second)
+	for f.Report().Finished < admitters*perAdmitter {
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet never drained: %+v", f.Report())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(stop)
+	side.Wait()
+	rep := f.Report()
+	if rep.Reads > rep.Probes || rep.Reads < int64(admitters*perAdmitter) {
+		t.Errorf("%d reads for %d probes of %d watches", rep.Reads, rep.Probes, admitters*perAdmitter)
+	}
+}

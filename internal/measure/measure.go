@@ -586,7 +586,7 @@ type roundResult struct {
 }
 
 // roundBuf is the working memory of one probe round, three positional
-// slices of equal length: the due watches in admission order, their
+// slices of equal length: the watches it reads in admission order, their
 // names as handed to ProbeBatch (unused when reading through handles),
 // and the results. Fleet.round reuses one across rounds; Watch brings a
 // one-slot buffer of its own.
