@@ -103,8 +103,14 @@ func TestReadersRaceMutators(t *testing.T) {
 	}
 	// Readers also register notifiers while the writer publishes, the way
 	// a fleet subscribes each watch as it admits it: once a reader and
-	// handle, so the callbacks the writer runs stay bounded.
+	// handle, so the callbacks the writer runs stay bounded. One notifier
+	// a handle is registered before any of it starts, so the writer always
+	// has callbacks to run, however the readers are scheduled.
 	var notified [names]atomic.Int64
+	for i := range handles {
+		n := &notified[i]
+		handles[i].Notify(func() { n.Add(1) })
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
