@@ -16,8 +16,8 @@ import (
 // that moves a hash changed what the campaign computes, not how fast.
 func TestGoldenReportHash(t *testing.T) {
 	golden := map[int64]string{
-		5: "ae48c95142f7152c",
-		7: "ebc35a10a5aa7823",
+		5: "71b52bab5ef52f22",
+		7: "1a9539e25bb23872",
 	}
 	for seed, want := range golden {
 		cfg := RunConfig{Seed: seed, Scale: 0.002, Weeks: 3, WatchSampleRate: 1, ProbeMail: true}

@@ -136,6 +136,9 @@ type Registry struct {
 	serial  uint32
 	pending map[string]pendingOp
 	subs    []SnapshotFunc
+	// delivered is when the newest publication is delivered: no later
+	// one is delivered before it, however short its own delay.
+	delivered time.Time
 
 	zoneTicker *simclock.Ticker
 	snapTicker *simclock.Ticker
@@ -367,27 +370,36 @@ func leaveZone(reg *Registration, now time.Time) {
 }
 
 // publishSnapshot clones the live zone and delivers it to subscribers
-// after the configured publication delay.
+// after the configured publication delay, but never before the previous
+// publication: a long delay holds back the publications behind it, so
+// subscribers receive them in serial order.
 func (r *Registry) publishSnapshot(now time.Time) {
 	r.mu.Lock()
 	snap := r.zone.Clone()
 	snap.Taken = now
 	subs := append([]SnapshotFunc(nil), r.subs...)
-	delay := time.Duration(0)
+	at := now
 	if r.cfg.SnapshotDelay != nil {
-		delay = r.cfg.SnapshotDelay(r.rng)
+		at = at.Add(r.cfg.SnapshotDelay(r.rng))
 	}
+	prev := r.delivered
+	if at.Before(prev) {
+		at = prev
+	}
+	r.delivered = at
 	r.mu.Unlock()
 	deliver := func() {
 		for _, fn := range subs {
 			fn(snap)
 		}
 	}
-	if delay <= 0 {
+	// Deliver now only when nothing is still due at this instant;
+	// otherwise the clock fires this delivery after the one before it.
+	if !at.After(now) && prev.Before(now) {
 		deliver()
 		return
 	}
-	r.clk.After(delay, deliver)
+	r.clk.At(at, deliver)
 }
 
 // Authoritative queries --------------------------------------------------

@@ -168,6 +168,35 @@ func TestSnapshotDelay(t *testing.T) {
 	}
 }
 
+// TestLateSnapshotHoldsBackLaterOnes: a publication delayed past the
+// next one's delivery time must not be overtaken by it, or a subscriber
+// would roll its view of the zone back to the older day.
+func TestLateSnapshotHoldsBackLaterOnes(t *testing.T) {
+	clk := simclock.NewSim(t0)
+	cfg := DefaultConfig("com")
+	delays := []time.Duration{72 * time.Hour, time.Hour}
+	cfg.SnapshotDelay = func(*rand.Rand) time.Duration {
+		d := delays[0]
+		if len(delays) > 1 {
+			delays = delays[1:]
+		}
+		return d
+	}
+	r := New(cfg, clk, rand.New(rand.NewSource(1)))
+	defer r.Stop()
+	var taken []time.Time
+	r.Subscribe(func(s *zoneset.Snapshot) { taken = append(taken, s.Taken) })
+	clk.Advance(6 * 24 * time.Hour)
+	if len(taken) < 3 {
+		t.Fatalf("delivered %d snapshots, want at least 3", len(taken))
+	}
+	for i := 1; i < len(taken); i++ {
+		if taken[i].Before(taken[i-1]) {
+			t.Fatalf("delivery %d taken %v after one taken %v", i, taken[i], taken[i-1])
+		}
+	}
+}
+
 func TestCCTLDSnapshotsStayPrivate(t *testing.T) {
 	// A ccTLD registry still generates daily zone files for its own
 	// subscribers (the registry's private view); only CZDS
