@@ -235,7 +235,7 @@ func BenchmarkMailStats(b *testing.B) {
 // larger than the pipeline's shard count so steady-state iterations
 // spread across every stripe: after the first cycle admits each name,
 // every further event exercises the full screen path (PSL extraction,
-// name hygiene, duplicate probe, lock-free zone filter).
+// name hygiene, duplicate probe, zone filter).
 func benchPipeline() (*core.Pipeline, []certstream.Event) {
 	clk := simclock.NewSim(time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC))
 	zones := czds.New()

@@ -308,7 +308,7 @@ func RDAPFailureStats(r *Results) RDAPStats {
 	s.TransTotal = len(r.Report.LowerBound)
 	for _, c := range r.Report.RDAPFailed {
 		s.TransFailed++
-		if r.World.DZDB.ExistedBefore(c.Domain, c.SeenAt) {
+		if r.World.CZDS.ExistedBefore(c.Domain, c.SeenAt) {
 			s.FailedHistoric++
 		}
 	}

@@ -37,7 +37,7 @@ func synthEvents(n int, start time.Time) []certstream.Event {
 }
 
 // TestConcurrentIngestRace drives HandleEvent from four goroutines while
-// czds collections swap zone views and the simulated clock fires RDAP
+// czds folds daily zone diffs and the simulated clock fires RDAP
 // collections and fleet probe ticks — the full ingest hot path under
 // -race.
 func TestConcurrentIngestRace(t *testing.T) {
@@ -68,9 +68,12 @@ func TestConcurrentIngestRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for day := 0; day < 30; day++ {
-			snap := zoneset.NewSnapshot("shop", uint32(day+1), t0.Add(time.Duration(day)*24*time.Hour))
-			snap.Add(fmt.Sprintf("zoned%04d.shop", day), []string{"ns1.zone.net"})
-			zones.Ingest(snap)
+			d := zoneset.Diff{TLD: "shop", Serial: uint32(day + 1), Taken: t0.Add(time.Duration(day) * 24 * time.Hour),
+				Added: []string{fmt.Sprintf("zoned%04d.shop", day)}}
+			if day > 0 {
+				d.Removed = []string{fmt.Sprintf("zoned%04d.shop", day-1)}
+			}
+			zones.Ingest(d)
 		}
 	}()
 	// The clock dispatcher fires RDAP collections and probe ticks while

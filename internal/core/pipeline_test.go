@@ -37,9 +37,7 @@ func (nullQuerier) Domain(_ context.Context, _ string) (*rdap.Record, error) {
 func TestPipelineStep1Filtering(t *testing.T) {
 	clk := simclock.NewSim(t0)
 	zones := czds.New()
-	snap := zoneset.NewSnapshot("com", 1, t0.Add(-time.Hour))
-	snap.Add("known.com", []string{"ns1.x.net"})
-	zones.Ingest(snap)
+	zones.Ingest(zoneset.Diff{TLD: "com", Serial: 1, Taken: t0.Add(-time.Hour), Added: []string{"known.com"}})
 
 	p := New(DefaultConfig(t0, t0.Add(91*24*time.Hour)), clk, psl.Default(), zones,
 		nullQuerier{}, nil, nil, 1)
@@ -180,9 +178,7 @@ func TestTransientsExcludeSnapshotAppearances(t *testing.T) {
 	p.HandleEvent(event(t0.Add(time.Hour), "never.com"))
 
 	// eventually.com shows up in a later snapshot; never.com does not.
-	snap := zoneset.NewSnapshot("com", 2, t0.Add(26*time.Hour))
-	snap.Add("eventually.com", []string{"ns1.x.net"})
-	zones.Ingest(snap)
+	zones.Ingest(zoneset.Diff{TLD: "com", Serial: 2, Taken: t0.Add(26 * time.Hour), Added: []string{"eventually.com"}})
 
 	rep := p.Transients()
 	if len(rep.LowerBound) != 1 || rep.LowerBound[0].Domain != "never.com" {

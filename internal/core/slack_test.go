@@ -26,9 +26,7 @@ func TestZoneSlackAbsorbsLatePublication(t *testing.T) {
 
 	// The snapshot containing it lands 2 days past the window end —
 	// inside the 3-day slack.
-	snap := zoneset.NewSnapshot("com", 9, end.Add(2*24*time.Hour))
-	snap.Add("late-zone.com", []string{"ns1.x.net"})
-	zones.Ingest(snap)
+	zones.Ingest(zoneset.Diff{TLD: "com", Serial: 9, Taken: end.Add(2 * 24 * time.Hour), Added: []string{"late-zone.com"}})
 
 	rep := p.Transients()
 	if len(rep.LowerBound) != 0 {
@@ -40,11 +38,8 @@ func TestZoneSlackAbsorbsLatePublication(t *testing.T) {
 	z2 := czds.New()
 	p2 := New(DefaultConfig(t0, end), clk, psl.Default(), z2, nullQuerier{}, nil, nil, 1)
 	p2.HandleEvent(event(t0.Add(10*24*time.Hour), "too-late.com"))
-	base := zoneset.NewSnapshot("com", 1, t0.Add(24*time.Hour))
-	z2.Ingest(base)
-	veryLate := zoneset.NewSnapshot("com", 9, end.Add(10*24*time.Hour))
-	veryLate.Add("too-late.com", []string{"ns1.x.net"})
-	z2.Ingest(veryLate)
+	z2.Ingest(zoneset.Diff{TLD: "com", Serial: 1, Taken: t0.Add(24 * time.Hour)})
+	z2.Ingest(zoneset.Diff{TLD: "com", Serial: 9, Taken: end.Add(10 * 24 * time.Hour), Added: []string{"too-late.com"}})
 	rep2 := p2.Transients()
 	if len(rep2.LowerBound) != 1 || rep2.LowerBound[0].Domain != "too-late.com" {
 		t.Fatalf("domain seen only beyond slack should stay transient: %+v", rep2.LowerBound)

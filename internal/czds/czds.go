@@ -1,43 +1,36 @@
 // Package czds simulates ICANN's Centralized Zone Data Service: it
-// collects daily zone snapshots from participating gTLD registries and
-// serves the latest snapshot per TLD to authorized subscribers.
+// collects the daily zone publications of participating gTLD registries
+// and answers what they held.
 //
 // The paper's pipeline keeps a collector "populated with all latest zone
 // snapshots available from ICANN CZDS" (step 1); the visibility gap exists
 // precisely because this collection is daily while registrations and
 // takedowns are continuous.
 //
-// Rather than retaining every daily snapshot (which at paper scale is
-// hundreds of millions of delegation records), the service keeps the
-// latest snapshot per TLD plus a compact presence index: for every domain
-// ever seen in any snapshot, the Taken times of its first and last
-// appearance. Domain presence is effectively an interval (registrations
-// rarely flap in and out of a zone), so the index answers the paper's
-// "did this domain EVER appear in our zone collection during the window"
-// test (§4.2) in O(1).
+// A registry publishes each day's net change (a zoneset.Diff), not the
+// whole zone, and the service folds the diffs of each TLD in serial order
+// into one record per name ever published: the Taken time of the first
+// publication that held it, of the last one before it left, and whether
+// the TLD's latest publication holds it. An in-zone name's last sighting
+// is its TLD's latest Taken, so a day's fold touches only the names that
+// changed. Presence is kept as the hull [first, last] of every
+// publication that held the name (registrations rarely flap in and out
+// of a zone), which answers the paper's "did this domain EVER appear in
+// our zone collection during the window" test (§4.2) in O(1). The same
+// records carry the pre-window history a world seeds (Seed), which only
+// ExistedBefore reads: the paper's DZDB check that a domain was
+// registered in the past.
 //
-// Concurrency model: the collection is read on the pipeline's ingest hot
-// path (InLatest runs once per CT-extracted domain) but written only on
-// daily snapshot collection. The per-TLD snapshot/stats view goes
-// through an immutable generation swapped behind an atomic.Pointer, so
-// InLatest takes no lock however many goroutines filter concurrently,
-// while writers pay a small per-TLD copy-on-write rebuild under a mutex
-// (DESIGN.md §5). The presence index (one entry per domain ever seen —
-// the bulk of the collection) is different: its readers (FirstSeen,
-// EverSeen) run off the hot path, at transient labelling and analysis
-// time, so it is one mutable map under the writers' mutex. Ingest
-// updates each domain's interval in place as it walks the snapshot — no
-// clone, no per-snapshot grouping, so a snapshot of already-known
-// domains allocates nothing per domain.
+// Concurrency model: the records are read on the pipeline's ingest hot
+// path (InLatest runs once per CT-extracted domain) and written once a
+// day per TLD, by a fold that costs O(names changed). One RWMutex guards
+// them: readers share it, and a fold holds it only as long as it takes
+// to apply one diff (DESIGN.md §5).
 package czds
 
 import (
-	"errors"
-	"fmt"
-	"maps"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"darkdns/internal/dnsname"
@@ -45,13 +38,15 @@ import (
 	"darkdns/internal/zoneset"
 )
 
-// ErrNoZone is returned when no snapshot has been collected for a TLD.
-var ErrNoZone = errors.New("czds: no snapshot for zone")
-
-// presence is a domain's appearance interval across collected snapshots.
+// presence is one name's record across the collection.
 type presence struct {
-	first time.Time
-	last  time.Time
+	// first and last are the Taken times of the first publication that
+	// held the name and of the last one before it left; zero first means
+	// no publication ever held it. While in is set, last is stale and
+	// the TLD's latest Taken stands for it.
+	first, last time.Time
+	in          bool      // the TLD's latest publication holds the name
+	seeded      time.Time // earliest pre-window sighting; zero if none
 }
 
 // DiffStats accumulates day-over-day zone differences for one TLD — the
@@ -62,38 +57,25 @@ type DiffStats struct {
 	Changed int64
 }
 
-// view is one immutable generation of the per-TLD collection state.
-// Readers load it atomically and never see it change; Ingest builds a
-// successor and swaps.
-type view struct {
-	latest map[string]*zoneset.Snapshot
-	stats  map[string]DiffStats
+// zone is one TLD's collection state.
+type zone struct {
+	taken time.Time // the latest publication's Taken
+	stats DiffStats
 }
 
-// emptyView is the generation before any collection.
-var emptyView = &view{
-	latest: map[string]*zoneset.Snapshot{},
-	stats:  map[string]DiffStats{},
-}
-
-// Service collects and serves zone snapshots.
+// Service collects and serves zone publications.
 type Service struct {
-	// mu serializes writers (Ingest, Subscribe) and guards seen; readers
-	// of view never take it.
-	mu   sync.Mutex
-	view atomic.Pointer[view]
-	seen map[string]presence // the presence index, updated in place
-	subs []func(*zoneset.Snapshot)
+	mu    sync.RWMutex
+	names map[string]presence
+	zones map[string]zone
 }
 
 // New creates an empty service.
 func New() *Service {
-	s := &Service{seen: make(map[string]presence)}
-	s.view.Store(emptyView)
-	return s
+	return &Service{names: make(map[string]presence), zones: make(map[string]zone)}
 }
 
-// Collect attaches the service to a registry's snapshot publications.
+// Collect attaches the service to a registry's daily publications.
 // Non-participating (ccTLD) registries are ignored, mirroring reality.
 func (s *Service) Collect(reg *registry.Registry) {
 	if !reg.InCZDS() {
@@ -102,121 +84,117 @@ func (s *Service) Collect(reg *registry.Registry) {
 	reg.Subscribe(s.Ingest)
 }
 
-// Ingest stores a published snapshot, updates the presence index and the
-// day-over-day diff statistics, and notifies subscribers. Each domain's
-// interval updates in place as the snapshot is walked; the per-TLD view
-// then becomes visible in one atomic swap, so "in the latest snapshot"
-// never outruns "ever seen".
-func (s *Service) Ingest(snap *zoneset.Snapshot) {
+// Ingest folds one publication into the collection. A TLD's diffs must
+// arrive in serial order, the first against the empty zone, as a
+// registry delivers them. That first one is a baseline: its names count
+// as seen, not as newly registered.
+func (s *Service) Ingest(d zoneset.Diff) {
 	s.mu.Lock()
-	for _, dom := range snap.Domains() {
-		p, ok := s.seen[dom]
-		if !ok {
-			s.seen[dom] = presence{first: snap.Taken, last: snap.Taken}
-			continue
+	defer s.mu.Unlock()
+	z, collected := s.zones[d.TLD]
+	if collected {
+		z.stats.Added += int64(len(d.Added))
+		z.stats.Removed += int64(len(d.Removed))
+		z.stats.Changed += int64(len(d.Changed))
+	}
+	for _, name := range d.Added {
+		p := s.names[name]
+		if p.first.IsZero() {
+			p.first = d.Taken
 		}
-		if snap.Taken.After(p.last) {
-			p.last = snap.Taken
-		}
-		if snap.Taken.Before(p.first) {
-			p.first = snap.Taken
-		}
-		s.seen[dom] = p
+		p.in = true
+		s.names[name] = p
 	}
-
-	cur := s.view.Load()
-	next := &view{
-		latest: maps.Clone(cur.latest),
-		stats:  maps.Clone(cur.stats),
+	for _, name := range d.Removed {
+		p := s.names[name]
+		p.in, p.last = false, z.taken
+		s.names[name] = p
 	}
-	prev := next.latest[snap.TLD]
-	st := next.stats[snap.TLD]
-	// The first collected snapshot of a TLD is a baseline: its
-	// delegations count as seen, not as newly registered.
-	if prev != nil {
-		d := zoneset.Compare(prev, snap)
-		st.Added += int64(len(d.Added))
-		st.Removed += int64(len(d.Removed))
-		st.Changed += int64(len(d.Changed))
-	}
-	next.stats[snap.TLD] = st
-	next.latest[snap.TLD] = snap
-	s.view.Store(next)
-	subs := make([]func(*zoneset.Snapshot), len(s.subs))
-	copy(subs, s.subs)
-	s.mu.Unlock()
-	for _, fn := range subs {
-		fn(snap)
-	}
+	z.taken = d.Taken
+	s.zones[d.TLD] = z
 }
 
-// Subscribe registers fn for every future ingested snapshot.
-func (s *Service) Subscribe(fn func(*zoneset.Snapshot)) {
+// Seed records a sighting of domain at t from zone history older than
+// the collection. Only ExistedBefore reads seeds.
+func (s *Service) Seed(domain string, t time.Time) {
+	domain = dnsname.Canonical(domain)
 	s.mu.Lock()
-	s.subs = append(s.subs, fn)
+	p := s.names[domain]
+	if p.seeded.IsZero() || t.Before(p.seeded) {
+		p.seeded = t
+		s.names[domain] = p
+	}
 	s.mu.Unlock()
 }
 
-// Latest returns the most recent snapshot for tld.
-func (s *Service) Latest(tld string) (*zoneset.Snapshot, error) {
-	snap := s.view.Load().latest[dnsname.Canonical(tld)]
-	if snap == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoZone, tld)
+// lookup returns the record of domain (the zero record if there is none)
+// with, as its last sighting, the TLD's latest Taken while the name is in
+// the zone.
+func (s *Service) lookup(domain string) presence {
+	domain = dnsname.Canonical(domain)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	p := s.names[domain]
+	if p.in {
+		p.last = s.zones[dnsname.TLD(domain)].taken
 	}
-	return snap, nil
+	return p
 }
 
 // Stats returns the accumulated zone-diff statistics for tld.
 func (s *Service) Stats(tld string) DiffStats {
-	return s.view.Load().stats[dnsname.Canonical(tld)]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.zones[dnsname.Canonical(tld)].stats
 }
 
-// TLDs returns the zones with at least one collected snapshot, sorted.
+// TLDs returns the zones with at least one collected publication, sorted.
 func (s *Service) TLDs() []string {
-	v := s.view.Load()
-	out := make([]string, 0, len(v.latest))
-	for tld := range v.latest {
+	s.mu.RLock()
+	out := make([]string, 0, len(s.zones))
+	for tld := range s.zones {
 		out = append(out, tld)
 	}
+	s.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }
 
-// InLatest reports whether domain appears in the latest snapshot of its
-// TLD. Domains of uncollected TLDs report false — from the pipeline's
+// InLatest reports whether domain appears in the latest publication of
+// its TLD. Domains of uncollected TLDs report false — from the pipeline's
 // perspective they are always "not in the zone files" (which is why the
 // paper can apply its method to ccTLDs at all). This is the ingest hot
-// path; it takes no lock.
+// path: one map read under the read lock.
 func (s *Service) InLatest(domain string) bool {
 	domain = dnsname.Canonical(domain)
-	snap := s.view.Load().latest[dnsname.TLD(domain)]
-	return snap != nil && snap.Contains(domain)
+	s.mu.RLock()
+	in := s.names[domain].in
+	s.mu.RUnlock()
+	return in
 }
 
-// FirstSeen returns the Taken time of the first snapshot that contained
-// domain, across the whole collection. Off the ingest hot path, it takes
-// the service's lock.
+// FirstSeen returns the Taken time of the first publication that held
+// domain, across the whole collection.
 func (s *Service) FirstSeen(domain string) (time.Time, bool) {
-	domain = dnsname.Canonical(domain)
-	s.mu.Lock()
-	p, ok := s.seen[domain]
-	s.mu.Unlock()
-	return p.first, ok
+	p := s.lookup(domain)
+	return p.first, !p.first.IsZero()
 }
 
-// EverSeen reports whether domain appeared in any collected snapshot whose
-// Taken time falls within [from, to]. This implements the paper's
+// EverSeen reports whether domain appeared in any collected publication
+// whose Taken time falls within [from, to]. This implements the paper's
 // transient test: "domains that do not appear in our zone collection
 // during the window ±3 days".
 func (s *Service) EverSeen(domain string, from, to time.Time) bool {
-	domain = dnsname.Canonical(domain)
-	s.mu.Lock()
-	p, ok := s.seen[domain]
-	s.mu.Unlock()
-	if !ok {
-		return false
-	}
+	p := s.lookup(domain)
 	// Presence is an interval [first, last]; it intersects [from, to]
 	// unless it ends before or starts after.
-	return !p.last.Before(from) && !p.first.After(to)
+	return !p.first.IsZero() && !p.last.Before(from) && !p.first.After(to)
+}
+
+// ExistedBefore reports whether domain was seeded, or first published,
+// strictly before t — the paper's "registered in the past" test against
+// historical zone data.
+func (s *Service) ExistedBefore(domain string, t time.Time) bool {
+	p := s.lookup(domain)
+	return (!p.seeded.IsZero() && p.seeded.Before(t)) || (!p.first.IsZero() && p.first.Before(t))
 }

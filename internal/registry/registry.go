@@ -2,12 +2,19 @@
 // ledger, the live zone rebuilt on the registry's operational cadence
 // (com/net every 60 s, most gTLDs every 15–30 min — the driver behind the
 // per-TLD detection-delay differences in Figure 1), daily zone-file
-// snapshot publication for CZDS, and the registry-side RDAP data store.
+// publication for CZDS, and the registry-side RDAP data store.
+//
+// A daily publication is the zone's net change since the previous one
+// (a zoneset.Diff), not a copy of the zone: the registry remembers the
+// pre-publication delegation of every name a rebuild touches and
+// classifies only those names when it publishes, so publishing costs
+// O(names changed). A subscriber that folds the diffs in order holds the
+// zone a daily snapshot would have shown it.
 //
 // The ledger records every registration ever made, including domains
 // deleted before ever entering a published snapshot — the paper's
-// "transient domains". ccTLD-mode registries (InCZDS=false) keep a ledger
-// and a live zone but publish no snapshots, modelling the .nl ground-truth
+// "transient domains". ccTLD-mode registries (InCZDS=false) publish only
+// to their own subscribers, never to CZDS, modelling the .nl ground-truth
 // vantage of §4.4.
 //
 // The ledger keeps one record per registrable name (one label below the
@@ -27,6 +34,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -117,9 +125,6 @@ var (
 	ErrWrongZone = errors.New("registry: domain not under this TLD")
 )
 
-// SnapshotFunc receives published zone snapshots (CZDS collection path).
-type SnapshotFunc func(snap *zoneset.Snapshot)
-
 // Registry is a simulated TLD registry.
 type Registry struct {
 	cfg Config
@@ -135,7 +140,10 @@ type Registry struct {
 	zone    *zoneset.Snapshot  // live zone
 	serial  uint32
 	pending map[string]pendingOp
-	subs    []SnapshotFunc
+	// since holds, for each name a rebuild touched since the last
+	// publication, its delegation in that publication (nil: absent).
+	since map[string]*zoneset.Delegation
+	subs  []func(zoneset.Diff)
 	// delivered is when the newest publication is delivered: no later
 	// one is delivered before it, however short its own delay.
 	delivered time.Time
@@ -215,6 +223,7 @@ func New(cfg Config, clk simclock.Clock, rng *rand.Rand) *Registry {
 		zone:    zoneset.NewSnapshot(cfg.TLD, 1, clk.Now()),
 		serial:  1,
 		pending: make(map[string]pendingOp),
+		since:   make(map[string]*zoneset.Delegation),
 	}
 	r.zoneTicker = simclock.NewTicker(clk, cfg.ZoneUpdateEvery, func(now time.Time) { r.rebuildZone(now) })
 	// Every registry generates daily zone files; InCZDS only controls
@@ -233,11 +242,14 @@ func (r *Registry) Stop() {
 // TLD returns the registry's zone apex.
 func (r *Registry) TLD() string { return r.cfg.TLD }
 
-// InCZDS reports whether the registry publishes snapshots to CZDS.
+// InCZDS reports whether the registry publishes its zone files to CZDS.
 func (r *Registry) InCZDS() bool { return r.cfg.InCZDS }
 
-// Subscribe registers fn to receive every future published snapshot.
-func (r *Registry) Subscribe(fn SnapshotFunc) {
+// Subscribe registers fn to receive every future daily publication: the
+// zone's change since the previous one, the first against the empty
+// zone the registry started with. Publications arrive in serial order.
+// fn must not modify the diff; every subscriber shares it.
+func (r *Registry) Subscribe(fn func(zoneset.Diff)) {
 	r.mu.Lock()
 	r.subs = append(r.subs, fn)
 	r.mu.Unlock()
@@ -334,6 +346,9 @@ func (r *Registry) rebuildZone(now time.Time) {
 		return
 	}
 	for domain, op := range r.pending {
+		if _, ok := r.since[domain]; !ok {
+			r.since[domain] = r.zone.Get(domain)
+		}
 		rec := r.ledger[domain]
 		// A name deleted and re-registered between two rebuilds still has
 		// the superseded registration's delegation live: it leaves the zone
@@ -369,15 +384,17 @@ func leaveZone(reg *Registration, now time.Time) {
 	}
 }
 
-// publishSnapshot clones the live zone and delivers it to subscribers
-// after the configured publication delay, but never before the previous
-// publication: a long delay holds back the publications behind it, so
-// subscribers receive them in serial order.
+// publishSnapshot diffs the live zone against the previous publication
+// and delivers the diff to subscribers after the configured publication
+// delay, but never before the previous publication: a long delay holds
+// back the publications behind it, so subscribers receive them in serial
+// order.
 func (r *Registry) publishSnapshot(now time.Time) {
 	r.mu.Lock()
-	snap := r.zone.Clone()
-	snap.Taken = now
-	subs := append([]SnapshotFunc(nil), r.subs...)
+	diff := r.zone.DiffSince(r.since)
+	diff.Taken = now
+	r.since = make(map[string]*zoneset.Delegation, len(r.since))
+	subs := slices.Clone(r.subs)
 	at := now
 	if r.cfg.SnapshotDelay != nil {
 		at = at.Add(r.cfg.SnapshotDelay(r.rng))
@@ -390,7 +407,7 @@ func (r *Registry) publishSnapshot(now time.Time) {
 	r.mu.Unlock()
 	deliver := func() {
 		for _, fn := range subs {
-			fn(snap)
+			fn(diff)
 		}
 	}
 	// Deliver now only when nothing is still due at this instant;
@@ -594,9 +611,8 @@ func (r *Registry) ZoneLen() int {
 	return r.zone.Len()
 }
 
-// ZoneSnapshot clones the live zone as of now — the registry-side
-// operation behind both daily snapshot publication and a rapid zone
-// update service's per-interval diffs.
+// ZoneSnapshot clones the live zone as of now, for a zone transfer or a
+// rapid zone update service's per-interval diffs.
 func (r *Registry) ZoneSnapshot(now time.Time) *zoneset.Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -117,8 +118,8 @@ func TestTransientDomainNeverInZoneOfSnapshot(t *testing.T) {
 	cfg := DefaultConfig("com")
 	r := New(cfg, clk, rand.New(rand.NewSource(1)))
 	defer r.Stop()
-	var snaps []*zoneset.Snapshot
-	r.Subscribe(func(s *zoneset.Snapshot) { snaps = append(snaps, s) })
+	var diffs []zoneset.Diff
+	r.Subscribe(func(d zoneset.Diff) { diffs = append(diffs, d) })
 
 	clk.Advance(time.Hour) // first snapshot at +24h; register at +1h
 	r.Register("transient.com", "GoDaddy", []string{"ns1.cloudflare.com"}, netip.Addr{})
@@ -128,11 +129,11 @@ func TestTransientDomainNeverInZoneOfSnapshot(t *testing.T) {
 	}
 	r.Delete("transient.com")
 	clk.Advance(21 * time.Hour) // past the 24h snapshot point
-	if len(snaps) == 0 {
+	if len(diffs) == 0 {
 		t.Fatal("no snapshot published")
 	}
-	for _, s := range snaps {
-		if s.Contains("transient.com") {
+	for _, d := range diffs {
+		if slices.Contains(d.Added, "transient.com") {
 			t.Error("transient domain leaked into a snapshot")
 		}
 	}
@@ -141,12 +142,12 @@ func TestTransientDomainNeverInZoneOfSnapshot(t *testing.T) {
 func TestSnapshotCapturesLongLived(t *testing.T) {
 	r, clk := newTestRegistry("com")
 	defer r.Stop()
-	var snaps []*zoneset.Snapshot
-	r.Subscribe(func(s *zoneset.Snapshot) { snaps = append(snaps, s) })
+	var diffs []zoneset.Diff
+	r.Subscribe(func(d zoneset.Diff) { diffs = append(diffs, d) })
 	r.Register("stable.com", "A", []string{"ns.a.net"}, netip.Addr{})
 	clk.Advance(25 * time.Hour)
-	if len(snaps) != 1 || !snaps[0].Contains("stable.com") {
-		t.Fatalf("snapshots: %d", len(snaps))
+	if len(diffs) != 1 || !slices.Equal(diffs[0].Added, []string{"stable.com"}) {
+		t.Fatalf("publications: %+v", diffs)
 	}
 }
 
@@ -157,7 +158,7 @@ func TestSnapshotDelay(t *testing.T) {
 	r := New(cfg, clk, rand.New(rand.NewSource(1)))
 	defer r.Stop()
 	var got []time.Time
-	r.Subscribe(func(s *zoneset.Snapshot) { got = append(got, clk.Now()) })
+	r.Subscribe(func(zoneset.Diff) { got = append(got, clk.Now()) })
 	clk.Advance(24 * time.Hour)
 	if len(got) != 0 {
 		t.Fatal("snapshot delivered without delay")
@@ -185,7 +186,7 @@ func TestLateSnapshotHoldsBackLaterOnes(t *testing.T) {
 	r := New(cfg, clk, rand.New(rand.NewSource(1)))
 	defer r.Stop()
 	var taken []time.Time
-	r.Subscribe(func(s *zoneset.Snapshot) { taken = append(taken, s.Taken) })
+	r.Subscribe(func(d zoneset.Diff) { taken = append(taken, d.Taken) })
 	clk.Advance(6 * 24 * time.Hour)
 	if len(taken) < 3 {
 		t.Fatalf("delivered %d snapshots, want at least 3", len(taken))
@@ -207,7 +208,7 @@ func TestCCTLDSnapshotsStayPrivate(t *testing.T) {
 		t.Fatal("nl should not participate in CZDS")
 	}
 	snaps := 0
-	r.Subscribe(func(*zoneset.Snapshot) { snaps++ })
+	r.Subscribe(func(zoneset.Diff) { snaps++ })
 	r.Register("voorbeeld.nl", "Metaregistrar", []string{"ns1.metaregistrar.nl"}, netip.Addr{})
 	clk.Advance(72 * time.Hour)
 	if snaps == 0 {

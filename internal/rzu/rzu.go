@@ -199,7 +199,7 @@ func (s *Service) tick(tld string, now time.Time) {
 	if st == nil {
 		return
 	}
-	cur := currentSnapshot(st.reg, now)
+	cur := st.reg.ZoneSnapshot(now)
 	diff := zoneset.Compare(st.prev, cur)
 	st.prev = cur
 	if len(diff.Added)+len(diff.Removed)+len(diff.Changed) == 0 {
@@ -228,19 +228,4 @@ func (s *Service) tick(tld string, now time.Time) {
 	for _, sub := range subs {
 		sub.fn(batch)
 	}
-}
-
-// currentSnapshot captures the live zone. The registry exposes no direct
-// snapshot accessor (real registries publish, they don't share internals),
-// so RZU reconstructs the delegation set through the same authoritative
-// query interface a zone transfer would use — here approximated via the
-// registry's publication path: we subscribe once and keep our own copy.
-//
-// For efficiency the implementation snapshots through Ledger-free public
-// methods: it asks the registry for its current serial and uses the
-// registry's Subscribe channel at Publish time to seed state, then applies
-// Delegation lookups lazily. To stay simple and correct we rebuild from
-// the registry's exported zone view.
-func currentSnapshot(reg *registry.Registry, now time.Time) *zoneset.Snapshot {
-	return reg.ZoneSnapshot(now)
 }

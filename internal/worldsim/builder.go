@@ -67,8 +67,8 @@ func compileLayouts(env *buildEnv) []*Layout {
 // Phase one fans per-layout installs out on a worker pool at
 // Config.CommitWorkers width (≤1 = serial on the caller): ground-truth
 // records into the sharded Domains store, buffered seedings into the NOD
-// feed, blocklists and DZDB, DV tokens into the CAs, and each layout's
-// timeline into a private slice. Every one of those effects is
+// feed, blocklists and CZDS's zone history, DV tokens into the CAs, and
+// each layout's timeline into a private slice. Every one of those effects is
 // commutative across layouts — layouts own distinct names (structurally,
 // while plans own distinct TLDs; the dupNames counter is the safety
 // net), and the substrates take earliest-wins / min-max / keyed updates
@@ -120,7 +120,7 @@ func (w *World) commitLayout(l *Layout, rank int) []simclock.Timed {
 		issuer := w.CAs[g.caIdx]
 		issuer.SeedToken(g.d.Name, g.tokenAt)
 		if g.inDZDB {
-			w.DZDB.Observe(g.d.Name, g.tokenAt)
+			w.CZDS.Seed(g.d.Name, g.tokenAt)
 		}
 		name := g.d.Name
 		timeline = append(timeline, simclock.Timed{At: g.d.Created, Fn: func() {
@@ -134,7 +134,7 @@ func (w *World) commitLayout(l *Layout, rank int) []simclock.Timed {
 		w.Blocklists.SeedFlag(f.List, f.Domain, f.At)
 	}
 	for _, s := range l.dzdb {
-		w.DZDB.Observe(s.domain, s.at)
+		w.CZDS.Seed(s.domain, s.at)
 	}
 	return timeline
 }

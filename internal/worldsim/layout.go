@@ -4,7 +4,7 @@
 // functions of (Config, plan, child RNG): domain records, a name set for
 // collision checks, and buffered timeline entries — registrations, ghost
 // issuances, NOD/blocklist/DZDB seedings — instead of direct Clock.At /
-// NOD / Blocklists / DZDB calls. Because a compile unit's RNG is derived
+// NOD / Blocklists / CZDS.Seed calls. Because a compile unit's RNG is derived
 // from the world seed and the unit's label (subseed) and no shared state
 // is touched, layouts can compile concurrently on a worker pool and are
 // byte-identical at any width; the commit phase (builder.go) installs

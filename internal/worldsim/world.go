@@ -38,7 +38,6 @@ import (
 	"darkdns/internal/ct"
 	"darkdns/internal/czds"
 	"darkdns/internal/dnsname"
-	"darkdns/internal/dzdb"
 	"darkdns/internal/noddfeed"
 	"darkdns/internal/rdap"
 	"darkdns/internal/registrar"
@@ -160,7 +159,6 @@ type World struct {
 	// (the paper's team had .nl zone data via OpenINTEL even though .nl
 	// is not in CZDS).
 	CCZones *czds.Service
-	DZDB    *dzdb.DB
 	// Logs are the CT logs CAs submit to (multiple logs, as in the real
 	// ecosystem; the certstream hub merges them and the pipeline
 	// deduplicates by domain). Log is the first, kept for convenience.
@@ -204,7 +202,6 @@ func New(cfg Config) *World {
 		Clock:      simclock.NewSim(cfg.Start),
 		Registries: make(map[string]*registry.Registry),
 		CZDS:       czds.New(),
-		DZDB:       dzdb.New(),
 		Hub:        certstream.NewHub(),
 		Blocklists: blocklist.NewAggregator(nil),
 		RDAP:       rdap.NewMux(),
@@ -234,7 +231,6 @@ func New(cfg Config) *World {
 		if !reg.InCZDS() {
 			reg.Subscribe(w.CCZones.Ingest)
 		}
-		reg.Subscribe(w.DZDB.IngestSnapshot)
 		w.RDAP.Handle(tld, rdapBackend{reg})
 	}
 

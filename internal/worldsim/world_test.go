@@ -68,8 +68,22 @@ func TestWorldRunProducesObservables(t *testing.T) {
 			t.Error("ccTLD leaked into CZDS")
 		}
 	}
-	if w.DZDB.Len() == 0 {
-		t.Fatal("DZDB never populated")
+	// The zone history holds both the published zones and the seeded
+	// pre-window history.
+	published := 0
+	w.Domains.Range(func(d *Domain) {
+		if _, ok := w.CZDS.FirstSeen(d.Name); ok {
+			published++
+		}
+	})
+	seeded := 0
+	for _, g := range w.Ghosts {
+		if w.CZDS.ExistedBefore(g.Name, g.Created) {
+			seeded++
+		}
+	}
+	if published == 0 || seeded == 0 {
+		t.Fatalf("zone history never populated: %d published, %d of %d ghosts seeded", published, seeded, len(w.Ghosts))
 	}
 }
 

@@ -125,8 +125,14 @@ func (s *Snapshot) Clone() *Snapshot {
 	return &Snapshot{TLD: s.TLD, Serial: s.Serial, Taken: s.Taken, dels: maps.Clone(s.dels)}
 }
 
-// Diff is the difference between two snapshots.
+// Diff is the difference between two snapshots of one zone, headed by
+// the newer one's TLD, Serial and Taken: what a registry publishes each
+// day in place of the whole zone. Its slices are sorted and read-only.
 type Diff struct {
+	TLD    string
+	Serial uint32
+	Taken  time.Time
+
 	Added   []string // domains in new but not old (the zone-file NRDs)
 	Removed []string // domains in old but not new
 	Changed []string // domains present in both with a different NS set
@@ -134,7 +140,7 @@ type Diff struct {
 
 // Compare computes old→new differences with both snapshots materialized.
 func Compare(old, new *Snapshot) Diff {
-	var d Diff
+	d := Diff{TLD: new.TLD, Serial: new.Serial, Taken: new.Taken}
 	for _, dom := range new.Domains() {
 		o := old.dels[dom]
 		if o == nil {
@@ -148,6 +154,30 @@ func Compare(old, new *Snapshot) Diff {
 			d.Removed = append(d.Removed, dom)
 		}
 	}
+	return d
+}
+
+// DiffSince is Compare(old, s) for the old snapshot that s was before
+// the delegations in before changed: before maps each name touched since
+// old to its delegation in old, nil when old lacks it, and every name
+// outside before is the same in both. It costs O(len(before)), not
+// O(zone), and takes no copy of either zone.
+func (s *Snapshot) DiffSince(before map[string]*Delegation) Diff {
+	d := Diff{TLD: s.TLD, Serial: s.Serial, Taken: s.Taken}
+	for dom, o := range before {
+		n := s.dels[dom]
+		switch {
+		case o == nil && n != nil:
+			d.Added = append(d.Added, dom)
+		case o != nil && n == nil:
+			d.Removed = append(d.Removed, dom)
+		case o != nil && !nsEqual(o.NS, n.NS):
+			d.Changed = append(d.Changed, dom)
+		}
+	}
+	sort.Strings(d.Added)
+	sort.Strings(d.Removed)
+	sort.Strings(d.Changed)
 	return d
 }
 
