@@ -36,7 +36,7 @@ func Table1(r *Results) []Table1Row {
 		collected[tld] = true
 	}
 	perTLD := make(map[string]*Table1Row)
-	for _, c := range r.Pipeline.Candidates() {
+	for _, c := range r.candidates() {
 		if !collected[c.TLD] {
 			continue
 		}
@@ -130,7 +130,7 @@ func RenderTable1(rows []Table1Row) string {
 func Figure1(r *Results) (buckets []time.Duration, series []Series) {
 	perTLD := make(map[string][]time.Duration)
 	var all []time.Duration
-	for _, c := range r.Pipeline.Candidates() {
+	for _, c := range r.candidates() {
 		if c.RDAPOutcome != core.RDAPOK || !c.Validated {
 			continue
 		}
@@ -175,7 +175,7 @@ func Figure1(r *Results) (buckets []time.Duration, series []Series) {
 // candidates: the fraction detected within 15 and 45 minutes.
 func Figure1Headline(r *Results) (within15m, within45m float64, median time.Duration) {
 	var all []time.Duration
-	for _, c := range r.Pipeline.Candidates() {
+	for _, c := range r.candidates() {
 		if c.RDAPOutcome == core.RDAPOK && c.Validated {
 			d := c.DetectionDelay()
 			if d < 0 {
@@ -299,7 +299,7 @@ type RDAPStats struct {
 // data (paper: ≈3 %, ≈34 %, ≈97 %).
 func RDAPFailureStats(r *Results) RDAPStats {
 	var s RDAPStats
-	for _, c := range r.Pipeline.Candidates() {
+	for _, c := range r.candidates() {
 		s.NRDTotal++
 		if c.RDAPOutcome != core.RDAPOK {
 			s.NRDFailed++
@@ -538,7 +538,7 @@ func CompareNOD(r *Results, day time.Time) NODComparison {
 	dayEnd := day.Add(24 * time.Hour)
 
 	ctSet := make(map[string]bool)
-	for _, c := range r.Pipeline.Candidates() {
+	for _, c := range r.candidates() {
 		if c.RDAPOutcome == core.RDAPOK && !c.Registered.Before(day) && c.Registered.Before(dayEnd) {
 			ctSet[c.Domain] = true
 		}
@@ -594,7 +594,7 @@ func CCTLDGroundTruth(r *Results) CCTLDResult {
 	tld := r.World.Cfg.CCTLD.TLD
 	res := CCTLDResult{TLD: tld}
 	cands := make(map[string]bool)
-	for _, c := range r.Pipeline.Candidates() {
+	for _, c := range r.candidates() {
 		if c.TLD == tld {
 			cands[c.Domain] = true
 		}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"sync"
 	"time"
 
 	"darkdns/internal/core"
@@ -23,6 +24,17 @@ type Results struct {
 
 	WindowStart time.Time
 	WindowEnd   time.Time
+
+	candsOnce sync.Once
+	cands     []core.Candidate
+}
+
+// candidates is Pipeline.Candidates, copied and sorted once per Results:
+// every experiment reads the same finished campaign. The slice is shared
+// and must not be modified.
+func (r *Results) candidates() []core.Candidate {
+	r.candsOnce.Do(func() { r.cands = r.Pipeline.Candidates() })
+	return r.cands
 }
 
 // RunConfig parameterizes a reproduction run.

@@ -31,7 +31,7 @@ type RZUWhatIfResult struct {
 func RZUWhatIf(r *Results, interval time.Duration) RZUWhatIfResult {
 	res := RZUWhatIfResult{Interval: interval}
 	ct := make(map[string]bool)
-	for _, c := range r.Pipeline.Candidates() {
+	for _, c := range r.candidates() {
 		ct[c.Domain] = true
 	}
 	r.World.Domains.Range(func(d *worldsim.Domain) {

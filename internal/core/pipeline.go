@@ -32,7 +32,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -370,7 +371,7 @@ func (p *Pipeline) Candidates() []Candidate {
 		out = append(out, *c)
 	}
 	p.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
+	slices.SortFunc(out, func(a, b Candidate) int { return strings.Compare(a.Domain, b.Domain) })
 	return out
 }
 

@@ -2,12 +2,22 @@ package ct
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
 var t0 = time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC)
+
+// rootAt is the root of l's first n entries, read through the catch-up
+// STH and the proofs hash the tree with.
+func rootAt(l *Log, n int64) (Hash, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.hashed().root(n)
+}
 
 func buildLog(n int) *Log {
 	l := NewLog("test-log", []byte("k"))
@@ -94,7 +104,7 @@ func TestInclusionProofsAllSizes(t *testing.T) {
 	const n = 33 // crosses several power-of-two boundaries
 	l := buildLog(n)
 	for size := int64(1); size <= n; size++ {
-		root, err := l.tree.root(size)
+		root, err := rootAt(l, size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +126,7 @@ func TestInclusionProofsAllSizes(t *testing.T) {
 
 func TestInclusionProofRejectsWrongLeaf(t *testing.T) {
 	l := buildLog(16)
-	root, _ := l.tree.root(16)
+	root, _ := rootAt(l, 16)
 	proof, _ := l.InclusionProof(3, 16)
 	wrong, _ := l.LeafHashAt(4)
 	if VerifyInclusion(wrong, proof, root) {
@@ -145,11 +155,11 @@ func TestConsistencyProofsAllPairs(t *testing.T) {
 	l := buildLog(n)
 	for m := int64(0); m <= n; m++ {
 		for k := m; k <= n; k++ {
-			first, err := l.tree.root(m)
+			first, err := rootAt(l, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			second, err := l.tree.root(k)
+			second, err := rootAt(l, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,8 +176,8 @@ func TestConsistencyProofsAllPairs(t *testing.T) {
 
 func TestConsistencyRejectsForgery(t *testing.T) {
 	l := buildLog(20)
-	first, _ := l.tree.root(7)
-	second, _ := l.tree.root(20)
+	first, _ := rootAt(l, 7)
+	second, _ := rootAt(l, 20)
 	proof, _ := l.ConsistencyProof(7, 20)
 	bad := first
 	bad[5] ^= 1
@@ -182,8 +192,8 @@ func TestConsistencyRejectsForgery(t *testing.T) {
 func TestTreeRootDeterministic(t *testing.T) {
 	a := buildLog(17)
 	b := buildLog(17)
-	ra, _ := a.tree.root(17)
-	rb, _ := b.tree.root(17)
+	ra, _ := rootAt(a, 17)
+	rb, _ := rootAt(b, 17)
 	if ra != rb {
 		t.Error("identical logs disagree on root")
 	}
@@ -198,7 +208,7 @@ func TestPropertyInclusionHolds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		root, err := l.tree.root(size)
+		root, err := rootAt(l, size)
 		if err != nil {
 			return false
 		}
@@ -210,6 +220,69 @@ func TestPropertyInclusionHolds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLazyTreeMatchesEager holds the tree Append no longer hashes to one
+// that hashed every leaf on arrival: tree heads, inclusion proofs and
+// consistency proofs read at random points between appends — so each
+// read catches up a different number of entries — equal the eager tree's.
+func TestLazyTreeMatchesEager(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := NewLog("lazy", []byte("k"))
+		var eager merkleTree
+		for i := 0; i < 70; i++ {
+			e := l.Append(t0.Add(time.Duration(i)*time.Second), EntryKind(rng.Intn(2)), "CA",
+				fmt.Sprintf("d%d.example.com", i), []string{fmt.Sprintf("www.d%d.example.com", i)}, t0)
+			eager.append(LeafHash(e.leafData()))
+			if rng.Intn(4) != 0 {
+				continue
+			}
+			size := eager.size()
+			sth, err := l.STH(t0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := eager.root(size); sth.TreeSize != size || sth.Root != want {
+				t.Fatalf("seed %d: STH at %d entries = (%d, %x), eager (%d, %x)", seed, size, sth.TreeSize, sth.Root, size, want)
+			}
+			n := rng.Int63n(size) + 1
+			idx := rng.Int63n(n)
+			got, err := l.InclusionProof(idx, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := eager.inclusionProof(idx, n); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: inclusion(%d, %d) = %v, eager %v", seed, idx, n, got, want)
+			}
+			m := rng.Int63n(n + 1)
+			cgot, err := l.ConsistencyProof(m, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := eager.consistencyProof(m, n); !reflect.DeepEqual(cgot, want) {
+				t.Fatalf("seed %d: consistency(%d, %d) = %v, eager %v", seed, m, n, cgot, want)
+			}
+		}
+	}
+}
+
+// TestAppendAllocations bounds what logging one entry costs: the copy of
+// its SANs, and nothing for hashing or for telling a subscriber.
+func TestAppendAllocations(t *testing.T) {
+	l := NewLog("allocs", nil)
+	var seen int64
+	l.Subscribe(func(e Entry) { seen = e.Index })
+	sans := []string{"www.example.com"}
+	allocs := testing.AllocsPerRun(1000, func() {
+		l.Append(t0, PreCertificate, "CA", "example.com", sans, t0)
+	})
+	if allocs > 1 {
+		t.Errorf("Append allocates %v objects per entry, want at most 1", allocs)
+	}
+	if seen == 0 {
+		t.Error("subscriber never called")
 	}
 }
 

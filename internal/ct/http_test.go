@@ -74,8 +74,8 @@ func TestHTTPConsistencyVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, _ := l.tree.root(13)
-	second, _ := l.tree.root(40)
+	first, _ := rootAt(l, 13)
+	second, _ := rootAt(l, 40)
 	if !VerifyConsistency(first, second, proof) {
 		t.Error("HTTP-fetched consistency proof failed verification")
 	}

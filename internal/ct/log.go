@@ -76,12 +76,17 @@ type SignedTreeHead struct {
 }
 
 // Log is an append-only CT log. Safe for concurrent use.
+//
+// The Merkle tree is hashed when something reads it: Append only stores
+// the entry, and STH and the proofs first hash the entries appended since
+// the tree was last read. A campaign that never asks for a tree head
+// hashes nothing.
 type Log struct {
 	name string
 	key  []byte // HMAC key standing in for the log's signing key
 
 	mu      sync.Mutex
-	tree    merkleTree
+	tree    merkleTree // leaf hashes of entries[:tree.size()]
 	entries []Entry
 	subs    []func(Entry)
 }
@@ -109,13 +114,12 @@ func (l *Log) Subscribe(fn func(Entry)) {
 func (l *Log) Append(now time.Time, kind EntryKind, issuer, cn string, sans []string, notBefore time.Time) Entry {
 	l.mu.Lock()
 	e := Entry{
-		Index: l.tree.size(), Kind: kind, Issuer: issuer, CN: cn,
+		Index: int64(len(l.entries)), Kind: kind, Issuer: issuer, CN: cn,
 		SANs: append([]string(nil), sans...), NotBefore: notBefore, Logged: now,
 	}
 	l.entries = append(l.entries, e)
-	l.tree.append(LeafHash(e.leafData()))
-	subs := make([]func(Entry), len(l.subs))
-	copy(subs, l.subs)
+	// Subscribe only appends, so this view of the list never changes.
+	subs := l.subs
 	l.mu.Unlock()
 	for _, fn := range subs {
 		fn(e)
@@ -127,7 +131,16 @@ func (l *Log) Append(now time.Time, kind EntryKind, issuer, cn string, sans []st
 func (l *Log) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.tree.size()
+	return int64(len(l.entries))
+}
+
+// hashed brings the tree up to every appended entry and returns it. The
+// caller holds mu.
+func (l *Log) hashed() *merkleTree {
+	for i := l.tree.size(); i < int64(len(l.entries)); i++ {
+		l.tree.append(LeafHash(l.entries[i].leafData()))
+	}
+	return &l.tree
 }
 
 // Entry returns the entry at index.
@@ -154,11 +167,12 @@ func (l *Log) Range(from, to int64) ([]Entry, error) {
 func (l *Log) STH(now time.Time) (SignedTreeHead, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	root, err := l.tree.root(l.tree.size())
+	tree := l.hashed()
+	root, err := tree.root(tree.size())
 	if err != nil {
 		return SignedTreeHead{}, err
 	}
-	sth := SignedTreeHead{TreeSize: l.tree.size(), Timestamp: now, Root: root}
+	sth := SignedTreeHead{TreeSize: tree.size(), Timestamp: now, Root: root}
 	sth.Signature = l.sign(sth)
 	return sth, nil
 }
@@ -188,14 +202,14 @@ func (l *Log) signBytes(sth SignedTreeHead) []byte {
 func (l *Log) InclusionProof(index, treeSize int64) (InclusionProof, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.tree.inclusionProof(index, treeSize)
+	return l.hashed().inclusionProof(index, treeSize)
 }
 
 // ConsistencyProof builds a proof between two tree sizes.
 func (l *Log) ConsistencyProof(m, n int64) (ConsistencyProof, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.tree.consistencyProof(m, n)
+	return l.hashed().consistencyProof(m, n)
 }
 
 // LeafHashAt recomputes the leaf hash for the entry at index, for use with

@@ -48,9 +48,8 @@ type merkleTree struct {
 	leaves []Hash
 }
 
-func (t *merkleTree) append(leaf Hash) int64 {
+func (t *merkleTree) append(leaf Hash) {
 	t.leaves = append(t.leaves, leaf)
-	return int64(len(t.leaves) - 1)
 }
 
 func (t *merkleTree) size() int64 { return int64(len(t.leaves)) }

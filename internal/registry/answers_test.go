@@ -155,7 +155,7 @@ func TestReadersRaceMutators(t *testing.T) {
 			}
 		}(g)
 	}
-	// The writer owns the clock: Register/Delete stamp Now, and rebuildZone
+	// The writer owns the clock: Register/Delete stamp Now, and rebuildAt
 	// is called directly so no clock event is needed to fire it.
 	now := clk.Now()
 	for round := 0; round < 50; round++ {
@@ -171,7 +171,7 @@ func TestReadersRaceMutators(t *testing.T) {
 			}
 		}
 		now = now.Add(time.Minute)
-		r.rebuildZone(now)
+		r.rebuildAt(now)
 	}
 	close(stop)
 	wg.Wait()
@@ -244,7 +244,7 @@ func TestHandleNotifiesOnEveryAnswerChange(t *testing.T) {
 			case 4:
 				op = "rebuild"
 				now = now.Add(time.Minute)
-				r.rebuildZone(now)
+				r.rebuildAt(now)
 			case 5:
 				op = "resolve"
 				watch([]string{d, "www." + d}[rng.Intn(2)])
@@ -495,7 +495,7 @@ func TestLockFreeReadsSeeOnlyPublishedAnswers(t *testing.T) {
 			check(step, i)
 		}
 		now = now.Add(time.Minute)
-		r.rebuildZone(now)
+		r.rebuildAt(now)
 		for i := 0; i < names; i++ {
 			check(fmt.Sprintf("round %d rebuilt", round), i)
 		}

@@ -4,6 +4,14 @@
 // per-TLD detection-delay differences in Figure 1), daily zone-file
 // publication for CZDS, and the registry-side RDAP data store.
 //
+// Rebuilds happen on the cadence's grid — the registry's creation instant
+// plus whole periods — but only at grid instants something is pending
+// for: the mutation that leaves the first change pending arms one clock
+// event at the next grid instant, and that rebuild applies everything
+// pending by then. A rebuild with nothing to apply changes nothing, so
+// the zone is the one a fixed-cadence rebuild would show, while an idle
+// registry costs its clock no event.
+//
 // A daily publication is the zone's net change since the previous one
 // (a zoneset.Diff), not a copy of the zone: the registry remembers the
 // pre-publication delegation of every name a rebuild touches and
@@ -148,7 +156,15 @@ type Registry struct {
 	// one is delivered before it, however short its own delay.
 	delivered time.Time
 
-	zoneTicker *simclock.Ticker
+	// origin anchors the rebuild grid origin + k·ZoneUpdateEvery. A
+	// rebuild is armed at the next grid instant only while something is
+	// pending (armed), so an idle registry schedules no rebuild at all;
+	// stopped cancels arming and any armed rebuild.
+	origin  time.Time
+	armed   bool
+	stopped bool
+	rebuild func() // rebuildArmed, bound once
+
 	snapTicker *simclock.Ticker
 }
 
@@ -205,9 +221,10 @@ func (rec *record) active() *Registration {
 	return rec.newest
 }
 
-// New creates a registry and starts its zone-rebuild and snapshot tickers
-// on clk. The rng drives publication-delay sampling and must be dedicated
-// to this registry for determinism.
+// New creates a registry and starts its snapshot ticker on clk; the
+// registry's clock time now is the origin of its zone-rebuild grid. The
+// rng drives publication-delay sampling and must be dedicated to this
+// registry for determinism.
 func New(cfg Config, clk simclock.Clock, rng *rand.Rand) *Registry {
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = 24 * time.Hour
@@ -224,8 +241,9 @@ func New(cfg Config, clk simclock.Clock, rng *rand.Rand) *Registry {
 		serial:  1,
 		pending: make(map[string]pendingOp),
 		since:   make(map[string]*zoneset.Delegation),
+		origin:  clk.Now(),
 	}
-	r.zoneTicker = simclock.NewTicker(clk, cfg.ZoneUpdateEvery, func(now time.Time) { r.rebuildZone(now) })
+	r.rebuild = r.rebuildArmed
 	// Every registry generates daily zone files; InCZDS only controls
 	// whether ICANN's CZDS redistributes them (ccTLDs keep theirs
 	// private, which is exactly the paper's §4.4 visibility asymmetry).
@@ -233,9 +251,11 @@ func New(cfg Config, clk simclock.Clock, rng *rand.Rand) *Registry {
 	return r
 }
 
-// Stop halts the registry's tickers.
+// Stop halts the registry's zone rebuilds and snapshot publications.
 func (r *Registry) Stop() {
-	r.zoneTicker.Stop()
+	r.mu.Lock()
+	r.stopped = true
+	r.mu.Unlock()
 	r.snapTicker.Stop()
 }
 
@@ -297,7 +317,7 @@ func (r *Registry) RegisterAt(domain, registrar string, ns []string, web netip.A
 	if cur := rec.live.Load(); cur != nil && (cur.A != nil || reg.webAddrs != nil) {
 		rec.publish(&delegatedAnswer{NS: cur.NS, A: reg.webAddrs})
 	}
-	r.pending[domain] = pendingOp{ns: reg.NS}
+	r.pend(domain, pendingOp{ns: reg.NS})
 	return reg, nil
 }
 
@@ -317,7 +337,7 @@ func (r *Registry) DeleteAt(domain string, at time.Time) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, domain)
 	}
 	reg.Deleted = at
-	r.pending[domain] = pendingOp{del: true}
+	r.pend(domain, pendingOp{del: true})
 	return nil
 }
 
@@ -333,15 +353,40 @@ func (r *Registry) UpdateNS(domain string, ns []string) error {
 	}
 	reg.NS = append([]string(nil), ns...)
 	if op, ok := r.pending[domain]; !ok || !op.del {
-		r.pending[domain] = pendingOp{ns: reg.NS}
+		r.pend(domain, pendingOp{ns: reg.NS})
 	}
 	return nil
 }
 
-// rebuildZone applies pending operations on the registry's cadence.
-func (r *Registry) rebuildZone(now time.Time) {
+// pend records op as domain's pending change and, unless one is already
+// armed, arms a rebuild at the first grid instant origin + k·ZoneUpdateEvery
+// strictly after the clock's now: the instant the registry's cadence would
+// next have rebuilt the zone. The caller holds mu; scheduling under it is
+// safe because a clock never calls back while scheduling.
+func (r *Registry) pend(domain string, op pendingOp) {
+	r.pending[domain] = op
+	if r.armed || r.stopped {
+		return
+	}
+	r.armed = true
+	every := r.cfg.ZoneUpdateEvery
+	r.clk.At(r.origin.Add((r.clk.Now().Sub(r.origin)/every+1)*every), r.rebuild)
+}
+
+// rebuildArmed is the armed rebuild's clock event: it disarms and, unless
+// the registry was stopped, rebuilds the zone at the firing instant.
+func (r *Registry) rebuildArmed() {
+	now := r.clk.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.armed = false
+	if !r.stopped {
+		r.rebuildZone(now)
+	}
+}
+
+// rebuildZone applies pending operations at now. The caller holds mu.
+func (r *Registry) rebuildZone(now time.Time) {
 	if len(r.pending) == 0 {
 		return
 	}

@@ -21,6 +21,14 @@ func newTestRegistry(tld string) (*Registry, *simclock.Sim) {
 	return r, clk
 }
 
+// rebuildAt rebuilds the zone at now, outside any clock event, as an
+// armed rebuild firing at now would.
+func (r *Registry) rebuildAt(now time.Time) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.rebuildZone(now)
+}
+
 func TestRegisterAppearsAfterZoneRebuild(t *testing.T) {
 	r, clk := newTestRegistry("com")
 	defer r.Stop()

@@ -19,8 +19,9 @@
 // the draining goroutine, so every callback reads its own firing instant
 // from Now (DESIGN.md §7). Fired events are recycled through a short
 // free list, and a Ticker re-arms itself with one bound callback, so the
-// steady state of a campaign — registries rebuilding their zones every
-// period, a probe round re-arming the next — allocates nothing per event.
+// steady state of a campaign — a probe round re-arming the next, a
+// registry arming its next zone rebuild when a change is pending, the
+// daily snapshot ticks — allocates nothing per event.
 // Bulk producers (the world builder's commit phase, DESIGN.md §9) install
 // whole timelines through ScheduleBatch, one lock acquisition per batch.
 package simclock

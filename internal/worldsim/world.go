@@ -256,7 +256,8 @@ func New(cfg Config) *World {
 	return w
 }
 
-// Stop halts registry tickers (for tests that abandon a world early).
+// Stop halts the registries' zone rebuilds and snapshot tickers (for
+// tests that abandon a world early).
 func (w *World) Stop() {
 	for _, reg := range w.Registries {
 		reg.Stop()
@@ -264,8 +265,7 @@ func (w *World) Stop() {
 }
 
 // Run advances the clock through the full window plus a drain margin for
-// late snapshots and measurement windows, then stops the registry
-// tickers.
+// late snapshots and measurement windows, then stops the registries.
 func (w *World) Run() {
 	w.Clock.RunUntil(w.drainDeadline())
 	w.Stop()
