@@ -568,7 +568,7 @@ func BenchmarkProbeBatch(b *testing.B) {
 // real TCP at offset 0 before the timer starts. The entries/s metric is
 // total deliveries (publishes × subscribers) per second — the fan-out
 // throughput across the 1/8/64 subscriber ladder.
-func benchFeedFanout(b *testing.B, subs int) feed.FanoutStats {
+func benchFeedFanout(b *testing.B, subs int) {
 	bus := stream.NewBus()
 	topic := bus.Topic("bench-feed")
 	// A deep queue keeps the benchmark shed-free so every subscriber
@@ -621,7 +621,6 @@ func benchFeedFanout(b *testing.B, subs int) feed.FanoutStats {
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(delivered.Load())/secs, "entries/s")
 	}
-	return srv.Stats()
 }
 
 // BenchmarkFeedFanout runs the fan-out ladder the feed tier's acceptance
@@ -633,18 +632,6 @@ func BenchmarkFeedFanout(b *testing.B) {
 			benchFeedFanout(b, subs)
 		})
 	}
-}
-
-// BenchmarkFeedFanoutCachedEncode measures the shared encoding on the
-// fan-out shape that motivates it: the pump encodes each polled batch
-// once and every live subscriber's DATA write copies those bytes. The
-// hits/op metric is deliveries made from the pump's encoding per
-// published entry — the subscriber count, less whatever a subscriber
-// still replayed from the log (encoded by its own session) before it
-// went live.
-func BenchmarkFeedFanoutCachedEncode(b *testing.B) {
-	st := benchFeedFanout(b, 8)
-	b.ReportMetric(float64(st.EncodeCacheHits)/float64(b.N), "hits/op")
 }
 
 func benchName(i int) string {

@@ -103,8 +103,8 @@ func main() {
 			fmt.Println("shutting down")
 			srv.Close()
 			st := srv.Stats()
-			fmt.Printf("served %d sessions: %d entries in %d batches, %d bytes, %d shed, %d gaps, %d encode drops, %d live deliveries from the shared encoding\n",
-				st.Sessions, st.Delivered, st.Batches, st.BytesOut, st.Shed, st.Gaps, st.EncodeDrops, st.EncodeCacheHits)
+			fmt.Printf("served %d sessions: %d entries in %d batches, %d bytes, %d shed, %d gaps, %d encode drops\n",
+				st.Sessions, st.Delivered, st.Batches, st.BytesOut, st.Shed, st.Gaps, st.EncodeDrops)
 			w.Stop()
 			if err := stopProfiles(); err != nil {
 				fmt.Fprintln(os.Stderr, "feedserver:", err)

@@ -137,31 +137,38 @@ func (c *Client) Subscribe(ctx context.Context, opts SubscribeOptions) (*Subscri
 }
 
 // handshake dials and completes HELLO/SUBSCRIBE, returning the connected
-// session ready for delivery frames.
-func (c *Client) handshake(ctx context.Context, opts SubscribeOptions, from int64) (*subConn, error) {
+// session ready for delivery frames. When ctx ends first it closes the
+// connection, failing the read in progress, and returns an error wrapping
+// ctx.Err().
+func (c *Client) handshake(ctx context.Context, opts SubscribeOptions, from int64) (_ *subConn, err error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		return nil, err
 	}
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer func() {
+		if !stop() {
+			err = fmt.Errorf("feed: handshake: %w", ctx.Err())
+		}
+		if err != nil {
+			conn.Close()
+		}
+	}()
 	sc := &subConn{conn: conn, r: bufio.NewScanner(conn)}
 	sc.r.Buffer(make([]byte, 0, 64<<10), 8<<20)
 	if opts.Tenant != "" {
 		if _, err := fmt.Fprintf(conn, "HELLO %s\n", opts.Tenant); err != nil {
-			conn.Close()
 			return nil, err
 		}
 		f, err := sc.readFrame()
 		if err != nil {
-			conn.Close()
 			return nil, err
 		}
 		if f.Kind == FrameError {
-			conn.Close()
 			return nil, fmt.Errorf("feed: %s: %s", f.Code, f.Reason)
 		}
 		if f.Kind != FrameWelcome {
-			conn.Close()
 			return nil, fmt.Errorf("feed: expected welcome, got %s", f.Kind)
 		}
 	}
@@ -171,20 +178,16 @@ func (c *Client) handshake(ctx context.Context, opts SubscribeOptions, from int6
 		_, err = fmt.Fprintf(conn, "SUBSCRIBE FROM %d\n", from)
 	}
 	if err != nil {
-		conn.Close()
 		return nil, err
 	}
 	f, err := sc.readFrame()
 	if err != nil {
-		conn.Close()
 		return nil, err
 	}
 	if f.Kind == FrameError {
-		conn.Close()
 		return nil, fmt.Errorf("feed: %s: %s", f.Code, f.Reason)
 	}
 	if f.Kind != FrameSubscribed {
-		conn.Close()
 		return nil, fmt.Errorf("feed: expected subscribed, got %s", f.Kind)
 	}
 	return sc, nil

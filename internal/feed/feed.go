@@ -13,13 +13,15 @@
 //   - wire.go     — the DATA-frame codec: append-style entry encoder and
 //     the canonical-shape decoder, both held to encoding/json's bytes
 //   - registry.go — sharded subscriber registry, tenants, bounded queues
-//   - server.go   — listener, session loop, fan-out pump, delivery
+//   - server.go   — listener, session loop, fan-out pump, encoded log,
+//     delivery
 //   - client.go   — Subscribe/Subscription consumer with auto-resume
 //
-// An entry is encoded once per pump batch and those bytes are what every
-// live subscriber's queue holds; a replaying session encodes its own log
-// reads. FanoutStats.EncodeCacheHits counts the deliveries that used the
-// pump's shared encoding.
+// Each entry is encoded once, by the pump (or, for entries published
+// before Serve, by Serve's backlog pass), into an offset-indexed log the
+// server keeps beside the topic. Live queues hold those bytes and replays
+// read them from the log, so no session encodes, and
+// FanoutStats.EncodeCacheHits counts every delivery.
 //
 // DESIGN.md §11 describes the architecture and its delivery contract:
 // every subscriber of the same topic at the same offset observes a

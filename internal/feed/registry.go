@@ -54,7 +54,8 @@ func ParseShedPolicy(s string) (ShedPolicy, error) {
 }
 
 // subQueue is one subscriber's bounded live-delivery queue. The pump
-// offers batches of encoded entries; the session writer takes them.
+// offers each batch it has just appended to the encoded log; the session
+// writer takes them.
 // Overflow applies the shed policy and, for drop-oldest, accumulates the
 // evicted offset range so the writer can emit one coalesced GAP frame.
 type subQueue struct {
@@ -64,8 +65,8 @@ type subQueue struct {
 	policy ShedPolicy
 
 	// live gates the pump: during a subscriber's catch-up replay the
-	// queue rejects offers (the writer reads the log directly), so long
-	// replays do not churn the queue.
+	// queue rejects offers (the writer reads the encoded log directly),
+	// so long replays do not churn the queue.
 	live bool
 
 	// shedFrom/shedTo is the pending evicted range (inclusive); -1 when
@@ -85,9 +86,10 @@ func newSubQueue(bound int, policy ShedPolicy) *subQueue {
 }
 
 // offer enqueues ents for a live subscriber, applying the shed policy on
-// overflow. It copies the entries but not their encodings, which the
-// queues of one broadcast share. It never blocks — the fan-out pump must
-// not stall on one slow subscriber (the athena-dhcpd event-bus rule).
+// overflow. It copies the entries but not their encodings, which belong
+// to the server's encoded log and never change. It never blocks — the
+// fan-out pump must not stall on one slow subscriber (the athena-dhcpd
+// event-bus rule).
 // Returns the number of entries evicted (drop-oldest) for the server's
 // shed counter.
 func (q *subQueue) offer(ents []wireEntry) int64 {
@@ -128,7 +130,8 @@ func (q *subQueue) offer(ents []wireEntry) int64 {
 }
 
 // goLive flips the queue into live mode; offers before this are dropped
-// because the writer is replaying from the log.
+// because the writer is replaying from the encoded log, which the pump
+// appends to before it offers.
 func (q *subQueue) goLive() {
 	q.mu.Lock()
 	q.live = true

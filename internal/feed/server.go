@@ -72,9 +72,10 @@ type FanoutStats struct {
 	Shed        int64 // entries evicted by drop-oldest shedding
 	Gaps        int64 // GAP frames emitted
 	EncodeDrops int64 // entries lost to encoding failures (gap-marked)
-	// EncodeCacheHits counts the delivered entries whose bytes were the
-	// pump's shared encoding — every live delivery, no replayed one (a
-	// replaying session encodes its own log reads).
+	// EncodeCacheHits counts the delivered entries whose bytes came from
+	// the server's encoded log. Each entry is encoded once, by the pump
+	// or Serve's backlog pass, and live and replayed deliveries both send
+	// those bytes, so this always equals Delivered.
 	EncodeCacheHits int64
 	Disconnects     int64 // subscribers cut by the disconnect shed policy
 }
@@ -84,6 +85,7 @@ type Server struct {
 	topic *stream.Topic
 	cfg   ServerConfig
 	reg   *registry
+	log   encodedLog
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -92,16 +94,15 @@ type Server struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 
-	sessions        atomic.Int64
-	delivered       atomic.Int64
-	batches         atomic.Int64
-	bytesOut        atomic.Int64
-	heartbeats      atomic.Int64
-	shed            atomic.Int64
-	gaps            atomic.Int64
-	encodeDrops     atomic.Int64
-	encodeCacheHits atomic.Int64
-	disconnects     atomic.Int64
+	sessions    atomic.Int64
+	delivered   atomic.Int64
+	batches     atomic.Int64
+	bytesOut    atomic.Int64
+	heartbeats  atomic.Int64
+	shed        atomic.Int64
+	gaps        atomic.Int64
+	encodeDrops atomic.Int64
+	disconnects atomic.Int64
 }
 
 // NewServer serves the given topic with default configuration.
@@ -150,7 +151,7 @@ func (s *Server) Serve(addr string) (net.Addr, error) {
 	s.ln = ln
 	s.mu.Unlock()
 	group := fmt.Sprintf("feed-fanout-%d", pumpNonce.Add(1))
-	s.topic.Commit(group, int64(s.topic.Len()))
+	s.topic.Commit(group, s.encodeBacklog())
 	s.wg.Add(2)
 	go s.pump(group)
 	go s.acceptLoop(ln)
@@ -189,6 +190,7 @@ func (s *Server) Close() error {
 // Stats returns the tier's counters.
 func (s *Server) Stats() FanoutStats {
 	subs, queued, maxDepth := s.reg.count()
+	delivered := s.delivered.Load()
 	return FanoutStats{
 		Subscribers: subs,
 		Tenants:     s.reg.tenantCount(),
@@ -196,27 +198,39 @@ func (s *Server) Stats() FanoutStats {
 		MaxDepth:    maxDepth,
 
 		Sessions:        s.sessions.Load(),
-		Delivered:       s.delivered.Load(),
+		Delivered:       delivered,
 		Batches:         s.batches.Load(),
 		BytesOut:        s.bytesOut.Load(),
 		Heartbeats:      s.heartbeats.Load(),
 		Shed:            s.shed.Load(),
 		Gaps:            s.gaps.Load(),
 		EncodeDrops:     s.encodeDrops.Load(),
-		EncodeCacheHits: s.encodeCacheHits.Load(),
+		EncodeCacheHits: delivered,
 		Disconnects:     s.disconnects.Load(),
 	}
 }
 
+// encodeBacklog appends the entries published before Serve to the log
+// and returns its head, the offset the pump's group starts at.
+func (s *Server) encodeBacklog() int64 {
+	for {
+		msgs := s.topic.Read(s.log.len(), 4*s.cfg.BatchMax)
+		if len(msgs) == 0 {
+			return s.log.len()
+		}
+		s.log.append(msgs)
+	}
+}
+
 // pump is the single topic consumer feeding every subscriber queue: one
-// consumer group for the whole tier, dropped on shutdown. It encodes each
-// polled batch once, into a slab of its own that the batch's entries
-// share across every queue until the last subscriber has written them.
+// consumer group for the whole tier, dropped on shutdown. It appends each
+// polled batch to the log before it broadcasts it, so a session that goes
+// live after a missed broadcast finds those entries in its second replay,
+// and readies the log's next storage only after the broadcast.
 func (s *Server) pump(group string) {
 	defer s.wg.Done()
 	consumer := stream.NewConsumer(s.topic, group, 4*s.cfg.BatchMax)
 	defer consumer.Close()
-	var ents []wireEntry // offer copies entries out, so one slice serves every batch
 	for {
 		select {
 		case <-s.done:
@@ -227,15 +241,118 @@ func (s *Server) pump(group string) {
 		if !ok {
 			continue
 		}
-		// A guess at the encoded size; appendEntry grows the slab when
-		// escaping needs more.
-		size := 128 * len(msgs)
-		for i := range msgs {
-			size += len(msgs[i].Key) + len(msgs[i].Value)
-		}
-		_, ents = encodeBatch(make([]byte, 0, size), ents[:0], msgs)
-		s.shed.Add(s.reg.broadcast(ents))
+		s.shed.Add(s.reg.broadcast(s.log.append(msgs)))
+		s.log.reserve()
 	}
+}
+
+// Encoded-log geometry: entries live in fixed pages, so appending never
+// moves one, and encodings in chunks they are copied into at their exact
+// size.
+const (
+	logPage  = 4096
+	logChunk = 64 << 10
+)
+
+// encodedLog is the server's append-only record of every entry it has
+// encoded, indexed by offset. Its one writer (the backlog pass, then the
+// pump) encodes, copies and publishes; replaying sessions read it. Pages
+// and encodings never change once written, so the lock covers only the
+// head and the page table.
+type encodedLog struct {
+	mu    sync.RWMutex
+	pages [][]wireEntry
+	head  int64
+
+	// Writer-only: the chunk being filled, the one reserved to follow it,
+	// and the scratch slab and entries each batch is encoded into before
+	// it is copied out.
+	chunk []byte
+	spare []byte
+	slab  []byte
+	ents  []wireEntry
+}
+
+// len returns the log's head: the offset after its last entry.
+func (l *encodedLog) len() int64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.head
+}
+
+// append encodes msgs, which continue the log from its head, and appends
+// them. The returned entries are the writer's scratch, valid until the
+// next append; their encodings belong to the log and never change.
+func (l *encodedLog) append(msgs []stream.Message) []wireEntry {
+	l.slab, l.ents = encodeBatch(l.slab[:0], l.ents[:0], msgs)
+	for i := range l.ents {
+		e := &l.ents[i]
+		if e.enc == nil {
+			continue
+		}
+		if cap(l.chunk)-len(l.chunk) < len(e.enc) {
+			l.chunk = l.nextChunk(len(e.enc))
+		}
+		start := len(l.chunk)
+		l.chunk = append(l.chunk, e.enc...)
+		e.enc = l.chunk[start:len(l.chunk):len(l.chunk)]
+	}
+	l.mu.Lock()
+	for _, e := range l.ents {
+		p := l.head / logPage
+		if p == int64(len(l.pages)) {
+			l.pages = append(l.pages, make([]wireEntry, logPage))
+		}
+		l.pages[p][l.head%logPage] = e
+		l.head++
+	}
+	l.mu.Unlock()
+	return l.ents
+}
+
+// nextChunk returns an empty chunk with room for n bytes: the reserved
+// spare when it is large enough, else a new one.
+func (l *encodedLog) nextChunk(n int) []byte {
+	if c := l.spare; cap(c) >= n {
+		l.spare = nil
+		return c[:0]
+	}
+	return make([]byte, 0, max(logChunk, n))
+}
+
+// reserve readies the storage the next appends will need: a spare chunk
+// once the current one is three-quarters full, and the page after the
+// last once fewer than a quarter page of slots remain. Each is cleared,
+// because a fresh allocation may come as untouched memory whose pages
+// would otherwise fault in under append's copy, between a batch's
+// publication and its broadcast. Pages beyond the head are never read.
+func (l *encodedLog) reserve() {
+	if l.spare == nil && cap(l.chunk)-len(l.chunk) < logChunk/4 {
+		l.spare = make([]byte, logChunk)
+		clear(l.spare)
+	}
+	// The writer alone changes head and pages, so it reads them unlocked.
+	if int64(len(l.pages))*logPage-l.head < logPage/4 {
+		page := make([]wireEntry, logPage)
+		clear(page)
+		l.mu.Lock()
+		l.pages = append(l.pages, page)
+		l.mu.Unlock()
+	}
+}
+
+// read returns up to max entries from off, stopping at the head and at
+// the end of off's page; nil when off is at or past the head. The slice
+// aliases the log and must not be written.
+func (l *encodedLog) read(off int64, max int) []wireEntry {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if off >= l.head {
+		return nil
+	}
+	i := off % logPage
+	end := min(i+int64(max), logPage, i+l.head-off)
+	return l.pages[off/logPage][i:end:end]
 }
 
 func (s *Server) acceptLoop(ln net.Listener) {
@@ -303,12 +420,9 @@ type session struct {
 	sub       *subscriber
 	deliverWG sync.WaitGroup
 
-	// Delivery buffers, touched only by the delivery goroutine: the DATA
-	// line being assembled, and a replayed log read's encodings and
-	// entries. Reused from frame to frame, dropped when catch-up ends.
+	// frame is the DATA line being assembled, touched only by the
+	// delivery goroutine and reused from frame to frame.
 	frame []byte
-	slab  []byte
-	ents  []wireEntry
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -433,8 +547,6 @@ func (s *session) deliver(sub *subscriber, from int64) {
 	if !s.replayLog(sub, &next) {
 		return
 	}
-	// A session may tail for days: do not hold a replay's buffers under it.
-	s.frame, s.slab, s.ents = nil, nil, nil
 	var hbSeq int64
 	for {
 		ents, gap, ok, reason := sub.queue.take(srv.cfg.Heartbeat)
@@ -483,7 +595,7 @@ func (s *session) deliver(sub *subscriber, from int64) {
 		}
 		for len(ents) > 0 {
 			n := min(len(ents), srv.cfg.BatchMax)
-			if !s.send(sub, ents[:n], &next, true) {
+			if !s.send(sub, ents[:n], &next) {
 				return
 			}
 			ents = ents[n:]
@@ -491,19 +603,17 @@ func (s *session) deliver(sub *subscriber, from int64) {
 	}
 }
 
-// replayLog streams the topic log from *next until caught up or the
-// queue is closed mid-replay (unsubscribe / shutdown cut a deep replay
-// short; the live loop's take then reports the closure); false means the
-// connection failed. Each log read is encoded into the session's own
-// slab, overwritten by the next read.
+// replayLog sends the encoded log from *next until it reaches the head
+// or the queue is closed mid-replay (unsubscribe / shutdown cut a deep
+// replay short; the live loop's take then reports the closure); false
+// means the connection failed.
 func (s *session) replayLog(sub *subscriber, next *int64) bool {
 	for !sub.queue.isClosed() {
-		batch := s.srv.topic.Read(*next, s.srv.cfg.BatchMax)
-		if len(batch) == 0 {
+		ents := s.srv.log.read(*next, s.srv.cfg.BatchMax)
+		if len(ents) == 0 {
 			return true
 		}
-		s.slab, s.ents = encodeBatch(s.slab[:0], s.ents[:0], batch)
-		if !s.send(sub, s.ents, next, false) {
+		if !s.send(sub, ents, next) {
 			return false
 		}
 	}
@@ -515,9 +625,9 @@ func (s *session) replayLog(sub *subscriber, next *int64) bool {
 // goes out as one DATA frame, and an entry that could not be encoded is
 // dropped loudly — counted in Stats and covered by a GAP marker — never
 // silently skipped. Frames go out in offset order and *next follows
-// them, so a client's resume cursor never moves backwards. shared says
-// the encodings are the pump's. false means the connection failed.
-func (s *session) send(sub *subscriber, ents []wireEntry, next *int64, shared bool) bool {
+// them, so a client's resume cursor never moves backwards. false means
+// the connection failed.
+func (s *session) send(sub *subscriber, ents []wireEntry, next *int64) bool {
 	srv := s.srv
 	if d := sub.tenant.reserve(len(ents), time.Now()); d > 0 {
 		time.Sleep(d)
@@ -543,9 +653,6 @@ func (s *session) send(sub *subscriber, ents []wireEntry, next *int64, shared bo
 		}
 		srv.delivered.Add(int64(n))
 		srv.batches.Add(1)
-		if shared {
-			srv.encodeCacheHits.Add(int64(n))
-		}
 		*next = ents[n-1].off + 1
 		ents = ents[n:]
 	}

@@ -4,14 +4,17 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"darkdns/internal/stream"
 )
@@ -665,6 +668,113 @@ func TestClientAutoResume(t *testing.T) {
 	}
 }
 
+// muteListener accepts connections and never writes to them; each
+// accepted connection is announced on the returned channel. answer, when
+// set, serves the first connection instead: it reads the SUBSCRIBE line,
+// answers SUBSCRIBED and hangs up.
+func muteListener(t *testing.T, answer bool) (string, <-chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for every connection a test makes, so the accept loop never
+	// blocks on an announcement nobody reads.
+	accepted := make(chan struct{}, 16)
+	var mu sync.Mutex
+	var conns []net.Conn
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	go func() {
+		for first := true; ; first = false {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if first && answer {
+				if _, err := bufio.NewReader(c).ReadString('\n'); err == nil {
+					line, _ := encodeFrame(&Frame{Kind: FrameSubscribed})
+					c.Write(line)
+				}
+				c.Close()
+			} else {
+				mu.Lock()
+				conns = append(conns, c)
+				mu.Unlock()
+			}
+			accepted <- struct{}{}
+		}
+	}()
+	return ln.Addr().String(), accepted
+}
+
+// TestSubscribeHandshakeHonoursContext subscribes to a server that
+// accepts and never answers: Subscribe must give up when its context
+// ends, not wait on the handshake read.
+func TestSubscribeHandshakeHonoursContext(t *testing.T) {
+	t.Parallel()
+	addr, _ := muteListener(t, false)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		sub, err := NewClient(addr).Subscribe(ctx, SubscribeOptions{From: 0})
+		if sub != nil {
+			sub.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Subscribe returned %v, want an error wrapping context.DeadlineExceeded", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Subscribe still blocked 2s into a 200ms context")
+	}
+}
+
+// TestResumeHandshakeHonoursClose is the resume half: the server answers,
+// drops the connection, then accepts the reconnect and never answers it.
+// Close must end the resume handshake and close C.
+func TestResumeHandshakeHonoursClose(t *testing.T) {
+	t.Parallel()
+	addr, accepted := muteListener(t, true)
+	sub, err := NewClient(addr).Subscribe(context.Background(), SubscribeOptions{
+		From: 0, AutoResume: true, ResumeBackoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-accepted
+	select {
+	case <-accepted: // the reconnect is in its handshake
+	case <-time.After(5 * time.Second):
+		t.Fatal("the client never reconnected")
+	}
+	sub.Close()
+	timeout := time.After(2 * time.Second)
+	for {
+		select {
+		case _, ok := <-sub.C:
+			if !ok {
+				if !errors.Is(sub.Err(), ErrStopped) {
+					t.Errorf("Err = %v, want ErrStopped", sub.Err())
+				}
+				return
+			}
+		case <-timeout:
+			t.Fatal("C still open 2s after Close, with the resume handshake unanswered")
+		}
+	}
+}
+
 // TestStreamShimStopsOnCancelAndReplays (the name is from the retired
 // Client.Stream shim) pins its contract on Subscribe itself: a consumer
 // that cancels from inside its own loop, right after the last replayed
@@ -804,9 +914,9 @@ func collect(t *testing.T, sub *Subscription, n int) []Entry {
 }
 
 // TestEncodeCacheHitsAcrossSubscribers pins what the counter means: an
-// entry delivered from the pump's one encoding counts, so N entries
+// entry delivered from the server's one encoding counts, so N entries
 // published to two live subscribers count 2N, and a replay of the same
-// range — encoded by the replaying session itself — counts none.
+// range, read from the encoded log, counts like a live delivery.
 func TestEncodeCacheHitsAcrossSubscribers(t *testing.T) {
 	t.Parallel()
 	topic, addr, srv := startFeedServer(t, ServerConfig{Heartbeat: 20 * time.Millisecond})
@@ -830,8 +940,178 @@ func TestEncodeCacheHitsAcrossSubscribers(t *testing.T) {
 	defer sub.Close()
 	collect(t, sub, entries)
 	st := waitStats(t, srv, func(st FanoutStats) bool { return st.Delivered == 3*entries })
-	if st.EncodeCacheHits != 2*entries {
-		t.Errorf("a replay moved the counter from %d to %d", 2*entries, st.EncodeCacheHits)
+	if st.EncodeCacheHits != 3*entries {
+		t.Errorf("after a replay of %d entries the counter reads %d, want %d", entries, st.EncodeCacheHits, 3*entries)
+	}
+}
+
+// readObjects reads DATA frames until want entries have arrived and
+// returns each entry's JSON object exactly as it crossed the wire, keyed
+// by offset. A GAP or a repeated offset fails the test.
+func readObjects(t *testing.T, r *bufio.Reader, want int) map[int64]string {
+	t.Helper()
+	objects := make(map[int64]string, want)
+	for len(objects) < want {
+		line, err := r.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("read after %d of %d entries: %v", len(objects), want, err)
+		}
+		var f struct {
+			Frame   string            `json:"frame"`
+			Entries []json.RawMessage `json:"entries"`
+		}
+		if err := json.Unmarshal(line, &f); err != nil {
+			t.Fatalf("decode %q: %v", line, err)
+		}
+		switch f.Frame {
+		case FrameHeartbeat:
+			continue
+		case FrameData:
+		default:
+			t.Fatalf("unexpected frame %s", line)
+		}
+		for _, raw := range f.Entries {
+			var e Entry
+			if err := json.Unmarshal(raw, &e); err != nil {
+				t.Fatalf("entry %s: %v", raw, err)
+			}
+			if _, dup := objects[e.Offset]; dup {
+				t.Fatalf("offset %d delivered twice", e.Offset)
+			}
+			objects[e.Offset] = string(raw)
+		}
+	}
+	return objects
+}
+
+// TestReplayOfBacklogMatchesLive publishes a backlog before Serve and
+// more entries while a throttled subscriber is still replaying it. The
+// replaying subscriber must receive every offset once, each as the
+// reference encoding of its message, and the entries published during
+// the replay must reach it and a live subscriber as the same bytes.
+func TestReplayOfBacklogMatchesLive(t *testing.T) {
+	t.Parallel()
+	const backlog, during = 200, 200
+	topic := stream.NewBus().Topic("nrd-feed")
+	publish := func(i int) {
+		d := fmt.Sprintf("d%d.com", i)
+		topic.Publish(t0.Add(time.Duration(i)*time.Second), d, []byte(`{"name":"<`+d+`>","n":"\u00e9\n"}`))
+	}
+	for i := 0; i < backlog; i++ {
+		publish(i)
+	}
+	srv := NewServerConfig(topic, ServerConfig{
+		QueueBound: 1 << 14, BatchMax: 16, TenantRate: 1000, Heartbeat: 20 * time.Millisecond,
+	})
+	addrs, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	addr := addrs.String()
+
+	live := subscribeLive(t, addr)
+	// Spend the replaying tenant's burst: at 1000 entries/s its replay of
+	// the backlog takes 0.2 s, and the publishes below land inside it.
+	conn, replay := rawSession(t, addr)
+	fmt.Fprintf(conn, "HELLO replay\n")
+	if f := readFrameLine(t, replay); f.Kind != FrameWelcome {
+		t.Fatalf("welcome = %+v", f)
+	}
+	srv.reg.tenant("replay").reserve(1000, time.Now())
+	fmt.Fprintf(conn, "SUBSCRIBE FROM 0\n")
+	if f := readFrameLine(t, replay); f.Kind != FrameSubscribed {
+		t.Fatalf("subscribed = %+v", f)
+	}
+	first := readObjects(t, replay, 16)
+	for i := backlog; i < backlog+during; i++ {
+		publish(i)
+	}
+	replayed := readObjects(t, replay, backlog+during-len(first))
+	for off, obj := range first {
+		if _, dup := replayed[off]; dup {
+			t.Fatalf("offset %d delivered twice", off)
+		}
+		replayed[off] = obj
+	}
+	for _, m := range topic.Read(0, backlog+during) {
+		want, err := referenceEncodeEntry(Entry{Offset: m.Offset, Time: m.Time, Domain: m.Key, Raw: string(m.Value)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := replayed[m.Offset]; !ok || got != string(want) {
+			t.Fatalf("replayed offset %d = %q, want %s", m.Offset, got, want)
+		}
+	}
+	for off, obj := range readObjects(t, live, during) {
+		if off < backlog || replayed[off] != obj {
+			t.Fatalf("live offset %d = %s, replayed %s", off, obj, replayed[off])
+		}
+	}
+}
+
+// TestEncodedLogReadsAcrossPages appends batches that straddle page
+// boundaries, one entry unencodable, and reads the log back near them:
+// a read stops at the head or at its page's end, and every entry keeps
+// its offset and its encoding.
+func TestEncodedLogReadsAcrossPages(t *testing.T) {
+	const n = 2*logPage + 300
+	msgs := make([]stream.Message, n)
+	for i := range msgs {
+		msgs[i] = stream.Message{Offset: int64(i), Time: t0.Add(time.Duration(i) * time.Second), Key: fmt.Sprintf("d%d.com", i)}
+	}
+	msgs[logPage].Time = poisonTime
+	var l encodedLog
+	for i := 0; i < n; i += 1000 {
+		l.append(msgs[i:min(i+1000, n)])
+	}
+	if l.len() != n {
+		t.Fatalf("head = %d, want %d", l.len(), n)
+	}
+	_, want := encodeBatch(nil, nil, msgs)
+	for _, off := range []int64{0, logPage - 5, logPage, 2*logPage - 1, n - 3, n} {
+		got := l.read(off, 256)
+		if wantLen := min(256, logPage-off%logPage, n-off); int64(len(got)) != wantLen {
+			t.Fatalf("read(%d) returned %d entries, want %d", off, len(got), wantLen)
+		}
+		for i, e := range got {
+			w := want[off+int64(i)]
+			if e.off != w.off || (e.enc == nil) != (w.enc == nil) || !bytes.Equal(e.enc, w.enc) {
+				t.Fatalf("read(%d)[%d] = {%d %q}, want {%d %q}", off, i, e.off, e.enc, w.off, w.enc)
+			}
+		}
+	}
+}
+
+// TestAppendAfterReserveOnlyCopies runs the pump's steady state across
+// two page boundaries: after reserve, appending a 16-entry batch only
+// copies, into the chunk in use or the spare and into pages reserve has
+// already added, so no log storage is allocated between a batch's
+// publication and its broadcast, and the reserved pages read back intact.
+func TestAppendAfterReserveOnlyCopies(t *testing.T) {
+	const batch, n = 16, 2*logPage + 512
+	msgs := make([]stream.Message, n)
+	for i := range msgs {
+		msgs[i] = stream.Message{Offset: int64(i), Time: t0.Add(time.Duration(i) * time.Second), Key: fmt.Sprintf("d%d.com", i)}
+	}
+	var l encodedLog
+	for i := 0; i < n; i += batch {
+		l.reserve()
+		chunk, spare, pages := unsafe.SliceData(l.chunk), unsafe.SliceData(l.spare), len(l.pages)
+		l.append(msgs[i : i+batch])
+		if c := unsafe.SliceData(l.chunk); c != chunk && c != spare {
+			t.Fatalf("append at offset %d allocated a chunk after reserve", i)
+		}
+		if len(l.pages) != pages {
+			t.Fatalf("append at offset %d added a page after reserve", i)
+		}
+	}
+	_, want := encodeBatch(nil, nil, msgs)
+	for _, off := range []int64{logPage - 1, logPage, 2*logPage - 1, 2 * logPage} {
+		got := l.read(off, 1)
+		if len(got) != 1 || got[0].off != off || !bytes.Equal(got[0].enc, want[off].enc) {
+			t.Fatalf("read(%d) = %+v, want offset %d encoded %q", off, got, off, want[off].enc)
+		}
 	}
 }
 

@@ -38,8 +38,8 @@ var wireSafe = func() (t [utf8.RuneSelf]bool) {
 // wireEntry is one topic message in delivery form: its offset and its
 // encoded JSON object. A nil enc marks an entry that could not be
 // encoded; the writer turns it into an encode GAP. enc is read-only and
-// full-slice-capped — the pump's encodings are shared by every live
-// subscriber's queue.
+// full-slice-capped: it points into the server's encoded log, which every
+// live queue and every replay reads.
 type wireEntry struct {
 	off int64
 	enc []byte

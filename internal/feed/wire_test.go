@@ -280,14 +280,17 @@ func (discardConn) Write(p []byte) (int, error)      { return len(p), nil }
 func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestReplayBatchAllocatesNothing pins the server half of the wire path:
-// once a session's buffers are warm, reading a 256-entry batch from the
-// log, encoding it, framing it and writing it costs no allocation.
+// once a session's frame buffer is warm, reading a 256-entry batch from
+// the encoded log, framing it and writing it costs no allocation.
 func TestReplayBatchAllocatesNothing(t *testing.T) {
 	topic := stream.NewBus().Topic("nrd-feed")
 	for _, m := range benchBatch() {
 		topic.Publish(m.Time, m.Key, m.Value)
 	}
 	srv := NewServer(topic)
+	if head := srv.encodeBacklog(); head != 256 {
+		t.Fatalf("backlog head = %d, want 256", head)
+	}
 	conn := discardConn{}
 	sess := &session{srv: srv, conn: conn, w: &frameWriter{
 		conn: conn, bw: bufio.NewWriter(conn), timeout: time.Second, bytes: &srv.bytesOut,
