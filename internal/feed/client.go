@@ -240,7 +240,15 @@ func (c *Client) run(ctx context.Context, sc *subConn, opts SubscribeOptions, su
 
 	backoff := opts.ResumeBackoff
 	attempts := 0
+	// emit tries the send alone first, so an event that finds room in C
+	// costs one channel lock; only a full C waits on ctx as well. That
+	// send does not look at ctx, so the loop checks it once per frame.
 	emit := func(ev Event) bool {
+		select {
+		case ch <- ev:
+			return true
+		default:
+		}
 		select {
 		case ch <- ev:
 			return true
@@ -314,6 +322,13 @@ func (c *Client) run(ctx context.Context, sc *subConn, opts SubscribeOptions, su
 		}
 		attempts = 0
 		backoff = opts.ResumeBackoff
+		// After Close, at most the rest of the frame being delivered gets
+		// through, not every frame already buffered in the scanner.
+		if ctx.Err() != nil {
+			sc.conn.Close()
+			sub.setErr(ErrStopped)
+			return
+		}
 		switch f.Kind {
 		case FrameData:
 			for _, e := range f.Entries {

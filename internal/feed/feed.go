@@ -32,7 +32,10 @@ import (
 	"time"
 )
 
-// Entry is one feed record as delivered to subscribers.
+// Entry is one feed record as delivered to subscribers. A Client decodes
+// the DATA frames a server writes into one string per entry, Domain then
+// Raw, and slices both fields from it: retaining Domain keeps that
+// entry's Raw alive too.
 type Entry struct {
 	Offset int64     `json:"offset"`
 	Time   time.Time `json:"time"`

@@ -1223,6 +1223,52 @@ func TestEventsSurviveBufferReuse(t *testing.T) {
 	}
 }
 
+// TestCloseBoundsLateDeliveries pins how much a Subscription still
+// delivers once Close returns: what C already buffers and the rest of
+// the DATA frame being delivered, not every frame the client has read
+// ahead. A send into C does not wait on the context while C has room,
+// so this is the per-frame context check's test. It closes mid-stream,
+// while the consumer keeps C from filling, and repeats that because a
+// missing check shows only when the consumer outpaces the delivery loop.
+func TestCloseBoundsLateDeliveries(t *testing.T) {
+	t.Parallel()
+	const batchMax, buffer = 4, 8
+	topic, addr, _ := startFeedServer(t, ServerConfig{BatchMax: batchMax})
+	for i := 0; i < 10000; i++ {
+		topic.Publish(t0, fmt.Sprintf("d%d.com", i), []byte(`{"i":0}`))
+	}
+	for round := 0; round < 20; round++ {
+		sub, err := NewClient(addr).Subscribe(context.Background(), SubscribeOptions{From: 0, Buffer: buffer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 1000; i++ {
+			if ev, ok := <-sub.C; !ok || ev.Kind != EventEntry {
+				t.Fatalf("event %d = %+v, open %v: %v", i, ev, ok, sub.Err())
+			}
+		}
+		sub.Close()
+		late := 0
+		timeout := time.After(10 * time.Second)
+		for open := true; open; {
+			select {
+			case _, open = <-sub.C:
+				if open {
+					late++
+				}
+			case <-timeout:
+				t.Fatalf("C still open 10s after Close, %d events later", late)
+			}
+		}
+		if late > buffer+batchMax {
+			t.Errorf("round %d: %d events after Close, want at most %d (Buffer + BatchMax)", round, late, buffer+batchMax)
+		}
+		if !errors.Is(sub.Err(), ErrStopped) {
+			t.Errorf("round %d: Err = %v, want ErrStopped", round, sub.Err())
+		}
+	}
+}
+
 // TestFanoutHammer runs publishers, live subscribers, a replaying
 // subscriber and an unsubscribe together. Under -race it is the check
 // that a broadcast's shared encodings are only ever read; without it,

@@ -171,7 +171,10 @@ func decodeDataFrame(line []byte, buf []Entry) (entries []Entry, next int64, ok 
 	if !ok {
 		return nil, 0, false
 	}
-	var scratch [256]byte // unescaping space; longer strings spill to the heap
+	// Unescaping space; an entry longer than the stack array spills it to
+	// the heap once, and later entries reuse the grown buffer.
+	var stack [256]byte
+	scratch := stack[:0]
 	entries = buf
 	for {
 		entries = append(entries, Entry{})
@@ -204,14 +207,18 @@ func decodeDataFrame(line []byte, buf []Entry) (entries []Entry, next int64, ok 
 		if p, ok = bytes.CutPrefix(p[end+1:], []byte(`,"domain":`)); !ok {
 			return nil, 0, false
 		}
-		if e.Domain, p, ok = cutString(p, scratch[:0]); !ok {
+		// Both strings are unescaped into scratch and copied out as one.
+		if scratch, p, ok = appendLiteral(scratch[:0], p); !ok {
 			return nil, 0, false
 		}
+		nd := len(scratch)
 		if rest, hasRaw := bytes.CutPrefix(p, []byte(`,"raw":`)); hasRaw {
-			if e.Raw, p, ok = cutString(rest, scratch[:0]); !ok {
+			if scratch, p, ok = appendLiteral(scratch, rest); !ok {
 				return nil, 0, false
 			}
 		}
+		s := string(scratch)
+		e.Domain, e.Raw = s[:nd], s[nd:]
 		if len(p) < 2 || p[0] != '}' {
 			return nil, 0, false
 		}
@@ -244,67 +251,74 @@ func cutOffset(p []byte) (v int64, rest []byte, ok bool) {
 	return v, p[n:], true
 }
 
-// cutString reads one JSON string literal. It declines what
-// encoding/json would reject (control bytes, unknown escapes, bad hex)
-// and what it would silently rewrite (invalid UTF-8, surrogate escapes).
-// A literal without escapes costs its one copy; one with escapes is
-// assembled in scratch first, run by run.
-func cutString(p []byte, scratch []byte) (s string, rest []byte, ok bool) {
-	if len(p) == 0 || p[0] != '"' {
-		return "", p, false
+// literalStop marks the bytes that end a plain run inside a string
+// literal: the quote, the backslash and the control bytes.
+var literalStop = func() (t [256]bool) {
+	for b := range 0x20 {
+		t[b] = true
 	}
-	out, start, ascii := scratch, 1, true
+	t['"'], t['\\'] = true, true
+	return t
+}()
+
+// appendLiteral unescapes the JSON string literal at the head of p onto
+// dst, in one pass over its bytes. It declines what encoding/json would
+// reject (control bytes, unknown escapes, bad hex, truncation) and what
+// it would silently rewrite (invalid UTF-8, surrogate escapes); dst may
+// then hold part of the literal.
+func appendLiteral(dst, p []byte) (out, rest []byte, ok bool) {
+	if len(p) == 0 || p[0] != '"' {
+		return dst, p, false
+	}
+	var seen byte // every byte of the literal ORed together
 	for i := 1; i < len(p); i++ {
 		c := p[i]
-		switch {
-		case c == '"':
-			// Escapes are ASCII, so the literal's bytes are valid UTF-8
-			// exactly when every run between them is.
-			if !ascii && !utf8.Valid(p[1:i]) {
-				return "", p, false
-			}
-			if start == 1 {
-				return string(p[1:i]), p[i+1:], true
-			}
-			return string(append(out, p[start:i]...)), p[i+1:], true
-		case c < 0x20:
-			return "", p, false
-		case c != '\\':
-			ascii = ascii && c < utf8.RuneSelf
+		seen |= c
+		if !literalStop[c] {
+			dst = append(dst, c)
 			continue
 		}
-		out = append(out, p[start:i]...)
+		if c == '"' {
+			// Escapes are ASCII, so the literal's bytes are valid UTF-8
+			// exactly when every run between them is.
+			if seen >= utf8.RuneSelf && !utf8.Valid(p[1:i]) {
+				return dst, p, false
+			}
+			return dst, p[i+1:], true
+		}
+		if c != '\\' { // a control byte
+			return dst, p, false
+		}
 		if i++; i >= len(p) {
-			return "", p, false
+			return dst, p, false
 		}
 		switch p[i] {
 		case '"', '\\', '/':
-			out = append(out, p[i])
+			dst = append(dst, p[i])
 		case 'b':
-			out = append(out, '\b')
+			dst = append(dst, '\b')
 		case 'f':
-			out = append(out, '\f')
+			dst = append(dst, '\f')
 		case 'n':
-			out = append(out, '\n')
+			dst = append(dst, '\n')
 		case 'r':
-			out = append(out, '\r')
+			dst = append(dst, '\r')
 		case 't':
-			out = append(out, '\t')
+			dst = append(dst, '\t')
 		case 'u':
 			if i+4 >= len(p) {
-				return "", p, false
+				return dst, p, false
 			}
 			// Base 16 admits hex digits of either case and nothing else.
 			r, err := strconv.ParseUint(string(p[i+1:i+5]), 16, 32)
 			if err != nil || (0xD800 <= r && r < 0xE000) {
-				return "", p, false
+				return dst, p, false
 			}
-			out = utf8.AppendRune(out, rune(r))
+			dst = utf8.AppendRune(dst, rune(r))
 			i += 4
 		default:
-			return "", p, false
+			return dst, p, false
 		}
-		start = i + 1
 	}
-	return "", p, false
+	return dst, p, false
 }

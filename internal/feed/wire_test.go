@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -151,14 +152,16 @@ func dataLine(t testing.TB, msgs []stream.Message) []byte {
 	return line[:len(line)-1]
 }
 
-// benchBatch is a 256-entry batch shaped like the ledger's feed input.
+// benchBatch is a 256-entry batch shaped like the ledger's feed input:
+// each value is a JSON document like the ones core.Pipeline publishes.
 func benchBatch() []stream.Message {
 	msgs := make([]stream.Message, 256)
 	for i := range msgs {
 		d := fmt.Sprintf("d%d.shop", i)
+		at := t0.Add(time.Duration(i) * time.Second)
 		msgs[i] = stream.Message{
-			Offset: int64(i), Time: t0.Add(time.Duration(i) * time.Second), Key: d,
-			Value: []byte(`{"domain":"` + d + `","log":"argon2024"}`),
+			Offset: int64(i), Time: at, Key: d,
+			Value: fmt.Appendf(nil, `{"domain":%q,"seen":%q,"log":%q}`, d, at.Format(time.RFC3339), "argon2024"),
 		}
 	}
 	return msgs
@@ -272,6 +275,36 @@ func TestDecodeFrameAgreesWithReference(t *testing.T) {
 	}
 }
 
+// FuzzDecodeEntryStrings holds the string-literal decoder to the
+// reference on one entry's domain and raw value, spliced into an
+// otherwise canonical DATA line twice: verbatim as the literals' bodies,
+// which reaches every decline, and escaped as the server escapes them,
+// which the fast decoder must accept.
+func FuzzDecodeEntryStrings(f *testing.F) {
+	f.Add([]byte("a.com"), []byte(`{"domain":"a.com","log":"argon2024"}`))
+	f.Add([]byte(`\ud83d`), []byte(`\ud83d\ude00`)) // lone and paired surrogates
+	f.Add([]byte(`\u00zz`), []byte(`\u12`))
+	f.Add([]byte("a\x01b"), []byte("\t"))                   // raw control bytes
+	f.Add([]byte("cut\xe2\\n\x82"), []byte("\\\\\xe2\x82")) // \xe2 beside an escape
+	f.Add([]byte(`\u0041\u00e9\/`), []byte(`\"\\\b\f\n\r\t`))
+	f.Add([]byte("bücher.de"), []byte("日本語 \U0001F600 \u2028"))
+	f.Add([]byte(""), []byte(""))
+	const head = `{"frame":"data","entries":[{"offset":1,"time":"2023-11-01T00:00:00Z","domain":`
+	const tail = `}],"next":2}`
+	f.Fuzz(func(t *testing.T, domain, raw []byte) {
+		verbatim := slices.Concat([]byte(head+`"`), domain, []byte(`","raw":"`), raw, []byte(`"`+tail))
+		checkDecodeAgrees(t, verbatim)
+
+		escaped := appendJSONString([]byte(head), domain)
+		escaped = append(escaped, `,"raw":`...)
+		escaped = append(appendJSONString(escaped, raw), tail...)
+		if _, _, ok := decodeDataFrame(escaped, nil); !ok {
+			t.Fatalf("fast decoder declined the server's escaping: %q", escaped)
+		}
+		checkDecodeAgrees(t, escaped)
+	})
+}
+
 // discardConn is a connection that swallows writes, so a test can drive
 // a session's writer without a socket.
 type discardConn struct{ net.Conn }
@@ -312,8 +345,9 @@ func TestReplayBatchAllocatesNothing(t *testing.T) {
 }
 
 // TestDecodeFrameAllocations pins the client half: a canonical frame
-// decoded into a warm buffer costs its entries' two strings each, the
-// Frame, and nothing that grows with the line.
+// decoded into a warm buffer costs one string per entry, holding its
+// domain and its raw value, the Frame, and nothing that grows with the
+// line.
 func TestDecodeFrameAllocations(t *testing.T) {
 	line := dataLine(t, benchBatch())
 	buf := make([]Entry, 0, 256)
@@ -323,7 +357,21 @@ func TestDecodeFrameAllocations(t *testing.T) {
 			t.Fatalf("decode: %v", err)
 		}
 	})
-	if allocs > 2*256+2 {
-		t.Errorf("decoding a 256-entry frame allocates %v times, want at most %d", allocs, 2*256+2)
+	if allocs > 256+2 {
+		t.Errorf("decoding a 256-entry frame allocates %v times, want at most %d", allocs, 256+2)
+	}
+}
+
+// BenchmarkDecodeDataFrame decodes one 256-entry DATA line into a warm
+// buffer, the client's cost per frame read.
+func BenchmarkDecodeDataFrame(b *testing.B) {
+	line := dataLine(b, benchBatch())
+	buf := make([]Entry, 0, 256)
+	b.SetBytes(int64(len(line)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, ok := decodeDataFrame(line, buf[:0]); !ok {
+			b.Fatal("declined a canonical frame")
+		}
 	}
 }
