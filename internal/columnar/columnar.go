@@ -172,6 +172,14 @@ type Writer struct {
 	rows   int
 	// groupRows is the row-group flush threshold.
 	groupRows int
+
+	// Encoder scratch, reused across columns and groups: the chunk being
+	// encoded and a string column's dictionary (value → index), entries
+	// in first-seen order and per-row indexes.
+	chunk []byte
+	dict  map[string]uint64
+	order []string
+	ids   []uint64
 }
 
 // NewWriter creates a writer with the given schema. groupRows controls the
@@ -188,7 +196,7 @@ func NewWriter(w io.Writer, schema Schema, groupRows int) *Writer {
 		w: bufio.NewWriterSize(w, 64<<10), schema: schema, groupRows: groupRows,
 		strs: make([][]string, len(schema)), ints: make([][]int64, len(schema)),
 		bools: make([][]bool, len(schema)), floats: make([][]float64, len(schema)),
-		raws: make([][][]byte, len(schema)),
+		raws: make([][][]byte, len(schema)), dict: make(map[string]uint64),
 	}
 	return cw
 }
@@ -265,24 +273,25 @@ func (w *Writer) flushGroup() error {
 		return err
 	}
 	for i, c := range w.schema {
-		var chunk []byte
+		chunk := w.chunk[:0]
 		switch c.Type {
 		case TypeString:
-			chunk = encodeStrings(w.strs[i])
+			chunk = w.appendStrings(chunk, w.strs[i])
 			w.strs[i] = w.strs[i][:0]
 		case TypeInt64:
-			chunk = encodeInts(w.ints[i])
+			chunk = appendInts(chunk, w.ints[i])
 			w.ints[i] = w.ints[i][:0]
 		case TypeBool:
-			chunk = encodeBools(w.bools[i])
+			chunk = appendBools(chunk, w.bools[i])
 			w.bools[i] = w.bools[i][:0]
 		case TypeFloat64:
-			chunk = encodeFloats(w.floats[i])
+			chunk = appendFloats(chunk, w.floats[i])
 			w.floats[i] = w.floats[i][:0]
 		case TypeBytes:
-			chunk = encodeBytesCol(w.raws[i])
+			chunk = appendBytesCol(chunk, w.raws[i])
 			w.raws[i] = w.raws[i][:0]
 		}
+		w.chunk = chunk
 		if err := writeBytes(w.w, chunk); err != nil {
 			return err
 		}
@@ -303,27 +312,30 @@ func writeBytes(w *bufio.Writer, b []byte) error {
 
 // Encodings ------------------------------------------------------------------
 
-// encodeStrings dictionary-encodes: varint dictSize, dict entries
-// (varint len + bytes), then varint indexes.
-func encodeStrings(vals []string) []byte {
-	dict := make(map[string]uint64)
-	var order []string
+// appendStrings dictionary-encodes vals onto dst: varint dictSize, dict
+// entries (varint len + bytes), then varint indexes. The dictionary lives
+// in the writer's scratch, emptied for each column.
+func (w *Writer) appendStrings(dst []byte, vals []string) []byte {
+	clear(w.dict)
+	w.order, w.ids = w.order[:0], w.ids[:0]
 	for _, v := range vals {
-		if _, ok := dict[v]; !ok {
-			dict[v] = uint64(len(order))
-			order = append(order, v)
+		id, ok := w.dict[v]
+		if !ok {
+			id = uint64(len(w.order))
+			w.dict[v] = id
+			w.order = append(w.order, v)
 		}
+		w.ids = append(w.ids, id)
 	}
-	var out []byte
-	out = binary.AppendUvarint(out, uint64(len(order)))
-	for _, s := range order {
-		out = binary.AppendUvarint(out, uint64(len(s)))
-		out = append(out, s...)
+	dst = binary.AppendUvarint(dst, uint64(len(w.order)))
+	for _, s := range w.order {
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
 	}
-	for _, v := range vals {
-		out = binary.AppendUvarint(out, dict[v])
+	for _, id := range w.ids {
+		dst = binary.AppendUvarint(dst, id)
 	}
-	return out
+	return dst
 }
 
 func decodeStrings(b []byte, n int, dst []string) ([]string, error) {
@@ -376,15 +388,14 @@ func decodeStrings(b []byte, n int, dst []string) ([]string, error) {
 	return out, nil
 }
 
-// encodeInts zigzag-varint encodes deltas between consecutive values.
-func encodeInts(vals []int64) []byte {
-	var out []byte
+// appendInts zigzag-varint encodes deltas between consecutive values.
+func appendInts(dst []byte, vals []int64) []byte {
 	prev := int64(0)
 	for _, v := range vals {
-		out = binary.AppendVarint(out, v-prev)
+		dst = binary.AppendVarint(dst, v-prev)
 		prev = v
 	}
-	return out
+	return dst
 }
 
 // errShortChunk rejects a row count the chunk cannot hold: every int,
@@ -428,24 +439,23 @@ func decodeInts(b []byte, n int, dst []int64) ([]int64, error) {
 	return out, nil
 }
 
-// encodeBools run-length encodes: pairs of (varint runLen, value byte).
-func encodeBools(vals []bool) []byte {
-	var out []byte
+// appendBools run-length encodes: pairs of (varint runLen, value byte).
+func appendBools(dst []byte, vals []bool) []byte {
 	i := 0
 	for i < len(vals) {
 		j := i
 		for j < len(vals) && vals[j] == vals[i] {
 			j++
 		}
-		out = binary.AppendUvarint(out, uint64(j-i))
+		dst = binary.AppendUvarint(dst, uint64(j-i))
 		if vals[i] {
-			out = append(out, 1)
+			dst = append(dst, 1)
 		} else {
-			out = append(out, 0)
+			dst = append(dst, 0)
 		}
 		i = j
 	}
-	return out
+	return dst
 }
 
 func decodeBools(b []byte, n int, dst []bool) ([]bool, error) {
@@ -474,19 +484,18 @@ func decodeBools(b []byte, n int, dst []bool) ([]bool, error) {
 	return out, nil
 }
 
-// encodeFloats stores zigzag-varint deltas of the byte-reversed IEEE 754
+// appendFloats stores zigzag-varint deltas of the byte-reversed IEEE 754
 // bits. Reversing puts the sign/exponent bytes last, so round constants and
 // repeated values differ only in low bits and their deltas varint-encode to
 // a byte or two ("zigzag-mantissa" encoding).
-func encodeFloats(vals []float64) []byte {
-	var out []byte
+func appendFloats(dst []byte, vals []float64) []byte {
 	prev := uint64(0)
 	for _, v := range vals {
 		u := bits.ReverseBytes64(math.Float64bits(v))
-		out = binary.AppendVarint(out, int64(u-prev))
+		dst = binary.AppendVarint(dst, int64(u-prev))
 		prev = u
 	}
-	return out
+	return dst
 }
 
 func decodeFloats(b []byte, n int, dst []float64) ([]float64, error) {
@@ -511,14 +520,13 @@ func decodeFloats(b []byte, n int, dst []float64) ([]float64, error) {
 	return out, nil
 }
 
-// encodeBytesCol length-prefixes each value: varint len + raw bytes.
-func encodeBytesCol(vals [][]byte) []byte {
-	var out []byte
+// appendBytesCol length-prefixes each value: varint len + raw bytes.
+func appendBytesCol(dst []byte, vals [][]byte) []byte {
 	for _, v := range vals {
-		out = binary.AppendUvarint(out, uint64(len(v)))
-		out = append(out, v...)
+		dst = binary.AppendUvarint(dst, uint64(len(v)))
+		dst = append(dst, v...)
 	}
-	return out
+	return dst
 }
 
 func decodeBytesCol(b []byte, n int, dst [][]byte) ([][]byte, error) {
@@ -583,6 +591,7 @@ type RowGroup struct {
 // Reader streams row groups from a columnar file.
 type Reader struct {
 	r      *bufio.Reader
+	frame  *io.LimitedReader // the source, when it bounds the file
 	schema Schema
 	reuse  bool
 	bufs   []bytes.Buffer // per-column chunk scratch when reuse is on
@@ -597,14 +606,17 @@ type Reader struct {
 // Decoded strings are always safe to retain — they never alias scratch.
 func (r *Reader) Reuse() { r.reuse = true }
 
-// NewReader validates the header and returns a reader. Its read buffer is
-// 64 KiB, or the length of an io.LimitedReader that holds less: a
-// container of many small tables (worldsim's snapshots) pays for what
-// each table holds, not 64 KiB apiece.
+// NewReader validates the header and returns a reader. An
+// io.LimitedReader is taken as the file's frame: the read buffer is sized
+// to it when it holds less than 64 KiB, so a container of many small
+// tables (worldsim's snapshots) pays for what each table holds, and the
+// end marker must be the frame's last byte — Next returns an error, not
+// io.EOF, when bytes follow it inside the frame.
 func NewReader(r io.Reader) (*Reader, error) {
 	size := 64 << 10
-	if lr, ok := r.(*io.LimitedReader); ok && lr.N < int64(size) {
-		size = int(max(lr.N, 16))
+	frame, _ := r.(*io.LimitedReader)
+	if frame != nil && frame.N < int64(size) {
+		size = int(max(frame.N, 16))
 	}
 	br := bufio.NewReaderSize(r, size)
 	head := make([]byte, len(magic))
@@ -622,7 +634,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{r: br, schema: schema}, nil
+	return &Reader{r: br, frame: frame, schema: schema}, nil
 }
 
 // Schema returns the file schema.
@@ -635,6 +647,9 @@ func (r *Reader) Next() (*RowGroup, error) {
 		return nil, fmt.Errorf("columnar: reading row count: %w", err)
 	}
 	if n == 0 {
+		if r.frame != nil && (r.r.Buffered() > 0 || r.frame.N > 0) {
+			return nil, fmt.Errorf("columnar: %d bytes after the end marker", int64(r.r.Buffered())+r.frame.N)
+		}
 		return nil, io.EOF
 	}
 	if n > maxGroupRows {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -529,6 +530,229 @@ func TestReaderReuse(t *testing.T) {
 	for j, s := range keptStrs {
 		if want := fmt.Sprintf("row-%02d", j); s != want {
 			t.Fatalf("retained string %d corrupted by reuse: %q, want %q", j, s, want)
+		}
+	}
+}
+
+// Reference encoders: the allocating one-chunk-at-a-time forms the
+// Writer's scratch-reusing append* encoders replaced, kept as the oracle
+// that holds the Writer's bytes fixed.
+
+func encodeStrings(vals []string) []byte {
+	dict := make(map[string]uint64)
+	var order []string
+	for _, v := range vals {
+		if _, ok := dict[v]; !ok {
+			dict[v] = uint64(len(order))
+			order = append(order, v)
+		}
+	}
+	var out []byte
+	out = binary.AppendUvarint(out, uint64(len(order)))
+	for _, s := range order {
+		out = binary.AppendUvarint(out, uint64(len(s)))
+		out = append(out, s...)
+	}
+	for _, v := range vals {
+		out = binary.AppendUvarint(out, dict[v])
+	}
+	return out
+}
+
+func encodeInts(vals []int64) []byte {
+	var out []byte
+	prev := int64(0)
+	for _, v := range vals {
+		out = binary.AppendVarint(out, v-prev)
+		prev = v
+	}
+	return out
+}
+
+func encodeBools(vals []bool) []byte {
+	var out []byte
+	i := 0
+	for i < len(vals) {
+		j := i
+		for j < len(vals) && vals[j] == vals[i] {
+			j++
+		}
+		out = binary.AppendUvarint(out, uint64(j-i))
+		if vals[i] {
+			out = append(out, 1)
+		} else {
+			out = append(out, 0)
+		}
+		i = j
+	}
+	return out
+}
+
+func encodeFloats(vals []float64) []byte {
+	var out []byte
+	prev := uint64(0)
+	for _, v := range vals {
+		u := bits.ReverseBytes64(math.Float64bits(v))
+		out = binary.AppendVarint(out, int64(u-prev))
+		prev = u
+	}
+	return out
+}
+
+func encodeBytesCol(vals [][]byte) []byte {
+	var out []byte
+	for _, v := range vals {
+		out = binary.AppendUvarint(out, uint64(len(v)))
+		out = append(out, v...)
+	}
+	return out
+}
+
+// referenceFile encodes groups of rows as a DCOL file with the reference
+// encoders, one row group per element of groups.
+func referenceFile(schema Schema, groups [][][]Value) []byte {
+	frame := func(out, b []byte) []byte {
+		return append(binary.AppendUvarint(out, uint64(len(b))), b...)
+	}
+	out := frame([]byte(magic), []byte(schema.String()))
+	for _, rows := range groups {
+		if len(rows) == 0 {
+			continue
+		}
+		out = binary.AppendUvarint(out, uint64(len(rows)))
+		for i, c := range schema {
+			var chunk []byte
+			switch c.Type {
+			case TypeString:
+				chunk = encodeStrings(column(rows, func(v Value) string { return v.S }, i))
+			case TypeInt64:
+				chunk = encodeInts(column(rows, func(v Value) int64 { return v.I }, i))
+			case TypeBool:
+				chunk = encodeBools(column(rows, func(v Value) bool { return v.B }, i))
+			case TypeFloat64:
+				chunk = encodeFloats(column(rows, func(v Value) float64 { return v.F }, i))
+			case TypeBytes:
+				chunk = encodeBytesCol(column(rows, func(v Value) []byte { return v.Raw }, i))
+			}
+			out = frame(out, chunk)
+		}
+	}
+	return binary.AppendUvarint(out, 0)
+}
+
+func column[T any](rows [][]Value, get func(Value) T, i int) []T {
+	out := make([]T, len(rows))
+	for k, r := range rows {
+		out[k] = get(r[i])
+	}
+	return out
+}
+
+// writeGroups writes groups through a Writer, ending each with Flush.
+func writeGroups(t testing.TB, schema Schema, groups [][][]Value, groupRows int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf, schema, groupRows)
+	for _, rows := range groups {
+		for _, r := range rows {
+			if err := w.Append(r...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestWriterMatchesReference holds the Writer's bytes equal to the
+// reference encoders' across several groups and several string and bytes
+// columns. Groups and columns differ in size and cardinality in both
+// directions (a small dictionary after a large one, a short bytes column
+// after a long one), so a dictionary, index or chunk buffer leaking from
+// one column or group into the next changes the output.
+func TestWriterMatchesReference(t *testing.T) {
+	schema, err := ParseSchema("a:string,n:int64,raw:bytes,b:string,ok:bool,f:float64,c:string,tail:bytes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	var groups [][][]Value
+	for _, size := range []int{300, 5, 1, 0, 120, 2} {
+		rows := make([][]Value, size)
+		for k := range rows {
+			raw := make([]byte, rng.Intn(40))
+			rng.Read(raw)
+			rows[k] = []Value{
+				String(fmt.Sprintf("d%d.example", rng.Intn(size*2+1))),
+				Int(rng.Int63n(1 << 40)),
+				Bytes(raw),
+				String([]string{"com", "net", "org"}[rng.Intn(3)]),
+				Bool(rng.Intn(3) == 0),
+				Float(rng.NormFloat64()),
+				String(""),
+				Bytes(raw[:min(len(raw), 2)]),
+			}
+		}
+		groups = append(groups, rows)
+	}
+	if got, want := writeGroups(t, schema, groups, 0), referenceFile(schema, groups); !bytes.Equal(got, want) {
+		t.Fatalf("writer output (%d bytes) differs from the reference encoders' (%d bytes)", len(got), len(want))
+	}
+	// The row threshold cuts groups inside the Flush-aligned ones.
+	var cut [][][]Value
+	for _, rows := range groups {
+		for len(rows) > 0 {
+			n := min(len(rows), 7)
+			cut, rows = append(cut, rows[:n]), rows[n:]
+		}
+	}
+	if got, want := writeGroups(t, schema, groups, 7), referenceFile(schema, cut); !bytes.Equal(got, want) {
+		t.Fatal("writer output with a 7-row threshold differs from the reference encoders'")
+	}
+}
+
+// TestReaderFrameEndsAtEndMarker: a file read through an io.LimitedReader
+// must end exactly at its end marker. Trailing bytes inside the frame are
+// an error whether they sit in the reader's buffer (a small frame) or
+// still in the frame (one larger than the 64 KiB buffer); an exact frame
+// and an unbounded source read as before.
+func TestReaderFrameEndsAtEndMarker(t *testing.T) {
+	schema := Schema{{Name: "n", Type: TypeInt64}}
+	var groups [][][]Value
+	for _, size := range []int{3, 40_000} {
+		rows := make([][]Value, size)
+		for k := range rows {
+			rows[k] = []Value{Int(int64(k) * 1_000_003)}
+		}
+		groups = append(groups, rows)
+	}
+	for _, g := range groups {
+		file := writeGroups(t, schema, [][][]Value{g}, 0)
+		for _, tail := range [][]byte{nil, {0xff, 0xff, 0xff}, file} {
+			b := append(append([]byte(nil), file...), tail...)
+			drain := func(src io.Reader) error {
+				r, err := NewReader(src)
+				if err != nil {
+					return err
+				}
+				for {
+					if _, err := r.Next(); err != nil {
+						return err
+					}
+				}
+			}
+			err := drain(io.LimitReader(bytes.NewReader(b), int64(len(b))))
+			if (len(tail) == 0) != errors.Is(err, io.EOF) {
+				t.Errorf("%d-byte file, %d trailing bytes in the frame: %v", len(file), len(tail), err)
+			}
+			if err := drain(bytes.NewReader(b)); !errors.Is(err, io.EOF) {
+				t.Errorf("%d-byte file, %d trailing bytes, unframed: %v", len(file), len(tail), err)
+			}
 		}
 	}
 }

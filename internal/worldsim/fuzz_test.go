@@ -3,7 +3,9 @@ package worldsim
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
 	"runtime"
+	"slices"
 	"testing"
 
 	"darkdns/internal/columnar"
@@ -32,6 +34,42 @@ func snapContainer(tables []byte) []byte {
 	b := append([]byte(snapMagic), binary.AppendUvarint(nil, snapVersion)...)
 	b = append(b, 0, 0) // seed, config hash
 	return append(append(b, tables...), 0)
+}
+
+// trailingSnapshots returns a snapshot of one layout and no other rows
+// whose tables are followed by a large unknown table (its body over the
+// columnar reader's 64 KiB buffer), and variants of it that differ only
+// in bytes after a table body's DCOL end marker, by case name.
+func trailingSnapshots() (valid []byte, bad map[string][]byte) {
+	same := func(b []byte) []byte { return b }
+	tail := func(b []byte) []byte { return append(b, 0xff, 0xff, 0xff) } // body ends 00 ff ff ff
+	none := func(*columnar.Writer) error { return nil }
+	layouts := func(patch func([]byte) []byte) []byte {
+		return snapTable("layouts", layoutsSchema(),
+			func(cw *columnar.Writer) error { return cw.Append(columnar.Int(0), columnar.String("com")) }, patch)
+	}
+	unknown := columnar.Schema{{Name: "a", Type: columnar.TypeInt64}}
+	large := func(patch func([]byte) []byte) []byte {
+		return snapTable("x", unknown, func(cw *columnar.Writer) error {
+			for i := range 40_000 {
+				if err := cw.Append(columnar.Int(int64(i) * 1_000_003)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, patch)
+	}
+	var rest []byte
+	for _, name := range []string{"domains", "ghosts", "nod", "dzdb", "flags"} {
+		rest = append(rest, snapTable(name, tableSchemas[name], none, same)...)
+	}
+	build := func(tables ...[]byte) []byte { return snapContainer(bytes.Join(append(tables, rest), nil)) }
+	hidden := snapTable("x", unknown, none, func(b []byte) []byte { return append(b, layouts(same)...) })
+	return build(layouts(same), large(same)), map[string][]byte{
+		"layouts body ends 00 ff ff ff":    build(layouts(tail), large(same)),
+		"large unknown body with a tail":   build(layouts(same), large(tail)),
+		"table framed inside unknown body": build(layouts(same), hidden, large(same)),
+	}
 }
 
 // FuzzLoadSnapshot: LoadSnapshot on arbitrary bytes returns either an
@@ -83,6 +121,12 @@ func FuzzLoadSnapshot(f *testing.F) {
 	empty := snapTable("x", columnar.Schema{{Name: "a", Type: columnar.TypeInt64}},
 		func(*columnar.Writer) error { return nil }, same)
 	f.Add(snapContainer(bytes.Repeat(empty, 256)))
+	// Bytes after a body's end marker, inside its frame.
+	valid, bad := trailingSnapshots()
+	f.Add(valid)
+	for _, name := range slices.Sorted(maps.Keys(bad)) {
+		f.Add(bad[name])
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats

@@ -108,7 +108,6 @@ type Layout struct {
 	nod     []feedSeed
 	flags   []blocklist.Flag
 	dzdb    []feedSeed
-	names   map[string]struct{}
 }
 
 // buildEnv is the immutable context every plan compiles against: the
@@ -130,13 +129,19 @@ type planCompiler struct {
 	// generated name starts with it, partitioning the plan's name space
 	// across chunks.
 	namePrefix byte
+	// names is every name this chunk has generated, for domainName's
+	// collision checks; it is dropped with the compiler.
+	names map[string]struct{}
 }
 
-func newPlanCompiler(env *buildEnv, tld string, chunk, chunks int, rng *rand.Rand) *planCompiler {
+// newPlanCompiler starts chunk chunk-of-chunks of a plan; names, the
+// count of names the chunk will draw, sizes its collision set.
+func newPlanCompiler(env *buildEnv, tld string, chunk, chunks, names int, rng *rand.Rand) *planCompiler {
 	pc := &planCompiler{
-		env: env,
-		rng: rng,
-		out: &Layout{tld: tld, names: make(map[string]struct{})},
+		env:   env,
+		rng:   rng,
+		out:   &Layout{tld: tld},
+		names: make(map[string]struct{}, names),
 	}
 	if chunks > 1 {
 		pc.namePrefix = nameAlphabet[chunk]
@@ -162,9 +167,10 @@ func planChunks(cfg *Config, plan TLDPlan) int {
 // compilePlanChunk lays out chunk chunk-of-chunks of one gTLD plan (the
 // former scheduleTLD, split across equal chunks).
 func compilePlanChunk(env *buildEnv, plan TLDPlan, chunk, chunks int, rng *rand.Rand) *Layout {
-	pc := newPlanCompiler(env, plan.TLD, chunk, chunks, rng)
-	weights := monthlyWeights(plan.MonthlyCT)
 	nNormal, nFast, nGhost := planCounts(env.cfg, plan)
+	pc := newPlanCompiler(env, plan.TLD, chunk, chunks,
+		share(nNormal, chunks, chunk)+share(nFast, chunks, chunk)+share(nGhost, chunks, chunk), rng)
+	weights := monthlyWeights(plan.MonthlyCT)
 
 	// Long-lived + early-removed registrations. Ground truth total is
 	// the zone-NRD volume; CT coverage decides who requests certs.
@@ -226,9 +232,9 @@ func ccChunks(cfg *Config, plan CCTLDPlan) int {
 // ground-truth ledger, and scaling it by the global Scale factor would
 // leave no sample at reproduction scales.
 func compileCCTLDChunk(env *buildEnv, plan CCTLDPlan, chunk, chunks int, rng *rand.Rand) *Layout {
-	pc := newPlanCompiler(env, plan.TLD, chunk, chunks, rng)
-	weights := [3]float64{1. / 3, 1. / 3, 1. / 3}
 	nNormal, nFast := ccCounts(env.cfg, plan)
+	pc := newPlanCompiler(env, plan.TLD, chunk, chunks, share(nNormal, chunks, chunk)+share(nFast, chunks, chunk), rng)
+	weights := [3]float64{1. / 3, 1. / 3, 1. / 3}
 
 	for i, n := 0, share(nNormal, chunks, chunk); i < n; i++ {
 		d := &Domain{
@@ -406,8 +412,9 @@ const nameAlphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
 // cross-TLD data dependency. The set also covers ghost names, which the
 // old global probe missed.
 func (pc *planCompiler) domainName(tld string) string {
+	var buf [64]byte
 	for {
-		b := make([]byte, 0, 11+len(tld))
+		b := buf[:0]
 		if pc.namePrefix != 0 {
 			b = append(b, pc.namePrefix)
 		}
@@ -416,9 +423,9 @@ func (pc *planCompiler) domainName(tld string) string {
 		}
 		b = append(b, '.')
 		b = append(b, tld...)
-		name := string(b)
-		if _, exists := pc.out.names[name]; !exists {
-			pc.out.names[name] = struct{}{}
+		if _, exists := pc.names[string(b)]; !exists {
+			name := string(b)
+			pc.names[name] = struct{}{}
 			return name
 		}
 	}

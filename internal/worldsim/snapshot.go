@@ -199,15 +199,15 @@ func flagsSchema() columnar.Schema {
 
 // Encoding helpers ----------------------------------------------------------
 
-// encodeStringList packs a []string as uvarint count + per-entry
-// uvarint length + bytes, for TypeBytes cells (NS sets).
-func encodeStringList(ss []string) []byte {
-	out := binary.AppendUvarint(nil, uint64(len(ss)))
+// appendStringList packs a []string onto dst as uvarint count +
+// per-entry uvarint length + bytes, for TypeBytes cells (NS sets).
+func appendStringList(dst []byte, ss []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ss)))
 	for _, s := range ss {
-		out = binary.AppendUvarint(out, uint64(len(s)))
-		out = append(out, s...)
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
 	}
-	return out
+	return dst
 }
 
 func decodeStringList(b []byte) ([]string, error) {
@@ -253,7 +253,9 @@ func SaveSnapshot(w io.Writer, ls *LayoutSet) error {
 		return err
 	}
 
-	if err := writeTable(w, "layouts", layoutsSchema(), func(cw *columnar.Writer) error {
+	// One body buffer serves every table of the save.
+	body := new(blockBuffer)
+	if err := writeTable(w, body, "layouts", layoutsSchema(), func(cw *columnar.Writer) error {
 		for i, l := range ls.Layouts {
 			if err := cw.Append(columnar.Int(int64(i)), columnar.String(l.tld)); err != nil {
 				return err
@@ -264,14 +266,21 @@ func SaveSnapshot(w io.Writer, ls *LayoutSet) error {
 		return err
 	}
 
-	if err := writeTable(w, "domains", domainsSchema(), func(cw *columnar.Writer) error {
+	// The NS, address and alternate-NS cells of a row group are slices of
+	// one arena, reused from the start once the group's Flush has encoded
+	// them. Cells cut before the arena last grew keep the backing array
+	// they were cut from, which nothing writes to again.
+	var arena []byte
+	if err := writeTable(w, body, "domains", domainsSchema(), func(cw *columnar.Writer) error {
 		for i, l := range ls.Layouts {
 			for _, r := range l.domains {
 				d := r.d
-				web, err := r.web.MarshalBinary()
-				if err != nil {
-					return err
-				}
+				nsAt := len(arena)
+				arena = appendStringList(arena, r.ns)
+				webAt := len(arena)
+				arena, _ = r.web.AppendBinary(arena) // never fails
+				altAt := len(arena)
+				arena = appendStringList(arena, r.altNS)
 				if err := cw.Append(
 					columnar.Int(int64(i)),
 					columnar.String(d.Name), columnar.String(d.TLD), columnar.String(d.Registrar),
@@ -280,10 +289,10 @@ func SaveSnapshot(w io.Writer, ls *LayoutSet) error {
 					columnar.Int(int64(d.Reason)), columnar.Bool(d.CertAsked),
 					columnar.String(d.DNSHost), columnar.String(d.WebHost),
 					columnar.Bool(d.HasMX), columnar.Bool(d.HasSPF),
-					columnar.Bytes(encodeStringList(r.ns)), columnar.Bytes(web),
+					columnar.Bytes(arena[nsAt:webAt]), columnar.Bytes(arena[webAt:altAt]),
 					columnar.Int(int64(r.caIdx)), columnar.Int(int64(r.certDelay)),
 					columnar.Int(int64(r.retrySeed)), columnar.Bool(r.nsChange),
-					columnar.Int(int64(r.nsChangeAt)), columnar.Bytes(encodeStringList(r.altNS)),
+					columnar.Int(int64(r.nsChangeAt)), columnar.Bytes(arena[altAt:]),
 				); err != nil {
 					return err
 				}
@@ -293,13 +302,14 @@ func SaveSnapshot(w io.Writer, ls *LayoutSet) error {
 			if err := cw.Flush(); err != nil {
 				return err
 			}
+			arena = arena[:0]
 		}
 		return nil
 	}); err != nil {
 		return err
 	}
 
-	if err := writeTable(w, "ghosts", ghostsSchema(), func(cw *columnar.Writer) error {
+	if err := writeTable(w, body, "ghosts", ghostsSchema(), func(cw *columnar.Writer) error {
 		for i, l := range ls.Layouts {
 			for _, g := range l.ghosts {
 				if err := cw.Append(
@@ -333,13 +343,13 @@ func SaveSnapshot(w io.Writer, ls *LayoutSet) error {
 			return nil
 		}
 	}
-	if err := writeTable(w, "nod", seedSchema(), feeds(func(l *Layout) []feedSeed { return l.nod })); err != nil {
+	if err := writeTable(w, body, "nod", seedSchema(), feeds(func(l *Layout) []feedSeed { return l.nod })); err != nil {
 		return err
 	}
-	if err := writeTable(w, "dzdb", seedSchema(), feeds(func(l *Layout) []feedSeed { return l.dzdb })); err != nil {
+	if err := writeTable(w, body, "dzdb", seedSchema(), feeds(func(l *Layout) []feedSeed { return l.dzdb })); err != nil {
 		return err
 	}
-	if err := writeTable(w, "flags", flagsSchema(), func(cw *columnar.Writer) error {
+	if err := writeTable(w, body, "flags", flagsSchema(), func(cw *columnar.Writer) error {
 		for i, l := range ls.Layouts {
 			for _, f := range l.flags {
 				if err := cw.Append(columnar.Int(int64(i)),
@@ -360,10 +370,11 @@ func SaveSnapshot(w io.Writer, ls *LayoutSet) error {
 }
 
 // writeTable emits one named table: uvarint name length + name, uvarint
-// body length + body, where the body is a complete DCOL file.
-func writeTable(w io.Writer, name string, schema columnar.Schema, fill func(*columnar.Writer) error) error {
-	var body strings.Builder
-	cw := columnar.NewWriter(&body, schema, 0)
+// body length + body, where the body is a complete DCOL file. The body is
+// framed by its length, so it is built in full in body first.
+func writeTable(w io.Writer, body *blockBuffer, name string, schema columnar.Schema, fill func(*columnar.Writer) error) error {
+	body.reset()
+	cw := columnar.NewWriter(body, schema, 0)
 	if err := fill(cw); err != nil {
 		return err
 	}
@@ -372,12 +383,66 @@ func writeTable(w io.Writer, name string, schema columnar.Schema, fill func(*col
 	}
 	out := binary.AppendUvarint(nil, uint64(len(name)))
 	out = append(out, name...)
-	out = binary.AppendUvarint(out, uint64(body.Len()))
+	out = binary.AppendUvarint(out, uint64(body.len()))
 	if _, err := w.Write(out); err != nil {
 		return err
 	}
-	_, err := io.WriteString(w, body.String())
-	return err
+	return body.writeTo(w)
+}
+
+// bodyBlock is the size of a blockBuffer block.
+const bodyBlock = 1 << 20
+
+// blockBuffer holds a table body in fixed-size blocks filled in order, so
+// growing it never copies what it already holds. reset keeps the blocks,
+// so a save allocates blocks for its largest table only.
+type blockBuffer struct {
+	blocks [][]byte
+	cur    int // index of the block being filled
+}
+
+func (b *blockBuffer) Write(p []byte) (int, error) {
+	n := len(p)
+	for len(p) > 0 {
+		if b.cur == len(b.blocks) {
+			b.blocks = append(b.blocks, make([]byte, 0, bodyBlock))
+		}
+		blk := b.blocks[b.cur]
+		k := copy(blk[len(blk):cap(blk)], p)
+		b.blocks[b.cur] = blk[:len(blk)+k]
+		p = p[k:]
+		if len(blk)+k == cap(blk) {
+			b.cur++
+		}
+	}
+	return n, nil
+}
+
+func (b *blockBuffer) len() int {
+	n := 0
+	for _, blk := range b.blocks {
+		n += len(blk)
+	}
+	return n
+}
+
+func (b *blockBuffer) writeTo(w io.Writer) error {
+	for _, blk := range b.blocks {
+		if len(blk) == 0 {
+			break
+		}
+		if _, err := w.Write(blk); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (b *blockBuffer) reset() {
+	for i := range b.blocks {
+		b.blocks[i] = b.blocks[i][:0]
+	}
+	b.cur = 0
 }
 
 // LoadSnapshot decodes a layout set from r. Errors cover corruption and
@@ -434,6 +499,9 @@ func LoadSnapshot(r io.Reader) (*LayoutSet, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The limit is the table's frame: the columnar reader fails a body
+		// with bytes after its end marker, and every decoder below reads
+		// its table to that marker, so no byte of a frame goes unchecked.
 		cr, err := columnar.NewReader(io.LimitReader(br, int64(bodyLen)))
 		if err != nil {
 			return nil, fmt.Errorf("worldsim: table %q: %w", nameBuf, err)

@@ -2,6 +2,10 @@ package worldsim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -131,8 +135,9 @@ func TestSnapshotMismatchFallsBack(t *testing.T) {
 	}
 }
 
-// TestSnapshotCorruptInputs: truncated or corrupt snapshots error
-// cleanly, and a corrupt file behind Config.SnapshotPath still builds.
+// TestSnapshotCorruptInputs: truncated or corrupt snapshots, and tables
+// with bytes after their body's end marker, error cleanly; a corrupt file
+// behind Config.SnapshotPath still builds.
 func TestSnapshotCorruptInputs(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyConfig(7)
@@ -150,6 +155,17 @@ func TestSnapshotCorruptInputs(t *testing.T) {
 	copy(garbage[len(snapMagic)+4:], []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	if _, err := LoadSnapshot(bytes.NewReader(garbage)); err == nil {
 		t.Error("corrupt snapshot loaded cleanly")
+	}
+
+	// A table's length frame must end at its body's end marker.
+	valid, bad := trailingSnapshots()
+	if _, err := LoadSnapshot(bytes.NewReader(valid)); err != nil {
+		t.Fatalf("framed snapshot without trailing bytes: %v", err)
+	}
+	for name, b := range bad {
+		if _, err := LoadSnapshot(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: loaded cleanly", name)
+		}
 	}
 
 	path := filepath.Join(t.TempDir(), "bad.dsnap")
@@ -173,5 +189,93 @@ func TestSnapshotVersionGate(t *testing.T) {
 	b[len(snapMagic)] = snapVersion + 1 // version varint is one byte
 	if _, err := LoadSnapshot(bytes.NewReader(b)); err == nil {
 		t.Error("future-version snapshot loaded cleanly")
+	}
+}
+
+// TestSnapshotBytesPinned: SaveSnapshot's bytes for two seeds are pinned
+// by SHA-256, so an encoder change that moves a byte fails here even when
+// the snapshot still round-trips. The hashes were taken from the
+// allocating encoder the scratch-reusing one replaced; a deliberate format
+// change bumps snapVersion and re-pins them.
+func TestSnapshotBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		size int
+		sum  string
+	}{
+		{5, 488441, "e76b2c5ddaff6bd6d732bff85c3e94fc3df17c7558ac1b6d1c6cf4f984a0bd88"},
+		{7, 486032, "1cfb2fe37e155933acad2a8dbd8a82254f4220e94f86d30ebf3988bbbdcc0b1e"},
+	} {
+		var buf bytes.Buffer
+		if err := SaveSnapshot(&buf, CompileLayoutSet(tinyConfig(c.seed))); err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != c.size || sum != c.sum {
+			t.Errorf("seed %d: %d bytes, sha256 %s; want %d bytes, %s", c.seed, buf.Len(), sum, c.size, c.sum)
+		}
+	}
+}
+
+// TestSnapshotSaveAllocations: SaveSnapshot's allocations grow with its
+// tables and row groups, not its rows. Column buffers, the dictionary,
+// the chunk scratch, the NS arena and the body blocks are allocated when
+// a table first needs them and reused by every later group, so a world
+// with about three times the rows (and about as many layouts, hence row
+// groups) costs only the doublings of those buffers to its larger groups:
+// well under one allocation per 16 added rows, where a cell or a chunk
+// allocated per row costs several per row.
+func TestSnapshotSaveAllocations(t *testing.T) {
+	measure := func(scale float64) (allocs float64, rows int) {
+		cfg := tinyConfig(5)
+		cfg.Scale *= scale
+		ls := CompileLayoutSet(cfg)
+		for _, l := range ls.Layouts {
+			rows += len(l.domains) + len(l.ghosts) + len(l.nod) + len(l.dzdb) + len(l.flags)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if err := SaveSnapshot(io.Discard, ls); err != nil {
+				t.Fatal(err)
+			}
+		}), rows
+	}
+	smallAllocs, smallRows := measure(1)
+	largeAllocs, largeRows := measure(4)
+	if largeRows < 2*smallRows {
+		t.Fatalf("worlds of %d and %d rows are too close in size to compare", smallRows, largeRows)
+	}
+	if perRow := (largeAllocs - smallAllocs) / float64(largeRows-smallRows); perRow > 1.0/16 {
+		t.Errorf("%.0f allocations at %d rows, %.0f at %d rows: %.3f per added row, want at most 1/16",
+			smallAllocs, smallRows, largeAllocs, largeRows, perRow)
+	}
+}
+
+// TestBlockBuffer: a body written in pieces of every size — empty, one
+// byte, ones that end exactly on a block boundary, one longer than a
+// block — reads back whole and in order, and after reset a shorter body
+// reads back without bytes left from the longer one.
+func TestBlockBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var b blockBuffer
+	for _, sizes := range [][]int{
+		{0, 1, bodyBlock - 1, bodyBlock, 3*bodyBlock/2 + 7, 5, bodyBlock/2 - 12},
+		{17, bodyBlock + 1},
+	} {
+		b.reset()
+		var want bytes.Buffer
+		for _, n := range sizes {
+			p := make([]byte, n)
+			rng.Read(p)
+			if k, err := b.Write(p); k != n || err != nil {
+				t.Fatalf("Write(%d bytes) = %d, %v", n, k, err)
+			}
+			want.Write(p)
+		}
+		var got bytes.Buffer
+		if err := b.writeTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if b.len() != want.Len() || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("pieces %v: len %d, wrote %d bytes; want %d bytes back", sizes, b.len(), got.Len(), want.Len())
+		}
 	}
 }
