@@ -389,21 +389,44 @@ func appendRecord(buf []byte, c *dnsname.Compressor, r *Record) ([]byte, error) 
 	return buf, nil
 }
 
-// Unpack decodes a complete message.
+// Unpack decodes a complete message. The message and room for one
+// question, which is what every query and answer carries, share one
+// allocation.
 func Unpack(b []byte) (*Message, error) {
-	if len(b) < 12 {
-		return nil, ErrTruncatedMsg
+	a := new(struct {
+		m Message
+		q [1]Question
+	})
+	a.m.Questions = a.q[:0]
+	if err := UnpackInto(b, &a.m); err != nil {
+		return nil, err
 	}
-	m := &Message{}
-	m.Header.ID = binary.BigEndian.Uint16(b[0:])
+	if len(a.m.Questions) == 0 {
+		a.m.Questions = nil
+	}
+	return &a.m, nil
+}
+
+// UnpackInto decodes a complete message into m, overwriting what m held
+// and reusing its sections' arrays where they have the room, so a caller
+// that decodes message after message into one Message allocates only the
+// names and record data each one carries. After an error m's contents
+// are unspecified.
+func UnpackInto(b []byte, m *Message) error {
+	if len(b) < 12 {
+		return ErrTruncatedMsg
+	}
 	flags := binary.BigEndian.Uint16(b[2:])
-	m.Header.Response = flags&(1<<15) != 0
-	m.Header.OpCode = uint8(flags >> 11 & 0xF)
-	m.Header.Authoritative = flags&(1<<10) != 0
-	m.Header.Truncated = flags&(1<<9) != 0
-	m.Header.RecursionDesired = flags&(1<<8) != 0
-	m.Header.RecursionAvailable = flags&(1<<7) != 0
-	m.Header.RCode = RCode(flags & 0xF)
+	m.Header = Header{
+		ID:                 binary.BigEndian.Uint16(b[0:]),
+		Response:           flags&(1<<15) != 0,
+		OpCode:             uint8(flags >> 11 & 0xF),
+		Authoritative:      flags&(1<<10) != 0,
+		Truncated:          flags&(1<<9) != 0,
+		RecursionDesired:   flags&(1<<8) != 0,
+		RecursionAvailable: flags&(1<<7) != 0,
+		RCode:              RCode(flags & 0xF),
+	}
 	qd := int(binary.BigEndian.Uint16(b[4:]))
 	an := int(binary.BigEndian.Uint16(b[6:]))
 	ns := int(binary.BigEndian.Uint16(b[8:]))
@@ -411,16 +434,14 @@ func Unpack(b []byte) (*Message, error) {
 
 	off := 12
 	var err error
-	if n := sectionCap(qd, len(b)-off, minQuestionLen); n > 0 {
-		m.Questions = make([]Question, 0, n)
-	}
+	m.Questions = section(m.Questions, sectionCap(qd, len(b)-off, minQuestionLen))
 	for i := 0; i < qd; i++ {
 		var q Question
 		if q.Name, off, err = dnsname.ReadWire(b, off); err != nil {
-			return nil, err
+			return err
 		}
 		if off+4 > len(b) {
-			return nil, ErrTruncatedMsg
+			return ErrTruncatedMsg
 		}
 		q.Type = Type(binary.BigEndian.Uint16(b[off:]))
 		q.Class = Class(binary.BigEndian.Uint16(b[off+2:]))
@@ -429,18 +450,25 @@ func Unpack(b []byte) (*Message, error) {
 	}
 	for s, sec := range [3]*[]Record{&m.Answers, &m.Authority, &m.Additional} {
 		count := [3]int{an, ns, ar}[s]
-		if n := sectionCap(count, len(b)-off, minRecordLen); n > 0 {
-			*sec = make([]Record, 0, n)
-		}
+		*sec = section(*sec, sectionCap(count, len(b)-off, minRecordLen))
 		for i := 0; i < count; i++ {
 			var r Record
 			if r, off, err = readRecord(b, off, m.Questions); err != nil {
-				return nil, err
+				return err
 			}
 			*sec = append(*sec, r)
 		}
 	}
-	return m, nil
+	return nil
+}
+
+// section empties s with room for n entries: in s's own array when it
+// has the room, else in a fresh one (none when n is 0).
+func section[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:0]
+	}
+	return make([]T, 0, n)
 }
 
 // The shortest encodings: a root or pointer name plus the fixed fields.

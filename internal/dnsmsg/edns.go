@@ -1,5 +1,7 @@
 package dnsmsg
 
+import "encoding/binary"
+
 // EDNS0 (RFC 6891) support: the OPT pseudo-record advertises the
 // requester's UDP payload capacity. The measurement fleet sends OPT so
 // TLD servers can return full NS sets without TCP fallback; dnsserver
@@ -39,4 +41,15 @@ func (m *Message) EDNSSize() (size uint16, ok bool) {
 		}
 	}
 	return 0, false
+}
+
+// AppendOPT appends an OPT pseudo-record without options, advertising
+// udpSize, to the packed message that starts at b[off], and counts it in
+// that message's ARCOUNT: SetEDNS0 for a message already on the wire. The
+// record is the root name, TYPE 41, the size in CLASS, a zero TTL
+// (extended RCODE and flags) and an empty RDATA.
+func AppendOPT(b []byte, off int, udpSize uint16) []byte {
+	ar := b[off+10:]
+	binary.BigEndian.PutUint16(ar, binary.BigEndian.Uint16(ar)+1)
+	return append(b, 0, byte(TypeOPT>>8), byte(TypeOPT), byte(udpSize>>8), byte(udpSize), 0, 0, 0, 0, 0, 0)
 }

@@ -1,6 +1,10 @@
 package dnsmsg
 
-import "testing"
+import (
+	"bytes"
+	"slices"
+	"testing"
+)
 
 func TestSetEDNS0RoundTrip(t *testing.T) {
 	m := NewQuery(1, "example.com", TypeNS)
@@ -43,5 +47,28 @@ func TestEDNSSizeClampsTinyAdvertisements(t *testing.T) {
 	m.SetEDNS0(100)
 	if size, _ := m.EDNSSize(); size != 512 {
 		t.Errorf("clamp: %d, want 512", size)
+	}
+}
+
+// TestAppendOPTMatchesPackedOPT: an OPT appended to a packed message that
+// follows other bytes in the buffer reads as one appended to the
+// additional section before packing.
+func TestAppendOPTMatchesPackedOPT(t *testing.T) {
+	for name, m := range codecTable() {
+		prefix := []byte("prefix")
+		wire, err := m.AppendPack(prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := AppendOPT(wire, len(prefix), 1232)
+		withOPT := *m
+		withOPT.Additional = append(slices.Clone(m.Additional), Record{Type: TypeOPT, Class: 1232})
+		want, err := withOPT.AppendPack(prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s:\n got %x\nwant %x", name, got, want)
+		}
 	}
 }

@@ -366,7 +366,38 @@ func sameUnpack(t *testing.T, b []byte) {
 	if !reflect.DeepEqual(m, want) {
 		t.Fatalf("Unpack(%x):\n got %+v\nwant %+v", b, m, want)
 	}
+	// Decoding into a message that holds an earlier decode leaves nothing
+	// of that one behind: sections reused or not, the result is Unpack's.
+	reused, _ := Unpack(reusedSeed)
+	if err := UnpackInto(b, reused); (err == nil) != (wantErr == nil) || !errors.Is(err, wantErr) {
+		t.Fatalf("UnpackInto(%x): error %v, reference %v", b, err, wantErr)
+	}
+	if err == nil {
+		for _, sec := range []*[]Record{&reused.Answers, &reused.Authority, &reused.Additional} {
+			if len(*sec) == 0 {
+				*sec = nil
+			}
+		}
+		if len(reused.Questions) == 0 {
+			reused.Questions = nil
+		}
+		if !reflect.DeepEqual(reused, want) {
+			t.Fatalf("UnpackInto(%x) over an earlier message:\n got %+v\nwant %+v", b, reused, want)
+		}
+	}
 }
+
+// reusedSeed fills every section, so UnpackInto has arrays to reuse.
+var reusedSeed = func() []byte {
+	m := sampleMessage()
+	m.Additional = append(m.Additional, nsAnswer(4).Answers...)
+	m.Authority = append(m.Authority, nsAnswer(2).Answers...)
+	wire, err := m.Pack()
+	if err != nil {
+		panic(err)
+	}
+	return wire
+}()
 
 // nsAnswer is the shape probe_wire and the fleet's step 3 live on: the
 // TLD server's answer to an NS query, n targets under one owner.

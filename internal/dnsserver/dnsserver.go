@@ -4,10 +4,14 @@
 // UDP socket → server → registry zone data.
 //
 // UDP is served by a fixed set of read loops on the one socket, one per
-// processor the runtime schedules on (GOMAXPROCS). Each loop owns a
-// datagram buffer and a response buffer and does read → decode → Handle
-// → encode → write itself, so a query costs no goroutine, no datagram
-// copy and no response buffer. Back-pressure is the kernel's: while every
+// processor the runtime schedules on (GOMAXPROCS). Each loop owns its
+// receive slots, one decoded query, and a reply buffer per slot, and does
+// read → decode → Handle → encode → write itself: one read takes every
+// datagram queued on the socket up to the slot count, each is answered
+// into the loop's buffers, and one write sends every reply to its own
+// source (internal/udpbatch), so a query costs no goroutine, no datagram
+// copy and no buffer, and a busy socket costs one syscall per batch
+// rather than two per query. Back-pressure is the kernel's: while every
 // loop is inside a handler, further datagrams wait in the socket's
 // receive buffer and overflow is dropped there, as a flood would be at
 // any real server; the process's goroutine count and memory do not grow
@@ -27,6 +31,7 @@ import (
 	"time"
 
 	"darkdns/internal/dnsmsg"
+	"darkdns/internal/udpbatch"
 )
 
 // Handler produces a response for one question. Implementations must be
@@ -122,20 +127,61 @@ func (s *Server) Close() error {
 	return err
 }
 
-// serveUDP is one read loop: it answers each datagram it reads before
-// reading the next, out of buffers it owns.
+const (
+	// udpPayload is the largest query a read loop takes whole, the size
+	// of each of its receive slots: the DNS Flag Day 2020 payload size,
+	// which every OPT record the server returns advertises. A longer
+	// datagram is dropped.
+	udpPayload = 1232
+	// readBatch is how many datagrams one read takes at most. A loop
+	// holds that many receive slots and 512-byte reply buffers, 54.5 KiB.
+	readBatch = 32
+)
+
+// serveUDP is one read loop: it answers every datagram of a read before
+// reading again, out of slots and buffers it owns.
 func (s *Server) serveUDP(pc *net.UDPConn) {
 	defer s.wg.Done()
-	in := make([]byte, 64<<10)
-	out := make([]byte, 0, 512)
+	bc, err := udpbatch.New(pc)
+	if err != nil {
+		return
+	}
+	in := make([]udpbatch.Message, readBatch)
+	replies := make([][]byte, readBatch) // each keeps the capacity a large answer grew
+	slab := make([]byte, readBatch*(udpPayload+512))
+	for i := range in {
+		slot := slab[i*(udpPayload+512) : (i+1)*(udpPayload+512) : (i+1)*(udpPayload+512)]
+		in[i].Buf = slot[:udpPayload:udpPayload]
+		replies[i] = slot[udpPayload:udpPayload]
+	}
+	out := make([]udpbatch.Message, 0, readBatch)
+	var query dnsmsg.Message
 	for {
-		n, raddr, err := pc.ReadFromUDPAddrPort(in)
+		n, err := bc.ReadBatch(in)
 		if err != nil {
 			return
 		}
-		if resp := s.respond(in[:n], 512, out[:0]); resp != nil {
-			pc.WriteToUDPAddrPort(resp, raddr)
-			out = resp // keeps the capacity a large answer grew
+		out = out[:0]
+		for _, m := range in[:n] {
+			if m.Trunc || dnsmsg.UnpackInto(m.Buf[:m.N], &query) != nil {
+				continue // drop garbage silently like real servers do
+			}
+			k := len(out)
+			reply := s.respond(&query, 512, replies[k][:0])
+			if reply == nil {
+				continue
+			}
+			replies[k] = reply
+			out = append(out, udpbatch.Message{Buf: reply, Addr: m.Addr})
+		}
+		// A reply the kernel refuses is lost, as a dropped datagram would
+		// be; the ones after it still go out.
+		for pending := out; len(pending) > 0; {
+			sent, err := bc.WriteBatch(pending)
+			if err == nil {
+				break
+			}
+			pending = pending[sent+1:]
 		}
 	}
 }
@@ -153,6 +199,8 @@ func (s *Server) serveTCP(ln net.Listener) {
 
 func (s *Server) serveTCPConn(conn net.Conn) {
 	defer conn.Close()
+	var query dnsmsg.Message
+	var pkt []byte
 	out := make([]byte, 2, 2+512) // length prefix, then the response
 	for {
 		conn.SetReadDeadline(time.Now().Add(30 * time.Second))
@@ -160,15 +208,20 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
 			return
 		}
-		msgLen := binary.BigEndian.Uint16(lenBuf[:])
-		pkt := make([]byte, msgLen)
+		msgLen := int(binary.BigEndian.Uint16(lenBuf[:]))
+		if cap(pkt) < msgLen {
+			pkt = make([]byte, msgLen)
+		}
+		pkt = pkt[:msgLen]
 		if _, err := io.ReadFull(conn, pkt); err != nil {
 			return
 		}
+		if dnsmsg.UnpackInto(pkt, &query) != nil {
+			return
+		}
 		// Zone transfers stream multiple messages and own the connection.
-		if query, err := dnsmsg.Unpack(pkt); err == nil &&
-			len(query.Questions) == 1 && query.Questions[0].Type == TypeAXFR {
-			if s.handleAXFR(conn, query) {
+		if len(query.Questions) == 1 && query.Questions[0].Type == TypeAXFR {
+			if s.handleAXFR(conn, &query) {
 				return
 			}
 			refused := query.Reply()
@@ -181,7 +234,7 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 			}
 			return
 		}
-		resp := s.respond(pkt, 0xFFFF, out[:2])
+		resp := s.respond(&query, 0xFFFF, out[:2])
 		if resp == nil {
 			return
 		}
@@ -193,19 +246,19 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 	}
 }
 
-// respond decodes a query, dispatches it and appends the encoded reply to
+// respond dispatches a decoded query and appends the encoded reply to
 // buf, truncating responses larger than maxSize per RFC 1035 §4.2.1. An
 // EDNS0 OPT record in the query raises the UDP limit to the advertised
-// payload size (RFC 6891). It returns nil when there is nothing to send.
-func (s *Server) respond(pkt []byte, maxSize int, buf []byte) []byte {
-	query, err := dnsmsg.Unpack(pkt)
-	if err != nil || query.Header.Response || len(query.Questions) == 0 {
+// payload size, and every reply to such a query carries an OPT of its
+// own, counted inside that limit (RFC 6891 §7). It returns nil when there
+// is nothing to send.
+func (s *Server) respond(query *dnsmsg.Message, maxSize int, buf []byte) []byte {
+	if query.Header.Response || len(query.Questions) == 0 {
 		return nil // drop garbage silently like real servers do
 	}
-	if maxSize == 512 {
-		if size, ok := query.EDNSSize(); ok && int(size) > maxSize {
-			maxSize = int(size)
-		}
+	size, edns := query.EDNSSize()
+	if maxSize == 512 && edns && int(size) > maxSize {
+		maxSize = int(size)
 	}
 	var resp *dnsmsg.Message
 	if query.Header.OpCode != 0 {
@@ -226,22 +279,31 @@ func (s *Server) respond(pkt []byte, maxSize int, buf []byte) []byte {
 			}
 		}
 	}
-	wire, err := resp.AppendPack(buf)
-	if err != nil {
+	wire := packReply(resp, buf, edns)
+	if wire == nil {
 		fail := query.Reply()
 		fail.Header.RCode = dnsmsg.RCodeServFail
-		wire, err = fail.AppendPack(buf)
-		if err != nil {
+		if wire = packReply(fail, buf, edns); wire == nil {
 			return nil
 		}
 	}
 	if len(wire)-len(buf) > maxSize {
 		trunc := query.Reply()
 		trunc.Header.Truncated = true
-		wire, err = trunc.AppendPack(buf)
-		if err != nil {
-			return nil
-		}
+		wire = packReply(trunc, buf, edns)
+	}
+	return wire
+}
+
+// packReply appends resp to buf, followed by an OPT advertising
+// udpPayload when the query carried one; nil when resp does not pack.
+func packReply(resp *dnsmsg.Message, buf []byte, edns bool) []byte {
+	wire, err := resp.AppendPack(buf)
+	if err != nil {
+		return nil
+	}
+	if edns {
+		wire = dnsmsg.AppendOPT(wire, len(buf), udpPayload)
 	}
 	return wire
 }

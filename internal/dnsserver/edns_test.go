@@ -39,6 +39,9 @@ func TestEDNSLiftsTruncation(t *testing.T) {
 	if !resp.Header.Truncated {
 		t.Fatalf("plain UDP response not truncated: %d answers", len(resp.Answers))
 	}
+	if _, ok := resp.EDNSSize(); ok || len(resp.Additional) != 0 {
+		t.Errorf("reply to a query without OPT carries %d additional records", len(resp.Additional))
+	}
 
 	edns := dnsmsg.NewQuery(8, "big.com", dnsmsg.TypeA)
 	edns.SetEDNS0(dnsmsg.DefaultEDNSSize)
@@ -52,6 +55,148 @@ func TestEDNSLiftsTruncation(t *testing.T) {
 	if len(resp.Answers) != 40 {
 		t.Fatalf("EDNS answers = %d, want 40", len(resp.Answers))
 	}
+	wantOPT(t, "EDNS reply", resp)
+}
+
+// wantOPT fails unless resp carries exactly one OPT, advertising the
+// server's payload limit.
+func wantOPT(t *testing.T, what string, resp *dnsmsg.Message) {
+	t.Helper()
+	opts := 0
+	for _, r := range resp.Additional {
+		if r.Type == dnsmsg.TypeOPT {
+			opts++
+		}
+	}
+	if size, _ := resp.EDNSSize(); opts != 1 || size != udpPayload {
+		t.Errorf("%s: %d OPT records advertising %d, want one advertising %d", what, opts, size, udpPayload)
+	}
+}
+
+// TestEDNSEchoedOnEveryReply (RFC 6891 §7): whatever the reply to a query
+// that carried an OPT — an answer, NXDOMAIN, NOTIMP, SERVFAIL or a
+// truncated one — it carries an OPT of its own over UDP and over TCP,
+// and a truncated reply fits the advertised size with its OPT counted.
+func TestEDNSEchoedOnEveryReply(t *testing.T) {
+	var many []dnsmsg.Record
+	for i := 0; i < 40; i++ {
+		many = append(many, dnsmsg.Record{Name: "big.example", Type: dnsmsg.TypeA, Class: dnsmsg.ClassIN, TTL: 60,
+			A: netip.AddrFrom4([4]byte{192, 0, 2, byte(i)})})
+	}
+	h := HandlerFunc(func(q dnsmsg.Question) *dnsmsg.Message {
+		resp := &dnsmsg.Message{Header: dnsmsg.Header{Response: true, Authoritative: true}}
+		switch q.Name {
+		case "nil.example":
+			return nil
+		case "gone.example":
+			resp.Header.RCode = dnsmsg.RCodeNXDomain
+		case "big.example":
+			resp.Answers = many
+		default:
+			resp.Answers = many[:1]
+		}
+		return resp
+	})
+	addr, stop := startServer(t, h)
+	defer stop()
+	uconn, err := netDialUDP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer uconn.Close()
+	tconn, err := netDialTCP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tconn.Close()
+
+	cases := []struct {
+		name   string
+		opcode uint8
+		rcode  dnsmsg.RCode
+		tc     bool
+	}{
+		{"ok.example", 0, dnsmsg.RCodeNoError, false},
+		{"gone.example", 0, dnsmsg.RCodeNXDomain, false},
+		{"nil.example", 0, dnsmsg.RCodeServFail, false},
+		{"ok.example", 2, dnsmsg.RCodeNotImp, false},
+		{"big.example", 0, dnsmsg.RCodeNoError, true},
+	}
+	for i, tc := range cases {
+		q := dnsmsg.NewQuery(uint16(i+1), tc.name, dnsmsg.TypeA)
+		q.Header.OpCode = tc.opcode
+		q.SetEDNS0(512) // the smallest size, so 40 records truncate
+		wire, _ := q.Pack()
+		for _, transport := range []string{"udp", "tcp"} {
+			var got []byte
+			if transport == "udp" {
+				uconn.Write(wire)
+				uconn.SetReadDeadline(time.Now().Add(2 * time.Second))
+				buf := make([]byte, 64<<10)
+				n, err := uconn.Read(buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = buf[:n]
+			} else {
+				tconn.Write(append([]byte{byte(len(wire) >> 8), byte(len(wire))}, wire...))
+				tconn.SetReadDeadline(time.Now().Add(2 * time.Second))
+				head := make([]byte, 2)
+				if _, err := ioReadFull(tconn, head); err != nil {
+					t.Fatal(err)
+				}
+				got = make([]byte, int(head[0])<<8|int(head[1]))
+				if _, err := ioReadFull(tconn, got); err != nil {
+					t.Fatal(err)
+				}
+			}
+			what := fmt.Sprintf("%s opcode %d over %s", tc.name, tc.opcode, transport)
+			resp, err := dnsmsg.Unpack(got)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			tcWant := tc.tc && transport == "udp"
+			if resp.Header.ID != q.Header.ID || resp.Header.RCode != tc.rcode || resp.Header.Truncated != tcWant {
+				t.Errorf("%s: ID %d rcode %v TC %v, want %d %v %v", what, resp.Header.ID, resp.Header.RCode, resp.Header.Truncated, q.Header.ID, tc.rcode, tcWant)
+			}
+			if transport == "udp" && len(got) > 512 {
+				t.Errorf("%s: %d bytes against an advertised 512", what, len(got))
+			}
+			wantOPT(t, what, resp)
+		}
+	}
+}
+
+// TestLargeEDNSReplyArrivesWhole: a reply of more than 4 KiB, within the
+// 8 KiB the query advertises, reaches the caller through the exchanger's
+// batched reader in one piece.
+func TestLargeEDNSReplyArrivesWhole(t *testing.T) {
+	h := NewHostingHandler(60)
+	var addrs []netip.Addr
+	for i := 0; i < 400; i++ {
+		addrs = append(addrs, netip.AddrFrom4([4]byte{198, 51, byte(i / 250), byte(i%250 + 1)}))
+	}
+	h.Set("wide.example", addrs...)
+	addr, stop := startServer(t, h)
+	defer stop()
+	ex := &resolver.UDPExchanger{Addr: addr, Timeout: 2 * time.Second, Retries: 2}
+	defer ex.Close()
+	q := dnsmsg.NewQuery(9, "wide.example", dnsmsg.TypeA)
+	q.SetEDNS0(8192)
+	resp, err := ex.Exchange(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, _ := resp.Pack()
+	if resp.Header.Truncated || len(resp.Answers) != len(addrs) || len(wire) <= 4<<10 {
+		t.Fatalf("reply of %d bytes, TC %v, %d answers; want all %d", len(wire), resp.Header.Truncated, len(resp.Answers), len(addrs))
+	}
+	for i, r := range resp.Answers {
+		if r.A != addrs[i] {
+			t.Fatalf("answer %d is %v, want %v", i, r.A, addrs[i])
+		}
+	}
+	wantOPT(t, "large reply", resp)
 }
 
 // TestResolverDoesNotCacheTruncatedAnswer: the resolver's queries carry no

@@ -16,65 +16,120 @@ import (
 // query directly for NS (step 3).
 type TLDHandler struct {
 	Registry *registry.Registry
+
+	nicOnce sync.Once
+	nicNS   string // a.nic.<tld>: the SOA's primary and the apex NS
+	nicMbox string // hostmaster.nic.<tld>
 }
 
 // Handle implements Handler.
 func (h *TLDHandler) Handle(q dnsmsg.Question) *dnsmsg.Message {
 	tld := h.Registry.TLD()
-	resp := &dnsmsg.Message{Header: dnsmsg.Header{Response: true, Authoritative: true}}
-	resp.Questions = []dnsmsg.Question{q}
 	name := dnsname.Canonical(q.Name)
 	if !dnsname.IsSubdomain(name, tld) {
+		resp, _ := newAnswer(q, 0)
 		resp.Header.RCode = dnsmsg.RCodeRefused
 		return resp
 	}
 	if name == tld {
 		switch q.Type {
 		case dnsmsg.TypeSOA, dnsmsg.TypeANY:
-			resp.Answers = append(resp.Answers, h.soa())
+			resp, recs := newAnswer(q, 1)
+			resp.Answers = append(recs, h.soa())
+			return resp
 		case dnsmsg.TypeNS:
-			resp.Answers = append(resp.Answers, dnsmsg.Record{
-				Name: tld, Type: dnsmsg.TypeNS, Class: dnsmsg.ClassIN, TTL: 86400, NS: "a.nic." + tld,
+			ns, _ := h.nic()
+			resp, recs := newAnswer(q, 1)
+			resp.Answers = append(recs, dnsmsg.Record{
+				Name: tld, Type: dnsmsg.TypeNS, Class: dnsmsg.ClassIN, TTL: 86400, NS: ns,
 			})
+			return resp
 		}
+		resp, _ := newAnswer(q, 0)
 		return resp
 	}
 	ns, ok := h.Registry.Delegation(name)
 	if !ok {
+		resp, recs := newAnswer(q, 1)
 		resp.Header.RCode = dnsmsg.RCodeNXDomain
-		resp.Authority = append(resp.Authority, h.soa())
+		resp.Authority = append(recs, h.soa())
 		return resp
 	}
+	resp, delegation := newAnswer(q, len(ns))
+	for _, target := range ns {
+		delegation = append(delegation, dnsmsg.Record{
+			Name: name, Type: dnsmsg.TypeNS, Class: dnsmsg.ClassIN, TTL: 3600, NS: target,
+		})
+	}
 	if q.Type == dnsmsg.TypeNS || q.Type == dnsmsg.TypeANY {
-		resp.Answers = make([]dnsmsg.Record, 0, len(ns))
-		for _, target := range ns {
-			resp.Answers = append(resp.Answers, dnsmsg.Record{
-				Name: name, Type: dnsmsg.TypeNS, Class: dnsmsg.ClassIN, TTL: 3600, NS: target,
-			})
-		}
+		resp.Answers = delegation
 		return resp
 	}
 	// Non-NS query at the TLD server: referral (empty answer, NS in
 	// authority) — the registry is not authoritative for host data.
 	resp.Header.Authoritative = false
-	resp.Authority = make([]dnsmsg.Record, 0, len(ns))
-	for _, target := range ns {
-		resp.Authority = append(resp.Authority, dnsmsg.Record{
-			Name: name, Type: dnsmsg.TypeNS, Class: dnsmsg.ClassIN, TTL: 3600, NS: target,
-		})
-	}
+	resp.Authority = delegation
 	return resp
 }
 
+// nic returns the registry's nameserver and hostmaster names, built on
+// first use and shared by every answer after it.
+func (h *TLDHandler) nic() (ns, mbox string) {
+	h.nicOnce.Do(func() {
+		tld := h.Registry.TLD()
+		h.nicNS, h.nicMbox = "a.nic."+tld, "hostmaster.nic."+tld
+	})
+	return h.nicNS, h.nicMbox
+}
+
 func (h *TLDHandler) soa() dnsmsg.Record {
-	tld := h.Registry.TLD()
+	ns, mbox := h.nic()
 	return dnsmsg.Record{
-		Name: tld, Type: dnsmsg.TypeSOA, Class: dnsmsg.ClassIN, TTL: 900,
+		Name: h.Registry.TLD(), Type: dnsmsg.TypeSOA, Class: dnsmsg.ClassIN, TTL: 900,
 		SOA: dnsmsg.SOAData{
-			MName: "a.nic." + tld, RName: "hostmaster.nic." + tld,
+			MName: ns, RName: mbox,
 			Serial: h.Registry.Serial(), Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 60,
 		},
 	}
+}
+
+// newAnswer starts an authoritative response to q and returns it with an
+// empty section that has room for n records. The message, its question
+// and up to two records — one SOA, or the two nameservers RFC 1034 §4.1
+// asks every delegation for — share one allocation sized to them.
+func newAnswer(q dnsmsg.Question, n int) (*dnsmsg.Message, []dnsmsg.Record) {
+	var msg *dnsmsg.Message
+	var qs *[1]dnsmsg.Question
+	var recs []dnsmsg.Record
+	switch n {
+	case 1:
+		a := new(struct {
+			msg dnsmsg.Message
+			q   [1]dnsmsg.Question
+			r   [1]dnsmsg.Record
+		})
+		msg, qs, recs = &a.msg, &a.q, a.r[:0]
+	case 2:
+		a := new(struct {
+			msg dnsmsg.Message
+			q   [1]dnsmsg.Question
+			r   [2]dnsmsg.Record
+		})
+		msg, qs, recs = &a.msg, &a.q, a.r[:0]
+	default: // no records, or a slice of their own
+		a := new(struct {
+			msg dnsmsg.Message
+			q   [1]dnsmsg.Question
+		})
+		msg, qs = &a.msg, &a.q
+		if n > 0 {
+			recs = make([]dnsmsg.Record, 0, n)
+		}
+	}
+	qs[0] = q
+	msg.Header = dnsmsg.Header{Response: true, Authoritative: true}
+	msg.Questions = qs[:]
+	return msg, recs
 }
 
 // HostingHandler answers A/AAAA queries as the hosting provider's

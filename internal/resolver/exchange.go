@@ -6,16 +6,21 @@
 // per query.
 //
 // A UDP batch is driven by its caller in attempt rounds. Per round the
-// calling goroutine packs each outstanding query into one reused
-// buffer, registers {round, slot, question} under the query's
-// transaction ID on a leased socket and writes the datagram. Each
-// socket's single reader goroutine decodes what arrives, and a response
-// whose ID is pending and whose question matches what was asked under
-// that ID is stored straight into the batch's result slot; the reader
-// that fills a round's last slot wakes the caller. One clock timer per
-// round bounds the wait, after which the caller unregisters whatever is
-// still pending, classifies it, and carries it into the next round
-// under the next AttemptID. Exchange is a batch of one.
+// calling goroutine packs every outstanding query back to back into one
+// reused buffer, leases the next pooled socket in rotation, registers
+// {round, slot, question} under each query's transaction ID there under
+// one hold of the socket's lock, and sends the round with one batched
+// write (internal/udpbatch); a query whose ID is already outstanding on
+// that socket goes to the next one, or to a one-shot socket. Each
+// socket's single reader goroutine takes every datagram queued on it
+// per read, decodes them, and under one hold of the lock stores each
+// response whose ID is pending and whose question matches what was
+// asked under that ID straight into the batch's result slot; it then
+// releases each round's filled count once, and the release that fills a
+// round's last slot wakes the caller. One clock timer per round bounds
+// the wait, after which the caller unregisters whatever is still
+// pending, classifies it, and carries it into the next round under the
+// next AttemptID. Exchange is a batch of one.
 package resolver
 
 import (
@@ -32,6 +37,7 @@ import (
 	"darkdns/internal/dnsmsg"
 	"darkdns/internal/dnsname"
 	"darkdns/internal/simclock"
+	"darkdns/internal/udpbatch"
 	"darkdns/internal/workpool"
 )
 
@@ -52,22 +58,35 @@ type UDPExchanger struct {
 
 	mu      sync.Mutex
 	pool    []*udpConn
-	next    int // round-robin cursor over the pool
+	next    int // round-robin cursor over the pool, one step per round
 	closed  bool
 	readers sync.WaitGroup // every socket's reader; Add under mu while !closed
 }
 
+const (
+	// replySlots is how many datagrams a socket's reader takes per read.
+	replySlots = 32
+	// replySlot is the longest response a reader takes whole, room for
+	// any answer to a query advertising up to 8 KiB of EDNS payload: a
+	// socket holds 256 KiB of receive slots. A longer datagram is
+	// refused as malformed, never decoded from its first 8 KiB.
+	replySlot = 8 << 10
+)
+
 // udpConn is one pooled socket plus its demultiplexer state.
 type udpConn struct {
-	conn net.Conn
+	conn *net.UDPConn
+	bc   *udpbatch.Conn
+	wmu  sync.Mutex // one batched write at a time: concurrent batches share sockets
 
 	mu      sync.Mutex
 	pending map[uint16]pendingQuery // transaction ID → where its answer goes
 	dead    bool
-	readErr error
+	err     error // what killed the socket
 
-	// malformed counts datagrams the reader refused: unparseable, or
-	// carrying a pending ID with some other question.
+	// malformed counts datagrams the reader refused: unparseable, longer
+	// than a receive slot, or carrying a pending ID with some other
+	// question.
 	malformed atomic.Int64
 }
 
@@ -83,7 +102,7 @@ type pendingQuery struct {
 }
 
 // round is one attempt round of one batch. Readers fill resps/errs[slot]
-// under their socket's lock and then release that slot's count; the
+// under their socket's lock and then release the slots they filled; the
 // caller holds one count of its own until it has finished sending.
 type round struct {
 	resps []*dnsmsg.Message
@@ -113,6 +132,13 @@ func (u *UDPExchanger) clock() simclock.Clock {
 	return u.Clock
 }
 
+func (u *UDPExchanger) size() int {
+	if u.Conns <= 0 {
+		return 4
+	}
+	return u.Conns
+}
+
 // Close shuts the socket pool down and returns once every pooled
 // socket's reader has exited (a one-shot socket's reader exits with the
 // round that leased it); pending exchanges fail with ErrDial. The
@@ -138,24 +164,53 @@ func (u *UDPExchanger) Close() error {
 // errIDBusy: the transaction ID is already outstanding on this socket.
 var errIDBusy = errors.New("resolver: transaction id busy")
 
-// lease registers p under id on a pooled socket where id is free,
-// dialing lazily and replacing dead sockets. When every pooled socket
-// already has id outstanding — IDs are 16 bits hashed from names, so two
-// of a batch's queries share one every few dozen batches — it dials a
-// one-shot socket, which the caller closes when the round ends.
-func (u *UDPExchanger) lease(id uint16, p pendingQuery) (c *udpConn, oneShot bool, err error) {
-	size := u.Conns
-	if size <= 0 {
-		size = 4
+// leaseRound takes the round's socket — the next pool slot in rotation,
+// dialed when empty and replaced when dead — and registers there, under
+// one hold of its lock, every query packed for the round whose ID is
+// free on it. It returns the socket and its pool index; a query it left
+// unregistered keeps a nil socket in its slot.
+func (u *UDPExchanger) leaseRound(rd *round, msgs []*dnsmsg.Message, slots []batchSlot) (*udpConn, int, error) {
+	size := u.size()
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.closed {
+		return nil, 0, fmt.Errorf("%w: exchanger closed", ErrDial)
 	}
+	i := u.next % size
+	u.next++
+	for i >= len(u.pool) {
+		u.pool = append(u.pool, nil)
+	}
+	if c := u.pool[i]; c != nil {
+		if c.registerRound(rd, msgs, slots) {
+			return c, i, nil
+		}
+		c.conn.Close() // dead: release the descriptor, and the reader if a write killed it
+	}
+	c, err := u.dial()
+	if err != nil {
+		return nil, 0, err
+	}
+	u.pool[i] = c
+	c.registerRound(rd, msgs, slots)
+	return c, i, nil
+}
+
+// leaseOne registers p under id on a pooled socket where id is free,
+// probing the pool from slot from on, dialing lazily and replacing dead
+// sockets. When every pooled socket already has id outstanding — IDs
+// are 16 bits hashed from names, so two of a batch's queries share one
+// every few dozen batches — it dials a one-shot socket, which the caller
+// closes when the round ends.
+func (u *UDPExchanger) leaseOne(from int, id uint16, p pendingQuery) (c *udpConn, oneShot bool, err error) {
+	size := u.size()
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if u.closed {
 		return nil, false, fmt.Errorf("%w: exchanger closed", ErrDial)
 	}
 	for tries := 0; tries < size; tries++ {
-		i := u.next % size
-		u.next++
+		i := (from + tries) % size
 		for i >= len(u.pool) {
 			u.pool = append(u.pool, nil)
 		}
@@ -166,28 +221,35 @@ func (u *UDPExchanger) lease(id uint16, p pendingQuery) (c *udpConn, oneShot boo
 			case errIDBusy:
 				continue // collision: probe the next pool slot
 			}
-			c.conn.Close() // dead: its reader has gone, the descriptor has not
+			c.conn.Close() // dead: release the descriptor, and the reader if a write killed it
 		}
 		// Empty or dead slot: dial a replacement while holding the pool
 		// lock (rare; only on first use and after socket errors).
-		if c, err = u.dial(id, p); err != nil {
+		if c, err = u.dial(); err != nil {
 			return nil, false, err
 		}
 		u.pool[i] = c
-		return c, false, nil
+		return c, false, c.register(id, p)
 	}
-	c, err = u.dial(id, p)
-	return c, true, err
+	if c, err = u.dial(); err != nil {
+		return nil, false, err
+	}
+	return c, true, c.register(id, p)
 }
 
-// dial opens one socket with p registered under id and starts its
-// reader. Callers hold u.mu.
-func (u *UDPExchanger) dial(id uint16, p pendingQuery) (*udpConn, error) {
+// dial opens one socket and starts its reader. Callers hold u.mu.
+func (u *UDPExchanger) dial() (*udpConn, error) {
 	conn, err := net.Dial("udp", u.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrDial, err)
 	}
-	c := &udpConn{conn: conn, pending: map[uint16]pendingQuery{id: p}}
+	uc := conn.(*net.UDPConn)
+	bc, err := udpbatch.New(uc)
+	if err != nil {
+		uc.Close()
+		return nil, fmt.Errorf("%w: %v", ErrDial, err)
+	}
+	c := &udpConn{conn: uc, bc: bc, pending: make(map[uint16]pendingQuery)}
 	u.readers.Add(1)
 	go func() {
 		defer u.readers.Done()
@@ -196,67 +258,153 @@ func (u *UDPExchanger) dial(id uint16, p pendingQuery) (*udpConn, error) {
 	return c, nil
 }
 
+// roundFill is how many slots of one round a read filled.
+type roundFill struct {
+	rd *round
+	n  int
+}
+
 // readLoop demultiplexes response datagrams into the result slots of
-// the rounds waiting on them. A response is delivered only when its
-// transaction ID is pending and its first question is the one asked
-// under that ID; a pending ID with any other question is refused and
-// counted with the unparseable datagrams (the ErrBadResponse signal),
-// and the query stays pending. Responses nobody is waiting for (late
-// answers to retried attempts, spoofs with the wrong ID) are dropped. A
-// read error kills the socket and fails every pending slot with
-// ErrDial.
+// the rounds waiting on them, a read's worth at a time. A response is
+// delivered only when its transaction ID is pending and its first
+// question is the one asked under that ID; a pending ID with any other
+// question is refused and counted with the unparseable and over-long
+// datagrams (the ErrBadResponse signal), and the query stays pending.
+// Responses nobody is waiting for (late answers to retried attempts,
+// spoofs with the wrong ID) are dropped. A read error kills the socket.
 func (c *udpConn) readLoop() {
-	buf := make([]byte, 64<<10)
+	ms := make([]udpbatch.Message, replySlots)
+	slab := make([]byte, replySlots*replySlot)
+	for i := range ms {
+		ms[i].Buf = slab[i*replySlot : (i+1)*replySlot : (i+1)*replySlot]
+	}
+	resps := make([]*dnsmsg.Message, replySlots)
+	var fills []roundFill
 	for {
-		n, err := c.conn.Read(buf)
+		n, err := c.bc.ReadBatch(ms)
 		if err != nil {
-			c.mu.Lock()
-			c.dead, c.readErr = true, err
-			pending := c.pending
-			c.pending = nil
-			for _, p := range pending {
-				p.rd.errs[p.slot] = fmt.Errorf("%w: %v", ErrDial, err)
-			}
-			c.mu.Unlock()
-			for _, p := range pending {
-				p.rd.release(1)
-			}
+			c.fail(err)
 			return
 		}
-		resp, err := dnsmsg.Unpack(buf[:n])
-		if err != nil {
-			c.malformed.Add(1)
-			continue
-		}
-		if !resp.Header.Response {
-			continue
+		bad := 0
+		for i, m := range ms[:n] {
+			if m.Trunc {
+				bad++
+				continue
+			}
+			resp, err := dnsmsg.Unpack(m.Buf[:m.N])
+			switch {
+			case err != nil:
+				bad++
+			case resp.Header.Response:
+				resps[i] = resp
+			}
 		}
 		c.mu.Lock()
-		p, ok := c.pending[resp.Header.ID]
-		match := ok && len(resp.Questions) > 0 &&
-			resp.Questions[0].Name == p.name && resp.Questions[0].Type == p.typ
-		if match {
+		for _, resp := range resps[:n] {
+			if resp == nil {
+				continue
+			}
+			p, ok := c.pending[resp.Header.ID]
+			if !ok {
+				continue
+			}
+			if len(resp.Questions) == 0 || resp.Questions[0].Name != p.name || resp.Questions[0].Type != p.typ {
+				bad++
+				continue
+			}
 			delete(c.pending, resp.Header.ID)
 			p.rd.resps[p.slot] = resp
+			fills = tally(fills, p.rd)
 		}
+		c.malformed.Add(int64(bad))
 		c.mu.Unlock()
-		switch {
-		case match:
-			p.rd.release(1)
-		case ok:
-			c.malformed.Add(1)
+		for _, f := range fills {
+			f.rd.release(f.n)
 		}
+		fills = fills[:0]
+		clear(resps[:n])
 	}
 }
 
+// tally counts one more filled slot of rd; a read rarely fills slots of
+// more than one or two rounds.
+func tally(fills []roundFill, rd *round) []roundFill {
+	for i := range fills {
+		if fills[i].rd == rd {
+			fills[i].n++
+			return fills
+		}
+	}
+	return append(fills, roundFill{rd: rd, n: 1})
+}
+
+// fail kills the socket after a read or write error: every query
+// pending on it fails with ErrDial at once, no register succeeds, and
+// the next lease of its pool slot replaces it. The first error wins.
+func (c *udpConn) fail(err error) {
+	c.mu.Lock()
+	if c.dead {
+		c.mu.Unlock()
+		return
+	}
+	c.dead, c.err = true, err
+	pending := c.pending
+	c.pending = nil
+	for _, p := range pending {
+		p.rd.errs[p.slot] = fmt.Errorf("%w: %v", ErrDial, err)
+	}
+	c.mu.Unlock()
+	for _, p := range pending {
+		p.rd.release(1)
+	}
+}
+
+// send writes datagrams with one batched write; a failed write kills
+// the socket, as a failed read does.
+func (c *udpConn) send(ms []udpbatch.Message) {
+	c.wmu.Lock()
+	_, err := c.bc.WriteBatch(ms)
+	c.wmu.Unlock()
+	if err != nil {
+		c.fail(err)
+	}
+}
+
+// registerRound registers, under one hold of the lock, every query
+// packed for the round whose ID is free here and records this socket in
+// its slot. It reports false, registering nothing, when the socket has
+// died.
+func (c *udpConn) registerRound(rd *round, msgs []*dnsmsg.Message, slots []batchSlot) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dead {
+		return false
+	}
+	bad0 := c.malformed.Load()
+	for i := range slots {
+		s := &slots[i]
+		if s.end == 0 {
+			continue // settled, or not packable
+		}
+		if _, busy := c.pending[s.id]; busy {
+			continue
+		}
+		q := msgs[i].Questions[0]
+		c.pending[s.id] = pendingQuery{rd: rd, slot: i, name: dnsname.Canonical(q.Name), typ: q.Type}
+		s.c, s.bad0 = c, bad0
+	}
+	return true
+}
+
 // register installs p under id. It fails with errIDBusy when id is
-// already outstanding here (lease probes the next socket) and with
+// already outstanding here (leaseOne probes the next socket) and with
 // ErrDial when the socket has died.
 func (c *udpConn) register(id uint16, p pendingQuery) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead {
-		return fmt.Errorf("%w: %v", ErrDial, c.readErr)
+		return fmt.Errorf("%w: %v", ErrDial, c.err)
 	}
 	if _, taken := c.pending[id]; taken {
 		return errIDBusy
@@ -265,10 +413,10 @@ func (c *udpConn) register(id uint16, p pendingQuery) error {
 	return nil
 }
 
-// unregister abandons slot's query (timeout, cancellation, failed
-// write) and reports whether it was still pending; when it was not, the
-// reader has already filled the slot, and taking the lock here is what
-// makes that write visible to the caller.
+// unregister abandons slot's query (timeout, cancellation) and reports
+// whether it was still pending; when it was not, the reader has already
+// filled the slot, or a socket error failed it, and taking the lock here
+// is what makes that write visible to the caller.
 func (c *udpConn) unregister(id uint16, rd *round, slot int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -287,45 +435,70 @@ func (u *UDPExchanger) Exchange(ctx context.Context, msg *dnsmsg.Message) (*dnsm
 
 // batchSlot is the caller's per-message state across attempt rounds.
 type batchSlot struct {
-	settled bool     // answered, or failed in a way no retry changes
-	c       *udpConn // socket this round's attempt went out on; nil = not sent
-	id      uint16   // this round's transaction ID
-	bad0    int64    // c.malformed when the attempt was sent
+	settled    bool     // answered, or failed in a way no retry changes
+	start, end int      // this round's datagram in the round's buffer; end 0 = none
+	c          *udpConn // socket this round's attempt went out on; nil = not sent
+	id         uint16   // this round's transaction ID
+	bad0       int64    // c.malformed when the attempt was registered
+}
+
+// batchScratch is an ExchangeBatch call's working memory, kept in
+// scratchPool between calls so a batch allocates only what it returns
+// and its rounds' bookkeeping.
+type batchScratch struct {
+	slots []batchSlot
+	wire  []byte             // a round's queries, packed back to back
+	out   []udpbatch.Message // a round's datagrams on its socket
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// slotsFor returns n zeroed slots.
+func (sc *batchScratch) slotsFor(n int) []batchSlot {
+	if cap(sc.slots) < n {
+		sc.slots = make([]batchSlot, n)
+	}
+	sc.slots = sc.slots[:n]
+	clear(sc.slots)
+	return sc.slots
 }
 
 // ExchangeBatch implements BatchExchanger: up to Retries+1 attempt
-// rounds, each pipelining every still-unanswered message over the socket
-// pool under a fresh AttemptID-rotated transaction ID, with one timeout
-// armed on Clock per round. All sending is done here, on the calling
-// goroutine; the sockets' readers fill the result slots. Failures
-// classify per slot — ErrDial (unreachable, or the socket died under
-// the query), wrapped context errors (canceled mid-exchange),
-// ErrBadResponse (the server answered garbage, or the wrong question,
-// all round), ErrTimeout (silence) — so callers' retry and shedding
-// policy can tell them apart.
+// rounds, each pipelining every still-unanswered message over one
+// pooled socket, rotating per round, under a fresh AttemptID-rotated
+// transaction ID, with one timeout armed on Clock per round. All sending
+// is done here, on the calling goroutine; the sockets' readers fill the
+// result slots. Failures classify per slot — ErrDial (unreachable, or
+// the socket died under the query), wrapped context errors (canceled
+// mid-exchange), ErrBadResponse (the server answered garbage, or the
+// wrong question, all round), ErrTimeout (silence) — so callers' retry
+// and shedding policy can tell them apart.
 func (u *UDPExchanger) ExchangeBatch(ctx context.Context, msgs []*dnsmsg.Message) ([]*dnsmsg.Message, []error) {
 	resps := make([]*dnsmsg.Message, len(msgs))
 	errs := make([]error, len(msgs))
-	slots := make([]batchSlot, len(msgs))
-	wire := make([]byte, 0, 512)
+	sc := scratchPool.Get().(*batchScratch)
+	defer scratchPool.Put(sc)
+	slots := sc.slotsFor(len(msgs))
 	unsettled := len(msgs)
 	for a := 0; a <= u.Retries && unsettled > 0 && ctx.Err() == nil; a++ {
 		rd := &round{resps: resps, errs: errs, done: make(chan struct{}, 1)}
 		rd.left.Store(int32(len(msgs)) + 1)
 		unsent := 1 // the caller's own count, then one per slot not sent
 		var oneShots []*udpConn
+		sc.wire = sc.wire[:0]
 		for i, msg := range msgs {
 			s := &slots[i]
-			s.c = nil
+			s.c, s.end = nil, 0
 			if s.settled {
 				unsent++
 				continue
 			}
+			var packed []byte
 			var err error
 			if len(msg.Questions) == 0 {
 				err = errors.New("resolver: query without a question")
 			} else {
-				wire, err = msg.AppendPack(wire[:0])
+				packed, err = msg.AppendPack(sc.wire)
 			}
 			if err != nil {
 				errs[i], s.settled = err, true
@@ -333,23 +506,40 @@ func (u *UDPExchanger) ExchangeBatch(ctx context.Context, msgs []*dnsmsg.Message
 				unsent++
 				continue
 			}
-			id := AttemptID(msg.Header.ID, a)
-			binary.BigEndian.PutUint16(wire, id)
+			s.start, s.end, sc.wire = len(sc.wire), len(packed), packed
+			s.id = AttemptID(msg.Header.ID, a)
+			binary.BigEndian.PutUint16(sc.wire[s.start:], s.id)
+		}
+		at := 0
+		if c, i, err := u.leaseRound(rd, msgs, slots); err == nil {
+			at = i + 1
+			sc.out = sc.out[:0]
+			for i := range slots {
+				if s := &slots[i]; s.c == c {
+					sc.out = append(sc.out, udpbatch.Message{Buf: sc.wire[s.start:s.end]})
+				}
+			}
+			c.send(sc.out)
+		}
+		// Queries whose ID was outstanding on the round's socket already,
+		// or every query when no socket could be had.
+		for i, msg := range msgs {
+			s := &slots[i]
+			if s.end == 0 || s.c != nil {
+				continue
+			}
 			q := msg.Questions[0]
-			c, oneShot, err := u.lease(id, pendingQuery{rd: rd, slot: i, name: dnsname.Canonical(q.Name), typ: q.Type})
+			c, oneShot, err := u.leaseOne(at, s.id, pendingQuery{rd: rd, slot: i, name: dnsname.Canonical(q.Name), typ: q.Type})
+			if oneShot && c != nil {
+				oneShots = append(oneShots, c)
+			}
 			if err != nil {
 				errs[i] = err
 				unsent++
 				continue
 			}
-			if oneShot {
-				oneShots = append(oneShots, c)
-			}
-			s.c, s.id, s.bad0 = c, id, c.malformed.Load()
-			if _, err := c.conn.Write(wire); err != nil && c.unregister(id, rd, i) {
-				errs[i], s.c = fmt.Errorf("%w: %v", ErrDial, err), nil
-				unsent++
-			}
+			s.c, s.bad0 = c, c.malformed.Load()
+			c.send([]udpbatch.Message{{Buf: sc.wire[s.start:s.end]}})
 		}
 		rd.release(unsent)
 

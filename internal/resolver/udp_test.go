@@ -123,6 +123,28 @@ func TestUDPExchangerSkipsGarbageAndWrongID(t *testing.T) {
 	}
 }
 
+// TestUDPExchangerRefusesOverlongDatagram: a response longer than the
+// reader's receive slot is refused as malformed and never decoded from
+// the prefix the slot holds, although that prefix is a well-formed
+// answer, so the attempt ends as ErrBadResponse.
+func TestUDPExchangerRefusesOverlongDatagram(t *testing.T) {
+	addr := udpResponder(t, func(q *dnsmsg.Message) [][]byte {
+		return [][]byte{append(answer(q, "192.0.2.8"), make([]byte, replySlot)...)}
+	})
+	ex := &UDPExchanger{Addr: addr, Timeout: 100 * time.Millisecond, Conns: 1}
+	defer ex.Close()
+	resp, err := ex.Exchange(context.Background(), dnsmsg.NewQuery(5, "x.com", dnsmsg.TypeA))
+	if !errors.Is(err, ErrBadResponse) || resp != nil {
+		t.Fatalf("over-long answer: %v, %v (want ErrBadResponse)", resp, err)
+	}
+	ex.mu.Lock()
+	bad := ex.pool[0].malformed.Load()
+	ex.mu.Unlock()
+	if bad != 1 {
+		t.Errorf("%d datagrams counted malformed, want 1", bad)
+	}
+}
+
 func TestUDPExchangerTimesOut(t *testing.T) {
 	addr := udpResponder(t, func(*dnsmsg.Message) [][]byte { return nil }) // mute
 	ex := &UDPExchanger{Addr: addr, Timeout: 50 * time.Millisecond, Retries: 1}
@@ -373,6 +395,48 @@ func TestExchangeBatchSocketDeath(t *testing.T) {
 	ex.mu.Unlock()
 	if !replaced {
 		t.Error("the dead socket is still pooled")
+	}
+}
+
+// TestExchangeBatchWriteFailureKillsSocket: a batched write that fails
+// kills its socket as a failed read does: the round's queries fail with
+// ErrDial at once, not at the timeout, and the next batch dials a
+// replacement instead of writing to the same socket again.
+func TestExchangeBatchWriteFailureKillsSocket(t *testing.T) {
+	addr := udpResponder(t, func(q *dnsmsg.Message) [][]byte {
+		return [][]byte{answer(q, "192.0.2.9")}
+	})
+	ex := &UDPExchanger{Addr: addr, Timeout: 30 * time.Second, Conns: 1}
+	defer ex.Close()
+	msgs := batchOf([]string{"a.com", "b.com", "c.com"}, func(i int) uint16 { return uint16(i + 1) })
+	resps, errs := ex.ExchangeBatch(context.Background(), msgs)
+	for i := range msgs {
+		wantAnswered(t, msgs, resps, errs, i)
+	}
+	ex.mu.Lock()
+	victim := ex.pool[0]
+	ex.mu.Unlock()
+	// Writes now fail; the socket still reads.
+	victim.conn.SetWriteDeadline(time.Now().Add(-time.Second))
+	start := time.Now()
+	resps, errs = ex.ExchangeBatch(context.Background(), msgs)
+	for i, err := range errs {
+		if !errors.Is(err, ErrDial) || resps[i] != nil {
+			t.Errorf("slot %d after a failed write: %v, %v (want ErrDial)", i, resps[i], err)
+		}
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Errorf("a failed write took %v to report", took)
+	}
+	resps, errs = ex.ExchangeBatch(context.Background(), msgs)
+	for i := range msgs {
+		wantAnswered(t, msgs, resps, errs, i)
+	}
+	ex.mu.Lock()
+	replaced := ex.pool[0] != victim
+	ex.mu.Unlock()
+	if !replaced {
+		t.Error("the socket whose write failed is still pooled")
 	}
 }
 
