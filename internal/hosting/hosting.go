@@ -15,6 +15,8 @@ type Provider struct {
 	NSSuffix string       // SLD of authoritative nameservers, e.g. "cloudflare.com"
 	ASN      uint32       // origin AS of web hosting addresses
 	V4       netip.Prefix // address pool for A records
+
+	ns *[nsShards][]string // prebuilt NSNames sets; nil outside the catalog
 }
 
 // Catalog of providers seen in the paper's Tables 4 and 5 plus a long tail.
@@ -31,6 +33,16 @@ var catalog = []Provider{
 	{Name: "Google", NSSuffix: "googledomains.com", ASN: 15169, V4: netip.MustParsePrefix("74.125.0.0/16")},
 	{Name: "Automattic", NSSuffix: "wordpress.com", ASN: 2635, V4: netip.MustParsePrefix("192.0.78.0/23")},
 	{Name: "Fastly", NSSuffix: "fastly.net", ASN: 54113, V4: netip.MustParsePrefix("185.199.108.0/22")},
+}
+
+func init() {
+	for i := range catalog {
+		sets := new([nsShards][]string)
+		for shard := range sets {
+			sets[shard] = nsSet(catalog[i].NSSuffix, shard)
+		}
+		catalog[i].ns = sets
+	}
 }
 
 // ByName returns the provider with the given name, or nil.
@@ -139,15 +151,32 @@ func PickWeb(rng *rand.Rand, transient bool) *Provider {
 	return normalWebPicker.pick(rng)
 }
 
+// nsShards is the number of distinct nameserver pairs a provider's fleet
+// offers its customers.
+const nsShards = 13
+
 // NSNames returns the pair of authoritative nameserver hostnames a
 // customer of p delegates to, varied by shard to emulate provider fleets
-// (e.g. alice.ns.cloudflare.com / bob.ns.cloudflare.com).
+// (ns1-a.cloudflare.com / ns2-a.cloudflare.com, …, ns1-m / ns2-m).
+// Shards equal modulo 13 name the same pair, negative ones included. A
+// catalog provider returns one of 13 prebuilt sets, shared by every
+// customer on that shard: the slice is read-only, and a caller that keeps
+// or edits a set copies it first.
 func (p *Provider) NSNames(shard int) []string {
-	a := byte('a' + shard%13)
-	return []string{
-		"ns1-" + string(a) + "." + p.NSSuffix,
-		"ns2-" + string(a) + "." + p.NSSuffix,
+	shard %= nsShards
+	if shard < 0 {
+		shard += nsShards
 	}
+	if p.ns != nil {
+		return p.ns[shard]
+	}
+	return nsSet(p.NSSuffix, shard)
+}
+
+// nsSet builds the nameserver pair of one shard in 0..12.
+func nsSet(suffix string, shard int) []string {
+	a := string(rune('a' + shard))
+	return []string{"ns1-" + a + "." + suffix, "ns2-" + a + "." + suffix}
 }
 
 // WebAddr deterministically derives a customer web address inside p's pool.

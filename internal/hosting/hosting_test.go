@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"darkdns/internal/asdb"
+	"darkdns/internal/dnsname"
 )
 
 func TestByName(t *testing.T) {
@@ -79,6 +80,36 @@ func TestNSNamesVaryByShard(t *testing.T) {
 	for _, ns := range ns0 {
 		if want := "cloudflare.com"; len(ns) < len(want) || ns[len(ns)-len(want):] != want {
 			t.Errorf("NS %q not under provider suffix", ns)
+		}
+	}
+}
+
+// TestNSNamesEveryShard: every shard, negative ones included, names a
+// valid lowercase pair under the provider's suffix; shards equal modulo
+// 13 share one prebuilt set (the same backing array); and shards 0..12
+// keep the names ns1-a … ns2-m they have always had.
+func TestNSNamesEveryShard(t *testing.T) {
+	for _, p := range All() {
+		for shard := -26; shard <= 26; shard++ {
+			ns := p.NSNames(shard)
+			if len(ns) != 2 {
+				t.Fatalf("%s shard %d: %v", p.Name, shard, ns)
+			}
+			for _, name := range ns {
+				if err := dnsname.Check(name); err != nil || name != dnsname.Canonical(name) {
+					t.Errorf("%s shard %d: invalid name %q (%v)", p.Name, shard, name, err)
+				}
+			}
+			k := ((shard % 13) + 13) % 13
+			if base := p.NSNames(k); &ns[0] != &base[0] {
+				t.Errorf("%s: shard %d does not share shard %d's set", p.Name, shard, k)
+			}
+			if shard == k {
+				a := string(rune('a' + k))
+				if want := []string{"ns1-" + a + "." + p.NSSuffix, "ns2-" + a + "." + p.NSSuffix}; ns[0] != want[0] || ns[1] != want[1] {
+					t.Errorf("%s shard %d: %v, want %v", p.Name, shard, ns, want)
+				}
+			}
 		}
 	}
 }

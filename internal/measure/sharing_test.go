@@ -12,7 +12,7 @@ import (
 // TestSteadyStateRoundAllocsIndependentOfWatchCount: a round over
 // unchanged delegations reuses each state's LastNS and the fleet's round
 // buffer (due list, names, results), and re-arms with its bound callback
-// on a recycled clock event, so what a round allocates — a result slab
+// as a clock event stored by value, so what a round allocates — a result slab
 // per ProbeBatch slice, pool goroutines — does not grow with the number
 // of watches, whether the backend is a plain Backend behind the adapter,
 // speaks ProbeBatch itself, or issues handles, and whether the round is

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"darkdns/internal/hosting"
 	"darkdns/internal/simclock"
 	"darkdns/internal/zoneset"
 )
@@ -275,6 +276,43 @@ func TestUpdateNS(t *testing.T) {
 	}
 	if err := r.UpdateNS("nope.com", nil); !errors.Is(err, ErrNotFound) {
 		t.Errorf("UpdateNS missing: %v", err)
+	}
+}
+
+// TestSharedNSSetStaysShared: a world hands every customer on one
+// provider shard the same read-only NS set. Registering two names on it,
+// re-delegating one and editing the NS slice of a registration the
+// registry returned must leave both provider sets and the other name's
+// zone answer as they were: the registry keeps copies.
+func TestSharedNSSetStaysShared(t *testing.T) {
+	r, clk := newTestRegistry("com")
+	defer r.Stop()
+	shared := hosting.ByName("Cloudflare").NSNames(3)
+	want := slices.Clone(shared)
+	first, err := r.Register("first.com", "A", shared, netip.Addr{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Register("second.com", "A", shared, netip.Addr{}); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Minute)
+	first.NS[0] = "ns1.hijacked.example"
+	alt := hosting.ByName("GoDaddy").NSNames(5)
+	wantAlt := slices.Clone(alt)
+	if err := r.UpdateNS("first.com", alt); err != nil {
+		t.Fatal(err)
+	}
+	first.NS[1] = "ns2.hijacked.example"
+	clk.Advance(time.Minute)
+	if !slices.Equal(shared, want) || !slices.Equal(hosting.ByName("Cloudflare").NSNames(3), want) {
+		t.Fatalf("provider set changed: %v, want %v", shared, want)
+	}
+	if ns, ok := r.Delegation("second.com"); !ok || !slices.Equal(ns, want) {
+		t.Fatalf("second.com delegates to %v, want %v", ns, want)
+	}
+	if !slices.Equal(alt, wantAlt) {
+		t.Fatalf("re-delegation set changed: %v, want %v", alt, wantAlt)
 	}
 }
 

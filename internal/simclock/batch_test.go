@@ -3,10 +3,12 @@ package simclock
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 )
 
 // buildTimeline schedules a deterministic mixed workload on s:
@@ -62,10 +64,10 @@ func oneAtATime(s *Sim) int {
 			s.mu.Unlock()
 			return fired
 		}
-		s.popAt(idx)
-		s.now = ev.at
+		popped := s.popAt(idx)
+		s.now = popped.at
 		s.mu.Unlock()
-		ev.fn()
+		popped.f.Fire()
 		fired++
 	}
 }
@@ -217,7 +219,7 @@ func TestBatchedRaceHammer(t *testing.T) {
 				case 1:
 					scheduled.Add(2)
 					at := s.Now().Add(time.Duration(i%90) * time.Second)
-					s.ScheduleBatch([]Timed{{At: at, Fn: bump}, {At: at.Add(wheelSpan), Fn: bump}})
+					s.ScheduleBatch([]Timed{{At: at, Do: Func(bump)}, {At: at.Add(wheelSpan), Do: Func(bump)}})
 				case 2:
 					scheduled.Add(1)
 					s.At(s.Now().Add(time.Duration(g)*time.Minute), bump)
@@ -262,7 +264,7 @@ func TestScheduleBatchMatchesElementWise(t *testing.T) {
 			i := i
 			out = append(out, Timed{
 				At: epoch.Add(time.Duration(i%12) * time.Minute),
-				Fn: func() { record(fmt.Sprintf("bulk-%d", i)) },
+				Do: Func(func() { record(fmt.Sprintf("bulk-%d", i)) }),
 			})
 		}
 		// A far-future slab that lands on the overflow heap — large
@@ -271,7 +273,7 @@ func TestScheduleBatchMatchesElementWise(t *testing.T) {
 			i := i
 			out = append(out, Timed{
 				At: epoch.Add(wheelSpan + time.Duration(i%40)*time.Hour),
-				Fn: func() { record(fmt.Sprintf("far-%d", i)) },
+				Do: Func(func() { record(fmt.Sprintf("far-%d", i)) }),
 			})
 		}
 		return out
@@ -286,7 +288,7 @@ func TestScheduleBatchMatchesElementWise(t *testing.T) {
 			s.ScheduleBatch(es)
 		} else {
 			for _, e := range es {
-				s.At(e.At, e.Fn)
+				s.Schedule(e.At, e.Do)
 			}
 		}
 		s.Run()
@@ -303,11 +305,11 @@ func TestScheduleBatchMatchesElementWise(t *testing.T) {
 func TestScheduleBatchPastClampsAndCounts(t *testing.T) {
 	s := NewSim(epoch)
 	var fired []time.Time
-	bump := func() { fired = append(fired, s.Now()) }
+	bump := Func(func() { fired = append(fired, s.Now()) })
 	s.ScheduleBatch([]Timed{
-		{At: epoch.Add(-time.Hour), Fn: bump},
-		{At: epoch, Fn: bump},
-		{At: epoch.Add(time.Minute), Fn: bump},
+		{At: epoch.Add(-time.Hour), Do: bump},
+		{At: epoch, Do: bump},
+		{At: epoch.Add(time.Minute), Do: bump},
 	})
 	if got := s.Stats().Scheduled; got != 3 {
 		t.Fatalf("Scheduled = %d, want 3", got)
@@ -329,8 +331,9 @@ func TestScheduleBatchPastClampsAndCounts(t *testing.T) {
 // one wheel tick make its slot dirty, and draining them sorts it. The
 // sort must allocate nothing (sort.Slice used to add a swapper and a
 // closure per dirty sort, 11 % of a campaign's mallocs), and neither does
-// anything else once warm: each push reuses an event the previous drain
-// recycled, and the drain keeps its group buffer.
+// anything else once warm: events are values in the slot's backing array,
+// which every lap of the ring reuses, and the drain keeps its group
+// buffer.
 func TestDirtySlotSortDoesNotAllocate(t *testing.T) {
 	s := NewSim(epoch)
 	fn := func() {}
@@ -355,35 +358,87 @@ func TestDirtySlotSortDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestFreeListBoundedAfterBulkDrain: a drained 10 k-event timeline —
-// wheel events and a heapified far-future slab — leaves at most freeCap
-// events on the free list, so a world's bulk-loaded timeline is not kept
-// alive after it fires, and the events it does keep are zeroed.
-func TestFreeListBoundedAfterBulkDrain(t *testing.T) {
-	s := NewSim(epoch)
-	fn := func() {}
-	const n = 10_000
-	entries := make([]Timed, n)
-	for i := range entries {
-		entries[i] = Timed{At: epoch.Add(time.Duration(i) * 37 * time.Second), Fn: fn}
+// target is a scheduled action allocated on its own, so a weak pointer
+// can watch whether anything still references it. The pointer field
+// keeps it out of the tiny allocator, which packs small pointer-free
+// objects together and would tie their lifetimes to their neighbours'.
+type target struct{ fired *int }
+
+func (t *target) Fire() { *t.fired++ }
+
+// scheduleTargets schedules one fresh target per instant in one batch and
+// returns only weak pointers to them: the entries slice dies with this
+// frame, so after the drain the clock is the one thing that could still
+// hold a target.
+func scheduleTargets(s *Sim, ats []time.Time, fired *int) []weak.Pointer[target] {
+	entries := make([]Timed, len(ats))
+	weaks := make([]weak.Pointer[target], len(ats))
+	for i, at := range ats {
+		tg := &target{fired: fired}
+		entries[i] = Timed{At: at, Do: tg}
+		weaks[i] = weak.Make(tg)
 	}
 	s.ScheduleBatch(entries)
-	if fired := s.Run(); fired != n {
-		t.Fatalf("fired %d, want %d", fired, n)
+	return weaks
+}
+
+// TestFiredActionsCollectable: once a bulk timeline — wheel events and a
+// heapified far-future slab, with same-instant groups among both — has
+// fired, the clock references none of its actions, so a world's compiled
+// timeline is collectable behind the drain. The wheel slots, the overflow
+// heap's vacated tail and the drain's reused group buffer are all zeroed
+// as events leave them.
+func TestFiredActionsCollectable(t *testing.T) {
+	s := NewSim(epoch)
+	var ats []time.Time
+	for i := 0; i < 600; i++ { // inside the wheel, three per instant
+		ats = append(ats, epoch.Add(time.Duration(i/3)*time.Minute))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.free) != freeCap {
-		t.Fatalf("free list holds %d events after a %d-event drain, want %d", len(s.free), n, freeCap)
+	for i := 0; i < 2000; i++ { // far slab, two per instant
+		ats = append(ats, epoch.Add(wheelSpan+time.Duration(i/2)*37*time.Second))
 	}
-	for _, ev := range s.free {
-		if ev.fn != nil {
-			t.Fatal("a recycled event still references its callback")
+	fired := 0
+	weaks := scheduleTargets(s, ats, &fired)
+	if n := s.Run(); n != len(ats) || fired != len(ats) {
+		t.Fatalf("Run fired %d (%d actions ran), want %d", n, fired, len(ats))
+	}
+	runtime.GC()
+	live := 0
+	for _, wp := range weaks {
+		if wp.Value() != nil {
+			live++
 		}
 	}
-	for _, ev := range s.group {
-		if ev != nil {
-			t.Fatal("the group buffer still references a fired event")
+	if live > 0 {
+		t.Fatalf("%d of %d fired actions still reachable from the clock", live, len(weaks))
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestScheduleBatchSlabAllocations: a far-future timeline whose actions
+// are elements of the caller's slab costs the clock a bounded number of
+// allocations — the Sim, one pre-sized overflow heap, a group buffer —
+// however many entries it holds. A per-entry event object would add one
+// allocation per entry.
+func TestScheduleBatchSlabAllocations(t *testing.T) {
+	measure := func(n int) float64 {
+		slab := make([]target, n)
+		fired := 0
+		entries := make([]Timed, n)
+		for i := range entries {
+			slab[i].fired = &fired
+			entries[i] = Timed{At: epoch.Add(wheelSpan + time.Duration(i)*time.Minute), Do: &slab[i]}
 		}
+		return testing.AllocsPerRun(3, func() {
+			s := NewSim(epoch)
+			s.ScheduleBatch(entries)
+			if got := s.Run(); got != n {
+				t.Fatalf("fired %d, want %d", got, n)
+			}
+		})
+	}
+	small, large := measure(1_000), measure(10_000)
+	if large > 8 || large != small {
+		t.Fatalf("%v allocations for 1 000 entries, %v for 10 000: want the same bounded count", small, large)
 	}
 }

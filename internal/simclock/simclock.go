@@ -17,13 +17,19 @@
 // sharing the earliest timestamp as one group, commits Now to that
 // instant and fires the group in (timestamp, schedule-order) order on
 // the draining goroutine, so every callback reads its own firing instant
-// from Now (DESIGN.md §7). Fired events are recycled through a short
-// free list, and a Ticker re-arms itself with one bound callback, so the
-// steady state of a campaign — a probe round re-arming the next, a
-// registry arming its next zone rebuild when a change is pending, the
-// daily snapshot ticks — allocates nothing per event.
-// Bulk producers (the world builder's commit phase, DESIGN.md §9) install
-// whole timelines through ScheduleBatch, one lock acquisition per batch.
+// from Now (DESIGN.md §7). An event is a value — instant, sequence
+// number and a Firer — held in the wheel slots, the typed overflow heap
+// and the drain's group buffer, so scheduling allocates nothing but the
+// growth of those slices, and every slot an event leaves is zeroed, so a
+// fired action stays collectable. At and After wrap their callback in a
+// Func, which allocates nothing; Schedule takes any Firer, so a bulk
+// producer can schedule the elements of a slab it owns. A Ticker re-arms
+// itself with one bound callback, so the steady state of a campaign — a
+// probe round re-arming the next, a registry arming its next zone
+// rebuild when a change is pending, the daily snapshot ticks — allocates
+// nothing per event. Bulk producers (the world builder's commit phase,
+// DESIGN.md §9) install whole timelines through ScheduleBatch, one lock
+// acquisition per batch.
 package simclock
 
 import (
@@ -83,12 +89,10 @@ type Sim struct {
 	wheelLen int
 	overflow eventHeap
 
-	// free holds zeroed, fired events for push to reuse, at most freeCap
-	// of them; group is the drain's same-instant buffer, kept between
-	// drains. Together they make the steady state — ticker firings,
-	// After-from-callback chains — allocate nothing per event.
-	free  []*event
-	group []*event
+	// group is the drain's same-instant buffer, kept between drains, so
+	// the steady state — ticker firings, After-from-callback chains —
+	// allocates nothing per event.
+	group []event
 
 	// Engine counters (Stats). Atomics: firing happens outside mu and
 	// Stats may be read while another goroutine drains.
@@ -117,14 +121,18 @@ func (s *Sim) After(d time.Duration, fn func()) {
 		d = 0
 	}
 	s.mu.Lock()
-	s.push(s.now.Add(d), fn)
+	s.push(s.now.Add(d), Func(fn))
 	s.mu.Unlock()
 }
 
 // At implements Clock.
-func (s *Sim) At(t time.Time, fn func()) {
+func (s *Sim) At(t time.Time, fn func()) { s.Schedule(t, Func(fn)) }
+
+// Schedule is At for any Firer: f fires at t, or on the next dispatch
+// when t is not after Now.
+func (s *Sim) Schedule(t time.Time, f Firer) {
 	s.mu.Lock()
-	s.push(t, fn)
+	s.push(t, f)
 	s.mu.Unlock()
 }
 
@@ -197,8 +205,10 @@ func (s *Sim) drain(deadlineOf func(time.Time) (time.Time, bool)) int {
 		s.mu.Unlock()
 		s.fireGroup(group)
 		fired += len(group)
+		// The buffer outlives the drain; zeroing it keeps the fired
+		// actions collectable.
+		clear(group)
 		s.mu.Lock()
-		s.recycle(group)
 	}
 	if bounded && deadline.After(s.now) {
 		s.now = deadline
@@ -208,34 +218,16 @@ func (s *Sim) drain(deadlineOf func(time.Time) (time.Time, bool)) int {
 	return fired
 }
 
-// freeCap bounds the free list: enough for the steady state's recurring
-// events, small enough that a bulk-loaded timeline is not retained after
-// it fires.
-const freeCap = 256
-
-// recycle zeroes the fired group's events, so their callbacks can be
-// collected, and keeps them for push while the free list has room. The
-// caller holds s.mu.
-func (s *Sim) recycle(group []*event) {
-	for i, ev := range group {
-		if len(s.free) < freeCap {
-			*ev = event{}
-			s.free = append(s.free, ev)
-		}
-		group[i] = nil
-	}
-}
-
 // fireGroup fires one same-timestamp group in schedule order on the
 // draining goroutine.
-func (s *Sim) fireGroup(group []*event) {
+func (s *Sim) fireGroup(group []event) {
 	s.rounds.Add(1)
 	if n := int64(len(group)); n > 1 {
 		s.coalesced.Add(n)
 		workpool.AtomicMax(&s.maxBatch, n)
 	}
-	for _, ev := range group {
-		ev.fn()
+	for i := range group {
+		group[i].f.Fire()
 	}
 	s.fired.Add(int64(len(group)))
 }
@@ -244,7 +236,7 @@ func (s *Sim) fireGroup(group []*event) {
 // same-instant group; coalesced counts events that shared theirs with at
 // least one other.
 type Stats struct {
-	Scheduled int64 // events pushed via After/At/ScheduleBatch
+	Scheduled int64 // events pushed via After/At/Schedule/ScheduleBatch
 	Fired     int64 // callbacks executed
 	Coalesced int64 // events fired in a same-instant group of width > 1
 	Rounds    int64 // same-instant groups fired

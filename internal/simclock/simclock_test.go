@@ -140,9 +140,10 @@ func TestTickerFiresPeriodically(t *testing.T) {
 }
 
 // TestTickerSteadyStateAllocatesNothing: a ticker re-arms in place with
-// the callback it bound once, and the Sim reuses the event it fired, so
-// once warm a period's Advance allocates nothing. Warm means one lap of
-// the wheel, whose slots each grow their backing array on first use.
+// the callback it bound once, and the Sim stores the event by value in a
+// slot it has used before, so once warm a period's Advance allocates
+// nothing. Warm means one lap of the wheel, whose slots each grow their
+// backing array on first use.
 func TestTickerSteadyStateAllocatesNothing(t *testing.T) {
 	s := NewSim(epoch)
 	ticks := 0
@@ -158,8 +159,8 @@ func TestTickerSteadyStateAllocatesNothing(t *testing.T) {
 
 // TestAfterChainAllocatesNothingPerFire: a callback that schedules its
 // successor with After costs the clock nothing per fire once warm — the
-// chain's own closure is bound once, and each fired event is recycled
-// into the next push.
+// chain's own closure is bound once, and each event is a value in a wheel
+// slot whose backing array the next lap reuses.
 func TestAfterChainAllocatesNothingPerFire(t *testing.T) {
 	s := NewSim(epoch)
 	fires := 0

@@ -12,43 +12,114 @@ package simclock
 
 import (
 	"cmp"
-	"container/heap"
 	"slices"
 	"time"
 )
 
-// event is a scheduled callback in the simulated timeline.
+// Firer is a scheduled event's action. Storing the interface rather than
+// a func lets a bulk producer schedule elements of a slab it already
+// owns: a pointer converts to a Firer without allocating, where binding
+// a method value or a closure per event allocates one.
+type Firer interface{ Fire() }
+
+// Func adapts a plain callback to Firer. A func value is pointer-shaped,
+// so the conversion allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// event is a scheduled action in the simulated timeline. Events live by
+// value in the wheel slots, the overflow heap and the drain's group
+// buffer: scheduling one allocates nothing beyond the growth of those
+// slices.
 type event struct {
 	at  time.Time
 	seq uint64 // tie-break so equal timestamps fire in schedule order
-	fn  func()
+	f   Firer
 }
 
 // compareEvents orders events by (at, seq) — the global firing order.
 // Sequence numbers are unique, so no two events compare equal.
-func compareEvents(a, b *event) int {
+func compareEvents(a, b event) int {
 	if c := a.at.Compare(b.at); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.seq, b.seq)
 }
 
-func (e *event) less(o *event) bool { return compareEvents(e, o) < 0 }
+func (e *event) less(o *event) bool {
+	if c := e.at.Compare(o.at); c != 0 {
+		return c < 0
+	}
+	return e.seq < o.seq
+}
 
-// eventHeap is the overflow queue ordering events by (at, seq).
-type eventHeap []*event
+// eventHeap is the overflow queue: a binary min-heap of events by
+// (at, seq), typed so that pushes and pops move values without boxing
+// them into an interface.
+type eventHeap []event
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].less(h[j]) }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() (popped any) {
+// push adds ev and restores the heap order.
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the earliest event. The vacated tail slot is
+// zeroed so the slice's backing array keeps no fired Firer reachable.
+func (h *eventHeap) pop() event {
 	old := *h
-	n := len(old)
-	popped = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return
+	n := len(old) - 1
+	top := old[0]
+	old[0] = old[n]
+	old[n] = event{}
+	*h = old[:n]
+	h.down(0)
+	return top
+}
+
+// init establishes the heap order over arbitrary contents in O(n).
+func (h eventHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h eventHeap) up(i int) {
+	ev := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.less(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+}
+
+func (h eventHeap) down(i int) {
+	n := len(h)
+	if n == 0 {
+		return
+	}
+	ev := h[i]
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].less(&h[child]) {
+			child = r
+		}
+		if !h[child].less(&ev) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = ev
 }
 
 // Wheel geometry. Slots bucket events by absolute tick index, so an
@@ -72,12 +143,12 @@ func slotIndex(t time.Time) int {
 // lazily — a push appends, the first pop of a dirty slot sorts the
 // pending tail once, and subsequent pops advance head for free.
 type slot struct {
-	evs    []*event
-	head   int // evs[:head] already fired (entries nil'd for GC)
+	evs    []event
+	head   int // evs[:head] already fired (entries zeroed for GC)
 	sorted bool
 }
 
-func (sl *slot) add(ev *event) {
+func (sl *slot) add(ev event) {
 	if sl.head == len(sl.evs) {
 		sl.evs = sl.evs[:0]
 		sl.head = 0
@@ -86,34 +157,27 @@ func (sl *slot) add(ev *event) {
 	sl.sorted = len(sl.evs)-sl.head == 1
 }
 
-// min returns the earliest pending event, sorting the tail if dirty.
-// The slot must be non-empty.
+// min returns the earliest pending event, sorting the tail if dirty. The
+// pointer is valid until the slot next changes. The slot must be
+// non-empty.
 func (sl *slot) min() *event {
 	if !sl.sorted {
 		slices.SortFunc(sl.evs[sl.head:], compareEvents)
 		sl.sorted = true
 	}
-	return sl.evs[sl.head]
+	return &sl.evs[sl.head]
 }
 
 func (sl *slot) empty() bool { return sl.head == len(sl.evs) }
 
-// push stores an event, reusing a recycled one when the free list has
-// any; the caller holds s.mu. Instants in the past clamp to now so they
-// fire on the next dispatch.
-func (s *Sim) push(at time.Time, fn func()) {
+// push stores an event; the caller holds s.mu. Instants in the past
+// clamp to now so they fire on the next dispatch.
+func (s *Sim) push(at time.Time, f Firer) {
 	if at.Before(s.now) {
 		at = s.now
 	}
 	s.seq++
-	var ev *event
-	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		ev = new(event)
-	}
-	*ev = event{at: at, seq: s.seq, fn: fn}
+	ev := event{at: at, seq: s.seq, f: f}
 	s.scheduled.Add(1)
 	if at.Sub(s.now) < wheelSpan {
 		idx := slotIndex(at)
@@ -121,26 +185,26 @@ func (s *Sim) push(at time.Time, fn func()) {
 		s.occ[idx>>6] |= 1 << (idx & 63)
 		s.wheelLen++
 	} else {
-		heap.Push(&s.overflow, ev)
+		s.overflow.push(ev)
 	}
 }
 
-// Timed is one entry of a bulk ScheduleBatch insert: Fn fires at At.
+// Timed is one entry of a bulk ScheduleBatch insert: Do fires at At.
 type Timed struct {
 	At time.Time
-	Fn func()
+	Do Firer
 }
 
 // ScheduleBatch schedules every entry under a single lock acquisition,
-// assigning sequence numbers in slice order — equivalent to calling At
-// element by element, minus the per-event locking. Bulk producers like
-// the world builder's commit phase install whole compiled timelines
-// through it. When a batch carries a large far-future slab (a compiled
-// campaign lands almost entirely beyond the wheel horizon), the slab is
-// appended to the overflow queue raw and heapified once — an O(heap)
-// rebuild instead of O(batch·log heap) sifts. Firing order is identical
-// either way: it depends only on each event's (at, seq), never on heap
-// internals.
+// assigning sequence numbers in slice order — equivalent to calling
+// Schedule element by element, minus the per-event locking. Bulk
+// producers like the world builder's commit phase install whole compiled
+// timelines through it. When a batch carries a large far-future slab (a
+// compiled campaign lands almost entirely beyond the wheel horizon), the
+// overflow heap grows once to fit it, the slab is appended raw and the
+// heap is rebuilt once — O(heap) instead of O(batch·log heap) sifts.
+// Firing order is identical either way: it depends only on each event's
+// (at, seq), never on heap internals.
 func (s *Sim) ScheduleBatch(entries []Timed) {
 	if len(entries) == 0 {
 		return
@@ -153,18 +217,21 @@ func (s *Sim) ScheduleBatch(entries []Timed) {
 		}
 	}
 	bulk := far >= 64 && far*4 >= len(s.overflow)
+	if bulk {
+		s.overflow = slices.Grow(s.overflow, far)
+	}
 	for i := range entries {
 		e := &entries[i]
 		if bulk && e.At.Sub(s.now) >= wheelSpan {
 			s.seq++
-			s.overflow = append(s.overflow, &event{at: e.At, seq: s.seq, fn: e.Fn})
+			s.overflow = append(s.overflow, event{at: e.At, seq: s.seq, f: e.Do})
 			s.scheduled.Add(1)
 			continue
 		}
-		s.push(e.At, e.Fn)
+		s.push(e.At, e.Do)
 	}
 	if bulk {
-		heap.Init(&s.overflow)
+		s.overflow.init()
 	}
 	s.mu.Unlock()
 }
@@ -193,12 +260,13 @@ func (s *Sim) wheelMin() (*event, int) {
 }
 
 // peek returns the earliest pending event across wheel and overflow,
-// with the wheel slot it lives in (-1 = overflow heap).
+// with the wheel slot it lives in (-1 = overflow heap). The pointer is
+// valid until the next push or pop.
 func (s *Sim) peek() (*event, int) {
 	wev, idx := s.wheelMin()
 	var hev *event
 	if len(s.overflow) > 0 {
-		hev = s.overflow[0]
+		hev = &s.overflow[0]
 	}
 	switch {
 	case wev == nil:
@@ -210,14 +278,15 @@ func (s *Sim) peek() (*event, int) {
 	}
 }
 
-// popAt removes the event peek reported at idx.
-func (s *Sim) popAt(idx int) *event {
+// popAt removes the event peek reported at idx, zeroing the slot it
+// leaves so no fired Firer stays reachable from the queue.
+func (s *Sim) popAt(idx int) event {
 	if idx < 0 {
-		return heap.Pop(&s.overflow).(*event)
+		return s.overflow.pop()
 	}
 	sl := &s.wheel[idx]
-	ev := sl.min()
-	sl.evs[sl.head] = nil
+	ev := *sl.min()
+	sl.evs[sl.head] = event{}
 	sl.head++
 	if sl.empty() {
 		sl.evs = sl.evs[:0]
@@ -231,12 +300,13 @@ func (s *Sim) popAt(idx int) *event {
 // popGroup removes every due event sharing the earliest timestamp,
 // appending them to buf in schedule order. It returns buf unchanged when
 // nothing is pending, or nothing is due when bounded by deadline.
-func (s *Sim) popGroup(buf []*event, deadline time.Time, bounded bool) []*event {
+func (s *Sim) popGroup(buf []event, deadline time.Time, bounded bool) []event {
 	first, idx := s.peek()
 	if first == nil || (bounded && first.at.After(deadline)) {
 		return buf
 	}
-	for ev := first; ev != nil && ev.at.Equal(first.at); ev, idx = s.peek() {
+	at := first.at
+	for ev := first; ev != nil && ev.at.Equal(at); ev, idx = s.peek() {
 		buf = append(buf, s.popAt(idx))
 	}
 	return buf

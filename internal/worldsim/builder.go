@@ -3,18 +3,21 @@
 // commutative bulk of a layout — record installs on the sharded
 // DomainStore, NOD/blocklist/DZDB seedings, DV tokens — commits on a
 // worker pool at Config.CommitWorkers width; the order-sensitive
-// remainder (the ghost ledger, the clock-timeline ScheduleBatch calls)
-// stays serial in canonical (plan, chunk) order, so the resulting world
-// is byte-identical at any compile or commit width (DESIGN.md §9).
+// remainder (the ghost ledger, the one ScheduleBatch of the world's
+// timeline) stays serial in canonical (plan, chunk) order, so the
+// resulting world is byte-identical at any compile or commit width
+// (DESIGN.md §9).
 package worldsim
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"darkdns/internal/ca"
 	"darkdns/internal/ct"
+	"darkdns/internal/registry"
 	"darkdns/internal/simclock"
 	"darkdns/internal/workpool"
 )
@@ -68,64 +71,71 @@ func compileLayouts(env *buildEnv) []*Layout {
 // Config.CommitWorkers width (≤1 = serial on the caller): ground-truth
 // records into the sharded Domains store, buffered seedings into the NOD
 // feed, blocklists and CZDS's zone history, DV tokens into the CAs, and
-// each layout's timeline into a private slice. Every one of those effects is
-// commutative across layouts — layouts own distinct names (structurally,
-// while plans own distinct TLDs; the dupNames counter is the safety
-// net), and the substrates take earliest-wins / min-max / keyed updates
-// under their own locks — so phase one is order-free. Phase two is the
-// serial remainder: the ghost ledger append (slice order) and the
-// ScheduleBatch calls (event sequence numbers), both
-// order-sensitive, run in canonical (plan, chunk) order. One lock
-// acquisition per layout on the clock either way; determinism comes from the fixed phase-two
-// order, speed from striping phase one.
+// each layout's lifecycle records into its own stretch of one world
+// timeline. Every one of those effects is commutative across layouts —
+// layouts own distinct names (structurally, while plans own distinct
+// TLDs; the dupNames counter is the safety net), the substrates take
+// earliest-wins / min-max / keyed updates under their own locks, and the
+// stretches are disjoint — so phase one is order-free. Phase two is the
+// serial remainder: the ghost ledger append (slice order) and one
+// ScheduleBatch of the whole timeline, whose slice order is the
+// canonical (plan, chunk) order and so gives every event the sequence
+// number a per-layout batch in that order gave it. Determinism comes
+// from the fixed phase-two order, speed from striping phase one.
 func (w *World) commit(layouts []*Layout) {
-	total := 0
-	for _, l := range layouts {
+	total, ghosts := 0, 0
+	offsets := make([]int, len(layouts)+1)
+	for i, l := range layouts {
 		total += len(l.domains)
+		ghosts += len(l.ghosts)
+		offsets[i+1] = offsets[i] + len(l.domains) + len(l.ghosts)
 	}
 	w.Domains = newDomainStore(total)
-	timelines := make([][]simclock.Timed, len(layouts))
+	timeline := make([]simclock.Timed, offsets[len(layouts)])
 	workpool.Run(len(layouts), w.Cfg.CommitWorkers, func(i int) {
-		timelines[i] = w.commitLayout(layouts[i], i)
+		w.commitLayout(layouts[i], i, timeline[offsets[i]:offsets[i+1]])
 	})
-	for i, l := range layouts {
-		for _, g := range l.ghosts {
-			w.Ghosts = append(w.Ghosts, g.d)
+	w.Ghosts = slices.Grow(w.Ghosts, ghosts)
+	for _, l := range layouts {
+		for j := range l.ghosts {
+			w.Ghosts = append(w.Ghosts, l.ghosts[j].d)
 		}
-		w.Clock.ScheduleBatch(timelines[i])
 	}
+	w.Clock.ScheduleBatch(timeline)
 }
 
-// commitLayout installs one layout's commutative effects and returns its
-// compiled timeline for the serial schedule pass: domain lifecycles,
-// then ghost issuance. rank is the layout's canonical index, which
+// commitLayout installs one layout's commutative effects and writes its
+// timeline into the layout's stretch of the world's: domain lifecycles,
+// then ghost issuances, each entry firing an element of one lifecycle
+// slab allocated here. rank is the layout's canonical index, which
 // decides duplicate-name winners the way serial order used to. Safe for
-// concurrent invocation with distinct layouts:
-// the Domains store is sharded, the substrates lock internally, and the
-// registries/CAs the timeline closures capture are only read here.
-func (w *World) commitLayout(l *Layout, rank int) []simclock.Timed {
-	timeline := make([]simclock.Timed, 0, len(l.domains)+len(l.ghosts))
-	for _, r := range l.domains {
+// concurrent invocation with distinct layouts and stretches: the Domains
+// store is sharded, the substrates lock internally, and the registries
+// and CAs the records reach are only read here.
+func (w *World) commitLayout(l *Layout, rank int, timeline []simclock.Timed) {
+	recs := make([]lifecycle, len(l.domains)+len(l.ghosts))
+	for j := range l.domains {
+		r := &l.domains[j]
 		if w.Domains.install(r.d, rank) {
 			w.dupNames.Add(1)
 		}
-		timeline = append(timeline, w.registrationEvent(r))
+		recs[j] = lifecycle{w: w, reg: w.Registries[r.d.TLD], r: r}
+		timeline[j] = simclock.Timed{At: r.d.Created, Do: &recs[j]}
 	}
-	for _, g := range l.ghosts {
+	for j := range l.ghosts {
+		g := &l.ghosts[j]
 		// Ghost names join the store's uniqueness set only — they have no
 		// registration, so Get keeps returning nil for them.
 		if w.Domains.installGhost(g.d.Name) {
 			w.dupNames.Add(1)
 		}
-		issuer := w.CAs[g.caIdx]
-		issuer.SeedToken(g.d.Name, g.tokenAt)
+		w.CAs[g.caIdx].SeedToken(g.d.Name, g.tokenAt)
 		if g.inDZDB {
 			w.CZDS.Seed(g.d.Name, g.tokenAt)
 		}
-		name := g.d.Name
-		timeline = append(timeline, simclock.Timed{At: g.d.Created, Fn: func() {
-			issuer.Issue(name, name, nil, nil) // token reuse: no live validation
-		}})
+		k := len(l.domains) + j
+		recs[k] = lifecycle{w: w, g: g}
+		timeline[k] = simclock.Timed{At: g.d.Created, Do: (*ghostIssuance)(&recs[k])}
 	}
 	for _, s := range l.nod {
 		w.NOD.Seed(s.domain, s.at)
@@ -136,34 +146,58 @@ func (w *World) commitLayout(l *Layout, rank int) []simclock.Timed {
 	for _, s := range l.dzdb {
 		w.CZDS.Seed(s.domain, s.at)
 	}
-	return timeline
 }
 
-// registrationEvent wires one compiled registration's lifecycle into a
-// clock event: register at creation, then kick off the (pre-drawn)
-// certificate chain, NS change and deletion, every instant derived from
-// the registration's own.
-func (w *World) registrationEvent(r *regLayout) simclock.Timed {
+// lifecycle is the clock-event record of one compiled registration (reg
+// and r set) or ghost (g set). Its Fire registers the name; the same
+// record, converted to nsChange, deletion or ghostIssuance, is the
+// action of the name's other events, so a world's timeline is one slab
+// per layout with no closure or event object per name.
+type lifecycle struct {
+	w   *World
+	reg *registry.Registry
+	r   *regLayout
+	g   *ghostLayout
+}
+
+// Fire registers the name at its creation instant, then kicks off the
+// (pre-drawn) certificate chain, NS change and deletion, every instant
+// derived from the registration's own.
+func (lc *lifecycle) Fire() {
+	w, r := lc.w, lc.r
 	d := r.d
-	reg := w.Registries[d.TLD]
-	return simclock.Timed{
-		At: d.Created,
-		Fn: func() {
-			now := w.Clock.Now()
-			if _, err := reg.RegisterAt(d.Name, d.Registrar, r.ns, r.web, now); err != nil {
-				return // name collision with an active registration (duplicate-TLD plans only)
-			}
-			if d.CertAsked {
-				w.requestCertAt(w.CAs[r.caIdx], d.Name, now.Add(r.certDelay), r.retrySeed, 0)
-			}
-			if r.nsChange && (d.Lifetime == 0 || r.nsChangeAt < d.Lifetime) {
-				w.Clock.At(now.Add(r.nsChangeAt), func() { _ = reg.UpdateNS(d.Name, r.altNS) })
-			}
-			if d.Lifetime > 0 {
-				w.Clock.At(now.Add(d.Lifetime), func() { _ = reg.Delete(d.Name) })
-			}
-		},
+	now := w.Clock.Now()
+	if _, err := lc.reg.RegisterAt(d.Name, d.Registrar, r.ns, r.web, now); err != nil {
+		return // name collision with an active registration (duplicate-TLD plans only)
 	}
+	if d.CertAsked {
+		w.requestCertAt(w.CAs[r.caIdx], d.Name, now.Add(r.certDelay), r.retrySeed, 0)
+	}
+	if r.nsChange && (d.Lifetime == 0 || r.nsChangeAt < d.Lifetime) {
+		w.Clock.Schedule(now.Add(r.nsChangeAt), (*nsChange)(lc))
+	}
+	if d.Lifetime > 0 {
+		w.Clock.Schedule(now.Add(d.Lifetime), (*deletion)(lc))
+	}
+}
+
+// nsChange is a registration's switch to its pre-drawn alternate NS set.
+type nsChange lifecycle
+
+func (e *nsChange) Fire() { _ = e.reg.UpdateNS(e.r.d.Name, e.r.altNS) }
+
+// deletion is a registration's takedown at the end of its lifetime.
+type deletion lifecycle
+
+func (e *deletion) Fire() { _ = e.reg.Delete(e.r.d.Name) }
+
+// ghostIssuance is a ghost's certificate, issued on a stale DV token:
+// no live validation.
+type ghostIssuance lifecycle
+
+func (e *ghostIssuance) Fire() {
+	name := e.g.d.Name
+	e.w.CAs[e.g.caIdx].Issue(name, name, nil, nil)
 }
 
 // requestCertAt retries issuance while the domain has not yet entered

@@ -74,14 +74,14 @@ func share(n, k, i int) int {
 // that never touch an RNG.
 type regLayout struct {
 	d          *Domain
-	ns         []string
+	ns         []string // a provider's shared NS set (hosting.NSNames): read-only
 	web        netip.Addr
 	caIdx      int
 	certDelay  time.Duration
 	retrySeed  uint64 // derives per-attempt ACME backoffs (retryDelay)
 	nsChange   bool
 	nsChangeAt time.Duration
-	altNS      []string // drawn only when nsChange
+	altNS      []string // drawn only when nsChange; shared like ns
 }
 
 // ghostLayout is one compiled stale-DV-token issuance (§4.2 cause iii).
@@ -100,11 +100,14 @@ type feedSeed struct {
 
 // Layout is one plan's compiled output. It holds no references to world
 // substrates; commit translates it into Domains-map inserts, substrate
-// seedings and one ScheduleBatch call.
+// seedings and its stretch of the world's one ScheduleBatch call. The
+// registrations and ghosts are values in two slabs, and their records
+// (the d fields) point into a third, so a chunk of thousands of names is
+// a handful of allocations.
 type Layout struct {
 	tld     string
-	domains []*regLayout
-	ghosts  []*ghostLayout
+	domains []regLayout
+	ghosts  []ghostLayout
 	nod     []feedSeed
 	flags   []blocklist.Flag
 	dzdb    []feedSeed
@@ -132,21 +135,37 @@ type planCompiler struct {
 	// names is every name this chunk has generated, for domainName's
 	// collision checks; it is dropped with the compiler.
 	names map[string]struct{}
+	// records is the slab the chunk's ground-truth Domains live in.
+	records []Domain
 }
 
-// newPlanCompiler starts chunk chunk-of-chunks of a plan; names, the
-// count of names the chunk will draw, sizes its collision set.
-func newPlanCompiler(env *buildEnv, tld string, chunk, chunks, names int, rng *rand.Rand) *planCompiler {
+// newPlanCompiler starts chunk chunk-of-chunks of a plan that draws regs
+// registrations and ghosts ghosts; their sum sizes the collision set and
+// the record slab, and each count its layout slab.
+func newPlanCompiler(env *buildEnv, tld string, chunk, chunks, regs, ghosts int, rng *rand.Rand) *planCompiler {
 	pc := &planCompiler{
-		env:   env,
-		rng:   rng,
-		out:   &Layout{tld: tld},
-		names: make(map[string]struct{}, names),
+		env: env,
+		rng: rng,
+		out: &Layout{
+			tld:     tld,
+			domains: make([]regLayout, 0, regs),
+			ghosts:  make([]ghostLayout, 0, ghosts),
+		},
+		names:   make(map[string]struct{}, regs+ghosts),
+		records: make([]Domain, 0, regs+ghosts),
 	}
 	if chunks > 1 {
 		pc.namePrefix = nameAlphabet[chunk]
 	}
 	return pc
+}
+
+// record appends d to the chunk's record slab and returns its slot. The
+// slab is sized for every name the chunk draws; were it to grow anyway,
+// the records already handed out would stay where they are, valid.
+func (pc *planCompiler) record(d Domain) *Domain {
+	pc.records = append(pc.records, d)
+	return &pc.records[len(pc.records)-1]
 }
 
 // planCounts derives a gTLD plan's ground-truth population sizes.
@@ -169,17 +188,17 @@ func planChunks(cfg *Config, plan TLDPlan) int {
 func compilePlanChunk(env *buildEnv, plan TLDPlan, chunk, chunks int, rng *rand.Rand) *Layout {
 	nNormal, nFast, nGhost := planCounts(env.cfg, plan)
 	pc := newPlanCompiler(env, plan.TLD, chunk, chunks,
-		share(nNormal, chunks, chunk)+share(nFast, chunks, chunk)+share(nGhost, chunks, chunk), rng)
+		share(nNormal, chunks, chunk)+share(nFast, chunks, chunk), share(nGhost, chunks, chunk), rng)
 	weights := monthlyWeights(plan.MonthlyCT)
 
 	// Long-lived + early-removed registrations. Ground truth total is
 	// the zone-NRD volume; CT coverage decides who requests certs.
 	for i, n := 0, share(nNormal, chunks, chunk); i < n; i++ {
-		d := &Domain{
+		d := pc.record(Domain{
 			Name:    pc.domainName(plan.TLD),
 			TLD:     plan.TLD,
 			Created: pc.sampleCreation(weights),
-		}
+		})
 		d.CertAsked = pc.rng.Float64() < plan.CertCoverage
 		if pc.rng.Float64() < env.cfg.EarlyRemovedRate {
 			d.Lifetime = registrar.SampleEarlyRemovedLifetime(pc.rng)
@@ -192,13 +211,13 @@ func compilePlanChunk(env *buildEnv, plan TLDPlan, chunk, chunks int, rng *rand.
 
 	// Fast-deleted (transient-candidate) registrations.
 	for i, n := 0, share(nFast, chunks, chunk); i < n; i++ {
-		d := &Domain{
+		d := pc.record(Domain{
 			Name:       pc.domainName(plan.TLD),
 			TLD:        plan.TLD,
 			Created:    pc.sampleCreation(monthlyWeights(plan.Transients)),
 			Lifetime:   registrar.SampleTransientLifetime(pc.rng),
 			FastDelete: true,
-		}
+		})
 		d.Reason = registrar.SampleRemovalReason(pc.rng)
 		d.Malicious = d.Reason.Malicious()
 		d.CertAsked = pc.rng.Float64() < env.cfg.TransientCertRate
@@ -233,16 +252,16 @@ func ccChunks(cfg *Config, plan CCTLDPlan) int {
 // leave no sample at reproduction scales.
 func compileCCTLDChunk(env *buildEnv, plan CCTLDPlan, chunk, chunks int, rng *rand.Rand) *Layout {
 	nNormal, nFast := ccCounts(env.cfg, plan)
-	pc := newPlanCompiler(env, plan.TLD, chunk, chunks, share(nNormal, chunks, chunk)+share(nFast, chunks, chunk), rng)
+	pc := newPlanCompiler(env, plan.TLD, chunk, chunks, share(nNormal, chunks, chunk)+share(nFast, chunks, chunk), 0, rng)
 	weights := [3]float64{1. / 3, 1. / 3, 1. / 3}
 
 	for i, n := 0, share(nNormal, chunks, chunk); i < n; i++ {
-		d := &Domain{
+		d := pc.record(Domain{
 			Name:      pc.domainName(plan.TLD),
 			TLD:       plan.TLD,
 			Created:   pc.sampleCreation(weights),
 			Registrar: registrar.Pick(pc.rng),
-		}
+		})
 		d.CertAsked = pc.rng.Float64() < 0.45
 		pc.compileDomain(d, false)
 	}
@@ -250,13 +269,13 @@ func compileCCTLDChunk(env *buildEnv, plan CCTLDPlan, chunk, chunks int, rng *ra
 	// .nl ledger shows roughly half were still caught by a daily
 	// snapshot (334 of 714 were not).
 	for i, n := 0, share(nFast, chunks, chunk); i < n; i++ {
-		d := &Domain{
+		d := pc.record(Domain{
 			Name:       pc.domainName(plan.TLD),
 			TLD:        plan.TLD,
 			Created:    pc.sampleCreation(weights),
 			Lifetime:   time.Duration(1 + pc.rng.Int63n(int64(24*time.Hour-2))),
 			FastDelete: true,
-		}
+		})
 		d.Reason = registrar.SampleRemovalReason(pc.rng)
 		d.Malicious = d.Reason.Malicious()
 		d.CertAsked = pc.rng.Float64() < plan.TransientCertRate
@@ -287,7 +306,7 @@ func (pc *planCompiler) compileDomain(d *Domain, transient bool) {
 	webProv := hosting.PickWeb(rng, transient)
 	d.DNSHost = dnsProv.Name
 	d.WebHost = webProv.Name
-	r := &regLayout{
+	r := regLayout{
 		d:         d,
 		ns:        dnsProv.NSNames(rng.Intn(13)),
 		web:       webProv.WebAddr(rng.Uint64()),
@@ -331,9 +350,9 @@ func (pc *planCompiler) compileDomain(d *Domain, transient bool) {
 // issued a certificate during the window with no registration existing.
 func (pc *planCompiler) compileGhost(tld string, weights [3]float64) {
 	name := pc.domainName(tld)
-	d := &Domain{Name: name, TLD: tld, Ghost: true, Created: pc.sampleCreation(weights)}
+	d := pc.record(Domain{Name: name, TLD: tld, Ghost: true, Created: pc.sampleCreation(weights)})
 	validatedAgo := time.Duration(30+pc.rng.Intn(350)) * 24 * time.Hour
-	pc.out.ghosts = append(pc.out.ghosts, &ghostLayout{
+	pc.out.ghosts = append(pc.out.ghosts, ghostLayout{
 		d:       d,
 		caIdx:   pc.rng.Intn(pc.env.numCAs),
 		tokenAt: d.Created.Add(-validatedAgo),

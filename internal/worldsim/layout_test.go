@@ -25,7 +25,7 @@ func testCompiler(weeks int, seed int64) *planCompiler {
 	cfg := DefaultConfig(seed, 0.001)
 	cfg.Weeks = weeks
 	env := &buildEnv{cfg: &cfg, numCAs: len(caNames)}
-	return newPlanCompiler(env, "test", 0, 1, 0, rand.New(rand.NewSource(seed)))
+	return newPlanCompiler(env, "test", 0, 1, 0, 0, rand.New(rand.NewSource(seed)))
 }
 
 // TestSampleCreationClampsToWindow: when the window is shorter than a

@@ -273,7 +273,8 @@ func SaveSnapshot(w io.Writer, ls *LayoutSet) error {
 	var arena []byte
 	if err := writeTable(w, body, "domains", domainsSchema(), func(cw *columnar.Writer) error {
 		for i, l := range ls.Layouts {
-			for _, r := range l.domains {
+			for j := range l.domains {
+				r := &l.domains[j]
 				d := r.d
 				nsAt := len(arena)
 				arena = appendStringList(arena, r.ns)
@@ -311,7 +312,8 @@ func SaveSnapshot(w io.Writer, ls *LayoutSet) error {
 
 	if err := writeTable(w, body, "ghosts", ghostsSchema(), func(cw *columnar.Writer) error {
 		for i, l := range ls.Layouts {
-			for _, g := range l.ghosts {
+			for j := range l.ghosts {
+				g := &l.ghosts[j]
 				if err := cw.Append(
 					columnar.Int(int64(i)),
 					columnar.String(g.d.Name), columnar.String(g.d.TLD),
@@ -668,12 +670,10 @@ func (ls *LayoutSet) decodeDomains(t *tableReader) error {
 			nsChgAt  = g.Ints["ns_change_at"]
 			altCol   = g.Bytes["alt_ns"]
 		)
-		// One Domain/regLayout block per group instead of two heap
-		// objects per row; the pointers appended below stay valid for
-		// the life of the layout set.
+		// One Domain and one regLayout slab per group, as compile lays
+		// out a chunk, instead of two heap objects per row.
 		ds := make([]Domain, g.Rows)
 		rls := make([]regLayout, g.Rows)
-		ptrs := make([]*regLayout, g.Rows)
 		for i := 0; i < g.Rows; i++ {
 			idx := idxs[i]
 			if idx < 0 || idx >= int64(len(ls.Layouts)) {
@@ -715,20 +715,11 @@ func (ls *LayoutSet) decodeDomains(t *tableReader) error {
 				nsChangeAt: time.Duration(nsChgAt[i]),
 				altNS:      altNS,
 			}
-			ptrs[i] = &rls[i]
 		}
-		// Bulk-append runs of equal layout index: the writer emits one
-		// group per layout, so this is normally a single append per
-		// group instead of a growslice call per row.
-		for start := 0; start < g.Rows; {
-			end := start + 1
-			for end < g.Rows && idxs[end] == idxs[start] {
-				end++
-			}
+		forRuns(idxs[:g.Rows], func(start, end int) {
 			l := ls.Layouts[idxs[start]]
-			l.domains = append(l.domains, ptrs[start:end]...)
-			start = end
-		}
+			l.domains = adopt(l.domains, rls[start:end])
+		})
 	}
 }
 
@@ -752,7 +743,6 @@ func (ls *LayoutSet) decodeGhosts(t *tableReader) error {
 		)
 		ds := make([]Domain, g.Rows)
 		gls := make([]ghostLayout, g.Rows)
-		ptrs := make([]*ghostLayout, g.Rows)
 		for i := 0; i < g.Rows; i++ {
 			idx := idxs[i]
 			if idx < 0 || idx >= int64(len(ls.Layouts)) {
@@ -770,18 +760,35 @@ func (ls *LayoutSet) decodeGhosts(t *tableReader) error {
 				tokenAt: nanoTime(tokenAt[i]),
 				inDZDB:  inDZDB[i],
 			}
-			ptrs[i] = &gls[i]
 		}
-		for start := 0; start < g.Rows; {
-			end := start + 1
-			for end < g.Rows && idxs[end] == idxs[start] {
-				end++
-			}
+		forRuns(idxs[:g.Rows], func(start, end int) {
 			l := ls.Layouts[idxs[start]]
-			l.ghosts = append(l.ghosts, ptrs[start:end]...)
-			start = end
-		}
+			l.ghosts = adopt(l.ghosts, gls[start:end])
+		})
 	}
+}
+
+// forRuns calls f for each run idxs[start:end] of equal layout index.
+// The writer emits one group per layout, so a group is normally one run.
+func forRuns(idxs []int64, f func(start, end int)) {
+	for start := 0; start < len(idxs); {
+		end := start + 1
+		for end < len(idxs) && idxs[end] == idxs[start] {
+			end++
+		}
+		f(start, end)
+		start = end
+	}
+}
+
+// adopt appends run to a layout's slab. A layout's first run becomes its
+// slab as it stands, capped so that a later append copies rather than
+// overwriting the rows that follow it in the group's slab.
+func adopt[T any](slab, run []T) []T {
+	if len(slab) == 0 {
+		return run[:len(run):len(run)]
+	}
+	return append(slab, run...)
 }
 
 func (ls *LayoutSet) decodeFeed(t *tableReader, add func(*Layout, feedSeed)) error {

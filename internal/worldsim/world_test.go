@@ -354,3 +354,33 @@ func TestPlansMatchPaperTotals(t *testing.T) {
 		t.Errorf("transient total = %d, want ≈68k", trans)
 	}
 }
+
+// TestBuildAllocations: compiling and committing a world costs a bounded
+// number of allocations per domain — the name string, plus the amortised
+// growth of the maps and slices the names land in. Records, layouts and
+// lifecycle records live in per-chunk and per-layout slabs, NS sets are
+// the providers' shared ones, and the timeline's clock events are values
+// in one pre-sized heap, so a world four times larger adds at most 1.25
+// allocations per added domain where a record, a closure and an event
+// object per name add about eight.
+func TestBuildAllocations(t *testing.T) {
+	measure := func(scale float64) (allocs float64, domains int) {
+		cfg := tinyConfig(5)
+		cfg.Scale *= scale
+		allocs = testing.AllocsPerRun(2, func() {
+			w := New(cfg)
+			w.Stop()
+			domains = w.Domains.Len()
+		})
+		return allocs, domains
+	}
+	smallAllocs, smallDomains := measure(1)
+	largeAllocs, largeDomains := measure(4)
+	if largeDomains < 2*smallDomains {
+		t.Fatalf("worlds of %d and %d domains are too close in size to compare", smallDomains, largeDomains)
+	}
+	if perDomain := (largeAllocs - smallAllocs) / float64(largeDomains-smallDomains); perDomain > 1.25 {
+		t.Errorf("%.0f allocations at %d domains, %.0f at %d domains: %.3f per added domain, want at most 1.25",
+			smallAllocs, smallDomains, largeAllocs, largeDomains, perDomain)
+	}
+}
