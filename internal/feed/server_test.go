@@ -1230,13 +1230,24 @@ func TestEventsSurviveBufferReuse(t *testing.T) {
 // so this is the per-frame context check's test. It closes mid-stream,
 // while the consumer keeps C from filling, and repeats that because a
 // missing check shows only when the consumer outpaces the delivery loop.
+// The entries are published before Serve, so Serve logs all of them and
+// every round replays from the log: published after Serve, the pump could
+// still be broadcasting them when round 0 goes live, and a reader at
+// Buffer 8 would rightly be shed.
 func TestCloseBoundsLateDeliveries(t *testing.T) {
 	t.Parallel()
 	const batchMax, buffer = 4, 8
-	topic, addr, _ := startFeedServer(t, ServerConfig{BatchMax: batchMax})
+	topic := stream.NewBus().Topic("nrd-feed")
 	for i := 0; i < 10000; i++ {
 		topic.Publish(t0, fmt.Sprintf("d%d.com", i), []byte(`{"i":0}`))
 	}
+	srv := NewServerConfig(topic, ServerConfig{BatchMax: batchMax})
+	ln, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	addr := ln.String()
 	for round := 0; round < 20; round++ {
 		sub, err := NewClient(addr).Subscribe(context.Background(), SubscribeOptions{From: 0, Buffer: buffer})
 		if err != nil {

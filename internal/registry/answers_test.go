@@ -149,7 +149,6 @@ func TestReadersRaceMutators(t *testing.T) {
 				r.Lookup(d)
 				r.RDAPLookupAt(d, t0.Add(time.Hour))
 				r.Serial()
-				r.ZoneLen()
 				r.ZoneSnapshot(t0)
 				r.Ledger()
 			}
@@ -269,25 +268,24 @@ func sameSlice[T any](a, b []T) bool {
 	return len(a) == len(b) && (a == nil) == (b == nil) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// TestAnswerEqualsSeparateAccessors is the single-lock accessor's
-// contract, and the handle's: at every point of a registration's life —
-// pending, rebuilt into the zone, re-delegated, deleted, re-registered,
-// each before and after the rebuild that makes it visible — and for every
-// spelling of the name a caller might pass, Answer returns exactly what
-// Delegation, InZone and WebAddrs return, slice for slice, and so does
-// Answer on a Handle, whether it was resolved before the name was ever
-// registered or at that step.
+// TestAnswerEqualsSeparateAccessors is the handle's contract: at every
+// point of a registration's life — pending, rebuilt into the zone,
+// re-delegated, deleted, re-registered, each before and after the rebuild
+// that makes it visible — Answer on a Handle returns exactly what
+// Registry.Answer returns, slice for slice, whether the handle was
+// resolved before the name was ever registered or at that step.
+// Delegation, InZone and WebAddrs are views of Answer;
+// FuzzRebuildsMatchCadence holds all of them, for every spelling of a
+// name, to a model of the zone.
 func TestAnswerEqualsSeparateAccessors(t *testing.T) {
 	r, clk := newTestRegistry("com")
 	defer r.Stop()
 	names := []string{
-		"x.com", "X.Com", "x.com.", "X.COM.", // exact name, every spelling
-		"www.x.com", "a.b.x.com", "WWW.x.com.", // below the delegation
+		"x.com", "X.COM.", "www.x.com", // the name and one below it
 		"noweb.com", "www.noweb.com", // delegated, no web host
 		"steady.com",                     // never mutated after its first rebuild
 		"missing.com", "www.missing.com", // never registered
-		"x.org", "www.x.org", "x.co", "x.nosuchtld", // foreign and unknown TLDs
-		"com", "com.", "", ".", // the apex and the root
+		"x.org", "", // a foreign TLD and the root
 	}
 	early := make([]Handle, len(names)) // watched before registration
 	for i, n := range names {
@@ -299,12 +297,7 @@ func TestAnswerEqualsSeparateAccessors(t *testing.T) {
 	check := func(state string) {
 		t.Helper()
 		for i, n := range names {
-			ns, ok := r.Delegation(n)
-			want := Answer{NS: ns, Delegated: ok, InZone: r.InZone(n), A: r.WebAddrs(n)}
 			got := r.Answer(n)
-			if !same(got, want) {
-				t.Errorf("%s: Answer(%q) = %+v, separate accessors say %+v", state, n, got, want)
-			}
 			if h := early[i].Answer(); !same(h, got) {
 				t.Errorf("%s: handle resolved before registration answers %q with %+v, Answer says %+v", state, n, h, got)
 			}

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/netip"
 	"slices"
@@ -29,7 +30,47 @@ type cadenceModel struct {
 type modelReg struct {
 	created, deleted    time.Time
 	inZoneAt, outZoneAt time.Time
-	ns                  []string
+	ns                  modelNS
+	web                 netip.Addr
+}
+
+// modelNS is an NS set as a registrant passes it and as the zone
+// delegates it: canonical and sorted, written out by hand rather than
+// derived the way the registry derives it.
+type modelNS struct{ raw, zone []string }
+
+// modelProbe is one spelling a caller may ask the registry about, with
+// the registrable name whose delegation answers it ("" for none) and
+// whether it is that name itself, written out by hand.
+type modelProbe struct {
+	name, owner string
+	exact       bool
+}
+
+// modelProbes names the registered names in every spelling, names below
+// them, a name never registered, foreign and unknown TLDs, the apex and
+// the root.
+var modelProbes = []modelProbe{
+	{"a.com", "a.com", true}, {"A.COM.", "a.com", true}, {"b.com", "b.com", true},
+	{"B.Com", "b.com", true}, {"c.com.", "c.com", true}, {"C.com", "c.com", true},
+	{"www.a.com", "a.com", false}, {"WWW.a.com.", "a.com", false}, {"a.b.c.com", "c.com", false},
+	{"d.com", "d.com", true}, {"www.d.com", "d.com", false}, // never registered
+	{"a.org", "", false}, {"www.a.org", "", false}, {"a.co", "", false}, {"a.nosuchtld", "", false},
+	{"com", "", false}, {"com.", "", false}, {"", "", false}, {".", "", false},
+}
+
+// answer is what the live zone answers p with: the owner's delegation,
+// and the A answer of its newest registration when p is the owner itself.
+func (m *cadenceModel) answer(p modelProbe) Answer {
+	ns, ok := m.zone[p.owner]
+	if !ok {
+		return Answer{}
+	}
+	ans := Answer{NS: ns, Delegated: true, InZone: p.exact}
+	if regs := m.regs[p.owner]; p.exact && regs[len(regs)-1].web.IsValid() {
+		ans.A = []netip.Addr{regs[len(regs)-1].web}
+	}
+	return ans
 }
 
 func newCadenceModel(origin time.Time, period time.Duration) *cadenceModel {
@@ -67,7 +108,7 @@ func (m *cadenceModel) advanceTo(t time.Time) {
 					reg.outZoneAt = next
 				}
 				if in {
-					m.zone[name] = reg.ns
+					m.zone[name] = reg.ns.zone
 				}
 			}
 		}
@@ -84,7 +125,7 @@ func (m *cadenceModel) ledgerKeys() []string {
 	var keys []string
 	for name, regs := range m.regs {
 		for _, reg := range regs {
-			keys = append(keys, ledgerKey(name, reg.created, reg.deleted, reg.inZoneAt, reg.outZoneAt, reg.ns))
+			keys = append(keys, ledgerKey(name, reg.created, reg.deleted, reg.inZoneAt, reg.outZoneAt, reg.ns.raw))
 		}
 	}
 	slices.Sort(keys)
@@ -96,7 +137,10 @@ func (m *cadenceModel) ledgerKeys() []string {
 // random instants, some made exactly on a grid instant reached with
 // Advance — and after every advance holds its live zone, serial and
 // ledger zone stamps to cadenceModel: rebuilds armed on demand show
-// exactly what a rebuild at every grid instant would.
+// exactly what a rebuild at every grid instant would. The live zone is
+// read every way a caller can: Answer, Delegation, InZone and WebAddrs
+// for every spelling in modelProbes, handles resolved before the first
+// registration and at the check, and ZoneSnapshot.
 func FuzzRebuildsMatchCadence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 5, 0, 2, 0, 5, 0})
 	f.Add([]byte{1, 7, 0, 1, 3, 1, 4, 40, 2, 1, 0, 1, 5, 1, 4, 200})
@@ -117,20 +161,49 @@ func FuzzRebuildsMatchCadence(f *testing.F) {
 		m := newCadenceModel(clk.Now(), period)
 
 		names := []string{"a.com", "b.com", "c.com"}
-		nsSets := [][]string{{"ns1.a.net", "ns2.a.net"}, {"ns1.b.net"}}
+		nsSets := []modelNS{
+			{[]string{"ns1.a.net", "ns2.a.net"}, []string{"ns1.a.net", "ns2.a.net"}},
+			{[]string{"ns1.b.net"}, []string{"ns1.b.net"}},
+			{[]string{"NS2.c.net.", "ns1.c.net"}, []string{"ns1.c.net", "ns2.c.net"}},
+		}
+		webs := []netip.Addr{{}, netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2")}
+		early := make([]Handle, len(modelProbes)) // resolved before any registration
+		for i, p := range modelProbes {
+			early[i] = r.Resolve(p.name)
+		}
+		same := func(a, b Answer) bool {
+			return a.Delegated == b.Delegated && a.InZone == b.InZone && slices.Equal(a.NS, b.NS) && slices.Equal(a.A, b.A)
+		}
 		check := func(step int) {
 			t.Helper()
 			if got := r.Serial(); got != m.serial {
 				t.Fatalf("step %d at %v: serial %d, model %d", step, clk.Now(), got, m.serial)
 			}
-			if got := r.ZoneLen(); got != len(m.zone) {
-				t.Fatalf("step %d at %v: zone holds %d names, model %d", step, clk.Now(), got, len(m.zone))
+			for i, p := range modelProbes {
+				want := m.answer(p)
+				ns, ok := r.Delegation(p.name)
+				got := Answer{NS: ns, Delegated: ok, InZone: r.InZone(p.name), A: r.WebAddrs(p.name)}
+				for _, c := range []struct {
+					how string
+					ans Answer
+				}{
+					{"separate accessors", got}, {"Answer", r.Answer(p.name)},
+					{"early handle", early[i].Answer()}, {"handle", r.Resolve(p.name).Answer()},
+				} {
+					if !same(c.ans, want) {
+						t.Fatalf("step %d at %v: %s answers %q with %+v, model %+v", step, clk.Now(), c.how, p.name, c.ans, want)
+					}
+				}
 			}
-			for _, name := range names {
-				ns, ok := r.Delegation(name)
-				want, wantOK := m.zone[name]
-				if r.InZone(name) != wantOK || ok != wantOK || !slices.Equal(ns, want) {
-					t.Fatalf("step %d at %v: %s delegated %v %v, model %v %v", step, clk.Now(), name, ok, ns, wantOK, want)
+			snap := r.ZoneSnapshot(clk.Now())
+			domains := slices.Sorted(maps.Keys(m.zone))
+			if snap.TLD != "com" || snap.Serial != m.serial || !snap.Taken.Equal(clk.Now()) || snap.Len() != len(m.zone) || !slices.Equal(snap.Domains(), domains) {
+				t.Fatalf("step %d at %v: ZoneSnapshot %s serial %d taken %v holds %v, model serial %d holds %v",
+					step, clk.Now(), snap.TLD, snap.Serial, snap.Taken, snap.Domains(), m.serial, domains)
+			}
+			for _, d := range domains {
+				if got := snap.Get(d).NS; !slices.Equal(got, m.zone[d]) {
+					t.Fatalf("step %d at %v: ZoneSnapshot delegates %s to %v, model %v", step, clk.Now(), d, got, m.zone[d])
 				}
 			}
 			var got []string
@@ -147,15 +220,16 @@ func FuzzRebuildsMatchCadence(f *testing.F) {
 			op, arg := tape[i], int(tape[i+1])
 			name := names[arg%len(names)]
 			ns := nsSets[arg/len(names)%len(nsSets)]
+			web := webs[arg/(len(names)*len(nsSets))%len(webs)]
 			now := clk.Now()
 			switch op % 6 {
 			case 0, 1:
-				_, err := r.Register(name, "R", ns, netip.Addr{})
+				_, err := r.Register(name, "R", ns.raw, web)
 				if (err == nil) != (m.active(name) == nil) {
 					t.Fatalf("step %d: register %s: %v", step, name, err)
 				}
 				if err == nil {
-					m.regs[name] = append(m.regs[name], &modelReg{created: now, ns: ns})
+					m.regs[name] = append(m.regs[name], &modelReg{created: now, ns: ns, web: web})
 					m.dirty = true
 				}
 			case 2:
@@ -169,7 +243,7 @@ func FuzzRebuildsMatchCadence(f *testing.F) {
 					m.dirty = true
 				}
 			case 3:
-				err := r.UpdateNS(name, ns)
+				err := r.UpdateNS(name, ns.raw)
 				reg := m.active(name)
 				if (err == nil) != (reg != nil) {
 					t.Fatalf("step %d: update %s: %v", step, name, err)

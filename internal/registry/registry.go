@@ -12,9 +12,23 @@
 // the zone is the one a fixed-cadence rebuild would show, while an idle
 // registry costs its clock no event.
 //
+// The ledger keeps one record per registrable name (one label below the
+// TLD): every registration of the name and, while it is delegated, the
+// probe answer the live zone gives for it — an immutable {NS, A} pair the
+// record publishes behind one atomic pointer. That answer is the name's
+// zone entry; there is no zone beside the ledger. A record publishes an
+// answer exactly while its name is delegated, and the answer's NS is the
+// delegation's canonical, sorted NS set. Registrations and zone rebuilds
+// replace the answer under the registry's lock, so a Handle — issued once
+// by Resolve, for a name that may not be registered yet or any more —
+// answers every later probe of its name with one atomic load: no lock, no
+// name hashing. A handle's holder may also ask to be told of every
+// replacement (Handle.Notify), so it need not re-read an answer that has
+// not changed.
+//
 // A daily publication is the zone's net change since the previous one
 // (a zoneset.Diff), not a copy of the zone: the registry remembers the
-// pre-publication delegation of every name a rebuild touches and
+// answer at the previous publication of every name a rebuild touches and
 // classifies only those names when it publishes, so publishing costs
 // O(names changed). A subscriber that folds the diffs in order holds the
 // zone a daily snapshot would have shown it.
@@ -24,17 +38,6 @@
 // "transient domains". ccTLD-mode registries (InCZDS=false) publish only
 // to their own subscribers, never to CZDS, modelling the .nl ground-truth
 // vantage of §4.4.
-//
-// The ledger keeps one record per registrable name (one label below the
-// TLD): every registration of the name and, while it is delegated, the
-// probe answer the live zone gives for it — an immutable {NS, A} pair the
-// record publishes behind one atomic pointer. Registrations and zone
-// rebuilds replace that pair under the registry's lock, so a Handle —
-// issued once by Resolve, for a name that may not be registered yet or
-// any more — answers every later probe of its name with one atomic load:
-// no lock, no name hashing. A handle's holder may also ask to be told of
-// every replacement (Handle.Notify), so it need not re-read an answer
-// that has not changed.
 package registry
 
 import (
@@ -143,14 +146,16 @@ type Registry struct {
 	// ground truth) and write-locked by ledger mutations and zone
 	// rebuilds. A Handle's probe takes no lock: it loads the answer its
 	// record published, which only writers holding mu replace.
-	mu      sync.RWMutex
-	ledger  map[string]*record // keyed by registrable name
-	zone    *zoneset.Snapshot  // live zone
-	serial  uint32
-	pending map[string]pendingOp
+	mu     sync.RWMutex
+	ledger map[string]*record // keyed by registrable name; the live zone's entries
+	serial uint32
+	// pending holds the names mutated since the last rebuild; the rebuild
+	// delegates each to its newest registration's NS set, or removes it
+	// when that registration is deleted.
+	pending map[string]struct{}
 	// since holds, for each name a rebuild touched since the last
-	// publication, its delegation in that publication (nil: absent).
-	since map[string]*zoneset.Delegation
+	// publication, its answer in that publication (nil: not delegated).
+	since map[string]*delegatedAnswer
 	subs  []func(zoneset.Diff)
 	// delivered is when the newest publication is delivered: no later
 	// one is delivered before it, however short its own delay.
@@ -166,11 +171,6 @@ type Registry struct {
 	rebuild func() // rebuildArmed, bound once
 
 	snapTicker *simclock.Ticker
-}
-
-type pendingOp struct {
-	del bool
-	ns  []string
 }
 
 // record is the ledger's entry for one registrable name: its newest
@@ -205,9 +205,9 @@ func (rec *record) publish(ans *delegatedAnswer) {
 }
 
 // delegatedAnswer is what a probe of a delegated name reads, as one
-// consistent cut: the live zone's NS set and the newest registration's A
-// answer. It is never modified once published; a change publishes a new
-// one.
+// consistent cut: the name's zone entry — its canonical, sorted NS set —
+// and the newest registration's A answer. It is never modified once
+// published; a change publishes a new one.
 type delegatedAnswer struct {
 	NS []string
 	A  []netip.Addr
@@ -232,15 +232,15 @@ func New(cfg Config, clk simclock.Clock, rng *rand.Rand) *Registry {
 	if cfg.ZoneUpdateEvery <= 0 {
 		cfg.ZoneUpdateEvery = time.Minute
 	}
+	cfg.TLD = dnsname.Canonical(cfg.TLD)
 	r := &Registry{
 		cfg:     cfg,
 		clk:     clk,
 		rng:     rng,
 		ledger:  make(map[string]*record),
-		zone:    zoneset.NewSnapshot(cfg.TLD, 1, clk.Now()),
 		serial:  1,
-		pending: make(map[string]pendingOp),
-		since:   make(map[string]*zoneset.Delegation),
+		pending: make(map[string]struct{}),
+		since:   make(map[string]*delegatedAnswer),
 		origin:  clk.Now(),
 	}
 	r.rebuild = r.rebuildArmed
@@ -284,7 +284,8 @@ func (r *Registry) Register(domain, registrar string, ns []string, web netip.Add
 // RegisterAt creates a new active registration stamped at an explicit
 // instant, for a caller that already holds the instant it registers at.
 // Only a registrable name — one label below the TLD — is accepted, so the
-// zone never delegates anything else.
+// zone never delegates anything else. The returned registration is the
+// ledger's own entry, whose NS slice the live zone may share: read-only.
 func (r *Registry) RegisterAt(domain, registrar string, ns []string, web netip.Addr, at time.Time) (*Registration, error) {
 	domain = dnsname.Canonical(domain)
 	if key, ok := r.registrable(domain); !ok || key != domain {
@@ -317,7 +318,7 @@ func (r *Registry) RegisterAt(domain, registrar string, ns []string, web netip.A
 	if cur := rec.live.Load(); cur != nil && (cur.A != nil || reg.webAddrs != nil) {
 		rec.publish(&delegatedAnswer{NS: cur.NS, A: reg.webAddrs})
 	}
-	r.pend(domain, pendingOp{ns: reg.NS})
+	r.pend(domain)
 	return reg, nil
 }
 
@@ -337,7 +338,7 @@ func (r *Registry) DeleteAt(domain string, at time.Time) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, domain)
 	}
 	reg.Deleted = at
-	r.pend(domain, pendingOp{del: true})
+	r.pend(domain)
 	return nil
 }
 
@@ -352,19 +353,18 @@ func (r *Registry) UpdateNS(domain string, ns []string) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, domain)
 	}
 	reg.NS = append([]string(nil), ns...)
-	if op, ok := r.pending[domain]; !ok || !op.del {
-		r.pend(domain, pendingOp{ns: reg.NS})
-	}
+	r.pend(domain)
 	return nil
 }
 
-// pend records op as domain's pending change and, unless one is already
-// armed, arms a rebuild at the first grid instant origin + k·ZoneUpdateEvery
-// strictly after the clock's now: the instant the registry's cadence would
-// next have rebuilt the zone. The caller holds mu; scheduling under it is
-// safe because a clock never calls back while scheduling.
-func (r *Registry) pend(domain string, op pendingOp) {
-	r.pending[domain] = op
+// pend marks domain as changed since the last rebuild and, unless one is
+// already armed, arms a rebuild at the first grid instant origin +
+// k·ZoneUpdateEvery strictly after the clock's now: the instant the
+// registry's cadence would next have rebuilt the zone. The caller holds
+// mu; scheduling under it is safe because a clock never calls back while
+// scheduling.
+func (r *Registry) pend(domain string) {
+	r.pending[domain] = struct{}{}
 	if r.armed || r.stopped {
 		return
 	}
@@ -385,38 +385,54 @@ func (r *Registry) rebuildArmed() {
 	}
 }
 
-// rebuildZone applies pending operations at now. The caller holds mu.
+// rebuildZone applies the pending changes at now: each pending name is
+// delegated to its newest registration's NS set, or leaves the zone when
+// that registration is deleted. The caller holds mu.
 func (r *Registry) rebuildZone(now time.Time) {
 	if len(r.pending) == 0 {
 		return
 	}
-	for domain, op := range r.pending {
-		if _, ok := r.since[domain]; !ok {
-			r.since[domain] = r.zone.Get(domain)
-		}
+	for domain := range r.pending {
 		rec := r.ledger[domain]
+		if _, ok := r.since[domain]; !ok {
+			r.since[domain] = rec.live.Load()
+		}
 		// A name deleted and re-registered between two rebuilds still has
 		// the superseded registration's delegation live: it leaves the zone
 		// at this rebuild, whatever replaces it.
 		for old := rec.newest.prev; old != nil; old = old.prev {
 			leaveZone(old, now)
 		}
-		if op.del {
-			r.zone.Remove(domain)
+		reg := rec.active()
+		if reg == nil {
 			rec.publish(nil)
 			leaveZone(rec.newest, now)
 			continue
 		}
-		r.zone.Add(domain, op.ns)
-		rec.publish(&delegatedAnswer{NS: r.zone.Get(domain).NS, A: rec.newest.webAddrs})
-		if rec.newest.InZoneAt.IsZero() {
-			rec.newest.InZoneAt = now
+		rec.publish(&delegatedAnswer{NS: zoneNS(reg.NS), A: reg.webAddrs})
+		if reg.InZoneAt.IsZero() {
+			reg.InZoneAt = now
 		}
 	}
-	r.pending = make(map[string]pendingOp)
+	clear(r.pending)
 	r.serial++
-	r.zone.Serial = r.serial
-	r.zone.Taken = now
+}
+
+// zoneNS returns ns as the zone delegates it, canonical and sorted: ns
+// itself when it already is, as a world's NS sets are, and a sorted,
+// canonical copy otherwise. Sharing the registration's slice is safe
+// because RegisterAt and UpdateNS install private copies and nothing
+// writes one in place.
+func zoneNS(ns []string) []string {
+	if slices.IsSorted(ns) && !slices.ContainsFunc(ns, func(n string) bool { return dnsname.Canonical(n) != n }) {
+		return ns
+	}
+	cns := make([]string, len(ns))
+	for i, n := range ns {
+		cns[i] = dnsname.Canonical(n)
+	}
+	slices.Sort(cns)
+	return cns
 }
 
 // leaveZone stamps reg's exit from the zone at now, if it entered the zone
@@ -436,9 +452,8 @@ func leaveZone(reg *Registration, now time.Time) {
 // order.
 func (r *Registry) publishSnapshot(now time.Time) {
 	r.mu.Lock()
-	diff := r.zone.DiffSince(r.since)
-	diff.Taken = now
-	r.since = make(map[string]*zoneset.Delegation, len(r.since))
+	diff := r.diffSince(now)
+	r.since = make(map[string]*delegatedAnswer, len(r.since))
 	subs := slices.Clone(r.subs)
 	at := now
 	if r.cfg.SnapshotDelay != nil {
@@ -464,6 +479,29 @@ func (r *Registry) publishSnapshot(now time.Time) {
 	r.clk.At(at, deliver)
 }
 
+// diffSince classifies the names in since, each by its answer at the
+// previous publication against its record's answer now — the Compare of
+// the two zones, since every name outside since is the same in both — and
+// heads the diff with the current serial and now. The caller holds mu.
+func (r *Registry) diffSince(now time.Time) zoneset.Diff {
+	d := zoneset.Diff{TLD: r.cfg.TLD, Serial: r.serial, Taken: now}
+	for dom, old := range r.since {
+		cur := r.ledger[dom].live.Load()
+		switch {
+		case old == nil && cur != nil:
+			d.Added = append(d.Added, dom)
+		case old != nil && cur == nil:
+			d.Removed = append(d.Removed, dom)
+		case old != nil && !slices.Equal(old.NS, cur.NS):
+			d.Changed = append(d.Changed, dom)
+		}
+	}
+	slices.Sort(d.Added)
+	slices.Sort(d.Removed)
+	slices.Sort(d.Changed)
+	return d
+}
+
 // Authoritative queries --------------------------------------------------
 
 // Serial returns the live zone's SOA serial (SOA-probe validation, §4.1).
@@ -476,33 +514,19 @@ func (r *Registry) Serial() uint32 {
 // Delegation answers an NS query at the TLD authoritative servers: the NS
 // set for the registered domain covering name, and ok=false for NXDOMAIN.
 // Matching the paper's step 3, this is the ground truth for "still in
-// zone" checks, immune to lame-delegation noise. The slice is the live
-// zone's own: shared and read-only. A later UpdateNS installs a new slice
-// at the next rebuild and leaves this one untouched. dnsserver asks it
-// once per query, so it reads the zone itself — which a record's live
-// delegation mirrors — trying name before its registrable ancestor, like
-// Answer.
+// zone" checks, immune to lame-delegation noise. It is Answer's NS and
+// Delegated: the zone entry the covering name's record publishes. The
+// slice is shared and read-only; a later UpdateNS publishes a new one at
+// the next rebuild and leaves this one untouched.
 func (r *Registry) Delegation(name string) (ns []string, ok bool) {
-	name = dnsname.Canonical(name)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	del := r.zone.Get(name)
-	if del == nil {
-		if key, ok := r.registrable(name); ok && key != name {
-			del = r.zone.Get(key)
-		}
-	}
-	if del == nil {
-		return nil, false
-	}
-	return del.NS, true
+	a := r.Answer(name)
+	return a.NS, a.Delegated
 }
 
 // registrable returns the name one label below the TLD that covers
 // canonical name — name itself, or its ancestor at that depth — as a
 // substring of name; ok=false when name is not below the TLD. Those are
-// the only names RegisterAt accepts, so the only keys the ledger and the
-// zone hold.
+// the only names RegisterAt accepts, so the only keys the ledger holds.
 func (r *Registry) registrable(name string) (key string, ok bool) {
 	tld := r.cfg.TLD
 	dot := len(name) - len(tld) - 1
@@ -633,12 +657,9 @@ func (h Handle) Notify(fn func()) {
 	h.rec.more = append(h.rec.more, fn)
 }
 
-// InZone reports whether domain is currently delegated in the live zone.
-func (r *Registry) InZone(domain string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.zone.Contains(domain)
-}
+// InZone reports whether domain is currently delegated in the live zone:
+// Answer's InZone.
+func (r *Registry) InZone(domain string) bool { return r.Answer(domain).InZone }
 
 // WebAddrs answers an A query for domain: the newest registration's web
 // host while domain is delegated in the live zone, nil otherwise. One
@@ -649,20 +670,19 @@ func (r *Registry) WebAddrs(domain string) []netip.Addr {
 	return r.Answer(domain).A
 }
 
-// ZoneLen returns the live zone delegation count.
-func (r *Registry) ZoneLen() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.zone.Len()
-}
-
-// ZoneSnapshot clones the live zone as of now, for a zone transfer or a
-// rapid zone update service's per-interval diffs.
+// ZoneSnapshot builds the live zone as of now — every record's published
+// delegation, under the current serial — for a zone transfer or a rapid
+// zone update service's per-interval diffs. It walks the whole ledger, so
+// it costs O(names ever resolved or registered).
 func (r *Registry) ZoneSnapshot(now time.Time) *zoneset.Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	snap := r.zone.Clone()
-	snap.Taken = now
+	snap := zoneset.NewSnapshot(r.cfg.TLD, r.serial, now)
+	for name, rec := range r.ledger {
+		if live := rec.live.Load(); live != nil {
+			snap.Add(name, live.NS)
+		}
+	}
 	return snap
 }
 

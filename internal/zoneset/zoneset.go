@@ -10,8 +10,8 @@ package zoneset
 import (
 	"fmt"
 	"io"
-	"maps"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -23,8 +23,8 @@ import (
 
 // Delegation is one registered domain's delegation in its TLD zone. Once
 // in a Snapshot a Delegation is immutable: Add replaces the value, it
-// never edits one in place, which is what lets Clone share them between
-// snapshots. Readers must treat it — NS and Glue included — as read-only.
+// never edits one in place. Readers must treat it — NS and Glue included —
+// as read-only.
 type Delegation struct {
 	Domain string   // canonical registered domain, e.g. "example.com"
 	NS     []string // sorted nameserver targets
@@ -35,19 +35,6 @@ type Delegation struct {
 type Glue struct {
 	Name string
 	Addr netip.Addr
-}
-
-// nsEqual reports whether two sorted NS sets are identical.
-func nsEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Snapshot is an immutable-after-Build zone snapshot.
@@ -96,7 +83,7 @@ func (s *Snapshot) Contains(domain string) bool {
 }
 
 // Get returns the delegation for domain, or nil. The value is shared with
-// this snapshot and every clone taken of it: read-only.
+// this snapshot: read-only.
 func (s *Snapshot) Get(domain string) *Delegation {
 	return s.dels[dnsname.Canonical(domain)]
 }
@@ -115,14 +102,6 @@ func (s *Snapshot) Domains() []string {
 		sort.Strings(s.sorted)
 	}
 	return s.sorted
-}
-
-// Clone returns an independent snapshot, used by registries to publish a
-// frozen view: Add and Remove on either side never show through the
-// other. Only the map is copied — the immutable Delegation values are
-// shared, so a clone costs one map, not three allocations per domain.
-func (s *Snapshot) Clone() *Snapshot {
-	return &Snapshot{TLD: s.TLD, Serial: s.Serial, Taken: s.Taken, dels: maps.Clone(s.dels)}
 }
 
 // Diff is the difference between two snapshots of one zone, headed by
@@ -145,7 +124,7 @@ func Compare(old, new *Snapshot) Diff {
 		o := old.dels[dom]
 		if o == nil {
 			d.Added = append(d.Added, dom)
-		} else if !nsEqual(o.NS, new.dels[dom].NS) {
+		} else if !slices.Equal(o.NS, new.dels[dom].NS) {
 			d.Changed = append(d.Changed, dom)
 		}
 	}
@@ -154,30 +133,6 @@ func Compare(old, new *Snapshot) Diff {
 			d.Removed = append(d.Removed, dom)
 		}
 	}
-	return d
-}
-
-// DiffSince is Compare(old, s) for the old snapshot that s was before
-// the delegations in before changed: before maps each name touched since
-// old to its delegation in old, nil when old lacks it, and every name
-// outside before is the same in both. It costs O(len(before)), not
-// O(zone), and takes no copy of either zone.
-func (s *Snapshot) DiffSince(before map[string]*Delegation) Diff {
-	d := Diff{TLD: s.TLD, Serial: s.Serial, Taken: s.Taken}
-	for dom, o := range before {
-		n := s.dels[dom]
-		switch {
-		case o == nil && n != nil:
-			d.Added = append(d.Added, dom)
-		case o != nil && n == nil:
-			d.Removed = append(d.Removed, dom)
-		case o != nil && !nsEqual(o.NS, n.NS):
-			d.Changed = append(d.Changed, dom)
-		}
-	}
-	sort.Strings(d.Added)
-	sort.Strings(d.Removed)
-	sort.Strings(d.Changed)
 	return d
 }
 
@@ -326,7 +281,7 @@ func StreamDiff(old, new io.Reader, tld string, fn func(kind DiffKind, domain st
 				return err
 			}
 		default: // same domain
-			if !nsEqual(oldDel.NS, newDel.NS) {
+			if !slices.Equal(oldDel.NS, newDel.NS) {
 				fn(DiffChanged, newDel.Domain)
 			}
 			if oldDel, oldOK, err = oldIt.next(); err != nil {
