@@ -29,11 +29,16 @@ type Results struct {
 	cands     []core.Candidate
 }
 
-// candidates is Pipeline.Candidates, copied and sorted once per Results:
+// candidates is Pipeline.Candidates, copied and sorted once per Results
+// (Run hands over the copy its transient report was computed from):
 // every experiment reads the same finished campaign. The slice is shared
 // and must not be modified.
 func (r *Results) candidates() []core.Candidate {
-	r.candsOnce.Do(func() { r.cands = r.Pipeline.Candidates() })
+	r.candsOnce.Do(func() {
+		if r.cands == nil {
+			r.cands = r.Pipeline.Candidates()
+		}
+	})
 	return r.cands
 }
 
@@ -108,10 +113,12 @@ func run(cfg RunConfig, wrap func(measure.Backend) measure.Backend) *Results {
 	w.Run()
 	p.Stop()
 
+	cands := p.Candidates()
 	return &Results{
 		World: w, Pipeline: p, Fleet: fleet, Bus: bus,
-		Report:      p.Transients(),
+		Report:      p.TransientsOf(cands),
 		WindowStart: start, WindowEnd: end,
+		cands: cands,
 	}
 }
 

@@ -99,34 +99,56 @@ func (c *CA) Stats() (issued, reusedToken int64) {
 	return c.issued, c.reused
 }
 
+// Outcome receives the result of one Issue: the logged entry, or
+// ErrValidationFailed. A caller that keeps a record per request — the
+// world's certificate attempts — implements it on that record, so a
+// request binds no callback.
+type Outcome interface {
+	Issued(entry ct.Entry, err error)
+}
+
 // Issue requests a certificate for cn (plus optional extra SANs), keyed on
 // the registered domain regDomain for DV-token caching. The precertificate
-// is logged after the CA's validation delay. The done callback, if
-// non-nil, fires with the logged entry or a validation error.
-func (c *CA) Issue(regDomain, cn string, sans []string, done func(ct.Entry, error)) {
-	regDomain = dnsname.Canonical(regDomain)
-	cn = dnsname.Canonical(cn)
-	delay := c.cfg.ValidationDelay(c.rng)
-	c.clk.After(delay, func() {
-		now := c.clk.Now()
-		ok, fresh := c.validate(regDomain, now)
-		if !ok {
-			if done != nil {
-				done(ct.Entry{}, ErrValidationFailed)
-			}
-			return
+// is logged after the CA's validation delay, drawn from the CA's
+// generator when Issue is called. done, if non-nil, receives the logged
+// entry or a validation error. The request is one pendingIssuance value,
+// scheduled on the clock as its own timer.
+func (c *CA) Issue(regDomain, cn string, sans []string, done Outcome) {
+	p := &pendingIssuance{c: c, regDomain: dnsname.Canonical(regDomain),
+		cn: dnsname.Canonical(cn), sans: sans, done: done}
+	c.clk.Schedule(c.clk.Now().Add(c.cfg.ValidationDelay(c.rng)), p)
+}
+
+// pendingIssuance is one Issue waiting out its validation delay.
+type pendingIssuance struct {
+	c             *CA
+	regDomain, cn string
+	sans          []string
+	done          Outcome
+}
+
+// Fire validates at the firing instant and, on success, logs the
+// precertificate; done hears the result either way.
+func (p *pendingIssuance) Fire() {
+	c := p.c
+	now := c.clk.Now()
+	ok, fresh := c.validate(p.regDomain, now)
+	if !ok {
+		if p.done != nil {
+			p.done.Issued(ct.Entry{}, ErrValidationFailed)
 		}
-		c.mu.Lock()
-		c.issued++
-		if !fresh {
-			c.reused++
-		}
-		c.mu.Unlock()
-		entry := c.logPrecert(now, cn, sans)
-		if done != nil {
-			done(entry, nil)
-		}
-	})
+		return
+	}
+	c.mu.Lock()
+	c.issued++
+	if !fresh {
+		c.reused++
+	}
+	c.mu.Unlock()
+	entry := c.logPrecert(now, p.cn, p.sans)
+	if p.done != nil {
+		p.done.Issued(entry, nil)
+	}
 }
 
 // validate checks domain control, consulting the DV-token cache first.

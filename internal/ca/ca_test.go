@@ -16,6 +16,11 @@ type fakeZone map[string]bool
 
 func (z fakeZone) Resolves(name string) bool { return z[name] }
 
+// outcomeFunc adapts a callback to Outcome.
+type outcomeFunc func(ct.Entry, error)
+
+func (f outcomeFunc) Issued(e ct.Entry, err error) { f(e, err) }
+
 func fixedDelay(d time.Duration) func(*rand.Rand) time.Duration {
 	return func(*rand.Rand) time.Duration { return d }
 }
@@ -33,9 +38,9 @@ func TestIssueValidatesAndLogs(t *testing.T) {
 	c, clk, log := newCA(zone, 10*time.Second)
 	var got ct.Entry
 	var gotErr error
-	c.Issue("example.com", "example.com", []string{"www.example.com"}, func(e ct.Entry, err error) {
+	c.Issue("example.com", "example.com", []string{"www.example.com"}, outcomeFunc(func(e ct.Entry, err error) {
 		got, gotErr = e, err
-	})
+	}))
 	if log.Size() != 0 {
 		t.Fatal("logged before validation delay")
 	}
@@ -57,7 +62,7 @@ func TestIssueValidatesAndLogs(t *testing.T) {
 func TestIssueFailsForUnresolvableDomain(t *testing.T) {
 	c, clk, log := newCA(fakeZone{}, time.Second)
 	var gotErr error
-	c.Issue("ghost.com", "ghost.com", nil, func(_ ct.Entry, err error) { gotErr = err })
+	c.Issue("ghost.com", "ghost.com", nil, outcomeFunc(func(_ ct.Entry, err error) { gotErr = err }))
 	clk.Advance(time.Second)
 	if !errors.Is(gotErr, ErrValidationFailed) {
 		t.Errorf("want ErrValidationFailed, got %v", gotErr)
@@ -79,7 +84,7 @@ func TestDVTokenReuseIssuesForDeadDomain(t *testing.T) {
 	}
 	delete(zone, "dead.com") // domain removed from zone
 	var gotErr error
-	c.Issue("dead.com", "dead.com", nil, func(_ ct.Entry, err error) { gotErr = err })
+	c.Issue("dead.com", "dead.com", nil, outcomeFunc(func(_ ct.Entry, err error) { gotErr = err }))
 	clk.Advance(time.Second)
 	if gotErr != nil {
 		t.Fatalf("reissue with cached token failed: %v", gotErr)
@@ -101,7 +106,7 @@ func TestDVTokenExpiresAfter398Days(t *testing.T) {
 	delete(zone, "old.com")
 	clk.Advance(DVReuseWindow + time.Hour)
 	var gotErr error
-	c.Issue("old.com", "old.com", nil, func(_ ct.Entry, err error) { gotErr = err })
+	c.Issue("old.com", "old.com", nil, outcomeFunc(func(_ ct.Entry, err error) { gotErr = err }))
 	clk.Advance(time.Second)
 	if !errors.Is(gotErr, ErrValidationFailed) {
 		t.Errorf("expired token should force re-validation: %v", gotErr)
@@ -115,7 +120,7 @@ func TestSeedTokenModelsHistoricalValidation(t *testing.T) {
 		t.Fatal("seeded token missing")
 	}
 	var gotErr error
-	c.Issue("historic.com", "historic.com", nil, func(_ ct.Entry, err error) { gotErr = err })
+	c.Issue("historic.com", "historic.com", nil, outcomeFunc(func(_ ct.Entry, err error) { gotErr = err }))
 	clk.Advance(time.Second)
 	if gotErr != nil || log.Size() != 1 {
 		t.Errorf("historic issuance: %v, log=%d", gotErr, log.Size())
@@ -167,5 +172,39 @@ func TestDefaultValidationDelayBounded(t *testing.T) {
 		if d < 5*time.Second || d > 10*time.Minute {
 			t.Fatalf("delay %v out of bounds", d)
 		}
+	}
+}
+
+// tally counts outcomes. A pointer to it is an Outcome that binds nothing
+// per request, the way the world's certificate attempts are.
+type tally struct{ ok, failed int }
+
+func (t *tally) Issued(_ ct.Entry, err error) {
+	if err != nil {
+		t.failed++
+	} else {
+		t.ok++
+	}
+}
+
+// TestIssueAllocations pins a certificate request, validated or failed,
+// to one allocation: the pending issuance that is its own clock timer.
+// Logging the precertificate appends to the log's slab, which amortizes
+// below one per request.
+func TestIssueAllocations(t *testing.T) {
+	const runs = 1000
+	c, clk, log := newCA(fakeZone{"x.com": true}, time.Second)
+	var out tally
+	for _, tc := range []struct{ name, cn string }{{"x.com", "www.x.com"}, {"gone.com", "gone.com"}} {
+		allocs := testing.AllocsPerRun(runs, func() {
+			c.Issue(tc.name, tc.cn, nil, &out)
+			clk.Advance(time.Second)
+		})
+		if allocs > 1 {
+			t.Errorf("Issue(%s) then its firing allocate %v times, want ≤ 1", tc.name, allocs)
+		}
+	}
+	if out.ok != runs+1 || out.failed != runs+1 || log.Size() != runs+1 {
+		t.Errorf("outcomes %+v, log size %d; want %d of each", out, log.Size(), runs+1)
 	}
 }

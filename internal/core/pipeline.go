@@ -30,9 +30,9 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -158,9 +158,12 @@ type Pipeline struct {
 
 	feed *stream.Topic
 
-	// mu guards candidates and every Candidate field.
+	// mu guards candidates, every Candidate field and spare.
 	mu         sync.Mutex
-	candidates map[string]*Candidate
+	candidates map[string]*admission
+	// spare is the decision generator dispatch reuses: taken while in use,
+	// so a concurrent dispatch finds none and makes its own.
+	spare *rand.Rand
 
 	unsub func()
 }
@@ -183,7 +186,7 @@ func New(cfg Config, clk simclock.Clock, pslList *psl.List, zones *czds.Service,
 	}
 	p := &Pipeline{
 		cfg: cfg, clk: clk, psl: pslList, zones: zones, rdapQ: rdapQ,
-		fleet: fleet, seed: seed, candidates: make(map[string]*Candidate),
+		fleet: fleet, seed: seed, candidates: make(map[string]*admission),
 	}
 	if bus != nil {
 		p.feed = bus.Topic(cfg.FeedTopic)
@@ -194,7 +197,7 @@ func New(cfg Config, clk simclock.Clock, pslList *psl.List, zones *czds.Service,
 // splitmix64 is a tiny rand.Source64: each call advances a Weyl sequence
 // and whitens it through the shared dnsname.Mix64 finalizer. It replaces
 // the stock 4.9 KB shuffled-linear source for per-candidate decision
-// draws, where a fresh generator is created per admission.
+// draws, where the generator is reseeded per admission.
 type splitmix64 uint64
 
 func (s *splitmix64) next() uint64 {
@@ -206,13 +209,29 @@ func (s *splitmix64) Uint64() uint64  { return s.next() }
 func (s *splitmix64) Int63() int64    { return int64(s.next() >> 1) }
 func (s *splitmix64) Seed(seed int64) { *s = splitmix64(seed) }
 
-// domainRand derives the candidate's decision generator from the pipeline
-// seed and the domain name. Because the derivation ignores event arrival
-// order, concurrent callers draw identical decisions for a given
-// (seed, domain) pair — the property the determinism guarantee rests on.
-func (p *Pipeline) domainRand(domain string) *rand.Rand {
-	src := splitmix64(dnsname.Hash64(domain) ^ uint64(p.seed))
-	return rand.New(&src)
+// decisionsFor returns the candidate's decision generator, seeded from
+// the pipeline seed and the domain name alone: the spare one when no
+// other dispatch holds it. Because the seed ignores event arrival order,
+// concurrent callers draw identical decisions for a given (seed, domain)
+// pair — the property the determinism guarantee rests on. Hand it back
+// with release.
+func (p *Pipeline) decisionsFor(domain string) *rand.Rand {
+	p.mu.Lock()
+	rng := p.spare
+	p.spare = nil
+	p.mu.Unlock()
+	if rng == nil {
+		rng = rand.New(new(splitmix64))
+	}
+	rng.Seed(int64(dnsname.Hash64(domain) ^ uint64(p.seed)))
+	return rng
+}
+
+// release makes rng the spare generator again.
+func (p *Pipeline) release(rng *rand.Rand) {
+	p.mu.Lock()
+	p.spare = rng
+	p.mu.Unlock()
 }
 
 // Start subscribes the pipeline to the certstream hub, handling each
@@ -234,21 +253,23 @@ func (p *Pipeline) Stop() {
 }
 
 // HandleEvent processes one certstream event (step 1). Exported so tests
-// and replay tools can feed events directly; safe for concurrent use.
+// and replay tools can feed events directly; safe for concurrent use. An
+// admission allocates its store record and, with a feed, its payload;
+// screening a name allocates nothing.
 func (p *Pipeline) HandleEvent(ev certstream.Event) {
-	for _, name := range ev.Entry.Names() {
+	for name := range ev.Entry.EachName {
 		domain, ok := p.screenName(name)
 		if !ok {
 			continue
 		}
-		cand, admitted := p.admit(domain, ev)
+		adm, admitted := p.admit(domain, &ev)
 		if !admitted {
 			continue
 		}
 		if p.feed != nil {
-			p.feed.Publish(ev.Seen, domain, feedJSON(domain, ev))
+			p.feed.Publish(ev.Seen, domain, feedJSON(domain, ev.Seen, ev.Log))
 		}
-		p.dispatch(cand)
+		p.dispatch(adm)
 	}
 }
 
@@ -277,50 +298,78 @@ func (p *Pipeline) screenName(name string) (string, bool) {
 	return domain, true
 }
 
+// admission is a candidate's record in the store: the Candidate and what
+// its step-2 timer needs. The record is that timer (Fire), so scheduling
+// the RDAP lookup costs no allocation beyond the record.
+type admission struct {
+	Candidate
+	p    *Pipeline
+	fail bool // the injected collection failure drawn at dispatch
+}
+
+// Fire is the candidate's RDAP timer.
+func (a *admission) Fire() { a.p.collectRDAP(&a.Candidate, a.fail) }
+
 // admit inserts domain into the candidate store unless a concurrent or
 // earlier event won the race.
-func (p *Pipeline) admit(domain string, ev certstream.Event) (*Candidate, bool) {
-	cand := &Candidate{
-		Domain: domain,
-		TLD:    dnsname.TLD(domain),
-		SeenAt: ev.Seen,
-		CTLog:  ev.Log,
-		Issuer: ev.Entry.Issuer,
+func (p *Pipeline) admit(domain string, ev *certstream.Event) (*admission, bool) {
+	adm := &admission{
+		Candidate: Candidate{
+			Domain: domain,
+			TLD:    dnsname.TLD(domain),
+			SeenAt: ev.Seen,
+			CTLog:  ev.Log,
+			Issuer: ev.Entry.Issuer,
+		},
+		p: p,
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, dup := p.candidates[domain]; dup {
 		return nil, false
 	}
-	p.candidates[domain] = cand
-	return cand, true
+	p.candidates[domain] = adm
+	return adm, true
 }
 
 // dispatch runs steps 2 and 3 for a freshly admitted candidate: RDAP
 // after a queueing delay (one attempt only) and the reactive measurement
 // watch, with all random decisions drawn from the candidate's derived
 // generator.
-func (p *Pipeline) dispatch(cand *Candidate) {
-	rng := p.domainRand(cand.Domain)
+func (p *Pipeline) dispatch(adm *admission) {
+	rng := p.decisionsFor(adm.Domain)
 	delay := time.Duration(0)
 	if p.cfg.RDAPDelay != nil {
 		delay = p.cfg.RDAPDelay(rng)
 	}
-	fail := rng.Float64() < p.cfg.RDAPFailureRate
-	p.clk.After(delay, func() { p.collectRDAP(cand, fail) })
+	adm.fail = rng.Float64() < p.cfg.RDAPFailureRate
+	watch := p.fleet != nil && rng.Float64() < p.cfg.WatchSampleRate
+	p.release(rng)
+	p.clk.Schedule(p.clk.Now().Add(delay), adm)
 
-	if p.fleet != nil && rng.Float64() < p.cfg.WatchSampleRate {
+	if watch {
 		p.mu.Lock()
-		cand.Watched = true
+		adm.Watched = true
 		p.mu.Unlock() // before Watch, whose admission probe runs the fleet's observers
-		p.fleet.Watch(cand.Domain)
+		p.fleet.Watch(adm.Domain)
 	}
 }
 
-// feedJSON renders the NRD feed message for an admission.
-func feedJSON(domain string, ev certstream.Event) []byte {
-	return []byte(fmt.Sprintf(`{"domain":%q,"seen":%q,"log":%q}`,
-		domain, ev.Seen.UTC().Format(time.RFC3339), ev.Log))
+// feedJSON renders the NRD feed message for an admission:
+// {"domain":…,"seen":…,"log":…}, each value quoted as fmt's %q quotes a
+// string (the RFC 3339 instant needs no escaping). It is built in a
+// stack buffer and returned as one exact-size copy, the payload the feed
+// keeps.
+func feedJSON(domain string, seen time.Time, log string) []byte {
+	var scratch [192]byte
+	b := append(scratch[:0], `{"domain":`...)
+	b = strconv.AppendQuote(b, domain)
+	b = append(b, `,"seen":"`...)
+	b = seen.UTC().AppendFormat(b, time.RFC3339)
+	b = append(b, `","log":`...)
+	b = strconv.AppendQuote(b, log)
+	b = append(b, '}')
+	return append(make([]byte, 0, len(b)), b...)
 }
 
 // collectRDAP performs step 2 when the candidate's timer fires: the one
@@ -363,15 +412,23 @@ func (p *Pipeline) collectRDAP(cand *Candidate, injectedFailure bool) {
 // benchmark PR of ROADMAP item 1(d).
 func (p *Pipeline) Dispatcher() *rdap.Dispatcher { return nil }
 
-// Candidates returns copies of all candidates, sorted by domain.
+// Candidates returns copies of all candidates, sorted by domain. The
+// records are sorted by pointer, outside the lock (a domain never
+// changes), and copied once.
 func (p *Pipeline) Candidates() []Candidate {
 	p.mu.Lock()
-	out := make([]Candidate, 0, len(p.candidates))
-	for _, c := range p.candidates {
-		out = append(out, *c)
+	recs := make([]*admission, 0, len(p.candidates))
+	for _, a := range p.candidates {
+		recs = append(recs, a)
 	}
 	p.mu.Unlock()
-	slices.SortFunc(out, func(a, b Candidate) int { return strings.Compare(a.Domain, b.Domain) })
+	slices.SortFunc(recs, func(a, b *admission) int { return strings.Compare(a.Domain, b.Domain) })
+	out := make([]Candidate, len(recs))
+	p.mu.Lock()
+	for i, a := range recs {
+		out[i] = a.Candidate
+	}
+	p.mu.Unlock()
 	return out
 }
 
@@ -380,11 +437,11 @@ func (p *Pipeline) Candidate(domain string) (Candidate, bool) {
 	domain = dnsname.Canonical(domain)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	c, ok := p.candidates[domain]
+	a, ok := p.candidates[domain]
 	if !ok {
 		return Candidate{}, false
 	}
-	return *c, true
+	return a.Candidate, true
 }
 
 // Len returns the number of candidates admitted.
@@ -410,13 +467,17 @@ type TransientReport struct {
 // TLDs with no collected zone snapshots are skipped: without zone files
 // the "never appeared in a snapshot" test is vacuous (this is precisely
 // why ccTLD transients need the registry's own zone view, §4.4).
-func (p *Pipeline) Transients() TransientReport {
+func (p *Pipeline) Transients() TransientReport { return p.TransientsOf(p.Candidates()) }
+
+// TransientsOf is Transients over cands, a Candidates result taken once
+// the campaign is over, for a caller that also keeps that sorted copy.
+func (p *Pipeline) TransientsOf(cands []Candidate) TransientReport {
 	collected := make(map[string]bool)
 	for _, tld := range p.zones.TLDs() {
 		collected[tld] = true
 	}
 	var rep TransientReport
-	for _, c := range p.Candidates() {
+	for _, c := range cands {
 		if !collected[c.TLD] {
 			continue
 		}
@@ -451,7 +512,8 @@ func (p *Pipeline) Summary() Stats {
 	s := Stats{ByOutcome: make(map[RDAPOutcome]int)}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, c := range p.candidates {
+	for _, a := range p.candidates {
+		c := &a.Candidate
 		s.Candidates++
 		s.ByOutcome[c.RDAPOutcome]++
 		if c.Validated {
@@ -473,8 +535,8 @@ func (p *Pipeline) ZoneNRDCoverage(tld string) (detectedInZone, zoneNRDs int64) 
 	zoneNRDs = p.zones.Stats(tld).Added
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, c := range p.candidates {
-		if c.TLD == tld && p.DetectedBeforeZone(*c) {
+	for _, a := range p.candidates {
+		if a.TLD == tld && p.DetectedBeforeZone(a.Candidate) {
 			detectedInZone++
 		}
 	}

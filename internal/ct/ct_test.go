@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -71,9 +72,64 @@ func TestSubscribersSeeEntries(t *testing.T) {
 
 func TestNamesDeduplicates(t *testing.T) {
 	e := Entry{CN: "a.com", SANs: []string{"a.com", "www.a.com", "", "www.a.com"}}
-	names := e.Names()
+	names := slices.Collect(e.EachName)
 	if len(names) != 2 || names[0] != "a.com" || names[1] != "www.a.com" {
-		t.Errorf("Names = %v", names)
+		t.Errorf("EachName yields %v", names)
+	}
+}
+
+// refNames is the entry's names as Entry.Names built them before
+// EachName replaced it: a set-deduplicated slice.
+// TestEachNameMatchesSetReference holds EachName to it.
+func refNames(e *Entry) []string {
+	seen := make(map[string]bool, 1+len(e.SANs))
+	var out []string
+	add := func(n string) {
+		if n != "" && !seen[n] {
+			seen[n] = true
+			out = append(out, n)
+		}
+	}
+	add(e.CN)
+	for _, s := range e.SANs {
+		add(s)
+	}
+	return out
+}
+
+// TestEachNameMatchesSetReference draws entries from a five-name pool
+// (empty included) so CNs repeat in SANs, SANs repeat each other and
+// names are empty, and checks EachName's order against the set-based
+// reference, a loop that stops early, and that ranging allocates nothing.
+func TestEachNameMatchesSetReference(t *testing.T) {
+	pool := []string{"", "a.com", "www.a.com", "b.com", "A.COM"}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 5000; i++ {
+		e := Entry{CN: pool[rng.Intn(len(pool))]}
+		for j := rng.Intn(6); j > 0; j-- {
+			e.SANs = append(e.SANs, pool[rng.Intn(len(pool))])
+		}
+		want := refNames(&e)
+		if got := slices.Collect(e.EachName); !slices.Equal(got, want) {
+			t.Fatalf("%+v: EachName yields %q, reference %q", e, got, want)
+		}
+		var first []string
+		for n := range e.EachName {
+			first = append(first, n)
+			break
+		}
+		if len(want) > 0 && !slices.Equal(first, want[:1]) || len(want) == 0 && first != nil {
+			t.Fatalf("%+v: a loop that stops after one name saw %q", e, first)
+		}
+	}
+	e := Entry{CN: "a.com", SANs: []string{"www.a.com", "a.com", "b.com"}}
+	n := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		for range e.EachName {
+			n++
+		}
+	}); allocs != 0 {
+		t.Errorf("ranging over EachName allocates %v times, want 0", allocs)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -40,21 +41,24 @@ type Entry struct {
 	Logged    time.Time `json:"logged"`
 }
 
-// Names returns the deduplicated union of CN and SANs.
-func (e *Entry) Names() []string {
-	seen := make(map[string]bool, 1+len(e.SANs))
-	var out []string
-	add := func(n string) {
-		if n != "" && !seen[n] {
-			seen[n] = true
-			out = append(out, n)
+// EachName yields the deduplicated union of CN and SANs without building
+// it: CN, then each SAN, skipping empty names and names already yielded.
+// It is an iter.Seq as a method, so `for n := range e.EachName` binds no
+// closure that outlives the loop. A certificate names a handful of
+// hosts, so a repeat is found by comparing with the names before it
+// rather than through a set.
+func (e *Entry) EachName(yield func(string) bool) {
+	if e.CN != "" && !yield(e.CN) {
+		return
+	}
+	for i, n := range e.SANs {
+		if n == "" || n == e.CN || slices.Contains(e.SANs[:i], n) {
+			continue
+		}
+		if !yield(n) {
+			return
 		}
 	}
-	add(e.CN)
-	for _, s := range e.SANs {
-		add(s)
-	}
-	return out
 }
 
 // leafData serializes the entry for hashing. json is canonical enough for

@@ -52,7 +52,8 @@ func Canonical(s string) string {
 
 // Check validates a name in presentation form. Hostname rules (LDH) are
 // applied per label, with underscore additionally permitted as a leading
-// character to admit service labels such as _dmarc.
+// character to admit service labels such as _dmarc. A valid name costs no
+// allocation: the labels are walked in place.
 func Check(s string) error {
 	s = strings.TrimSuffix(s, ".")
 	if s == "" {
@@ -61,11 +62,12 @@ func Check(s string) error {
 	if len(s) > MaxNameLen {
 		return ErrTooLong
 	}
-	labels := strings.Split(s, ".")
-	if len(labels) > MaxLabels {
+	if strings.Count(s, ".") >= MaxLabels {
 		return ErrTooManyLabels
 	}
-	for _, l := range labels {
+	for rest, more := s, true; more; {
+		var l string
+		l, rest, more = strings.Cut(rest, ".")
 		if err := checkLabel(l); err != nil {
 			return fmt.Errorf("%w in %q", err, s)
 		}

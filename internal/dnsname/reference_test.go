@@ -227,3 +227,71 @@ func TestCompressorMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// refCheck is Check as it stood before it walked labels in place: the
+// name split into a label slice first. Kept as the oracle
+// TestCheckMatchesReference holds Check to, error for error.
+func refCheck(s string) error {
+	s = strings.TrimSuffix(s, ".")
+	if s == "" {
+		return nil
+	}
+	if len(s) > MaxNameLen {
+		return ErrTooLong
+	}
+	labels := strings.Split(s, ".")
+	if len(labels) > MaxLabels {
+		return ErrTooManyLabels
+	}
+	for _, l := range labels {
+		if err := checkLabel(l); err != nil {
+			return fmt.Errorf("%w in %q", err, s)
+		}
+	}
+	return nil
+}
+
+// TestCheckMatchesReference compares Check with the split form on names
+// built to hit every rule: valid LDH names, each bad-character, hyphen,
+// underscore and wildcard case, empty labels anywhere, one or two
+// trailing dots, and names at and past the 253-octet and 127-label
+// limits. Both the error and its message must agree.
+func TestCheckMatchesReference(t *testing.T) {
+	pieces := []string{"a", "example", "com", "x-y", "-x", "x-", "_dmarc", "a_b", "*", "*x", "A1", "é", "a b",
+		"", strings.Repeat("l", 63), strings.Repeat("l", 64)}
+	rng := rand.New(rand.NewSource(3))
+	names := []string{"", ".", "..", "a.", "a..", strings.Repeat("a.", 126) + "a", strings.Repeat("a.", 127) + "a",
+		strings.Repeat("a.", 127), strings.Repeat(".", 200), strings.Repeat("ab.", 84) + "a", strings.Repeat("ab.", 84) + "ab"}
+	for i := 0; i < 50_000; i++ {
+		parts := make([]string, 1+rng.Intn(8))
+		for j := range parts {
+			parts[j] = pieces[rng.Intn(len(pieces))]
+		}
+		name := strings.Join(parts, ".")
+		if rng.Intn(4) == 0 {
+			name += strings.Repeat(".", 1+rng.Intn(2))
+		}
+		names = append(names, name)
+	}
+	for _, name := range names {
+		got, want := Check(name), refCheck(name)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Fatalf("Check(%q) = %v, reference %v", name, got, want)
+		}
+		for _, sentinel := range []error{ErrEmpty, ErrTooLong, ErrLabelTooLong, ErrBadChar, ErrBadHyphen, ErrTooManyLabels} {
+			if errors.Is(got, sentinel) != errors.Is(want, sentinel) {
+				t.Fatalf("Check(%q) = %v, reference %v: disagree on %v", name, got, want, sentinel)
+			}
+		}
+	}
+}
+
+// TestCheckAllocatesNothing pins validating a good name, the ingest
+// path's per-candidate case, at zero allocations.
+func TestCheckAllocatesNothing(t *testing.T) {
+	for _, name := range []string{"fresh.com", "www.some-host.example.co.uk.", "_dmarc.x-y.shop", "*.a.b"} {
+		if allocs := testing.AllocsPerRun(100, func() { _ = Check(name) }); allocs != 0 {
+			t.Errorf("Check(%q) allocates %v times, want 0", name, allocs)
+		}
+	}
+}

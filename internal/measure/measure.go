@@ -296,6 +296,12 @@ type Fleet struct {
 
 	maxRound int // widest round (domains probed in one event)
 
+	// spareAdmit is the admission probe's memory, reused across watches:
+	// Watch takes it for its probe and puts it back, so a Watch nested
+	// in that probe's observers, or concurrent under the real-time
+	// clock, finds none and makes its own.
+	spareAdmit *admission
+
 	// observers is copy-on-write: a round delivers from the list it read
 	// under mu while a registration installs a new one.
 	observers []func(Observation)
@@ -369,6 +375,8 @@ func (f *Fleet) Watch(domain string) {
 	st := &DomainState{Domain: domain, Started: now, seq: f.nextSeq, handle: h, polled: !notifies, dirty: !notifies}
 	f.states[domain] = st
 	f.nextSeq++
+	one := f.spareAdmit
+	f.spareAdmit = nil
 	f.mu.Unlock()
 	if notifies {
 		notifier.Notify(func() { f.changed(st) })
@@ -382,14 +390,14 @@ func (f *Fleet) Watch(domain string) {
 	// round's buf: under the real-time clock a round may be in flight on
 	// another goroutine. It cannot finish the watch (a first probe never
 	// sees a death), so the watch is active from here on.
-	var one struct {
-		target [1]*DomainState
-		name   [1]string
-		result [1]roundResult
+	if one == nil {
+		one = new(admission)
 	}
 	one.target[0] = st
 	f.probeRound(roundBuf{one.target[:], one.name[:], one.result[:]}, now)
+	*one = admission{} // keeps nothing of this watch reachable
 	f.mu.Lock()
+	f.spareAdmit = one
 	st.listed, st.settled = true, len(f.log)
 	if st.dirty {
 		f.dirty = append(f.dirty, st)
@@ -583,6 +591,13 @@ type roundResult struct {
 	obs Observation
 	mx  []string
 	txt []string
+}
+
+// admission is the one-slot working memory of Watch's admission probe.
+type admission struct {
+	target [1]*DomainState
+	name   [1]string
+	result [1]roundResult
 }
 
 // roundBuf is the working memory of one probe round, three positional

@@ -93,66 +93,72 @@ func (l *List) Len() int { return len(l.rules) }
 
 // PublicSuffix returns the public suffix of name per the list rules.
 // Unknown TLDs fall back to the implicit "*" rule (the last label).
+// Every suffix it tries, and the one it returns, is a substring of the
+// canonical name, so it allocates nothing.
 func (l *List) PublicSuffix(name string) string {
-	name = dnsname.Canonical(name)
+	// Labels are what lies between the dots of the canonical name less
+	// one more trailing dot, as dnsname.Labels splits it.
+	name = strings.TrimSuffix(dnsname.Canonical(name), ".")
 	if name == "" {
 		return ""
 	}
-	labels := dnsname.Labels(name)
 	// Walk suffixes from the TLD leftward, tracking the longest match.
-	best := labels[len(labels)-1] // implicit * rule
+	// start is where the current suffix begins: just after a dot.
+	start := strings.LastIndexByte(name, '.') + 1
+	best := name[start:] // implicit * rule
 	bestLabels := 1
-	suffix := ""
-	for i := len(labels) - 1; i >= 0; i-- {
-		if suffix == "" {
-			suffix = labels[i]
-		} else {
-			suffix = labels[i] + "." + suffix
+	for n := 1; ; n++ {
+		suffix := name[start:]
+		// next is where the label to the suffix's left begins; with none
+		// left (start 0), the wildcard below has no label to take.
+		next := -1
+		if start > 0 {
+			next = strings.LastIndexByte(name[:start-1], '.') + 1
 		}
-		n := len(labels) - i
-		kind, ok := l.rules[suffix]
-		if !ok {
-			continue
-		}
-		if kind&ruleException != 0 {
-			// Exception: the suffix is one label shorter than the rule.
-			return dnsname.Parent(suffix)
-		}
-		if kind&ruleNormal != 0 && n > bestLabels {
-			best, bestLabels = suffix, n
-		}
-		if kind&ruleWildcard != 0 && i > 0 {
-			// "*.suffix": one more label is part of the suffix.
-			wild := labels[i-1] + "." + suffix
-			// Unless an exception rule names that exact domain.
-			if k2 := l.rules[wild]; k2&ruleException == 0 {
-				if n+1 > bestLabels {
-					best, bestLabels = wild, n+1
+		if kind, ok := l.rules[suffix]; ok {
+			if kind&ruleException != 0 {
+				// Exception: the suffix is one label shorter than the rule.
+				return dnsname.Parent(suffix)
+			}
+			if kind&ruleNormal != 0 && n > bestLabels {
+				best, bestLabels = suffix, n
+			}
+			if kind&ruleWildcard != 0 && next >= 0 {
+				// "*.suffix": one more label is part of the suffix.
+				wild := name[next:]
+				// Unless an exception rule names that exact domain.
+				if k2 := l.rules[wild]; k2&ruleException == 0 {
+					if n+1 > bestLabels {
+						best, bestLabels = wild, n+1
+					}
 				}
 			}
 		}
+		if next < 0 {
+			return best
+		}
+		start = next
 	}
-	return best
 }
 
 // RegisteredDomain returns the registrable (pay-level) domain of name:
 // the public suffix plus one label. ok is false when name IS a public
-// suffix (or the root), i.e. nothing is registrable.
+// suffix (or the root), i.e. nothing is registrable. The domain is a
+// substring of the canonical name: no allocation.
 func (l *List) RegisteredDomain(name string) (domain string, ok bool) {
 	name = dnsname.Canonical(name)
 	ps := l.PublicSuffix(name)
-	if name == ps || name == "" {
+	if ps == "" || name == ps {
+		// An empty suffix — the root, a name of dots, an exception rule
+		// on a TLD — leaves no label to register.
 		return "", false
 	}
-	// name is strictly under ps; take suffix plus one label.
-	rest := strings.TrimSuffix(name, "."+ps)
-	if rest == name {
+	// name is strictly under ps: take suffix plus one label.
+	dot := len(name) - len(ps) - 1
+	if dot < 0 || name[dot] != '.' || name[dot+1:] != ps {
 		return "", false
 	}
-	if i := strings.LastIndexByte(rest, '.'); i >= 0 {
-		rest = rest[i+1:]
-	}
-	return rest + "." + ps, true
+	return name[strings.LastIndexByte(name[:dot], '.')+1:], true
 }
 
 // IsPublicSuffix reports whether name exactly matches the list's notion of

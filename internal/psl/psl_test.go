@@ -63,6 +63,9 @@ func TestRegisteredDomain(t *testing.T) {
 		{"blogspot.com", "", false},
 		{"myblog.blogspot.com", "myblog.blogspot.com", true},
 		{"WWW.EXAMPLE.COM.", "example.com", true},
+		{"..", "", false}, // an empty suffix: nothing registrable
+		{"...", "", false},
+		{"x.zz...", "", false},
 	}
 	for _, c := range cases {
 		got, ok := l.RegisteredDomain(c.name)

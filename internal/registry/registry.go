@@ -70,9 +70,12 @@ type Registration struct {
 	InZoneAt    time.Time // when the delegation entered the live zone
 	OutOfZoneAt time.Time // when it left; zero while delegated
 
-	// webAddrs is the A answer for WebAddr, built once at registration and
-	// never mutated, so Registry.WebAddrs can hand it out without copying.
-	webAddrs []netip.Addr
+	// zone is the answer the live zone gives for this registration while
+	// it is delegated: its NS set canonical and sorted, in the second half
+	// of the array whose first half is NS, and the A answer for WebAddr.
+	// It is built whenever NS is set and never modified, so a rebuild
+	// publishes it as it is and nothing a caller writes reaches it.
+	zone *delegatedAnswer
 	// prev is the registration of the same name this one superseded; the
 	// ledger's older entries hang off the newest through it.
 	prev *Registration
@@ -211,6 +214,32 @@ func (rec *record) publish(ans *delegatedAnswer) {
 type delegatedAnswer struct {
 	NS []string
 	A  []netip.Addr
+	a  [1]netip.Addr // A's array when the answer was built for a web host
+}
+
+// delegate installs a private copy of ns as reg's NS and builds the
+// answer reg's delegation publishes (reg.zone), whose A answer is
+// reg.WebAddr's. One array holds the copy and, behind it, the zone's
+// canonical and sorted NS set, so neither the caller's ns nor a write to
+// reg.NS reaches the zone, and the zone's set costs no allocation of its
+// own. An empty ns delegates to nil.
+func (reg *Registration) delegate(ns []string) {
+	var own, zone []string
+	if n := len(ns); n > 0 {
+		buf := make([]string, 2*n)
+		own, zone = buf[:n:n], buf[n:]
+		copy(own, ns)
+		for i, name := range ns {
+			zone[i] = dnsname.Canonical(name)
+		}
+		slices.Sort(zone)
+	}
+	reg.NS = own
+	reg.zone = &delegatedAnswer{NS: zone}
+	if reg.WebAddr.IsValid() {
+		reg.zone.a[0] = reg.WebAddr
+		reg.zone.A = reg.zone.a[:]
+	}
 }
 
 // active returns the newest registration while it is not deleted.
@@ -285,7 +314,9 @@ func (r *Registry) Register(domain, registrar string, ns []string, web netip.Add
 // instant, for a caller that already holds the instant it registers at.
 // Only a registrable name — one label below the TLD — is accepted, so the
 // zone never delegates anything else. The returned registration is the
-// ledger's own entry, whose NS slice the live zone may share: read-only.
+// ledger's own entry and must be treated as read-only; its NS slice is
+// its own, not the live zone's, so a write to it leaves every answer as
+// it was.
 func (r *Registry) RegisterAt(domain, registrar string, ns []string, web netip.Addr, at time.Time) (*Registration, error) {
 	domain = dnsname.Canonical(domain)
 	if key, ok := r.registrable(domain); !ok || key != domain {
@@ -301,12 +332,9 @@ func (r *Registry) RegisterAt(domain, registrar string, ns []string, web netip.A
 		Domain:    domain,
 		Registrar: registrar,
 		Created:   at,
-		NS:        append([]string(nil), ns...),
 		WebAddr:   web,
 	}
-	if web.IsValid() {
-		reg.webAddrs = []netip.Addr{web}
-	}
+	reg.delegate(ns)
 	if rec == nil {
 		rec = &record{}
 		r.ledger[domain] = rec
@@ -315,8 +343,8 @@ func (r *Registry) RegisterAt(domain, registrar string, ns []string, web netip.A
 	// A name deleted but not yet rebuilt out of the zone is still
 	// delegated, and its A answer is the newest registration's from now
 	// on. Two nil answers are the same answer.
-	if cur := rec.live.Load(); cur != nil && (cur.A != nil || reg.webAddrs != nil) {
-		rec.publish(&delegatedAnswer{NS: cur.NS, A: reg.webAddrs})
+	if cur := rec.live.Load(); cur != nil && (cur.A != nil || reg.zone.A != nil) {
+		rec.publish(&delegatedAnswer{NS: cur.NS, A: reg.zone.A})
 	}
 	r.pend(domain)
 	return reg, nil
@@ -352,7 +380,7 @@ func (r *Registry) UpdateNS(domain string, ns []string) error {
 	if reg == nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, domain)
 	}
-	reg.NS = append([]string(nil), ns...)
+	reg.delegate(ns)
 	r.pend(domain)
 	return nil
 }
@@ -409,30 +437,13 @@ func (r *Registry) rebuildZone(now time.Time) {
 			leaveZone(rec.newest, now)
 			continue
 		}
-		rec.publish(&delegatedAnswer{NS: zoneNS(reg.NS), A: reg.webAddrs})
+		rec.publish(reg.zone)
 		if reg.InZoneAt.IsZero() {
 			reg.InZoneAt = now
 		}
 	}
 	clear(r.pending)
 	r.serial++
-}
-
-// zoneNS returns ns as the zone delegates it, canonical and sorted: ns
-// itself when it already is, as a world's NS sets are, and a sorted,
-// canonical copy otherwise. Sharing the registration's slice is safe
-// because RegisterAt and UpdateNS install private copies and nothing
-// writes one in place.
-func zoneNS(ns []string) []string {
-	if slices.IsSorted(ns) && !slices.ContainsFunc(ns, func(n string) bool { return dnsname.Canonical(n) != n }) {
-		return ns
-	}
-	cns := make([]string, len(ns))
-	for i, n := range ns {
-		cns[i] = dnsname.Canonical(n)
-	}
-	slices.Sort(cns)
-	return cns
 }
 
 // leaveZone stamps reg's exit from the zone at now, if it entered the zone
@@ -694,30 +705,30 @@ var RDAPErrNotSynced = errors.New("registry: rdap data not yet synced")
 // RDAPLookup returns the registration data RDAP would serve for domain at
 // the current instant: the newest registration that has had RDAPSyncDelay
 // to propagate. Deleted domains stop being served once deleted (the "we
-// were too late" failure mode).
-func (r *Registry) RDAPLookup(domain string) (*Registration, error) {
+// were too late" failure mode). The registration is returned by value,
+// so a lookup allocates nothing.
+func (r *Registry) RDAPLookup(domain string) (Registration, error) {
 	return r.RDAPLookupAt(domain, r.clk.Now())
 }
 
 // RDAPLookupAt is RDAPLookup evaluated at an explicit instant: the
 // sync-delay and deleted-visibility cutoffs are taken at now.
-func (r *Registry) RDAPLookupAt(domain string, now time.Time) (*Registration, error) {
+func (r *Registry) RDAPLookupAt(domain string, now time.Time) (Registration, error) {
 	domain = dnsname.Canonical(domain)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	rec := r.ledger[domain]
 	if rec == nil || rec.newest == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, domain)
+		return Registration{}, fmt.Errorf("%w: %s", ErrNotFound, domain)
 	}
 	reg := rec.newest
 	if reg.Created.Add(r.cfg.RDAPSyncDelay).After(now) {
-		return nil, RDAPErrNotSynced // registered, not yet propagated
+		return Registration{}, RDAPErrNotSynced // registered, not yet propagated
 	}
 	if !reg.Deleted.IsZero() && reg.Deleted.Before(now) {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, domain)
+		return Registration{}, fmt.Errorf("%w: %s", ErrNotFound, domain)
 	}
-	cp := reg.copy()
-	return &cp, nil
+	return reg.copy(), nil
 }
 
 // copy returns reg for a caller outside the ledger: its fields, without

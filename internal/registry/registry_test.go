@@ -282,8 +282,9 @@ func TestUpdateNS(t *testing.T) {
 // TestSharedNSSetStaysShared: a world hands every customer on one
 // provider shard the same read-only NS set. Registering two names on it,
 // re-delegating one and editing the NS slice of a registration the
-// registry returned must leave both provider sets and the other name's
-// zone answer as they were: the registry keeps copies.
+// registry returned must leave both provider sets and every zone answer
+// — the edited name's own included — as they were: the registry keeps
+// copies, and the zone's is not the registration's.
 func TestSharedNSSetStaysShared(t *testing.T) {
 	r, clk := newTestRegistry("com")
 	defer r.Stop()
@@ -298,12 +299,21 @@ func TestSharedNSSetStaysShared(t *testing.T) {
 	}
 	clk.Advance(time.Minute)
 	first.NS[0] = "ns1.hijacked.example"
+	if ns, ok := r.Delegation("first.com"); !ok || !slices.Equal(ns, want) {
+		t.Fatalf("after a write to its registration's NS, first.com delegates to %v, want %v", ns, want)
+	}
+	if reg, ok := r.Lookup("first.com"); ok {
+		reg.NS[len(reg.NS)-1] = "ns9.hijacked.example" // a Lookup copy's NS
+	}
+	if ns, _ := r.Delegation("first.com"); !slices.Equal(ns, want) {
+		t.Fatalf("after a write to a Lookup copy's NS, first.com delegates to %v, want %v", ns, want)
+	}
 	alt := hosting.ByName("GoDaddy").NSNames(5)
 	wantAlt := slices.Clone(alt)
 	if err := r.UpdateNS("first.com", alt); err != nil {
 		t.Fatal(err)
 	}
-	first.NS[1] = "ns2.hijacked.example"
+	first.NS[1] = "ns2.hijacked.example" // the re-delegated registration's own copy
 	clk.Advance(time.Minute)
 	if !slices.Equal(shared, want) || !slices.Equal(hosting.ByName("Cloudflare").NSNames(3), want) {
 		t.Fatalf("provider set changed: %v, want %v", shared, want)
@@ -313,6 +323,9 @@ func TestSharedNSSetStaysShared(t *testing.T) {
 	}
 	if !slices.Equal(alt, wantAlt) {
 		t.Fatalf("re-delegation set changed: %v, want %v", alt, wantAlt)
+	}
+	if ns, ok := r.Delegation("first.com"); !ok || !slices.Equal(ns, slices.Sorted(slices.Values(wantAlt))) {
+		t.Fatalf("re-delegated first.com delegates to %v, want %v sorted", ns, wantAlt)
 	}
 }
 

@@ -22,12 +22,14 @@
 // and the drain's group buffer, so scheduling allocates nothing but the
 // growth of those slices, and every slot an event leaves is zeroed, so a
 // fired action stays collectable. At and After wrap their callback in a
-// Func, which allocates nothing; Schedule takes any Firer, so a bulk
-// producer can schedule the elements of a slab it owns. A Ticker re-arms
-// itself with one bound callback, so the steady state of a campaign — a
-// probe round re-arming the next, a registry arming its next zone
-// rebuild when a change is pending, the daily snapshot ticks — allocates
-// nothing per event. Bulk producers (the world builder's commit phase,
+// Func, which allocates nothing; Schedule, part of the Clock interface,
+// takes any Firer, so a bulk producer can schedule the elements of a slab
+// it owns and a caller can schedule a record it keeps as that record's
+// own timer (Real implements it with time.AfterFunc(d, f.Fire)). A
+// Ticker re-arms itself with one bound callback, so the steady state of
+// a campaign — a probe round re-arming the next, a registry arming its
+// next zone rebuild when a change is pending, the daily snapshot ticks —
+// allocates nothing per event. Bulk producers (the world builder's commit phase,
 // DESIGN.md §9) install whole timelines through ScheduleBatch, one lock
 // acquisition per batch.
 package simclock
@@ -52,6 +54,12 @@ type Clock interface {
 	// At schedules fn at an absolute instant. Instants not after Now
 	// fire on the next dispatch.
 	At(t time.Time, fn func())
+	// Schedule is At for any Firer: f.Fire runs at t. A caller that
+	// schedules a record it already keeps — a candidate's RDAP lookup,
+	// a certificate attempt — passes the record itself, so a Sim
+	// schedules it without allocating, where a closure over it would
+	// cost one.
+	Schedule(t time.Time, f Firer)
 }
 
 // Real is a Clock backed by the machine's real time.
@@ -71,6 +79,9 @@ func (r Real) At(t time.Time, fn func()) {
 	}
 	time.AfterFunc(d, fn)
 }
+
+// Schedule implements Clock: At with f's Fire.
+func (r Real) Schedule(t time.Time, f Firer) { r.At(t, f.Fire) }
 
 // Sim is a deterministic discrete-event clock. Events scheduled via After/At
 // fire, in timestamp order, when the simulation owner calls Advance, Run
@@ -128,8 +139,8 @@ func (s *Sim) After(d time.Duration, fn func()) {
 // At implements Clock.
 func (s *Sim) At(t time.Time, fn func()) { s.Schedule(t, Func(fn)) }
 
-// Schedule is At for any Firer: f fires at t, or on the next dispatch
-// when t is not after Now.
+// Schedule implements Clock: f fires at t, or on the next dispatch when
+// t is not after Now.
 func (s *Sim) Schedule(t time.Time, f Firer) {
 	s.mu.Lock()
 	s.push(t, f)

@@ -222,6 +222,17 @@ func TestRealClockAt(t *testing.T) {
 	}
 }
 
+func TestRealClockSchedule(t *testing.T) {
+	done := make(chan struct{})
+	var clk Clock = Real{}
+	clk.Schedule(time.Now().Add(time.Millisecond), Func(func() { close(done) }))
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Real.Schedule never fired")
+	}
+}
+
 func BenchmarkSimScheduleAndRun(b *testing.B) {
 	s := NewSim(epoch)
 	for i := 0; i < b.N; i++ {

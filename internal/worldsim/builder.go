@@ -13,9 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"time"
 
-	"darkdns/internal/ca"
 	"darkdns/internal/ct"
 	"darkdns/internal/registry"
 	"darkdns/internal/simclock"
@@ -119,7 +117,7 @@ func (w *World) commitLayout(l *Layout, rank int, timeline []simclock.Timed) {
 		if w.Domains.install(r.d, rank) {
 			w.dupNames.Add(1)
 		}
-		recs[j] = lifecycle{w: w, reg: w.Registries[r.d.TLD], r: r}
+		recs[j] = lifecycle{w: w, r: r}
 		timeline[j] = simclock.Timed{At: r.d.Created, Do: &recs[j]}
 	}
 	for j := range l.ghosts {
@@ -148,17 +146,24 @@ func (w *World) commitLayout(l *Layout, rank int, timeline []simclock.Timed) {
 	}
 }
 
-// lifecycle is the clock-event record of one compiled registration (reg
-// and r set) or ghost (g set). Its Fire registers the name; the same
-// record, converted to nsChange, deletion or ghostIssuance, is the
+// lifecycle is the clock-event record of one compiled registration (r
+// set) or ghost (g set). Its Fire registers the name; the same record,
+// converted to certAttempt, nsChange, deletion or ghostIssuance, is the
 // action of the name's other events, so a world's timeline is one slab
 // per layout with no closure or event object per name.
 type lifecycle struct {
-	w   *World
-	reg *registry.Registry
-	r   *regLayout
-	g   *ghostLayout
+	w *World
+	r *regLayout
+	g *ghostLayout
+	// certRetries counts the registration's certificate attempts that
+	// failed validation and were retried.
+	certRetries int
 }
+
+// registry returns the registry of the registration's TLD. It is looked
+// up when an event fires rather than held, so the record stays four
+// words with its retry count.
+func (lc *lifecycle) registry() *registry.Registry { return lc.w.Registries[lc.r.d.TLD] }
 
 // Fire registers the name at its creation instant, then kicks off the
 // (pre-drawn) certificate chain, NS change and deletion, every instant
@@ -167,11 +172,11 @@ func (lc *lifecycle) Fire() {
 	w, r := lc.w, lc.r
 	d := r.d
 	now := w.Clock.Now()
-	if _, err := lc.reg.RegisterAt(d.Name, d.Registrar, r.ns, r.web, now); err != nil {
+	if _, err := lc.registry().RegisterAt(d.Name, d.Registrar, r.ns, r.web, now); err != nil {
 		return // name collision with an active registration (duplicate-TLD plans only)
 	}
 	if d.CertAsked {
-		w.requestCertAt(w.CAs[r.caIdx], d.Name, now.Add(r.certDelay), r.retrySeed, 0)
+		w.Clock.Schedule(now.Add(r.certDelay), (*certAttempt)(lc))
 	}
 	if r.nsChange && (d.Lifetime == 0 || r.nsChangeAt < d.Lifetime) {
 		w.Clock.Schedule(now.Add(r.nsChangeAt), (*nsChange)(lc))
@@ -181,15 +186,42 @@ func (lc *lifecycle) Fire() {
 	}
 }
 
+// certAttempt is a registration's certificate request. A request that
+// fails validation is retried while the domain has not yet entered its
+// TLD zone — modelling ACME clients retrying validation until the
+// registry's next zone rebuild publishes the delegation. This retry
+// chain is what couples Figure 1's detection delay to zone-update
+// cadence. Each retry fires the same record again, after a backoff
+// derived from the registration's compiled retry seed, so the chain
+// stays a pure function of the world seed.
+type certAttempt lifecycle
+
+func (e *certAttempt) Fire() {
+	name := e.r.d.Name
+	e.w.CAs[e.r.caIdx].Issue(name, name, nil, e)
+}
+
+// Issued is the CA's answer to the attempt: a failed validation retries,
+// at most maxCertAttempts times, after the backoff the failed attempt's
+// number derives; the retry's instant counts from the failure.
+func (e *certAttempt) Issued(_ ct.Entry, err error) {
+	if err == nil || e.certRetries >= maxCertAttempts {
+		return
+	}
+	clk := e.w.Clock
+	clk.Schedule(clk.Now().Add(retryDelay(e.r.retrySeed, e.certRetries)), e)
+	e.certRetries++
+}
+
 // nsChange is a registration's switch to its pre-drawn alternate NS set.
 type nsChange lifecycle
 
-func (e *nsChange) Fire() { _ = e.reg.UpdateNS(e.r.d.Name, e.r.altNS) }
+func (e *nsChange) Fire() { _ = (*lifecycle)(e).registry().UpdateNS(e.r.d.Name, e.r.altNS) }
 
 // deletion is a registration's takedown at the end of its lifetime.
 type deletion lifecycle
 
-func (e *deletion) Fire() { _ = e.reg.Delete(e.r.d.Name) }
+func (e *deletion) Fire() { _ = (*lifecycle)(e).registry().Delete(e.r.d.Name) }
 
 // ghostIssuance is a ghost's certificate, issued on a stale DV token:
 // no live validation.
@@ -198,23 +230,4 @@ type ghostIssuance lifecycle
 func (e *ghostIssuance) Fire() {
 	name := e.g.d.Name
 	e.w.CAs[e.g.caIdx].Issue(name, name, nil, nil)
-}
-
-// requestCertAt retries issuance while the domain has not yet entered
-// its TLD zone — modelling ACME clients retrying validation until the
-// registry's next zone rebuild publishes the delegation. This retry
-// chain is what couples Figure 1's detection delay to zone-update
-// cadence. The backoffs derive from the registration's compiled retry
-// seed, so the chain stays a pure function of the world seed. Each
-// attempt's instant is passed absolutely; a retry derives it from the
-// clock at the failed attempt.
-func (w *World) requestCertAt(issuer *ca.CA, name string, at time.Time, retrySeed uint64, attempt int) {
-	w.Clock.At(at, func() {
-		issuer.Issue(name, name, nil, func(_ ct.Entry, err error) {
-			if err == nil || attempt >= maxCertAttempts {
-				return
-			}
-			w.requestCertAt(issuer, name, w.Clock.Now().Add(retryDelay(retrySeed, attempt)), retrySeed, attempt+1)
-		})
-	})
 }

@@ -300,21 +300,28 @@ func (w *World) resolves(name string) bool {
 // rdapBackend adapts a registry to the rdap.Backend interface.
 type rdapBackend struct{ reg *registry.Registry }
 
+// RDAPDomain answers with one allocation: the record and its status
+// list together.
 func (b rdapBackend) RDAPDomain(name string) (*rdap.Record, error) {
-	return b.record(b.reg.RDAPLookup(name))
-}
-
-func (b rdapBackend) record(r *registry.Registration, err error) (*rdap.Record, error) {
+	r, err := b.reg.RDAPLookup(name)
 	if err != nil {
 		if err == registry.RDAPErrNotSynced {
 			return nil, rdap.ErrNotSynced
 		}
 		return nil, rdap.ErrNotFound
 	}
-	return &rdap.Record{
-		Domain: r.Domain, Registrar: r.Registrar, Registered: r.Created,
-		Status: []string{"active"},
-	}, nil
+	a := &rdapAnswer{
+		rec:    rdap.Record{Domain: r.Domain, Registrar: r.Registrar, Registered: r.Created},
+		status: [1]string{"active"},
+	}
+	a.rec.Status = a.status[:]
+	return &a.rec, nil
+}
+
+// rdapAnswer is a served record and the array of its Status.
+type rdapAnswer struct {
+	rec    rdap.Record
+	status [1]string
 }
 
 // snapshotDelay models CZDS publication lag: usually a couple of hours,

@@ -2,12 +2,19 @@ package worldsim
 
 import (
 	"fmt"
+	"math/rand"
+	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"darkdns/internal/ca"
 	"darkdns/internal/certstream"
+	"darkdns/internal/ct"
+	"darkdns/internal/registry"
+	"darkdns/internal/simclock"
 )
 
 func tinyConfig(seed int64) Config {
@@ -382,5 +389,70 @@ func TestBuildAllocations(t *testing.T) {
 	if perDomain := (largeAllocs - smallAllocs) / float64(largeDomains-smallDomains); perDomain > 1.25 {
 		t.Errorf("%.0f allocations at %d domains, %.0f at %d domains: %.3f per added domain, want at most 1.25",
 			smallAllocs, smallDomains, largeAllocs, largeDomains, perDomain)
+	}
+}
+
+// TestCertAttemptRetriesOnItsRecord drives one registration's certificate
+// chain against a CA whose validation always fails: the first attempt and
+// maxCertAttempts retries, each retry retryDelay(seed, k) after the k-th
+// failure, every one firing the same lifecycle record, so a chain costs
+// at most the CA's one pending issuance per attempt.
+func TestCertAttemptRetriesOnItsRecord(t *testing.T) {
+	start := time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC)
+	clk := simclock.NewSim(start)
+	tries := make([]time.Time, 0, maxCertAttempts+1)
+	never := ca.ResolverFunc(func(string) bool { tries = append(tries, clk.Now()); return false })
+	noDelay := func(*rand.Rand) time.Duration { return 0 }
+	w := &World{Clock: clk}
+	w.CAs = []*ca.CA{ca.New(ca.Config{Name: "CA", ValidationDelay: noDelay}, clk,
+		rand.New(rand.NewSource(1)), never, ct.NewLog("log", nil))}
+	lc := &lifecycle{w: w, r: &regLayout{d: &Domain{Name: "x.com"}, retrySeed: 7}}
+
+	clk.Schedule(start, (*certAttempt)(lc))
+	clk.Run()
+	if len(tries) != maxCertAttempts+1 {
+		t.Fatalf("%d attempts, want %d", len(tries), maxCertAttempts+1)
+	}
+	for k := 1; k < len(tries); k++ {
+		if got, want := tries[k].Sub(tries[k-1]), retryDelay(7, k-1); got != want {
+			t.Errorf("retry %d came %v after the failure, want %v", k, got, want)
+		}
+	}
+
+	chain := func() {
+		tries = tries[:0]
+		lc.certRetries = 0
+		clk.Schedule(clk.Now(), (*certAttempt)(lc))
+		clk.Run()
+	}
+	// A clock wheel slot gets its storage the first time an event lands
+	// in it: give every slot of the wheel's one-minute ring its storage.
+	for i := range 256 {
+		clk.Schedule(clk.Now().Add(time.Duration(i)*time.Minute), simclock.Func(func() {}))
+	}
+	clk.Run()
+	allocs := testing.AllocsPerRun(100, chain)
+	if perAttempt := allocs / (maxCertAttempts + 1); perAttempt > 1 {
+		t.Errorf("a certificate chain allocates %v times per attempt, want ≤ 1", perAttempt)
+	}
+}
+
+// TestRDAPDomainAllocatesOnce pins a simulated RDAP lookup of a synced
+// registration at one allocation: the record, with its Status array.
+func TestRDAPDomainAllocatesOnce(t *testing.T) {
+	clk := simclock.NewSim(time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC))
+	reg := registry.New(registry.DefaultConfig("com"), clk, rand.New(rand.NewSource(1)))
+	defer reg.Stop()
+	if _, err := reg.Register("fresh.com", "NameCheap", []string{"ns1.a.net"}, netip.Addr{}); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Hour)
+	b := rdapBackend{reg}
+	rec, err := b.RDAPDomain("fresh.com")
+	if err != nil || rec.Registrar != "NameCheap" || !slices.Equal(rec.Status, []string{"active"}) {
+		t.Fatalf("RDAPDomain = %+v, %v", rec, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = b.RDAPDomain("fresh.com") }); allocs > 1 {
+		t.Errorf("an RDAP lookup allocates %v times, want ≤ 1", allocs)
 	}
 }
