@@ -314,24 +314,23 @@ func BenchmarkSimSerialRun(b *testing.B) {
 // benchWorldConfig is a paper-shape (full multi-TLD plan mix) world
 // sized so one build lays out ≈10^5 registrations — big enough that the
 // compile phase dominates, small enough for bench smoke runs.
-func benchWorldConfig(seed int64, buildWorkers, commitWorkers int) worldsim.Config {
+func benchWorldConfig(seed int64, buildWorkers int) worldsim.Config {
 	cfg := worldsim.DefaultConfig(seed, 0.02)
 	cfg.Weeks = 4
 	cfg.BuildWorkers = buildWorkers
-	cfg.CommitWorkers = commitWorkers
 	return cfg
 }
 
 // benchWorldBuild measures the two-phase world builder end to end
-// (compile fan-out + commit engine). One op = one world; the
-// domains/s metric is what the acceptance comparison tracks —
+// (compile fan-out + serial commit). One op = one world; the domains/s
+// metric is what the acceptance comparison tracks —
 // BenchmarkWorldBuildParallel must lay out ≥2× the domains per second of
 // BenchmarkWorldBuildSerial at 8 workers.
-func benchWorldBuild(b *testing.B, buildWorkers, commitWorkers int) {
+func benchWorldBuild(b *testing.B, buildWorkers int) {
 	b.ReportAllocs()
 	domains := 0
 	for i := 0; i < b.N; i++ {
-		w := worldsim.New(benchWorldConfig(int64(i+1), buildWorkers, commitWorkers))
+		w := worldsim.New(benchWorldConfig(int64(i+1), buildWorkers))
 		domains += w.Domains.Len()
 		w.Stop()
 	}
@@ -342,33 +341,13 @@ func benchWorldBuild(b *testing.B, buildWorkers, commitWorkers int) {
 
 // BenchmarkWorldBuildSerial is the baseline: every per-TLD layout
 // compiled and committed on the calling goroutine.
-func BenchmarkWorldBuildSerial(b *testing.B) { benchWorldBuild(b, 0, 0) }
+func BenchmarkWorldBuildSerial(b *testing.B) { benchWorldBuild(b, 0) }
 
 // BenchmarkWorldBuildParallel compiles per-TLD layouts on a
-// machine-width worker pool; the commit engine stays serial, so the
-// WorldBuild pair isolates the compile fan-out.
+// machine-width worker pool; the commit is serial either way, so the
+// pair isolates the compile fan-out.
 func BenchmarkWorldBuildParallel(b *testing.B) {
-	benchWorldBuild(b, runtime.GOMAXPROCS(0), 0)
-}
-
-// BenchmarkWorldCommitSerial fixes the compile fan-out at machine width
-// and commits serially — the ≈37 %-of-build serial fraction the commit
-// engine attacks; against BenchmarkWorldCommitParallel the domains/s
-// pair isolates the commit engine the way the WorldBuild pair isolates
-// compile. Configuration-identical to BenchmarkWorldBuildParallel by
-// design: the commit pair carries its own stable names so the
-// comparison reads standalone. (On a single-CPU runner the two are
-// expected to tie; the speedup claim is the serial-fraction accounting
-// in DESIGN.md §9.)
-func BenchmarkWorldCommitSerial(b *testing.B) {
-	benchWorldBuild(b, runtime.GOMAXPROCS(0), 0)
-}
-
-// BenchmarkWorldCommitParallel commits compiled layouts on a
-// machine-width pool: sharded Domains installs plus pooled substrate
-// seeding, with only ghost-ledger and clock-timeline installs serial.
-func BenchmarkWorldCommitParallel(b *testing.B) {
-	benchWorldBuild(b, runtime.GOMAXPROCS(0), runtime.GOMAXPROCS(0))
+	benchWorldBuild(b, runtime.GOMAXPROCS(0))
 }
 
 // benchLayoutSet compiles the benchmark world's layout set once per
@@ -382,7 +361,7 @@ var (
 func sharedLayoutSet(b *testing.B) *worldsim.LayoutSet {
 	b.Helper()
 	benchLayoutOnce.Do(func() {
-		benchLayoutSet = worldsim.CompileLayoutSet(benchWorldConfig(1, runtime.GOMAXPROCS(0), 0))
+		benchLayoutSet = worldsim.CompileLayoutSet(benchWorldConfig(1, runtime.GOMAXPROCS(0)))
 	})
 	return benchLayoutSet
 }

@@ -25,7 +25,7 @@ func main() {
 	scale := flag.Float64("scale", 0.002, "fraction of paper volume to simulate")
 	weeks := flag.Int("weeks", 4, "observation window length in weeks")
 	seed := flag.Int64("seed", 1, "world seed")
-	workers := flag.Int("workers", 0, "pool width of the world build — compile and commit fan-outs (fleet rounds size their own probe slices); 0 = both on the calling goroutine (same results either way)")
+	workers := flag.Int("workers", 0, "pool width of the world compile fan-out only (the commit is serial; fleet rounds size their own probe slices); 0 = compile on the calling goroutine (same results either way)")
 	probeCadence := flag.Duration("probe-cadence", 0, "fleet revalidation cadence decoupled from TTL (0 = default 10m interval)")
 	snapshot := flag.String("snapshot", "", "persistent world snapshot path: a matching snapshot replaces the compile phase, a miss compiles then saves here (same world either way)")
 	verbose := flag.Bool("v", false, "print every confirmed transient domain")

@@ -29,7 +29,7 @@ func main() {
 	weeks := flag.Int("weeks", 13, "observation window length in weeks (paper: 13)")
 	seed := flag.Int64("seed", 1, "world seed (runs are deterministic per seed)")
 	watch := flag.Float64("watch-sample", 1.0, "fraction of candidates probed by the fleet")
-	workers := flag.Int("workers", 0, "pool width of the world build — compile and commit fan-outs (fleet rounds size their own probe slices); 0 = both on the calling goroutine (byte-identical output either way)")
+	workers := flag.Int("workers", 0, "pool width of the world compile fan-out only (the commit is serial; fleet rounds size their own probe slices); 0 = compile on the calling goroutine (byte-identical output either way)")
 	probeCadence := flag.Duration("probe-cadence", 0, "fleet revalidation cadence decoupled from TTL (0 = default 10m interval)")
 	snapshot := flag.String("snapshot", "", "persistent world snapshot path: a matching snapshot replaces the compile phase, a miss compiles then saves here (byte-identical output either way)")
 	exp := flag.String("exp", "all", "experiment to run (table1..table5, figure1, figure2, nsstability, rdapfail, blocklists, nod, cctld, rzu, mail, all)")

@@ -35,7 +35,7 @@ func main() {
 	watchSamples := flag.String("watch-samples", "1.0", "comma-separated watch sampling rates (shed policy), crossed with -cadences into policies")
 	snapshotDir := flag.String("snapshot-dir", "", "directory for persistent world snapshots (empty = fresh temp dir)")
 	sweepWorkers := flag.Int("sweep-workers", 4, "campaign fan-out width across grid cells (≤1 = serial)")
-	workers := flag.Int("workers", 0, "pool width of each cell's world build — compile and commit fan-outs (fleet rounds size their own probe slices); 0 = serial builds, which -sweep-workers already runs side by side")
+	workers := flag.Int("workers", 0, "pool width of each cell's world compile fan-out only (the commit is serial; fleet rounds size their own probe slices); 0 = serial compiles, which -sweep-workers already runs side by side")
 	out := flag.String("out", "", "write the columnar result table to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep (every cell's world build and campaign) to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file once the sweep has run, its results still live")

@@ -48,7 +48,7 @@ func TestCampaignDeterminism(t *testing.T) {
 // field a stage reads alone at 1 and at 8, and every field at once, all
 // against one serial reference rendered once. The tests below are that
 // table's rows grouped by field, so a failure names the stage; together
-// they cost 6 campaigns.
+// they cost 4 campaigns.
 
 var widthBase = RunConfig{Seed: 61, Scale: 0.0008, Weeks: 2, WatchSampleRate: 1.0, ProbeMail: true}
 
@@ -62,8 +62,8 @@ var widthSerial = sync.OnceValue(func() []byte {
 })
 
 // checkWidths runs widthBase under each row and requires the serial
-// reference's bytes; check, when non-nil, also sees each run's results.
-func checkWidths(t *testing.T, check func(*testing.T, workpool.Engines, *Results), rows ...workpool.Engines) {
+// reference's bytes.
+func checkWidths(t *testing.T, rows ...workpool.Engines) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("full campaigns")
@@ -71,12 +71,8 @@ func checkWidths(t *testing.T, check func(*testing.T, workpool.Engines, *Results
 	for _, row := range rows {
 		cfg := widthBase
 		cfg.Engines = row
-		got, res := renderCampaign(t, cfg)
-		if !bytes.Equal(widthSerial(), got) {
+		if got, _ := renderCampaign(t, cfg); !bytes.Equal(widthSerial(), got) {
 			t.Errorf("%+v: report diverges from serial", row)
-		}
-		if check != nil {
-			check(t, row, res)
 		}
 	}
 }
@@ -84,13 +80,7 @@ func checkWidths(t *testing.T, check func(*testing.T, workpool.Engines, *Results
 // World compile: each plan draws from its own seed-derived RNG stream
 // and commit installs layouts in canonical plan order.
 func TestSerialParallelBuildCampaignsIdentical(t *testing.T) {
-	checkWidths(t, nil, workpool.Engines{BuildWorkers: 1}, workpool.Engines{BuildWorkers: 8})
-}
-
-// World commit: record installs stripe across the sharded store, the
-// ghost ledger and clock timelines install serially in canonical order.
-func TestSerialParallelCommitCampaignsIdentical(t *testing.T) {
-	checkWidths(t, nil, workpool.Engines{CommitWorkers: 1}, workpool.Engines{CommitWorkers: 8})
+	checkWidths(t, workpool.Engines{BuildWorkers: 1}, workpool.Engines{BuildWorkers: 8})
 }
 
 // The table's last row: every field at once, building its world through

@@ -128,9 +128,9 @@ func CountLabels(s string) int {
 	return strings.Count(s, ".") + 1
 }
 
-// Hash64 returns the FNV-1a hash of s. Shard-striped stores (the world's
-// DomainStore, the resolver cache, the RDAP rate limiter) key their
-// stripe selection on it, and the pipeline seeds each candidate's
+// Hash64 returns the FNV-1a hash of s. Shard-striped stores (the
+// resolver cache, the RDAP rate limiter) key their stripe selection on
+// it, and the pipeline seeds each candidate's
 // decision generator with it; it is inlined rather than built on
 // hash/fnv so the hot paths stay allocation-free. Callers hash the
 // Canonical form of a name so equal domains always land in one stripe.

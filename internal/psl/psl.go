@@ -123,15 +123,11 @@ func (l *List) PublicSuffix(name string) string {
 			if kind&ruleNormal != 0 && n > bestLabels {
 				best, bestLabels = suffix, n
 			}
-			if kind&ruleWildcard != 0 && next >= 0 {
-				// "*.suffix": one more label is part of the suffix.
-				wild := name[next:]
-				// Unless an exception rule names that exact domain.
-				if k2 := l.rules[wild]; k2&ruleException == 0 {
-					if n+1 > bestLabels {
-						best, bestLabels = wild, n+1
-					}
-				}
+			if kind&ruleWildcard != 0 && next >= 0 && n+1 > bestLabels {
+				// "*.suffix": one more label is part of the suffix. An
+				// exception rule naming that exact domain needs no check
+				// here: the walk's next step reaches it and returns first.
+				best, bestLabels = name[next:], n+1
 			}
 		}
 		if next < 0 {

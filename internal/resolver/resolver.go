@@ -5,8 +5,7 @@
 // servers.
 //
 // The cache is the probe engine's hot shared structure (DESIGN.md §10):
-// it is striped 64 ways on dnsname.Hash64 — like the world's DomainStore
-// — with per-shard hit/miss
+// it is striped 64 ways on dnsname.Hash64 with per-shard hit/miss
 // counters and a per-shard singleflight table, so concurrent lookups of
 // distinct names never contend and concurrent lookups of the same
 // expired name collapse to one upstream exchange. Batched lookups

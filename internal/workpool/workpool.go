@@ -3,12 +3,12 @@
 // from an atomic counter, with a completion barrier — and Engines, the
 // one declaration of the widths those paths run at (engines.go). Every
 // pooled stage runs on Run: the fleet's probe slices (DESIGN.md §10) and
-// the world builder's compile and commit fan-outs (§8–§9) — so the
-// hottest concurrency idiom in the repo has one implementation to review.
+// the world builder's compile fan-out (§8) — so the hottest concurrency
+// idiom in the repo has one implementation to review.
 //
 // Determinism contract: Run promises nothing about execution order, so
-// callers must hand it commutative work (or, like the builder, buffer
-// order-sensitive effects and apply them serially afterwards); in
+// callers must hand it commutative work (or, like the builder, compute
+// pure results and apply them serially afterwards); in
 // exchange, workers ≤ 1 degenerates to a plain loop on the caller's
 // goroutine, which is what makes width 1 of every stage its serial form
 // instead of a second code path.

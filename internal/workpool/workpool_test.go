@@ -89,11 +89,11 @@ func TestAtomicMaxConcurrent(t *testing.T) {
 }
 
 // TestAllEnginesSetsOnlyReadFields: AllEngines(w) sets exactly the widths
-// some stage reads — the world builder's compile and commit fan-outs —
-// and leaves every compile-shim field at zero, so the engines-on
-// configuration names no setting that does nothing.
+// some stage reads — the world builder's compile fan-out — and leaves
+// every compile-shim field at zero, so the engines-on configuration
+// names no setting that does nothing.
 func TestAllEnginesSetsOnlyReadFields(t *testing.T) {
-	read := map[string]bool{"BuildWorkers": true, "CommitWorkers": true}
+	read := map[string]bool{"BuildWorkers": true}
 	e := reflect.ValueOf(AllEngines(3))
 	for i := 0; i < e.NumField(); i++ {
 		name := e.Type().Field(i).Name

@@ -1,18 +1,12 @@
 // Commit phase of the two-phase world builder (compile lives in
-// layout.go): install compiled layouts into the live world. The
-// commutative bulk of a layout — record installs on the sharded
-// DomainStore, NOD/blocklist/DZDB seedings, DV tokens — commits on a
-// worker pool at Config.CommitWorkers width; the order-sensitive
-// remainder (the ghost ledger, the one ScheduleBatch of the world's
-// timeline) stays serial in canonical (plan, chunk) order, so the
-// resulting world is byte-identical at any compile or commit width
-// (DESIGN.md §9).
+// layout.go): install compiled layouts into the live world in one serial
+// pass in canonical (plan, chunk) order, so the resulting world is
+// byte-identical at any compile width (DESIGN.md §9).
 package worldsim
 
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"darkdns/internal/ct"
 	"darkdns/internal/registry"
@@ -64,76 +58,67 @@ func compileLayouts(env *buildEnv) []*Layout {
 	return layouts
 }
 
-// commit installs compiled layouts through the parallel commit engine.
-// Phase one fans per-layout installs out on a worker pool at
-// Config.CommitWorkers width (≤1 = serial on the caller): ground-truth
-// records into the sharded Domains store, buffered seedings into the NOD
-// feed, blocklists and CZDS's zone history, DV tokens into the CAs, and
-// each layout's lifecycle records into its own stretch of one world
-// timeline. Every one of those effects is commutative across layouts —
-// layouts own distinct names (structurally, while plans own distinct
-// TLDs; the dupNames counter is the safety net), the substrates take
-// earliest-wins / min-max / keyed updates under their own locks, and the
-// stretches are disjoint — so phase one is order-free. Phase two is the
-// serial remainder: the ghost ledger append (slice order) and one
-// ScheduleBatch of the whole timeline, whose slice order is the
-// canonical (plan, chunk) order and so gives every event the sequence
-// number a per-layout batch in that order gave it. Determinism comes
-// from the fixed phase-two order, speed from striping phase one.
+// commit installs compiled layouts in one serial pass in canonical
+// (plan, chunk) order: ground-truth records into the Domains map (a
+// duplicate name's last writer is the latest layout), ghosts onto the
+// ghost ledger, buffered seedings into the NOD feed, blocklists and
+// CZDS's zone history, DV tokens into the CAs, and each layout's
+// lifecycle records onto one world timeline, installed with one
+// ScheduleBatch whose slice order gives every event its sequence number.
+// Layouts own distinct names (structurally, while plans own distinct
+// TLDs); dupNames counts every occurrence of a name after its first,
+// ghosts included, as the safety net.
 func (w *World) commit(layouts []*Layout) {
 	total, ghosts := 0, 0
-	offsets := make([]int, len(layouts)+1)
-	for i, l := range layouts {
+	for _, l := range layouts {
 		total += len(l.domains)
 		ghosts += len(l.ghosts)
-		offsets[i+1] = offsets[i] + len(l.domains) + len(l.ghosts)
 	}
-	w.Domains = newDomainStore(total)
-	timeline := make([]simclock.Timed, offsets[len(layouts)])
-	workpool.Run(len(layouts), w.Cfg.CommitWorkers, func(i int) {
-		w.commitLayout(layouts[i], i, timeline[offsets[i]:offsets[i+1]])
-	})
-	w.Ghosts = slices.Grow(w.Ghosts, ghosts)
+	w.Domains = &DomainStore{m: make(map[string]*Domain, total)}
+	w.Ghosts = make([]*Domain, 0, ghosts)
+	timeline := make([]simclock.Timed, 0, total+ghosts)
 	for _, l := range layouts {
-		for j := range l.ghosts {
-			w.Ghosts = append(w.Ghosts, l.ghosts[j].d)
+		timeline = w.commitLayout(l, timeline)
+	}
+	// Ghost names join a uniqueness set only: they have no registration,
+	// so Get keeps returning nil for them.
+	ghostNames := make(map[string]struct{}, len(w.Ghosts))
+	for _, g := range w.Ghosts {
+		_, dupD := w.Domains.m[g.Name]
+		_, dupG := ghostNames[g.Name]
+		if dupD || dupG {
+			w.dupNames++
 		}
+		ghostNames[g.Name] = struct{}{}
 	}
 	w.Clock.ScheduleBatch(timeline)
 }
 
-// commitLayout installs one layout's commutative effects and writes its
-// timeline into the layout's stretch of the world's: domain lifecycles,
-// then ghost issuances, each entry firing an element of one lifecycle
-// slab allocated here. rank is the layout's canonical index, which
-// decides duplicate-name winners the way serial order used to. Safe for
-// concurrent invocation with distinct layouts and stretches: the Domains
-// store is sharded, the substrates lock internally, and the registries
-// and CAs the records reach are only read here.
-func (w *World) commitLayout(l *Layout, rank int, timeline []simclock.Timed) {
+// commitLayout installs one layout and appends its timeline entries to
+// timeline: domain lifecycles, then ghost issuances, each entry firing an
+// element of one lifecycle slab allocated here.
+func (w *World) commitLayout(l *Layout, timeline []simclock.Timed) []simclock.Timed {
 	recs := make([]lifecycle, len(l.domains)+len(l.ghosts))
+	domains := w.Domains.m
 	for j := range l.domains {
 		r := &l.domains[j]
-		if w.Domains.install(r.d, rank) {
-			w.dupNames.Add(1)
+		n := len(domains)
+		if domains[r.d.Name] = r.d; len(domains) == n {
+			w.dupNames++ // the name was present: the later layout's record wins
 		}
 		recs[j] = lifecycle{w: w, r: r}
-		timeline[j] = simclock.Timed{At: r.d.Created, Do: &recs[j]}
+		timeline = append(timeline, simclock.Timed{At: r.d.Created, Do: &recs[j]})
 	}
 	for j := range l.ghosts {
 		g := &l.ghosts[j]
-		// Ghost names join the store's uniqueness set only — they have no
-		// registration, so Get keeps returning nil for them.
-		if w.Domains.installGhost(g.d.Name) {
-			w.dupNames.Add(1)
-		}
+		w.Ghosts = append(w.Ghosts, g.d)
 		w.CAs[g.caIdx].SeedToken(g.d.Name, g.tokenAt)
 		if g.inDZDB {
 			w.CZDS.Seed(g.d.Name, g.tokenAt)
 		}
 		k := len(l.domains) + j
 		recs[k] = lifecycle{w: w, g: g}
-		timeline[k] = simclock.Timed{At: g.d.Created, Do: (*ghostIssuance)(&recs[k])}
+		timeline = append(timeline, simclock.Timed{At: g.d.Created, Do: (*ghostIssuance)(&recs[k])})
 	}
 	for _, s := range l.nod {
 		w.NOD.Seed(s.domain, s.at)
@@ -144,6 +129,7 @@ func (w *World) commitLayout(l *Layout, rank int, timeline []simclock.Timed) {
 	for _, s := range l.dzdb {
 		w.CZDS.Seed(s.domain, s.at)
 	}
+	return timeline
 }
 
 // lifecycle is the clock-event record of one compiled registration (r

@@ -100,8 +100,8 @@ func CompileLayoutSet(cfg Config) *LayoutSet {
 
 // shapeHash fingerprints every Config field that shapes the compiled
 // layouts: the seed, window, scale, rates and the full plan tables.
-// BuildWorkers, CommitWorkers and SnapshotPath are excluded — they pick
-// an execution strategy, and any width compiles the identical world.
+// The Engines widths and SnapshotPath are excluded — they pick an
+// execution strategy, and any width compiles the identical world.
 func (cfg Config) shapeHash() uint64 {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "v%d|seed=%d|start=%d|weeks=%d|scale=%g|fdm=%g|tcr=%g|ghost=%g|early=%g|nsch=%g|rereg=%g|nodc=%g|nodn=%g",
@@ -850,7 +850,7 @@ func LoadSnapshotFile(path string) (*LayoutSet, error) {
 
 // layoutsFor resolves a build's layouts: when the config names a snapshot
 // path, a matching snapshot replaces the compile fan-out entirely (the
-// load feeds the commit engine directly); a missing, stale or corrupt
+// load feeds the commit directly); a missing, stale or corrupt
 // snapshot falls back to compiling, and the freshly compiled world is
 // saved back to the path best-effort for the next build.
 func layoutsFor(env *buildEnv) []*Layout {

@@ -8,18 +8,15 @@
 // Worlds are built in two phases. The compile phase lays every plan out
 // as a pure Layout value — each TLD's registrations, ghosts and feed
 // seedings drawn from its own subseed-derived RNG stream (layout.go) —
-// on a worker pool of the configured build width. The commit phase
-// (builder.go) installs layouts at the commit width (both widths are
-// fields of workpool.Engines): per-layout record installs land
-// on the 64-way sharded DomainStore and substrate seedings
-// (NOD/blocklist/DZDB/DV tokens) are commutative across the distinct
-// names different layouts own, so they fan out too; only the ghost
-// ledger and the clock-timeline installs (ScheduleBatch assigns event
-// sequence numbers) stay serial in canonical (plan, chunk) order.
+// on a worker pool of workpool.Engines.BuildWorkers width. The commit
+// phase (builder.go) installs the layouts in one serial pass in
+// canonical (plan, chunk) order: records into the DomainStore's one map,
+// substrate seedings (NOD/blocklist/DZDB/DV tokens), the ghost ledger and
+// the clock timeline (ScheduleBatch assigns event sequence numbers).
 //
 // Determinism contract (DESIGN.md §2, §8–§9): worlds — and the campaign
-// reports computed from them — are byte-identical at any build and commit
-// width, alone or combined with every other workpool.Engines setting.
+// reports computed from them — are byte-identical at any build width,
+// alone or combined with every other workpool.Engines setting.
 //
 // The measurement fleet sees a world through ProbeBackend (backend.go),
 // which issues measure handles: a watched name is resolved once, to its
@@ -29,7 +26,6 @@ package worldsim
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"darkdns/internal/blocklist"
@@ -55,8 +51,8 @@ type Config struct {
 	Plans []TLDPlan  // nil → PaperPlans(); plans must have distinct TLDs
 	CCTLD *CCTLDPlan // nil → PaperCCTLD()
 	// Engines carries the concurrency settings; the builder reads
-	// BuildWorkers and CommitWorkers. Like SnapshotPath they change how a
-	// world is built, never what it is.
+	// BuildWorkers. Like SnapshotPath it changes how a world is built,
+	// never what it is.
 	workpool.Engines
 	// FastDeletedMultiplier converts Table 2 detected-transient targets
 	// into ground-truth fast-deleted registrations. Detected transients
@@ -86,9 +82,9 @@ type Config struct {
 	NODRateNoCert   float64
 	// SnapshotPath, when set, names a persistent columnar world snapshot
 	// (snapshot.go): a matching snapshot replaces the compile fan-out
-	// with a decode that feeds the commit engine directly, and a miss
-	// compiles then saves back to the path. Like the worker widths, the
-	// path changes how a world is built, never what it is.
+	// with a decode that feeds the commit directly, and a miss compiles
+	// then saves back to the path. Like the build width, the path changes
+	// how a world is built, never what it is.
 	SnapshotPath string
 }
 
@@ -170,9 +166,8 @@ type World struct {
 	NOD        *noddfeed.Feed
 	RDAP       *rdap.Mux
 
-	// Domains is the ground truth, keyed by domain name: a 64-way
-	// sharded store (Get/Range/Len) the parallel commit engine installs
-	// into concurrently.
+	// Domains is the ground truth, keyed by domain name (Get/Range/Len),
+	// frozen once New returns.
 	Domains *DomainStore
 	// Ghosts are CT-only issuances for long-dead domains.
 	Ghosts []*Domain
@@ -180,9 +175,8 @@ type World struct {
 	windowEnd time.Time
 	// dupNames counts commit-phase name collisions between layouts. Zero
 	// for any config with distinct plan TLDs (the determinism tests'
-	// world-wide uniqueness invariant). Atomic: layouts install
-	// concurrently under the commit engine.
-	dupNames atomic.Int64
+	// world-wide uniqueness invariant).
+	dupNames int
 }
 
 // Window returns the observation window [start, end).
@@ -243,9 +237,8 @@ func New(cfg Config) *World {
 
 	// Two-phase build: compile pure per-plan layouts (in parallel when
 	// BuildWorkers is set) — or decode them from a snapshot when
-	// Config.SnapshotPath hits — then commit them through the parallel
-	// commit engine (CommitWorkers wide; the order-sensitive remainder
-	// stays serial in canonical plan order).
+	// Config.SnapshotPath hits — then commit them serially in canonical
+	// plan order.
 	env := &buildEnv{
 		cfg:    &w.Cfg,
 		numCAs: len(w.CAs),
