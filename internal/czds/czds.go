@@ -38,15 +38,26 @@ import (
 	"darkdns/internal/zoneset"
 )
 
-// presence is one name's record across the collection.
+// presence is one name's record across the collection. Its instants are
+// Unix nanoseconds, 0 meaning unset, so a record is 32 bytes with no
+// pointer for the collector to scan.
 type presence struct {
 	// first and last are the Taken times of the first publication that
-	// held the name and of the last one before it left; zero first means
-	// no publication ever held it. While in is set, last is stale and
-	// the TLD's latest Taken stands for it.
-	first, last time.Time
-	in          bool      // the TLD's latest publication holds the name
-	seeded      time.Time // earliest pre-window sighting; zero if none
+	// held the name and of the last one before it left; 0 first means no
+	// publication ever held it. While in is set, last is stale and the
+	// TLD's latest Taken stands for it.
+	first, last int64
+	seeded      int64 // earliest pre-window sighting; 0 if none
+	in          bool  // the TLD's latest publication holds the name
+}
+
+// nanos is t as a presence instant: Unix nanoseconds, and 0 for the zero
+// time.
+func nanos(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
+	}
+	return t.UnixNano()
 }
 
 // DiffStats accumulates day-over-day zone differences for one TLD — the
@@ -97,17 +108,18 @@ func (s *Service) Ingest(d zoneset.Diff) {
 		z.stats.Removed += int64(len(d.Removed))
 		z.stats.Changed += int64(len(d.Changed))
 	}
+	taken := nanos(d.Taken)
 	for _, name := range d.Added {
 		p := s.names[name]
-		if p.first.IsZero() {
-			p.first = d.Taken
+		if p.first == 0 {
+			p.first = taken
 		}
 		p.in = true
 		s.names[name] = p
 	}
 	for _, name := range d.Removed {
 		p := s.names[name]
-		p.in, p.last = false, z.taken
+		p.in, p.last = false, nanos(z.taken)
 		s.names[name] = p
 	}
 	z.taken = d.Taken
@@ -118,10 +130,11 @@ func (s *Service) Ingest(d zoneset.Diff) {
 // the collection. Only ExistedBefore reads seeds.
 func (s *Service) Seed(domain string, t time.Time) {
 	domain = dnsname.Canonical(domain)
+	at := nanos(t)
 	s.mu.Lock()
 	p := s.names[domain]
-	if p.seeded.IsZero() || t.Before(p.seeded) {
-		p.seeded = t
+	if p.seeded == 0 || at < p.seeded {
+		p.seeded = at
 		s.names[domain] = p
 	}
 	s.mu.Unlock()
@@ -136,7 +149,7 @@ func (s *Service) lookup(domain string) presence {
 	defer s.mu.RUnlock()
 	p := s.names[domain]
 	if p.in {
-		p.last = s.zones[dnsname.TLD(domain)].taken
+		p.last = nanos(s.zones[dnsname.TLD(domain)].taken)
 	}
 	return p
 }
@@ -174,10 +187,13 @@ func (s *Service) InLatest(domain string) bool {
 }
 
 // FirstSeen returns the Taken time of the first publication that held
-// domain, across the whole collection.
+// domain, across the whole collection, in UTC.
 func (s *Service) FirstSeen(domain string) (time.Time, bool) {
 	p := s.lookup(domain)
-	return p.first, !p.first.IsZero()
+	if p.first == 0 {
+		return time.Time{}, false
+	}
+	return time.Unix(0, p.first).UTC(), true
 }
 
 // EverSeen reports whether domain appeared in any collected publication
@@ -188,7 +204,7 @@ func (s *Service) EverSeen(domain string, from, to time.Time) bool {
 	p := s.lookup(domain)
 	// Presence is an interval [first, last]; it intersects [from, to]
 	// unless it ends before or starts after.
-	return !p.first.IsZero() && !p.last.Before(from) && !p.first.After(to)
+	return p.first != 0 && p.last >= nanos(from) && p.first <= nanos(to)
 }
 
 // ExistedBefore reports whether domain was seeded, or first published,
@@ -196,5 +212,6 @@ func (s *Service) EverSeen(domain string, from, to time.Time) bool {
 // historical zone data.
 func (s *Service) ExistedBefore(domain string, t time.Time) bool {
 	p := s.lookup(domain)
-	return (!p.seeded.IsZero() && p.seeded.Before(t)) || (!p.first.IsZero() && p.first.Before(t))
+	at := nanos(t)
+	return (p.seeded != 0 && p.seeded < at) || (p.first != 0 && p.first < at)
 }

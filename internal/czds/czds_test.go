@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -288,5 +289,26 @@ func TestMissingNames(t *testing.T) {
 	}
 	if p.svc.EverSeen("nope.com", day(-1), day(1)) || p.svc.InLatest("nope.com") || p.svc.ExistedBefore("nope.com", day(1)) {
 		t.Error("missing domain found")
+	}
+}
+
+// TestPresenceIsPointerFree: a name's record holds its instants as Unix
+// nanoseconds, so it is 32 bytes with nothing for the collector to scan,
+// and FirstSeen hands the instant back as the same time, in UTC.
+func TestPresenceIsPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(presence{})
+	if typ.Size() != 32 {
+		t.Errorf("presence is %d bytes, want 32", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if k := typ.Field(i).Type.Kind(); k != reflect.Int64 && k != reflect.Bool {
+			t.Errorf("presence.%s is a %v", typ.Field(i).Name, k)
+		}
+	}
+	taken := day(3).In(time.FixedZone("UTC+5", 5*3600))
+	svc := New()
+	svc.Ingest(zoneset.Diff{TLD: "com", Serial: 1, Taken: taken, Added: []string{"a.com"}})
+	if got, ok := svc.FirstSeen("a.com"); !ok || !got.Equal(taken) || got.Location() != time.UTC {
+		t.Errorf("FirstSeen = %v, %v; want %v in UTC", got, ok, taken)
 	}
 }

@@ -12,12 +12,12 @@ import (
 )
 
 // notifyBackend is a scripted backend whose handles notify: set replaces
-// a name's answer and then calls every callback its handles registered,
+// a name's answer and then tells every watcher its handles registered,
 // as a registry does inside the mutating clock event.
 type notifyBackend struct {
 	mu   sync.Mutex
 	ans  map[string]scripted
-	subs map[string][]func()
+	subs map[string][]Watcher
 }
 
 // scripted is one name's answer as indices into the pools below, so a
@@ -39,7 +39,7 @@ var (
 )
 
 func newNotifyBackend() *notifyBackend {
-	return &notifyBackend{ans: make(map[string]scripted), subs: make(map[string][]func())}
+	return &notifyBackend{ans: make(map[string]scripted), subs: make(map[string][]Watcher)}
 }
 
 func (b *notifyBackend) probe(d string, mail bool) ProbeResult {
@@ -59,10 +59,10 @@ func (b *notifyBackend) probe(d string, mail bool) ProbeResult {
 func (b *notifyBackend) set(d string, s scripted) {
 	b.mu.Lock()
 	b.ans[d] = s
-	fns := b.subs[d]
+	ws := b.subs[d]
 	b.mu.Unlock()
-	for _, fn := range fns {
-		fn()
+	for _, w := range ws {
+		w.AnswerChanged()
 	}
 }
 
@@ -83,9 +83,9 @@ type notifyHandle struct {
 
 func (h notifyHandle) Probe(mail bool) ProbeResult { return h.b.probe(h.d, mail) }
 
-func (h notifyHandle) Notify(fn func()) {
+func (h notifyHandle) Notify(w Watcher) {
 	h.b.mu.Lock()
-	h.b.subs[h.d] = append(h.b.subs[h.d], fn)
+	h.b.subs[h.d] = append(h.b.subs[h.d], w)
 	h.b.mu.Unlock()
 }
 

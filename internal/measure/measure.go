@@ -63,6 +63,7 @@
 package measure
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"slices"
 	"sort"
@@ -139,20 +140,24 @@ type BatchBackend interface {
 //
 // A handle may also notify, with the optional method
 //
-//	Notify(fn func())
+//	Notify(w Watcher)
 //
 // which the fleet calls once per watch, before the admission probe and
-// without holding its lock. The handle must then call fn every time its
-// Probe answer may have changed — a spurious call is harmless, a missed
-// one is not — synchronously, from the goroutine making the change (under
-// a Sim clock, inside the mutating clock event), so that a round at the
-// same instant sees the change exactly when a read would. fn takes the
-// fleet's lock: the handle may hold locks of its own while calling it, but
-// must never be called back into by them. A watch whose handle has no
-// Notify is read every round.
+// without holding its lock. The handle must then call w.AnswerChanged
+// every time its Probe answer may have changed — a spurious call is
+// harmless, a missed one is not — synchronously, from the goroutine
+// making the change (under a Sim clock, inside the mutating clock event),
+// so that a round at the same instant sees the change exactly when a read
+// would. AnswerChanged takes the fleet's lock: the handle may hold locks
+// of its own while calling it, but must never be called back into by
+// them. A watch whose handle has no Notify is read every round.
 type Handle interface {
 	Probe(mail bool) ProbeResult
 }
+
+// A Watcher is what a notifying handle tells of a change: the watch's
+// *DomainState, so a subscription costs the fleet no callback of its own.
+type Watcher interface{ AnswerChanged() }
 
 // MailBackend is the optional extension backend for the paper's
 // future-work measurements ("we plan to expand our measurements beyond
@@ -167,9 +172,11 @@ type MailBackend interface {
 	LookupTXT(domain string) []string
 }
 
-// Observation is one probe result. Its slices are read-only: NS is shared
-// with the domain's state and with every later observation of an
-// unchanged delegation, V4/V6 with the backend.
+// Observation is one probe result. Its slices are read-only: NS is the
+// fleet's interned copy of the delegation, shared with the domain's state,
+// with every later observation of an unchanged delegation and with every
+// other watch delegated to the same set; V4/V6 are shared with the
+// backend.
 type Observation struct {
 	Domain string
 	Worker int
@@ -180,7 +187,8 @@ type Observation struct {
 	V6     []netip.Addr
 }
 
-// DomainState aggregates a domain's probe history.
+// DomainState aggregates a domain's probe history. Its NS slices are the
+// fleet's interned, read-only copies (see Observation).
 type DomainState struct {
 	Domain      string
 	Started     time.Time
@@ -197,16 +205,37 @@ type DomainState struct {
 	DeadAt      time.Time // first probe with NXDOMAIN after being alive
 	Finished    bool      // 48-hour window elapsed (or StopWhenDead hit)
 
+	// inZone is the last read's answer, which every later round until the
+	// next read repeats. The flags sit beside Finished, where they cost no
+	// padding of their own.
+	inZone bool
+	listed bool // on the watch list: rounds read or fold it
+	polled bool // its handle cannot notify, so every round reads it
+	dirty  bool // on the dirty list: polled, or notified since its last read
+
 	seq    int    // admission number: read order, and worker seq % Workers
 	handle Handle // the backend's handle, issued at Watch; nil when it issues none
+	fleet  *Fleet // the fleet watching it; nil in a copy State or States returns
 	// settled counts the entries of the fleet's round log already in
-	// Probes and LastAliveAt, read or folded; inZone is the last read's
-	// answer, which every later round until the next read repeats.
+	// Probes and LastAliveAt, read or folded.
 	settled int
-	inZone  bool
-	listed  bool // on the watch list: rounds read or fold it
-	polled  bool // its handle cannot notify, so every round reads it
-	dirty   bool // on the dirty list: polled, or notified since its last read
+}
+
+// AnswerChanged is the watch's Watcher: a notifying handle calls it when
+// the watched answer may have moved, and the next round reads the watch.
+// On a copy State or States returned it does nothing.
+func (st *DomainState) AnswerChanged() {
+	if st.fleet != nil {
+		st.fleet.changed(st)
+	}
+}
+
+// copyOut returns st for a caller outside the fleet: a copy tied to no
+// fleet. The caller holds mu.
+func (st *DomainState) copyOut() DomainState {
+	cp := *st
+	cp.fleet = nil
+	return cp
 }
 
 // RevalidatePolicy decouples probe cadence from record TTL, after Afek
@@ -296,6 +325,11 @@ type Fleet struct {
 
 	maxRound int // widest round (domains probed in one event)
 
+	// nsSets interns the sorted NS sets rounds observe, keyed by content
+	// (see observedNS). It holds one entry per distinct set: in the
+	// simulated world, at most the 13 shared sets of each DNS provider.
+	nsSets map[string][]string
+
 	// spareAdmit is the admission probe's memory, reused across watches:
 	// Watch takes it for its probe and puts it back, so a Watch nested
 	// in that probe's observers, or concurrent under the real-time
@@ -322,7 +356,8 @@ func NewFleet(cfg Config, clk simclock.Clock, backend Backend) *Fleet {
 		cfg.Window = 48 * time.Hour
 	}
 	mb, hasMail := backend.(MailBackend)
-	f := &Fleet{cfg: cfg, clk: clk, probeMail: cfg.ProbeMail && hasMail, states: make(map[string]*DomainState)}
+	f := &Fleet{cfg: cfg, clk: clk, probeMail: cfg.ProbeMail && hasMail,
+		states: make(map[string]*DomainState), nsSets: make(map[string][]string)}
 	if rb, ok := backend.(interface{ Resolve(string) Handle }); ok {
 		f.resolve, f.read = rb.Resolve, f.readHandles
 	} else {
@@ -358,7 +393,8 @@ func (f *Fleet) OnObservation(fn func(Observation)) {
 // that issues handles resolves the name here, once for the whole watch
 // (a re-watch resolves and discards one), and a handle that notifies is
 // subscribed before the admission probe, so no change after the probe's
-// read goes unseen.
+// read goes unseen. The watch's state is its own Watcher, so a watch
+// allocates its state and whatever the backend's handle costs.
 func (f *Fleet) Watch(domain string) {
 	domain = dnsname.Canonical(domain)
 	now := f.clk.Now()
@@ -366,20 +402,20 @@ func (f *Fleet) Watch(domain string) {
 	if f.resolve != nil {
 		h = f.resolve(domain)
 	}
-	notifier, notifies := h.(interface{ Notify(func()) })
+	notifier, notifies := h.(interface{ Notify(Watcher) })
 	f.mu.Lock()
 	if _, ok := f.states[domain]; ok {
 		f.mu.Unlock()
 		return
 	}
-	st := &DomainState{Domain: domain, Started: now, seq: f.nextSeq, handle: h, polled: !notifies, dirty: !notifies}
+	st := &DomainState{Domain: domain, Started: now, seq: f.nextSeq, handle: h, fleet: f, polled: !notifies, dirty: !notifies}
 	f.states[domain] = st
 	f.nextSeq++
 	one := f.spareAdmit
 	f.spareAdmit = nil
 	f.mu.Unlock()
 	if notifies {
-		notifier.Notify(func() { f.changed(st) })
+		notifier.Notify(st)
 	}
 
 	// The admission probe fires before the state joins watchList: under
@@ -411,7 +447,7 @@ func (f *Fleet) Watch(domain string) {
 	}
 }
 
-// changed is a notifying handle's callback: st's answer may have moved,
+// changed is AnswerChanged on a watch of f: st's answer may have moved,
 // so the next round reads it. A watch is on the dirty list at most once;
 // one not listed yet joins it when Watch lists it.
 func (f *Fleet) changed(st *DomainState) {
@@ -757,7 +793,7 @@ func (f *Fleet) apply(st *DomainState, r *roundResult, now time.Time) {
 	if r.obs.InZone {
 		st.EverInZone = true
 		st.LastAliveAt = now
-		r.obs.NS = observedNS(st.LastNS, r.obs.NS)
+		r.obs.NS = f.observedNS(st.LastNS, r.obs.NS)
 		if st.FirstNS == nil {
 			st.FirstNS = r.obs.NS
 		}
@@ -789,16 +825,34 @@ func (f *Fleet) apply(st *DomainState, r *roundResult, now time.Time) {
 // observedNS returns the sorted, fleet-owned form of a backend NS answer.
 // last is the state's LastNS (sorted, fleet-owned): an answer equal to it
 // element for element is therefore already sorted and the observation
-// reuses last — the steady state of a 48-hour watch, and allocation-free.
-// First sight, a changed delegation, or an answer in another order gets a
-// fresh sorted copy, so backend memory is never aliased or reordered.
-func observedNS(last, ns []string) []string {
+// reuses last — the steady state of a 48-hour watch. First sight, a
+// changed delegation, or an answer in another order is sorted in scratch
+// memory and looked up in the fleet's intern by content; only a set the
+// fleet has never seen allocates, its copy and its key. Backend memory is
+// never aliased or reordered. An empty answer observes nil. The caller
+// holds mu.
+func (f *Fleet) observedNS(last, ns []string) []string {
+	if len(ns) == 0 {
+		return nil
+	}
 	if last != nil && equalStrings(last, ns) {
 		return last
 	}
-	cp := append([]string(nil), ns...)
-	sort.Strings(cp)
-	return cp
+	var scratch [8]string
+	sorted := append(scratch[:0], ns...)
+	slices.Sort(sorted)
+	var keyBuf [256]byte
+	key := keyBuf[:0]
+	for _, name := range sorted {
+		key = binary.AppendUvarint(key, uint64(len(name)))
+		key = append(key, name...)
+	}
+	if set, ok := f.nsSets[string(key)]; ok {
+		return set
+	}
+	set := slices.Clone(sorted)
+	f.nsSets[string(key)] = set
+	return set
 }
 
 func equalStrings(a, b []string) bool {
@@ -824,20 +878,25 @@ func (f *Fleet) State(domain string) (DomainState, bool) {
 		return DomainState{}, false
 	}
 	f.settle(st, len(f.log))
-	return *st, true
+	return st.copyOut(), true
 }
 
 // States returns copies of all domain states, sorted by domain, their
-// folded rounds settled.
+// folded rounds settled. It sorts pointers to the states and copies each
+// state once, in order.
 func (f *Fleet) States() []DomainState {
 	f.mu.Lock()
-	out := make([]DomainState, 0, len(f.states))
+	defer f.mu.Unlock()
+	sts := make([]*DomainState, 0, len(f.states))
 	for _, st := range f.states {
 		f.settle(st, len(f.log))
-		out = append(out, *st)
+		sts = append(sts, st)
 	}
-	f.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
+	slices.SortFunc(sts, func(a, b *DomainState) int { return strings.Compare(a.Domain, b.Domain) })
+	out := make([]DomainState, len(sts))
+	for i, st := range sts {
+		out[i] = st.copyOut()
+	}
 	return out
 }
 

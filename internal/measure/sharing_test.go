@@ -3,6 +3,7 @@ package measure
 import (
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -143,5 +144,88 @@ func TestSortedNSAnswerSharedWithinFleetOnly(t *testing.T) {
 	st, _ := f.State("x.com")
 	if !st.NSChanged || st.FirstNS[0] != "ns1.a.net" || st.LastNS[0] != "ns0.evil.net" {
 		t.Errorf("state after change: %+v", st)
+	}
+}
+
+// listenBackend issues notifying handles that cost one allocation each,
+// the handle, which keeps its watcher in a field. The i-th name resolved
+// is delegated to sets[i%2], answered in the backend's own order.
+type listenBackend struct {
+	sets     [2][]string
+	resolved int
+	first    *listenHandle // the first handle issued
+}
+
+func (b *listenBackend) AuthoritativeNS(string) ([]string, bool) { return nil, false }
+func (b *listenBackend) LookupA(string) []netip.Addr             { return nil }
+func (b *listenBackend) LookupAAAA(string) []netip.Addr          { return nil }
+
+func (b *listenBackend) Resolve(string) Handle {
+	h := &listenHandle{ns: b.sets[b.resolved%2]}
+	if b.first == nil {
+		b.first = h
+	}
+	b.resolved++
+	return h
+}
+
+type listenHandle struct {
+	ns []string
+	w  Watcher
+}
+
+func (h *listenHandle) Probe(bool) ProbeResult { return ProbeResult{InZone: true, NS: h.ns} }
+func (h *listenHandle) Notify(w Watcher)       { h.w = w }
+
+// TestWatchAllocatesStateAndHandle: a watch on a notifying handle costs
+// its DomainState and the backend's handle and nothing else — the state is
+// the handle's Watcher, and the admission probe's NS set comes from the
+// fleet's intern — averaged over thousands of watches, so the growth of
+// the fleet's maps and lists amortises away. Watches on one set share the
+// fleet's sorted copy, never the backend's slice; a notification through
+// the handle makes the next round read the watch, and one through a copy
+// State returned reads nothing.
+func TestWatchAllocatesStateAndHandle(t *testing.T) {
+	const n = 4096
+	b := &listenBackend{sets: [2][]string{{"ns2.a.net", "ns1.a.net"}, {"ns1.b.net", "ns2.b.net"}}}
+	names := nDomains(n + 1) // AllocsPerRun makes one warm-up call
+	f, clk := newFleet(b)
+	i := 0
+	if got := testing.AllocsPerRun(n, func() {
+		f.Watch(names[i])
+		i++
+	}); got > 2 {
+		t.Errorf("Watch on a notifying handle allocates %v times, want at most 2 (state and handle)", got)
+	}
+
+	for s, set := range b.sets {
+		want := slices.Sorted(slices.Values(set))
+		first, _ := f.State(names[s])
+		for _, d := range []string{names[s], names[s+2], names[n-1-(n-1-s)%2]} {
+			st, _ := f.State(d)
+			switch {
+			case !slices.Equal(st.FirstNS, want):
+				t.Errorf("%s: FirstNS %v, want %v", d, st.FirstNS, want)
+			case &st.FirstNS[0] == &set[0]:
+				t.Errorf("%s: FirstNS aliases the backend's slice", d)
+			case &st.FirstNS[0] != &first.FirstNS[0]:
+				t.Errorf("%s: FirstNS is not the fleet's one copy of its set", d)
+			}
+		}
+	}
+
+	reads := func() int64 {
+		clk.Advance(10 * time.Minute)
+		return f.Report().Reads
+	}
+	base := reads()
+	cp, _ := f.State(names[0])
+	cp.AnswerChanged()
+	if got := reads(); got != base {
+		t.Errorf("a notification through a State copy read %d watches", got-base)
+	}
+	b.first.w.AnswerChanged()
+	if got := reads(); got != base+1 {
+		t.Errorf("a notification through the handle read %d watches, want 1", got-base)
 	}
 }

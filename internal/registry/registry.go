@@ -33,6 +33,15 @@
 // O(names changed). A subscriber that folds the diffs in order holds the
 // zone a daily snapshot would have shown it.
 //
+// A registration is one allocation: the block a RegisterAt allocates
+// holds the Registration, the answer its delegation publishes and, for an
+// NS set of at most two names (every hosting provider's), both NS arrays —
+// the registration's private copy and the zone's canonical sorted set.
+// When a name's first registration makes the name's ledger record (Resolve
+// may have made it earlier), the record lives in the same block. UpdateNS
+// builds its answer in a fresh block, so a published answer is never
+// written: a reader holding one holds it unchanged for good.
+//
 // The ledger records every registration ever made, including domains
 // deleted before ever entering a published snapshot — the paper's
 // "transient domains". ccTLD-mode registries (InCZDS=false) publish only
@@ -46,7 +55,6 @@ import (
 	"math/rand"
 	"net/netip"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,7 +65,11 @@ import (
 	"darkdns/internal/zoneset"
 )
 
-// Registration is one ledger entry (ground truth).
+// Registration is one ledger entry (ground truth). The ledger's own
+// entries live in registration blocks (regBlock), beside the answer their
+// delegation publishes and, for short NS sets, the arrays NS and that
+// answer use. The inline storage stays in the block, not here, so the
+// Registration that Ledger or RDAPLookupAt copies out stays 192 bytes.
 type Registration struct {
 	Domain    string
 	Registrar string
@@ -71,10 +83,10 @@ type Registration struct {
 	OutOfZoneAt time.Time // when it left; zero while delegated
 
 	// zone is the answer the live zone gives for this registration while
-	// it is delegated: its NS set canonical and sorted, in the second half
-	// of the array whose first half is NS, and the A answer for WebAddr.
-	// It is built whenever NS is set and never modified, so a rebuild
-	// publishes it as it is and nothing a caller writes reaches it.
+	// it is delegated: its NS set canonical and sorted, in an array of its
+	// own, and the A answer for WebAddr. It is built whenever NS is set,
+	// in a block no earlier answer lives in, and never modified, so a
+	// rebuild publishes it as it is and nothing a caller writes reaches it.
 	zone *delegatedAnswer
 	// prev is the registration of the same name this one superseded; the
 	// ledger's older entries hang off the newest through it.
@@ -187,23 +199,23 @@ type Registry struct {
 type record struct {
 	newest *Registration                   // nil until the name is first registered
 	live   atomic.Pointer[delegatedAnswer] // nil while the name is not delegated
-	// notify and more are the callbacks Handle.Notify registered, called
+	// notify and more are the listeners Handle.Listen registered, told
 	// after every store of live. The first is held inline: almost every
 	// record has at most one watcher, and it then costs no slice.
-	notify func()
-	more   []func()
+	notify Listener
+	more   []Listener
 }
 
 // publish stores ans as the record's live answer and tells every
-// registered callback, in registration order. The caller holds mu.
+// registered listener, in registration order. The caller holds mu.
 func (rec *record) publish(ans *delegatedAnswer) {
 	rec.live.Store(ans)
 	if rec.notify == nil {
 		return
 	}
-	rec.notify()
-	for _, fn := range rec.more {
-		fn()
+	rec.notify.AnswerChanged()
+	for _, l := range rec.more {
+		l.AnswerChanged()
 	}
 }
 
@@ -217,29 +229,67 @@ type delegatedAnswer struct {
 	a  [1]netip.Addr // A's array when the answer was built for a web host
 }
 
-// delegate installs a private copy of ns as reg's NS and builds the
+// inlineNS is the longest NS set an answer block holds inline. Every
+// hosting provider's set is a pair; a longer one costs one more
+// allocation.
+const inlineNS = 2
+
+// answerBlock is one allocation holding a delegation's answer and, for an
+// NS set of at most inlineNS names, both its arrays: the zone's canonical
+// sorted set and the registration's private copy in the caller's order.
+// UpdateNS allocates one per call.
+type answerBlock struct {
+	ans  delegatedAnswer
+	zone [inlineNS]string
+	own  [inlineNS]string
+}
+
+// regBlock is a registration with its first answer: the one allocation a
+// re-registration of a name makes.
+type regBlock struct {
+	answerBlock
+	reg Registration
+}
+
+// recordBlock is a name's ledger record with its first registration: the
+// one allocation a name's first RegisterAt makes when no Resolve made the
+// record before it. The blocks lead with what a probe reads — the record,
+// the answer it publishes, the answer's NS set — so that read touches the
+// block's first three cache lines; with the Registration first it would
+// touch four lines spread over the 384-byte block.
+type recordBlock struct {
+	rec record
+	regBlock
+}
+
+// delegate installs a private copy of ns as reg's NS and builds in blk the
 // answer reg's delegation publishes (reg.zone), whose A answer is
-// reg.WebAddr's. One array holds the copy and, behind it, the zone's
-// canonical and sorted NS set, so neither the caller's ns nor a write to
-// reg.NS reaches the zone, and the zone's set costs no allocation of its
-// own. An empty ns delegates to nil.
-func (reg *Registration) delegate(ns []string) {
+// reg.WebAddr's. The copy and the zone's canonical and sorted NS set are
+// two arrays — blk's own for a short set, one fresh allocation split in
+// two for a longer one — so neither the caller's ns nor a write to reg.NS
+// reaches the zone. blk must be fresh: nothing published may point into
+// it. An empty ns delegates to nil.
+func (reg *Registration) delegate(ns []string, blk *answerBlock) {
 	var own, zone []string
-	if n := len(ns); n > 0 {
+	switch n := len(ns); {
+	case n > inlineNS:
 		buf := make([]string, 2*n)
 		own, zone = buf[:n:n], buf[n:]
-		copy(own, ns)
-		for i, name := range ns {
-			zone[i] = dnsname.Canonical(name)
-		}
-		slices.Sort(zone)
+	case n > 0:
+		own, zone = blk.own[:n:n], blk.zone[:n:n]
 	}
+	copy(own, ns)
+	for i, name := range ns {
+		zone[i] = dnsname.Canonical(name)
+	}
+	slices.Sort(zone)
 	reg.NS = own
-	reg.zone = &delegatedAnswer{NS: zone}
+	blk.ans.NS = zone
 	if reg.WebAddr.IsValid() {
-		reg.zone.a[0] = reg.WebAddr
-		reg.zone.A = reg.zone.a[:]
+		blk.ans.a[0] = reg.WebAddr
+		blk.ans.A = blk.ans.a[:]
 	}
+	reg.zone = &blk.ans
 }
 
 // active returns the newest registration while it is not deleted.
@@ -316,7 +366,8 @@ func (r *Registry) Register(domain, registrar string, ns []string, web netip.Add
 // zone never delegates anything else. The returned registration is the
 // ledger's own entry and must be treated as read-only; its NS slice is
 // its own, not the live zone's, so a write to it leaves every answer as
-// it was.
+// it was. A registration allocates one block, which also holds the name's
+// ledger record when this registration makes it.
 func (r *Registry) RegisterAt(domain, registrar string, ns []string, web netip.Addr, at time.Time) (*Registration, error) {
 	domain = dnsname.Canonical(domain)
 	if key, ok := r.registrable(domain); !ok || key != domain {
@@ -328,17 +379,22 @@ func (r *Registry) RegisterAt(domain, registrar string, ns []string, web netip.A
 	if rec.active() != nil {
 		return nil, fmt.Errorf("%w: %s", ErrExists, domain)
 	}
-	reg := &Registration{
+	var blk *regBlock
+	if rec == nil {
+		rb := new(recordBlock)
+		rec, blk = &rb.rec, &rb.regBlock
+		r.ledger[domain] = rec
+	} else {
+		blk = new(regBlock)
+	}
+	reg := &blk.reg
+	*reg = Registration{
 		Domain:    domain,
 		Registrar: registrar,
 		Created:   at,
 		WebAddr:   web,
 	}
-	reg.delegate(ns)
-	if rec == nil {
-		rec = &record{}
-		r.ledger[domain] = rec
-	}
+	reg.delegate(ns, &blk.answerBlock)
 	reg.prev, rec.newest = rec.newest, reg
 	// A name deleted but not yet rebuilt out of the zone is still
 	// delegated, and its A answer is the newest registration's from now
@@ -371,7 +427,9 @@ func (r *Registry) DeleteAt(domain string, at time.Time) error {
 }
 
 // UpdateNS changes the delegation of an active registration (the 2.5 % of
-// NRDs in §4.1 that swap NS infrastructure within 24 h).
+// NRDs in §4.1 that swap NS infrastructure within 24 h). The new answer
+// and NS arrays go in one fresh block: the answer the zone may still
+// publish, and the NS slice a caller may still hold, stay as they were.
 func (r *Registry) UpdateNS(domain string, ns []string) error {
 	domain = dnsname.Canonical(domain)
 	r.mu.Lock()
@@ -380,7 +438,7 @@ func (r *Registry) UpdateNS(domain string, ns []string) error {
 	if reg == nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, domain)
 	}
-	reg.delegate(ns)
+	reg.delegate(ns, new(answerBlock))
 	r.pend(domain)
 	return nil
 }
@@ -646,27 +704,41 @@ func (r *Registry) Resolve(name string) Handle {
 // Answer is Registry.Answer of the resolved name, read through the handle.
 func (h Handle) Answer() Answer { return h.rec.answer(h.exact) }
 
-// Notify registers fn to be called every time the handle's Answer may
-// have changed: after each registration, zone rebuild or deletion that
+// A Listener is told every time a handle's Answer may have changed.
+type Listener interface{ AnswerChanged() }
+
+// Listen registers l to be told every time the handle's Answer may have
+// changed: after each registration, zone rebuild or deletion that
 // republishes the answer of the record behind it, whatever the handle's
 // exactness. A call may report an answer equal to the last one; no
-// change goes unreported. fn runs synchronously on the mutating
-// goroutine — under a Sim clock, inside the mutating clock event — with
-// the registry's write lock held, so it must not call back into the
-// registry; a lock it takes ranks after the registry's. The zero Handle's
-// answer never changes, and Notify on it registers nothing.
-func (h Handle) Notify(fn func()) {
+// change goes unreported. AnswerChanged runs synchronously on the
+// mutating goroutine — under a Sim clock, inside the mutating clock event
+// — with the registry's write lock held, so it must not call back into
+// the registry; a lock it takes ranks after the registry's. The zero
+// Handle's answer never changes, and Listen on it registers nothing.
+// A listener that already exists, such as a measurement fleet's watch
+// state, costs the record no allocation of its own.
+func (h Handle) Listen(l Listener) {
 	if h.rec == nil {
 		return
 	}
 	h.r.mu.Lock()
 	defer h.r.mu.Unlock()
 	if h.rec.notify == nil {
-		h.rec.notify = fn
+		h.rec.notify = l
 		return
 	}
-	h.rec.more = append(h.rec.more, fn)
+	h.rec.more = append(h.rec.more, l)
 }
+
+// Notify is Listen for a callback: fn is called where a Listener's
+// AnswerChanged would be.
+func (h Handle) Notify(fn func()) { h.Listen(funcListener(fn)) }
+
+// funcListener adapts a callback to Listener.
+type funcListener func()
+
+func (fn funcListener) AnswerChanged() { fn() }
 
 // InZone reports whether domain is currently delegated in the live zone:
 // Answer's InZone.
@@ -756,21 +828,26 @@ func (r *Registry) Lookup(domain string) (*Registration, bool) {
 
 // Ledger returns copies of all registrations, sorted by domain then
 // creation time. This is the registry's private view used only for
-// ground-truth comparisons (.nl experiment, §4.4).
+// ground-truth comparisons (.nl experiment, §4.4). It sorts pointers to
+// the ledger's entries and copies each entry once, in order.
 func (r *Registry) Ledger() []Registration {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var out []Registration
+	var regs []*Registration
 	for _, rec := range r.ledger {
 		for reg := rec.newest; reg != nil; reg = reg.prev {
-			out = append(out, reg.copy())
+			regs = append(regs, reg)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Domain != out[j].Domain {
-			return out[i].Domain < out[j].Domain
+	slices.SortFunc(regs, func(a, b *Registration) int {
+		if c := strings.Compare(a.Domain, b.Domain); c != 0 {
+			return c
 		}
-		return out[i].Created.Before(out[j].Created)
+		return a.Created.Compare(b.Created)
 	})
+	out := make([]Registration, len(regs))
+	for i, reg := range regs {
+		out[i] = reg.copy()
+	}
 	return out
 }

@@ -57,8 +57,8 @@ func (h *probeHandle) Probe(mail bool) measure.ProbeResult {
 
 // Notify implements the fleet's optional change notification. The mail
 // answers are fixed at Resolve, so the registry answer is all that can
-// change a probe, and its record reports every change.
-func (h *probeHandle) Notify(fn func()) { h.reg.Notify(fn) }
+// change a probe, and its record tells w of every change.
+func (h *probeHandle) Notify(w measure.Watcher) { h.reg.Listen(w) }
 
 // probeResult is the one definition of a name's probe answers, which
 // Probe and every by-name method below are views of: the registry's

@@ -22,6 +22,7 @@ package worldsim
 import (
 	"math/rand"
 	"net/netip"
+	"strings"
 	"time"
 
 	"darkdns/internal/blocklist"
@@ -135,13 +136,19 @@ type planCompiler struct {
 	// names is every name this chunk has generated, for domainName's
 	// collision checks; it is dropped with the compiler.
 	names map[string]struct{}
+	// arena holds the bytes of every name the chunk generates, back to
+	// back, and each name is a substring of it: a chunk's names cost one
+	// allocation, not one each. A Builder never changes bytes it has
+	// written, so the substrings stay valid if it ever grows.
+	arena strings.Builder
 	// records is the slab the chunk's ground-truth Domains live in.
 	records []Domain
 }
 
 // newPlanCompiler starts chunk chunk-of-chunks of a plan that draws regs
-// registrations and ghosts ghosts; their sum sizes the collision set and
-// the record slab, and each count its layout slab.
+// registrations and ghosts ghosts; their sum sizes the collision set, the
+// record slab and the name arena (every name under tld is nameLen(tld)
+// bytes), and each count its layout slab.
 func newPlanCompiler(env *buildEnv, tld string, chunk, chunks, regs, ghosts int, rng *rand.Rand) *planCompiler {
 	pc := &planCompiler{
 		env: env,
@@ -157,6 +164,7 @@ func newPlanCompiler(env *buildEnv, tld string, chunk, chunks, regs, ghosts int,
 	if chunks > 1 {
 		pc.namePrefix = nameAlphabet[chunk]
 	}
+	pc.arena.Grow((regs + ghosts) * nameLen(tld))
 	return pc
 }
 
@@ -422,6 +430,12 @@ func (pc *planCompiler) sampleCertDelay(transient bool) time.Duration {
 
 const nameAlphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
 
+// nameLabelLen is the length of every generated name's first label.
+const nameLabelLen = 10
+
+// nameLen is the length of every name domainName generates under tld.
+func nameLen(tld string) int { return nameLabelLen + 1 + len(tld) }
+
 // domainName generates a fresh random 10-character registrable name
 // under tld, checking collisions against this chunk's own name set.
 // Names embed their TLD, plans own distinct TLDs, and within a
@@ -429,7 +443,8 @@ const nameAlphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
 // character, so per-chunk uniqueness is world-wide uniqueness — probing
 // a shared map (as the serial builder did) was both wasteful and the one
 // cross-TLD data dependency. The set also covers ghost names, which the
-// old global probe missed.
+// old global probe missed. A candidate is checked from a stack buffer,
+// and only a fresh one is written to the chunk's arena.
 func (pc *planCompiler) domainName(tld string) string {
 	var buf [64]byte
 	for {
@@ -437,13 +452,15 @@ func (pc *planCompiler) domainName(tld string) string {
 		if pc.namePrefix != 0 {
 			b = append(b, pc.namePrefix)
 		}
-		for len(b) < 10 {
+		for len(b) < nameLabelLen {
 			b = append(b, nameAlphabet[pc.rng.Intn(len(nameAlphabet))])
 		}
 		b = append(b, '.')
 		b = append(b, tld...)
 		if _, exists := pc.names[string(b)]; !exists {
-			name := string(b)
+			start := pc.arena.Len()
+			pc.arena.Write(b)
+			name := pc.arena.String()[start:]
 			pc.names[name] = struct{}{}
 			return name
 		}

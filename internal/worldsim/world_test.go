@@ -304,13 +304,14 @@ func TestPlansMatchPaperTotals(t *testing.T) {
 }
 
 // TestBuildAllocations: compiling and committing a world costs a bounded
-// number of allocations per domain — the name string, plus the amortised
-// growth of the maps and slices the names land in. Records, layouts and
-// lifecycle records live in per-chunk and per-layout slabs, NS sets are
-// the providers' shared ones, and the timeline's clock events are values
-// in one pre-sized heap, so a world four times larger adds at most 1.25
-// allocations per added domain where a record, a closure and an event
-// object per name add about eight.
+// number of allocations per domain — the amortised growth of the maps and
+// slices the names land in. Names live in per-chunk arenas, records,
+// layouts and lifecycle records in per-chunk and per-layout slabs, NS sets
+// are the providers' shared ones, and the timeline's clock events are
+// values in one pre-sized heap, so a world four times larger adds at most
+// 0.25 allocations per added domain where a string per name adds about
+// one more, and a record, a closure and an event object per name about
+// eight.
 func TestBuildAllocations(t *testing.T) {
 	measure := func(scale float64) (allocs float64, domains int) {
 		cfg := tinyConfig(5)
@@ -327,8 +328,35 @@ func TestBuildAllocations(t *testing.T) {
 	if largeDomains < 2*smallDomains {
 		t.Fatalf("worlds of %d and %d domains are too close in size to compare", smallDomains, largeDomains)
 	}
-	if perDomain := (largeAllocs - smallAllocs) / float64(largeDomains-smallDomains); perDomain > 1.25 {
-		t.Errorf("%.0f allocations at %d domains, %.0f at %d domains: %.3f per added domain, want at most 1.25",
+	if perDomain := (largeAllocs - smallAllocs) / float64(largeDomains-smallDomains); perDomain > 0.25 {
+		t.Errorf("%.0f allocations at %d domains, %.0f at %d domains: %.3f per added domain, want at most 0.25",
+			smallAllocs, smallDomains, largeAllocs, largeDomains, perDomain)
+	}
+}
+
+// TestCompileAllocations: compiling a world's layouts costs no allocation
+// of its own per name. Each chunk writes its names into one arena sized up
+// front and hands out substrings of it, checking collisions from a stack
+// buffer; what a world four times larger adds per added domain is the
+// amortised growth of the chunk's seed and flag slices and the abusive
+// domains' blocklist draws, at most 0.15 where a string per name costs
+// about 1.1.
+func TestCompileAllocations(t *testing.T) {
+	measure := func(scale float64) (allocs float64, domains int) {
+		cfg := tinyConfig(5)
+		cfg.Scale *= scale
+		allocs = testing.AllocsPerRun(2, func() {
+			domains = CompileLayoutSet(cfg).Domains()
+		})
+		return allocs, domains
+	}
+	smallAllocs, smallDomains := measure(1)
+	largeAllocs, largeDomains := measure(4)
+	if largeDomains < 2*smallDomains {
+		t.Fatalf("worlds of %d and %d domains are too close in size to compare", smallDomains, largeDomains)
+	}
+	if perDomain := (largeAllocs - smallAllocs) / float64(largeDomains-smallDomains); perDomain > 0.15 {
+		t.Errorf("%.0f allocations at %d domains, %.0f at %d domains: %.3f per added domain, want at most 0.15",
 			smallAllocs, smallDomains, largeAllocs, largeDomains, perDomain)
 	}
 }
