@@ -1,8 +1,9 @@
-// Root benchmark harness: one benchmark per table and figure of the
-// paper's evaluation (DESIGN.md §4 experiment index E1–E12), plus
-// end-to-end campaign and pipeline-ingest benchmarks, and the ablation
-// benches DESIGN.md §5 calls out live next to their packages
-// (zoneset: streaming vs materialized diff; stream: batch vs per-message).
+// Root benchmark harness: end-to-end campaign, pipeline-ingest, world,
+// snapshot, sweep, fleet and feed benchmarks. The per-experiment
+// benchmarks (DESIGN.md §4 experiment index E1–E12, X1–X2) live in
+// internal/analysis next to the experiments, and the ablation benches
+// DESIGN.md §5 calls out live next to their packages (zoneset: streaming
+// vs materialized diff; stream: batch vs per-message).
 //
 // Run with:
 //
@@ -35,22 +36,6 @@ import (
 	"darkdns/internal/worldsim"
 )
 
-// benchResults is the shared campaign every per-table benchmark analyzes.
-// Building it once keeps `go test -bench=.` runtimes sane while still
-// measuring each experiment's analysis cost.
-var (
-	benchOnce sync.Once
-	benchRes  *analysis.Results
-)
-
-func sharedResults(b *testing.B) *analysis.Results {
-	b.Helper()
-	benchOnce.Do(func() {
-		benchRes = analysis.Run(analysis.RunConfig{Seed: 2024, Scale: 0.003, Weeks: 5, WatchSampleRate: 1.0, ProbeMail: true})
-	})
-	return benchRes
-}
-
 // BenchmarkFullCampaign measures the complete simulation + pipeline for a
 // small world: the end-to-end cost of regenerating the entire evaluation.
 func BenchmarkFullCampaign(b *testing.B) {
@@ -58,174 +43,6 @@ func BenchmarkFullCampaign(b *testing.B) {
 		res := analysis.Run(analysis.RunConfig{Seed: int64(i + 1), Scale: 0.0005, Weeks: 2, WatchSampleRate: 1.0})
 		if res.Pipeline.Len() == 0 {
 			b.Fatal("empty campaign")
-		}
-	}
-}
-
-// BenchmarkTable1NRDs regenerates Table 1 (E1).
-func BenchmarkTable1NRDs(b *testing.B) {
-	res := sharedResults(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := analysis.Table1(res)
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-		_ = analysis.RenderTable1(rows)
-	}
-}
-
-// BenchmarkFigure1DetectionDelay regenerates Figure 1 (E2).
-func BenchmarkFigure1DetectionDelay(b *testing.B) {
-	res := sharedResults(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buckets, series := analysis.Figure1(res)
-		if len(series) == 0 || len(buckets) == 0 {
-			b.Fatal("empty figure")
-		}
-	}
-}
-
-// BenchmarkNSStability regenerates the §4.1 NS-stability statistic (E3).
-func BenchmarkNSStability(b *testing.B) {
-	res := sharedResults(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, total := analysis.NSStability(res); total == 0 {
-			b.Fatal("no watched domains")
-		}
-	}
-}
-
-// BenchmarkTable2Transients regenerates Table 2 (E4).
-func BenchmarkTable2Transients(b *testing.B) {
-	res := sharedResults(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := analysis.Table2(res)
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-		_ = analysis.RenderTable2(rows)
-	}
-}
-
-// BenchmarkRDAPFailureStats regenerates the §4.2 failure accounting (E5).
-func BenchmarkRDAPFailureStats(b *testing.B) {
-	res := sharedResults(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := analysis.RDAPFailureStats(res)
-		if s.NRDTotal == 0 {
-			b.Fatal("empty stats")
-		}
-	}
-}
-
-// BenchmarkFigure2Lifetimes regenerates Figure 2 (E6).
-func BenchmarkFigure2Lifetimes(b *testing.B) {
-	res := sharedResults(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, cdf := analysis.Figure2(res)
-		if cdf.Len() == 0 {
-			b.Fatal("no lifetimes")
-		}
-	}
-}
-
-// BenchmarkTable3Registrars regenerates Table 3 (E7).
-func BenchmarkTable3Registrars(b *testing.B) {
-	res := sharedResults(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := analysis.Table3(res); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkTable4DNSHosting regenerates Table 4 (E8).
-func BenchmarkTable4DNSHosting(b *testing.B) {
-	res := sharedResults(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := analysis.Table4(res); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkTable5WebHosting regenerates Table 5 (E9).
-func BenchmarkTable5WebHosting(b *testing.B) {
-	res := sharedResults(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := analysis.Table5(res); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkBlocklistCoverage regenerates the §4.3 statistics (E10).
-func BenchmarkBlocklistCoverage(b *testing.B) {
-	res := sharedResults(b)
-	pollEnd := res.WindowEnd.Add(90 * 24 * time.Hour)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		early, _ := analysis.BlocklistCoverage(res, pollEnd)
-		if early.Population == 0 {
-			b.Fatal("no population")
-		}
-	}
-}
-
-// BenchmarkNODComparison regenerates the §4.4 feed comparison (E11).
-func BenchmarkNODComparison(b *testing.B) {
-	res := sharedResults(b)
-	day := res.WindowStart.Add(14 * 24 * time.Hour)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cmp := analysis.CompareNOD(res, day)
-		if cmp.Both+cmp.CTOnly == 0 {
-			b.Fatal("degenerate comparison")
-		}
-	}
-}
-
-// BenchmarkCCTLDGroundTruth regenerates the §4.4 .nl experiment (E12).
-func BenchmarkCCTLDGroundTruth(b *testing.B) {
-	res := sharedResults(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cc := analysis.CCTLDGroundTruth(res)
-		if cc.FastDeleted == 0 {
-			b.Fatal("no ground truth")
-		}
-	}
-}
-
-// BenchmarkRZUWhatIf computes the §5 rapid-zone-update extension (X1).
-func BenchmarkRZUWhatIf(b *testing.B) {
-	res := sharedResults(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := analysis.RZUWhatIf(res, 5*time.Minute)
-		if r.FastDeleted == 0 {
-			b.Fatal("no population")
-		}
-	}
-}
-
-// BenchmarkMailStats computes the §5 mail-adoption extension (X2).
-func BenchmarkMailStats(b *testing.B) {
-	res := sharedResults(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := analysis.MailStats(res)
-		if m.NormalTotal == 0 {
-			b.Fatal("no population")
 		}
 	}
 }

@@ -66,8 +66,8 @@ func main() {
 	fmt.Printf("transients: %d lower bound, %d confirmed, %d rdap-failed\n",
 		len(rep.LowerBound), len(rep.Confirmed), len(rep.RDAPFailed))
 
-	kept, total := analysis.NSStability(res)
-	fmt.Printf("ns stability (24h): %s of %d watched\n", analysis.Pct(kept, total), total)
+	o := analysis.Reduce(res)
+	fmt.Printf("ns stability (24h): %s of %d watched\n", analysis.Pct(o.NSKept, o.NSWatched), o.NSWatched)
 
 	fr := res.Fleet.Report()
 	fmt.Printf("fleet: %d watched, %d probes, %d ever-in-zone, %d died, %d ns-changed\n",

@@ -38,7 +38,7 @@ func main() {
 	workers := flag.Int("workers", 0, "pool width of each cell's world compile fan-out only (the commit is serial; fleet rounds size their own probe slices); 0 = serial compiles, which -sweep-workers already runs side by side")
 	out := flag.String("out", "", "write the columnar result table to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep (every cell's world build and campaign) to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file once the sweep has run, its results still live")
+	memprofile := flag.String("memprofile", "", "write a heap profile to this file once the sweep has run, its outcomes still live")
 	flag.Parse()
 
 	grid := analysis.SweepConfig{
@@ -83,11 +83,12 @@ func main() {
 	fmt.Printf("%-6s %-9s %-24s %9s %8s %10s %8s %8s %10s %10s\n",
 		"seed", "scale", "policy", "domains", "nrds", "transients", "w15m", "w45m", "median", "elapsed")
 	for _, sr := range res.Cells {
+		o := &sr.Outcome
 		fmt.Printf("%-6d %-9g %-24s %9d %8d %10d %7.1f%% %7.1f%% %10v %10v\n",
 			sr.Cell.Seed, sr.Cell.Scale, sr.Cell.Policy.Label(),
-			sr.Domains, sr.NRDs, sr.Transients,
-			100*sr.Within15m, 100*sr.Within45m,
-			sr.MedianDelay.Round(time.Second), sr.Elapsed.Round(time.Millisecond))
+			o.Domains, o.NRDs(), o.Confirmed,
+			100*o.Within15m, 100*o.Within45m,
+			o.MedianDelay.Round(time.Second), sr.Elapsed.Round(time.Millisecond))
 	}
 
 	if *out != "" {

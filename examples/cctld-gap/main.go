@@ -4,8 +4,9 @@
 // CT-based method actually see? The answer — about 30 % — is the paper's
 // strongest evidence that researchers have a blind spot only rapid zone
 // updates can close. The sweep engine asks it across several seeds and
-// two watch policies at once: each world compiles once, and every cell
-// replays it from the shared snapshot.
+// two watch policies at once: each world compiles once, every cell
+// replays it from the shared snapshot, and each cell keeps only its
+// campaign's Outcome.
 package main
 
 import (
@@ -33,19 +34,23 @@ func main() {
 		out.DistinctWorlds, out.DistinctWorlds)
 	fmt.Printf("  %-5s %-11s %9s %9s %9s %8s\n", "seed", "policy", "fast-del", "never-in", "caught", "recall")
 	for _, sr := range out.Cells {
-		cc := analysis.CCTLDGroundTruth(sr.Results)
+		cc := sr.Outcome.CCTLD
 		fmt.Printf("  %-5d %-11s %9d %9d %9d %7.1f%%\n",
 			sr.Cell.Seed, sr.Cell.Policy.Label(), cc.FastDeleted, cc.NeverInZone,
 			cc.PipelineFound, 100*cc.Recall)
 	}
 
-	// Show what detection looked like for ccTLD candidates one cell saw.
-	res := out.Cells[0].Results
-	cc := analysis.CCTLDGroundTruth(res)
-	fmt.Printf("\nsample detections from seed %d (paper: 714 fast-deleted, 334 never in zone, 99 caught, 29.6%% recall):\n", out.Cells[0].Cell.Seed)
+	// Show what detection looked like for ccTLD candidates: an outcome
+	// keeps counts only, so this reruns the first cell's campaign and reads
+	// its live pipeline and world.
+	first := out.Cells[0]
+	res := analysis.Run(analysis.RunConfig{
+		Seed: first.Cell.Seed, Scale: first.Cell.Scale, Weeks: 13, WatchSampleRate: first.Cell.Policy.WatchSampleRate,
+	})
+	fmt.Printf("\nsample detections from seed %d (paper: 714 fast-deleted, 334 never in zone, 99 caught, 29.6%% recall):\n", first.Cell.Seed)
 	shown := 0
 	for _, c := range res.Pipeline.Candidates() {
-		if c.TLD != cc.TLD || shown >= 5 {
+		if c.TLD != first.Outcome.CCTLD.TLD || shown >= 5 {
 			continue
 		}
 		gt := res.World.Domains.Get(c.Domain)

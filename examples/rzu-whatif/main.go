@@ -41,20 +41,19 @@ func main() {
 		out.DistinctWorlds, len(out.Cells))
 	for _, sr := range out.Cells {
 		fmt.Printf("  %-10s %4d transients confirmed, median detection %v (campaign %v)\n",
-			sr.Cell.Policy.Label(), sr.Transients,
-			sr.MedianDelay.Round(time.Second), sr.Elapsed.Round(time.Millisecond))
+			sr.Cell.Policy.Label(), sr.Outcome.Confirmed,
+			sr.Outcome.MedianDelay.Round(time.Second), sr.Elapsed.Round(time.Millisecond))
 	}
 
-	// The zone-update what-if reads any cell's campaign; the world — and
+	// The zone-update what-if reads any cell's outcome; the world — and
 	// therefore the fast-deleted population — is identical across cells.
-	res := out.Cells[0].Results
 	fmt.Println("\nvisibility of fast-deleted domains by zone-update cadence:")
-	for _, interval := range []time.Duration{5 * time.Minute, 30 * time.Minute, time.Hour, 6 * time.Hour, 24 * time.Hour} {
-		r := analysis.RZUWhatIf(res, interval)
-		fmt.Printf("  every %-6s %4d of %4d visible (%s)\n",
-			interval, r.RZUVisible, r.FastDeleted, analysis.Pct(r.RZUVisible, r.FastDeleted))
+	whatIf := out.Cells[0].Outcome.RZU
+	for _, r := range whatIf {
+		fmt.Printf("  every %-7s %4d of %4d visible (%s)\n",
+			r.Interval, r.RZUVisible, r.FastDeleted, analysis.Pct(r.RZUVisible, r.FastDeleted))
 	}
-	base := analysis.RZUWhatIf(res, 5*time.Minute)
+	base := whatIf[0]
 	fmt.Printf("\nfor comparison, the CT-based public method caught %d (%s)\n",
 		base.CTDetected, analysis.Pct(base.CTDetected, base.FastDeleted))
 

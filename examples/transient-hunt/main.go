@@ -67,7 +67,7 @@ func main() {
 	}
 
 	// The takeaway statistic of §4.3: flags land post-mortem.
-	_, trans := analysis.BlocklistCoverage(res, pollEnd)
+	trans := analysis.Reduce(res).TransientFlags
 	if trans.Flagged > 0 {
 		post := trans.Timing[blocklist.AfterDeletion]
 		fmt.Printf("\nof %d flagged transients, %d (%s) were flagged only after deletion (paper: 94%%)\n",

@@ -10,13 +10,15 @@ import (
 )
 
 // sharedResults runs one campaign for the whole test package — the run is
-// deterministic, so every experiment can assert against the same Results.
+// deterministic, so every experiment can assert against the same Results
+// and its one Outcome.
 var (
 	resOnce sync.Once
 	res     *Results
+	out     Outcome
 )
 
-func testResults(t *testing.T) *Results {
+func testResults(t testing.TB) *Results {
 	t.Helper()
 	resOnce.Do(func() {
 		cfg := DefaultRunConfig()
@@ -25,13 +27,19 @@ func testResults(t *testing.T) *Results {
 		cfg.Weeks = 5
 		cfg.ProbeMail = true
 		res = Run(cfg)
+		out = Reduce(res)
 	})
 	return res
 }
 
+func testOutcome(t testing.TB) *Outcome {
+	t.Helper()
+	testResults(t)
+	return &out
+}
+
 func TestMailAdoptionShape(t *testing.T) {
-	r := testResults(t)
-	m := MailStats(r)
+	m := testOutcome(t).Mail
 	if m.NormalTotal == 0 || m.TransientTotal == 0 {
 		t.Fatalf("empty mail stats: %+v", m)
 	}
@@ -111,8 +119,7 @@ func TestFormatDuration(t *testing.T) {
 // --- Shape assertions against the paper -----------------------------------
 
 func TestTable1Shape(t *testing.T) {
-	r := testResults(t)
-	rows := Table1(r)
+	rows := testOutcome(t).Table1
 	if len(rows) < 10 {
 		t.Fatalf("only %d TLD rows", len(rows))
 	}
@@ -141,15 +148,15 @@ func TestTable1Shape(t *testing.T) {
 	if comShare < 0.40 || comShare > 0.70 {
 		t.Errorf("com share %.3f outside [0.40, 0.70] (paper: 0.55)", comShare)
 	}
-	out := RenderTable1(rows)
-	if !strings.Contains(out, "com") || !strings.Contains(out, "Total") {
-		t.Errorf("render:\n%s", out)
+	text := renderTLDTable("Table 1", rows, true)
+	if !strings.Contains(text, "com") || !strings.Contains(text, "Total") {
+		t.Errorf("render:\n%s", text)
 	}
 }
 
 func TestFigure1Shape(t *testing.T) {
-	r := testResults(t)
-	buckets, series := Figure1(r)
+	o := testOutcome(t)
+	buckets, series := o.Figure1.Buckets, o.Figure1.Series
 	if len(series) < 3 {
 		t.Fatalf("only %d series", len(series))
 	}
@@ -157,7 +164,7 @@ func TestFigure1Shape(t *testing.T) {
 	if all.Name != "All" {
 		t.Fatalf("last series %q, want All", all.Name)
 	}
-	within15, within45, median := Figure1Headline(r)
+	within15, within45, median := o.Within15m, o.Within45m, o.MedianDelay
 	// Paper: ≈30 % within 15 min, 50 % within 45 min.
 	if within15 < 0.15 || within15 > 0.60 {
 		t.Errorf("within-15m %.3f outside [0.15, 0.60] (paper ≈0.30)", within15)
@@ -201,8 +208,7 @@ func TestFigure1Shape(t *testing.T) {
 }
 
 func TestNSStabilityShape(t *testing.T) {
-	r := testResults(t)
-	kept, total := NSStability(r)
+	kept, total := testOutcome(t).NSKept, testOutcome(t).NSWatched
 	if total == 0 {
 		t.Fatal("no watched domains")
 	}
@@ -214,8 +220,8 @@ func TestNSStabilityShape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	r := testResults(t)
-	rows := Table2(r)
+	o := testOutcome(t)
+	rows := o.Table2
 	if len(rows) == 0 {
 		t.Fatal("no transient rows")
 	}
@@ -227,20 +233,19 @@ func TestTable2Shape(t *testing.T) {
 	for _, row := range rows {
 		trans += row.Total
 	}
-	nrds := r.Pipeline.Len()
+	nrds := o.Candidates
 	share := float64(trans) / float64(nrds)
 	if share < 0.003 || share > 0.03 {
 		t.Errorf("transient share %.4f outside [0.003, 0.03] (paper ≈0.01)", share)
 	}
-	out := RenderTable2(rows)
-	if !strings.Contains(out, "Total") {
-		t.Errorf("render:\n%s", out)
+	text := renderTLDTable("Table 2", rows, false)
+	if !strings.Contains(text, "Total") {
+		t.Errorf("render:\n%s", text)
 	}
 }
 
 func TestRDAPFailureShape(t *testing.T) {
-	r := testResults(t)
-	s := RDAPFailureStats(r)
+	s := testOutcome(t).RDAP
 	if s.NRDTotal == 0 || s.TransTotal == 0 {
 		t.Fatal("empty stats")
 	}
@@ -267,7 +272,8 @@ func TestRDAPFailureShape(t *testing.T) {
 
 func TestFigure2Shape(t *testing.T) {
 	r := testResults(t)
-	_, s, cdf := Figure2(r)
+	fig, cdf := figure2(r, r.Fleet.States())
+	s := fig.Series[0]
 	if cdf.Len() < 20 {
 		t.Fatalf("only %d lifetime samples", cdf.Len())
 	}
@@ -287,8 +293,7 @@ func TestFigure2Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	r := testResults(t)
-	rows := Table3(r)
+	rows := testOutcome(t).Table3
 	if len(rows) < 5 {
 		t.Fatalf("only %d registrar rows", len(rows))
 	}
@@ -310,15 +315,14 @@ func TestTable3Shape(t *testing.T) {
 	if gd.Share < 0.10 || gd.Share > 0.30 {
 		t.Errorf("GoDaddy share %.3f outside [0.10, 0.30] (paper 0.194)", gd.Share)
 	}
-	out := RenderShares("Table 3", rows)
-	if !strings.Contains(out, "GoDaddy") {
-		t.Errorf("render:\n%s", out)
+	text := renderShares("Table 3", rows)
+	if !strings.Contains(text, "GoDaddy") {
+		t.Errorf("render:\n%s", text)
 	}
 }
 
 func TestTable4Shape(t *testing.T) {
-	r := testResults(t)
-	rows := Table4(r)
+	rows := testOutcome(t).Table4
 	if len(rows) == 0 {
 		t.Fatal("no DNS hosting rows")
 	}
@@ -331,8 +335,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	r := testResults(t)
-	rows := Table5(r)
+	rows := testOutcome(t).Table5
 	if len(rows) == 0 {
 		t.Fatal("no web hosting rows")
 	}
@@ -345,9 +348,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestBlocklistShape(t *testing.T) {
-	r := testResults(t)
-	pollEnd := r.WindowEnd.Add(90 * 24 * time.Hour)
-	early, trans := BlocklistCoverage(r, pollEnd)
+	early, trans := testOutcome(t).EarlyRemoved, testOutcome(t).TransientFlags
 	if early.Population == 0 {
 		t.Fatal("no early-removed population")
 	}
@@ -384,9 +385,7 @@ func TestBlocklistShape(t *testing.T) {
 }
 
 func TestNODComparisonShape(t *testing.T) {
-	r := testResults(t)
-	day := r.WindowStart.Add(14 * 24 * time.Hour)
-	cmp := CompareNOD(r, day)
+	cmp := testOutcome(t).NOD
 	ct := cmp.Both + cmp.CTOnly
 	nod := cmp.Both + cmp.NODOnly
 	if ct == 0 || nod == 0 {
@@ -408,8 +407,7 @@ func TestNODComparisonShape(t *testing.T) {
 }
 
 func TestCCTLDGroundTruthShape(t *testing.T) {
-	r := testResults(t)
-	res := CCTLDGroundTruth(r)
+	res := testOutcome(t).CCTLD
 	if res.FastDeleted == 0 {
 		t.Skip("no ccTLD fast-deleted domains at this scale")
 	}
@@ -431,10 +429,8 @@ func TestCCTLDGroundTruthShape(t *testing.T) {
 }
 
 func TestCDFTableRender(t *testing.T) {
-	r := testResults(t)
-	buckets, series := Figure1(r)
-	out := CDFTable("Figure 1", buckets, series)
-	if !strings.Contains(out, "Figure 1") || !strings.Contains(out, "≤15m") {
-		t.Errorf("render:\n%s", out)
+	text := cdfTable("Figure 1", testOutcome(t).Figure1)
+	if !strings.Contains(text, "Figure 1") || !strings.Contains(text, "≤15m") {
+		t.Errorf("render:\n%s", text)
 	}
 }

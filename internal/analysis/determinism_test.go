@@ -22,7 +22,7 @@ func renderCampaign(t *testing.T, cfg RunConfig) ([]byte, *Results) {
 
 // TestCampaignDeterminism: identical run configurations must produce
 // byte-identical evaluation reports — the property that makes every
-// number in EXPERIMENTS.md reproducible.
+// number cmd/reproduce prints reproducible from its flags.
 func TestCampaignDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full campaigns")

@@ -1,48 +1,58 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"darkdns/internal/asdb"
 	"darkdns/internal/blocklist"
 	"darkdns/internal/core"
-	"darkdns/internal/dnsname"
+	"darkdns/internal/measure"
 	"darkdns/internal/psl"
 	"darkdns/internal/worldsim"
 )
 
 // ---------------------------------------------------------------------------
-// E1 — Table 1: newly registered domains per TLD.
+// E1 — Table 1: newly registered domains per TLD, and E4 — Table 2:
+// transient domains per TLD and month.
 
-// Table1Row is one TLD's NRD accounting.
-type Table1Row struct {
+// TLDRow is one TLD's row of Table 1 or Table 2: its candidates per
+// 30-day month of the window and in total, and the candidates detected
+// before their name's first zone diff. Table 1 adds the zone-diff NRD
+// baseline and the coverage ratio.
+type TLDRow struct {
 	TLD      string
 	Monthly  [3]int
 	Total    int
-	ZoneNRD  int
 	Detected int     // candidates that later appeared in zone diffs
-	Coverage float64 // Detected / ZoneNRD
+	ZoneNRD  int     // Table 1 only
+	Coverage float64 // Table 1 only: Detected / ZoneNRD
 }
 
-// Table1 reproduces Table 1: CT-detected NRDs per TLD and month, the
-// zone-diff NRD baseline, and the coverage ratio. Only TLDs present in
-// the CZDS collection appear — the paper's Table 1 is gTLD-only because
-// there is no zone baseline for ccTLDs.
-func Table1(r *Results) []Table1Row {
-	collected := make(map[string]bool)
-	for _, tld := range r.World.CZDS.TLDs() {
-		collected[tld] = true
+func (row *TLDRow) add(o TLDRow) {
+	for m := range row.Monthly {
+		row.Monthly[m] += o.Monthly[m]
 	}
-	perTLD := make(map[string]*Table1Row)
-	for _, c := range r.candidates() {
-		if !collected[c.TLD] {
+	row.Total += o.Total
+	row.Detected += o.Detected
+	row.ZoneNRD += o.ZoneNRD
+}
+
+// tldRows tallies cands by TLD and month, largest TLD first, keeping only
+// the TLDs in keep when keep is set.
+func tldRows(r *Results, cands []core.Candidate, keep map[string]bool) []TLDRow {
+	perTLD := make(map[string]*TLDRow)
+	for _, c := range cands {
+		if keep != nil && !keep[c.TLD] {
 			continue
 		}
 		row := perTLD[c.TLD]
 		if row == nil {
-			row = &Table1Row{TLD: c.TLD}
+			row = &TLDRow{TLD: strings.Clone(c.TLD)}
 			perTLD[c.TLD] = row
 		}
 		row.Monthly[r.monthIndex(c.SeenAt)]++
@@ -51,184 +61,7 @@ func Table1(r *Results) []Table1Row {
 			row.Detected++
 		}
 	}
-	// The per-TLD tallies above are Pipeline.ZoneNRDCoverage's, counted in
-	// the one pass over the candidates instead of one pass per TLD.
-	var rows []Table1Row
-	for tld, row := range perTLD {
-		row.ZoneNRD = int(r.World.CZDS.Stats(tld).Added)
-		if row.ZoneNRD > 0 {
-			row.Coverage = float64(row.Detected) / float64(row.ZoneNRD)
-		}
-		rows = append(rows, *row)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Total != rows[j].Total {
-			return rows[i].Total > rows[j].Total
-		}
-		return rows[i].TLD < rows[j].TLD
-	})
-	return rows
-}
-
-// RenderTable1 renders Table 1 in the paper's layout, aggregating
-// non-top-10 TLDs under "Others".
-func RenderTable1(rows []Table1Row) string {
-	t := &Table{
-		Title:   "Table 1: Top TLDs by newly registered domains (NRDs)",
-		Headers: []string{"TLD", "Nov", "Dec", "Jan", "Total", "Zone NRD", "Coverage"},
-	}
-	top := rows
-	if len(top) > 10 {
-		top = rows[:10]
-	}
-	var others Table1Row
-	others.TLD = "Others"
-	for _, row := range rows[len(top):] {
-		for m := 0; m < 3; m++ {
-			others.Monthly[m] += row.Monthly[m]
-		}
-		others.Total += row.Total
-		others.ZoneNRD += row.ZoneNRD
-		others.Detected += row.Detected
-	}
-	var total Table1Row
-	total.TLD = "Total"
-	emit := func(row Table1Row) {
-		cov := "n/a"
-		if row.ZoneNRD > 0 {
-			cov = fmt.Sprintf("%.1f%%", 100*float64(row.Detected)/float64(row.ZoneNRD))
-		}
-		t.AddRow(row.TLD, Count(row.Monthly[0]), Count(row.Monthly[1]), Count(row.Monthly[2]),
-			Count(row.Total), Count(row.ZoneNRD), cov)
-	}
-	add := func(dst *Table1Row, row Table1Row) {
-		for m := 0; m < 3; m++ {
-			dst.Monthly[m] += row.Monthly[m]
-		}
-		dst.Total += row.Total
-		dst.ZoneNRD += row.ZoneNRD
-		dst.Detected += row.Detected
-	}
-	for _, row := range top {
-		emit(row)
-		add(&total, row)
-	}
-	if others.Total > 0 {
-		emit(others)
-		add(&total, others)
-	}
-	emit(total)
-	return t.Render()
-}
-
-// ---------------------------------------------------------------------------
-// E2 — Figure 1: detection delay CDF per TLD.
-
-// Figure1 computes per-TLD CDFs of SeenAt−Registered for validated
-// candidates, evaluated at the paper's bucket boundaries, plus an "All"
-// series.
-func Figure1(r *Results) (buckets []time.Duration, series []Series) {
-	perTLD := make(map[string][]time.Duration)
-	var all []time.Duration
-	for _, c := range r.candidates() {
-		if c.RDAPOutcome != core.RDAPOK || !c.Validated {
-			continue
-		}
-		d := c.DetectionDelay()
-		if d < 0 {
-			d = 0
-		}
-		perTLD[c.TLD] = append(perTLD[c.TLD], d)
-		all = append(all, d)
-	}
-	names := make([]string, 0, len(perTLD))
-	for tld := range perTLD {
-		names = append(names, tld)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if len(perTLD[names[i]]) != len(perTLD[names[j]]) {
-			return len(perTLD[names[i]]) > len(perTLD[names[j]])
-		}
-		return names[i] < names[j]
-	})
-	if len(names) > 8 {
-		names = names[:8]
-	}
-	for _, tld := range names {
-		cdf := NewCDF(perTLD[tld])
-		s := Series{Name: tld}
-		for _, b := range Figure1Buckets {
-			s.Values = append(s.Values, cdf.At(b))
-		}
-		series = append(series, s)
-	}
-	allCDF := NewCDF(all)
-	sAll := Series{Name: "All"}
-	for _, b := range Figure1Buckets {
-		sAll.Values = append(sAll.Values, allCDF.At(b))
-	}
-	series = append(series, sAll)
-	return Figure1Buckets, series
-}
-
-// Figure1Headline returns the §4.1 headline quantiles over all validated
-// candidates: the fraction detected within 15 and 45 minutes.
-func Figure1Headline(r *Results) (within15m, within45m float64, median time.Duration) {
-	var all []time.Duration
-	for _, c := range r.candidates() {
-		if c.RDAPOutcome == core.RDAPOK && c.Validated {
-			d := c.DetectionDelay()
-			if d < 0 {
-				d = 0
-			}
-			all = append(all, d)
-		}
-	}
-	cdf := NewCDF(all)
-	return cdf.At(15 * time.Minute), cdf.At(45 * time.Minute), cdf.Quantile(0.5)
-}
-
-// ---------------------------------------------------------------------------
-// E3 — §4.1: NS infrastructure stability in the first 24 hours.
-
-// NSStability returns the fraction of watched candidates that kept their
-// initial nameserver set through their first 24 hours (paper: 97.5 %).
-func NSStability(r *Results) (kept, total int) {
-	for _, st := range r.Fleet.States() {
-		if !st.EverInZone {
-			continue
-		}
-		total++
-		if !st.NSChanged || st.NSChangedAt.Sub(st.Started) > 24*time.Hour {
-			kept++
-		}
-	}
-	return kept, total
-}
-
-// ---------------------------------------------------------------------------
-// E4 — Table 2: transient domains per TLD and month.
-
-// Table2Row is one TLD's transient accounting.
-type Table2Row struct {
-	TLD     string
-	Monthly [3]int
-	Total   int
-}
-
-// Table2 reproduces Table 2 over the pipeline's transient lower bound.
-func Table2(r *Results) []Table2Row {
-	perTLD := make(map[string]*Table2Row)
-	for _, c := range r.Report.LowerBound {
-		row := perTLD[c.TLD]
-		if row == nil {
-			row = &Table2Row{TLD: c.TLD}
-			perTLD[c.TLD] = row
-		}
-		row.Monthly[r.monthIndex(c.SeenAt)]++
-		row.Total++
-	}
-	var rows []Table2Row
+	rows := make([]TLDRow, 0, len(perTLD))
 	for _, row := range perTLD {
 		rows = append(rows, *row)
 	}
@@ -241,45 +74,144 @@ func Table2(r *Results) []Table2Row {
 	return rows
 }
 
-// RenderTable2 renders Table 2 in the paper's layout.
-func RenderTable2(rows []Table2Row) string {
-	t := &Table{
-		Title:   "Table 2: Transient domain names observed",
-		Headers: []string{"TLD", "Nov", "Dec", "Jan", "Total"},
+// table1 reproduces Table 1: CT-detected NRDs per TLD and month, the
+// zone-diff NRD baseline, and the coverage ratio. Only TLDs present in
+// the CZDS collection appear — the paper's Table 1 is gTLD-only because
+// there is no zone baseline for ccTLDs.
+func table1(r *Results) []TLDRow {
+	collected := make(map[string]bool)
+	for _, tld := range r.World.CZDS.TLDs() {
+		collected[tld] = true
 	}
-	var total Table2Row
-	top := rows
-	if len(top) > 10 {
-		top = rows[:10]
-	}
-	var others Table2Row
-	others.TLD = "Others"
-	for _, row := range rows[len(top):] {
-		for m := 0; m < 3; m++ {
-			others.Monthly[m] += row.Monthly[m]
+	rows := tldRows(r, r.candidates(), collected)
+	for i := range rows {
+		row := &rows[i]
+		row.ZoneNRD = int(r.World.CZDS.Stats(row.TLD).Added)
+		if row.ZoneNRD > 0 {
+			row.Coverage = float64(row.Detected) / float64(row.ZoneNRD)
 		}
-		others.Total += row.Total
 	}
-	emit := func(row Table2Row) {
-		t.AddRow(row.TLD, Count(row.Monthly[0]), Count(row.Monthly[1]), Count(row.Monthly[2]), Count(row.Total))
+	return rows
+}
+
+// table2 reproduces Table 2 over the pipeline's transient lower bound.
+func table2(r *Results) []TLDRow { return tldRows(r, r.Report.LowerBound, nil) }
+
+// renderTLDTable renders Table 1 (zone: with the zone baseline and
+// coverage columns) or Table 2 in the paper's layout, aggregating
+// non-top-10 TLDs under "Others".
+func renderTLDTable(title string, rows []TLDRow, zone bool) string {
+	t := &Table{Title: title, Headers: []string{"TLD", "Nov", "Dec", "Jan", "Total"}}
+	if zone {
+		t.Headers = append(t.Headers, "Zone NRD", "Coverage")
 	}
-	for _, row := range top {
+	others, total := TLDRow{TLD: "Others"}, TLDRow{TLD: "Total"}
+	for i, row := range rows {
+		if i >= 10 {
+			others.add(row)
+		}
+		total.add(row)
+	}
+	emit := func(row TLDRow) {
+		cells := []string{row.TLD, Count(row.Monthly[0]), Count(row.Monthly[1]), Count(row.Monthly[2]), Count(row.Total)}
+		if zone {
+			cov := "n/a"
+			if row.ZoneNRD > 0 {
+				cov = fmt.Sprintf("%.1f%%", 100*float64(row.Detected)/float64(row.ZoneNRD))
+			}
+			cells = append(cells, Count(row.ZoneNRD), cov)
+		}
+		t.AddRow(cells...)
+	}
+	for _, row := range rows[:min(len(rows), 10)] {
 		emit(row)
-		for m := 0; m < 3; m++ {
-			total.Monthly[m] += row.Monthly[m]
-		}
-		total.Total += row.Total
 	}
 	if others.Total > 0 {
 		emit(others)
-		for m := 0; m < 3; m++ {
-			total.Monthly[m] += others.Monthly[m]
-		}
-		total.Total += others.Total
 	}
-	total.TLD = "Total"
 	emit(total)
 	return t.Render()
+}
+
+// ---------------------------------------------------------------------------
+// E2 — Figure 1: detection delay CDF per TLD.
+
+// figure1 computes per-TLD CDFs of SeenAt−Registered for validated
+// candidates, evaluated at the paper's bucket boundaries, for the eight
+// TLDs with the most samples and an "All" series, whose CDF it also
+// returns for the §4.1 headline.
+func figure1(r *Results) (Figure, *CDF) {
+	type sample struct {
+		tld   string
+		delay time.Duration
+	}
+	cands := r.candidates()
+	samples := make([]sample, 0, len(cands))
+	for _, c := range cands {
+		if c.RDAPOutcome == core.RDAPOK && c.Validated {
+			samples = append(samples, sample{c.TLD, max(c.DetectionDelay(), 0)})
+		}
+	}
+	// Sorted by TLD, then delay, each TLD's samples are one ascending run.
+	slices.SortFunc(samples, func(a, b sample) int {
+		if c := strings.Compare(a.tld, b.tld); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.delay, b.delay)
+	})
+	type run struct {
+		tld    string
+		lo, hi int
+	}
+	var runs []run
+	delays := make([]time.Duration, len(samples))
+	for i, s := range samples {
+		delays[i] = s.delay
+		if len(runs) == 0 || runs[len(runs)-1].tld != s.tld {
+			runs = append(runs, run{tld: s.tld, lo: i})
+		}
+		runs[len(runs)-1].hi = i + 1
+	}
+	slices.SortFunc(runs, func(a, b run) int {
+		if n := (b.hi - b.lo) - (a.hi - a.lo); n != 0 {
+			return n
+		}
+		return strings.Compare(a.tld, b.tld)
+	})
+	fig := Figure{Buckets: Figure1Buckets}
+	for _, run := range runs[:min(len(runs), 8)] {
+		fig.Series = append(fig.Series, cdfSeries(strings.Clone(run.tld), &CDF{sorted: delays[run.lo:run.hi]}, Figure1Buckets))
+	}
+	all := NewCDF(delays)
+	fig.Series = append(fig.Series, cdfSeries("All", all, Figure1Buckets))
+	return fig, all
+}
+
+// cdfSeries evaluates cdf at every bucket.
+func cdfSeries(name string, cdf *CDF, buckets []time.Duration) Series {
+	s := Series{Name: name, Values: make([]float64, len(buckets))}
+	for i, b := range buckets {
+		s.Values[i] = cdf.At(b)
+	}
+	return s
+}
+
+// ---------------------------------------------------------------------------
+// E3 — §4.1: NS infrastructure stability in the first 24 hours.
+
+// nsStability counts the watched candidates that kept their initial
+// nameserver set through their first 24 hours (paper: 97.5 %).
+func nsStability(states []measure.DomainState) (kept, total int) {
+	for _, st := range states {
+		if !st.EverInZone {
+			continue
+		}
+		total++
+		if !st.NSChanged || st.NSChangedAt.Sub(st.Started) > 24*time.Hour {
+			kept++
+		}
+	}
+	return kept, total
 }
 
 // ---------------------------------------------------------------------------
@@ -294,10 +226,10 @@ type RDAPStats struct {
 	FailedHistoric int // RDAP-failed transients present in DZDB history
 }
 
-// RDAPFailureStats computes failure rates for all candidates vs transient
+// rdapFailureStats computes failure rates for all candidates vs transient
 // candidates, and how many failed transients existed in historical zone
 // data (paper: ≈3 %, ≈34 %, ≈97 %).
-func RDAPFailureStats(r *Results) RDAPStats {
+func rdapFailureStats(r *Results) RDAPStats {
 	var s RDAPStats
 	for _, c := range r.candidates() {
 		s.NRDTotal++
@@ -318,27 +250,25 @@ func RDAPFailureStats(r *Results) RDAPStats {
 // ---------------------------------------------------------------------------
 // E6 — Figure 2: transient domain lifetimes.
 
-// Figure2 computes the lifetime CDF of confirmed transients: last valid
+// figure2 computes the lifetime CDF of confirmed transients: last valid
 // NS response minus RDAP registration time (§4.2.1).
-func Figure2(r *Results) (buckets []time.Duration, s Series, cdf *CDF) {
+func figure2(r *Results, states []measure.DomainState) (Figure, *CDF) {
 	var lifetimes []time.Duration
 	for _, c := range r.Report.Confirmed {
-		st, ok := r.Fleet.State(c.Domain)
-		if !ok || !st.EverInZone || st.LastAliveAt.IsZero() {
+		st := stateOf(states, c.Domain)
+		if st == nil || !st.EverInZone || st.LastAliveAt.IsZero() {
 			continue
 		}
-		lt := st.LastAliveAt.Sub(c.Registered)
-		if lt < 0 {
-			lt = 0
-		}
-		lifetimes = append(lifetimes, lt)
+		lifetimes = append(lifetimes, max(st.LastAliveAt.Sub(c.Registered), 0))
 	}
-	cdf = NewCDF(lifetimes)
-	s = Series{Name: "transients"}
-	for _, b := range Figure2Buckets {
-		s.Values = append(s.Values, cdf.At(b))
-	}
-	return Figure2Buckets, s, cdf
+	cdf := NewCDF(lifetimes)
+	return Figure{Buckets: Figure2Buckets, Series: []Series{cdfSeries("transients", cdf, Figure2Buckets)}}, cdf
+}
+
+// stateOf finds domain's state in states, which Fleet.States sorts by
+// domain, or returns nil.
+func stateOf(states []measure.DomainState, domain string) *measure.DomainState {
+	return byDomain(states, domain, func(st *measure.DomainState) string { return st.Domain })
 }
 
 // ---------------------------------------------------------------------------
@@ -351,84 +281,72 @@ type ShareRow struct {
 	Share float64
 }
 
-// Table3 computes the registrar distribution over confirmed transients
+// table3 computes the registrar distribution over confirmed transients
 // (the paper's Table 3 uses RDAP registrar identity).
-func Table3(r *Results) []ShareRow {
-	counts := make(map[string]int)
-	total := 0
-	for _, c := range r.Report.Confirmed {
-		if c.Registrar == "" {
-			continue
-		}
-		counts[c.Registrar]++
-		total++
-	}
-	return shareRows(counts, total, 10)
+func table3(r *Results) []ShareRow {
+	return confirmedShares(r, 10, func(c *core.Candidate) string { return c.Registrar })
 }
 
 // ---------------------------------------------------------------------------
 // E8 — Table 4: DNS hosting (NS record SLDs) of transient domains.
 
-// Table4 computes the NS-record SLD distribution over confirmed
+// table4 computes the NS-record SLD distribution over confirmed
 // transients from the measurement fleet's first-probe delegations.
-func Table4(r *Results) []ShareRow {
+func table4(r *Results, states []measure.DomainState) []ShareRow {
 	list := psl.Default()
-	counts := make(map[string]int)
-	total := 0
-	for _, c := range r.Report.Confirmed {
-		st, ok := r.Fleet.State(c.Domain)
-		if !ok || len(st.FirstNS) == 0 {
-			continue
+	return confirmedShares(r, 5, func(c *core.Candidate) string {
+		st := stateOf(states, c.Domain)
+		if st == nil || len(st.FirstNS) == 0 {
+			return ""
 		}
-		sld, ok := list.RegisteredDomain(st.FirstNS[0])
-		if !ok {
-			sld = st.FirstNS[0]
+		if sld, ok := list.RegisteredDomain(st.FirstNS[0]); ok {
+			return sld
 		}
-		counts[sld]++
-		total++
-	}
-	return shareRows(counts, total, 5)
+		return st.FirstNS[0]
+	})
 }
 
 // ---------------------------------------------------------------------------
 // E9 — Table 5: web hosting (A-record ASNs) of transient domains.
 
-// Table5 computes the A-record origin-AS distribution over confirmed
+// table5 computes the A-record origin-AS distribution over confirmed
 // transients.
-func Table5(r *Results) []ShareRow {
+func table5(r *Results, states []measure.DomainState) []ShareRow {
 	db := asdb.Default()
-	counts := make(map[string]int)
-	total := 0
-	for _, c := range r.Report.Confirmed {
-		st, ok := r.Fleet.State(c.Domain)
-		if !ok || len(st.FirstV4) == 0 {
-			continue
+	return confirmedShares(r, 5, func(c *core.Candidate) string {
+		st := stateOf(states, c.Domain)
+		if st == nil || len(st.FirstV4) == 0 {
+			return ""
 		}
 		as, err := db.Lookup(st.FirstV4[0])
-		label := "unrouted"
-		if err == nil {
-			label = fmt.Sprintf("AS%d %s", as.Number, as.Name)
+		if err != nil {
+			return "unrouted"
 		}
-		counts[label]++
-		total++
-	}
-	return shareRows(counts, total, 5)
+		return fmt.Sprintf("AS%d %s", as.Number, as.Name)
+	})
 }
 
-func shareRows(counts map[string]int, total, top int) []ShareRow {
+// confirmedShares tallies the confirmed transients by the name label
+// gives each (none when it gives ""): the top names by count, then
+// "Others".
+func confirmedShares(r *Results, top int, label func(c *core.Candidate) string) []ShareRow {
+	counts := make(map[string]int)
+	total := 0
+	for i := range r.Report.Confirmed {
+		if name := label(&r.Report.Confirmed[i]); name != "" {
+			counts[name]++
+			total++
+		}
+	}
 	// "Others" (whether a pre-aggregated catalog bucket or our own
 	// overflow) always renders last, as in the paper's tables.
-	var others ShareRow
-	others.Name = "Others"
-	if n, ok := counts["Others"]; ok {
-		others.Count = n
-	}
+	others := ShareRow{Name: "Others", Count: counts["Others"]}
 	rows := make([]ShareRow, 0, len(counts))
 	for name, n := range counts {
 		if name == "Others" {
 			continue
 		}
-		rows = append(rows, ShareRow{Name: name, Count: n})
+		rows = append(rows, ShareRow{Name: strings.Clone(name), Count: n})
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Count != rows[j].Count {
@@ -451,8 +369,8 @@ func shareRows(counts map[string]int, total, top int) []ShareRow {
 	return rows
 }
 
-// RenderShares renders a Table 3/4/5-style distribution.
-func RenderShares(title string, rows []ShareRow) string {
+// renderShares renders a Table 3/4/5-style distribution.
+func renderShares(title string, rows []ShareRow) string {
 	t := &Table{Title: title, Headers: []string{"Name", "Domains", "%"}}
 	total := 0
 	for _, row := range rows {
@@ -470,15 +388,13 @@ func RenderShares(title string, rows []ShareRow) string {
 type BlocklistStats struct {
 	Population int
 	Flagged    int
-	Timing     map[blocklist.Timing]int
+	Timing     [blocklist.AfterDeletion + 1]int // flagged domains by blocklist.Timing
 }
 
-// BlocklistCoverage classifies blocklist flags for (a) early-removed NRDs
+// blocklistCoverage classifies blocklist flags for (a) early-removed NRDs
 // and (b) confirmed transients, polling through pollEnd (the paper
 // extends polling ~3 months past the window).
-func BlocklistCoverage(r *Results, pollEnd time.Time) (earlyRemoved, transients BlocklistStats) {
-	earlyRemoved.Timing = make(map[blocklist.Timing]int)
-	transients.Timing = make(map[blocklist.Timing]int)
+func blocklistCoverage(r *Results, pollEnd time.Time) (earlyRemoved, transients BlocklistStats) {
 	agg := r.World.Blocklists
 
 	// Early-removed: ground-truth domains deleted before window end but
@@ -520,7 +436,7 @@ func BlocklistCoverage(r *Results, pollEnd time.Time) (earlyRemoved, transients 
 
 // NODComparison is the one-day feed overlap accounting.
 type NODComparison struct {
-	Day        time.Time
+	Day        string // the compared day, as a date
 	CTOnly     int
 	NODOnly    int
 	Both       int
@@ -530,25 +446,19 @@ type NODComparison struct {
 	TransUnion int
 }
 
-// CompareNOD reproduces the §4.4 one-day comparison: NRDs registered on
+// compareNOD reproduces the §4.4 one-day comparison: NRDs registered on
 // the chosen day detected by the CT pipeline vs the passive-DNS feed, and
 // the same comparison restricted to transient (fast-deleted) domains.
-func CompareNOD(r *Results, day time.Time) NODComparison {
-	cmp := NODComparison{Day: day}
+func compareNOD(r *Results, day time.Time) NODComparison {
+	cmp := NODComparison{Day: day.Format(time.DateOnly)}
 	dayEnd := day.Add(24 * time.Hour)
-
-	ctSet := make(map[string]bool)
-	for _, c := range r.candidates() {
-		if c.RDAPOutcome == core.RDAPOK && !c.Registered.Before(day) && c.Registered.Before(dayEnd) {
-			ctSet[c.Domain] = true
-		}
-	}
 	r.World.Domains.Range(func(d *worldsim.Domain) {
 		if d.Ghost || d.Created.Before(day) || !d.Created.Before(dayEnd) {
 			return
 		}
 		_, nod := r.World.NOD.DetectedAt(d.Name)
-		ct := ctSet[d.Name]
+		c := r.candidate(d.Name)
+		ct := c != nil && c.RDAPOutcome == core.RDAPOK && !c.Registered.Before(day) && c.Registered.Before(dayEnd)
 		switch {
 		case ct && nod:
 			cmp.Both++
@@ -587,18 +497,12 @@ type CCTLDResult struct {
 	Recall        float64
 }
 
-// CCTLDGroundTruth reproduces the .nl experiment: the registry's private
+// ccTLDGroundTruth reproduces the .nl experiment: the registry's private
 // ledger and zone files define ground truth; the pipeline's CT-based
 // candidates are measured against it (paper: 714 / 334 / 99 ≈ 29.6 %).
-func CCTLDGroundTruth(r *Results) CCTLDResult {
+func ccTLDGroundTruth(r *Results) CCTLDResult {
 	tld := r.World.Cfg.CCTLD.TLD
 	res := CCTLDResult{TLD: tld}
-	cands := make(map[string]bool)
-	for _, c := range r.candidates() {
-		if c.TLD == tld {
-			cands[c.Domain] = true
-		}
-	}
 	reg := r.World.Registries[tld]
 	for _, entry := range reg.Ledger() {
 		if entry.Deleted.IsZero() || entry.Deleted.Sub(entry.Created) >= 24*time.Hour {
@@ -609,7 +513,7 @@ func CCTLDGroundTruth(r *Results) CCTLDResult {
 			continue // captured by a registry zone file
 		}
 		res.NeverInZone++
-		if cands[entry.Domain] {
+		if c := r.candidate(entry.Domain); c != nil && c.TLD == tld {
 			res.PipelineFound++
 		}
 	}
@@ -621,12 +525,9 @@ func CCTLDGroundTruth(r *Results) CCTLDResult {
 
 // ---------------------------------------------------------------------------
 
-// TLDOf is a convenience re-export for callers rendering custom tables.
-func TLDOf(domain string) string { return dnsname.TLD(domain) }
-
 // GroundTruthTransientCount counts world domains that are fast-deleted —
 // the denominator for coverage discussions (not observable by the
-// pipeline; used in EXPERIMENTS.md commentary).
+// pipeline).
 func GroundTruthTransientCount(w *worldsim.World) int {
 	n := 0
 	w.Domains.Range(func(d *worldsim.Domain) {

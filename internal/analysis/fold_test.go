@@ -38,8 +38,8 @@ func hidingNotify(inner measure.Backend) measure.Backend {
 // the fold reads at most 3 % of them.
 func TestFoldedCampaignEqualsPolled(t *testing.T) {
 	golden := map[int64]string{
-		5: "71b52bab5ef52f22",
-		7: "1a9539e25bb23872",
+		5: "66da52ca699f31c8",
+		7: "864caa0db8dd5a19",
 	}
 	for seed, want := range golden {
 		cfg := RunConfig{Seed: seed, Scale: 0.002, Weeks: 3, WatchSampleRate: 1, ProbeMail: true}

@@ -11,13 +11,15 @@ import (
 // TestGoldenReportHash is the determinism gate: the performance ledger's
 // campaign (bench/campaign.go's campaignConfig) must render, at each
 // committed seed, a report whose digest — the first 8 bytes of SHA-256 of
-// WriteReport, the same digest bench/ prints as report_hash — equals the
-// committed value, on the default path and with every engine on. A change
-// that moves a hash changed what the campaign computes, not how fast.
+// WriteReport, the same digest bench/ prints as report_hash and
+// cmd/reproduce prints as its report hash for the same flags (-scale
+// 0.002 -weeks 3 -seed N) — equals the committed value, on the default
+// path and with every engine on. A change that moves a hash changed what
+// the campaign computes, not how fast.
 func TestGoldenReportHash(t *testing.T) {
 	golden := map[int64]string{
-		5: "71b52bab5ef52f22",
-		7: "1a9539e25bb23872",
+		5: "66da52ca699f31c8",
+		7: "864caa0db8dd5a19",
 	}
 	for seed, want := range golden {
 		cfg := RunConfig{Seed: seed, Scale: 0.002, Weeks: 3, WatchSampleRate: 1, ProbeMail: true}

@@ -1,5 +1,7 @@
 package analysis
 
+import "darkdns/internal/measure"
+
 // MailAdoption is the future-work mail-infrastructure measurement (§5):
 // adoption of MX records and SPF policies among transient vs long-lived
 // newly registered domains, from the fleet's extended probes.
@@ -12,21 +14,18 @@ type MailAdoption struct {
 	NormalSPF      int
 }
 
-// MailStats computes MX/SPF adoption over the fleet's watched domains,
+// mailStats computes MX/SPF adoption over the fleet's watched domains,
 // split by whether the domain was a confirmed transient. Requires a run
 // whose fleet probed with ProbeMail enabled; otherwise all counters stay
 // zero (the caller can detect this via the totals).
-func MailStats(r *Results) MailAdoption {
-	transient := make(map[string]bool, len(r.Report.Confirmed))
-	for _, c := range r.Report.Confirmed {
-		transient[c.Domain] = true
-	}
+func mailStats(r *Results, states []measure.DomainState) MailAdoption {
 	var m MailAdoption
-	for _, st := range r.Fleet.States() {
+	for _, st := range states {
 		if !st.EverInZone {
 			continue
 		}
-		if transient[st.Domain] {
+		// Confirmed is sorted by domain, as candidates() is.
+		if byDomain(r.Report.Confirmed, st.Domain, candidateDomain) != nil {
 			m.TransientTotal++
 			if st.HasMX {
 				m.TransientMX++

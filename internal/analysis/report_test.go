@@ -3,34 +3,96 @@ package analysis
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
 
+// TestWriteReportContainsEverything renders every section of one outcome
+// alone: each carries its own heading and no other section's, and in
+// print order they concatenate to the whole report, which is what
+// WriteReport and the "all" selection print.
 func TestWriteReportContainsEverything(t *testing.T) {
-	r := testResults(t)
-	var buf bytes.Buffer
-	if err := WriteReport(&buf, r); err != nil {
+	o := testOutcome(t)
+	headings := map[string]string{
+		"table1": "Table 1:", "figure1": "Figure 1:", "nsstability": "§4.1 NS stability",
+		"table2": "Table 2:", "rdapfail": "§4.2 RDAP failures", "figure2": "Figure 2:",
+		"table3": "Table 3:", "table4": "Table 4:", "table5": "Table 5:",
+		"blocklists": "§4.3 blocklists", "nod": "§4.4 SIE-NOD", "cctld": "§4.4 ccTLD (.nl)",
+		"rzu": "rapid zone update what-if", "mail": "mail infrastructure",
+	}
+	if got := Sections(); len(got) != len(headings) {
+		t.Fatalf("sections %v, want the %d in this table", got, len(headings))
+	}
+	var concat bytes.Buffer
+	for _, name := range Sections() {
+		var buf bytes.Buffer
+		if err := WriteOutcome(&buf, *o, name); err != nil {
+			t.Fatal(err)
+		}
+		text := buf.String()
+		for other, heading := range headings {
+			if has := strings.Contains(text, heading); has != (other == name) {
+				t.Errorf("section %s: contains %q = %t", name, heading, has)
+			}
+		}
+		concat.Write(buf.Bytes())
+	}
+	var all, report bytes.Buffer
+	if err := WriteOutcome(&all, *o, "all"); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"Table 1", "Figure 1", "NS stability", "Table 2", "RDAP failures",
-		"Figure 2", "Table 3", "Table 4", "Table 5", "blocklists",
-		"NOD comparison", "ccTLD .nl",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q", want)
-		}
+	if err := WriteReport(&report, testResults(t)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(all.Bytes(), concat.Bytes()) || !bytes.Equal(report.Bytes(), concat.Bytes()) {
+		t.Errorf("the sections do not concatenate to the report (%d, %d and %d bytes)",
+			concat.Len(), all.Len(), report.Len())
+	}
+	if err := WriteOutcome(&all, *o, "table6"); err == nil {
+		t.Error("an unknown section rendered without an error")
 	}
 }
 
+// TestOutcomeIsPlainData walks Outcome's type tree: no pointer, map,
+// channel, function or interface anywhere (time.Time holds a *Location),
+// so an outcome cannot keep a campaign's graph alive. An outcome also
+// survives a round trip through encoding/json.
+func TestOutcomeIsPlainData(t *testing.T) {
+	o := testOutcome(t)
+	var back Outcome
+	if b, err := json.Marshal(o); err != nil {
+		t.Fatal(err)
+	} else if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, *o) {
+		t.Errorf("outcome changed through JSON:\n%+v\n%+v", *o, back)
+	}
+
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("%s is a %v", path, typ)
+		case reflect.Slice, reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
+	}
+	walk("Outcome", reflect.TypeOf(Outcome{}))
+}
+
 func TestWriteFigureCSV(t *testing.T) {
-	r := testResults(t)
-	buckets, series := Figure1(r)
+	fig := testOutcome(t).Figure1
+	buckets := fig.Buckets
 	var buf bytes.Buffer
-	if err := WriteFigureCSV(&buf, buckets, series); err != nil {
+	if err := WriteFigureCSV(&buf, fig); err != nil {
 		t.Fatal(err)
 	}
 	records, err := csv.NewReader(&buf).ReadAll()
@@ -60,7 +122,7 @@ func TestWriteFigureCSV(t *testing.T) {
 
 func TestWriteFigureCSVEmptySeries(t *testing.T) {
 	var buf bytes.Buffer
-	err := WriteFigureCSV(&buf, []time.Duration{time.Minute}, []Series{{Name: "x"}})
+	err := WriteFigureCSV(&buf, Figure{Buckets: []time.Duration{time.Minute}, Series: []Series{{Name: "x"}}})
 	if err != nil {
 		t.Fatal(err)
 	}

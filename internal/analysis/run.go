@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"sort"
 	"sync"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 
 // Results bundles one complete simulated measurement campaign: the
 // ground-truth world, the pipeline's observations, and the measurement
-// fleet's probe aggregates. Every experiment function takes a *Results.
+// fleet's probe aggregates. Reduce reads it into an Outcome.
 type Results struct {
 	World    *worldsim.World
 	Pipeline *core.Pipeline
@@ -40,6 +41,23 @@ func (r *Results) candidates() []core.Candidate {
 		}
 	})
 	return r.cands
+}
+
+// candidate finds domain in candidates(), or returns nil.
+func (r *Results) candidate(domain string) *core.Candidate {
+	return byDomain(r.candidates(), domain, candidateDomain)
+}
+
+func candidateDomain(c *core.Candidate) string { return c.Domain }
+
+// byDomain finds the element of s, which is sorted by the domain
+// domainOf reads, for domain, or returns nil.
+func byDomain[T any](s []T, domain string, domainOf func(*T) string) *T {
+	i := sort.Search(len(s), func(i int) bool { return domainOf(&s[i]) >= domain })
+	if i < len(s) && domainOf(&s[i]) == domain {
+		return &s[i]
+	}
+	return nil
 }
 
 // RunConfig parameterizes a reproduction run.
@@ -134,6 +152,3 @@ func (r *Results) monthIndex(t time.Time) int {
 	}
 	return m
 }
-
-// MonthNames label the three 30-day slots after the paper's columns.
-var MonthNames = [3]string{"Nov", "Dec", "Jan"}

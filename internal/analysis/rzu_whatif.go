@@ -6,7 +6,7 @@ import (
 	"darkdns/internal/worldsim"
 )
 
-// RZUWhatIf quantifies the paper's §5 proposal: if registries published
+// RZUWhatIfResult quantifies the paper's §5 proposal: if registries published
 // rapid zone updates every interval (Verisign's historical service: 5
 // minutes), what fraction of ground-truth fast-deleted domains would a
 // subscriber observe, versus what the CT-based method actually caught?
@@ -26,45 +26,46 @@ type RZUWhatIfResult struct {
 	RZUOnlyExtra int // visible to RZU but missed by CT
 }
 
-// RZUWhatIf computes visibility under a hypothetical RZU service with the
-// given publication interval.
-func RZUWhatIf(r *Results, interval time.Duration) RZUWhatIfResult {
-	res := RZUWhatIfResult{Interval: interval}
-	ct := make(map[string]bool)
-	for _, c := range r.candidates() {
-		ct[c.Domain] = true
+// rzuWhatIf computes visibility under a hypothetical RZU service at each
+// publication interval, in one pass over the world.
+func rzuWhatIf(r *Results, intervals ...time.Duration) []RZUWhatIfResult {
+	res := make([]RZUWhatIfResult, len(intervals))
+	for i, iv := range intervals {
+		res[i].Interval = iv
 	}
 	r.World.Domains.Range(func(d *worldsim.Domain) {
 		if !d.FastDelete || d.TLD == r.World.Cfg.CCTLD.TLD {
 			return
 		}
-		reg := r.World.Registries[d.TLD]
-		gt, ok := reg.Lookup(d.Name)
+		gt, ok := r.World.Registries[d.TLD].Lookup(d.Name)
 		if !ok {
 			return
 		}
-		res.FastDeleted++
-		detected := ct[d.Name]
-		if detected {
-			res.CTDetected++
-		}
-		if gt.InZoneAt.IsZero() {
-			return // never entered the zone: invisible to everyone
-		}
+		detected := r.candidate(d.Name) != nil
 		out := gt.OutOfZoneAt
 		if out.IsZero() {
 			out = r.WindowEnd
 		}
-		// Visible if the in-zone interval crosses a publication tick.
-		// Ticks fire at WindowStart + k·interval.
 		sinceStart := gt.InZoneAt.Sub(r.WindowStart)
-		nextTick := r.WindowStart.Add(sinceStart - (sinceStart % interval) + interval)
-		if nextTick.Before(out) || nextTick.Equal(out) {
-			res.RZUVisible++
+		for i := range res {
+			v := &res[i]
+			v.FastDeleted++
 			if detected {
-				res.BothVisible++
-			} else {
-				res.RZUOnlyExtra++
+				v.CTDetected++
+			}
+			if gt.InZoneAt.IsZero() {
+				continue // never entered the zone: invisible to everyone
+			}
+			// Visible if the in-zone interval crosses a publication tick.
+			// Ticks fire at WindowStart + k·interval.
+			nextTick := r.WindowStart.Add(sinceStart - (sinceStart % v.Interval) + v.Interval)
+			if !nextTick.After(out) {
+				v.RZUVisible++
+				if detected {
+					v.BothVisible++
+				} else {
+					v.RZUOnlyExtra++
+				}
 			}
 		}
 	})

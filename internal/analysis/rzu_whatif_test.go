@@ -6,8 +6,10 @@ import (
 )
 
 func TestRZUWhatIfClosesTheGap(t *testing.T) {
-	r := testResults(t)
-	res := RZUWhatIf(r, 5*time.Minute)
+	res := testOutcome(t).RZU[0]
+	if res.Interval != 5*time.Minute {
+		t.Fatalf("first RZU interval %v, want 5m", res.Interval)
+	}
 	if res.FastDeleted == 0 {
 		t.Fatal("no fast-deleted population")
 	}
@@ -31,9 +33,11 @@ func TestRZUWhatIfClosesTheGap(t *testing.T) {
 }
 
 func TestRZUWhatIfCoarserIntervalsSeeLess(t *testing.T) {
-	r := testResults(t)
-	fine := RZUWhatIf(r, 5*time.Minute)
-	day := RZUWhatIf(r, 24*time.Hour)
+	rzu := testOutcome(t).RZU
+	fine, day := rzu[0], rzu[len(rzu)-1]
+	if fine.Interval != 5*time.Minute || day.Interval != 24*time.Hour {
+		t.Fatalf("RZU intervals %v … %v, want 5m … 24h", fine.Interval, day.Interval)
+	}
 	if day.RZUVisible >= fine.RZUVisible {
 		t.Errorf("daily updates (%d visible) should miss more than 5-minute updates (%d)",
 			day.RZUVisible, fine.RZUVisible)

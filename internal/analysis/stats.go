@@ -5,7 +5,9 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -17,8 +19,8 @@ type CDF struct {
 
 // NewCDF builds a CDF from samples (copied and sorted).
 func NewCDF(samples []time.Duration) *CDF {
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := slices.Clone(samples)
+	slices.Sort(s)
 	return &CDF{sorted: s}
 }
 
@@ -90,19 +92,19 @@ type Series struct {
 	Values []float64 // CDF value at each bucket
 }
 
-// CDFTable renders one or more series over buckets as an aligned text
-// table — the textual stand-in for the paper's figures.
-func CDFTable(title string, buckets []time.Duration, series []Series) string {
+// cdfTable renders a figure's series as an aligned text table — the
+// textual stand-in for the paper's figures.
+func cdfTable(title string, f Figure) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s\n", title)
 	fmt.Fprintf(&sb, "%-12s", "bucket")
-	for _, s := range series {
-		fmt.Fprintf(&sb, "%10s", truncate(s.Name, 10))
+	for _, s := range f.Series {
+		fmt.Fprintf(&sb, "%10.10s", s.Name)
 	}
 	sb.WriteByte('\n')
-	for i, b := range buckets {
+	for i, b := range f.Buckets {
 		fmt.Fprintf(&sb, "%-12s", "≤"+FormatDuration(b))
-		for _, s := range series {
+		for _, s := range f.Series {
 			v := 0.0
 			if i < len(s.Values) {
 				v = s.Values[i]
@@ -112,13 +114,6 @@ func CDFTable(title string, buckets []time.Duration, series []Series) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n]
 }
 
 // Table is a simple aligned text table.
@@ -175,15 +170,9 @@ func Pct(num, den int) string {
 // Count formats an integer with thousands separators, as the paper's
 // tables do.
 func Count(n int) string {
-	s := fmt.Sprintf("%d", n)
-	if len(s) <= 3 {
-		return s
+	s := strconv.Itoa(n)
+	for i := len(s) - 3; i > 0; i -= 3 {
+		s = s[:i] + " " + s[i:]
 	}
-	var parts []string
-	for len(s) > 3 {
-		parts = append([]string{s[len(s)-3:]}, parts...)
-		s = s[:len(s)-3]
-	}
-	parts = append([]string{s}, parts...)
-	return strings.Join(parts, " ")
+	return s
 }

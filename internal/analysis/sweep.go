@@ -2,10 +2,12 @@
 // of persistent world snapshots. Each distinct (seed, world shape)
 // compiles exactly once — phase one snapshots it to disk — and phase two
 // fans the full cell grid out on a worker pool, every cell rebuilding
-// its world from the shared snapshot (decode + parallel commit, no
-// compile) under its own policy overrides. The outcome is one columnar
-// result table (cell parameters + the Table 1 / Figure 1 headline
-// numbers) for longitudinal comparison across policies — the
+// its world from the shared snapshot (decode + serial commit, no
+// compile) under its own policy overrides and reducing its campaign to an
+// Outcome as soon as it ends, so a cell's world is released before the
+// grid finishes. The result is one columnar table (cell parameters + the
+// Table 1 / Figure 1 headline numbers) for longitudinal comparison
+// across policies — the
 // cadence-vs-freshness question Afek & Litmanovich pose, asked of many
 // worlds at once.
 package analysis
@@ -15,6 +17,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"darkdns/internal/columnar"
@@ -69,19 +72,12 @@ type SweepCell struct {
 	Policy SweepPolicy
 }
 
-// SweepResult is one completed cell: its parameters, the full campaign
-// results, and the headline columns the result table carries.
+// SweepResult is one completed cell: its parameters, its campaign's
+// outcome and the wall-clock time the campaign took.
 type SweepResult struct {
 	Cell    SweepCell
-	Results *Results
-
-	Domains     int     // ground-truth world size
-	NRDs        int     // CT-detected NRDs (Table 1 total)
-	Transients  int     // confirmed transients (Table 4 headline)
-	Within15m   float64 // Figure 1: fraction certified within 15 min
-	Within45m   float64 // Figure 1: fraction certified within 45 min
-	MedianDelay time.Duration
-	Elapsed     time.Duration // wall-clock campaign time
+	Outcome Outcome
+	Elapsed time.Duration
 }
 
 // SweepOutcome is a finished grid plus its sharing stats.
@@ -193,14 +189,13 @@ func Sweep(grid SweepConfig) (*SweepOutcome, error) {
 		c := cells[i]
 		start := time.Now()
 		res := Run(grid.runConfig(c, paths[worldKey(c.Seed, c.Scale)]))
-		sr := &SweepResult{Cell: c, Results: res, Elapsed: time.Since(start)}
-		sr.Domains = res.World.Domains.Len()
-		for _, row := range Table1(res) {
-			sr.NRDs += row.Total
-		}
-		sr.Transients = len(res.Report.Confirmed)
-		sr.Within15m, sr.Within45m, sr.MedianDelay = Figure1Headline(res)
-		out.Cells[i] = sr
+		elapsed := time.Since(start)
+		out.Cells[i] = &SweepResult{Cell: c, Outcome: Reduce(res), Elapsed: elapsed}
+		// The campaign's world, pipeline and fleet are garbage now, but
+		// the collector's goal was set while they were live, so the next
+		// cell could grow the heap to twice them before a collection.
+		// Collecting here keeps a grid's peak near Workers campaigns.
+		runtime.GC()
 	})
 	return out, nil
 }
@@ -235,18 +230,19 @@ func WriteSweep(w io.Writer, out *SweepOutcome) error {
 		if sr == nil {
 			continue
 		}
+		o := &sr.Outcome
 		if err := cw.Append(
 			columnar.Int(sr.Cell.Seed),
 			columnar.Float(sr.Cell.Scale),
 			columnar.String(sr.Cell.Policy.Label()),
 			columnar.Int(int64(sr.Cell.Policy.ProbeCadence)),
 			columnar.Float(sr.Cell.Policy.WatchSampleRate),
-			columnar.Int(int64(sr.Domains)),
-			columnar.Int(int64(sr.NRDs)),
-			columnar.Int(int64(sr.Transients)),
-			columnar.Float(sr.Within15m),
-			columnar.Float(sr.Within45m),
-			columnar.Int(int64(sr.MedianDelay)),
+			columnar.Int(int64(o.Domains)),
+			columnar.Int(int64(o.NRDs())),
+			columnar.Int(int64(o.Confirmed)),
+			columnar.Float(o.Within15m),
+			columnar.Float(o.Within45m),
+			columnar.Int(int64(o.MedianDelay)),
 			columnar.Int(int64(sr.Elapsed)),
 		); err != nil {
 			return err

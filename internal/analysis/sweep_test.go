@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -97,22 +98,26 @@ func TestSweepCompilesEachWorldOnce(t *testing.T) {
 		t.Errorf("snapshot loads: got %d, want %d (every cell from snapshot)", got, nCells)
 	}
 	for i, sr := range out.Cells {
-		if sr == nil || sr.Results == nil {
+		if sr == nil {
 			t.Fatalf("cell %d incomplete", i)
 		}
-		if sr.Domains == 0 {
-			t.Errorf("cell %d: empty world", i)
+		if sr.Outcome.Domains == 0 || sr.Outcome.Seed != sr.Cell.Seed {
+			t.Errorf("cell %d: outcome of a %d-domain world, seed %d", i, sr.Outcome.Domains, sr.Outcome.Seed)
 		}
+	}
+	// A cell's outcome is its campaign's, run alone from a compiled world.
+	if alone := Reduce(Run(grid.runConfig(out.Cells[1].Cell, ""))); !reflect.DeepEqual(alone, out.Cells[1].Outcome) {
+		t.Errorf("cell 1's outcome differs from its campaign run alone:\n%+v\n%+v", out.Cells[1].Outcome, alone)
 	}
 
 	// Cells sharing a (seed, policy-invariant) world must agree on ground
 	// truth: same domain count for same seed across policies.
 	bySeed := map[int64]int{}
 	for _, sr := range out.Cells {
-		if prev, ok := bySeed[sr.Cell.Seed]; ok && prev != sr.Domains {
-			t.Errorf("seed %d: domain counts differ across policies (%d vs %d)", sr.Cell.Seed, prev, sr.Domains)
+		if prev, ok := bySeed[sr.Cell.Seed]; ok && prev != sr.Outcome.Domains {
+			t.Errorf("seed %d: domain counts differ across policies (%d vs %d)", sr.Cell.Seed, prev, sr.Outcome.Domains)
 		}
-		bySeed[sr.Cell.Seed] = sr.Domains
+		bySeed[sr.Cell.Seed] = sr.Outcome.Domains
 	}
 
 	// Columnar output round-trips.

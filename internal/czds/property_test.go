@@ -70,15 +70,33 @@ func TestPropertyEverSeenMatchesBruteForce(t *testing.T) {
 // around it, and InLatest, FirstSeen, EverSeen (the hull of the
 // publications holding a name), ExistedBefore and Stats agree for every
 // name at every step.
+//
+// The seeds are short: the fuzzer minimises each new interesting input
+// before it counts it, and its byte-subset pass costs O(n²) runs, so
+// 400-byte seeds spent a whole 20 s smoke minimising one input.
+// TestDiffHistoryOverLongTimelines keeps the long programs.
 func FuzzDiffHistoryEqualsSnapshots(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {
-		prog := make([]byte, 400)
-		rand.New(rand.NewSource(seed)).Read(prog)
-		f.Add(prog)
+		f.Add(randomProgram(seed, 48))
 	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		checkHistory(t, prog)
 	})
+}
+
+// TestDiffHistoryOverLongTimelines runs the fuzz target's property over
+// six 200-step random timelines, long enough for a month of overtaken
+// and delayed publications.
+func TestDiffHistoryOverLongTimelines(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		checkHistory(t, randomProgram(seed, 400))
+	}
+}
+
+func randomProgram(seed int64, n int) []byte {
+	prog := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(prog)
+	return prog
 }
 
 // The oracle takes its clone at each publication instant, so no rebuild

@@ -8,7 +8,7 @@
 // rebuilds every 3 minutes, subscriber-visible updates every 5. DarkDNS
 // argues that a safeguarded revival would close most of the transient
 // domain blind spot; this package exists so the claim can be measured
-// (analysis.RZUWhatIf) rather than argued.
+// (the RZU lines of analysis.Outcome) rather than argued.
 package rzu
 
 import (
