@@ -52,7 +52,7 @@ func main() {
 	}
 	fmt.Printf("simulated %d weeks at scale %g in %v\n", *weeks, *scale, time.Since(start).Round(time.Millisecond))
 
-	cands := res.Pipeline.Candidates()
+	cands := res.Candidates()
 	var byOutcome [5]int
 	for _, c := range cands {
 		byOutcome[c.RDAPOutcome]++
@@ -96,8 +96,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "export:", err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		if err := res.Pipeline.WriteCandidates(f); err != nil {
+		err = core.WriteCandidates(f, cands)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "export:", err)
 			os.Exit(1)
 		}

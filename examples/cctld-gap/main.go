@@ -49,7 +49,7 @@ func main() {
 	})
 	fmt.Printf("\nsample detections from seed %d (paper: 714 fast-deleted, 334 never in zone, 99 caught, 29.6%% recall):\n", first.Cell.Seed)
 	shown := 0
-	for _, c := range res.Pipeline.Candidates() {
+	for _, c := range res.Candidates() {
 		if c.TLD != first.Outcome.CCTLD.TLD || shown >= 5 {
 			continue
 		}

@@ -272,7 +272,7 @@ func TestRDAPFailureShape(t *testing.T) {
 
 func TestFigure2Shape(t *testing.T) {
 	r := testResults(t)
-	fig, cdf := figure2(r, r.Fleet.States())
+	fig, cdf := figure2(r, r.Fleet.StateView())
 	s := fig.Series[0]
 	if cdf.Len() < 20 {
 		t.Fatalf("only %d lifetime samples", cdf.Len())

@@ -41,9 +41,9 @@ func BenchmarkFigure1DetectionDelay(b *testing.B) {
 }
 
 // BenchmarkNSStability regenerates the §4.1 NS-stability statistic (E3),
-// the fleet's state copy included.
+// the fleet's sorted state view included.
 func BenchmarkNSStability(b *testing.B) {
-	benchExperiment(b, func(r *Results) int { _, total := nsStability(r.Fleet.States()); return total },
+	benchExperiment(b, func(r *Results) int { _, total := nsStability(r.Fleet.StateView()); return total },
 		func(total int) bool { return total == 0 })
 }
 
@@ -59,9 +59,9 @@ func BenchmarkRDAPFailureStats(b *testing.B) {
 }
 
 // BenchmarkFigure2Lifetimes regenerates Figure 2 (E6), the fleet's state
-// copy included.
+// view included.
 func BenchmarkFigure2Lifetimes(b *testing.B) {
-	benchExperiment(b, func(r *Results) *CDF { _, cdf := figure2(r, r.Fleet.States()); return cdf },
+	benchExperiment(b, func(r *Results) *CDF { _, cdf := figure2(r, r.Fleet.StateView()); return cdf },
 		func(cdf *CDF) bool { return cdf.Len() == 0 })
 }
 
@@ -71,16 +71,16 @@ func BenchmarkTable3Registrars(b *testing.B) {
 }
 
 // BenchmarkTable4DNSHosting regenerates Table 4 (E8), the fleet's state
-// copy included.
+// view included.
 func BenchmarkTable4DNSHosting(b *testing.B) {
-	benchExperiment(b, func(r *Results) []ShareRow { return table4(r, r.Fleet.States()) },
+	benchExperiment(b, func(r *Results) []ShareRow { return table4(r, r.Fleet.StateView()) },
 		func(rows []ShareRow) bool { return len(rows) == 0 })
 }
 
 // BenchmarkTable5WebHosting regenerates Table 5 (E9), the fleet's state
-// copy included.
+// view included.
 func BenchmarkTable5WebHosting(b *testing.B) {
-	benchExperiment(b, func(r *Results) []ShareRow { return table5(r, r.Fleet.States()) },
+	benchExperiment(b, func(r *Results) []ShareRow { return table5(r, r.Fleet.StateView()) },
 		func(rows []ShareRow) bool { return len(rows) == 0 })
 }
 
@@ -111,14 +111,14 @@ func BenchmarkRZUWhatIf(b *testing.B) {
 }
 
 // BenchmarkMailStats computes the §5 mail-adoption extension (X2), the
-// fleet's state copy included.
+// fleet's sorted state view included.
 func BenchmarkMailStats(b *testing.B) {
-	benchExperiment(b, func(r *Results) MailAdoption { return mailStats(r, r.Fleet.States()) },
+	benchExperiment(b, func(r *Results) MailAdoption { return mailStats(r, r.Fleet.StateView()) },
 		func(m MailAdoption) bool { return m.NormalTotal == 0 })
 }
 
 // BenchmarkReduce computes the whole Outcome: every experiment above, with
-// the fleet's state copy made once.
+// the fleet's sorted state view made once.
 func BenchmarkReduce(b *testing.B) {
 	benchExperiment(b, Reduce, func(o Outcome) bool { return o.Candidates == 0 })
 }

@@ -83,7 +83,7 @@ func table1(r *Results) []TLDRow {
 	for _, tld := range r.World.CZDS.TLDs() {
 		collected[tld] = true
 	}
-	rows := tldRows(r, r.candidates(), collected)
+	rows := tldRows(r, r.Candidates(), collected)
 	for i := range rows {
 		row := &rows[i]
 		row.ZoneNRD = int(r.World.CZDS.Stats(row.TLD).Added)
@@ -145,7 +145,7 @@ func figure1(r *Results) (Figure, *CDF) {
 		tld   string
 		delay time.Duration
 	}
-	cands := r.candidates()
+	cands := r.Candidates()
 	samples := make([]sample, 0, len(cands))
 	for _, c := range cands {
 		if c.RDAPOutcome == core.RDAPOK && c.Validated {
@@ -201,7 +201,7 @@ func cdfSeries(name string, cdf *CDF, buckets []time.Duration) Series {
 
 // nsStability counts the watched candidates that kept their initial
 // nameserver set through their first 24 hours (paper: 97.5 %).
-func nsStability(states []measure.DomainState) (kept, total int) {
+func nsStability(states []*measure.DomainState) (kept, total int) {
 	for _, st := range states {
 		if !st.EverInZone {
 			continue
@@ -231,7 +231,7 @@ type RDAPStats struct {
 // data (paper: ≈3 %, ≈34 %, ≈97 %).
 func rdapFailureStats(r *Results) RDAPStats {
 	var s RDAPStats
-	for _, c := range r.candidates() {
+	for _, c := range r.Candidates() {
 		s.NRDTotal++
 		if c.RDAPOutcome != core.RDAPOK {
 			s.NRDFailed++
@@ -252,7 +252,7 @@ func rdapFailureStats(r *Results) RDAPStats {
 
 // figure2 computes the lifetime CDF of confirmed transients: last valid
 // NS response minus RDAP registration time (§4.2.1).
-func figure2(r *Results, states []measure.DomainState) (Figure, *CDF) {
+func figure2(r *Results, states []*measure.DomainState) (Figure, *CDF) {
 	var lifetimes []time.Duration
 	for _, c := range r.Report.Confirmed {
 		st := stateOf(states, c.Domain)
@@ -265,10 +265,13 @@ func figure2(r *Results, states []measure.DomainState) (Figure, *CDF) {
 	return Figure{Buckets: Figure2Buckets, Series: []Series{cdfSeries("transients", cdf, Figure2Buckets)}}, cdf
 }
 
-// stateOf finds domain's state in states, which Fleet.States sorts by
+// stateOf finds domain's state in states, which Fleet.StateView sorts by
 // domain, or returns nil.
-func stateOf(states []measure.DomainState, domain string) *measure.DomainState {
-	return byDomain(states, domain, func(st *measure.DomainState) string { return st.Domain })
+func stateOf(states []*measure.DomainState, domain string) *measure.DomainState {
+	if st := byDomain(states, domain, func(st **measure.DomainState) string { return (*st).Domain }); st != nil {
+		return *st
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -292,7 +295,7 @@ func table3(r *Results) []ShareRow {
 
 // table4 computes the NS-record SLD distribution over confirmed
 // transients from the measurement fleet's first-probe delegations.
-func table4(r *Results, states []measure.DomainState) []ShareRow {
+func table4(r *Results, states []*measure.DomainState) []ShareRow {
 	list := psl.Default()
 	return confirmedShares(r, 5, func(c *core.Candidate) string {
 		st := stateOf(states, c.Domain)
@@ -311,7 +314,7 @@ func table4(r *Results, states []measure.DomainState) []ShareRow {
 
 // table5 computes the A-record origin-AS distribution over confirmed
 // transients.
-func table5(r *Results, states []measure.DomainState) []ShareRow {
+func table5(r *Results, states []*measure.DomainState) []ShareRow {
 	db := asdb.Default()
 	return confirmedShares(r, 5, func(c *core.Candidate) string {
 		st := stateOf(states, c.Domain)
@@ -500,11 +503,12 @@ type CCTLDResult struct {
 // ccTLDGroundTruth reproduces the .nl experiment: the registry's private
 // ledger and zone files define ground truth; the pipeline's CT-based
 // candidates are measured against it (paper: 714 / 334 / 99 ≈ 29.6 %).
+// It only counts, so it walks the ledger in place, in no order.
 func ccTLDGroundTruth(r *Results) CCTLDResult {
 	tld := r.World.Cfg.CCTLD.TLD
 	res := CCTLDResult{TLD: tld}
 	reg := r.World.Registries[tld]
-	for _, entry := range reg.Ledger() {
+	for entry := range reg.Ledger() {
 		if entry.Deleted.IsZero() || entry.Deleted.Sub(entry.Created) >= 24*time.Hour {
 			continue
 		}

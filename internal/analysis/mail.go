@@ -18,13 +18,13 @@ type MailAdoption struct {
 // split by whether the domain was a confirmed transient. Requires a run
 // whose fleet probed with ProbeMail enabled; otherwise all counters stay
 // zero (the caller can detect this via the totals).
-func mailStats(r *Results, states []measure.DomainState) MailAdoption {
+func mailStats(r *Results, states []*measure.DomainState) MailAdoption {
 	var m MailAdoption
 	for _, st := range states {
 		if !st.EverInZone {
 			continue
 		}
-		// Confirmed is sorted by domain, as candidates() is.
+		// Confirmed is sorted by domain, as Candidates() is.
 		if byDomain(r.Report.Confirmed, st.Domain, candidateDomain) != nil {
 			m.TransientTotal++
 			if st.HasMX {

@@ -62,11 +62,12 @@ var rzuIntervals = []time.Duration{5 * time.Minute, time.Hour, 24 * time.Hour}
 
 // Reduce computes a finished campaign's Outcome. It is the one caller of
 // the experiment functions, and it computes each input they share once:
-// one sorted copy of the candidates and of the fleet's states, and one
-// pass over the world for every RZU interval.
+// one sorted copy of the candidates, one sorted view of the fleet's
+// states (pointers, not copies) and one pass over the world for every
+// RZU interval.
 func Reduce(r *Results) Outcome {
-	cands := r.candidates()
-	states := r.Fleet.States()
+	cands := r.Candidates()
+	states := r.Fleet.StateView()
 	o := Outcome{
 		Seed: r.World.Cfg.Seed, Scale: r.World.Cfg.Scale, Weeks: r.World.Cfg.Weeks,
 		Domains:    r.World.Domains.Len(),

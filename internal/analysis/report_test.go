@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -86,6 +87,33 @@ func TestOutcomeIsPlainData(t *testing.T) {
 		}
 	}
 	walk("Outcome", reflect.TypeOf(Outcome{}))
+}
+
+// TestReduceCopiesNoStateOrLedgerEntry: Reduce reads the fleet's states
+// through a sorted view of pointers and walks the .nl ledger in place, so
+// it copies neither per entry. A copy of either costs at least 192 B per
+// entry (a Registration; a DomainState is 256 B), so Reduce's whole
+// allocation must stay under a third of that per watched state and .nl
+// ledger entry. Copying both, Reduce allocated ≈ 292 B per entry on this
+// campaign.
+func TestReduceCopiesNoStateOrLedgerEntry(t *testing.T) {
+	r := testResults(t)
+	entries := r.Fleet.Watched()
+	for range r.World.Registries[r.World.Cfg.CCTLD.TLD].Ledger() {
+		entries++
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	o := Reduce(r)
+	runtime.ReadMemStats(&after)
+	if o.Candidates == 0 {
+		t.Fatal("degenerate outcome")
+	}
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*entries)
+	t.Logf("Reduce allocated %d B over %d states and ledger entries (%.1f B each)", got, entries, float64(got)/float64(entries))
+	if got > limit {
+		t.Errorf("Reduce allocated %d B, over %d B (64 B per watched state and .nl ledger entry): something copies them", got, limit)
+	}
 }
 
 func TestWriteFigureCSV(t *testing.T) {

@@ -20,8 +20,13 @@ type Results struct {
 	World    *worldsim.World
 	Pipeline *core.Pipeline
 	Fleet    *measure.Fleet
-	Bus      *stream.Bus
-	Report   core.TransientReport
+	// Bus is the stream bus the pipeline published its feed into. Run
+	// leaves it nil: no experiment reads the feed, so a campaign encodes
+	// and stores none. The field remains only because bench/campaign.go
+	// fills it for its traced campaign; it goes with that assignment in
+	// the benchmark PR of ROADMAP item 1B.
+	Bus    *stream.Bus
+	Report core.TransientReport
 
 	WindowStart time.Time
 	WindowEnd   time.Time
@@ -30,11 +35,11 @@ type Results struct {
 	cands     []core.Candidate
 }
 
-// candidates is Pipeline.Candidates, copied and sorted once per Results
-// (Run hands over the copy its transient report was computed from):
-// every experiment reads the same finished campaign. The slice is shared
-// and must not be modified.
-func (r *Results) candidates() []core.Candidate {
+// Candidates is Pipeline.Candidates, copied and sorted by domain once per
+// Results (Run hands over the copy its transient report was computed
+// from): every experiment and every command reads the same finished
+// campaign. The slice is shared and must not be modified.
+func (r *Results) Candidates() []core.Candidate {
 	r.candsOnce.Do(func() {
 		if r.cands == nil {
 			r.cands = r.Pipeline.Candidates()
@@ -43,9 +48,9 @@ func (r *Results) candidates() []core.Candidate {
 	return r.cands
 }
 
-// candidate finds domain in candidates(), or returns nil.
+// candidate finds domain in Candidates(), or returns nil.
 func (r *Results) candidate(domain string) *core.Candidate {
-	return byDomain(r.candidates(), domain, candidateDomain)
+	return byDomain(r.Candidates(), domain, candidateDomain)
 }
 
 func candidateDomain(c *core.Candidate) string { return c.Domain }
@@ -94,7 +99,9 @@ func DefaultRunConfig() RunConfig {
 
 // Run executes a full campaign: builds the world, attaches the pipeline,
 // advances the clock through the window plus drain, and computes the
-// transient report.
+// transient report. It publishes no feed (Results.Bus is nil): the
+// report reads none, and cmd/feedserver and the examples that serve one
+// assemble their own pipeline over their own bus.
 func Run(cfg RunConfig) *Results { return run(cfg, nil) }
 
 // run is Run with the fleet's backend passed through wrap when it is
@@ -125,15 +132,14 @@ func run(cfg RunConfig, wrap func(measure.Backend) measure.Backend) *Results {
 		backend = wrap(backend)
 	}
 	fleet := measure.NewFleet(fleetCfg, w.Clock, backend)
-	bus := stream.NewBus()
-	p := core.New(pcfg, w.Clock, psl.Default(), w.CZDS, core.MuxQuerier{Mux: w.RDAP}, fleet, bus, cfg.Seed+100)
+	p := core.New(pcfg, w.Clock, psl.Default(), w.CZDS, core.MuxQuerier{Mux: w.RDAP}, fleet, nil, cfg.Seed+100)
 	p.Start(w.Hub)
 	w.Run()
 	p.Stop()
 
 	cands := p.Candidates()
 	return &Results{
-		World: w, Pipeline: p, Fleet: fleet, Bus: bus,
+		World: w, Pipeline: p, Fleet: fleet,
 		Report:      p.TransientsOf(cands),
 		WindowStart: start, WindowEnd: end,
 		cands: cands,

@@ -25,11 +25,12 @@ var candidateSchema = columnar.Schema{
 	{Name: "watched", Type: columnar.TypeBool},
 }
 
-// WriteCandidates persists the pipeline's current candidates to w in the
-// columnar format, sorted by domain.
-func (p *Pipeline) WriteCandidates(w io.Writer) error {
+// WriteCandidates persists cands to w in the columnar format, in their
+// order: pass Pipeline.Candidates, or a copy already held, for one sorted
+// by domain.
+func WriteCandidates(w io.Writer, cands []Candidate) error {
 	cw := columnar.NewWriter(w, candidateSchema, 0)
-	for _, c := range p.Candidates() {
+	for _, c := range cands {
 		var regUnix int64
 		if !c.Registered.IsZero() {
 			regUnix = c.Registered.Unix()

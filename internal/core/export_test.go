@@ -19,15 +19,15 @@ func TestCandidateExportRoundTrip(t *testing.T) {
 	}
 	clk.Run() // let RDAP collections fire
 
+	want := p.Candidates()
 	var buf bytes.Buffer
-	if err := p.WriteCandidates(&buf); err != nil {
+	if err := WriteCandidates(&buf, want); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadCandidates(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := p.Candidates()
 	if len(got) != len(want) {
 		t.Fatalf("round trip %d → %d candidates", len(want), len(got))
 	}

@@ -882,22 +882,42 @@ func (f *Fleet) State(domain string) (DomainState, bool) {
 }
 
 // States returns copies of all domain states, sorted by domain, their
-// folded rounds settled. It sorts pointers to the states and copies each
-// state once, in order.
+// folded rounds settled: safe to keep while the fleet still probes, at
+// one copy per state. A finished campaign's report reads StateView,
+// which copies nothing; States keeps its copying contract because
+// bench/campaign.go calls it.
 func (f *Fleet) States() []DomainState {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	sts := f.sortedStates()
+	out := make([]DomainState, len(sts))
+	for i, st := range sts {
+		out[i] = st.copyOut()
+	}
+	return out
+}
+
+// StateView returns the fleet's own domain states, sorted by domain,
+// their folded rounds settled: a view, not copies, for reading a
+// finished campaign. Call it only once the fleet has stopped probing
+// (its clock drained), since a later round writes the states it
+// returns, and modify none of them.
+func (f *Fleet) StateView() []*DomainState {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.sortedStates()
+}
+
+// sortedStates settles every state and returns pointers to them, sorted
+// by domain. The caller holds mu.
+func (f *Fleet) sortedStates() []*DomainState {
 	sts := make([]*DomainState, 0, len(f.states))
 	for _, st := range f.states {
 		f.settle(st, len(f.log))
 		sts = append(sts, st)
 	}
 	slices.SortFunc(sts, func(a, b *DomainState) int { return strings.Compare(a.Domain, b.Domain) })
-	out := make([]DomainState, len(sts))
-	for i, st := range sts {
-		out[i] = st.copyOut()
-	}
-	return out
+	return sts
 }
 
 // Watched returns the number of domains ever watched.

@@ -68,7 +68,7 @@ func TestLedgerAllocations(t *testing.T) {
 	if got := pass(register); got > 1 {
 		t.Errorf("re-registration allocates %v times, want at most 1", got)
 	}
-	if got := len(r.Ledger()); got != 2*len(names) {
+	if got := len(slices.Collect(r.Ledger())); got != 2*len(names) {
 		t.Fatalf("ledger holds %d registrations, want %d", got, 2*len(names))
 	}
 }
@@ -132,7 +132,7 @@ func TestWritesToReturnedNSReachNothingElse(t *testing.T) {
 			if ns, _ := r.Delegation("a.com"); !slices.Equal(ns, newest) {
 				t.Errorf("%s: a.com delegates to %v, want %v", when, ns, newest)
 			}
-			for _, e := range r.Ledger() {
+			for e := range r.Ledger() {
 				if e.Domain == "a.com" && e.Registrar == "A" && !slices.Equal(e.NS, wantFirst) {
 					t.Errorf("%s: the ledger's superseded entry holds %v", when, e.NS)
 				}

@@ -64,7 +64,7 @@ func TestPropertyLedgerInvariants(t *testing.T) {
 
 			var reregistered int
 			seen := make(map[string]bool)
-			for _, entry := range r.Ledger() {
+			for entry := range r.Ledger() {
 				if seen[entry.Domain] {
 					reregistered++
 				}

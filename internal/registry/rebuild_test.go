@@ -207,7 +207,7 @@ func FuzzRebuildsMatchCadence(f *testing.F) {
 				}
 			}
 			var got []string
-			for _, reg := range r.Ledger() {
+			for reg := range r.Ledger() {
 				got = append(got, ledgerKey(reg.Domain, reg.Created, reg.Deleted, reg.InZoneAt, reg.OutOfZoneAt, reg.NS))
 			}
 			slices.Sort(got)

@@ -52,6 +52,7 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"net/netip"
 	"slices"
@@ -814,40 +815,34 @@ func (reg *Registration) copy() Registration {
 // Ground truth accessors ----------------------------------------------------
 
 // Lookup returns the newest ledger entry for domain (ground truth; not an
-// observable for the measurement pipeline).
-func (r *Registry) Lookup(domain string) (*Registration, bool) {
+// observable for the measurement pipeline), as a value: the caller's copy,
+// with no heap allocation of its own.
+func (r *Registry) Lookup(domain string) (Registration, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	rec := r.ledger[dnsname.Canonical(domain)]
 	if rec == nil || rec.newest == nil {
-		return nil, false
+		return Registration{}, false
 	}
-	cp := rec.newest.copy()
-	return &cp, true
+	return rec.newest.copy(), true
 }
 
-// Ledger returns copies of all registrations, sorted by domain then
-// creation time. This is the registry's private view used only for
-// ground-truth comparisons (.nl experiment, §4.4). It sorts pointers to
-// the ledger's entries and copies each entry once, in order.
-func (r *Registry) Ledger() []Registration {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var regs []*Registration
-	for _, rec := range r.ledger {
-		for reg := rec.newest; reg != nil; reg = reg.prev {
-			regs = append(regs, reg)
+// Ledger yields every registration the registry ever made, each name's
+// newest first, the names in no particular order. This is the registry's
+// private view used only for ground-truth comparisons (.nl experiment,
+// §4.4). It walks the ledger in place under the registry's read lock,
+// yielding one copy per entry, so it allocates nothing; yield must not
+// call back into r.
+func (r *Registry) Ledger() iter.Seq[Registration] {
+	return func(yield func(Registration) bool) {
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		for _, rec := range r.ledger {
+			for reg := rec.newest; reg != nil; reg = reg.prev {
+				if !yield(reg.copy()) {
+					return
+				}
+			}
 		}
 	}
-	slices.SortFunc(regs, func(a, b *Registration) int {
-		if c := strings.Compare(a.Domain, b.Domain); c != 0 {
-			return c
-		}
-		return a.Created.Compare(b.Created)
-	})
-	out := make([]Registration, len(regs))
-	for i, reg := range regs {
-		out[i] = reg.copy()
-	}
-	return out
 }

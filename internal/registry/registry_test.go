@@ -378,7 +378,7 @@ func TestReRegistrationAfterDeletion(t *testing.T) {
 	if err != nil || reg.Registrar != "B" {
 		t.Errorf("re-registered RDAP: %+v, %v", reg, err)
 	}
-	if got := r.Ledger(); len(got) != 2 {
+	if got := slices.Collect(r.Ledger()); len(got) != 2 {
 		t.Errorf("ledger entries = %d, want 2", len(got))
 	}
 }
@@ -408,7 +408,7 @@ func TestReRegistrationBetweenRebuildsLeavesZone(t *testing.T) {
 		clk.Advance(2 * time.Minute) // the 3 m rebuild replaces the delegation
 		r.Stop()
 
-		led := r.Ledger()
+		led := slices.SortedFunc(r.Ledger(), func(a, b Registration) int { return a.Created.Compare(b.Created) })
 		if len(led) != 2 {
 			t.Fatalf("deleteAgain=%v: %d ledger entries, want 2", deleteAgain, len(led))
 		}

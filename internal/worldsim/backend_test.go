@@ -191,6 +191,41 @@ func TestMailAnswers(t *testing.T) {
 	}
 }
 
+// TestFirstMailProbeAllocations: a record's first mail probe builds its
+// MX answer in one allocation — one string holding both names, in a pair
+// of slots from the store's slab — and its answers still read mx1.<name>,
+// mx2.<name> and its web host's SPF policy. A pair of its own cost three
+// allocations (each name and the slice).
+func TestFirstMailProbeAllocations(t *testing.T) {
+	w, names := drainedWorld(t, 5)
+	mb := w.ProbeBackend().(measure.MailBackend)
+	var fresh []*Domain
+	for _, n := range names {
+		if d := w.Domains.Get(n); d != nil && d.HasMX && w.Registries[d.TLD].InZone(n) {
+			fresh = append(fresh, d)
+		}
+	}
+	if len(fresh) < 2*mxChunk {
+		t.Fatalf("degenerate world: %d delegated records with MX, want at least %d", len(fresh), 2*mxChunk)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(len(fresh)-1, func() { mb.LookupMX(fresh[i].Name); i++ }); allocs > 1 {
+		t.Errorf("a record's first mail probe allocates %v times, want at most 1", allocs)
+	}
+	for _, d := range fresh {
+		if mx, want := mb.LookupMX(d.Name), []string{"mx1." + d.Name, "mx2." + d.Name}; !reflect.DeepEqual(mx, want) {
+			t.Errorf("%s MX = %q, want %q", d.Name, mx, want)
+		}
+		var want []string
+		if d.HasSPF {
+			want = []string{"v=spf1 include:_spf." + d.WebHostSPFDomain() + " -all"}
+		}
+		if txt := mb.LookupTXT(d.Name); !reflect.DeepEqual(txt, want) {
+			t.Errorf("%s TXT = %q, want %q", d.Name, txt, want)
+		}
+	}
+}
+
 // TestObservationsSurviveRegistryChanges is the sharing contract end to
 // end — registry answers flow uncopied through the backend into
 // observations and fleet state, so nothing the registry does later may

@@ -22,11 +22,17 @@ type DomainStore struct {
 	// build time, which stays free of per-domain answer allocations) from
 	// the fleet's concurrent probe slices. spf holds one SPF TXT answer
 	// per web-host provider (the policy text depends on nothing else),
-	// shared by every record hosted there.
+	// shared by every record hosted there. mxSlab is the unused rest of
+	// the newest chunk of MX answer arrays: each record's pair is carved
+	// from it, never to be written again.
 	mailMu sync.RWMutex
 	mail   map[*Domain]mailAnswers
 	spf    map[string][]string
+	mxSlab [][2]string
 }
+
+// mxChunk is how many records' MX answer arrays one slab chunk holds.
+const mxChunk = 256
 
 // Get returns the ground-truth record for name, or nil when the world
 // never generated it (ghosts return nil: they have no registration).
@@ -35,7 +41,9 @@ func (s *DomainStore) Get(name string) *Domain { return s.m[name] }
 // mailAnswers returns the MX and SPF TXT answers name's ground truth
 // publishes — zero for unknown names, ghosts, and records publishing
 // neither, all without touching the cache. The steady state is one read
-// lock; only a record's first probe takes the write lock and builds.
+// lock; only a record's first probe takes the write lock and builds. An
+// MX answer costs that probe one allocation: both names are substrings
+// of one string "mx1.<name>mx2.<name>", in an array from mxSlab.
 func (s *DomainStore) mailAnswers(name string) mailAnswers {
 	d := s.m[name]
 	if d == nil || !(d.HasMX || d.HasSPF) {
@@ -53,7 +61,14 @@ func (s *DomainStore) mailAnswers(name string) mailAnswers {
 		return ans // a concurrent first probe built it; share its slices
 	}
 	if d.HasMX {
-		ans.mx = []string{"mx1." + d.Name, "mx2." + d.Name}
+		both := "mx1." + d.Name + "mx2." + d.Name
+		if len(s.mxSlab) == 0 {
+			s.mxSlab = make([][2]string, mxChunk)
+		}
+		mx := &s.mxSlab[0]
+		s.mxSlab = s.mxSlab[1:]
+		mx[0], mx[1] = both[:len(both)/2], both[len(both)/2:]
+		ans.mx = mx[:]
 	}
 	if d.HasSPF {
 		txt, ok := s.spf[d.WebHost]
