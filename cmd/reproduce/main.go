@@ -19,6 +19,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -38,8 +39,8 @@ func main() {
 	snapshot := flag.String("snapshot", "", "persistent world snapshot path: a matching snapshot replaces the compile phase, a miss compiles then saves here (byte-identical output either way)")
 	exp := flag.String("exp", "all", "experiment to run ("+strings.Join(analysis.Sections(), ", ")+", all)")
 	csvDir := flag.String("csv", "", "directory to write figure1.csv and figure2.csv to for external plotting")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign (world build through drain) to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file once the campaign has run, its results still live")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign and its report (world build through the rendered report) to this file")
+	memprofile := flag.String("memprofile", "", "write a heap profile to this file once the report is rendered, the campaign's results still live")
 	flag.Parse()
 	if *exp != "all" && !slices.Contains(analysis.Sections(), *exp) {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
@@ -56,7 +57,6 @@ func main() {
 		ProbeCadence: *probeCadence,
 		SnapshotPath: *snapshot,
 	})
-	check(stopProfiles())
 	fmt.Fprintf(os.Stderr, "simulation complete in %v: %d candidates, %d transient lower bound\n",
 		time.Since(start).Round(time.Millisecond), res.Pipeline.Len(), len(res.Report.LowerBound))
 	fr := res.Fleet.Report()
@@ -68,6 +68,11 @@ func main() {
 	o := analysis.Reduce(res)
 	h := sha256.New()
 	check(analysis.WriteOutcome(io.MultiWriter(os.Stdout, h), o, *exp))
+	// The profiles cover Reduce and the render too, and res is kept live
+	// until the heap profile is written, so its in-use view holds what the
+	// campaign keeps.
+	check(stopProfiles())
+	runtime.KeepAlive(res)
 	fmt.Fprintf(os.Stderr, "report hash: %x\n", h.Sum(nil)[:8])
 	if *csvDir != "" {
 		check(os.MkdirAll(*csvDir, 0o755))

@@ -12,6 +12,12 @@
 //   - Issuance lags domain activation: the domain must be resolvable
 //     before validation succeeds, so cert-based detection time inherits
 //     the TLD zone-update cadence (Figure 1).
+//
+// A request is the caller's: ValidationDelay draws how long validation
+// takes, and Issue, called once that delay has passed, validates and logs
+// at that instant. The CA keeps no per-request state, so a caller that
+// already has a record per request — the world's lifecycle records —
+// schedules that record as the request's timer.
 package ca
 
 import (
@@ -99,45 +105,24 @@ func (c *CA) Stats() (issued, reusedToken int64) {
 	return c.issued, c.reused
 }
 
-// Outcome receives the result of one Issue: the logged entry, or
-// ErrValidationFailed. A caller that keeps a record per request — the
-// world's certificate attempts — implements it on that record, so a
-// request binds no callback.
-type Outcome interface {
-	Issued(entry ct.Entry, err error)
-}
+// ValidationDelay draws, from the CA's generator, the time an issuance
+// request spends in validation before its precertificate hits the CT log
+// (ACME round trips, queueing). A caller that models a request waits out
+// the delay on its own timer, then calls Issue: the CA keeps no request
+// of its own.
+func (c *CA) ValidationDelay() time.Duration { return c.cfg.ValidationDelay(c.rng) }
 
-// Issue requests a certificate for cn (plus optional extra SANs), keyed on
-// the registered domain regDomain for DV-token caching. The precertificate
-// is logged after the CA's validation delay, drawn from the CA's
-// generator when Issue is called. done, if non-nil, receives the logged
-// entry or a validation error. The request is one pendingIssuance value,
-// scheduled on the clock as its own timer.
-func (c *CA) Issue(regDomain, cn string, sans []string, done Outcome) {
-	p := &pendingIssuance{c: c, regDomain: dnsname.Canonical(regDomain),
-		cn: dnsname.Canonical(cn), sans: sans, done: done}
-	c.clk.Schedule(c.clk.Now().Add(c.cfg.ValidationDelay(c.rng)), p)
-}
-
-// pendingIssuance is one Issue waiting out its validation delay.
-type pendingIssuance struct {
-	c             *CA
-	regDomain, cn string
-	sans          []string
-	done          Outcome
-}
-
-// Fire validates at the firing instant and, on success, logs the
-// precertificate; done hears the result either way.
-func (p *pendingIssuance) Fire() {
-	c := p.c
+// Issue validates domain control for regDomain at the clock's instant —
+// from the DV-token cache when its evidence is fresh enough, else against
+// the resolver — and, on success, logs a precertificate for cn (plus
+// optional extra SANs) to every configured log, returning the first log's
+// entry. A failed validation logs nothing and returns
+// ErrValidationFailed. Issue allocates nothing of its own.
+func (c *CA) Issue(regDomain, cn string, sans []string) (ct.Entry, error) {
 	now := c.clk.Now()
-	ok, fresh := c.validate(p.regDomain, now)
+	ok, fresh := c.validate(dnsname.Canonical(regDomain), now)
 	if !ok {
-		if p.done != nil {
-			p.done.Issued(ct.Entry{}, ErrValidationFailed)
-		}
-		return
+		return ct.Entry{}, ErrValidationFailed
 	}
 	c.mu.Lock()
 	c.issued++
@@ -145,10 +130,7 @@ func (p *pendingIssuance) Fire() {
 		c.reused++
 	}
 	c.mu.Unlock()
-	entry := c.logPrecert(now, p.cn, p.sans)
-	if p.done != nil {
-		p.done.Issued(entry, nil)
-	}
+	return c.logPrecert(now, dnsname.Canonical(cn), sans), nil
 }
 
 // validate checks domain control, consulting the DV-token cache first.

@@ -16,11 +16,6 @@ type fakeZone map[string]bool
 
 func (z fakeZone) Resolves(name string) bool { return z[name] }
 
-// outcomeFunc adapts a callback to Outcome.
-type outcomeFunc func(ct.Entry, error)
-
-func (f outcomeFunc) Issued(e ct.Entry, err error) { f(e, err) }
-
 func fixedDelay(d time.Duration) func(*rand.Rand) time.Duration {
 	return func(*rand.Rand) time.Duration { return d }
 }
@@ -36,17 +31,16 @@ func newCA(zone fakeZone, delay time.Duration) (*CA, *simclock.Sim, *ct.Log) {
 func TestIssueValidatesAndLogs(t *testing.T) {
 	zone := fakeZone{"example.com": true}
 	c, clk, log := newCA(zone, 10*time.Second)
-	var got ct.Entry
-	var gotErr error
-	c.Issue("example.com", "example.com", []string{"www.example.com"}, outcomeFunc(func(e ct.Entry, err error) {
-		got, gotErr = e, err
-	}))
+	if d := c.ValidationDelay(); d != 10*time.Second {
+		t.Fatalf("ValidationDelay = %v, want the configured 10s", d)
+	}
 	if log.Size() != 0 {
-		t.Fatal("logged before validation delay")
+		t.Fatal("drawing the delay logged an entry")
 	}
 	clk.Advance(10 * time.Second)
-	if gotErr != nil {
-		t.Fatal(gotErr)
+	got, err := c.Issue("Example.COM", "example.com", []string{"www.example.com"})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if log.Size() != 1 {
 		t.Fatalf("log size = %d", log.Size())
@@ -55,17 +49,14 @@ func TestIssueValidatesAndLogs(t *testing.T) {
 		t.Errorf("entry: %+v", got)
 	}
 	if !got.Logged.Equal(t0.Add(10 * time.Second)) {
-		t.Errorf("Logged = %v", got.Logged)
+		t.Errorf("Logged = %v, want the clock's instant", got.Logged)
 	}
 }
 
 func TestIssueFailsForUnresolvableDomain(t *testing.T) {
-	c, clk, log := newCA(fakeZone{}, time.Second)
-	var gotErr error
-	c.Issue("ghost.com", "ghost.com", nil, outcomeFunc(func(_ ct.Entry, err error) { gotErr = err }))
-	clk.Advance(time.Second)
-	if !errors.Is(gotErr, ErrValidationFailed) {
-		t.Errorf("want ErrValidationFailed, got %v", gotErr)
+	c, _, log := newCA(fakeZone{}, time.Second)
+	if _, err := c.Issue("ghost.com", "ghost.com", nil); !errors.Is(err, ErrValidationFailed) {
+		t.Errorf("want ErrValidationFailed, got %v", err)
 	}
 	if log.Size() != 0 {
 		t.Error("failed validation must not log")
@@ -77,17 +68,13 @@ func TestDVTokenReuseIssuesForDeadDomain(t *testing.T) {
 	// get a certificate after deletion, within the 398-day window.
 	zone := fakeZone{"dead.com": true}
 	c, clk, log := newCA(zone, time.Second)
-	c.Issue("dead.com", "dead.com", nil, nil)
-	clk.Advance(time.Second)
-	if log.Size() != 1 {
-		t.Fatal("setup issuance failed")
+	if _, err := c.Issue("dead.com", "dead.com", nil); err != nil || log.Size() != 1 {
+		t.Fatalf("setup issuance failed: %v", err)
 	}
 	delete(zone, "dead.com") // domain removed from zone
-	var gotErr error
-	c.Issue("dead.com", "dead.com", nil, outcomeFunc(func(_ ct.Entry, err error) { gotErr = err }))
 	clk.Advance(time.Second)
-	if gotErr != nil {
-		t.Fatalf("reissue with cached token failed: %v", gotErr)
+	if _, err := c.Issue("dead.com", "dead.com", nil); err != nil {
+		t.Fatalf("reissue with cached token failed: %v", err)
 	}
 	if log.Size() != 2 {
 		t.Error("reissue not logged")
@@ -101,29 +88,24 @@ func TestDVTokenReuseIssuesForDeadDomain(t *testing.T) {
 func TestDVTokenExpiresAfter398Days(t *testing.T) {
 	zone := fakeZone{"old.com": true}
 	c, clk, _ := newCA(zone, time.Second)
-	c.Issue("old.com", "old.com", nil, nil)
-	clk.Advance(time.Second)
+	if _, err := c.Issue("old.com", "old.com", nil); err != nil {
+		t.Fatal(err)
+	}
 	delete(zone, "old.com")
 	clk.Advance(DVReuseWindow + time.Hour)
-	var gotErr error
-	c.Issue("old.com", "old.com", nil, outcomeFunc(func(_ ct.Entry, err error) { gotErr = err }))
-	clk.Advance(time.Second)
-	if !errors.Is(gotErr, ErrValidationFailed) {
-		t.Errorf("expired token should force re-validation: %v", gotErr)
+	if _, err := c.Issue("old.com", "old.com", nil); !errors.Is(err, ErrValidationFailed) {
+		t.Errorf("expired token should force re-validation: %v", err)
 	}
 }
 
 func TestSeedTokenModelsHistoricalValidation(t *testing.T) {
-	c, clk, log := newCA(fakeZone{}, time.Second)
+	c, _, log := newCA(fakeZone{}, time.Second)
 	c.SeedToken("historic.com", t0.Add(-100*24*time.Hour))
 	if !c.HasToken("historic.com", t0) {
 		t.Fatal("seeded token missing")
 	}
-	var gotErr error
-	c.Issue("historic.com", "historic.com", nil, outcomeFunc(func(_ ct.Entry, err error) { gotErr = err }))
-	clk.Advance(time.Second)
-	if gotErr != nil || log.Size() != 1 {
-		t.Errorf("historic issuance: %v, log=%d", gotErr, log.Size())
+	if _, err := c.Issue("historic.com", "historic.com", nil); err != nil || log.Size() != 1 {
+		t.Errorf("historic issuance: %v, log=%d", err, log.Size())
 	}
 	// A token seeded beyond the window must not validate.
 	c.SeedToken("ancient.com", t0.Add(-500*24*time.Hour))
@@ -135,15 +117,17 @@ func TestSeedTokenModelsHistoricalValidation(t *testing.T) {
 func TestFreshValidationRefreshesToken(t *testing.T) {
 	zone := fakeZone{"x.com": true}
 	c, clk, _ := newCA(zone, time.Second)
-	c.Issue("x.com", "x.com", nil, nil)
-	clk.Advance(time.Second)
+	if _, err := c.Issue("x.com", "x.com", nil); err != nil {
+		t.Fatal(err)
+	}
 	first := clk.Now()
 	// 200 days later, another issuance re-validates (token still fresh ⇒
 	// actually reuses). Then at 397 days from the *first* validation the
 	// token is still valid.
 	clk.Advance(200 * 24 * time.Hour)
-	c.Issue("x.com", "x.com", nil, nil)
-	clk.Advance(time.Second)
+	if _, err := c.Issue("x.com", "x.com", nil); err != nil {
+		t.Fatal(err)
+	}
 	_, reused := c.Stats()
 	if reused != 1 {
 		t.Errorf("second issuance should reuse, reused=%d", reused)
@@ -158,10 +142,24 @@ func TestMultipleLogsAllReceive(t *testing.T) {
 	l1, l2 := ct.NewLog("a", nil), ct.NewLog("b", nil)
 	c := New(Config{Name: "CA", ValidationDelay: fixedDelay(0)}, clk,
 		rand.New(rand.NewSource(1)), fakeZone{"x.com": true}, l1, l2)
-	c.Issue("x.com", "x.com", nil, nil)
-	clk.Advance(0)
+	if _, err := c.Issue("x.com", "x.com", nil); err != nil {
+		t.Fatal(err)
+	}
 	if l1.Size() != 1 || l2.Size() != 1 {
 		t.Errorf("log sizes: %d, %d", l1.Size(), l2.Size())
+	}
+}
+
+// TestValidationDelayDrawsFromTheCAGenerator: without a configured
+// delay, ValidationDelay draws DefaultValidationDelay from the generator
+// New was given, so a seeded CA draws the same sequence every run.
+func TestValidationDelayDrawsFromTheCAGenerator(t *testing.T) {
+	c := New(Config{Name: "CA"}, simclock.NewSim(t0), rand.New(rand.NewSource(9)), fakeZone{})
+	ref := rand.New(rand.NewSource(9))
+	for i := range 100 {
+		if got, want := c.ValidationDelay(), DefaultValidationDelay(ref); got != want {
+			t.Fatalf("draw %d: %v, want %v", i, got, want)
+		}
 	}
 }
 
@@ -175,36 +173,33 @@ func TestDefaultValidationDelayBounded(t *testing.T) {
 	}
 }
 
-// tally counts outcomes. A pointer to it is an Outcome that binds nothing
-// per request, the way the world's certificate attempts are.
-type tally struct{ ok, failed int }
-
-func (t *tally) Issued(_ ct.Entry, err error) {
-	if err != nil {
-		t.failed++
-	} else {
-		t.ok++
-	}
-}
-
-// TestIssueAllocations pins a certificate request, validated or failed,
-// to one allocation: the pending issuance that is its own clock timer.
-// Logging the precertificate appends to the log's slab, which amortizes
-// below one per request.
+// TestIssueAllocations pins certificate requests, validated or failed,
+// to no allocation of their own: the CA keeps no request object, and
+// logging a precertificate appends to the log's entry slice, whose
+// doublings are all a thousand requests allocate — at most 20.
 func TestIssueAllocations(t *testing.T) {
-	const runs = 1000
+	const runs, most = 1000, 20
 	c, clk, log := newCA(fakeZone{"x.com": true}, time.Second)
-	var out tally
+	var ok, failed int
 	for _, tc := range []struct{ name, cn string }{{"x.com", "www.x.com"}, {"gone.com", "gone.com"}} {
-		allocs := testing.AllocsPerRun(runs, func() {
-			c.Issue(tc.name, tc.cn, nil, &out)
-			clk.Advance(time.Second)
+		// AllocsPerRun calls the batch twice, once to warm up, and reports
+		// the second call's count.
+		allocs := testing.AllocsPerRun(1, func() {
+			for range runs {
+				clk.Advance(c.ValidationDelay())
+				if _, err := c.Issue(tc.name, tc.cn, nil); err != nil {
+					failed++
+				} else {
+					ok++
+				}
+			}
 		})
-		if allocs > 1 {
-			t.Errorf("Issue(%s) then its firing allocate %v times, want ≤ 1", tc.name, allocs)
+		t.Logf("%d Issue(%s) calls: %v allocations", runs, tc.name, allocs)
+		if allocs > most {
+			t.Errorf("%d Issue(%s) calls allocate %v times, want ≤ %d", runs, tc.name, allocs, most)
 		}
 	}
-	if out.ok != runs+1 || out.failed != runs+1 || log.Size() != runs+1 {
-		t.Errorf("outcomes %+v, log size %d; want %d of each", out, log.Size(), runs+1)
+	if ok != 2*runs || failed != 2*runs || log.Size() != 2*runs {
+		t.Errorf("%d issued, %d failed, log size %d; want %d of each", ok, failed, log.Size(), 2*runs)
 	}
 }

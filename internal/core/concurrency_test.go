@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"darkdns/internal/rdap"
 	"darkdns/internal/simclock"
 	"darkdns/internal/stream"
+	"darkdns/internal/worldsim"
 	"darkdns/internal/zoneset"
 )
 
@@ -97,6 +99,107 @@ func TestConcurrentIngestRace(t *testing.T) {
 	}
 	if got := bus.Topic(cfg.FeedTopic).Len(); got != 2000 {
 		t.Fatalf("feed published %d messages, want 2000", got)
+	}
+}
+
+// recordingBackend is a world's probe backend that remembers the handle
+// it issued for each name.
+type recordingBackend struct {
+	measure.Backend
+	resolve func(string) measure.Handle
+	mu      sync.Mutex
+	handles map[string]measure.Handle
+}
+
+func (b *recordingBackend) Resolve(name string) measure.Handle {
+	h := b.resolve(name)
+	b.mu.Lock()
+	b.handles[name] = h
+	b.mu.Unlock()
+	return h
+}
+
+// TestConcurrentAdmissionsAreDistinctRecords: eight goroutines admit and
+// watch disjoint names of a simulated world at once, through its
+// notifying probe handles, while the world's clock registers names and
+// fires RDAP lookups. Every admission, watch state and probe handle is
+// carved from its owner's slab under that owner's lock, so each must be
+// a record of its own that holds its own name and answers: none shared,
+// none written by another goroutine's draw.
+func TestConcurrentAdmissionsAreDistinctRecords(t *testing.T) {
+	const feeders, per = 8, 150
+	wcfg := worldsim.DefaultConfig(3, 0.001)
+	wcfg.Weeks = 1
+	w := worldsim.New(wcfg)
+	defer w.Stop()
+	var names []string
+	w.Domains.Range(func(d *worldsim.Domain) { names = append(names, d.Name) })
+	if len(names) < feeders*per {
+		t.Fatalf("degenerate world: %d names, want %d", len(names), feeders*per)
+	}
+	slices.Sort(names)
+	names = names[:feeders*per]
+
+	byName := w.ProbeBackend()
+	rb := &recordingBackend{Backend: byName, handles: make(map[string]measure.Handle),
+		resolve: byName.(interface{ Resolve(string) measure.Handle }).Resolve}
+	fleet := measure.NewFleet(measure.DefaultConfig(), w.Clock, rb)
+	p := New(DefaultConfig(wcfg.Start, wcfg.Start.Add(7*24*time.Hour)), w.Clock, psl.Default(), czds.New(),
+		MuxQuerier{Mux: w.RDAP}, fleet, nil, 9)
+
+	var wg sync.WaitGroup
+	for f := range feeders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range names[f*per : (f+1)*per] {
+				p.HandleEvent(event(w.Clock.Now(), "www."+name))
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range 60 {
+			w.Clock.Advance(10 * time.Minute)
+		}
+	}()
+	wg.Wait()
+	w.Clock.Advance(49 * time.Hour) // fire every RDAP lookup and close every watch
+
+	p.mu.Lock()
+	adms := make(map[*admission]bool, len(p.candidates))
+	for name, adm := range p.candidates {
+		if adm.Domain != name || adm.p != p {
+			t.Errorf("store key %s holds the admission of %s", name, adm.Domain)
+		}
+		adms[adm] = true
+	}
+	p.mu.Unlock()
+	if len(adms) != len(names) {
+		t.Errorf("%d names admitted into %d distinct records", len(names), len(adms))
+	}
+	states := fleet.StateView()
+	distinct := make(map[*measure.DomainState]bool, len(states))
+	for i, st := range states {
+		if st.Domain != names[i] {
+			t.Fatalf("state %d holds %s, want %s", i, st.Domain, names[i])
+		}
+		distinct[st] = true
+	}
+	if len(states) != len(names) || len(distinct) != len(names) {
+		t.Errorf("%d watches kept %d states, %d distinct", len(names), len(states), len(distinct))
+	}
+	handles := make(map[measure.Handle]bool, len(rb.handles))
+	for name, h := range rb.handles {
+		handles[h] = true
+		want := byName.(measure.BatchBackend).ProbeBatch([]string{name}, true)[0]
+		if got := h.Probe(true); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: handle answers %+v, by name %+v", name, got, want)
+		}
+	}
+	if len(rb.handles) != len(names) || len(handles) != len(names) {
+		t.Errorf("%d watches resolved %d handles, %d distinct", len(names), len(rb.handles), len(handles))
 	}
 }
 

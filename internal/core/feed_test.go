@@ -69,10 +69,11 @@ func FuzzFeedJSON(f *testing.F) {
 }
 
 // TestHandleEventAllocations pins what admitting a fresh name costs with
-// a feed and no fleet: the candidate's store record (which is also its
-// RDAP timer) and the feed payload. Screening, PSL extraction, the name
-// check, the decision draws and scheduling the timer allocate nothing;
-// map, feed-log and clock-slot growth amortize below one per admission.
+// a feed and no fleet: the feed payload, and the candidate's share of a
+// chunk of store records (each record is also its candidate's RDAP
+// timer). Screening, PSL extraction, the name check, the decision draws
+// and scheduling the timer allocate nothing; record-chunk, map, feed-log
+// and clock-slot growth amortize below one per admission.
 func TestHandleEventAllocations(t *testing.T) {
 	const runs = 2000
 	clk := simclock.NewSim(t0)
@@ -91,8 +92,8 @@ func TestHandleEventAllocations(t *testing.T) {
 		t.Fatalf("admitted %d candidates, want %d", p.Len(), runs+1)
 	}
 	t.Logf("%v allocations per admission", allocs)
-	if allocs > 2 {
-		t.Errorf("HandleEvent of a fresh name allocates %v times, want ≤ 2", allocs)
+	if allocs > 1 {
+		t.Errorf("HandleEvent of a fresh name allocates %v times, want ≤ 1", allocs)
 	}
 	// The timers fire their own records: every candidate gets its outcome.
 	clk.Run()
@@ -100,5 +101,42 @@ func TestHandleEventAllocations(t *testing.T) {
 		if c.RDAPOutcome == RDAPPending {
 			t.Fatalf("%s: RDAP timer never fired", c.Domain)
 		}
+	}
+}
+
+// TestAdmissionAllocations pins an admission without a feed or a fleet
+// to its share of a chunk of store records: 2 000 fresh names, each
+// screened, admitted and given its RDAP timer, allocate at most 0.05
+// times per name, the store map's and clock slots' growth included. A
+// duplicate, caught before a record is carved, allocates nothing.
+func TestAdmissionAllocations(t *testing.T) {
+	const n = 2000
+	clk := simclock.NewSim(t0)
+	p := New(DefaultConfig(t0, t0.Add(time.Hour)), clk, psl.Default(), czds.New(), nullQuerier{}, nil, nil, 1)
+	evs := make([]certstream.Event, 2*n) // AllocsPerRun makes one warm-up pass
+	for i := range evs {
+		evs[i] = event(t0, fmt.Sprintf("fresh%d.com", i))
+	}
+	next := evs
+	if got := testing.AllocsPerRun(1, func() {
+		for _, ev := range next[:n] {
+			p.HandleEvent(ev)
+		}
+		next = next[n:]
+	}) / n; got > 0.05 {
+		t.Errorf("an admission allocates %v times, want at most 0.05", got)
+	}
+	if p.Len() != 2*n {
+		t.Fatalf("admitted %d candidates, want %d", p.Len(), 2*n)
+	}
+	if got := testing.AllocsPerRun(1, func() {
+		for _, ev := range evs[:n] {
+			p.HandleEvent(ev)
+		}
+	}); got != 0 {
+		t.Errorf("%d duplicate events allocate %v times, want 0", n, got)
+	}
+	if p.Len() != 2*n {
+		t.Errorf("duplicates changed the store to %d candidates", p.Len())
 	}
 }

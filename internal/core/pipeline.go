@@ -44,6 +44,7 @@ import (
 	"darkdns/internal/psl"
 	"darkdns/internal/rdap"
 	"darkdns/internal/simclock"
+	"darkdns/internal/slab"
 	"darkdns/internal/stream"
 	"darkdns/internal/workpool"
 )
@@ -158,9 +159,12 @@ type Pipeline struct {
 
 	feed *stream.Topic
 
-	// mu guards candidates, every Candidate field and spare.
+	// mu guards candidates, admissions, every Candidate field and spare.
 	mu         sync.Mutex
 	candidates map[string]*admission
+	// admissions carves the candidates' store records; a record lives as
+	// long as the store, so its chunk does too.
+	admissions slab.Of[admission]
 	// spare is the decision generator dispatch reuses: taken while in use,
 	// so a concurrent dispatch finds none and makes its own.
 	spare *rand.Rand
@@ -254,7 +258,8 @@ func (p *Pipeline) Stop() {
 
 // HandleEvent processes one certstream event (step 1). Exported so tests
 // and replay tools can feed events directly; safe for concurrent use. An
-// admission allocates its store record and, with a feed, its payload;
+// admission takes its store record from the store's slab — one allocation
+// per chunk of records — and, with a feed, allocates its payload;
 // screening a name allocates nothing.
 func (p *Pipeline) HandleEvent(ev certstream.Event) {
 	for name := range ev.Entry.EachName {
@@ -300,7 +305,7 @@ func (p *Pipeline) screenName(name string) (string, bool) {
 
 // admission is a candidate's record in the store: the Candidate and what
 // its step-2 timer needs. The record is that timer (Fire), so scheduling
-// the RDAP lookup costs no allocation beyond the record.
+// the RDAP lookup costs no allocation of its own.
 type admission struct {
 	Candidate
 	p    *Pipeline
@@ -311,9 +316,16 @@ type admission struct {
 func (a *admission) Fire() { a.p.collectRDAP(&a.Candidate, a.fail) }
 
 // admit inserts domain into the candidate store unless a concurrent or
-// earlier event won the race.
+// earlier event won the race. The record is carved from the store's slab
+// only once the name is known to be new, so a duplicate costs nothing.
 func (p *Pipeline) admit(domain string, ev *certstream.Event) (*admission, bool) {
-	adm := &admission{
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, dup := p.candidates[domain]; dup {
+		return nil, false
+	}
+	adm := p.admissions.New()
+	*adm = admission{
 		Candidate: Candidate{
 			Domain: domain,
 			TLD:    dnsname.TLD(domain),
@@ -322,11 +334,6 @@ func (p *Pipeline) admit(domain string, ev *certstream.Event) (*admission, bool)
 			Issuer: ev.Entry.Issuer,
 		},
 		p: p,
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, dup := p.candidates[domain]; dup {
-		return nil, false
 	}
 	p.candidates[domain] = adm
 	return adm, true

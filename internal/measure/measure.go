@@ -74,6 +74,7 @@ import (
 	"darkdns/internal/dnsname"
 	"darkdns/internal/rdap"
 	"darkdns/internal/simclock"
+	"darkdns/internal/slab"
 	"darkdns/internal/workpool"
 )
 
@@ -301,6 +302,9 @@ type Fleet struct {
 	states  map[string]*DomainState
 	nextSeq int // watch admissions: ordering + worker assignment
 	active  int // unfinished listed watches; rounds stay armed while > 0
+	// stateSlab carves the watches' states; a state lives as long as the
+	// fleet, so its chunk does too.
+	stateSlab slab.Of[DomainState]
 
 	// watchList holds every listed watch not yet popped, in admission
 	// order: Watch appends, retirement pops the window-expired prefix, and
@@ -393,8 +397,9 @@ func (f *Fleet) OnObservation(fn func(Observation)) {
 // that issues handles resolves the name here, once for the whole watch
 // (a re-watch resolves and discards one), and a handle that notifies is
 // subscribed before the admission probe, so no change after the probe's
-// read goes unseen. The watch's state is its own Watcher, so a watch
-// allocates its state and whatever the backend's handle costs.
+// read goes unseen. The watch's state is its own Watcher, carved from the
+// fleet's slab, so a watch costs whatever the backend's handle costs and
+// one allocation per chunk of states.
 func (f *Fleet) Watch(domain string) {
 	domain = dnsname.Canonical(domain)
 	now := f.clk.Now()
@@ -408,7 +413,8 @@ func (f *Fleet) Watch(domain string) {
 		f.mu.Unlock()
 		return
 	}
-	st := &DomainState{Domain: domain, Started: now, seq: f.nextSeq, handle: h, fleet: f, polled: !notifies, dirty: !notifies}
+	st := f.stateSlab.New()
+	*st = DomainState{Domain: domain, Started: now, seq: f.nextSeq, handle: h, fleet: f, polled: !notifies, dirty: !notifies}
 	f.states[domain] = st
 	f.nextSeq++
 	one := f.spareAdmit

@@ -17,43 +17,49 @@ func TestRegistrationStaysCompact(t *testing.T) {
 	}
 }
 
-// TestLedgerAllocations pins the ledger's mutations to one block each: a
-// name's first registration (record, registration, answer and both NS
-// arrays), a re-registration (the same without the record) and an NS
-// update (a fresh answer with its arrays). Each is averaged over 10 000
-// names, so the growth of the ledger and pending maps amortises away.
+// TestLedgerAllocations pins the ledger's mutations: a name's first
+// registration (record, registration, answer and both NS arrays) takes
+// one block from the registry's slab, so it costs at most 0.05
+// allocations — one per chunk of blocks, plus the ledger map's growth —
+// and a re-registration (the same block without the record) and an NS
+// update (a fresh answer with its arrays) allocate one block each, at
+// most 1.01 with the maps' growth. Each is averaged over 10 000 names.
 func TestLedgerAllocations(t *testing.T) {
 	const n = 10_000
 	r, _ := newTestRegistry("com")
 	defer r.Stop()
-	names := make([]string, n+1) // AllocsPerRun makes one warm-up call
+	names := make([]string, 2*n) // AllocsPerRun makes one warm-up pass
 	for i := range names {
 		names[i] = domainName(i)
 	}
 	ns := []string{"ns1.a.net", "ns2.a.net"}
 	alt := []string{"ns2.b.net", "ns1.b.net"}
 	web := netip.MustParseAddr("192.0.2.1")
+	// pass applies op to n fresh names, after a warm-up pass over n
+	// others, and returns the allocations per name.
 	pass := func(op func(name string)) float64 {
-		i := 0
-		return testing.AllocsPerRun(n, func() {
-			op(names[i])
-			i++
-		})
+		next := names
+		return testing.AllocsPerRun(1, func() {
+			for _, name := range next[:n] {
+				op(name)
+			}
+			next = next[n:]
+		}) / n
 	}
 	register := func(name string) {
 		if _, err := r.RegisterAt(name, "A", ns, web, t0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := pass(register); got > 1 {
-		t.Errorf("RegisterAt of a fresh name allocates %v times, want at most 1", got)
+	if got := pass(register); got > 0.05 {
+		t.Errorf("RegisterAt of a fresh name allocates %v times, want at most 0.05", got)
 	}
 	if got := pass(func(name string) {
 		if err := r.UpdateNS(name, alt); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 1 {
-		t.Errorf("UpdateNS allocates %v times, want at most 1", got)
+	}); got > 1.01 {
+		t.Errorf("UpdateNS allocates %v times, want at most 1.01", got)
 	}
 	now := t0.Add(time.Minute)
 	r.rebuildAt(now)
@@ -65,8 +71,8 @@ func TestLedgerAllocations(t *testing.T) {
 	// Rebuilt out of the zone first, so a re-registration republishes no
 	// answer on its way in.
 	r.rebuildAt(now.Add(time.Minute))
-	if got := pass(register); got > 1 {
-		t.Errorf("re-registration allocates %v times, want at most 1", got)
+	if got := pass(register); got > 1.01 {
+		t.Errorf("re-registration allocates %v times, want at most 1.01", got)
 	}
 	if got := len(slices.Collect(r.Ledger())); got != 2*len(names) {
 		t.Fatalf("ledger holds %d registrations, want %d", got, 2*len(names))

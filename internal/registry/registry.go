@@ -33,14 +33,16 @@
 // O(names changed). A subscriber that folds the diffs in order holds the
 // zone a daily snapshot would have shown it.
 //
-// A registration is one allocation: the block a RegisterAt allocates
-// holds the Registration, the answer its delegation publishes and, for an
-// NS set of at most two names (every hosting provider's), both NS arrays —
-// the registration's private copy and the zone's canonical sorted set.
-// When a name's first registration makes the name's ledger record (Resolve
-// may have made it earlier), the record lives in the same block. UpdateNS
-// builds its answer in a fresh block, so a published answer is never
-// written: a reader holding one holds it unchanged for good.
+// A registration is one block: it holds the Registration, the answer its
+// delegation publishes and, for an NS set of at most two names (every
+// hosting provider's), both NS arrays — the registration's private copy
+// and the zone's canonical sorted set. When a name's first registration
+// makes the name's ledger record (Resolve may have made it earlier), the
+// record lives in the same block, carved from a registry-owned slab, so
+// those registrations allocate once per chunk of blocks; a
+// re-registration allocates its block. UpdateNS builds its answer in a
+// fresh block, so a published answer is never written: a reader holding
+// one holds it unchanged for good.
 //
 // The ledger records every registration ever made, including domains
 // deleted before ever entering a published snapshot — the paper's
@@ -63,6 +65,7 @@ import (
 
 	"darkdns/internal/dnsname"
 	"darkdns/internal/simclock"
+	"darkdns/internal/slab"
 	"darkdns/internal/zoneset"
 )
 
@@ -164,6 +167,9 @@ type Registry struct {
 	// record published, which only writers holding mu replace.
 	mu     sync.RWMutex
 	ledger map[string]*record // keyed by registrable name; the live zone's entries
+	// blocks carves the record blocks of names' first registrations; a
+	// record lives as long as the registry, so its chunk does too.
+	blocks slab.Of[recordBlock]
 	serial uint32
 	// pending holds the names mutated since the last rebuild; the rebuild
 	// delegates each to its newest registration's NS set, or removes it
@@ -171,11 +177,22 @@ type Registry struct {
 	pending map[string]struct{}
 	// since holds, for each name a rebuild touched since the last
 	// publication, its answer in that publication (nil: not delegated).
+	// A publication clears it for the next, keeping its table.
 	since map[string]*delegatedAnswer
-	subs  []func(zoneset.Diff)
+	// classed is diffSince's scratch: the names of each class, reused.
+	classed [3][]string
+	// subs is copy-on-write: a publication keeps the list it read while
+	// Subscribe installs a new one.
+	subs []func(zoneset.Diff)
 	// delivered is when the newest publication is delivered: no later
 	// one is delivered before it, however short its own delay.
 	delivered time.Time
+	// queued holds the publications still waiting out their delay, the
+	// oldest at queued[head]. Each has one clock event, the registry
+	// itself as a delivery; their instants never decrease in queue order,
+	// so the events fire in it.
+	queued []publication
+	head   int
 
 	// origin anchors the rebuild grid origin + k·ZoneUpdateEvery. A
 	// rebuild is armed at the next grid instant only while something is
@@ -252,12 +269,12 @@ type regBlock struct {
 	reg Registration
 }
 
-// recordBlock is a name's ledger record with its first registration: the
-// one allocation a name's first RegisterAt makes when no Resolve made the
-// record before it. The blocks lead with what a probe reads — the record,
-// the answer it publishes, the answer's NS set — so that read touches the
-// block's first three cache lines; with the Registration first it would
-// touch four lines spread over the 384-byte block.
+// recordBlock is a name's ledger record with its first registration: what
+// a name's first RegisterAt takes from the registry's slab when no Resolve
+// made the record before it. The blocks lead with what a probe reads —
+// the record, the answer it publishes, the answer's NS set — so that read
+// touches the block's first three cache lines; with the Registration
+// first it would touch four lines spread over the 384-byte block.
 type recordBlock struct {
 	rec record
 	regBlock
@@ -351,7 +368,9 @@ func (r *Registry) InCZDS() bool { return r.cfg.InCZDS }
 // fn must not modify the diff; every subscriber shares it.
 func (r *Registry) Subscribe(fn func(zoneset.Diff)) {
 	r.mu.Lock()
-	r.subs = append(r.subs, fn)
+	// The full slice expression makes append copy, so the list a queued
+	// publication holds never changes under it.
+	r.subs = append(r.subs[:len(r.subs):len(r.subs)], fn)
 	r.mu.Unlock()
 }
 
@@ -367,8 +386,9 @@ func (r *Registry) Register(domain, registrar string, ns []string, web netip.Add
 // zone never delegates anything else. The returned registration is the
 // ledger's own entry and must be treated as read-only; its NS slice is
 // its own, not the live zone's, so a write to it leaves every answer as
-// it was. A registration allocates one block, which also holds the name's
-// ledger record when this registration makes it.
+// it was. A registration is one block, which also holds the name's ledger
+// record when this registration makes it; that block comes from the
+// registry's slab, any other is one allocation.
 func (r *Registry) RegisterAt(domain, registrar string, ns []string, web netip.Addr, at time.Time) (*Registration, error) {
 	domain = dnsname.Canonical(domain)
 	if key, ok := r.registrable(domain); !ok || key != domain {
@@ -382,7 +402,7 @@ func (r *Registry) RegisterAt(domain, registrar string, ns []string, web netip.A
 	}
 	var blk *regBlock
 	if rec == nil {
-		rb := new(recordBlock)
+		rb := r.blocks.New()
 		rec, blk = &rb.rec, &rb.regBlock
 		r.ledger[domain] = rec
 	} else {
@@ -515,16 +535,21 @@ func leaveZone(reg *Registration, now time.Time) {
 	}
 }
 
+// publication is one daily diff and the subscribers it goes to.
+type publication struct {
+	diff zoneset.Diff
+	subs []func(zoneset.Diff)
+}
+
 // publishSnapshot diffs the live zone against the previous publication
 // and delivers the diff to subscribers after the configured publication
 // delay, but never before the previous publication: a long delay holds
 // back the publications behind it, so subscribers receive them in serial
-// order.
+// order. A publication allocates only its diff's one array of names.
 func (r *Registry) publishSnapshot(now time.Time) {
 	r.mu.Lock()
-	diff := r.diffSince(now)
-	r.since = make(map[string]*delegatedAnswer, len(r.since))
-	subs := slices.Clone(r.subs)
+	pub := publication{diff: r.diffSince(now), subs: r.subs}
+	clear(r.since)
 	at := now
 	if r.cfg.SnapshotDelay != nil {
 		at = at.Add(r.cfg.SnapshotDelay(r.rng))
@@ -534,42 +559,80 @@ func (r *Registry) publishSnapshot(now time.Time) {
 		at = prev
 	}
 	r.delivered = at
-	r.mu.Unlock()
-	deliver := func() {
-		for _, fn := range subs {
-			fn(diff)
-		}
-	}
 	// Deliver now only when nothing is still due at this instant;
 	// otherwise the clock fires this delivery after the one before it.
-	if !at.After(now) && prev.Before(now) {
-		deliver()
+	immediate := !at.After(now) && prev.Before(now)
+	if !immediate {
+		r.queued = append(r.queued, pub)
+	}
+	r.mu.Unlock()
+	if immediate {
+		pub.deliverTo()
 		return
 	}
-	r.clk.At(at, deliver)
+	r.clk.Schedule(at, (*delivery)(r))
+}
+
+// delivery is the registry as a queued publication's clock event, so a
+// publication binds no callback: Fire delivers the oldest queued
+// publication, which is the one the event was scheduled for.
+type delivery Registry
+
+func (d *delivery) Fire() {
+	r := (*Registry)(d)
+	r.mu.Lock()
+	pub := r.queued[r.head]
+	r.queued[r.head] = publication{}
+	if r.head++; r.head == len(r.queued) {
+		r.queued, r.head = r.queued[:0], 0
+	}
+	r.mu.Unlock()
+	pub.deliverTo()
+}
+
+// deliverTo hands the diff to each of the publication's subscribers, in
+// subscription order.
+func (p publication) deliverTo() {
+	for _, fn := range p.subs {
+		fn(p.diff)
+	}
 }
 
 // diffSince classifies the names in since, each by its answer at the
 // previous publication against its record's answer now — the Compare of
 // the two zones, since every name outside since is the same in both — and
-// heads the diff with the current serial and now. The caller holds mu.
+// heads the diff with the current serial and now. Added, Removed and
+// Changed are capped, sorted sub-slices of one array: a diff costs one
+// allocation however many names it holds, and none when it holds none.
+// The caller holds mu.
 func (r *Registry) diffSince(now time.Time) zoneset.Diff {
-	d := zoneset.Diff{TLD: r.cfg.TLD, Serial: r.serial, Taken: now}
+	const added, removed, changed = 0, 1, 2
+	c := &r.classed
 	for dom, old := range r.since {
 		cur := r.ledger[dom].live.Load()
 		switch {
 		case old == nil && cur != nil:
-			d.Added = append(d.Added, dom)
+			c[added] = append(c[added], dom)
 		case old != nil && cur == nil:
-			d.Removed = append(d.Removed, dom)
+			c[removed] = append(c[removed], dom)
 		case old != nil && !slices.Equal(old.NS, cur.NS):
-			d.Changed = append(d.Changed, dom)
+			c[changed] = append(c[changed], dom)
 		}
 	}
-	slices.Sort(d.Added)
-	slices.Sort(d.Removed)
-	slices.Sort(d.Changed)
-	return d
+	names := make([]string, 0, len(c[added])+len(c[removed])+len(c[changed]))
+	var parts [3][]string
+	for k := range c {
+		if len(c[k]) == 0 {
+			continue
+		}
+		n := len(names)
+		names = append(names, c[k]...)
+		parts[k] = names[n:len(names):len(names)]
+		slices.Sort(parts[k])
+		c[k] = c[k][:0]
+	}
+	return zoneset.Diff{TLD: r.cfg.TLD, Serial: r.serial, Taken: now,
+		Added: parts[added], Removed: parts[removed], Changed: parts[changed]}
 }
 
 // Authoritative queries --------------------------------------------------

@@ -2,8 +2,10 @@ package registry
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -203,6 +205,87 @@ func TestLateSnapshotHoldsBackLaterOnes(t *testing.T) {
 	for i := 1; i < len(taken); i++ {
 		if taken[i].Before(taken[i-1]) {
 			t.Fatalf("delivery %d taken %v after one taken %v", i, taken[i], taken[i-1])
+		}
+	}
+}
+
+// TestPublicationAllocations pins a daily publication — diffed, queued
+// behind its delay and delivered to two subscribers — to one allocation,
+// its diff's one array of names, whether the diff holds three names or
+// three thousand, each with Added, Removed and Changed all present: the
+// since table is cleared and reused, the subscriber list is shared, not
+// cloned, and the queued delivery's clock event is the registry itself.
+// The largest diff is published first, to warm the diff's scratch, and
+// each size is published on three days, the fewest allocations counting.
+func TestPublicationAllocations(t *testing.T) {
+	clk := simclock.NewSim(t0)
+	cfg := DefaultConfig("com")
+	cfg.SnapshotDelay = func(*rand.Rand) time.Duration { return time.Hour }
+	r := New(cfg, clk, rand.New(rand.NewSource(1)))
+	r.Stop() // rebuilds and publications are driven by hand below
+	var pubs, listed int
+	for range 2 {
+		r.Subscribe(func(d zoneset.Diff) { pubs++; listed += len(d.Added) + len(d.Removed) + len(d.Changed) })
+	}
+	// A clock wheel slot gets its storage the first time an event lands
+	// in it: give every slot of the wheel's one-minute ring its storage.
+	for i := range 256 {
+		clk.Schedule(clk.Now().Add(time.Duration(i)*time.Minute), simclock.Func(func() {}))
+	}
+	clk.Run()
+
+	ns, alt := []string{"ns1.a.net", "ns2.a.net"}, []string{"ns1.b.net", "ns2.b.net"}
+	next := 0
+	var prev []string
+	// day registers k fresh names, deletes half of the previous day's and
+	// re-delegates the other half, rebuilds, then publishes, and returns
+	// what the publication and its delivery allocated.
+	day := func(k int) uint64 {
+		now := clk.Now()
+		add := make([]string, k)
+		for i := range add {
+			add[i] = domainName(next)
+			next++
+			if _, err := r.RegisterAt(add[i], "A", ns, netip.Addr{}, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, name := range prev {
+			var err error
+			if i%2 == 0 {
+				err = r.DeleteAt(name, now)
+			} else {
+				err = r.UpdateNS(name, alt)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		prev = add
+		r.rebuildAt(now)
+		pubs, listed = 0, 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.publishSnapshot(now)
+		clk.Advance(time.Hour)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	day(2000)
+	day(2000)
+	for _, k := range []int{2000, 200, 20, 2} {
+		// The fewest of three days: a MemStats delta also counts what the
+		// runtime allocates meanwhile, now and then a few objects.
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			gone := len(prev) // the previous day's names: half removed, half changed
+			least = min(least, day(k))
+			if pubs != 2 || listed != 2*(k+gone) {
+				t.Fatalf("k=%d: %d deliveries listing %d names, want 2 listing %d", k, pubs, listed, 2*(k+gone))
+			}
+		}
+		if least > 1 {
+			t.Errorf("a publication of %d new names allocates %d times, want at most 1", k, least)
 		}
 	}
 }

@@ -32,7 +32,8 @@ func (w *World) ProbeBackend() measure.Backend { return probeBackend{w} }
 // a name with no record, a ghost, or a record publishing neither). Both
 // are fixed at Resolve — the domain store is frozen after New — and every
 // probe reads the registry's current state through the handle, so a
-// probeHandle is immutable and safe for concurrent probes.
+// probeHandle is immutable and safe for concurrent probes. Handles are
+// carved from the world's slab: a fleet keeps each for its watch's life.
 type probeHandle struct {
 	reg  registry.Handle
 	mail mailAnswers
@@ -43,10 +44,15 @@ type probeHandle struct {
 // ghosts and transients are watched exactly then.
 func (b probeBackend) Resolve(domain string) measure.Handle {
 	domain = dnsname.Canonical(domain)
-	h := &probeHandle{mail: b.w.Domains.mailAnswers(domain)}
-	if reg := b.w.Registries[dnsname.TLD(domain)]; reg != nil {
-		h.reg = reg.Resolve(domain)
+	var reg registry.Handle
+	if r := b.w.Registries[dnsname.TLD(domain)]; r != nil {
+		reg = r.Resolve(domain)
 	}
+	mail := b.w.Domains.mailAnswers(domain)
+	b.w.slabMu.Lock()
+	h := b.w.handles.New()
+	b.w.slabMu.Unlock()
+	*h = probeHandle{reg: reg, mail: mail}
 	return h
 }
 

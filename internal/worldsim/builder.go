@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"darkdns/internal/ct"
 	"darkdns/internal/registry"
 	"darkdns/internal/simclock"
 	"darkdns/internal/workpool"
@@ -134,9 +133,10 @@ func (w *World) commitLayout(l *Layout, timeline []simclock.Timed) []simclock.Ti
 
 // lifecycle is the clock-event record of one compiled registration (r
 // set) or ghost (g set). Its Fire registers the name; the same record,
-// converted to certAttempt, nsChange, deletion or ghostIssuance, is the
-// action of the name's other events, so a world's timeline is one slab
-// per layout with no closure or event object per name.
+// converted to certAttempt, certIssue, nsChange, deletion, ghostIssuance
+// or ghostCert, is the action of the name's other events, so a world's
+// timeline is one slab per layout with no closure or event object per
+// name, and a certificate request has no object of its own either.
 type lifecycle struct {
 	w *World
 	r *regLayout
@@ -177,25 +177,31 @@ func (lc *lifecycle) Fire() {
 // TLD zone — modelling ACME clients retrying validation until the
 // registry's next zone rebuild publishes the delegation. This retry
 // chain is what couples Figure 1's detection delay to zone-update
-// cadence. Each retry fires the same record again, after a backoff
-// derived from the registration's compiled retry seed, so the chain
-// stays a pure function of the world seed.
+// cadence. The attempt draws the CA's validation delay and schedules the
+// same record, as certIssue, to fire once it has passed: the CA keeps no
+// request of its own.
 type certAttempt lifecycle
 
 func (e *certAttempt) Fire() {
-	name := e.r.d.Name
-	e.w.CAs[e.r.caIdx].Issue(name, name, nil, e)
+	clk := e.w.Clock
+	clk.Schedule(clk.Now().Add(e.w.CAs[e.r.caIdx].ValidationDelay()), (*certIssue)(e))
 }
 
-// Issued is the CA's answer to the attempt: a failed validation retries,
+// certIssue is a certificate attempt whose validation delay has passed:
+// the CA validates and logs at this instant. A failed validation retries,
 // at most maxCertAttempts times, after the backoff the failed attempt's
-// number derives; the retry's instant counts from the failure.
-func (e *certAttempt) Issued(_ ct.Entry, err error) {
-	if err == nil || e.certRetries >= maxCertAttempts {
+// number derives from the registration's compiled retry seed, so the
+// chain stays a pure function of the world seed; the retry's instant
+// counts from the failure, and it fires the same record again.
+type certIssue lifecycle
+
+func (e *certIssue) Fire() {
+	name := e.r.d.Name
+	if _, err := e.w.CAs[e.r.caIdx].Issue(name, name, nil); err == nil || e.certRetries >= maxCertAttempts {
 		return
 	}
 	clk := e.w.Clock
-	clk.Schedule(clk.Now().Add(retryDelay(e.r.retrySeed, e.certRetries)), e)
+	clk.Schedule(clk.Now().Add(retryDelay(e.r.retrySeed, e.certRetries)), (*certAttempt)(e))
 	e.certRetries++
 }
 
@@ -209,11 +215,22 @@ type deletion lifecycle
 
 func (e *deletion) Fire() { _ = (*lifecycle)(e).registry().Delete(e.r.d.Name) }
 
-// ghostIssuance is a ghost's certificate, issued on a stale DV token:
-// no live validation.
+// ghostIssuance is a ghost's certificate request, issued on a stale DV
+// token: it draws the CA's validation delay and schedules the same
+// record, as ghostCert, to fire once the delay has passed.
 type ghostIssuance lifecycle
 
 func (e *ghostIssuance) Fire() {
+	clk := e.w.Clock
+	clk.Schedule(clk.Now().Add(e.w.CAs[e.g.caIdx].ValidationDelay()), (*ghostCert)(e))
+}
+
+// ghostCert is a ghost's certificate after its validation delay: no live
+// validation, only the token. A ghost whose token has lapsed gets no
+// certificate, and nothing retries it, so the error is not read.
+type ghostCert lifecycle
+
+func (e *ghostCert) Fire() {
 	name := e.g.d.Name
-	e.w.CAs[e.g.caIdx].Issue(name, name, nil, nil)
+	_, _ = e.w.CAs[e.g.caIdx].Issue(name, name, nil)
 }

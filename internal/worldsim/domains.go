@@ -4,7 +4,11 @@
 // examples, the probe backend) Get/Range/Len it without a lock.
 package worldsim
 
-import "sync"
+import (
+	"sync"
+
+	"darkdns/internal/slab"
+)
 
 // mailAnswers is one record's MX and SPF TXT answers as the probe backend
 // serves them. Both slices are built once, shared by every probe, and
@@ -22,17 +26,14 @@ type DomainStore struct {
 	// build time, which stays free of per-domain answer allocations) from
 	// the fleet's concurrent probe slices. spf holds one SPF TXT answer
 	// per web-host provider (the policy text depends on nothing else),
-	// shared by every record hosted there. mxSlab is the unused rest of
-	// the newest chunk of MX answer arrays: each record's pair is carved
-	// from it, never to be written again.
+	// shared by every record hosted there. Each record's MX pair is
+	// carved from mx, never to be written again; the cache keeps every
+	// pair for the store's life, so their chunks live as long.
 	mailMu sync.RWMutex
 	mail   map[*Domain]mailAnswers
 	spf    map[string][]string
-	mxSlab [][2]string
+	mx     slab.Of[[2]string]
 }
-
-// mxChunk is how many records' MX answer arrays one slab chunk holds.
-const mxChunk = 256
 
 // Get returns the ground-truth record for name, or nil when the world
 // never generated it (ghosts return nil: they have no registration).
@@ -43,7 +44,7 @@ func (s *DomainStore) Get(name string) *Domain { return s.m[name] }
 // neither, all without touching the cache. The steady state is one read
 // lock; only a record's first probe takes the write lock and builds. An
 // MX answer costs that probe one allocation: both names are substrings
-// of one string "mx1.<name>mx2.<name>", in an array from mxSlab.
+// of one string "mx1.<name>mx2.<name>", in an array from the mx slab.
 func (s *DomainStore) mailAnswers(name string) mailAnswers {
 	d := s.m[name]
 	if d == nil || !(d.HasMX || d.HasSPF) {
@@ -62,11 +63,7 @@ func (s *DomainStore) mailAnswers(name string) mailAnswers {
 	}
 	if d.HasMX {
 		both := "mx1." + d.Name + "mx2." + d.Name
-		if len(s.mxSlab) == 0 {
-			s.mxSlab = make([][2]string, mxChunk)
-		}
-		mx := &s.mxSlab[0]
-		s.mxSlab = s.mxSlab[1:]
+		mx := s.mx.New()
 		mx[0], mx[1] = both[:len(both)/2], both[len(both)/2:]
 		ans.mx = mx[:]
 	}

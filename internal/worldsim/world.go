@@ -26,6 +26,7 @@ package worldsim
 
 import (
 	"math/rand"
+	"sync"
 	"time"
 
 	"darkdns/internal/blocklist"
@@ -39,6 +40,7 @@ import (
 	"darkdns/internal/registrar"
 	"darkdns/internal/registry"
 	"darkdns/internal/simclock"
+	"darkdns/internal/slab"
 	"darkdns/internal/workpool"
 )
 
@@ -173,6 +175,13 @@ type World struct {
 	Ghosts []*Domain
 
 	windowEnd time.Time
+	// slabMu guards the slabs the world's backends carve what they hand
+	// out from: the probe backend's handles, which a fleet keeps for its
+	// watches' life, and the RDAP backend's answers, each read once and
+	// dropped, so a chunk's answers die together.
+	slabMu  sync.Mutex
+	handles slab.Of[probeHandle]
+	answers slab.Of[rdapAnswer]
 	// dupNames counts commit-phase name collisions between layouts. Zero
 	// for any config with distinct plan TLDs (the determinism tests'
 	// world-wide uniqueness invariant).
@@ -225,7 +234,7 @@ func New(cfg Config) *World {
 		if !reg.InCZDS() {
 			reg.Subscribe(w.CCZones.Ingest)
 		}
-		w.RDAP.Handle(tld, rdapBackend{reg})
+		w.RDAP.Handle(tld, (*rdapBackend)(w))
 	}
 
 	// CAs validate against the union of live zones.
@@ -290,20 +299,33 @@ func (w *World) resolves(name string) bool {
 	return ok
 }
 
-// rdapBackend adapts a registry to the rdap.Backend interface.
-type rdapBackend struct{ reg *registry.Registry }
+// rdapBackend is the world as an rdap.Backend: every TLD's service is
+// the world itself, answering from the registry of the asked name's TLD.
+// The conversion from *World allocates nothing, so registering it costs
+// no object per registry.
+type rdapBackend World
 
-// RDAPDomain answers with one allocation: the record and its status
-// list together.
-func (b rdapBackend) RDAPDomain(name string) (*rdap.Record, error) {
-	r, err := b.reg.RDAPLookup(name)
+// RDAPDomain answers with the record and its status list together, in one
+// answer carved from the world's slab: one allocation per chunk of
+// answers.
+func (b *rdapBackend) RDAPDomain(name string) (*rdap.Record, error) {
+	w := (*World)(b)
+	name = dnsname.Canonical(name)
+	reg := w.Registries[dnsname.TLD(name)]
+	if reg == nil {
+		return nil, rdap.ErrNotFound
+	}
+	r, err := reg.RDAPLookup(name)
 	if err != nil {
 		if err == registry.RDAPErrNotSynced {
 			return nil, rdap.ErrNotSynced
 		}
 		return nil, rdap.ErrNotFound
 	}
-	a := &rdapAnswer{
+	w.slabMu.Lock()
+	a := w.answers.New()
+	w.slabMu.Unlock()
+	*a = rdapAnswer{
 		rec:    rdap.Record{Domain: r.Domain, Registrar: r.Registrar, Registered: r.Created},
 		status: [1]string{"active"},
 	}

@@ -13,6 +13,7 @@ import (
 	"darkdns/internal/ca"
 	"darkdns/internal/certstream"
 	"darkdns/internal/ct"
+	"darkdns/internal/rdap"
 	"darkdns/internal/registry"
 	"darkdns/internal/simclock"
 )
@@ -364,8 +365,8 @@ func TestCompileAllocations(t *testing.T) {
 // TestCertAttemptRetriesOnItsRecord drives one registration's certificate
 // chain against a CA whose validation always fails: the first attempt and
 // maxCertAttempts retries, each retry retryDelay(seed, k) after the k-th
-// failure, every one firing the same lifecycle record, so a chain costs
-// at most the CA's one pending issuance per attempt.
+// failure, every attempt and every issuance firing the same lifecycle
+// record, so a whole chain allocates nothing: the CA keeps no request.
 func TestCertAttemptRetriesOnItsRecord(t *testing.T) {
 	start := time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC)
 	clk := simclock.NewSim(start)
@@ -400,15 +401,17 @@ func TestCertAttemptRetriesOnItsRecord(t *testing.T) {
 		clk.Schedule(clk.Now().Add(time.Duration(i)*time.Minute), simclock.Func(func() {}))
 	}
 	clk.Run()
-	allocs := testing.AllocsPerRun(100, chain)
-	if perAttempt := allocs / (maxCertAttempts + 1); perAttempt > 1 {
-		t.Errorf("a certificate chain allocates %v times per attempt, want ≤ 1", perAttempt)
+	if allocs := testing.AllocsPerRun(100, chain); allocs != 0 {
+		t.Errorf("a certificate chain of %d attempts allocates %v times, want 0", maxCertAttempts+1, allocs)
 	}
 }
 
-// TestRDAPDomainAllocatesOnce pins a simulated RDAP lookup of a synced
-// registration at one allocation: the record, with its Status array.
-func TestRDAPDomainAllocatesOnce(t *testing.T) {
+// TestRDAPDomainAllocatesPerChunk pins a simulated RDAP lookup of a
+// synced registration to its share of one allocation per chunk of
+// answers: the record, with its Status array, is carved from the world's
+// slab, so 1 000 lookups allocate at most 10 times.
+func TestRDAPDomainAllocatesPerChunk(t *testing.T) {
+	const lookups = 1000
 	clk := simclock.NewSim(time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC))
 	reg := registry.New(registry.DefaultConfig("com"), clk, rand.New(rand.NewSource(1)))
 	defer reg.Stop()
@@ -416,12 +419,20 @@ func TestRDAPDomainAllocatesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Hour)
-	b := rdapBackend{reg}
-	rec, err := b.RDAPDomain("fresh.com")
-	if err != nil || rec.Registrar != "NameCheap" || !slices.Equal(rec.Status, []string{"active"}) {
-		t.Fatalf("RDAPDomain = %+v, %v", rec, err)
+	b := (*rdapBackend)(&World{Registries: map[string]*registry.Registry{"com": reg}})
+	recs := make(map[*rdap.Record]bool, 2*lookups)
+	if allocs := testing.AllocsPerRun(1, func() {
+		for range lookups {
+			rec, err := b.RDAPDomain("fresh.com")
+			if err != nil || rec.Registrar != "NameCheap" || !slices.Equal(rec.Status, []string{"active"}) {
+				t.Fatalf("RDAPDomain = %+v, %v", rec, err)
+			}
+			recs[rec] = true
+		}
+	}); allocs > lookups/100 {
+		t.Errorf("%d RDAP lookups allocate %v times, want ≤ %d", lookups, allocs, lookups/100)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = b.RDAPDomain("fresh.com") }); allocs > 1 {
-		t.Errorf("an RDAP lookup allocates %v times, want ≤ 1", allocs)
+	if len(recs) != 2*lookups {
+		t.Errorf("%d lookups returned %d distinct records", 2*lookups, len(recs))
 	}
 }
