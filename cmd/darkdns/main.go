@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"darkdns/internal/analysis"
@@ -30,8 +31,8 @@ func main() {
 	snapshot := flag.String("snapshot", "", "persistent world snapshot path: a matching snapshot replaces the compile phase, a miss compiles then saves here (same world either way)")
 	verbose := flag.Bool("v", false, "print every confirmed transient domain")
 	export := flag.String("export", "", "write candidates to this file in columnar format")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign (world build through drain) to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file once the campaign has run, its results still live")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign and its summary (world build through the -export write) to this file")
+	memprofile := flag.String("memprofile", "", "write a heap profile to this file once the summary and -export are written, the campaign's results still live")
 	flag.Parse()
 
 	start := time.Now()
@@ -46,10 +47,6 @@ func main() {
 		ProbeCadence: *probeCadence,
 		SnapshotPath: *snapshot,
 	})
-	if err := stopProfiles(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	fmt.Printf("simulated %d weeks at scale %g in %v\n", *weeks, *scale, time.Since(start).Round(time.Millisecond))
 
 	cands := res.Candidates()
@@ -106,4 +103,12 @@ func main() {
 		}
 		fmt.Printf("exported %d candidates to %s (columnar)\n", len(cands), *export)
 	}
+	// The profiles cover Reduce, the summary and the export too, and res
+	// is kept live until the heap profile is written, so its in-use view
+	// holds what the campaign keeps.
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	runtime.KeepAlive(res)
 }

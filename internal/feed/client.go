@@ -197,24 +197,26 @@ func (c *Client) handshake(ctx context.Context, opts SubscribeOptions, from int6
 type subConn struct {
 	conn net.Conn
 	r    *bufio.Scanner
-	// entries backs the Entries of the DATA frame last read.
-	entries []Entry
+	// data is the DATA frame last read, its Entries array reused from
+	// frame to frame.
+	data Frame
 }
 
-// readFrame reads the next non-empty line as a frame. A DATA frame's
-// Entries are valid until the next call: run copies each one into its
-// Event before reading on.
+// readFrame reads the next non-empty line as a frame. A canonical DATA
+// line is decoded into the frame the connection owns, so the frame and
+// its Entries are valid until the next call: run copies each entry into
+// its Event before reading on. Any other line takes decodeFrame.
 func (sc *subConn) readFrame() (*Frame, error) {
 	for sc.r.Scan() {
 		line := sc.r.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		f, err := decodeFrame(line, sc.entries[:0])
-		if err == nil && f.Kind == FrameData {
-			sc.entries = f.Entries
+		if entries, next, ok := decodeDataFrame(line, sc.data.Entries[:0]); ok {
+			sc.data = Frame{Kind: FrameData, Entries: entries, Next: next}
+			return &sc.data, nil
 		}
-		return f, err
+		return decodeFrame(line, nil)
 	}
 	if err := sc.r.Err(); err != nil {
 		return nil, err

@@ -64,6 +64,11 @@ type subQueue struct {
 	bound  int
 	policy ShedPolicy
 
+	// taken is the batch the last take handed the writer. The writer is
+	// done with it at its next take, which makes it the buffer the
+	// following offers fill, so the two arrays alternate.
+	taken []wireEntry
+
 	// live gates the pump: during a subscriber's catch-up replay the
 	// queue rejects offers (the writer reads the encoded log directly),
 	// so long replays do not churn the queue.
@@ -77,6 +82,7 @@ type subQueue struct {
 	closed bool
 	reason error
 	signal chan struct{} // 1-buffered wakeup for the writer
+	timer  *time.Timer   // take's heartbeat timer: the writer's, reused
 
 	maxDepth int // deepest backlog observed, for Stats
 }
@@ -86,10 +92,10 @@ func newSubQueue(bound int, policy ShedPolicy) *subQueue {
 }
 
 // offer enqueues ents for a live subscriber, applying the shed policy on
-// overflow. It copies the entries but not their encodings, which belong
-// to the server's encoded log and never change. It never blocks — the
-// fan-out pump must not stall on one slow subscriber (the athena-dhcpd
-// event-bus rule).
+// overflow. It copies the entries, into the array the writer handed back,
+// but not their encodings, which belong to the server's encoded log and
+// never change. It never blocks — the fan-out pump must not stall on one
+// slow subscriber (the athena-dhcpd event-bus rule).
 // Returns the number of entries evicted (drop-oldest) for the server's
 // shed counter.
 func (q *subQueue) offer(ents []wireEntry) int64 {
@@ -141,13 +147,15 @@ func (q *subQueue) goLive() {
 // take removes everything queued, returning the batch, any pending shed
 // gap, and ok=false once the queue is closed and drained. When nothing is
 // queued it waits up to timeout (the heartbeat interval) for an offer.
+// The batch is valid until the next take, which reuses its array; one
+// writer calls take.
 func (q *subQueue) take(timeout time.Duration) (ents []wireEntry, gap *Gap, ok bool, err error) {
 	deadline := time.Now().Add(timeout)
 	for {
 		q.mu.Lock()
 		if len(q.buf) > 0 || q.shedFrom >= 0 {
 			ents = q.buf
-			q.buf = nil
+			q.buf, q.taken = q.taken[:0], ents
 			if q.shedFrom >= 0 {
 				gap = &Gap{From: q.shedFrom, To: q.shedTo, Dropped: q.shedTo - q.shedFrom + 1, Reason: "shed"}
 				q.shedFrom, q.shedTo = -1, -1
@@ -165,11 +173,15 @@ func (q *subQueue) take(timeout time.Duration) (ents []wireEntry, gap *Gap, ok b
 		if remain <= 0 {
 			return nil, nil, true, nil
 		}
-		timer := time.NewTimer(remain)
+		if q.timer == nil {
+			q.timer = time.NewTimer(remain)
+		} else {
+			q.timer.Reset(remain)
+		}
 		select {
 		case <-q.signal:
-			timer.Stop()
-		case <-timer.C:
+			q.timer.Stop()
+		case <-q.timer.C:
 			return nil, nil, true, nil
 		}
 	}

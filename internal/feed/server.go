@@ -246,11 +246,12 @@ func (s *Server) pump(group string) {
 	}
 }
 
-// Encoded-log geometry: entries live in fixed pages, so appending never
-// moves one, and encodings in chunks they are copied into at their exact
-// size.
+// Encoded-log geometry: entries live in fixed pages, the topic's page
+// size, so appending never moves one and a page of the log covers a page
+// of the topic; encodings live in chunks they are copied into at their
+// exact size.
 const (
-	logPage  = 4096
+	logPage  = stream.PageSize
 	logChunk = 64 << 10
 )
 

@@ -344,10 +344,39 @@ func TestReplayBatchAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestDecodeFrameAllocations pins the client half: a canonical frame
-// decoded into a warm buffer costs one string per entry, holding its
-// domain and its raw value, the Frame, and nothing that grows with the
-// line.
+// TestQueueHandOffAllocatesNothing pins the hand-off between the pump
+// and a session's writer: once both arrays of a subscriber queue have
+// grown, an offer and the take that empties it allocate nothing, and a
+// take that waits out its heartbeat interval allocates nothing after the
+// first, which makes the writer's timer.
+func TestQueueHandOffAllocatesNothing(t *testing.T) {
+	q := newSubQueue(1024, ShedDropOldest)
+	q.goLive()
+	batch := make([]wireEntry, 16)
+	round := func() {
+		q.offer(batch)
+		if ents, gap, ok, _ := q.take(time.Second); !ok || gap != nil || len(ents) != len(batch) {
+			t.Fatalf("take = %d entries, gap %v, ok %v", len(ents), gap, ok)
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("a warm offer and take allocate %v times, want 0", allocs)
+	}
+	heartbeat := func() {
+		if ents, _, ok, _ := q.take(time.Microsecond); !ok || len(ents) != 0 {
+			t.Fatalf("idle take = %d entries, ok %v", len(ents), ok)
+		}
+	}
+	heartbeat()
+	if allocs := testing.AllocsPerRun(20, heartbeat); allocs != 0 {
+		t.Errorf("an idle take allocates %v times after its first, want 0", allocs)
+	}
+}
+
+// TestDecodeFrameAllocations pins decodeFrame on a canonical line and a
+// warm buffer: one string per entry, holding its domain and its raw
+// value, and the Frame, nothing that grows with the line.
 func TestDecodeFrameAllocations(t *testing.T) {
 	line := dataLine(t, benchBatch())
 	buf := make([]Entry, 0, 256)
@@ -357,8 +386,39 @@ func TestDecodeFrameAllocations(t *testing.T) {
 			t.Fatalf("decode: %v", err)
 		}
 	})
-	if allocs > 256+2 {
-		t.Errorf("decoding a 256-entry frame allocates %v times, want at most %d", allocs, 256+2)
+	if allocs != 256+1 {
+		t.Errorf("decoding a 256-entry frame allocates %v times, want %d", allocs, 256+1)
+	}
+}
+
+// repeatReader yields line and a newline over and over.
+type repeatReader struct {
+	line []byte
+	off  int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := copy(p, r.line[r.off:])
+	r.off = (r.off + n) % len(r.line)
+	return n, nil
+}
+
+// TestReadFrameAllocations pins the client's read of a DATA frame: the
+// connection owns the Frame and its Entries, so a warm read of a
+// 256-entry line costs exactly one string per entry.
+func TestReadFrameAllocations(t *testing.T) {
+	line := append(dataLine(t, benchBatch()), '\n')
+	sc := &subConn{r: bufio.NewScanner(&repeatReader{line: line})}
+	sc.r.Buffer(make([]byte, 0, 64<<10), 8<<20)
+	read := func() {
+		f, err := sc.readFrame()
+		if err != nil || f.Kind != FrameData || len(f.Entries) != 256 || f.Next != 256 {
+			t.Fatalf("readFrame: %v", err)
+		}
+	}
+	read()
+	if allocs := testing.AllocsPerRun(50, read); allocs != 256 {
+		t.Errorf("reading a warm 256-entry frame allocates %v times, want 256", allocs)
 	}
 }
 

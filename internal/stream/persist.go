@@ -26,10 +26,11 @@ const persistMagic = "DSTR1\n"
 // ErrBadSnapshot is returned when restoring malformed data.
 var ErrBadSnapshot = errors.New("stream: bad snapshot")
 
-// Persist writes the topic's full log and group offsets to w.
+// Persist writes the topic's full log and group offsets to w. It walks
+// the pages outside the lock: stored messages never move or change.
 func (t *Topic) Persist(w io.Writer) error {
 	t.mu.Lock()
-	log := append([]Message(nil), t.log...)
+	pages, n := t.pages, t.n
 	groups := make(map[string]int64, len(t.groups))
 	for g, off := range t.groups {
 		groups[g] = off
@@ -40,11 +41,13 @@ func (t *Topic) Persist(w io.Writer) error {
 	if _, err := bw.WriteString(persistMagic); err != nil {
 		return err
 	}
-	putUvarint(bw, uint64(len(log)))
-	for _, m := range log {
-		putUvarint(bw, uint64(m.Time.UnixNano()))
-		putBytes(bw, []byte(m.Key))
-		putBytes(bw, m.Value)
+	putUvarint(bw, uint64(n))
+	for off := int64(0); off < n; off += PageSize {
+		for _, m := range pages[off/PageSize][:min(PageSize, n-off)] {
+			putUvarint(bw, uint64(m.Time.UnixNano()))
+			putBytes(bw, []byte(m.Key))
+			putBytes(bw, m.Value)
+		}
 	}
 	putUvarint(bw, uint64(len(groups)))
 	for g, off := range groups {
@@ -59,7 +62,7 @@ func (t *Topic) Persist(w io.Writer) error {
 func (t *Topic) Restore(r io.Reader) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.log) != 0 {
+	if t.n != 0 {
 		return fmt.Errorf("%w: topic %q not empty", ErrBadSnapshot, t.name)
 	}
 	br := bufio.NewReaderSize(r, 64<<10)
@@ -84,12 +87,7 @@ func (t *Topic) Restore(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("%w: value", ErrBadSnapshot)
 		}
-		t.log = append(t.log, Message{
-			Offset: int64(i),
-			Time:   time.Unix(0, int64(nanos)).UTC(),
-			Key:    string(key),
-			Value:  val,
-		})
+		t.append(time.Unix(0, int64(nanos)).UTC(), string(key), val)
 	}
 	g, err := binary.ReadUvarint(br)
 	if err != nil {

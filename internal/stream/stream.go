@@ -5,11 +5,17 @@
 // The bus favors batch hand-off over per-message channels: consumers poll
 // slices of messages, which keeps the hot path allocation-free and is the
 // design decision benchmarked in DESIGN.md §5.
+//
+// A topic stores its log in fixed pages of PageSize messages, so a
+// publish never moves a stored message and a returned slice stays valid
+// for the topic's lifetime. A read returns messages from one page: Poll
+// and Read stop at a page end, and a caller that wants more reads again.
 package stream
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -101,72 +107,90 @@ func (b *Bus) Close() {
 	b.mu.Unlock()
 }
 
+// PageSize is the number of messages in one page of a topic's log, the
+// geometry of the feed server's encoded log too.
+const PageSize = 4096
+
 // Topic is an append-only message log with consumer-group offsets.
 type Topic struct {
 	name string
 
-	mu         sync.Mutex
-	log        []Message
-	groups     map[string]int64 // committed offset per group (next to read)
-	waiters    map[uint64]chan struct{}
-	nextWaiter uint64
+	mu     sync.Mutex
+	pages  [][]Message      // full pages, then the one being filled
+	n      int64            // messages ever published: the next offset
+	groups map[string]int64 // committed offset per group (next to read)
+	// waiters are the wake channels of consumers blocked in WaitNext;
+	// each stays registered for its wait and Publish signals every one.
+	waiters []chan struct{}
 }
 
 func newTopic(name string) *Topic {
-	return &Topic{name: name, groups: make(map[string]int64), waiters: make(map[uint64]chan struct{})}
+	return &Topic{name: name, groups: make(map[string]int64)}
 }
 
 // Name returns the topic name.
 func (t *Topic) Name() string { return t.name }
 
-// Publish appends a message and returns its offset.
+// Publish appends a message and returns its offset. It allocates only
+// when it opens a page, and wakes every consumer waiting in WaitNext.
 func (t *Topic) Publish(now time.Time, key string, value []byte) int64 {
 	t.mu.Lock()
-	off := int64(len(t.log))
-	t.log = append(t.log, Message{Offset: off, Time: now, Key: key, Value: value})
-	waiters := t.takeWaiters()
-	t.mu.Unlock()
-	for _, w := range waiters {
-		close(w)
+	defer t.mu.Unlock()
+	off := t.append(now, key, value)
+	for _, w := range t.waiters {
+		select {
+		case w <- struct{}{}:
+		default: // already signalled
+		}
 	}
 	return off
 }
 
-// takeWaiters drains the waiter set; caller holds mu and must close every
-// returned channel after releasing it.
-func (t *Topic) takeWaiters() []chan struct{} {
-	if len(t.waiters) == 0 {
-		return nil
+// append stores a message at the head, opening a page when the last one
+// is full, and returns its offset. The caller holds mu.
+func (t *Topic) append(now time.Time, key string, value []byte) int64 {
+	off := t.n
+	if off%PageSize == 0 {
+		if t.pages == nil {
+			// Room for 64 pages, so the page table grows only after a
+			// quarter million messages.
+			t.pages = make([][]Message, 0, 64)
+		}
+		t.pages = append(t.pages, make([]Message, PageSize))
 	}
-	ws := make([]chan struct{}, 0, len(t.waiters))
-	for _, w := range t.waiters {
-		ws = append(ws, w)
-	}
-	clear(t.waiters)
-	return ws
+	t.pages[off/PageSize][off%PageSize] = Message{Offset: off, Time: now, Key: key, Value: value}
+	t.n++
+	return off
 }
 
 // Len returns the number of messages ever published.
 func (t *Topic) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.log)
+	return int(t.n)
+}
+
+// read returns up to max messages from off, stopping at the head and at
+// the end of off's page; nil when off is at or past the head. The caller
+// holds mu. The slice aliases the log, whose stored messages never move
+// or change, and is capped so an append cannot reach past it.
+func (t *Topic) read(off int64, max int) []Message {
+	if off >= t.n || max <= 0 {
+		return nil
+	}
+	i := off % PageSize
+	end := min(i+int64(max), PageSize, i+t.n-off)
+	return t.pages[off/PageSize][i:end:end]
 }
 
 // Poll returns up to max messages for group starting at its committed
-// offset, without committing. An empty slice means the group is caught up.
+// offset, without committing. It stops at the end of a page, so fewer
+// than max messages does not mean the group is caught up; an empty slice
+// does.
 func (t *Topic) Poll(group string, max int) []Message {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	start := t.groups[group]
-	if start >= int64(len(t.log)) {
-		return nil
-	}
-	end := start + int64(max)
-	if end > int64(len(t.log)) {
-		end = int64(len(t.log))
-	}
-	return t.log[start:end]
+	return t.read(t.groups[group], max)
 }
 
 // Commit advances group's offset to next (typically lastRead+1). Offsets
@@ -203,22 +227,16 @@ func (t *Topic) Groups() []string {
 
 // Read returns up to max messages starting at offset from, independent of
 // any consumer group — the replay path for subscribers that track their
-// own position (the feed tier's catch-up reads). A from past the head
-// returns nil; a negative from reads from the beginning.
+// own position (the feed tier's catch-up reads). Like Poll it stops at
+// the end of from's page. A from past the head returns nil; a negative
+// from reads from the beginning.
 func (t *Topic) Read(from int64, max int) []Message {
 	if from < 0 {
 		from = 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if from >= int64(len(t.log)) || max <= 0 {
-		return nil
-	}
-	end := from + int64(max)
-	if end > int64(len(t.log)) {
-		end = int64(len(t.log))
-	}
-	return t.log[from:end]
+	return t.read(from, max)
 }
 
 // Committed returns the group's committed offset.
@@ -232,24 +250,39 @@ func (t *Topic) Committed(group string) int64 {
 func (t *Topic) Lag(group string) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return int64(len(t.log)) - t.groups[group]
+	return t.n - t.groups[group]
 }
 
-// wait returns a channel closed at the next publish plus a cancel that
-// deregisters the channel. Callers must re-check state after the channel
-// fires, and must call cancel when abandoning the wait (e.g. on timeout)
-// so the waiter entry does not accumulate on publish-idle topics.
-func (t *Topic) wait() (<-chan struct{}, func()) {
+// pollOrWait returns up to max messages from group's committed offset and
+// commits them, or, when the group is caught up, registers wake so that
+// the next Publish signals it. Both happen under one lock, so no publish
+// can fall between the empty check and the registration. A registered
+// caller must call unwait when its wait ends.
+func (t *Topic) pollOrWait(group string, max int, wake chan struct{}) []Message {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ch := make(chan struct{})
-	id := t.nextWaiter
-	t.nextWaiter++
-	t.waiters[id] = ch
-	return ch, func() {
-		t.mu.Lock()
-		delete(t.waiters, id)
-		t.mu.Unlock()
+	if msgs := t.read(t.groups[group], max); len(msgs) > 0 {
+		t.groups[group] = msgs[len(msgs)-1].Offset + 1
+		return msgs
+	}
+	// A signal left from an earlier wait predates the check just made.
+	select {
+	case <-wake:
+	default:
+	}
+	t.waiters = append(t.waiters, wake)
+	return nil
+}
+
+// unwait deregisters a wake channel pollOrWait registered.
+func (t *Topic) unwait(wake chan struct{}) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if i := slices.Index(t.waiters, wake); i >= 0 {
+		last := len(t.waiters) - 1
+		t.waiters[i] = t.waiters[last]
+		t.waiters[last] = nil
+		t.waiters = t.waiters[:last]
 	}
 }
 
@@ -261,11 +294,17 @@ func (t *Topic) pendingWaiters() int {
 	return len(t.waiters)
 }
 
-// Consumer is a convenience wrapper binding a topic and a group.
+// Consumer is a convenience wrapper binding a topic and a group. It is
+// used by one goroutine at a time.
 type Consumer struct {
 	topic *Topic
 	group string
 	batch int
+
+	// WaitNext's wake-up, signalled by Publish while registered with the
+	// topic, and its deadline timer, created on first use and reset after.
+	wake  chan struct{}
+	timer *time.Timer
 }
 
 // NewConsumer creates a consumer for group on topic with the given poll
@@ -274,7 +313,7 @@ func NewConsumer(topic *Topic, group string, batch int) *Consumer {
 	if batch < 1 {
 		batch = 1
 	}
-	return &Consumer{topic: topic, group: group, batch: batch}
+	return &Consumer{topic: topic, group: group, batch: batch, wake: make(chan struct{}, 1)}
 }
 
 // Close drops the consumer's group from the topic. Call it when the
@@ -313,30 +352,41 @@ func (c *Consumer) Drain(fn func(Message)) int {
 
 // WaitNext blocks until a message is available, timeout elapses or stop
 // is closed (nil never stops it), then behaves like Next. It is intended
-// for real-time (non-simulated) use.
+// for real-time (non-simulated) use. Once its timer exists, a wait
+// allocates nothing.
 func (c *Consumer) WaitNext(stop <-chan struct{}, timeout time.Duration) ([]Message, bool) {
 	deadline := time.Now().Add(timeout)
 	for {
-		if msgs, ok := c.Next(); ok {
+		if msgs := c.topic.pollOrWait(c.group, c.batch, c.wake); len(msgs) > 0 {
 			return msgs, true
 		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
+		woken := c.block(stop, time.Until(deadline))
+		c.topic.unwait(c.wake)
+		if !woken {
 			return nil, false
 		}
-		ch, cancel := c.topic.wait()
-		timer := time.NewTimer(remain)
-		select {
-		case <-ch:
-			timer.Stop()
-			cancel()
-		case <-timer.C:
-			cancel()
-			return nil, false
-		case <-stop:
-			timer.Stop()
-			cancel()
-			return nil, false
-		}
+	}
+}
+
+// block waits up to d for the wake channel pollOrWait registered; false
+// means the timer fired first or stop was closed.
+func (c *Consumer) block(stop <-chan struct{}, d time.Duration) bool {
+	if d <= 0 {
+		return false
+	}
+	if c.timer == nil {
+		c.timer = time.NewTimer(d)
+	} else {
+		c.timer.Reset(d)
+	}
+	select {
+	case <-c.wake:
+		c.timer.Stop()
+		return true
+	case <-c.timer.C:
+		return false
+	case <-stop:
+		c.timer.Stop()
+		return false
 	}
 }

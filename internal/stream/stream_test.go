@@ -359,3 +359,185 @@ func TestReadIsGroupless(t *testing.T) {
 		t.Errorf("Read registered groups: %v", got)
 	}
 }
+
+// readAll reads the whole topic with Read, batch messages at a time,
+// checking that no read crosses a page end and that every offset comes
+// back once, in order.
+func readAll(t *testing.T, topic *Topic, batch int) []Message {
+	t.Helper()
+	var all []Message
+	for {
+		msgs := topic.Read(int64(len(all)), batch)
+		if len(msgs) == 0 {
+			break
+		}
+		off := msgs[0].Offset
+		if room := PageSize - off%PageSize; int64(len(msgs)) > room {
+			t.Fatalf("Read(%d, %d) returned %d messages across a page end", off, batch, len(msgs))
+		}
+		for i, m := range msgs {
+			if m.Offset != int64(len(all)) {
+				t.Fatalf("Read(%d, %d)[%d] has offset %d, want %d", off, batch, i, m.Offset, len(all))
+			}
+			all = append(all, m)
+		}
+	}
+	if len(all) != topic.Len() {
+		t.Fatalf("read %d messages of %d", len(all), topic.Len())
+	}
+	return all
+}
+
+// TestPublishAllocatesPerPage pins the paged log: a publish allocates
+// only when it opens a page, one allocation per PageSize messages, where
+// a log kept as one slice allocated every time it grew.
+func TestPublishAllocatesPerPage(t *testing.T) {
+	topic := newTopic("t")
+	value := []byte("v")
+	// AllocsPerRun's warm-up publishes the first page, which also makes
+	// the page table.
+	allocs := testing.AllocsPerRun(3, func() {
+		for range PageSize {
+			topic.Publish(now, "k", value)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("publishing a page of %d messages allocates %v times, want at most 1", PageSize, allocs)
+	}
+}
+
+// TestPublishNeverMovesAMessage holds the address of a returned message
+// across publishes that open pages: a stored message never moves.
+func TestPublishNeverMovesAMessage(t *testing.T) {
+	topic := newTopic("t")
+	topic.Publish(now, "first", nil)
+	first := &topic.Read(0, 1)[0]
+	for i := range 10_000 {
+		topic.Publish(now, fmt.Sprintf("k%d", i), nil)
+	}
+	if again := &topic.Read(0, 1)[0]; again != first {
+		t.Fatalf("message 0 moved from %p to %p after 10 000 publishes", first, again)
+	}
+	if first.Key != "first" || first.Offset != 0 {
+		t.Fatalf("message 0 = %+v", *first)
+	}
+}
+
+// TestReadsStopAtPageEnds reads a topic of three pages and a bit in
+// batches that do not divide the page size, with Read and with a
+// consumer group: every offset comes back once and in order, and no
+// batch crosses a page end.
+func TestReadsStopAtPageEnds(t *testing.T) {
+	topic := newTopic("t")
+	const n = 3*PageSize + 17
+	for i := range n {
+		topic.Publish(now, fmt.Sprintf("k%d", i), nil)
+	}
+	for i, m := range readAll(t, topic, 1000) {
+		if m.Key != fmt.Sprintf("k%d", i) {
+			t.Fatalf("message %d has key %q", i, m.Key)
+		}
+	}
+	// Read near a boundary returns the rest of the page, then the next.
+	if got := topic.Read(PageSize-3, 10); len(got) != 3 || got[2].Offset != PageSize-1 {
+		t.Fatalf("Read(PageSize-3, 10) = %d messages", len(got))
+	}
+	if got := topic.Read(PageSize, 10); len(got) != 10 || got[0].Offset != PageSize {
+		t.Fatalf("Read(PageSize, 10) = %d messages", len(got))
+	}
+	c := NewConsumer(topic, "g", 1000)
+	next := int64(0)
+	for {
+		msgs, ok := c.Next()
+		if !ok {
+			break
+		}
+		if int64(len(msgs)) > PageSize-next%PageSize {
+			t.Fatalf("Next at %d returned %d messages across a page end", next, len(msgs))
+		}
+		for _, m := range msgs {
+			if m.Offset != next {
+				t.Fatalf("Next yielded offset %d, want %d", m.Offset, next)
+			}
+			next++
+		}
+	}
+	if next != n || topic.Lag("g") != 0 {
+		t.Fatalf("consumed %d of %d, lag %d", next, n, topic.Lag("g"))
+	}
+}
+
+// TestPublishAfterEmptyPollWakes drives the window between a consumer's
+// empty poll and its block: a publish that lands there must signal the
+// wake channel the poll registered, or the consumer would sleep through
+// it until the next publish or its timeout.
+func TestPublishAfterEmptyPollWakes(t *testing.T) {
+	topic := newTopic("t")
+	c := NewConsumer(topic, "g", 4)
+	if msgs := topic.pollOrWait(c.group, c.batch, c.wake); msgs != nil {
+		t.Fatalf("empty topic polled %d messages", len(msgs))
+	}
+	topic.Publish(now, "in-the-window", nil)
+	if !c.block(nil, time.Second) {
+		t.Fatal("a publish between the empty poll and the block did not wake the consumer")
+	}
+	topic.unwait(c.wake)
+	if n := topic.pendingWaiters(); n != 0 {
+		t.Fatalf("%d waiters left registered", n)
+	}
+	if msgs, ok := c.WaitNext(nil, time.Hour); !ok || len(msgs) != 1 || msgs[0].Key != "in-the-window" {
+		t.Fatalf("WaitNext = %+v, %v", msgs, ok)
+	}
+}
+
+// TestConcurrentPublishersAndWaitNext runs four publishers against two
+// consumers blocking in WaitNext (run it under -race): each consumer sees
+// every offset once, in order, each publisher's messages in the order it
+// sent them, and never waits out its timeout while messages are due.
+func TestConcurrentPublishersAndWaitNext(t *testing.T) {
+	topic := newTopic("t")
+	const producers, per = 4, 2500 // over two pages
+	var wg sync.WaitGroup
+	for p := range producers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range per {
+				topic.Publish(now, fmt.Sprintf("p%d-%d", p, i), nil)
+				if i%500 == 0 {
+					time.Sleep(time.Millisecond) // let the consumers catch up and block
+				}
+			}
+		}()
+	}
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := NewConsumer(topic, fmt.Sprintf("g%d", g), 64+g*100)
+			defer c.Close()
+			next := make([]int, producers)
+			for off := int64(0); off < producers*per; {
+				msgs, ok := c.WaitNext(nil, 5*time.Second)
+				if !ok {
+					t.Errorf("group %d: WaitNext timed out at offset %d", g, off)
+					return
+				}
+				for _, m := range msgs {
+					var p, i int
+					fmt.Sscanf(m.Key, "p%d-%d", &p, &i)
+					if m.Offset != off || i != next[p] {
+						t.Errorf("group %d: offset %d key %s, want offset %d and p%d-%d", g, m.Offset, m.Key, off, p, next[p])
+						return
+					}
+					next[p]++
+					off++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := topic.pendingWaiters(); n != 0 {
+		t.Fatalf("%d waiters left registered", n)
+	}
+}
