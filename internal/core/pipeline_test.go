@@ -72,7 +72,7 @@ func TestPipelinePublishesFeed(t *testing.T) {
 	if topic.Len() != 1 {
 		t.Fatalf("feed messages = %d", topic.Len())
 	}
-	msgs := topic.Poll("reader", 10)
+	msgs := topic.Read(0, 10)
 	if msgs[0].Key != "feedme.shop" {
 		t.Errorf("feed key: %q", msgs[0].Key)
 	}

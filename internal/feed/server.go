@@ -19,10 +19,6 @@ const DefaultTenant = "public"
 // down.
 var ErrServerClosed = errors.New("feed: server closed")
 
-// pumpNonce makes fan-out consumer-group names unique across servers
-// sharing one topic.
-var pumpNonce atomic.Uint64
-
 // ServerConfig parameterizes the fan-out tier.
 type ServerConfig struct {
 	// QueueBound caps each subscriber's live-delivery queue (entries).
@@ -150,10 +146,9 @@ func (s *Server) Serve(addr string) (net.Addr, error) {
 	}
 	s.ln = ln
 	s.mu.Unlock()
-	group := fmt.Sprintf("feed-fanout-%d", pumpNonce.Add(1))
-	s.topic.Commit(group, s.encodeBacklog())
+	from := s.encodeBacklog()
 	s.wg.Add(2)
-	go s.pump(group)
+	go s.pump(from)
 	go s.acceptLoop(ln)
 	return ln.Addr(), nil
 }
@@ -211,7 +206,7 @@ func (s *Server) Stats() FanoutStats {
 }
 
 // encodeBacklog appends the entries published before Serve to the log
-// and returns its head, the offset the pump's group starts at.
+// and returns its head, the offset the pump starts reading at.
 func (s *Server) encodeBacklog() int64 {
 	for {
 		msgs := s.topic.Read(s.log.len(), 4*s.cfg.BatchMax)
@@ -222,15 +217,14 @@ func (s *Server) encodeBacklog() int64 {
 	}
 }
 
-// pump is the single topic consumer feeding every subscriber queue: one
-// consumer group for the whole tier, dropped on shutdown. It appends each
-// polled batch to the log before it broadcasts it, so a session that goes
-// live after a missed broadcast finds those entries in its second replay,
-// and readies the log's next storage only after the broadcast.
-func (s *Server) pump(group string) {
+// pump is the single topic reader feeding every subscriber queue, from
+// offset from on. It appends each batch it reads to the log before it
+// broadcasts it, so a session that goes live after a missed broadcast
+// finds those entries in its second replay, and readies the log's next
+// storage only after the broadcast.
+func (s *Server) pump(from int64) {
 	defer s.wg.Done()
-	consumer := stream.NewConsumer(s.topic, group, 4*s.cfg.BatchMax)
-	defer consumer.Close()
+	consumer := stream.NewConsumer(s.topic, from, 4*s.cfg.BatchMax)
 	for {
 		select {
 		case <-s.done:

@@ -40,17 +40,14 @@ func startFeedServer(t *testing.T, cfg ServerConfig) (*stream.Topic, string, *Se
 	return topic, addr.String(), srv
 }
 
-// --- Satellite: consumer-group lifecycle ---------------------------------
+// --- Satellite: subscription lifecycle ----------------------------------
 
-// TestNoConsumerGroupLeak cycles many replaying and live-tailing
-// connections and asserts the topic's group map returns to its prior
-// size: the old server leaked one conn-<addr>-<nanos> group per
-// connection forever.
-func TestNoConsumerGroupLeak(t *testing.T) {
-	bus := stream.NewBus()
-	topic := bus.Topic("nrd-feed")
-	before := len(topic.Groups())
-
+// TestClosedSessionsLeaveNoSubscribers cycles many replaying and
+// live-tailing connections and asserts the registry's subscriber count
+// returns to zero, once the peers have hung up and again after Close:
+// a session that kept its subscription would leak its queue forever.
+func TestClosedSessionsLeaveNoSubscribers(t *testing.T) {
+	topic := stream.NewBus().Topic("nrd-feed")
 	srv := NewServer(topic)
 	addr, err := srv.Serve("127.0.0.1:0")
 	if err != nil {
@@ -69,15 +66,16 @@ func TestNoConsumerGroupLeak(t *testing.T) {
 		}
 		conn.Close()
 	}
-	// While serving, the only group is the tier's single fan-out pump.
-	if got := len(topic.Groups()); got != before+1 {
-		t.Errorf("groups while serving = %d (%v), want %d", got, topic.Groups(), before+1)
+	for deadline := time.Now().Add(5 * time.Second); srv.Stats().Subscribers != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("subscribers after 100 hung-up sessions = %d, want 0", srv.Stats().Subscribers)
+		}
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(topic.Groups()); got != before {
-		t.Errorf("groups after close = %d (%v), want %d", got, topic.Groups(), before)
+	if got := srv.Stats().Subscribers; got != 0 {
+		t.Errorf("subscribers after Close = %d, want 0", got)
 	}
 }
 

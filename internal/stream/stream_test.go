@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,107 +9,85 @@ import (
 
 var now = time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC)
 
+// TestPublishPollCommit publishes five messages, checks the offsets
+// Publish returns, and polls them back: a Read returns the same window
+// until the reader commits to a later offset by reading from it.
 func TestPublishPollCommit(t *testing.T) {
-	b := NewBus()
-	topic := b.Topic("nrd")
+	topic := NewBus().Topic("nrd")
 	for i := 0; i < 5; i++ {
-		off := topic.Publish(now, fmt.Sprintf("k%d", i), []byte{byte(i)})
-		if off != int64(i) {
+		if off := topic.Publish(now, fmt.Sprintf("k%d", i), []byte{byte(i)}); off != int64(i) {
 			t.Fatalf("offset = %d, want %d", off, i)
 		}
 	}
-	msgs := topic.Poll("g1", 3)
+	msgs := topic.Read(0, 3)
 	if len(msgs) != 3 || msgs[0].Key != "k0" || msgs[2].Key != "k2" {
 		t.Fatalf("poll: %+v", msgs)
 	}
-	// Without commit, poll returns the same window.
-	again := topic.Poll("g1", 3)
-	if again[0].Offset != 0 {
-		t.Error("poll committed implicitly")
+	if again := topic.Read(0, 3); again[0].Offset != 0 {
+		t.Error("Read moved a position it does not keep")
 	}
-	topic.Commit("g1", 3)
-	rest := topic.Poll("g1", 10)
+	rest := topic.Read(3, 10)
 	if len(rest) != 2 || rest[0].Key != "k3" {
 		t.Fatalf("after commit: %+v", rest)
 	}
 }
 
-func TestGroupsAreIndependent(t *testing.T) {
-	b := NewBus()
-	topic := b.Topic("x")
-	topic.Publish(now, "a", nil)
-	topic.Publish(now, "b", nil)
-	topic.Commit("g1", 2)
-	if topic.Lag("g1") != 0 {
-		t.Errorf("g1 lag = %d", topic.Lag("g1"))
+// TestReadIsGroupless reads by offset alone: a window from the middle, a
+// negative from clamped to the start, nothing past the head or for max 0,
+// and no read moves the offset a Consumer keeps.
+func TestReadIsGroupless(t *testing.T) {
+	topic := NewBus().Topic("t")
+	for i := 0; i < 5; i++ {
+		topic.Publish(now, fmt.Sprintf("k%d", i), nil)
 	}
-	if topic.Lag("g2") != 2 {
-		t.Errorf("g2 lag = %d", topic.Lag("g2"))
+	c := NewConsumer(topic, 1, 1)
+	msgs := topic.Read(2, 2)
+	if len(msgs) != 2 || msgs[0].Offset != 2 || msgs[1].Offset != 3 {
+		t.Fatalf("Read(2,2) = %+v", msgs)
 	}
-	if topic.Committed("g2") != 0 {
-		t.Error("g2 committed moved")
+	if msgs := topic.Read(-7, 3); len(msgs) != 3 || msgs[0].Offset != 0 {
+		t.Errorf("negative from should clamp to 0: %+v", msgs)
 	}
-}
-
-func TestCommitNeverRegresses(t *testing.T) {
-	b := NewBus()
-	topic := b.Topic("x")
-	topic.Publish(now, "a", nil)
-	topic.Commit("g", 1)
-	topic.Commit("g", 0)
-	if topic.Committed("g") != 1 {
-		t.Error("commit regressed")
+	if msgs := topic.Read(5, 10); msgs != nil {
+		t.Errorf("Read past head = %+v, want nil", msgs)
 	}
-}
-
-func TestCreateTopicDuplicate(t *testing.T) {
-	b := NewBus()
-	if _, err := b.CreateTopic("t"); err != nil {
-		t.Fatal(err)
+	if msgs := topic.Read(0, 0); msgs != nil {
+		t.Errorf("Read with max 0 = %+v, want nil", msgs)
 	}
-	if _, err := b.CreateTopic("t"); !errors.Is(err, ErrTopicOpen) {
-		t.Errorf("want ErrTopicOpen, got %v", err)
+	if msgs, ok := c.WaitNext(nil, time.Second); !ok || msgs[0].Offset != 1 {
+		t.Errorf("Read moved a consumer's offset: %+v", msgs)
 	}
 }
 
-func TestClosedBusRefusesNewTopics(t *testing.T) {
+// TestTopicReturnsTheSameTopic holds Bus.Topic to one topic per name: a
+// second call, from any goroutine, returns the topic the first made.
+func TestTopicReturnsTheSameTopic(t *testing.T) {
 	b := NewBus()
-	b.Close()
-	if _, err := b.CreateTopic("t"); !errors.Is(err, ErrClosed) {
-		t.Errorf("want ErrClosed, got %v", err)
+	first := b.Topic("nrd")
+	got := make([]*Topic, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = b.Topic("nrd")
+		}()
 	}
-}
-
-func TestTopicOnClosedBusNeverNil(t *testing.T) {
-	b := NewBus()
-	b.Close()
-	// Historically this lost-race recovery path returned a nil *Topic
-	// that callers dereferenced; it must now return a detached topic.
-	topic := b.Topic("late")
-	if topic == nil {
-		t.Fatal("Topic returned nil on closed bus")
+	wg.Wait()
+	for i, topic := range got {
+		if topic != first {
+			t.Fatalf("call %d returned another topic", i)
+		}
 	}
-	if off := topic.Publish(now, "k", nil); off != 0 {
-		t.Fatalf("publish on detached topic: offset %d", off)
-	}
-	if got := b.Topics(); len(got) != 0 {
-		t.Errorf("detached topic registered on closed bus: %v", got)
-	}
-}
-
-func TestTopicPreClosePersistsAcrossClose(t *testing.T) {
-	b := NewBus()
-	pre := b.Topic("pre")
-	b.Close()
-	if got := b.Topic("pre"); got != pre {
-		t.Error("existing topic not returned after Close")
+	if other := b.Topic("other"); other == first || other.Name() != "other" {
+		t.Errorf("Topic(%q) = %q", "other", other.Name())
 	}
 }
 
 func TestWaitNextTimeoutDoesNotLeakWaiters(t *testing.T) {
 	b := NewBus()
 	topic := b.Topic("idle")
-	c := NewConsumer(topic, "g", 1)
+	c := NewConsumer(topic, 0, 1)
 	for i := 0; i < 10; i++ {
 		if _, ok := c.WaitNext(nil, time.Millisecond); ok {
 			t.Fatal("unexpected message")
@@ -126,7 +103,7 @@ func TestWaitNextTimeoutDoesNotLeakWaiters(t *testing.T) {
 // the timeout path, leave no waiter registered.
 func TestWaitNextStops(t *testing.T) {
 	topic := NewBus().Topic("idle")
-	c := NewConsumer(topic, "g", 1)
+	c := NewConsumer(topic, 0, 1)
 	stop := make(chan struct{})
 	done := make(chan bool, 1)
 	go func() {
@@ -157,33 +134,26 @@ func TestWaitNextStops(t *testing.T) {
 	}
 }
 
-func TestTopicsSorted(t *testing.T) {
-	b := NewBus()
-	b.Topic("zeta")
-	b.Topic("alpha")
-	got := b.Topics()
-	if len(got) != 2 || got[0] != "alpha" {
-		t.Errorf("Topics = %v", got)
-	}
-}
-
-func TestConsumerNextAndDrain(t *testing.T) {
-	b := NewBus()
-	topic := b.Topic("x")
+// TestConsumerReadsFromItsOffset starts a consumer at offset 3 of ten
+// messages with a batch of 4: it reads 3–6, then the remaining three,
+// then nothing.
+func TestConsumerReadsFromItsOffset(t *testing.T) {
+	topic := NewBus().Topic("x")
 	for i := 0; i < 10; i++ {
 		topic.Publish(now, "", []byte{byte(i)})
 	}
-	c := NewConsumer(topic, "g", 4)
-	msgs, ok := c.Next()
-	if !ok || len(msgs) != 4 {
-		t.Fatalf("Next: %d msgs ok=%v", len(msgs), ok)
+	c := NewConsumer(topic, 3, 4)
+	for _, want := range [][2]int64{{3, 4}, {7, 3}} {
+		msgs, ok := c.WaitNext(nil, time.Second)
+		if !ok || int64(len(msgs)) != want[1] || msgs[0].Offset != want[0] {
+			t.Fatalf("WaitNext = %d messages from %v, want %d from %d", len(msgs), msgs, want[1], want[0])
+		}
 	}
-	n := c.Drain(func(Message) {})
-	if n != 6 {
-		t.Errorf("Drain = %d, want 6", n)
+	if msgs, ok := c.WaitNext(nil, time.Millisecond); ok {
+		t.Errorf("caught-up consumer read %d messages", len(msgs))
 	}
-	if _, ok := c.Next(); ok {
-		t.Error("Next after drain should be empty")
+	if msgs, _ := NewConsumer(topic, -5, 1).WaitNext(nil, time.Second); len(msgs) != 1 || msgs[0].Offset != 0 {
+		t.Errorf("negative from should clamp to 0: %+v", msgs)
 	}
 }
 
@@ -191,8 +161,9 @@ func TestConsumerBatchFloor(t *testing.T) {
 	b := NewBus()
 	topic := b.Topic("x")
 	topic.Publish(now, "", nil)
-	c := NewConsumer(topic, "g", 0)
-	if msgs, ok := c.Next(); !ok || len(msgs) != 1 {
+	topic.Publish(now, "", nil)
+	c := NewConsumer(topic, 0, 0)
+	if msgs, ok := c.WaitNext(nil, time.Second); !ok || len(msgs) != 1 {
 		t.Error("batch floor of 1 not applied")
 	}
 }
@@ -200,7 +171,7 @@ func TestConsumerBatchFloor(t *testing.T) {
 func TestWaitNextWakesOnPublish(t *testing.T) {
 	b := NewBus()
 	topic := b.Topic("x")
-	c := NewConsumer(topic, "g", 1)
+	c := NewConsumer(topic, 0, 1)
 	done := make(chan int, 1)
 	go func() {
 		msgs, ok := c.WaitNext(nil, 5*time.Second)
@@ -224,7 +195,7 @@ func TestWaitNextWakesOnPublish(t *testing.T) {
 
 func TestWaitNextTimesOut(t *testing.T) {
 	b := NewBus()
-	c := NewConsumer(b.Topic("x"), "g", 1)
+	c := NewConsumer(b.Topic("x"), 0, 1)
 	start := time.Now()
 	if _, ok := c.WaitNext(nil, 20*time.Millisecond); ok {
 		t.Fatal("WaitNext returned messages on empty topic")
@@ -252,13 +223,8 @@ func TestConcurrentPublishersAndConsumers(t *testing.T) {
 	if topic.Len() != producers*per {
 		t.Fatalf("len = %d", topic.Len())
 	}
-	// Offsets must be dense and unique.
-	seen := make(map[int64]bool)
-	c := NewConsumer(topic, "g", 100)
-	c.Drain(func(m Message) { seen[m.Offset] = true })
-	if len(seen) != producers*per {
-		t.Fatalf("consumed %d unique offsets", len(seen))
-	}
+	// Offsets must be dense and unique; readAll checks both.
+	readAll(t, topic, 100)
 }
 
 func BenchmarkPublish(b *testing.B) {
@@ -272,93 +238,29 @@ func BenchmarkPublish(b *testing.B) {
 	}
 }
 
-func BenchmarkConsumeBatch100(b *testing.B) {
-	bus := NewBus()
-	topic := bus.Topic("bench")
+// benchmarkConsume reads a 100 000-message topic from offset 0 to its
+// head, batch messages at a time: one op is the whole topic.
+func benchmarkConsume(b *testing.B, batch int) {
+	topic := NewBus().Topic("bench")
 	for i := 0; i < 100_000; i++ {
 		topic.Publish(now, "k", nil)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := NewConsumer(topic, fmt.Sprintf("g%d", i), 100)
-		c.Drain(func(Message) {})
+		n := 0
+		for msgs := topic.Read(0, batch); len(msgs) > 0; msgs = topic.Read(int64(n), batch) {
+			n += len(msgs)
+		}
+		if n != 100_000 {
+			b.Fatalf("read %d messages", n)
+		}
 	}
 }
 
-func BenchmarkConsumeBatch1(b *testing.B) {
-	bus := NewBus()
-	topic := bus.Topic("bench")
-	for i := 0; i < 100_000; i++ {
-		topic.Publish(now, "k", nil)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := NewConsumer(topic, fmt.Sprintf("g%d", i), 1)
-		c.Drain(func(Message) {})
-	}
-}
+func BenchmarkConsumeBatch100(b *testing.B) { benchmarkConsume(b, 100) }
 
-func TestDropRemovesGroup(t *testing.T) {
-	topic := newTopic("t")
-	topic.Publish(now, "a", nil)
-	topic.Commit("g1", 1)
-	topic.Commit("g2", 1)
-	if got := topic.Groups(); len(got) != 2 {
-		t.Fatalf("groups = %v, want 2", got)
-	}
-	topic.Drop("g1")
-	if got := topic.Groups(); len(got) != 1 || got[0] != "g2" {
-		t.Errorf("groups after drop = %v, want [g2]", got)
-	}
-	topic.Drop("never-registered") // no-op
-	if got := topic.Groups(); len(got) != 1 {
-		t.Errorf("groups after no-op drop = %v", got)
-	}
-	// A dropped group restarts from zero, like any unknown group.
-	if off := topic.Committed("g1"); off != 0 {
-		t.Errorf("dropped group committed = %d, want 0", off)
-	}
-}
-
-func TestConsumerCloseDropsItsGroup(t *testing.T) {
-	topic := newTopic("t")
-	topic.Publish(now, "a", nil)
-	c := NewConsumer(topic, "conn-1", 8)
-	if _, ok := c.Next(); !ok {
-		t.Fatal("no batch")
-	}
-	if got := topic.Groups(); len(got) != 1 {
-		t.Fatalf("groups = %v", got)
-	}
-	c.Close()
-	if got := topic.Groups(); len(got) != 0 {
-		t.Errorf("groups after Close = %v, want none", got)
-	}
-}
-
-func TestReadIsGroupless(t *testing.T) {
-	topic := newTopic("t")
-	for i := 0; i < 5; i++ {
-		topic.Publish(now, fmt.Sprintf("k%d", i), nil)
-	}
-	msgs := topic.Read(2, 2)
-	if len(msgs) != 2 || msgs[0].Offset != 2 || msgs[1].Offset != 3 {
-		t.Fatalf("Read(2,2) = %+v", msgs)
-	}
-	if msgs := topic.Read(-7, 3); len(msgs) != 3 || msgs[0].Offset != 0 {
-		t.Errorf("negative from should clamp to 0: %+v", msgs)
-	}
-	if msgs := topic.Read(5, 10); msgs != nil {
-		t.Errorf("Read past head = %+v, want nil", msgs)
-	}
-	if msgs := topic.Read(0, 0); msgs != nil {
-		t.Errorf("Read with max 0 = %+v, want nil", msgs)
-	}
-	// Read leaves group state untouched.
-	if got := topic.Groups(); len(got) != 0 {
-		t.Errorf("Read registered groups: %v", got)
-	}
-}
+func BenchmarkConsumeBatch1(b *testing.B) { benchmarkConsume(b, 1) }
 
 // readAll reads the whole topic with Read, batch messages at a time,
 // checking that no read crosses a page end and that every offset comes
@@ -389,18 +291,29 @@ func readAll(t *testing.T, topic *Topic, batch int) []Message {
 }
 
 // TestPublishAllocatesPerPage pins the paged log: a publish allocates
-// only when it opens a page, one allocation per PageSize messages, where
-// a log kept as one slice allocated every time it grew.
+// only when it opens a page, one allocation per PageSize messages.
+//
+// AllocsPerRun counts every allocation in the process and divides by the
+// runs as integers, so the runtime's own background allocations (a timer
+// heap growing under the scavenger) count against the page. Over 32
+// pages they round away unless there are 32 of them, while a second
+// allocation per page, or any per publish, still reads 2 or more. A log
+// kept as one growing slice allocates less than once a page at this
+// size; TestPublishNeverMovesAMessage catches it moving messages.
 func TestPublishAllocatesPerPage(t *testing.T) {
-	topic := newTopic("t")
+	const runs = 32
+	topic := NewBus().Topic("t")
 	value := []byte("v")
 	// AllocsPerRun's warm-up publishes the first page, which also makes
-	// the page table.
-	allocs := testing.AllocsPerRun(3, func() {
+	// the page table, with room for all of them.
+	allocs := testing.AllocsPerRun(runs, func() {
 		for range PageSize {
 			topic.Publish(now, "k", value)
 		}
 	})
+	if pages, n := len(topic.pages), topic.Len(); pages != runs+1 || n != (runs+1)*PageSize {
+		t.Fatalf("%d publishes opened %d pages, want %d", n, pages, runs+1)
+	}
 	if allocs > 1 {
 		t.Errorf("publishing a page of %d messages allocates %v times, want at most 1", PageSize, allocs)
 	}
@@ -409,7 +322,7 @@ func TestPublishAllocatesPerPage(t *testing.T) {
 // TestPublishNeverMovesAMessage holds the address of a returned message
 // across publishes that open pages: a stored message never moves.
 func TestPublishNeverMovesAMessage(t *testing.T) {
-	topic := newTopic("t")
+	topic := NewBus().Topic("t")
 	topic.Publish(now, "first", nil)
 	first := &topic.Read(0, 1)[0]
 	for i := range 10_000 {
@@ -425,10 +338,10 @@ func TestPublishNeverMovesAMessage(t *testing.T) {
 
 // TestReadsStopAtPageEnds reads a topic of three pages and a bit in
 // batches that do not divide the page size, with Read and with a
-// consumer group: every offset comes back once and in order, and no
-// batch crosses a page end.
+// Consumer: every offset comes back once and in order, and no batch
+// crosses a page end.
 func TestReadsStopAtPageEnds(t *testing.T) {
-	topic := newTopic("t")
+	topic := NewBus().Topic("t")
 	const n = 3*PageSize + 17
 	for i := range n {
 		topic.Publish(now, fmt.Sprintf("k%d", i), nil)
@@ -445,41 +358,41 @@ func TestReadsStopAtPageEnds(t *testing.T) {
 	if got := topic.Read(PageSize, 10); len(got) != 10 || got[0].Offset != PageSize {
 		t.Fatalf("Read(PageSize, 10) = %d messages", len(got))
 	}
-	c := NewConsumer(topic, "g", 1000)
+	c := NewConsumer(topic, 0, 1000)
 	next := int64(0)
-	for {
-		msgs, ok := c.Next()
+	for next < n {
+		msgs, ok := c.WaitNext(nil, time.Second)
 		if !ok {
-			break
+			t.Fatalf("WaitNext at %d of %d returned nothing", next, n)
 		}
 		if int64(len(msgs)) > PageSize-next%PageSize {
-			t.Fatalf("Next at %d returned %d messages across a page end", next, len(msgs))
+			t.Fatalf("WaitNext at %d returned %d messages across a page end", next, len(msgs))
 		}
 		for _, m := range msgs {
 			if m.Offset != next {
-				t.Fatalf("Next yielded offset %d, want %d", m.Offset, next)
+				t.Fatalf("WaitNext yielded offset %d, want %d", m.Offset, next)
 			}
 			next++
 		}
 	}
-	if next != n || topic.Lag("g") != 0 {
-		t.Fatalf("consumed %d of %d, lag %d", next, n, topic.Lag("g"))
+	if msgs, ok := c.WaitNext(nil, time.Millisecond); ok {
+		t.Fatalf("WaitNext past the head returned %d messages", len(msgs))
 	}
 }
 
 // TestPublishAfterEmptyPollWakes drives the window between a consumer's
-// empty poll and its block: a publish that lands there must signal the
-// wake channel the poll registered, or the consumer would sleep through
+// empty read and its block: a publish that lands there must signal the
+// wake channel the read registered, or the consumer would sleep through
 // it until the next publish or its timeout.
 func TestPublishAfterEmptyPollWakes(t *testing.T) {
-	topic := newTopic("t")
-	c := NewConsumer(topic, "g", 4)
-	if msgs := topic.pollOrWait(c.group, c.batch, c.wake); msgs != nil {
-		t.Fatalf("empty topic polled %d messages", len(msgs))
+	topic := NewBus().Topic("t")
+	c := NewConsumer(topic, 0, 4)
+	if msgs := topic.readOrWait(c.next, c.batch, c.wake); msgs != nil {
+		t.Fatalf("empty topic read %d messages", len(msgs))
 	}
 	topic.Publish(now, "in-the-window", nil)
 	if !c.block(nil, time.Second) {
-		t.Fatal("a publish between the empty poll and the block did not wake the consumer")
+		t.Fatal("a publish between the empty read and the block did not wake the consumer")
 	}
 	topic.unwait(c.wake)
 	if n := topic.pendingWaiters(); n != 0 {
@@ -495,7 +408,7 @@ func TestPublishAfterEmptyPollWakes(t *testing.T) {
 // every offset once, in order, each publisher's messages in the order it
 // sent them, and never waits out its timeout while messages are due.
 func TestConcurrentPublishersAndWaitNext(t *testing.T) {
-	topic := newTopic("t")
+	topic := NewBus().Topic("t")
 	const producers, per = 4, 2500 // over two pages
 	var wg sync.WaitGroup
 	for p := range producers {
@@ -514,20 +427,19 @@ func TestConcurrentPublishersAndWaitNext(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := NewConsumer(topic, fmt.Sprintf("g%d", g), 64+g*100)
-			defer c.Close()
+			c := NewConsumer(topic, 0, 64+g*100)
 			next := make([]int, producers)
 			for off := int64(0); off < producers*per; {
 				msgs, ok := c.WaitNext(nil, 5*time.Second)
 				if !ok {
-					t.Errorf("group %d: WaitNext timed out at offset %d", g, off)
+					t.Errorf("consumer %d: WaitNext timed out at offset %d", g, off)
 					return
 				}
 				for _, m := range msgs {
 					var p, i int
 					fmt.Sscanf(m.Key, "p%d-%d", &p, &i)
 					if m.Offset != off || i != next[p] {
-						t.Errorf("group %d: offset %d key %s, want offset %d and p%d-%d", g, m.Offset, m.Key, off, p, next[p])
+						t.Errorf("consumer %d: offset %d key %s, want offset %d and p%d-%d", g, m.Offset, m.Key, off, p, next[p])
 						return
 					}
 					next[p]++
