@@ -76,15 +76,6 @@ func NewAggregator(lists []List) *Aggregator {
 	return &Aggregator{lists: lists, flags: make(map[string][]Flag)}
 }
 
-// Lists returns the configured list names.
-func (a *Aggregator) Lists() []string {
-	out := make([]string, len(a.lists))
-	for i, l := range a.lists {
-		out[i] = l.Name
-	}
-	return out
-}
-
 // Models returns a copy of the configured list models.
 func (a *Aggregator) Models() []List { return append([]List(nil), a.lists...) }
 

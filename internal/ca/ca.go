@@ -94,9 +94,6 @@ func New(cfg Config, clk simclock.Clock, rng *rand.Rand, res Resolver, logs ...*
 		tokens: make(map[string]time.Time)}
 }
 
-// Name returns the CA's display name (the CT entry issuer).
-func (c *CA) Name() string { return c.cfg.Name }
-
 // Stats returns cumulative issuance counts: total issued and how many
 // were issued off a cached DV token without fresh validation.
 func (c *CA) Stats() (issued, reusedToken int64) {

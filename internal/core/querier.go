@@ -7,9 +7,8 @@ import (
 )
 
 // MuxQuerier adapts an in-process rdap.Mux (the simulated per-TLD RDAP
-// services) to the pipeline's Querier interface. Network deployments use
-// rdap.Client instead; both honour the no-retry policy because retrying
-// happens in neither.
+// services) to the pipeline's Querier interface. It honours the no-retry
+// policy because it makes exactly the one lookup it is asked for.
 type MuxQuerier struct {
 	Mux *rdap.Mux
 }

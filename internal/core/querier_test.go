@@ -18,15 +18,15 @@ import (
 
 var t0 = time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC)
 
-// TestPipelineWithHTTPRDAP runs step 2 over a real HTTP RDAP service
-// backed by a simulated registry — the same wire path a production
-// deployment of the pipeline would use.
-func TestPipelineWithHTTPRDAP(t *testing.T) {
+// TestPipelineWithMuxRDAP runs step 2 through core.MuxQuerier over an
+// rdap.Mux backed by a simulated registry, the path a campaign takes: an
+// OK lookup fills the candidate's registrar and registration date, and
+// the candidate validates.
+func TestPipelineWithMuxRDAP(t *testing.T) {
 	clk := simclock.NewSim(t0)
 	reg := registry.New(registry.DefaultConfig("com"), clk, rand.New(rand.NewSource(1)))
 	defer reg.Stop()
 
-	// RDAP service over HTTP, with a backend adapter onto the registry.
 	mux := rdap.NewMux()
 	mux.Handle("com", rdap.BackendFunc(func(name string) (*rdap.Record, error) {
 		r, err := reg.RDAPLookup(name)
@@ -35,35 +35,28 @@ func TestPipelineWithHTTPRDAP(t *testing.T) {
 		}
 		return &rdap.Record{Domain: r.Domain, Registrar: r.Registrar, Registered: r.Created}, nil
 	}))
-	srv := rdap.NewServer(mux, nil)
-	addr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 
 	cfg := core.DefaultConfig(t0, t0.Add(30*24*time.Hour))
 	cfg.RDAPFailureRate = 0
 	cfg.RDAPDelay = nil
-	p := core.New(cfg, clk, psl.Default(), czds.New(),
-		rdap.NewClient("http://"+addr.String(), "worker-1"), nil, nil, 1)
+	p := core.New(cfg, clk, psl.Default(), czds.New(), core.MuxQuerier{Mux: mux}, nil, nil, 1)
 
 	// Register a domain, let it enter the zone and sync to RDAP, then
 	// deliver its certificate event.
-	reg.Register("wire-rdap.com", "NameCheap", []string{"ns1.cloudflare.com"}, netip.Addr{})
+	reg.Register("mux-rdap.com", "NameCheap", []string{"ns1.cloudflare.com"}, netip.Addr{})
 	clk.Advance(3 * time.Minute)
 	p.HandleEvent(certstream.Event{
 		Seen: clk.Now(), Log: "argon",
-		Entry: ct.Entry{Kind: ct.PreCertificate, Issuer: "LE", CN: "www.wire-rdap.com"},
+		Entry: ct.Entry{Kind: ct.PreCertificate, Issuer: "LE", CN: "www.mux-rdap.com"},
 	})
 	clk.Advance(time.Minute) // fire the RDAP collection callback
 
-	c, ok := p.Candidate("wire-rdap.com")
+	c, ok := p.Candidate("mux-rdap.com")
 	if !ok {
 		t.Fatal("candidate missing")
 	}
 	if c.RDAPOutcome != core.RDAPOK {
-		t.Fatalf("RDAP over HTTP: %v", c.RDAPOutcome)
+		t.Fatalf("RDAP through the mux: %v", c.RDAPOutcome)
 	}
 	if c.Registrar != "NameCheap" || !c.Registered.Equal(t0) {
 		t.Errorf("record: registrar=%q registered=%v", c.Registrar, c.Registered)
@@ -73,29 +66,26 @@ func TestPipelineWithHTTPRDAP(t *testing.T) {
 	}
 }
 
-// TestPipelineHTTPRDAPRateLimited exercises the paper's failure mode: a
-// rate-limited RDAP server yields RDAPError outcomes that are never
-// retried.
-func TestPipelineHTTPRDAPRateLimited(t *testing.T) {
+// TestPipelineRDAPRateLimitedNotRetried exercises the paper's failure
+// mode: a lookup the RDAP service refuses (ErrRateLimited) yields an
+// RDAPError outcome, and the pipeline never retries it.
+func TestPipelineRDAPRateLimitedNotRetried(t *testing.T) {
 	clk := simclock.NewSim(t0)
+	calls := map[string]int{}
 	mux := rdap.NewMux()
+	// A service that refuses everything after the first request.
 	mux.Handle("com", rdap.BackendFunc(func(name string) (*rdap.Record, error) {
+		calls[name]++
+		if len(calls) > 1 {
+			return nil, rdap.ErrRateLimited
+		}
 		return &rdap.Record{Domain: name, Registrar: "X", Registered: t0}, nil
 	}))
-	// A limiter that refuses everything after the first request.
-	limiter := rdap.NewRateLimiter(0.000001, 1, time.Now)
-	srv := rdap.NewServer(mux, limiter)
-	addr, err := srv.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 
 	cfg := core.DefaultConfig(t0, t0.Add(time.Hour))
 	cfg.RDAPFailureRate = 0
 	cfg.RDAPDelay = nil
-	p := core.New(cfg, clk, psl.Default(), czds.New(),
-		rdap.NewClient("http://"+addr.String(), "worker-1"), nil, nil, 1)
+	p := core.New(cfg, clk, psl.Default(), czds.New(), core.MuxQuerier{Mux: mux}, nil, nil, 1)
 
 	for i, d := range []string{"first.com", "second.com"} {
 		p.HandleEvent(certstream.Event{
@@ -104,7 +94,7 @@ func TestPipelineHTTPRDAPRateLimited(t *testing.T) {
 			Entry: ct.Entry{Kind: ct.PreCertificate, CN: d},
 		})
 	}
-	clk.Advance(time.Minute)
+	clk.Advance(24 * time.Hour)
 
 	first, _ := p.Candidate("first.com")
 	second, _ := p.Candidate("second.com")
@@ -113,5 +103,8 @@ func TestPipelineHTTPRDAPRateLimited(t *testing.T) {
 	}
 	if second.RDAPOutcome != core.RDAPError {
 		t.Errorf("second should be rate-limited: %v", second.RDAPOutcome)
+	}
+	if calls["first.com"] != 1 || calls["second.com"] != 1 {
+		t.Errorf("lookups per name: %v, want exactly one each (no retries)", calls)
 	}
 }

@@ -106,9 +106,6 @@ func checkLabel(l string) error {
 	return nil
 }
 
-// Valid reports whether s passes Check.
-func Valid(s string) bool { return Check(s) == nil }
-
 // Labels splits a canonical name into its labels, leftmost first.
 // The root name yields nil.
 func Labels(s string) []string {

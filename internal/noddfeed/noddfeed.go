@@ -15,12 +15,6 @@ import (
 	"darkdns/internal/dnsname"
 )
 
-// Detection is one feed entry.
-type Detection struct {
-	Domain string
-	At     time.Time
-}
-
 // Config models the feed's coverage.
 type Config struct {
 	// DetectRate is the probability a newly registered domain is ever

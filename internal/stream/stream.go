@@ -53,7 +53,7 @@ func (b *Bus) Topic(name string) *Topic {
 	if t := b.topics[name]; t != nil {
 		return t // lost the creation race; the topic now exists
 	}
-	t = &Topic{name: name}
+	t = &Topic{}
 	b.topics[name] = t
 	return t
 }
@@ -64,8 +64,6 @@ const PageSize = 4096
 
 // Topic is an append-only message log read by offset.
 type Topic struct {
-	name string
-
 	mu    sync.Mutex
 	pages [][]Message // full pages, then the one being filled
 	n     int64       // messages ever published: the next offset
@@ -73,9 +71,6 @@ type Topic struct {
 	// each stays registered for its wait and Publish signals every one.
 	waiters []chan struct{}
 }
-
-// Name returns the topic name.
-func (t *Topic) Name() string { return t.name }
 
 // Publish appends a message and returns its offset. It allocates only
 // when it opens a page, and wakes every consumer waiting in WaitNext.

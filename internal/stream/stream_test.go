@@ -79,8 +79,8 @@ func TestTopicReturnsTheSameTopic(t *testing.T) {
 			t.Fatalf("call %d returned another topic", i)
 		}
 	}
-	if other := b.Topic("other"); other == first || other.Name() != "other" {
-		t.Errorf("Topic(%q) = %q", "other", other.Name())
+	if other := b.Topic("other"); other == first || b.Topic("other") != other {
+		t.Errorf("Topic(%q) is not one topic of its own", "other")
 	}
 }
 

@@ -45,13 +45,6 @@ func PaperPlans() []TLDPlan {
 	}
 }
 
-// Table1TLDs are the TLDs reported individually in Table 1, in paper
-// order; the remaining plans aggregate under "Others".
-var Table1TLDs = []string{"com", "xyz", "shop", "online", "bond", "top", "net", "org", "site", "store"}
-
-// Table2TLDs are the TLDs reported individually in Table 2, paper order.
-var Table2TLDs = []string{"com", "online", "site", "net", "org", "shop", "xyz", "store", "top", "fun"}
-
 // CCTLDPlan parameterizes the ground-truth ccTLD experiment (§4.4, .nl).
 type CCTLDPlan struct {
 	TLD string

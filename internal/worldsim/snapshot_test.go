@@ -91,8 +91,8 @@ func TestSnapshotWorldByteIdentical(t *testing.T) {
 	}
 
 	// Event-stream identity, not just static ground truth.
-	want := RecordedEvents(base)
-	got := RecordedEvents(cold)
+	want := recordedEvents(base)
+	got := recordedEvents(cold)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("event streams differ: %d vs %d events", len(got), len(want))
 	}

@@ -159,9 +159,8 @@ type World struct {
 	CCZones *czds.Service
 	// Logs are the CT logs CAs submit to (multiple logs, as in the real
 	// ecosystem; the certstream hub merges them and the pipeline
-	// deduplicates by domain). Log is the first, kept for convenience.
+	// deduplicates by domain).
 	Logs       []*ct.Log
-	Log        *ct.Log
 	Hub        *certstream.Hub
 	CAs        []*ca.CA
 	Blocklists *blocklist.Aggregator
@@ -212,8 +211,7 @@ func New(cfg Config) *World {
 	w.windowEnd = cfg.Start.Add(time.Duration(cfg.Weeks) * 7 * 24 * time.Hour)
 	w.NOD = noddfeed.New(noddfeed.DefaultConfig())
 
-	w.Logs = []*ct.Log{ct.NewLog("argon-sim", nil), ct.NewLog("xenon-sim", nil)}
-	w.Log = w.Logs[0]
+	w.Logs = []*ct.Log{ct.NewLog("argon-sim"), ct.NewLog("xenon-sim")}
 	for _, l := range w.Logs {
 		w.Hub.Attach(l, w.Clock.Now)
 	}

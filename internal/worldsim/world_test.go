@@ -59,13 +59,14 @@ func TestWorldRunProducesObservables(t *testing.T) {
 	w := New(tinyConfig(2))
 	var events int
 	w.Hub.Subscribe(func(certstream.Event) { events++ })
+	entries := collectEntries(w)
 	w.Run()
 
 	if events == 0 {
 		t.Fatal("no certstream events during run")
 	}
-	if got := w.Log.Size(); got == 0 {
-		t.Fatal("CT log empty")
+	if len(*entries) == 0 {
+		t.Fatal("CT logs empty")
 	}
 	if len(w.CZDS.TLDs()) == 0 {
 		t.Fatal("no CZDS snapshots collected")
@@ -96,10 +97,11 @@ func TestWorldRunProducesObservables(t *testing.T) {
 }
 
 func TestWorldDeterministicAcrossRuns(t *testing.T) {
-	run := func() (int64, int) {
+	run := func() (int, int) {
 		w := New(tinyConfig(7))
+		entries := collectEntries(w)
 		w.Run()
-		return w.Log.Size(), w.Domains.Len()
+		return len(*entries), w.Domains.Len()
 	}
 	s1, d1 := run()
 	s2, d2 := run()
@@ -125,27 +127,22 @@ func TestCertsRequireZonePresence(t *testing.T) {
 	// Every CT entry for a non-ghost domain must have been logged at or
 	// after the moment its domain could have entered the zone.
 	w := New(tinyConfig(4))
+	entries := collectEntries(w)
 	w.Run()
 	ghosts := make(map[string]bool)
 	for _, g := range w.Ghosts {
 		ghosts[g.Name] = true
 	}
 	checked := 0
-	for _, log := range w.Logs {
-		entries, err := log.Range(0, log.Size())
-		if err != nil {
-			t.Fatal(err)
+	for _, e := range *entries {
+		d := w.Domains.Get(e.CN)
+		if d == nil || ghosts[e.CN] {
+			continue
 		}
-		for _, e := range entries {
-			d := w.Domains.Get(e.CN)
-			if d == nil || ghosts[e.CN] {
-				continue
-			}
-			if e.Logged.Before(d.Created) {
-				t.Fatalf("%s logged %v before creation %v", e.CN, e.Logged, d.Created)
-			}
-			checked++
+		if e.Logged.Before(d.Created) {
+			t.Fatalf("%s logged %v before creation %v", e.CN, e.Logged, d.Created)
 		}
+		checked++
 	}
 	if checked == 0 {
 		t.Fatal("no non-ghost entries checked")
@@ -214,7 +211,7 @@ func TestWorldIdenticalAcrossBuildWorkers(t *testing.T) {
 		w := New(cfg)
 		fp := worldFingerprint(w)
 		w.Stop()
-		evs := RecordedEvents(cfg)
+		evs := recordedEvents(cfg)
 		var sb strings.Builder
 		for _, ev := range evs {
 			fmt.Fprintf(&sb, "%+v\n", ev)
@@ -375,7 +372,7 @@ func TestCertAttemptRetriesOnItsRecord(t *testing.T) {
 	noDelay := func(*rand.Rand) time.Duration { return 0 }
 	w := &World{Clock: clk}
 	w.CAs = []*ca.CA{ca.New(ca.Config{Name: "CA", ValidationDelay: noDelay}, clk,
-		rand.New(rand.NewSource(1)), never, ct.NewLog("log", nil))}
+		rand.New(rand.NewSource(1)), never, ct.NewLog("log"))}
 	lc := &lifecycle{w: w, r: &regLayout{d: &Domain{Name: "x.com"}, retrySeed: 7}}
 
 	clk.Schedule(start, (*certAttempt)(lc))

@@ -51,9 +51,6 @@ func New(r io.Reader, opts ...Option) *Parser {
 	return p
 }
 
-// Origin returns the currently effective origin.
-func (p *Parser) Origin() string { return p.origin }
-
 // Next returns the next record. It returns io.EOF after the last record.
 func (p *Parser) Next() (*dnsmsg.Record, error) {
 	for {
