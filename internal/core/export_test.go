@@ -17,7 +17,9 @@ func TestCandidateExportRoundTrip(t *testing.T) {
 	for i, d := range []string{"a.com", "b.shop", "c.xyz"} {
 		p.HandleEvent(event(t0.Add(time.Duration(i)*time.Minute), d))
 	}
-	clk.Run() // let RDAP collections fire
+	for clk.Pending() > 0 { // let RDAP collections fire
+		clk.Advance(24 * time.Hour)
+	}
 
 	want := p.Candidates()
 	var buf bytes.Buffer

@@ -96,7 +96,9 @@ func TestHandleEventAllocations(t *testing.T) {
 		t.Errorf("HandleEvent of a fresh name allocates %v times, want ≤ 1", allocs)
 	}
 	// The timers fire their own records: every candidate gets its outcome.
-	clk.Run()
+	for clk.Pending() > 0 {
+		clk.Advance(24 * time.Hour)
+	}
 	for _, c := range p.Candidates() {
 		if c.RDAPOutcome == RDAPPending {
 			t.Fatalf("%s: RDAP timer never fired", c.Domain)
@@ -129,7 +131,11 @@ func TestAdmissionAllocations(t *testing.T) {
 	if p.Len() != 2*n {
 		t.Fatalf("admitted %d candidates, want %d", p.Len(), 2*n)
 	}
-	if got := testing.AllocsPerRun(1, func() {
+	// Every run replays the same duplicates. AllocsPerRun divides the
+	// process's allocations by the runs as integers, so over 20 runs the
+	// runtime's own stray allocations round away, where over one a single
+	// stray failed the pin.
+	if got := testing.AllocsPerRun(20, func() {
 		for _, ev := range evs[:n] {
 			p.HandleEvent(ev)
 		}

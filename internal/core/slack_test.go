@@ -51,7 +51,9 @@ func TestSummary(t *testing.T) {
 	p := New(DefaultConfig(t0, t0.Add(time.Hour)), clk, psl.Default(), czds.New(), nullQuerier{}, nil, nil, 1)
 	p.HandleEvent(event(t0, "one.com"))
 	p.HandleEvent(event(t0, "two.shop"))
-	clk.Run()
+	for clk.Pending() > 0 {
+		clk.Advance(24 * time.Hour)
+	}
 	s := p.Summary()
 	if s.Candidates != 2 {
 		t.Fatalf("candidates = %d", s.Candidates)

@@ -181,7 +181,9 @@ func (s foldScript) run(wrap func(*notifyBackend) Backend) ([]DomainState, Fleet
 			clk.At(at, op)
 		}
 	}
-	clk.Run()
+	for clk.Pending() > 0 {
+		clk.Advance(24 * time.Hour)
+	}
 	return f.States(), f.Report(), obs
 }
 

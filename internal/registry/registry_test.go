@@ -232,7 +232,9 @@ func TestPublicationAllocations(t *testing.T) {
 	for i := range 256 {
 		clk.Schedule(clk.Now().Add(time.Duration(i)*time.Minute), simclock.Func(func() {}))
 	}
-	clk.Run()
+	for clk.Pending() > 0 {
+		clk.Advance(24 * time.Hour)
+	}
 
 	ns, alt := []string{"ns1.a.net", "ns2.a.net"}, []string{"ns1.b.net", "ns2.b.net"}
 	next := 0

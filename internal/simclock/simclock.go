@@ -9,7 +9,7 @@
 //
 //   - Real: a thin adapter over the time package.
 //   - Sim: a discrete-event engine. Goroutine-safe; timers fire in
-//     timestamp order when the owner calls Advance, Run or RunUntil.
+//     timestamp order when the owner calls Advance or RunUntil.
 //
 // Sim stores events in a timer wheel (coarse buckets plus an overflow
 // heap, wheel.go), so pushing the dominant near-future events is O(1),
@@ -23,15 +23,16 @@
 // growth of those slices, and every slot an event leaves is zeroed, so a
 // fired action stays collectable. At and After wrap their callback in a
 // Func, which allocates nothing; Schedule, part of the Clock interface,
-// takes any Firer, so a bulk producer can schedule the elements of a slab
-// it owns and a caller can schedule a record it keeps as that record's
-// own timer (Real implements it with time.AfterFunc(d, f.Fire)). A
-// Ticker re-arms itself with one bound callback, so the steady state of
-// a campaign — a probe round re-arming the next, a registry arming its
-// next zone rebuild when a change is pending, the daily snapshot ticks —
-// allocates nothing per event. Bulk producers (the world builder's commit phase,
-// DESIGN.md §9) install whole timelines through ScheduleBatch, one lock
-// acquisition per batch.
+// takes any Firer, so a caller can schedule a record it keeps as that
+// record's own timer (Real implements it with time.AfterFunc(d, f.Fire)).
+// A Ticker re-arms itself with one bound callback, so the steady state
+// of a campaign — a probe round re-arming the next, a registry arming
+// its next zone rebuild when a change is pending, the daily snapshot
+// ticks — allocates nothing per event. A bulk producer (the world
+// builder's commit phase, DESIGN.md §9) hands over a whole timeline as a
+// Run: a slab it owns, which the clock neither copies nor heaps. The
+// first drain sorts each run in place, and the drain merges the run
+// heads with the wheel and the overflow heap.
 package simclock
 
 import (
@@ -84,8 +85,8 @@ func (r Real) At(t time.Time, fn func()) {
 func (r Real) Schedule(t time.Time, f Firer) { r.At(t, f.Fire) }
 
 // Sim is a deterministic discrete-event clock. Events scheduled via After/At
-// fire, in timestamp order, when the simulation owner calls Advance, Run
-// or RunUntil. Callbacks run on the draining goroutine and may schedule
+// fire, in timestamp order, when the simulation owner calls Advance or
+// RunUntil. Callbacks run on the draining goroutine and may schedule
 // further events.
 type Sim struct {
 	mu  sync.Mutex
@@ -99,6 +100,14 @@ type Sim struct {
 	occ      [wheelSlots / 64]uint64
 	wheelLen int
 	overflow eventHeap
+
+	// runs are the producers' timelines (ScheduleRun, wheel.go):
+	// runs[:sortedRuns] is a min-heap by head event, and the runs after
+	// it wait for the next drain to sort them. runLen counts the run
+	// entries not yet fired.
+	runs       []run
+	sortedRuns int
+	runLen     int
 
 	// group is the drain's same-instant buffer, kept between drains, so
 	// the steady state — ticker firings, After-from-callback chains —
@@ -151,23 +160,11 @@ func (s *Sim) Schedule(t time.Time, f Firer) {
 func (s *Sim) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.wheelLen + len(s.overflow)
+	return s.pending()
 }
 
-// NextAt returns the timestamp of the earliest pending event.
-// ok is false when no events are pending.
-func (s *Sim) NextAt() (t time.Time, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ev, _ := s.peek()
-	if ev == nil {
-		return time.Time{}, false
-	}
-	return ev.at, true
-}
-
-// unbounded is the deadline rule for drain-everything modes.
-func unbounded(time.Time) (time.Time, bool) { return time.Time{}, false }
+// pending counts the events in every store; the caller holds s.mu.
+func (s *Sim) pending() int { return s.wheelLen + len(s.overflow) + s.runLen }
 
 // Advance moves simulated time forward by d, firing every event whose
 // timestamp falls within the window in order. It returns the number of
@@ -178,18 +175,14 @@ func (s *Sim) Advance(d time.Duration) int {
 	if d < 0 {
 		d = 0
 	}
-	return s.drain(func(now time.Time) (time.Time, bool) { return now.Add(d), true })
+	return s.drain(func(now time.Time) time.Time { return now.Add(d) })
 }
 
 // RunUntil fires events in order until the clock reaches t, returning the
 // count fired.
 func (s *Sim) RunUntil(t time.Time) int {
-	return s.drain(func(time.Time) (time.Time, bool) { return t, true })
+	return s.drain(func(time.Time) time.Time { return t })
 }
-
-// Run fires events until none remain, returning the count fired. Callbacks
-// may schedule more events; Run continues until the queue drains.
-func (s *Sim) Run() int { return s.drain(unbounded) }
 
 // drain is the engine's one loop: it pops the group of events sharing the
 // earliest timestamp, commits now to that instant and fires the group in
@@ -198,17 +191,17 @@ func (s *Sim) Run() int { return s.drain(unbounded) }
 // gets a higher seq than the whole group and fires in the next one, where
 // a one-event-at-a-time loop would also have put it. deadlineOf computes
 // the deadline from now under the initial lock hold — the Advance TOCTOU
-// fix — and reports whether the drain is bounded at all.
-func (s *Sim) drain(deadlineOf func(time.Time) (time.Time, bool)) int {
+// fix.
+func (s *Sim) drain(deadlineOf func(time.Time) time.Time) int {
 	fired := 0
 	s.mu.Lock()
 	// The group buffer is taken, not shared: a drain nested in a callback
 	// finds none and makes its own.
 	group := s.group
 	s.group = nil
-	deadline, bounded := deadlineOf(s.now)
+	deadline := deadlineOf(s.now)
 	for {
-		group = s.popGroup(group[:0], deadline, bounded)
+		group = s.popGroup(group[:0], deadline)
 		if len(group) == 0 {
 			break
 		}
@@ -221,7 +214,7 @@ func (s *Sim) drain(deadlineOf func(time.Time) (time.Time, bool)) int {
 		clear(group)
 		s.mu.Lock()
 	}
-	if bounded && deadline.After(s.now) {
+	if deadline.After(s.now) {
 		s.now = deadline
 	}
 	s.group = group
@@ -247,7 +240,7 @@ func (s *Sim) fireGroup(group []event) {
 // same-instant group; coalesced counts events that shared theirs with at
 // least one other.
 type Stats struct {
-	Scheduled int64 // events pushed via After/At/Schedule/ScheduleBatch
+	Scheduled int64 // events scheduled via After/At/Schedule, and run entries via ScheduleRun
 	Fired     int64 // callbacks executed
 	Coalesced int64 // events fired in a same-instant group of width > 1
 	Rounds    int64 // same-instant groups fired
@@ -265,7 +258,7 @@ type Stats struct {
 // scheduling and draining.
 func (s *Sim) Stats() Stats {
 	s.mu.Lock()
-	pending := s.wheelLen + len(s.overflow)
+	pending := s.pending()
 	s.mu.Unlock()
 	return Stats{
 		Scheduled: s.scheduled.Load(),

@@ -78,7 +78,7 @@ func TestCallbackMaySchedule(t *testing.T) {
 		}
 	}
 	s.After(time.Minute, rec)
-	s.Run()
+	runAll(s)
 	if len(times) != 4 {
 		t.Fatalf("got %d firings, want 4", len(times))
 	}
@@ -100,15 +100,23 @@ func TestAtClampsToPast(t *testing.T) {
 	}
 }
 
+// TestNextAt: the earliest pending instant is found across the wheel,
+// the overflow heap and the runs, an unsorted run included.
 func TestNextAt(t *testing.T) {
 	s := NewSim(epoch)
-	if _, ok := s.NextAt(); ok {
-		t.Fatal("NextAt on empty queue should report !ok")
+	if _, ok := nextAt(s); ok {
+		t.Fatal("nextAt on empty queue should report !ok")
 	}
 	s.After(42*time.Second, func() {})
-	at, ok := s.NextAt()
+	at, ok := nextAt(s)
 	if !ok || !at.Equal(epoch.Add(42*time.Second)) {
-		t.Fatalf("NextAt = %v, %v", at, ok)
+		t.Fatalf("nextAt = %v, %v", at, ok)
+	}
+	s.After(wheelSpan+time.Hour, func() {})
+	nop := Func(func() {})
+	s.ScheduleRun(timeline{{epoch.Add(time.Hour), nop, 0}, {epoch.Add(7 * time.Second), nop, 1}})
+	if at, ok := nextAt(s); !ok || !at.Equal(epoch.Add(7*time.Second)) {
+		t.Fatalf("nextAt with a run = %v, %v", at, ok)
 	}
 }
 
@@ -196,7 +204,7 @@ func TestConcurrentScheduling(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	s.Run()
+	runAll(s)
 	if count != 50 {
 		t.Fatalf("fired %d, want 50", count)
 	}
@@ -239,5 +247,5 @@ func BenchmarkSimScheduleAndRun(b *testing.B) {
 		s.After(time.Duration(i%1000)*time.Millisecond, func() {})
 	}
 	b.ResetTimer()
-	s.Run()
+	runAll(s)
 }

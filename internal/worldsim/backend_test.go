@@ -3,6 +3,7 @@ package worldsim
 import (
 	"net/netip"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -192,10 +193,14 @@ func TestMailAnswers(t *testing.T) {
 }
 
 // TestFirstMailProbeAllocations: a record's first mail probe builds its
-// MX answer in one allocation — one string holding both names, in a pair
-// of slots from the store's slab — and its answers still read mx1.<name>,
-// mx2.<name> and its web host's SPF policy. A pair of its own cost three
-// allocations (each name and the slice).
+// MX answer with no allocation of its own — both names are substrings of
+// the store's MX text chunk, in a pair of slots from its slab — so the
+// first probes of every record cost a few chunks, the growth of the
+// answer cache and each web host's SPF answer: at most 0.1 allocations a
+// record (0.043 over this world's 1 985 records). Its answers still read
+// mx1.<name>, mx2.<name> and its web host's SPF policy. One string per
+// answer cost one allocation a record, and a pair of its own three (each
+// name and the slice).
 func TestFirstMailProbeAllocations(t *testing.T) {
 	w, names := drainedWorld(t, 5)
 	mb := w.ProbeBackend().(measure.MailBackend)
@@ -208,9 +213,16 @@ func TestFirstMailProbeAllocations(t *testing.T) {
 	if len(fresh) < 512 {
 		t.Fatalf("degenerate world: %d delegated records with MX, want at least 512", len(fresh))
 	}
-	i := 0
-	if allocs := testing.AllocsPerRun(len(fresh)-1, func() { mb.LookupMX(fresh[i].Name); i++ }); allocs > 1 {
-		t.Errorf("a record's first mail probe allocates %v times, want at most 1", allocs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, d := range fresh {
+		mb.LookupMX(d.Name)
+	}
+	runtime.ReadMemStats(&after)
+	perRecord := float64(after.Mallocs-before.Mallocs) / float64(len(fresh))
+	t.Logf("%d first mail probes: %v allocations a record", len(fresh), perRecord)
+	if perRecord > 0.1 {
+		t.Errorf("a record's first mail probe allocates %v times, want at most 0.1", perRecord)
 	}
 	for _, d := range fresh {
 		if mx, want := mb.LookupMX(d.Name), []string{"mx1." + d.Name, "mx2." + d.Name}; !reflect.DeepEqual(mx, want) {

@@ -7,6 +7,7 @@ package worldsim
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
 	"darkdns/internal/registry"
 	"darkdns/internal/simclock"
@@ -62,11 +63,11 @@ func compileLayouts(env *buildEnv) []*Layout {
 // duplicate name's last writer is the latest layout), ghosts onto the
 // ghost ledger, buffered seedings into the NOD feed, blocklists and
 // CZDS's zone history, DV tokens into the CAs, and each layout's
-// lifecycle records onto one world timeline, installed with one
-// ScheduleBatch whose slice order gives every event its sequence number.
-// Layouts own distinct names (structurally, while plans own distinct
-// TLDs); dupNames counts every occurrence of a name after its first,
-// ghosts included, as the safety net.
+// lifecycle slab onto the clock as one run, whose index order gives
+// every event its sequence number. Layouts own distinct names
+// (structurally, while plans own distinct TLDs); dupNames counts every
+// occurrence of a name after its first, ghosts included, as the safety
+// net.
 func (w *World) commit(layouts []*Layout) {
 	total, ghosts := 0, 0
 	for _, l := range layouts {
@@ -75,9 +76,12 @@ func (w *World) commit(layouts []*Layout) {
 	}
 	w.Domains = &DomainStore{m: make(map[string]*Domain, total)}
 	w.Ghosts = make([]*Domain, 0, ghosts)
-	timeline := make([]simclock.Timed, 0, total+ghosts)
-	for _, l := range layouts {
-		timeline = w.commitLayout(l, timeline)
+	// One array holds every layout's run, so handing one to the clock
+	// as a Run boxes no slice header.
+	runs := make([]lifecycles, len(layouts))
+	for i, l := range layouts {
+		runs[i] = w.commitLayout(l)
+		w.Clock.ScheduleRun(&runs[i])
 	}
 	// Ghost names join a uniqueness set only: they have no registration,
 	// so Get keeps returning nil for them.
@@ -90,14 +94,12 @@ func (w *World) commit(layouts []*Layout) {
 		}
 		ghostNames[g.Name] = struct{}{}
 	}
-	w.Clock.ScheduleBatch(timeline)
 }
 
-// commitLayout installs one layout and appends its timeline entries to
-// timeline: domain lifecycles, then ghost issuances, each entry firing an
-// element of one lifecycle slab allocated here.
-func (w *World) commitLayout(l *Layout, timeline []simclock.Timed) []simclock.Timed {
-	recs := make([]lifecycle, len(l.domains)+len(l.ghosts))
+// commitLayout installs one layout and returns its lifecycle slab:
+// domain lifecycles, then ghost issuances.
+func (w *World) commitLayout(l *Layout) lifecycles {
+	recs := make(lifecycles, len(l.domains)+len(l.ghosts))
 	domains := w.Domains.m
 	for j := range l.domains {
 		r := &l.domains[j]
@@ -105,8 +107,7 @@ func (w *World) commitLayout(l *Layout, timeline []simclock.Timed) []simclock.Ti
 		if domains[r.d.Name] = r.d; len(domains) == n {
 			w.dupNames++ // the name was present: the later layout's record wins
 		}
-		recs[j] = lifecycle{w: w, r: r}
-		timeline = append(timeline, simclock.Timed{At: r.d.Created, Do: &recs[j]})
+		recs[j] = lifecycle{w: w, r: r, rank: int32(j)}
 	}
 	for j := range l.ghosts {
 		g := &l.ghosts[j]
@@ -116,8 +117,7 @@ func (w *World) commitLayout(l *Layout, timeline []simclock.Timed) []simclock.Ti
 			w.CZDS.Seed(g.d.Name, g.tokenAt)
 		}
 		k := len(l.domains) + j
-		recs[k] = lifecycle{w: w, g: g}
-		timeline = append(timeline, simclock.Timed{At: g.d.Created, Do: (*ghostIssuance)(&recs[k])})
+		recs[k] = lifecycle{w: w, g: g, rank: int32(k)}
 	}
 	for _, s := range l.nod {
 		w.NOD.Seed(s.domain, s.at)
@@ -128,8 +128,38 @@ func (w *World) commitLayout(l *Layout, timeline []simclock.Timed) []simclock.Ti
 	for _, s := range l.dzdb {
 		w.CZDS.Seed(s.domain, s.at)
 	}
-	return timeline
+	return recs
 }
+
+// lifecycles is one layout's lifecycle slab as the clock drains it
+// (simclock.Run): entry i fires at its name's creation instant, a
+// registration as itself and a ghost as its issuance, and its rank is
+// its index in the slab as committed. The clock sorts the slab in place
+// before the first entry fires, so records move only while none of them
+// is scheduled by a pointer.
+type lifecycles []lifecycle
+
+func (ls *lifecycles) Len() int { return len(*ls) }
+
+func (ls *lifecycles) At(i int) time.Time {
+	lc := &(*ls)[i]
+	if lc.r != nil {
+		return lc.r.d.Created
+	}
+	return lc.g.d.Created
+}
+
+func (ls *lifecycles) Rank(i int) int { return int((*ls)[i].rank) }
+
+func (ls *lifecycles) Event(i int) simclock.Firer {
+	lc := &(*ls)[i]
+	if lc.r != nil {
+		return lc
+	}
+	return (*ghostIssuance)(lc)
+}
+
+func (ls *lifecycles) Swap(i, j int) { (*ls)[i], (*ls)[j] = (*ls)[j], (*ls)[i] }
 
 // lifecycle is the clock-event record of one compiled registration (r
 // set) or ghost (g set). Its Fire registers the name; the same record,
@@ -142,13 +172,16 @@ type lifecycle struct {
 	r *regLayout
 	g *ghostLayout
 	// certRetries counts the registration's certificate attempts that
-	// failed validation and were retried.
-	certRetries int
+	// failed validation and were retried, at most maxCertAttempts.
+	certRetries int32
+	// rank is the record's index in its layout's slab as committed,
+	// which breaks ties between records of one instant (lifecycles).
+	rank int32
 }
 
 // registry returns the registry of the registration's TLD. It is looked
 // up when an event fires rather than held, so the record stays four
-// words with its retry count.
+// words with its retry count and rank.
 func (lc *lifecycle) registry() *registry.Registry { return lc.w.Registries[lc.r.d.TLD] }
 
 // Fire registers the name at its creation instant, then kicks off the
@@ -197,11 +230,11 @@ type certIssue lifecycle
 
 func (e *certIssue) Fire() {
 	name := e.r.d.Name
-	if _, err := e.w.CAs[e.r.caIdx].Issue(name, name, nil); err == nil || e.certRetries >= maxCertAttempts {
+	if _, err := e.w.CAs[e.r.caIdx].Issue(name, name, nil); err == nil || int(e.certRetries) >= maxCertAttempts {
 		return
 	}
 	clk := e.w.Clock
-	clk.Schedule(clk.Now().Add(retryDelay(e.r.retrySeed, e.certRetries)), (*certAttempt)(e))
+	clk.Schedule(clk.Now().Add(retryDelay(e.r.retrySeed, int(e.certRetries))), (*certAttempt)(e))
 	e.certRetries++
 }
 

@@ -5,6 +5,7 @@
 package worldsim
 
 import (
+	"strings"
 	"sync"
 
 	"darkdns/internal/slab"
@@ -27,13 +28,19 @@ type DomainStore struct {
 	// the fleet's concurrent probe slices. spf holds one SPF TXT answer
 	// per web-host provider (the policy text depends on nothing else),
 	// shared by every record hosted there. Each record's MX pair is
-	// carved from mx, never to be written again; the cache keeps every
-	// pair for the store's life, so their chunks live as long.
+	// carved from mx and its two names from mxText, never to be written
+	// again; the cache keeps every pair for the store's life, so their
+	// chunks live as long.
 	mailMu sync.RWMutex
 	mail   map[*Domain]mailAnswers
 	spf    map[string][]string
 	mx     slab.Of[[2]string]
+	mxText strings.Builder
 }
+
+// mxTextChunk is the byte size of an MX text chunk, the size of a slab
+// chunk.
+const mxTextChunk = 16 << 10
 
 // Get returns the ground-truth record for name, or nil when the world
 // never generated it (ghosts return nil: they have no registration).
@@ -43,8 +50,8 @@ func (s *DomainStore) Get(name string) *Domain { return s.m[name] }
 // publishes — zero for unknown names, ghosts, and records publishing
 // neither, all without touching the cache. The steady state is one read
 // lock; only a record's first probe takes the write lock and builds. An
-// MX answer costs that probe one allocation: both names are substrings
-// of one string "mx1.<name>mx2.<name>", in an array from the mx slab.
+// MX answer costs that probe no allocation of its own: both names are
+// substrings of a text chunk (mxNames), in an array from the mx slab.
 func (s *DomainStore) mailAnswers(name string) mailAnswers {
 	d := s.m[name]
 	if d == nil || !(d.HasMX || d.HasSPF) {
@@ -62,9 +69,8 @@ func (s *DomainStore) mailAnswers(name string) mailAnswers {
 		return ans // a concurrent first probe built it; share its slices
 	}
 	if d.HasMX {
-		both := "mx1." + d.Name + "mx2." + d.Name
 		mx := s.mx.New()
-		mx[0], mx[1] = both[:len(both)/2], both[len(both)/2:]
+		mx[0], mx[1] = s.mxNames(d.Name)
 		ans.mx = mx[:]
 	}
 	if d.HasSPF {
@@ -83,6 +89,28 @@ func (s *DomainStore) mailAnswers(name string) mailAnswers {
 	}
 	s.mail[d] = ans
 	return ans
+}
+
+// mxNames writes "mx1.<name>mx2.<name>" to the MX text chunk and returns
+// its two names as substrings of the chunk's String, as the compile's
+// name arena does, so a chunk of names costs one allocation. A full
+// chunk is left to the names already carved from it and a fresh one
+// begins: a Builder never changes bytes it has written. The caller holds
+// mailMu for writing.
+func (s *DomainStore) mxNames(name string) (mx1, mx2 string) {
+	n := 2 * (len("mx1.") + len(name))
+	if s.mxText.Cap()-s.mxText.Len() < n {
+		s.mxText.Reset()
+		s.mxText.Grow(max(mxTextChunk, n))
+	}
+	start := s.mxText.Len()
+	s.mxText.WriteString("mx1.")
+	s.mxText.WriteString(name)
+	mid := s.mxText.Len()
+	s.mxText.WriteString("mx2.")
+	s.mxText.WriteString(name)
+	text := s.mxText.String()
+	return text[start:mid], text[mid:]
 }
 
 // Len returns the number of distinct registrations in the store.

@@ -101,7 +101,7 @@ type feedSeed struct {
 
 // Layout is one plan's compiled output. It holds no references to world
 // substrates; commit translates it into Domains-map inserts, substrate
-// seedings and its stretch of the world's one ScheduleBatch call. The
+// seedings and one run of lifecycle records on the clock. The
 // registrations and ghosts are values in two slabs, and their records
 // (the d fields) point into a third, so a chunk of thousands of names is
 // a handful of allocations.

@@ -12,7 +12,9 @@
 // phase (builder.go) installs the layouts in one serial pass in
 // canonical (plan, chunk) order: records into the DomainStore's one map,
 // substrate seedings (NOD/blocklist/DZDB/DV tokens), the ghost ledger and
-// the clock timeline (ScheduleBatch assigns event sequence numbers).
+// the clock timeline: each layout's lifecycle slab goes onto the clock as
+// one run (simclock.Sim.ScheduleRun), which assigns its event sequence
+// numbers.
 //
 // Determinism contract (DESIGN.md §2, §8–§9): worlds — and the campaign
 // reports computed from them — are byte-identical at any build width,

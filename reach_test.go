@@ -210,12 +210,14 @@ func checkModule(t *testing.T) *moduleChecker {
 
 // stdCalled names the standard-library interfaces whose methods the
 // standard library calls on values the module hands it: fmt prints a
-// Stringer or an error through its method, and a rand.Rand draws from
-// its Source64.
+// Stringer or an error through its method, a rand.Rand draws from its
+// Source64, and sort.Stable orders a sort.Interface through its Len,
+// Less and Swap.
 var stdCalled = []struct{ pkg, name string }{
 	{"", "error"},
 	{"fmt", "Stringer"},
 	{"math/rand", "Source64"},
+	{"sort", "Interface"},
 }
 
 // origin maps a generic instance's method or field to its declaration.
@@ -477,9 +479,7 @@ var unusedAllowed = map[string]string{
 	"resolver.UDPExchanger":                benchWire,
 	"resolver.UDPExchanger.Close":          benchWire,
 	"rzu.Service.History":                  testOnly,
-	"simclock.Sim.NextAt":                  testOnly,
 	"simclock.Sim.Pending":                 benchOnly,
-	"simclock.Sim.Run":                     testOnly,
 	"worldsim.LayoutSet.Domains":           benchOnly,
 	"worldsim.TLDPlan.CTTotal":             testOnly,
 	"worldsim.World.RunBatched":            benchOnly,
