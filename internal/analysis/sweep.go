@@ -225,28 +225,31 @@ func sweepSchema() columnar.Schema {
 // WriteSweep emits the grid's result table as one self-describing
 // columnar file (readable back with columnar.NewReader).
 func WriteSweep(w io.Writer, out *SweepOutcome) error {
-	cw := columnar.NewWriter(w, sweepSchema(), 0)
+	var (
+		seed, cadence, domains, nrds, transients, median, elapsed []int64
+		scale, sample, within15, within45                         []float64
+		policy                                                    []string
+	)
 	for _, sr := range out.Cells {
 		if sr == nil {
 			continue
 		}
 		o := &sr.Outcome
-		if err := cw.Append(
-			columnar.Int(sr.Cell.Seed),
-			columnar.Float(sr.Cell.Scale),
-			columnar.String(sr.Cell.Policy.Label()),
-			columnar.Int(int64(sr.Cell.Policy.ProbeCadence)),
-			columnar.Float(sr.Cell.Policy.WatchSampleRate),
-			columnar.Int(int64(o.Domains)),
-			columnar.Int(int64(o.NRDs())),
-			columnar.Int(int64(o.Confirmed)),
-			columnar.Float(o.Within15m),
-			columnar.Float(o.Within45m),
-			columnar.Int(int64(o.MedianDelay)),
-			columnar.Int(int64(sr.Elapsed)),
-		); err != nil {
-			return err
-		}
+		seed, scale = append(seed, sr.Cell.Seed), append(scale, sr.Cell.Scale)
+		policy = append(policy, sr.Cell.Policy.Label())
+		cadence = append(cadence, int64(sr.Cell.Policy.ProbeCadence))
+		sample = append(sample, sr.Cell.Policy.WatchSampleRate)
+		domains, nrds = append(domains, int64(o.Domains)), append(nrds, int64(o.NRDs()))
+		transients = append(transients, int64(o.Confirmed))
+		within15, within45 = append(within15, o.Within15m), append(within45, o.Within45m)
+		median, elapsed = append(median, int64(o.MedianDelay)), append(elapsed, int64(sr.Elapsed))
+	}
+	cw := columnar.NewWriter(w, sweepSchema(), 0)
+	if err := cw.Write(&columnar.RowGroup{Rows: len(seed), Cols: []columnar.Values{
+		{Ints: seed}, {Floats: scale}, {Strs: policy}, {Ints: cadence}, {Floats: sample}, {Ints: domains},
+		{Ints: nrds}, {Ints: transients}, {Floats: within15}, {Floats: within45}, {Ints: median}, {Ints: elapsed},
+	}}); err != nil {
+		return err
 	}
 	return cw.Close()
 }

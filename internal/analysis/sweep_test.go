@@ -139,10 +139,11 @@ func TestSweepCompilesEachWorldOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		policy, scale := g.Col("policy").Strs, g.Col("scale").Floats
 		for i := 0; i < g.Rows; i++ {
-			policies[g.Strs["policy"][i]] = true
-			if g.Floats["scale"][i] != 0.0006 {
-				t.Errorf("row %d: scale = %v", rows+i, g.Floats["scale"][i])
+			policies[policy[i]] = true
+			if scale[i] != 0.0006 {
+				t.Errorf("row %d: scale = %v", rows+i, scale[i])
 			}
 		}
 		rows += g.Rows

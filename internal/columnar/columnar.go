@@ -4,12 +4,15 @@
 // in object storage).
 //
 // A file is a sequence of row groups. Each column chunk is independently
-// encoded: strings use dictionary encoding with varint indexes, integers
-// use zigzag-varint deltas, booleans use run-length encoding, float64s
-// use mantissa-reversed zigzag deltas (round constants and repeated
-// values shrink to a byte or two), and raw byte columns are
-// length-prefixed. The format is self-describing: the schema is embedded
-// in the header.
+// encoded: strings use dictionary encoding with varint indexes, plain
+// strings (for columns whose values are distinct by construction, where a
+// dictionary would only cost a map probe per value) are length-prefixed,
+// integers use zigzag-varint deltas, booleans use run-length encoding, and
+// float64s use mantissa-reversed zigzag deltas (round constants and
+// repeated values shrink to a byte or two). The
+// format is self-describing: the schema is embedded in the header. A
+// Writer encodes row groups and a Reader decodes them; both hold a group
+// as one typed slice per column (RowGroup).
 //
 // Layout:
 //
@@ -29,6 +32,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -41,7 +45,7 @@ const (
 	TypeInt64
 	TypeBool
 	TypeFloat64
-	TypeBytes
+	TypePlainString
 )
 
 // String returns the schema mnemonic.
@@ -55,8 +59,8 @@ func (t ColType) String() string {
 		return "bool"
 	case TypeFloat64:
 		return "float64"
-	case TypeBytes:
-		return "bytes"
+	case TypePlainString:
+		return "plainstring"
 	}
 	return fmt.Sprintf("type%d", uint8(t))
 }
@@ -71,8 +75,8 @@ func parseColType(s string) (ColType, error) {
 		return TypeBool, nil
 	case "float64":
 		return TypeFloat64, nil
-	case "bytes":
-		return TypeBytes, nil
+	case "plainstring":
+		return TypePlainString, nil
 	}
 	return 0, fmt.Errorf("columnar: unknown column type %q", s)
 }
@@ -126,29 +130,48 @@ func (s Schema) Index(name string) int {
 	return -1
 }
 
-// Value is a dynamically typed cell.
-type Value struct {
-	S   string
-	I   int64
-	B   bool
-	F   float64
-	Raw []byte
+// Values is one column of a row group: the slice of the column's type
+// holds one value per row and the others are nil. String and plain
+// string columns both use Strs.
+type Values struct {
+	Strs   []string
+	Ints   []int64
+	Bools  []bool
+	Floats []float64
 }
 
-// String builds a string cell.
-func String(s string) Value { return Value{S: s} }
+// len returns how many values the slice of type t holds.
+func (v *Values) len(t ColType) int {
+	switch t {
+	case TypeString, TypePlainString:
+		return len(v.Strs)
+	case TypeInt64:
+		return len(v.Ints)
+	case TypeBool:
+		return len(v.Bools)
+	case TypeFloat64:
+		return len(v.Floats)
+	}
+	return -1
+}
 
-// Int builds an int64 cell.
-func Int(i int64) Value { return Value{I: i} }
+// RowGroup is a batch of rows held column by column: Cols[i] holds the
+// values of Schema[i]. Writer.Write encodes one and Reader.Next decodes
+// one.
+type RowGroup struct {
+	Schema Schema
+	Rows   int
+	Cols   []Values
+}
 
-// Bool builds a bool cell.
-func Bool(b bool) Value { return Value{B: b} }
-
-// Float builds a float64 cell.
-func Float(f float64) Value { return Value{F: f} }
-
-// Bytes builds a raw-bytes cell.
-func Bytes(b []byte) Value { return Value{Raw: b} }
+// Col returns the named column's values, or nil when the schema has no
+// such column. A decoder looks each column up once per group.
+func (g *RowGroup) Col(name string) *Values {
+	if i := g.Schema.Index(name); i >= 0 && i < len(g.Cols) {
+		return &g.Cols[i]
+	}
+	return nil
+}
 
 const magic = "DCOL1\n"
 
@@ -162,15 +185,8 @@ type Writer struct {
 	w       *bufio.Writer
 	schema  Schema
 	started bool
-
-	// pending row-group buffers, one per column
-	strs   [][]string
-	ints   [][]int64
-	bools  [][]bool
-	floats [][]float64
-	raws   [][][]byte
-	rows   int
-	// groupRows is the row-group flush threshold.
+	// groupRows is the most rows a row group holds: Write cuts a larger
+	// group into groups of this size.
 	groupRows int
 
 	// Encoder scratch, reused across columns and groups: the chunk being
@@ -182,7 +198,7 @@ type Writer struct {
 	ids   []uint64
 }
 
-// NewWriter creates a writer with the given schema. groupRows controls the
+// NewWriter creates a writer with the given schema. groupRows caps the
 // row-group size (<=0 selects the 8192 default; values above maxGroupRows
 // are clamped so any file we produce stays readable).
 func NewWriter(w io.Writer, schema Schema, groupRows int) *Writer {
@@ -192,51 +208,36 @@ func NewWriter(w io.Writer, schema Schema, groupRows int) *Writer {
 	if groupRows > maxGroupRows {
 		groupRows = maxGroupRows
 	}
-	cw := &Writer{
+	return &Writer{
 		w: bufio.NewWriterSize(w, 64<<10), schema: schema, groupRows: groupRows,
-		strs: make([][]string, len(schema)), ints: make([][]int64, len(schema)),
-		bools: make([][]bool, len(schema)), floats: make([][]float64, len(schema)),
-		raws: make([][][]byte, len(schema)), dict: make(map[string]uint64),
+		dict: make(map[string]uint64),
 	}
-	return cw
 }
 
-// Append adds one row. The values must match the schema arity and types.
-func (w *Writer) Append(row ...Value) error {
-	if len(row) != len(w.schema) {
-		return fmt.Errorf("columnar: row has %d values, schema has %d", len(row), len(w.schema))
+// Write encodes g's rows as one row group, or as several of at most the
+// writer's groupRows rows in order. g.Cols must follow the writer's schema:
+// column i holds g.Rows values in the slice of Schema[i]'s type. g.Schema
+// is not read. A group of no rows writes nothing.
+func (w *Writer) Write(g *RowGroup) error {
+	if len(g.Cols) != len(w.schema) {
+		return fmt.Errorf("columnar: group has %d columns, schema has %d", len(g.Cols), len(w.schema))
 	}
 	for i, c := range w.schema {
-		switch c.Type {
-		case TypeString:
-			w.strs[i] = append(w.strs[i], row[i].S)
-		case TypeInt64:
-			w.ints[i] = append(w.ints[i], row[i].I)
-		case TypeBool:
-			w.bools[i] = append(w.bools[i], row[i].B)
-		case TypeFloat64:
-			w.floats[i] = append(w.floats[i], row[i].F)
-		case TypeBytes:
-			w.raws[i] = append(w.raws[i], row[i].Raw)
+		if n := g.Cols[i].len(c.Type); n != g.Rows {
+			return fmt.Errorf("columnar: column %q holds %d %s values, group has %d rows", c.Name, n, c.Type, g.Rows)
 		}
 	}
-	w.rows++
-	if w.rows >= w.groupRows {
-		return w.flushGroup()
+	for lo := 0; lo < g.Rows; lo += w.groupRows {
+		if err := w.writeGroup(g.Cols, lo, min(lo+w.groupRows, g.Rows)); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// Flush ends the current row group early, writing any pending rows. It lets
-// callers align row-group boundaries with natural batch boundaries (the
-// world snapshot writes one group per layout chunk).
-func (w *Writer) Flush() error { return w.flushGroup() }
-
-// Close flushes pending rows, writes the end marker and drains buffers.
+// Close writes the header if no group did, the end marker, and drains
+// buffers.
 func (w *Writer) Close() error {
-	if err := w.flushGroup(); err != nil {
-		return err
-	}
 	if !w.started {
 		if err := w.writeHeader(); err != nil {
 			return err
@@ -258,45 +259,38 @@ func (w *Writer) writeHeader() error {
 	return writeBytes(w.w, []byte(w.schema.String()))
 }
 
-func (w *Writer) flushGroup() error {
-	if w.rows == 0 {
-		return nil
-	}
+// writeGroup encodes rows lo..hi-1 of cols as one row group.
+func (w *Writer) writeGroup(cols []Values, lo, hi int) error {
 	if !w.started {
 		if err := w.writeHeader(); err != nil {
 			return err
 		}
 	}
 	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(w.rows))
+	n := binary.PutUvarint(tmp[:], uint64(hi-lo))
 	if _, err := w.w.Write(tmp[:n]); err != nil {
 		return err
 	}
 	for i, c := range w.schema {
 		chunk := w.chunk[:0]
+		v := &cols[i]
 		switch c.Type {
 		case TypeString:
-			chunk = w.appendStrings(chunk, w.strs[i])
-			w.strs[i] = w.strs[i][:0]
+			chunk = w.appendStrings(chunk, v.Strs[lo:hi])
+		case TypePlainString:
+			chunk = appendPlainStrings(chunk, v.Strs[lo:hi])
 		case TypeInt64:
-			chunk = appendInts(chunk, w.ints[i])
-			w.ints[i] = w.ints[i][:0]
+			chunk = appendInts(chunk, v.Ints[lo:hi])
 		case TypeBool:
-			chunk = appendBools(chunk, w.bools[i])
-			w.bools[i] = w.bools[i][:0]
+			chunk = appendBools(chunk, v.Bools[lo:hi])
 		case TypeFloat64:
-			chunk = appendFloats(chunk, w.floats[i])
-			w.floats[i] = w.floats[i][:0]
-		case TypeBytes:
-			chunk = appendBytesCol(chunk, w.raws[i])
-			w.raws[i] = w.raws[i][:0]
+			chunk = appendFloats(chunk, v.Floats[lo:hi])
 		}
 		w.chunk = chunk
 		if err := writeBytes(w.w, chunk); err != nil {
 			return err
 		}
 	}
-	w.rows = 0
 	return nil
 }
 
@@ -349,24 +343,30 @@ func decodeStrings(b []byte, n int, dst []string) ([]string, error) {
 	if dictLen > uint64(len(b)) {
 		return nil, errors.New("columnar: dictionary larger than chunk")
 	}
-	// One string conversion backs every dict entry: each entry is a
-	// substring of the chunk copied once, not an allocation per value —
-	// for high-cardinality columns (domain names) this is the difference
-	// between 1 alloc and 10^5 allocs per group.
-	all := string(b)
-	dict := make([]string, dictLen)
-	for i := range dict {
+	// One walk finds where the dictionary ends; its bytes are then copied
+	// to one string that backs every entry, so an entry is a substring of
+	// it rather than an allocation, and the indexes after it are not
+	// copied.
+	rest := b
+	for i := uint64(0); i < dictLen; i++ {
 		var l uint64
-		if l, b, err = uvarint(b); err != nil {
+		if l, rest, err = uvarint(rest); err != nil {
 			return nil, err
 		}
-		if uint64(len(b)) < l {
+		if uint64(len(rest)) < l {
 			return nil, io.ErrUnexpectedEOF
 		}
-		off := len(all) - len(b)
-		dict[i] = all[off : off+int(l)]
-		b = b[l:]
+		rest = rest[l:]
 	}
+	all := string(b[:len(b)-len(rest)])
+	dict := make([]string, dictLen)
+	for i, off := 0, 0; i < len(dict); i++ {
+		l, w := binary.Uvarint(b[off:]) // the walk above checked every entry
+		off += w
+		dict[i] = all[off : off+int(l)]
+		off += int(l)
+	}
+	b = rest
 	if n > len(b) {
 		return nil, errShortChunk
 	}
@@ -388,19 +388,85 @@ func decodeStrings(b []byte, n int, dst []string) ([]string, error) {
 	return out, nil
 }
 
-// appendInts zigzag-varint encodes deltas between consecutive values.
-func appendInts(dst []byte, vals []int64) []byte {
-	prev := int64(0)
+// appendPlainStrings writes each value as varint len + bytes, with no
+// dictionary: for columns whose values are distinct by construction.
+func appendPlainStrings(dst []byte, vals []string) []byte {
+	size := 0
 	for _, v := range vals {
-		dst = binary.AppendVarint(dst, v-prev)
-		prev = v
+		size += len(v)
+	}
+	dst = slices.Grow(dst, size+len(vals)*binary.MaxVarintLen64)
+	for _, v := range vals {
+		dst = binary.AppendUvarint(dst, uint64(len(v)))
+		dst = append(dst, v...)
 	}
 	return dst
 }
 
+// decodePlainStrings decodes n length-prefixed values. The chunk is
+// copied to one string and every value is a substring of it: one
+// allocation per chunk, not one per value.
+func decodePlainStrings(b []byte, n int, dst []string) ([]string, error) {
+	if n > len(b) {
+		return nil, errShortChunk
+	}
+	all := string(b)
+	out := dst
+	if cap(out) < n {
+		out = make([]string, n)
+	}
+	out = out[:n]
+	for i, off := 0, 0; i < n; i++ {
+		l, w := binary.Uvarint(b[off:])
+		if w <= 0 {
+			return nil, io.ErrUnexpectedEOF
+		}
+		off += w
+		if l > uint64(len(b)-off) {
+			return nil, errors.New("columnar: plain string overruns its chunk")
+		}
+		out[i] = all[off : off+int(l)]
+		off += int(l)
+	}
+	return out, nil
+}
+
+// appendInts zigzag-varint encodes deltas between consecutive values.
+// dst is grown once to hold the longest encoding, so each value is written
+// with stores that need no capacity check: a one-byte varint as one byte,
+// one of up to eight bytes as one eight-byte word of which the varint's
+// length counts.
+func appendInts(dst []byte, vals []int64) []byte {
+	dst = slices.Grow(dst, len(vals)*binary.MaxVarintLen64)
+	buf, n := dst[:cap(dst)], len(dst)
+	prev := int64(0)
+	for _, v := range vals {
+		d := v - prev
+		prev = v
+		ux := uint64(d<<1) ^ uint64(d>>63) // zigzag, as binary.AppendVarint
+		switch {
+		case ux < 0x80:
+			buf[n] = byte(ux)
+			n++
+		case ux < 1<<56:
+			// Spread the 7-bit groups one to a byte and set the
+			// continuation bit of every byte but the last.
+			k := (bits.Len64(ux) + 6) / 7
+			x := ux&0x7f | ux<<1&(0x7f<<8) | ux<<2&(0x7f<<16) | ux<<3&(0x7f<<24) |
+				ux<<4&(0x7f<<32) | ux<<5&(0x7f<<40) | ux<<6&(0x7f<<48) | ux<<7&(0x7f<<56)
+			x |= 0x8080808080808080 & (1<<(8*(k-1)) - 1)
+			binary.LittleEndian.PutUint64(buf[n:], x)
+			n += k
+		default:
+			n += binary.PutUvarint(buf[n:], ux)
+		}
+	}
+	return buf[:n]
+}
+
 // errShortChunk rejects a row count the chunk cannot hold: every int,
-// float, string index and bytes length takes at least one byte, so the
-// check comes before a corrupt count can drive an allocation.
+// float, string index and plain string length takes at least one byte,
+// so the check comes before a corrupt count can drive an allocation.
 var errShortChunk = errors.New("columnar: chunk shorter than its row count")
 
 func decodeInts(b []byte, n int, dst []int64) ([]int64, error) {
@@ -414,14 +480,35 @@ func decodeInts(b []byte, n int, dst []int64) ([]int64, error) {
 	out = out[:n]
 	prev := int64(0)
 	for i := 0; i < n; i++ {
-		// Delta encoding makes single-byte varints the overwhelmingly
-		// common case; decode them inline and fall back to the generic
-		// reader only for multi-byte deltas.
 		var ux uint64
-		if len(b) > 0 && b[0] < 0x80 {
+		switch {
+		case len(b) > 0 && b[0] < 0x80:
+			// Small deltas (sorted or repeated values) take one byte.
 			ux = uint64(b[0])
 			b = b[1:]
-		} else {
+		case len(b) >= 10:
+			// A longer varint, its first eight bytes read as one word: the
+			// first byte with its top bit clear ends it, and its 7-bit
+			// groups are gathered without a loop.
+			x := binary.LittleEndian.Uint64(b)
+			// k is the varint's length, 9 when it runs past the word.
+			k := bits.TrailingZeros64(^x&0x8080808080808080)>>3 + 1
+			x &= 1<<(8*min(k, 8)) - 1 // a shift by 64 keeps all
+			ux = x&0x7f | x>>1&(0x7f<<7) | x>>2&(0x7f<<14) | x>>3&(0x7f<<21) |
+				x>>4&(0x7f<<28) | x>>5&(0x7f<<35) | x>>6&(0x7f<<42) | x>>7&(0x7f<<49)
+			if k == 9 {
+				// Bytes 9 and 10 hold bits 56..63; a tenth byte may
+				// hold only bit 63, as in binary.Uvarint.
+				if ux |= uint64(b[8]&0x7f) << 56; b[8] >= 0x80 {
+					if b[9] > 1 {
+						return nil, errors.New("columnar: varint overflows 64 bits")
+					}
+					ux |= uint64(b[9]) << 63
+					k = 10
+				}
+			}
+			b = b[k:]
+		default:
 			v, w := binary.Uvarint(b)
 			if w <= 0 {
 				return nil, io.ErrUnexpectedEOF
@@ -459,11 +546,12 @@ func appendBools(dst []byte, vals []bool) []byte {
 }
 
 func decodeBools(b []byte, n int, dst []bool) ([]bool, error) {
-	out := dst[:0]
+	out := dst
 	if cap(out) < n {
-		out = make([]bool, 0, n)
+		out = make([]bool, n)
 	}
-	for len(out) < n {
+	out = out[:n]
+	for i := 0; i < n; {
 		run, rest, err := uvarint(b)
 		if err != nil {
 			return nil, err
@@ -474,11 +562,11 @@ func decodeBools(b []byte, n int, dst []bool) ([]bool, error) {
 		}
 		v := b[0] == 1
 		b = b[1:]
-		if run == 0 || uint64(n-len(out)) < run {
+		if run == 0 || uint64(n-i) < run {
 			return nil, errors.New("columnar: bad bool run length")
 		}
-		for k := uint64(0); k < run; k++ {
-			out = append(out, v)
+		for end := i + int(run); i < end; i++ {
+			out[i] = v
 		}
 	}
 	return out, nil
@@ -520,42 +608,6 @@ func decodeFloats(b []byte, n int, dst []float64) ([]float64, error) {
 	return out, nil
 }
 
-// appendBytesCol length-prefixes each value: varint len + raw bytes.
-func appendBytesCol(dst []byte, vals [][]byte) []byte {
-	for _, v := range vals {
-		dst = binary.AppendUvarint(dst, uint64(len(v)))
-		dst = append(dst, v...)
-	}
-	return dst
-}
-
-func decodeBytesCol(b []byte, n int, dst [][]byte) ([][]byte, error) {
-	if n > len(b) {
-		return nil, errShortChunk
-	}
-	out := dst
-	if cap(out) < n {
-		out = make([][]byte, n)
-	}
-	out = out[:n]
-	for i := 0; i < n; i++ {
-		l, rest, err := uvarint(b)
-		if err != nil {
-			return nil, err
-		}
-		b = rest
-		if uint64(len(b)) < l {
-			return nil, io.ErrUnexpectedEOF
-		}
-		// Values alias the chunk buffer: readBytes hands each group a
-		// fresh allocation, so the sub-slices stay valid for the life of
-		// the RowGroup without a per-value copy.
-		out[i] = b[:l:l]
-		b = b[l:]
-	}
-	return out, nil
-}
-
 func uvarint(b []byte) (uint64, []byte, error) {
 	if len(b) > 0 && b[0] < 0x80 {
 		return uint64(b[0]), b[1:], nil
@@ -577,17 +629,6 @@ func varint(b []byte) (int64, []byte, error) {
 
 // Reader --------------------------------------------------------------------
 
-// RowGroup is a decoded batch of rows.
-type RowGroup struct {
-	Schema Schema
-	Rows   int
-	Strs   map[string][]string
-	Ints   map[string][]int64
-	Bools  map[string][]bool
-	Floats map[string][]float64
-	Bytes  map[string][][]byte
-}
-
 // Reader streams row groups from a columnar file.
 type Reader struct {
 	r      *bufio.Reader
@@ -599,8 +640,7 @@ type Reader struct {
 }
 
 // Reuse puts the reader in storage-recycling mode: every call to Next
-// may overwrite the maps, slices, and byte values of the previously
-// returned RowGroup. A streaming consumer that fully processes each
+// may overwrite the column slices of the previously returned RowGroup. A streaming consumer that fully processes each
 // group before asking for the next decodes with near-zero per-group
 // allocation; a caller that retains returned groups must not enable it.
 // Decoded strings are always safe to retain — they never alias scratch.
@@ -657,11 +697,7 @@ func (r *Reader) Next() (*RowGroup, error) {
 	}
 	g := r.last
 	if g == nil || !r.reuse {
-		g = &RowGroup{
-			Schema: r.schema,
-			Strs:   make(map[string][]string), Ints: make(map[string][]int64), Bools: make(map[string][]bool),
-			Floats: make(map[string][]float64), Bytes: make(map[string][][]byte),
-		}
+		g = &RowGroup{Schema: r.schema, Cols: make([]Values, len(r.schema))}
 	}
 	g.Rows = int(n)
 	if r.reuse {
@@ -684,27 +720,21 @@ func (r *Reader) Next() (*RowGroup, error) {
 		// Passing the group's previous column slice lets each decoder
 		// recycle it when capacity allows; on a fresh group the slice is
 		// nil and the decoder allocates.
+		v := &g.Cols[i]
 		switch c.Type {
 		case TypeString:
-			if g.Strs[c.Name], err = decodeStrings(chunk, g.Rows, g.Strs[c.Name]); err != nil {
-				return nil, err
-			}
+			v.Strs, err = decodeStrings(chunk, g.Rows, v.Strs)
+		case TypePlainString:
+			v.Strs, err = decodePlainStrings(chunk, g.Rows, v.Strs)
 		case TypeInt64:
-			if g.Ints[c.Name], err = decodeInts(chunk, g.Rows, g.Ints[c.Name]); err != nil {
-				return nil, err
-			}
+			v.Ints, err = decodeInts(chunk, g.Rows, v.Ints)
 		case TypeBool:
-			if g.Bools[c.Name], err = decodeBools(chunk, g.Rows, g.Bools[c.Name]); err != nil {
-				return nil, err
-			}
+			v.Bools, err = decodeBools(chunk, g.Rows, v.Bools)
 		case TypeFloat64:
-			if g.Floats[c.Name], err = decodeFloats(chunk, g.Rows, g.Floats[c.Name]); err != nil {
-				return nil, err
-			}
-		case TypeBytes:
-			if g.Bytes[c.Name], err = decodeBytesCol(chunk, g.Rows, g.Bytes[c.Name]); err != nil {
-				return nil, err
-			}
+			v.Floats, err = decodeFloats(chunk, g.Rows, v.Floats)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return g, nil

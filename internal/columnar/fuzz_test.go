@@ -3,6 +3,7 @@ package columnar
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"testing"
@@ -12,23 +13,27 @@ import (
 // the raw input is fed straight to the reader (which must error or EOF,
 // never panic or allocate unboundedly), and the same bytes are chopped
 // into rows for a write→read→compare cycle across every column type. The
-// written file must also equal the reference encoders' bytes for the same
-// 7-row groups, so the Writer's reused scratch cannot carry state from
-// one column or group into the next.
+// rows are written as groups of 29, 3, 11, 0 and 1 rows in turn, cut at 16,
+// so short groups follow long ones, and the written file must equal the
+// reference encoders' bytes for the same groups, so the Writer's reused
+// scratch cannot carry state from one column or group into the next. The
+// plain string column holds distinct names, repeats and empty strings.
 func FuzzColumnarRoundTrip(f *testing.F) {
 	// Seed with a small valid file so the fuzzer starts from structure.
-	var seed bytes.Buffer
-	w := NewWriter(&seed, Schema{
+	seedSchema := Schema{
 		{Name: "s", Type: TypeString},
 		{Name: "i", Type: TypeInt64},
 		{Name: "b", Type: TypeBool},
 		{Name: "f", Type: TypeFloat64},
-		{Name: "r", Type: TypeBytes},
-	}, 3)
-	w.Append(String("a.com"), Int(42), Bool(true), Float(0.5), Bytes([]byte{1, 2}))
-	w.Append(String("b.org"), Int(-7), Bool(false), Float(-1e9), Bytes(nil))
-	w.Close()
-	f.Add(seed.Bytes())
+		{Name: "p", Type: TypePlainString},
+	}
+	f.Add(writeFile(f, seedSchema, 3, &RowGroup{Rows: 2, Cols: []Values{
+		{Strs: []string{"a.com", "b.org"}},
+		{Ints: []int64{42, -7}},
+		{Bools: []bool{true, false}},
+		{Floats: []float64{0.5, -1e9}},
+		{Strs: []string{"x.net", ""}},
+	}}))
 	f.Add([]byte(magic))
 	f.Add([]byte(magic + "\x03a:b"))
 
@@ -48,53 +53,45 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 			{Name: "i", Type: TypeInt64},
 			{Name: "b", Type: TypeBool},
 			{Name: "f", Type: TypeFloat64},
-			{Name: "r", Type: TypeBytes},
+			{Name: "r", Type: TypePlainString},
 			{Name: "t", Type: TypeString},
+			{Name: "p", Type: TypePlainString},
 		}
-		type row struct {
-			s string
-			i int64
-			b bool
-			f float64
-			r []byte
-			t string
-		}
-		var rows []row
-		for i := 0; i+9 <= len(data) && len(rows) < 512; i += 9 {
+		all := &RowGroup{Cols: make([]Values, len(schema))}
+		c := all.Cols
+		for i := 0; i+9 <= len(data) && all.Rows < 512; i += 9 {
 			chunk := data[i : i+9]
-			rows = append(rows, row{
-				s: string(chunk[:2]),
-				i: int64(chunk[2]) - int64(chunk[3])<<4,
-				b: chunk[4]&1 == 1,
-				f: math.Float64frombits(uint64(chunk[5]) | uint64(chunk[6])<<32),
-				r: append([]byte(nil), chunk[7:7+int(chunk[8]%3)]...),
-				t: string(chunk[8 : 8+int(chunk[7]%2)]),
-			})
-		}
-		var buf bytes.Buffer
-		cw := NewWriter(&buf, schema, 7)
-		var groups [][][]Value
-		for k, r := range rows {
-			vals := []Value{String(r.s), Int(r.i), Bool(r.b), Float(r.f), Bytes(r.r), String(r.t)}
-			if err := cw.Append(vals...); err != nil {
-				t.Fatal(err)
+			c[0].Strs = append(c[0].Strs, string(chunk[:2]))
+			c[1].Ints = append(c[1].Ints, int64(chunk[2])-int64(chunk[3])<<(chunk[5]%64)) // varints of every length
+			c[2].Bools = append(c[2].Bools, chunk[4]&1 == 1)
+			c[3].Floats = append(c[3].Floats, math.Float64frombits(uint64(chunk[5])|uint64(chunk[6])<<32))
+			c[4].Strs = append(c[4].Strs, string(chunk[7:7+int(chunk[8]%3)]))
+			c[5].Strs = append(c[5].Strs, string(chunk[8:8+int(chunk[7]%2)]))
+			p := fmt.Sprintf("%d.%x", all.Rows, chunk[:2]) // distinct
+			switch {
+			case chunk[4]&6 == 2:
+				p = ""
+			case chunk[4]&6 == 4 && all.Rows > 0:
+				p = c[6].Strs[all.Rows-1]
 			}
-			if k%7 == 0 {
-				groups = append(groups, nil)
-			}
-			groups[len(groups)-1] = append(groups[len(groups)-1], vals)
+			c[6].Strs = append(c[6].Strs, p)
+			all.Rows++
 		}
-		if err := cw.Close(); err != nil {
-			t.Fatal(err)
+		var groups []*RowGroup
+		for lo, k := 0, 0; lo < all.Rows; k++ {
+			hi := min(lo+[]int{29, 3, 11, 0, 1}[k%5], all.Rows)
+			groups = append(groups, cut(schema, all, lo, hi))
+			lo = hi
 		}
-		if want := referenceFile(schema, groups); !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("writer output (%d bytes) differs from the reference encoders' (%d bytes)", buf.Len(), len(want))
+		file := writeFile(t, schema, 16, groups...)
+		if want := referenceFile(schema, cutAll(schema, groups, 16)); !bytes.Equal(file, want) {
+			t.Fatalf("writer output (%d bytes) differs from the reference encoders' (%d bytes)", len(file), len(want))
 		}
-		cr, err := NewReader(&buf)
+		cr, err := NewReader(bytes.NewReader(file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got []row
+		got := &RowGroup{Cols: make([]Values, len(schema))}
 		for {
 			g, err := cr.Next()
 			if errors.Is(err, io.EOF) {
@@ -103,21 +100,24 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < g.Rows; i++ {
-				got = append(got, row{
-					s: g.Strs["s"][i], i: g.Ints["i"][i], b: g.Bools["b"][i],
-					f: g.Floats["f"][i], r: g.Bytes["r"][i], t: g.Strs["t"][i],
-				})
+			for i, v := range g.Cols {
+				gc := &got.Cols[i]
+				gc.Strs = append(gc.Strs, v.Strs...)
+				gc.Ints = append(gc.Ints, v.Ints...)
+				gc.Bools = append(gc.Bools, v.Bools...)
+				gc.Floats = append(gc.Floats, v.Floats...)
 			}
+			got.Rows += g.Rows
 		}
-		if len(got) != len(rows) {
-			t.Fatalf("round trip: %d rows in, %d out", len(rows), len(got))
+		if got.Rows != all.Rows {
+			t.Fatalf("round trip: %d rows in, %d out", all.Rows, got.Rows)
 		}
-		for i := range rows {
-			if got[i].s != rows[i].s || got[i].t != rows[i].t || got[i].i != rows[i].i || got[i].b != rows[i].b ||
-				math.Float64bits(got[i].f) != math.Float64bits(rows[i].f) ||
-				!bytes.Equal(got[i].r, rows[i].r) {
-				t.Fatalf("row %d: got %+v, want %+v", i, got[i], rows[i])
+		g := got.Cols
+		for i := 0; i < all.Rows; i++ {
+			if g[0].Strs[i] != c[0].Strs[i] || g[4].Strs[i] != c[4].Strs[i] || g[5].Strs[i] != c[5].Strs[i] ||
+				g[6].Strs[i] != c[6].Strs[i] || g[1].Ints[i] != c[1].Ints[i] || g[2].Bools[i] != c[2].Bools[i] ||
+				math.Float64bits(g[3].Floats[i]) != math.Float64bits(c[3].Floats[i]) {
+				t.Fatalf("row %d differs after the round trip", i)
 			}
 		}
 	})

@@ -29,27 +29,29 @@ var candidateSchema = columnar.Schema{
 // order: pass Pipeline.Candidates, or a copy already held, for one sorted
 // by domain.
 func WriteCandidates(w io.Writer, cands []Candidate) error {
-	cw := columnar.NewWriter(w, candidateSchema, 0)
+	var (
+		domain, tld, ctLog, issuer, registrar []string
+		seen, outcome, registered             []int64
+		validated, watched                    []bool
+	)
 	for _, c := range cands {
 		var regUnix int64
 		if !c.Registered.IsZero() {
 			regUnix = c.Registered.Unix()
 		}
-		err := cw.Append(
-			columnar.String(c.Domain),
-			columnar.String(c.TLD),
-			columnar.Int(c.SeenAt.Unix()),
-			columnar.String(c.CTLog),
-			columnar.String(c.Issuer),
-			columnar.Int(int64(c.RDAPOutcome)),
-			columnar.String(c.Registrar),
-			columnar.Int(regUnix),
-			columnar.Bool(c.Validated),
-			columnar.Bool(c.Watched),
-		)
-		if err != nil {
-			return fmt.Errorf("core: exporting %s: %w", c.Domain, err)
-		}
+		domain, tld = append(domain, c.Domain), append(tld, c.TLD)
+		seen = append(seen, c.SeenAt.Unix())
+		ctLog, issuer = append(ctLog, c.CTLog), append(issuer, c.Issuer)
+		outcome = append(outcome, int64(c.RDAPOutcome))
+		registrar, registered = append(registrar, c.Registrar), append(registered, regUnix)
+		validated, watched = append(validated, c.Validated), append(watched, c.Watched)
+	}
+	cw := columnar.NewWriter(w, candidateSchema, 0)
+	if err := cw.Write(&columnar.RowGroup{Rows: len(cands), Cols: []columnar.Values{
+		{Strs: domain}, {Strs: tld}, {Ints: seen}, {Strs: ctLog}, {Strs: issuer},
+		{Ints: outcome}, {Strs: registrar}, {Ints: registered}, {Bools: validated}, {Bools: watched},
+	}}); err != nil {
+		return fmt.Errorf("core: exporting candidates: %w", err)
 	}
 	return cw.Close()
 }
@@ -72,19 +74,27 @@ func ReadCandidates(r io.Reader) ([]Candidate, error) {
 		if err != nil {
 			return nil, err
 		}
+		var (
+			domain, tld           = g.Col("domain").Strs, g.Col("tld").Strs
+			seen                  = g.Col("seen_unix").Ints
+			ctLog, issuer         = g.Col("ct_log").Strs, g.Col("issuer").Strs
+			outcome               = g.Col("rdap_outcome").Ints
+			registrar, registered = g.Col("registrar").Strs, g.Col("registered_unix").Ints
+			validated, watched    = g.Col("validated").Bools, g.Col("watched").Bools
+		)
 		for i := 0; i < g.Rows; i++ {
 			c := Candidate{
-				Domain:      g.Strs["domain"][i],
-				TLD:         g.Strs["tld"][i],
-				SeenAt:      time.Unix(g.Ints["seen_unix"][i], 0).UTC(),
-				CTLog:       g.Strs["ct_log"][i],
-				Issuer:      g.Strs["issuer"][i],
-				RDAPOutcome: RDAPOutcome(g.Ints["rdap_outcome"][i]),
-				Registrar:   g.Strs["registrar"][i],
-				Validated:   g.Bools["validated"][i],
-				Watched:     g.Bools["watched"][i],
+				Domain:      domain[i],
+				TLD:         tld[i],
+				SeenAt:      time.Unix(seen[i], 0).UTC(),
+				CTLog:       ctLog[i],
+				Issuer:      issuer[i],
+				RDAPOutcome: RDAPOutcome(outcome[i]),
+				Registrar:   registrar[i],
+				Validated:   validated[i],
+				Watched:     watched[i],
 			}
-			if ru := g.Ints["registered_unix"][i]; ru != 0 {
+			if ru := registered[i]; ru != 0 {
 				c.Registered = time.Unix(ru, 0).UTC()
 			}
 			out = append(out, c)

@@ -16,7 +16,8 @@ type Provider struct {
 	ASN      uint32       // origin AS of web hosting addresses
 	V4       netip.Prefix // address pool for A records
 
-	ns *[nsShards][]string // prebuilt NSNames sets; nil outside the catalog
+	ns   *[nsShards][]string // prebuilt NSNames sets; nil outside the catalog
+	set0 NSSetID             // the ID of ns[0]; 0 outside the catalog
 }
 
 // Catalog of providers seen in the paper's Tables 4 and 5 plus a long tail.
@@ -38,11 +39,44 @@ var catalog = []Provider{
 func init() {
 	for i := range catalog {
 		sets := new([nsShards][]string)
+		catalog[i].set0 = NSSetID(len(nsSetsByID))
 		for shard := range sets {
 			sets[shard] = nsSet(catalog[i].NSSuffix, shard)
+			nsSetsByID = append(nsSetsByID, nsSetEntry{sets[shard], &catalog[i]})
 		}
 		catalog[i].ns = sets
 	}
+}
+
+// NSSetID numbers the catalog's prebuilt nameserver sets from 1, so the
+// set a registration delegates to can be kept and stored as a number. ID 0
+// is no set.
+type NSSetID uint8
+
+type nsSetEntry struct {
+	names []string
+	prov  *Provider
+}
+
+// nsSetsByID holds each set by its ID; index 0 is no set.
+var nsSetsByID = []nsSetEntry{{}}
+
+// Names returns the set id numbers, the slice NSNames returns for it: nil
+// for 0 or a number no set has.
+func (id NSSetID) Names() []string {
+	if int(id) >= len(nsSetsByID) {
+		return nil
+	}
+	return nsSetsByID[id].names
+}
+
+// Provider returns the provider whose set id numbers: nil for 0 or a
+// number no set has.
+func (id NSSetID) Provider() *Provider {
+	if int(id) >= len(nsSetsByID) {
+		return nil
+	}
+	return nsSetsByID[id].prov
 }
 
 // ByName returns the provider with the given name, or nil.
@@ -171,6 +205,15 @@ func (p *Provider) NSNames(shard int) []string {
 		return p.ns[shard]
 	}
 	return nsSet(p.NSSuffix, shard)
+}
+
+// NSSetID returns the ID of the set NSNames(shard) returns, 0 for a
+// provider outside the catalog.
+func (p *Provider) NSSetID(shard int) NSSetID {
+	if p.ns == nil {
+		return 0
+	}
+	return p.set0 + NSSetID(((shard%nsShards)+nsShards)%nsShards)
 }
 
 // nsSet builds the nameserver pair of one shard in 0..12.

@@ -114,6 +114,38 @@ func TestNSNamesEveryShard(t *testing.T) {
 	}
 }
 
+// TestNSSetIDs: every catalog set has an ID of its own, not 0, that gives
+// back the very slice NSNames returns and its provider, for every shard,
+// negative ones included; 0, an ID past the last set and a provider
+// outside the catalog name no set.
+func TestNSSetIDs(t *testing.T) {
+	seen := make(map[NSSetID]bool)
+	for i := range All() {
+		p := &All()[i]
+		for shard := -13; shard <= 25; shard++ {
+			id, ns := p.NSSetID(shard), p.NSNames(shard)
+			if got := id.Names(); id == 0 || len(got) != len(ns) || &got[0] != &ns[0] || id.Provider() != p {
+				t.Fatalf("%s shard %d: ID %d names %v of %v, want %v of %s", p.Name, shard, id, got, id.Provider(), ns, p.Name)
+			}
+			if shard >= 0 && shard < 13 {
+				if seen[id] {
+					t.Fatalf("%s shard %d: ID %d already taken", p.Name, shard, id)
+				}
+				seen[id] = true
+			}
+		}
+	}
+	last := NSSetID(len(seen))
+	for _, id := range []NSSetID{0, last + 1, math.MaxUint8} {
+		if id.Names() != nil || id.Provider() != nil {
+			t.Errorf("ID %d names %v of %v, want none", id, id.Names(), id.Provider())
+		}
+	}
+	if id := (&Provider{Name: "Elsewhere", NSSuffix: "elsewhere.net"}).NSSetID(1); id != 0 {
+		t.Errorf("a provider outside the catalog has set ID %d", id)
+	}
+}
+
 func TestWebAddrInsidePoolAndResolvesToASN(t *testing.T) {
 	db := asdb.Default()
 	for _, p := range All() {

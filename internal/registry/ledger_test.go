@@ -23,23 +23,24 @@ func TestRegistrationStaysCompact(t *testing.T) {
 // allocations — one per chunk of blocks, plus the ledger map's growth —
 // and a re-registration (the same block without the record) and an NS
 // update (a fresh answer with its arrays) allocate one block each, at
-// most 1.01 with the maps' growth. Each is averaged over 10 000 names.
+// most 1.01 with the maps' growth. Each is averaged over 20 runs of
+// 1 000 names.
 func TestLedgerAllocations(t *testing.T) {
-	const n = 10_000
+	const n, runs = 1_000, 20
 	r, _ := newTestRegistry("com")
 	defer r.Stop()
-	names := make([]string, 2*n) // AllocsPerRun makes one warm-up pass
+	names := make([]string, (runs+1)*n) // AllocsPerRun makes one warm-up pass
 	for i := range names {
 		names[i] = domainName(i)
 	}
 	ns := []string{"ns1.a.net", "ns2.a.net"}
 	alt := []string{"ns2.b.net", "ns1.b.net"}
 	web := netip.MustParseAddr("192.0.2.1")
-	// pass applies op to n fresh names, after a warm-up pass over n
-	// others, and returns the allocations per name.
+	// pass applies op to runs batches of n fresh names, after a warm-up
+	// batch of n others, and returns the allocations per name.
 	pass := func(op func(name string)) float64 {
 		next := names
-		return testing.AllocsPerRun(1, func() {
+		return testing.AllocsPerRun(runs, func() {
 			for _, name := range next[:n] {
 				op(name)
 			}

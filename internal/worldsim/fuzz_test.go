@@ -36,6 +36,11 @@ func snapContainer(tables []byte) []byte {
 	return append(append(b, tables...), 0)
 }
 
+// oneLayout fills a layouts table with one row, layout 0 of .com.
+func oneLayout(cw *columnar.Writer) error {
+	return cw.Write(&columnar.RowGroup{Rows: 1, Cols: []columnar.Values{{Ints: []int64{0}}, {Strs: []string{"com"}}}})
+}
+
 // trailingSnapshots returns a snapshot of one layout and no other rows
 // whose tables are followed by a large unknown table (its body over the
 // columnar reader's 64 KiB buffer), and variants of it that differ only
@@ -45,18 +50,16 @@ func trailingSnapshots() (valid []byte, bad map[string][]byte) {
 	tail := func(b []byte) []byte { return append(b, 0xff, 0xff, 0xff) } // body ends 00 ff ff ff
 	none := func(*columnar.Writer) error { return nil }
 	layouts := func(patch func([]byte) []byte) []byte {
-		return snapTable("layouts", layoutsSchema(),
-			func(cw *columnar.Writer) error { return cw.Append(columnar.Int(0), columnar.String("com")) }, patch)
+		return snapTable("layouts", layoutsSchema(), oneLayout, patch)
 	}
 	unknown := columnar.Schema{{Name: "a", Type: columnar.TypeInt64}}
 	large := func(patch func([]byte) []byte) []byte {
 		return snapTable("x", unknown, func(cw *columnar.Writer) error {
-			for i := range 40_000 {
-				if err := cw.Append(columnar.Int(int64(i) * 1_000_003)); err != nil {
-					return err
-				}
+			g := &columnar.RowGroup{Rows: 40_000, Cols: make([]columnar.Values, 1)}
+			for i := range g.Rows {
+				g.Cols[0].Ints = append(g.Cols[0].Ints, int64(i)*1_000_003)
 			}
-			return nil
+			return cw.Write(g)
 		}, patch)
 	}
 	var rest []byte
@@ -70,6 +73,36 @@ func trailingSnapshots() (valid []byte, bad map[string][]byte) {
 		"large unknown body with a tail":   build(layouts(same), large(tail)),
 		"table framed inside unknown body": build(layouts(same), hidden, large(same)),
 	}
+}
+
+// plainOverrun returns a snapshot of one layout and one NOD seeding whose
+// plain domain column claims a name longer than its chunk holds.
+func plainOverrun() []byte {
+	same := func(b []byte) []byte { return b }
+	none := func(*columnar.Writer) error { return nil }
+	nod := snapTable("nod", seedSchema(), func(cw *columnar.Writer) error {
+		return cw.Write(&columnar.RowGroup{Rows: 1, Cols: []columnar.Values{
+			{Ints: []int64{0}}, {Strs: []string{"a.com"}}, {Ints: []int64{1}},
+		}})
+	}, func(b []byte) []byte {
+		// DCOL1, the schema, row count 1, the layout chunk (01 00), the
+		// domain chunk's length (06) and its name's length (05).
+		at := len("DCOL1\n") + 1 + len(seedSchema().String()) + 1 + 2 + 1
+		if b[at-1] != 6 || b[at] != 5 {
+			panic("nod body not laid out as expected")
+		}
+		b[at] = 9
+		return b
+	})
+	tables := snapTable("layouts", layoutsSchema(), oneLayout, same)
+	for _, name := range []string{"domains", "ghosts"} {
+		tables = append(tables, snapTable(name, tableSchemas[name], none, same)...)
+	}
+	tables = append(tables, nod...)
+	for _, name := range []string{"dzdb", "flags"} {
+		tables = append(tables, snapTable(name, tableSchemas[name], none, same)...)
+	}
+	return snapContainer(tables)
 }
 
 // FuzzLoadSnapshot: LoadSnapshot on arbitrary bytes returns either an
@@ -106,11 +139,12 @@ func FuzzLoadSnapshot(f *testing.F) {
 	// A known table written with another schema: its decoder must not
 	// index the columns it expects.
 	f.Add(snapContainer(snapTable("layouts", columnar.Schema{{Name: "tld", Type: columnar.TypeString}},
-		func(cw *columnar.Writer) error { return cw.Append(columnar.String("com")) }, same)))
+		func(cw *columnar.Writer) error {
+			return cw.Write(&columnar.RowGroup{Rows: 1, Cols: []columnar.Values{{Strs: []string{"com"}}}})
+		}, same)))
 	// A one-row layouts table whose row count is rewritten to 2^24: the
 	// chunks hold one value, so nothing may be sized by the count.
-	f.Add(snapContainer(snapTable("layouts", layoutsSchema(),
-		func(cw *columnar.Writer) error { return cw.Append(columnar.Int(0), columnar.String("com")) },
+	f.Add(snapContainer(snapTable("layouts", layoutsSchema(), oneLayout,
 		func(b []byte) []byte {
 			schemaLen, n := binary.Uvarint(b[len("DCOL1\n"):])
 			at := len("DCOL1\n") + n + int(schemaLen) // the group's row count, 1
@@ -121,6 +155,8 @@ func FuzzLoadSnapshot(f *testing.F) {
 	empty := snapTable("x", columnar.Schema{{Name: "a", Type: columnar.TypeInt64}},
 		func(*columnar.Writer) error { return nil }, same)
 	f.Add(snapContainer(bytes.Repeat(empty, 256)))
+	// A plain name longer than its column's chunk.
+	f.Add(plainOverrun())
 	// Bytes after a body's end marker, inside its frame.
 	valid, bad := trailingSnapshots()
 	f.Add(valid)

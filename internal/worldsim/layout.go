@@ -74,15 +74,18 @@ func share(n, k, i int) int {
 // choice pre-drawn, ready for the commit phase to install as clock events
 // that never touch an RNG.
 type regLayout struct {
-	d          *Domain
-	ns         []string // a provider's shared NS set (hosting.NSNames): read-only
-	web        netip.Addr
-	caIdx      int
-	certDelay  time.Duration
-	retrySeed  uint64 // derives per-attempt ACME backoffs (retryDelay)
-	nsChange   bool
-	nsChangeAt time.Duration
-	altNS      []string // drawn only when nsChange; shared like ns
+	d         *Domain
+	ns        []string // a provider's shared NS set (hosting.NSNames): read-only
+	web       netip.Addr
+	caIdx     int
+	certDelay time.Duration
+	retrySeed uint64 // derives per-attempt ACME backoffs (retryDelay)
+	nsChange  bool
+	// nsSet and altSet number ns and altNS (hosting.NSSetID) for the
+	// snapshot, which stores the draws rather than the names.
+	nsSet, altSet hosting.NSSetID
+	nsChangeAt    time.Duration
+	altNS         []string // drawn only when nsChange; shared like ns
 }
 
 // ghostLayout is one compiled stale-DV-token issuance (§4.2 cause iii).
@@ -314,9 +317,11 @@ func (pc *planCompiler) compileDomain(d *Domain, transient bool) {
 	webProv := hosting.PickWeb(rng, transient)
 	d.DNSHost = dnsProv.Name
 	d.WebHost = webProv.Name
+	shard := rng.Intn(13)
 	r := regLayout{
 		d:         d,
-		ns:        dnsProv.NSNames(rng.Intn(13)),
+		ns:        dnsProv.NSNames(shard),
+		nsSet:     dnsProv.NSSetID(shard),
 		web:       webProv.WebAddr(rng.Uint64()),
 		caIdx:     rng.Intn(pc.env.numCAs),
 		certDelay: pc.sampleCertDelay(transient),
@@ -326,7 +331,8 @@ func (pc *planCompiler) compileDomain(d *Domain, transient bool) {
 	r.nsChangeAt = time.Duration(rng.Int63n(int64(24 * time.Hour)))
 	if r.nsChange {
 		alt := hosting.PickDNS(rng, transient)
-		r.altNS = alt.NSNames(rng.Intn(13))
+		shard := rng.Intn(13)
+		r.altNS, r.altSet = alt.NSNames(shard), alt.NSSetID(shard)
 	}
 	nodRate := cfg.NODRateNoCert
 	if d.CertAsked {

@@ -7,11 +7,18 @@
 // engine directly. The container is a small multi-table format — outer
 // magic plus a header carrying (format version, seed, Config-shape hash),
 // followed by named length-prefixed tables, each body a complete
-// self-describing DCOL file (internal/columnar). Domain rows write one
+// self-describing DCOL file (internal/columnar). Every table writes one
 // row group per layout chunk, mirroring the compile fan-out's unit
-// structure. A header mismatch (different seed, different world shape,
-// unknown version) is never an error at build time: New falls back to
-// compiling, so a stale snapshot costs nothing but the decode attempt.
+// structure, its typed columns filled from the layout's records. Names are
+// plain string columns (distinct by construction, so no dictionary);
+// domain and ghost rows carry no TLD (their layout's is theirs); a
+// registration's NS sets are stored as hosting.NSSetIDs, its DNS host as
+// the ns set's provider, and its web address as an IPv4 number. A table's
+// body is built in full before its length can be written, in blocks that
+// the next save reuses. A header mismatch (different seed, different
+// world shape, unknown version) is never an error at build time: New
+// falls back to compiling, so a stale snapshot costs nothing but the
+// decode attempt.
 package worldsim
 
 import (
@@ -20,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"os"
 	"slices"
@@ -29,6 +37,7 @@ import (
 
 	"darkdns/internal/blocklist"
 	"darkdns/internal/columnar"
+	"darkdns/internal/hosting"
 	"darkdns/internal/noddfeed"
 	"darkdns/internal/registrar"
 )
@@ -38,7 +47,7 @@ import (
 // the builder falls back to compiling.
 const (
 	snapMagic   = "DSNW1\n"
-	snapVersion = 1
+	snapVersion = 2
 )
 
 // Engine counters, exposed for the sweep engine's compiled-exactly-once
@@ -141,11 +150,17 @@ func layoutsSchema() columnar.Schema {
 	}
 }
 
+// domainsSchema and ghostsSchema hold no TLD: a row's TLD is its layout's.
+// The name columns here and in seedSchema and flagsSchema are plain: names
+// are distinct by construction, so a dictionary would only cost a map
+// probe per row. A registration's NS sets are stored as the draws they
+// came from, hosting.NSSetIDs (alt_ns 0 when it has none), and its DNS
+// host is the ns set's provider; its web address is stored as its IPv4
+// number.
 func domainsSchema() columnar.Schema {
 	return columnar.Schema{
 		{Name: "layout", Type: columnar.TypeInt64},
-		{Name: "name", Type: columnar.TypeString},
-		{Name: "tld", Type: columnar.TypeString},
+		{Name: "name", Type: columnar.TypePlainString},
 		{Name: "registrar", Type: columnar.TypeString},
 		{Name: "created", Type: columnar.TypeInt64},
 		{Name: "lifetime", Type: columnar.TypeInt64},
@@ -153,26 +168,24 @@ func domainsSchema() columnar.Schema {
 		{Name: "malicious", Type: columnar.TypeBool},
 		{Name: "reason", Type: columnar.TypeInt64},
 		{Name: "cert_asked", Type: columnar.TypeBool},
-		{Name: "dns_host", Type: columnar.TypeString},
 		{Name: "web_host", Type: columnar.TypeString},
 		{Name: "has_mx", Type: columnar.TypeBool},
 		{Name: "has_spf", Type: columnar.TypeBool},
-		{Name: "ns", Type: columnar.TypeBytes},
-		{Name: "web", Type: columnar.TypeBytes},
+		{Name: "ns", Type: columnar.TypeInt64},
+		{Name: "web", Type: columnar.TypeInt64},
 		{Name: "ca_idx", Type: columnar.TypeInt64},
 		{Name: "cert_delay", Type: columnar.TypeInt64},
 		{Name: "retry_seed", Type: columnar.TypeInt64},
 		{Name: "ns_change", Type: columnar.TypeBool},
 		{Name: "ns_change_at", Type: columnar.TypeInt64},
-		{Name: "alt_ns", Type: columnar.TypeBytes},
+		{Name: "alt_ns", Type: columnar.TypeInt64},
 	}
 }
 
 func ghostsSchema() columnar.Schema {
 	return columnar.Schema{
 		{Name: "layout", Type: columnar.TypeInt64},
-		{Name: "name", Type: columnar.TypeString},
-		{Name: "tld", Type: columnar.TypeString},
+		{Name: "name", Type: columnar.TypePlainString},
 		{Name: "created", Type: columnar.TypeInt64},
 		{Name: "ca_idx", Type: columnar.TypeInt64},
 		{Name: "token_at", Type: columnar.TypeInt64},
@@ -183,7 +196,7 @@ func ghostsSchema() columnar.Schema {
 func seedSchema() columnar.Schema {
 	return columnar.Schema{
 		{Name: "layout", Type: columnar.TypeInt64},
-		{Name: "domain", Type: columnar.TypeString},
+		{Name: "domain", Type: columnar.TypePlainString},
 		{Name: "at", Type: columnar.TypeInt64},
 	}
 }
@@ -191,7 +204,7 @@ func seedSchema() columnar.Schema {
 func flagsSchema() columnar.Schema {
 	return columnar.Schema{
 		{Name: "layout", Type: columnar.TypeInt64},
-		{Name: "domain", Type: columnar.TypeString},
+		{Name: "domain", Type: columnar.TypePlainString},
 		{Name: "list", Type: columnar.TypeString},
 		{Name: "at", Type: columnar.TypeInt64},
 	}
@@ -199,46 +212,31 @@ func flagsSchema() columnar.Schema {
 
 // Encoding helpers ----------------------------------------------------------
 
-// appendStringList packs a []string onto dst as uvarint count +
-// per-entry uvarint length + bytes, for TypeBytes cells (NS sets).
-func appendStringList(dst []byte, ss []string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ss)))
-	for _, s := range ss {
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		dst = append(dst, s...)
-	}
-	return dst
+// isSet reports whether ns is the set id numbers: that slice, or no set
+// for both.
+func isSet(ns []string, id hosting.NSSetID) bool {
+	set := id.Names()
+	return len(ns) == len(set) && (len(ns) == 0 || &ns[0] == &set[0])
 }
 
-func decodeStringList(b []byte) ([]string, error) {
-	n, used := binary.Uvarint(b)
-	if used <= 0 {
-		return nil, io.ErrUnexpectedEOF
+// nsSetAt checks a stored NS set ID: 0 (no set) or a catalog set's.
+func nsSetAt(v int64) (hosting.NSSetID, error) {
+	id := hosting.NSSetID(v)
+	if v < 0 || int64(id) != v || (id != 0 && id.Names() == nil) {
+		return 0, fmt.Errorf("worldsim: no nameserver set %d", v)
 	}
-	b = b[used:]
-	if n == 0 {
-		return nil, nil
-	}
-	if n > uint64(len(b)) {
-		return nil, errors.New("worldsim: string list longer than cell")
-	}
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		l, used := binary.Uvarint(b)
-		if used <= 0 {
-			return nil, io.ErrUnexpectedEOF
-		}
-		b = b[used:]
-		if uint64(len(b)) < l {
-			return nil, io.ErrUnexpectedEOF
-		}
-		out = append(out, string(b[:l]))
-		b = b[l:]
-	}
-	return out, nil
+	return id, nil
 }
 
 func nanoTime(ns int64) time.Time { return time.Unix(0, ns).UTC() }
+
+// spareBody is the block buffer of the last save that finished, kept for
+// the next one: after its first save a process builds table bodies in
+// memory it already has. It holds as many 1 MiB blocks as that save's
+// largest table needed (7 for a 10⁵-domain world) for the life of the
+// process. A save running while another holds it builds in a buffer of
+// its own.
+var spareBody atomic.Pointer[blockBuffer]
 
 // SaveSnapshot serializes a compiled layout set to w.
 func SaveSnapshot(w io.Writer, ls *LayoutSet) error {
@@ -254,56 +252,71 @@ func SaveSnapshot(w io.Writer, ls *LayoutSet) error {
 	}
 
 	// One body buffer serves every table of the save.
-	body := new(blockBuffer)
+	body := spareBody.Swap(nil)
+	if body == nil {
+		body = new(blockBuffer)
+	}
+	defer spareBody.Store(body)
+
 	if err := writeTable(w, body, "layouts", layoutsSchema(), func(cw *columnar.Writer) error {
+		idx, tld := make([]int64, len(ls.Layouts)), make([]string, len(ls.Layouts))
 		for i, l := range ls.Layouts {
-			if err := cw.Append(columnar.Int(int64(i)), columnar.String(l.tld)); err != nil {
-				return err
-			}
+			idx[i], tld[i] = int64(i), l.tld
 		}
-		return nil
+		return cw.Write(&columnar.RowGroup{Rows: len(ls.Layouts), Cols: []columnar.Values{{Ints: idx}, {Strs: tld}}})
 	}); err != nil {
 		return err
 	}
 
-	// The NS, address and alternate-NS cells of a row group are slices of
-	// one arena, reused from the start once the group's Flush has encoded
-	// them. Cells cut before the arena last grew keep the backing array
-	// they were cut from, which nothing writes to again.
-	var arena []byte
+	// Each table writes one row group per layout: the compile fan-out's
+	// unit structure. The columns are filled row by row from the layout's
+	// records and keep their storage from one layout to the next.
 	if err := writeTable(w, body, "domains", domainsSchema(), func(cw *columnar.Writer) error {
+		var (
+			layout, created, lifetime, reason, ns, web, caIdx, certDelay, retry, nsChangeAt, altNS []int64
+			names, regs, webHosts                                                                  []string
+			fastDel, mal, certAsk, hasMX, hasSPF, nsChange                                         []bool
+		)
 		for i, l := range ls.Layouts {
+			layout, created, lifetime, reason, ns, web = layout[:0], created[:0], lifetime[:0], reason[:0], ns[:0], web[:0]
+			caIdx, certDelay, retry, nsChangeAt, altNS = caIdx[:0], certDelay[:0], retry[:0], nsChangeAt[:0], altNS[:0]
+			names, regs, webHosts = names[:0], regs[:0], webHosts[:0]
+			fastDel, mal, certAsk, hasMX, hasSPF, nsChange = fastDel[:0], mal[:0], certAsk[:0], hasMX[:0], hasSPF[:0], nsChange[:0]
 			for j := range l.domains {
 				r := &l.domains[j]
 				d := r.d
-				nsAt := len(arena)
-				arena = appendStringList(arena, r.ns)
-				webAt := len(arena)
-				arena, _ = r.web.AppendBinary(arena) // never fails
-				altAt := len(arena)
-				arena = appendStringList(arena, r.altNS)
-				if err := cw.Append(
-					columnar.Int(int64(i)),
-					columnar.String(d.Name), columnar.String(d.TLD), columnar.String(d.Registrar),
-					columnar.Int(d.Created.UnixNano()), columnar.Int(int64(d.Lifetime)),
-					columnar.Bool(d.FastDelete), columnar.Bool(d.Malicious),
-					columnar.Int(int64(d.Reason)), columnar.Bool(d.CertAsked),
-					columnar.String(d.DNSHost), columnar.String(d.WebHost),
-					columnar.Bool(d.HasMX), columnar.Bool(d.HasSPF),
-					columnar.Bytes(arena[nsAt:webAt]), columnar.Bytes(arena[webAt:altAt]),
-					columnar.Int(int64(r.caIdx)), columnar.Int(int64(r.certDelay)),
-					columnar.Int(int64(r.retrySeed)), columnar.Bool(r.nsChange),
-					columnar.Int(int64(r.nsChangeAt)), columnar.Bytes(arena[altAt:]),
-				); err != nil {
-					return err
+				switch {
+				case d.TLD != l.tld:
+					return fmt.Errorf("worldsim: %s is laid out under .%s", d.Name, l.tld)
+				case r.nsSet.Names() == nil || !isSet(r.ns, r.nsSet) || r.nsSet.Provider().Name != d.DNSHost:
+					return fmt.Errorf("worldsim: %s: NS %v is not set %d of its DNS host %s", d.Name, r.ns, r.nsSet, d.DNSHost)
+				case !isSet(r.altNS, r.altSet):
+					return fmt.Errorf("worldsim: %s: alternate NS %v is not set %d", d.Name, r.altNS, r.altSet)
+				case !r.web.Is4():
+					return fmt.Errorf("worldsim: %s: web address %v is not IPv4", d.Name, r.web)
 				}
+				web4 := r.web.As4()
+
+				layout = append(layout, int64(i))
+				names, regs = append(names, d.Name), append(regs, d.Registrar)
+				created, lifetime = append(created, d.Created.UnixNano()), append(lifetime, int64(d.Lifetime))
+				fastDel, mal = append(fastDel, d.FastDelete), append(mal, d.Malicious)
+				reason, certAsk = append(reason, int64(d.Reason)), append(certAsk, d.CertAsked)
+				webHosts, hasMX, hasSPF = append(webHosts, d.WebHost), append(hasMX, d.HasMX), append(hasSPF, d.HasSPF)
+				ns, web = append(ns, int64(r.nsSet)), append(web, int64(binary.BigEndian.Uint32(web4[:])))
+				caIdx, certDelay = append(caIdx, int64(r.caIdx)), append(certDelay, int64(r.certDelay))
+				retry, nsChange = append(retry, int64(r.retrySeed)), append(nsChange, r.nsChange)
+				nsChangeAt, altNS = append(nsChangeAt, int64(r.nsChangeAt)), append(altNS, int64(r.altSet))
 			}
-			// One row group per layout chunk, mirroring the compile
-			// fan-out's unit structure.
-			if err := cw.Flush(); err != nil {
+			if err := cw.Write(&columnar.RowGroup{Rows: len(l.domains), Cols: []columnar.Values{
+				{Ints: layout}, {Strs: names}, {Strs: regs}, {Ints: created}, {Ints: lifetime},
+				{Bools: fastDel}, {Bools: mal}, {Ints: reason}, {Bools: certAsk},
+				{Strs: webHosts}, {Bools: hasMX}, {Bools: hasSPF},
+				{Ints: ns}, {Ints: web}, {Ints: caIdx}, {Ints: certDelay}, {Ints: retry},
+				{Bools: nsChange}, {Ints: nsChangeAt}, {Ints: altNS},
+			}}); err != nil {
 				return err
 			}
-			arena = arena[:0]
 		}
 		return nil
 	}); err != nil {
@@ -311,19 +324,25 @@ func SaveSnapshot(w io.Writer, ls *LayoutSet) error {
 	}
 
 	if err := writeTable(w, body, "ghosts", ghostsSchema(), func(cw *columnar.Writer) error {
+		var (
+			layout, created, caIdx, tokenAt []int64
+			names                           []string
+			inDZDB                          []bool
+		)
 		for i, l := range ls.Layouts {
+			layout, created, caIdx, tokenAt, names, inDZDB = layout[:0], created[:0], caIdx[:0], tokenAt[:0], names[:0], inDZDB[:0]
 			for j := range l.ghosts {
 				g := &l.ghosts[j]
-				if err := cw.Append(
-					columnar.Int(int64(i)),
-					columnar.String(g.d.Name), columnar.String(g.d.TLD),
-					columnar.Int(g.d.Created.UnixNano()), columnar.Int(int64(g.caIdx)),
-					columnar.Int(g.tokenAt.UnixNano()), columnar.Bool(g.inDZDB),
-				); err != nil {
-					return err
+				if g.d.TLD != l.tld {
+					return fmt.Errorf("worldsim: ghost %s is laid out under .%s", g.d.Name, l.tld)
 				}
+				layout, names = append(layout, int64(i)), append(names, g.d.Name)
+				created, caIdx = append(created, g.d.Created.UnixNano()), append(caIdx, int64(g.caIdx))
+				tokenAt, inDZDB = append(tokenAt, g.tokenAt.UnixNano()), append(inDZDB, g.inDZDB)
 			}
-			if err := cw.Flush(); err != nil {
+			if err := cw.Write(&columnar.RowGroup{Rows: len(l.ghosts), Cols: []columnar.Values{
+				{Ints: layout}, {Strs: names}, {Ints: created}, {Ints: caIdx}, {Ints: tokenAt}, {Bools: inDZDB},
+			}}); err != nil {
 				return err
 			}
 		}
@@ -334,12 +353,19 @@ func SaveSnapshot(w io.Writer, ls *LayoutSet) error {
 
 	feeds := func(pick func(l *Layout) []feedSeed) func(cw *columnar.Writer) error {
 		return func(cw *columnar.Writer) error {
+			var (
+				layout, at []int64
+				domains    []string
+			)
 			for i, l := range ls.Layouts {
+				layout, at, domains = layout[:0], at[:0], domains[:0]
 				for _, s := range pick(l) {
-					if err := cw.Append(columnar.Int(int64(i)),
-						columnar.String(s.domain), columnar.Int(s.at.UnixNano())); err != nil {
-						return err
-					}
+					layout, domains, at = append(layout, int64(i)), append(domains, s.domain), append(at, s.at.UnixNano())
+				}
+				if err := cw.Write(&columnar.RowGroup{Rows: len(layout), Cols: []columnar.Values{
+					{Ints: layout}, {Strs: domains}, {Ints: at},
+				}}); err != nil {
+					return err
 				}
 			}
 			return nil
@@ -352,13 +378,20 @@ func SaveSnapshot(w io.Writer, ls *LayoutSet) error {
 		return err
 	}
 	if err := writeTable(w, body, "flags", flagsSchema(), func(cw *columnar.Writer) error {
+		var (
+			layout, at     []int64
+			domains, lists []string
+		)
 		for i, l := range ls.Layouts {
+			layout, at, domains, lists = layout[:0], at[:0], domains[:0], lists[:0]
 			for _, f := range l.flags {
-				if err := cw.Append(columnar.Int(int64(i)),
-					columnar.String(f.Domain), columnar.String(f.List),
-					columnar.Int(f.At.UnixNano())); err != nil {
-					return err
-				}
+				layout, at = append(layout, int64(i)), append(at, f.At.UnixNano())
+				domains, lists = append(domains, f.Domain), append(lists, f.List)
+			}
+			if err := cw.Write(&columnar.RowGroup{Rows: len(l.flags), Cols: []columnar.Values{
+				{Ints: layout}, {Strs: domains}, {Strs: lists}, {Ints: at},
+			}}); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -397,7 +430,9 @@ const bodyBlock = 1 << 20
 
 // blockBuffer holds a table body in fixed-size blocks filled in order, so
 // growing it never copies what it already holds. reset keeps the blocks,
-// so a save allocates blocks for its largest table only.
+// and SaveSnapshot hands the buffer to the next save (spareBody), so only
+// a process's first save, or one with a larger table than any before it,
+// allocates blocks.
 type blockBuffer struct {
 	blocks [][]byte
 	cur    int // index of the block being filled
@@ -515,23 +550,24 @@ func LoadSnapshot(r io.Reader) (*LayoutSet, error) {
 		// Every decoder below consumes its group before pulling the next,
 		// so the reader can recycle column storage between groups.
 		cr.Reuse()
-		tr := &tableReader{r: cr}
 		name := string(nameBuf)
 		switch name {
 		case "layouts":
-			err = ls.decodeLayouts(tr)
+			err = ls.decodeLayouts(cr)
 		case "domains":
-			err = ls.decodeDomains(tr)
+			err = ls.decodeDomains(cr)
 		case "ghosts":
-			err = ls.decodeGhosts(tr)
+			err = ls.decodeGhosts(cr)
 		case "nod":
-			err = ls.decodeFeed(tr, func(l *Layout, s feedSeed) { l.nod = append(l.nod, s) })
+			err = ls.decodeFeed(cr, func(l *Layout) *[]feedSeed { return &l.nod })
 		case "dzdb":
-			err = ls.decodeFeed(tr, func(l *Layout, s feedSeed) { l.dzdb = append(l.dzdb, s) })
+			err = ls.decodeFeed(cr, func(l *Layout) *[]feedSeed { return &l.dzdb })
 		case "flags":
-			err = ls.decodeFlags(tr)
+			err = ls.decodeFlags(cr)
 		default:
-			err = tr.drain()
+			// An unknown table is read to its end, so the stream stays
+			// aligned for the tables that follow it.
+			err = eachGroup(cr, func(*columnar.RowGroup) error { return nil })
 		}
 		if err != nil {
 			return nil, fmt.Errorf("worldsim: table %q: %w", name, err)
@@ -546,211 +582,135 @@ func LoadSnapshot(r io.Reader) (*LayoutSet, error) {
 	return ls, nil
 }
 
-// tableReader streams one table's row groups; next returns io.EOF at
-// the end of the table.
-type tableReader struct {
-	r *columnar.Reader
-}
-
-func (t *tableReader) next() (*columnar.RowGroup, error) {
-	g, err := t.r.Next()
-	if err != nil && !errors.Is(err, io.EOF) {
-		return nil, err
-	}
-	if err != nil {
-		return nil, io.EOF
-	}
-	return g, nil
-}
-
-// drain consumes an unknown table so the stream stays aligned for the
-// tables that follow it.
-func (t *tableReader) drain() error {
+// eachGroup calls fn for each of a table's row groups in order, to the
+// table's end.
+func eachGroup(r *columnar.Reader, fn func(g *columnar.RowGroup) error) error {
 	for {
-		if _, err := t.next(); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-	}
-}
-
-// eachRow replays a table's rows in order, resolving the standard
-// leading "layout" column against ls.Layouts.
-func (ls *LayoutSet) eachRow(t *tableReader, fn func(l *Layout, g *columnar.RowGroup, i int) error) error {
-	for {
-		g, err := t.next()
+		g, err := r.Next()
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		idxs := g.Ints["layout"]
-		for i := 0; i < g.Rows; i++ {
-			idx := idxs[i]
-			if idx < 0 || idx >= int64(len(ls.Layouts)) {
-				return fmt.Errorf("worldsim: layout index %d out of range", idx)
-			}
-			if err := fn(ls.Layouts[idx], g, i); err != nil {
-				return err
-			}
+		if err := fn(g); err != nil {
+			return err
 		}
 	}
 }
 
-func (ls *LayoutSet) decodeLayouts(t *tableReader) error {
-	for {
-		g, err := t.next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
+// layoutOf resolves a row's "layout" column value against ls.Layouts.
+func (ls *LayoutSet) layoutOf(idx int64) (*Layout, error) {
+	if idx < 0 || idx >= int64(len(ls.Layouts)) {
+		return nil, fmt.Errorf("worldsim: layout index %d out of range", idx)
+	}
+	return ls.Layouts[idx], nil
+}
+
+func (ls *LayoutSet) decodeLayouts(r *columnar.Reader) error {
+	return eachGroup(r, func(g *columnar.RowGroup) error {
+		idxs, tlds := g.Col("idx").Ints, g.Col("tld").Strs
 		for i := 0; i < g.Rows; i++ {
-			if g.Ints["idx"][i] != int64(len(ls.Layouts)) {
+			if idxs[i] != int64(len(ls.Layouts)) {
 				return errors.New("worldsim: layout table out of order")
 			}
-			ls.Layouts = append(ls.Layouts, &Layout{tld: g.Strs["tld"][i]})
+			ls.Layouts = append(ls.Layouts, &Layout{tld: tlds[i]})
 		}
-	}
+		return nil
+	})
 }
 
-// nsIntern caches decoded nameserver lists by their raw encoding. The
-// NS namespace is tiny (hosting providers × shard count), so virtually
-// every list after the first few rows is a cache hit — the decode path's
-// dominant allocation source collapses to a map probe.
-type nsIntern map[string][]string
-
-func (in nsIntern) list(b []byte) ([]string, error) {
-	if v, ok := in[string(b)]; ok {
-		return v, nil
-	}
-	v, err := decodeStringList(b)
-	if err != nil {
-		return nil, err
-	}
-	in[string(b)] = v
-	return v, nil
-}
-
-func (ls *LayoutSet) decodeDomains(t *tableReader) error {
-	intern := make(nsIntern)
-	for {
-		g, err := t.next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
+func (ls *LayoutSet) decodeDomains(r *columnar.Reader) error {
+	return eachGroup(r, func(g *columnar.RowGroup) error {
 		var (
-			idxs     = g.Ints["layout"]
-			names    = g.Strs["name"]
-			tlds     = g.Strs["tld"]
-			regs     = g.Strs["registrar"]
-			created  = g.Ints["created"]
-			lifetime = g.Ints["lifetime"]
-			fastDel  = g.Bools["fast_delete"]
-			mal      = g.Bools["malicious"]
-			reasons  = g.Ints["reason"]
-			certAsk  = g.Bools["cert_asked"]
-			dnsHosts = g.Strs["dns_host"]
-			webHosts = g.Strs["web_host"]
-			hasMX    = g.Bools["has_mx"]
-			hasSPF   = g.Bools["has_spf"]
-			nsCol    = g.Bytes["ns"]
-			webCol   = g.Bytes["web"]
-			caIdxs   = g.Ints["ca_idx"]
-			certDel  = g.Ints["cert_delay"]
-			retry    = g.Ints["retry_seed"]
-			nsChg    = g.Bools["ns_change"]
-			nsChgAt  = g.Ints["ns_change_at"]
-			altCol   = g.Bytes["alt_ns"]
+			idxs     = g.Col("layout").Ints
+			names    = g.Col("name").Strs
+			regs     = g.Col("registrar").Strs
+			created  = g.Col("created").Ints
+			lifetime = g.Col("lifetime").Ints
+			fastDel  = g.Col("fast_delete").Bools
+			mal      = g.Col("malicious").Bools
+			reasons  = g.Col("reason").Ints
+			certAsk  = g.Col("cert_asked").Bools
+			webHosts = g.Col("web_host").Strs
+			hasMX    = g.Col("has_mx").Bools
+			hasSPF   = g.Col("has_spf").Bools
+			nsCol    = g.Col("ns").Ints
+			webCol   = g.Col("web").Ints
+			caIdxs   = g.Col("ca_idx").Ints
+			certDel  = g.Col("cert_delay").Ints
+			retry    = g.Col("retry_seed").Ints
+			nsChg    = g.Col("ns_change").Bools
+			nsChgAt  = g.Col("ns_change_at").Ints
+			altCol   = g.Col("alt_ns").Ints
 		)
 		// One Domain and one regLayout slab per group, as compile lays
-		// out a chunk, instead of two heap objects per row.
+		// out a chunk, instead of two heap objects per row. Fields are
+		// set one by one into the zeroed slabs.
 		ds := make([]Domain, g.Rows)
 		rls := make([]regLayout, g.Rows)
 		for i := 0; i < g.Rows; i++ {
-			idx := idxs[i]
-			if idx < 0 || idx >= int64(len(ls.Layouts)) {
-				return fmt.Errorf("worldsim: layout index %d out of range", idx)
-			}
-			ds[i] = Domain{
-				Name:       names[i],
-				TLD:        tlds[i],
-				Registrar:  regs[i],
-				Created:    nanoTime(created[i]),
-				Lifetime:   time.Duration(lifetime[i]),
-				FastDelete: fastDel[i],
-				Malicious:  mal[i],
-				Reason:     registrar.RemovalReason(reasons[i]),
-				CertAsked:  certAsk[i],
-				DNSHost:    dnsHosts[i],
-				WebHost:    webHosts[i],
-				HasMX:      hasMX[i],
-				HasSPF:     hasSPF[i],
-			}
-			ns, err := intern.list(nsCol[i])
+			l, err := ls.layoutOf(idxs[i])
 			if err != nil {
 				return err
 			}
-			altNS, err := intern.list(altCol[i])
+			nsID, err := nsSetAt(nsCol[i])
 			if err != nil {
 				return err
 			}
-			var web netip.Addr
-			if err := web.UnmarshalBinary(webCol[i]); err != nil {
+			if nsID == 0 {
+				return fmt.Errorf("worldsim: %s has no nameserver set", names[i])
+			}
+			altID, err := nsSetAt(altCol[i])
+			if err != nil {
 				return err
 			}
-			rls[i] = regLayout{
-				d: &ds[i], ns: ns, web: web,
-				caIdx:      int(caIdxs[i]),
-				certDelay:  time.Duration(certDel[i]),
-				retrySeed:  uint64(retry[i]),
-				nsChange:   nsChg[i],
-				nsChangeAt: time.Duration(nsChgAt[i]),
-				altNS:      altNS,
+			if uint64(webCol[i]) > math.MaxUint32 {
+				return fmt.Errorf("worldsim: web address %d is not an IPv4 number", webCol[i])
 			}
+			var web4 [4]byte
+			binary.BigEndian.PutUint32(web4[:], uint32(webCol[i]))
+
+			d := &ds[i]
+			d.Name, d.TLD, d.Registrar = names[i], l.tld, regs[i]
+			d.Created, d.Lifetime = nanoTime(created[i]), time.Duration(lifetime[i])
+			d.FastDelete, d.Malicious = fastDel[i], mal[i]
+			d.Reason, d.CertAsked = registrar.RemovalReason(reasons[i]), certAsk[i]
+			d.DNSHost, d.WebHost = nsID.Provider().Name, webHosts[i]
+			d.HasMX, d.HasSPF = hasMX[i], hasSPF[i]
+			r := &rls[i]
+			r.d, r.ns, r.nsSet, r.web = d, nsID.Names(), nsID, netip.AddrFrom4(web4)
+			r.caIdx, r.certDelay, r.retrySeed = int(caIdxs[i]), time.Duration(certDel[i]), uint64(retry[i])
+			r.nsChange, r.nsChangeAt, r.altNS, r.altSet = nsChg[i], time.Duration(nsChgAt[i]), altID.Names(), altID
 		}
 		forRuns(idxs[:g.Rows], func(start, end int) {
 			l := ls.Layouts[idxs[start]]
 			l.domains = adopt(l.domains, rls[start:end])
 		})
-	}
+		return nil
+	})
 }
 
-func (ls *LayoutSet) decodeGhosts(t *tableReader) error {
-	for {
-		g, err := t.next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
+func (ls *LayoutSet) decodeGhosts(r *columnar.Reader) error {
+	return eachGroup(r, func(g *columnar.RowGroup) error {
 		var (
-			idxs    = g.Ints["layout"]
-			names   = g.Strs["name"]
-			tlds    = g.Strs["tld"]
-			created = g.Ints["created"]
-			caIdxs  = g.Ints["ca_idx"]
-			tokenAt = g.Ints["token_at"]
-			inDZDB  = g.Bools["in_dzdb"]
+			idxs    = g.Col("layout").Ints
+			names   = g.Col("name").Strs
+			created = g.Col("created").Ints
+			caIdxs  = g.Col("ca_idx").Ints
+			tokenAt = g.Col("token_at").Ints
+			inDZDB  = g.Col("in_dzdb").Bools
 		)
 		ds := make([]Domain, g.Rows)
 		gls := make([]ghostLayout, g.Rows)
 		for i := 0; i < g.Rows; i++ {
-			idx := idxs[i]
-			if idx < 0 || idx >= int64(len(ls.Layouts)) {
-				return fmt.Errorf("worldsim: layout index %d out of range", idx)
+			l, err := ls.layoutOf(idxs[i])
+			if err != nil {
+				return err
 			}
 			ds[i] = Domain{
 				Name:    names[i],
-				TLD:     tlds[i],
+				TLD:     l.tld,
 				Created: nanoTime(created[i]),
 				Ghost:   true,
 			}
@@ -765,7 +725,8 @@ func (ls *LayoutSet) decodeGhosts(t *tableReader) error {
 			l := ls.Layouts[idxs[start]]
 			l.ghosts = adopt(l.ghosts, gls[start:end])
 		})
-	}
+		return nil
+	})
 }
 
 // forRuns calls f for each run idxs[start:end] of equal layout index.
@@ -791,19 +752,39 @@ func adopt[T any](slab, run []T) []T {
 	return append(slab, run...)
 }
 
-func (ls *LayoutSet) decodeFeed(t *tableReader, add func(*Layout, feedSeed)) error {
-	return ls.eachRow(t, func(l *Layout, g *columnar.RowGroup, i int) error {
-		add(l, feedSeed{domain: g.Strs["domain"][i], at: nanoTime(g.Ints["at"][i])})
+// decodeFeed decodes a seedings table into the slab seeds picks from
+// each layout.
+func (ls *LayoutSet) decodeFeed(r *columnar.Reader, seeds func(*Layout) *[]feedSeed) error {
+	return eachGroup(r, func(g *columnar.RowGroup) error {
+		idxs, domains, at := g.Col("layout").Ints, g.Col("domain").Strs, g.Col("at").Ints
+		run := make([]feedSeed, g.Rows)
+		for i := range run {
+			if _, err := ls.layoutOf(idxs[i]); err != nil {
+				return err
+			}
+			run[i] = feedSeed{domain: domains[i], at: nanoTime(at[i])}
+		}
+		forRuns(idxs[:g.Rows], func(start, end int) {
+			slab := seeds(ls.Layouts[idxs[start]])
+			*slab = adopt(*slab, run[start:end])
+		})
 		return nil
 	})
 }
 
-func (ls *LayoutSet) decodeFlags(t *tableReader) error {
-	return ls.eachRow(t, func(l *Layout, g *columnar.RowGroup, i int) error {
-		l.flags = append(l.flags, blocklist.Flag{
-			Domain: g.Strs["domain"][i],
-			List:   g.Strs["list"][i],
-			At:     nanoTime(g.Ints["at"][i]),
+func (ls *LayoutSet) decodeFlags(r *columnar.Reader) error {
+	return eachGroup(r, func(g *columnar.RowGroup) error {
+		idxs, domains, lists, at := g.Col("layout").Ints, g.Col("domain").Strs, g.Col("list").Strs, g.Col("at").Ints
+		run := make([]blocklist.Flag, g.Rows)
+		for i := range run {
+			if _, err := ls.layoutOf(idxs[i]); err != nil {
+				return err
+			}
+			run[i] = blocklist.Flag{Domain: domains[i], List: lists[i], At: nanoTime(at[i])}
+		}
+		forRuns(idxs[:g.Rows], func(start, end int) {
+			l := ls.Layouts[idxs[start]]
+			l.flags = adopt(l.flags, run[start:end])
 		})
 		return nil
 	})

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -49,7 +52,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(gr.ns, r.ns) || gr.web != r.web || gr.caIdx != r.caIdx ||
 				gr.certDelay != r.certDelay || gr.retrySeed != r.retrySeed ||
 				gr.nsChange != r.nsChange || gr.nsChangeAt != r.nsChangeAt ||
-				!reflect.DeepEqual(gr.altNS, r.altNS) {
+				!reflect.DeepEqual(gr.altNS, r.altNS) || gr.nsSet != r.nsSet || gr.altSet != r.altSet {
 				t.Fatalf("layout %d domain %d: regLayout mismatch", i, j)
 			}
 		}
@@ -57,6 +60,38 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			!reflect.DeepEqual(got.dzdb, l.dzdb) {
 			t.Fatalf("layout %d: feed seedings mismatch", i)
 		}
+	}
+}
+
+// TestSaveRefusesWhatItCannotStore: the snapshot stores a registration's
+// TLD as its layout's, its NS sets as catalog set IDs (its DNS host as
+// the ns set's provider) and its web address as an IPv4 number, so a
+// registration those would not give back is a save error, not a
+// different world after the load.
+func TestSaveRefusesWhatItCannotStore(t *testing.T) {
+	ls := CompileLayoutSet(tinyConfig(41))
+	l := ls.Layouts[0]
+	for name, edit := range map[string]func(r *regLayout){
+		"a TLD other than its layout's": func(r *regLayout) { r.d.TLD = "elsewhere" },
+		"a copy of its NS set":          func(r *regLayout) { r.ns = slices.Clone(r.ns) },
+		"another provider's NS set":     func(r *regLayout) { r.d.DNSHost = "Elsewhere" },
+		"an NS set of no ID":            func(r *regLayout) { r.nsSet = 0 },
+		"an alternate NS set of no ID":  func(r *regLayout) { r.altNS, r.altSet = r.ns, 0 },
+		"no web address":                func(r *regLayout) { r.web = netip.Addr{} },
+		"an IPv6 web address":           func(r *regLayout) { r.web = netip.IPv6Loopback() },
+	} {
+		r := l.domains[0]
+		d := *r.d
+		r.d = &d
+		edit(&r)
+		one := &LayoutSet{Seed: ls.Seed, ConfigHash: ls.ConfigHash, Layouts: []*Layout{{tld: l.tld, domains: []regLayout{r}}}}
+		if err := SaveSnapshot(io.Discard, one); err == nil {
+			t.Errorf("%s: saved", name)
+		}
+	}
+	one := &LayoutSet{Seed: ls.Seed, ConfigHash: ls.ConfigHash, Layouts: []*Layout{{tld: l.tld, domains: l.domains[:1]}}}
+	if err := SaveSnapshot(io.Discard, one); err != nil {
+		t.Fatalf("the unedited registration: %v", err)
 	}
 }
 
@@ -135,9 +170,10 @@ func TestSnapshotMismatchFallsBack(t *testing.T) {
 	}
 }
 
-// TestSnapshotCorruptInputs: truncated or corrupt snapshots, and tables
-// with bytes after their body's end marker, error cleanly; a corrupt file
-// behind Config.SnapshotPath still builds.
+// TestSnapshotCorruptInputs: truncated or corrupt snapshots, tables with
+// bytes after their body's end marker and a plain name column whose
+// lengths overrun its chunk error cleanly; a corrupt file behind
+// Config.SnapshotPath still builds.
 func TestSnapshotCorruptInputs(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyConfig(7)
@@ -167,6 +203,9 @@ func TestSnapshotCorruptInputs(t *testing.T) {
 			t.Errorf("%s: loaded cleanly", name)
 		}
 	}
+	if _, err := LoadSnapshot(bytes.NewReader(plainOverrun())); err == nil || !strings.Contains(err.Error(), "overruns") {
+		t.Errorf("plain name overrunning its chunk: %v", err)
+	}
 
 	path := filepath.Join(t.TempDir(), "bad.dsnap")
 	if err := os.WriteFile(path, full[:len(full)/3], 0o644); err != nil {
@@ -194,17 +233,17 @@ func TestSnapshotVersionGate(t *testing.T) {
 
 // TestSnapshotBytesPinned: SaveSnapshot's bytes for two seeds are pinned
 // by SHA-256, so an encoder change that moves a byte fails here even when
-// the snapshot still round-trips. The hashes were taken from the
-// allocating encoder the scratch-reusing one replaced; a deliberate format
-// change bumps snapVersion and re-pins them.
+// the snapshot still round-trips. They were pinned for version 2 (plain
+// name columns, no per-row TLD, NS sets as set IDs, web addresses as IPv4
+// numbers); a deliberate format change bumps snapVersion and re-pins them.
 func TestSnapshotBytesPinned(t *testing.T) {
 	for _, c := range []struct {
 		seed int64
 		size int
 		sum  string
 	}{
-		{5, 488441, "e76b2c5ddaff6bd6d732bff85c3e94fc3df17c7558ac1b6d1c6cf4f984a0bd88"},
-		{7, 486032, "1cfb2fe37e155933acad2a8dbd8a82254f4220e94f86d30ebf3988bbbdcc0b1e"},
+		{5, 288734, "e5ce132a4f336a791172efddf51de2cf885a05dfcea67d12ca5fe7e376339549"},
+		{7, 287267, "2a403cca7347ea3ac373e5c8c02c239ca26e2b8de365c84fd246968094078eaa"},
 	} {
 		var buf bytes.Buffer
 		if err := SaveSnapshot(&buf, CompileLayoutSet(tinyConfig(c.seed))); err != nil {
@@ -217,13 +256,14 @@ func TestSnapshotBytesPinned(t *testing.T) {
 }
 
 // TestSnapshotSaveAllocations: SaveSnapshot's allocations grow with its
-// tables and row groups, not its rows. Column buffers, the dictionary,
-// the chunk scratch, the NS arena and the body blocks are allocated when
-// a table first needs them and reused by every later group, so a world
-// with about three times the rows (and about as many layouts, hence row
-// groups) costs only the doublings of those buffers to its larger groups:
-// well under one allocation per 16 added rows, where a cell or a chunk
-// allocated per row costs several per row.
+// tables and row groups, not its rows. A table's columns, the writer's
+// dictionary and chunk scratch are allocated when the table first needs
+// them and reused by every later group, and the body blocks come from the
+// previous save, so a world with about three times the rows (and about as
+// many layouts, hence row groups) costs only the doublings of those
+// buffers to its larger groups: well under one allocation per 16 added
+// rows, where a cell or a chunk allocated per row costs several per row.
+// Each count is the mean of 20 saves.
 func TestSnapshotSaveAllocations(t *testing.T) {
 	measure := func(scale float64) (allocs float64, rows int) {
 		cfg := tinyConfig(5)
@@ -232,7 +272,7 @@ func TestSnapshotSaveAllocations(t *testing.T) {
 		for _, l := range ls.Layouts {
 			rows += len(l.domains) + len(l.ghosts) + len(l.nod) + len(l.dzdb) + len(l.flags)
 		}
-		return testing.AllocsPerRun(3, func() {
+		return testing.AllocsPerRun(20, func() {
 			if err := SaveSnapshot(io.Discard, ls); err != nil {
 				t.Fatal(err)
 			}
@@ -246,6 +286,48 @@ func TestSnapshotSaveAllocations(t *testing.T) {
 	if perRow := (largeAllocs - smallAllocs) / float64(largeRows-smallRows); perRow > 1.0/16 {
 		t.Errorf("%.0f allocations at %d rows, %.0f at %d rows: %.3f per added row, want at most 1/16",
 			smallAllocs, smallRows, largeAllocs, largeRows, perRow)
+	}
+}
+
+// TestSaveReusesBodyBlocks: a save builds its table bodies in the blocks
+// the last save left, so once one save of a world has run, saving it
+// again allocates no body memory, and a save that finds the blocks taken
+// builds in its own.
+func TestSaveReusesBodyBlocks(t *testing.T) {
+	ls := CompileLayoutSet(tinyConfig(5))
+	var first bytes.Buffer
+	if err := SaveSnapshot(&first, ls); err != nil {
+		t.Fatal(err)
+	}
+	body := spareBody.Load()
+	if body == nil || len(body.blocks) == 0 {
+		t.Fatal("a save left no body blocks behind")
+	}
+	blocks := slices.Clone(body.blocks)
+	var again bytes.Buffer
+	if err := SaveSnapshot(&again, ls); err != nil {
+		t.Fatal(err)
+	}
+	if spareBody.Load() != body || len(body.blocks) != len(blocks) {
+		t.Fatalf("the second save left %d blocks in a buffer of its own, want the first save's %d", len(spareBody.Load().blocks), len(blocks))
+	}
+	for i := range blocks {
+		if &body.blocks[i][:1][0] != &blocks[i][:1][0] {
+			t.Fatalf("block %d was replaced", i)
+		}
+	}
+	if !bytes.Equal(again.Bytes(), first.Bytes()) {
+		t.Fatal("a save in reused blocks wrote different bytes")
+	}
+
+	// With the blocks taken, a save builds in fresh ones and leaves them.
+	taken := spareBody.Swap(nil)
+	var fresh bytes.Buffer
+	if err := SaveSnapshot(&fresh, ls); err != nil {
+		t.Fatal(err)
+	}
+	if got := spareBody.Load(); got == nil || got == taken || !bytes.Equal(fresh.Bytes(), first.Bytes()) {
+		t.Fatal("a save without spare blocks did not build its own")
 	}
 }
 

@@ -314,7 +314,7 @@ func TestBuildAllocations(t *testing.T) {
 	measure := func(scale float64) (allocs float64, domains int) {
 		cfg := tinyConfig(5)
 		cfg.Scale *= scale
-		allocs = testing.AllocsPerRun(2, func() {
+		allocs = testing.AllocsPerRun(20, func() {
 			w := New(cfg)
 			w.Stop()
 			domains = w.Domains.Len()
@@ -343,7 +343,7 @@ func TestCompileAllocations(t *testing.T) {
 	measure := func(scale float64) (allocs float64, domains int) {
 		cfg := tinyConfig(5)
 		cfg.Scale *= scale
-		allocs = testing.AllocsPerRun(2, func() {
+		allocs = testing.AllocsPerRun(20, func() {
 			domains = CompileLayoutSet(cfg).Domains()
 		})
 		return allocs, domains
@@ -412,9 +412,10 @@ func TestCertAttemptRetriesOnItsRecord(t *testing.T) {
 // TestRDAPDomainAllocatesPerChunk pins a simulated RDAP lookup of a
 // synced registration to its share of one allocation per chunk of
 // answers: the record, with its Status array, is carved from the world's
-// slab, so 1 000 lookups allocate at most 10 times.
+// slab, so 1 000 lookups allocate at most 10 times, averaged over 20
+// batches.
 func TestRDAPDomainAllocatesPerChunk(t *testing.T) {
-	const lookups = 1000
+	const lookups, batches = 1000, 20
 	clk := simclock.NewSim(time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC))
 	reg := registry.New(registry.DefaultConfig("com"), clk, rand.New(rand.NewSource(1)))
 	defer reg.Stop()
@@ -423,8 +424,8 @@ func TestRDAPDomainAllocatesPerChunk(t *testing.T) {
 	}
 	clk.Advance(time.Hour)
 	b := (*rdapBackend)(&World{Registries: map[string]*registry.Registry{"com": reg}})
-	recs := make(map[*rdap.Record]bool, 2*lookups)
-	if allocs := testing.AllocsPerRun(1, func() {
+	recs := make(map[*rdap.Record]bool, (batches+1)*lookups)
+	if allocs := testing.AllocsPerRun(batches, func() {
 		for range lookups {
 			rec, err := b.RDAPDomain("fresh.com")
 			if err != nil || rec.Registrar != "NameCheap" || !slices.Equal(rec.Status, []string{"active"}) {
@@ -435,7 +436,7 @@ func TestRDAPDomainAllocatesPerChunk(t *testing.T) {
 	}); allocs > lookups/100 {
 		t.Errorf("%d RDAP lookups allocate %v times, want ≤ %d", lookups, allocs, lookups/100)
 	}
-	if len(recs) != 2*lookups {
-		t.Errorf("%d lookups returned %d distinct records", 2*lookups, len(recs))
+	if len(recs) != (batches+1)*lookups {
+		t.Errorf("%d lookups returned %d distinct records", (batches+1)*lookups, len(recs))
 	}
 }

@@ -420,7 +420,6 @@ var unusedAllowed = map[string]string{
 	"blocklist.Aggregator.Flags":           testOnly,
 	"ca.CA.HasToken":                       testOnly,
 	"ca.CA.Stats":                          testOnly,
-	"columnar.Schema.Index":                testOnly,
 	"core.Pipeline.Candidate":              testOnly,
 	"core.Pipeline.Dispatcher":             benchOnly,
 	"core.Pipeline.StartBatched":           benchOnly,
