@@ -39,7 +39,7 @@ func main() {
 	tick := flag.Duration("tick", 500*time.Millisecond, "wall-clock interval per simulated hour")
 	seed := flag.Int64("seed", 1, "world seed")
 	workers := flag.Int("workers", 0, "pool width of the world compile fan-out only (the commit is serial; fleet rounds size their own probe slices); 0 = compile on the calling goroutine (same feed either way)")
-	queueBound := flag.Int("queue-bound", 1024, "per-subscriber queue bound before the shed policy applies")
+	queueBound := flag.Int("queue-bound", 1024, "how many entries a live subscriber may lag the log's head before the shed policy applies")
 	shedPolicy := flag.String("shed-policy", "drop-oldest", "slow-subscriber policy: drop-oldest (GAP frames) or disconnect")
 	heartbeat := flag.Duration("heartbeat", time.Second, "idle heartbeat interval on framed sessions")
 	tenantMaxSubs := flag.Int("tenant-max-subs", 0, "max concurrent subscribers per tenant (0 = unlimited)")

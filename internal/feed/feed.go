@@ -3,25 +3,27 @@
 // fan-out tier: a framed session protocol over TCP (HELLO / SUBSCRIBE /
 // UNSUBSCRIBE commands answered with batch DATA frames, sequenced
 // heartbeats, and explicit GAP markers when a slow subscriber is shed),
-// a sharded copy-on-write subscriber registry, per-subscriber bounded
-// queues with a configurable shedding policy, per-tenant subscriber caps
-// and delivery rate limits, and a consuming client with auto-resume.
+// one cursor per subscription on the server's encoded log, a bound on a
+// live cursor's lag with a configurable shedding policy, per-tenant
+// subscriber caps and delivery rate limits, and a consuming client with
+// auto-resume.
 //
 // The package splits along the tier's layers:
 //
 //   - protocol.go — the wire grammar: command parsing and frame encoding
 //   - wire.go     — the DATA-frame codec: append-style entry encoder and
 //     the canonical-shape decoder, both held to encoding/json's bytes
-//   - registry.go — sharded subscriber registry, tenants, bounded queues
-//   - server.go   — listener, session loop, fan-out pump, encoded log,
-//     delivery
+//   - registry.go — subscriptions (a cursor and its shed rule), tenants
+//     and the set of live subscriptions
+//   - server.go   — listener, session loop, pump, encoded log, delivery
 //   - client.go   — Subscribe/Subscription consumer with auto-resume
 //
 // Each entry is encoded once, by the pump (or, for entries published
 // before Serve, by Serve's backlog pass), into an offset-indexed log the
-// server keeps beside the topic. Live queues hold those bytes and replays
-// read them from the log, so no session encodes, and
-// FanoutStats.EncodeCacheHits counts every delivery.
+// server keeps beside the topic (a stream.Log). Every session reads those
+// bytes through its own cursor, a catch-up replay and the live tail
+// alike, so no session encodes, and FanoutStats.EncodeCacheHits counts
+// every delivery.
 //
 // DESIGN.md §11 describes the architecture and its delivery contract:
 // every subscriber of the same topic at the same offset observes a

@@ -55,7 +55,7 @@ func FuzzFeedProtocol(f *testing.F) {
 		{Kind: FrameData, Entries: []Entry{{Offset: 3, Time: ts, Domain: "a.com", Raw: "a.com. NS ns1"}}, Next: 4},
 		{Kind: FrameHeartbeat, Seq: 2, Head: 11},
 		{Kind: FrameGap, Gap: &Gap{From: 4, To: 9, Dropped: 6, Reason: "slow_consumer"}},
-		{Kind: FrameBye, Code: CodeShutdown, Reason: "server closing"},
+		{Kind: FrameBye, Code: "shutdown", Reason: "server closing"},
 		{Kind: FrameError, Code: CodeBadCommand, Reason: "unknown command X"},
 	} {
 		b, err := encodeFrame(fr)

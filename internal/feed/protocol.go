@@ -46,7 +46,6 @@ const (
 	CodeHelloAfterSub     = "hello_after_subscribe"
 	CodeTenantLimit       = "tenant_limit"
 	CodeSlowConsumer      = "slow_consumer"
-	CodeShutdown          = "shutdown"
 )
 
 // Frame is the decoded union of every server→client frame. Kind selects

@@ -5,29 +5,27 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"darkdns/internal/stream"
 )
 
-// Subscriber registry: the fan-out tier's directory of live delivery
-// queues. Sharded so the pump's broadcast and concurrent subscribe /
-// unsubscribe traffic never contend on one lock: each shard is a
-// copy-on-write map (cow.go), so the broadcast path reads a snapshot
-// without locking while sessions churn.
+// Subscriptions and tenants. A subscription is a cursor on the server's
+// encoded log: a catch-up replay and the live tail are the same read by
+// offset, and the registry is touched only when a subscription starts or
+// ends and by Stats and Close.
 
-// registryShards is the fixed shard count. Subscriber ids are a counter,
-// so id%shards spreads sessions uniformly.
-const registryShards = 16
-
-// ErrSlowConsumer closes a subscriber whose queue overflowed under the
-// ShedDisconnect policy.
+// ErrSlowConsumer closes a live subscriber whose cursor fell more than
+// QueueBound behind the head under the ShedDisconnect policy.
 var ErrSlowConsumer = errors.New("feed: slow consumer")
 
-// ShedPolicy selects what happens when a subscriber's bounded queue
-// overflows.
+// ShedPolicy selects what happens when a live subscriber's cursor falls
+// more than QueueBound behind the head.
 type ShedPolicy int
 
 const (
-	// ShedDropOldest evicts the oldest queued entries and marks the hole
-	// with a GAP frame — the subscriber stays connected at the live edge.
+	// ShedDropOldest skips the cursor to QueueBound behind the head and
+	// marks the hole with a GAP frame — the subscriber stays connected
+	// near the live edge.
 	ShedDropOldest ShedPolicy = iota
 	// ShedDisconnect terminates the subscriber with a slow_consumer
 	// error frame.
@@ -53,174 +51,91 @@ func ParseShedPolicy(s string) (ShedPolicy, error) {
 	return 0, errors.New("feed: shed policy must be drop-oldest or disconnect")
 }
 
-// subQueue is one subscriber's bounded live-delivery queue. The pump
-// offers each batch it has just appended to the encoded log; the session
-// writer takes them.
-// Overflow applies the shed policy and, for drop-oldest, accumulates the
-// evicted offset range so the writer can emit one coalesced GAP frame.
-type subQueue struct {
-	mu     sync.Mutex
-	buf    []wireEntry
-	bound  int
+// subscriber is one subscription: a cursor on the server's encoded log
+// and the shed rule that bounds how far a live cursor may lag the head.
+// Its delivery goroutine alone calls take.
+type subscriber struct {
+	tenant *tenant
+	log    *stream.Log[wireEntry]
+	cur    *stream.Consumer[wireEntry]
+	bound  int64
 	policy ShedPolicy
 
-	// taken is the batch the last take handed the writer. The writer is
-	// done with it at its next take, which makes it the buffer the
-	// following offers fill, so the two arrays alternate.
-	taken []wireEntry
-
-	// live gates the pump: during a subscriber's catch-up replay the
-	// queue rejects offers (the writer reads the encoded log directly),
-	// so long replays do not churn the queue.
+	// live is set the first time take finds the cursor caught up. The shed
+	// rule applies from then on, so a catch-up replay is never shed.
 	live bool
 
-	// shedFrom/shedTo is the pending evicted range (inclusive); -1 when
-	// none. Consecutive evictions merge because the queue holds a
-	// contiguous offset run.
-	shedFrom, shedTo int64
+	// pos is the cursor's offset once live (-1 before) and maxLag the
+	// deepest lag take has seen; Stats reads both.
+	pos, maxLag atomic.Int64
 
-	closed bool
-	reason error
-	signal chan struct{} // 1-buffered wakeup for the writer
-	timer  *time.Timer   // take's heartbeat timer: the writer's, reused
-
-	maxDepth int // deepest backlog observed, for Stats
+	stop   chan struct{}
+	once   sync.Once
+	reason error // why stop was closed: nil for an unsubscribe
 }
 
-func newSubQueue(bound int, policy ShedPolicy) *subQueue {
-	return &subQueue{bound: bound, policy: policy, shedFrom: -1, shedTo: -1, signal: make(chan struct{}, 1)}
+// newSubscriber opens a cursor on log at offset from. A read takes at
+// most BatchMax entries, and at most QueueBound, so that a live writer
+// never holds more entries than the lag it is allowed.
+func newSubscriber(tn *tenant, log *stream.Log[wireEntry], from int64, cfg ServerConfig) *subscriber {
+	sub := &subscriber{
+		tenant: tn, log: log, cur: log.Consumer(from, min(cfg.BatchMax, cfg.QueueBound)),
+		bound: int64(cfg.QueueBound), policy: cfg.ShedPolicy, stop: make(chan struct{}),
+	}
+	sub.pos.Store(-1)
+	return sub
 }
 
-// offer enqueues ents for a live subscriber, applying the shed policy on
-// overflow. It copies the entries, into the array the writer handed back,
-// but not their encodings, which belong to the server's encoded log and
-// never change. It never blocks — the fan-out pump must not stall on one
-// slow subscriber (the athena-dhcpd event-bus rule).
-// Returns the number of entries evicted (drop-oldest) for the server's
-// shed counter.
-func (q *subQueue) offer(ents []wireEntry) int64 {
-	if len(ents) == 0 {
-		return 0
-	}
-	q.mu.Lock()
-	if q.closed || !q.live {
-		q.mu.Unlock()
-		return 0
-	}
-	q.buf = append(q.buf, ents...)
-	var evicted int64
-	if over := len(q.buf) - q.bound; over > 0 {
-		if q.policy == ShedDisconnect {
-			q.closed = true
-			q.reason = ErrSlowConsumer
-			q.buf = nil
-		} else {
-			drop := q.buf[:over]
-			if q.shedFrom < 0 {
-				q.shedFrom = drop[0].off
-			}
-			q.shedTo = drop[over-1].off
-			evicted = int64(over)
-			q.buf = append(q.buf[:0], q.buf[over:]...)
-		}
-	}
-	if len(q.buf) > q.maxDepth {
-		q.maxDepth = len(q.buf)
-	}
-	q.mu.Unlock()
+// take returns the cursor's next batch, at most BatchMax (and QueueBound)
+// entries from one page of the log, and in front of it the GAP of any range the shed
+// policy skipped: a live cursor more than bound behind the head moves to
+// head-bound under drop-oldest, and is cut with ErrSlowConsumer under
+// disconnect. A caught-up cursor waits up to timeout (the heartbeat
+// interval) for an append and returns no entries when none comes. ok is
+// false once the subscription is closed, with err its reason. The batch
+// aliases the log, whose entries never change.
+func (sub *subscriber) take(timeout time.Duration) (ents []wireEntry, gap *Gap, ok bool, err error) {
 	select {
-	case q.signal <- struct{}{}:
+	case <-sub.stop:
+		return nil, nil, false, sub.reason
 	default:
 	}
-	return evicted
-}
-
-// goLive flips the queue into live mode; offers before this are dropped
-// because the writer is replaying from the encoded log, which the pump
-// appends to before it offers.
-func (q *subQueue) goLive() {
-	q.mu.Lock()
-	q.live = true
-	q.mu.Unlock()
-}
-
-// take removes everything queued, returning the batch, any pending shed
-// gap, and ok=false once the queue is closed and drained. When nothing is
-// queued it waits up to timeout (the heartbeat interval) for an offer.
-// The batch is valid until the next take, which reuses its array; one
-// writer calls take.
-func (q *subQueue) take(timeout time.Duration) (ents []wireEntry, gap *Gap, ok bool, err error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		q.mu.Lock()
-		if len(q.buf) > 0 || q.shedFrom >= 0 {
-			ents = q.buf
-			q.buf, q.taken = q.taken[:0], ents
-			if q.shedFrom >= 0 {
-				gap = &Gap{From: q.shedFrom, To: q.shedTo, Dropped: q.shedTo - q.shedFrom + 1, Reason: "shed"}
-				q.shedFrom, q.shedTo = -1, -1
+	if lag := sub.log.Len() - sub.cur.Offset(); lag <= 0 || sub.live {
+		sub.live = true
+		if lag > sub.bound {
+			if sub.policy == ShedDisconnect {
+				return nil, nil, false, ErrSlowConsumer
 			}
-			q.mu.Unlock()
-			return ents, gap, true, nil
+			from, to := sub.cur.Offset(), sub.cur.Offset()+lag-sub.bound
+			gap = &Gap{From: from, To: to - 1, Dropped: to - from, Reason: "shed"}
+			sub.cur.SetOffset(to)
+			lag = sub.bound
 		}
-		if q.closed {
-			reason := q.reason
-			q.mu.Unlock()
-			return nil, nil, false, reason
+		if lag > sub.maxLag.Load() {
+			sub.maxLag.Store(lag)
 		}
-		q.mu.Unlock()
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return nil, nil, true, nil
-		}
-		if q.timer == nil {
-			q.timer = time.NewTimer(remain)
-		} else {
-			q.timer.Reset(remain)
-		}
+	}
+	ents, ok = sub.cur.WaitNext(sub.stop, timeout)
+	if sub.live {
+		sub.pos.Store(sub.cur.Offset())
+	}
+	if !ok {
 		select {
-		case <-q.signal:
-			q.timer.Stop()
-		case <-q.timer.C:
-			return nil, nil, true, nil
+		case <-sub.stop:
+			return nil, nil, false, sub.reason
+		default:
 		}
 	}
+	return ents, gap, true, nil
 }
 
-// close shuts the queue down with reason (nil for an orderly
-// unsubscribe); the writer drains what is already buffered and exits.
-func (q *subQueue) close(reason error) {
-	q.mu.Lock()
-	if !q.closed {
-		q.closed = true
-		q.reason = reason
-	}
-	q.mu.Unlock()
-	select {
-	case q.signal <- struct{}{}:
-	default:
-	}
-}
-
-// isClosed reports whether close has been called (replay loops poll it).
-func (q *subQueue) isClosed() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.closed
-}
-
-// depth reports the current backlog (Stats).
-func (q *subQueue) depth() (cur, max int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.buf), q.maxDepth
-}
-
-// subscriber is one live subscription's registry entry.
-type subscriber struct {
-	id     uint64
-	tenant *tenant
-	queue  *subQueue
+// close ends the subscription with reason (nil for an orderly
+// unsubscribe): take reports it, and a waiting take wakes at once.
+func (sub *subscriber) close(reason error) {
+	sub.once.Do(func() {
+		sub.reason = reason
+		close(sub.stop)
+	})
 }
 
 // tenant is one tenant's admission state: a subscriber count checked
@@ -228,7 +143,7 @@ type subscriber struct {
 // shared by all of the tenant's subscriptions.
 type tenant struct {
 	name string
-	subs atomic.Int64
+	subs int // live subscriptions, guarded by the registry's mu
 
 	mu     sync.Mutex
 	rate   float64 // entries/s; 0 = unlimited
@@ -238,8 +153,8 @@ type tenant struct {
 
 // reserve books n entries against the tenant's rate, returning how long
 // the caller must wait before sending them. The bucket holds at most one
-// second of burst; a blocked writer falls behind and the queue's shed
-// policy takes over — rate-limited tenants degrade exactly like slow
+// second of burst; a blocked writer falls behind and the shed policy
+// takes over — rate-limited tenants degrade exactly like slow
 // consumers.
 func (t *tenant) reserve(n int, now time.Time) time.Duration {
 	if t.rate <= 0 {
@@ -263,88 +178,77 @@ func (t *tenant) reserve(n int, now time.Time) time.Duration {
 	return time.Duration(-t.tokens / t.rate * float64(time.Second))
 }
 
-// registry is the sharded subscriber directory plus the tenant table.
+// registry is the tenant table plus the set of live subscriptions,
+// which Stats and Close walk. Delivery never reads it.
 type registry struct {
-	shards  [registryShards]cowMap[uint64, *subscriber]
-	tenants cowMap[string, *tenant]
-	nextID  atomic.Uint64
+	mu      sync.Mutex
+	tenants map[string]*tenant
+	subs    map[*subscriber]struct{}
 
 	maxSubsPerTenant int
 	tenantRate       float64
 }
 
 func newRegistry(maxSubsPerTenant int, tenantRate float64) *registry {
-	return &registry{maxSubsPerTenant: maxSubsPerTenant, tenantRate: tenantRate}
+	return &registry{
+		tenants: make(map[string]*tenant), subs: make(map[*subscriber]struct{}),
+		maxSubsPerTenant: maxSubsPerTenant, tenantRate: tenantRate,
+	}
 }
 
 // tenant resolves (or creates) the named tenant.
 func (r *registry) tenant(name string) *tenant {
-	return r.tenants.getOrCreate(name, func() *tenant {
-		return &tenant{name: name, rate: r.tenantRate}
-	})
-}
-
-// add admits a subscriber for tenant tn, enforcing the per-tenant cap.
-func (r *registry) add(tn *tenant, q *subQueue) (*subscriber, *protoError) {
-	if r.maxSubsPerTenant > 0 {
-		if tn.subs.Add(1) > int64(r.maxSubsPerTenant) {
-			tn.subs.Add(-1)
-			return nil, &protoError{CodeTenantLimit, "tenant subscriber cap reached"}
-		}
-	} else {
-		tn.subs.Add(1)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	tn := r.tenants[name]
+	if tn == nil {
+		tn = &tenant{name: name, rate: r.tenantRate}
+		r.tenants[name] = tn
 	}
-	sub := &subscriber{id: r.nextID.Add(1), tenant: tn, queue: q}
-	r.shards[sub.id%registryShards].set(sub.id, sub)
-	return sub, nil
+	return tn
 }
 
-// remove deregisters a subscriber; idempotent via the COW delete.
+// add admits sub, enforcing its tenant's subscriber cap.
+func (r *registry) add(sub *subscriber) *protoError {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.maxSubsPerTenant > 0 && sub.tenant.subs >= r.maxSubsPerTenant {
+		return &protoError{CodeTenantLimit, "tenant subscriber cap reached"}
+	}
+	sub.tenant.subs++
+	r.subs[sub] = struct{}{}
+	return nil
+}
+
+// remove deregisters a subscriber; removing one twice is harmless.
 func (r *registry) remove(sub *subscriber) {
-	shard := &r.shards[sub.id%registryShards]
-	if _, ok := shard.get(sub.id); !ok {
-		return
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.subs[sub]; ok {
+		delete(r.subs, sub)
+		sub.tenant.subs--
 	}
-	shard.delete(sub.id)
-	sub.tenant.subs.Add(-1)
 }
 
-// broadcast offers ents to every live subscriber, returning the total
-// entries evicted by drop-oldest shedding. Reads are lock-free snapshots.
-func (r *registry) broadcast(ents []wireEntry) int64 {
-	var shed int64
-	for i := range r.shards {
-		for _, sub := range r.shards[i].snapshot() {
-			shed += sub.queue.offer(ents)
-		}
-	}
-	return shed
-}
-
-// closeAll shuts every subscriber queue down with reason (server close).
+// closeAll ends every subscription with reason (server close).
 func (r *registry) closeAll(reason error) {
-	for i := range r.shards {
-		for _, sub := range r.shards[i].snapshot() {
-			sub.queue.close(reason)
-		}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for sub := range r.subs {
+		sub.close(reason)
 	}
 }
 
-// count returns the live subscriber total and the per-shard max depth
-// scan used by Stats.
-func (r *registry) count() (subs int, queued, maxDepth int) {
-	for i := range r.shards {
-		for _, sub := range r.shards[i].snapshot() {
-			subs++
-			cur, max := sub.queue.depth()
-			queued += cur
-			if max > maxDepth {
-				maxDepth = max
-			}
+// count returns the subscriber and tenant totals, and the live cursors'
+// summed and deepest lag behind head.
+func (r *registry) count(head int64) (subs, tenants, lag, maxLag int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for sub := range r.subs {
+		if pos := sub.pos.Load(); pos >= 0 {
+			lag += int(max(head-pos, 0))
 		}
+		maxLag = max(maxLag, int(sub.maxLag.Load()))
 	}
-	return subs, queued, maxDepth
+	return len(r.subs), len(r.tenants), lag, maxLag
 }
-
-// tenantCount returns how many tenants have registered.
-func (r *registry) tenantCount() int { return len(r.tenants.snapshot()) }

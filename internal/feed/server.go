@@ -15,19 +15,20 @@ import (
 // DefaultTenant is the tenant a session belongs to until it sends HELLO.
 const DefaultTenant = "public"
 
-// ErrServerClosed terminates subscriber queues when the server shuts
-// down.
+// ErrServerClosed ends every subscription when the server shuts down.
 var ErrServerClosed = errors.New("feed: server closed")
 
 // ServerConfig parameterizes the fan-out tier.
 type ServerConfig struct {
-	// QueueBound caps each subscriber's live-delivery queue (entries).
+	// QueueBound bounds a live cursor's lag: how many entries a subscriber
+	// that has caught up once may fall behind the head of the log before
+	// the shed policy applies. A catch-up replay is never shed.
 	QueueBound int
-	// ShedPolicy selects what happens on queue overflow.
+	// ShedPolicy selects what happens when a live cursor lags further.
 	ShedPolicy ShedPolicy
 	// Heartbeat is the idle interval between hb frames.
 	Heartbeat time.Duration
-	// BatchMax bounds entries per DATA frame and per catch-up log read.
+	// BatchMax bounds entries per DATA frame and per log read.
 	BatchMax int
 	// WriteTimeout is the per-frame write deadline; a peer that cannot
 	// drain one frame within it is disconnected.
@@ -52,26 +53,26 @@ func DefaultServerConfig() ServerConfig {
 	}
 }
 
-// FanoutStats is the tier's counter surface: delivery, queueing and
-// shedding totals plus the live registry shape.
+// FanoutStats is the tier's counter surface: delivery, lag and shedding
+// totals plus the live registry shape.
 type FanoutStats struct {
 	Subscribers int // live subscriptions right now
 	Tenants     int // tenants ever seen
-	QueueDepth  int // entries queued across all subscribers, right now
-	MaxDepth    int // deepest per-subscriber backlog observed
+	QueueDepth  int // entries the live cursors lag the head by, summed, right now
+	MaxDepth    int // deepest live cursor lag observed
 
 	Sessions    int64 // connections ever accepted
 	Delivered   int64 // entries sent in DATA frames
 	Batches     int64 // DATA frames sent
 	BytesOut    int64 // payload bytes written
 	Heartbeats  int64 // hb frames sent
-	Shed        int64 // entries evicted by drop-oldest shedding
+	Shed        int64 // entries skipped by drop-oldest shedding
 	Gaps        int64 // GAP frames emitted
 	EncodeDrops int64 // entries lost to encoding failures (gap-marked)
 	// EncodeCacheHits counts the delivered entries whose bytes came from
 	// the server's encoded log. Each entry is encoded once, by the pump
-	// or Serve's backlog pass, and live and replayed deliveries both send
-	// those bytes, so this always equals Delivered.
+	// or Serve's backlog pass, and every delivery sends those bytes, so
+	// this always equals Delivered.
 	EncodeCacheHits int64
 	Disconnects     int64 // subscribers cut by the disconnect shed policy
 }
@@ -184,13 +185,13 @@ func (s *Server) Close() error {
 
 // Stats returns the tier's counters.
 func (s *Server) Stats() FanoutStats {
-	subs, queued, maxDepth := s.reg.count()
+	subs, tenants, lag, maxLag := s.reg.count(s.log.entries.Len())
 	delivered := s.delivered.Load()
 	return FanoutStats{
 		Subscribers: subs,
-		Tenants:     s.reg.tenantCount(),
-		QueueDepth:  queued,
-		MaxDepth:    maxDepth,
+		Tenants:     tenants,
+		QueueDepth:  lag,
+		MaxDepth:    maxLag,
 
 		Sessions:        s.sessions.Load(),
 		Delivered:       delivered,
@@ -209,19 +210,18 @@ func (s *Server) Stats() FanoutStats {
 // and returns its head, the offset the pump starts reading at.
 func (s *Server) encodeBacklog() int64 {
 	for {
-		msgs := s.topic.Read(s.log.len(), 4*s.cfg.BatchMax)
+		msgs := s.topic.Read(s.log.entries.Len(), 4*s.cfg.BatchMax)
 		if len(msgs) == 0 {
-			return s.log.len()
+			return s.log.entries.Len()
 		}
 		s.log.append(msgs)
 	}
 }
 
-// pump is the single topic reader feeding every subscriber queue, from
-// offset from on. It appends each batch it reads to the log before it
-// broadcasts it, so a session that goes live after a missed broadcast
-// finds those entries in its second replay, and readies the log's next
-// storage only after the broadcast.
+// pump is the topic's single reader, from offset from on. It encodes
+// each batch it reads into the log, whose append wakes every session
+// waiting at the head, and readies the log's next storage only after
+// that wake-up.
 func (s *Server) pump(from int64) {
 	defer s.wg.Done()
 	consumer := stream.NewConsumer(s.topic, from, 4*s.cfg.BatchMax)
@@ -235,29 +235,22 @@ func (s *Server) pump(from int64) {
 		if !ok {
 			continue
 		}
-		s.shed.Add(s.reg.broadcast(s.log.append(msgs)))
+		s.log.append(msgs)
 		s.log.reserve()
 	}
 }
 
-// Encoded-log geometry: entries live in fixed pages, the topic's page
-// size, so appending never moves one and a page of the log covers a page
-// of the topic; encodings live in chunks they are copied into at their
+// logChunk is the size of the chunks encodings are copied into at their
 // exact size.
-const (
-	logPage  = stream.PageSize
-	logChunk = 64 << 10
-)
+const logChunk = 64 << 10
 
 // encodedLog is the server's append-only record of every entry it has
-// encoded, indexed by offset. Its one writer (the backlog pass, then the
-// pump) encodes, copies and publishes; replaying sessions read it. Pages
-// and encodings never change once written, so the lock covers only the
-// head and the page table.
+// encoded, indexed by offset: every session reads it through its own
+// cursor. Its one writer (the backlog pass, then the pump) encodes each
+// batch, copies the encodings into its chunk arena, where they never
+// change, and appends the entries to the log.
 type encodedLog struct {
-	mu    sync.RWMutex
-	pages [][]wireEntry
-	head  int64
+	entries stream.Log[wireEntry]
 
 	// Writer-only: the chunk being filled, the one reserved to follow it,
 	// and the scratch slab and entries each batch is encoded into before
@@ -268,17 +261,9 @@ type encodedLog struct {
 	ents  []wireEntry
 }
 
-// len returns the log's head: the offset after its last entry.
-func (l *encodedLog) len() int64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.head
-}
-
 // append encodes msgs, which continue the log from its head, and appends
-// them. The returned entries are the writer's scratch, valid until the
-// next append; their encodings belong to the log and never change.
-func (l *encodedLog) append(msgs []stream.Message) []wireEntry {
+// them.
+func (l *encodedLog) append(msgs []stream.Message) {
 	l.slab, l.ents = encodeBatch(l.slab[:0], l.ents[:0], msgs)
 	for i := range l.ents {
 		e := &l.ents[i]
@@ -292,17 +277,7 @@ func (l *encodedLog) append(msgs []stream.Message) []wireEntry {
 		l.chunk = append(l.chunk, e.enc...)
 		e.enc = l.chunk[start:len(l.chunk):len(l.chunk)]
 	}
-	l.mu.Lock()
-	for _, e := range l.ents {
-		p := l.head / logPage
-		if p == int64(len(l.pages)) {
-			l.pages = append(l.pages, make([]wireEntry, logPage))
-		}
-		l.pages[p][l.head%logPage] = e
-		l.head++
-	}
-	l.mu.Unlock()
-	return l.ents
+	l.entries.Append(l.ents...)
 }
 
 // nextChunk returns an empty chunk with room for n bytes: the reserved
@@ -316,38 +291,14 @@ func (l *encodedLog) nextChunk(n int) []byte {
 }
 
 // reserve readies the storage the next appends will need: a spare chunk
-// once the current one is three-quarters full, and the page after the
-// last once fewer than a quarter page of slots remain. Each is cleared,
-// because a fresh allocation may come as untouched memory whose pages
-// would otherwise fault in under append's copy, between a batch's
-// publication and its broadcast. Pages beyond the head are never read.
+// once the current one is three-quarters full, cleared for the reason
+// stream.Log.Reserve clears its page, and the log's next page.
 func (l *encodedLog) reserve() {
 	if l.spare == nil && cap(l.chunk)-len(l.chunk) < logChunk/4 {
 		l.spare = make([]byte, logChunk)
 		clear(l.spare)
 	}
-	// The writer alone changes head and pages, so it reads them unlocked.
-	if int64(len(l.pages))*logPage-l.head < logPage/4 {
-		page := make([]wireEntry, logPage)
-		clear(page)
-		l.mu.Lock()
-		l.pages = append(l.pages, page)
-		l.mu.Unlock()
-	}
-}
-
-// read returns up to max entries from off, stopping at the head and at
-// the end of off's page; nil when off is at or past the head. The slice
-// aliases the log and must not be written.
-func (l *encodedLog) read(off int64, max int) []wireEntry {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if off >= l.head {
-		return nil
-	}
-	i := off % logPage
-	end := min(i+int64(max), logPage, i+l.head-off)
-	return l.pages[off/logPage][i:end:end]
+	l.entries.Reserve()
 }
 
 func (s *Server) acceptLoop(ln net.Listener) {
@@ -484,14 +435,13 @@ func (s *session) handle(cmd command) bool {
 		if s.tenant == nil {
 			s.tenant = s.srv.reg.tenant(DefaultTenant)
 		}
-		q := newSubQueue(s.srv.cfg.QueueBound, s.srv.cfg.ShedPolicy)
-		sub, perr := s.srv.reg.add(s.tenant, q)
-		if perr != nil {
-			return s.sendError(perr)
-		}
 		from := cmd.from
 		if from < 0 {
 			from = int64(s.srv.topic.Len())
+		}
+		sub := newSubscriber(s.tenant, &s.srv.log.entries, from, s.srv.cfg)
+		if perr := s.srv.reg.add(sub); perr != nil {
+			return s.sendError(perr)
 		}
 		if s.w.writeFrame(&Frame{Kind: FrameSubscribed, From: from, Head: int64(s.srv.topic.Len())}) != nil {
 			s.srv.reg.remove(sub)
@@ -501,7 +451,7 @@ func (s *session) handle(cmd command) bool {
 		s.deliverWG.Add(1)
 		go func() {
 			defer s.deliverWG.Done()
-			s.deliver(sub, from)
+			s.deliver(sub)
 		}()
 		return true
 	default: // UNSUBSCRIBE, the only other verb parseCommand admits
@@ -519,32 +469,20 @@ func (s *session) stopSubscription() {
 	if s.sub == nil {
 		return
 	}
-	s.sub.queue.close(nil)
+	s.sub.close(nil)
 	s.deliverWG.Wait()
 	s.srv.reg.remove(s.sub)
 	s.sub = nil
 }
 
-// deliver is the per-subscriber delivery loop: catch-up replay straight
-// from the log, then live consumption from the bounded queue, with
-// heartbeats on idle and GAP frames for shed or unencodable ranges.
-func (s *session) deliver(sub *subscriber, from int64) {
+// deliver is the subscription's delivery loop: it sends what its cursor
+// reads from the encoded log, a catch-up replay and the live tail alike,
+// with heartbeats on idle and GAP frames for shed or unencodable ranges.
+func (s *session) deliver(sub *subscriber) {
 	srv := s.srv
-	next := from
-	// Catch-up: read the log directly while the queue rejects offers, so
-	// a deep replay does not thrash the bounded queue.
-	if !s.replayLog(sub, &next) {
-		return
-	}
-	sub.queue.goLive()
-	// Drain the publish window between the last empty read and goLive:
-	// those messages are in the log but were never offered.
-	if !s.replayLog(sub, &next) {
-		return
-	}
 	var hbSeq int64
 	for {
-		ents, gap, ok, reason := sub.queue.take(srv.cfg.Heartbeat)
+		ents, gap, ok, reason := sub.take(srv.cfg.Heartbeat)
 		if !ok {
 			switch {
 			case reason == nil:
@@ -560,20 +498,10 @@ func (s *session) deliver(sub *subscriber, from int64) {
 			return
 		}
 		if gap != nil {
+			srv.shed.Add(gap.Dropped)
 			srv.gaps.Add(1)
-			if gap.From < next {
-				// The front of the evicted range was already delivered
-				// during catch-up; narrow the advertised hole.
-				gap.From = next
-				gap.Dropped = gap.To - gap.From + 1
-			}
-			if gap.Dropped > 0 {
-				if s.w.writeFrame(&Frame{Kind: FrameGap, Gap: gap}) != nil {
-					return
-				}
-			}
-			if gap.To+1 > next {
-				next = gap.To + 1
+			if s.w.writeFrame(&Frame{Kind: FrameGap, Gap: gap}) != nil {
+				return
 			}
 		}
 		if len(ents) == 0 {
@@ -584,45 +512,19 @@ func (s *session) deliver(sub *subscriber, from int64) {
 			}
 			continue
 		}
-		// Trim duplicates of the catch-up/race window.
-		for len(ents) > 0 && ents[0].off < next {
-			ents = ents[1:]
-		}
-		for len(ents) > 0 {
-			n := min(len(ents), srv.cfg.BatchMax)
-			if !s.send(sub, ents[:n], &next) {
-				return
-			}
-			ents = ents[n:]
+		if !s.send(sub, ents) {
+			return
 		}
 	}
-}
-
-// replayLog sends the encoded log from *next until it reaches the head
-// or the queue is closed mid-replay (unsubscribe / shutdown cut a deep
-// replay short; the live loop's take then reports the closure); false
-// means the connection failed.
-func (s *session) replayLog(sub *subscriber, next *int64) bool {
-	for !sub.queue.isClosed() {
-		ents := s.srv.log.read(*next, s.srv.cfg.BatchMax)
-		if len(ents) == 0 {
-			return true
-		}
-		if !s.send(sub, ents, next) {
-			return false
-		}
-	}
-	return true
 }
 
 // send writes one batch of at most BatchMax entries, applying the tenant
 // rate limit and the encode-failure policy: each run of encoded entries
 // goes out as one DATA frame, and an entry that could not be encoded is
 // dropped loudly — counted in Stats and covered by a GAP marker — never
-// silently skipped. Frames go out in offset order and *next follows
-// them, so a client's resume cursor never moves backwards. false means
-// the connection failed.
-func (s *session) send(sub *subscriber, ents []wireEntry, next *int64) bool {
+// silently skipped. Frames go out in offset order, so a client's resume
+// cursor never moves backwards. false means the connection failed.
+func (s *session) send(sub *subscriber, ents []wireEntry) bool {
 	srv := s.srv
 	if d := sub.tenant.reserve(len(ents), time.Now()); d > 0 {
 		time.Sleep(d)
@@ -634,7 +536,6 @@ func (s *session) send(sub *subscriber, ents []wireEntry, next *int64) bool {
 			if s.w.writeFrame(&Frame{Kind: FrameGap, Gap: &Gap{From: off, To: off, Dropped: 1, Reason: "encode"}}) != nil {
 				return false
 			}
-			*next = off + 1
 			ents = ents[1:]
 			continue
 		}
@@ -648,7 +549,6 @@ func (s *session) send(sub *subscriber, ents []wireEntry, next *int64) bool {
 		}
 		srv.delivered.Add(int64(n))
 		srv.batches.Add(1)
-		*next = ents[n-1].off + 1
 		ents = ents[n:]
 	}
 	return true

@@ -216,23 +216,36 @@ func TestMultiSubscriberDeterminism(t *testing.T) {
 
 // --- Shedding ------------------------------------------------------------
 
+// liveCursor returns a subscription reading log from offset 0 under
+// bound and policy, made live the way a session's is: by a first take
+// that finds it caught up.
+func liveCursor(t *testing.T, log *encodedLog, bound int, policy ShedPolicy) *subscriber {
+	t.Helper()
+	sub := newSubscriber(nil, &log.entries, 0, ServerConfig{QueueBound: bound, ShedPolicy: policy, BatchMax: 64})
+	if ents, gap, ok, err := sub.take(time.Millisecond); !ok || err != nil || gap != nil || len(ents) != 0 {
+		t.Fatalf("first take on an empty log = %d entries, gap %v, ok %v, err %v", len(ents), gap, ok, err)
+	}
+	return sub
+}
+
+// appendOffsets appends entries lo..hi to log, unencoded: the shed rule
+// reads only offsets.
+func appendOffsets(log *encodedLog, lo, hi int64) {
+	for o := lo; o <= hi; o++ {
+		log.entries.Append(wireEntry{off: o})
+	}
+}
+
 // TestQueueShedDeterministic is the slow-subscriber determinism check at
-// the queue level: a fixed bound and a fixed offer/take schedule produce
-// exactly the same delivered+GAP sequence every run.
+// the cursor level: a fixed bound and a fixed append/take schedule
+// produce exactly the same delivered+GAP sequence every run.
 func TestQueueShedDeterministic(t *testing.T) {
 	run := func() string {
-		q := newSubQueue(4, ShedDropOldest)
-		q.goLive()
-		mk := func(lo, hi int64) []wireEntry {
-			var ents []wireEntry
-			for o := lo; o <= hi; o++ {
-				ents = append(ents, wireEntry{off: o})
-			}
-			return ents
-		}
+		var log encodedLog
+		sub := liveCursor(t, &log, 4, ShedDropOldest)
 		var b strings.Builder
 		record := func() {
-			ents, gap, ok, err := q.take(time.Millisecond)
+			ents, gap, ok, err := sub.take(time.Millisecond)
 			if !ok || err != nil {
 				t.Fatalf("take: ok=%v err=%v", ok, err)
 			}
@@ -243,12 +256,12 @@ func TestQueueShedDeterministic(t *testing.T) {
 				fmt.Fprintf(&b, "%d;", e.off)
 			}
 		}
-		q.offer(mk(0, 9)) // overflows: 0..5 shed, 6..9 kept
+		appendOffsets(&log, 0, 9) // lag 10: 0..5 shed, 6..9 kept
 		record()
-		q.offer(mk(10, 12)) // fits
+		appendOffsets(&log, 10, 12) // lag 3: fits
 		record()
-		q.offer(mk(13, 29)) // overflows: 13..25 shed, 26..29 kept
-		q.offer(mk(30, 31)) // overflows again: 26..27 shed, merge into range
+		appendOffsets(&log, 13, 29)
+		appendOffsets(&log, 30, 31) // lag 19: 13..27 shed, 28..31 kept
 		record()
 		return b.String()
 	}
@@ -261,21 +274,21 @@ func TestQueueShedDeterministic(t *testing.T) {
 }
 
 func TestQueueDisconnectPolicy(t *testing.T) {
-	q := newSubQueue(2, ShedDisconnect)
-	q.goLive()
-	q.offer([]wireEntry{{off: 0}, {off: 1}, {off: 2}})
-	if _, _, ok, err := q.take(time.Millisecond); ok || !errors.Is(err, ErrSlowConsumer) {
+	var log encodedLog
+	sub := liveCursor(t, &log, 2, ShedDisconnect)
+	appendOffsets(&log, 0, 2)
+	if _, _, ok, err := sub.take(time.Millisecond); ok || !errors.Is(err, ErrSlowConsumer) {
 		t.Fatalf("take after overflow: ok=%v err=%v, want closed with ErrSlowConsumer", ok, err)
 	}
 }
 
 // subscribeLive subscribes over a raw session and returns once the
-// subscription is consuming from its bounded queue. The subscribed frame
-// alone does not say so: the writer sends it and then replays the log
-// before going live, and entries published in that window are read
-// straight from the log at the tenant's rate — never queued, so never
-// shed. The first heartbeat can only come from the live loop. The server
-// needs a short ServerConfig.Heartbeat for this to be quick.
+// subscription is live: its cursor has found nothing new once, so the
+// shed rule applies from here on. The subscribed frame alone does not say
+// so: entries published before the cursor's first read are a catch-up
+// replay, read at the tenant's rate and never shed. The first heartbeat
+// comes only after a take found the cursor caught up. The server needs a
+// short ServerConfig.Heartbeat for this to be quick.
 func subscribeLive(t *testing.T, addr string) *bufio.Reader {
 	t.Helper()
 	conn, r := rawSession(t, addr)
@@ -465,8 +478,8 @@ func TestEncodeFailureCountedAndGapMarked(t *testing.T) {
 }
 
 // TestEncodeFailureOnLivePath is the same poison on the pump's path: the
-// pump meets the failure, the hole travels through the subscriber's
-// queue, and the writer marks it where it falls.
+// pump meets the failure, the hole reaches the live cursor through the
+// log, and the writer marks it where it falls.
 func TestEncodeFailureOnLivePath(t *testing.T) {
 	t.Parallel()
 	topic, addr, srv := startFeedServer(t, ServerConfig{Heartbeat: 20 * time.Millisecond})
@@ -1048,6 +1061,64 @@ func TestReplayOfBacklogMatchesLive(t *testing.T) {
 	}
 }
 
+// TestReplayIsNeverShed replays a backlog of 12.5 times QueueBound while
+// as many entries again are published: the replaying cursor lags the head
+// by far more than the bound, but it has not caught up once, so the shed
+// rule does not apply and every offset arrives, with no GAP. The backlog
+// is published before Serve, which logs all of it, and the replay runs at
+// 2000 entries/s with its burst spent, so it cannot reach the head before
+// the publishes that land during it are logged too.
+func TestReplayIsNeverShed(t *testing.T) {
+	t.Parallel()
+	const bound, backlog, during = 16, 200, 200
+	topic := stream.NewBus().Topic("nrd-feed")
+	for i := 0; i < backlog; i++ {
+		topic.Publish(t0, fmt.Sprintf("d%d.com", i), nil)
+	}
+	srv := NewServerConfig(topic, ServerConfig{QueueBound: bound, BatchMax: 4, TenantRate: 2000})
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	conn, r := rawSession(t, addr.String())
+	fmt.Fprintf(conn, "HELLO replay\n")
+	if f := readFrameLine(t, r); f.Kind != FrameWelcome {
+		t.Fatalf("welcome = %+v", f)
+	}
+	srv.reg.tenant("replay").reserve(2000, time.Now())
+	fmt.Fprintf(conn, "SUBSCRIBE FROM 0\n")
+	if f := readFrameLine(t, r); f.Kind != FrameSubscribed {
+		t.Fatalf("subscribed = %+v", f)
+	}
+	for next := int64(0); next < backlog+during; {
+		f := readFrameLine(t, r)
+		switch f.Kind {
+		case FrameData:
+			if next == 0 {
+				for i := backlog; i < backlog+during; i++ {
+					topic.Publish(t0, fmt.Sprintf("d%d.com", i), nil)
+				}
+			}
+			for _, e := range f.Entries {
+				if e.Offset != next {
+					t.Fatalf("offset %d delivered where %d was due", e.Offset, next)
+				}
+				next++
+			}
+		case FrameGap:
+			t.Fatalf("the replay was shed at offset %d: %+v", next, f.Gap)
+		case FrameHeartbeat:
+		default:
+			t.Fatalf("unexpected frame %+v", f)
+		}
+	}
+	if st := srv.Stats(); st.Shed != 0 || st.Gaps != 0 {
+		t.Errorf("a replay was shed: %+v", st)
+	}
+}
+
 // TestEncodedLogReadsAcrossPages appends batches that straddle page
 // boundaries, one entry unencodable, and reads the log back near them:
 // a read stops at the head or at its page's end, and every entry keeps
@@ -1063,12 +1134,12 @@ func TestEncodedLogReadsAcrossPages(t *testing.T) {
 	for i := 0; i < n; i += 1000 {
 		l.append(msgs[i:min(i+1000, n)])
 	}
-	if l.len() != n {
-		t.Fatalf("head = %d, want %d", l.len(), n)
+	if l.entries.Len() != n {
+		t.Fatalf("head = %d, want %d", l.entries.Len(), n)
 	}
 	_, want := encodeBatch(nil, nil, msgs)
 	for _, off := range []int64{0, logPage - 5, logPage, 2*logPage - 1, n - 3, n} {
-		got := l.read(off, 256)
+		got := l.entries.Read(off, 256)
 		if wantLen := min(256, logPage-off%logPage, n-off); int64(len(got)) != wantLen {
 			t.Fatalf("read(%d) returned %d entries, want %d", off, len(got), wantLen)
 		}
@@ -1085,7 +1156,7 @@ func TestEncodedLogReadsAcrossPages(t *testing.T) {
 // two page boundaries: after reserve, appending a 16-entry batch only
 // copies, into the chunk in use or the spare and into pages reserve has
 // already added, so no log storage is allocated between a batch's
-// publication and its broadcast, and the reserved pages read back intact.
+// publication and its wake-up, and the reserved pages read back intact.
 func TestAppendAfterReserveOnlyCopies(t *testing.T) {
 	const batch, n = 16, 2*logPage + 512
 	msgs := make([]stream.Message, n)
@@ -1095,18 +1166,18 @@ func TestAppendAfterReserveOnlyCopies(t *testing.T) {
 	var l encodedLog
 	for i := 0; i < n; i += batch {
 		l.reserve()
-		chunk, spare, pages := unsafe.SliceData(l.chunk), unsafe.SliceData(l.spare), len(l.pages)
+		chunk, spare, pages := unsafe.SliceData(l.chunk), unsafe.SliceData(l.spare), logPages(&l.entries)
 		l.append(msgs[i : i+batch])
 		if c := unsafe.SliceData(l.chunk); c != chunk && c != spare {
 			t.Fatalf("append at offset %d allocated a chunk after reserve", i)
 		}
-		if len(l.pages) != pages {
+		if logPages(&l.entries) != pages {
 			t.Fatalf("append at offset %d added a page after reserve", i)
 		}
 	}
 	_, want := encodeBatch(nil, nil, msgs)
 	for _, off := range []int64{logPage - 1, logPage, 2*logPage - 1, 2 * logPage} {
-		got := l.read(off, 1)
+		got := l.entries.Read(off, 1)
 		if len(got) != 1 || got[0].off != off || !bytes.Equal(got[0].enc, want[off].enc) {
 			t.Fatalf("read(%d) = %+v, want offset %d encoded %q", off, got, off, want[off].enc)
 		}

@@ -39,7 +39,7 @@ var wireSafe = func() (t [utf8.RuneSelf]bool) {
 // encoded JSON object. A nil enc marks an entry that could not be
 // encoded; the writer turns it into an encode GAP. enc is read-only and
 // full-slice-capped: it points into the server's encoded log, which every
-// live queue and every replay reads.
+// session's cursor reads.
 type wireEntry struct {
 	off int64
 	enc []byte

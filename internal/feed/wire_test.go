@@ -328,11 +328,12 @@ func TestReplayBatchAllocatesNothing(t *testing.T) {
 	sess := &session{srv: srv, conn: conn, w: &frameWriter{
 		conn: conn, bw: bufio.NewWriter(conn), timeout: time.Second, bytes: &srv.bytesOut,
 	}}
-	sub := &subscriber{tenant: srv.reg.tenant(DefaultTenant), queue: newSubQueue(8, ShedDropOldest)}
+	sub := newSubscriber(srv.reg.tenant(DefaultTenant), &srv.log.entries, 0, srv.cfg)
 	replay := func() {
-		next := int64(0)
-		if !sess.replayLog(sub, &next) || next != 256 {
-			t.Fatalf("replay stopped at %d", next)
+		sub.cur.SetOffset(0)
+		ents, _, ok, _ := sub.take(time.Second)
+		if !ok || len(ents) != 256 || !sess.send(sub, ents) {
+			t.Fatalf("replay read %d entries, ok %v", len(ents), ok)
 		}
 	}
 	replay()
@@ -345,17 +346,17 @@ func TestReplayBatchAllocatesNothing(t *testing.T) {
 }
 
 // TestQueueHandOffAllocatesNothing pins the hand-off between the pump
-// and a session's writer: once both arrays of a subscriber queue have
-// grown, an offer and the take that empties it allocate nothing, and a
-// take that waits out its heartbeat interval allocates nothing after the
-// first, which makes the writer's timer.
+// and a session's writer: once the log's page is open, an append and the
+// take that reads it allocate nothing, and a take that waits out its
+// heartbeat interval allocates nothing after the first, which makes the
+// cursor's timer and registers its wake channel.
 func TestQueueHandOffAllocatesNothing(t *testing.T) {
-	q := newSubQueue(1024, ShedDropOldest)
-	q.goLive()
+	var log encodedLog
+	sub := liveCursor(t, &log, 1024, ShedDropOldest)
 	batch := make([]wireEntry, 16)
 	round := func() {
-		q.offer(batch)
-		if ents, gap, ok, _ := q.take(time.Second); !ok || gap != nil || len(ents) != len(batch) {
+		log.entries.Append(batch...)
+		if ents, gap, ok, _ := sub.take(time.Second); !ok || gap != nil || len(ents) != len(batch) {
 			t.Fatalf("take = %d entries, gap %v, ok %v", len(ents), gap, ok)
 		}
 	}
@@ -364,7 +365,7 @@ func TestQueueHandOffAllocatesNothing(t *testing.T) {
 		t.Errorf("a warm offer and take allocate %v times, want 0", allocs)
 	}
 	heartbeat := func() {
-		if ents, _, ok, _ := q.take(time.Microsecond); !ok || len(ents) != 0 {
+		if ents, _, ok, _ := sub.take(time.Microsecond); !ok || len(ents) != 0 {
 			t.Fatalf("idle take = %d entries, ok %v", len(ents), ok)
 		}
 	}

@@ -4,15 +4,18 @@
 // each reader keeps its own offset, as a feed subscriber resuming with
 // SUBSCRIBE FROM n does.
 //
+// Log is the one paged offset log: a Topic is a Log of Messages, and the
+// feed server keeps its encoded entries in another. A Consumer is a cursor
+// on a Log that blocks on the log's wake-up when it reaches the head.
+//
 // The log favors batch hand-off over per-message channels: readers take
-// slices of messages, which keeps the hot path allocation-free and is the
+// slices of entries, which keeps the hot path allocation-free and is the
 // design decision benchmarked in DESIGN.md §5.
 //
-// A topic stores its log in fixed pages of PageSize messages, so a
-// publish never moves a stored message and a returned slice stays valid
-// for the topic's lifetime. A read returns messages from one page: Read
-// and WaitNext stop at a page end, and a caller that wants more reads
-// again.
+// A log stores its entries in fixed pages of PageSize, so an append never
+// moves a stored entry and a returned slice stays valid for the log's
+// lifetime. A read returns entries from one page: Read and WaitNext stop
+// at a page end, and a caller that wants more reads again.
 package stream
 
 import (
@@ -20,6 +23,217 @@ import (
 	"sync"
 	"time"
 )
+
+// PageSize is the number of entries in one page of a log.
+const PageSize = 4096
+
+// Log is an append-only log of T read by offset. Its zero value is an
+// empty log, ready to use. Entries never change once appended.
+type Log[T any] struct {
+	mu    sync.RWMutex
+	pages [][]T // full pages, then the one being filled, then any reserved
+	n     int64 // entries ever appended: the next offset
+	// waiters are the wake channels of consumers blocked in WaitNext.
+	// Append signals every one and deregisters it, so a woken consumer
+	// reads at once; one whose wait ends otherwise deregisters itself.
+	waiters []chan struct{}
+}
+
+// Append appends vs at the head and wakes every consumer waiting in
+// WaitNext. It allocates only when it opens a page Reserve did not add.
+func (l *Log[T]) Append(vs ...T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, v := range vs {
+		p := l.n / PageSize
+		if p == int64(len(l.pages)) {
+			if l.pages == nil {
+				// Room for 64 pages, so the page table grows only after a
+				// quarter million entries.
+				l.pages = make([][]T, 0, 64)
+			}
+			l.pages = append(l.pages, make([]T, PageSize))
+		}
+		l.pages[p][l.n%PageSize] = v
+		l.n++
+	}
+	for _, w := range l.waiters {
+		select {
+		case w <- struct{}{}:
+		default: // already signalled
+		}
+	}
+	clear(l.waiters)
+	l.waiters = l.waiters[:0]
+}
+
+// Reserve adds the page after the last once fewer than a quarter page of
+// slots remain, so that the appends that follow only copy. The page is
+// cleared, because a fresh allocation may come as untouched memory whose
+// pages would otherwise fault in under Append's copy. A writer that calls
+// it after an Append moves that cost out from between the append and the
+// wake-up of the consumers it signals.
+func (l *Log[T]) Reserve() {
+	l.mu.RLock()
+	room := int64(len(l.pages))*PageSize - l.n
+	l.mu.RUnlock()
+	if room >= PageSize/4 {
+		return
+	}
+	page := make([]T, PageSize)
+	clear(page)
+	l.mu.Lock()
+	l.pages = append(l.pages, page)
+	l.mu.Unlock()
+}
+
+// Len returns the log's head: the number of entries ever appended.
+func (l *Log[T]) Len() int64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.n
+}
+
+// Read returns up to max entries starting at offset from. It stops at
+// the end of from's page, so fewer than max entries does not mean the
+// reader is caught up; an empty slice does. A from past the head returns
+// nil; a negative from reads from the beginning. The slice aliases the
+// log and must not be written.
+func (l *Log[T]) Read(from int64, max int) []T {
+	if from < 0 {
+		from = 0
+	}
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.read(from, max)
+}
+
+// read is Read for a caller holding mu. The slice is capped so that an
+// append cannot reach past it.
+func (l *Log[T]) read(off int64, max int) []T {
+	if off >= l.n || max <= 0 {
+		return nil
+	}
+	i := off % PageSize
+	end := min(i+int64(max), PageSize, i+l.n-off)
+	return l.pages[off/PageSize][i:end:end]
+}
+
+// readOrWait returns up to max entries from off or, when off is at the
+// head, registers wake so that the next Append signals it. Both happen
+// under one lock, so no append can fall between the empty check and the
+// registration. A registered caller whose wait ends without a signal
+// must call unwait.
+func (l *Log[T]) readOrWait(off int64, max int, wake chan struct{}) []T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if vs := l.read(off, max); len(vs) > 0 {
+		return vs
+	}
+	// A signal left from an earlier wait predates the check just made.
+	select {
+	case <-wake:
+	default:
+	}
+	l.waiters = append(l.waiters, wake)
+	return nil
+}
+
+// unwait deregisters a wake channel readOrWait registered, if no Append
+// has since signalled it.
+func (l *Log[T]) unwait(wake chan struct{}) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if i := slices.Index(l.waiters, wake); i >= 0 {
+		last := len(l.waiters) - 1
+		l.waiters[i] = l.waiters[last]
+		l.waiters[last] = nil
+		l.waiters = l.waiters[:last]
+	}
+}
+
+// pendingWaiters reports the number of registered waiter channels (tests
+// assert the timeout path does not leak entries).
+func (l *Log[T]) pendingWaiters() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.waiters)
+}
+
+// Consumer returns a cursor that reads l from offset from, at most batch
+// entries at a time (minimum 1).
+func (l *Log[T]) Consumer(from int64, batch int) *Consumer[T] {
+	return &Consumer[T]{log: l, next: max(from, 0), batch: max(batch, 1), wake: make(chan struct{}, 1)}
+}
+
+// Consumer reads a log from an offset it keeps itself, blocking when it
+// is caught up. It is used by one goroutine at a time.
+type Consumer[T any] struct {
+	log   *Log[T]
+	next  int64 // the offset the next read starts at
+	batch int
+
+	// WaitNext's wake-up, signalled by Append while registered with the
+	// log, and its deadline timer, created on first use and reset after.
+	wake  chan struct{}
+	timer *time.Timer
+}
+
+// Offset returns the offset the consumer's next read starts at.
+func (c *Consumer[T]) Offset() int64 { return c.next }
+
+// SetOffset moves the consumer to offset off.
+func (c *Consumer[T]) SetOffset(off int64) { c.next = max(off, 0) }
+
+// WaitNext returns the next batch from the consumer's offset and moves
+// past it, blocking until an entry is available, timeout elapses or stop
+// is closed (nil never stops it); ok is false when it returns
+// empty-handed. It is intended for real-time (non-simulated) use. Once
+// its timer exists, a wait allocates nothing.
+func (c *Consumer[T]) WaitNext(stop <-chan struct{}, timeout time.Duration) (vs []T, ok bool) {
+	var deadline time.Time
+	for {
+		// The read lock serves every read but the one that may register.
+		if vs := c.log.Read(c.next, c.batch); len(vs) > 0 {
+			c.next += int64(len(vs))
+			return vs, true
+		}
+		if deadline.IsZero() {
+			deadline = time.Now().Add(timeout)
+		}
+		if vs := c.log.readOrWait(c.next, c.batch, c.wake); len(vs) > 0 {
+			c.next += int64(len(vs))
+			return vs, true
+		}
+		if !c.block(stop, time.Until(deadline)) {
+			c.log.unwait(c.wake)
+			return nil, false
+		}
+	}
+}
+
+// block waits up to d for the wake channel readOrWait registered; false
+// means the timer fired first or stop was closed.
+func (c *Consumer[T]) block(stop <-chan struct{}, d time.Duration) bool {
+	if d <= 0 {
+		return false
+	}
+	if c.timer == nil {
+		c.timer = time.NewTimer(d)
+	} else {
+		c.timer.Reset(d)
+	}
+	select {
+	case <-c.wake:
+		c.timer.Stop()
+		return true
+	case <-c.timer.C:
+		return false
+	case <-stop:
+		c.timer.Stop()
+		return false
+	}
+}
 
 // Message is one record in a topic log.
 type Message struct {
@@ -58,18 +272,10 @@ func (b *Bus) Topic(name string) *Topic {
 	return t
 }
 
-// PageSize is the number of messages in one page of a topic's log, the
-// geometry of the feed server's encoded log too.
-const PageSize = 4096
-
 // Topic is an append-only message log read by offset.
 type Topic struct {
-	mu    sync.Mutex
-	pages [][]Message // full pages, then the one being filled
-	n     int64       // messages ever published: the next offset
-	// waiters are the wake channels of consumers blocked in WaitNext;
-	// each stays registered for its wait and Publish signals every one.
-	waiters []chan struct{}
+	mu  sync.Mutex // serializes publishers, so each stamps the offset it gets
+	log Log[Message]
 }
 
 // Publish appends a message and returns its offset. It allocates only
@@ -77,156 +283,20 @@ type Topic struct {
 func (t *Topic) Publish(now time.Time, key string, value []byte) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	off := t.n
-	if off%PageSize == 0 {
-		if t.pages == nil {
-			// Room for 64 pages, so the page table grows only after a
-			// quarter million messages.
-			t.pages = make([][]Message, 0, 64)
-		}
-		t.pages = append(t.pages, make([]Message, PageSize))
-	}
-	t.pages[off/PageSize][off%PageSize] = Message{Offset: off, Time: now, Key: key, Value: value}
-	t.n++
-	for _, w := range t.waiters {
-		select {
-		case w <- struct{}{}:
-		default: // already signalled
-		}
-	}
+	off := t.log.Len()
+	t.log.Append(Message{Offset: off, Time: now, Key: key, Value: value})
 	return off
 }
 
 // Len returns the number of messages ever published.
-func (t *Topic) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return int(t.n)
-}
+func (t *Topic) Len() int { return int(t.log.Len()) }
 
-// read returns up to max messages from off, stopping at the head and at
-// the end of off's page; nil when off is at or past the head. The caller
-// holds mu. The slice aliases the log, whose stored messages never move
-// or change, and is capped so a publish cannot reach past it.
-func (t *Topic) read(off int64, max int) []Message {
-	if off >= t.n || max <= 0 {
-		return nil
-	}
-	i := off % PageSize
-	end := min(i+int64(max), PageSize, i+t.n-off)
-	return t.pages[off/PageSize][i:end:end]
-}
-
-// Read returns up to max messages starting at offset from. It stops at
-// the end of from's page, so fewer than max messages does not mean the
-// reader is caught up; an empty slice does. A from past the head returns
-// nil; a negative from reads from the beginning.
-func (t *Topic) Read(from int64, max int) []Message {
-	if from < 0 {
-		from = 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.read(from, max)
-}
-
-// readOrWait returns up to max messages from off or, when off is at the
-// head, registers wake so that the next Publish signals it. Both happen
-// under one lock, so no publish can fall between the empty check and the
-// registration. A registered caller must call unwait when its wait ends.
-func (t *Topic) readOrWait(off int64, max int, wake chan struct{}) []Message {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if msgs := t.read(off, max); len(msgs) > 0 {
-		return msgs
-	}
-	// A signal left from an earlier wait predates the check just made.
-	select {
-	case <-wake:
-	default:
-	}
-	t.waiters = append(t.waiters, wake)
-	return nil
-}
-
-// unwait deregisters a wake channel readOrWait registered.
-func (t *Topic) unwait(wake chan struct{}) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i := slices.Index(t.waiters, wake); i >= 0 {
-		last := len(t.waiters) - 1
-		t.waiters[i] = t.waiters[last]
-		t.waiters[last] = nil
-		t.waiters = t.waiters[:last]
-	}
-}
-
-// pendingWaiters reports the number of registered waiter channels (tests
-// assert the timeout path does not leak entries).
-func (t *Topic) pendingWaiters() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.waiters)
-}
-
-// Consumer reads a topic from an offset it keeps itself, blocking when
-// it is caught up. It is used by one goroutine at a time.
-type Consumer struct {
-	topic *Topic
-	next  int64 // the offset the next read starts at
-	batch int
-
-	// WaitNext's wake-up, signalled by Publish while registered with the
-	// topic, and its deadline timer, created on first use and reset after.
-	wake  chan struct{}
-	timer *time.Timer
-}
+// Read returns up to max messages starting at offset from, as Log.Read
+// does.
+func (t *Topic) Read(from int64, max int) []Message { return t.log.Read(from, max) }
 
 // NewConsumer creates a consumer that reads topic from offset from, at
 // most batch messages at a time (minimum 1).
-func NewConsumer(topic *Topic, from int64, batch int) *Consumer {
-	return &Consumer{topic: topic, next: max(from, 0), batch: max(batch, 1), wake: make(chan struct{}, 1)}
-}
-
-// WaitNext returns the next batch from the consumer's offset and moves
-// past it, blocking until a message is available, timeout elapses or
-// stop is closed (nil never stops it); ok is false when it returns
-// empty-handed. It is intended for real-time (non-simulated) use. Once
-// its timer exists, a wait allocates nothing.
-func (c *Consumer) WaitNext(stop <-chan struct{}, timeout time.Duration) (msgs []Message, ok bool) {
-	deadline := time.Now().Add(timeout)
-	for {
-		if msgs := c.topic.readOrWait(c.next, c.batch, c.wake); len(msgs) > 0 {
-			c.next = msgs[len(msgs)-1].Offset + 1
-			return msgs, true
-		}
-		woken := c.block(stop, time.Until(deadline))
-		c.topic.unwait(c.wake)
-		if !woken {
-			return nil, false
-		}
-	}
-}
-
-// block waits up to d for the wake channel readOrWait registered; false
-// means the timer fired first or stop was closed.
-func (c *Consumer) block(stop <-chan struct{}, d time.Duration) bool {
-	if d <= 0 {
-		return false
-	}
-	if c.timer == nil {
-		c.timer = time.NewTimer(d)
-	} else {
-		c.timer.Reset(d)
-	}
-	select {
-	case <-c.wake:
-		c.timer.Stop()
-		return true
-	case <-c.timer.C:
-		return false
-	case <-stop:
-		c.timer.Stop()
-		return false
-	}
+func NewConsumer(topic *Topic, from int64, batch int) *Consumer[Message] {
+	return topic.log.Consumer(from, batch)
 }

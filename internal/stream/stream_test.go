@@ -93,7 +93,7 @@ func TestWaitNextTimeoutDoesNotLeakWaiters(t *testing.T) {
 			t.Fatal("unexpected message")
 		}
 	}
-	if n := topic.pendingWaiters(); n != 0 {
+	if n := topic.log.pendingWaiters(); n != 0 {
 		t.Fatalf("leaked %d waiter channels after timeouts", n)
 	}
 }
@@ -110,7 +110,7 @@ func TestWaitNextStops(t *testing.T) {
 		_, ok := c.WaitNext(stop, time.Hour)
 		done <- ok
 	}()
-	for deadline := time.Now().Add(5 * time.Second); topic.pendingWaiters() == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); topic.log.pendingWaiters() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("WaitNext never registered its waiter")
 		}
@@ -124,7 +124,7 @@ func TestWaitNextStops(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("WaitNext outlived its stop channel")
 	}
-	if n := topic.pendingWaiters(); n != 0 {
+	if n := topic.log.pendingWaiters(); n != 0 {
 		t.Fatalf("leaked %d waiter channels after a stop", n)
 	}
 	// A stop channel already closed does not hide messages that are there.
@@ -311,7 +311,7 @@ func TestPublishAllocatesPerPage(t *testing.T) {
 			topic.Publish(now, "k", value)
 		}
 	})
-	if pages, n := len(topic.pages), topic.Len(); pages != runs+1 || n != (runs+1)*PageSize {
+	if pages, n := len(topic.log.pages), topic.Len(); pages != runs+1 || n != (runs+1)*PageSize {
 		t.Fatalf("%d publishes opened %d pages, want %d", n, pages, runs+1)
 	}
 	if allocs > 1 {
@@ -387,15 +387,15 @@ func TestReadsStopAtPageEnds(t *testing.T) {
 func TestPublishAfterEmptyPollWakes(t *testing.T) {
 	topic := NewBus().Topic("t")
 	c := NewConsumer(topic, 0, 4)
-	if msgs := topic.readOrWait(c.next, c.batch, c.wake); msgs != nil {
+	if msgs := topic.log.readOrWait(c.next, c.batch, c.wake); msgs != nil {
 		t.Fatalf("empty topic read %d messages", len(msgs))
 	}
 	topic.Publish(now, "in-the-window", nil)
 	if !c.block(nil, time.Second) {
 		t.Fatal("a publish between the empty read and the block did not wake the consumer")
 	}
-	topic.unwait(c.wake)
-	if n := topic.pendingWaiters(); n != 0 {
+	topic.log.unwait(c.wake)
+	if n := topic.log.pendingWaiters(); n != 0 {
 		t.Fatalf("%d waiters left registered", n)
 	}
 	if msgs, ok := c.WaitNext(nil, time.Hour); !ok || len(msgs) != 1 || msgs[0].Key != "in-the-window" {
@@ -449,7 +449,7 @@ func TestConcurrentPublishersAndWaitNext(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := topic.pendingWaiters(); n != 0 {
+	if n := topic.log.pendingWaiters(); n != 0 {
 		t.Fatalf("%d waiters left registered", n)
 	}
 }

@@ -443,7 +443,6 @@ var unusedAllowed = map[string]string{
 	"dnsserver.NewHostingHandler":          wireStack,
 	"dnsserver.Server.Close":               benchWire,
 	"dnsserver.Server.ListenAndServe":      benchWire,
-	"feed.CodeShutdown":                    testOnly,
 	"hosting.All":                          testOnly,
 	"hosting.ByName":                       testOnly,
 	"measure.Fleet.AttachDispatcher":       benchOnly,
