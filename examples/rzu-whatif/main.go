@@ -66,7 +66,7 @@ func main() {
 	defer reg.Stop()
 	svc := rzu.New(rzu.Config{Interval: 5 * time.Minute, Policy: rzu.AllowList{"vetted-researcher": true}})
 	defer svc.Stop()
-	svc.Publish(reg, clk)
+	svc.Publish(reg)
 
 	if err := svc.Subscribe("spam-operation", "com", func(rzu.Batch) {}); err != nil {
 		fmt.Println("unvetted subscriber:", err)

@@ -76,8 +76,8 @@ type Config struct {
 	FeedTopic string
 	// Engines is embedded only because bench/campaign.go sets its
 	// IngestWorkers and RDAPWorkers here; the pipeline reads no field of
-	// it. It goes with those assignments in the benchmark PR of ROADMAP
-	// item 1(d).
+	// it. It goes with those assignments in the benchmark PR that purges
+	// the shims.
 	workpool.Engines
 }
 
@@ -245,7 +245,7 @@ func (p *Pipeline) Start(hub *certstream.Hub) {
 }
 
 // StartBatched is Start. It remains only because bench/campaign.go calls
-// it; it goes with that call in the benchmark PR of ROADMAP item 1(d).
+// it; it goes with that call in the benchmark PR that purges the shims.
 func (p *Pipeline) StartBatched(hub *certstream.Hub) { p.Start(hub) }
 
 // Stop detaches from the hub.
@@ -416,7 +416,7 @@ func (p *Pipeline) collectRDAP(cand *Candidate, injectedFailure bool) {
 
 // Dispatcher always returns nil: step 2 has no dispatcher. It remains only
 // because bench/campaign.go calls it; it goes with that call in the
-// benchmark PR of ROADMAP item 1(d).
+// benchmark PR that purges the shims.
 func (p *Pipeline) Dispatcher() *rdap.Dispatcher { return nil }
 
 // Candidates returns copies of all candidates, sorted by domain. The

@@ -24,25 +24,35 @@ func day(i int) time.Time { return t0.Add(time.Duration(i) * 24 * time.Hour) }
 // the first against the empty zone.
 type publisher struct {
 	svc  *Service
-	prev map[string]*zoneset.Snapshot
+	prev map[string]map[string]bool // per TLD, the names in its previous zone
 }
 
 func newPublisher() *publisher {
-	return &publisher{svc: New(), prev: make(map[string]*zoneset.Snapshot)}
+	return &publisher{svc: New(), prev: make(map[string]map[string]bool)}
 }
 
 // publish folds the zone of tld holding exactly domains, taken at taken.
 func (p *publisher) publish(tld string, taken time.Time, domains ...string) {
-	s := zoneset.NewSnapshot(tld, 1, taken)
-	for _, d := range domains {
-		s.Add(d, []string{"ns1.example.net"})
+	old, cur := p.prev[tld], make(map[string]bool, len(domains))
+	d := zoneset.Diff{TLD: tld, Serial: 1, Taken: taken}
+	for _, dom := range domains {
+		if cur[dom] {
+			continue
+		}
+		cur[dom] = true
+		if !old[dom] {
+			d.Added = append(d.Added, dom)
+		}
 	}
-	old := p.prev[tld]
-	if old == nil {
-		old = zoneset.NewSnapshot(tld, 0, time.Time{})
+	for dom := range old {
+		if !cur[dom] {
+			d.Removed = append(d.Removed, dom)
+		}
 	}
-	p.svc.Ingest(zoneset.Compare(old, s))
-	p.prev[tld] = s
+	slices.Sort(d.Added)
+	slices.Sort(d.Removed)
+	p.svc.Ingest(d)
+	p.prev[tld] = cur
 }
 
 func TestIngestAndLatest(t *testing.T) {

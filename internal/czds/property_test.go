@@ -65,9 +65,10 @@ func TestPropertyEverSeenMatchesBruteForce(t *testing.T) {
 // timeline the input spells — registrations, deletions, re-registrations,
 // NS updates, seeds, clock steps — with random publication
 // delays, and checks that a Service fed only the registry's daily diffs
-// answers exactly like a brute-force oracle over whole zone clones taken
-// at each publication: every delivered diff equals Compare of the clones
-// around it, and InLatest, FirstSeen, EverSeen (the hull of the
+// answers exactly like a brute-force oracle over test-side zone clones
+// taken at each publication — every driven name's delegation, read
+// through Registry.Delegation: every delivered diff equals the diff of
+// the clones around it, and InLatest, FirstSeen, EverSeen (the hull of the
 // publications holding a name), ExistedBefore and Stats agree for every
 // name at every step.
 //
@@ -128,16 +129,21 @@ func checkHistory(t *testing.T, prog []byte) {
 	svc.Collect(reg)
 	var delivered []zoneset.Diff
 	reg.Subscribe(func(d zoneset.Diff) { delivered = append(delivered, d) })
-	var clones []*zoneset.Snapshot
-	oracle := simclock.NewTicker(clk, cfg.SnapshotEvery, func(now time.Time) {
-		clones = append(clones, reg.ZoneSnapshot(now))
-	})
-	defer oracle.Stop()
-
 	names := make([]string, 12)
 	for i := range names {
 		names[i] = fmt.Sprintf("n%02d.xyz", i)
 	}
+	var clones []zoneClone
+	oracle := simclock.NewTicker(clk, cfg.SnapshotEvery, func(now time.Time) {
+		c := zoneClone{serial: reg.Serial(), taken: now, ns: make(map[string][]string)}
+		for _, name := range names {
+			if ns, ok := reg.Delegation(name); ok {
+				c.ns[name] = ns
+			}
+		}
+		clones = append(clones, c)
+	})
+	defer oracle.Stop()
 	seeds := make(map[string]time.Time)
 	nsSets := [][]string{{"ns1.a.net"}, {"ns1.b.net", "ns2.b.net"}, {"ns1.c.net"}}
 
@@ -174,18 +180,46 @@ func checkHistory(t *testing.T, prog []byte) {
 	compareHistory(t, svc, delivered, clones, names, seeds)
 }
 
+// zoneClone is the test's copy of the zone at one publication.
+type zoneClone struct {
+	serial uint32
+	taken  time.Time
+	ns     map[string][]string
+}
+
+// diffClones is the change from old to cur as the registry publishes it.
+func diffClones(old, cur zoneClone) zoneset.Diff {
+	d := zoneset.Diff{TLD: "xyz", Serial: cur.serial, Taken: cur.taken}
+	for name, ns := range cur.ns {
+		if o, ok := old.ns[name]; !ok {
+			d.Added = append(d.Added, name)
+		} else if !slices.Equal(o, ns) {
+			d.Changed = append(d.Changed, name)
+		}
+	}
+	for name := range old.ns {
+		if _, ok := cur.ns[name]; !ok {
+			d.Removed = append(d.Removed, name)
+		}
+	}
+	slices.Sort(d.Added)
+	slices.Sort(d.Removed)
+	slices.Sort(d.Changed)
+	return d
+}
+
 // compareHistory checks svc against the clones of the publications
 // delivered so far.
-func compareHistory(t *testing.T, svc *Service, delivered []zoneset.Diff, clones []*zoneset.Snapshot, names []string, seeds map[string]time.Time) {
+func compareHistory(t *testing.T, svc *Service, delivered []zoneset.Diff, clones []zoneClone, names []string, seeds map[string]time.Time) {
 	t.Helper()
 	if len(delivered) > len(clones) {
 		t.Fatalf("%d publications delivered, %d taken", len(delivered), len(clones))
 	}
 	clones = clones[:len(delivered)]
 	var stats DiffStats
-	prev := zoneset.NewSnapshot("xyz", 0, time.Time{})
+	prev := zoneClone{}
 	for i, c := range clones {
-		want := zoneset.Compare(prev, c)
+		want := diffClones(prev, c)
 		got := delivered[i]
 		if got.TLD != want.TLD || got.Serial != want.Serial || !got.Taken.Equal(want.Taken) ||
 			!slices.Equal(got.Added, want.Added) || !slices.Equal(got.Removed, want.Removed) || !slices.Equal(got.Changed, want.Changed) {
@@ -205,19 +239,22 @@ func compareHistory(t *testing.T, svc *Service, delivered []zoneset.Diff, clones
 	// Probe instants: every publication's Taken and the hours around it.
 	var probes []time.Time
 	for _, c := range clones {
-		probes = append(probes, c.Taken.Add(-time.Hour), c.Taken, c.Taken.Add(time.Hour))
+		probes = append(probes, c.taken.Add(-time.Hour), c.taken, c.taken.Add(time.Hour))
 	}
 	for _, name := range names {
 		var first, last time.Time
 		for _, c := range clones {
-			if c.Contains(name) {
+			if _, in := c.ns[name]; in {
 				if first.IsZero() {
-					first = c.Taken
+					first = c.taken
 				}
-				last = c.Taken
+				last = c.taken
 			}
 		}
-		inLatest := len(clones) > 0 && clones[len(clones)-1].Contains(name)
+		inLatest := false
+		if len(clones) > 0 {
+			_, inLatest = clones[len(clones)-1].ns[name]
+		}
 		if got := svc.InLatest(name); got != inLatest {
 			t.Fatalf("after %d publications: InLatest(%s) = %v, want %v", len(clones), name, got, inLatest)
 		}

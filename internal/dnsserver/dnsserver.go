@@ -197,6 +197,9 @@ func (s *Server) serveTCP(ln net.Listener) {
 	}
 }
 
+// typeAXFR is the zone-transfer QTYPE (RFC 5936).
+const typeAXFR = dnsmsg.Type(252)
+
 func (s *Server) serveTCPConn(conn net.Conn) {
 	defer conn.Close()
 	var query dnsmsg.Message
@@ -219,11 +222,9 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 		if dnsmsg.UnpackInto(pkt, &query) != nil {
 			return
 		}
-		// Zone transfers stream multiple messages and own the connection.
-		if len(query.Questions) == 1 && query.Questions[0].Type == TypeAXFR {
-			if s.handleAXFR(conn, &query) {
-				return
-			}
+		// The server answers questions about names; it hands no zone out
+		// whole: a zone transfer is refused and ends the connection.
+		if len(query.Questions) == 1 && query.Questions[0].Type == typeAXFR {
 			refused := query.Reply()
 			refused.Header.RCode = dnsmsg.RCodeRefused
 			if wire, err := refused.Pack(); err == nil {

@@ -22,6 +22,10 @@ type TLDHandler struct {
 	nicMbox string // hostmaster.nic.<tld>
 }
 
+// Compile-time check: a TLDHandler is served as a Handler (the probe_wire
+// benchmark and the wire tests serve one).
+var _ Handler = (*TLDHandler)(nil)
+
 // Handle implements Handler.
 func (h *TLDHandler) Handle(q dnsmsg.Question) *dnsmsg.Message {
 	tld := h.Registry.TLD()

@@ -489,7 +489,8 @@ func (s *session) deliver(sub *subscriber) {
 				s.w.writeFrame(&Frame{Kind: FrameBye, Reason: "unsubscribe"})
 			case errors.Is(reason, ErrSlowConsumer):
 				srv.disconnects.Add(1)
-				s.sendError(&protoError{CodeSlowConsumer, "queue overflowed; reconnect with SUBSCRIBE FROM to resume"})
+				s.sendError(&protoError{CodeSlowConsumer, fmt.Sprintf(
+					"cursor fell more than %d entries behind the head; reconnect with SUBSCRIBE FROM to resume", srv.cfg.QueueBound)})
 				s.conn.Close()
 			case errors.Is(reason, ErrServerClosed):
 				s.w.writeFrame(&Frame{Kind: FrameBye, Reason: "shutdown"})

@@ -380,10 +380,10 @@ func TestSlowSubscriberShedsWithGap(t *testing.T) {
 }
 
 // TestDisconnectPolicyCutsSlowConsumer asserts the alternative shed
-// policy: overflow terminates the session with a structured
-// slow_consumer error frame. Deterministic the same way as
-// TestSlowSubscriberShedsWithGap: live first, then every publish, then
-// the first read.
+// policy: a cursor more than QueueBound entries behind the head ends the
+// session with a structured slow_consumer error frame that says so.
+// Deterministic the same way as TestSlowSubscriberShedsWithGap: live
+// first, then every publish, then the first read.
 func TestDisconnectPolicyCutsSlowConsumer(t *testing.T) {
 	bus := stream.NewBus()
 	topic := bus.Topic("nrd-feed")
@@ -409,6 +409,9 @@ func TestDisconnectPolicyCutsSlowConsumer(t *testing.T) {
 		if f.Kind == FrameError {
 			if f.Code != CodeSlowConsumer {
 				t.Fatalf("error code = %s, want %s", f.Code, CodeSlowConsumer)
+			}
+			if want := "cursor fell more than 4 entries behind the head; reconnect with SUBSCRIBE FROM to resume"; f.Reason != want {
+				t.Fatalf("error text = %q, want %q", f.Reason, want)
 			}
 			sawError = true
 		}
@@ -1299,10 +1302,12 @@ func TestEventsSurviveBufferReuse(t *testing.T) {
 // so this is the per-frame context check's test. It closes mid-stream,
 // while the consumer keeps C from filling, and repeats that because a
 // missing check shows only when the consumer outpaces the delivery loop.
-// The entries are published before Serve, so Serve logs all of them and
-// every round replays from the log: published after Serve, the pump could
-// still be broadcasting them when round 0 goes live, and a reader at
-// Buffer 8 would rightly be shed.
+// The entries are published before Serve, so Serve encodes all of them
+// into the encoded log and every round's session cursor replays them from
+// it: published after Serve, the pump could still be appending them when
+// round 0's cursor reaches the head, and a reader at Buffer 8 whose cursor
+// then fell more than QueueBound entries behind the head would rightly be
+// shed.
 func TestCloseBoundsLateDeliveries(t *testing.T) {
 	t.Parallel()
 	const batchMax, buffer = 4, 8
@@ -1351,8 +1356,10 @@ func TestCloseBoundsLateDeliveries(t *testing.T) {
 
 // TestFanoutHammer runs publishers, live subscribers, a replaying
 // subscriber and an unsubscribe together. Under -race it is the check
-// that a broadcast's shared encodings are only ever read; without it,
-// that every subscriber still sees each offset once, in order, intact.
+// that the session cursors only ever read the encoded log's entries,
+// shared by every session, while the pump appends to its pages; without
+// it, that every subscriber's cursor still yields each offset once, in
+// order, intact.
 func TestFanoutHammer(t *testing.T) {
 	t.Parallel()
 	topic, addr, _ := startFeedServer(t, ServerConfig{QueueBound: 1 << 14, BatchMax: 16})

@@ -258,8 +258,8 @@ type Config struct {
 	Window   time.Duration // paper: 48 hours
 	// Engines is embedded only because bench/campaign.go sets its
 	// ProbeWorkers and ApplyWorkers here; the fleet reads no field of it.
-	// It goes with those assignments in the benchmark PR of ROADMAP item
-	// 1(d).
+	// It goes with those assignments in the benchmark PR that purges the
+	// shims.
 	workpool.Engines
 	// Revalidate is the probe-cadence policy; its Cadence, when set,
 	// overrides Interval.
@@ -934,7 +934,7 @@ func (f *Fleet) Watched() int {
 }
 
 // AttachDispatcher is a no-op that remains only because bench/campaign.go
-// calls it; it goes with that call in the benchmark PR of ROADMAP item 1(d).
+// calls it; it goes with that call in the benchmark PR that purges the shims.
 func (f *Fleet) AttachDispatcher(*rdap.Dispatcher) {}
 
 // FleetReport summarizes the fleet's probe activity plus — when the fleet
@@ -958,7 +958,7 @@ type FleetReport struct {
 	ReorderHeld int64
 	// Dispatch is always zero: step 2 has no dispatcher. It keeps the four
 	// fields bench/campaign.go reads, and goes with the rdap.dispatch_*
-	// ledger rows in the benchmark PR of ROADMAP item 1(d).
+	// ledger rows in the benchmark PR that purges the shims.
 	Dispatch struct {
 		Enqueued, Completed, Shed int64
 		MaxDepth                  int

@@ -45,7 +45,7 @@ type Querier interface {
 // QuerierAt has no implementer and nothing asserts it: step 2 calls
 // Querier.Domain from a timer that fires at its own instant. The type
 // remains only because bench/decorators.go names it; it goes with that
-// use in the benchmark PR of ROADMAP item 1(d).
+// use in the benchmark PR that purges the shims.
 type QuerierAt interface {
 	DomainAt(ctx context.Context, name string, now time.Time) (*Record, error)
 }
@@ -53,7 +53,7 @@ type QuerierAt interface {
 // Dispatcher is empty and has no constructor: step 2 is one clock timer
 // per candidate, and core.Pipeline.Dispatcher always returns nil. The type
 // remains only because bench/campaign.go names it; it goes with that
-// call in the benchmark PR of ROADMAP item 1(d).
+// call in the benchmark PR that purges the shims.
 type Dispatcher struct{}
 
 // Backend supplies registration data for one TLD's RDAP service.

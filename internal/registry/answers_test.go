@@ -149,7 +149,6 @@ func TestReadersRaceMutators(t *testing.T) {
 				r.Lookup(d)
 				r.RDAPLookupAt(d, t0.Add(time.Hour))
 				r.Serial()
-				r.ZoneSnapshot(t0)
 				for range r.Ledger() {
 				}
 			}

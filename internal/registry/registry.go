@@ -26,12 +26,15 @@
 // replacement (Handle.Notify), so it need not re-read an answer that has
 // not changed.
 //
-// A daily publication is the zone's net change since the previous one
-// (a zoneset.Diff), not a copy of the zone: the registry remembers the
-// answer at the previous publication of every name a rebuild touches and
-// classifies only those names when it publishes, so publishing costs
-// O(names changed). A subscriber that folds the diffs in order holds the
-// zone a daily snapshot would have shown it.
+// A publication is the zone's net change since the previous one (a
+// zoneset.Diff), not a copy of the zone, and the registry publishes on
+// cadences: the daily one CZDS collects, and any rapid one a subscriber
+// starts with SubscribeEvery (the paper's rapid zone updates, every few
+// minutes). Each cadence remembers the answer at its previous
+// publication of every name a rebuild touches and classifies only those
+// names when it publishes, so publishing costs O(names changed). A
+// subscriber that folds a cadence's diffs in order holds the zone a
+// snapshot at each of its publications would have shown it.
 //
 // A registration is one block: it holds the Registration, the answer its
 // delegation publishes and, for an NS set of at most two names (every
@@ -175,20 +178,21 @@ type Registry struct {
 	// delegates each to its newest registration's NS set, or removes it
 	// when that registration is deleted.
 	pending map[string]struct{}
-	// since holds, for each name a rebuild touched since the last
-	// publication, its answer in that publication (nil: not delegated).
-	// A publication clears it for the next, keeping its table.
-	since map[string]*delegatedAnswer
+	// daily is the daily publication, every SnapshotEvery, to subs;
+	// rapid holds the cadences SubscribeEvery started, nil while there
+	// are none.
+	daily cadence
+	rapid []*cadence
 	// classed is diffSince's scratch: the names of each class, reused.
 	classed [3][]string
 	// subs is copy-on-write: a publication keeps the list it read while
 	// Subscribe installs a new one.
 	subs []func(zoneset.Diff)
-	// delivered is when the newest publication is delivered: no later
-	// one is delivered before it, however short its own delay.
+	// delivered is when the newest daily publication is delivered: no
+	// later one is delivered before it, however short its own delay.
 	delivered time.Time
-	// queued holds the publications still waiting out their delay, the
-	// oldest at queued[head]. Each has one clock event, the registry
+	// queued holds the daily publications still waiting out their delay,
+	// the oldest at queued[head]. Each has one clock event, the registry
 	// itself as a delivery; their instants never decrease in queue order,
 	// so the events fire in it.
 	queued []publication
@@ -202,8 +206,24 @@ type Registry struct {
 	armed   bool
 	stopped bool
 	rebuild func() // rebuildArmed, bound once
+}
 
-	snapTicker *simclock.Ticker
+// cadence is one publication of the zone's net change, every period of
+// its ticker: for each name a rebuild touched since its previous
+// publication, since holds the name's answer in that publication (nil:
+// not delegated). A publication diffs and clears since, keeping its
+// table.
+type cadence struct {
+	since  map[string]*delegatedAnswer
+	ticker *simclock.Ticker
+}
+
+// note records ans as name's answer in the cadence's previous
+// publication, unless a rebuild since then already did.
+func (c *cadence) note(name string, ans *delegatedAnswer) {
+	if _, ok := c.since[name]; !ok {
+		c.since[name] = ans
+	}
 }
 
 // record is the ledger's entry for one registrable name: its newest
@@ -337,23 +357,27 @@ func New(cfg Config, clk simclock.Clock, rng *rand.Rand) *Registry {
 		ledger:  make(map[string]*record),
 		serial:  1,
 		pending: make(map[string]struct{}),
-		since:   make(map[string]*delegatedAnswer),
+		daily:   cadence{since: make(map[string]*delegatedAnswer)},
 		origin:  clk.Now(),
 	}
 	r.rebuild = r.rebuildArmed
 	// Every registry generates daily zone files; InCZDS only controls
 	// whether ICANN's CZDS redistributes them (ccTLDs keep theirs
 	// private, which is exactly the paper's §4.4 visibility asymmetry).
-	r.snapTicker = simclock.NewTicker(clk, cfg.SnapshotEvery, func(now time.Time) { r.publishSnapshot(now) })
+	r.daily.ticker = simclock.NewTicker(clk, cfg.SnapshotEvery, func(now time.Time) { r.publishSnapshot(now) })
 	return r
 }
 
-// Stop halts the registry's zone rebuilds and snapshot publications.
+// Stop halts the registry's zone rebuilds and the publications of every
+// cadence.
 func (r *Registry) Stop() {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.stopped = true
-	r.mu.Unlock()
-	r.snapTicker.Stop()
+	r.daily.ticker.Stop()
+	for _, c := range r.rapid {
+		c.ticker.Stop()
+	}
 }
 
 // TLD returns the registry's zone apex.
@@ -372,6 +396,38 @@ func (r *Registry) Subscribe(fn func(zoneset.Diff)) {
 	// publication holds never changes under it.
 	r.subs = append(r.subs[:len(r.subs):len(r.subs)], fn)
 	r.mu.Unlock()
+}
+
+// SubscribeEvery starts a rapid cadence: fn receives the zone's change
+// every period from now on, in the clock event of each period's end,
+// until stop is called or the registry stops. It is the daily
+// publication without its delay — a diff is delivered when it is taken,
+// and the registry's random source is not drawn — and its first diff is
+// taken against the empty zone: subscribing notes every name delegated
+// now as not delegated at the cadence's previous publication, the one
+// walk of the ledger a cadence makes. fn must not modify the diff.
+func (r *Registry) SubscribeEvery(period time.Duration, fn func(zoneset.Diff)) (stop func()) {
+	c := &cadence{since: make(map[string]*delegatedAnswer)}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for name, rec := range r.ledger {
+		if rec.live.Load() != nil {
+			c.since[name] = nil
+		}
+	}
+	c.ticker = simclock.NewTicker(r.clk, period, func(now time.Time) {
+		r.mu.Lock()
+		d := r.diffSince(c, now)
+		r.mu.Unlock()
+		fn(d)
+	})
+	r.rapid = append(r.rapid, c)
+	return func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		c.ticker.Stop()
+		r.rapid = slices.DeleteFunc(r.rapid, func(o *cadence) bool { return o == c })
+	}
 }
 
 // Register creates a new active registration stamped at the clock's
@@ -501,8 +557,10 @@ func (r *Registry) rebuildZone(now time.Time) {
 	}
 	for domain := range r.pending {
 		rec := r.ledger[domain]
-		if _, ok := r.since[domain]; !ok {
-			r.since[domain] = rec.live.Load()
+		live := rec.live.Load()
+		r.daily.note(domain, live)
+		for _, c := range r.rapid {
+			c.note(domain, live)
 		}
 		// A name deleted and re-registered between two rebuilds still has
 		// the superseded registration's delegation live: it leaves the zone
@@ -541,15 +599,15 @@ type publication struct {
 	subs []func(zoneset.Diff)
 }
 
-// publishSnapshot diffs the live zone against the previous publication
-// and delivers the diff to subscribers after the configured publication
-// delay, but never before the previous publication: a long delay holds
-// back the publications behind it, so subscribers receive them in serial
-// order. A publication allocates only its diff's one array of names.
+// publishSnapshot is the daily cadence's publication: it diffs the live
+// zone against the previous publication and delivers the diff to
+// subscribers after the configured publication delay, but never before
+// the previous publication: a long delay holds back the publications
+// behind it, so subscribers receive them in serial order. A publication
+// allocates only its diff's one array of names.
 func (r *Registry) publishSnapshot(now time.Time) {
 	r.mu.Lock()
-	pub := publication{diff: r.diffSince(now), subs: r.subs}
-	clear(r.since)
+	pub := publication{diff: r.diffSince(&r.daily, now), subs: r.subs}
 	at := now
 	if r.cfg.SnapshotDelay != nil {
 		at = at.Add(r.cfg.SnapshotDelay(r.rng))
@@ -598,17 +656,18 @@ func (p publication) deliverTo() {
 	}
 }
 
-// diffSince classifies the names in since, each by its answer at the
-// previous publication against its record's answer now — the Compare of
-// the two zones, since every name outside since is the same in both — and
-// heads the diff with the current serial and now. Added, Removed and
+// diffSince classifies the names in the cadence's since table, each by
+// its answer at the cadence's previous publication against its record's
+// answer now — the diff of the two zones, since every name outside the
+// table is the same in both — heads the diff with the current serial and
+// now, and clears the table for the next publication. Added, Removed and
 // Changed are capped, sorted sub-slices of one array: a diff costs one
 // allocation however many names it holds, and none when it holds none.
 // The caller holds mu.
-func (r *Registry) diffSince(now time.Time) zoneset.Diff {
+func (r *Registry) diffSince(cad *cadence, now time.Time) zoneset.Diff {
 	const added, removed, changed = 0, 1, 2
 	c := &r.classed
-	for dom, old := range r.since {
+	for dom, old := range cad.since {
 		cur := r.ledger[dom].live.Load()
 		switch {
 		case old == nil && cur != nil:
@@ -631,6 +690,7 @@ func (r *Registry) diffSince(now time.Time) zoneset.Diff {
 		slices.Sort(parts[k])
 		c[k] = c[k][:0]
 	}
+	clear(cad.since)
 	return zoneset.Diff{TLD: r.cfg.TLD, Serial: r.serial, Taken: now,
 		Added: parts[added], Removed: parts[removed], Changed: parts[changed]}
 }
@@ -815,22 +875,6 @@ func (r *Registry) InZone(domain string) bool { return r.Answer(domain).InZone }
 // want one).
 func (r *Registry) WebAddrs(domain string) []netip.Addr {
 	return r.Answer(domain).A
-}
-
-// ZoneSnapshot builds the live zone as of now — every record's published
-// delegation, under the current serial — for a zone transfer or a rapid
-// zone update service's per-interval diffs. It walks the whole ledger, so
-// it costs O(names ever resolved or registered).
-func (r *Registry) ZoneSnapshot(now time.Time) *zoneset.Snapshot {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	snap := zoneset.NewSnapshot(r.cfg.TLD, r.serial, now)
-	for name, rec := range r.ledger {
-		if live := rec.live.Load(); live != nil {
-			snap.Add(name, live.NS)
-		}
-	}
-	return snap
 }
 
 // RDAP backend -------------------------------------------------------------

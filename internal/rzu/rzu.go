@@ -14,13 +14,13 @@ package rzu
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
 	"darkdns/internal/dnsname"
 	"darkdns/internal/registry"
-	"darkdns/internal/simclock"
 	"darkdns/internal/zoneset"
 )
 
@@ -52,7 +52,7 @@ func (k ChangeKind) String() string {
 type Change struct {
 	Kind   ChangeKind
 	Domain string
-	NS     []string // new NS set for Added/Modified
+	NS     []string // new NS set for Added/Modified; shared and read-only
 }
 
 // Batch is one published update: all changes since the previous batch.
@@ -87,27 +87,25 @@ type AllowList map[string]bool
 // Authorize implements AccessPolicy.
 func (a AllowList) Authorize(party, _ string) bool { return a[party] }
 
-// Service publishes rapid zone updates for a set of registries.
+// Service publishes rapid zone updates for a set of registries. Each
+// registry publishes its zone's change on a rapid cadence of its own
+// (registry.SubscribeEvery) at the service's interval; the service turns
+// each diff into a batch and hands it to the subscribers the policy let
+// in.
 type Service struct {
 	policy   AccessPolicy
 	interval time.Duration
 
-	mu      sync.Mutex
-	zones   map[string]*zoneState
-	subs    map[string][]subscription
-	history map[string][]Batch // retained batches per TLD
-	keep    int
+	mu    sync.Mutex
+	zones map[string]*zoneState
 }
 
 type zoneState struct {
-	reg    *registry.Registry
-	prev   *zoneset.Snapshot
-	ticker *simclock.Ticker
-}
-
-type subscription struct {
-	party string
-	fn    Subscriber
+	reg  *registry.Registry
+	stop func() // ends the registry's rapid cadence
+	// subs is copy-on-write: a batch keeps the list it read while
+	// Subscribe installs a new one.
+	subs []Subscriber
 }
 
 // Config parameterizes the service.
@@ -116,8 +114,6 @@ type Config struct {
 	Interval time.Duration
 	// Policy gates subscriber access; nil refuses everyone.
 	Policy AccessPolicy
-	// KeepBatches bounds retained history per TLD (0 = 4096).
-	KeepBatches int
 }
 
 // New creates an RZU service. Attach registries with Publish.
@@ -125,32 +121,26 @@ func New(cfg Config) *Service {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Minute
 	}
-	keep := cfg.KeepBatches
-	if keep <= 0 {
-		keep = 4096
-	}
 	return &Service{
 		policy:   cfg.Policy,
 		interval: cfg.Interval,
 		zones:    make(map[string]*zoneState),
-		subs:     make(map[string][]subscription),
-		history:  make(map[string][]Batch),
-		keep:     keep,
 	}
 }
 
-// Publish starts rapid updates for reg's zone on clk.
-func (s *Service) Publish(reg *registry.Registry, clk simclock.Clock) {
+// Publish starts rapid updates for reg's zone, on the registry's clock:
+// the first batch, one interval from now, holds every name delegated then
+// as added.
+func (s *Service) Publish(reg *registry.Registry) {
 	tld := reg.TLD()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, dup := s.zones[tld]; dup {
-		s.mu.Unlock()
 		return
 	}
-	st := &zoneState{reg: reg, prev: zoneset.NewSnapshot(tld, 0, clk.Now())}
+	st := &zoneState{reg: reg}
 	s.zones[tld] = st
-	s.mu.Unlock()
-	st.ticker = simclock.NewTicker(clk, s.interval, func(now time.Time) { s.tick(tld, now) })
+	st.stop = reg.SubscribeEvery(s.interval, func(d zoneset.Diff) { s.tick(st, d) })
 }
 
 // Stop halts publication for all zones.
@@ -158,9 +148,7 @@ func (s *Service) Stop() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, st := range s.zones {
-		if st.ticker != nil {
-			st.ticker.Stop()
-		}
+		st.stop()
 	}
 }
 
@@ -172,60 +160,41 @@ func (s *Service) Subscribe(party, tld string, fn Subscriber) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.zones[tld]; !ok {
+	st, ok := s.zones[tld]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownZone, tld)
 	}
-	s.subs[tld] = append(s.subs[tld], subscription{party: party, fn: fn})
+	st.subs = append(st.subs[:len(st.subs):len(st.subs)], fn)
 	return nil
 }
 
-// History returns retained batches for tld (requires authorization).
-func (s *Service) History(party, tld string) ([]Batch, error) {
-	tld = dnsname.Canonical(tld)
-	if s.policy == nil || !s.policy.Authorize(party, tld) {
-		return nil, fmt.Errorf("%w: %s on %s", ErrNotAuthorized, party, tld)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Batch(nil), s.history[tld]...), nil
-}
-
-// tick diffs the zone against the previous publication and delivers the
-// batch.
-func (s *Service) tick(tld string, now time.Time) {
-	s.mu.Lock()
-	st := s.zones[tld]
-	s.mu.Unlock()
-	if st == nil {
+// tick turns one publication of the zone's rapid cadence into a batch
+// sorted by domain, each added or modified name with the NS set the
+// registry delegates it to, and delivers it. An interval with no change
+// publishes no batch.
+func (s *Service) tick(st *zoneState, d zoneset.Diff) {
+	n := len(d.Added) + len(d.Removed) + len(d.Changed)
+	if n == 0 {
 		return
 	}
-	cur := st.reg.ZoneSnapshot(now)
-	diff := zoneset.Compare(st.prev, cur)
-	st.prev = cur
-	if len(diff.Added)+len(diff.Removed)+len(diff.Changed) == 0 {
-		return
+	batch := Batch{TLD: d.TLD, Serial: d.Serial, Produced: d.Taken, Changes: make([]Change, 0, n)}
+	for _, dom := range d.Added {
+		ns, _ := st.reg.Delegation(dom)
+		batch.Changes = append(batch.Changes, Change{Kind: Added, Domain: dom, NS: ns})
 	}
-	batch := Batch{TLD: tld, Serial: cur.Serial, Produced: now}
-	for _, d := range diff.Added {
-		batch.Changes = append(batch.Changes, Change{Kind: Added, Domain: d, NS: cur.Get(d).NS})
+	for _, dom := range d.Removed {
+		batch.Changes = append(batch.Changes, Change{Kind: Removed, Domain: dom})
 	}
-	for _, d := range diff.Removed {
-		batch.Changes = append(batch.Changes, Change{Kind: Removed, Domain: d})
+	for _, dom := range d.Changed {
+		ns, _ := st.reg.Delegation(dom)
+		batch.Changes = append(batch.Changes, Change{Kind: Modified, Domain: dom, NS: ns})
 	}
-	for _, d := range diff.Changed {
-		batch.Changes = append(batch.Changes, Change{Kind: Modified, Domain: d, NS: cur.Get(d).NS})
-	}
-	sort.Slice(batch.Changes, func(i, j int) bool { return batch.Changes[i].Domain < batch.Changes[j].Domain })
+	slices.SortFunc(batch.Changes, func(a, b Change) int { return strings.Compare(a.Domain, b.Domain) })
 
 	s.mu.Lock()
-	h := append(s.history[tld], batch)
-	if len(h) > s.keep {
-		h = h[len(h)-s.keep:]
-	}
-	s.history[tld] = h
-	subs := append([]subscription(nil), s.subs[tld]...)
+	subs := st.subs
 	s.mu.Unlock()
-	for _, sub := range subs {
-		sub.fn(batch)
+	for _, fn := range subs {
+		fn(batch)
 	}
 }

@@ -20,7 +20,7 @@ func newWorld(t *testing.T) (*Service, *registry.Registry, *simclock.Sim) {
 	t.Cleanup(reg.Stop)
 	svc := New(Config{Interval: 5 * time.Minute, Policy: AllowList{"researcher": true}})
 	t.Cleanup(svc.Stop)
-	svc.Publish(reg, clk)
+	svc.Publish(reg)
 	return svc, reg, clk
 }
 
@@ -34,9 +34,6 @@ func TestSubscribeRequiresAuthorization(t *testing.T) {
 	}
 	if err := svc.Subscribe("researcher", "org", func(Batch) {}); !errors.Is(err, ErrUnknownZone) {
 		t.Errorf("want ErrUnknownZone, got %v", err)
-	}
-	if _, err := svc.History("attacker", "com"); !errors.Is(err, ErrNotAuthorized) {
-		t.Errorf("history should be gated too: %v", err)
 	}
 }
 
@@ -96,35 +93,31 @@ func TestQuietPeriodsPublishNothing(t *testing.T) {
 	}
 }
 
-func TestHistoryRetainsBatches(t *testing.T) {
-	svc, reg, clk := newWorld(t)
-	for i := 0; i < 3; i++ {
-		reg.Register(domain(i), "R", []string{"ns1.x.net"}, netip.Addr{})
-		clk.Advance(5 * time.Minute)
-	}
-	h, err := svc.History("researcher", "com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h) != 3 {
-		t.Fatalf("history = %d batches, want 3", len(h))
-	}
-}
-
-func TestHistoryBound(t *testing.T) {
+// TestFirstBatchAgainstEmptyZone: a zone published after names entered
+// it reports them all as added in its first batch, and Stop ends the
+// batches.
+func TestFirstBatchAgainstEmptyZone(t *testing.T) {
 	clk := simclock.NewSim(t0)
 	reg := registry.New(registry.DefaultConfig("com"), clk, rand.New(rand.NewSource(1)))
 	defer reg.Stop()
-	svc := New(Config{Interval: 5 * time.Minute, Policy: AllowList{"r": true}, KeepBatches: 2})
-	defer svc.Stop()
-	svc.Publish(reg, clk)
-	for i := 0; i < 5; i++ {
-		reg.Register(domain(i), "R", []string{"ns1.x.net"}, netip.Addr{})
-		clk.Advance(5 * time.Minute)
+	reg.Register("early.com", "R", []string{"ns1.x.net"}, netip.Addr{})
+	reg.Register("pending.com", "R", []string{"ns1.x.net"}, netip.Addr{})
+	clk.Advance(time.Minute) // both enter the zone
+	reg.Delete("pending.com")
+
+	svc := New(Config{Interval: 5 * time.Minute, Policy: AllowList{"r": true}})
+	svc.Publish(reg)
+	var batches []Batch
+	svc.Subscribe("r", "com", func(b Batch) { batches = append(batches, b) })
+	clk.Advance(5 * time.Minute)
+	if len(batches) != 1 || len(batches[0].Changes) != 1 || batches[0].Changes[0].Domain != "early.com" || batches[0].Changes[0].Kind != Added {
+		t.Fatalf("first batch: %+v", batches)
 	}
-	h, _ := svc.History("r", "com")
-	if len(h) != 2 {
-		t.Fatalf("bounded history = %d, want 2", len(h))
+	svc.Stop()
+	reg.Register("late.com", "R", []string{"ns1.x.net"}, netip.Addr{})
+	clk.Advance(time.Hour)
+	if len(batches) != 1 {
+		t.Fatalf("%d batches after Stop", len(batches)-1)
 	}
 }
 
@@ -161,8 +154,4 @@ func TestChangeKindStrings(t *testing.T) {
 		Modified.String() != "modified" || ChangeKind(9).String() != "unknown" {
 		t.Error("kind strings")
 	}
-}
-
-func domain(i int) string {
-	return string([]byte{byte('a' + i), 'z', 'r', 'u'}) + ".com"
 }

@@ -249,8 +249,8 @@ type Stats struct {
 
 	// Windows, SpecFired, Conflicts and Barriers always read 0: the drain
 	// has no lookahead window. They remain only because bench/campaign.go
-	// reads them, and go with those reads in the benchmark PR of ROADMAP
-	// item 1(d).
+	// reads them, and go with those reads in the benchmark PR that purges
+	// the shims.
 	Windows, SpecFired, Conflicts, Barriers int64
 }
 

@@ -22,7 +22,7 @@ type Engines struct {
 
 	// Every field below is read by nothing. They remain only because
 	// bench/campaign.go and bench/world.go set them, and go with those
-	// assignments in the benchmark PR of ROADMAP item 1(d).
+	// assignments in the benchmark PR that purges the shims.
 	//
 	// IngestWorkers and RDAPWorkers: ingest handles each certstream event
 	// as it is delivered and step 2 is one clock timer per candidate, so

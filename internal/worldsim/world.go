@@ -274,12 +274,12 @@ func (w *World) Run() {
 }
 
 // RunBatched is Run. It remains only because bench/campaign.go calls it;
-// it goes with that call in the benchmark PR of ROADMAP item 1(d).
+// it goes with that call in the benchmark PR that purges the shims.
 func (w *World) RunBatched(int) { w.Run() }
 
 // RunLookahead is Run: the clock has one drain, which fires one instant
 // at a time. It remains only because bench/campaign.go calls it; it goes
-// with that call in the benchmark PR of ROADMAP item 1(d).
+// with that call in the benchmark PR that purges the shims.
 func (w *World) RunLookahead(int, int) { w.Run() }
 
 // drainDeadline is the window end plus slack for late snapshots and the

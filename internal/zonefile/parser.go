@@ -19,27 +19,15 @@ type Parser struct {
 	defaultTTL uint32
 	haveTTL    bool
 	lastOwner  string
-	strict     bool
 }
 
 // Option configures a Parser.
 type Option func(*Parser)
 
-// WithOrigin sets the initial $ORIGIN (canonical form expected).
-func WithOrigin(origin string) Option {
-	return func(p *Parser) { p.origin = dnsname.Canonical(origin) }
-}
-
 // WithDefaultTTL sets the TTL used when records omit one and no $TTL
 // directive has been seen.
 func WithDefaultTTL(ttl uint32) Option {
 	return func(p *Parser) { p.defaultTTL = ttl; p.haveTTL = true }
-}
-
-// Strict makes the parser reject records whose owner fails hostname
-// validation rather than passing them through.
-func Strict() Option {
-	return func(p *Parser) { p.strict = true }
 }
 
 // New builds a streaming parser over r.
@@ -78,21 +66,6 @@ func (p *Parser) Next() (*dnsmsg.Record, error) {
 	}
 }
 
-// All drains the parser into a slice (testing/small-zone convenience).
-func (p *Parser) All() ([]dnsmsg.Record, error) {
-	var out []dnsmsg.Record
-	for {
-		r, err := p.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, *r)
-	}
-}
-
 func (p *Parser) directive(fields []token) error {
 	switch strings.ToUpper(fields[0].text) {
 	case "$ORIGIN":
@@ -126,10 +99,6 @@ func (p *Parser) record(fields []token, ownerPresent bool) (*dnsmsg.Record, erro
 	if ownerPresent {
 		owner = p.qualify(fields[0].text)
 		i = 1
-	}
-	if owner == "" && ownerPresent && fields[0].text != "@" && fields[0].text != "." {
-		// qualify("") only happens for @ with empty origin; fine.
-		_ = owner
 	}
 	if !ownerPresent && p.lastOwner == "" {
 		return nil, &errSyntax{line, "record with no owner and no previous owner"}
@@ -170,11 +139,6 @@ func (p *Parser) record(fields []token, ownerPresent bool) (*dnsmsg.Record, erro
 	}
 	if !ttlSet {
 		return nil, &errSyntax{line, "record has no TTL and no $TTL default"}
-	}
-	if p.strict {
-		if err := dnsname.Check(owner); err != nil {
-			return nil, &errSyntax{line, "invalid owner: " + err.Error()}
-		}
 	}
 
 	rec := &dnsmsg.Record{Name: owner, Type: typ, Class: dnsmsg.ClassIN, TTL: ttl}

@@ -1,42 +1,17 @@
 package zoneset_test
 
 import (
-	"bytes"
 	"fmt"
-	"time"
+	"strings"
 
 	"darkdns/internal/zoneset"
 )
 
-func ExampleCompare() {
-	yesterday := zoneset.NewSnapshot("com", 1, time.Time{})
-	yesterday.Add("stays.com", []string{"ns1.example.net"})
-	yesterday.Add("leaves.com", []string{"ns1.example.net"})
-
-	today := zoneset.NewSnapshot("com", 2, time.Time{})
-	today.Add("stays.com", []string{"ns1.example.net"})
-	today.Add("arrives.com", []string{"ns2.example.net"})
-
-	d := zoneset.Compare(yesterday, today)
-	fmt.Println("added:", d.Added)
-	fmt.Println("removed:", d.Removed)
-	// Output:
-	// added: [arrives.com]
-	// removed: [leaves.com]
-}
-
 func ExampleStreamDiff() {
-	old := zoneset.NewSnapshot("shop", 1, time.Time{})
-	old.Add("alpha.shop", []string{"ns1.example.net"})
-	new := zoneset.NewSnapshot("shop", 2, time.Time{})
-	new.Add("alpha.shop", []string{"ns1.example.net"})
-	new.Add("beta.shop", []string{"ns1.example.net"})
+	old := "$ORIGIN shop.\nalpha 3600 IN NS ns1.example.net.\n"
+	new := old + "beta 3600 IN NS ns1.example.net.\n"
 
-	var bufOld, bufNew bytes.Buffer
-	old.WriteZone(&bufOld)
-	new.WriteZone(&bufNew)
-
-	zoneset.StreamDiff(&bufOld, &bufNew, "shop", func(kind zoneset.DiffKind, domain string) {
+	zoneset.StreamDiff(strings.NewReader(old), strings.NewReader(new), "shop", func(kind zoneset.DiffKind, domain string) {
 		fmt.Println(kind, domain)
 	})
 	// Output:

@@ -3,162 +3,67 @@ package zoneset
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"maps"
 	"math/rand"
-	"net/netip"
 	"reflect"
-	"sort"
+	"slices"
+	"strings"
 	"testing"
-	"time"
 )
 
-var t0 = time.Date(2023, 11, 1, 0, 0, 0, 0, time.UTC)
+// The tests hold StreamDiff to a map model of a zone: each delegated
+// domain's sorted NS set, written out as a master file by writeZone.
+type zone map[string][]string
 
-func snap(tld string, serial uint32, domains ...string) *Snapshot {
-	s := NewSnapshot(tld, serial, t0)
+func zoneOf(domains ...string) zone {
+	z := make(zone)
 	for _, d := range domains {
-		s.Add(d, []string{"ns1.cloudflare.com", "ns2.cloudflare.com"})
+		z[d] = []string{"ns1.cloudflare.com", "ns2.cloudflare.com"}
 	}
-	return s
+	return z
 }
 
-func TestAddContainsRemove(t *testing.T) {
-	s := snap("com", 1, "Example.COM")
-	if !s.Contains("example.com") || !s.Contains("EXAMPLE.com.") {
-		t.Error("canonicalization on Contains failed")
-	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	s.Remove("EXAMPLE.COM")
-	if s.Contains("example.com") || s.Len() != 0 {
-		t.Error("Remove failed")
-	}
-}
-
-func TestDomainsSortedAndCached(t *testing.T) {
-	s := snap("com", 1, "b.com", "a.com", "c.com")
-	d := s.Domains()
-	if !sort.StringsAreSorted(d) {
-		t.Errorf("not sorted: %v", d)
-	}
-	s.Add("0.com", []string{"ns.x.net"})
-	d2 := s.Domains()
-	if len(d2) != 4 || d2[0] != "0.com" {
-		t.Errorf("cache not invalidated: %v", d2)
-	}
-}
-
-func TestNSSetsSortedOnAdd(t *testing.T) {
-	s := NewSnapshot("com", 1, t0)
-	s.Add("x.com", []string{"ns2.b.net", "NS1.a.net"})
-	got := s.Get("x.com").NS
-	if !reflect.DeepEqual(got, []string{"ns1.a.net", "ns2.b.net"}) {
-		t.Errorf("NS = %v", got)
-	}
-}
-
-func TestCompare(t *testing.T) {
-	old := snap("com", 1, "keep.com", "gone.com", "changed.com")
-	new := snap("com", 2, "keep.com", "fresh.com")
-	new.Add("changed.com", []string{"ns1.dns-parking.com"})
-	d := Compare(old, new)
-	if !reflect.DeepEqual(d.Added, []string{"fresh.com"}) {
-		t.Errorf("Added = %v", d.Added)
-	}
-	if !reflect.DeepEqual(d.Removed, []string{"gone.com"}) {
-		t.Errorf("Removed = %v", d.Removed)
-	}
-	if !reflect.DeepEqual(d.Changed, []string{"changed.com"}) {
-		t.Errorf("Changed = %v", d.Changed)
-	}
-}
-
-func TestCompareIdentical(t *testing.T) {
-	a := snap("com", 1, "x.com", "y.com")
-	d := Compare(a, snap("com", 2, "y.com", "x.com"))
-	if len(d.Added)+len(d.Removed)+len(d.Changed) != 0 {
-		t.Errorf("self-diff nonempty: %+v", d)
-	}
-}
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	s := NewSnapshot("shop", 42, t0)
-	s.Add("alpha.shop", []string{"ns1.cloudflare.com", "ns2.cloudflare.com"})
-	s.Add("beta.shop", []string{"ns1.beta.shop"}, Glue{Name: "ns1.beta.shop", Addr: netip.MustParseAddr("192.0.2.53")})
-	s.Add("gamma.shop", []string{"dns1.dns-parking.com"})
-
-	var buf bytes.Buffer
-	if err := s.WriteZone(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf, "shop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Serial != 42 {
-		t.Errorf("serial = %d", got.Serial)
-	}
-	if got.Len() != 3 {
-		t.Fatalf("len = %d, want 3", got.Len())
-	}
-	if !reflect.DeepEqual(got.Get("alpha.shop").NS, s.Get("alpha.shop").NS) {
-		t.Errorf("alpha NS: %v", got.Get("alpha.shop").NS)
-	}
-	g := got.Get("beta.shop")
-	if len(g.Glue) != 1 || g.Glue[0].Addr.String() != "192.0.2.53" {
-		t.Errorf("glue: %+v", g.Glue)
-	}
-}
-
-func TestReadIgnoresOutOfZone(t *testing.T) {
-	src := `$ORIGIN com.
-@ 900 IN SOA a.nic.com. host.nic.com. 7 1 1 1 1
-@ 86400 IN NS a.nic.com.
-example 3600 IN NS ns1.other.net.
-stray.example.org. 3600 IN NS ns.org.
-`
-	s, err := Read(bytes.NewBufferString(src), "com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 1 || !s.Contains("example.com") {
-		t.Errorf("delegations: %v", s.Domains())
-	}
-	if s.Serial != 7 {
-		t.Errorf("serial = %d", s.Serial)
-	}
-}
-
-func TestStreamDiffMatchesCompare(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	old := NewSnapshot("top", 1, t0)
-	new := NewSnapshot("top", 2, t0.Add(24*time.Hour))
-	for i := 0; i < 500; i++ {
-		d := fmt.Sprintf("d%04d.top", i)
-		ns := []string{fmt.Sprintf("ns%d.cloudflare.com", rng.Intn(3))}
-		inOld, inNew := rng.Intn(3) != 0, rng.Intn(3) != 0
-		if inOld {
-			old.Add(d, ns)
-		}
-		if inNew {
-			ns2 := ns
-			if rng.Intn(4) == 0 {
-				ns2 = []string{"ns9.changed.net"}
-			}
-			new.Add(d, ns2)
+// writeZone writes z as tld's master file: the SOA, the apex NS, then
+// each delegation's NS RRset in sorted owner order, as a registry's zone
+// file lists them.
+func writeZone(w io.Writer, tld string, serial uint32, z zone) {
+	fmt.Fprintf(w, "$ORIGIN %s.\n@\t900\tIN\tSOA\ta.nic.%[1]s. hostmaster.nic.%[1]s. %d 1800 900 604800 86400\n", tld, serial)
+	fmt.Fprintf(w, "@\t86400\tIN\tNS\ta.nic.%s.\n", tld)
+	for _, d := range slices.Sorted(maps.Keys(z)) {
+		for _, ns := range z[d] {
+			fmt.Fprintf(w, "%s.\t3600\tIN\tNS\t%s.\n", d, ns)
 		}
 	}
-	want := Compare(old, new)
+}
 
-	var bufOld, bufNew bytes.Buffer
-	if err := old.WriteZone(&bufOld); err != nil {
-		t.Fatal(err)
+// compareZones is the reference diff: every domain of both zones
+// classified by a map lookup.
+func compareZones(old, new zone) Diff {
+	var d Diff
+	for dom, ns := range new {
+		if o, ok := old[dom]; !ok {
+			d.Added = append(d.Added, dom)
+		} else if !slices.Equal(o, ns) {
+			d.Changed = append(d.Changed, dom)
+		}
 	}
-	if err := new.WriteZone(&bufNew); err != nil {
-		t.Fatal(err)
+	for dom := range old {
+		if _, ok := new[dom]; !ok {
+			d.Removed = append(d.Removed, dom)
+		}
 	}
-	got := Diff{}
-	err := StreamDiff(&bufOld, &bufNew, "top", func(k DiffKind, dom string) {
+	slices.Sort(d.Added)
+	slices.Sort(d.Removed)
+	slices.Sort(d.Changed)
+	return d
+}
+
+// streamDiff runs StreamDiff over two zone files and collects its calls.
+func streamDiff(t testing.TB, old, new, tld string) Diff {
+	t.Helper()
+	var got Diff
+	err := StreamDiff(strings.NewReader(old), strings.NewReader(new), tld, func(k DiffKind, dom string) {
 		switch k {
 		case DiffAdded:
 			got.Added = append(got.Added, dom)
@@ -171,9 +76,101 @@ func TestStreamDiffMatchesCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Strings(want.Added)
-	sort.Strings(want.Removed)
-	sort.Strings(want.Changed)
+	return got
+}
+
+func zoneFile(tld string, serial uint32, z zone) string {
+	var buf bytes.Buffer
+	writeZone(&buf, tld, serial, z)
+	return buf.String()
+}
+
+func TestCompare(t *testing.T) {
+	old := zoneOf("keep.com", "gone.com", "changed.com")
+	new := zoneOf("keep.com", "fresh.com")
+	new["changed.com"] = []string{"ns1.dns-parking.com"}
+	d := streamDiff(t, zoneFile("com", 1, old), zoneFile("com", 2, new), "com")
+	if !reflect.DeepEqual(d.Added, []string{"fresh.com"}) {
+		t.Errorf("Added = %v", d.Added)
+	}
+	if !reflect.DeepEqual(d.Removed, []string{"gone.com"}) {
+		t.Errorf("Removed = %v", d.Removed)
+	}
+	if !reflect.DeepEqual(d.Changed, []string{"changed.com"}) {
+		t.Errorf("Changed = %v", d.Changed)
+	}
+}
+
+func TestCompareIdentical(t *testing.T) {
+	d := streamDiff(t, zoneFile("com", 1, zoneOf("x.com", "y.com")), zoneFile("com", 2, zoneOf("y.com", "x.com")), "com")
+	if len(d.Added)+len(d.Removed)+len(d.Changed) != 0 {
+		t.Errorf("self-diff nonempty: %+v", d)
+	}
+}
+
+// TestNSSetsSortedOnAdd: a delegation's NS set is read canonical and
+// sorted, so the same set in another order or case is no change.
+func TestNSSetsSortedOnAdd(t *testing.T) {
+	old := "$ORIGIN com.\nx 3600 IN NS ns2.b.net.\nx 3600 IN NS NS1.a.net.\n"
+	new := "$ORIGIN com.\nx 3600 IN NS ns1.a.net.\nx 3600 IN NS ns2.b.net.\n"
+	if d := streamDiff(t, old, new, "com"); len(d.Added)+len(d.Removed)+len(d.Changed) != 0 {
+		t.Errorf("reordered NS set reported as a change: %+v", d)
+	}
+	if d := streamDiff(t, old, "$ORIGIN com.\nx 3600 IN NS ns1.a.net.\n", "com"); !slices.Equal(d.Changed, []string{"x.com"}) {
+		t.Errorf("shrunk NS set: %+v", d)
+	}
+}
+
+// TestWriteReadRoundTrip: a zone file with its SOA, apex NS and glue reads
+// back as exactly its delegations.
+func TestWriteReadRoundTrip(t *testing.T) {
+	z := zone{
+		"alpha.shop": {"ns1.cloudflare.com", "ns2.cloudflare.com"},
+		"beta.shop":  {"ns1.beta.shop"},
+		"gamma.shop": {"dns1.dns-parking.com"},
+	}
+	var buf bytes.Buffer
+	writeZone(&buf, "shop", 42, z)
+	buf.WriteString("ns1.beta.shop.\t3600\tIN\tA\t192.0.2.53\n") // glue
+	d := streamDiff(t, zoneFile("shop", 0, zone{}), buf.String(), "shop")
+	if !slices.Equal(d.Added, []string{"alpha.shop", "beta.shop", "gamma.shop"}) || len(d.Removed)+len(d.Changed) != 0 {
+		t.Errorf("read back %+v", d)
+	}
+}
+
+func TestReadIgnoresOutOfZone(t *testing.T) {
+	src := `$ORIGIN com.
+@ 900 IN SOA a.nic.com. host.nic.com. 7 1 1 1 1
+@ 86400 IN NS a.nic.com.
+example 3600 IN NS ns1.other.net.
+stray.example.org. 3600 IN NS ns.org.
+`
+	d := streamDiff(t, "", src, "com")
+	if !slices.Equal(d.Added, []string{"example.com"}) || len(d.Removed)+len(d.Changed) != 0 {
+		t.Errorf("delegations: %+v", d)
+	}
+}
+
+func TestStreamDiffMatchesCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	old, new := make(zone), make(zone)
+	for i := 0; i < 500; i++ {
+		d := fmt.Sprintf("d%04d.top", i)
+		ns := []string{fmt.Sprintf("ns%d.cloudflare.com", rng.Intn(3))}
+		inOld, inNew := rng.Intn(3) != 0, rng.Intn(3) != 0
+		if inOld {
+			old[d] = ns
+		}
+		if inNew {
+			ns2 := ns
+			if rng.Intn(4) == 0 {
+				ns2 = []string{"ns9.changed.net"}
+			}
+			new[d] = ns2
+		}
+	}
+	want := compareZones(old, new)
+	got := streamDiff(t, zoneFile("top", 1, old), zoneFile("top", 2, new), "top")
 	if !reflect.DeepEqual(got.Added, want.Added) {
 		t.Errorf("Added mismatch:\n got %d %v\nwant %d %v", len(got.Added), head(got.Added), len(want.Added), head(want.Added))
 	}
@@ -193,23 +190,12 @@ func head(s []string) []string {
 }
 
 func TestStreamDiffEmptySides(t *testing.T) {
-	s := snap("com", 1, "a.com", "b.com")
-	var full, empty bytes.Buffer
-	if err := s.WriteZone(&full); err != nil {
-		t.Fatal(err)
+	full, empty := zoneFile("com", 1, zoneOf("a.com", "b.com")), zoneFile("com", 0, zone{})
+	if d := streamDiff(t, empty, full, "com"); len(d.Added) != 2 {
+		t.Errorf("added = %d, want 2", len(d.Added))
 	}
-	NewSnapshot("com", 0, t0).WriteZone(&empty)
-
-	added := 0
-	if err := StreamDiff(&empty, &full, "com", func(k DiffKind, _ string) {
-		if k == DiffAdded {
-			added++
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if added != 2 {
-		t.Errorf("added = %d, want 2", added)
+	if d := streamDiff(t, full, empty, "com"); len(d.Removed) != 2 {
+		t.Errorf("removed = %d, want 2", len(d.Removed))
 	}
 }
 
@@ -219,35 +205,27 @@ func TestDiffKindString(t *testing.T) {
 	}
 }
 
-func buildBig(n int, mutate bool) (*Snapshot, *Snapshot) {
+// bigZones returns two n-delegation zone files, the second missing
+// about one delegation in a hundred.
+func bigZones(n int) (old, new []byte) {
 	rng := rand.New(rand.NewSource(11))
-	old := NewSnapshot("com", 1, t0)
-	new := NewSnapshot("com", 2, t0)
+	o, nz := make(zone, n), make(zone, n)
 	for i := 0; i < n; i++ {
 		d := fmt.Sprintf("domain%07d.com", i)
 		ns := []string{"ns1.cloudflare.com"}
-		old.Add(d, ns)
-		if !mutate || rng.Intn(100) != 0 {
-			new.Add(d, ns)
+		o[d] = ns
+		if rng.Intn(100) != 0 {
+			nz[d] = ns
 		}
 	}
-	return old, new
-}
-
-func BenchmarkCompareMaterialized(b *testing.B) {
-	old, new := buildBig(100_000, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Compare(old, new)
-	}
+	var bo, bn bytes.Buffer
+	writeZone(&bo, "com", 1, o)
+	writeZone(&bn, "com", 2, nz)
+	return bo.Bytes(), bn.Bytes()
 }
 
 func BenchmarkStreamDiff(b *testing.B) {
-	old, new := buildBig(100_000, true)
-	var bufOld, bufNew bytes.Buffer
-	old.WriteZone(&bufOld)
-	new.WriteZone(&bufNew)
-	ob, nb := bufOld.Bytes(), bufNew.Bytes()
+	ob, nb := bigZones(100_000)
 	b.SetBytes(int64(len(ob) + len(nb)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -434,8 +434,6 @@ var unusedAllowed = map[string]string{
 	"dnsname.Compare":                      testOnly,
 	"dnsname.CountLabels":                  testOnly,
 	"dnsname.Join":                         testOnly,
-	"dnsserver.AXFRClient":                 wireStack,
-	"dnsserver.AXFRClient.Transfer":        wireStack,
 	"dnsserver.HandlerFunc":                wireStack,
 	"dnsserver.HostingHandler.Remove":      wireStack,
 	"dnsserver.HostingHandler.Set":         wireStack,
@@ -476,20 +474,11 @@ var unusedAllowed = map[string]string{
 	"resolver.Resolver.Stats":              wireStack,
 	"resolver.UDPExchanger":                benchWire,
 	"resolver.UDPExchanger.Close":          benchWire,
-	"rzu.Service.History":                  testOnly,
 	"simclock.Sim.Pending":                 benchOnly,
 	"worldsim.LayoutSet.Domains":           benchOnly,
 	"worldsim.TLDPlan.CTTotal":             testOnly,
 	"worldsim.World.RunBatched":            benchOnly,
 	"worldsim.World.RunLookahead":          benchOnly,
-	"zonefile.Parser.All":                  testOnly,
-	"zonefile.Strict":                      testOnly,
-	"zonefile.WithOrigin":                  testOnly,
-	"zoneset.Read":                         testOnly,
-	"zoneset.Snapshot.Contains":            testOnly,
-	"zoneset.Snapshot.Len":                 testOnly,
-	"zoneset.Snapshot.Remove":              testOnly,
-	"zoneset.Snapshot.WriteZone":           testOnly,
 }
 
 // TestExportedIdentifiersUsed is the reachability ratchet per
