@@ -42,7 +42,7 @@ func init() {
 		catalog[i].set0 = NSSetID(len(nsSetsByID))
 		for shard := range sets {
 			sets[shard] = nsSet(catalog[i].NSSuffix, shard)
-			nsSetsByID = append(nsSetsByID, nsSetEntry{sets[shard], &catalog[i]})
+			nsSetsByID = append(nsSetsByID, &catalog[i])
 		}
 		catalog[i].ns = sets
 	}
@@ -53,21 +53,18 @@ func init() {
 // is no set.
 type NSSetID uint8
 
-type nsSetEntry struct {
-	names []string
-	prov  *Provider
-}
-
-// nsSetsByID holds each set by its ID; index 0 is no set.
-var nsSetsByID = []nsSetEntry{{}}
+// nsSetsByID holds the provider of each set by its ID; index 0 is no set.
+// A provider's sets have consecutive IDs from its set0, in shard order.
+var nsSetsByID = []*Provider{nil}
 
 // Names returns the set id numbers, the slice NSNames returns for it: nil
 // for 0 or a number no set has.
 func (id NSSetID) Names() []string {
-	if int(id) >= len(nsSetsByID) {
+	p := id.Provider()
+	if p == nil {
 		return nil
 	}
-	return nsSetsByID[id].names
+	return p.NSNames(int(id - p.set0))
 }
 
 // Provider returns the provider whose set id numbers: nil for 0 or a
@@ -76,7 +73,7 @@ func (id NSSetID) Provider() *Provider {
 	if int(id) >= len(nsSetsByID) {
 		return nil
 	}
-	return nsSetsByID[id].prov
+	return nsSetsByID[id]
 }
 
 // ByName returns the provider with the given name, or nil.

@@ -7,8 +7,8 @@
 package noddfeed
 
 import (
+	"maps"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -67,6 +67,16 @@ func New(cfg Config) *Feed {
 // Config returns the feed's coverage model.
 func (f *Feed) Config() Config { return f.cfg }
 
+// Grow makes room for n more detections, so that seeding that many
+// domains does not grow the feed's map step by step.
+func (f *Feed) Grow(n int) {
+	f.mu.Lock()
+	m := make(map[string]time.Time, len(f.detected)+n)
+	maps.Copy(m, f.detected)
+	f.detected = m
+	f.mu.Unlock()
+}
+
 // Seed records a detection directly, keeping the earliest sighting when a
 // domain is observed more than once — the commit half of Config.Sample.
 func (f *Feed) Seed(domain string, at time.Time) {
@@ -78,57 +88,10 @@ func (f *Feed) Seed(domain string, at time.Time) {
 	f.mu.Unlock()
 }
 
-// ObserveRegistration rolls the detection model for a registration at
-// created that will live for lifetime (0 = long-lived). Detected domains
-// enter the feed after the sampled delay — but only if the domain is
-// still alive when the first query would have been seen.
-func (f *Feed) ObserveRegistration(rng *rand.Rand, domain string, created time.Time, lifetime time.Duration) (time.Time, bool) {
-	rate := f.cfg.DetectRate
-	if lifetime > 0 && lifetime < 24*time.Hour {
-		rate = f.cfg.TransientDetectRate
-	}
-	return f.ObserveWithRate(rng, domain, created, lifetime, rate)
-}
-
-// ObserveWithRate is ObserveRegistration with a caller-supplied detection
-// probability. The world simulator uses it to correlate passive-DNS
-// visibility with certificate issuance: domains that obtain certificates
-// are more likely to attract query traffic, which is what produces the
-// ≈60 % (rather than independent ≈27 %) feed overlap of §4.4.
-func (f *Feed) ObserveWithRate(rng *rand.Rand, domain string, created time.Time, lifetime time.Duration, rate float64) (time.Time, bool) {
-	at, ok := f.cfg.Sample(rng, created, lifetime, rate)
-	if !ok {
-		return time.Time{}, false
-	}
-	f.Seed(domain, at)
-	return at, true
-}
-
 // DetectedAt returns when domain entered the feed.
 func (f *Feed) DetectedAt(domain string) (time.Time, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	t, ok := f.detected[dnsname.Canonical(domain)]
 	return t, ok
-}
-
-// DetectedBetween returns domains first observed in [from, to), sorted.
-func (f *Feed) DetectedBetween(from, to time.Time) []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out []string
-	for d, at := range f.detected {
-		if !at.Before(from) && at.Before(to) {
-			out = append(out, d)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the total number of detections.
-func (f *Feed) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.detected)
 }

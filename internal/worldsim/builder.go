@@ -61,21 +61,23 @@ func compileLayouts(env *buildEnv) []*Layout {
 // commit installs compiled layouts in one serial pass in canonical
 // (plan, chunk) order: ground-truth records into the Domains map (a
 // duplicate name's last writer is the latest layout), ghosts onto the
-// ghost ledger, buffered seedings into the NOD feed, blocklists and
-// CZDS's zone history, DV tokens into the CAs, and each layout's
-// lifecycle slab onto the clock as one run, whose index order gives
-// every event its sequence number. Layouts own distinct names
-// (structurally, while plans own distinct TLDs); dupNames counts every
-// occurrence of a name after its first, ghosts included, as the safety
-// net.
+// ghost ledger, buffered seedings into the NOD feed (its map sized once
+// for every layout's), blocklists and CZDS's zone history, DV tokens into
+// the CAs, and each layout's lifecycle slab onto the clock as one run,
+// whose index order gives every event its sequence number. Layouts own
+// distinct names (structurally, while plans own distinct TLDs); dupNames
+// counts every occurrence of a name after its first, ghosts included, as
+// the safety net.
 func (w *World) commit(layouts []*Layout) {
-	total, ghosts := 0, 0
+	total, ghosts, nods := 0, 0, 0
 	for _, l := range layouts {
 		total += len(l.domains)
 		ghosts += len(l.ghosts)
+		nods += len(l.nod)
 	}
 	w.Domains = &DomainStore{m: make(map[string]*Domain, total)}
 	w.Ghosts = make([]*Domain, 0, ghosts)
+	w.NOD.Grow(nods)
 	// One array holds every layout's run, so handing one to the clock
 	// as a Run boxes no slice header.
 	runs := make([]lifecycles, len(layouts))
@@ -102,12 +104,12 @@ func (w *World) commitLayout(l *Layout) lifecycles {
 	recs := make(lifecycles, len(l.domains)+len(l.ghosts))
 	domains := w.Domains.m
 	for j := range l.domains {
-		r := &l.domains[j]
+		d := l.domains[j].d
 		n := len(domains)
-		if domains[r.d.Name] = r.d; len(domains) == n {
+		if domains[d.Name] = d; len(domains) == n {
 			w.dupNames++ // the name was present: the later layout's record wins
 		}
-		recs[j] = lifecycle{w: w, r: r, rank: int32(j)}
+		recs[j] = lifecycle{w: w, l: l, at: d.Created.UnixNano(), idx: int32(j)}
 	}
 	for j := range l.ghosts {
 		g := &l.ghosts[j]
@@ -117,16 +119,16 @@ func (w *World) commitLayout(l *Layout) lifecycles {
 			w.CZDS.Seed(g.d.Name, g.tokenAt)
 		}
 		k := len(l.domains) + j
-		recs[k] = lifecycle{w: w, g: g, rank: int32(k)}
+		recs[k] = lifecycle{w: w, l: l, at: g.d.Created.UnixNano(), idx: int32(k)}
 	}
 	for _, s := range l.nod {
-		w.NOD.Seed(s.domain, s.at)
+		w.NOD.Seed(s.domain, nanoTime(s.at))
 	}
 	for _, f := range l.flags {
 		w.Blocklists.SeedFlag(f.List, f.Domain, f.At)
 	}
 	for _, s := range l.dzdb {
-		w.CZDS.Seed(s.domain, s.at)
+		w.CZDS.Seed(s.domain, nanoTime(s.at))
 	}
 	return recs
 }
@@ -136,62 +138,74 @@ func (w *World) commitLayout(l *Layout) lifecycles {
 // registration as itself and a ghost as its issuance, and its rank is
 // its index in the slab as committed. The clock sorts the slab in place
 // before the first entry fires, so records move only while none of them
-// is scheduled by a pointer.
+// is scheduled by a pointer. Each record carries its instant, so the
+// sort and the drain read it from the slab they walk.
 type lifecycles []lifecycle
 
 func (ls *lifecycles) Len() int { return len(*ls) }
 
-func (ls *lifecycles) At(i int) time.Time {
-	lc := &(*ls)[i]
-	if lc.r != nil {
-		return lc.r.d.Created
-	}
-	return lc.g.d.Created
-}
+// At converts the record's instant back to the time.Time it was taken
+// from: in UTC with no monotonic reading, as Config.withDefaults leaves
+// every instant of a world, so it equals the name's Domain.Created.
+func (ls *lifecycles) At(i int) time.Time { return nanoTime((*ls)[i].at) }
 
-func (ls *lifecycles) Rank(i int) int { return int((*ls)[i].rank) }
+func (ls *lifecycles) Rank(i int) int { return int((*ls)[i].idx) }
 
 func (ls *lifecycles) Event(i int) simclock.Firer {
 	lc := &(*ls)[i]
-	if lc.r != nil {
-		return lc
+	if lc.isGhost() {
+		return (*ghostIssuance)(lc)
 	}
-	return (*ghostIssuance)(lc)
+	return lc
 }
 
 func (ls *lifecycles) Swap(i, j int) { (*ls)[i], (*ls)[j] = (*ls)[j], (*ls)[i] }
 
-// lifecycle is the clock-event record of one compiled registration (r
-// set) or ghost (g set). Its Fire registers the name; the same record,
+// lifecycle is the clock-event record of one compiled registration or
+// ghost, 32 bytes. Its Fire registers the name; the same record,
 // converted to certAttempt, certIssue, nsChange, deletion, ghostIssuance
 // or ghostCert, is the action of the name's other events, so a world's
 // timeline is one slab per layout with no closure or event object per
 // name, and a certificate request has no object of its own either.
 type lifecycle struct {
 	w *World
-	r *regLayout
-	g *ghostLayout
+	l *Layout
+	// at is the name's creation instant in Unix nanoseconds, the instant
+	// the record first fires at.
+	at int64
+	// idx is the record's index in its layout's slab as committed, which
+	// breaks ties between records of one instant (lifecycles): below
+	// len(l.domains) it is registration l.domains[idx], and from there on
+	// ghost l.ghosts[idx-len(l.domains)].
+	idx int32
 	// certRetries counts the registration's certificate attempts that
 	// failed validation and were retried, at most maxCertAttempts.
 	certRetries int32
-	// rank is the record's index in its layout's slab as committed,
-	// which breaks ties between records of one instant (lifecycles).
-	rank int32
 }
 
-// registry returns the registry of the registration's TLD. It is looked
-// up when an event fires rather than held, so the record stays four
-// words with its retry count and rank.
-func (lc *lifecycle) registry() *registry.Registry { return lc.w.Registries[lc.r.d.TLD] }
+// isGhost reports whether the record is a ghost's rather than a
+// registration's.
+func (lc *lifecycle) isGhost() bool { return int(lc.idx) >= len(lc.l.domains) }
+
+// reg returns the registration the record fires for.
+func (lc *lifecycle) reg() *regLayout { return &lc.l.domains[lc.idx] }
+
+// ghost returns the ghost the record fires for.
+func (lc *lifecycle) ghost() *ghostLayout { return &lc.l.ghosts[int(lc.idx)-len(lc.l.domains)] }
+
+// registry returns the registry of the registration's TLD, its layout's.
+// It is looked up when an event fires rather than held, so the record
+// stays four words with its instant, slot and retry count.
+func (lc *lifecycle) registry() *registry.Registry { return lc.w.Registries[lc.l.tld] }
 
 // Fire registers the name at its creation instant, then kicks off the
 // (pre-drawn) certificate chain, NS change and deletion, every instant
 // derived from the registration's own.
 func (lc *lifecycle) Fire() {
-	w, r := lc.w, lc.r
+	w, r := lc.w, lc.reg()
 	d := r.d
 	now := w.Clock.Now()
-	if _, err := lc.registry().RegisterAt(d.Name, d.Registrar, r.ns, r.web, now); err != nil {
+	if _, err := lc.registry().RegisterAt(d.Name, d.Registrar, r.nsSet.Names(), r.webAddr(), now); err != nil {
 		return // name collision with an active registration (duplicate-TLD plans only)
 	}
 	if d.CertAsked {
@@ -217,7 +231,7 @@ type certAttempt lifecycle
 
 func (e *certAttempt) Fire() {
 	clk := e.w.Clock
-	clk.Schedule(clk.Now().Add(e.w.CAs[e.r.caIdx].ValidationDelay()), (*certIssue)(e))
+	clk.Schedule(clk.Now().Add(e.w.CAs[(*lifecycle)(e).reg().caIdx].ValidationDelay()), (*certIssue)(e))
 }
 
 // certIssue is a certificate attempt whose validation delay has passed:
@@ -229,24 +243,32 @@ func (e *certAttempt) Fire() {
 type certIssue lifecycle
 
 func (e *certIssue) Fire() {
-	name := e.r.d.Name
-	if _, err := e.w.CAs[e.r.caIdx].Issue(name, name, nil); err == nil || int(e.certRetries) >= maxCertAttempts {
+	r := (*lifecycle)(e).reg()
+	name := r.d.Name
+	if _, err := e.w.CAs[r.caIdx].Issue(name, name, nil); err == nil || int(e.certRetries) >= maxCertAttempts {
 		return
 	}
 	clk := e.w.Clock
-	clk.Schedule(clk.Now().Add(retryDelay(e.r.retrySeed, int(e.certRetries))), (*certAttempt)(e))
+	clk.Schedule(clk.Now().Add(retryDelay(r.retrySeed, int(e.certRetries))), (*certAttempt)(e))
 	e.certRetries++
 }
 
 // nsChange is a registration's switch to its pre-drawn alternate NS set.
 type nsChange lifecycle
 
-func (e *nsChange) Fire() { _ = (*lifecycle)(e).registry().UpdateNS(e.r.d.Name, e.r.altNS) }
+func (e *nsChange) Fire() {
+	lc := (*lifecycle)(e)
+	r := lc.reg()
+	_ = lc.registry().UpdateNS(r.d.Name, r.altSet.Names())
+}
 
 // deletion is a registration's takedown at the end of its lifetime.
 type deletion lifecycle
 
-func (e *deletion) Fire() { _ = (*lifecycle)(e).registry().Delete(e.r.d.Name) }
+func (e *deletion) Fire() {
+	lc := (*lifecycle)(e)
+	_ = lc.registry().Delete(lc.reg().d.Name)
+}
 
 // ghostIssuance is a ghost's certificate request, issued on a stale DV
 // token: it draws the CA's validation delay and schedules the same
@@ -255,7 +277,7 @@ type ghostIssuance lifecycle
 
 func (e *ghostIssuance) Fire() {
 	clk := e.w.Clock
-	clk.Schedule(clk.Now().Add(e.w.CAs[e.g.caIdx].ValidationDelay()), (*ghostCert)(e))
+	clk.Schedule(clk.Now().Add(e.w.CAs[(*lifecycle)(e).ghost().caIdx].ValidationDelay()), (*ghostCert)(e))
 }
 
 // ghostCert is a ghost's certificate after its validation delay: no live
@@ -264,6 +286,6 @@ func (e *ghostIssuance) Fire() {
 type ghostCert lifecycle
 
 func (e *ghostCert) Fire() {
-	name := e.g.d.Name
-	_, _ = e.w.CAs[e.g.caIdx].Issue(name, name, nil)
+	g := (*lifecycle)(e).ghost()
+	_, _ = e.w.CAs[g.caIdx].Issue(g.d.Name, g.d.Name, nil)
 }

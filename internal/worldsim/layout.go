@@ -72,20 +72,30 @@ func share(n, k, i int) int {
 
 // regLayout is one registration's compiled lifecycle: every stochastic
 // choice pre-drawn, ready for the commit phase to install as clock events
-// that never touch an RNG.
+// that never touch an RNG. It is 40 bytes: its NS sets are kept as the
+// catalog IDs they were drawn as (hosting.NSSetID.Names gives back the
+// provider's shared, read-only slice, and ID 0 no set), its web address
+// as the four bytes of an IPv4 address (all zero for none: no provider
+// hands out 0.0.0.0) and its CA as an index into the world's few.
 type regLayout struct {
-	d         *Domain
-	ns        []string // a provider's shared NS set (hosting.NSNames): read-only
-	web       netip.Addr
-	caIdx     int
-	certDelay time.Duration
-	retrySeed uint64 // derives per-attempt ACME backoffs (retryDelay)
-	nsChange  bool
-	// nsSet and altSet number ns and altNS (hosting.NSSetID) for the
-	// snapshot, which stores the draws rather than the names.
+	d          *Domain
+	certDelay  time.Duration
+	retrySeed  uint64 // derives per-attempt ACME backoffs (retryDelay)
+	nsChangeAt time.Duration
+	web        [4]byte
+	caIdx      uint8
+	nsChange   bool
+	// nsSet is the delegation's NS set, altSet the one it switches to when
+	// nsChange (0 otherwise).
 	nsSet, altSet hosting.NSSetID
-	nsChangeAt    time.Duration
-	altNS         []string // drawn only when nsChange; shared like ns
+}
+
+// webAddr returns the registration's web address, the zero Addr for none.
+func (r *regLayout) webAddr() netip.Addr {
+	if r.web == [4]byte{} {
+		return netip.Addr{}
+	}
+	return netip.AddrFrom4(r.web)
 }
 
 // ghostLayout is one compiled stale-DV-token issuance (§4.2 cause iii).
@@ -96,10 +106,11 @@ type ghostLayout struct {
 	inDZDB  bool      // ≈97 % existed in historical zone data
 }
 
-// feedSeed is one buffered substrate observation (NOD or DZDB).
+// feedSeed is one buffered substrate observation (NOD or DZDB), its
+// instant in Unix nanoseconds.
 type feedSeed struct {
 	domain string
-	at     time.Time
+	at     int64
 }
 
 // Layout is one plan's compiled output. It holds no references to world
@@ -136,9 +147,10 @@ type planCompiler struct {
 	// generated name starts with it, partitioning the plan's name space
 	// across chunks.
 	namePrefix byte
-	// names is every name this chunk has generated, for domainName's
-	// collision checks; it is dropped with the compiler.
-	names map[string]struct{}
+	// labels is the first label of every name this chunk has generated,
+	// packed into a number (domainName), for the collision checks; it is
+	// dropped with the compiler.
+	labels map[uint64]struct{}
 	// arena holds the bytes of every name the chunk generates, back to
 	// back, and each name is a substring of it: a chunk's names cost one
 	// allocation, not one each. A Builder never changes bytes it has
@@ -161,7 +173,7 @@ func newPlanCompiler(env *buildEnv, tld string, chunk, chunks, regs, ghosts int,
 			domains: make([]regLayout, 0, regs),
 			ghosts:  make([]ghostLayout, 0, ghosts),
 		},
-		names:   make(map[string]struct{}, regs+ghosts),
+		labels:  make(map[uint64]struct{}, regs+ghosts),
 		records: make([]Domain, 0, regs+ghosts),
 	}
 	if chunks > 1 {
@@ -320,19 +332,16 @@ func (pc *planCompiler) compileDomain(d *Domain, transient bool) {
 	shard := rng.Intn(13)
 	r := regLayout{
 		d:         d,
-		ns:        dnsProv.NSNames(shard),
 		nsSet:     dnsProv.NSSetID(shard),
-		web:       webProv.WebAddr(rng.Uint64()),
-		caIdx:     rng.Intn(pc.env.numCAs),
+		web:       webProv.WebAddr(rng.Uint64()).As4(),
+		caIdx:     uint8(rng.Intn(pc.env.numCAs)),
 		certDelay: pc.sampleCertDelay(transient),
 		retrySeed: rng.Uint64(),
 	}
 	r.nsChange = rng.Float64() < cfg.NSChangeRate
 	r.nsChangeAt = time.Duration(rng.Int63n(int64(24 * time.Hour)))
 	if r.nsChange {
-		alt := hosting.PickDNS(rng, transient)
-		shard := rng.Intn(13)
-		r.altNS, r.altSet = alt.NSNames(shard), alt.NSSetID(shard)
+		r.altSet = hosting.PickDNS(rng, transient).NSSetID(rng.Intn(13))
 	}
 	nodRate := cfg.NODRateNoCert
 	if d.CertAsked {
@@ -350,12 +359,12 @@ func (pc *planCompiler) compileDomain(d *Domain, transient bool) {
 				At: d.Created.Add(-time.Duration(30+rng.Intn(170)) * 24 * time.Hour),
 			})
 			pc.out.dzdb = append(pc.out.dzdb, feedSeed{
-				d.Name, d.Created.Add(-time.Duration(200+rng.Intn(160)) * 24 * time.Hour),
+				d.Name, d.Created.Add(-time.Duration(200+rng.Intn(160)) * 24 * time.Hour).UnixNano(),
 			})
 		}
 	}
 	if at, ok := pc.env.nodCfg.Sample(rng, d.Created, d.Lifetime, nodRate); ok {
-		pc.out.nod = append(pc.out.nod, feedSeed{d.Name, at})
+		pc.out.nod = append(pc.out.nod, feedSeed{d.Name, at.UnixNano()})
 	}
 	pc.out.domains = append(pc.out.domains, r)
 }
@@ -443,32 +452,36 @@ const nameLabelLen = 10
 func nameLen(tld string) int { return nameLabelLen + 1 + len(tld) }
 
 // domainName generates a fresh random 10-character registrable name
-// under tld, checking collisions against this chunk's own name set.
+// under tld, checking collisions against this chunk's own label set.
 // Names embed their TLD, plans own distinct TLDs, and within a
 // multi-chunk plan the chunk's discriminator occupies the first
 // character, so per-chunk uniqueness is world-wide uniqueness — probing
 // a shared map (as the serial builder did) was both wasteful and the one
-// cross-TLD data dependency. The set also covers ghost names, which the
-// old global probe missed. A candidate is checked from a stack buffer,
-// and only a fresh one is written to the chunk's arena.
+// cross-TLD data dependency. Every name of a chunk has the same TLD, so
+// the set holds first labels only, each packed into a number whose
+// base-36 digits are its characters' indices in nameAlphabet: 36¹⁰ < 2⁵²,
+// so distinct labels get distinct numbers. The set also covers ghost
+// names, which the old global probe missed. A candidate is built in a
+// stack buffer, and only a fresh one is written to the chunk's arena.
 func (pc *planCompiler) domainName(tld string) string {
 	var buf [64]byte
 	for {
-		b := buf[:0]
+		b, key := buf[:0], uint64(0)
 		if pc.namePrefix != 0 {
-			b = append(b, pc.namePrefix)
+			b, key = append(b, pc.namePrefix), uint64(strings.IndexByte(nameAlphabet, pc.namePrefix))
 		}
 		for len(b) < nameLabelLen {
-			b = append(b, nameAlphabet[pc.rng.Intn(len(nameAlphabet))])
+			c := pc.rng.Intn(len(nameAlphabet))
+			b, key = append(b, nameAlphabet[c]), key*uint64(len(nameAlphabet))+uint64(c)
 		}
+		if _, exists := pc.labels[key]; exists {
+			continue
+		}
+		pc.labels[key] = struct{}{}
 		b = append(b, '.')
 		b = append(b, tld...)
-		if _, exists := pc.names[string(b)]; !exists {
-			start := pc.arena.Len()
-			pc.arena.Write(b)
-			name := pc.arena.String()[start:]
-			pc.names[name] = struct{}{}
-			return name
-		}
+		start := pc.arena.Len()
+		pc.arena.Write(b)
+		return pc.arena.String()[start:]
 	}
 }

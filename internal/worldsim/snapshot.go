@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/netip"
 	"os"
 	"slices"
 	"strings"
@@ -212,13 +211,6 @@ func flagsSchema() columnar.Schema {
 
 // Encoding helpers ----------------------------------------------------------
 
-// isSet reports whether ns is the set id numbers: that slice, or no set
-// for both.
-func isSet(ns []string, id hosting.NSSetID) bool {
-	set := id.Names()
-	return len(ns) == len(set) && (len(ns) == 0 || &ns[0] == &set[0])
-}
-
 // nsSetAt checks a stored NS set ID: 0 (no set) or a catalog set's.
 func nsSetAt(v int64) (hosting.NSSetID, error) {
 	id := hosting.NSSetID(v)
@@ -229,6 +221,14 @@ func nsSetAt(v int64) (hosting.NSSetID, error) {
 }
 
 func nanoTime(ns int64) time.Time { return time.Unix(0, ns).UTC() }
+
+// caAt checks a stored CA index: one of the world's CAs.
+func caAt(v int64) (uint8, error) {
+	if v < 0 || v >= int64(len(caNames)) {
+		return 0, fmt.Errorf("worldsim: no CA %d", v)
+	}
+	return uint8(v), nil
+}
 
 // spareBody is the block buffer of the last save that finished, kept for
 // the next one: after its first save a process builds table bodies in
@@ -288,14 +288,11 @@ func SaveSnapshot(w io.Writer, ls *LayoutSet) error {
 				switch {
 				case d.TLD != l.tld:
 					return fmt.Errorf("worldsim: %s is laid out under .%s", d.Name, l.tld)
-				case r.nsSet.Names() == nil || !isSet(r.ns, r.nsSet) || r.nsSet.Provider().Name != d.DNSHost:
-					return fmt.Errorf("worldsim: %s: NS %v is not set %d of its DNS host %s", d.Name, r.ns, r.nsSet, d.DNSHost)
-				case !isSet(r.altNS, r.altSet):
-					return fmt.Errorf("worldsim: %s: alternate NS %v is not set %d", d.Name, r.altNS, r.altSet)
-				case !r.web.Is4():
-					return fmt.Errorf("worldsim: %s: web address %v is not IPv4", d.Name, r.web)
+				case r.nsSet.Names() == nil || r.nsSet.Provider().Name != d.DNSHost:
+					return fmt.Errorf("worldsim: %s: NS set %d is not one of its DNS host %s", d.Name, r.nsSet, d.DNSHost)
+				case r.web == [4]byte{}:
+					return fmt.Errorf("worldsim: %s has no web address", d.Name)
 				}
-				web4 := r.web.As4()
 
 				layout = append(layout, int64(i))
 				names, regs = append(names, d.Name), append(regs, d.Registrar)
@@ -303,7 +300,7 @@ func SaveSnapshot(w io.Writer, ls *LayoutSet) error {
 				fastDel, mal = append(fastDel, d.FastDelete), append(mal, d.Malicious)
 				reason, certAsk = append(reason, int64(d.Reason)), append(certAsk, d.CertAsked)
 				webHosts, hasMX, hasSPF = append(webHosts, d.WebHost), append(hasMX, d.HasMX), append(hasSPF, d.HasSPF)
-				ns, web = append(ns, int64(r.nsSet)), append(web, int64(binary.BigEndian.Uint32(web4[:])))
+				ns, web = append(ns, int64(r.nsSet)), append(web, int64(binary.BigEndian.Uint32(r.web[:])))
 				caIdx, certDelay = append(caIdx, int64(r.caIdx)), append(certDelay, int64(r.certDelay))
 				retry, nsChange = append(retry, int64(r.retrySeed)), append(nsChange, r.nsChange)
 				nsChangeAt, altNS = append(nsChangeAt, int64(r.nsChangeAt)), append(altNS, int64(r.altSet))
@@ -360,7 +357,7 @@ func SaveSnapshot(w io.Writer, ls *LayoutSet) error {
 			for i, l := range ls.Layouts {
 				layout, at, domains = layout[:0], at[:0], domains[:0]
 				for _, s := range pick(l) {
-					layout, domains, at = append(layout, int64(i)), append(domains, s.domain), append(at, s.at.UnixNano())
+					layout, domains, at = append(layout, int64(i)), append(domains, s.domain), append(at, s.at)
 				}
 				if err := cw.Write(&columnar.RowGroup{Rows: len(layout), Cols: []columnar.Values{
 					{Ints: layout}, {Strs: domains}, {Ints: at},
@@ -665,11 +662,14 @@ func (ls *LayoutSet) decodeDomains(r *columnar.Reader) error {
 			if err != nil {
 				return err
 			}
-			if uint64(webCol[i]) > math.MaxUint32 {
-				return fmt.Errorf("worldsim: web address %d is not an IPv4 number", webCol[i])
+			// 0.0.0.0 is no provider's address: the record keeps it for none.
+			if webCol[i] <= 0 || webCol[i] > math.MaxUint32 {
+				return fmt.Errorf("worldsim: web address %d is not a host's IPv4 number", webCol[i])
 			}
-			var web4 [4]byte
-			binary.BigEndian.PutUint32(web4[:], uint32(webCol[i]))
+			caIdx, err := caAt(caIdxs[i])
+			if err != nil {
+				return err
+			}
 
 			d := &ds[i]
 			d.Name, d.TLD, d.Registrar = names[i], l.tld, regs[i]
@@ -679,9 +679,10 @@ func (ls *LayoutSet) decodeDomains(r *columnar.Reader) error {
 			d.DNSHost, d.WebHost = nsID.Provider().Name, webHosts[i]
 			d.HasMX, d.HasSPF = hasMX[i], hasSPF[i]
 			r := &rls[i]
-			r.d, r.ns, r.nsSet, r.web = d, nsID.Names(), nsID, netip.AddrFrom4(web4)
-			r.caIdx, r.certDelay, r.retrySeed = int(caIdxs[i]), time.Duration(certDel[i]), uint64(retry[i])
-			r.nsChange, r.nsChangeAt, r.altNS, r.altSet = nsChg[i], time.Duration(nsChgAt[i]), altID.Names(), altID
+			r.d, r.nsSet, r.caIdx = d, nsID, caIdx
+			binary.BigEndian.PutUint32(r.web[:], uint32(webCol[i]))
+			r.certDelay, r.retrySeed = time.Duration(certDel[i]), uint64(retry[i])
+			r.nsChange, r.nsChangeAt, r.altSet = nsChg[i], time.Duration(nsChgAt[i]), altID
 		}
 		forRuns(idxs[:g.Rows], func(start, end int) {
 			l := ls.Layouts[idxs[start]]
@@ -708,6 +709,10 @@ func (ls *LayoutSet) decodeGhosts(r *columnar.Reader) error {
 			if err != nil {
 				return err
 			}
+			caIdx, err := caAt(caIdxs[i])
+			if err != nil {
+				return err
+			}
 			ds[i] = Domain{
 				Name:    names[i],
 				TLD:     l.tld,
@@ -716,7 +721,7 @@ func (ls *LayoutSet) decodeGhosts(r *columnar.Reader) error {
 			}
 			gls[i] = ghostLayout{
 				d:       &ds[i],
-				caIdx:   int(caIdxs[i]),
+				caIdx:   int(caIdx),
 				tokenAt: nanoTime(tokenAt[i]),
 				inDZDB:  inDZDB[i],
 			}
@@ -762,7 +767,7 @@ func (ls *LayoutSet) decodeFeed(r *columnar.Reader, seeds func(*Layout) *[]feedS
 			if _, err := ls.layoutOf(idxs[i]); err != nil {
 				return err
 			}
-			run[i] = feedSeed{domain: domains[i], at: nanoTime(at[i])}
+			run[i] = feedSeed{domain: domains[i], at: at[i]}
 		}
 		forRuns(idxs[:g.Rows], func(start, end int) {
 			slab := seeds(ls.Layouts[idxs[start]])

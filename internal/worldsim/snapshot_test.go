@@ -3,16 +3,18 @@ package worldsim
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
-	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"darkdns/internal/columnar"
 )
 
 // TestSnapshotRoundTrip: a saved-then-loaded layout set must commit to a
@@ -49,11 +51,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if *gr.d != *r.d {
 				t.Fatalf("layout %d domain %d: %+v vs %+v", i, j, *gr.d, *r.d)
 			}
-			if !reflect.DeepEqual(gr.ns, r.ns) || gr.web != r.web || gr.caIdx != r.caIdx ||
-				gr.certDelay != r.certDelay || gr.retrySeed != r.retrySeed ||
-				gr.nsChange != r.nsChange || gr.nsChangeAt != r.nsChangeAt ||
-				!reflect.DeepEqual(gr.altNS, r.altNS) || gr.nsSet != r.nsSet || gr.altSet != r.altSet {
-				t.Fatalf("layout %d domain %d: regLayout mismatch", i, j)
+			if gr.d = r.d; gr != r {
+				t.Fatalf("layout %d domain %d: regLayout %+v, want %+v", i, j, gr, r)
 			}
 		}
 		if !reflect.DeepEqual(got.nod, l.nod) || !reflect.DeepEqual(got.flags, l.flags) ||
@@ -64,21 +63,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSaveRefusesWhatItCannotStore: the snapshot stores a registration's
-// TLD as its layout's, its NS sets as catalog set IDs (its DNS host as
-// the ns set's provider) and its web address as an IPv4 number, so a
-// registration those would not give back is a save error, not a
-// different world after the load.
+// TLD as its layout's, its DNS host as its NS set's provider and its web
+// address as a nonzero IPv4 number, so a registration those would not
+// give back is a save error, not a different world after the load.
 func TestSaveRefusesWhatItCannotStore(t *testing.T) {
 	ls := CompileLayoutSet(tinyConfig(41))
 	l := ls.Layouts[0]
 	for name, edit := range map[string]func(r *regLayout){
 		"a TLD other than its layout's": func(r *regLayout) { r.d.TLD = "elsewhere" },
-		"a copy of its NS set":          func(r *regLayout) { r.ns = slices.Clone(r.ns) },
 		"another provider's NS set":     func(r *regLayout) { r.d.DNSHost = "Elsewhere" },
 		"an NS set of no ID":            func(r *regLayout) { r.nsSet = 0 },
-		"an alternate NS set of no ID":  func(r *regLayout) { r.altNS, r.altSet = r.ns, 0 },
-		"no web address":                func(r *regLayout) { r.web = netip.Addr{} },
-		"an IPv6 web address":           func(r *regLayout) { r.web = netip.IPv6Loopback() },
+		"no web address":                func(r *regLayout) { r.web = [4]byte{} },
 	} {
 		r := l.domains[0]
 		d := *r.d
@@ -358,6 +353,68 @@ func TestBlockBuffer(t *testing.T) {
 		}
 		if b.len() != want.Len() || !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("pieces %v: len %d, wrote %d bytes; want %d bytes back", sizes, b.len(), got.Len(), want.Len())
+		}
+	}
+}
+
+// TestLoadRefusesWhatNoRecordHolds: a registration's record keeps its web
+// address as four bytes, all zero for none, and its CA as a one-byte
+// index, so a stored web address of 0 or outside IPv4, and a
+// registration's or ghost's CA index outside the world's CAs, is a load
+// error; the same rows with stored values load.
+func TestLoadRefusesWhatNoRecordHolds(t *testing.T) {
+	ls := CompileLayoutSet(tinyConfig(41))
+	l := ls.Layouts[0]
+	r, g := l.domains[0], l.ghosts[0]
+	same := func(b []byte) []byte { return b }
+	none := func(*columnar.Writer) error { return nil }
+	snapshot := func(web, regCA, ghostCA int64) []byte {
+		d := r.d
+		tables := snapTable("layouts", layoutsSchema(), func(cw *columnar.Writer) error {
+			return cw.Write(&columnar.RowGroup{Rows: 1, Cols: []columnar.Values{{Ints: []int64{0}}, {Strs: []string{l.tld}}}})
+		}, same)
+		tables = append(tables, snapTable("domains", domainsSchema(), func(cw *columnar.Writer) error {
+			return cw.Write(&columnar.RowGroup{Rows: 1, Cols: []columnar.Values{
+				{Ints: []int64{0}}, {Strs: []string{d.Name}}, {Strs: []string{d.Registrar}},
+				{Ints: []int64{d.Created.UnixNano()}}, {Ints: []int64{int64(d.Lifetime)}},
+				{Bools: []bool{d.FastDelete}}, {Bools: []bool{d.Malicious}}, {Ints: []int64{int64(d.Reason)}},
+				{Bools: []bool{d.CertAsked}}, {Strs: []string{d.WebHost}}, {Bools: []bool{d.HasMX}}, {Bools: []bool{d.HasSPF}},
+				{Ints: []int64{int64(r.nsSet)}}, {Ints: []int64{web}}, {Ints: []int64{regCA}},
+				{Ints: []int64{int64(r.certDelay)}}, {Ints: []int64{int64(r.retrySeed)}},
+				{Bools: []bool{r.nsChange}}, {Ints: []int64{int64(r.nsChangeAt)}}, {Ints: []int64{int64(r.altSet)}},
+			}})
+		}, same)...)
+		tables = append(tables, snapTable("ghosts", ghostsSchema(), func(cw *columnar.Writer) error {
+			return cw.Write(&columnar.RowGroup{Rows: 1, Cols: []columnar.Values{
+				{Ints: []int64{0}}, {Strs: []string{g.d.Name}}, {Ints: []int64{g.d.Created.UnixNano()}},
+				{Ints: []int64{ghostCA}}, {Ints: []int64{g.tokenAt.UnixNano()}}, {Bools: []bool{g.inDZDB}},
+			}})
+		}, same)...)
+		for _, name := range []string{"nod", "dzdb", "flags"} {
+			tables = append(tables, snapTable(name, tableSchemas[name], none, same)...)
+		}
+		return snapContainer(tables)
+	}
+	web := int64(binary.BigEndian.Uint32(r.web[:]))
+	got, err := LoadSnapshot(bytes.NewReader(snapshot(web, int64(r.caIdx), int64(g.caIdx))))
+	if err != nil {
+		t.Fatalf("the stored rows: %v", err)
+	}
+	if gr := got.Layouts[0].domains[0]; gr.web != r.web || gr.caIdx != r.caIdx || *gr.d != *r.d || got.Layouts[0].ghosts[0].caIdx != g.caIdx {
+		t.Fatalf("the stored rows load as %+v", gr)
+	}
+	nCAs := int64(len(caNames))
+	for name, data := range map[string][]byte{
+		"web address 0":           snapshot(0, int64(r.caIdx), int64(g.caIdx)),
+		"a negative web address":  snapshot(-1, int64(r.caIdx), int64(g.caIdx)),
+		"a web address past IPv4": snapshot(1<<32, int64(r.caIdx), int64(g.caIdx)),
+		"a negative CA":           snapshot(web, -1, int64(g.caIdx)),
+		"a CA past the world's":   snapshot(web, nCAs, int64(g.caIdx)),
+		"a CA past one byte":      snapshot(web, 256, int64(g.caIdx)),
+		"a ghost's CA past":       snapshot(web, int64(r.caIdx), nCAs),
+	} {
+		if _, err := LoadSnapshot(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: loaded", name)
 		}
 	}
 }

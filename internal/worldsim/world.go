@@ -49,7 +49,7 @@ import (
 // Config parameterizes a world.
 type Config struct {
 	Seed  int64
-	Start time.Time  // window start (paper: 2023-11-01)
+	Start time.Time  // window start (paper: 2023-11-01); a world keeps it in UTC
 	Weeks int        // window length in weeks (paper: ~13)
 	Scale float64    // fraction of paper volumes to generate
 	Plans []TLDPlan  // nil → PaperPlans(); plans must have distinct TLDs
@@ -109,6 +109,11 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Weeks <= 0 {
 		cfg.Weeks = 13
 	}
+	// Every instant a world derives from Start is then in UTC with no
+	// monotonic reading, the form a lifecycle record's or a snapshot's
+	// Unix nanoseconds convert back to (nanoTime), so a compiled world's
+	// instants equal a loaded one's under ==.
+	cfg.Start = cfg.Start.Round(0).UTC()
 	return cfg
 }
 

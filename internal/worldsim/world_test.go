@@ -373,7 +373,7 @@ func TestCertAttemptRetriesOnItsRecord(t *testing.T) {
 	w := &World{Clock: clk}
 	w.CAs = []*ca.CA{ca.New(ca.Config{Name: "CA", ValidationDelay: noDelay}, clk,
 		rand.New(rand.NewSource(1)), never, ct.NewLog("log"))}
-	lc := &lifecycle{w: w, r: &regLayout{d: &Domain{Name: "x.com"}, retrySeed: 7}}
+	lc := &lifecycle{w: w, l: &Layout{domains: []regLayout{{d: &Domain{Name: "x.com"}, retrySeed: 7}}}}
 
 	clk.Schedule(start, (*certAttempt)(lc))
 	for clk.Pending() > 0 {

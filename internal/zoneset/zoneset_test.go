@@ -85,7 +85,9 @@ func zoneFile(tld string, serial uint32, z zone) string {
 	return buf.String()
 }
 
-func TestCompare(t *testing.T) {
+// TestStreamDiffClassifies: a domain only in the new zone is added, one
+// only in the old removed, and one delegated to another NS set changed.
+func TestStreamDiffClassifies(t *testing.T) {
 	old := zoneOf("keep.com", "gone.com", "changed.com")
 	new := zoneOf("keep.com", "fresh.com")
 	new["changed.com"] = []string{"ns1.dns-parking.com"}
@@ -101,16 +103,19 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestCompareIdentical(t *testing.T) {
+// TestStreamDiffReorderedZoneIsNoChange: the same delegations under
+// another serial, listed in another order, diff to nothing.
+func TestStreamDiffReorderedZoneIsNoChange(t *testing.T) {
 	d := streamDiff(t, zoneFile("com", 1, zoneOf("x.com", "y.com")), zoneFile("com", 2, zoneOf("y.com", "x.com")), "com")
 	if len(d.Added)+len(d.Removed)+len(d.Changed) != 0 {
 		t.Errorf("self-diff nonempty: %+v", d)
 	}
 }
 
-// TestNSSetsSortedOnAdd: a delegation's NS set is read canonical and
-// sorted, so the same set in another order or case is no change.
-func TestNSSetsSortedOnAdd(t *testing.T) {
+// TestStreamDiffNSSetOrderAndCase: a delegation's NS set is read
+// canonical and sorted, so the same set in another order or case is no
+// change, and a shrunk one is.
+func TestStreamDiffNSSetOrderAndCase(t *testing.T) {
 	old := "$ORIGIN com.\nx 3600 IN NS ns2.b.net.\nx 3600 IN NS NS1.a.net.\n"
 	new := "$ORIGIN com.\nx 3600 IN NS ns1.a.net.\nx 3600 IN NS ns2.b.net.\n"
 	if d := streamDiff(t, old, new, "com"); len(d.Added)+len(d.Removed)+len(d.Changed) != 0 {
@@ -121,9 +126,9 @@ func TestNSSetsSortedOnAdd(t *testing.T) {
 	}
 }
 
-// TestWriteReadRoundTrip: a zone file with its SOA, apex NS and glue reads
-// back as exactly its delegations.
-func TestWriteReadRoundTrip(t *testing.T) {
+// TestStreamDiffReadsOnlyDelegations: a zone file with its SOA, apex NS
+// and glue diffs against the empty zone as exactly its delegations.
+func TestStreamDiffReadsOnlyDelegations(t *testing.T) {
 	z := zone{
 		"alpha.shop": {"ns1.cloudflare.com", "ns2.cloudflare.com"},
 		"beta.shop":  {"ns1.beta.shop"},
@@ -138,7 +143,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadIgnoresOutOfZone(t *testing.T) {
+// TestStreamDiffIgnoresOutOfZone: an NS record whose owner is outside the
+// zone's TLD is no delegation.
+func TestStreamDiffIgnoresOutOfZone(t *testing.T) {
 	src := `$ORIGIN com.
 @ 900 IN SOA a.nic.com. host.nic.com. 7 1 1 1 1
 @ 86400 IN NS a.nic.com.
@@ -151,7 +158,9 @@ stray.example.org. 3600 IN NS ns.org.
 	}
 }
 
-func TestStreamDiffMatchesCompare(t *testing.T) {
+// TestStreamDiffMatchesMapModel: over two random 500-name zones,
+// StreamDiff reports what compareZones finds from the map model.
+func TestStreamDiffMatchesMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	old, new := make(zone), make(zone)
 	for i := 0; i < 500; i++ {

@@ -448,9 +448,6 @@ var unusedAllowed = map[string]string{
 	"measure.Fleet.State":                  testOnly,
 	"measure.Fleet.States":                 benchOnly,
 	"measure.Fleet.Watched":                testOnly,
-	"noddfeed.Feed.DetectedBetween":        testOnly,
-	"noddfeed.Feed.Len":                    testOnly,
-	"noddfeed.Feed.ObserveRegistration":    testOnly,
 	"psl.List.IsPublicSuffix":              testOnly,
 	"psl.List.Len":                         testOnly,
 	"psl.Parse":                            testOnly,
